@@ -1,5 +1,7 @@
-// Package cleaner is the background space-reclamation engine shared by the
-// repository's log-structured systems (internal/store and internal/vlog).
+// Package cleaner is the background space-reclamation driver of the
+// repository's log-structured systems: internal/store and internal/vlog
+// both run on the segment-log core internal/seglog, whose adapter
+// (seglog.Log.Target) is this package's one Target implementation.
 //
 // The seed ran cleaning synchronously inside the write path: a Put that
 // found the free pool below the low-water mark blocked behind entire
@@ -15,9 +17,10 @@
 //     falls below an emergency floor, the regime where the only
 //     alternative would be running out of space entirely.
 //
-// The engine being cleaned implements Target. One cleaning cycle is an
-// explicit state machine — Idle → Selecting → Relocating → Releasing —
-// replacing the ad-hoc "inGC" flags engines used to carry. The split into
+// The log being cleaned implements Target (an interface so this package
+// need not import the core, and so tests can script a target). One cleaning
+// cycle is an explicit state machine — Idle → Selecting → Relocating →
+// Releasing — replacing the ad-hoc "inGC" flags engines used to carry. The split into
 // SelectVictims / Relocate / Release is what enables concurrency: victims
 // are marked (core.SegCleaning) under the engine lock, their records are
 // then immutable, so the expensive relocation I/O can proceed while
@@ -52,28 +55,6 @@ var (
 	// cleaner recovering the emergency floor.
 	ErrStalled = errors.New("cleaner: admission stalled")
 )
-
-// RelocateChunks drives a chunked relocation: it calls install over
-// successive index ranges [lo, hi) of n candidates, chunk at a time,
-// accumulating the installed record count and byte volume. Engines use it
-// inside Target.Relocate so the engine lock is taken per chunk (inside
-// install) rather than for the whole batch, letting user operations
-// interleave with the cleaner. A chunk error stops the loop and returns
-// the partial totals with the error.
-func RelocateChunks(n, chunk int, install func(lo, hi int) (int, int64, error)) (int, int64, error) {
-	var installed int
-	var moved int64
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		k, b, err := install(lo, hi)
-		installed += k
-		moved += b
-		if err != nil {
-			return installed, moved, err
-		}
-	}
-	return installed, moved, nil
-}
 
 // Target is the engine-side contract of the cleaning lifecycle. The
 // cleaner drives one cycle at a time, always in the order SelectVictims →

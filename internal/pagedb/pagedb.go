@@ -701,12 +701,12 @@ type Stats struct {
 	WAL wal.Stats
 }
 
-// Stats returns a snapshot of the database counters.
 // Obs returns the database's metrics registry (always non-nil), shared
 // with the backing store and its cleaner: pagedb.*, store.*, cleaner.*
 // and bufferpool.* series plus the trace events.
 func (db *DB) Obs() *obs.Registry { return db.obsReg }
 
+// Stats returns a snapshot of the database counters.
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -1,0 +1,339 @@
+package seglog_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/store"
+	"repro/internal/vlog"
+)
+
+// TestGoldenDeterminism pins the exact cleaning behaviour of both live
+// engines: a seeded foreground workload (Zipf and hot/cold page choice,
+// single-op and batched writes, deletes, delete-then-re-put inside one
+// batch) must reproduce, digit for digit, the counters recorded from the
+// tree BEFORE the two engines were rebuilt on the shared segment-log core.
+// Foreground cleaning is single-threaded and seeded, so every number is a
+// pure function of the code: any change to victim choice, GC ordering,
+// stream routing, seal order, reservation or (durable rows) sync points
+// shows up here as a diff rather than as "within noise".
+//
+// GOLDEN_PRINT=1 prints the rows instead of comparing them.
+func TestGoldenDeterminism(t *testing.T) {
+	algs := []core.Algorithm{core.MDC(), core.MDCRouted(), core.MultiLog(), core.Greedy(), core.CostBenefit()}
+	var rows []string
+	for _, alg := range algs {
+		rows = append(rows, "store/"+alg.Name+" "+runGolden(t, 24000, func() goldenEngine {
+			return openPageEngine(t, store.Options{PageSize: 64, SegmentPages: 16, MaxSegments: 128, Algorithm: alg})
+		}, nil))
+	}
+	for _, alg := range algs {
+		rows = append(rows, "vlog/"+alg.Name+" "+runGolden(t, 24000, func() goldenEngine {
+			s, err := vlog.New(vlog.Options{SegmentBytes: 2048, MaxSegments: 128, Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &kvEngine{s: s}
+		}, nil))
+	}
+	// Durable rows: the same workload on disk, closed and recovered half
+	// way, with every backend fsync counted — recovery's seal ordering and
+	// every sync point are part of the pinned behaviour.
+	for _, d := range []struct {
+		alg core.Algorithm
+		dur core.Durability
+	}{{core.MDC(), core.DurSeal}, {core.MDCRouted(), core.DurCommit}} {
+		dir := t.TempDir()
+		open := func() goldenEngine {
+			return openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
+				Algorithm: d.alg, Durability: d.dur})
+		}
+		var fsyncs uint64
+		row := runGolden(t, 8000, open, func(e goldenEngine) goldenEngine {
+			fsyncs = e.(*pageEngine).fsyncs()
+			if err := e.close(); err != nil {
+				t.Fatal(err)
+			}
+			return open()
+		})
+		rows = append(rows, fmt.Sprintf("store/%s/%s firstHalfFsyncs=%d %s", d.alg.Name, d.dur, fsyncs, row))
+	}
+	got := strings.Join(rows, "\n")
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		fmt.Println(got)
+		return
+	}
+	if got != goldenRows {
+		g, w := strings.Split(got, "\n"), strings.Split(goldenRows, "\n")
+		for i := range g {
+			if i >= len(w) || g[i] != w[i] {
+				want := "<none>"
+				if i < len(w) {
+					want = w[i]
+				}
+				t.Errorf("row %d differs\n got: %s\nwant: %s", i, g[i], want)
+			}
+		}
+	}
+}
+
+// goldenRows was captured from commit d54c8da (the parent of the
+// segment-log extraction) with GOLDEN_PRINT=1.
+const goldenRows = `store/MDC errFull=0 user=50622 gc=14653 unow=58939 cleaned=4488 meanE=0.6833778966131907 free=16 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:43/323 1:69/810
+store/MDC-routed errFull=0 user=50622 gc=20476 unow=58939 cleaned=4856 meanE=0.6324006383855024 free=19 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:4/19 1:104/1098 2:1/14
+store/multi-log errFull=0 user=50622 gc=36276 unow=58939 cleaned=5858 meanE=0.5263315124615909 free=28 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/2 1:1/1 2:1/0 3:1/12 4:1/4 5:2/18 6:8/82 7:11/128 8:15/173 9:18/224 10:13/158 11:10/106 12:9/102 13:4/45 14:2/21 15:1/0 27:2/20
+store/greedy errFull=0 user=50622 gc=19033 unow=58939 cleaned=4760 meanE=0.6442752100840337 free=14 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:32/280 1:82/877
+store/cost-benefit errFull=0 user=50622 gc=18435 unow=58939 cleaned=4720 meanE=0.6490201271186441 free=11 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:57/376 1:60/769
+vlog/MDC errFull=0 user=50622 gc=10064 userBytes=6605840 gcBytes=1243326 liveBytes=115308 cleaned=3860 meanE=0.8427220794203368 free=5 keys=899 commits=5308 streams: 0:55/244 1:68/655
+vlog/MDC-routed errFull=0 user=50622 gc=14278 userBytes=6605840 gcBytes=1750731 liveBytes=115308 cleaned=4124 meanE=0.7927135981828928 free=12 keys=899 commits=5308 streams: 0:6/25 1:105/832 2:4/32 3:1/10
+vlog/multi-log errFull=0 user=50622 gc=20705 userBytes=6605840 gcBytes=2549406 liveBytes=115308 cleaned=4543 meanE=0.7259900619772177 free=22 keys=899 commits=5308 streams: 0:1/0 1:1/1 2:1/2 3:1/1 4:1/2 5:2/15 6:6/36 7:4/35 8:14/115 9:25/243 10:10/103 11:12/113 12:14/130 13:8/58 14:1/12 15:1/4 27:4/29
+vlog/greedy errFull=0 user=50622 gc=13111 userBytes=6605840 gcBytes=1622614 liveBytes=115308 cleaned=4052 meanE=0.8044689061728776 free=5 keys=899 commits=5308 streams: 0:29/184 1:94/715
+vlog/cost-benefit errFull=0 user=50622 gc=13174 userBytes=6605840 gcBytes=1684930 liveBytes=115308 cleaned=4084 meanE=0.7985505076977228 free=5 keys=899 commits=5308 streams: 0:69/269 1:54/630
+store/MDC/seal firstHalfFsyncs=806 errFull=0 user=8197 gc=2131 unow=20395 cleaned=736 meanE=0.715438179347826 free=12 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=949 streams: 0:51/357 1:65/722
+store/MDC-routed/commit firstHalfFsyncs=5762 errFull=0 user=8197 gc=2665 unow=20444 cleaned=776 meanE=0.6854059278350515 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5588 fsyncs=5857 streams: 0:10/58 1:95/972 2:2/15 3:2/13`
+
+// goldenOp is one workload operation against either engine.
+type goldenOp struct {
+	id  uint32
+	ver uint32
+	del bool
+}
+
+type goldenEngine interface {
+	put(id, ver uint32) error
+	del(id uint32) error
+	batch(ops []goldenOp) error
+	get(id uint32) (ver uint32, ok bool, err error)
+	summary() string
+	close() error
+}
+
+// runGolden drives n operations (with midway, if set, swapping the engine
+// half way — close and recover) and returns the engine's summary row. A
+// shadow map tracks what must be readable at the end.
+func runGolden(t *testing.T, n int, open func() goldenEngine, midway func(goldenEngine) goldenEngine) string {
+	t.Helper()
+	const universe = 1000
+	e := open()
+	r := rand.New(rand.NewPCG(2021, 37))
+	zipf := rand.NewZipf(r, 1.2, 4, universe-1)
+	shadow := map[uint32]uint32{}
+	pick := func() uint32 {
+		if r.IntN(2) == 0 {
+			return uint32(zipf.Uint64())
+		}
+		if r.IntN(10) < 9 { // hot 10% of the ids gets 90% of these writes
+			return uint32(r.IntN(universe / 10))
+		}
+		return uint32(universe/10 + r.IntN(universe-universe/10))
+	}
+	errFull := 0
+	note := func(err error) {
+		if errors.Is(err, store.ErrFull) || errors.Is(err, vlog.ErrFull) {
+			errFull++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if midway != nil && i == n/2 {
+			e = midway(e)
+		}
+		ver := uint32(i)
+		switch k := r.IntN(100); {
+		case k < 70:
+			id := pick()
+			if err := e.put(id, ver); err != nil {
+				note(err)
+			} else {
+				shadow[id] = ver
+			}
+		case k < 78:
+			id := pick()
+			if _, ok := shadow[id]; ok {
+				if err := e.del(id); err != nil {
+					note(err)
+				} else {
+					delete(shadow, id)
+				}
+			}
+		default:
+			var ops []goldenOp
+			pending := map[uint32]uint32{} // 0 = deleted in this batch
+			exists := func(id uint32) bool {
+				if v, ok := pending[id]; ok {
+					return v != 0
+				}
+				_, ok := shadow[id]
+				return ok
+			}
+			for j, m := 0, 2+r.IntN(11); j < m; j++ {
+				id := pick()
+				switch c := r.IntN(10); {
+				case c == 0 && exists(id):
+					ops = append(ops, goldenOp{id: id, del: true})
+					pending[id] = 0
+				case c == 1 && exists(id): // delete then re-put: routes as history-free
+					ops = append(ops, goldenOp{id: id, del: true}, goldenOp{id: id, ver: ver})
+					pending[id] = ver
+				default:
+					ops = append(ops, goldenOp{id: id, ver: ver})
+					pending[id] = ver
+				}
+			}
+			if err := e.batch(ops); err != nil {
+				note(err)
+			} else {
+				for id, v := range pending {
+					if v == 0 {
+						delete(shadow, id)
+					} else {
+						shadow[id] = v
+					}
+				}
+			}
+		}
+	}
+	for id := uint32(0); id < universe; id++ {
+		got, ok, err := e.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, live := shadow[id]; ok != live || got != want {
+			t.Fatalf("id %d: got version %d (present %v), want %d (present %v)", id, got, ok, want, live)
+		}
+	}
+	row := fmt.Sprintf("errFull=%d %s", errFull, e.summary())
+	if err := e.close(); err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
+func streamRow(ss []core.StreamStats) string {
+	var b strings.Builder
+	for i, s := range ss {
+		if s.Segments != 0 || s.Live != 0 {
+			fmt.Fprintf(&b, " %d:%d/%d", i, s.Segments, s.Live)
+		}
+	}
+	return b.String()
+}
+
+type pageEngine struct {
+	s   *store.Store
+	buf []byte
+}
+
+func openPageEngine(t *testing.T, o store.Options) *pageEngine {
+	t.Helper()
+	s, err := store.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pageEngine{s: s, buf: make([]byte, o.PageSize)}
+}
+
+func (e *pageEngine) page(id, ver uint32) []byte {
+	binary.LittleEndian.PutUint32(e.buf[0:], id)
+	binary.LittleEndian.PutUint32(e.buf[4:], ver)
+	return e.buf
+}
+
+func (e *pageEngine) put(id, ver uint32) error { return e.s.WritePage(id, e.page(id, ver)) }
+func (e *pageEngine) del(id uint32) error      { return e.s.DeletePage(id) }
+func (e *pageEngine) close() error             { return e.s.Close() }
+func (e *pageEngine) fsyncs() uint64           { return e.s.Obs().Histogram("store.fsync.ns").Count() }
+
+func (e *pageEngine) batch(ops []goldenOp) error {
+	b := store.NewBatch()
+	for _, op := range ops {
+		if op.del {
+			b.Delete(op.id)
+		} else {
+			b.Write(op.id, e.page(op.id, op.ver))
+		}
+	}
+	return e.s.Apply(b)
+}
+
+func (e *pageEngine) get(id uint32) (uint32, bool, error) {
+	err := e.s.ReadPage(id, e.buf)
+	if errors.Is(err, store.ErrNotFound) {
+		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	if got := binary.LittleEndian.Uint32(e.buf[0:]); got != id {
+		return 0, false, fmt.Errorf("page %d holds page %d's bytes", id, got)
+	}
+	return binary.LittleEndian.Uint32(e.buf[4:]), true, nil
+}
+
+func (e *pageEngine) summary() string {
+	if err := e.s.CheckInvariants(); err != nil {
+		return "INVARIANT: " + err.Error()
+	}
+	st := e.s.Stats()
+	return fmt.Sprintf("user=%d gc=%d unow=%d cleaned=%d meanE=%v free=%d live=%d tomb=%d batches=%d commits=%d rounds=%d syncs=%d fsyncs=%d streams:%s",
+		st.UserWrites, st.GCWrites, st.UpdateClock, st.SegmentsCleaned, st.MeanEAtClean, st.FreeSegments,
+		st.LivePages, st.Tombstones, st.BatchesApplied, st.Commits, st.FsyncRounds, st.Fsyncs, e.fsyncs(), streamRow(st.Streams))
+}
+
+type kvEngine struct{ s *vlog.Store }
+
+func kvKey(id uint32) string { return fmt.Sprintf("key-%05d", id) }
+
+// kvValue is a variable-size value (16..215 bytes) stamped with id and ver.
+func kvValue(id, ver uint32) []byte {
+	v := bytes.Repeat([]byte{byte(id)}, 16+int(id*7+ver)%200)
+	binary.LittleEndian.PutUint32(v[0:], id)
+	binary.LittleEndian.PutUint32(v[4:], ver)
+	return v
+}
+
+func (e *kvEngine) put(id, ver uint32) error { return e.s.Put(kvKey(id), kvValue(id, ver)) }
+func (e *kvEngine) del(id uint32) error      { return e.s.Delete(kvKey(id)) }
+func (e *kvEngine) close() error             { return e.s.Close() }
+
+func (e *kvEngine) batch(ops []goldenOp) error {
+	b := vlog.NewBatch()
+	for _, op := range ops {
+		if op.del {
+			b.Delete(kvKey(op.id))
+		} else {
+			b.Put(kvKey(op.id), kvValue(op.id, op.ver))
+		}
+	}
+	return e.s.Commit(b)
+}
+
+func (e *kvEngine) get(id uint32) (uint32, bool, error) {
+	v, ok := e.s.Get(kvKey(id))
+	if !ok {
+		return 0, false, nil
+	}
+	ver := binary.LittleEndian.Uint32(v[4:])
+	if !bytes.Equal(v, kvValue(id, ver)) {
+		return 0, false, fmt.Errorf("key %d holds a corrupt value", id)
+	}
+	return ver, true, nil
+}
+
+func (e *kvEngine) summary() string {
+	if err := e.s.CheckInvariants(); err != nil {
+		return "INVARIANT: " + err.Error()
+	}
+	st := e.s.Stats()
+	return fmt.Sprintf("user=%d gc=%d userBytes=%d gcBytes=%d liveBytes=%d cleaned=%d meanE=%v free=%d keys=%d commits=%d streams:%s",
+		st.UserWrites, st.GCWrites, st.UserBytes, st.GCBytes, st.LiveBytes, st.SegmentsCleaned, st.MeanEAtClean,
+		st.FreeSegments, st.Keys, st.Commits, streamRow(st.Streams))
+}

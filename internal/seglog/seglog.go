@@ -1,0 +1,597 @@
+// Package seglog is the segment-log core shared by the two live engines:
+// the durable page store (internal/store, fixed page slots in checksummed
+// files) and the in-memory value log (internal/vlog, variable keyed records
+// in slabs). It owns everything about segments that is neither bytes nor
+// index: the metadata table the cleaning policies read, the free pool, the
+// per-stream open segments, the update clock, stream routing, the low-water
+// rule, the cleaning cycle in both execution modes (foreground under the
+// engine lock; background as the one cleaner.Target), batch space planning,
+// and write admission.
+//
+// The seam is decisions and accounting in the core, bytes and index in the
+// engine. The engine plugs in through Engine, called at segment, victim and
+// relocation-candidate granularity; the per-write append path is direct
+// method calls on the concrete Log (Route → Room → Advance → Appended), the
+// engine moving its own records in between.
+//
+// Two promises tie the sides together. SegCleaning freezes a victim: the
+// core never opens, reuses or re-selects it until release, so an engine may
+// read its records with no lock held. And release, the only step that makes
+// victim space reusable, always follows a successful Engine.SyncRelocated —
+// so at any instant every live record has an intact copy.
+package seglog
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/cleaner"
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// Config is what an engine tells the core about itself: engine constants,
+// then the knobs both engines' Options share (validated once, here).
+type Config struct {
+	// Name prefixes error messages, obs series and span legs ("store").
+	Name string
+	// ErrFull is the engine's capacity-exhausted sentinel; every ErrFull the
+	// core reports is or wraps it. ErrClosed is what a closed log answers.
+	ErrFull, ErrClosed error
+	// MaxSegments × SegmentBytes (record bytes per segment) is the geometry.
+	MaxSegments  int
+	SegmentBytes int64
+	// RelocChunk is how many candidates background relocation installs per
+	// lock hold, bounding writer stalls behind the cleaner.
+	RelocChunk int
+
+	Algorithm     core.Algorithm
+	FreeLowWater  int
+	CleanBatch    int
+	Durability    core.Durability
+	Background    bool
+	FreeHighWater int
+	FreeEmergency int
+	Pacer         cleaner.Pacer
+	Obs           *obs.Registry
+}
+
+// Validate applies the shared defaults (Algorithm, Obs) and rejects
+// configurations no segment log can run.
+func (c *Config) Validate() error {
+	if c.Algorithm.Policy == nil {
+		c.Algorithm = core.MDC()
+	}
+	if !c.Durability.Valid() {
+		return fmt.Errorf("%s: invalid durability level %d", c.Name, c.Durability)
+	}
+	if c.MaxSegments < c.FreeLowWater+2 || c.FreeLowWater <= c.CleanBatch {
+		return fmt.Errorf("%s: need MaxSegments (%d) >= FreeLowWater (%d) + 2 and FreeLowWater > CleanBatch (%d) so relocations always fit",
+			c.Name, c.MaxSegments, c.FreeLowWater, c.CleanBatch)
+	}
+	if c.Algorithm.Exact {
+		return fmt.Errorf("%s: exact-rate algorithm %s needs a workload oracle; use the estimator variant", c.Name, c.Algorithm.Name)
+	}
+	if r := c.Algorithm.Router; r != nil {
+		n := int(r.Streams())
+		if n < 2 || n > core.MaxRouterStreams {
+			return fmt.Errorf("%s: routed algorithm %s declares %d streams (want 2..%d)",
+				c.Name, c.Algorithm.Name, n, core.MaxRouterStreams)
+		}
+		// Every stream can hold a partially-filled open segment (pinned:
+		// only sealed segments are cleaning victims) AND adds one to the
+		// effective low-water reserve, so the geometry must cover both —
+		// with only the single-streams margin, a workload spreading thin
+		// data across many bands can wedge into permanent ErrFull with
+		// zero sealed segments and a free pool below the padded mark.
+		if c.MaxSegments < c.FreeLowWater+2*n+2 {
+			return fmt.Errorf("%s: routed algorithm %s needs MaxSegments >= FreeLowWater(%d) + 2*streams(%d) + 2",
+				c.Name, c.Algorithm.Name, c.FreeLowWater, n)
+		}
+	}
+	// FreeHighWater, FreeEmergency and Pacer defaulting/validation live in
+	// cleaner.Options.withDefaults; zero values pass straight through to
+	// cleaner.Start.
+	if c.Obs == nil {
+		c.Obs = obs.New()
+	}
+	return nil
+}
+
+// Cand is one live record of a victim segment, captured at selection time.
+// The core reads Seg and Up2 (GC order and routing); Rec is the engine's
+// own addressing of the record, a concrete struct — never boxed.
+type Cand[R any] struct {
+	Seg int32
+	Up2 float64
+	Rec R
+}
+
+// Engine is the bytes-and-index side of a segment log. Except for Load and
+// SyncRelocated(false), every method is called with the engine lock held
+// for writing.
+type Engine[R any] interface {
+	// OpenSegment prepares free segment seg to take stream's appends
+	// (reset its storage, write its header).
+	OpenSegment(seg, stream int32) error
+	// SealSegment runs the engine's seal-time durability for seg, whose
+	// metadata the core has just sealed.
+	SealSegment(seg int32) error
+	// LiveRecords appends to dst one candidate (Rec only) per record of
+	// victim seg that the engine's index still points at.
+	LiveRecords(seg int32, dst []Cand[R]) []Cand[R]
+	// Load reads the candidates' payloads and verifies their identity —
+	// with NO lock held in background mode: SegCleaning froze the victims.
+	Load(cands []Cand[R]) error
+	// Install relocates c if it is still current (a concurrent overwrite or
+	// delete may have superseded it): GCRoom, append, Appended, Relocated.
+	// It returns the bytes appended, 0 when nothing was.
+	Install(c *Cand[R]) (int64, error)
+	// SyncRelocated is the durability point: every relocated copy reaches
+	// storage before it returns nil. locked reports whether the caller
+	// holds the engine lock (the background cycle does not, so its fsyncs
+	// stall nobody).
+	SyncRelocated(locked bool) error
+	// ReleaseSegment drops the engine's per-segment state for a victim
+	// that is returning to the free pool.
+	ReleaseSegment(seg int32)
+}
+
+// openSeg is a stream's open segment: its id (-1 = none), the records
+// appended so far and their summed carried up2 (§5.2.2 seal-time average).
+type openSeg struct {
+	seg    int32
+	count  int
+	up2Sum float64
+}
+
+// Log is one segment log. K is the engine's record key (the routing clock
+// is per key), R its relocation-candidate addressing. Methods without their
+// own locking note require the engine lock.
+type Log[K comparable, R any] struct {
+	// Meta is the per-segment table the policies read. Engines adjust Live
+	// and Free only through Appended/Invalidate/Relocated (and recovery).
+	Meta []core.SegmentMeta
+	// Unow is the update clock: one tick per user update, never wall-clock.
+	Unow uint64
+	// Closed makes the background cycle stand down; the engine sets it.
+	Closed bool
+
+	cfg Config
+	mu  *sync.RWMutex
+	eng Engine[R]
+
+	free      []int32
+	freeCount atomic.Int64 // len(free), readable without the lock
+	open      []openSeg    // indexed by stream
+	fill      []int64      // per segment: record bytes appended so far
+
+	// Stream routing. Without a router there are two fixed streams (user=0,
+	// GC=1); with one, user and GC appends share Router.Streams() streams
+	// chosen by estimated update interval.
+	streams int32
+	clock   Clock[K]
+	seen    core.StreamSet // streams ever appended to (free-pool reserve)
+	trigger int32          // stream of the most recent user append (View.TriggerStream)
+
+	sealSeq           uint64
+	gcWrites, gcBytes uint64
+	cleanedSegs       uint64
+	sumEAtClean       float64
+	pendingE          map[int32]float64 // emptiness-at-selection of in-flight victims
+
+	cl *cleaner.Cleaner // background cleaner; nil in foreground mode
+
+	hVictimE           *obs.Histogram // <name>.victim_e.permille: emptiness at victim selection
+	cErrFull           *obs.Counter   // <name>.errfull episodes
+	trace              *obs.Trace
+	legAdmit, legApply string
+}
+
+// New builds a log over cfg (already validated) with every segment free,
+// segment 0 first out. mu is the engine's lock; the core takes it only in
+// the background cycle and in Write.
+func New[K comparable, R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[K, R] {
+	l := &Log[K, R]{
+		Meta:     make([]core.SegmentMeta, cfg.MaxSegments),
+		cfg:      cfg,
+		mu:       mu,
+		eng:      eng,
+		fill:     make([]int64, cfg.MaxSegments),
+		streams:  2,
+		pendingE: make(map[int32]float64),
+		hVictimE: cfg.Obs.Histogram(cfg.Name + ".victim_e.permille"),
+		cErrFull: cfg.Obs.Counter(cfg.Name + ".errfull"),
+		trace:    cfg.Obs.Trace(),
+		legAdmit: cfg.Name + ".admit",
+		legApply: cfg.Name + ".apply",
+	}
+	if r := cfg.Algorithm.Router; r != nil {
+		l.streams = r.Streams()
+		l.clock = make(Clock[K])
+	}
+	l.open = make([]openSeg, l.streams)
+	for i := range l.open {
+		l.open[i].seg = -1
+	}
+	for i := range l.Meta {
+		l.Meta[i].Capacity = cfg.SegmentBytes
+		l.Meta[i].Free = cfg.SegmentBytes
+	}
+	for i := cfg.MaxSegments - 1; i >= 0; i-- {
+		l.free = append(l.free, int32(i))
+	}
+	l.freeCount.Store(int64(len(l.free)))
+	return l
+}
+
+// AdoptSealed re-seals a recovered segment. Engines call it in log order
+// (not segment-id order): seal sequences restore the age ordering that
+// age-based cleaning and the oldest-first tie-break depend on. The stream
+// comes back into the observed set so the routed free-pool reserve (and
+// Stats().Streams) survive a restart — clamped to the ACTIVE algorithm's
+// stream space: reopening with a narrower router must not inflate the
+// reserve with stream ids it can never route to.
+func (l *Log[K, R]) AdoptSealed(seg, stream int32) {
+	m := &l.Meta[seg]
+	m.Stream = core.ClampStream(stream, int32(core.MaxRouterStreams))
+	m.State = core.SegSealed
+	l.seen.Note(core.ClampStream(m.Stream, l.streams))
+	l.sealSeq++
+	m.SealSeq = l.sealSeq
+}
+
+// RebuildFree recomputes the free pool once recovery has adopted the sealed
+// segments: every other segment, in id order (the highest id is reused
+// first).
+func (l *Log[K, R]) RebuildFree() {
+	l.free = l.free[:0]
+	for seg := range l.Meta {
+		if l.Meta[seg].State == core.SegFree {
+			l.free = append(l.free, int32(seg))
+		}
+	}
+	l.freeCount.Store(int64(len(l.free)))
+}
+
+// StartCleaner launches the background cleaner if the configuration asks
+// for one; engines call it once their (recovered) state is in place.
+func (l *Log[K, R]) StartCleaner() error {
+	if !l.cfg.Background {
+		return nil
+	}
+	routed := 0
+	if l.cfg.Algorithm.Router != nil {
+		routed = int(l.streams)
+	}
+	cl, err := cleaner.Start(l.Target(), cleaner.Options{
+		LowWater:       l.cfg.FreeLowWater,
+		HighWater:      l.cfg.FreeHighWater,
+		EmergencyFloor: l.cfg.FreeEmergency,
+		Batch:          l.cfg.CleanBatch,
+		TotalSegments:  l.cfg.MaxSegments,
+		Streams:        routed,
+		Pacer:          l.cfg.Pacer,
+		Obs:            l.cfg.Obs,
+	})
+	l.cl = cl
+	return err
+}
+
+// StopCleaner stops the background cleaner, if any. Call it unlocked.
+func (l *Log[K, R]) StopCleaner() {
+	if l.cl != nil {
+		l.cl.Stop()
+	}
+}
+
+// Streams returns the number of append streams; Fill the record bytes
+// appended to seg since it was opened.
+func (l *Log[K, R]) Streams() int32       { return l.streams }
+func (l *Log[K, R]) Fill(seg int32) int64 { return l.fill[seg] }
+
+// LowWater is the effective cleaning threshold. Routed placement can hold
+// one partially-filled open segment per stream the workload actually uses,
+// so the reserve grows with the observed stream count (monotone, so the
+// threshold never flaps); the classic two-stream layout keeps the
+// configured mark.
+func (l *Log[K, R]) LowWater() int {
+	lw := l.cfg.FreeLowWater
+	if l.cfg.Algorithm.Router != nil {
+		lw += l.seen.Count()
+	}
+	return lw
+}
+
+// Write runs op under the engine lock behind write admission for n records
+// (a closed log fails with ErrClosed instead). In background mode a write
+// can lose the race for the last free segments to concurrent writers; those
+// transient ErrFulls are retried through admission (which blocks below the
+// emergency floor until the cleaner catches up). A non-nil parent gets
+// "<name>.admit" and "<name>.apply" child spans.
+func (l *Log[K, R]) Write(n int, parent *obs.Span, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		if l.cl != nil {
+			leg := parent.Child(l.legAdmit)
+			err := l.cl.AdmitN(n)
+			leg.End()
+			if err != nil {
+				if errors.Is(err, cleaner.ErrExhausted) {
+					return fmt.Errorf("%w: %v", l.cfg.ErrFull, err)
+				}
+				return fmt.Errorf("%s: write admission: %w", l.cfg.Name, err)
+			}
+		}
+		leg := parent.Child(l.legApply)
+		l.mu.Lock()
+		err := l.cfg.ErrClosed
+		if !l.Closed {
+			err = op()
+		}
+		lowWater := l.cl != nil && len(l.free) < l.LowWater()
+		l.mu.Unlock()
+		leg.End()
+		if lowWater {
+			l.cl.Kick()
+		}
+		if errors.Is(err, l.cfg.ErrFull) && l.cl != nil && attempt < 4 {
+			continue
+		}
+		return err
+	}
+}
+
+// Route picks the append stream for a user write of key and returns the
+// key's advanced clock tick (folded with this write's interval observation,
+// to be installed by Advance once the append is admitted). Without a router
+// every user write goes to stream 0.
+func (l *Log[K, R]) Route(key K) (int32, Tick) {
+	if l.clock == nil {
+		return 0, Tick{}
+	}
+	return l.route(l.clock[key], l.Unow+1) // the tick this write will get
+}
+
+// Advance notes a user append to stream (the engine has ticked Unow for it)
+// and installs the key's routing tick — or drops it when the append is a
+// tombstone, so a later rewrite routes as history-free.
+func (l *Log[K, R]) Advance(stream int32, key K, t Tick, drop bool) {
+	l.trigger = stream
+	if drop {
+		delete(l.clock, key)
+	} else if l.clock != nil {
+		l.clock[key] = t
+	}
+}
+
+// Forget drops key's routing history (a delete that appends nothing).
+func (l *Log[K, R]) Forget(key K) { delete(l.clock, key) }
+
+// SeedClock gives key an interval estimate without a last-write tick, so
+// its next write routes by the estimate but does not fold a bogus interval
+// into it. Recovery seeds from the learned segment up2.
+func (l *Log[K, R]) SeedClock(key K, interval uint64) {
+	if l.clock != nil {
+		l.clock[key] = Tick{est: core.SmoothInterval(0, interval)}
+	}
+}
+
+// Room guarantees stream's open segment can take size more bytes, sealing
+// and reopening as needed. User appends run foreground cleaning below the
+// low-water mark (background mode kicks the cleaner from the write path
+// instead) and leave the last free segment for relocation.
+func (l *Log[K, R]) Room(stream int32, size int64) error {
+	if ok, err := l.fits(stream, size); ok || err != nil {
+		return err
+	}
+	if l.cl == nil && len(l.free) < l.LowWater() {
+		if err := l.cleanUntil(l.LowWater); err != nil {
+			return err
+		}
+		// With routed placement the cleaning we just ran may have opened
+		// (and partially filled) this very stream's segment for its own
+		// relocations; opening another would orphan it in the open state —
+		// so room checks the fit again.
+	}
+	return l.room(stream, size, l.userNeed())
+}
+
+// RoomReserved is Room for a batch's apply loop: cleaning and headroom
+// decisions already happened in Reserve, so it only seals a full open
+// segment and takes a fresh one when needed.
+func (l *Log[K, R]) RoomReserved(stream int32, size int64) error {
+	return l.room(stream, size, l.userNeed())
+}
+
+// GCRoom picks the stream for a relocation carrying up2 and guarantees it
+// room; GC appends may consume the reserve they are defending. Without a
+// router everything goes to the dedicated GC stream 1; with one, the
+// relocation is routed by the interval implied by its carried up2 (§4.3's
+// unow-up2 estimator), so hot and cold GC output land in different segments
+// (§5.3) instead of one monolithic GC stream.
+func (l *Log[K, R]) GCRoom(up2 float64, size int64) (int32, error) {
+	stream := int32(1)
+	if r := l.cfg.Algorithm.Router; r != nil {
+		stream = core.ClampStream(r.Route(uint64(core.EstimatedInterval(up2, l.Unow)), -1), l.streams)
+	}
+	return stream, l.room(stream, size, 1)
+}
+
+// userNeed is the free-pool floor a user append's segment open respects: in
+// background mode the last free segment is left for the cleaner's GC
+// output, so relocation can always make progress.
+func (l *Log[K, R]) userNeed() int {
+	if l.cl != nil {
+		return 2
+	}
+	return 1
+}
+
+// fits reports whether stream has an open segment with size free bytes,
+// sealing one that is too full.
+func (l *Log[K, R]) fits(stream int32, size int64) (bool, error) {
+	seg := l.open[stream].seg
+	if seg >= 0 && l.fill[seg]+size > l.cfg.SegmentBytes {
+		if err := l.Seal(stream); err != nil {
+			return false, err
+		}
+	}
+	return l.open[stream].seg >= 0, nil
+}
+
+// room makes stream's open segment fit size more bytes, taking a free
+// segment when it has none (left). need is the minimum free-pool size the
+// caller may consume from.
+func (l *Log[K, R]) room(stream int32, size int64, need int) error {
+	if ok, err := l.fits(stream, size); ok || err != nil {
+		return err
+	}
+	if len(l.free) < need {
+		l.cErrFull.Inc()
+		l.trace.Emit(obs.EvErrFull, int64(len(l.free)), int64(need))
+		return l.cfg.ErrFull
+	}
+	seg := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+	l.freeCount.Store(int64(len(l.free)))
+	if err := l.eng.OpenSegment(seg, stream); err != nil {
+		return err
+	}
+	l.Meta[seg] = core.SegmentMeta{
+		Capacity: l.cfg.SegmentBytes,
+		Free:     l.cfg.SegmentBytes,
+		Stream:   stream,
+		State:    core.SegOpen,
+	}
+	l.fill[seg] = 0
+	l.open[stream] = openSeg{seg: seg}
+	return nil
+}
+
+// Tail returns stream's open segment (which must exist, see Room) and the
+// offset its next record goes to.
+func (l *Log[K, R]) Tail(stream int32) (seg int32, off int64) {
+	seg = l.open[stream].seg
+	return seg, l.fill[seg]
+}
+
+// Appended accounts one record of size bytes the engine just wrote at
+// stream's tail, carrying the record's up2 estimate into the segment's
+// seal-time average.
+func (l *Log[K, R]) Appended(stream int32, size int64, carried float64) {
+	l.seen.Note(stream)
+	o := &l.open[stream]
+	o.count++
+	o.up2Sum += carried
+	l.fill[o.seg] += size
+	m := &l.Meta[o.seg]
+	m.Live++
+	m.Free -= size
+}
+
+// Invalidate releases a current record of size bytes in seg (superseded or
+// deleted by a user update), advancing the segment's up2 estimate per
+// §5.2.2 and returning the carried value for the new version.
+func (l *Log[K, R]) Invalidate(seg int32, size int64) float64 {
+	m := &l.Meta[seg]
+	carried := core.NextUp2(m.Up2, l.Unow)
+	m.Up2 = carried
+	m.Live--
+	m.Free += size
+	return carried
+}
+
+// Relocated credits victim for one record of size bytes now living
+// elsewhere and counts the GC write; Pruned credits it for a record that
+// needed no copy. Victim accounting stays truthful mid-cycle, which is what
+// lets Abort release a fully drained victim.
+func (l *Log[K, R]) Relocated(victim int32, size int64) {
+	l.Pruned(victim, size)
+	l.gcWrites++
+	l.gcBytes += uint64(size)
+}
+
+func (l *Log[K, R]) Pruned(victim int32, size int64) {
+	m := &l.Meta[victim]
+	m.Live--
+	m.Free += size
+}
+
+// Seal closes stream's open segment, if any: the segment's up2 starts as
+// the average carried up2 of its members (§5.2.2), then the engine's
+// seal-time durability runs.
+func (l *Log[K, R]) Seal(stream int32) error {
+	o := &l.open[stream]
+	if o.seg < 0 {
+		return nil
+	}
+	seg := o.seg
+	m := &l.Meta[seg]
+	m.State = core.SegSealed
+	l.sealSeq++
+	m.SealSeq = l.sealSeq
+	m.SealTime = l.Unow
+	if o.count > 0 {
+		m.Up2 = o.up2Sum / float64(o.count)
+	}
+	*o = openSeg{seg: -1}
+	return l.eng.SealSegment(seg)
+}
+
+// Stats is the core's share of an engine's stats snapshot.
+type Stats struct {
+	FreeSegments    int
+	SealedSegments  int // sealed or mid-clean: still holding sealed data
+	GCWrites        uint64
+	GCBytes         uint64
+	SegmentsCleaned uint64
+	MeanEAtClean    float64
+	Streams         []core.StreamStats
+}
+
+// Stats snapshots the counters and the per-stream occupancy: which streams
+// the routed placement actually filled, and how full each stream's open
+// segment is. Caller holds at least the read lock.
+func (l *Log[K, R]) Stats() Stats {
+	st := Stats{
+		FreeSegments:    len(l.free),
+		GCWrites:        l.gcWrites,
+		GCBytes:         l.gcBytes,
+		SegmentsCleaned: l.cleanedSegs,
+		Streams:         make([]core.StreamStats, l.streams),
+	}
+	if l.cleanedSegs > 0 {
+		st.MeanEAtClean = l.sumEAtClean / float64(l.cleanedSegs)
+	}
+	for seg := range l.Meta {
+		m := &l.Meta[seg]
+		if m.State == core.SegFree {
+			continue
+		}
+		ss := &st.Streams[core.ClampStream(m.Stream, l.streams)]
+		ss.Segments++
+		ss.Live += int(m.Live)
+		ss.LiveBytes += m.Capacity - m.Free
+		if m.State == core.SegOpen {
+			ss.OpenSegments++
+			ss.OpenFill = float64(l.fill[seg]) / float64(m.Capacity)
+		} else {
+			st.SealedSegments++
+		}
+	}
+	for i := range st.Streams {
+		st.Streams[i].Written = l.seen.Has(int32(i))
+	}
+	return st
+}
+
+// CleanerStats reports whether cleaning runs in the background and, if so,
+// the cleaner's lifecycle snapshot. It takes no engine lock.
+func (l *Log[K, R]) CleanerStats() (bool, cleaner.Stats) {
+	if l.cl == nil {
+		return false, cleaner.Stats{}
+	}
+	return true, l.cl.Stats()
+}

@@ -1,14 +1,12 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/cleaner"
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/seglog"
 )
 
 // Batch collects page writes and deletions for one atomic Apply. Build it
@@ -16,16 +14,7 @@ import (
 // Store.Apply. A Batch is not safe for concurrent use, but may be reused
 // (Reset) once Apply returns; page data is copied into the batch at Write
 // time, so callers may reuse their buffers immediately.
-type Batch struct {
-	ops []batchOp
-	buf []byte // arena holding every Write's payload copy
-}
-
-type batchOp struct {
-	id       uint32
-	tomb     bool
-	off, len int // payload range in buf (writes only)
-}
+type Batch struct{ b seglog.Batch[uint32] }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
@@ -33,9 +22,7 @@ func NewBatch() *Batch { return &Batch{} }
 // Write adds a page write. The data is copied; its length is validated
 // against the store's page size at Apply time.
 func (b *Batch) Write(id uint32, data []byte) *Batch {
-	off := len(b.buf)
-	b.buf = append(b.buf, data...)
-	b.ops = append(b.ops, batchOp{id: id, off: off, len: len(data)})
+	b.b.Put(id, data)
 	return b
 }
 
@@ -43,29 +30,15 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 // when the batch is applied — either in the store or written earlier in
 // this batch — or Apply fails with ErrNotFound before changing anything.
 func (b *Batch) Delete(id uint32) *Batch {
-	b.ops = append(b.ops, batchOp{id: id, tomb: true})
+	b.b.Delete(id)
 	return b
 }
 
 // Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return len(b.b.Ops) }
 
 // Reset empties the batch for reuse, keeping its allocations.
-func (b *Batch) Reset() {
-	b.ops = b.ops[:0]
-	b.buf = b.buf[:0]
-}
-
-func (b *Batch) data(op *batchOp) []byte { return b.buf[op.off : op.off+op.len] }
-
-// plannedOp is one batch operation with its placement decided: the stream
-// it routes to and the page clock to install, both computed against a
-// virtual copy of the store state so planning mutates nothing.
-type plannedOp struct {
-	op     *batchOp
-	stream int32
-	clock  pageClock
-}
+func (b *Batch) Reset() { b.b.Reset() }
 
 // Apply atomically applies a batch: one admission check, one lock hold,
 // and all-or-nothing visibility. Space for every record is reserved before
@@ -89,80 +62,52 @@ func (s *Store) Apply(b *Batch) error { return s.ApplySpanned(b, nil) }
 // the store the time went. A nil parent records nothing and costs one
 // branch per leg — the path every non-traced caller takes through Apply.
 func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			leg := parent.Child("store.admit")
-			err := s.cl.AdmitN(len(b.ops))
-			leg.End()
-			if err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("store: batch admission: %w", err)
-			}
-		}
-		leg := parent.Child("store.apply")
-		s.mu.Lock()
-		err := s.applyLocked(b)
-		seq := s.seq
-		lowWater := s.cl != nil && len(s.free) < s.lowWaterLocked()
-		s.mu.Unlock()
-		leg.End()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		if err == nil && s.opts.Durability == core.DurCommit {
-			leg := parent.Child("store.commit.wait")
-			err = s.commitWait(seq)
-			leg.End()
-		}
-		return err
-	}
+	return s.write(b.Len(), parent, func() error { return s.applyLocked(b) })
 }
 
-// applyLocked validates and plans the whole batch, then appends every
-// record. Planning reserves space up front: by the time the first old
-// version is invalidated, the apply loop can no longer fail with ErrFull.
+// applyLocked validates the whole batch, has the core plan it and reserve
+// its space (seglog.Log.Reserve), then appends every record: by the time
+// the first old version is invalidated, the apply loop can no longer fail
+// with ErrFull.
 func (s *Store) applyLocked(b *Batch) error {
-	if s.closed {
-		return errClosed
+	// Existence is tracked virtually across the batch, so a Delete may
+	// follow a Write of the same page.
+	vexists := make(map[uint32]bool)
+	for i := range b.b.Ops {
+		op := &b.b.Ops[i]
+		if op.Del {
+			exists, known := vexists[op.Key]
+			if !known {
+				_, exists = s.table[op.Key]
+			}
+			if !exists {
+				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.Key, ErrNotFound)
+			}
+		} else if op.DataLen() != s.opts.PageSize {
+			return fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, op.DataLen(), s.opts.PageSize)
+		}
+		vexists[op.Key] = !op.Del
+		op.Size = s.recordSize() // a tombstone occupies a full slot too
 	}
-	plan, err := s.batchPrepareLocked(b)
-	if err != nil {
+	if err := s.log.Reserve(&b.b); err != nil {
 		return err
 	}
-	last := len(plan) - 1
-	for i := range plan {
-		p := &plan[i]
-		op := p.op
-		if err := s.ensureOpenBatch(p.stream); err != nil {
+	last := len(b.b.Ops) - 1
+	for i := range b.b.Ops {
+		op, pl := &b.b.Ops[i], &b.b.Plan[i]
+		if err := s.log.RoomReserved(pl.Stream, op.Size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
 		}
-		s.unow++
-		s.trigger = p.stream
-		if s.clock != nil {
-			if op.tomb {
-				delete(s.clock, op.id)
-			} else {
-				s.clock[op.id] = p.clock
-			}
-		}
-		carried := s.invalidate(op.id)
 		flags := uint32(0)
 		var payload []byte
-		if op.tomb {
+		if op.Del {
 			flags = flagTombstone
-			delete(s.table, op.id)
 		} else {
-			delete(s.tombstones, op.id)
-			payload = b.data(op)
+			payload = b.b.Data(op)
 		}
 		if last > 0 {
 			// Multi-record batches carry commit markers so recovery can
@@ -173,142 +118,13 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.appendRecord(p.stream, op.id, flags, uint32(i), payload, carried); err != nil {
+		if err := s.userAppend(pl.Stream, pl.Tick, op.Key, flags, uint32(i), payload); err != nil {
 			return err
-		}
-		if !op.tomb {
-			s.userWrites++
 		}
 	}
 	if last > 0 {
 		s.batches++
 	}
-	return nil
-}
-
-// batchPrepareLocked plans the batch and secures the free segments it
-// needs. In foreground mode it runs cleaning first (to the same headroom
-// contract as per-op writes: every segment open happens at or above the
-// low-water mark); in background mode it fails fast with ErrFull and lets
-// the admission loop in Apply retry while the cleaner catches up.
-func (s *Store) batchPrepareLocked(b *Batch) ([]plannedOp, error) {
-	for guard := 0; ; guard++ {
-		plan, newSegs, err := s.planBatchLocked(b)
-		if err != nil {
-			return nil, err
-		}
-		if s.cl == nil {
-			target := s.lowWaterLocked() + newSegs - 1
-			if newSegs == 0 || len(s.free) >= target {
-				return plan, nil
-			}
-			if guard > 2*s.opts.MaxSegments {
-				return nil, fmt.Errorf("store: batch reservation cannot converge: %w", ErrFull)
-			}
-			if err := s.cleanUntil(func() int { return s.lowWaterLocked() + newSegs - 1 }); err != nil {
-				return nil, err
-			}
-			// Cleaning relocated records into the open segments, so the
-			// routing/space plan is stale: replan against the new state.
-			continue
-		}
-		if len(s.free) >= newSegs+s.batchNeed()-1 {
-			return plan, nil
-		}
-		return nil, ErrFull
-	}
-}
-
-// planBatchLocked validates the batch and computes, without mutating any
-// store state, where each record will go and how many fresh segments the
-// whole batch consumes. The virtual clock/existence/fill state replays
-// exactly what the apply loop will do, so the reservation is exact.
-func (s *Store) planBatchLocked(b *Batch) (plan []plannedOp, newSegs int, err error) {
-	r := s.alg().Router
-	plan = make([]plannedOp, len(b.ops))
-	var vclock map[uint32]pageClock
-	if r != nil {
-		vclock = make(map[uint32]pageClock)
-	}
-	vexists := make(map[uint32]bool)
-	vfill := make([]int, s.streams) // free slots left in each stream's open segment
-	for st := int32(0); st < s.streams; st++ {
-		if seg := s.open[st]; seg >= 0 {
-			vfill[st] = s.opts.SegmentPages - s.fill[seg]
-		}
-	}
-	vunow := s.unow
-	for i := range b.ops {
-		op := &b.ops[i]
-		if op.tomb {
-			exists, known := vexists[op.id]
-			if !known {
-				_, exists = s.table[op.id]
-			}
-			if !exists {
-				return nil, 0, fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
-			}
-			vexists[op.id] = false
-		} else {
-			if op.len != s.opts.PageSize {
-				return nil, 0, fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, op.len, s.opts.PageSize)
-			}
-			vexists[op.id] = true
-		}
-		vunow++
-		var stream int32
-		var ck pageClock
-		if r != nil {
-			c, ok := vclock[op.id]
-			if !ok {
-				c = s.clock[op.id]
-			}
-			if c.last != 0 {
-				c.est = core.SmoothInterval(c.est, vunow-c.last)
-			}
-			c.last = vunow
-			if op.tomb {
-				// The apply loop drops the clock at a tombstone, so a
-				// same-batch rewrite routes as history-free — mirror that.
-				vclock[op.id] = pageClock{}
-			} else {
-				vclock[op.id] = c
-			}
-			stream = core.ClampStream(r.Route(uint64(c.est), -1), s.streams)
-			ck = c
-		}
-		if vfill[stream] == 0 {
-			newSegs++
-			vfill[stream] = s.opts.SegmentPages
-		}
-		vfill[stream]--
-		plan[i] = plannedOp{op: op, stream: stream, clock: ck}
-	}
-	return plan, newSegs, nil
-}
-
-// batchNeed is the free-pool floor a batch's segment opens respect: in
-// background mode the last free segment is left for the cleaner's GC
-// output, as for per-op writes.
-func (s *Store) batchNeed() int {
-	if s.cl != nil {
-		return 2
-	}
-	return 1
-}
-
-// ensureOpenBatch is ensureOpen for the batch apply loop: cleaning and
-// headroom decisions already happened in batchPrepareLocked, so it only
-// opens a segment when the stream has none.
-func (s *Store) ensureOpenBatch(stream int32) error {
-	if s.open[stream] >= 0 {
-		return nil
-	}
-	seg, err := s.openSegment(stream, s.batchNeed())
-	if err != nil {
-		return err
-	}
-	s.open[stream] = seg
 	return nil
 }
 
@@ -397,7 +213,7 @@ func (s *Store) flushDirty() (applied uint64, synced int, err error) {
 		seq uint64
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.log.Closed {
 		s.mu.Unlock()
 		return 0, 0, errClosed
 	}
@@ -467,7 +283,7 @@ func (s *Store) commitWatermarkLocked() uint64 {
 // and DurCommit committers share flush rounds.
 func (s *Store) Sync() error {
 	s.mu.RLock()
-	if s.closed {
+	if s.log.Closed {
 		s.mu.RUnlock()
 		return errClosed
 	}

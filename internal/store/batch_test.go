@@ -216,6 +216,7 @@ func TestBatchDurCommitConcurrentCommitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	buf := make([]byte, 128)
 	for w := 0; w < writers; w++ {
@@ -440,6 +441,7 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
+		checkInvariants(t, s2)
 		defer s2.Close()
 		buf := make([]byte, 64)
 		if err := s2.ReadPage(200, buf); err != nil {
@@ -458,22 +460,7 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 	t.Run("DurSeal clean close", func(t *testing.T) { run(t, core.DurSeal, false) })
 }
 
-func TestStoreSyncAndSealShim(t *testing.T) {
-	// The deprecated Sync bool maps onto DurSeal.
-	o, err := (Options{Sync: true}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Durability != core.DurSeal {
-		t.Errorf("Sync=true resolved to %v, want DurSeal", o.Durability)
-	}
-	o, err = (Options{Durability: core.DurCommit, Sync: true}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Durability != core.DurCommit {
-		t.Errorf("explicit Durability overridden by Sync shim: %v", o.Durability)
-	}
+func TestStoreSyncFlushesWeakerLevels(t *testing.T) {
 	if _, err := Open(Options{Durability: core.Durability(99)}); err == nil {
 		t.Error("invalid durability level accepted")
 	}
@@ -502,6 +489,7 @@ func TestStoreSyncAndSealShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	if got := s2.Stats().LivePages; got != 6 {
 		t.Errorf("recovered %d pages after explicit Sync, want 6", got)
 	}

@@ -143,6 +143,7 @@ func TestConcurrentBackgroundCleaning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkInvariants(t, s) // valid mid-cycle too: it holds the engine lock
 }
 
 // TestConcurrentDeletesWithBackgroundCleaner mixes deletes and rewrites so
@@ -430,6 +431,7 @@ func TestCrashMidCleanLeavesIntactCopies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen mid-clean: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	for id, ver := range want {
 		if err := s2.ReadPage(id, buf); err != nil {
@@ -481,6 +483,7 @@ func TestCrashAfterReleaseBeforeReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen post-release: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	for id, ver := range want {
 		if err := s2.ReadPage(id, buf); err != nil {
@@ -519,6 +522,7 @@ func TestBackgroundRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	for id, ver := range want {
 		if err := s2.ReadPage(id, buf); err != nil {

@@ -66,6 +66,10 @@ func TestQuickRandomOpsWithRecovery(t *testing.T) {
 					t.Logf("reopen: %v", err)
 					return false
 				}
+				if err := s2.CheckInvariants(); err != nil {
+					t.Logf("after reopen: %v", err)
+					return false
+				}
 				s = s2
 			case 2: // manual cleaning
 				if _, err := s.CleanOnce(); err != nil {
@@ -95,6 +99,10 @@ func TestQuickRandomOpsWithRecovery(t *testing.T) {
 				t.Logf("page %d should be absent: %v", id, err)
 				return false
 			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Logf("invariants: %v", err)
+			return false
 		}
 		return s.Close() == nil
 	}, &quick.Config{MaxCount: 12})
@@ -141,6 +149,9 @@ func TestQuickAlgorithmsOnStore(t *testing.T) {
 			}
 			if st := s.Stats(); st.SegmentsCleaned == 0 {
 				t.Errorf("%s: cleaning never ran", algName)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -71,6 +71,7 @@ func TestRegressionTombstonePruneResurrection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkInvariants(t, s2)
 			s = s2
 			history = append(history, map[bool]string{true: "ckpt+reopen", false: "reopen"}[ck])
 			// verify immediately after reopen

@@ -71,6 +71,9 @@ func TestRoutedAlgorithmsOnStore(t *testing.T) {
 					t.Fatalf("page %d corrupted under %s", id, alg.Name)
 				}
 			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -106,6 +109,7 @@ func TestRoutedRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routed reopen: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	// The observed-stream set (and with it the routed free-pool reserve)
 	// must be rebuilt from the recovered segment headers, not relearned.
@@ -199,6 +203,7 @@ func TestReopenWithNarrowerRouter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("narrow reopen: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	if got := core.WrittenStreams(s2.Stats().Streams); got > int(core.DefaultTempBands) {
 		t.Errorf("recovered stream set %d exceeds the active router's %d streams", got, core.DefaultTempBands)
@@ -240,6 +245,7 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 
 	type seg struct {
@@ -249,8 +255,8 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 	}
 	var segs []seg
 	s2.mu.RLock()
-	for id := range s2.meta {
-		m := &s2.meta[id]
+	for id := range s2.log.Meta {
+		m := &s2.log.Meta[id]
 		if m.State != core.SegSealed || len(s2.slots[id]) == 0 {
 			continue
 		}
@@ -309,13 +315,14 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	s2.mu.RLock()
-	unow, seq := s2.unow, s2.seq
+	unow, seq := s2.log.Unow, s2.seq
 	var maxUp2 float64
-	for i := range s2.meta {
-		if s2.meta[i].Up2 > maxUp2 {
-			maxUp2 = s2.meta[i].Up2
+	for i := range s2.log.Meta {
+		if s2.log.Meta[i].Up2 > maxUp2 {
+			maxUp2 = s2.log.Meta[i].Up2
 		}
 	}
 	s2.mu.RUnlock()
@@ -334,7 +341,7 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 func TestCheckpointCrashMidInstall(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
-	opts.Sync = true // exercise the fsync-and-propagate path too
+	opts.Durability = core.DurSeal // exercise the fsync-and-propagate path too
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -374,6 +381,7 @@ func TestCheckpointCrashMidInstall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with torn checkpoint tmp: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	buf := make([]byte, 128)
 	for id, v := range want {

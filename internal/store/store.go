@@ -4,7 +4,10 @@
 // table tracks each page's current location, and reclaiming the space of
 // overwritten versions is delegated to the cleaning policies of
 // internal/core (MDC by default), exactly the machinery evaluated by the
-// simulator.
+// simulator. The segment bookkeeping, stream routing and the cleaning cycle
+// itself are internal/seglog, the core shared with internal/vlog; this
+// package is the page record layer on it — files, CRC record framing, the
+// page table, recovery, checkpoints, group commit and the durability points.
 //
 // Placement is stream-aware: by default user data and GC relocations fill
 // two separate append streams, and a routed algorithm (multi-log, the
@@ -49,12 +52,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/seglog"
 )
 
 // ErrNotFound is returned when reading a page that does not exist.
@@ -95,11 +98,6 @@ type Options struct {
 	// DurCommit makes every write/Apply wait for a (coalesced) group fsync
 	// and makes batches crash-atomic. See core.Durability.
 	Durability core.Durability
-	// Sync fsyncs segment seals and checkpoints.
-	//
-	// Deprecated: Sync=true is a shim for Durability=DurSeal and is only
-	// honored when Durability is unset (DurNone).
-	Sync bool
 
 	// BackgroundClean moves cleaning off the write path into a background
 	// goroutine driven by the free-pool watermarks (see internal/cleaner).
@@ -125,7 +123,13 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-func (o Options) withDefaults() (Options, error) {
+// relocChunk is how many records background relocation installs per lock
+// hold, bounding writer stalls behind the cleaner (each install is an I/O).
+const relocChunk = 16
+
+// withDefaults fills the defaults and validates; the checks every segment
+// log shares live in seglog.Config.Validate.
+func (o Options) withDefaults() (Options, seglog.Config, error) {
 	if o.PageSize == 0 {
 		o.PageSize = 4096
 	}
@@ -141,50 +145,19 @@ func (o Options) withDefaults() (Options, error) {
 	if o.FreeLowWater == 0 {
 		o.FreeLowWater = o.CleanBatch + 4
 	}
-	if o.Algorithm.Policy == nil {
-		o.Algorithm = core.MDC()
+	cfg := seglog.Config{
+		Name: "store", ErrFull: ErrFull, ErrClosed: errClosed, RelocChunk: relocChunk,
+		MaxSegments: o.MaxSegments, SegmentBytes: int64(o.SegmentPages) * int64(recHeaderSize+o.PageSize),
+		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
+		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
+		Pacer: o.Pacer, Obs: o.Obs,
 	}
-	if !o.Durability.Valid() {
-		return o, fmt.Errorf("store: invalid durability level %d", o.Durability)
+	if o.PageSize < 8 || o.SegmentPages < 2 {
+		return o, cfg, fmt.Errorf("store: invalid geometry %+v", o)
 	}
-	if o.Durability == core.DurNone && o.Sync {
-		o.Durability = core.DurSeal // deprecated shim
-	}
-	o.Sync = o.Durability >= core.DurSeal
-	if o.PageSize < 8 || o.SegmentPages < 2 || o.MaxSegments < o.FreeLowWater+2 {
-		return o, fmt.Errorf("store: invalid geometry %+v", o)
-	}
-	if o.FreeLowWater <= o.CleanBatch {
-		return o, fmt.Errorf("store: FreeLowWater (%d) must exceed CleanBatch (%d) so relocations always fit",
-			o.FreeLowWater, o.CleanBatch)
-	}
-	if o.Algorithm.Exact {
-		return o, fmt.Errorf("store: exact-rate algorithm %s needs a workload oracle; use the estimator variant", o.Algorithm.Name)
-	}
-	if r := o.Algorithm.Router; r != nil {
-		n := int(r.Streams())
-		if n < 2 || n > core.MaxRouterStreams {
-			return o, fmt.Errorf("store: routed algorithm %s declares %d streams (want 2..%d)",
-				o.Algorithm.Name, n, core.MaxRouterStreams)
-		}
-		// Every stream can hold a partially-filled open segment (pinned:
-		// only sealed segments are cleaning victims) AND adds one to the
-		// effective low-water reserve, so the geometry must cover both —
-		// with only the single-streams margin, a workload spreading thin
-		// data across many bands can wedge into permanent ErrFull with
-		// zero sealed segments and a free pool below the padded mark.
-		if o.MaxSegments < o.FreeLowWater+2*n+2 {
-			return o, fmt.Errorf("store: routed algorithm %s needs MaxSegments >= FreeLowWater(%d) + 2*streams(%d) + 2",
-				o.Algorithm.Name, o.FreeLowWater, n)
-		}
-	}
-	// FreeHighWater, FreeEmergency and Pacer defaulting/validation live in
-	// cleaner.Options.withDefaults (one copy for every engine); zero values
-	// pass straight through to cleaner.Start.
-	if o.Obs == nil {
-		o.Obs = obs.New()
-	}
-	return o, nil
+	err := cfg.Validate()
+	o.Algorithm, o.Obs = cfg.Algorithm, cfg.Obs
+	return o, cfg, err
 }
 
 type pageLoc struct {
@@ -202,28 +175,16 @@ type Store struct {
 	opts Options
 	be   backend
 
-	meta  []core.SegmentMeta
+	// log is the segment-log core: segment metadata, free pool, streams and
+	// routing clock, the cleaning cycle, batch planning and admission. The
+	// store is its Engine (see clean.go) and keeps the bytes and the index.
+	log   *seglog.Log[uint32, slotCand]
 	slots [][]slotInfo // per segment: what each written slot holds
-	fill  []int        // per segment: slots appended so far
 
 	table      map[uint32]pageLoc
 	tombstones map[uint32]pageLoc
 
-	free        []int32
-	freeCount   atomic.Int64 // len(free), readable without the lock
-	open        []int32      // open segment per stream (-1 = none)
-	up2Sum      []float64    // carried-up2 accumulator per open segment
 	incarnation uint64
-
-	// Stream routing. Without a router there are two fixed streams (user=0,
-	// GC=1); with one, user and GC appends share Router.Streams() streams
-	// chosen by estimated update interval. clock tracks each live page's
-	// last user-write tick and smoothed interval estimate — the router's
-	// signal — and is nil when no router is configured.
-	streams int32
-	clock   map[uint32]pageClock
-	seen    core.StreamSet // streams ever appended to (free-pool reserve)
-	trigger int32          // stream of the most recent user append (View.TriggerStream)
 
 	// gcDirtySegs tracks the SEGMENTS holding GC output not yet covered by
 	// a cleaning sync point (DurSeal only; DurCommit flushes the full dirty
@@ -243,34 +204,22 @@ type Store struct {
 	// piggyback). It has its own lock; never acquire s.mu while holding it.
 	gcm groupCommit
 
-	unow    uint64
-	seq     uint64
-	sealSeq uint64
+	seq uint64
 
 	prunedSeq uint64 // deletions at or below this seq are checkpoint-covered
 
-	closed bool
-
-	userWrites, gcWrites uint64
-	batches              uint64 // successful multi-record Applies
-	cleanedSegs          uint64
-	sumEAtClean          float64
-	pendingE             map[int32]float64 // emptiness-at-selection of in-flight victims
+	userWrites uint64
+	batches    uint64 // successful multi-record Applies
 
 	recBuf   []byte    // append/recovery record buffer (write lock held)
 	readBufs sync.Pool // per-reader record buffers (RLock held)
 
-	cl *cleaner.Cleaner // background cleaner; nil in foreground mode
-
 	// obs handles, resolved once at Open (see internal/obs; recording is
 	// lock-free, so no hot path takes a lock for metrics).
-	obsReg   *obs.Registry
 	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage, admission to durability
 	hRead    *obs.Histogram // store.read.ns: ReadPage
 	hFsync   *obs.Histogram // store.fsync.ns: every backend fsync
 	hCommit  *obs.Histogram // store.commit.ns: DurCommit commit waits
-	hVictimE *obs.Histogram // store.victim_e.permille: emptiness at victim selection
-	cErrFull *obs.Counter   // store.errfull episodes
 	cCommits *obs.Counter   // store.commit.commits
 	cRounds  *obs.Counter   // store.commit.rounds
 	cSyncs   *obs.Counter   // store.commit.syncs
@@ -279,58 +228,31 @@ type Store struct {
 
 type slotInfo struct {
 	page      uint32
+	tombstone bool // beside page: keeps the struct (and relocation candidates) at 16 bytes
 	seq       uint64
-	tombstone bool
-}
-
-// pageClock is a live page's update history: the update-clock tick of its
-// last user write and the smoothed interval between successive writes
-// (core.SmoothInterval). It exists only when a router needs the signal.
-type pageClock struct {
-	last uint64
-	est  uint32
 }
 
 // Open creates or recovers a store.
 func Open(opts Options) (*Store, error) {
-	opts, err := opts.withDefaults()
+	opts, cfg, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	streams, routedStreams := int32(2), 0
-	if r := opts.Algorithm.Router; r != nil {
-		streams = r.Streams()
-		routedStreams = int(streams)
-	}
 	s := &Store{
 		opts:       opts,
-		meta:       make([]core.SegmentMeta, opts.MaxSegments),
 		slots:      make([][]slotInfo, opts.MaxSegments),
-		fill:       make([]int, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
-		pendingE:   make(map[int32]float64),
-		streams:    streams,
-		open:       make([]int32, streams),
-		up2Sum:     make([]float64, streams),
 	}
-	for i := range s.open {
-		s.open[i] = -1
-	}
-	s.obsReg = opts.Obs
+	s.log = seglog.New[uint32, slotCand](cfg, &s.mu, s)
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
 	s.hCommit = opts.Obs.Histogram("store.commit.ns")
-	s.hVictimE = opts.Obs.Histogram("store.victim_e.permille")
-	s.cErrFull = opts.Obs.Counter("store.errfull")
 	s.cCommits = opts.Obs.Counter("store.commit.commits")
 	s.cRounds = opts.Obs.Counter("store.commit.rounds")
 	s.cSyncs = opts.Obs.Counter("store.commit.syncs")
 	s.trace = opts.Obs.Trace()
-	if opts.Algorithm.Router != nil {
-		s.clock = make(map[uint32]pageClock)
-	}
 	if opts.Durability == core.DurSeal {
 		s.gcDirtySegs = make(map[int32]struct{})
 	}
@@ -351,32 +273,15 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.be = fb
 	}
-	segBytes := int64(opts.SegmentPages) * s.recordSize()
-	for i := range s.meta {
-		s.meta[i].Capacity = segBytes
-		s.meta[i].Free = segBytes
+	for i := range s.slots {
 		s.slots[i] = make([]slotInfo, 0, opts.SegmentPages)
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	s.freeCount.Store(int64(len(s.free)))
-	if opts.BackgroundClean {
-		cl, err := cleaner.Start(&cleanerTarget{s: s}, cleaner.Options{
-			LowWater:       opts.FreeLowWater,
-			HighWater:      opts.FreeHighWater,
-			EmergencyFloor: opts.FreeEmergency,
-			Batch:          opts.CleanBatch,
-			TotalSegments:  opts.MaxSegments,
-			Streams:        routedStreams,
-			Pacer:          opts.Pacer,
-			Obs:            opts.Obs,
-		})
-		if err != nil {
-			s.be.close()
-			return nil, err
-		}
-		s.cl = cl
+	if err := s.log.StartCleaner(); err != nil {
+		s.be.close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -391,8 +296,8 @@ func (s *Store) recover() error {
 	latest := make(map[uint32]hit)
 	var maxSeq, maxInc uint64
 	type sealedSeg struct {
-		seg int32
-		inc uint64
+		seg, stream int32
+		inc         uint64
 	}
 	var sealed []sealedSeg
 
@@ -432,8 +337,7 @@ func (s *Store) recover() error {
 			return err
 		}
 		if sz < segHeaderSize {
-			s.free = append(s.free, int32(seg))
-			continue
+			continue // never written: stays free
 		}
 		if err := s.be.read(seg, 0, hdr); err != nil {
 			return err
@@ -446,7 +350,6 @@ func (s *Store) recover() error {
 			}
 			// Unrecognized file: treat as free space but do not destroy it
 			// until the slot is reused.
-			s.free = append(s.free, int32(seg))
 			continue
 		}
 		if segW > watermark {
@@ -455,8 +358,6 @@ func (s *Store) recover() error {
 		if inc > maxInc {
 			maxInc = inc
 		}
-		m := &s.meta[seg]
-		m.Stream = core.ClampStream(stream, int32(core.MaxRouterStreams))
 		records := 0
 		for slot := 0; slot < s.opts.SegmentPages; slot++ {
 			if s.slotOffset(slot)+s.recordSize() > sz {
@@ -496,22 +397,13 @@ func (s *Store) recover() error {
 				latest[h.page] = hit{loc: loc, tomb: tomb}
 			}
 		}
-		s.fill[seg] = records
 		if records == 0 {
-			s.slots[seg] = s.slots[seg][:0]
-			s.free = append(s.free, int32(seg))
-			continue
+			continue // header only: stays free
 		}
 		// Every recovered segment is re-sealed; fresh writes go to new
 		// segments. Live accounting is finalized below, and SealSeq is
-		// assigned once all headers are known. The stream comes back into
-		// the observed set so the routed free-pool reserve (and
-		// Stats().Streams) survive a restart — clamped to the ACTIVE
-		// algorithm's stream space: reopening with a narrower router must
-		// not inflate the reserve with stream ids it can never route to.
-		m.State = core.SegSealed
-		s.seen.Note(core.ClampStream(m.Stream, s.streams))
-		sealed = append(sealed, sealedSeg{seg: int32(seg), inc: inc})
+		// assigned once all headers are known.
+		sealed = append(sealed, sealedSeg{seg: int32(seg), stream: stream, inc: inc})
 	}
 	// Re-seal in log order, not segment-id scan order: the header
 	// incarnation increases with every segment open, so ordering by it
@@ -522,9 +414,9 @@ func (s *Store) recover() error {
 	// age-based decision after a restart.)
 	sort.Slice(sealed, func(i, j int) bool { return sealed[i].inc < sealed[j].inc })
 	for _, ss := range sealed {
-		s.sealSeq++
-		s.meta[ss.seg].SealSeq = s.sealSeq
+		s.log.AdoptSealed(ss.seg, ss.stream)
 	}
+	s.log.RebuildFree()
 	s.seq = maxSeq
 	s.incarnation = maxInc
 
@@ -562,11 +454,11 @@ func (s *Store) recover() error {
 		// backwards and let up2 estimates exceed unow. maxSeq ticks at
 		// least as fast as unow (every update appends a record), so it is
 		// a safe monotone restart point.
-		s.unow = max(ck.unow, maxSeq)
+		s.log.Unow = max(ck.unow, maxSeq)
 		s.prunedSeq = ck.prunedSeq
 		for seg, up2 := range ck.up2 {
-			if seg < len(s.meta) {
-				s.meta[seg].Up2 = up2
+			if seg < len(s.log.Meta) {
+				s.log.Meta[seg].Up2 = up2
 			}
 		}
 		for _, page := range ck.deleted {
@@ -587,8 +479,8 @@ func (s *Store) recover() error {
 			s.tombstones[page] = pageLoc{seg: -1, slot: -1, seq: ck.prunedSeq}
 		}
 	}
-	if s.unow == 0 {
-		s.unow = maxSeq // estimates restart from the LSN clock
+	if s.log.Unow == 0 {
+		s.log.Unow = maxSeq // estimates restart from the LSN clock
 	}
 
 	for page, h := range latest {
@@ -599,8 +491,8 @@ func (s *Store) recover() error {
 		}
 	}
 	// Finalize live counts and free bytes per segment.
-	for seg := range s.meta {
-		m := &s.meta[seg]
+	for seg := range s.log.Meta {
+		m := &s.log.Meta[seg]
 		if m.State != core.SegSealed {
 			continue
 		}
@@ -619,12 +511,11 @@ func (s *Store) recover() error {
 	// temperature instead of "no history" (the coldest stream): without
 	// this, every hot page's first write after a restart is packed into
 	// cold segments, paying exactly the mixing cost the router avoids.
-	// last stays 0 so the next write does not fold a bogus restart-sized
-	// interval into the estimate.
-	if s.clock != nil {
+	// The last-write tick stays unset so the next write does not fold a
+	// bogus restart-sized interval into the estimate.
+	if s.opts.Algorithm.Router != nil {
 		for page, loc := range s.table {
-			est := core.EstimatedInterval(s.meta[loc.seg].Up2, s.unow)
-			s.clock[page] = pageClock{est: core.SmoothInterval(0, uint64(est))}
+			s.log.SeedClock(page, uint64(core.EstimatedInterval(s.log.Meta[loc.seg].Up2, s.log.Unow)))
 		}
 	}
 	return nil
@@ -653,7 +544,7 @@ func (s *Store) ReadPage(id uint32, buf []byte) error {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
+	if s.log.Closed {
 		return errClosed
 	}
 	loc, ok := s.table[id]
@@ -680,7 +571,7 @@ func (s *Store) ReadPage(id uint32, buf []byte) error {
 func (s *Store) Has(id uint32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
+	if s.log.Closed {
 		return false
 	}
 	_, ok := s.table[id]
@@ -704,7 +595,7 @@ func (s *Store) DeletePage(id uint32) error {
 	// existence check repeats under the write lock.
 	s.mu.RLock()
 	_, ok := s.table[id]
-	closed := s.closed
+	closed := s.log.Closed
 	s.mu.RUnlock()
 	if closed {
 		return errClosed
@@ -715,84 +606,66 @@ func (s *Store) DeletePage(id uint32) error {
 	return s.userWrite(id, flagTombstone, nil)
 }
 
-// userWrite runs admission control and appends one user record. In
-// background mode a write can lose the race for the last free segments to
-// concurrent writers; those transient ErrFulls are retried through
-// admission (which blocks below the emergency floor until the cleaner
-// catches up).
+// userWrite appends one user record. The write histogram covers the whole
+// user-observed latency: admission, the append, retries, and (under
+// DurCommit) the group-commit wait.
 func (s *Store) userWrite(id uint32, flags uint32, data []byte) error {
 	t0 := time.Now()
-	err := s.userWriteAdmitted(id, flags, data)
+	err := s.write(1, nil, func() error { return s.userAppendLocked(id, flags, data) })
 	s.hWrite.Record(uint64(time.Since(t0)))
 	return err
 }
 
-// userWriteAdmitted is userWrite's retry loop, split out so the write
-// histogram covers the whole user-observed latency: admission, the append,
-// retries, and (under DurCommit) the group-commit wait.
-func (s *Store) userWriteAdmitted(id uint32, flags uint32, data []byte) error {
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			if err := s.cl.Admit(); err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("store: write admission: %w", err)
-			}
-		}
-		s.mu.Lock()
-		err := s.userAppendLocked(id, flags, data)
-		seq := s.seq
-		lowWater := s.cl != nil && len(s.free) < s.lowWaterLocked()
-		s.mu.Unlock()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		if err == nil && s.opts.Durability == core.DurCommit {
-			// The write is visible; now make it durable. Concurrent
-			// committers coalesce onto one group fsync.
-			return s.commitWait(seq)
-		}
+// write runs op — n records' worth of appends — behind admission control
+// and under the write lock (seglog.Log.Write), then under DurCommit makes
+// it durable: the write is already visible; concurrent committers coalesce
+// onto one group fsync. With a non-nil parent the legs are recorded as
+// child spans ("store.admit", "store.apply", "store.commit.wait").
+func (s *Store) write(n int, parent *obs.Span, op func() error) error {
+	var seq uint64
+	err := s.log.Write(n, parent, func() error {
+		err := op()
+		seq = s.seq
 		return err
+	})
+	if err == nil && s.opts.Durability == core.DurCommit {
+		leg := parent.Child("store.commit.wait")
+		err = s.commitWait(seq)
+		leg.End()
 	}
+	return err
 }
 
 // userAppendLocked validates, reserves log space, and appends one user
 // record. Space is secured BEFORE the old version is invalidated, so a
 // failed append (ErrFull) never loses the page's current version.
 func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
-	if s.closed {
-		return errClosed
-	}
 	tomb := flags&flagTombstone != 0
 	if tomb {
 		if _, ok := s.table[id]; !ok {
 			return ErrNotFound
 		}
 	}
-	stream, clock := s.routeUserLocked(id)
-	if err := s.ensureOpen(stream, false); err != nil {
+	stream, tick := s.log.Route(id)
+	if err := s.log.Room(stream, s.recordSize()); err != nil {
 		return err
 	}
-	s.unow++
-	s.trigger = stream
-	if s.clock != nil {
-		if tomb {
-			delete(s.clock, id)
-		} else {
-			s.clock[id] = clock
-		}
-	}
+	return s.userAppend(stream, tick, id, flags, 0, data)
+}
+
+// userAppend appends one user record into stream, where room is already
+// secured: tick the clocks, invalidate the old version, write the new one.
+func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos uint32, data []byte) error {
+	tomb := flags&flagTombstone != 0
+	s.log.Unow++
+	s.log.Advance(stream, id, tick, tomb)
 	carried := s.invalidate(id)
 	if tomb {
 		delete(s.table, id)
 	} else {
 		delete(s.tombstones, id) // a rewrite supersedes any pending deletion
 	}
-	if err := s.appendRecord(stream, id, flags, 0, data, carried); err != nil {
+	if err := s.appendRecord(stream, id, flags, pos, data, carried); err != nil {
 		return err
 	}
 	if !tomb {
@@ -801,93 +674,24 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 	return nil
 }
 
-// routeUserLocked picks the append stream for a user write of page id and
-// returns the page's advanced clock (folded with this write's interval
-// observation, to be installed once the append is admitted). Without a
-// router every user write goes to stream 0.
-func (s *Store) routeUserLocked(id uint32) (int32, pageClock) {
-	r := s.alg().Router
-	if r == nil {
-		return 0, pageClock{}
-	}
-	now := s.unow + 1 // the tick this write will get
-	c := s.clock[id]
-	if c.last != 0 {
-		c.est = core.SmoothInterval(c.est, now-c.last)
-	}
-	c.last = now
-	return core.ClampStream(r.Route(uint64(c.est), -1), s.streams), c
-}
-
-// lowWaterLocked is the effective cleaning threshold. Routed placement can
-// hold one partially-filled open segment per stream the workload actually
-// uses, so the reserve grows with the observed stream count (monotone, so
-// the threshold never flaps); the classic two-stream layout keeps the
-// configured mark.
-func (s *Store) lowWaterLocked() int {
-	lw := s.opts.FreeLowWater
-	if s.alg().Router != nil {
-		lw += s.seen.Count()
-	}
-	return lw
-}
-
-// invalidate releases page id's current version, advancing its segment's
-// up2 estimate per §5.2.2 and returning the carried value for the new
-// version (zero for a first write).
+// invalidate releases page id's current version and returns the carried
+// up2 for the new version (zero for a first write).
 func (s *Store) invalidate(id uint32) float64 {
 	loc, ok := s.table[id]
 	if !ok {
 		return 0
 	}
-	m := &s.meta[loc.seg]
-	carried := core.NextUp2(m.Up2, s.unow)
-	m.Up2 = carried
-	m.Live--
-	m.Free += s.recordSize()
 	delete(s.table, id)
-	return carried
+	return s.log.Invalidate(loc.seg, s.recordSize())
 }
 
-// ensureOpen guarantees stream has an open segment with at least one free
-// slot. gc marks appends made by the cleaner: user appends run foreground
-// cleaning below the low-water mark (background mode kicks the cleaner from
-// the write path instead) and leave the last free segment for relocation,
-// while GC appends may consume the reserve they are defending.
-func (s *Store) ensureOpen(stream int32, gc bool) error {
-	if s.open[stream] >= 0 {
-		return nil
-	}
-	if !gc && s.cl == nil && len(s.free) < s.lowWaterLocked() {
-		if err := s.clean(); err != nil {
-			return err
-		}
-		// With routed placement the cleaning we just ran may have opened
-		// (and partially filled) this very stream's segment for its own
-		// relocations; opening another would orphan it in the open state.
-		if s.open[stream] >= 0 {
-			return nil
-		}
-	}
-	need := 1
-	if !gc && s.cl != nil {
-		need = 2
-	}
-	seg, err := s.openSegment(stream, need)
-	if err != nil {
-		return err
-	}
-	s.open[stream] = seg
-	return nil
-}
-
-// appendRecord writes one record to stream's open segment (which must
-// exist), carrying the page's up2 estimate into the segment's seal-time
-// average. pos is the record's batch position (flagBatch records only).
+// appendRecord writes one record at the tail of stream's open segment
+// (which must exist), carrying the page's up2 estimate into the segment's
+// seal-time average. pos is the record's batch position (flagBatch records
+// only).
 func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, payload []byte, carried float64) error {
-	s.seen.Note(stream)
-	seg := s.open[stream]
-	slot := s.fill[seg]
+	seg, _ := s.log.Tail(stream)
+	slot := len(s.slots[seg])
 	s.seq++
 	encodeRecord(s.recBuf, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
 	if err := s.be.write(int(seg), s.slotOffset(slot), s.recBuf); err != nil {
@@ -897,38 +701,24 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 		s.dirty[seg] = s.seq
 	}
 	s.slots[seg] = append(s.slots[seg], slotInfo{page: id, seq: s.seq, tombstone: flags&flagTombstone != 0})
-	s.fill[seg]++
-	s.up2Sum[stream] += carried
-	m := &s.meta[seg]
-	m.Live++
-	m.Free -= s.recordSize()
+	s.log.Appended(stream, s.recordSize(), carried)
 	loc := pageLoc{seg: seg, slot: int32(slot), seq: s.seq}
 	if flags&flagTombstone != 0 {
 		s.tombstones[id] = loc
 	} else {
 		s.table[id] = loc
 	}
-	if s.fill[seg] == s.opts.SegmentPages {
-		return s.seal(stream)
+	if len(s.slots[seg]) == s.opts.SegmentPages {
+		return s.log.Seal(stream)
 	}
 	return nil
 }
 
-// openSegment takes a free segment and writes its header. need is the
-// minimum free-pool size the caller may consume from: user appends in
-// background mode pass 2, leaving the last free segment for the cleaner's
-// GC output so relocation can always make progress.
-func (s *Store) openSegment(stream int32, need int) (int32, error) {
-	if len(s.free) < need {
-		s.cErrFull.Inc()
-		s.trace.Emit(obs.EvErrFull, int64(len(s.free)), int64(need))
-		return -1, ErrFull
-	}
-	seg := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.freeCount.Store(int64(len(s.free)))
+// OpenSegment (seglog.Engine) resets a free segment's storage and writes
+// its header.
+func (s *Store) OpenSegment(seg, stream int32) error {
 	if err := s.be.reset(int(seg)); err != nil {
-		return -1, err
+		return err
 	}
 	s.incarnation++
 	hdr := make([]byte, segHeaderSize)
@@ -937,43 +727,17 @@ func (s *Store) openSegment(stream int32, need int) (int32, error) {
 	// their segments since reused) from a torn one.
 	encodeSegHeader(hdr, s.incarnation, stream, s.commitWatermarkLocked())
 	if err := s.be.write(int(seg), 0, hdr); err != nil {
-		return -1, err
+		return err
 	}
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq // the header itself needs flushing
 	}
-	m := &s.meta[seg]
-	*m = core.SegmentMeta{
-		Capacity: int64(s.opts.SegmentPages) * s.recordSize(),
-		Free:     int64(s.opts.SegmentPages) * s.recordSize(),
-		Stream:   stream,
-		State:    core.SegOpen,
-	}
 	s.slots[seg] = s.slots[seg][:0]
-	s.fill[seg] = 0
-	s.up2Sum[stream] = 0
-	return seg, nil
+	return nil
 }
 
-// seal closes a stream's open segment: average up2 initialization and an
-// optional fsync.
-func (s *Store) seal(stream int32) error {
-	seg := s.open[stream]
-	if seg < 0 {
-		return nil
-	}
-	m := &s.meta[seg]
-	m.State = core.SegSealed
-	s.sealSeq++
-	m.SealSeq = s.sealSeq
-	m.SealTime = s.unow
-	// §5.2.2: a sealed segment's up2 starts as the average carried up2 of
-	// its members.
-	if s.fill[seg] > 0 {
-		m.Up2 = s.up2Sum[stream] / float64(s.fill[seg])
-	}
-	s.open[stream] = -1
-	s.up2Sum[stream] = 0
+// SealSegment (seglog.Engine) is the seal-time fsync of DurSeal.
+func (s *Store) SealSegment(seg int32) error {
 	if s.opts.Durability == core.DurSeal {
 		// DurCommit skips the seal-time fsync: the group flush at commit
 		// time covers the sealed segment (it stays in the dirty set).

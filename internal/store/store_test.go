@@ -22,6 +22,15 @@ func testOpts(dir string) Options {
 	}
 }
 
+// checkInvariants fails the test if the store's index, slots and segment
+// accounting disagree; the crash tests call it on every recovered store.
+func checkInvariants(t *testing.T, s *Store) {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func page(id uint32, size int) []byte {
 	b := make([]byte, size)
 	for i := range b {
@@ -182,6 +191,7 @@ func TestRecoveryAfterCleanClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	buf := make([]byte, 128)
 	for id, v := range want {
@@ -226,6 +236,7 @@ func TestRecoveryWithoutCloseNoCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash reopen: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	buf := make([]byte, 128)
 	for id, v := range want {
@@ -293,6 +304,7 @@ func TestTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	// At most the pages whose latest version sat in the torn record are
 	// lost; everything else must read back intact.
@@ -338,6 +350,7 @@ func TestTombstoneSurvivesCleaningBeforeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, s2)
 	defer s2.Close()
 	buf := make([]byte, 128)
 	if err := s2.ReadPage(5, buf); !errors.Is(err, ErrNotFound) {

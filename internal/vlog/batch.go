@@ -1,12 +1,10 @@
 package vlog
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/cleaner"
-	"repro/internal/core"
+	"repro/internal/seglog"
 )
 
 // Batch collects Puts and Deletes for one atomic Commit. Build it with
@@ -14,54 +12,29 @@ import (
 // Batch is not safe for concurrent use, but may be reused (Reset) once
 // Commit returns; keys and values are copied into the batch at Put time,
 // so callers may reuse their buffers immediately.
-type Batch struct {
-	ops []batchOp
-	buf []byte // arena holding every Put's value copy
-}
-
-type batchOp struct {
-	key      string
-	del      bool
-	off, len int // value range in buf (puts only)
-}
+type Batch struct{ b seglog.Batch[string] }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
 // Put adds a key/value write. The value is copied.
 func (b *Batch) Put(key string, value []byte) *Batch {
-	off := len(b.buf)
-	b.buf = append(b.buf, value...)
-	b.ops = append(b.ops, batchOp{key: key, off: off, len: len(value)})
+	b.b.Put(key, value)
 	return b
 }
 
 // Delete adds a key deletion. Deleting an absent key stays a no-op, as for
 // the single-op Delete.
 func (b *Batch) Delete(key string) *Batch {
-	b.ops = append(b.ops, batchOp{key: key, del: true})
+	b.b.Delete(key)
 	return b
 }
 
 // Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return len(b.b.Ops) }
 
 // Reset empties the batch for reuse, keeping its allocations.
-func (b *Batch) Reset() {
-	b.ops = b.ops[:0]
-	b.buf = b.buf[:0]
-}
-
-func (b *Batch) value(op *batchOp) []byte { return b.buf[op.off : op.off+op.len] }
-
-// plannedOp is one batch operation with its placement decided against a
-// virtual copy of the store state, so planning mutates nothing.
-type plannedOp struct {
-	op     *batchOp
-	size   int
-	stream int32
-	clock  keyClock
-}
+func (b *Batch) Reset() { b.b.Reset() }
 
 // Commit atomically applies a batch: one admission check, one lock hold,
 // and all-or-nothing visibility. Space for every record is reserved before
@@ -69,196 +42,51 @@ type plannedOp struct {
 // with ErrFull (or ErrTooLarge) leaving the store exactly as it was.
 // Entries apply in order, so a later Put/Delete of the same key supersedes
 // an earlier one. The store is volatile, so "committed" means visible to
-// every later Get until Close, at every Durability level.
+// every later Get until Close, at every Durability level. The commit
+// histogram covers admission, planning, the apply, and retries.
 func (s *Store) Commit(b *Batch) error {
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	for i := range b.ops {
-		op := &b.ops[i]
-		if !op.del {
-			if size := recSize(op.key, op.len); size > s.opts.SegmentBytes {
-				return fmt.Errorf("%w: batch op %d: %d > %d", ErrTooLarge, i, size, s.opts.SegmentBytes)
+	for i := range b.b.Ops {
+		op := &b.b.Ops[i]
+		op.Size = 0 // a delete appends nothing
+		if !op.Del {
+			op.Size = int64(recSize(op.Key, op.DataLen()))
+			if op.Size > int64(s.opts.SegmentBytes) {
+				return fmt.Errorf("%w: batch op %d: %d > %d", ErrTooLarge, i, op.Size, s.opts.SegmentBytes)
 			}
 		}
 	}
 	t0 := time.Now()
-	err := s.commitAdmitted(b)
+	err := s.log.Write(b.Len(), nil, func() error { return s.commitLocked(b) })
 	s.hCommit.Record(uint64(time.Since(t0)))
 	return err
 }
 
-// commitAdmitted is Commit's retry loop, split out so the commit histogram
-// covers admission, planning, the apply, and retries.
-func (s *Store) commitAdmitted(b *Batch) error {
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			if err := s.cl.AdmitN(len(b.ops)); err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("vlog: batch admission: %w", err)
-			}
-		}
-		s.mu.Lock()
-		err := s.commitLocked(b)
-		lowWater := s.cl != nil && len(s.free) < s.lowWater()
-		s.mu.Unlock()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		return err
-	}
-}
-
-// commitLocked plans the whole batch, then applies every operation.
-// Planning reserves space up front: by the time the first old version is
-// invalidated, the apply loop can no longer fail with ErrFull.
+// commitLocked has the core plan the whole batch and reserve its space
+// (seglog.Log.Reserve), then applies every operation: by the time the
+// first old version is invalidated, the apply loop can no longer fail with
+// ErrFull.
 func (s *Store) commitLocked(b *Batch) error {
-	if s.closed {
-		return errClosed
-	}
-	plan, err := s.batchPrepareLocked(b)
-	if err != nil {
+	if err := s.log.Reserve(&b.b); err != nil {
 		return err
 	}
-	for i := range plan {
-		p := &plan[i]
-		op := p.op
-		s.unow++
-		if op.del {
-			s.invalidate(op.key)
-			delete(s.index, op.key)
-			delete(s.clock, op.key)
+	for i := range b.b.Ops {
+		op, pl := &b.b.Ops[i], &b.b.Plan[i]
+		if op.Del {
+			s.deleteLocked(op.Key)
 			continue
 		}
-		if err := s.ensureRoomBatch(p.stream, p.size); err != nil {
+		s.log.Unow++
+		if err := s.log.RoomReserved(pl.Stream, op.Size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("vlog: batch reservation violated at op %d: %w", i, err)
 		}
-		s.trigger = p.stream
-		if s.clock != nil {
-			s.clock[op.key] = p.clock
-		}
-		carried := s.invalidate(op.key)
-		s.writeRecord(p.stream, op.key, b.value(op), carried)
-		s.userWrites++
-		s.userBytes += uint64(p.size)
-		s.liveBytes += uint64(p.size)
+		s.userPut(pl.Stream, pl.Tick, op.Key, b.b.Data(op), int(op.Size))
 	}
-	if len(plan) > 1 {
+	if len(b.b.Ops) > 1 {
 		s.commits++
 	}
 	return nil
-}
-
-// batchPrepareLocked plans the batch and secures the free segments it
-// needs. In foreground mode it runs cleaning first (to the same headroom
-// contract as per-op Puts); in background mode it fails fast with ErrFull
-// and lets the admission loop in Commit retry while the cleaner catches
-// up.
-func (s *Store) batchPrepareLocked(b *Batch) ([]plannedOp, error) {
-	for guard := 0; ; guard++ {
-		plan, newSegs := s.planBatchLocked(b)
-		if s.cl == nil {
-			target := s.lowWater() + newSegs - 1
-			if newSegs == 0 || len(s.free) >= target {
-				return plan, nil
-			}
-			if guard > 2*s.opts.MaxSegments {
-				return nil, fmt.Errorf("vlog: batch reservation cannot converge: %w", ErrFull)
-			}
-			if err := s.cleanUntil(func() int { return s.lowWater() + newSegs - 1 }); err != nil {
-				return nil, err
-			}
-			// Cleaning relocated records into the open segments, so the
-			// routing/space plan is stale: replan against the new state.
-			continue
-		}
-		// Background mode: segment opens pass need=2 (the last free segment
-		// is the cleaner's), so the pool must cover newSegs plus that one.
-		if len(s.free) >= newSegs+1 {
-			return plan, nil
-		}
-		return nil, ErrFull
-	}
-}
-
-// planBatchLocked computes, without mutating any store state, where each
-// record will go and how many fresh segments the whole batch consumes.
-// The virtual clock and per-stream fill replay exactly what the apply
-// loop will do, so the reservation is exact.
-func (s *Store) planBatchLocked(b *Batch) (plan []plannedOp, newSegs int) {
-	r := s.opts.Algorithm.Router
-	plan = make([]plannedOp, 0, len(b.ops))
-	var vclock map[string]keyClock
-	if r != nil {
-		vclock = make(map[string]keyClock)
-	}
-	// Remaining bytes in each stream's open segment; -1 when none is open
-	// (every record size exceeds it, forcing a fresh segment).
-	rem := make([]int, s.streams)
-	for st := int32(0); st < s.streams; st++ {
-		if o := &s.open[st]; o.id >= 0 {
-			rem[st] = s.opts.SegmentBytes - o.off
-		} else {
-			rem[st] = -1
-		}
-	}
-	vunow := s.unow
-	for i := range b.ops {
-		op := &b.ops[i]
-		vunow++
-		if op.del {
-			if vclock != nil {
-				vclock[op.key] = keyClock{} // route later re-puts as fresh
-			}
-			plan = append(plan, plannedOp{op: op})
-			continue
-		}
-		size := recSize(op.key, op.len)
-		var stream int32
-		var ck keyClock
-		if r != nil {
-			c, ok := vclock[op.key]
-			if !ok {
-				c = s.clock[op.key]
-			}
-			if c.last != 0 {
-				c.est = core.SmoothInterval(c.est, vunow-c.last)
-			}
-			c.last = vunow
-			vclock[op.key] = c
-			stream = core.ClampStream(r.Route(uint64(c.est), -1), s.streams)
-			ck = c
-		}
-		if rem[stream] < size {
-			newSegs++
-			rem[stream] = s.opts.SegmentBytes
-		}
-		rem[stream] -= size
-		plan = append(plan, plannedOp{op: op, size: size, stream: stream, clock: ck})
-	}
-	return plan, newSegs
-}
-
-// ensureRoomBatch is ensureRoom for the batch apply loop: cleaning and
-// headroom decisions already happened in batchPrepareLocked, so it only
-// seals a full open segment and takes a fresh one when needed.
-func (s *Store) ensureRoomBatch(stream int32, size int) error {
-	o := &s.open[stream]
-	if o.id >= 0 && o.off+size > s.opts.SegmentBytes {
-		s.seal(stream)
-	}
-	if o.id >= 0 {
-		return nil
-	}
-	need := 1
-	if s.cl != nil {
-		need = 2
-	}
-	return s.openSegFor(stream, need)
 }

@@ -1,274 +1,67 @@
 package vlog
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/seglog"
 
-	"repro/internal/cleaner"
-	"repro/internal/core"
-)
+// The cleaning cycle itself (select → relocate → release, foreground and
+// background) lives in internal/seglog; this file is the value log's side
+// of seglog.Engine. core.SegCleaning freezes a victim's bytes, so candidate
+// records stay valid while the background cleaner installs them chunk by
+// chunk between user operations. The log is volatile: nothing to load or
+// sync.
 
-// Cleaning is decomposed into the phases of the cleaner state machine
-// (select → relocate → release), shared by foreground and background
-// modes. Victims are marked core.SegCleaning at selection, which freezes
-// their bytes: the store never writes into a cleaning segment and never
-// reuses it before release, so candidate records stay valid while the
-// background cleaner installs them chunk by chunk between user operations.
-// Each install re-checks the index, because a concurrent Put or Delete may
-// have superseded the record mid-flight.
-
-// vCand is one live record captured at selection time. Its key and offset
+// recCand is one live record captured at selection time. Its key and offset
 // stay valid while the victim is in SegCleaning.
-type vCand struct {
-	seg  int32
+type recCand struct {
 	off  int32
 	size int32
 	key  string
-	up2  float64
 }
 
-// clean runs foreground cleaning cycles until the free pool is back above
-// the low-water mark. Caller holds the write lock.
-func (s *Store) clean() error { return s.cleanUntil(s.lowWater) }
-
-// cleanUntil runs foreground cleaning cycles until the free pool reaches
-// target() — re-evaluated per cycle, since the routed reserve can grow as
-// GC output touches new streams. Batch reservation passes a higher target
-// than the low-water mark. Caller holds the write lock.
-func (s *Store) cleanUntil(target func() int) error {
-	guard := 0
-	dry := 0
-	for len(s.free) < target() {
-		n, net, err := s.cleanCycleLocked()
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return ErrFull
-		}
-		if net <= 0 {
-			if dry++; dry >= 2 {
-				return fmt.Errorf("vlog: live data at capacity: %w", ErrFull)
-			}
-		} else {
-			dry = 0
-		}
-		if guard++; guard > 4*s.opts.MaxSegments {
-			return fmt.Errorf("vlog: cleaning cannot converge: %w", ErrFull)
-		}
+// OpenSegment (seglog.Engine) allocates the segment's slab on first use.
+func (s *Store) OpenSegment(seg, stream int32) error {
+	if s.segs[seg] == nil {
+		s.segs[seg] = make([]byte, s.opts.SegmentBytes)
 	}
 	return nil
 }
 
-// cleanCycleLocked runs one full cycle under the write lock and reports the
-// victim count and the net bytes reclaimed (released minus relocated).
-func (s *Store) cleanCycleLocked() (victimCount int, netBytes int64, err error) {
-	victims, cands, err := s.selectVictimsLocked(s.opts.CleanBatch)
-	if err != nil || len(victims) == 0 {
-		return 0, 0, err
+// LiveRecords (seglog.Engine) walks victim seg's records and snapshots the
+// ones the index still points at.
+func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand[recCand] {
+	for off, end := 0, int(s.log.Fill(seg)); off < end; {
+		l := loc{seg: seg, off: int32(off)}
+		key, val := s.decode(l)
+		size := recSize(key, len(val))
+		if cur, ok := s.index[key]; ok && cur == l {
+			dst = append(dst, seglog.Cand[recCand]{Rec: recCand{off: l.off, size: int32(size), key: key}})
+		}
+		off += size
 	}
-	s.sortForGC(cands)
-	_, moved, err := s.installRelocsLocked(cands)
+	return dst
+}
+
+// Install (seglog.Engine) appends a relocated copy of c if it is still
+// current, keeping victim accounting truthful (a relocated record no longer
+// counts against its victim). The value is appended straight out of the
+// victim's slab: SegCleaning keeps the source stable and the destination is
+// a different, open segment.
+func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
+	src := loc{seg: c.Seg, off: c.Rec.off}
+	if cur, ok := s.index[c.Rec.key]; !ok || cur != src {
+		return 0, nil // overwritten or deleted since selection
+	}
+	size := int64(c.Rec.size)
+	stream, err := s.log.GCRoom(c.Up2, size)
 	if err != nil {
-		s.abortVictimsLocked(victims)
-		return 0, 0, err
+		return 0, err
 	}
-	released := s.releaseVictimsLocked(victims)
-	return len(victims), released - moved, nil
+	_, val := s.decode(src)
+	s.writeRecord(stream, c.Rec.key, val, c.Up2)
+	s.log.Relocated(c.Seg, size)
+	return size, nil
 }
 
-// selectVictimsLocked asks the policy for up to max victims, marks them
-// SegCleaning, and snapshots their live records. Caller holds the write
-// lock.
-func (s *Store) selectVictimsLocked(max int) ([]int32, []vCand, error) {
-	view := core.View{Now: s.unow, Segs: s.meta, TriggerStream: s.trigger}
-	victims := s.opts.Algorithm.Policy.Victims(view, max, nil)
-	if len(victims) == 0 {
-		return nil, nil, nil
-	}
-	for _, v := range victims {
-		if s.meta[v].State != core.SegSealed {
-			return nil, nil, fmt.Errorf("vlog: policy %s selected non-sealed segment %d", s.opts.Algorithm.Name, v)
-		}
-	}
-	var cands []vCand
-	for _, v := range victims {
-		m := &s.meta[v]
-		m.State = core.SegCleaning
-		// Credited to the stats at release; an aborted victim was not
-		// cleaned and will be re-selected.
-		s.pendingE[v] = m.Emptiness()
-		s.hVictimE.Record(uint64(m.Emptiness() * 1000))
-		off := 0
-		for off < s.fill[v] {
-			l := loc{seg: v, off: int32(off)}
-			key, val := s.decode(l)
-			size := recSize(key, len(val))
-			if cur, ok := s.index[key]; ok && cur == l {
-				cands = append(cands, vCand{seg: v, off: l.off, size: int32(size), key: key, up2: m.Up2})
-			}
-			off += size
-		}
-	}
-	return victims, cands, nil
-}
-
-// sortForGC separates relocations by update frequency (§5.3) when the
-// algorithm asks for it: coldest first by carried up2.
-func (s *Store) sortForGC(cands []vCand) {
-	if s.opts.Algorithm.SortGC {
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].up2 < cands[j].up2 })
-	}
-}
-
-// installRelocsLocked appends relocated copies of the candidates that are
-// still current, keeping victim accounting truthful (a relocated record no
-// longer counts against its victim). The relocation buffers alias victim
-// memory, which SegCleaning keeps stable, so values are copied as they are
-// appended. Caller holds the write lock; background relocation calls it in
-// small chunks.
-func (s *Store) installRelocsLocked(cands []vCand) (installed int, bytes int64, err error) {
-	for i := range cands {
-		c := &cands[i]
-		cur, ok := s.index[c.key]
-		if !ok || cur != (loc{seg: c.seg, off: c.off}) {
-			continue // overwritten or deleted since selection
-		}
-		_, val := s.decode(loc{seg: c.seg, off: c.off})
-		v := make([]byte, len(val))
-		copy(v, val)
-		// Route relocations by the interval implied by the carried up2
-		// (§4.3's unow-up2 estimator): hot and cold GC output land in
-		// different segments (§5.3) instead of one monolithic GC stream.
-		stream := int32(1)
-		if r := s.opts.Algorithm.Router; r != nil {
-			stream = core.ClampStream(r.Route(uint64(core.EstimatedInterval(c.up2, s.unow)), -1), s.streams)
-		}
-		if err := s.ensureRoom(stream, int(c.size), true); err != nil {
-			return installed, bytes, err
-		}
-		s.writeRecord(stream, c.key, v, c.up2)
-		m := &s.meta[c.seg]
-		m.Live--
-		m.Free += int64(c.size)
-		s.gcWrites++
-		s.gcBytes += uint64(c.size)
-		installed++
-		bytes += int64(c.size)
-	}
-	return installed, bytes, nil
-}
-
-// releaseVictimsLocked returns victims to the free pool and reports the
-// gross capacity bytes released. Caller holds the write lock.
-func (s *Store) releaseVictimsLocked(victims []int32) (releasedBytes int64) {
-	for _, v := range victims {
-		m := &s.meta[v]
-		if e, ok := s.pendingE[v]; ok {
-			s.cleanedSegs++
-			s.sumEAtClean += e
-			delete(s.pendingE, v)
-		}
-		releasedBytes += m.Capacity
-		m.State = core.SegFree
-		m.Live = 0
-		m.Free = m.Capacity
-		m.Up2 = 0
-		s.fill[v] = 0
-		s.free = append(s.free, v)
-	}
-	s.freeCount.Store(int64(len(s.free)))
-	return releasedBytes
-}
-
-// abortVictimsLocked reverts victims to sealed after a failed relocation so
-// a later cycle can retry them.
-func (s *Store) abortVictimsLocked(victims []int32) {
-	for _, v := range victims {
-		if s.meta[v].State == core.SegCleaning {
-			s.meta[v].State = core.SegSealed
-			delete(s.pendingE, v)
-		}
-	}
-}
-
-// relocChunk is how many records background relocation installs per lock
-// hold, bounding writer stalls behind the cleaner.
-const relocChunk = 64
-
-// cleanerTarget adapts the store to cleaner.Target. The cleaner drives one
-// cycle at a time (SelectVictims → Relocate → Release/Abort), so the
-// candidate snapshot can be carried between calls.
-type cleanerTarget struct {
-	s     *Store
-	cands []vCand
-}
-
-func (t *cleanerTarget) FreeSegments() int { return int(t.s.freeCount.Load()) }
-
-func (t *cleanerTarget) SelectVictims(max int) []int32 {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	victims, cands, err := s.selectVictimsLocked(max)
-	if err != nil {
-		return nil
-	}
-	t.cands = cands
-	return victims
-}
-
-func (t *cleanerTarget) Relocate(victims []int32) (int, int64, error) {
-	s := t.s
-	cands := t.cands
-	t.cands = nil
-	s.sortForGC(cands) // reads only immutable Options
-	// Install in small chunks so user operations interleave with the
-	// cleaner (the store is in-memory; the cost is the memcpy, so the lock
-	// is dropped between chunks rather than during I/O).
-	return cleaner.RelocateChunks(len(cands), relocChunk,
-		func(lo, hi int) (int, int64, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed {
-				return 0, 0, errClosed
-			}
-			return s.installRelocsLocked(cands[lo:hi])
-		})
-}
-
-func (t *cleanerTarget) Release(victims []int32) int64 {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.releaseVictimsLocked(victims)
-}
-
-// Abort reverts victims after a failed relocation, except that a victim
-// whose every record was already relocated or dead holds nothing: releasing
-// it keeps the cleaner making progress even when the failure was the GC
-// stream losing the race for the last free segment.
-func (t *cleanerTarget) Abort(victims []int32) {
-	s := t.s
-	t.cands = nil
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var drained []int32
-	for _, v := range victims {
-		if s.meta[v].State != core.SegCleaning {
-			continue
-		}
-		if s.meta[v].Live == 0 {
-			drained = append(drained, v)
-		} else {
-			s.meta[v].State = core.SegSealed
-			delete(s.pendingE, v)
-		}
-	}
-	if len(drained) > 0 {
-		s.releaseVictimsLocked(drained)
-	}
-}
+func (s *Store) SealSegment(int32) error           { return nil }
+func (s *Store) Load([]seglog.Cand[recCand]) error { return nil }
+func (s *Store) SyncRelocated(bool) error          { return nil }
+func (s *Store) ReleaseSegment(int32)              {}

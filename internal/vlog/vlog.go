@@ -9,7 +9,10 @@
 // deleted records become garbage that the cleaning policies of
 // internal/core reclaim. Because records vary in size, victim priority uses
 // the variable-size declining-cost form of paper §4.4 — the (B-A)/C average
-// live record size is exactly the 1/C factor in core.DecliningCost.
+// live record size is exactly the 1/C factor in core.DecliningCost. The
+// segment bookkeeping, routing and cleaning cycle are internal/seglog, the
+// core shared with the page store; this package keeps the slabs, the key
+// index and the record codec.
 //
 // Cleaning runs foreground (inside Put, the default) or background with
 // Options.BackgroundClean: the shared engine of internal/cleaner relocates
@@ -23,12 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/seglog"
 )
 
 // ErrFull means cleaning cannot reclaim enough space for the write.
@@ -83,7 +86,15 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-func (o Options) withDefaults() (Options, error) {
+// relocChunk is how many records background relocation installs per lock
+// hold, bounding writer stalls behind the cleaner (the store is in-memory;
+// the cost is the memcpy, so the lock is dropped between chunks rather than
+// during I/O).
+const relocChunk = 64
+
+// withDefaults fills the defaults and validates; the checks every segment
+// log shares live in seglog.Config.Validate.
+func (o Options) withDefaults() (Options, seglog.Config, error) {
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 1 << 20
 	}
@@ -96,42 +107,19 @@ func (o Options) withDefaults() (Options, error) {
 	if o.FreeLowWater == 0 {
 		o.FreeLowWater = o.CleanBatch + 2
 	}
-	if o.Algorithm.Policy == nil {
-		o.Algorithm = core.MDC()
+	cfg := seglog.Config{
+		Name: "vlog", ErrFull: ErrFull, ErrClosed: errClosed, RelocChunk: relocChunk,
+		MaxSegments: o.MaxSegments, SegmentBytes: int64(o.SegmentBytes),
+		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
+		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
+		Pacer: o.Pacer, Obs: o.Obs,
 	}
-	if !o.Durability.Valid() {
-		return o, fmt.Errorf("vlog: invalid durability level %d", o.Durability)
+	if o.SegmentBytes < 64 {
+		return o, cfg, fmt.Errorf("vlog: invalid geometry %+v", o)
 	}
-	if o.SegmentBytes < 64 || o.MaxSegments < o.FreeLowWater+2 {
-		return o, fmt.Errorf("vlog: invalid geometry %+v", o)
-	}
-	if o.FreeLowWater <= o.CleanBatch {
-		return o, fmt.Errorf("vlog: FreeLowWater (%d) must exceed CleanBatch (%d)", o.FreeLowWater, o.CleanBatch)
-	}
-	if o.Algorithm.Exact {
-		return o, fmt.Errorf("vlog: exact-rate algorithm %s needs a workload oracle; use the estimator variant", o.Algorithm.Name)
-	}
-	if r := o.Algorithm.Router; r != nil {
-		n := int(r.Streams())
-		if n < 2 || n > core.MaxRouterStreams {
-			return o, fmt.Errorf("vlog: routed algorithm %s declares %d streams (want 2..%d)",
-				o.Algorithm.Name, n, core.MaxRouterStreams)
-		}
-		// Each stream can pin one open segment AND adds one to the
-		// effective low-water reserve (see the page store's identical
-		// check): both must fit or thin routed data wedges the store.
-		if o.MaxSegments < o.FreeLowWater+2*n+2 {
-			return o, fmt.Errorf("vlog: routed algorithm %s needs MaxSegments >= FreeLowWater(%d) + 2*streams(%d) + 2",
-				o.Algorithm.Name, o.FreeLowWater, n)
-		}
-	}
-	// FreeHighWater, FreeEmergency and Pacer defaulting/validation live in
-	// cleaner.Options.withDefaults (one copy for every engine); zero values
-	// pass straight through to cleaner.Start.
-	if o.Obs == nil {
-		o.Obs = obs.New()
-	}
-	return o, nil
+	err := cfg.Validate()
+	o.Algorithm, o.Obs = cfg.Algorithm, cfg.Obs
+	return o, cfg, err
 }
 
 // record layout: keyLen u16 | valLen u32 | key | value
@@ -140,21 +128,6 @@ const recHeader = 6
 type loc struct {
 	seg int32
 	off int32
-}
-
-type openSeg struct {
-	id     int32
-	off    int
-	count  int
-	up2Sum float64
-}
-
-// keyClock is a key's update history: the update-clock tick of its last Put
-// and the smoothed interval between successive Puts (core.SmoothInterval).
-// It exists only when a router needs the signal.
-type keyClock struct {
-	last uint64
-	est  uint32
 }
 
 // Store is an in-memory log-structured KV store. Safe for concurrent use:
@@ -171,105 +144,40 @@ type Store struct {
 	mu   sync.RWMutex
 	opts Options
 
-	segs [][]byte
-	meta []core.SegmentMeta
-	fill []int // valid bytes per segment
+	// log is the segment-log core: segment metadata, free pool, streams and
+	// routing clock, the cleaning cycle, batch planning and admission. The
+	// store is its Engine (see clean.go) and keeps the slabs and the index.
+	log   *seglog.Log[string, recCand]
+	segs  [][]byte
+	index map[string]loc
 
-	index     map[string]loc
-	free      []int32
-	freeCount atomic.Int64 // len(free), readable without the lock
-	open      []openSeg // indexed by stream
-
-	// Stream routing. Without a router there are two fixed streams (user=0,
-	// GC=1); with one, user and GC appends share Router.Streams() streams
-	// chosen by estimated update interval. clock tracks each key's last
-	// write tick and smoothed interval (the router's signal) and is nil
-	// when no router is configured.
-	streams int32
-	clock   map[string]keyClock
-	seen    core.StreamSet // streams ever appended to (free-pool reserve)
-	trigger int32          // stream of the most recent user append (View.TriggerStream)
-
-	unow    uint64
-	sealSeq uint64
-	closed  bool
-
-	userWrites, gcWrites          uint64
-	userBytes, gcBytes, liveBytes uint64
-	commits                       uint64 // successful multi-record Commits
-	cleanedSegs                   uint64
-	sumEAtClean                   float64
-	pendingE                      map[int32]float64 // emptiness-at-selection of in-flight victims
-
-	cl *cleaner.Cleaner // background cleaner; nil in foreground mode
+	userWrites           uint64
+	userBytes, liveBytes uint64
+	commits              uint64 // successful multi-record Commits
 
 	// obs handles, resolved once at New (see internal/obs).
-	obsReg   *obs.Registry
-	hPut     *obs.Histogram // vlog.put.ns: Put, admission through append
-	hGet     *obs.Histogram // vlog.get.ns
-	hCommit  *obs.Histogram // vlog.commit.ns: batch Commits
-	hVictimE *obs.Histogram // vlog.victim_e.permille
-	cErrFull *obs.Counter   // vlog.errfull episodes
-	trace    *obs.Trace
+	hPut    *obs.Histogram // vlog.put.ns: Put, admission through append
+	hGet    *obs.Histogram // vlog.get.ns
+	hCommit *obs.Histogram // vlog.commit.ns: batch Commits
 }
 
 // New creates a store.
 func New(opts Options) (*Store, error) {
-	opts, err := opts.withDefaults()
+	opts, cfg, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	streams, routedStreams := int32(2), 0
-	if r := opts.Algorithm.Router; r != nil {
-		streams = r.Streams()
-		routedStreams = int(streams)
-	}
 	s := &Store{
-		opts:     opts,
-		segs:     make([][]byte, opts.MaxSegments),
-		meta:     make([]core.SegmentMeta, opts.MaxSegments),
-		fill:     make([]int, opts.MaxSegments),
-		index:    make(map[string]loc),
-		pendingE: make(map[int32]float64),
-		streams:  streams,
-		open:     make([]openSeg, streams),
+		opts:    opts,
+		segs:    make([][]byte, opts.MaxSegments),
+		index:   make(map[string]loc),
+		hPut:    opts.Obs.Histogram("vlog.put.ns"),
+		hGet:    opts.Obs.Histogram("vlog.get.ns"),
+		hCommit: opts.Obs.Histogram("vlog.commit.ns"),
 	}
-	for i := range s.open {
-		s.open[i].id = -1
-	}
-	s.obsReg = opts.Obs
-	s.hPut = opts.Obs.Histogram("vlog.put.ns")
-	s.hGet = opts.Obs.Histogram("vlog.get.ns")
-	s.hCommit = opts.Obs.Histogram("vlog.commit.ns")
-	s.hVictimE = opts.Obs.Histogram("vlog.victim_e.permille")
-	s.cErrFull = opts.Obs.Counter("vlog.errfull")
-	s.trace = opts.Obs.Trace()
-	if opts.Algorithm.Router != nil {
-		s.clock = make(map[string]keyClock)
-	}
-	for i := range s.meta {
-		s.meta[i].Capacity = int64(opts.SegmentBytes)
-		s.meta[i].Free = int64(opts.SegmentBytes)
-	}
-	for i := opts.MaxSegments - 1; i >= 0; i-- {
-		s.free = append(s.free, int32(i))
-	}
-	s.freeCount.Store(int64(len(s.free)))
-	if opts.BackgroundClean {
-		cl, err := cleaner.Start(&cleanerTarget{s: s}, cleaner.Options{
-			LowWater:       opts.FreeLowWater,
-			HighWater:      opts.FreeHighWater,
-			EmergencyFloor: opts.FreeEmergency,
-			Batch:          opts.CleanBatch,
-			TotalSegments:  opts.MaxSegments,
-			Streams:        routedStreams,
-			Pacer:          opts.Pacer,
-			Obs:            opts.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.cl = cl
+	s.log = seglog.New[string, recCand](cfg, &s.mu, s)
+	if err := s.log.StartCleaner(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -280,11 +188,9 @@ func New(opts Options) (*Store, error) {
 // always returns nil — the error return exists so callers can treat every
 // engine mutator uniformly.
 func (s *Store) Close() error {
-	if s.cl != nil {
-		s.cl.Stop()
-	}
+	s.log.StopCleaner()
 	s.mu.Lock()
-	s.closed = true
+	s.log.Closed = true
 	s.mu.Unlock()
 	return nil
 }
@@ -298,7 +204,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	defer func() { s.hGet.Record(uint64(time.Since(t0))) }()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
+	if s.log.Closed {
 		return nil, false
 	}
 	l, ok := s.index[key]
@@ -319,95 +225,43 @@ func (s *Store) decode(l loc) (key string, val []byte) {
 	return string(b[recHeader : recHeader+kl]), b[recHeader+kl : recHeader+kl+vl]
 }
 
-// Put stores value under key, replacing any existing value.
+// Put stores value under key, replacing any existing value. The put
+// histogram covers the whole user-observed latency: admission
+// (seglog.Log.Write), the append, and retries.
 func (s *Store) Put(key string, value []byte) error {
 	size := recSize(key, len(value))
 	if size > s.opts.SegmentBytes {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, s.opts.SegmentBytes)
 	}
 	t0 := time.Now()
-	err := s.putAdmitted(key, value, size)
+	err := s.log.Write(1, nil, func() error { return s.putLocked(key, value, size) })
 	s.hPut.Record(uint64(time.Since(t0)))
 	return err
-}
-
-// putAdmitted is Put's retry loop, split out so the put histogram covers
-// the whole user-observed latency: admission, the append, and retries.
-func (s *Store) putAdmitted(key string, value []byte, size int) error {
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			if err := s.cl.Admit(); err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("vlog: write admission: %w", err)
-			}
-		}
-		s.mu.Lock()
-		err := s.putLocked(key, value, size)
-		lowWater := s.cl != nil && len(s.free) < s.lowWater()
-		s.mu.Unlock()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		return err
-	}
 }
 
 // putLocked reserves log space, then invalidates the old version and writes
 // the record. Space is secured first so a failed Put (ErrFull) never loses
 // the key's current value.
 func (s *Store) putLocked(key string, value []byte, size int) error {
-	if s.closed {
-		return errClosed
-	}
-	stream, clock := s.routeUserLocked(key)
-	if err := s.ensureRoom(stream, size, false); err != nil {
+	stream, tick := s.log.Route(key)
+	if err := s.log.Room(stream, int64(size)); err != nil {
 		return err
 	}
-	s.unow++
-	s.trigger = stream
-	if s.clock != nil {
-		s.clock[key] = clock
-	}
+	s.log.Unow++
+	s.userPut(stream, tick, key, value, size)
+	return nil
+}
+
+// userPut appends one user record into stream, where room is already
+// secured and the update clock ticked: install the routing tick, invalidate
+// the old version, write the new one.
+func (s *Store) userPut(stream int32, tick seglog.Tick, key string, value []byte, size int) {
+	s.log.Advance(stream, key, tick, false)
 	carried := s.invalidate(key)
 	s.writeRecord(stream, key, value, carried)
 	s.userWrites++
 	s.userBytes += uint64(size)
 	s.liveBytes += uint64(size)
-	return nil
-}
-
-// routeUserLocked picks the append stream for a Put of key and returns the
-// key's advanced clock (folded with this write's interval observation, to
-// be installed once the append is admitted). Without a router every user
-// write goes to stream 0.
-func (s *Store) routeUserLocked(key string) (int32, keyClock) {
-	r := s.opts.Algorithm.Router
-	if r == nil {
-		return 0, keyClock{}
-	}
-	now := s.unow + 1 // the tick this write will get
-	c := s.clock[key]
-	if c.last != 0 {
-		c.est = core.SmoothInterval(c.est, now-c.last)
-	}
-	c.last = now
-	return core.ClampStream(r.Route(uint64(c.est), -1), s.streams), c
-}
-
-// lowWater is the effective cleaning threshold: routed placement can hold
-// one partially-filled open segment per stream the workload actually uses,
-// so the reserve grows with the observed stream count (monotone).
-func (s *Store) lowWater() int {
-	lw := s.opts.FreeLowWater
-	if s.opts.Algorithm.Router != nil {
-		lw += s.seen.Count()
-	}
-	return lw
 }
 
 // Delete removes key. Deleting an absent key is a no-op: the store is
@@ -417,14 +271,17 @@ func (s *Store) lowWater() int {
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.log.Closed {
 		return errClosed
 	}
-	s.unow++
-	s.invalidate(key)
-	delete(s.index, key)
-	delete(s.clock, key)
+	s.deleteLocked(key)
 	return nil
+}
+
+func (s *Store) deleteLocked(key string) {
+	s.log.Unow++
+	s.invalidate(key)
+	s.log.Forget(key)
 }
 
 // invalidate releases key's current record and returns the carried up2.
@@ -434,121 +291,30 @@ func (s *Store) invalidate(key string) float64 {
 		return 0
 	}
 	k, v := s.decode(l)
-	m := &s.meta[l.seg]
-	carried := core.NextUp2(m.Up2, s.unow)
-	m.Up2 = carried
-	m.Live--
 	size := int64(recSize(k, len(v)))
-	m.Free += size
 	s.liveBytes -= uint64(size)
 	delete(s.index, key)
-	return carried
+	return s.log.Invalidate(l.seg, size)
 }
 
-// ensureRoom guarantees stream's open segment can take size more bytes,
-// sealing and reopening as needed. gc marks appends made by the cleaner:
-// user appends run foreground cleaning below the low-water mark when no
-// background cleaner owns the lifecycle, and leave the last free segment
-// for GC output; GC appends may consume the reserve they are defending.
-func (s *Store) ensureRoom(stream int32, size int, gc bool) error {
-	o := &s.open[stream]
-	if o.id >= 0 && o.off+size > s.opts.SegmentBytes {
-		s.seal(stream)
-	}
-	if o.id >= 0 {
-		return nil
-	}
-	if !gc && s.cl == nil && len(s.free) < s.lowWater() {
-		if err := s.clean(); err != nil {
-			return err
-		}
-		// With routed placement the cleaning we just ran may have opened
-		// (and partially filled) this very stream's segment for its own
-		// relocations; opening another would orphan it in the open state.
-		if o.id >= 0 && o.off+size > s.opts.SegmentBytes {
-			s.seal(stream)
-		}
-		if o.id >= 0 {
-			return nil
-		}
-	}
-	need := 1
-	if !gc && s.cl != nil {
-		need = 2
-	}
-	return s.openSegFor(stream, need)
-}
-
-// openSegFor takes a free segment and opens it for stream. need is the
-// minimum pool size the caller may consume from (user appends in
-// background mode pass 2, leaving the last free segment for GC output).
-func (s *Store) openSegFor(stream int32, need int) error {
-	if len(s.free) < need {
-		s.cErrFull.Inc()
-		s.trace.Emit(obs.EvErrFull, int64(len(s.free)), int64(need))
-		return ErrFull
-	}
-	id := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.freeCount.Store(int64(len(s.free)))
-	if s.segs[id] == nil {
-		s.segs[id] = make([]byte, s.opts.SegmentBytes)
-	}
-	s.meta[id] = core.SegmentMeta{
-		Capacity: int64(s.opts.SegmentBytes),
-		Free:     int64(s.opts.SegmentBytes),
-		Stream:   stream,
-		State:    core.SegOpen,
-	}
-	s.fill[id] = 0
-	s.open[stream] = openSeg{id: id}
-	return nil
-}
-
-// writeRecord appends a record into stream's open segment, which must have
-// room (see ensureRoom).
+// writeRecord appends a record at the tail of stream's open segment, which
+// must have room (see seglog.Log.Room).
 func (s *Store) writeRecord(stream int32, key string, value []byte, carried float64) {
-	s.seen.Note(stream)
-	size := recSize(key, len(value))
-	o := &s.open[stream]
-	b := s.segs[o.id][o.off:]
+	seg, off := s.log.Tail(stream)
+	b := s.segs[seg][off:]
 	binary.LittleEndian.PutUint16(b[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(b[2:6], uint32(len(value)))
 	copy(b[recHeader:], key)
 	copy(b[recHeader+len(key):], value)
-	s.index[key] = loc{seg: o.id, off: int32(o.off)}
-	o.off += size
-	o.count++
-	o.up2Sum += carried
-	s.fill[o.id] = o.off
-	m := &s.meta[o.id]
-	m.Live++
-	m.Free -= int64(size)
-}
-
-// seal closes a stream's open segment and installs the average carried up2
-// (§5.2.2).
-func (s *Store) seal(stream int32) {
-	o := &s.open[stream]
-	if o.id < 0 {
-		return
-	}
-	m := &s.meta[o.id]
-	m.State = core.SegSealed
-	s.sealSeq++
-	m.SealSeq = s.sealSeq
-	m.SealTime = s.unow
-	if o.count > 0 {
-		m.Up2 = o.up2Sum / float64(o.count)
-	}
-	*o = openSeg{id: -1}
+	s.index[key] = loc{seg: seg, off: int32(off)}
+	s.log.Appended(stream, int64(recSize(key, len(value))), carried)
 }
 
 // Len returns the number of live keys, 0 on a closed store.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
+	if s.log.Closed {
 		return 0
 	}
 	return len(s.index)
@@ -583,79 +349,50 @@ type Stats struct {
 	Cleaner    cleaner.Stats
 }
 
-// Stats returns a snapshot of the store counters, zero on a closed store.
 // Obs returns the store's metrics registry (always non-nil): the vlog.*
 // and cleaner.* series plus the trace events, snapshottable at any time
 // with Registry.Snapshot.
-func (s *Store) Obs() *obs.Registry { return s.obsReg }
+func (s *Store) Obs() *obs.Registry { return s.opts.Obs }
 
+// Stats returns a snapshot of the store counters, zero on a closed store.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
-	if s.closed {
+	if s.log.Closed {
 		s.mu.RUnlock()
 		return Stats{}
 	}
+	ls := s.log.Stats()
 	st := Stats{
 		Keys:            len(s.index),
 		LiveBytes:       s.liveBytes,
 		CapacityBytes:   uint64(s.opts.MaxSegments) * uint64(s.opts.SegmentBytes),
 		UserWrites:      s.userWrites,
-		GCWrites:        s.gcWrites,
+		GCWrites:        ls.GCWrites,
 		UserBytes:       s.userBytes,
-		GCBytes:         s.gcBytes,
-		SegmentsCleaned: s.cleanedSegs,
-		FreeSegments:    len(s.free),
-		Streams:         s.streamStatsLocked(),
+		GCBytes:         ls.GCBytes,
+		SegmentsCleaned: ls.SegmentsCleaned,
+		MeanEAtClean:    ls.MeanEAtClean,
+		FreeSegments:    ls.FreeSegments,
+		Streams:         ls.Streams,
 		Durability:      s.opts.Durability.String(),
 		Commits:         s.commits,
 	}
 	if s.userBytes > 0 {
-		st.WriteAmp = float64(s.gcBytes) / float64(s.userBytes)
-	}
-	if s.cleanedSegs > 0 {
-		st.MeanEAtClean = s.sumEAtClean / float64(s.cleanedSegs)
+		st.WriteAmp = float64(ls.GCBytes) / float64(s.userBytes)
 	}
 	s.mu.RUnlock()
-	if s.cl != nil {
-		st.Background = true
-		st.Cleaner = s.cl.Stats()
-	}
+	st.Background, st.Cleaner = s.log.CleanerStats()
 	return st
 }
 
-// streamStatsLocked aggregates per-stream occupancy: which streams the
-// routed placement actually filled, and how full each stream's open
-// segment is. Caller holds at least the read lock.
-func (s *Store) streamStatsLocked() []core.StreamStats {
-	ss := make([]core.StreamStats, s.streams)
-	for seg := range s.meta {
-		m := &s.meta[seg]
-		if m.State == core.SegFree {
-			continue
-		}
-		i := core.ClampStream(m.Stream, s.streams)
-		ss[i].Segments++
-		ss[i].Live += int(m.Live)
-		ss[i].LiveBytes += m.Capacity - m.Free
-		if m.State == core.SegOpen {
-			ss[i].OpenSegments++
-			ss[i].OpenFill = float64(s.fill[seg]) / float64(s.opts.SegmentBytes)
-		}
-	}
-	for i := range ss {
-		ss[i].Written = s.seen.Has(int32(i))
-	}
-	return ss
-}
-
-// CheckInvariants validates internal consistency (tests):
-// every indexed record decodes to its key; per-segment live counts and free
-// bytes match the index; liveBytes aggregates correctly.
+// CheckInvariants validates internal consistency (tests): every indexed
+// record decodes to its key, liveBytes aggregates correctly, and the
+// core's per-segment accounting matches the index (seglog.Log.Check).
 func (s *Store) CheckInvariants() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	liveCount := make([]int32, len(s.meta))
-	liveSize := make([]int64, len(s.meta))
+	liveCount := make([]int32, s.opts.MaxSegments)
+	liveBytes := make([]int64, s.opts.MaxSegments)
 	var total uint64
 	for key, l := range s.index {
 		k, v := s.decode(l)
@@ -663,26 +400,11 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("vlog: index key %q decodes to %q", key, k)
 		}
 		liveCount[l.seg]++
-		liveSize[l.seg] += int64(recSize(k, len(v)))
+		liveBytes[l.seg] += int64(recSize(k, len(v)))
 		total += uint64(recSize(k, len(v)))
 	}
 	if total != s.liveBytes {
 		return fmt.Errorf("vlog: liveBytes %d, index says %d", s.liveBytes, total)
 	}
-	for i := range s.meta {
-		m := &s.meta[i]
-		if m.State == core.SegFree {
-			if liveCount[i] != 0 {
-				return fmt.Errorf("vlog: free segment %d has %d live records", i, liveCount[i])
-			}
-			continue
-		}
-		if m.Live != liveCount[i] {
-			return fmt.Errorf("vlog: segment %d live %d, index says %d", i, m.Live, liveCount[i])
-		}
-		if m.Capacity-m.Free < liveSize[i] {
-			return fmt.Errorf("vlog: segment %d used bytes %d below live bytes %d", i, m.Capacity-m.Free, liveSize[i])
-		}
-	}
-	return nil
+	return s.log.Check(liveCount, liveBytes)
 }

@@ -34,12 +34,12 @@
 // nothing is applied, never a prefix.
 //
 // Durability is an explicit policy (StoreOptions.Durability): DurNone
-// never fsyncs, DurSeal fsyncs segment seals and checkpoints (the old
-// Sync=true, which remains as a deprecated shim), and DurCommit makes
-// every write or Apply return only after its records are durable —
-// concurrent committers coalesce onto a single group fsync, and a torn
-// DurCommit batch is discarded wholesale by recovery, never surfaced
-// partially. Store.Sync() is the explicit flush for the weaker levels.
+// never fsyncs, DurSeal fsyncs segment seals and checkpoints, and
+// DurCommit makes every write or Apply return only after its records are
+// durable — concurrent committers coalesce onto a single group fsync, and
+// a torn DurCommit batch is discarded wholesale by recovery, never
+// surfaced partially. Store.Sync() is the explicit flush for the weaker
+// levels.
 // The in-memory KV engine accepts the same policy for symmetry and
 // documents the volatile contract it can honor.
 //
@@ -195,15 +195,14 @@ func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
 func NewStoreBatch() *StoreBatch { return store.NewBatch() }
 
 // Durability is the explicit write-durability policy of the engines
-// (StoreOptions.Durability / KVOptions.Durability); it replaces the old
-// Sync bool, which survives as a deprecated shim for DurSeal.
+// (StoreOptions.Durability / KVOptions.Durability).
 type Durability = core.Durability
 
 // Durability levels, weakest first.
 const (
-	// DurNone never fsyncs (the default; the old Sync=false).
+	// DurNone never fsyncs (the default).
 	DurNone = core.DurNone
-	// DurSeal fsyncs segment seals and checkpoints (the old Sync=true).
+	// DurSeal fsyncs segment seals and checkpoints.
 	DurSeal = core.DurSeal
 	// DurCommit group-fsyncs on every commit — concurrent committers
 	// coalesce onto one fsync — and makes batches crash-atomic.
