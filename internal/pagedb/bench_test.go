@@ -1,6 +1,7 @@
 package pagedb
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -197,4 +198,61 @@ func BenchmarkTreeScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCheckpointCommit times one checkpoint of a tree four times its
+// cache, every leaf dirtied since the last one (so most of the dirty set is
+// parked, the rest resident), and reports what the checkpoint is charged per
+// page it writes: heap bytes (B/page ≈ the page size: the batch buffer, once)
+// and serializations (encodes/page = 1, however often a page was evicted).
+// File-backed: the memory backend's segments are themselves heap.
+func BenchmarkCheckpointCommit(b *testing.B) {
+	db, err := Open(Options{
+		Store:      store.Options{Dir: b.TempDir(), PageSize: 4096, SegmentPages: 128, MaxSegments: 128},
+		CachePages: 256,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	tr, err := db.Tree("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := make([]byte, 100)
+	dirtyAll := func(version byte) {
+		v[0] = version
+		for k := uint64(0); k < 30000; k++ {
+			if err := tr.Put(k, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dirtyAll(0)
+	if err := db.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	encodes := db.Obs().Counter("pagedb.node.encodes")
+	var allocated, pages, encoded uint64
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dirtyAll(byte(i + 1))
+		p0, e0 := db.Stats().CommittedPages, encodes.Value()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		if err := db.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		allocated += m1.TotalAlloc - m0.TotalAlloc
+		pages += db.Stats().CommittedPages - p0
+		encoded += encodes.Value() - e0
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(allocated)/float64(pages), "B/page")
+	b.ReportMetric(float64(encoded)/float64(pages-uint64(b.N)), "encodes/page") // less each batch's meta page
 }

@@ -1,0 +1,290 @@
+package pagedb
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/store"
+)
+
+// These tests pin the dirty-page life cycle: a dirty page stays decoded —
+// resident or parked — until the checkpoint, which encodes it exactly once
+// into a batch buffer allocated once, and a checkpoint that fails loses
+// nothing.
+
+// dirtySet returns the ids of every page the next checkpoint must write:
+// dirty-resident frames plus parked nodes.
+func dirtySet(db *DB) map[uint32]bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	set := make(map[uint32]bool)
+	for id := uint32(metaPageID + 1); id < db.pool.MaxPageID(); id++ {
+		if db.pool.IsDirty(id) {
+			set[id] = true
+		}
+	}
+	for id := range db.evq {
+		if set[id] {
+			panic("page both parked and dirty-resident")
+		}
+		set[id] = true
+	}
+	return set
+}
+
+// txnPuts writes the given keys through one transaction per 50 keys and
+// records them in the oracle.
+func txnPuts(t *testing.T, db *DB, oracle map[uint64][]byte, keys []uint64, version byte) {
+	t.Helper()
+	for len(keys) > 0 {
+		n := min(50, len(keys))
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[:n] {
+			v := val(k, version)
+			if err := tx.Put("t", k, v); err != nil {
+				t.Fatal(err)
+			}
+			oracle[k] = v
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		keys = keys[n:]
+	}
+}
+
+func checkOracle(t *testing.T, db *DB, oracle map[uint64][]byte) {
+	t.Helper()
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(oracle) {
+		t.Fatalf("tree holds %d keys, oracle %d", tr.Len(), len(oracle))
+	}
+	for k, want := range oracle {
+		got, ok, err := tr.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%d) = (%x, %v, %v), want %x", k, got, ok, err, want)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CheckPinBalance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneEncodePerDirtyPage drives a tree 16 times its cache through many
+// evict → re-fault → re-dirty rounds between checkpoints: however often a
+// page was evicted, each checkpoint serializes it once. (The workload only
+// puts, so nothing is freed and each batch's one non-node member is the
+// metadata page.)
+func TestOneEncodePerDirtyPage(t *testing.T) {
+	opts := memOpts()
+	opts.CachePages = 16
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	encodes := db.Obs().Counter("pagedb.node.encodes")
+	oracle := make(map[uint64][]byte)
+	rng := rand.New(rand.NewSource(16))
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for round := byte(0); round < 4; round++ {
+		before := db.Stats()
+		enc0 := encodes.Value()
+		for i := 0; i < 3; i++ { // three passes: every leaf is re-dirtied after eviction
+			rng.Shuffle(len(keys), func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+			txnPuts(t, db, oracle, keys, round*3+byte(i))
+		}
+		mid := db.Stats()
+		if mid.PendingPages == 0 {
+			t.Fatal("no dirty node parked despite a tree far larger than its cache")
+		}
+		if encodes.Value() != enc0 {
+			t.Fatalf("round %d: %d nodes encoded outside a checkpoint", round, encodes.Value()-enc0)
+		}
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Stats()
+		nodes := (after.CommittedPages - before.CommittedPages) - (after.Commits - before.Commits)
+		if got := encodes.Value() - enc0; got != nodes {
+			t.Errorf("round %d: %d encodes for %d node pages committed", round, got, nodes)
+		}
+		if tree := uint64(16 * opts.CachePages); nodes < tree {
+			t.Errorf("round %d: only %d node pages committed, want a tree of ≥ %d", round, nodes, tree)
+		}
+		if evictions := mid.StagedEvictions - before.StagedEvictions; evictions < 3*nodes {
+			t.Errorf("round %d: %d dirty evictions for %d pages: pages were not re-evicted", round, evictions, nodes)
+		}
+		if after.PendingPages != 0 || len(dirtySet(db)) != 0 {
+			t.Errorf("round %d: %d parked, %d dirty after a successful checkpoint", round, after.PendingPages, len(dirtySet(db)))
+		}
+	}
+	checkOracle(t, db, oracle)
+}
+
+// TestCheckpointAllocBudget: a checkpoint allocates one page size per page it
+// writes — the batch buffer, once — plus a small per-page overhead (batch
+// ops, placement plan, the gather slice), not a staged image, an encode
+// buffer and a 1.25×-grown arena per page. File-backed, because the memory
+// backend's segments are heap. The minimum of three rounds is the cost;
+// anything above it is another test's leftover goroutine allocating.
+func TestCheckpointAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const pageSize = 4096
+	db, err := Open(Options{
+		Store:      store.Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 128, MaxSegments: 96},
+		CachePages: 256, // most of the dirty set is parked, the rest resident
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	oracle := make(map[uint64][]byte)
+	keys := make([]uint64, 30000)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	best, bestPages := 0.0, uint64(0)
+	for round := byte(0); round < 4; round++ {
+		txnPuts(t, db, oracle, keys, round)
+		before := db.Stats()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		pages := db.Stats().CommittedPages - before.CommittedPages
+		if pages < 500 {
+			t.Fatalf("checkpoint wrote %d pages, the budget wants ≥ 500", pages)
+		}
+		if round == 0 {
+			continue // the load: first growth of maps and segment tables
+		}
+		if perPage := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(pages); best == 0 || perPage < best {
+			best, bestPages = perPage, pages
+		}
+	}
+	t.Logf("checkpoint of %d pages allocated %.0f B per committed page (page size %d, budget %.0f)",
+		bestPages, best, pageSize, 1.15*pageSize)
+	if best > 1.15*pageSize {
+		t.Errorf("checkpoint allocated %.0f B per committed page, budget is %.0f", best, 1.15*pageSize)
+	}
+	checkOracle(t, db, oracle)
+}
+
+// TestFailedCheckpointLosesNothing: when the store has no room for the
+// checkpoint batch, Commit fails with ErrFull and changes nothing — every
+// key reads back, the dirty set is what it was — and once the batch fits
+// (a scratch tree that never reached the store is dropped, which shrinks
+// the dirty set without costing a tombstone) the retry commits the rest.
+func TestFailedCheckpointLosesNothing(t *testing.T) {
+	opts := Options{
+		Store: store.Options{
+			Dir: t.TempDir(), PageSize: 256, SegmentPages: 8, MaxSegments: 144,
+			CleanBatch: 2, FreeLowWater: 4,
+		},
+		CachePages:  32,
+		CacheShards: 2,
+	}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[uint64][]byte)
+	keys := make([]uint64, 1500)
+	for i := range keys {
+		keys[i] = uint64(i) * 3
+	}
+	txnPuts(t, db, oracle, keys, 1)
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	txnPuts(t, db, oracle, keys, 2) // every leaf dirty again: some resident, most parked
+	scratch, err := db.Tree("scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 4000; k++ {
+		if err := scratch.Put(k, val(k, 9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := dirtySet(db)
+	if parked := db.Stats().PendingPages; parked == 0 || parked == len(want) {
+		t.Fatalf("want both parked and dirty-resident pages, have %d dirty of which %d parked", len(want), parked)
+	}
+
+	before := db.Stats()
+	if err := db.Commit(); !errors.Is(err, store.ErrFull) {
+		t.Fatalf("Commit of %d pages into a store with %d free segments = %v, want ErrFull", len(want), before.Store.FreeSegments, err)
+	}
+	checkOracle(t, db, oracle) // moves pages between pool and queue, not out of the dirty set
+	if err := scratch.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got := dirtySet(db)
+	if len(got) != len(want) {
+		t.Fatalf("dirty set %d pages after the failed checkpoint, was %d", len(got), len(want))
+	}
+	for id := range want {
+		if !got[id] {
+			t.Fatalf("page %d left the dirty set in a failed checkpoint", id)
+		}
+	}
+	if st := db.Stats(); st.Commits != before.Commits || st.CommittedPages != before.CommittedPages {
+		t.Errorf("failed checkpoint counted: %d commits, %d pages (were %d, %d)", st.Commits, st.CommittedPages, before.Commits, before.CommittedPages)
+	}
+
+	if err := db.DropTree("scratch"); err != nil {
+		t.Fatal(err)
+	}
+	rest := dirtySet(db)
+	if len(rest) == 0 || len(rest) >= len(want) {
+		t.Fatalf("dropping the scratch tree left %d of %d pages dirty", len(rest), len(want))
+	}
+	encodes := db.Obs().Counter("pagedb.node.encodes")
+	enc0 := encodes.Value()
+	if err := db.Commit(); err != nil {
+		t.Fatalf("Commit retry of %d pages: %v", len(rest), err)
+	}
+	if n := len(dirtySet(db)); n != 0 {
+		t.Errorf("%d pages still dirty after the retry", n)
+	}
+	// (The failed attempt encoded too: its batch was built before Apply
+	// refused it. Only the retry's encodes are counted here.)
+	if nodes, tombs := encodes.Value()-enc0, db.Stats().Store.Tombstones; nodes != uint64(len(rest)) || tombs != 0 {
+		t.Errorf("retry wrote %d node pages and %d tombstones, want the %d dirty ones and none", nodes, tombs, len(rest))
+	}
+	checkOracle(t, db, oracle)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	checkOracle(t, db, oracle)
+	if names := db.TreeNames(); len(names) != 1 {
+		t.Errorf("reopened trees %v, want only t", names)
+	}
+}

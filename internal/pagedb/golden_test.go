@@ -1,0 +1,142 @@
+package pagedb
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/store"
+)
+
+// goldenSegments is the SHA-256 over every segment file (name, then
+// contents, in name order) the seeded run below leaves behind. It was
+// recorded at dede7ff — the commit BEFORE the checkpoint stopped staging
+// page images — in three identical runs, so passing it proves the commit
+// batches are byte-for-byte what the staged-image path wrote: same members,
+// same ascending-id order, same tombstones, overflow pages and terminal meta
+// page. Foreground cleaning and one pool shard make the run deterministic;
+// GOLDEN_PRINT=1 prints the row.
+const (
+	goldenSegments = "055f17261eb380edfc6e893218030c295aac5b21a6653a2a194221f88e87c6b9"
+	goldenCleaned  = 16
+	goldenCommits  = 3
+	goldenPages    = 855
+)
+
+// goldenRun drives a seeded single-threaded mix through every way a page
+// reaches a checkpoint: transactions and direct tree writes over a cache far
+// smaller than the trees (dirty evictions, re-faults, re-dirtying), deletes
+// that merge and free pages, a dropped tree whose ids overflow the metadata
+// page's free list, three explicit checkpoints and the one Close takes.
+func goldenRun(t *testing.T, dir string) (string, Stats) {
+	t.Helper()
+	db, err := Open(Options{
+		Store: store.Options{
+			Dir:          dir,
+			PageSize:     256,
+			SegmentPages: 8,
+			MaxSegments:  128,
+			Durability:   core.DurCommit,
+		},
+		CachePages:  16,
+		CacheShards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20210416))
+	value := func() []byte {
+		v := make([]byte, 8+rng.Intn(40))
+		rng.Read(v)
+		return v
+	}
+	for round := 0; round < 4; round++ {
+		if round == 0 {
+			tmp, err := db.Tree("tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 900; k++ {
+				if err := tmp.Put(k, value()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if round == 2 {
+			if err := db.DropTree("tmp"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 400; i++ {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				tree := "a"
+				if rng.Intn(3) == 0 {
+					tree = "b"
+				}
+				key := uint64(rng.Intn(700))
+				if rng.Intn(5) == 0 {
+					_, err = tx.Delete(tree, key)
+				} else {
+					err = tx.Put(tree, key, value())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round < 3 {
+			if err := db.Commit(); err != nil {
+				t.Fatalf("checkpoint %d: %v", round, err)
+			}
+		}
+	}
+	st := db.Stats()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	h := sha256.New()
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(f), len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), st
+}
+
+func TestGoldenCheckpointBatches(t *testing.T) {
+	sum, st := goldenRun(t, t.TempDir())
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		t.Logf("segments %s cleaned %d commits %d pages %d staged-evictions %d",
+			sum, st.Store.SegmentsCleaned, st.Commits, st.CommittedPages, st.StagedEvictions)
+	}
+	if st.StagedEvictions == 0 || st.Store.SegmentsCleaned == 0 {
+		t.Fatalf("run exercised nothing: %d dirty evictions, %d segments cleaned", st.StagedEvictions, st.Store.SegmentsCleaned)
+	}
+	if st.Store.SegmentsCleaned != goldenCleaned || st.Commits != goldenCommits || st.CommittedPages != goldenPages {
+		t.Errorf("cleaned %d commits %d pages %d, recorded %d %d %d",
+			st.Store.SegmentsCleaned, st.Commits, st.CommittedPages, goldenCleaned, goldenCommits, goldenPages)
+	}
+	if sum != goldenSegments {
+		t.Errorf("segment files hash %s, recorded %s", sum, goldenSegments)
+	}
+}

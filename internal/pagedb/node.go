@@ -14,8 +14,8 @@ import (
 // shard acquisition per tree level (bufferpool.FetchPinned) instead of the
 // separate cache-lookup/Pin/Unpin round trips a layered node cache costs.
 // A node's durable form is the btree.NodePage image; a dirty-evicted node
-// parks in the eviction queue (db.evq) until a writer sweeps it into the
-// pending stage. The tree ALGORITHM lives entirely in internal/btree's
+// parks, still decoded, in the eviction queue (db.evq) until a fault
+// re-admits it or the checkpoint encodes it. The tree ALGORITHM lives entirely in internal/btree's
 // Core; this file supplies the store side: the fallible NodeStore that
 // faults nodes through the pool and the log-structured store, implementing
 // the fused Fetch/Release pin protocol so concurrent readers can fault and
@@ -23,15 +23,6 @@ import (
 
 // budget is the per-node byte budget: the page minus the image header.
 func (db *DB) budget() int { return btree.PageLayout.Budget(db.pageSize) }
-
-// encodeNode serializes a node into a fresh page image.
-func encodeNode(pageSize int, n *btree.Node) ([]byte, error) {
-	img := make([]byte, pageSize)
-	if err := btree.EncodeNodeImage(img, n); err != nil {
-		return nil, fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err)
-	}
-	return img, nil
-}
 
 // nodeStore adapts the DB's fused node cache to btree.NodeStore: the
 // unified tree core runs its algorithm against this accessor. Every method
@@ -62,7 +53,7 @@ func (s nodeStore) Free(id uint32) error {
 }
 
 // node returns the decoded node for a page id PINNED, faulting it in from
-// the eviction queue, the pending stage or the store on a miss.
+// the eviction queue or the store on a miss.
 //
 // The hot path is ONE pool-shard acquisition: FetchPinned returns the
 // frame's decoded node already pinned. The miss path serializes on a
@@ -85,9 +76,9 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 		db.dupFaults.Add(1)
 		return obj.(*btree.Node), nil
 	}
-	// A dirty-evicted node holds the freshest state — fresher than any
-	// durable or staged image — and must be re-admitted DIRTY so the next
-	// sweep or flush still persists it.
+	// A parked node is the page's current state — the store's image is
+	// stale — and is re-admitted DIRTY, as it left, so the checkpoint's
+	// flush still finds it.
 	db.evmu.Lock()
 	n, queued := db.evq[id]
 	if queued {
@@ -101,29 +92,17 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 		})
 		return obj.(*btree.Node), nil
 	}
-	var img []byte
-	pooled := false
-	if p, ok := db.pending[id]; ok {
-		// The freshest version of a swept dirty page lives in the pending
-		// stage until the next commit, not in the store. (Readers never
-		// mutate pending; writers hold db.mu exclusively to do so.)
-		img = p
-	} else {
-		img = db.imgPool.Get().([]byte)
-		pooled = true
-		t0 := time.Now()
-		if err := db.st.ReadPage(id, img); err != nil {
-			db.imgPool.Put(img)
-			return nil, fmt.Errorf("pagedb: faulting page %d: %w", id, err)
-		}
-		db.hFault.Record(uint64(time.Since(t0)))
-		db.faults.Add(1)
-	}
-	n, err := btree.DecodeNodeImage(id, img, btree.PageLayout)
-	if pooled {
-		// DecodeNodeImage copies everything it keeps out of the image.
+	img := db.imgPool.Get().([]byte)
+	t0 := time.Now()
+	if err := db.st.ReadPage(id, img); err != nil {
 		db.imgPool.Put(img)
+		return nil, fmt.Errorf("pagedb: faulting page %d: %w", id, err)
 	}
+	db.hFault.Record(uint64(time.Since(t0)))
+	db.faults.Add(1)
+	n, err := btree.DecodeNodeImage(id, img, btree.PageLayout)
+	// DecodeNodeImage copies everything it keeps out of the image.
+	db.imgPool.Put(img)
 	if err != nil {
 		return nil, fmt.Errorf("pagedb: decoding page %d: %w", id, err)
 	}
@@ -142,12 +121,9 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 // Caller holds db.mu exclusively.
 func (db *DB) allocNode() *btree.Node {
 	id := db.pool.Allocate()
-	// A reused id may carry residue from its previous life: a staged image,
-	// a pending free, a poison mark, or a queued eviction. All are
-	// superseded by reallocation.
+	// A reused id may carry residue from its previous life: a pending free
+	// or a parked node. Both are superseded by reallocation.
 	delete(db.freed, id)
-	delete(db.pending, id)
-	delete(db.encodeFailed, id)
 	db.evmu.Lock()
 	delete(db.evq, id)
 	db.evmu.Unlock()
@@ -160,14 +136,12 @@ func (db *DB) allocNode() *btree.Node {
 	return n
 }
 
-// freeNode releases a page: its frame (decoded node included) and any
-// staged image are dropped — pins too, Free is an ownership statement; the
+// freeNode releases a page: its frame (decoded node included) or its
+// parked node is dropped — pins too, Free is an ownership statement; the
 // version bump turns outstanding Releases into no-ops — and the next
 // commit writes a store tombstone if the page had ever been committed.
 // Caller holds db.mu exclusively.
 func (db *DB) freeNode(id uint32) {
-	delete(db.pending, id)
-	delete(db.encodeFailed, id) // a freed page no longer needs persisting
 	db.evmu.Lock()
 	delete(db.evq, id)
 	db.evmu.Unlock()

@@ -11,12 +11,15 @@
 //	named B+-trees (uint64 keys, []byte values)
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
 //	        frames (bufferpool fused object slot), CLOCK residency
-//	          ├── fault: miss -> Store.ReadPage -> btree.DecodePage
-//	          └── write-back: dirty eviction parks the node (evq) ->
-//	              sweep encodes it into the staged page images
-//	                └── Commit: one atomic store.Batch (pages + frees + meta)
+//	          ├── fault: miss -> parked node (evq), else
+//	          │          Store.ReadPage -> btree.DecodeNodeImage
+//	          └── write-back: a dirty eviction parks the DECODED node (evq)
+//	                └── checkpoint (Commit): parked + dirty-resident nodes,
+//	                    each encoded ONCE, in place, into one atomic
+//	                    store.Batch (pages + frees + meta)
 //	                      └── internal/store: log-structured placement,
 //	                          routed streams, background cleaning, recovery
+//	Txn.Commit -> internal/wal (redo log, group fsync) -> tree apply
 //
 // Every tree node occupies exactly one store page (btree.NodePage images).
 // There is no separate decoded-node map: a buffer pool frame carries the
@@ -25,25 +28,41 @@
 // single sharded-pool acquisition per tree level (FetchPinned). The pool
 // bounds how many decoded nodes stay in memory: a miss faults the page in
 // from the store under a per-shard fault mutex (one ReadPage+decode no
-// matter how many readers miss together); a dirty eviction hands the node
-// to the write-back callback, which parks it in the eviction queue until a
-// writer sweeps it — encoding it into the pending stage — so between
-// commits the freshest version of an evicted page lives in the queue or
-// the stage, never only in the store.
+// matter how many readers miss together).
 //
-// # Commit and crash atomicity
+// # The life of a dirty page
 //
-// Commit gathers every dirty page image (resident and staged), every page
-// freed by structural changes, and the metadata page into ONE store.Batch
-// and applies it atomically: under core.DurCommit the batch is group-fsynced
-// and recovery discards a torn batch wholesale, so a pagedb database always
-// reopens as some prefix of its commit history — never a half-applied
-// commit. Changes made since the last Commit are volatile by design (this
-// engine checkpoints like a no-WAL B-tree: the commit batch IS the log).
+// A page modified since the last checkpoint exists in exactly ONE form, and
+// that form is decoded: either resident in a pool frame with its dirty bit
+// set, or — once the pool evicts it — parked as the same decoded node in
+// the eviction queue (db.evq). A fault on a parked page re-admits the node,
+// dirty, without touching the store or a decoder; the pool may evict and
+// park it again any number of times. Nothing is serialized before the
+// checkpoint, which gathers the parked and the dirty-resident nodes, sorts
+// them by page id and encodes each exactly once, straight into the commit
+// batch's buffer (reserved once, at its exact size). A checkpoint that
+// fails — flush, encode or store Apply — re-dirties the frames it flushed
+// and leaves the parked nodes parked, so the next attempt starts from the
+// same dirty set.
+//
+// # Durability and crash atomicity
+//
+// Transactions (Begin/Txn/View, txn.go) are the unit of durability: a
+// Txn.Commit appends its ops to the write-ahead log (internal/wal), applies
+// them to the trees, and waits for the log's group fsync; Open replays the
+// log's tail. The checkpoint bounds that replay: Commit writes every dirty
+// page image, every page freed by structural changes, and the metadata
+// page as ONE store.Batch and applies it atomically — under core.DurCommit
+// the batch is group-fsynced and recovery discards a torn batch wholesale,
+// so the page state always reopens as some prefix of the checkpoint
+// history, never a half-applied one — and then truncates the log up to the
+// commit seq the batch covers. Direct tree writes (Tree.Put/Delete) bypass
+// the log and become durable at the next checkpoint.
 //
 // The metadata page (page id 0, never cached) records the named-tree
-// registry (root, height, count per tree) and the page allocator state
-// (next id, free list), so Open recovers every tree from the store alone.
+// registry (root, height, count per tree), the page allocator state (next
+// id, free list) and the WAL seq the checkpoint covers, so Open recovers
+// every tree from the store and the log's tail.
 //
 // # Concurrency
 //
@@ -100,11 +119,6 @@ const metaPageID = 0
 // free list spills across overflow pages — plus the WAL checkpoint seq).
 const metaMagic = "PGDBMET3"
 
-// metaMagicV2 is the previous format, accepted on open: identical except
-// it predates the WAL, so its checkpoint seq is implicitly 0 (a v2 store
-// has no log to replay).
-const metaMagicV2 = "PGDBMET2"
-
 // ovfMagic identifies a free-list overflow page chained off the metadata
 // page.
 const ovfMagic = "PGDBOVF1"
@@ -133,10 +147,10 @@ type Options struct {
 
 // DB is an open pagedb database.
 //
-// Lock order (outermost first): db.mu, then a pool shard mutex (inside any
-// pool call), then db.evmu or a node-cache shard mutex (the write-back
-// callback runs under the pool shard mutex and takes both). Neither evmu
-// nor a node-cache shard mutex is ever held across a pool call.
+// Lock order (outermost first): db.mu, then a fault mutex, then a pool
+// shard mutex (inside any pool call), then db.evmu (the write-back callback
+// runs under the pool shard mutex and takes it). evmu is never held across
+// a pool call.
 type DB struct {
 	// mu is the operation guard. Writers (Put, Delete, Commit, tree DDL,
 	// Close) take the write side and see the old single-mutex engine;
@@ -154,26 +168,24 @@ type DB struct {
 	// pool.ShardOf.
 	faultMu []sync.Mutex
 
-	pending map[uint32][]byte // dirty images evicted since the last commit (writers mutate; readers only read)
-	freed   map[uint32]bool   // pages freed since the last commit
-	// encodeFailed poisons Commit while any page's state cannot be
-	// serialized (an internal invariant failure): a commit that silently
-	// omitted such a page would persist parents referencing a child whose
-	// image never made it to the store. Writer-side only.
-	encodeFailed map[uint32]error
+	freed map[uint32]bool // pages freed since the last checkpoint
 
 	// evq parks the decoded nodes of pages dirty-evicted since the last
-	// sweep — the FRESHEST state of those pages, fresher than any durable
-	// or staged image. Readers append to it (their faults can evict a
-	// writer's dirty page) and re-admit from it (a fault on a queued page
-	// adopts the parked node, dirty), so it has its own mutex; writers
-	// drain it (sweepEvictions).
+	// checkpoint and not re-admitted since — the ONLY copy of those pages'
+	// current state. Readers add to it (their faults can evict a writer's
+	// dirty page) and re-admit from it (a fault on a parked page adopts the
+	// node, dirty), so it has its own mutex; the checkpoint encodes what is
+	// parked and, once the batch is applied, empties it. A parked page is
+	// never resident.
 	evmu sync.Mutex
 	evq  map[uint32]*btree.Node
 
-	stage map[uint32][]byte // commit-in-progress image set (FlushDirty target)
-	trees map[string]*Tree  // named-tree registry
-	order []string          // registry in creation order (meta determinism)
+	// flushed collects the dirty-resident nodes FlushDirty hands the
+	// write-back callback; non-nil only while a checkpoint is gathering.
+	flushed []*btree.Node
+
+	trees map[string]*Tree // named-tree registry
+	order []string         // registry in creation order (meta determinism)
 
 	// imgPool recycles page-image buffers for the fault path (DecodeNodeImage
 	// copies what it keeps, so a buffer is reusable the moment decode
@@ -197,12 +209,12 @@ type DB struct {
 	txnIDs atomic.Uint64 // last issued transaction id
 	epoch  atomic.Uint64 // bumped per applied transaction and per checkpoint
 
-	commits      uint64
-	commitPages  uint64
-	txns         uint64        // transactions applied (committed)
-	faults       atomic.Uint64 // incremented by concurrent readers
-	dupFaults    atomic.Uint64 // duplicate faults avoided by the fault mutex
-	stagedEvicts uint64
+	commits     uint64
+	commitPages uint64
+	txns        uint64        // transactions applied (committed)
+	faults      atomic.Uint64 // incremented by concurrent readers
+	dupFaults   atomic.Uint64 // duplicate faults avoided by the fault mutex
+	dirtyEvicts atomic.Uint64 // dirty evictions parked (readers evict too)
 
 	// obs handles, resolved once at Open; the registry is shared with the
 	// backing store and its cleaner (see internal/obs).
@@ -210,6 +222,7 @@ type DB struct {
 	hFault  *obs.Histogram // pagedb.fault.ns: store read on a cache miss
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
+	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -239,14 +252,12 @@ func Open(opts Options) (*DB, error) {
 		shards = bufferpool.DefaultShards()
 	}
 	db := &DB{
-		st:           st,
-		pool:         bufferpool.NewSharded(opts.CachePages, shards),
-		pageSize:     pageSize,
-		pending:      make(map[uint32][]byte),
-		freed:        make(map[uint32]bool),
-		encodeFailed: make(map[uint32]error),
-		evq:          make(map[uint32]*btree.Node),
-		trees:        make(map[string]*Tree),
+		st:       st,
+		pool:     bufferpool.NewSharded(opts.CachePages, shards),
+		pageSize: pageSize,
+		freed:    make(map[uint32]bool),
+		evq:      make(map[uint32]*btree.Node),
+		trees:    make(map[string]*Tree),
 	}
 	db.imgPool.New = func() any { return make([]byte, pageSize) }
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
@@ -255,6 +266,7 @@ func Open(opts Options) (*DB, error) {
 	db.hFault = db.obsReg.Histogram("pagedb.fault.ns")
 	db.hCommit = db.obsReg.Histogram("pagedb.commit.ns")
 	db.hBatch = db.obsReg.Histogram("pagedb.commit.pages")
+	db.cEncode = db.obsReg.Counter("pagedb.node.encodes")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {
@@ -344,9 +356,7 @@ func Open(opts Options) (*DB, error) {
 // a checkpoint of its own: the replayed state simply becomes durable at
 // the next Commit, and until then every reopen replays the same tail.
 func (db *DB) replayWAL() error {
-	replayed := false
-	err := db.wal.Replay(db.walSeq, func(txn *wal.Txn) error {
-		replayed = true
+	return db.wal.Replay(db.walSeq, func(txn *wal.Txn) error {
 		if err := db.applyOps(txn.Ops); err != nil {
 			return fmt.Errorf("pagedb: replaying txn %d (seq %d): %w", txn.ID, txn.Seq, err)
 		}
@@ -354,96 +364,39 @@ func (db *DB) replayWAL() error {
 		db.epoch.Add(1)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if replayed {
-		return db.sweepEvictions()
-	}
-	return nil
 }
 
 // writeBack is the buffer pool's callback, running under the evicting
 // shard's mutex (possibly in a reader's fault path) with the frame's
-// decoded node in hand. A CLEAN eviction needs nothing: the store (or
-// pending stage) already holds the current image, the frame's slot was
-// cleared before the callback, and eviction implies no pin, so no fused
-// reader can reach the node again — it is garbage the moment in-flight
-// aliases drop. A DIRTY eviction parks the node in the eviction queue: the
-// node IS the freshest state, and encoding and staging belong to the
-// exclusive side, so a writer settles it later (sweepEvictions) or a
-// reader re-admits it dirty (db.node). Flushes (only issued by Commit,
-// exclusive) encode the frame's node straight into the commit stage.
+// decoded node in hand. A CLEAN eviction needs nothing: the store already
+// holds the current image, the frame's slot was cleared before the
+// callback, and eviction implies no pin, so no fused reader can reach the
+// node again — it is garbage the moment in-flight aliases drop. A DIRTY
+// eviction parks the node in the eviction queue: the node IS the page's
+// current state, and it stays decoded there until a fault re-admits it
+// dirty (db.node) or the checkpoint encodes it. Flushes (only issued by the
+// checkpoint, exclusive) hand the frame's node to the gathering checkpoint;
+// nothing is encoded here.
 func (db *DB) writeBack(id uint32, obj any, dirty, evicted bool) error {
-	if evicted {
-		if !dirty {
-			return nil
-		}
-		n, _ := obj.(*btree.Node)
-		if n == nil {
-			return fmt.Errorf("pagedb: dirty eviction of page %d with no decoded node", id)
-		}
-		db.evmu.Lock()
-		db.evq[id] = n
-		db.evmu.Unlock()
+	if evicted && !dirty {
 		return nil
-	}
-	if db.stage == nil {
-		return fmt.Errorf("pagedb: flush of page %d outside a commit", id)
 	}
 	n, _ := obj.(*btree.Node)
 	if n == nil {
-		return fmt.Errorf("pagedb: flush of page %d with no decoded node", id)
+		return fmt.Errorf("pagedb: write-back of dirty page %d with no decoded node", id)
 	}
-	img, err := encodeNode(db.pageSize, n)
-	if err != nil {
-		db.encodeFailed[id] = err
-		return err
-	}
-	delete(db.encodeFailed, id)
-	db.stage[id] = img
-	return nil
-}
-
-// sweepEvictions settles the dirty evictions queued since the last sweep:
-// each parked node is encoded into the pending stage and let go. A node
-// whose encode fails is re-queued with a poison mark instead — nothing is
-// lost, the encode is retried at the next sweep (or the page is freed),
-// and no Commit can succeed meanwhile. One pass suffices: encoding touches
-// no pool frame, so the sweep cannot cause further evictions. Runs with
-// db.mu held EXCLUSIVELY, at a point where no tree operation is holding
-// node pointers; a queued page cannot be resident (a re-admitting fault
-// pops the queue first, under the read guard this sweep excludes).
-func (db *DB) sweepEvictions() error {
-	db.evmu.Lock()
-	if len(db.evq) == 0 {
+	if evicted {
+		db.evmu.Lock()
+		db.evq[id] = n
 		db.evmu.Unlock()
+		db.dirtyEvicts.Add(1)
 		return nil
 	}
-	batch := db.evq
-	db.evq = make(map[uint32]*btree.Node)
-	db.evmu.Unlock()
-	var firstErr error
-	for id, n := range batch {
-		img, err := encodeNode(db.pageSize, n)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			// Record the failure so no later Commit can succeed while this
-			// page's state is unpersistable, and park the node again for
-			// the retry.
-			db.encodeFailed[id] = err
-			db.evmu.Lock()
-			db.evq[id] = n
-			db.evmu.Unlock()
-			continue
-		}
-		delete(db.encodeFailed, id)
-		db.pending[id] = img
-		db.stagedEvicts++
+	if db.flushed == nil {
+		return fmt.Errorf("pagedb: flush of page %d outside a commit", id)
 	}
-	return firstErr
+	db.flushed = append(db.flushed, n)
+	return nil
 }
 
 // CheckPinBalance verifies the pin-balance invariant the fused Fetch/
@@ -462,25 +415,16 @@ func (db *DB) CheckPinBalance() error {
 	return nil
 }
 
-// finishOp settles evictions and folds any sweep failure into the
-// operation's error.
-func (db *DB) finishOp(err error) error {
-	if serr := db.sweepEvictions(); err == nil {
-		err = serr
-	}
-	return err
-}
-
-// Commit makes every change since the last commit durable as one atomic
-// store batch: all dirty page images (resident and previously evicted),
+// Commit is the checkpoint: it makes every change since the last one
+// durable as one atomic store batch — all dirty pages (resident and parked),
 // tombstones for freed pages, and the metadata page. On failure nothing is
-// applied and the images stay staged for the next attempt. With the store
+// applied and every page stays dirty for the next attempt. With the store
 // at core.DurCommit, Commit returns only after the batch is fsynced.
 func (db *DB) Commit() error {
 	t0 := time.Now()
-	// The checkpoint's span tree breaks its latency into the eviction
-	// sweep, the dirty flush into the stage, the atomic store batch (whose
-	// own legs nest under it via ApplySpanned), and the WAL truncation.
+	// The checkpoint's span tree breaks its latency into gathering the dirty
+	// nodes, encoding them into the batch, the atomic store batch (whose own
+	// legs nest under it via ApplySpanned), and the WAL truncation.
 	sp := obs.StartSpan(db.obsReg, "pagedb.checkpoint")
 	defer sp.End()
 	leg := sp.Child("lock.wait")
@@ -499,31 +443,19 @@ func (db *DB) Commit() error {
 // caller's root span; the checkpoint legs attach to it (Close passes nil —
 // shutdown latency is not an operation worth capturing).
 func (db *DB) commitLocked(sp *obs.Span) error {
-	leg := sp.Child("sweep")
-	err := db.sweepEvictions()
-	leg.End()
-	if err != nil {
-		return err
-	}
 	// Everything the log committed so far is applied to the trees (Txn
 	// apply happens under db.mu, which we hold), so the batch this commit
 	// writes covers every seq up to here — the checkpoint watermark the
 	// metadata page records and the log truncates past.
 	ck := db.wal.Seq()
 	// A sticky write-back error means some earlier eviction-path callback
-	// failed (impossible in this engine's callback, which only queues, but
+	// failed (impossible in this engine's callback, which only parks, but
 	// the pool contract allows it). Surface it once and clear it so the
 	// retry contract below stays honest — the failing pages are still
-	// dirty-resident or decoded, so nothing was lost.
+	// dirty-resident or parked, so nothing was lost.
 	if err := db.pool.Err(); err != nil {
 		db.pool.ClearErr()
 		return err
-	}
-	// An unpersistable page (failed encode) poisons every commit until its
-	// state becomes encodable again or the page is freed: omitting it would
-	// persist a tree referencing an image the store never got.
-	for id, err := range db.encodeFailed {
-		return fmt.Errorf("pagedb: page %d has unpersistable state: %w", id, err)
 	}
 
 	// Freed pages: only those that exist in the store need a tombstone (a
@@ -536,80 +468,104 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	}
 	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 
-	// Gather images: previously evicted dirty pages, then every dirty
-	// resident page via the pool's flush callback (fresher state wins).
-	leg = sp.Child("stage")
-	db.stage = make(map[uint32][]byte, len(db.pending)+8)
-	for id, img := range db.pending {
-		db.stage[id] = img
+	// Gather the dirty set, still decoded: every dirty resident node via the
+	// pool's flush callback (which marks the frames clean), then the parked
+	// ones, which stay parked until the batch is applied. The two are
+	// disjoint, and a freed page is in neither: freeNode drops its frame and
+	// its parked node, and a reallocated id leaves db.freed.
+	leg := sp.Child("gather")
+	db.flushed = make([]*btree.Node, 0, 64)
+	_, err := db.pool.FlushDirty()
+	flushed := db.flushed
+	db.flushed = nil
+	db.evmu.Lock()
+	nodes := make([]*btree.Node, 0, len(flushed)+len(db.evq))
+	nodes = append(nodes, flushed...)
+	for _, n := range db.evq {
+		nodes = append(nodes, n)
 	}
-	_, flushErr := db.pool.FlushDirty()
-	stage := db.stage
-	db.stage = nil
+	db.evmu.Unlock()
 	leg.End()
-	if flushErr != nil {
-		// Pages whose flush callback failed stay dirty and resident, so the
-		// next Commit retries them; what did stage goes back to pending.
-		// Clear the pool's sticky copy of the error — it was delivered.
-		db.restoreStage(stage)
-		db.pool.ClearErr()
-		return flushErr
+	// fail undoes the flush: the frames go back to dirty (they are still
+	// resident — nothing ran since), so a retry gathers the same set.
+	fail := func(err error) error {
+		for _, n := range flushed {
+			db.pool.Dirty(n.ID)
+		}
+		return err
 	}
-	// (A freed page can never be in the stage: freeNode drops both its
-	// pending image and its pool frame, and a reallocated id leaves
-	// db.freed — the maps are disjoint by construction.)
-
-	if len(stage) == 0 && len(dels) == 0 && !db.metaDirty {
+	if err != nil {
+		// Frames whose callback failed never went clean; the pool's sticky
+		// copy of the error is cleared — it was delivered.
+		db.pool.ClearErr()
+		return fail(err)
+	}
+	if len(nodes) == 0 && len(dels) == 0 && !db.metaDirty {
 		return nil
 	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 
+	meta, ovf, err := db.encodeMeta(ck)
+	if err != nil {
+		return fail(err)
+	}
+	// The free list / registry changed: rewrite the overflow chain and
+	// tombstone pages the (shrunken) chain no longer uses. When the meta is
+	// clean the chain's durable images are already current.
+	novf := len(ovf)
+	var ovfDels []uint32
+	if db.metaDirty {
+		for j := novf; j < db.metaOvf; j++ {
+			if id := metaOverflowBase + uint32(j); db.st.Has(id) {
+				ovfDels = append(ovfDels, id)
+			}
+		}
+	} else {
+		ovf = nil
+	}
+
+	// One encode per dirty page, in place: the batch's buffer is reserved
+	// once at its exact size and each node serializes straight into its slot.
+	leg = sp.Child("encode")
 	b := store.NewBatch()
-	ids := make([]uint32, 0, len(stage))
-	for id := range stage {
-		ids = append(ids, id)
+	images := len(nodes) + len(ovf) + 1
+	b.Grow(images+len(dels)+len(ovfDels), images*db.pageSize)
+	for _, n := range nodes {
+		if err := btree.EncodeNodeImage(b.Slot(n.ID, db.pageSize), n); err != nil {
+			leg.End()
+			// An unpersistable page (an internal invariant failure) fails
+			// every checkpoint until it is rewritten or freed: omitting it
+			// would persist a tree referencing an image the store never got.
+			return fail(fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		b.Write(id, stage[id])
-	}
+	db.cEncode.Add(uint64(len(nodes)))
+	leg.End()
 	for _, id := range dels {
 		b.Delete(id)
 	}
-	meta, ovf, err := db.encodeMeta(ck)
-	if err != nil {
-		db.restoreStage(stage)
-		return err
+	for j, img := range ovf {
+		b.Write(metaOverflowBase+uint32(j), img)
 	}
-	metaMembers := 1
-	if db.metaDirty {
-		// The free list / registry changed: rewrite the overflow chain and
-		// tombstone pages the (shrunken) chain no longer uses. When the meta
-		// is clean the chain's durable images are already current.
-		for j, img := range ovf {
-			b.Write(metaOverflowBase+uint32(j), img)
-			metaMembers++
-		}
-		for j := len(ovf); j < db.metaOvf; j++ {
-			if id := metaOverflowBase + uint32(j); db.st.Has(id) {
-				b.Delete(id)
-			}
-		}
+	for _, id := range ovfDels {
+		b.Delete(id)
 	}
 	// The metadata page is the commit's terminal member: tearing it (or any
 	// other member) rolls the whole batch back on recovery.
 	b.Write(metaPageID, meta)
 
 	if err := db.st.ApplySpanned(b, sp); err != nil {
-		db.restoreStage(stage)
-		return err
+		return fail(err)
 	}
-	db.pending = make(map[uint32][]byte)
-	db.freed = make(map[uint32]bool)
+	db.evmu.Lock()
+	clear(db.evq)
+	db.evmu.Unlock()
+	clear(db.freed)
 	db.metaDirty = false
-	db.metaOvf = len(ovf)
+	db.metaOvf = novf
 	db.commits++
-	db.commitPages += uint64(len(ids)) + uint64(metaMembers)
-	db.hBatch.Record(uint64(len(ids)) + uint64(metaMembers))
+	db.commitPages += uint64(images)
+	db.hBatch.Record(uint64(images))
 	db.epoch.Add(1)
 	// The checkpoint is durable (under DurCommit, Apply group-fsynced it):
 	// only NOW may the log let go of the transactions it covers. Truncating
@@ -624,15 +580,6 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 		}
 	}
 	return nil
-}
-
-// restoreStage puts a failed commit's images back into the pending set so
-// the flushed-clean pool does not orphan them; the next commit retries.
-func (db *DB) restoreStage(stage map[uint32][]byte) {
-	for id, img := range stage {
-		db.pending[id] = img
-	}
-	db.metaDirty = true
 }
 
 // Sync flushes the backing store (an explicit durability point for stores
@@ -678,12 +625,15 @@ type Stats struct {
 	// images they carried (meta included).
 	Commits        uint64
 	CommittedPages uint64
-	// PendingPages is the number of dirty images staged by evictions and
-	// not yet committed.
+	// PendingPages is the number of dirty nodes parked, decoded, outside
+	// the pool right now: evicted since the last checkpoint and not
+	// re-admitted by a fault since.
 	PendingPages int
 	// Faults counts node-cache misses served from the store.
 	Faults uint64
-	// StagedEvictions counts dirty evictions staged between commits.
+	// StagedEvictions counts dirty evictions: each time the pool handed a
+	// dirty node back to be parked (a page evicted, re-admitted and evicted
+	// again between two checkpoints counts each time).
 	StagedEvictions uint64
 	// DupFaultsAvoided counts reads that missed, queued on the fault mutex,
 	// and found the page already faulted by a concurrent reader — each one a
@@ -710,15 +660,18 @@ func (db *DB) Obs() *obs.Registry { return db.obsReg }
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.evmu.Lock()
+	parked := len(db.evq)
+	db.evmu.Unlock()
 	return Stats{
 		Pool:             db.pool.Stats(),
 		Store:            db.st.Stats(),
 		Trees:            len(db.trees),
 		Commits:          db.commits,
 		CommittedPages:   db.commitPages,
-		PendingPages:     len(db.pending),
+		PendingPages:     parked,
 		Faults:           db.faults.Load(),
-		StagedEvictions:  db.stagedEvicts,
+		StagedEvictions:  db.dirtyEvicts.Load(),
 		DupFaultsAvoided: db.dupFaults.Load(),
 		Txns:             db.txns,
 		Epoch:            db.epoch.Load(),
@@ -740,8 +693,7 @@ const ovfHeaderBytes = 12
 //
 // walSeq is the WAL checkpoint watermark: every transaction with commit
 // seq ≤ walSeq is captured by the page state this metadata page commits,
-// so Open replays only the seqs beyond it. Format 2 is identical minus
-// the walSeq field (implicitly 0: no log existed).
+// so Open replays only the seqs beyond it.
 //
 // The free list never truncates: ids that do not fit page 0 spill into
 // overflow pages at reserved high page ids, committed as members of the
@@ -801,24 +753,18 @@ func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
 		return nil, nil, fmt.Errorf("pagedb: free list of %d ids exceeds the overflow page range", len(free))
 	}
 	binary.LittleEndian.PutUint32(buf[novfOff:], uint32(len(ovf)))
-	meta = make([]byte, db.pageSize)
-	copy(meta, buf)
-	return meta, ovf, nil
+	return buf[:db.pageSize], ovf, nil // the tail past len(buf) is still zero
 }
 
 func (db *DB) decodeMeta(img []byte) error {
-	if len(img) >= 8 && string(img[:8]) == "PGDBMET1" {
-		return fmt.Errorf("pagedb: store uses the obsolete v1 metadata format (single-page free list); rebuild it with the current version")
-	}
-	hdr := 32
-	switch {
-	case len(img) >= 32 && string(img[:8]) == metaMagic:
-		db.walSeq = binary.LittleEndian.Uint64(img[24:32])
-	case len(img) >= 24 && string(img[:8]) == metaMagicV2:
-		hdr = 24 // pre-WAL store: checkpoint seq 0, nothing to replay
-	default:
+	const hdr = 32
+	if len(img) < hdr || string(img[:8]) != metaMagic {
+		if len(img) >= 8 && string(img[:7]) == metaMagic[:7] {
+			return fmt.Errorf("pagedb: store uses the obsolete metadata format %q; rebuild it with the current version", img[:8])
+		}
 		return fmt.Errorf("pagedb: malformed metadata page")
 	}
+	db.walSeq = binary.LittleEndian.Uint64(img[24:32])
 	nextID := binary.LittleEndian.Uint32(img[8:12])
 	ntrees := int(binary.LittleEndian.Uint32(img[12:16]))
 	nfree := int(binary.LittleEndian.Uint32(img[16:20]))

@@ -32,11 +32,7 @@ func (db *DB) Tree(name string) (*Tree, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	t, err := db.treeLocked(name)
-	if err != nil {
-		return nil, db.finishOp(err)
-	}
-	return t, db.finishOp(nil)
+	return db.treeLocked(name)
 }
 
 // treeLocked is Tree's body: get-or-create under the exclusive lock, also
@@ -74,7 +70,7 @@ func (db *DB) DropTree(name string) error {
 	if db.closed {
 		return ErrClosed
 	}
-	return db.finishOp(db.dropTreeLocked(name))
+	return db.dropTreeLocked(name)
 }
 
 // dropTreeLocked is DropTree's body, shared with transaction apply.
@@ -133,8 +129,8 @@ func (t *Tree) Height() int {
 }
 
 // Get returns a copy of the value stored under key. Reads take only the
-// shared guard, so any number of Gets run concurrently; evictions their
-// faults cause are queued for the next writer to settle.
+// shared guard, so any number of Gets run concurrently; dirty pages their
+// faults evict are parked for the next checkpoint.
 func (t *Tree) Get(key uint64) ([]byte, bool, error) {
 	v, ok, err := t.GetInto(key, nil)
 	return v, ok, err
@@ -179,7 +175,7 @@ func (db *DB) checkValue(value []byte) error {
 func (t *Tree) Put(key uint64, value []byte) error {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	return t.db.finishOp(t.putLocked(key, value))
+	return t.putLocked(key, value)
 }
 
 // putLocked is Put's body, shared with transaction apply and WAL replay.
@@ -203,8 +199,7 @@ func (t *Tree) putLocked(key uint64, value []byte) error {
 func (t *Tree) Delete(key uint64) (bool, error) {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	deleted, err := t.deleteLocked(key)
-	return deleted, t.db.finishOp(err)
+	return t.deleteLocked(key)
 }
 
 // deleteLocked is Delete's body, shared with transaction apply and WAL

@@ -258,13 +258,10 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	// The log accepted the transaction: from here on it WILL exist after a
-	// crash, so apply failures (a fault mid-split, an unpersistable page)
-	// are reported but do not un-log it — reopen replays it whole.
+	// crash, so an apply failure (a fault mid-split) is reported but does
+	// not un-log it — reopen replays it whole.
 	leg = sp.Child("tree.apply")
 	err = db.applyOps(t.ops)
-	if serr := db.sweepEvictions(); err == nil {
-		err = serr
-	}
 	leg.End()
 	db.txns++
 	db.epoch.Add(1)

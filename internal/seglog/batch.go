@@ -30,7 +30,8 @@ func (l *Log[K, R]) route(prev Tick, now uint64) (int32, Tick) {
 
 // Batch collects writes and deletions for one atomic apply. The engines
 // wrap it in their own builder types; payloads are copied into the batch's
-// arena, so callers may reuse their buffers immediately. A Batch is not
+// arena (Put) or written there in place (Slot), so callers may reuse their
+// own buffers immediately. A Batch is not
 // safe for concurrent use, but may be reused (Reset) once applied.
 type Batch[K comparable] struct {
 	Ops []Op[K]
@@ -38,7 +39,7 @@ type Batch[K comparable] struct {
 	// it routes to and the routing tick to install, both computed against a
 	// virtual copy of the log state, so planning mutates nothing.
 	Plan []Placement
-	buf  []byte // arena holding every Put's payload copy
+	buf  []byte // arena holding every write's payload
 }
 
 // Op is one batch operation. The engine sets Size before Reserve.
@@ -64,6 +65,30 @@ func (b *Batch[K]) Put(key K, data []byte) {
 	off := len(b.buf)
 	b.buf = append(b.buf, data...)
 	b.Ops = append(b.Ops, Op[K]{Key: key, off: off, n: len(data)})
+}
+
+// Grow reserves room for ops more operations carrying bytes more payload, at
+// exactly that size: a caller that knows what it is about to add pays one
+// allocation per backing array instead of append's doubling (which, summed
+// over a large batch, allocates several times the batch and discards it).
+func (b *Batch[K]) Grow(ops, bytes int) {
+	if cap(b.Ops)-len(b.Ops) < ops {
+		b.Ops = append(make([]Op[K], 0, len(b.Ops)+ops), b.Ops...)
+	}
+	if cap(b.buf)-len(b.buf) < bytes {
+		b.buf = append(make([]byte, 0, len(b.buf)+bytes), b.buf...)
+	}
+}
+
+// Slot adds a write of n bytes under key and returns those bytes, zeroed, in
+// the arena for the caller to fill in place — the copy-free form of Put. The
+// slice is the caller's until the next Put or Slot outgrows the arena (which
+// moves it); Grow the batch first and every slot stays put.
+func (b *Batch[K]) Slot(key K, n int) []byte {
+	off := len(b.buf)
+	b.buf = append(b.buf, make([]byte, n)...)
+	b.Ops = append(b.Ops, Op[K]{Key: key, off: off, n: n})
+	return b.buf[off : off+n : off+n]
 }
 
 // Delete adds a deletion of key.

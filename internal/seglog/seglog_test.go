@@ -408,6 +408,54 @@ func TestBatchReservationIsExact(t *testing.T) {
 	}
 }
 
+// TestBatchGrowReservesExactly: a batch grown to its known size allocates
+// each backing array once — capacity is exactly what was asked for and
+// unchanged after the last member is added — and a Slot is the arena's own
+// bytes, so filling it in place is what Data later returns.
+func TestBatchGrowReservesExactly(t *testing.T) {
+	var b Batch[string]
+	b.Put("first", []byte("abc")) // Grow keeps what is already there
+	const n, size = 100, 64
+	b.Grow(n+10, n*size)
+	ops, bytes := cap(b.Ops), cap(b.buf)
+	if ops != 1+n+10 || bytes != 3+n*size {
+		t.Fatalf("Grow(%d, %d) left capacity %d ops / %d bytes", n+10, n*size, ops, bytes)
+	}
+	slots := make([][]byte, n)
+	for i := range slots {
+		slots[i] = b.Slot(fmt.Sprint(i), size)
+	}
+	for i := 0; i < 10; i++ {
+		b.Delete(fmt.Sprint(i))
+	}
+	if cap(b.Ops) != ops || cap(b.buf) != bytes {
+		t.Errorf("capacity moved to %d ops / %d bytes while filling a grown batch", cap(b.Ops), cap(b.buf))
+	}
+	for i, s := range slots { // filled after every member was added
+		for j := range s {
+			if s[j] != 0 {
+				t.Fatalf("slot %d not zeroed", i)
+			}
+			s[j] = byte(i)
+		}
+	}
+	if got := b.Data(&b.Ops[0]); string(got) != "abc" {
+		t.Errorf("first payload %q after Grow", got)
+	}
+	for i := range slots {
+		if got := b.Data(&b.Ops[1+i]); len(got) != size || got[0] != byte(i) || got[size-1] != byte(i) {
+			t.Fatalf("slot %d was not filled in place", i)
+		}
+	}
+	if extra := append(slots[0], 1); &extra[0] == &slots[0][0] {
+		t.Error("appending to a slot can run into its neighbour")
+	}
+	b.Grow(0, 0) // room already there: no-op
+	if cap(b.Ops) != ops || cap(b.buf) != bytes {
+		t.Error("Grow reallocated a batch that already had the room")
+	}
+}
+
 // idleTarget keeps a real cleaner goroutine parked: the pool always looks
 // full to it.
 type idleTarget struct{ cleaner.Target }

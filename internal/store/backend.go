@@ -34,10 +34,10 @@ func newMemBackend(n int) *memBackend { return &memBackend{segs: make([][]byte, 
 
 func (m *memBackend) write(seg int, off int64, b []byte) error {
 	end := off + int64(len(b))
-	if int64(len(m.segs[seg])) < end {
-		grown := make([]byte, end)
-		copy(grown, m.segs[seg])
-		m.segs[seg] = grown
+	if n := end - int64(len(m.segs[seg])); n > 0 {
+		// append, not an exact-size copy: a segment filled record by record
+		// would otherwise be reallocated once per record.
+		m.segs[seg] = append(m.segs[seg], make([]byte, n)...)
 	}
 	copy(m.segs[seg][off:end], b)
 	return nil

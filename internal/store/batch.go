@@ -26,6 +26,17 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 	return b
 }
 
+// Grow reserves room for ops more operations whose page writes carry bytes
+// bytes in all, at exactly that size (see seglog.Batch.Grow): what a caller
+// that knows its batch up front — a checkpoint — calls once.
+func (b *Batch) Grow(ops, bytes int) { b.b.Grow(ops, bytes) }
+
+// Slot adds a page write of n bytes and returns the zeroed bytes inside the
+// batch for the caller to encode into, instead of building the page
+// elsewhere and having Write copy it. Grow the batch first: a slot is valid
+// only until a later Write or Slot outgrows the batch's buffer.
+func (b *Batch) Slot(id uint32, n int) []byte { return b.b.Slot(id, n) }
+
 // Delete adds a page deletion (a durable tombstone). The page must exist
 // when the batch is applied — either in the store or written earlier in
 // this batch — or Apply fails with ErrNotFound before changing anything.
@@ -74,11 +85,18 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 // with ErrFull.
 func (s *Store) applyLocked(b *Batch) error {
 	// Existence is tracked virtually across the batch, so a Delete may
-	// follow a Write of the same page.
-	vexists := make(map[uint32]bool)
+	// follow a Write of the same page. The map is built at the first Delete
+	// (everything before it is a write): most batches have none.
+	var vexists map[uint32]bool
 	for i := range b.b.Ops {
 		op := &b.b.Ops[i]
 		if op.Del {
+			if vexists == nil {
+				vexists = make(map[uint32]bool)
+				for j := range b.b.Ops[:i] {
+					vexists[b.b.Ops[j].Key] = true
+				}
+			}
 			exists, known := vexists[op.Key]
 			if !known {
 				_, exists = s.table[op.Key]
@@ -89,7 +107,9 @@ func (s *Store) applyLocked(b *Batch) error {
 		} else if op.DataLen() != s.opts.PageSize {
 			return fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, op.DataLen(), s.opts.PageSize)
 		}
-		vexists[op.Key] = !op.Del
+		if vexists != nil {
+			vexists[op.Key] = !op.Del
+		}
 		op.Size = s.recordSize() // a tombstone occupies a full slot too
 	}
 	if err := s.log.Reserve(&b.b); err != nil {

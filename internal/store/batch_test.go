@@ -95,6 +95,58 @@ func TestBatchApplyBasic(t *testing.T) {
 	}
 }
 
+// TestBatchSlotAndLateDeletes covers the two things a checkpoint-shaped
+// batch relies on: pages encoded in place into a grown batch (Slot) apply
+// like copied ones, and the existence tracking that starts at the first
+// Delete knows the writes before it.
+func TestBatchSlotAndLateDeletes(t *testing.T) {
+	s, err := Open(Options{PageSize: 64, SegmentPages: 4, MaxSegments: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WritePage(50, pagePattern(64, 50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch()
+	b.Grow(8, 5*64)
+	first := b.Slot(1, 64)
+	copy(b.Slot(2, 64), pagePattern(64, 2, 1))
+	copy(b.Slot(3, 64), pagePattern(64, 3, 1))
+	b.Write(4, pagePattern(64, 4, 1))
+	b.Delete(3)  // written above: the lazily built existence map must know it
+	b.Delete(50) // exists only in the store
+	b.Write(3, pagePattern(64, 3, 2))
+	b.Delete(2)
+	copy(first, pagePattern(64, 1, 1)) // the slot is still the batch's memory
+	if err := s.Apply(b); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	buf := make([]byte, 64)
+	for id, version := range map[uint32]byte{1: 1, 3: 2, 4: 1} {
+		if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf, pagePattern(64, id, version)) {
+			t.Errorf("page %d wrong after Apply (err %v)", id, err)
+		}
+	}
+	for _, id := range []uint32{2, 50} {
+		if err := s.ReadPage(id, buf); !errors.Is(err, ErrNotFound) {
+			t.Errorf("page %d after in-batch delete: err = %v, want ErrNotFound", id, err)
+		}
+	}
+	// Deleted earlier in the batch, so a second delete finds nothing.
+	bad := NewBatch().Write(9, pagePattern(64, 9, 1)).Delete(9).Delete(9)
+	if err := s.Apply(bad); !errors.Is(err, ErrNotFound) {
+		t.Errorf("double delete in one batch: err = %v, want ErrNotFound", err)
+	}
+	// A slot of the wrong size is refused like a short Write.
+	short := NewBatch()
+	short.Slot(11, 63)
+	if err := s.Apply(short); err == nil {
+		t.Error("Apply with a 63-byte slot succeeded")
+	}
+	checkInvariants(t, s)
+}
+
 func TestBatchErrFullNoPartialVisibility(t *testing.T) {
 	s, err := Open(Options{PageSize: 64, SegmentPages: 4, MaxSegments: 16})
 	if err != nil {
