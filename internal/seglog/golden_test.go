@@ -32,7 +32,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	for _, alg := range algs {
 		rows = append(rows, "store/"+alg.Name+" "+runGolden(t, 24000, func() goldenEngine {
 			return openPageEngine(t, store.Options{PageSize: 64, SegmentPages: 16, MaxSegments: 128, Algorithm: alg})
-		}, nil))
+		}, nil, true))
 	}
 	for _, alg := range algs {
 		rows = append(rows, "vlog/"+alg.Name+" "+runGolden(t, 24000, func() goldenEngine {
@@ -41,7 +41,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			return &kvEngine{s: s}
-		}, nil))
+		}, nil, true))
 	}
 	// Durable rows: the same workload on disk, closed and recovered half
 	// way, with every backend fsync counted — recovery's seal ordering and
@@ -62,8 +62,29 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			return open()
-		})
+		}, true)
 		rows = append(rows, fmt.Sprintf("store/%s/%s firstHalfFsyncs=%d %s", d.alg.Name, d.dur, fsyncs, row))
+	}
+	// Delete-free rows: every record is a full-length page, so these two pin
+	// the store's placement, sealing and cleaning independently of how a
+	// tombstone or a short page is framed — in memory, and on disk through a
+	// close and recovery half way.
+	rows = append(rows, "store/MDC/nodelete "+runGolden(t, 24000, func() goldenEngine {
+		return openPageEngine(t, store.Options{PageSize: 64, SegmentPages: 16, MaxSegments: 128, Algorithm: core.MDC()})
+	}, nil, false))
+	{
+		dir := t.TempDir()
+		open := func() goldenEngine {
+			return openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
+				Algorithm: core.MDC(), Durability: core.DurSeal})
+		}
+		row := runGolden(t, 8000, open, func(e goldenEngine) goldenEngine {
+			if err := e.close(); err != nil {
+				t.Fatal(err)
+			}
+			return open()
+		}, false)
+		rows = append(rows, "store/MDC/seal/nodelete "+row)
 	}
 	got := strings.Join(rows, "\n")
 	if os.Getenv("GOLDEN_PRINT") != "" {
@@ -85,7 +106,8 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // goldenRows was captured from commit d54c8da (the parent of the
-// segment-log extraction) with GOLDEN_PRINT=1.
+// segment-log extraction) with GOLDEN_PRINT=1; the two nodelete rows from
+// commit 6674dae (the parent of variable-size page records).
 const goldenRows = `store/MDC errFull=0 user=50622 gc=14653 unow=58939 cleaned=4488 meanE=0.6833778966131907 free=16 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:43/323 1:69/810
 store/MDC-routed errFull=0 user=50622 gc=20476 unow=58939 cleaned=4856 meanE=0.6324006383855024 free=19 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:4/19 1:104/1098 2:1/14
 store/multi-log errFull=0 user=50622 gc=36276 unow=58939 cleaned=5858 meanE=0.5263315124615909 free=28 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/2 1:1/1 2:1/0 3:1/12 4:1/4 5:2/18 6:8/82 7:11/128 8:15/173 9:18/224 10:13/158 11:10/106 12:9/102 13:4/45 14:2/21 15:1/0 27:2/20
@@ -97,7 +119,9 @@ vlog/multi-log errFull=0 user=50622 gc=20705 userBytes=6605840 gcBytes=2549406 l
 vlog/greedy errFull=0 user=50622 gc=13111 userBytes=6605840 gcBytes=1622614 liveBytes=115308 cleaned=4052 meanE=0.8044689061728776 free=5 keys=899 commits=5308 streams: 0:29/184 1:94/715
 vlog/cost-benefit errFull=0 user=50622 gc=13174 userBytes=6605840 gcBytes=1684930 liveBytes=115308 cleaned=4084 meanE=0.7985505076977228 free=5 keys=899 commits=5308 streams: 0:69/269 1:54/630
 store/MDC/seal firstHalfFsyncs=806 errFull=0 user=8197 gc=2131 unow=20395 cleaned=736 meanE=0.715438179347826 free=12 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=949 streams: 0:51/357 1:65/722
-store/MDC-routed/commit firstHalfFsyncs=5762 errFull=0 user=8197 gc=2665 unow=20444 cleaned=776 meanE=0.6854059278350515 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5588 fsyncs=5857 streams: 0:10/58 1:95/972 2:2/15 3:2/13`
+store/MDC-routed/commit firstHalfFsyncs=5762 errFull=0 user=8197 gc=2665 unow=20444 cleaned=776 meanE=0.6854059278350515 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5588 fsyncs=5857 streams: 0:10/58 1:95/972 2:2/15 3:2/13
+store/MDC/nodelete errFull=0 user=55866 gc=13275 unow=55866 cleaned=4208 meanE=0.8028309173003803 free=14 live=999 tomb=0 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:41/232 1:73/767
+store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=896 streams: 0:48/260 1:69/683`
 
 // goldenOp is one workload operation against either engine.
 type goldenOp struct {
@@ -117,8 +141,10 @@ type goldenEngine interface {
 
 // runGolden drives n operations (with midway, if set, swapping the engine
 // half way — close and recover) and returns the engine's summary row. A
-// shadow map tracks what must be readable at the end.
-func runGolden(t *testing.T, n int, open func() goldenEngine, midway func(goldenEngine) goldenEngine) string {
+// shadow map tracks what must be readable at the end. With deletes false
+// every delete the workload would issue is a put instead (the random stream
+// is consumed identically either way).
+func runGolden(t *testing.T, n int, open func() goldenEngine, midway func(goldenEngine) goldenEngine, deletes bool) string {
 	t.Helper()
 	const universe = 1000
 	e := open()
@@ -148,7 +174,7 @@ func runGolden(t *testing.T, n int, open func() goldenEngine, midway func(golden
 		}
 		ver := uint32(i)
 		switch k := r.IntN(100); {
-		case k < 70:
+		case k < 70 || !deletes && k < 78:
 			id := pick()
 			if err := e.put(id, ver); err != nil {
 				note(err)
@@ -177,10 +203,10 @@ func runGolden(t *testing.T, n int, open func() goldenEngine, midway func(golden
 			for j, m := 0, 2+r.IntN(11); j < m; j++ {
 				id := pick()
 				switch c := r.IntN(10); {
-				case c == 0 && exists(id):
+				case deletes && c == 0 && exists(id):
 					ops = append(ops, goldenOp{id: id, del: true})
 					pending[id] = 0
-				case c == 1 && exists(id): // delete then re-put: routes as history-free
+				case deletes && c == 1 && exists(id): // delete then re-put: routes as history-free
 					ops = append(ops, goldenOp{id: id, del: true}, goldenOp{id: id, ver: ver})
 					pending[id] = ver
 				default:
