@@ -65,8 +65,9 @@ func (p *NodePage) EncodedBytes() int {
 	return n
 }
 
-// EncodePage serializes the node into dst (one full page: the image's tail
-// is zeroed). It fails if the node does not fit or is malformed.
+// EncodePage serializes the node into dst, which is EncodedBytes long or
+// longer (any tail is zeroed). It fails if the node does not fit or is
+// malformed.
 func EncodePage(dst []byte, p *NodePage) error {
 	if p.Leaf {
 		if len(p.Vals) != len(p.Keys) {
@@ -140,7 +141,7 @@ func NodeOfPage(id uint32, p *NodePage, l Layout) *Node {
 	return n
 }
 
-// EncodeNodeImage serializes a node into dst (one full page).
+// EncodeNodeImage serializes a node into dst (see EncodePage).
 func EncodeNodeImage(dst []byte, n *Node) error { return EncodePage(dst, n.Page()) }
 
 // DecodeNodeImage parses a page image straight into a Core node under the

@@ -15,15 +15,17 @@ import (
 // commit keeps it. The tear is simulated by destroying one member record's
 // CRC on disk, exactly what a lost sector does.
 //
-// The record scanner below reads the store's documented v2 on-disk format
-// (internal/store/record.go): 32-byte segment header, then fixed-size
-// records of 24-byte header (pageID 0:4 | flags 4:8 | seq 8:16 | crc 16:20
-// | batchPos 20:24) + page payload; flagBatch = 2. If the format changes,
-// these offsets fail loudly here and in the store's own torn-batch tests.
+// The record scanner below reads the store's documented v3 on-disk format
+// (internal/store/record.go): 32-byte segment header, then back-to-back
+// records of 24-byte header (pageID 0:4 | length<<8|flags 4:8 | seq 8:16 |
+// crc 16:20 | batchPos 20:24) + that many payload bytes; flagBatch = 2. A
+// segment file ends at its last record. If the format changes, these
+// offsets fail loudly here and in the store's own torn-batch tests.
 const (
 	tSegHeader = 32
 	tRecHeader = 24
 	tFlagBatch = 2
+	tLenShift  = 8
 )
 
 type diskRec struct {
@@ -34,9 +36,8 @@ type diskRec struct {
 
 // newestBatch locates the on-disk records of the newest (highest start seq)
 // multi-record batch, ordered by batch position.
-func newestBatch(t *testing.T, dir string, pageSize int) []diskRec {
+func newestBatch(t *testing.T, dir string) []diskRec {
 	t.Helper()
-	recSize := tRecHeader + pageSize
 	var bestStart uint64
 	byPos := map[uint32]diskRec{}
 	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
@@ -48,8 +49,9 @@ func newestBatch(t *testing.T, dir string, pageSize int) []diskRec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := tSegHeader; off+recSize <= len(data); off += recSize {
+		for off, recSize := tSegHeader, 0; off+tRecHeader <= len(data); off += recSize {
 			flags := binary.LittleEndian.Uint32(data[off+4 : off+8])
+			recSize = tRecHeader + int(flags>>tLenShift)
 			if flags&tFlagBatch == 0 {
 				continue
 			}
@@ -191,13 +193,13 @@ func TestTornCommitRollsBackWholesale(t *testing.T) {
 	})
 	t.Run("first member torn", func(t *testing.T) {
 		dir := tornSetup(t)
-		recs := newestBatch(t, dir, 256)
+		recs := newestBatch(t, dir)
 		recs[0].corrupt(t)
 		verifyState(t, dir, false)
 	})
 	t.Run("middle member torn", func(t *testing.T) {
 		dir := tornSetup(t)
-		recs := newestBatch(t, dir, 256)
+		recs := newestBatch(t, dir)
 		if len(recs) < 3 {
 			t.Fatalf("batch has only %d members; commit B should span several pages", len(recs))
 		}
@@ -206,7 +208,7 @@ func TestTornCommitRollsBackWholesale(t *testing.T) {
 	})
 	t.Run("terminal member (metadata page) torn", func(t *testing.T) {
 		dir := tornSetup(t)
-		recs := newestBatch(t, dir, 256)
+		recs := newestBatch(t, dir)
 		// The metadata page is written last, so the terminal member IS the
 		// meta/root record: tearing it must drop the whole commit.
 		recs[len(recs)-1].corrupt(t)

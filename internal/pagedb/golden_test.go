@@ -14,15 +14,21 @@ import (
 )
 
 // goldenSegments is the SHA-256 over every segment file (name, then
-// contents, in name order) the seeded run below leaves behind. It was
-// recorded at dede7ff — the commit BEFORE the checkpoint stopped staging
-// page images — in three identical runs, so passing it proves the commit
-// batches are byte-for-byte what the staged-image path wrote: same members,
-// same ascending-id order, same tombstones, overflow pages and terminal meta
-// page. Foreground cleaning and one pool shard make the run deterministic;
-// GOLDEN_PRINT=1 prints the row.
+// contents, in name order) the seeded run below leaves behind: it pins the
+// commit batches byte for byte — same members, same ascending-id order, same
+// tombstones, overflow pages and terminal meta page. Foreground cleaning and
+// one pool shard make the run deterministic; GOLDEN_PRINT=1 prints the row.
+//
+// Re-recorded once (three identical runs), when the store's page records
+// became variable-size (format LSSEG003) and the checkpoint began writing
+// each node at its encoded length: every record's framing changed, so the
+// hash recorded at dede7ff could not survive. The store shrank from 128 to
+// 76 segments in the same edit — with pages at their used length the old
+// geometry never ran low on space, and a run that never cleans pins less;
+// at 76 it cleans the 16 segments it used to. Commits and pages committed
+// are what they were.
 const (
-	goldenSegments = "055f17261eb380edfc6e893218030c295aac5b21a6653a2a194221f88e87c6b9"
+	goldenSegments = "d995d5c6ebfe4c896defb47e894056ce7109429eab1e24e85ceddab2f78c3de9"
 	goldenCleaned  = 16
 	goldenCommits  = 3
 	goldenPages    = 855
@@ -40,7 +46,7 @@ func goldenRun(t *testing.T, dir string) (string, Stats) {
 			Dir:          dir,
 			PageSize:     256,
 			SegmentPages: 8,
-			MaxSegments:  128,
+			MaxSegments:  76,
 			Durability:   core.DurCommit,
 		},
 		CachePages:  16,

@@ -524,14 +524,22 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 		ovf = nil
 	}
 
-	// One encode per dirty page, in place: the batch's buffer is reserved
-	// once at its exact size and each node serializes straight into its slot.
+	// One encode per dirty page, in place and at its used length (the store
+	// keeps a page at the length it is written, so a half-empty node costs
+	// half a page): the batch's buffer is reserved once at its exact size and
+	// each node serializes straight into its slot.
 	leg = sp.Child("encode")
 	b := store.NewBatch()
-	images := len(nodes) + len(ovf) + 1
-	b.Grow(images+len(dels)+len(ovfDels), images*db.pageSize)
+	images, size := len(nodes)+len(ovf)+1, len(meta)
 	for _, n := range nodes {
-		if err := btree.EncodeNodeImage(b.Slot(n.ID, db.pageSize), n); err != nil {
+		size += n.Page().EncodedBytes()
+	}
+	for _, img := range ovf {
+		size += len(img)
+	}
+	b.Grow(images+len(dels)+len(ovfDels), size)
+	for _, n := range nodes {
+		if err := btree.EncodeNodeImage(b.Slot(n.ID, n.Page().EncodedBytes()), n); err != nil {
 			leg.End()
 			// An unpersistable page (an internal invariant failure) fails
 			// every checkpoint until it is rewritten or freed: omitting it
@@ -738,7 +746,7 @@ func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
 		if len(chunk) > perPage {
 			chunk = chunk[:perPage]
 		}
-		img := make([]byte, db.pageSize)
+		img := make([]byte, ovfHeaderBytes+4*len(chunk))
 		copy(img, ovfMagic)
 		binary.LittleEndian.PutUint32(img[8:12], uint32(len(chunk)))
 		off := ovfHeaderBytes
@@ -753,7 +761,7 @@ func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
 		return nil, nil, fmt.Errorf("pagedb: free list of %d ids exceeds the overflow page range", len(free))
 	}
 	binary.LittleEndian.PutUint32(buf[novfOff:], uint32(len(ovf)))
-	return buf[:db.pageSize], ovf, nil // the tail past len(buf) is still zero
+	return buf, ovf, nil
 }
 
 func (db *DB) decodeMeta(img []byte) error {

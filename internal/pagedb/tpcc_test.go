@@ -210,7 +210,7 @@ func TestTPCCCommittedTransactionsSurviveCrash(t *testing.T) {
 
 	// Tear the final commit's batch: that transaction vanishes wholesale
 	// and the 59 committed ones are untouched.
-	recs := newestBatch(t, dir, 2048)
+	recs := newestBatch(t, dir)
 	recs[0].corrupt(t)
 	db3, err := Open(opts)
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // TestGoldenDeterminism pins the exact cleaning behaviour of both live
 // engines: a seeded foreground workload (Zipf and hot/cold page choice,
 // single-op and batched writes, deletes, delete-then-re-put inside one
-// batch) must reproduce, digit for digit, the counters recorded from the
-// tree BEFORE the two engines were rebuilt on the shared segment-log core.
+// batch) must reproduce, digit for digit, the counters recorded in
+// goldenRows (which says what commit each row was recorded at, and why).
 // Foreground cleaning is single-threaded and seeded, so every number is a
 // pure function of the code: any change to victim choice, GC ordering,
 // stream routing, seal order, reservation or (durable rows) sync points
@@ -105,21 +105,26 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// goldenRows was captured from commit d54c8da (the parent of the
-// segment-log extraction) with GOLDEN_PRINT=1; the two nodelete rows from
-// commit 6674dae (the parent of variable-size page records).
-const goldenRows = `store/MDC errFull=0 user=50622 gc=14653 unow=58939 cleaned=4488 meanE=0.6833778966131907 free=16 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:43/323 1:69/810
-store/MDC-routed errFull=0 user=50622 gc=20476 unow=58939 cleaned=4856 meanE=0.6324006383855024 free=19 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:4/19 1:104/1098 2:1/14
-store/multi-log errFull=0 user=50622 gc=36276 unow=58939 cleaned=5858 meanE=0.5263315124615909 free=28 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/2 1:1/1 2:1/0 3:1/12 4:1/4 5:2/18 6:8/82 7:11/128 8:15/173 9:18/224 10:13/158 11:10/106 12:9/102 13:4/45 14:2/21 15:1/0 27:2/20
-store/greedy errFull=0 user=50622 gc=19033 unow=58939 cleaned=4760 meanE=0.6442752100840337 free=14 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:32/280 1:82/877
-store/cost-benefit errFull=0 user=50622 gc=18435 unow=58939 cleaned=4720 meanE=0.6490201271186441 free=11 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:57/376 1:60/769
+// goldenRows was captured with GOLDEN_PRINT=1: the vlog rows from commit
+// d54c8da (the parent of the segment-log extraction) and the two nodelete
+// rows from commit 6674dae (the parent of variable-size page records) —
+// neither set has changed since. The seven store rows with deletes were
+// re-recorded once, when page records became variable-size: a tombstone
+// shrank from a full slot to a bare 24-byte header, and a rewrite of a
+// deleted page now credits the dropped tombstone's segment (it used to go
+// on counting it live), so segments empty sooner and victim choice moves.
+const goldenRows = `store/MDC errFull=0 user=50622 gc=12391 unow=58939 cleaned=4032 meanE=0.8220190183080703 free=17 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:38/232 1:73/767
+store/MDC-routed errFull=0 user=50622 gc=16152 unow=58939 cleaned=4240 meanE=0.7783983704974156 free=15 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:7/30 1:101/928 2:2/22 3:3/19
+store/multi-log errFull=0 user=50622 gc=28490 unow=58939 cleaned=4995 meanE=0.6695536445536259 free=29 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:2/24 5:3/22 6:4/34 7:9/90 8:17/182 9:21/238 10:13/144 11:8/88 12:8/90 13:5/43 14:2/21 15:1/1 27:2/20
+store/greedy errFull=0 user=50622 gc=15995 unow=58939 cleaned=4240 meanE=0.7822456582332629 free=16 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:25/193 1:87/806
+store/cost-benefit errFull=0 user=50622 gc=16278 unow=58939 cleaned=4264 meanE=0.7775109798737728 free=12 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:61/281 1:55/718
 vlog/MDC errFull=0 user=50622 gc=10064 userBytes=6605840 gcBytes=1243326 liveBytes=115308 cleaned=3860 meanE=0.8427220794203368 free=5 keys=899 commits=5308 streams: 0:55/244 1:68/655
 vlog/MDC-routed errFull=0 user=50622 gc=14278 userBytes=6605840 gcBytes=1750731 liveBytes=115308 cleaned=4124 meanE=0.7927135981828928 free=12 keys=899 commits=5308 streams: 0:6/25 1:105/832 2:4/32 3:1/10
 vlog/multi-log errFull=0 user=50622 gc=20705 userBytes=6605840 gcBytes=2549406 liveBytes=115308 cleaned=4543 meanE=0.7259900619772177 free=22 keys=899 commits=5308 streams: 0:1/0 1:1/1 2:1/2 3:1/1 4:1/2 5:2/15 6:6/36 7:4/35 8:14/115 9:25/243 10:10/103 11:12/113 12:14/130 13:8/58 14:1/12 15:1/4 27:4/29
 vlog/greedy errFull=0 user=50622 gc=13111 userBytes=6605840 gcBytes=1622614 liveBytes=115308 cleaned=4052 meanE=0.8044689061728776 free=5 keys=899 commits=5308 streams: 0:29/184 1:94/715
 vlog/cost-benefit errFull=0 user=50622 gc=13174 userBytes=6605840 gcBytes=1684930 liveBytes=115308 cleaned=4084 meanE=0.7985505076977228 free=5 keys=899 commits=5308 streams: 0:69/269 1:54/630
-store/MDC/seal firstHalfFsyncs=806 errFull=0 user=8197 gc=2131 unow=20395 cleaned=736 meanE=0.715438179347826 free=12 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=949 streams: 0:51/357 1:65/722
-store/MDC-routed/commit firstHalfFsyncs=5762 errFull=0 user=8197 gc=2665 unow=20444 cleaned=776 meanE=0.6854059278350515 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5588 fsyncs=5857 streams: 0:10/58 1:95/972 2:2/15 3:2/13
+store/MDC/seal firstHalfFsyncs=737 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=855 streams: 0:45/255 1:68/680
+store/MDC-routed/commit firstHalfFsyncs=5729 errFull=0 user=8197 gc=2005 unow=20102 cleaned=680 meanE=0.8250250668449195 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5572 fsyncs=5798 streams: 0:7/33 1:94/844 2:3/24 3:5/34
 store/MDC/nodelete errFull=0 user=55866 gc=13275 unow=55866 cleaned=4208 meanE=0.8028309173003803 free=14 live=999 tomb=0 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:41/232 1:73/767
 store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=896 streams: 0:48/260 1:69/683`
 

@@ -1,5 +1,5 @@
 // Package seglog is the segment-log core shared by the two live engines:
-// the durable page store (internal/store, fixed page slots in checksummed
+// the durable page store (internal/store, page records in checksummed
 // files) and the in-memory value log (internal/vlog, variable keyed records
 // in slabs). It owns everything about segments that is neither bytes nor
 // index: the metadata table the cleaning policies read, the free pool, the

@@ -19,8 +19,8 @@ type Batch struct{ b seglog.Batch[uint32] }
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-// Write adds a page write. The data is copied; its length is validated
-// against the store's page size at Apply time.
+// Write adds a page write of len(data) bytes. The data is copied; its length
+// is validated against the store's page size (the maximum) at Apply time.
 func (b *Batch) Write(id uint32, data []byte) *Batch {
 	b.b.Put(id, data)
 	return b
@@ -104,13 +104,13 @@ func (s *Store) applyLocked(b *Batch) error {
 			if !exists {
 				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.Key, ErrNotFound)
 			}
-		} else if op.DataLen() != s.opts.PageSize {
-			return fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, op.DataLen(), s.opts.PageSize)
+		} else if op.DataLen() > s.opts.PageSize {
+			return fmt.Errorf("store: batch op %d: page data %d bytes, page size is %d", i, op.DataLen(), s.opts.PageSize)
 		}
 		if vexists != nil {
 			vexists[op.Key] = !op.Del
 		}
-		op.Size = s.recordSize() // a tombstone occupies a full slot too
+		op.Size = int64(recHeaderSize + op.DataLen()) // a tombstone is a bare header
 	}
 	if err := s.log.Reserve(&b.b); err != nil {
 		return err

@@ -77,10 +77,10 @@ func TestBatchApplyBasic(t *testing.T) {
 		t.Errorf("page 10 visible after failed batch: err = %v", err)
 	}
 
-	// Wrong page size fails the whole batch atomically too.
-	b4 := NewBatch().Write(11, pagePattern(64, 11, 1)).Write(12, make([]byte, 63))
+	// A page over the page size fails the whole batch atomically too.
+	b4 := NewBatch().Write(11, pagePattern(64, 11, 1)).Write(12, make([]byte, 65))
 	if err := s.Apply(b4); err == nil {
-		t.Fatal("Apply with short page succeeded")
+		t.Fatal("Apply with an oversized page succeeded")
 	}
 	if err := s.ReadPage(11, buf); !errors.Is(err, ErrNotFound) {
 		t.Errorf("page 11 visible after failed batch: err = %v", err)
@@ -138,11 +138,21 @@ func TestBatchSlotAndLateDeletes(t *testing.T) {
 	if err := s.Apply(bad); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete in one batch: err = %v, want ErrNotFound", err)
 	}
-	// A slot of the wrong size is refused like a short Write.
+	// A slot over the page size is refused like an oversized Write; a short
+	// one is stored at its length and reads back zero-filled.
+	long := NewBatch()
+	long.Slot(11, 65)
+	if err := s.Apply(long); err == nil {
+		t.Error("Apply with a 65-byte slot succeeded")
+	}
 	short := NewBatch()
-	short.Slot(11, 63)
-	if err := s.Apply(short); err == nil {
-		t.Error("Apply with a 63-byte slot succeeded")
+	copy(short.Slot(11, 10), pagePattern(64, 11, 1))
+	if err := s.Apply(short); err != nil {
+		t.Fatalf("Apply with a 10-byte slot: %v", err)
+	}
+	want := append(pagePattern(64, 11, 1)[:10:10], make([]byte, 54)...)
+	if err := s.ReadPage(11, buf); err != nil || !bytes.Equal(buf, want) {
+		t.Errorf("short page reads back %x (err %v), want %x", buf, err, want)
 	}
 	checkInvariants(t, s)
 }
@@ -319,7 +329,6 @@ func tornBatchSetup(t *testing.T) (opts Options, recs []tornRec) {
 
 	// Locate the batch records on disk: scan every segment file for
 	// flagBatch records of the newest batch (highest start seq).
-	recSize := recHeaderSize + opts.PageSize
 	var bestStart uint64
 	byPos := map[uint32]tornRec{}
 	files, err := filepath.Glob(filepath.Join(opts.Dir, "*.seg"))
@@ -331,11 +340,12 @@ func tornBatchSetup(t *testing.T) (opts Options, recs []tornRec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := segHeaderSize; off+recSize <= len(data); off += recSize {
-			h, _, err := decodeRecord(data[off : off+recSize])
+		for off, recSize := segHeaderSize, 0; off < len(data); off += recSize {
+			h, payload, err := decodeRecord(data[off:], opts.PageSize)
 			if err != nil {
 				break
 			}
+			recSize = recHeaderSize + len(payload)
 			if h.flags&flagBatch == 0 {
 				continue
 			}
@@ -593,7 +603,7 @@ func TestStreamOccupancyStats(t *testing.T) {
 		if ss.OpenSegments == 0 && ss.OpenFill != 0 {
 			t.Errorf("stream %d reports fill %v with no open segment", i, ss.OpenFill)
 		}
-		if int64(ss.Live)*s.recordSize() != ss.LiveBytes {
+		if int64(ss.Live)*(recHeaderSize+64) != ss.LiveBytes { // every page is written full
 			t.Errorf("stream %d LiveBytes %d inconsistent with Live %d", i, ss.LiveBytes, ss.Live)
 		}
 	}

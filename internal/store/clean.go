@@ -17,15 +17,19 @@ import (
 
 // The cleaning cycle itself (select → relocate → release, foreground and
 // background) lives in internal/seglog; this file is the store's side of
-// seglog.Engine: enumerating a victim's live slots, loading their payloads,
+// seglog.Engine: enumerating a victim's live records, loading their payloads,
 // installing one relocated copy, and the durability point that must precede
 // any victim's release. Recovery picks the highest sequence number, so two
 // on-disk copies of a page mid-clean are harmless.
 
-// slotCand is one victim slot captured at selection time.
-type slotCand struct {
-	slot    int32
-	si      slotInfo
+// recCand is one live victim record captured at selection time, under the
+// lock: where it is and how long, so that Load needs no index to find it.
+type recCand struct {
+	page    uint32
+	off     uint32
+	seq     uint64
+	size    int32 // header included
+	tomb    bool
 	payload []byte // loaded by Load; nil for tombstones
 }
 
@@ -41,14 +45,15 @@ func (s *Store) CleanOnce() (int, error) {
 	return n, err
 }
 
-// LiveRecords (seglog.Engine) snapshots the slots of victim seg that the
+// LiveRecords (seglog.Engine) snapshots the records of victim seg that the
 // page table or the tombstone map still points at.
-func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[slotCand]) []seglog.Cand[slotCand] {
-	for slot, si := range s.slots[seg] {
-		loc, ok := s.locOf(si.page, si.tombstone)
-		if ok && loc.seg == seg && loc.slot == int32(slot) {
-			dst = append(dst, seglog.Cand[slotCand]{Rec: slotCand{slot: int32(slot), si: si}})
+func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand[recCand] {
+	off := uint32(segHeaderSize)
+	for _, r := range s.recs[seg] {
+		if tomb, ok := s.liveAt(r.page, r.seq, seg, off); ok {
+			dst = append(dst, seglog.Cand[recCand]{Rec: recCand{page: r.page, off: off, seq: r.seq, size: int32(r.end - off), tomb: tomb}})
 		}
+		off = r.end
 	}
 	return dst
 }
@@ -57,24 +62,25 @@ func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[slotCand]) []seglog.Can
 // and verifies record identity. Victim segments are immutable while marked
 // SegCleaning, so this — the bulk of cleaning I/O — is safe to run with no
 // lock held, concurrently with reads and user appends.
-func (s *Store) Load(cands []seglog.Cand[slotCand]) error {
-	buf := make([]byte, s.recordSize())
+func (s *Store) Load(cands []seglog.Cand[recCand]) error {
+	buf := make([]byte, recHeaderSize+s.opts.PageSize)
 	for i := range cands {
 		c := &cands[i]
-		if c.Rec.si.tombstone {
+		if c.Rec.tomb {
 			continue
 		}
-		if err := s.be.read(int(c.Seg), s.slotOffset(int(c.Rec.slot)), buf); err != nil {
+		rec := buf[:c.Rec.size]
+		if err := s.be.read(int(c.Seg), int64(c.Rec.off), rec); err != nil {
 			return err
 		}
-		h, data, err := decodeRecord(buf)
+		h, data, err := decodeRecord(rec, s.opts.PageSize)
 		if err != nil {
-			return fmt.Errorf("store: cleaning segment %d slot %d: %w", c.Seg, c.Rec.slot, err)
+			return fmt.Errorf("store: cleaning segment %d @%d: %w", c.Seg, c.Rec.off, err)
 		}
-		if h.page != c.Rec.si.page || h.seq != c.Rec.si.seq {
-			return fmt.Errorf("store: cleaning segment %d slot %d: record identity mismatch", c.Seg, c.Rec.slot)
+		if h.page != c.Rec.page || h.seq != c.Rec.seq || len(data) != len(rec)-recHeaderSize {
+			return fmt.Errorf("store: cleaning segment %d @%d: record identity mismatch", c.Seg, c.Rec.off)
 		}
-		c.Rec.payload = append([]byte(nil), data[:s.opts.PageSize]...)
+		c.Rec.payload = append([]byte(nil), data...)
 	}
 	return nil
 }
@@ -82,15 +88,15 @@ func (s *Store) Load(cands []seglog.Cand[slotCand]) error {
 // Install (seglog.Engine) appends a relocated copy of c if it is still
 // current, keeping victim accounting truthful (a relocated or pruned record
 // no longer counts against its victim).
-func (s *Store) Install(c *seglog.Cand[slotCand]) (int64, error) {
-	si, flags := c.Rec.si, uint32(0)
-	if si.tombstone {
+func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
+	r, flags, size := &c.Rec, uint32(0), int64(c.Rec.size)
+	if r.tomb {
 		flags = flagTombstone
 	}
-	if loc, ok := s.locOf(si.page, si.tombstone); !ok || loc.seg != c.Seg || loc.slot != c.Rec.slot {
+	if _, ok := s.liveAt(r.page, r.seq, c.Seg, r.off); !ok {
 		return 0, nil // overwritten, deleted or superseded since selection
 	}
-	if si.tombstone && si.seq <= s.prunedSeq {
+	if r.tomb && r.seq <= s.prunedSeq {
 		// The deletion is checkpoint-covered: drop the tombstone
 		// RECORD instead of relocating it — but the deletion itself
 		// must stay in the tombstone map (with no record location)
@@ -98,23 +104,24 @@ func (s *Store) Install(c *seglog.Cand[slotCand]) (int64, error) {
 		// records of the page can survive in not-yet-reused
 		// segments, and forgetting the deletion would let recovery
 		// resurrect them.
-		s.tombstones[si.page] = pageLoc{seg: -1, slot: -1, seq: si.seq}
-		s.log.Pruned(c.Seg, s.recordSize())
+		s.tombstones[r.page] = noRecord(r.seq)
+		s.log.Pruned(c.Seg, size)
 		return 0, nil
 	}
-	stream, err := s.log.GCRoom(c.Up2, s.recordSize())
+	stream, err := s.log.GCRoom(c.Up2, size)
 	if err != nil {
 		return 0, err
 	}
 	seg, _ := s.log.Tail(stream)
-	if err := s.appendRecord(stream, si.page, flags, 0, c.Rec.payload, c.Up2); err != nil {
+	if err := s.appendRecord(stream, r.page, flags, 0, r.payload, c.Up2); err != nil {
 		return 0, err
 	}
+	s.cGCBytes.Add(uint64(size))
 	if s.gcDirtySegs != nil {
 		s.gcDirtySegs[seg] = struct{}{}
 	}
-	s.log.Relocated(c.Seg, s.recordSize())
-	return s.recordSize(), nil
+	s.log.Relocated(c.Seg, size)
+	return size, nil
 }
 
 // SyncRelocated (seglog.Engine) is the durability point: relocated copies
@@ -171,9 +178,9 @@ func (s *Store) SyncRelocated(locked bool) error {
 	return nil
 }
 
-// ReleaseSegment (seglog.Engine) forgets a released victim's slots.
+// ReleaseSegment (seglog.Engine) forgets a released victim's records.
 func (s *Store) ReleaseSegment(seg int32) {
-	s.slots[seg] = s.slots[seg][:0]
+	s.recs[seg] = s.recs[seg][:0]
 	// A stale dirty id from an aborted cycle no longer matters once the
 	// segment's live data was re-relocated and synced; drop it so the
 	// reused segment is not pointlessly fsynced.
@@ -361,9 +368,13 @@ type Stats struct {
 	SegmentsCleaned uint64
 	WriteAmp        float64
 	MeanEAtClean    float64
-	CapacityPages   int
-	FillFactor      float64
-	UpdateClock     uint64
+	// CapacityPages is the capacity in full-size pages and FillFactor is
+	// LivePages over it: a page-count ratio. With pages shorter than
+	// PageSize the log's byte fill is lower; Streams[].LiveBytes and
+	// MeanEAtClean (and every cleaning decision) are in bytes.
+	CapacityPages int
+	FillFactor    float64
+	UpdateClock   uint64
 	// Streams is the per-stream occupancy of routed placement: one entry
 	// per configured append stream (2 for the classic user+GC layout) with
 	// its live records/bytes, segment counts, and open-segment fill. Use
@@ -428,15 +439,16 @@ func (s *Store) Stats() Stats {
 }
 
 // CheckInvariants validates internal consistency (tests): every page-table
-// and tombstone-map entry is the current record of exactly one written slot
-// (same page, kind and seq), no page is both live and deleted, and the
-// core's per-segment accounting matches that index (seglog.Log.Check).
+// and tombstone-map entry is exactly one written record (same page, offset
+// and seq), no page is both live and deleted, and the core's per-segment
+// accounting — live records and their real sizes — matches that index
+// (seglog.Log.Check).
 func (s *Store) CheckInvariants() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	liveCount := make([]int32, s.opts.MaxSegments)
 	liveBytes := make([]int64, s.opts.MaxSegments)
-	located := len(s.table) // index entries that must be found in a slot
+	located := len(s.table) // index entries that must be found in a segment
 	for page, loc := range s.tombstones {
 		if _, live := s.table[page]; live {
 			return fmt.Errorf("store: page %d is both live and deleted", page)
@@ -445,29 +457,19 @@ func (s *Store) CheckInvariants() error {
 			located++
 		}
 	}
-	for seg := range s.slots {
-		dead := int32(0) // superseded tombstone records
-		for slot, si := range s.slots[seg] {
-			loc, ok := s.locOf(si.page, si.tombstone)
-			if ok && loc.seg == int32(seg) && loc.slot == int32(slot) && loc.seq == si.seq {
+	for seg := range s.recs {
+		off := uint32(segHeaderSize)
+		for _, r := range s.recs[seg] {
+			if _, ok := s.liveAt(r.page, r.seq, int32(seg), off); ok {
 				liveCount[seg]++
+				liveBytes[seg] += int64(r.end - off)
 				located--
-			} else if si.tombstone {
-				dead++
 			}
+			off = r.end
 		}
-		// Known accounting drift, kept so cleaning decisions stay
-		// bit-identical (ROADMAP): a rewrite drops the page's pending
-		// tombstone from the map without crediting the tombstone's segment,
-		// which then counts that dead record as live until it is cleaned
-		// (or the store reopened). Tolerate exactly that excess.
-		if over := s.log.Meta[seg].Live - liveCount[seg]; over > 0 && over <= dead {
-			liveCount[seg] += over
-		}
-		liveBytes[seg] = int64(liveCount[seg]) * s.recordSize()
 	}
 	if located != 0 {
-		return fmt.Errorf("store: %d index entries point at no slot holding that record", located)
+		return fmt.Errorf("store: %d index entries point at no record", located)
 	}
 	return s.log.Check(liveCount, liveBytes)
 }

@@ -3,111 +3,155 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 )
 
-// Randomized oracle test: a sequence of writes, deletes, cleanings and
-// crash-reopens driven by testing/quick must always agree with an in-memory
-// map.
+// Seeded oracle test: rounds of writes at every length from 0 to PageSize,
+// deletes, batches, forced cleanings and (on disk) crash-reopens must always
+// agree with an in-memory map — every ReadPage compared byte for byte,
+// including the zero fill past the length a page was written at — and leave
+// the per-segment byte accounting consistent, on both backends.
 func TestQuickRandomOpsWithRecovery(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		dir := t.TempDir()
-		opts := Options{
-			Dir: dir, PageSize: 64, SegmentPages: 8, MaxSegments: 48,
-			CleanBatch: 4, FreeLowWater: 6,
-		}
-		s, err := Open(opts)
-		if err != nil {
-			t.Logf("open: %v", err)
-			return false
-		}
-		r := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-		oracle := map[uint32][]byte{}
-		mk := func(id uint32, v int) []byte {
-			b := make([]byte, 64)
-			for i := range b {
-				b[i] = byte(int(id)*7 + v + i)
+	for _, backend := range []string{"file", "memory"} {
+		t.Run(backend, func(t *testing.T) {
+			for seed := uint64(1); seed <= 8; seed++ {
+				dir := ""
+				if backend == "file" {
+					dir = t.TempDir()
+				}
+				randomOpsRun(t, seed, dir)
 			}
-			return b
+		})
+	}
+}
+
+func randomOpsRun(t *testing.T, seed uint64, dir string) {
+	const pages, pageSize = 120, 64 // well under the 48*8=384 page capacity
+	opts := Options{
+		Dir: dir, PageSize: pageSize, SegmentPages: 8, MaxSegments: 48,
+		CleanBatch: 4, FreeLowWater: 6,
+	}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatalf("seed %d: open: %v", seed, err)
+	}
+	defer func() { s.Close() }()
+	r := rand.New(rand.NewPCG(seed, seed^0xabcdef))
+	oracle := map[uint32][]byte{}
+	mk := func(id uint32) []byte {
+		n := r.IntN(pageSize + 1)
+		switch r.IntN(8) {
+		case 0:
+			n = 0
+		case 1:
+			n = pageSize
 		}
-		const pages = 120 // well under the 48*8=384 capacity
-		for op := 0; op < 2500; op++ {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(int(id)*7 + r.IntN(251) + i)
+		}
+		return b
+	}
+	fail := func(round, op int, what string, err error) {
+		t.Helper()
+		t.Fatalf("seed %d round %d op %d: %s: %v", seed, round, op, what, err)
+	}
+	for round := 0; round < 10; round++ {
+		for op := 0; op < 250; op++ {
 			id := uint32(r.IntN(pages))
-			switch r.IntN(10) {
+			switch r.IntN(12) {
 			case 0: // delete
 				err := s.DeletePage(id)
 				if _, live := oracle[id]; live {
 					if err != nil {
-						t.Logf("delete live: %v", err)
-						return false
+						fail(round, op, "delete of a live page", err)
 					}
 					delete(oracle, id)
 				} else if !errors.Is(err, ErrNotFound) {
-					t.Logf("delete missing: %v", err)
-					return false
+					fail(round, op, "delete of a missing page", err)
 				}
 			case 1: // crash + reopen, occasionally after a checkpoint
+				if dir == "" {
+					continue // a memory store has nothing to reopen
+				}
 				if r.IntN(2) == 0 {
 					if err := s.Checkpoint(); err != nil {
-						t.Logf("checkpoint: %v", err)
-						return false
+						fail(round, op, "checkpoint", err)
 					}
 				}
 				if err := s.crash(); err != nil {
-					t.Logf("crash: %v", err)
-					return false
+					fail(round, op, "crash", err)
 				}
-				s2, err := Open(opts)
-				if err != nil {
-					t.Logf("reopen: %v", err)
-					return false
+				if s, err = Open(opts); err != nil {
+					fail(round, op, "reopen", err)
 				}
-				if err := s2.CheckInvariants(); err != nil {
-					t.Logf("after reopen: %v", err)
-					return false
+				if err := s.CheckInvariants(); err != nil {
+					fail(round, op, "invariants after reopen", err)
 				}
-				s = s2
 			case 2: // manual cleaning
 				if _, err := s.CleanOnce(); err != nil {
-					t.Logf("clean: %v", err)
-					return false
+					fail(round, op, "clean", err)
+				}
+			case 3, 4: // batch: writes and deletes, a delete only of what exists by then
+				b, pending := NewBatch(), map[uint32][]byte{}
+				for n := 2 + r.IntN(7); n > 0; n-- {
+					id := uint32(r.IntN(pages))
+					v, staged := pending[id]
+					if !staged {
+						v = oracle[id]
+					}
+					if v != nil && r.IntN(4) == 0 {
+						b.Delete(id)
+						pending[id] = nil
+					} else {
+						v = mk(id)
+						b.Write(id, v)
+						pending[id] = v
+					}
+				}
+				if err := s.Apply(b); err != nil {
+					fail(round, op, "apply", err)
+				}
+				for id, v := range pending {
+					if v == nil {
+						delete(oracle, id)
+					} else {
+						oracle[id] = v
+					}
 				}
 			default: // write
-				v := mk(id, op)
+				v := mk(id)
 				if err := s.WritePage(id, v); err != nil {
-					t.Logf("write: %v", err)
-					return false
+					fail(round, op, "write", err)
 				}
 				oracle[id] = v
 			}
 		}
-		// Full oracle comparison.
-		buf := make([]byte, 64)
+		buf := make([]byte, pageSize)
 		for id := uint32(0); id < pages; id++ {
+			for i := range buf {
+				buf[i] = 0xEE // stale bytes the zero fill must overwrite
+			}
 			want, live := oracle[id]
 			err := s.ReadPage(id, buf)
 			if live {
-				if err != nil || !bytes.Equal(buf, want) {
-					t.Logf("page %d mismatch: %v", id, err)
-					return false
+				if err != nil || !bytes.Equal(buf[:len(want)], want) || !bytes.Equal(buf[len(want):], make([]byte, pageSize-len(want))) {
+					fail(round, -1, fmt.Sprintf("page %d (%d bytes) reads back %x", id, len(want), buf), err)
 				}
 			} else if !errors.Is(err, ErrNotFound) {
-				t.Logf("page %d should be absent: %v", id, err)
-				return false
+				fail(round, -1, fmt.Sprintf("page %d should be absent", id), err)
 			}
 		}
 		if err := s.CheckInvariants(); err != nil {
-			t.Logf("invariants: %v", err)
-			return false
+			fail(round, -1, "invariants", err)
 		}
-		return s.Close() == nil
-	}, &quick.Config{MaxCount: 12})
-	if err != nil {
-		t.Error(err)
+	}
+	if s.Stats().SegmentsCleaned == 0 {
+		t.Errorf("seed %d: cleaning never ran", seed)
 	}
 }
 

@@ -6,21 +6,22 @@ import (
 	"hash/crc32"
 )
 
-// On-disk layout (format v2, "LSSEG002"). Each segment file is a
-// fixed-capacity append log:
+// On-disk layout (format v3, "LSSEG003"). Each segment file is a
+// fixed-capacity append log of variable-size records:
 //
 //	segment header (32 bytes):
-//	    magic "LSSEG002" (8) | incarnation (8) | stream (4) | reserved (4) |
+//	    magic "LSSEG003" (8) | incarnation (8) | stream (4) | reserved (4) |
 //	    commit watermark (8)
-//	record (24-byte header + PageSize payload):
-//	    pageID (4) | flags (4) | seq (8) | crc (4) | batchPos (4) | payload
+//	record (24-byte header + the page's bytes, 0..PageSize of them):
+//	    pageID (4) | length<<8|flags (4) | seq (8) | crc (4) | batchPos (4) | payload
 //
-// The crc (CRC-32C) covers pageID, flags, seq, batchPos and the payload, so
-// a torn or corrupt record is detected and treated as the end of the
-// segment during recovery. seq is a global LSN: the record with the highest
-// seq for a page is its current version. A tombstone (flagTombstone) marks
-// a deletion; its payload is all zeros but still occupies a full slot,
-// keeping every slot the same size.
+// A record stores exactly the bytes the writer handed over — a half-empty
+// B-tree page costs half a page — and its length rides in the upper 24 bits
+// of the flags word. The crc (CRC-32C) covers pageID, length, flags, seq,
+// batchPos and the payload, so a torn or corrupt record is detected and
+// treated as the end of the segment during recovery. seq is a global LSN:
+// the record with the highest seq for a page is its current version. A
+// tombstone (flagTombstone) marks a deletion and is a bare header.
 //
 // Batch commit markers: the records of a multi-record batch (Store.Apply)
 // carry flagBatch and their position within the batch in batchPos; the
@@ -38,16 +39,19 @@ import (
 // batch (the commit was never acknowledged) is discarded wholesale, never
 // partially.
 //
-// Format v1 ("LSSEG001", 24-byte header, crc not covering batchPos) is
-// detected and refused loudly rather than silently recovered as empty.
+// Any other "LSSEG…" format is refused loudly rather than silently
+// recovered as empty.
 const (
-	segMagic      = "LSSEG002"
-	segMagicV1    = "LSSEG001"
+	segMagic      = "LSSEG003"
+	segMagicStem  = "LSSEG" // every version of the format starts with it
 	segHeaderSize = 32
 	recHeaderSize = 24
 	flagTombstone = 1
 	flagBatch     = 2
 	flagBatchLast = 4
+	flagMask      = flagTombstone | flagBatch | flagBatchLast
+	lenShift      = 8 // the payload length sits above the flag byte
+	maxPageSize   = 1<<(32-lenShift) - 1
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -61,41 +65,46 @@ type recordHeader struct {
 	pos uint32
 }
 
-func (s *Store) recordSize() int64 { return int64(recHeaderSize + s.opts.PageSize) }
-
-func (s *Store) slotOffset(slot int) int64 {
-	return segHeaderSize + int64(slot)*s.recordSize()
-}
-
-// encodeRecord writes header+payload into dst (recordSize bytes).
+// encodeRecord writes header+payload into dst (recHeaderSize+len(payload)
+// bytes).
 func encodeRecord(dst []byte, h recordHeader, payload []byte) {
 	binary.LittleEndian.PutUint32(dst[0:4], h.page)
-	binary.LittleEndian.PutUint32(dst[4:8], h.flags)
+	binary.LittleEndian.PutUint32(dst[4:8], h.flags|uint32(len(payload))<<lenShift)
 	binary.LittleEndian.PutUint64(dst[8:16], h.seq)
 	binary.LittleEndian.PutUint32(dst[20:24], h.pos)
 	copy(dst[recHeaderSize:], payload)
-	for i := recHeaderSize + len(payload); i < len(dst); i++ {
-		dst[i] = 0
-	}
 	binary.LittleEndian.PutUint32(dst[16:20], recordCRC(dst))
 }
 
 // recordCRC covers everything except the crc field itself: bytes [0,16)
-// (page, flags, seq), [20,24) (batchPos) and the payload. batchPos must be
-// covered — recovery's batch-completeness accounting trusts it.
+// (page, length and flags, seq), [20,24) (batchPos) and the payload. The
+// length and batchPos must be covered — recovery's walk and its
+// batch-completeness accounting trust them.
 func recordCRC(b []byte) uint32 {
 	crc := crc32.Checksum(b[0:16], castagnoli)
 	crc = crc32.Update(crc, castagnoli, b[20:24])
 	return crc32.Update(crc, castagnoli, b[recHeaderSize:])
 }
 
-// decodeRecord parses and verifies one record buffer.
-func decodeRecord(b []byte) (recordHeader, []byte, error) {
+// decodeRecord parses and verifies the record at the head of b, which may
+// run past it (a reader that does not know the length hands over the
+// largest record there could be). The length is bounds-checked against
+// pageSize and b before anything trusts it; a tombstone has no payload.
+func decodeRecord(b []byte, pageSize int) (recordHeader, []byte, error) {
 	var h recordHeader
+	if len(b) < recHeaderSize {
+		return h, nil, fmt.Errorf("store: record header truncated at %d bytes", len(b))
+	}
 	h.page = binary.LittleEndian.Uint32(b[0:4])
-	h.flags = binary.LittleEndian.Uint32(b[4:8])
+	word := binary.LittleEndian.Uint32(b[4:8])
+	h.flags = word & (1<<lenShift - 1)
 	h.seq = binary.LittleEndian.Uint64(b[8:16])
 	h.pos = binary.LittleEndian.Uint32(b[20:24])
+	n := int(word >> lenShift)
+	if h.flags&^flagMask != 0 || n > pageSize || n > len(b)-recHeaderSize || n != 0 && h.flags&flagTombstone != 0 {
+		return h, nil, fmt.Errorf("store: malformed record header (flags word %08x, %d bytes available)", word, len(b))
+	}
+	b = b[:recHeaderSize+n]
 	stored := binary.LittleEndian.Uint32(b[16:20])
 	if crc := recordCRC(b); stored != crc {
 		return h, nil, fmt.Errorf("store: record crc mismatch (stored %08x, computed %08x)", stored, crc)
@@ -118,7 +127,3 @@ func decodeSegHeader(b []byte) (incarnation uint64, stream int32, watermark uint
 	return binary.LittleEndian.Uint64(b[8:16]), int32(binary.LittleEndian.Uint32(b[16:20])),
 		binary.LittleEndian.Uint64(b[24:32]), true
 }
-
-// isLegacySegHeader recognizes the v1 format so recovery can refuse it
-// loudly instead of silently recycling data-bearing segments.
-func isLegacySegHeader(b []byte) bool { return string(b[0:8]) == segMagicV1 }

@@ -257,11 +257,11 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 	s2.mu.RLock()
 	for id := range s2.log.Meta {
 		m := &s2.log.Meta[id]
-		if m.State != core.SegSealed || len(s2.slots[id]) == 0 {
+		if m.State != core.SegSealed || len(s2.recs[id]) == 0 {
 			continue
 		}
-		minSeq := s2.slots[id][0].seq
-		for _, si := range s2.slots[id] {
+		minSeq := s2.recs[id][0].seq
+		for _, si := range s2.recs[id] {
 			if si.seq < minSeq {
 				minSeq = si.seq
 			}

@@ -1,7 +1,8 @@
 // Package store is a durable log-structured page store — the kind of system
 // the paper's cleaning analysis targets. Pages are never updated in place:
-// every write appends a checksummed record to an open segment, a mapping
-// table tracks each page's current location, and reclaiming the space of
+// every write appends a checksummed record — the page at the length it was
+// written, anything up to PageSize — to an open segment, a mapping table
+// tracks each page's current location, and reclaiming the space of
 // overwritten versions is delegated to the cleaning policies of
 // internal/core (MDC by default), exactly the machinery evaluated by the
 // simulator. The segment bookkeeping, stream routing and the cleaning cycle
@@ -50,6 +51,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -75,9 +77,11 @@ type Options struct {
 	// Dir holds segment files and the checkpoint; "" keeps everything in
 	// memory (tests, caches).
 	Dir string
-	// PageSize is the fixed page payload size in bytes (default 4096).
+	// PageSize is the maximum page size in bytes (default 4096): a write
+	// may be any length up to it, and the record stores exactly that many.
 	PageSize int
-	// SegmentPages is the number of page slots per segment (default 256).
+	// SegmentPages sets the segment capacity in bytes: room for this many
+	// full-size page records (default 256). Shorter pages pack more densely.
 	SegmentPages int
 	// MaxSegments bounds the physical capacity (default 128).
 	MaxSegments int
@@ -147,12 +151,14 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 	}
 	cfg := seglog.Config{
 		Name: "store", ErrFull: ErrFull, ErrClosed: errClosed, RelocChunk: relocChunk,
-		MaxSegments: o.MaxSegments, SegmentBytes: int64(o.SegmentPages) * int64(recHeaderSize+o.PageSize),
+		MaxSegments: o.MaxSegments, SegmentBytes: o.segmentBytes(),
 		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
 		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
 		Pacer: o.Pacer, Obs: o.Obs,
 	}
-	if o.PageSize < 8 || o.SegmentPages < 2 {
+	// The record header's length field and the 32-bit record offsets bound
+	// the geometry from above.
+	if o.PageSize < 8 || o.PageSize > maxPageSize || o.SegmentPages < 2 || segHeaderSize+cfg.SegmentBytes > math.MaxUint32 {
 		return o, cfg, fmt.Errorf("store: invalid geometry %+v", o)
 	}
 	err := cfg.Validate()
@@ -160,11 +166,22 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 	return o, cfg, err
 }
 
-type pageLoc struct {
-	seg  int32
-	slot int32
-	seq  uint64
+// segmentBytes is the record capacity of a segment.
+func (o Options) segmentBytes() int64 {
+	return int64(o.SegmentPages) * int64(recHeaderSize+o.PageSize)
 }
+
+// pageLoc is where a page's current record lives: the byte offset of the
+// record in its segment file. A deletion carried only by the checkpoint has
+// no record (seg -1).
+type pageLoc struct {
+	seg int32
+	off uint32
+	seq uint64
+}
+
+// noRecord is the location of a deletion whose tombstone record is gone.
+func noRecord(seq uint64) pageLoc { return pageLoc{seg: -1, seq: seq} }
 
 // Store is a log-structured page store instance. All methods are safe for
 // concurrent use: reads share an RLock, writes and cleaning installs take
@@ -178,8 +195,8 @@ type Store struct {
 	// log is the segment-log core: segment metadata, free pool, streams and
 	// routing clock, the cleaning cycle, batch planning and admission. The
 	// store is its Engine (see clean.go) and keeps the bytes and the index.
-	log   *seglog.Log[uint32, slotCand]
-	slots [][]slotInfo // per segment: what each written slot holds
+	log  *seglog.Log[uint32, recCand]
+	recs [][]recInfo // per segment: the records written to it, in log order
 
 	table      map[uint32]pageLoc
 	tombstones map[uint32]pageLoc
@@ -223,13 +240,20 @@ type Store struct {
 	cCommits *obs.Counter   // store.commit.commits
 	cRounds  *obs.Counter   // store.commit.rounds
 	cSyncs   *obs.Counter   // store.commit.syncs
-	trace    *obs.Trace
+	// Record bytes (headers included) appended by users and by relocation:
+	// together, everything the store writes into segments but their headers.
+	cUserBytes *obs.Counter // store.user.bytes
+	cGCBytes   *obs.Counter // store.gc.bytes
+	trace      *obs.Trace
 }
 
-type slotInfo struct {
-	page      uint32
-	tombstone bool // beside page: keeps the struct (and relocation candidates) at 16 bytes
-	seq       uint64
+// recInfo is one record written to a segment. Records sit back to back, so
+// each starts where its predecessor ends (the first at segHeaderSize): the
+// end offset alone gives every record's offset and size, in 16 bytes.
+type recInfo struct {
+	page uint32
+	end  uint32
+	seq  uint64
 }
 
 // Open creates or recovers a store.
@@ -240,11 +264,11 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		opts:       opts,
-		slots:      make([][]slotInfo, opts.MaxSegments),
+		recs:       make([][]recInfo, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
 	}
-	s.log = seglog.New[uint32, slotCand](cfg, &s.mu, s)
+	s.log = seglog.New[uint32, recCand](cfg, &s.mu, s)
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
@@ -252,6 +276,8 @@ func Open(opts Options) (*Store, error) {
 	s.cCommits = opts.Obs.Counter("store.commit.commits")
 	s.cRounds = opts.Obs.Counter("store.commit.rounds")
 	s.cSyncs = opts.Obs.Counter("store.commit.syncs")
+	s.cUserBytes = opts.Obs.Counter("store.user.bytes")
+	s.cGCBytes = opts.Obs.Counter("store.gc.bytes")
 	s.trace = opts.Obs.Trace()
 	if opts.Durability == core.DurSeal {
 		s.gcDirtySegs = make(map[int32]struct{})
@@ -259,9 +285,9 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir != "" {
 		s.dirty = make(map[int32]uint64)
 	}
-	s.recBuf = make([]byte, s.recordSize())
+	s.recBuf = make([]byte, recHeaderSize+opts.PageSize)
 	s.readBufs.New = func() any {
-		b := make([]byte, s.recordSize())
+		b := make([]byte, recHeaderSize+opts.PageSize)
 		return &b
 	}
 	if opts.Dir == "" {
@@ -272,9 +298,6 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 		s.be = fb
-	}
-	for i := range s.slots {
-		s.slots[i] = make([]slotInfo, 0, opts.SegmentPages)
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -330,7 +353,10 @@ func (s *Store) recover() error {
 	// after the cleaner recycled some members' segments.
 	var watermark uint64
 
-	hdr := make([]byte, segHeaderSize)
+	// One read per segment, into a buffer the first written segment pays
+	// for; the walk below never looks past the bytes the file holds, nor
+	// past the segment's capacity.
+	var segBuf []byte
 	for seg := 0; seg < s.opts.MaxSegments; seg++ {
 		sz, err := s.be.size(seg)
 		if err != nil {
@@ -339,17 +365,21 @@ func (s *Store) recover() error {
 		if sz < segHeaderSize {
 			continue // never written: stays free
 		}
-		if err := s.be.read(seg, 0, hdr); err != nil {
+		if segBuf == nil {
+			segBuf = make([]byte, segHeaderSize+s.opts.segmentBytes())
+		}
+		buf := segBuf[:min(sz, int64(len(segBuf)))]
+		if err := s.be.read(seg, 0, buf); err != nil {
 			return err
 		}
-		inc, stream, segW, ok := decodeSegHeader(hdr)
+		inc, stream, segW, ok := decodeSegHeader(buf)
 		if !ok {
-			if isLegacySegHeader(hdr) {
-				return fmt.Errorf("store: segment %d uses on-disk format %s; this version reads %s (batch commit markers) — migrate by draining the old store",
-					seg, segMagicV1, segMagic)
+			if string(buf[:len(segMagicStem)]) == segMagicStem {
+				return fmt.Errorf("store: segment %d uses on-disk format %q; this version reads only %s (variable-size records) — migrate by draining the old store",
+					seg, buf[:len(segMagic)], segMagic)
 			}
 			// Unrecognized file: treat as free space but do not destroy it
-			// until the slot is reused.
+			// until the segment is reused.
 			continue
 		}
 		if segW > watermark {
@@ -358,27 +388,20 @@ func (s *Store) recover() error {
 		if inc > maxInc {
 			maxInc = inc
 		}
-		records := 0
-		for slot := 0; slot < s.opts.SegmentPages; slot++ {
-			if s.slotOffset(slot)+s.recordSize() > sz {
-				break
-			}
-			if err := s.be.read(seg, s.slotOffset(slot), s.recBuf); err != nil {
-				return err
-			}
-			h, _, err := decodeRecord(s.recBuf)
+		for off := segHeaderSize; ; {
+			h, payload, err := decodeRecord(buf[off:], s.opts.PageSize)
 			if err != nil {
-				break // torn tail: the segment ends here
+				break // end of the log, or a torn tail: the segment ends here
 			}
-			s.slots[seg] = append(s.slots[seg], slotInfo{page: h.page, seq: h.seq, tombstone: h.flags&flagTombstone != 0})
-			records++
+			loc := pageLoc{seg: int32(seg), off: uint32(off), seq: h.seq}
+			off += recHeaderSize + len(payload)
+			s.recs[seg] = append(s.recs[seg], recInfo{page: h.page, end: uint32(off), seq: h.seq})
 			if h.seq > maxSeq {
 				// maxSeq covers every physical record, discarded batch
 				// members included: s.seq must never reuse an on-disk seq.
 				maxSeq = h.seq
 			}
 			tomb := h.flags&flagTombstone != 0
-			loc := pageLoc{seg: int32(seg), slot: int32(slot), seq: h.seq}
 			if h.flags&flagBatch != 0 {
 				start := h.seq - uint64(h.pos)
 				g := groups[start]
@@ -397,7 +420,7 @@ func (s *Store) recover() error {
 				latest[h.page] = hit{loc: loc, tomb: tomb}
 			}
 		}
-		if records == 0 {
+		if len(s.recs[seg]) == 0 {
 			continue // header only: stays free
 		}
 		// Every recovered segment is re-sealed; fresh writes go to new
@@ -434,7 +457,7 @@ func (s *Store) recover() error {
 	// discarded wholesale, so each touched page falls back to its prior
 	// version — still in the log, because cleaning under DurCommit flushes
 	// the batch durable before any superseded copy's segment is reused.
-	// Discarded members stay in s.slots as garbage for the cleaner.
+	// Discarded members stay in s.recs as garbage for the cleaner.
 	for start, g := range groups {
 		complete := g.lastPos >= 0 && len(g.members) == g.lastPos+1
 		if !complete && start > watermark {
@@ -476,7 +499,7 @@ func (s *Store) recover() error {
 			}
 			// Re-adopt the deletion so future checkpoints keep carrying it
 			// until the page is rewritten; there is no record location.
-			s.tombstones[page] = pageLoc{seg: -1, slot: -1, seq: ck.prunedSeq}
+			s.tombstones[page] = noRecord(ck.prunedSeq)
 		}
 	}
 	if s.log.Unow == 0 {
@@ -496,15 +519,15 @@ func (s *Store) recover() error {
 		if m.State != core.SegSealed {
 			continue
 		}
-		live := int32(0)
-		for slot, si := range s.slots[seg] {
-			loc, ok := s.locOf(si.page, si.tombstone)
-			if ok && loc.seg == int32(seg) && loc.slot == int32(slot) {
-				live++
+		m.Live, m.Free = 0, m.Capacity
+		off := uint32(segHeaderSize)
+		for _, r := range s.recs[seg] {
+			if _, ok := s.liveAt(r.page, r.seq, int32(seg), off); ok {
+				m.Live++
+				m.Free -= int64(r.end - off)
 			}
+			off = r.end
 		}
-		m.Live = live
-		m.Free = m.Capacity - int64(live)*s.recordSize()
 	}
 	// Seed the routing clock from the recovered up2 estimates so the first
 	// post-restart write of each page routes by its segment's learned
@@ -521,18 +544,29 @@ func (s *Store) recover() error {
 	return nil
 }
 
-func (s *Store) locOf(page uint32, tomb bool) (pageLoc, bool) {
-	if tomb {
-		l, ok := s.tombstones[page]
-		return l, ok
+// liveAt reports whether the index's current version of page is the record
+// with seq at off in seg, and whether that record is a tombstone (a page is
+// in at most one of the two maps).
+func (s *Store) liveAt(page uint32, seq uint64, seg int32, off uint32) (tomb, ok bool) {
+	loc, ok := s.table[page]
+	if !ok {
+		tomb = true
+		loc, ok = s.tombstones[page]
 	}
-	l, ok := s.table[page]
-	return l, ok
+	return tomb, ok && loc == pageLoc{seg: seg, off: off, seq: seq}
 }
 
-// ReadPage copies page id's current contents into buf (PageSize bytes) and
-// verifies the record checksum and identity. Reads share an RLock, so they
-// proceed concurrently with each other and with background cleaning.
+// recordSize returns the size, header included, of the record at off in seg.
+func (s *Store) recordSize(seg int32, off uint32) int64 {
+	recs := s.recs[seg]
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].end > off })
+	return int64(recs[i].end - off)
+}
+
+// ReadPage copies page id's current contents into buf (PageSize bytes),
+// zero-filling past the length the page was written at, and verifies the
+// record checksum and identity. Reads share an RLock, so they proceed
+// concurrently with each other and with background cleaning.
 func (s *Store) ReadPage(id uint32, buf []byte) error {
 	if len(buf) < s.opts.PageSize {
 		return fmt.Errorf("store: buffer %d smaller than page size %d", len(buf), s.opts.PageSize)
@@ -551,10 +585,12 @@ func (s *Store) ReadPage(id uint32, buf []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	if err := s.be.read(int(loc.seg), s.slotOffset(int(loc.slot)), *recBuf); err != nil {
+	// The table does not know the record's length: read the largest record
+	// there could be and let the header say where this one ends.
+	if err := s.be.read(int(loc.seg), int64(loc.off), *recBuf); err != nil {
 		return err
 	}
-	h, payload, err := decodeRecord(*recBuf)
+	h, payload, err := decodeRecord(*recBuf, s.opts.PageSize)
 	if err != nil {
 		return err
 	}
@@ -562,7 +598,7 @@ func (s *Store) ReadPage(id uint32, buf []byte) error {
 		return fmt.Errorf("store: mapping corruption for page %d: record holds page %d seq %d, table says seq %d",
 			id, h.page, h.seq, loc.seq)
 	}
-	copy(buf[:s.opts.PageSize], payload)
+	clear(buf[copy(buf, payload):s.opts.PageSize])
 	return nil
 }
 
@@ -578,10 +614,11 @@ func (s *Store) Has(id uint32) bool {
 	return ok
 }
 
-// WritePage stores data (PageSize bytes) as page id's new current version.
+// WritePage stores data (at most PageSize bytes) as page id's new current
+// version. The record holds exactly len(data) bytes.
 func (s *Store) WritePage(id uint32, data []byte) error {
-	if len(data) != s.opts.PageSize {
-		return fmt.Errorf("store: page data %d bytes, want %d", len(data), s.opts.PageSize)
+	if len(data) > s.opts.PageSize {
+		return fmt.Errorf("store: page data %d bytes, page size is %d", len(data), s.opts.PageSize)
 	}
 	return s.userWrite(id, 0, data)
 }
@@ -647,7 +684,7 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 		}
 	}
 	stream, tick := s.log.Route(id)
-	if err := s.log.Room(stream, s.recordSize()); err != nil {
+	if err := s.log.Room(stream, int64(recHeaderSize+len(data))); err != nil {
 		return err
 	}
 	return s.userAppend(stream, tick, id, flags, 0, data)
@@ -660,14 +697,18 @@ func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos
 	s.log.Unow++
 	s.log.Advance(stream, id, tick, tomb)
 	carried := s.invalidate(id)
-	if tomb {
-		delete(s.table, id)
-	} else {
-		delete(s.tombstones, id) // a rewrite supersedes any pending deletion
+	if loc, deleted := s.tombstones[id]; deleted {
+		// A rewrite supersedes the pending deletion; its tombstone record,
+		// if it still has one, is garbage from here on.
+		delete(s.tombstones, id)
+		if loc.seg >= 0 {
+			s.log.Pruned(loc.seg, recHeaderSize)
+		}
 	}
 	if err := s.appendRecord(stream, id, flags, pos, data, carried); err != nil {
 		return err
 	}
+	s.cUserBytes.Add(uint64(recHeaderSize + len(data)))
 	if !tomb {
 		s.userWrites++
 	}
@@ -682,7 +723,7 @@ func (s *Store) invalidate(id uint32) float64 {
 		return 0
 	}
 	delete(s.table, id)
-	return s.log.Invalidate(loc.seg, s.recordSize())
+	return s.log.Invalidate(loc.seg, s.recordSize(loc.seg, loc.off))
 }
 
 // appendRecord writes one record at the tail of stream's open segment
@@ -690,25 +731,28 @@ func (s *Store) invalidate(id uint32) float64 {
 // seal-time average. pos is the record's batch position (flagBatch records
 // only).
 func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, payload []byte, carried float64) error {
-	seg, _ := s.log.Tail(stream)
-	slot := len(s.slots[seg])
+	seg, fill := s.log.Tail(stream)
+	off, rec := segHeaderSize+fill, s.recBuf[:recHeaderSize+len(payload)]
 	s.seq++
-	encodeRecord(s.recBuf, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
-	if err := s.be.write(int(seg), s.slotOffset(slot), s.recBuf); err != nil {
+	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
+	if err := s.be.write(int(seg), off, rec); err != nil {
 		return err
 	}
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq
 	}
-	s.slots[seg] = append(s.slots[seg], slotInfo{page: id, seq: s.seq, tombstone: flags&flagTombstone != 0})
-	s.log.Appended(stream, s.recordSize(), carried)
-	loc := pageLoc{seg: seg, slot: int32(slot), seq: s.seq}
+	end := off + int64(len(rec))
+	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
+	s.log.Appended(stream, int64(len(rec)), carried)
+	loc := pageLoc{seg: seg, off: uint32(off), seq: s.seq}
 	if flags&flagTombstone != 0 {
 		s.tombstones[id] = loc
 	} else {
 		s.table[id] = loc
 	}
-	if len(s.slots[seg]) == s.opts.SegmentPages {
+	// Seal as soon as not even a bare header fits; a segment with less room
+	// than the next record needs is sealed when that record arrives.
+	if end+recHeaderSize > segHeaderSize+s.opts.segmentBytes() {
 		return s.log.Seal(stream)
 	}
 	return nil
@@ -732,7 +776,11 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq // the header itself needs flushing
 	}
-	s.slots[seg] = s.slots[seg][:0]
+	if s.recs[seg] == nil {
+		// First use: a segment that is never opened costs no record table.
+		s.recs[seg] = make([]recInfo, 0, s.opts.SegmentPages)
+	}
+	s.recs[seg] = s.recs[seg][:0]
 	return nil
 }
 

@@ -383,9 +383,11 @@ func TestStatsAndFillFactor(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	cases := []Options{
-		{PageSize: 4},                      // page too small
-		{CleanBatch: 10, FreeLowWater: 10}, // no relocation headroom
-		{Algorithm: core.MDCOpt()},         // exact needs oracle
+		{PageSize: 4},                        // page too small
+		{PageSize: 1 << 24, SegmentPages: 2}, // page length overflows the record header's field
+		{SegmentPages: 1 << 20},              // 4 GiB segments overflow the 32-bit record offsets
+		{CleanBatch: 10, FreeLowWater: 10},   // no relocation headroom
+		{Algorithm: core.MDCOpt()},           // exact needs oracle
 		{MaxSegments: 30, FreeLowWater: 8, CleanBatch: 4,
 			Algorithm: core.MultiLog()}, // routed: no room for 28 stream segments
 		{MaxSegments: 36, FreeLowWater: 6, CleanBatch: 4,
@@ -405,8 +407,8 @@ func TestWriteValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.WritePage(1, make([]byte, 64)); err == nil {
-		t.Error("short page accepted")
+	if err := s.WritePage(1, make([]byte, 129)); err == nil {
+		t.Error("page over the page size accepted")
 	}
 	if err := s.WritePage(1, page(1, 128)); err != nil {
 		t.Fatal(err)

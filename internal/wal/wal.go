@@ -112,6 +112,7 @@ type Log struct {
 	cRounds  *obs.Counter
 	cSyncs   *obs.Counter
 	cTrunc   *obs.Counter
+	cBytes   *obs.Counter // wal.append.bytes: record bytes appended (generation headers excluded)
 }
 
 func genPath(dir string, gen uint64) string {
@@ -135,6 +136,7 @@ func Open(opts Options) (*Log, error) {
 		cRounds:  opts.Obs.Counter("wal.commit.rounds"),
 		cSyncs:   opts.Obs.Counter("wal.commit.syncs"),
 		cTrunc:   opts.Obs.Counter("wal.truncations"),
+		cBytes:   opts.Obs.Counter("wal.append.bytes"),
 	}
 	if l.dir == "" {
 		return l, nil
@@ -377,6 +379,7 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
+	l.cBytes.Add(uint64(len(buf)))
 	l.seq = seq
 	if txnID > l.maxTxn {
 		l.maxTxn = txnID

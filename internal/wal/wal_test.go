@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -459,4 +460,50 @@ func TestRotationCrashDropsHeaderlessSuccessor(t *testing.T) {
 		t.Fatalf("orphan generation survived recovery: %v", err)
 	}
 	appendCommitT(t, l2, 3, []Op{{Kind: OpPut, Tree: "t", Key: 3, Value: []byte("z")}})
+}
+
+// TestAppendBytesCountsWhatReachesTheFiles: wal.append.bytes is the log's
+// line of the write-byte budget, so it must be what the generation files
+// hold, to within their headers. Truncate(0) rotates without deleting, so
+// every byte of the seeded run is still on disk to be counted.
+func TestAppendBytesCountsWhatReachesTheFiles(t *testing.T) {
+	dir, reg := t.TempDir(), obs.New()
+	l, err := Open(Options{Dir: dir, NoSync: true, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r := rand.New(rand.NewPCG(17, 4))
+	for txn := uint64(1); txn <= 300; txn++ {
+		ops := make([]Op, 1+r.IntN(5))
+		for i := range ops {
+			ops[i] = Op{Kind: OpPut, Tree: fmt.Sprintf("tree-%d", r.IntN(4)), Key: r.Uint64(), Value: make([]byte, r.IntN(200))}
+			if r.IntN(6) == 0 {
+				ops[i] = Op{Kind: OpDelete, Tree: ops[i].Tree, Key: ops[i].Key}
+			}
+		}
+		if _, err := l.Append(txn, ops); err != nil {
+			t.Fatal(err)
+		}
+		if txn%70 == 0 {
+			if err := l.Truncate(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gens, err := listGens(dir)
+	if err != nil || len(gens) != 5 {
+		t.Fatalf("generation files = %v (%v), want 5", gens, err)
+	}
+	var onDisk int64
+	for _, g := range gens {
+		fi, err := os.Stat(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size() - genHeaderSize
+	}
+	if got := reg.Counter("wal.append.bytes").Value(); int64(got) != onDisk || got == 0 {
+		t.Errorf("wal.append.bytes = %d, the generation files hold %d record bytes", got, onDisk)
+	}
 }
