@@ -64,7 +64,7 @@ func (l *Log[K, R]) CleanCycle() (victimCount int, netBytes int64, err error) {
 	if err != nil || len(victims) == 0 {
 		return 0, 0, err
 	}
-	_, moved, err := l.relocate(cands, len(cands), true)
+	_, moved, err := l.relocate(cands, len(cands), &l.win, true)
 	if err != nil {
 		l.reseal(victims)
 		return 0, 0, err
@@ -72,24 +72,26 @@ func (l *Log[K, R]) CleanCycle() (victimCount int, netBytes int64, err error) {
 	return len(victims), l.release(victims) - moved, nil
 }
 
-// relocate is the middle of a cycle: load the candidates, sort them,
-// install them chunk at a time, then run the durability point. The
-// foreground cycle holds the engine lock throughout (locked); the
-// background one runs the bulk I/O of Load with no lock held — victim
-// records are frozen by SegCleaning — and takes the lock per chunk, so user
-// operations interleave with the cleaner. A chunk error returns the partial
-// totals with the error.
-func (l *Log[K, R]) relocate(cands []Cand[R], chunk int, locked bool) (installed int, moved int64, err error) {
-	if err := l.eng.Load(cands); err != nil {
-		return 0, 0, err
-	}
+// relocate is the middle of a cycle: sort the candidates (the key is their
+// victim's up2, so each victim's stay together, in log order), load a window
+// of them and install it chunk at a time until none is left, then run the
+// durability point. The foreground cycle holds the engine lock throughout
+// (locked); the background one runs the bulk I/O of Load with no lock held —
+// victim records are frozen by SegCleaning — and takes the lock per chunk, so
+// user operations interleave with it. An error returns the partial totals.
+func (l *Log[K, R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked bool) (installed int, moved int64, err error) {
 	l.sortForGC(cands) // reads only the immutable configuration
-	for lo := 0; lo < len(cands); lo += chunk {
-		k, b, err := l.install(cands[lo:min(lo+chunk, len(cands))], locked)
-		installed += k
-		moved += b
-		if err != nil {
+	for n := 0; len(cands) > 0; cands = cands[n:] {
+		if n, err = l.eng.Load(cands, win); err != nil {
 			return installed, moved, err
+		}
+		for lo := 0; lo < n; lo += chunk {
+			k, b, err := l.install(cands[lo:min(lo+chunk, n)], *win, locked)
+			installed += k
+			moved += b
+			if err != nil {
+				return installed, moved, err
+			}
 		}
 	}
 	return installed, moved, l.eng.SyncRelocated(locked)
@@ -101,12 +103,14 @@ func (l *Log[K, R]) relocate(cands []Cand[R], chunk int, locked bool) (installed
 func (l *Log[K, R]) selectVictims(max int) ([]int32, []Cand[R], error) {
 	view := core.View{Now: l.Unow, Segs: l.Meta, TriggerStream: l.trigger}
 	victims := l.cfg.Algorithm.Policy.Victims(view, max, nil)
+	live := 0 // Meta.Live counts what the index points at: the candidates to come
 	for _, v := range victims {
 		if l.Meta[v].State != core.SegSealed {
 			return nil, nil, fmt.Errorf("%s: policy %s selected non-sealed segment %d", l.cfg.Name, l.cfg.Algorithm.Name, v)
 		}
+		live += int(l.Meta[v].Live)
 	}
-	var cands []Cand[R]
+	cands := make([]Cand[R], 0, live)
 	for _, v := range victims {
 		m := &l.Meta[v]
 		m.State = core.SegCleaning
@@ -134,7 +138,7 @@ func (l *Log[K, R]) sortForGC(cands []Cand[R]) {
 
 // install relocates the candidates that are still current, taking the
 // write lock for the chunk unless the caller already holds it.
-func (l *Log[K, R]) install(cands []Cand[R], locked bool) (installed int, bytes int64, err error) {
+func (l *Log[K, R]) install(cands []Cand[R], win []byte, locked bool) (installed int, bytes int64, err error) {
 	if !locked {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -143,16 +147,16 @@ func (l *Log[K, R]) install(cands []Cand[R], locked bool) (installed int, bytes 
 		}
 	}
 	for i := range cands {
-		n, err := l.eng.Install(&cands[i])
-		if err != nil {
-			return installed, bytes, err
+		var n int64
+		if n, err = l.eng.Install(&cands[i], win); err != nil {
+			break
 		}
 		if n > 0 {
 			installed++
 			bytes += n
 		}
 	}
-	return installed, bytes, nil
+	return installed, bytes, cmp.Or(err, l.eng.Flush())
 }
 
 // release returns victims to the free pool and reports the gross capacity
@@ -195,6 +199,7 @@ func (l *Log[K, R]) reseal(victims []int32) {
 type target[K comparable, R any] struct {
 	l     *Log[K, R]
 	cands []Cand[R]
+	win   []byte // this cleaner's I/O window, kept between its cycles
 }
 
 // Target returns a fresh cleaner.Target over the log: the background
@@ -224,7 +229,7 @@ func (t *target[K, R]) SelectVictims(max int) []int32 {
 func (t *target[K, R]) Relocate(victims []int32) (int, int64, error) {
 	cands := t.cands
 	t.cands = nil
-	return t.l.relocate(cands, t.l.cfg.RelocChunk, false)
+	return t.l.relocate(cands, t.l.cfg.RelocChunk, &t.win, false)
 }
 
 func (t *target[K, R]) Release(victims []int32) int64 {

@@ -22,6 +22,7 @@
 package seglog
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -111,7 +112,9 @@ type Cand[R any] struct {
 
 // Engine is the bytes-and-index side of a segment log. Except for Load and
 // SyncRelocated(false), every method is called with the engine lock held
-// for writing.
+// for writing. Its unit of I/O is the segment run, not the record: an engine
+// may stage the appends of a lock hold (a Write's op, an install chunk) until
+// the Flush that ends it, and a cycle reads its victims a window at a time.
 type Engine[R any] interface {
 	// OpenSegment prepares free segment seg to take stream's appends
 	// (reset its storage, write its header).
@@ -122,13 +125,17 @@ type Engine[R any] interface {
 	// LiveRecords appends to dst one candidate (Rec only) per record of
 	// victim seg that the engine's index still points at.
 	LiveRecords(seg int32, dst []Cand[R]) []Cand[R]
-	// Load reads the candidates' payloads and verifies their identity —
-	// with NO lock held in background mode: SegCleaning froze the victims.
-	Load(cands []Cand[R]) error
-	// Install relocates c if it is still current (a concurrent overwrite or
-	// delete may have superseded it): GCRoom, append, Appended, Relocated.
-	// It returns the bytes appended, 0 when nothing was.
-	Install(c *Cand[R]) (int64, error)
+	// Load reads the payloads of the first n > 0 candidates — as many as one
+	// I/O into *win covers — and verifies their identity, with NO lock held
+	// in background mode: SegCleaning froze the victims. The engine allocates
+	// *win, the cycle's owner keeps it; a Load overwrites the one before.
+	Load(cands []Cand[R], win *[]byte) (n int, err error)
+	// Install relocates c, loaded into win, if it is still current (a
+	// concurrent overwrite or delete may have superseded it): GCRoom, append,
+	// Appended, Relocated. It returns the bytes appended, 0 when nothing was.
+	Install(c *Cand[R], win []byte) (int64, error)
+	// Flush puts the appends staged since the last one on storage.
+	Flush() error
 	// SyncRelocated is the durability point: every relocated copy reaches
 	// storage before it returns nil. locked reports whether the caller
 	// holds the engine lock (the background cycle does not, so its fsyncs
@@ -182,7 +189,8 @@ type Log[K comparable, R any] struct {
 	sumEAtClean       float64
 	pendingE          map[int32]float64 // emptiness-at-selection of in-flight victims
 
-	cl *cleaner.Cleaner // background cleaner; nil in foreground mode
+	cl  *cleaner.Cleaner // background cleaner; nil in foreground mode
+	win []byte           // I/O window of the foreground cycles (engine lock held throughout)
 
 	hVictimE           *obs.Histogram // <name>.victim_e.permille: emptiness at victim selection
 	cErrFull           *obs.Counter   // <name>.errfull episodes
@@ -328,7 +336,7 @@ func (l *Log[K, R]) Write(n int, parent *obs.Span, op func() error) error {
 		l.mu.Lock()
 		err := l.cfg.ErrClosed
 		if !l.Closed {
-			err = op()
+			err = cmp.Or(op(), l.eng.Flush())
 		}
 		lowWater := l.cl != nil && len(l.free) < l.LowWater()
 		l.mu.Unlock()
@@ -454,11 +462,11 @@ func (l *Log[K, R]) room(stream int32, size int64, need int) error {
 		return l.cfg.ErrFull
 	}
 	seg := l.free[len(l.free)-1]
+	if err := l.eng.OpenSegment(seg, stream); err != nil {
+		return err // seg stays in the pool
+	}
 	l.free = l.free[:len(l.free)-1]
 	l.freeCount.Store(int64(len(l.free)))
-	if err := l.eng.OpenSegment(seg, stream); err != nil {
-		return err
-	}
 	l.Meta[seg] = core.SegmentMeta{
 		Capacity: l.cfg.SegmentBytes,
 		Free:     l.cfg.SegmentBytes,

@@ -96,9 +96,11 @@ func newFake(t *testing.T, alg core.Algorithm, maxSegs int) *fakeEngine {
 
 func (e *fakeEngine) OpenSegment(seg, stream int32) error { e.recs[seg] = e.recs[seg][:0]; return nil }
 func (e *fakeEngine) SealSegment(int32) error             { return nil }
-func (e *fakeEngine) Load([]Cand[fakeRec]) error          { return nil }
+func (e *fakeEngine) Flush() error                        { return nil }
 func (e *fakeEngine) ReleaseSegment(seg int32)            { e.recs[seg] = e.recs[seg][:0] }
 func (e *fakeEngine) SyncRelocated(bool) error            { e.syncs++; return e.syncErr }
+
+func (e *fakeEngine) Load(c []Cand[fakeRec], _ *[]byte) (int, error) { return len(c), nil }
 
 func (e *fakeEngine) LiveRecords(seg int32, dst []Cand[fakeRec]) []Cand[fakeRec] {
 	for _, r := range e.recs[seg] {
@@ -114,7 +116,7 @@ func (e *fakeEngine) current(key string, seg int32, at int) bool {
 	return ok && loc == fakeLoc{seg, at}
 }
 
-func (e *fakeEngine) Install(c *Cand[fakeRec]) (int64, error) {
+func (e *fakeEngine) Install(c *Cand[fakeRec], _ []byte) (int64, error) {
 	if !e.current(c.Rec.key, c.Seg, c.Rec.at) {
 		return 0, nil
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,7 +13,7 @@ import (
 type backend interface {
 	// write stores b at off within segment seg.
 	write(seg int, off int64, b []byte) error
-	// read fills b from off within segment seg; short segments read zeros.
+	// read fills b from off within segment seg, all of which must exist.
 	read(seg int, off int64, b []byte) error
 	// size returns the current byte size of segment seg (0 if absent).
 	size(seg int) (int64, error)
@@ -44,14 +43,11 @@ func (m *memBackend) write(seg int, off int64, b []byte) error {
 }
 
 func (m *memBackend) read(seg int, off int64, b []byte) error {
-	data := m.segs[seg]
-	for i := range b {
-		b[i] = 0
-	}
-	if off < int64(len(data)) {
+	if data := m.segs[seg]; off+int64(len(b)) <= int64(len(data)) {
 		copy(b, data[off:])
+		return nil
 	}
-	return nil
+	return fmt.Errorf("store: reading segment %d @%d: %w", seg, off, io.ErrUnexpectedEOF)
 }
 
 func (m *memBackend) size(seg int) (int64, error) { return int64(len(m.segs[seg])), nil }
@@ -116,12 +112,7 @@ func (f *fileBackend) read(seg int, off int64, b []byte) error {
 	if err != nil {
 		return err
 	}
-	n, err := fh.ReadAt(b, off)
-	// Reads past the current file size yield zeros, matching memBackend.
-	for i := n; i < len(b); i++ {
-		b[i] = 0
-	}
-	if err != nil && !errors.Is(err, io.EOF) {
+	if _, err := fh.ReadAt(b, off); err != nil {
 		return fmt.Errorf("store: reading segment %d @%d: %w", seg, off, err)
 	}
 	return nil

@@ -94,3 +94,19 @@ func benchWriteTail(b *testing.B, background bool) {
 
 func BenchmarkWriteTailForeground(b *testing.B) { benchWriteTail(b, false) }
 func BenchmarkWriteTailBackground(b *testing.B) { benchWriteTail(b, true) }
+
+// BenchmarkZipfApply is the benchmark's store_zipf_f80 at reduced size (see
+// zipfStore): one op is a 32-page Apply with the foreground cleaning it
+// triggers. B/op is what TestRelocationAllocBudget bounds per relocated page;
+// the reported write amplification says how many of those an op carries.
+func BenchmarkZipfApply(b *testing.B) {
+	z := openZipfStore(b)
+	defer z.s.Close()
+	before := z.s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	z.apply(b, b.N, z.zipf.Uint64)
+	b.StopTimer()
+	after := z.s.Stats()
+	b.ReportMetric(float64(after.GCWrites-before.GCWrites)/float64(after.UserWrites-before.UserWrites), "gc-writes/user-write")
+}

@@ -17,20 +17,21 @@ import (
 
 // The cleaning cycle itself (select → relocate → release, foreground and
 // background) lives in internal/seglog; this file is the store's side of
-// seglog.Engine: enumerating a victim's live records, loading their payloads,
-// installing one relocated copy, and the durability point that must precede
-// any victim's release. Recovery picks the highest sequence number, so two
-// on-disk copies of a page mid-clean are harmless.
+// seglog.Engine: enumerating a victim's live records, loading a window of
+// them, installing one relocated copy, and the durability point that must
+// precede any victim's release. Recovery picks the highest sequence number,
+// so two on-disk copies of a page mid-clean are harmless.
 
 // recCand is one live victim record captured at selection time, under the
 // lock: where it is and how long, so that Load needs no index to find it.
+// Once Install has staged its copy, off and seq are the copy's.
 type recCand struct {
-	page    uint32
-	off     uint32
-	seq     uint64
-	size    int32 // header included
-	tomb    bool
-	payload []byte // loaded by Load; nil for tombstones
+	page uint32
+	off  uint32
+	seq  uint64
+	size int32  // header included
+	woff uint32 // set by Load: where the record is in the cycle's window
+	tomb bool
 }
 
 // CleanOnce runs a single cleaning cycle regardless of the low-water mark
@@ -58,37 +59,45 @@ func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand
 	return dst
 }
 
-// Load (seglog.Engine) reads the data payloads of cands from the backend
-// and verifies record identity. Victim segments are immutable while marked
-// SegCleaning, so this — the bulk of cleaning I/O — is safe to run with no
-// lock held, concurrently with reads and user appends.
-func (s *Store) Load(cands []seglog.Cand[recCand]) error {
-	buf := make([]byte, recHeaderSize+s.opts.PageSize)
-	for i := range cands {
-		c := &cands[i]
-		if c.Rec.tomb {
+// Load (seglog.Engine) reads one victim, in one I/O into the cycle's window,
+// from cands[0] to the last of its candidates (in log order) that fits, and
+// verifies the identity of each data record; the payloads stay where they were
+// read. Victim segments are immutable while marked SegCleaning, so this — the
+// bulk of cleaning I/O — runs with no lock held, beside reads and user appends.
+func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
+	if *win == nil {
+		*win = make([]byte, max(ioUnit, recHeaderSize+s.opts.PageSize))
+	}
+	seg, base, n := cands[0].Seg, cands[0].Rec.off, 1
+	end := func(r *recCand) int { return int(r.off-base) + int(r.size) }
+	for n < len(cands) && cands[n].Seg == seg && end(&cands[n].Rec) <= len(*win) {
+		n++
+	}
+	buf := (*win)[:end(&cands[n-1].Rec)]
+	if err := s.read(seg, base, buf); err != nil {
+		return 0, err
+	}
+	for i := range cands[:n] {
+		r := &cands[i].Rec
+		if r.woff = r.off - base; r.tomb {
 			continue
 		}
-		rec := buf[:c.Rec.size]
-		if err := s.be.read(int(c.Seg), int64(c.Rec.off), rec); err != nil {
-			return err
-		}
+		rec := buf[r.woff:][:r.size]
 		h, data, err := decodeRecord(rec, s.opts.PageSize)
 		if err != nil {
-			return fmt.Errorf("store: cleaning segment %d @%d: %w", c.Seg, c.Rec.off, err)
+			return 0, fmt.Errorf("store: cleaning segment %d @%d: %w", seg, r.off, err)
 		}
-		if h.page != c.Rec.page || h.seq != c.Rec.seq || len(data) != len(rec)-recHeaderSize {
-			return fmt.Errorf("store: cleaning segment %d @%d: record identity mismatch", c.Seg, c.Rec.off)
+		if h.page != r.page || h.seq != r.seq || len(data) != len(rec)-recHeaderSize {
+			return 0, fmt.Errorf("store: cleaning segment %d @%d: record identity mismatch", seg, r.off)
 		}
-		c.Rec.payload = append([]byte(nil), data...)
 	}
-	return nil
+	return n, nil
 }
 
 // Install (seglog.Engine) appends a relocated copy of c if it is still
-// current, keeping victim accounting truthful (a relocated or pruned record
-// no longer counts against its victim).
-func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
+// current, keeping victim accounting truthful (a pruned record no longer
+// counts against its victim, nor a relocated one once Flush wrote its copy).
+func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 	r, flags, size := &c.Rec, uint32(0), int64(c.Rec.size)
 	if r.tomb {
 		flags = flagTombstone
@@ -112,15 +121,13 @@ func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	seg, _ := s.log.Tail(stream)
-	if err := s.appendRecord(stream, r.page, flags, 0, r.payload, c.Up2); err != nil {
+	if err := s.appendRecord(stream, r.page, flags, 0, win[r.woff:][recHeaderSize:size], c.Up2, c); err != nil {
 		return 0, err
 	}
 	s.cGCBytes.Add(uint64(size))
 	if s.gcDirtySegs != nil {
-		s.gcDirtySegs[seg] = struct{}{}
+		s.gcDirtySegs[s.runSeg] = struct{}{} // where appendRecord staged the copy
 	}
-	s.log.Relocated(c.Seg, size)
 	return size, nil
 }
 

@@ -1,0 +1,497 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// The tests in this file pin the I/O shape of the store through the counting
+// backend of obs_test.go: a lock hold's appends are one backend write per run
+// of consecutive appends to a segment, a cleaning cycle reads a victim one
+// window at a time and writes once per window, and a run write that fails
+// loses nothing that was acknowledged before it.
+
+// TestApplyIsOneWritePerRun: a WritePage, a DeletePage and an Apply that fits
+// the open segment are one backend write each; an Apply that crosses into a
+// new segment is one more (the new segment's header rides at the head of its
+// first run); a run longer than ioUnit is split there.
+func TestApplyIsOneWritePerRun(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 16, MaxSegments: 32, CleanBatch: 4, FreeLowWater: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cb := count(s)
+	next := uint32(0)
+	apply := func(pages, size int) *Batch {
+		b := NewBatch()
+		for ; pages > 0; pages-- {
+			b.Write(next, page(next, size))
+			next++
+		}
+		return b
+	}
+	steps := []struct {
+		what   string
+		op     func() error
+		writes int64
+	}{
+		{"first write: header and record in one run", func() error { return s.WritePage(1000, page(0, 64)) }, 1},
+		{"Apply of 5 pages into the open segment", func() error { return s.Apply(apply(5, 64)) }, 1},
+		{"Apply of 14 pages, 10 of which fill the segment", func() error { return s.Apply(apply(14, 64)) }, 2},
+		{"Apply of short pages and a delete", func() error { return s.Apply(apply(3, 7).Delete(1000)) }, 1},
+		{"WritePage", func() error { return s.WritePage(0, page(9, 33)) }, 1},
+		{"DeletePage", func() error { return s.DeletePage(1) }, 1},
+		{"Apply of 40 pages into three segments", func() error { return s.Apply(apply(40, 64)) }, 3},
+	}
+	for _, st := range steps {
+		before := cb.writes
+		if err := st.op(); err != nil {
+			t.Fatalf("%s: %v", st.what, err)
+		}
+		if got := cb.writes - before; got != st.writes {
+			t.Errorf("%s: %d backend writes, want %d", st.what, got, st.writes)
+		}
+	}
+	if got := int64(s.Obs().Counter("store.write.ios").Value()); got != cb.writes {
+		t.Errorf("store.write.ios = %d, the backend took %d writes", got, cb.writes)
+	}
+	checkInvariants(t, s)
+
+	// A run is at most ioUnit bytes: 40 full 4 KiB pages are two.
+	big, err := Open(Options{PageSize: 4096, SegmentPages: 64, MaxSegments: 16, CleanBatch: 2, FreeLowWater: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	if err := big.WritePage(0, page(0, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	cb = count(big)
+	b := NewBatch()
+	for id := uint32(1); id <= 40; id++ {
+		b.Write(id, page(id, 4096))
+	}
+	if err := big.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(40*(recHeaderSize+4096)+ioUnit-1) / ioUnit; cb.writes != want {
+		t.Errorf("Apply of 40 full pages: %d backend writes, want %d runs of at most %d bytes", cb.writes, want, ioUnit)
+	}
+}
+
+// churnedStore returns a foreground store of 4 KiB pages in 64-page segments
+// (so a victim is several windows long), loaded with pages 0..n-1 at version 0
+// and then overwritten at random until cleaning has run, and the oracle of
+// each page's version.
+func churnedStore(t *testing.T, dir string, dur core.Durability) (*Store, []uint32) {
+	t.Helper()
+	s, err := Open(Options{Dir: dir, PageSize: 4096, SegmentPages: 64, MaxSegments: 24, CleanBatch: 3, FreeLowWater: 5, Durability: dur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := make([]uint32, 24*64*6/10)
+	buf := make([]byte, 4096)
+	r := rand.New(rand.NewPCG(11, 5))
+	for op := 0; op < 3*len(version); op++ {
+		id := uint32(op)
+		if op >= len(version) {
+			id = uint32(r.IntN(len(version)))
+			version[id]++
+		}
+		stamp(buf, id, version[id])
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Stats().SegmentsCleaned == 0 {
+		t.Fatal("the churn never cleaned; the geometry is miscalibrated")
+	}
+	return s, version
+}
+
+// checkOracle reads every page of s back and compares it with the oracle.
+func checkOracle(t *testing.T, s *Store, version []uint32) {
+	t.Helper()
+	got, want := make([]byte, 4096), make([]byte, 4096)
+	for id := range version {
+		if err := s.ReadPage(uint32(id), got); err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if stamp(want, uint32(id), version[id]); !bytes.Equal(got, want) {
+			t.Fatalf("page %d does not hold version %d", id, version[id])
+		}
+	}
+	checkInvariants(t, s)
+}
+
+// TestCycleIOShape: a foreground cycle reads each victim in at most
+// ⌈extent ÷ ioUnit⌉ I/Os, and writes at most once per window it installs
+// (one install chunk) per output segment: one write per window, plus one per
+// output segment opened on the way.
+func TestCycleIOShape(t *testing.T) {
+	s, version := churnedStore(t, "", core.DurNone)
+	defer s.Close()
+	cb := count(s)
+	cb.readsOf = make(map[int]int)
+	gcBefore := s.Stats().GCWrites
+	n, err := s.CleanOnce()
+	if err != nil || n == 0 {
+		t.Fatalf("CleanOnce = %d, %v", n, err)
+	}
+	extent := int(s.opts.segmentBytes())
+	if len(cb.readsOf) > n {
+		t.Errorf("the cycle read %d segments for %d victims", len(cb.readsOf), n)
+	}
+	for seg, reads := range cb.readsOf {
+		if limit := (extent + ioUnit - 1) / ioUnit; reads > limit {
+			t.Errorf("victim %d (%d bytes) was read in %d I/Os, want at most %d", seg, extent, reads, limit)
+		}
+	}
+	moved := s.Stats().GCWrites - gcBefore
+	if moved < 64 || cb.writes == 0 || cb.writes > cb.reads+cb.headers {
+		t.Errorf("%d pages relocated in %d backend writes, for %d windows read and %d output segments opened",
+			moved, cb.writes, cb.reads, cb.headers)
+	}
+	if cb.readBytes > int64(n*extent) {
+		t.Errorf("the cycle read %d bytes of %d victims of %d bytes", cb.readBytes, n, extent)
+	}
+	checkOracle(t, s, version)
+}
+
+var errInjected = errors.New("injected write failure")
+
+// TestFailedRunWriteMidCycle: a run write that fails in the middle of a
+// cleaning cycle surfaces from that cycle, which re-seals its victims and
+// releases none; every live page still reads back (the victims' copies stay
+// current until a relocated copy is on storage) and the accounting holds. Once
+// the backend recovers, cleaning and recovery proceed as if nothing happened.
+func TestFailedRunWriteMidCycle(t *testing.T) {
+	for _, dur := range []core.Durability{core.DurNone, core.DurSeal, core.DurCommit} {
+		t.Run(dur.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			s, version := churnedStore(t, dir, dur)
+			cb := count(s)
+			cb.failWrite = func(int, int64) error {
+				if cb.writes >= 2 { // the cycle's third run
+					return errInjected
+				}
+				return nil
+			}
+			before := s.Stats()
+			if n, err := s.CleanOnce(); !errors.Is(err, errInjected) || n != 0 {
+				t.Fatalf("CleanOnce with a failing backend = %d, %v; want the injected error", n, err)
+			}
+			after := s.Stats()
+			if after.FreeSegments > before.FreeSegments || after.SegmentsCleaned != before.SegmentsCleaned || after.GCWrites == before.GCWrites {
+				t.Errorf("the failed cycle should have relocated some pages and released nothing: %+v -> %+v", before, after)
+			}
+			for seg := range s.log.Meta {
+				if s.log.Meta[seg].State == core.SegCleaning {
+					t.Errorf("victim %d was left in SegCleaning", seg)
+				}
+			}
+			checkOracle(t, s, version)
+
+			cb.failWrite = nil
+			if n, err := s.CleanOnce(); err != nil || n == 0 {
+				t.Fatalf("CleanOnce after the backend recovered = %d, %v", n, err)
+			}
+			checkOracle(t, s, version)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(s.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			checkOracle(t, s, version)
+		})
+	}
+}
+
+// TestFailedRunWriteInApply: a run write that fails inside an Apply (or a
+// WritePage) surfaces from that same call. The run stays staged, so the next
+// write that reaches the backend carries it, and no hole is left in the log.
+func TestFailedRunWriteInApply(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 32, CleanBatch: 4, FreeLowWater: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(0); id < 8; id++ {
+		if err := s.WritePage(id, page(id, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb := count(s)
+	cb.failWrite = func(int, int64) error { return errInjected }
+	b := NewBatch()
+	for id := uint32(4); id < 12; id++ {
+		b.Write(id, page(id+100, 64))
+	}
+	if err := s.Apply(b); !errors.Is(err, errInjected) {
+		t.Fatalf("Apply with a failing backend: %v, want the injected error", err)
+	}
+	if err := s.WritePage(20, page(20, 64)); !errors.Is(err, errInjected) {
+		t.Fatalf("WritePage with a failing backend: %v, want the injected error", err)
+	}
+	checkInvariants(t, s)
+
+	cb.failWrite = nil
+	if err := s.WritePage(21, page(21, 64)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		buf := make([]byte, 64)
+		for id := uint32(0); id < 22; id++ {
+			want := page(id, 64)
+			if id >= 4 && id < 12 {
+				want = page(id+100, 64)
+			}
+			if err := s.ReadPage(id, buf); id >= 12 && id < 20 {
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("page %d was never written: %v", id, err)
+				}
+			} else if id == 20 && errors.Is(err, ErrNotFound) {
+				// The failed WritePage: staged and carried too, or refused
+				// before it was, depending on where the batch left the segment.
+			} else if err != nil || !bytes.Equal(buf, want) {
+				t.Fatalf("page %d: %v, or not the bytes last written", id, err)
+			}
+		}
+		checkInvariants(t, s)
+	}
+	check(s)
+	if err := s.crash(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
+}
+
+// TestCleanOnceBesideBackgroundCleaner: a cycle owns its window, so a
+// foreground CleanOnce (under the lock) can overlap the background cleaner's
+// lock-free Load. Writers (each owning its pages, so the oracle is exact) and
+// readers run beside a background-cleaning store whose victims are three
+// windows long, and whenever the background cleaner is in a cycle a third
+// party runs CleanOnce; no read is ever torn, misdirected or older than a
+// version its writer had already seen acknowledged, and every page ends at
+// its oracle version. Run under -race this is the locking proof.
+func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
+	const pageSize, writers, perWriter, opsPerWriter = 1024, 3, 600, 1500
+	s, err := Open(Options{PageSize: pageSize, SegmentPages: 192, MaxSegments: 24, CleanBatch: 4, FreeLowWater: 8, BackgroundClean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if extent := s.opts.segmentBytes(); extent <= 2*ioUnit {
+		t.Fatalf("a %d-byte victim is not three windows", extent)
+	}
+	const pages = writers * perWriter
+	acked := make([]struct {
+		sync.Mutex
+		v uint32
+	}, pages)
+	buf := make([]byte, pageSize)
+	for id := uint32(0); id < pages; id++ {
+		stamp(buf, id, 0)
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wwg, bg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func() {
+			defer wwg.Done()
+			r := rand.New(rand.NewPCG(uint64(w), 3))
+			buf := make([]byte, pageSize)
+			for i := 0; i < opsPerWriter; i++ {
+				id := uint32(w*perWriter + r.IntN(perWriter/(1+3*r.IntN(2)))) // half the writes to a hot quarter
+				a := &acked[id]
+				stamp(buf, id, a.v+1)
+				if err := s.WritePage(id, buf); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				a.Lock()
+				a.v++
+				a.Unlock()
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			r := rand.New(rand.NewPCG(uint64(g), 8))
+			buf := make([]byte, pageSize)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				id := uint32(r.IntN(pages))
+				a := &acked[id]
+				a.Lock()
+				floor := a.v
+				a.Unlock()
+				if err := s.ReadPage(id, buf); err != nil {
+					t.Errorf("reader: page %d: %v", id, err)
+					return
+				}
+				if err := checkStampAtLeast(buf, id, floor); err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				runtime.Gosched() // the writers set the pace, not the readers
+			}
+		}()
+	}
+	cycles, next := 0, uint64(0)
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// Once per background cycle, while it is under way.
+			if _, cl := s.log.CleanerStats(); cl.State == "idle" || cl.Cycles < next {
+				runtime.Gosched()
+				continue
+			} else {
+				next = cl.Cycles + 1
+			}
+			if n, err := s.CleanOnce(); err != nil && !errors.Is(err, ErrFull) {
+				t.Errorf("CleanOnce: %v", err)
+				return
+			} else if n > 0 {
+				cycles++
+			}
+		}
+	}()
+	wwg.Wait()
+	close(done)
+	bg.Wait()
+	if st := s.Stats(); cycles == 0 || st.Cleaner.Cycles == 0 {
+		t.Errorf("foreground CleanOnce ran %d cycles, the background cleaner %d; both should have", cycles, st.Cleaner.Cycles)
+	}
+	for id := range acked {
+		if err := s.ReadPage(uint32(id), buf); err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if err := checkStampAtLeast(buf, uint32(id), acked[id].v); err != nil {
+			t.Fatal(err)
+		} else if err := checkStampAtLeast(buf, uint32(id), acked[id].v+1); err == nil {
+			t.Fatalf("page %d is newer than its last acknowledged version %d", id, acked[id].v)
+		}
+	}
+	checkInvariants(t, s)
+}
+
+// checkStampAtLeast verifies buf is one intact stamped version of page id, no
+// older than floor.
+func checkStampAtLeast(buf []byte, id, floor uint32) error {
+	if err := checkStamp(buf, id); err != nil {
+		return err
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v < floor {
+		return fmt.Errorf("page %d read back at version %d, version %d was already acknowledged", id, v, floor)
+	}
+	return nil
+}
+
+// zipfStore is the store_zipf_f80 geometry of the benchmark at reduced size:
+// 4 KiB pages at fill 0.8, MDC cleaning in the foreground, DurSeal, written in
+// 32-page Applies drawn from a Zipf 0.99 distribution.
+type zipfStore struct {
+	s     *Store
+	zipf  *rand.Zipf
+	batch *Batch
+	page  []byte
+}
+
+func openZipfStore(tb testing.TB) *zipfStore {
+	tb.Helper()
+	const pages, segPages, lowWater = 4000, 64, 12
+	s, err := Open(Options{
+		Dir: tb.TempDir(), PageSize: 4096, SegmentPages: segPages, FreeLowWater: lowWater,
+		MaxSegments: pages*10/8/segPages + 1 + lowWater, Durability: core.DurSeal,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	z := &zipfStore{s: s, batch: NewBatch(), page: make([]byte, 4096)}
+	z.zipf = rand.NewZipf(rand.New(rand.NewPCG(1, 2)), 1.01, 1, pages-1) // rand has no s ≤ 1: 1.01 stands in for 0.99
+	next := uint64(0)
+	z.apply(tb, pages/32, func() uint64 { next++; return next - 1 })
+	z.apply(tb, 2*pages/32, z.zipf.Uint64)
+	return z
+}
+
+// apply issues n 32-page Applies of pages drawn from key.
+func (z *zipfStore) apply(tb testing.TB, n int, key func() uint64) {
+	for ; n > 0; n-- {
+		z.batch.Reset()
+		for i := 0; i < 32; i++ {
+			id := uint32(key())
+			stamp(z.page, id, uint32(n))
+			z.batch.Write(id, z.page)
+		}
+		if err := z.s.Apply(z.batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestRelocationAllocBudget: relocating a page allocates no copy of it — over
+// a seeded foreground run at fill 0.8 the store allocates at most 64 bytes per
+// relocated page (most of it each cycle's candidate table), where the payload
+// copy alone used to be a page size. The minimum of three rounds is the cost;
+// anything above it is another test's leftover goroutine.
+func TestRelocationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	z := openZipfStore(t)
+	defer z.s.Close()
+	best := 0.0
+	for round := 0; round < 3; round++ {
+		var m0, m1 runtime.MemStats
+		before := z.s.Stats().GCWrites
+		runtime.ReadMemStats(&m0)
+		z.apply(t, 200, z.zipf.Uint64)
+		runtime.ReadMemStats(&m1)
+		moved := z.s.Stats().GCWrites - before
+		if moved < 2000 {
+			t.Fatalf("round %d relocated %d pages, the budget wants at least 2000", round, moved)
+		}
+		if per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(moved); best == 0 || per < best {
+			best = per
+		}
+	}
+	t.Logf("%.1f bytes allocated per relocated page", best)
+	if best > 64 {
+		t.Errorf("%.1f bytes allocated per relocated page, the budget is 64", best)
+	}
+}

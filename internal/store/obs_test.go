@@ -2,6 +2,8 @@ package store
 
 import (
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -78,14 +80,25 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// countingBackend counts what reaches segment storage: the bytes of every
-// write, and how many of the writes were segment headers.
+// countingBackend counts what reaches segment storage and what is read back:
+// the calls, their bytes, how many of the writes started a segment (they carry
+// its header), and the reads per segment. failWrite, when set, is asked before
+// every write and its error returned instead of writing.
 type countingBackend struct {
 	backend
-	bytes, headers int64
+	bytes, headers           int64
+	writes, reads, readBytes int64
+	readsOf                  map[int]int
+	failWrite                func(seg int, off int64) error
 }
 
 func (c *countingBackend) write(seg int, off int64, b []byte) error {
+	if c.failWrite != nil {
+		if err := c.failWrite(seg, off); err != nil {
+			return err
+		}
+	}
+	c.writes++
 	c.bytes += int64(len(b))
 	if off == 0 {
 		c.headers++
@@ -93,19 +106,38 @@ func (c *countingBackend) write(seg int, off int64, b []byte) error {
 	return c.backend.write(seg, off, b)
 }
 
+func (c *countingBackend) read(seg int, off int64, b []byte) error {
+	c.reads++
+	c.readBytes += int64(len(b))
+	if c.readsOf != nil {
+		c.readsOf[seg]++
+	}
+	return c.backend.read(seg, off, b)
+}
+
+// count wraps the store's backend in a countingBackend.
+func count(s *Store) *countingBackend {
+	cb := &countingBackend{backend: s.be}
+	s.be = cb
+	return cb
+}
+
 // TestByteCountersMatchSegmentWrites: store.user.bytes and store.gc.bytes are
 // the store's two lines of the write-byte budget, so over a seeded run of
-// short and full pages, deletes, batches and cleaning they must add up to
-// every byte written into segments, to within the segment headers.
+// short and full pages, deletes, batches, reads and cleaning they must add up
+// to every byte written into segments, to within the segment headers; and the
+// I/O-count legs of the budget — store.write.ios, store.read.ios,
+// store.read.bytes — to the backend calls made and the bytes they asked for,
+// recovery's one read per written segment included.
 func TestByteCountersMatchSegmentWrites(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 8, MaxSegments: 48, CleanBatch: 4, FreeLowWater: 6})
+	opts := Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 8, MaxSegments: 48, CleanBatch: 4, FreeLowWater: 6}
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	cb := &countingBackend{backend: s.be}
-	s.be = cb
+	cb := count(s)
 	r := rand.New(rand.NewPCG(3, 9))
+	buf := make([]byte, 64)
 	for op := 0; op < 4000; op++ {
 		id := uint32(r.IntN(300))
 		switch r.IntN(8) {
@@ -119,6 +151,10 @@ func TestByteCountersMatchSegmentWrites(t *testing.T) {
 				b.Write(uint32(r.IntN(300)), make([]byte, r.IntN(65)))
 			}
 			err = s.Apply(b)
+		case 2:
+			if s.Has(id) {
+				err = s.ReadPage(id, buf)
+			}
 		default:
 			err = s.WritePage(id, make([]byte, r.IntN(65)))
 		}
@@ -126,11 +162,39 @@ func TestByteCountersMatchSegmentWrites(t *testing.T) {
 			t.Fatalf("op %d: %v", op, err)
 		}
 	}
-	user, gc := s.Obs().Counter("store.user.bytes").Value(), s.Obs().Counter("store.gc.bytes").Value()
+	counter := func(s *Store, name string) int64 { return int64(s.Obs().Counter(name).Value()) }
+	user, gc := counter(s, "store.user.bytes"), counter(s, "store.gc.bytes")
 	if gc == 0 || s.Stats().Tombstones == 0 {
 		t.Fatalf("run relocated %d bytes and left %d tombstones; it should exercise both", gc, s.Stats().Tombstones)
 	}
-	if got, want := int64(user+gc), cb.bytes-cb.headers*segHeaderSize; got != want {
+	if got, want := user+gc, cb.bytes-cb.headers*segHeaderSize; got != want {
 		t.Errorf("store.user.bytes %d + store.gc.bytes %d = %d, segments took %d bytes in records", user, gc, got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{"store.write.ios": cb.writes, "store.read.ios": cb.reads, "store.read.bytes": cb.readBytes} {
+		if got := counter(s, name); got != want || want == 0 {
+			t.Errorf("%s = %d, the backend counted %d", name, got, want)
+		}
+	}
+
+	// Recovery: one read per segment file that holds anything, of its size.
+	var files, fileBytes int64
+	names, _ := filepath.Glob(filepath.Join(opts.Dir, "*.seg"))
+	for _, name := range names {
+		if fi, err := os.Stat(name); err != nil {
+			t.Fatal(err)
+		} else if fi.Size() > 0 {
+			files, fileBytes = files+1, fileBytes+fi.Size()
+		}
+	}
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ios, bytes := counter(s, "store.read.ios"), counter(s, "store.read.bytes"); ios != files || bytes != fileBytes {
+		t.Errorf("recovery counted %d reads of %d bytes, the directory holds %d segment files of %d bytes", ios, bytes, files, fileBytes)
 	}
 }

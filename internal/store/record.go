@@ -87,8 +87,8 @@ func recordCRC(b []byte) uint32 {
 }
 
 // decodeRecord parses and verifies the record at the head of b, which may
-// run past it (a reader that does not know the length hands over the
-// largest record there could be). The length is bounds-checked against
+// run past it (recovery, which does not know the length, hands over the
+// rest of the segment). The length is bounds-checked against
 // pageSize and b before anything trusts it; a tombstone has no payload.
 func decodeRecord(b []byte, pageSize int) (recordHeader, []byte, error) {
 	var h recordHeader

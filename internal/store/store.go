@@ -28,6 +28,12 @@
 // core.SegCleaning, which freezes their records so the cleaner can read
 // them from storage without holding the lock.
 //
+// I/O is by segment run, not by record: the appends of one lock hold (a
+// WritePage, an Apply, an install chunk of the cleaner) are staged and reach
+// the backend as one write per run of consecutive appends to a segment, before
+// the lock is released or that segment fsynced; a cleaning cycle reads a victim
+// one window (ioUnit) at a time and relocates records straight out of it.
+//
 // Durability model: records are appended with CRC-32C; Options.Durability
 // picks the fsync policy. DurNone never syncs; DurSeal syncs every segment
 // seal and checkpoint; DurCommit makes every WritePage/DeletePage/Apply
@@ -128,8 +134,14 @@ type Options struct {
 }
 
 // relocChunk is how many records background relocation installs per lock
-// hold, bounding writer stalls behind the cleaner (each install is an I/O).
+// hold, bounding writer stalls behind the cleaner (each chunk is an I/O).
 const relocChunk = 16
+
+// ioUnit is the most one backend call moves: the size of the run buffer a
+// lock hold's appends are staged in (a longer run is split) and of the window
+// a cleaning cycle reads its victims through — together the I/O memory an
+// open store retains, 192 KiB (more only if a record is larger).
+const ioUnit = 96 << 10
 
 // withDefaults fills the defaults and validates; the checks every segment
 // log shares live in seglog.Config.Validate.
@@ -228,7 +240,13 @@ type Store struct {
 	userWrites uint64
 	batches    uint64 // successful multi-record Applies
 
-	recBuf   []byte    // append/recovery record buffer (write lock held)
+	// run is the staged tail of segment runSeg, due at offset runOff (write
+	// lock held); relocs the relocated copies in it, current once it is written.
+	run    []byte
+	runSeg int32
+	runOff int64
+	relocs []*seglog.Cand[recCand]
+
 	readBufs sync.Pool // per-reader record buffers (RLock held)
 
 	// obs handles, resolved once at Open (see internal/obs; recording is
@@ -244,6 +262,9 @@ type Store struct {
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
 	cGCBytes   *obs.Counter // store.gc.bytes
+	cWriteIOs  *obs.Counter // store.write.ios: run writes
+	cReadIOs   *obs.Counter // store.read.ios: ReadPage, cleaning windows, recovery
+	cReadBytes *obs.Counter // store.read.bytes: what those reads asked for
 	trace      *obs.Trace
 }
 
@@ -278,6 +299,9 @@ func Open(opts Options) (*Store, error) {
 	s.cSyncs = opts.Obs.Counter("store.commit.syncs")
 	s.cUserBytes = opts.Obs.Counter("store.user.bytes")
 	s.cGCBytes = opts.Obs.Counter("store.gc.bytes")
+	s.cWriteIOs = opts.Obs.Counter("store.write.ios")
+	s.cReadIOs = opts.Obs.Counter("store.read.ios")
+	s.cReadBytes = opts.Obs.Counter("store.read.bytes")
 	s.trace = opts.Obs.Trace()
 	if opts.Durability == core.DurSeal {
 		s.gcDirtySegs = make(map[int32]struct{})
@@ -285,7 +309,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir != "" {
 		s.dirty = make(map[int32]uint64)
 	}
-	s.recBuf = make([]byte, recHeaderSize+opts.PageSize)
+	s.run = make([]byte, 0, max(ioUnit, recHeaderSize+opts.PageSize))
 	s.readBufs.New = func() any {
 		b := make([]byte, recHeaderSize+opts.PageSize)
 		return &b
@@ -369,7 +393,7 @@ func (s *Store) recover() error {
 			segBuf = make([]byte, segHeaderSize+s.opts.segmentBytes())
 		}
 		buf := segBuf[:min(sz, int64(len(segBuf)))]
-		if err := s.be.read(seg, 0, buf); err != nil {
+		if err := s.read(int32(seg), 0, buf); err != nil {
 			return err
 		}
 		inc, stream, segW, ok := decodeSegHeader(buf)
@@ -556,6 +580,13 @@ func (s *Store) liveAt(page uint32, seq uint64, seg int32, off uint32) (tomb, ok
 	return tomb, ok && loc == pageLoc{seg: seg, off: off, seq: seq}
 }
 
+// read is one counted backend read.
+func (s *Store) read(seg int32, off uint32, b []byte) error {
+	s.cReadIOs.Inc()
+	s.cReadBytes.Add(uint64(len(b)))
+	return s.be.read(int(seg), int64(off), b)
+}
+
 // recordSize returns the size, header included, of the record at off in seg.
 func (s *Store) recordSize(seg int32, off uint32) int64 {
 	recs := s.recs[seg]
@@ -585,12 +616,11 @@ func (s *Store) ReadPage(id uint32, buf []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	// The table does not know the record's length: read the largest record
-	// there could be and let the header say where this one ends.
-	if err := s.be.read(int(loc.seg), int64(loc.off), *recBuf); err != nil {
+	rec := (*recBuf)[:s.recordSize(loc.seg, loc.off)]
+	if err := s.read(loc.seg, loc.off, rec); err != nil {
 		return err
 	}
-	h, payload, err := decodeRecord(*recBuf, s.opts.PageSize)
+	h, payload, err := decodeRecord(rec, s.opts.PageSize)
 	if err != nil {
 		return err
 	}
@@ -705,7 +735,7 @@ func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos
 			s.log.Pruned(loc.seg, recHeaderSize)
 		}
 	}
-	if err := s.appendRecord(stream, id, flags, pos, data, carried); err != nil {
+	if err := s.appendRecord(stream, id, flags, pos, data, carried, nil); err != nil {
 		return err
 	}
 	s.cUserBytes.Add(uint64(recHeaderSize + len(data)))
@@ -726,26 +756,35 @@ func (s *Store) invalidate(id uint32) float64 {
 	return s.log.Invalidate(loc.seg, s.recordSize(loc.seg, loc.off))
 }
 
-// appendRecord writes one record at the tail of stream's open segment
-// (which must exist), carrying the page's up2 estimate into the segment's
-// seal-time average. pos is the record's batch position (flagBatch records
-// only).
-func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, payload []byte, carried float64) error {
+// appendRecord stages one record at the tail of stream's open segment (which
+// must exist): in the log from here on, on storage by the end of the lock hold
+// (Flush). carried is the page's up2 estimate, for the segment's seal-time
+// average; pos the batch position (flagBatch records only); from the
+// candidate a relocated copy is made of, nil for a user's record.
+func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, payload []byte, carried float64, from *seglog.Cand[recCand]) error {
 	seg, fill := s.log.Tail(stream)
-	off, rec := segHeaderSize+fill, s.recBuf[:recHeaderSize+len(payload)]
-	s.seq++
-	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
-	if err := s.be.write(int(seg), off, rec); err != nil {
-		return err
+	off, size := segHeaderSize+fill, recHeaderSize+len(payload)
+	if n := len(s.run); n == 0 || seg != s.runSeg || n+size > cap(s.run) {
+		// A run ends where the segment changes or the buffer is full.
+		if err := s.Flush(); err != nil {
+			return err
+		}
+		s.runSeg, s.runOff = seg, off
 	}
+	s.run = s.run[:len(s.run)+size]
+	s.seq++
+	encodeRecord(s.run[len(s.run)-size:], recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq
 	}
-	end := off + int64(len(rec))
+	end := off + int64(size)
 	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
-	s.log.Appended(stream, int64(len(rec)), carried)
+	s.log.Appended(stream, int64(size), carried)
 	loc := pageLoc{seg: seg, off: uint32(off), seq: s.seq}
-	if flags&flagTombstone != 0 {
+	if from != nil {
+		from.Rec.off, from.Rec.seq = loc.off, loc.seq
+		s.relocs = append(s.relocs, from)
+	} else if flags&flagTombstone != 0 {
 		s.tombstones[id] = loc
 	} else {
 		s.table[id] = loc
@@ -758,21 +797,50 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	return nil
 }
 
-// OpenSegment (seglog.Engine) resets a free segment's storage and writes
-// its header.
+// Flush (seglog.Engine) writes the staged run, one backend write, and makes
+// the relocated copies in it current. If the write fails the victims' copies
+// stay current and the staged ones are dead records; the run stays staged, so
+// the next Flush — before any other write, or reset, of a segment — writes it
+// again and the log has no hole for recovery to stop at.
+func (s *Store) Flush() error {
+	if len(s.run) == 0 {
+		return nil
+	}
+	s.cWriteIOs.Inc()
+	err := s.be.write(int(s.runSeg), s.runOff, s.run)
+	for _, c := range s.relocs {
+		r, size, to := &c.Rec, int64(c.Rec.size), pageLoc{s.runSeg, c.Rec.off, c.Rec.seq}
+		if err != nil {
+			s.log.Pruned(to.seg, size)
+		} else if s.log.Relocated(c.Seg, size); r.tomb {
+			s.tombstones[r.page] = to
+		} else {
+			s.table[r.page] = to
+		}
+	}
+	clear(s.relocs) // or the cycle's candidates outlive it
+	s.relocs = s.relocs[:0]
+	if err == nil {
+		s.run = s.run[:0]
+	}
+	return err
+}
+
+// OpenSegment (seglog.Engine) resets a free segment's storage and stages
+// its header: the start of the run its first records will extend.
 func (s *Store) OpenSegment(seg, stream int32) error {
+	if err := s.Flush(); err != nil {
+		return err
+	}
 	if err := s.be.reset(int(seg)); err != nil {
 		return err
 	}
 	s.incarnation++
-	hdr := make([]byte, segHeaderSize)
+	s.run, s.runSeg, s.runOff = s.run[:segHeaderSize], seg, 0
 	// The header carries the current commit watermark: recovery uses it to
 	// tell a provably-committed batch (some members garbage-collected,
 	// their segments since reused) from a torn one.
-	encodeSegHeader(hdr, s.incarnation, stream, s.commitWatermarkLocked())
-	if err := s.be.write(int(seg), 0, hdr); err != nil {
-		return err
-	}
+	encodeSegHeader(s.run, s.incarnation, stream, s.commitWatermarkLocked())
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq // the header itself needs flushing
 	}
@@ -784,15 +852,15 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 	return nil
 }
 
-// SealSegment (seglog.Engine) is the seal-time fsync of DurSeal.
+// SealSegment (seglog.Engine) writes the staged run, then fsyncs under DurSeal.
 func (s *Store) SealSegment(seg int32) error {
-	if s.opts.Durability == core.DurSeal {
+	err := s.Flush()
+	if err == nil && s.opts.Durability == core.DurSeal {
 		// DurCommit skips the seal-time fsync: the group flush at commit
 		// time covers the sealed segment (it stays in the dirty set).
-		if err := s.syncSeg(seg); err != nil {
-			return err
+		if err = s.syncSeg(seg); err == nil {
+			delete(s.dirty, seg)
 		}
-		delete(s.dirty, seg)
 	}
-	return nil
+	return err
 }

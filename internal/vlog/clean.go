@@ -6,8 +6,8 @@ import "repro/internal/seglog"
 // background) lives in internal/seglog; this file is the value log's side
 // of seglog.Engine. core.SegCleaning freezes a victim's bytes, so candidate
 // records stay valid while the background cleaner installs them chunk by
-// chunk between user operations. The log is volatile: nothing to load or
-// sync.
+// chunk between user operations. The log is volatile: nothing to load,
+// flush or sync.
 
 // recCand is one live record captured at selection time. Its key and offset
 // stay valid while the victim is in SegCleaning.
@@ -45,7 +45,7 @@ func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand
 // counts against its victim). The value is appended straight out of the
 // victim's slab: SegCleaning keeps the source stable and the destination is
 // a different, open segment.
-func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
+func (s *Store) Install(c *seglog.Cand[recCand], _ []byte) (int64, error) {
 	src := loc{seg: c.Seg, off: c.Rec.off}
 	if cur, ok := s.index[c.Rec.key]; !ok || cur != src {
 		return 0, nil // overwritten or deleted since selection
@@ -61,7 +61,8 @@ func (s *Store) Install(c *seglog.Cand[recCand]) (int64, error) {
 	return size, nil
 }
 
-func (s *Store) SealSegment(int32) error           { return nil }
-func (s *Store) Load([]seglog.Cand[recCand]) error { return nil }
-func (s *Store) SyncRelocated(bool) error          { return nil }
-func (s *Store) ReleaseSegment(int32)              {}
+func (s *Store) Load(c []seglog.Cand[recCand], _ *[]byte) (int, error) { return len(c), nil }
+func (s *Store) SealSegment(int32) error                               { return nil }
+func (s *Store) Flush() error                                          { return nil }
+func (s *Store) SyncRelocated(bool) error                              { return nil }
+func (s *Store) ReleaseSegment(int32)                                  {}
