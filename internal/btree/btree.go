@@ -11,9 +11,9 @@
 //     The buffer pool in front of the tree records which pages are read and
 //     dirtied, and the resulting page-write trace — not the bytes — is what
 //     the log-structure simulator consumes;
-//   - internal/pagedb's store-backed node cache, where Fetch faults NodePage
-//     images in from the log-structured store and MarkDirty feeds the commit
-//     batch.
+//   - internal/pagedb's store-backed node cache, where Fetch faults page
+//     images in from the log-structured store (ParseNode, in place) and
+//     MarkDirty feeds the commit batch.
 //
 // Every node access is routed through the pool: fetches Touch the node's
 // page, mutations Dirty it. Structural changes (splits, merges, root

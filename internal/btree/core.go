@@ -37,7 +37,7 @@ type Layout struct {
 // traces were collected under.
 var MemLayout = Layout{HeaderBytes: 48, LeafEntryOverhead: 14, BranchEntryBytes: 12}
 
-// PageLayout is the NodePage image's cost model (see page.go): the real
+// PageLayout is the page image's cost model (see page.go): the real
 // encoded header and entry sizes, so NBytes <= Budget implies the node's
 // page image fits the page.
 var PageLayout = Layout{HeaderBytes: PageHeaderBytes, LeafEntryOverhead: leafEntryOverheadPage, BranchEntryBytes: BranchEntryBytes}
@@ -61,8 +61,16 @@ type Node struct {
 	Next uint32   // leaf chain successor (leaves only; 0 = none)
 	// NBytes is the node's byte accounting against Layout.Budget (header
 	// excluded). The Core maintains it; stores materializing nodes from
-	// page images rebuild it (NodeOfPage).
+	// page images rebuild it (ParseNode).
 	NBytes int
+	// Donor is set by the Core once a split, borrow or merge has moved any of
+	// the node's value slices — headers, not bytes — into another node: the
+	// memory behind them is then reachable through a sibling, and a store
+	// must never reuse it (see NodeStore).
+	Donor bool
+	// Buf is the store's: the memory it materialized the node from, if it
+	// keeps any (pagedb: the record a leaf's parsed values are slices of).
+	Buf []byte
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through
@@ -109,6 +117,16 @@ type Node struct {
 //
 // A store whose nodes can never be reclaimed mid-use (the in-memory
 // memStore) implements Release as a no-op and leaves Pin handles zero.
+//
+// Node memory. A value returned by Get, or passed to a Scan callback, aliases
+// the node it was found in, which Get no longer pins: it is valid until the
+// caller releases whatever guard excludes writers from the tree (pagedb: one
+// hold of its read guard), and no longer. Once every guard hold that could
+// have seen a node has ended, a store may reuse the memory of a node that is
+// no longer reachable through it — evicted clean, or written back — for the
+// next page it materializes: the Node, its Keys/Vals/Kids arrays, its Buf
+// (ParseNode parses into a recycled node). Except a Donor's: its value bytes
+// live on in a sibling's Vals, so its memory is the garbage collector's.
 type NodeStore interface {
 	Alloc() (uint32, error)
 	Fetch(id uint32) (*Node, error)
@@ -214,7 +232,8 @@ func (n *Node) childIndex(k uint64) int {
 // Get returns the value stored under key. The slice aliases the node, and
 // the node has been Released by the time Get returns: the caller must copy
 // the value while whatever guard serializes it against mutation (its own
-// lock, a read guard) still holds.
+// lock, a read guard) still holds — after that the node's memory may be
+// reused (see NodeStore).
 func (c *Core) Get(key uint64) ([]byte, bool, error) {
 	n, err := c.store.Fetch(c.root)
 	if err != nil {
@@ -343,6 +362,7 @@ func (c *Core) splitLeaf(n *Node) (uint32, uint64, error) {
 	n.Keys = n.Keys[:cut]
 	n.Vals = n.Vals[:cut]
 	n.NBytes -= right.NBytes
+	n.Donor = true
 	right.Next = n.Next
 	n.Next = right.ID
 	c.store.MarkDirty(n.ID)
@@ -507,6 +527,7 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 		left.Keys = left.Keys[:len(left.Keys)-1]
 		left.Vals = left.Vals[:len(left.Vals)-1]
 		left.NBytes -= c.layout.LeafEntry(v)
+		left.Donor = true
 		child.Keys = append([]uint64{k}, child.Keys...)
 		child.Vals = append([][]byte{v}, child.Vals...)
 		child.NBytes += c.layout.LeafEntry(v)
@@ -534,6 +555,7 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 		right.Keys = right.Keys[1:]
 		right.Vals = right.Vals[1:]
 		right.NBytes -= c.layout.LeafEntry(v)
+		right.Donor = true
 		child.Keys = append(child.Keys, k)
 		child.Vals = append(child.Vals, v)
 		child.NBytes += c.layout.LeafEntry(v)
@@ -560,6 +582,7 @@ func (c *Core) merge(n *Node, ci int, left, right *Node) error {
 		left.Vals = append(left.Vals, right.Vals...)
 		left.NBytes += right.NBytes
 		left.Next = right.Next
+		right.Donor = true
 	} else {
 		left.Keys = append(left.Keys, n.Keys[ci])
 		left.Keys = append(left.Keys, right.Keys...)

@@ -32,10 +32,10 @@ func (c *Core) Check() error {
 			return fmt.Errorf("fetching node %d: %w", id, err)
 		}
 		defer c.store.Release(n)
-		for i, k := range n.Keys {
-			if i > 0 && n.Keys[i-1] >= k {
-				return fmt.Errorf("node %d: keys out of order at %d", id, i)
-			}
+		if err := c.checkNode(n); err != nil {
+			return err
+		}
+		for _, k := range n.Keys {
 			if hasLo && k < lo {
 				return fmt.Errorf("node %d: key %d below subtree bound %d", id, k, lo)
 			}
@@ -47,35 +47,9 @@ func (c *Core) Check() error {
 			if depth != c.height {
 				return fmt.Errorf("leaf %d at depth %d, height is %d", id, depth, c.height)
 			}
-			if len(n.Vals) != len(n.Keys) {
-				return fmt.Errorf("leaf %d: %d keys but %d values", id, len(n.Keys), len(n.Vals))
-			}
-			nb := 0
-			for _, v := range n.Vals {
-				nb += c.layout.LeafEntry(v)
-			}
-			if nb != n.NBytes {
-				return fmt.Errorf("leaf %d: accounted %d bytes, actual %d", id, n.NBytes, nb)
-			}
-			if nb > c.budget {
-				return fmt.Errorf("leaf %d: %d bytes over budget %d", id, nb, c.budget)
-			}
 			leaves = append(leaves, id)
 			entries += len(n.Keys)
 			return nil
-		}
-		if n.Next != 0 {
-			return fmt.Errorf("branch %d carries a leaf chain link %d", id, n.Next)
-		}
-		if len(n.Kids) != len(n.Keys)+1 {
-			return fmt.Errorf("branch %d: %d kids for %d keys", id, len(n.Kids), len(n.Keys))
-		}
-		nb := c.layout.BranchEntryBytes * len(n.Kids)
-		if nb != n.NBytes {
-			return fmt.Errorf("branch %d: accounted %d bytes, actual %d", id, n.NBytes, nb)
-		}
-		if nb > c.budget {
-			return fmt.Errorf("branch %d: %d bytes over budget %d", id, nb, c.budget)
 		}
 		for i, kid := range n.Kids {
 			clo, chasLo := lo, hasLo
@@ -121,18 +95,51 @@ func (c *Core) Check() error {
 	return nil
 }
 
+// checkNode validates what one node can be held to on its own (rules 1 and
+// 5, and the shape of its kind): the checks a node parsed from storage must
+// pass before anything walks it.
+func (c *Core) checkNode(n *Node) error {
+	for i := 1; i < len(n.Keys); i++ {
+		if n.Keys[i-1] >= n.Keys[i] {
+			return fmt.Errorf("node %d: keys out of order at %d", n.ID, i)
+		}
+	}
+	nb := c.layout.BranchEntryBytes * len(n.Kids)
+	if n.Leaf {
+		if len(n.Vals) != len(n.Keys) {
+			return fmt.Errorf("leaf %d: %d keys but %d values", n.ID, len(n.Keys), len(n.Vals))
+		}
+		nb = 0
+		for _, v := range n.Vals {
+			nb += c.layout.LeafEntry(v)
+		}
+	} else if n.Next != 0 {
+		return fmt.Errorf("branch %d carries a leaf chain link %d", n.ID, n.Next)
+	} else if len(n.Kids) != len(n.Keys)+1 {
+		return fmt.Errorf("branch %d: %d kids for %d keys", n.ID, len(n.Kids), len(n.Keys))
+	}
+	if nb != n.NBytes {
+		return fmt.Errorf("node %d: accounted %d bytes, actual %d", n.ID, n.NBytes, nb)
+	}
+	if nb > c.budget {
+		return fmt.Errorf("node %d: %d bytes over budget %d", n.ID, nb, c.budget)
+	}
+	return nil
+}
+
 // CheckPageTree validates the invariants of a PAGE-ID based tree given only
-// a way to materialize NodePage images — for callers holding raw page
-// images rather than a live Core (offline verification, tests). It adapts
-// fetch into a read-only NodeStore and runs the one shared checker under
-// PageLayout, so NBytes <= budget implies every image fits pageSize.
-func CheckPageTree(fetch func(id uint32) (*NodePage, error), root uint32, height, count, pageSize int) error {
+// a way to read page images — for callers holding raw images rather than a
+// live Core (offline verification, tests). It adapts fetch into a read-only
+// NodeStore that parses each image (ParseNode, which may alias it) and runs
+// the one shared checker under PageLayout, so NBytes <= budget implies every
+// image fits pageSize.
+func CheckPageTree(fetch func(id uint32) ([]byte, error), root uint32, height, count, pageSize int) error {
 	return LoadCore(pageFetchStore{fetch}, pageSize, PageLayout, root, height, count).Check()
 }
 
 // pageFetchStore is the read-only NodeStore behind CheckPageTree.
 type pageFetchStore struct {
-	fetch func(id uint32) (*NodePage, error)
+	fetch func(id uint32) ([]byte, error)
 }
 
 func (s pageFetchStore) Alloc() (uint32, error) {
@@ -140,11 +147,12 @@ func (s pageFetchStore) Alloc() (uint32, error) {
 }
 
 func (s pageFetchStore) Fetch(id uint32) (*Node, error) {
-	p, err := s.fetch(id)
+	img, err := s.fetch(id)
 	if err != nil {
 		return nil, err
 	}
-	return NodeOfPage(id, p, PageLayout), nil
+	n := new(Node)
+	return n, ParseNode(n, id, img, PageLayout)
 }
 
 func (s pageFetchStore) Release(*Node) {}

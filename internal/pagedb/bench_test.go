@@ -73,6 +73,69 @@ func BenchmarkTreeGet(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeGetSpill is the point read that misses: a file-backed tree 16
+// times its cache, uniform keys, so nearly every GetInto faults a leaf in
+// (faults/op) — one store read into a node buffer, parsed in place. What a
+// fault allocates depends on whether anything cycles the guard: "reads" has no
+// writer, so evicted nodes are retired but never proven free and every fault
+// pays for its buffer and arrays; "writes" follows each read with a single-put
+// transaction on a resident key (its own allocations are in B/op too), and
+// the faults run on recycled nodes.
+func BenchmarkTreeGetSpill(b *testing.B) {
+	for _, mode := range []string{"reads", "writes"} {
+		b.Run(mode, func(b *testing.B) {
+			const cache, nkeys = 128, 100000
+			db, err := Open(Options{
+				Store:      store.Options{Dir: b.TempDir(), PageSize: 4096, SegmentPages: 128, MaxSegments: 256},
+				CachePages: cache,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			tr, err := db.Tree("bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			v := make([]byte, 64)
+			for k := uint64(0); k < nkeys; k++ {
+				if err := tr.Put(k, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			if pages := int(db.pool.MaxPageID()); pages < 16*cache {
+				b.Fatalf("tree of %d pages, want ≥ 16 × the cache of %d", pages, cache)
+			}
+			var buf []byte
+			key := uint64(12345)
+			f0 := db.faults.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key = key*6364136223846793005 + 1442695040888963407
+				if buf, _, err = tr.GetInto(key>>33%nkeys, buf); err != nil {
+					b.Fatal(err)
+				}
+				if mode == "writes" {
+					x, err := db.Begin()
+					if err == nil {
+						if err = x.Put("bench", key>>60, v); err == nil {
+							err = x.Commit()
+						}
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(db.faults.Load()-f0)/float64(b.N), "faults/op")
+		})
+	}
+}
+
 // BenchmarkPageDBGet is the single-thread point-read baseline over the
 // fused read path: one FetchPinned (shard lookup + pin) per tree level,
 // one lock-free Release each on the way out. GetInto reuses the value

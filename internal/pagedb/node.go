@@ -2,6 +2,7 @@ package pagedb
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/btree"
@@ -13,13 +14,14 @@ import (
 // and the decoded node live in one place, so the hot read path is a single
 // shard acquisition per tree level (bufferpool.FetchPinned) instead of the
 // separate cache-lookup/Pin/Unpin round trips a layered node cache costs.
-// A node's durable form is the btree.NodePage image; a dirty-evicted node
-// parks, still decoded, in the eviction queue (db.evq) until a fault
-// re-admits it or the checkpoint encodes it. The tree ALGORITHM lives entirely in internal/btree's
-// Core; this file supplies the store side: the fallible NodeStore that
-// faults nodes through the pool and the log-structured store, implementing
-// the fused Fetch/Release pin protocol so concurrent readers can fault and
-// evict against each other safely.
+// A node's durable form is its page image (btree.ParseNode/EncodeNode); a
+// dirty-evicted node parks, still decoded, in the eviction queue (db.evq)
+// until a fault re-admits it or the checkpoint encodes it. The tree ALGORITHM
+// lives entirely in internal/btree's Core; this file supplies the store side:
+// the fallible NodeStore that faults nodes through the pool and the
+// log-structured store, implementing the fused Fetch/Release pin protocol so
+// concurrent readers can fault and evict against each other safely, and the
+// recycling of node memory (retire, reclaim, takeNode) behind the faults.
 
 // budget is the per-node byte budget: the page minus the image header.
 func (db *DB) budget() int { return btree.PageLayout.Budget(db.pageSize) }
@@ -58,7 +60,7 @@ func (s nodeStore) Free(id uint32) error {
 // The hot path is ONE pool-shard acquisition: FetchPinned returns the
 // frame's decoded node already pinned. The miss path serializes on a
 // per-shard fault mutex so that when N readers miss the same page
-// together, exactly one pays the ReadPage+decode and the rest adopt its
+// together, exactly one pays the read and the parse and the rest adopt its
 // install — the avoided duplicate faults are counted (Stats.
 // DupFaultsAvoided, pagedb.node.refaults).
 func (db *DB) node(id uint32) (*btree.Node, error) {
@@ -92,18 +94,19 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 		})
 		return obj.(*btree.Node), nil
 	}
-	img := db.imgPool.Get().([]byte)
+	// The read lands in the buffer of the node that will keep it — a recycled
+	// one when the free list has a fit — and is parsed where it lies.
 	t0 := time.Now()
-	if err := db.st.ReadPage(id, img); err != nil {
-		db.imgPool.Put(img)
+	img, err := db.st.ReadRecord(id, func(size int) []byte {
+		n = db.takeNode(size)
+		return n.Buf
+	})
+	if err != nil {
 		return nil, fmt.Errorf("pagedb: faulting page %d: %w", id, err)
 	}
 	db.hFault.Record(uint64(time.Since(t0)))
 	db.faults.Add(1)
-	n, err := btree.DecodeNodeImage(id, img, btree.PageLayout)
-	// DecodeNodeImage copies everything it keeps out of the image.
-	db.imgPool.Put(img)
-	if err != nil {
+	if err := btree.ParseNode(n, id, img, btree.PageLayout); err != nil {
 		return nil, fmt.Errorf("pagedb: decoding page %d: %w", id, err)
 	}
 	// Bind runs under the frame's shard lock BEFORE the node is published,
@@ -114,6 +117,84 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	})
 	return obj.(*btree.Node), nil
 }
+
+// retire takes a node that just became unreachable — a clean eviction, or a
+// parked node the checkpoint has written — out of circulation until reclaim
+// can prove nobody reads it. A donor's bytes live on in a sibling, and a full
+// list has no use for more: both are left to the garbage collector. Caller
+// holds db.evmu.
+func (db *DB) retire(n *btree.Node) {
+	if n.Donor {
+		db.cUnrecyclable.Inc()
+	} else if len(db.retired)+len(db.free) < db.freeMax {
+		db.retired = append(db.retired, n)
+	}
+}
+
+// reclaim moves the retired nodes to the free list (kept ordered by buffer
+// capacity). The caller has JUST acquired db.mu exclusively, and that is the
+// proof: every alias of a node's bytes — Core.Get's value after its Release,
+// a Scan callback's argument, a View read — lives inside one hold of the
+// guard; no hold that starts after a node's retirement can reach it; and this
+// acquisition waited out every hold that started before.
+func (db *DB) reclaim() {
+	db.evmu.Lock()
+	defer db.evmu.Unlock()
+	if len(db.retired) == 0 {
+		return
+	}
+	for _, n := range db.retired {
+		// Value headers may point into a sibling's buffer or a transaction's
+		// copy, which must not stay reachable from the list.
+		clear(n.Vals[:cap(n.Vals)])
+		if poisonRecycled != nil {
+			poisonRecycled(n)
+		}
+	}
+	db.free = append(db.free, db.retired...)
+	slices.SortFunc(db.free, func(a, b *btree.Node) int { return cap(a.Buf) - cap(b.Buf) })
+	clear(db.retired)
+	db.retired = db.retired[:0]
+}
+
+// takeNode obtains the node a fault will parse into, its Buf size bytes long:
+// the free node with the smallest buffer that holds the record, provided an
+// eighth of it at most is to spare — what the allocator's own size-class
+// rounding could cost a fresh one, so recycling never holds more memory than
+// allocating would; failing that any free node, with a new buffer; failing
+// that, new.
+func (db *DB) takeNode(size int) *btree.Node {
+	db.evmu.Lock()
+	i, _ := slices.BinarySearchFunc(db.free, size, func(n *btree.Node, size int) int { return cap(n.Buf) - size })
+	fits := i < len(db.free) && cap(db.free[i].Buf)-size <= cap(db.free[i].Buf)/8
+	if !fits {
+		i = 0 // the smallest buffer is the least to lose
+	}
+	var n *btree.Node
+	if i < len(db.free) {
+		n = db.free[i]
+		db.free = slices.Delete(db.free, i, i+1)
+	}
+	db.evmu.Unlock()
+	if fits {
+		db.cRecycled.Inc()
+		n.Buf = n.Buf[:size]
+		return n
+	}
+	db.cFresh.Inc()
+	if n == nil {
+		n = new(btree.Node)
+	}
+	// append rounds the capacity up to the allocator's size class, so the
+	// buffer can later serve any record of its class.
+	n.Buf = append([]byte(nil), make([]byte, size)...)
+	return n
+}
+
+// poisonRecycled, set by this package's tests only, overwrites what a node
+// owns the moment it becomes reusable: a read that outlived its guard hold
+// then returns garbage, and is a write/read race under -race.
+var poisonRecycled func(n *btree.Node)
 
 // allocNode creates a fresh blank node on a newly allocated page id
 // (resident and dirty, but NOT pinned — the core Fetches a fresh id right

@@ -12,23 +12,48 @@
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
 //	        frames (bufferpool fused object slot), CLOCK residency
 //	          ├── fault: miss -> parked node (evq), else
-//	          │          Store.ReadPage -> btree.DecodeNodeImage
+//	          │          Store.ReadRecord into a recycled node's buffer ->
+//	          │          btree.ParseNode, in place
 //	          └── write-back: a dirty eviction parks the DECODED node (evq)
 //	                └── checkpoint (Commit): parked + dirty-resident nodes,
-//	                    each encoded ONCE, in place, into one atomic
-//	                    store.Batch (pages + frees + meta)
+//	                    each encoded ONCE, by the store, into the run buffer
+//	                    of one atomic store.Batch (pages + frees + meta)
 //	                      └── internal/store: log-structured placement,
 //	                          routed streams, background cleaning, recovery
 //	Txn.Commit -> internal/wal (redo log, group fsync) -> tree apply
 //
-// Every tree node occupies exactly one store page (btree.NodePage images).
+// Every tree node occupies exactly one store page (btree page images).
 // There is no separate decoded-node map: a buffer pool frame carries the
 // decoded node in its fused object slot, so residency, replacement,
 // pinning and the node itself live in one place and the hot read path is a
 // single sharded-pool acquisition per tree level (FetchPinned). The pool
 // bounds how many decoded nodes stay in memory: a miss faults the page in
-// from the store under a per-shard fault mutex (one ReadPage+decode no
+// from the store under a per-shard fault mutex (one read and parse no
 // matter how many readers miss together).
+//
+// # The life of a page image
+//
+// A page's bytes exist once on each side of storage. Coming in, the fault's
+// one pread lands in the buffer the node keeps (Node.Buf) and is parsed where
+// it lies: a leaf's values are slices of that buffer. Going out, the
+// checkpoint's batch carries a page's id and length only, and the store has
+// the node encoded straight into the run buffer its segment write goes out
+// from. File → node buffer → run buffer → file; no image, arena or per-value
+// copy in between.
+//
+// The buffer, the node and its arrays are recycled. A node that becomes
+// unreachable — evicted clean, or parked and now written — is RETIRED; a
+// fault takes its node from the FREE list; and what moves nodes from the one
+// to the other is every exclusive acquisition of the guard (lock). That is a
+// quiescence point because the guard is already what a reader's slices live
+// under: a value returned by Core.Get, a Scan callback's argument, a View
+// read are all used and dropped within one hold of the read side, so once an
+// exclusive acquisition has waited those holds out, nothing can still be
+// reading a node retired before it. The one exception is a node whose values
+// a split, borrow or merge moved into a sibling (Node.Donor): its bytes are
+// still in use, so it is never recycled. The lists hold at most 1/32
+// of CachePages, and a buffer is reused only for a record that fills seven
+// eighths of it, so recycling holds no more memory than allocating would.
 //
 // # The life of a dirty page
 //
@@ -39,11 +64,10 @@
 // dirty, without touching the store or a decoder; the pool may evict and
 // park it again any number of times. Nothing is serialized before the
 // checkpoint, which gathers the parked and the dirty-resident nodes, sorts
-// them by page id and encodes each exactly once, straight into the commit
-// batch's buffer (reserved once, at its exact size). A checkpoint that
-// fails — flush, encode or store Apply — re-dirties the frames it flushed
-// and leaves the parked nodes parked, so the next attempt starts from the
-// same dirty set.
+// them by page id, checks that each can be encoded, and has the store encode
+// each exactly once inside Apply. A checkpoint that fails — flush, that check
+// or store Apply — re-dirties the frames it flushed and leaves the parked
+// nodes parked, so the next attempt starts from the same dirty set.
 //
 // # Durability and crash atomicity
 //
@@ -148,9 +172,10 @@ type Options struct {
 // DB is an open pagedb database.
 //
 // Lock order (outermost first): db.mu, then a fault mutex, then a pool
-// shard mutex (inside any pool call), then db.evmu (the write-back callback
-// runs under the pool shard mutex and takes it). evmu is never held across
-// a pool call.
+// shard mutex (inside any pool call) or the store's lock (inside any store
+// call), then db.evmu (the write-back callback runs under the pool shard
+// mutex and takes it; a fault's buffer request runs under the store's read
+// lock and takes it). evmu is never held across a pool or a store call.
 type DB struct {
 	// mu is the operation guard. Writers (Put, Delete, Commit, tree DDL,
 	// Close) take the write side and see the old single-mutex engine;
@@ -180,17 +205,18 @@ type DB struct {
 	evmu sync.Mutex
 	evq  map[uint32]*btree.Node
 
+	// retired and free are the two stages of node recycling (see the package
+	// comment and node.go), both under evmu; free is ordered by buffer
+	// capacity, and together they hold at most freeMax nodes.
+	retired, free []*btree.Node
+	freeMax       int
+
 	// flushed collects the dirty-resident nodes FlushDirty hands the
 	// write-back callback; non-nil only while a checkpoint is gathering.
 	flushed []*btree.Node
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
-
-	// imgPool recycles page-image buffers for the fault path (DecodeNodeImage
-	// copies what it keeps, so a buffer is reusable the moment decode
-	// returns).
-	imgPool sync.Pool
 
 	metaDirty bool
 	metaOvf   int // free-list overflow pages the last durable meta used
@@ -223,6 +249,9 @@ type DB struct {
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
 	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
+	// pagedb.node.{recycled,fresh,unrecyclable}: faults that parsed into a free
+	// node whose buffer fit, faults that allocated, donors retire let go.
+	cRecycled, cFresh, cUnrecyclable *obs.Counter
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -258,8 +287,8 @@ func Open(opts Options) (*DB, error) {
 		freed:    make(map[uint32]bool),
 		evq:      make(map[uint32]*btree.Node),
 		trees:    make(map[string]*Tree),
+		freeMax:  max(1, opts.CachePages/32),
 	}
-	db.imgPool.New = func() any { return make([]byte, pageSize) }
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
 	db.pool.SetWriteBack(db.writeBack)
 	db.obsReg = opts.Store.Obs
@@ -267,6 +296,9 @@ func Open(opts Options) (*DB, error) {
 	db.hCommit = db.obsReg.Histogram("pagedb.commit.ns")
 	db.hBatch = db.obsReg.Histogram("pagedb.commit.pages")
 	db.cEncode = db.obsReg.Counter("pagedb.node.encodes")
+	db.cRecycled = db.obsReg.Counter("pagedb.node.recycled")
+	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
+	db.cUnrecyclable = db.obsReg.Counter("pagedb.node.unrecyclable")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {
@@ -357,7 +389,7 @@ func Open(opts Options) (*DB, error) {
 // the next Commit, and until then every reopen replays the same tail.
 func (db *DB) replayWAL() error {
 	return db.wal.Replay(db.walSeq, func(txn *wal.Txn) error {
-		if err := db.applyOps(txn.Ops); err != nil {
+		if err := db.applyOps(txn.Ops, false); err != nil {
 			return fmt.Errorf("pagedb: replaying txn %d (seq %d): %w", txn.ID, txn.Seq, err)
 		}
 		db.txns++
@@ -368,20 +400,26 @@ func (db *DB) replayWAL() error {
 
 // writeBack is the buffer pool's callback, running under the evicting
 // shard's mutex (possibly in a reader's fault path) with the frame's
-// decoded node in hand. A CLEAN eviction needs nothing: the store already
+// decoded node in hand. A CLEAN eviction writes nothing: the store already
 // holds the current image, the frame's slot was cleared before the
 // callback, and eviction implies no pin, so no fused reader can reach the
-// node again — it is garbage the moment in-flight aliases drop. A DIRTY
-// eviction parks the node in the eviction queue: the node IS the page's
-// current state, and it stays decoded there until a fault re-admits it
-// dirty (db.node) or the checkpoint encodes it. Flushes (only issued by the
-// checkpoint, exclusive) hand the frame's node to the gathering checkpoint;
-// nothing is encoded here.
+// node again — it is retired: a fault's raw material once an exclusive
+// acquisition of db.mu has waited out every guard hold that could still be
+// reading its bytes (retire, reclaim). A DIRTY eviction parks the node in
+// the eviction queue: the node IS the page's current state, and it stays
+// decoded there until a fault re-admits it dirty (db.node) or the checkpoint
+// encodes it. Flushes (only issued by the checkpoint, exclusive) hand the
+// frame's node to the gathering checkpoint; nothing is encoded here.
 func (db *DB) writeBack(id uint32, obj any, dirty, evicted bool) error {
+	n, _ := obj.(*btree.Node)
 	if evicted && !dirty {
+		if n != nil {
+			db.evmu.Lock()
+			db.retire(n)
+			db.evmu.Unlock()
+		}
 		return nil
 	}
-	n, _ := obj.(*btree.Node)
 	if n == nil {
 		return fmt.Errorf("pagedb: write-back of dirty page %d with no decoded node", id)
 	}
@@ -399,6 +437,13 @@ func (db *DB) writeBack(id uint32, obj any, dirty, evicted bool) error {
 	return nil
 }
 
+// lock acquires the guard exclusively — the only way this package does — and
+// with every earlier hold thereby over, frees the retired nodes for reuse.
+func (db *DB) lock() {
+	db.mu.Lock()
+	db.reclaim()
+}
+
 // CheckPinBalance verifies the pin-balance invariant the fused Fetch/
 // Release protocol must preserve: between public operations, no buffer
 // frame holds a pin. It takes the exclusive guard, so in-flight operations
@@ -407,7 +452,7 @@ func (db *DB) writeBack(id uint32, obj any, dirty, evicted bool) error {
 // from eviction forever. Intended for tests and hammers; it is cheap
 // (one ring scan) but excludes readers while it runs.
 func (db *DB) CheckPinBalance() error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if n := db.pool.Pinned(); n != 0 {
 		return fmt.Errorf("pagedb: %d frames still pinned between operations", n)
@@ -423,12 +468,13 @@ func (db *DB) CheckPinBalance() error {
 func (db *DB) Commit() error {
 	t0 := time.Now()
 	// The checkpoint's span tree breaks its latency into gathering the dirty
-	// nodes, encoding them into the batch, the atomic store batch (whose own
-	// legs nest under it via ApplySpanned), and the WAL truncation.
+	// nodes, the atomic store batch (whose own legs nest under it via
+	// ApplySpanned; encoding the nodes is part of its "store.apply" leg), and
+	// the WAL truncation.
 	sp := obs.StartSpan(db.obsReg, "pagedb.checkpoint")
 	defer sp.End()
 	leg := sp.Child("lock.wait")
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	leg.End()
 	if db.closed {
@@ -468,29 +514,31 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	}
 	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 
-	// Gather the dirty set, still decoded: every dirty resident node via the
-	// pool's flush callback (which marks the frames clean), then the parked
-	// ones, which stay parked until the batch is applied. The two are
-	// disjoint, and a freed page is in neither: freeNode drops its frame and
-	// its parked node, and a reallocated id leaves db.freed.
+	// Gather the dirty set, still decoded: the parked nodes, which stay parked
+	// until the batch is applied, then every dirty resident node via the pool's
+	// flush callback (which marks the frames clean). The two are disjoint, and
+	// a freed page is in neither: freeNode drops its frame and its parked node,
+	// and a reallocated id leaves db.freed.
 	leg := sp.Child("gather")
-	db.flushed = make([]*btree.Node, 0, 64)
-	_, err := db.pool.FlushDirty()
-	flushed := db.flushed
-	db.flushed = nil
+	resident := db.pool.Resident()
 	db.evmu.Lock()
-	nodes := make([]*btree.Node, 0, len(flushed)+len(db.evq))
-	nodes = append(nodes, flushed...)
+	nodes := make([]*btree.Node, 0, resident+len(db.evq))
 	for _, n := range db.evq {
 		nodes = append(nodes, n)
 	}
 	db.evmu.Unlock()
+	db.flushed = nodes
+	_, err := db.pool.FlushDirty()
+	nodes, db.flushed = db.flushed, nil
 	leg.End()
-	// fail undoes the flush: the frames go back to dirty (they are still
-	// resident — nothing ran since), so a retry gathers the same set.
+	// fail undoes the flush: the flushed frames — of the gathered nodes, the
+	// resident ones: a parked page never is — go back to dirty (nothing ran
+	// since), so a retry gathers the same set.
 	fail := func(err error) error {
-		for _, n := range flushed {
-			db.pool.Dirty(n.ID)
+		for _, n := range nodes {
+			if db.pool.IsResident(n.ID) {
+				db.pool.Dirty(n.ID)
+			}
 		}
 		return err
 	}
@@ -524,31 +572,26 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 		ovf = nil
 	}
 
-	// One encode per dirty page, in place and at its used length (the store
+	// The batch carries each dirty page's id and its image's length (the store
 	// keeps a page at the length it is written, so a half-empty node costs
-	// half a page): the batch's buffer is reserved once at its exact size and
-	// each node serializes straight into its slot.
-	leg = sp.Child("encode")
+	// half a page); inside Apply the fill function encodes the node straight
+	// into the store's run buffer. Whatever could make a node unencodable is
+	// found here, with nothing written, so the fill cannot fail.
 	b := store.NewBatch()
-	images, size := len(nodes)+len(ovf)+1, len(meta)
+	b.SetFill(func(i int, dst []byte) {
+		btree.EncodeNode(dst, nodes[i]) // the nodes were reserved first, in order
+		db.cEncode.Inc()
+	})
 	for _, n := range nodes {
-		size += n.Page().EncodedBytes()
-	}
-	for _, img := range ovf {
-		size += len(img)
-	}
-	b.Grow(images+len(dels)+len(ovfDels), size)
-	for _, n := range nodes {
-		if err := btree.EncodeNodeImage(b.Slot(n.ID, n.Page().EncodedBytes()), n); err != nil {
-			leg.End()
+		size, err := n.ImageBytes(db.pageSize)
+		if err != nil {
 			// An unpersistable page (an internal invariant failure) fails
 			// every checkpoint until it is rewritten or freed: omitting it
 			// would persist a tree referencing an image the store never got.
 			return fail(fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err))
 		}
+		b.Reserve(n.ID, size)
 	}
-	db.cEncode.Add(uint64(len(nodes)))
-	leg.End()
 	for _, id := range dels {
 		b.Delete(id)
 	}
@@ -565,13 +608,18 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	if err := db.st.ApplySpanned(b, sp); err != nil {
 		return fail(err)
 	}
+	// The parked nodes are written, and unreachable from here on: retired.
 	db.evmu.Lock()
+	for _, n := range db.evq {
+		db.retire(n)
+	}
 	clear(db.evq)
 	db.evmu.Unlock()
 	clear(db.freed)
 	db.metaDirty = false
 	db.metaOvf = novf
 	db.commits++
+	images := len(nodes) + len(ovf) + 1
 	db.commitPages += uint64(images)
 	db.hBatch.Record(uint64(images))
 	db.epoch.Add(1)
@@ -593,7 +641,7 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 // Sync flushes the backing store (an explicit durability point for stores
 // running below core.DurCommit).
 func (db *DB) Sync() error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
@@ -604,7 +652,7 @@ func (db *DB) Sync() error {
 // Close commits outstanding changes and shuts the store down (checkpoint
 // included). The DB is unusable afterwards, even on error.
 func (db *DB) Close() error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil

@@ -1,0 +1,542 @@
+package pagedb
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/btree"
+	"repro/internal/store"
+)
+
+// Every test of this package runs with recycled nodes poisoned: a node's
+// buffer and arrays are overwritten the moment it becomes reusable, so any
+// read that outlives its guard hold — in these tests, the differential suite,
+// the View and reader hammers — returns garbage its oracle rejects, and under
+// -race is a reported write/read race.
+func init() {
+	poisonRecycled = func(n *btree.Node) {
+		buf, keys, kids := n.Buf[:cap(n.Buf)], n.Keys[:cap(n.Keys)], n.Kids[:cap(n.Kids)]
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+		for i := range keys {
+			keys[i] = 0xEEEEEEEEEEEEEEEE
+		}
+		for i := range kids {
+			kids[i] = 0xEEEEEEEE
+		}
+	}
+}
+
+// listed reports whether n is waiting on the retired or the free list.
+func listed(db *DB, n *btree.Node) bool {
+	db.evmu.Lock()
+	defer db.evmu.Unlock()
+	for _, l := range [][]*btree.Node{db.retired, db.free} {
+		for _, m := range l {
+			if m == n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// resident returns page id's node pinned, or nil if the page is not resident;
+// the caller releases n.Pin.
+func resident(db *DB, id uint32) *btree.Node {
+	if obj, _ := db.pool.FetchPinned(id); obj != nil {
+		return obj.(*btree.Node)
+	}
+	return nil
+}
+
+// within reports whether v is a slice of buf's memory.
+func within(buf, v []byte) bool {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		if len(v) > 0 && &buf[i] == &v[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDonorNodeIsNeverRecycled: a leaf parsed from storage whose split moved
+// half its values — slices of ITS buffer — into a new sibling must not be
+// handed out again once it is evicted: the sibling, alive and resident, still
+// reads those bytes. The donor is dropped (counted), never listed, and the
+// sibling's values survive everything the free list does meanwhile.
+func TestDonorNodeIsNeverRecycled(t *testing.T) {
+	opts := memOpts()
+	opts.CachePages = 16 // freeMax 1: whatever is recyclable is recycled at once
+	opts.CacheShards = 1
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[uint64][]byte)
+	put := func(k uint64) {
+		t.Helper()
+		oracle[k] = val(k, 1)
+		if err := tr.Put(k, oracle[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 800; k += 2 { // even keys: room between them
+		put(k)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// churn faults far more pages than the cache holds, cycling the guard as
+	// it goes: whatever can be evicted is, retired, reclaimed and reused.
+	churn := func() {
+		t.Helper()
+		for k := uint64(100); k < 800; k += 2 {
+			if v, ok, err := tr.Get(k); err != nil || !ok || !bytes.Equal(v, oracle[k]) {
+				t.Fatalf("Get(%d) = %x, %v, %v", k, v, ok, err)
+			}
+			if k%16 == 0 {
+				db.lock() // an exclusive acquisition: retired nodes become free
+				db.mu.Unlock()
+			}
+		}
+	}
+	churn()                                         // the leftmost leaf leaves the cache...
+	if _, ok, err := tr.Get(0); err != nil || !ok { // ...and is parsed back in
+		t.Fatal(ok, err)
+	}
+	db.mu.RLock()
+	id := tr.core.Root()
+	var donor *btree.Node
+	for donor == nil {
+		n := resident(db, id)
+		if n == nil {
+			t.Fatalf("page %d on the path to key 0 is not resident", id)
+		}
+		if n.Leaf {
+			donor = n
+		} else {
+			id = n.Kids[0]
+		}
+		db.pool.Release(n.Pin)
+	}
+	db.mu.RUnlock()
+	if donor.Donor || len(donor.Vals) == 0 || !within(donor.Buf, donor.Vals[0]) {
+		t.Fatalf("the leftmost leaf is not a freshly parsed node: %+v", donor)
+	}
+	for k := uint64(1); !donor.Donor; k += 2 { // fill it until it splits
+		if k > 40 {
+			t.Fatal("the leaf never split")
+		}
+		put(k)
+	}
+	sibling := resident(db, donor.Next) // pinned from here on: alive and resident
+	if sibling == nil {
+		t.Fatal("the split sibling is not resident")
+	}
+	shared := 0
+	want := make([][]byte, len(sibling.Vals))
+	for i, v := range sibling.Vals {
+		want[i] = append([]byte(nil), v...)
+		if within(donor.Buf, v) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the sibling holds no slice of the donor's buffer: the test no longer builds the case")
+	}
+	if err := db.Commit(); err != nil { // both clean: the donor is evictable
+		t.Fatal(err)
+	}
+	unrecyclable := db.Obs().Counter("pagedb.node.unrecyclable")
+	before := unrecyclable.Value()
+	for round := 0; round < 3; round++ {
+		churn()
+		if listed(db, donor) {
+			t.Fatal("a donor node is on the free list")
+		}
+	}
+	if n := resident(db, donor.ID); n == donor {
+		t.Fatal("the donor was never evicted: the churn is too small")
+	} else if n != nil {
+		db.pool.Release(n.Pin)
+	}
+	if unrecyclable.Value() == before {
+		t.Error("pagedb.node.unrecyclable did not count the donor's eviction")
+	}
+	if db.Obs().Counter("pagedb.node.recycled").Value() == 0 {
+		t.Error("nothing was recycled: the poison never ran")
+	}
+	for i, v := range sibling.Vals {
+		if !bytes.Equal(v, want[i]) {
+			t.Fatalf("sibling value of key %d is %x, was %x: the donor's buffer was reused under it", sibling.Keys[i], v, want[i])
+		}
+	}
+	db.pool.Release(sibling.Pin)
+	checkOracle(t, db, oracle)
+}
+
+// hammerVal is the value of key k at state c (odd: present): the state, then
+// a run whose length and fill depend on both, so that overwrites move leaves
+// across the split and merge thresholds and any stale or foreign byte shows.
+func hammerVal(k uint64, c uint32) []byte {
+	v := make([]byte, 4+(k*7+uint64(c)*13)%40)
+	binary.LittleEndian.PutUint32(v, c)
+	for i := 4; i < len(v); i++ {
+		v[i] = byte(k) ^ byte(c) ^ byte(i)
+	}
+	return v
+}
+
+// TestRecycleHammer: four readers (GetInto, Get, Scan, View) on a tree sixteen
+// times its cache while one writer inserts, overwrites and deletes in waves —
+// the tree grows through splits and shrinks through borrows and merges, over
+// and over — and a checkpoint fires every few hundred operations. Each key's
+// state is a counter (odd: present, holding hammerVal of that state); the
+// writer publishes the state it is moving to before an operation and the state
+// reached after it, so a reader knows exactly which states a read may return,
+// and checks what it got byte for byte — inside its guard hold, on the node's
+// own bytes. With recycled nodes poisoned, a value that outlived its node
+// fails that check; under -race it is also a reported race.
+func TestRecycleHammer(t *testing.T) {
+	const nkeys = 3000
+	opts := memOpts()
+	opts.Store.MaxSegments = 512
+	opts.CachePages = 32
+	opts.CacheShards = 2
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tr, err := db.Tree("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// started[k] ≥ the state any operation has begun moving k to; reached[k] ≤
+	// the state every finished operation has left it in.
+	started, reached := make([]atomic.Uint32, nkeys), make([]atomic.Uint32, nkeys)
+	var fmu sync.Mutex
+	var firstErr error
+	fail := func(format string, args ...any) {
+		fmu.Lock()
+		if firstErr == nil {
+			firstErr = fmt.Errorf(format, args...)
+		}
+		fmu.Unlock()
+	}
+	// check validates one read of k — v is nil when k was not found — that
+	// began when reached[k] was lo.
+	check := func(who string, k uint64, v []byte, found bool, lo uint32) {
+		hi := started[k].Load()
+		if !found {
+			if lo == hi && lo%2 == 1 {
+				fail("%s: key %d missing, but it has been present (state %d) throughout", who, k, lo)
+			}
+			return
+		}
+		if len(v) < 4 {
+			fail("%s: key %d: value %x", who, k, v)
+			return
+		}
+		c := binary.LittleEndian.Uint32(v)
+		if c%2 == 0 || c < lo || c > hi || !bytes.Equal(v, hammerVal(k, c)) {
+			fail("%s: key %d read %x: not the value of any state in [%d, %d]", who, k, v, lo, hi)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(seed uint64, read func(rng *rand.Rand)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read(rng)
+				}
+			}
+		}()
+	}
+	var buf []byte
+	reader(1, func(rng *rand.Rand) {
+		k := rng.Uint64N(nkeys)
+		lo := reached[k].Load()
+		v, ok, err := tr.GetInto(k, buf)
+		if err != nil {
+			fail("GetInto(%d): %v", k, err)
+		}
+		buf = v
+		check("GetInto", k, v, ok, lo)
+	})
+	reader(2, func(rng *rand.Rand) {
+		k := rng.Uint64N(nkeys)
+		lo := reached[k].Load()
+		v, ok, err := tr.Get(k)
+		if err != nil {
+			fail("Get(%d): %v", k, err)
+		}
+		check("Get", k, v, ok, lo)
+	})
+	// scanned checks one 64-key range read through do; an error (a view's
+	// retry) is the caller's to pass on, and voids the absences.
+	scanned := func(who string, rng *rand.Rand, do func(from, to uint64, fn func(uint64, []byte) bool) error) error {
+		from := rng.Uint64N(nkeys - 64)
+		var lo [64]uint32
+		for i := range lo {
+			lo[i] = reached[from+uint64(i)].Load()
+		}
+		var seen [64]bool
+		err := do(from, from+63, func(k uint64, v []byte) bool {
+			if k < from || k > from+63 || seen[k-from] {
+				fail("%s from %d visited key %d", who, from, k)
+				return false
+			}
+			seen[k-from] = true
+			check(who, k, v, true, lo[k-from]) // on the node's own bytes
+			return true
+		})
+		for i, ok := range seen {
+			if !ok && err == nil {
+				check(who, from+uint64(i), nil, false, lo[i])
+			}
+		}
+		return err
+	}
+	reader(3, func(rng *rand.Rand) {
+		if err := scanned("Scan", rng, tr.Scan); err != nil {
+			fail("Scan: %v", err)
+		}
+	})
+	reader(4, func(rng *rand.Rand) {
+		err := db.View(func(v *View) error {
+			if rng.IntN(2) == 0 {
+				return scanned("View.Scan", rng, func(from, to uint64, fn func(uint64, []byte) bool) error {
+					return v.Scan("h", from, to, fn)
+				})
+			}
+			k := rng.Uint64N(nkeys)
+			lo := reached[k].Load()
+			val, ok, err := v.Get("h", k)
+			if err == nil {
+				check("View.Get", k, val, ok, lo)
+			}
+			return err
+		})
+		if err != nil {
+			fail("View: %v", err)
+		}
+	})
+
+	// The writer: waves that fill the key space, then empty most of it.
+	rng := rand.New(rand.NewPCG(9, 9))
+	ops := 24000
+	if testing.Short() {
+		ops = 6000
+	}
+	for i := 0; i < ops && firstErr == nil; i++ {
+		k := rng.Uint64N(nkeys)
+		c := reached[k].Load()
+		grow := (i/3000)%2 == 0
+		del := c%2 == 1 && rng.IntN(10) < 7 && !grow
+		if c%2 == 0 && !grow && rng.IntN(10) < 7 {
+			continue // shrinking: leave most absent keys absent
+		}
+		next := c + 1 // insert, or delete
+		if c%2 == 1 && !del {
+			next = c + 2 // overwrite
+		}
+		started[k].Store(next)
+		var err error
+		switch {
+		case i%3 == 0 && del:
+			_, err = tr.Delete(k)
+		case i%3 == 0:
+			err = tr.Put(k, hammerVal(k, next))
+		default:
+			var x *Txn
+			if x, err = db.Begin(); err == nil {
+				if del {
+					_, err = x.Delete("h", k)
+				} else {
+					err = x.Put("h", k, hammerVal(k, next))
+				}
+				if err == nil {
+					err = x.Commit()
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d on key %d: %v", i, k, err)
+		}
+		reached[k].Store(next)
+		if i%300 == 299 {
+			if err := db.Commit(); err != nil {
+				t.Fatalf("checkpoint at op %d: %v", i, err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	present := 0
+	for k := uint64(0); k < nkeys; k++ {
+		v, ok, err := tr.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("final Get", k, v, ok, reached[k].Load())
+		if ok {
+			present++
+		}
+	}
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if tr.Len() != present {
+		t.Errorf("tree counts %d keys, %d are present", tr.Len(), present)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CheckPinBalance(); err != nil {
+		t.Fatal(err)
+	}
+	st, obs := db.Stats(), db.Obs()
+	recycled, fresh, donors := obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value(), obs.Counter("pagedb.node.unrecyclable").Value()
+	t.Logf("%d faults: %d into recycled nodes, %d fresh; %d donors dropped; %d checkpoints, %d pages freed by merges",
+		st.Faults, recycled, fresh, donors, st.Commits, len(db.pool.FreeList()))
+	if recycled == 0 || donors == 0 || recycled+fresh != st.Faults {
+		t.Errorf("recycled %d + fresh %d of %d faults, %d donors: the hammer did not exercise recycling", recycled, fresh, st.Faults, donors)
+	}
+	if pages := db.pool.MaxPageID(); int(pages) < 16*opts.CachePages {
+		t.Errorf("the tree only ever had %d pages, want ≥ 16 × the cache of %d", pages, opts.CachePages)
+	}
+}
+
+// TestFaultAllocBudget: in steady state a fault allocates next to nothing —
+// the read lands in a recycled node's buffer and is parsed into its arrays.
+// A file-backed tree eight times its cache takes point reads all over it,
+// mixed one for one with single-put transactions on a few hot keys: the
+// transactions are what cycles the guard, turning the nodes the reads' faults
+// evict into free ones, and their pages never leave the cache, so nothing is
+// evicted dirty (a parked node is not free until its checkpoint). What the
+// operations themselves allocate — measured first, with the reads on the hot
+// keys too — is subtracted, and the rest is charged to the faults: the free
+// list's misses (a buffer or an array of the wrong size).
+func TestFaultAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const pageSize, cache, nkeys = 4096, 128, 60000
+	db, err := Open(Options{
+		Store:      store.Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 128, MaxSegments: 192},
+		CachePages: cache, CacheShards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	oracle := make(map[uint64][]byte)
+	keys := make([]uint64, nkeys)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	txnPuts(t, db, oracle, keys, 0)
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := int(db.pool.MaxPageID()); pages < 8*cache {
+		t.Fatalf("the tree has %d pages, want ≥ 8 × the cache of %d", pages, cache)
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	var buf []byte
+	// run issues n operations, alternately a read in the first span keys and a
+	// single-put transaction on a hot key, and returns what they allocated and
+	// faulted.
+	const hot = 20
+	run := func(n int, span uint64, version byte) (alloc, faults uint64) {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f0 := db.faults.Load()
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				k := rng.Uint64N(span)
+				v, ok, err := tr.GetInto(k, buf)
+				if err != nil || !ok || !bytes.Equal(v, oracle[k]) {
+					t.Fatalf("GetInto(%d) = %x, %v, %v; want %x", k, v, ok, err, oracle[k])
+				}
+				buf = v
+				continue
+			}
+			k := rng.Uint64N(hot)
+			x, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range oracle[k] { // val(k, version), in place: the oracle allocates nothing
+				oracle[k][i] = byte(k)*7 + version + byte(i)
+			}
+			if err := x.Put("t", k, oracle[k]); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, db.faults.Load() - f0
+	}
+	const ops = 4000
+	run(ops, hot, 1) // warm: the hot leaf resident, the WAL's buffers grown
+	base, hotFaults := run(ops, hot, 2)
+	if hotFaults != 0 {
+		t.Fatalf("%d faults on the hot keys: the calibration is not fault-free", hotFaults)
+	}
+	best, bestFaults := 0.0, uint64(0)
+	for round := byte(0); round < 4; round++ {
+		alloc, faults := run(ops, nkeys, 3+round)
+		if err := db.Commit(); err != nil { // not measured: TestCheckpointAllocBudget's
+			t.Fatal(err)
+		}
+		if faults < ops/3 {
+			t.Fatalf("%d faults in %d operations: the tree is not spilling", faults, ops)
+		}
+		if round == 0 {
+			continue // first growth of the free list and the eviction queue
+		}
+		if per := (float64(alloc) - float64(base)) / float64(faults); bestFaults == 0 || per < best {
+			best, bestFaults = per, faults
+		}
+	}
+	obs := db.Obs()
+	t.Logf("%.0f B allocated per fault (%d faults in %d operations; the operations themselves allocate %.0f B each; %d faults recycled, %d fresh)",
+		best, bestFaults, ops, float64(base)/ops, obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value())
+	if best > 96 {
+		t.Errorf("%.0f B allocated per fault, budget is 96", best)
+	}
+	checkOracle(t, db, oracle)
+}

@@ -27,7 +27,7 @@ type Tree struct {
 // Tree returns the named tree, creating it (with an empty root leaf) if it
 // does not exist. The creation is durable at the next Commit.
 func (db *DB) Tree(name string) (*Tree, error) {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil, ErrClosed
@@ -65,7 +65,7 @@ func (db *DB) TreeNames() []string {
 // DropTree deletes a named tree, freeing every page it owns. Outstanding
 // handles to it fail all further operations.
 func (db *DB) DropTree(name string) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
@@ -173,12 +173,13 @@ func (db *DB) checkValue(value []byte) error {
 // Put stores value under key, replacing any existing value. The value is
 // copied.
 func (t *Tree) Put(key uint64, value []byte) error {
-	t.db.mu.Lock()
+	t.db.lock()
 	defer t.db.mu.Unlock()
-	return t.putLocked(key, value)
+	return t.putLocked(key, append([]byte(nil), value...))
 }
 
-// putLocked is Put's body, shared with transaction apply and WAL replay.
+// putLocked is Put's body, shared with transaction apply and WAL replay. The
+// tree keeps value itself: the caller hands over a copy nothing else writes.
 func (t *Tree) putLocked(key uint64, value []byte) error {
 	if err := t.guard(); err != nil {
 		return err
@@ -186,7 +187,7 @@ func (t *Tree) putLocked(key uint64, value []byte) error {
 	if err := t.db.checkValue(value); err != nil {
 		return err
 	}
-	added, err := t.core.Insert(key, append([]byte(nil), value...))
+	added, err := t.core.Insert(key, value)
 	if added {
 		t.db.metaDirty = true // the persisted entry count changed
 	}
@@ -197,7 +198,7 @@ func (t *Tree) putLocked(key uint64, value []byte) error {
 // sibling first, merge where a neighbor fits). It reports whether the key
 // existed.
 func (t *Tree) Delete(key uint64) (bool, error) {
-	t.db.mu.Lock()
+	t.db.lock()
 	defer t.db.mu.Unlock()
 	return t.deleteLocked(key)
 }

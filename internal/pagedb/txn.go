@@ -40,9 +40,13 @@ type Txn struct {
 	ops []wal.Op
 
 	// writes overlays the committed state for this transaction's own
-	// reads: per tree, the staged final value (or tombstone) per key.
-	writes  map[string]map[uint64]txnWrite
-	dropped map[string]bool // trees dropped by this txn (masks base reads)
+	// reads: per tree, the staged final value (or tombstone) per key. It is
+	// derived from ops, and only when a read needs it (overlay): overlaid
+	// counts the ops folded in so far, so a transaction that only writes
+	// builds no map at all.
+	writes   map[string]map[uint64]txnWrite
+	dropped  map[string]bool // trees dropped by this txn (masks base reads)
+	overlaid int
 }
 
 // txnWrite distinguishes a staged put (any value, nil included) from a
@@ -68,16 +72,28 @@ func (db *DB) Begin() (*Txn, error) {
 // including across reopens — ids resume past everything in the log).
 func (t *Txn) ID() uint64 { return t.id }
 
-func (t *Txn) stage(tree string) map[uint64]txnWrite {
-	if t.writes == nil {
-		t.writes = make(map[string]map[uint64]txnWrite)
+// overlay brings the read-your-writes maps up to date with ops.
+func (t *Txn) overlay() {
+	for _, op := range t.ops[t.overlaid:] {
+		if op.Kind == wal.OpDropTree {
+			if t.dropped == nil {
+				t.dropped = make(map[string]bool)
+			}
+			t.dropped[op.Tree] = true
+			delete(t.writes, op.Tree)
+			continue
+		}
+		if t.writes == nil {
+			t.writes = make(map[string]map[uint64]txnWrite)
+		}
+		m := t.writes[op.Tree]
+		if m == nil {
+			m = make(map[uint64]txnWrite)
+			t.writes[op.Tree] = m
+		}
+		m[op.Key] = txnWrite{del: op.Kind == wal.OpDelete, val: op.Value}
 	}
-	m := t.writes[tree]
-	if m == nil {
-		m = make(map[uint64]txnWrite)
-		t.writes[tree] = m
-	}
-	return m
+	t.overlaid = len(t.ops)
 }
 
 // Put stages value under key in the named tree (created at Commit if
@@ -93,9 +109,9 @@ func (t *Txn) Put(tree string, key uint64, value []byte) error {
 	if err := t.db.checkValue(value); err != nil {
 		return err
 	}
-	v := append([]byte(nil), value...)
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpPut, Tree: tree, Key: key, Value: v})
-	t.stage(tree)[key] = txnWrite{val: v}
+	// This copy is the transaction's, then the tree's: Commit hands it to the
+	// leaf as it is.
+	t.ops = append(t.ops, wal.Op{Kind: wal.OpPut, Tree: tree, Key: key, Value: append([]byte(nil), value...)})
 	return nil
 }
 
@@ -111,7 +127,6 @@ func (t *Txn) Delete(tree string, key uint64) (bool, error) {
 		return false, err
 	}
 	t.ops = append(t.ops, wal.Op{Kind: wal.OpDelete, Tree: tree, Key: key})
-	t.stage(tree)[key] = txnWrite{del: true}
 	return existed, nil
 }
 
@@ -123,15 +138,11 @@ func (t *Txn) DropTree(tree string) error {
 		return ErrTxnDone
 	}
 	t.ops = append(t.ops, wal.Op{Kind: wal.OpDropTree, Tree: tree})
-	if t.dropped == nil {
-		t.dropped = make(map[string]bool)
-	}
-	t.dropped[tree] = true
-	delete(t.writes, tree)
 	return nil
 }
 
 func (t *Txn) exists(tree string, key uint64) (bool, error) {
+	t.overlay()
 	if w, ok := t.writes[tree][key]; ok {
 		return !w.del, nil
 	}
@@ -148,6 +159,7 @@ func (t *Txn) Get(tree string, key uint64) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnDone
 	}
+	t.overlay()
 	if w, ok := t.writes[tree][key]; ok {
 		if w.del {
 			return nil, false, nil
@@ -168,6 +180,7 @@ func (t *Txn) Scan(tree string, from, to uint64, fn func(key uint64, value []byt
 	if t.done {
 		return ErrTxnDone
 	}
+	t.overlay()
 	ov := t.writes[tree]
 	keys := make([]uint64, 0, len(ov))
 	for k := range ov {
@@ -244,7 +257,7 @@ func (t *Txn) Commit() error {
 	sp := obs.StartSpan(db.obsReg, "txn.commit")
 	defer sp.End()
 	leg := sp.Child("lock.wait")
-	db.mu.Lock()
+	db.lock()
 	leg.End()
 	if db.closed {
 		db.mu.Unlock()
@@ -261,7 +274,7 @@ func (t *Txn) Commit() error {
 	// crash, so an apply failure (a fault mid-split) is reported but does
 	// not un-log it — reopen replays it whole.
 	leg = sp.Child("tree.apply")
-	err = db.applyOps(t.ops)
+	err = db.applyOps(t.ops, true)
 	leg.End()
 	db.txns++
 	db.epoch.Add(1)
@@ -282,7 +295,7 @@ func (t *Txn) Rollback() error {
 		return ErrTxnDone
 	}
 	t.done = true
-	t.ops, t.writes, t.dropped = nil, nil, nil
+	t.ops, t.writes, t.dropped, t.overlaid = nil, nil, nil, 0
 	return nil
 }
 
@@ -290,14 +303,20 @@ func (t *Txn) Rollback() error {
 // Caller holds db.mu exclusively (or is Open's replay, pre-concurrency).
 // The semantics are redo-idempotent: put creates the tree if missing,
 // delete and droptree of something absent are no-ops — so replaying an
-// already-checkpointed suffix converges to the same state.
-func (db *DB) applyOps(ops []wal.Op) error {
+// already-checkpointed suffix converges to the same state. own says the put
+// values are the trees' to keep (Txn.Put's copies, which nothing writes
+// again); otherwise each is copied (replay's values are slices of a whole
+// generation file, which a surviving value would keep in memory).
+func (db *DB) applyOps(ops []wal.Op, own bool) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case wal.OpPut:
 			tr, err := db.treeLocked(op.Tree)
 			if err != nil {
 				return err
+			}
+			if !own {
+				op.Value = append([]byte(nil), op.Value...)
 			}
 			if err := tr.putLocked(op.Key, op.Value); err != nil {
 				return err

@@ -28,18 +28,25 @@ func (l *Log[K, R]) route(prev Tick, now uint64) (int32, Tick) {
 	return core.ClampStream(l.cfg.Algorithm.Router.Route(uint64(prev.est), -1), l.streams), prev
 }
 
-// Batch collects writes and deletions for one atomic apply. The engines
-// wrap it in their own builder types; payloads are copied into the batch's
-// arena (Put) or written there in place (Slot), so callers may reuse their
-// own buffers immediately. A Batch is not
-// safe for concurrent use, but may be reused (Reset) once applied.
+// Batch collects writes and deletions for one atomic apply. The engines wrap
+// it in their own builder types. A write's payload is either copied into the
+// batch's arena when it is added (Put), so callers may reuse their buffers
+// immediately, or does not exist yet (PutReserved): the batch then carries
+// its size only, and Fill produces the bytes at apply time, straight into the
+// engine's own buffer. A Batch is not safe for concurrent use, but may be
+// reused (Reset) once applied.
 type Batch[K comparable] struct {
 	Ops []Op[K]
 	// Plan is each operation's placement, filled in by Reserve: the stream
 	// it routes to and the routing tick to install, both computed against a
 	// virtual copy of the log state, so planning mutates nothing.
 	Plan []Placement
-	buf  []byte // arena holding every write's payload
+	// Fill writes the payload of reserved write Ops[i] into dst (exactly the
+	// reserved length). The engine calls it once per reserved write, in batch
+	// order, with its lock held, and only once nothing can fail the batch any
+	// more — so it cannot fail either, and must not call back into the engine.
+	Fill func(i int, dst []byte)
+	buf  []byte // arena holding every Put's payload
 }
 
 // Op is one batch operation. The engine sets Size before Reserve.
@@ -50,7 +57,7 @@ type Op[K comparable] struct {
 	// write (or a tombstone record), 0 for a delete that appends nothing.
 	Size int64
 
-	off, n int // payload range in buf (writes only)
+	off, n int // payload range in buf (writes only); off < 0: reserved, Fill has it
 }
 
 // Placement is where one batch operation goes (zero for an operation that
@@ -67,28 +74,10 @@ func (b *Batch[K]) Put(key K, data []byte) {
 	b.Ops = append(b.Ops, Op[K]{Key: key, off: off, n: len(data)})
 }
 
-// Grow reserves room for ops more operations carrying bytes more payload, at
-// exactly that size: a caller that knows what it is about to add pays one
-// allocation per backing array instead of append's doubling (which, summed
-// over a large batch, allocates several times the batch and discards it).
-func (b *Batch[K]) Grow(ops, bytes int) {
-	if cap(b.Ops)-len(b.Ops) < ops {
-		b.Ops = append(make([]Op[K], 0, len(b.Ops)+ops), b.Ops...)
-	}
-	if cap(b.buf)-len(b.buf) < bytes {
-		b.buf = append(make([]byte, 0, len(b.buf)+bytes), b.buf...)
-	}
-}
-
-// Slot adds a write of n bytes under key and returns those bytes, zeroed, in
-// the arena for the caller to fill in place — the copy-free form of Put. The
-// slice is the caller's until the next Put or Slot outgrows the arena (which
-// moves it); Grow the batch first and every slot stays put.
-func (b *Batch[K]) Slot(key K, n int) []byte {
-	off := len(b.buf)
-	b.buf = append(b.buf, make([]byte, n)...)
-	b.Ops = append(b.Ops, Op[K]{Key: key, off: off, n: n})
-	return b.buf[off : off+n : off+n]
+// PutReserved adds a write of n bytes under key whose payload Fill will
+// produce at apply time — the copy-free form of Put.
+func (b *Batch[K]) PutReserved(key K, n int) {
+	b.Ops = append(b.Ops, Op[K]{Key: key, off: -1, n: n})
 }
 
 // Delete adds a deletion of key.
@@ -100,9 +89,20 @@ func (b *Batch[K]) Reset() {
 	b.buf = b.buf[:0]
 }
 
-// Data returns op's payload (writes only); DataLen its length.
+// Data returns op's payload in the arena (Put writes only); DataLen the
+// payload length of any write, Reserved whether Fill is to produce it.
+// CopyData puts write Ops[i]'s payload into dst, DataLen bytes long: the
+// arena's copy, or what Fill makes of a reserved one.
 func (b *Batch[K]) Data(op *Op[K]) []byte { return b.buf[op.off : op.off+op.n] }
 func (op *Op[K]) DataLen() int            { return op.n }
+func (op *Op[K]) Reserved() bool          { return op.off < 0 }
+func (b *Batch[K]) CopyData(i int, dst []byte) {
+	if op := &b.Ops[i]; op.Reserved() {
+		b.Fill(i, dst)
+	} else {
+		copy(dst, b.Data(op))
+	}
+}
 
 // Reserve plans the batch (every Op.Size set) and secures the free segments
 // it needs, before any old version is invalidated: once it returns nil the

@@ -1,6 +1,7 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -410,51 +411,51 @@ func TestBatchReservationIsExact(t *testing.T) {
 	}
 }
 
-// TestBatchGrowReservesExactly: a batch grown to its known size allocates
-// each backing array once — capacity is exactly what was asked for and
-// unchanged after the last member is added — and a Slot is the arena's own
-// bytes, so filling it in place is what Data later returns.
-func TestBatchGrowReservesExactly(t *testing.T) {
+// TestBatchReservedWritesFillAtApply: a reserved write carries its length and
+// nothing else — the arena does not grow for it — and CopyData hands the
+// engine's own bytes to Fill with the operation's position, while a Put next
+// to it is still served from the arena; both survive Reset as the batch's
+// retained capacity and its Fill.
+func TestBatchReservedWritesFillAtApply(t *testing.T) {
 	var b Batch[string]
-	b.Put("first", []byte("abc")) // Grow keeps what is already there
-	const n, size = 100, 64
-	b.Grow(n+10, n*size)
-	ops, bytes := cap(b.Ops), cap(b.buf)
-	if ops != 1+n+10 || bytes != 3+n*size {
-		t.Fatalf("Grow(%d, %d) left capacity %d ops / %d bytes", n+10, n*size, ops, bytes)
+	var filled []int
+	b.Fill = func(i int, dst []byte) {
+		filled = append(filled, i)
+		for j := range dst {
+			dst[j] = byte('a' + i)
+		}
 	}
-	slots := make([][]byte, n)
-	for i := range slots {
-		slots[i] = b.Slot(fmt.Sprint(i), size)
-	}
-	for i := 0; i < 10; i++ {
-		b.Delete(fmt.Sprint(i))
-	}
-	if cap(b.Ops) != ops || cap(b.buf) != bytes {
-		t.Errorf("capacity moved to %d ops / %d bytes while filling a grown batch", cap(b.Ops), cap(b.buf))
-	}
-	for i, s := range slots { // filled after every member was added
-		for j := range s {
-			if s[j] != 0 {
-				t.Fatalf("slot %d not zeroed", i)
+	for round := 0; round < 2; round++ {
+		b.Put("copied", []byte("xyz"))
+		b.PutReserved("r1", 4)
+		b.Delete("gone")
+		b.PutReserved("r3", 0)
+		if len(b.buf) != 3 {
+			t.Fatalf("arena holds %d bytes, want only the Put's 3", len(b.buf))
+		}
+		for i, want := range []struct {
+			n        int
+			reserved bool
+			data     string
+		}{{3, false, "xyz"}, {4, true, "bbbb"}, {0, false, ""}, {0, true, ""}} {
+			op := &b.Ops[i]
+			if op.DataLen() != want.n || op.Reserved() != want.reserved {
+				t.Fatalf("op %d: DataLen %d Reserved %v", i, op.DataLen(), op.Reserved())
 			}
-			s[j] = byte(i)
+			dst := bytes.Repeat([]byte{0xEE}, want.n+1)
+			b.CopyData(i, dst[:want.n])
+			if string(dst[:want.n]) != want.data || dst[want.n] != 0xEE {
+				t.Fatalf("op %d: CopyData produced %q", i, dst)
+			}
 		}
-	}
-	if got := b.Data(&b.Ops[0]); string(got) != "abc" {
-		t.Errorf("first payload %q after Grow", got)
-	}
-	for i := range slots {
-		if got := b.Data(&b.Ops[1+i]); len(got) != size || got[0] != byte(i) || got[size-1] != byte(i) {
-			t.Fatalf("slot %d was not filled in place", i)
+		if len(filled) != 2 || filled[0] != 1 || filled[1] != 3 {
+			t.Fatalf("Fill called for ops %v, want [1 3]", filled)
 		}
-	}
-	if extra := append(slots[0], 1); &extra[0] == &slots[0][0] {
-		t.Error("appending to a slot can run into its neighbour")
-	}
-	b.Grow(0, 0) // room already there: no-op
-	if cap(b.Ops) != ops || cap(b.buf) != bytes {
-		t.Error("Grow reallocated a batch that already had the room")
+		filled = filled[:0]
+		b.Reset()
+		if len(b.Ops) != 0 || b.Fill == nil {
+			t.Fatal("Reset must empty the batch and keep its Fill")
+		}
 	}
 }
 

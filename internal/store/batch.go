@@ -14,6 +14,12 @@ import (
 // Store.Apply. A Batch is not safe for concurrent use, but may be reused
 // (Reset) once Apply returns; page data is copied into the batch at Write
 // time, so callers may reuse their buffers immediately.
+//
+// A caller whose pages do not exist as bytes yet — a checkpoint holding
+// decoded nodes — adds fill-at-apply writes instead (SetFill once, Reserve
+// per page): the batch carries the page's id and length only, and Apply has
+// the fill function write it straight into the store's run buffer, where the
+// record's header and checksum are then computed over the bytes in place.
 type Batch struct{ b seglog.Batch[uint32] }
 
 // NewBatch returns an empty batch.
@@ -26,16 +32,20 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 	return b
 }
 
-// Grow reserves room for ops more operations whose page writes carry bytes
-// bytes in all, at exactly that size (see seglog.Batch.Grow): what a caller
-// that knows its batch up front — a checkpoint — calls once.
-func (b *Batch) Grow(ops, bytes int) { b.b.Grow(ops, bytes) }
+// SetFill installs the function that produces the batch's reserved writes
+// (it survives Reset): fill(i, dst) writes the page of the batch's i-th
+// operation into dst, exactly the reserved length, every byte of it. Apply
+// calls it under the store's lock, once per reserved write, in order, and only
+// after validating the whole batch and reserving its space — fill cannot fail,
+// so check what it will encode before Apply — and it must not call the store.
+func (b *Batch) SetFill(fill func(i int, dst []byte)) { b.b.Fill = fill }
 
-// Slot adds a page write of n bytes and returns the zeroed bytes inside the
-// batch for the caller to encode into, instead of building the page
-// elsewhere and having Write copy it. Grow the batch first: a slot is valid
-// only until a later Write or Slot outgrows the batch's buffer.
-func (b *Batch) Slot(id uint32, n int) []byte { return b.b.Slot(id, n) }
+// Reserve adds a page write of n bytes that the SetFill function produces
+// at Apply time.
+func (b *Batch) Reserve(id uint32, n int) *Batch {
+	b.b.PutReserved(id, n)
+	return b
+}
 
 // Delete adds a page deletion (a durable tombstone). The page must exist
 // when the batch is applied — either in the store or written earlier in
@@ -106,6 +116,8 @@ func (s *Store) applyLocked(b *Batch) error {
 			}
 		} else if op.DataLen() > s.opts.PageSize {
 			return fmt.Errorf("store: batch op %d: page data %d bytes, page size is %d", i, op.DataLen(), s.opts.PageSize)
+		} else if op.Reserved() && b.b.Fill == nil {
+			return fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.Key)
 		}
 		if vexists != nil {
 			vexists[op.Key] = !op.Del
@@ -115,19 +127,17 @@ func (s *Store) applyLocked(b *Batch) error {
 	if err := s.log.Reserve(&b.b); err != nil {
 		return err
 	}
-	last := len(b.b.Ops) - 1
-	for i := range b.b.Ops {
+	last, i := len(b.b.Ops)-1, 0
+	put := func(dst []byte) { b.b.CopyData(i, dst) } // one closure, following i
+	for i = range b.b.Ops {
 		op, pl := &b.b.Ops[i], &b.b.Plan[i]
 		if err := s.log.RoomReserved(pl.Stream, op.Size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
 		}
 		flags := uint32(0)
-		var payload []byte
 		if op.Del {
 			flags = flagTombstone
-		} else {
-			payload = b.b.Data(op)
 		}
 		if last > 0 {
 			// Multi-record batches carry commit markers so recovery can
@@ -138,7 +148,7 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.userAppend(pl.Stream, pl.Tick, op.Key, flags, uint32(i), payload); err != nil {
+		if err := s.userAppend(pl.Stream, pl.Tick, op.Key, flags, uint32(i), op.DataLen(), put); err != nil {
 			return err
 		}
 	}

@@ -95,11 +95,11 @@ func TestBatchApplyBasic(t *testing.T) {
 	}
 }
 
-// TestBatchSlotAndLateDeletes covers the two things a checkpoint-shaped
-// batch relies on: pages encoded in place into a grown batch (Slot) apply
-// like copied ones, and the existence tracking that starts at the first
-// Delete knows the writes before it.
-func TestBatchSlotAndLateDeletes(t *testing.T) {
+// TestBatchFillAndLateDeletes covers the two things a checkpoint-shaped
+// batch relies on: pages produced at Apply time, straight into the run buffer
+// (Reserve + SetFill), apply like copied ones, and the existence tracking that
+// starts at the first Delete knows the writes before it.
+func TestBatchFillAndLateDeletes(t *testing.T) {
 	s, err := Open(Options{PageSize: 64, SegmentPages: 4, MaxSegments: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +108,30 @@ func TestBatchSlotAndLateDeletes(t *testing.T) {
 	if err := s.WritePage(50, pagePattern(64, 50, 1)); err != nil {
 		t.Fatal(err)
 	}
+	// The fill function sees each reserved write once, in order, by its
+	// position in the batch, with exactly the reserved bytes to write.
+	pages := map[int][]byte{0: pagePattern(64, 1, 1), 1: pagePattern(64, 2, 1), 2: pagePattern(64, 3, 1)}
+	var filled []int
+	fill := func(i int, dst []byte) {
+		filled = append(filled, i)
+		if len(dst) != len(pages[i]) {
+			t.Errorf("fill %d handed %d bytes, reserved %d", i, len(dst), len(pages[i]))
+		}
+		copy(dst, pages[i])
+	}
 	b := NewBatch()
-	b.Grow(8, 5*64)
-	first := b.Slot(1, 64)
-	copy(b.Slot(2, 64), pagePattern(64, 2, 1))
-	copy(b.Slot(3, 64), pagePattern(64, 3, 1))
+	b.SetFill(fill)
+	b.Reserve(1, 64).Reserve(2, 64).Reserve(3, 64)
 	b.Write(4, pagePattern(64, 4, 1))
 	b.Delete(3)  // written above: the lazily built existence map must know it
 	b.Delete(50) // exists only in the store
 	b.Write(3, pagePattern(64, 3, 2))
 	b.Delete(2)
-	copy(first, pagePattern(64, 1, 1)) // the slot is still the batch's memory
 	if err := s.Apply(b); err != nil {
 		t.Fatalf("Apply: %v", err)
+	}
+	if len(filled) != 3 || filled[0] != 0 || filled[1] != 1 || filled[2] != 2 {
+		t.Errorf("fill called for positions %v, want [0 1 2]", filled)
 	}
 	buf := make([]byte, 64)
 	for id, version := range map[uint32]byte{1: 1, 3: 2, 4: 1} {
@@ -138,21 +149,42 @@ func TestBatchSlotAndLateDeletes(t *testing.T) {
 	if err := s.Apply(bad); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete in one batch: err = %v, want ErrNotFound", err)
 	}
-	// A slot over the page size is refused like an oversized Write; a short
-	// one is stored at its length and reads back zero-filled.
-	long := NewBatch()
-	long.Slot(11, 65)
-	if err := s.Apply(long); err == nil {
-		t.Error("Apply with a 65-byte slot succeeded")
+	// A batch that fails validation never reaches its fill function: a
+	// reservation over the page size is refused like an oversized Write, and
+	// so is one with no fill function to produce it.
+	filled = filled[:0]
+	b.Reset()
+	pages[0] = pagePattern(64, 11, 1)
+	if err := s.Apply(b.Reserve(11, 64).Reserve(12, 65)); err == nil {
+		t.Error("Apply with a 65-byte reservation succeeded")
 	}
-	short := NewBatch()
-	copy(short.Slot(11, 10), pagePattern(64, 11, 1))
-	if err := s.Apply(short); err != nil {
-		t.Fatalf("Apply with a 10-byte slot: %v", err)
+	if err := s.Apply(NewBatch().Reserve(11, 64)); err == nil {
+		t.Error("Apply of a reserved write with no fill function succeeded")
+	}
+	if len(filled) != 0 || s.Has(11) {
+		t.Errorf("a refused batch filled %v / wrote page 11", filled)
+	}
+	// Reset keeps the fill function; a short page is stored at its length and
+	// ReadPage zero-fills it, ReadRecord returns it as stored.
+	b.Reset()
+	pages[0] = pagePattern(64, 11, 1)[:10]
+	if err := s.Apply(b.Reserve(11, 10)); err != nil {
+		t.Fatalf("Apply with a 10-byte reservation: %v", err)
 	}
 	want := append(pagePattern(64, 11, 1)[:10:10], make([]byte, 54)...)
 	if err := s.ReadPage(11, buf); err != nil || !bytes.Equal(buf, want) {
 		t.Errorf("short page reads back %x (err %v), want %x", buf, err, want)
+	}
+	var mine []byte
+	page, err := s.ReadRecord(11, func(size int) []byte {
+		mine = bytes.Repeat([]byte{0xEE}, size+5)
+		return mine
+	})
+	if err != nil || !bytes.Equal(page, want[:10]) || cap(page) != 10 || len(mine) != 24+10+5 || &page[0] != &mine[24] {
+		t.Errorf("ReadRecord = %x (cap %d, err %v) in a %d-byte buffer, want the 10 stored bytes, in place", page, cap(page), err, len(mine))
+	}
+	if _, err := s.ReadRecord(2, func(int) []byte { t.Error("buffer requested for a missing page"); return nil }); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadRecord of a deleted page: %v", err)
 	}
 	checkInvariants(t, s)
 }

@@ -121,7 +121,12 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.appendRecord(stream, r.page, flags, 0, win[r.woff:][recHeaderSize:size], c.Up2, c); err != nil {
+	rec, err := s.stage(stream, int(size))
+	if err != nil {
+		return 0, err
+	}
+	copy(rec[recHeaderSize:], win[r.woff:][recHeaderSize:size])
+	if err := s.appendRecord(stream, r.page, flags, 0, rec, c.Up2, c); err != nil {
 		return 0, err
 	}
 	s.cGCBytes.Add(uint64(size))

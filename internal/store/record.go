@@ -65,14 +65,14 @@ type recordHeader struct {
 	pos uint32
 }
 
-// encodeRecord writes header+payload into dst (recHeaderSize+len(payload)
-// bytes).
-func encodeRecord(dst []byte, h recordHeader, payload []byte) {
+// encodeRecord makes a record of dst, whose payload is already in place past
+// the first recHeaderSize bytes: it writes the header in front of it and the
+// checksum over both.
+func encodeRecord(dst []byte, h recordHeader) {
 	binary.LittleEndian.PutUint32(dst[0:4], h.page)
-	binary.LittleEndian.PutUint32(dst[4:8], h.flags|uint32(len(payload))<<lenShift)
+	binary.LittleEndian.PutUint32(dst[4:8], h.flags|uint32(len(dst)-recHeaderSize)<<lenShift)
 	binary.LittleEndian.PutUint64(dst[8:16], h.seq)
 	binary.LittleEndian.PutUint32(dst[20:24], h.pos)
-	copy(dst[recHeaderSize:], payload)
 	binary.LittleEndian.PutUint32(dst[16:20], recordCRC(dst))
 }
 

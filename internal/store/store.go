@@ -595,41 +595,56 @@ func (s *Store) recordSize(seg int32, off uint32) int64 {
 }
 
 // ReadPage copies page id's current contents into buf (PageSize bytes),
-// zero-filling past the length the page was written at, and verifies the
-// record checksum and identity. Reads share an RLock, so they proceed
-// concurrently with each other and with background cleaning.
+// zero-filling past the length the page was written at: ReadRecord through
+// a pooled record buffer.
 func (s *Store) ReadPage(id uint32, buf []byte) error {
 	if len(buf) < s.opts.PageSize {
 		return fmt.Errorf("store: buffer %d smaller than page size %d", len(buf), s.opts.PageSize)
 	}
-	t0 := time.Now()
-	defer func() { s.hRead.Record(uint64(time.Since(t0))) }()
 	recBuf := s.readBufs.Get().(*[]byte)
 	defer s.readBufs.Put(recBuf)
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.log.Closed {
-		return errClosed
-	}
-	loc, ok := s.table[id]
-	if !ok {
-		return ErrNotFound
-	}
-	rec := (*recBuf)[:s.recordSize(loc.seg, loc.off)]
-	if err := s.read(loc.seg, loc.off, rec); err != nil {
-		return err
-	}
-	h, payload, err := decodeRecord(rec, s.opts.PageSize)
+	page, err := s.ReadRecord(id, func(int) []byte { return *recBuf })
 	if err != nil {
 		return err
 	}
+	clear(buf[copy(buf, page):s.opts.PageSize])
+	return nil
+}
+
+// ReadRecord reads page id's current version in ONE backend read that lands
+// where the caller will keep the bytes, verifies the record's checksum and
+// identity there, and returns the page at the length it was written: a
+// cap-limited slice of that memory, nothing copied, nothing zero-filled. get
+// is called once, with the read's size (the page plus the record framing in
+// front of it), for a buffer at least that long; it runs under the store's
+// read lock — which reads share with each other and with background cleaning
+// — so it must not call the store.
+func (s *Store) ReadRecord(id uint32, get func(size int) []byte) ([]byte, error) {
+	t0 := time.Now()
+	defer func() { s.hRead.Record(uint64(time.Since(t0))) }()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.log.Closed {
+		return nil, errClosed
+	}
+	loc, ok := s.table[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	size := int(s.recordSize(loc.seg, loc.off))
+	rec := get(size)[:size]
+	if err := s.read(loc.seg, loc.off, rec); err != nil {
+		return nil, err
+	}
+	h, payload, err := decodeRecord(rec, s.opts.PageSize)
+	if err != nil {
+		return nil, err
+	}
 	if h.page != id || h.seq != loc.seq {
-		return fmt.Errorf("store: mapping corruption for page %d: record holds page %d seq %d, table says seq %d",
+		return nil, fmt.Errorf("store: mapping corruption for page %d: record holds page %d seq %d, table says seq %d",
 			id, h.page, h.seq, loc.seq)
 	}
-	clear(buf[copy(buf, payload):s.opts.PageSize])
-	return nil
+	return payload[:len(payload):len(payload)], nil
 }
 
 // Has reports whether page id currently exists (a cheap page-table lookup,
@@ -717,12 +732,13 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 	if err := s.log.Room(stream, int64(recHeaderSize+len(data))); err != nil {
 		return err
 	}
-	return s.userAppend(stream, tick, id, flags, 0, data)
+	return s.userAppend(stream, tick, id, flags, 0, len(data), func(dst []byte) { copy(dst, data) })
 }
 
-// userAppend appends one user record into stream, where room is already
-// secured: tick the clocks, invalidate the old version, write the new one.
-func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos uint32, data []byte) error {
+// userAppend appends one user record of n page bytes into stream, where room
+// is already secured: tick the clocks, invalidate the old version, stage the
+// new one and have put write its page in place.
+func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos uint32, n int, put func(dst []byte)) error {
 	tomb := flags&flagTombstone != 0
 	s.log.Unow++
 	s.log.Advance(stream, id, tick, tomb)
@@ -735,10 +751,15 @@ func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos
 			s.log.Pruned(loc.seg, recHeaderSize)
 		}
 	}
-	if err := s.appendRecord(stream, id, flags, pos, data, carried, nil); err != nil {
+	rec, err := s.stage(stream, recHeaderSize+n)
+	if err != nil {
 		return err
 	}
-	s.cUserBytes.Add(uint64(recHeaderSize + len(data)))
+	put(rec[recHeaderSize:])
+	if err := s.appendRecord(stream, id, flags, pos, rec, carried, nil); err != nil {
+		return err
+	}
+	s.cUserBytes.Add(uint64(len(rec)))
 	if !tomb {
 		s.userWrites++
 	}
@@ -756,24 +777,33 @@ func (s *Store) invalidate(id uint32) float64 {
 	return s.log.Invalidate(loc.seg, s.recordSize(loc.seg, loc.off))
 }
 
-// appendRecord stages one record at the tail of stream's open segment (which
-// must exist): in the log from here on, on storage by the end of the lock hold
-// (Flush). carried is the page's up2 estimate, for the segment's seal-time
-// average; pos the batch position (flagBatch records only); from the
-// candidate a relocated copy is made of, nil for a user's record.
-func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, payload []byte, carried float64, from *seglog.Cand[recCand]) error {
+// stage makes room for one record of size bytes at the tail of stream's open
+// segment (which must exist) in the run buffer, and returns it for the caller
+// to put the page into, past the header; appendRecord completes it.
+func (s *Store) stage(stream int32, size int) ([]byte, error) {
 	seg, fill := s.log.Tail(stream)
-	off, size := segHeaderSize+fill, recHeaderSize+len(payload)
 	if n := len(s.run); n == 0 || seg != s.runSeg || n+size > cap(s.run) {
 		// A run ends where the segment changes or the buffer is full.
 		if err := s.Flush(); err != nil {
-			return err
+			return nil, err
 		}
-		s.runSeg, s.runOff = seg, off
+		s.runSeg, s.runOff = seg, segHeaderSize+fill
 	}
 	s.run = s.run[:len(s.run)+size]
+	return s.run[len(s.run)-size:], nil
+}
+
+// appendRecord makes a record of rec — just staged, its page already in place
+// — computing header and checksum where it lies: in the log from here on, on
+// storage by the end of the lock hold (Flush). carried is the page's up2
+// estimate, for the segment's seal-time average; pos the batch position
+// (flagBatch records only); from the candidate a relocated copy is made of,
+// nil for a user's record.
+func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, rec []byte, carried float64, from *seglog.Cand[recCand]) error {
+	seg, fill := s.log.Tail(stream)
+	off, size := segHeaderSize+fill, len(rec)
 	s.seq++
-	encodeRecord(s.run[len(s.run)-size:], recordHeader{page: id, flags: flags, seq: s.seq, pos: pos}, payload)
+	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos})
 	if s.dirty != nil {
 		s.dirty[seg] = s.seq
 	}
