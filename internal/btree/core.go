@@ -218,6 +218,37 @@ func search(keys []uint64, k uint64) int {
 	return lo
 }
 
+// spare is how many more entries of e bytes a node accounting nbytes can be
+// given before it splits — the one that overflows it included, since a split
+// finds that entry in place.
+func (c *Core) spare(nbytes, e int) int {
+	if nbytes > c.budget {
+		return 0
+	}
+	return (c.budget-nbytes)/e + 1
+}
+
+// grown returns s with room for add more elements. An array that lacks it is
+// replaced by one that holds those and spare more — what the page can still
+// take (Core.spare) — or twice as many, whichever is less: doubling alone
+// sizes a node's arrays for up to twice its page's fan-out.
+func grown[T any](s []T, add, spare int) []T {
+	need := len(s) + add
+	if need <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, need+min(spare, max(need, 4))), s...)
+}
+
+// insertAt puts v at s[i], moving the tail up (see grown).
+func insertAt[T any](s []T, i int, v T, spare int) []T {
+	s = grown(s, 1, spare)
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
 // childIndex returns which child of a branch covers key k. Branches hold
 // len(Kids)-1 separator keys; separator i is the smallest key in kids[i+1]'s
 // subtree.
@@ -301,13 +332,10 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 			n.NBytes += len(value) - len(n.Vals[i])
 			n.Vals[i] = value
 		} else {
-			n.Keys = append(n.Keys, 0)
-			copy(n.Keys[i+1:], n.Keys[i:])
-			n.Keys[i] = key
-			n.Vals = append(n.Vals, nil)
-			copy(n.Vals[i+1:], n.Vals[i:])
-			n.Vals[i] = value
 			n.NBytes += c.layout.LeafEntry(value)
+			spare := c.spare(n.NBytes, c.layout.LeafEntry(value))
+			n.Keys = insertAt(n.Keys, i, key, spare)
+			n.Vals = insertAt(n.Vals, i, value, spare)
 			added = true
 		}
 		if n.NBytes > c.budget {
@@ -322,13 +350,10 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 		return 0, 0, added, err
 	}
 	c.store.MarkDirty(id)
-	n.Keys = append(n.Keys, 0)
-	copy(n.Keys[ci+1:], n.Keys[ci:])
-	n.Keys[ci] = childSep
-	n.Kids = append(n.Kids, 0)
-	copy(n.Kids[ci+2:], n.Kids[ci+1:])
-	n.Kids[ci+1] = childSplit
 	n.NBytes += c.layout.BranchEntryBytes
+	spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
+	n.Keys = insertAt(n.Keys, ci, childSep, spare)
+	n.Kids = insertAt(n.Kids, ci+1, childSplit, spare)
 	if n.NBytes > c.budget {
 		split, sep, err = c.splitBranch(n)
 	}
@@ -354,11 +379,15 @@ func (c *Core) splitLeaf(n *Node) (uint32, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	right.Keys = append(right.Keys, n.Keys[cut:]...)
-	right.Vals = append(right.Vals, n.Vals[cut:]...)
-	for i := range right.Vals {
-		right.NBytes += c.layout.LeafEntry(right.Vals[i])
+	keys, vals := n.Keys[cut:], n.Vals[cut:]
+	for _, v := range vals {
+		right.NBytes += c.layout.LeafEntry(v)
 	}
+	// The sibling's arrays are sized for the entries like its own it can still
+	// take: whatever filled this leaf is likely to go on into one of the two.
+	spare := c.spare(right.NBytes, right.NBytes/len(keys))
+	right.Keys = append(grown(right.Keys, len(keys), spare), keys...)
+	right.Vals = append(grown(right.Vals, len(vals), spare), vals...)
 	n.Keys = n.Keys[:cut]
 	n.Vals = n.Vals[:cut]
 	n.NBytes -= right.NBytes
@@ -381,9 +410,11 @@ func (c *Core) splitBranch(n *Node) (uint32, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	right.Keys = append(right.Keys, n.Keys[mid+1:]...)
-	right.Kids = append(right.Kids, n.Kids[mid+1:]...)
-	right.NBytes = c.layout.BranchEntryBytes * len(right.Kids)
+	keys, kids := n.Keys[mid+1:], n.Kids[mid+1:]
+	right.NBytes = c.layout.BranchEntryBytes * len(kids)
+	spare := c.spare(right.NBytes, c.layout.BranchEntryBytes)
+	right.Keys = append(grown(right.Keys, len(keys), spare), keys...)
+	right.Kids = append(grown(right.Kids, len(kids), spare), kids...)
 	n.Keys = n.Keys[:mid]
 	n.Kids = n.Kids[:mid+1]
 	n.NBytes = c.layout.BranchEntryBytes * len(n.Kids)
@@ -528,8 +559,8 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 		left.Vals = left.Vals[:len(left.Vals)-1]
 		left.NBytes -= c.layout.LeafEntry(v)
 		left.Donor = true
-		child.Keys = append([]uint64{k}, child.Keys...)
-		child.Vals = append([][]byte{v}, child.Vals...)
+		child.Keys = insertAt(child.Keys, 0, k, 0)
+		child.Vals = insertAt(child.Vals, 0, v, 0)
 		child.NBytes += c.layout.LeafEntry(v)
 		n.Keys[ci-1] = k
 		return
@@ -539,8 +570,8 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 	left.Keys = left.Keys[:len(left.Keys)-1]
 	left.Kids = left.Kids[:len(left.Kids)-1]
 	left.NBytes -= c.layout.BranchEntryBytes
-	child.Keys = append([]uint64{n.Keys[ci-1]}, child.Keys...)
-	child.Kids = append([]uint32{kid}, child.Kids...)
+	child.Keys = insertAt(child.Keys, 0, n.Keys[ci-1], 0)
+	child.Kids = insertAt(child.Kids, 0, kid, 0)
 	child.NBytes += c.layout.BranchEntryBytes
 	n.Keys[ci-1] = k
 }
@@ -556,8 +587,8 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 		right.Vals = right.Vals[1:]
 		right.NBytes -= c.layout.LeafEntry(v)
 		right.Donor = true
-		child.Keys = append(child.Keys, k)
-		child.Vals = append(child.Vals, v)
+		child.Keys = append(grown(child.Keys, 1, 0), k)
+		child.Vals = append(grown(child.Vals, 1, 0), v)
 		child.NBytes += c.layout.LeafEntry(v)
 		n.Keys[ci] = right.Keys[0]
 		return
@@ -567,8 +598,8 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 	right.Keys = right.Keys[1:]
 	right.Kids = right.Kids[1:]
 	right.NBytes -= c.layout.BranchEntryBytes
-	child.Keys = append(child.Keys, n.Keys[ci])
-	child.Kids = append(child.Kids, kid)
+	child.Keys = append(grown(child.Keys, 1, 0), n.Keys[ci])
+	child.Kids = append(grown(child.Kids, 1, 0), kid)
 	child.NBytes += c.layout.BranchEntryBytes
 	n.Keys[ci] = k
 }
@@ -578,15 +609,15 @@ func (c *Core) merge(n *Node, ci int, left, right *Node) error {
 	c.store.MarkDirty(n.ID)
 	c.store.MarkDirty(left.ID)
 	if left.Leaf {
-		left.Keys = append(left.Keys, right.Keys...)
-		left.Vals = append(left.Vals, right.Vals...)
+		left.Keys = append(grown(left.Keys, len(right.Keys), 0), right.Keys...)
+		left.Vals = append(grown(left.Vals, len(right.Vals), 0), right.Vals...)
 		left.NBytes += right.NBytes
 		left.Next = right.Next
 		right.Donor = true
 	} else {
-		left.Keys = append(left.Keys, n.Keys[ci])
+		left.Keys = append(grown(left.Keys, 1+len(right.Keys), 0), n.Keys[ci])
 		left.Keys = append(left.Keys, right.Keys...)
-		left.Kids = append(left.Kids, right.Kids...)
+		left.Kids = append(grown(left.Kids, len(right.Kids), 0), right.Kids...)
 		// Branch accounting is per child: the pulled-down separator adds no
 		// cost of its own (k children always pair with k-1 keys).
 		left.NBytes += right.NBytes

@@ -319,3 +319,44 @@ func BenchmarkCheckpointCommit(b *testing.B) {
 	b.ReportMetric(float64(allocated)/float64(pages), "B/page")
 	b.ReportMetric(float64(encoded)/float64(pages-uint64(b.N)), "encodes/page") // less each batch's meta page
 }
+
+// BenchmarkTxnCommit is the write path without its I/O waits: Begin, the
+// puts, Commit — WAL append to a file (unsynced) and tree apply — on keys that
+// exist and stay resident. B/op is what a transaction allocates: the Txn and
+// one copy per value (TestCommitAllocBudget pins it).
+func BenchmarkTxnCommit(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ops  int
+	}{{"1put", 1}, {"12ops", 12}} {
+		b.Run(c.name, func(b *testing.B) {
+			db, err := Open(Options{Store: store.Options{Dir: b.TempDir(), SegmentPages: 64, MaxSegments: 256}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			v := make([]byte, 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x, err := db.Begin()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := 0; k < c.ops; k++ {
+					if err := x.Put("bench", uint64(k), v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := x.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				if i%20000 == 19999 { // bound the WAL
+					if err := db.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -9,3 +9,10 @@ func (db *DB) crash() {
 	db.closed = true
 	db.mu.Unlock()
 }
+
+// drawScratch takes a transaction scratch out of the recycling pool as Begin
+// would, or returns nil when the pool has none to give.
+func (db *DB) drawScratch() *txnScratch {
+	sc, _ := db.scratch.Get().(*txnScratch)
+	return sc
+}

@@ -128,6 +128,8 @@ func (db *DB) retire(n *btree.Node) {
 		db.cUnrecyclable.Inc()
 	} else if len(db.retired)+len(db.free) < db.freeMax {
 		db.retired = append(db.retired, n)
+	} else {
+		db.cDropped.Inc()
 	}
 }
 

@@ -51,9 +51,13 @@
 // exclusive acquisition has waited those holds out, nothing can still be
 // reading a node retired before it. The one exception is a node whose values
 // a split, borrow or merge moved into a sibling (Node.Donor): its bytes are
-// still in use, so it is never recycled. The lists hold at most 1/32
-// of CachePages, and a buffer is reused only for a record that fills seven
-// eighths of it, so recycling holds no more memory than allocating would.
+// still in use, so it is never recycled. The lists hold at most 64 nodes
+// (1/32 of CachePages once that is more; never more than CachePages): what
+// they must cover is the gap between a retirement and the next exclusive
+// acquisition, which the cache's size says nothing about, and what the bound
+// still turns away is counted (pagedb.node.dropped). A buffer is reused only
+// for a record that fills seven eighths of it, so a recycled node holds no
+// more memory than a new one would.
 //
 // # The life of a dirty page
 //
@@ -234,6 +238,9 @@ type DB struct {
 	walSeq uint64        // commit seqs ≤ this are covered by the checkpoint
 	txnIDs atomic.Uint64 // last issued transaction id
 	epoch  atomic.Uint64 // bumped per applied transaction and per checkpoint
+	// scratch recycles transactions' working memory (*txnScratch): Begin draws
+	// one, Commit and Rollback return it emptied.
+	scratch sync.Pool
 
 	commits     uint64
 	commitPages uint64
@@ -249,9 +256,10 @@ type DB struct {
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
 	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
-	// pagedb.node.{recycled,fresh,unrecyclable}: faults that parsed into a free
-	// node whose buffer fit, faults that allocated, donors retire let go.
-	cRecycled, cFresh, cUnrecyclable *obs.Counter
+	// pagedb.node.{recycled,fresh,unrecyclable,dropped}: faults that parsed into
+	// a free node whose buffer fit, faults that allocated, donors retire let go,
+	// nodes retire let go because the lists were full.
+	cRecycled, cFresh, cUnrecyclable, cDropped *obs.Counter
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -287,7 +295,7 @@ func Open(opts Options) (*DB, error) {
 		freed:    make(map[uint32]bool),
 		evq:      make(map[uint32]*btree.Node),
 		trees:    make(map[string]*Tree),
-		freeMax:  max(1, opts.CachePages/32),
+		freeMax:  min(opts.CachePages, max(64, opts.CachePages/32)),
 	}
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
 	db.pool.SetWriteBack(db.writeBack)
@@ -299,6 +307,7 @@ func Open(opts Options) (*DB, error) {
 	db.cRecycled = db.obsReg.Counter("pagedb.node.recycled")
 	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
 	db.cUnrecyclable = db.obsReg.Counter("pagedb.node.unrecyclable")
+	db.cDropped = db.obsReg.Counter("pagedb.node.dropped")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {

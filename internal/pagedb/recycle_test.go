@@ -75,7 +75,7 @@ func within(buf, v []byte) bool {
 // sibling's values survive everything the free list does meanwhile.
 func TestDonorNodeIsNeverRecycled(t *testing.T) {
 	opts := memOpts()
-	opts.CachePages = 16 // freeMax 1: whatever is recyclable is recycled at once
+	opts.CachePages = 16 // the churn below evicts every page, over and over
 	opts.CacheShards = 1
 	db, err := Open(opts)
 	if err != nil {
@@ -435,20 +435,39 @@ func TestRecycleHammer(t *testing.T) {
 // TestFaultAllocBudget: in steady state a fault allocates next to nothing —
 // the read lands in a recycled node's buffer and is parsed into its arrays.
 // A file-backed tree eight times its cache takes point reads all over it,
-// mixed one for one with single-put transactions on a few hot keys: the
-// transactions are what cycles the guard, turning the nodes the reads' faults
-// evict into free ones, and their pages never leave the cache, so nothing is
-// evicted dirty (a parked node is not free until its checkpoint). What the
-// operations themselves allocate — measured first, with the reads on the hot
-// keys too — is subtracted, and the rest is charged to the faults: the free
-// list's misses (a buffer or an array of the wrong size).
+// mixed with single-put transactions on a few hot keys: the transactions are
+// what cycles the guard, turning the nodes the reads' faults evict into free
+// ones, and their pages never leave the cache, so nothing is evicted dirty (a
+// parked node is not free until its checkpoint). What the operations
+// themselves allocate — measured first, with the reads on the hot keys too —
+// is subtracted, and the rest is charged to the faults: the free list's misses
+// (a buffer or an array of the wrong size, or no free node at all).
+//
+// Two shapes. One read per transaction is the least the lists must do. The
+// other is TPC-C's: a cache of a few hundred pages and a transaction's worth
+// of reads — some twenty faults, twenty clean evictions — between two
+// exclusive acquisitions, all of which must still be on a list when the next
+// acquisition frees them: a list sized by a fraction of the cache (8 nodes
+// here) recycled under half of these.
 func TestFaultAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
 	}
-	const pageSize, cache, nkeys = 4096, 128, 60000
+	for _, c := range []struct {
+		name                 string
+		cache, nkeys, perTxn int // perTxn: reads per transaction
+	}{
+		{"read-by-read", 128, 60000, 1},
+		{"tpcc-shaped", 256, 120000, 24},
+	} {
+		t.Run(c.name, func(t *testing.T) { faultAllocBudget(t, c.cache, c.nkeys, c.perTxn) })
+	}
+}
+
+func faultAllocBudget(t *testing.T, cache, nkeys, perTxn int) {
+	const pageSize = 4096
 	db, err := Open(Options{
-		Store:      store.Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 128, MaxSegments: 192},
+		Store:      store.Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 128, MaxSegments: 384},
 		CachePages: cache, CacheShards: 1,
 	})
 	if err != nil {
@@ -473,7 +492,7 @@ func TestFaultAllocBudget(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
 	var buf []byte
-	// run issues n operations, alternately a read in the first span keys and a
+	// run issues n operations, perTxn reads in the first span keys to each
 	// single-put transaction on a hot key, and returns what they allocated and
 	// faulted.
 	const hot = 20
@@ -483,7 +502,7 @@ func TestFaultAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		f0 := db.faults.Load()
 		for i := 0; i < n; i++ {
-			if i%2 == 0 {
+			if i%(perTxn+1) != perTxn {
 				k := rng.Uint64N(span)
 				v, ok, err := tr.GetInto(k, buf)
 				if err != nil || !ok || !bytes.Equal(v, oracle[k]) {
@@ -516,9 +535,13 @@ func TestFaultAllocBudget(t *testing.T) {
 	if hotFaults != 0 {
 		t.Fatalf("%d faults on the hot keys: the calibration is not fault-free", hotFaults)
 	}
-	best, bestFaults := 0.0, uint64(0)
+	obs := db.Obs()
+	recycled, fresh := obs.Counter("pagedb.node.recycled"), obs.Counter("pagedb.node.fresh")
+	best, bestFaults, bestShare := 0.0, uint64(0), 0.0
 	for round := byte(0); round < 4; round++ {
-		alloc, faults := run(ops, nkeys, 3+round)
+		r0, f0 := recycled.Value(), fresh.Value()
+		alloc, faults := run(ops, uint64(nkeys), 3+round)
+		share := float64(recycled.Value()-r0) / float64(recycled.Value()-r0+fresh.Value()-f0)
 		if err := db.Commit(); err != nil { // not measured: TestCheckpointAllocBudget's
 			t.Fatal(err)
 		}
@@ -529,14 +552,16 @@ func TestFaultAllocBudget(t *testing.T) {
 			continue // first growth of the free list and the eviction queue
 		}
 		if per := (float64(alloc) - float64(base)) / float64(faults); bestFaults == 0 || per < best {
-			best, bestFaults = per, faults
+			best, bestFaults, bestShare = per, faults, share
 		}
 	}
-	obs := db.Obs()
-	t.Logf("%.0f B allocated per fault (%d faults in %d operations; the operations themselves allocate %.0f B each; %d faults recycled, %d fresh)",
-		best, bestFaults, ops, float64(base)/ops, obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value())
+	t.Logf("%.0f B allocated per fault (%d faults in %d operations, %.0f%% of them into recycled nodes; the operations themselves allocate %.0f B each; %d nodes dropped)",
+		best, bestFaults, ops, 100*bestShare, float64(base)/ops, obs.Counter("pagedb.node.dropped").Value())
 	if best > 96 {
 		t.Errorf("%.0f B allocated per fault, budget is 96", best)
+	}
+	if bestShare < 0.95 {
+		t.Errorf("%.0f%% of faults parsed into recycled nodes, want ≥ 95%%", 100*bestShare)
 	}
 	checkOracle(t, db, oracle)
 }

@@ -3,7 +3,7 @@ package pagedb
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -33,20 +33,35 @@ type Txn struct {
 	db   *DB
 	id   uint64
 	done bool
+	// The transaction's working memory: the DB's before Begin and again after
+	// Commit or Rollback (finish), nil from then on — a finished Txn answers
+	// ErrTxnDone and keeps nothing.
+	*txnScratch
+}
 
+// txnScratch is what a transaction needs only while it runs. It is recycled
+// from one transaction to the next through DB.scratch, handed back empty.
+type txnScratch struct {
 	// ops is the redo list in call order — exactly what the WAL logs and
 	// Commit applies. Overwrites stay as two entries; replay converges
 	// because it applies in the same order.
 	ops []wal.Op
 
 	// writes overlays the committed state for this transaction's own
-	// reads: per tree, the staged final value (or tombstone) per key. It is
+	// reads: the staged final value (or tombstone) per tree and key. It is
 	// derived from ops, and only when a read needs it (overlay): overlaid
 	// counts the ops folded in so far, so a transaction that only writes
-	// builds no map at all.
-	writes   map[string]map[uint64]txnWrite
+	// fills no map at all.
+	writes   map[txnKey]txnWrite
 	dropped  map[string]bool // trees dropped by this txn (masks base reads)
 	overlaid int
+
+	keys []uint64 // Scan's staged keys in range
+}
+
+type txnKey struct {
+	tree string
+	key  uint64
 }
 
 // txnWrite distinguishes a staged put (any value, nil included) from a
@@ -55,6 +70,10 @@ type txnWrite struct {
 	del bool
 	val []byte
 }
+
+// maxScratchOps is the longest op list a recycled scratch may carry: one huge
+// transaction must not size every later one's memory.
+const maxScratchOps = 1024
 
 // Begin starts a transaction. Read-only transactions are free: Commit
 // with no buffered writes touches neither the log nor the trees.
@@ -65,7 +84,27 @@ func (db *DB) Begin() (*Txn, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	return &Txn{db: db, id: db.txnIDs.Add(1)}, nil
+	sc, _ := db.scratch.Get().(*txnScratch)
+	if sc == nil {
+		sc = new(txnScratch)
+	}
+	return &Txn{db: db, id: db.txnIDs.Add(1), txnScratch: sc}, nil
+}
+
+// finish ends the transaction and returns its scratch with no trace of it
+// left: the staged values are the trees' now, or nobody's, and must be neither
+// pinned by the pool nor visible to the transaction that draws the scratch next.
+func (t *Txn) finish() {
+	sc := t.txnScratch
+	t.done, t.txnScratch = true, nil
+	if cap(sc.ops) > maxScratchOps {
+		return
+	}
+	clear(sc.ops)
+	sc.ops, sc.overlaid = sc.ops[:0], 0
+	clear(sc.writes)
+	clear(sc.dropped)
+	t.db.scratch.Put(sc)
 }
 
 // ID returns the transaction's id (unique for the DB's lifetime,
@@ -80,18 +119,17 @@ func (t *Txn) overlay() {
 				t.dropped = make(map[string]bool)
 			}
 			t.dropped[op.Tree] = true
-			delete(t.writes, op.Tree)
+			for k := range t.writes {
+				if k.tree == op.Tree {
+					delete(t.writes, k)
+				}
+			}
 			continue
 		}
 		if t.writes == nil {
-			t.writes = make(map[string]map[uint64]txnWrite)
+			t.writes = make(map[txnKey]txnWrite)
 		}
-		m := t.writes[op.Tree]
-		if m == nil {
-			m = make(map[uint64]txnWrite)
-			t.writes[op.Tree] = m
-		}
-		m[op.Key] = txnWrite{del: op.Kind == wal.OpDelete, val: op.Value}
+		t.writes[txnKey{op.Tree, op.Key}] = txnWrite{del: op.Kind == wal.OpDelete, val: op.Value}
 	}
 	t.overlaid = len(t.ops)
 }
@@ -143,7 +181,7 @@ func (t *Txn) DropTree(tree string) error {
 
 func (t *Txn) exists(tree string, key uint64) (bool, error) {
 	t.overlay()
-	if w, ok := t.writes[tree][key]; ok {
+	if w, ok := t.writes[txnKey{tree, key}]; ok {
 		return !w.del, nil
 	}
 	if t.dropped[tree] {
@@ -160,7 +198,7 @@ func (t *Txn) Get(tree string, key uint64) ([]byte, bool, error) {
 		return nil, false, ErrTxnDone
 	}
 	t.overlay()
-	if w, ok := t.writes[tree][key]; ok {
+	if w, ok := t.writes[txnKey{tree, key}]; ok {
 		if w.del {
 			return nil, false, nil
 		}
@@ -181,56 +219,49 @@ func (t *Txn) Scan(tree string, from, to uint64, fn func(key uint64, value []byt
 		return ErrTxnDone
 	}
 	t.overlay()
-	ov := t.writes[tree]
-	keys := make([]uint64, 0, len(ov))
-	for k := range ov {
-		if k >= from && k <= to {
-			keys = append(keys, k)
+	keys := t.keys[:0]
+	for k := range t.writes {
+		if k.tree == tree && k.key >= from && k.key <= to {
+			keys = append(keys, k.key)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	i := 0
-	stopped := false
+	t.keys = keys
+	if len(keys) == 0 {
+		// Nothing staged in range: the committed state is the whole answer.
+		if t.dropped[tree] {
+			return nil
+		}
+		return t.db.readScan(tree, from, to, fn)
+	}
+	slices.Sort(keys)
+	i, stopped := 0, false
+	// staged passes fn the staged keys not yet visited, up to limit if bounded.
+	staged := func(limit uint64, bounded bool) {
+		for ; !stopped && i < len(keys) && !(bounded && keys[i] >= limit); i++ {
+			if w := t.writes[txnKey{tree, keys[i]}]; !w.del {
+				stopped = !fn(keys[i], w.val)
+			}
+		}
+	}
 	if !t.dropped[tree] {
 		err := t.db.readScan(tree, from, to, func(k uint64, v []byte) bool {
-			for i < len(keys) && keys[i] < k {
-				if w := ov[keys[i]]; !w.del {
-					if !fn(keys[i], w.val) {
-						stopped = true
-						return false
-					}
-				}
-				i++
-			}
-			if i < len(keys) && keys[i] == k {
-				w := ov[keys[i]]
+			staged(k, true)
+			if !stopped && i < len(keys) && keys[i] == k { // staged over committed
+				w := t.writes[txnKey{tree, k}]
 				i++
 				if w.del {
 					return true
 				}
-				if !fn(k, w.val) {
-					stopped = true
-					return false
-				}
-				return true
+				v = w.val
 			}
-			if !fn(k, v) {
-				stopped = true
-				return false
-			}
-			return true
+			stopped = stopped || !fn(k, v)
+			return !stopped
 		})
-		if err != nil || stopped {
+		if err != nil {
 			return err
 		}
 	}
-	for ; i < len(keys); i++ {
-		if w := ov[keys[i]]; !w.del {
-			if !fn(keys[i], w.val) {
-				return nil
-			}
-		}
-	}
+	staged(0, false)
 	return nil
 }
 
@@ -245,7 +276,7 @@ func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	t.done = true
+	defer t.finish()
 	if len(t.ops) == 0 {
 		return nil
 	}
@@ -294,8 +325,7 @@ func (t *Txn) Rollback() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	t.done = true
-	t.ops, t.writes, t.dropped, t.overlaid = nil, nil, nil, 0
+	t.finish()
 	return nil
 }
 

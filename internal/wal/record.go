@@ -117,16 +117,20 @@ func decodeGenHeader(b []byte) (gen, baseSeq uint64, ok bool) {
 	return binary.LittleEndian.Uint64(b[8:16]), binary.LittleEndian.Uint64(b[16:24]), true
 }
 
-// appendRecord frames one record (type byte + payload) onto buf.
-func appendRecord(buf []byte, typ byte, payload []byte) []byte {
-	var hdr [recFrameSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload))+1) // +1: type byte
-	hdr[8] = typ
-	crc := crc32.Checksum(hdr[8:9], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// beginRecord opens a record of the given type at the end of buf: it reserves
+// the frame and writes the type byte, and returns where the record starts. The
+// caller appends the record's fields and closes it with endRecord.
+func beginRecord(buf []byte, typ byte) ([]byte, int) {
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ), len(buf)
+}
+
+// endRecord fills in the frame of the record opened at start — its length
+// and the checksum of the type byte and fields, where they lie.
+func endRecord(buf []byte, start int) []byte {
+	body := buf[start+recFrameSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, castagnoli))
+	return buf
 }
 
 // record is one decoded frame: the type byte plus its raw payload.
@@ -154,45 +158,46 @@ func nextRecord(b []byte, off int) (rec record, end int, ok bool) {
 	return record{typ: body[0], payload: body[1:]}, off + recFrameSize + n, true
 }
 
-// Payload encoders. Append-side only; the buffer is the transaction's
-// single-write staging area.
+// Record encoders. Append-side only: each frames its record in place at the
+// end of buf — the log's retained staging buffer, one transaction, one write
+// — so encoding allocates nothing once that buffer has grown.
 
 func appendBind(buf []byte, id uint32, name string) []byte {
-	p := make([]byte, 0, 6+len(name))
-	p = binary.LittleEndian.AppendUint32(p, id)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(name)))
-	p = append(p, name...)
-	return appendRecord(buf, recBind, p)
+	buf, at := beginRecord(buf, recBind)
+	buf = binary.LittleEndian.AppendUint32(buf, id)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+	buf = append(buf, name...)
+	return endRecord(buf, at)
 }
 
 func appendOp(buf []byte, txnID uint64, treeID uint32, op Op) []byte {
+	var typ byte
 	switch op.Kind {
 	case OpPut:
-		p := make([]byte, 0, 20+len(op.Value))
-		p = binary.LittleEndian.AppendUint64(p, txnID)
-		p = binary.LittleEndian.AppendUint32(p, treeID)
-		p = binary.LittleEndian.AppendUint64(p, op.Key)
-		p = append(p, op.Value...)
-		return appendRecord(buf, recPut, p)
+		typ = recPut
 	case OpDelete:
-		p := make([]byte, 0, 20)
-		p = binary.LittleEndian.AppendUint64(p, txnID)
-		p = binary.LittleEndian.AppendUint32(p, treeID)
-		p = binary.LittleEndian.AppendUint64(p, op.Key)
-		return appendRecord(buf, recDelete, p)
+		typ = recDelete
 	case OpDropTree:
-		p := make([]byte, 0, 12)
-		p = binary.LittleEndian.AppendUint64(p, txnID)
-		p = binary.LittleEndian.AppendUint32(p, treeID)
-		return appendRecord(buf, recDropTree, p)
+		typ = recDropTree
+	default:
+		panic(fmt.Sprintf("wal: unencodable op kind %v", op.Kind))
 	}
-	panic(fmt.Sprintf("wal: unencodable op kind %v", op.Kind))
+	buf, at := beginRecord(buf, typ)
+	buf = binary.LittleEndian.AppendUint64(buf, txnID)
+	buf = binary.LittleEndian.AppendUint32(buf, treeID)
+	if typ != recDropTree {
+		buf = binary.LittleEndian.AppendUint64(buf, op.Key)
+	}
+	if typ == recPut {
+		buf = append(buf, op.Value...)
+	}
+	return endRecord(buf, at)
 }
 
 func appendCommit(buf []byte, txnID, seq uint64, opCount int) []byte {
-	p := make([]byte, 0, 20)
-	p = binary.LittleEndian.AppendUint64(p, txnID)
-	p = binary.LittleEndian.AppendUint64(p, seq)
-	p = binary.LittleEndian.AppendUint32(p, uint32(opCount))
-	return appendRecord(buf, recCommit, p)
+	buf, at := beginRecord(buf, recCommit)
+	buf = binary.LittleEndian.AppendUint64(buf, txnID)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(opCount))
+	return endRecord(buf, at)
 }

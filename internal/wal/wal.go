@@ -338,7 +338,9 @@ func syncDir(dir string) error {
 
 // Append logs one transaction — any bind records its trees still need
 // this generation, its ops, and the terminal commit record — in a single
-// buffered write, and returns the assigned commit seq. The transaction is
+// buffered write, and returns the assigned commit seq. Each record is framed
+// where it lies in the log's staging buffer, so once that buffer has grown to
+// the largest transaction seen Append allocates nothing. The transaction is
 // NOT durable until Commit(seq) returns; callers serialize Append with
 // the state mutation it describes so seq order is apply order.
 func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
