@@ -1,5 +1,6 @@
 // Command lsbench regenerates the paper's evaluation: every table and
-// figure, as markdown (for EXPERIMENTS.md) or CSV.
+// figure, as markdown (the source of README.md's "Paper vs measured"
+// tables) or CSV.
 //
 // Examples:
 //

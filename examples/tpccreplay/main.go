@@ -20,10 +20,10 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// A scaled-down TPC-C database (see DESIGN.md for the substitution
-	// rationale: the paper's scale factors 350-560 with a 4 GB cache are
-	// reduced proportionally, preserving the trace's skewed and shifting
-	// page-update pattern).
+	// A scaled-down TPC-C database (README.md, "The TPC-C substitution":
+	// the paper's scale factors 350-560 with a 4 GB cache are reduced
+	// proportionally, preserving the trace's skewed and shifting page-update
+	// pattern).
 	eng := tpcc.NewEngine(tpcc.Config{Warehouses: 2, Seed: 7})
 	eng.Run(20000)
 	tr := eng.Trace()

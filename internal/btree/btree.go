@@ -8,17 +8,18 @@
 //   - the infallible in-memory store of this file, behind Tree: node
 //     contents stay as Go values, sized by a byte budget derived from the
 //     page size so fanout and page-write patterns track a real disk layout.
-//     The buffer pool in front of the tree records which pages are read and
-//     dirtied, and the resulting page-write trace — not the bytes — is what
-//     the log-structure simulator consumes;
+//     The cache model in front of the tree (bufferpool.Model) records which
+//     pages are read and dirtied, and the resulting page-write trace — not
+//     the bytes — is what the log-structure simulator consumes;
 //   - internal/pagedb's store-backed node cache, where Fetch faults page
 //     images in from the log-structured store (ParseNode, in place) and
 //     MarkDirty feeds the commit batch.
 //
-// Every node access is routed through the pool: fetches Touch the node's
-// page, mutations Dirty it. Structural changes (splits, merges, root
-// changes) allocate and free page ids through the pool's allocator so that
-// all trees of a database share one page id space.
+// Every node access of a Tree is routed through the model: fetches Touch
+// the node's page, mutations Dirty it. Structural changes (splits, merges,
+// root changes) allocate and free page ids through it so that all trees of
+// a database share one page id space, which starts at 1: id 0 is the Core's
+// nil leaf-chain link.
 //
 // # The fused NodeStore Fetch/Release contract
 //
@@ -42,42 +43,22 @@
 // disappear (the in-memory one here) implements Release as a no-op and
 // loses nothing.
 //
-// Concurrency: a Tree is safe for concurrent READERS (Get/Scan/Len/Height/
-// CheckInvariants) provided no writer runs at the same time — the read path
-// mutates nothing but the pool's replacement state, which synchronizes
-// itself. Writers need external serialization, and exclusion from readers,
-// exactly as before.
+// Concurrency: a Tree belongs to one goroutine at a time, reads included —
+// a Get moves the cache model's reference bits and hand, and the model is
+// single-threaded. The Core itself is as concurrent as its NodeStore:
+// pagedb runs readers in parallel over its own.
 package btree
 
-import "fmt"
+import (
+	"fmt"
 
-// Pager is the page-cache surface the in-memory store drives: residency/
-// replacement tracking (Touch/Dirty) and page id allocation shared by all
-// trees of a database. *bufferpool.Pool implements it.
-type Pager interface {
-	// Allocate returns a fresh page id, resident and dirty.
-	Allocate() uint32
-	// FreePage returns a page id to the allocator; no final write happens.
-	FreePage(id uint32)
-	// Touch records a read access to a page.
-	Touch(id uint32)
-	// Dirty records a write access to a page.
-	Dirty(id uint32)
-}
-
-// seeder is the optional allocator-seeding surface of a Pager
-// (*bufferpool.Pool has it): a fresh pool is seeded to start allocation at
-// page id 1, reserving id 0 as the Core's nil leaf-chain link.
-type seeder interface {
-	MaxPageID() uint32
-	Resident() int
-	Seed(nextID uint32, free []uint32)
-}
+	"repro/internal/bufferpool"
+)
 
 // Tree is a B+-tree keyed by uint64 with opaque []byte values: the unified
 // Core instantiated over the infallible in-memory store. Operations cannot
-// fail, so the historical error-free API is preserved; an error out of the
-// store would be a corruption bug and panics.
+// fail, so the API is error-free; an error out of the store would be a
+// corruption bug and panics.
 type Tree struct {
 	core  *Core
 	store *memStore
@@ -85,13 +66,9 @@ type Tree struct {
 
 // New creates an empty tree whose pages live in pool and are budgeted at
 // pageSize bytes.
-func New(pool Pager, pageSize int) *Tree {
+func New(pool *bufferpool.Model, pageSize int) *Tree {
 	if pageSize < 256 {
 		panic(fmt.Sprintf("btree: page size %d too small", pageSize))
-	}
-	if s, ok := pool.(seeder); ok && s.MaxPageID() == 0 && s.Resident() == 0 {
-		// Reserve page id 0 as the nil link before the first allocation.
-		s.Seed(1, nil)
 	}
 	store := &memStore{pool: pool}
 	core, err := NewCore(store, pageSize, MemLayout)
@@ -150,21 +127,16 @@ func (t *Tree) CheckInvariants() error { return t.core.Check() }
 
 // memStore is the infallible in-memory NodeStore: nodes are Go values held
 // in a slice indexed by page id (dense — the pool allocates ids
-// sequentially), and residency/replacement is delegated to the Pager. A
+// sequentially), and residency/replacement is delegated to the model. A
 // "miss" cannot happen: the slice IS the storage; the pool only models
 // which pages would be resident, producing the page-write trace.
 type memStore struct {
-	pool  Pager
+	pool  *bufferpool.Model
 	nodes []*Node // indexed by id; nil = not this tree's node
 }
 
 func (s *memStore) Alloc() (uint32, error) {
 	id := s.pool.Allocate()
-	if id == 0 {
-		// The pool was not seedable and handed out the reserved nil id;
-		// burn it (it stays out of circulation) and take the next.
-		id = s.pool.Allocate()
-	}
 	for int(id) >= len(s.nodes) {
 		s.nodes = append(s.nodes, nil)
 	}

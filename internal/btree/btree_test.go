@@ -3,7 +3,6 @@ package btree
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -317,29 +316,4 @@ func ExampleTree() {
 	v, ok := tr.Get(42)
 	fmt.Println(string(v), ok)
 	// Output: answer true
-}
-
-// BenchmarkTreeGetParallel measures concurrent readers over a sharded pool:
-// the tree is read-only, so any number of Gets may run at once (see the
-// package doc's concurrency note) and contend only on pool shard mutexes.
-// Run with -cpu 1,4,8 to see reader scaling.
-func BenchmarkTreeGetParallel(b *testing.B) {
-	pool := bufferpool.NewSharded(1<<20, 8)
-	tr := New(pool, 4096)
-	v := make([]byte, 64)
-	for i := uint64(0); i < 100000; i++ {
-		tr.Insert(i, v)
-	}
-	var seq atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Decorrelate goroutines so they walk different leaves.
-		i := seq.Add(1) * 7919
-		for pb.Next() {
-			if _, ok := tr.Get(i % 100000); !ok {
-				b.Fatal("key missing")
-			}
-			i++
-		}
-	})
 }

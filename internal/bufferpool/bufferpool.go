@@ -1,49 +1,43 @@
-// Package bufferpool simulates a database buffer cache in front of a
-// page-structured storage engine. It is the substrate that turns the TPC-C
-// B+-tree workload into the page-write I/O trace of the paper's §6.3
-// evaluation ("I/O traces collected from running the TPC-C benchmark on a
-// B+-tree-based storage engine. The buffer cache size was set at 4 GB"),
-// and — with a write-back callback installed — the replacement engine of
-// the durable internal/pagedb database, where evictions and flushes write
-// real page images back to the log-structured store.
+// Package bufferpool holds the three things that stand between a B+-tree
+// and its storage: a page-id allocator, the buffer-cache model that turns a
+// tree workload into the paper's page-write trace, and the concurrent node
+// cache of the durable engine.
 //
-// The pool implements the CLOCK (second chance) replacement policy over N
-// independent shards, each a CLOCK region with its own mutex, hand and
-// frame ring, keyed by a page-id hash. Operations on different shards never
-// contend, so concurrent readers scale with the shard count; New creates
-// the historical single-shard pool (byte-identical replacement behavior for
-// the §6.3 trace engine), NewSharded the concurrent one.
+// # Allocator
 //
-// Frames carry an atomic pin count: a pinned frame is never chosen as an
-// eviction victim, so an engine reading a page's contents can hold it
-// stable without a pool-wide lock. If every frame of a shard is pinned the
-// shard grows past its nominal capacity rather than fail — the pool's
-// contract stays infallible and the overshoot is reported in Stats.
+// IDs hands out page ids: fresh ones in sequence, freed ones again
+// last-freed-first. It is unsynchronised; internal/pagedb owns one under its
+// exclusive guard and persists it in the metadata page, and the Model embeds
+// one.
 //
-// # Fused frames
+// # Trace model
 //
-// Each frame also carries a decoded-object slot (any owner-defined value,
-// pagedb stores its decoded *btree.Node there). FetchPinned is the fused
-// lookup-and-pin: ONE shard read-lock acquisition returns the decoded
-// object already pinned, collapsing the separate cache-lookup/Pin/Unpin
-// round trips a layered node cache needs into a single acquisition per
-// access. Eviction clears the slot and bumps the frame's version stamp, so
-// a Release against a recycled frame (identified by its Handle) is a no-op
-// and can never unpin an unrelated page. InstallPinned is the miss side:
-// it claims the frame under the exclusive lock and binds the object before
-// publication, so racing readers either see the fully bound object or fall
-// to the slow path — never a half-installed one.
+// New returns a Model: a single-threaded CLOCK (second chance) over
+// residency, reference and dirty bits. Page contents stay with the owner
+// (internal/btree's in-memory Tree); the model appends a page id to its write
+// trace whenever a dirty page is evicted or flushed, which is the I/O trace
+// of the paper's §6.3 evaluation ("I/O traces collected from running the
+// TPC-C benchmark on a B+-tree-based storage engine. The buffer cache size
+// was set at 4 GB").
 //
-// Owners that do not use the fused slot (the §6.3 trace engine keeps nodes
-// in its own slice) use Touch/Dirty/Pin/Unpin exactly as before; the slot
-// stays nil and costs nothing.
+// # Fused cache
 //
-// Page contents live with their owners, so the pool tracks residency,
-// reference, dirty bits, pins and the decoded slot. Without a write-back
-// callback it appends a page id to the trace whenever a dirty page is
-// evicted or flushed; with one, the callback consumes those write-backs
-// instead (and receives the evicted frame's decoded object, so a dirty
-// eviction can hand the freshest state back to the owner).
+// NewSharded returns a Pool: N independent CLOCK shards, each with its own
+// lock, hand and frame ring, keyed by a page-id hash, every frame carrying
+// its owner's decoded object (pagedb stores the decoded *btree.Node).
+// FetchPinned is the lookup: ONE shared-lock acquisition returns the object
+// already pinned. InstallPinned is the miss side: it claims a frame under
+// the exclusive lock and binds the object before publication, so racing
+// readers see the fully bound object or fall to the slow path, never a
+// half-installed one. A pinned frame is never an eviction victim, so an
+// engine can hold a page's contents stable without a pool-wide lock; if
+// every frame of a shard is pinned the shard grows past its nominal capacity
+// rather than fail, and Stats reports the overshoot. Eviction clears the
+// object and bumps the frame's generation, so a Release against a recycled
+// frame (identified by its Handle) is a no-op and can never unpin an
+// unrelated page. Evictions and flushes go to the write-back callback, which
+// receives the frame's object so a dirty eviction hands the freshest state
+// back to the owner; its failures are kept (Err) and counted.
 package bufferpool
 
 import (
@@ -58,52 +52,37 @@ import (
 //
 //   - when a frame is EVICTED (evicted=true): the page is leaving the pool;
 //     dirty reports whether it holds changes that have not reached storage,
-//     and obj is the frame's decoded object (nil if the owner never
-//     installed one). The owner should persist (or stage) a dirty page's
-//     contents; the decoded slot has already been cleared and the frame
-//     version bumped, so no fused reader can still reach the object through
-//     the pool. The frame is reclaimed even if the callback fails — the
-//     owner keeps responsibility for the data it was handed — but the error
-//     is retained (Err) and counted, never silently dropped, regardless of
-//     which shard evicted.
+//     and obj is the frame's decoded object. The owner should persist (or
+//     stage) a dirty page's contents; the decoded slot has already been
+//     cleared and the frame version bumped, so no fused reader can still
+//     reach the object through the pool. The frame is reclaimed even if the
+//     callback fails — the owner keeps responsibility for the data it was
+//     handed — but the error is retained (Err) and counted, never silently
+//     dropped, regardless of which shard evicted.
 //   - when a dirty frame is FLUSHED (evicted=false, dirty=true) by
 //     FlushDirty: the page stays resident (slot intact) and is marked clean
 //     only if the callback succeeds; a failing page stays dirty and the
 //     error is returned to the FlushDirty caller as well as retained.
 //
-// The callback runs synchronously inside pool operations (Touch, Dirty,
-// Pin, Allocate, InstallPinned, FlushDirty) with the evicting shard's mutex
-// held: it must not call back into the pool, but may take the owner's own
-// (finer) locks.
+// The callback runs synchronously inside pool operations (Install,
+// InstallPinned, FlushDirty) with the evicting shard's mutex held: it must
+// not call back into the pool, but may take the owner's own (finer) locks.
 type WriteBackFunc func(id uint32, obj any, dirty, evicted bool) error
 
-// Pool is a sharded CLOCK buffer cache over an abstract page id space. It
-// also owns page id allocation so that multiple B+-trees (the TPC-C tables)
-// share one id space, as they would share one tablespace file.
+// Pool is a sharded CLOCK cache of decoded objects keyed by page id.
 //
-// Every method is safe for concurrent use EXCEPT SetWriteBack, Seed and
-// ClearErr, which must be called before (or between) concurrent phases.
+// Every method is safe for concurrent use EXCEPT SetWriteBack and ClearErr,
+// which must be called before (or between) concurrent phases.
 type Pool struct {
 	capacity int
 	shards   []*shard
 	shift    uint32 // hash bits discarded; shardOf = hash >> shift
-
-	// Page id allocator: shared by all shards (ids are global resources).
-	amu     sync.Mutex
-	nextID  uint32
-	freeIDs []uint32
 
 	writeBack WriteBackFunc
 
 	// First write-back failure from ANY shard, sticky (see Err).
 	emu   sync.Mutex
 	wbErr error
-
-	// Page-write trace (only without a write-back callback). A single
-	// ordered trace is kept across shards: under the single-threaded use of
-	// the trace engine it is exactly the historical eviction/flush order.
-	tmu    sync.Mutex
-	writes []uint32
 }
 
 // shard is one CLOCK region. The mutex is an RWMutex so the HIT path — by
@@ -120,7 +99,7 @@ type shard struct {
 	ring   []*frame
 	hand   int
 
-	hits           uint64 // atomic: NON-fused hits (total hits = hits + fusedHits)
+	hits           uint64 // atomic: Dirty and adopting installs (total hits = hits + fusedHits)
 	misses         uint64
 	fusedHits      uint64 // atomic: FetchPinned hits (kept separate so the fused path bumps ONE counter)
 	evictions      uint64
@@ -140,8 +119,8 @@ type shard struct {
 //     exclusive writers exclude.
 //   - ref, dirty: atomic bools; mutated under either lock side.
 //   - vp: the packed generation|pins word, fully atomic. Pins change under
-//     either lock side (Fetch/Install/Touch) AND lock-free (Release); the
-//     generation half changes only under the exclusive lock, always
+//     either lock side (FetchPinned, InstallPinned) AND lock-free (Release);
+//     the generation half changes only under the exclusive lock, always
 //     zeroing the pin half in the same store.
 type frame struct {
 	id    uint32
@@ -178,11 +157,6 @@ type Handle struct {
 	f   *frame
 	gen uint32
 }
-
-// New returns a single-shard pool holding at most capacity pages — the
-// historical CLOCK pool, with byte-identical replacement behavior (the
-// §6.3 trace engine depends on it).
-func New(capacity int) *Pool { return NewSharded(capacity, 1) }
 
 // DefaultShards returns the shard count sized for this process: the
 // smallest power of two >= GOMAXPROCS, between 1 and 64.
@@ -237,8 +211,7 @@ func (p *Pool) Shards() int { return len(p.shards) }
 func (p *Pool) ShardOf(id uint32) int { return int(p.shardIdx(id)) }
 
 // shardIdx hashes a page id to its shard: a Fibonacci multiplicative hash
-// keeps sequentially allocated ids spread evenly. Deterministic, so the
-// trace engine stays reproducible at any shard count.
+// keeps sequentially allocated ids spread evenly.
 func (p *Pool) shardIdx(id uint32) uint32 {
 	if p.shift == 32 {
 		return 0 // single shard; id*c>>32 is a shift-width violation
@@ -248,10 +221,9 @@ func (p *Pool) shardIdx(id uint32) uint32 {
 
 func (p *Pool) shard(id uint32) *shard { return p.shards[p.shardIdx(id)] }
 
-// SetWriteBack installs the write-back callback (see WriteBackFunc). While
-// a callback is set the pool stops recording the page-write trace — the
-// callback consumes every write-back instead. Install it before the pool
-// holds dirty pages and before any concurrent use.
+// SetWriteBack installs the write-back callback (see WriteBackFunc); without
+// one, evictions and flushes only update the counters. Install it before the
+// pool holds dirty pages and before any concurrent use.
 func (p *Pool) SetWriteBack(fn WriteBackFunc) { p.writeBack = fn }
 
 // Err returns the first write-back callback failure from any shard, or
@@ -281,62 +253,11 @@ func (p *Pool) noteErr(err error) {
 	p.emu.Unlock()
 }
 
-// Seed restores the allocator state of a reopened database: the next fresh
-// page id and the persisted free list. It must be called on an empty pool,
-// before any allocation or access. btree.New also uses it (Seed(1, nil)) to
-// reserve page id 0 on a fresh pool — the unified tree core's nil
-// leaf-chain link, and pagedb's metadata page.
-func (p *Pool) Seed(nextID uint32, free []uint32) {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n := len(s.frames)
-		s.mu.Unlock()
-		if n != 0 {
-			panic("bufferpool: Seed on a pool already in use")
-		}
-	}
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	if p.nextID != 0 || len(p.freeIDs) != 0 {
-		panic("bufferpool: Seed on a pool already in use")
-	}
-	p.nextID = nextID
-	p.freeIDs = append(p.freeIDs, free...)
-}
-
-// FreeList returns a copy of the free page ids currently available for
-// reallocation (for persisting allocator state).
-func (p *Pool) FreeList() []uint32 {
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	return append([]uint32(nil), p.freeIDs...)
-}
-
-// Allocate returns a fresh page id, resident and dirty (a newly created page
-// must eventually reach storage).
-func (p *Pool) Allocate() uint32 {
-	p.amu.Lock()
-	var id uint32
-	if n := len(p.freeIDs); n > 0 {
-		id = p.freeIDs[n-1]
-		p.freeIDs = p.freeIDs[:n-1]
-	} else {
-		id = p.nextID
-		p.nextID++
-	}
-	p.amu.Unlock()
-	s := p.shard(id)
-	s.mu.Lock()
-	s.insert(p, id, true, false)
-	s.mu.Unlock()
-	return id
-}
-
-// FreePage returns a page id to the allocator. A freed page needs no final
-// write, so its frame is dropped clean, its decoded slot cleared, and no
-// write-back is issued. Pins on the frame are discarded — a Free is an
-// explicit ownership statement — and the version bump turns any
-// still-outstanding Release handle into a no-op.
+// FreePage drops page id's frame: a freed page needs no final write, so the
+// frame goes clean, its decoded object cleared, and no write-back is issued.
+// Pins on the frame are discarded — a Free is an explicit ownership
+// statement — and the generation bump turns any still-outstanding Release
+// handle into a no-op.
 func (p *Pool) FreePage(id uint32) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -349,59 +270,27 @@ func (p *Pool) FreePage(id uint32) {
 		delete(s.frames, id)
 	}
 	s.mu.Unlock()
-	p.amu.Lock()
-	p.freeIDs = append(p.freeIDs, id)
-	p.amu.Unlock()
 }
 
-// Touch records a read access: a hit refreshes the reference bit, a miss
-// faults the page in (evicting if full).
-func (p *Pool) Touch(id uint32) { p.access(id, false, false) }
-
-// Dirty records a write access: Touch plus the dirty bit.
-func (p *Pool) Dirty(id uint32) { p.access(id, true, false) }
-
-// Pin records a read access and pins the page's frame: until the matching
-// Unpin, the frame is exempt from eviction, so the owner may hold the
-// page's contents across the access without the pool reclaiming them. Pins
-// nest (a counter, not a flag).
-func (p *Pool) Pin(id uint32) { p.access(id, false, true) }
-
-// Unpin releases one pin taken by Pin. Unpinning a page that is no longer
-// resident (freed mid-operation, e.g. by a B+-tree merge) is a no-op.
-func (p *Pool) Unpin(id uint32) {
+// Dirty records a write access to a resident page: reference and dirty bits,
+// counted as a hit. A page that is not resident is left alone — its owner
+// holds whatever state it has.
+func (p *Pool) Dirty(id uint32) {
 	s := p.shard(id)
 	s.mu.RLock()
 	if f, ok := s.frames[id]; ok {
-		unpin(f)
+		atomic.StoreInt32(&f.ref, 1)
+		atomic.StoreInt32(&f.dirty, 1)
+		atomic.AddUint64(&s.hits, 1)
 	}
 	s.mu.RUnlock()
 }
 
-// unpin decrements a frame's pin count without going below zero (a
-// spurious extra release is defined as a no-op, not a license to evict a
-// pinned frame). The CAS covers the whole vp word, so it cannot cross an
-// incarnation change.
-func unpin(f *frame) {
-	for {
-		vp := atomic.LoadUint64(&f.vp)
-		if vpPins(vp) == 0 || atomic.CompareAndSwapUint64(&f.vp, vp, vp-1) {
-			break
-		}
-	}
-}
-
-// FetchPinned is the fused hot path: ONE shard read-lock acquisition that
-// looks the page up, refreshes its reference bit, pins its frame and
-// returns the decoded object installed by InstallPinned — or nil (taking
-// no pin) if the page is not resident or has no decoded object yet. On a
-// hit the returned Handle releases the pin (Release); callers keep it with
-// the object.
-//
-// Compared with the layered protocol (cache lookup + Pin + later Unpin —
-// three lock acquisitions and three map lookups per node visit), a fused
-// hit costs one acquisition and one lookup, and its Release costs an
-// acquisition with no lookup.
+// FetchPinned is the hot path: ONE shard read-lock acquisition that looks
+// the page up, refreshes its reference bit, pins its frame and returns the
+// installed object — or nil (taking no pin) if the page is not resident. On
+// a hit the returned Handle releases the pin (Release); callers keep it
+// with the object.
 func (p *Pool) FetchPinned(id uint32) (any, Handle) {
 	s := p.shard(id)
 	s.mu.RLock()
@@ -449,14 +338,13 @@ func (p *Pool) Release(h Handle) {
 }
 
 // InstallPinned publishes obj as page id's decoded object and returns it
-// pinned: the slow path behind a FetchPinned miss. The page is faulted in
-// (evicting if full) or found resident (a fresh Allocate, a legacy
-// access); either way bind runs under the shard's exclusive lock with the
-// frame's Handle, stores the object's back-reference BEFORE any fused
-// reader can observe the object, and returns the object to install. If a
-// racing installer won, bind is not called and the resident object is
-// adopted (and pinned) instead — the first install wins, exactly like the
-// layered cache's insert-or-adopt.
+// pinned: the slow path behind a FetchPinned miss, counted as a miss. The
+// page is given a frame (evicting if full); bind runs under the shard's
+// exclusive lock with the frame's Handle, stores the object's
+// back-reference BEFORE any reader can observe the object, and returns the
+// object to install. If a racing installer won, bind is not called and the
+// resident object is adopted (pinned, and counted as a hit) instead — the
+// first install wins.
 //
 // dirty marks the page dirty (a re-admitted dirty eviction must not lose
 // its dirtiness). The returned Handle matches the one bind received (or
@@ -469,10 +357,10 @@ func (p *Pool) InstallPinned(id uint32, dirty bool, bind func(Handle) any) (any,
 	return obj, h
 }
 
-// Install is InstallPinned without the pin: it publishes the object and
-// returns immediately (pagedb's node allocation uses it — the B+-tree core
-// Fetches a freshly allocated id right away, and THAT fetch takes the
-// pin). The same first-install-wins adoption applies.
+// Install publishes the object of a newly ALLOCATED page: no pin (the
+// B+-tree core Fetches a fresh id right away, and that fetch takes it) and
+// no hit or miss — nobody looked the page up, so the counters keep meaning
+// faults over lookups. The same first-install-wins adoption applies.
 func (p *Pool) Install(id uint32, dirty bool, bind func(Handle) any) any {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -481,15 +369,17 @@ func (p *Pool) Install(id uint32, dirty bool, bind func(Handle) any) any {
 	return obj
 }
 
-// install is the shared body of Install/InstallPinned. Caller holds s.mu
-// exclusively.
-func (s *shard) install(p *Pool, id uint32, dirty, pin bool, bind func(Handle) any) (any, Handle) {
+// install is the shared body of Install (fault false) and InstallPinned
+// (fault true: counted and pinned). Caller holds s.mu exclusively.
+func (s *shard) install(p *Pool, id uint32, dirty, fault bool, bind func(Handle) any) (any, Handle) {
 	f, ok := s.frames[id]
-	if ok {
-		s.hits++
-	} else {
+	if !ok {
+		f = s.insert(p, id, dirty)
+	}
+	if fault && ok {
+		s.hits++ // lost the race to another fault's install
+	} else if fault {
 		s.misses++
-		f = s.insert(p, id, dirty, false)
 	}
 	h := Handle{f: f, gen: vpGen(atomic.LoadUint64(&f.vp))}
 	if f.obj == nil {
@@ -499,57 +389,10 @@ func (s *shard) install(p *Pool, id uint32, dirty, pin bool, bind func(Handle) a
 	if dirty {
 		atomic.StoreInt32(&f.dirty, 1)
 	}
-	if pin {
+	if fault {
 		atomic.AddUint64(&f.vp, 1)
 	}
 	return f.obj, h
-}
-
-func (p *Pool) access(id uint32, dirty, pin bool) {
-	s := p.shard(id)
-	// Fast path: a HIT only needs the shared lock — the frame table is
-	// stable and the bits are atomics, so concurrent hits on one shard
-	// don't serialize.
-	s.mu.RLock()
-	if f, ok := s.frames[id]; ok {
-		s.touch(f, dirty, pin)
-		atomic.AddUint64(&s.hits, 1)
-		s.mu.RUnlock()
-		return
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		// Another goroutine faulted the page between our two lock takes.
-		s.touch(f, dirty, pin)
-		s.hits++
-		s.mu.Unlock()
-		return
-	}
-	s.misses++
-	s.insert(p, id, dirty, pin)
-	s.mu.Unlock()
-}
-
-// touch applies one access to a resident frame. Caller holds s.mu (either
-// side).
-func (s *shard) touch(f *frame, dirty, pin bool) {
-	atomic.StoreInt32(&f.ref, 1)
-	if dirty {
-		atomic.StoreInt32(&f.dirty, 1)
-	}
-	if pin {
-		atomic.AddUint64(&f.vp, 1)
-	}
-}
-
-// IsResident reports whether page id currently occupies a frame.
-func (p *Pool) IsResident(id uint32) bool {
-	s := p.shard(id)
-	s.mu.RLock()
-	_, ok := s.frames[id]
-	s.mu.RUnlock()
-	return ok
 }
 
 // IsDirty reports whether page id is resident with its dirty bit set.
@@ -562,12 +405,13 @@ func (p *Pool) IsDirty(id uint32) bool {
 	return d
 }
 
-// insert places a page into the shard, evicting a victim when the shard is
-// at capacity, and returns its frame. Caller holds s.mu exclusively; pins
-// are still loaded atomically (Release decrements them without any lock).
-func (s *shard) insert(p *Pool, id uint32, dirty, pin bool) *frame {
+// insert places a page into the shard, unpinned, evicting a victim when the
+// shard is at capacity, and returns its frame. Caller holds s.mu exclusively;
+// pins are still loaded atomically (Release decrements them without any
+// lock).
+func (s *shard) insert(p *Pool, id uint32, dirty bool) *frame {
 	if len(s.ring) < s.cap {
-		f := &frame{id: id, ref: 1, dirty: b2i(dirty), live: true, vp: vpMake(0, pinCount(pin))}
+		f := &frame{id: id, ref: 1, dirty: b2i(dirty), live: true}
 		s.ring = append(s.ring, f)
 		s.frames[id] = f
 		return f
@@ -576,34 +420,25 @@ func (s *shard) insert(p *Pool, id uint32, dirty, pin bool) *frame {
 	// frames entirely; dead frames (freed pages) are taken immediately. If
 	// two full turns find no victim (everything pinned), grow the ring — the
 	// pool must not fail and must not reclaim a pinned frame.
-	steps, limit := 0, 2*len(s.ring)
-	for {
+	for steps, limit := 0, 2*len(s.ring); ; {
 		f := s.ring[s.hand]
 		if !f.live {
 			break
 		}
-		if vpPins(atomic.LoadUint64(&f.vp)) > 0 {
-			s.hand = (s.hand + 1) % len(s.ring)
-			if steps++; steps >= limit {
-				s.grows++
-				s.ring = append(s.ring, &frame{})
-				s.hand = len(s.ring) - 1
-				break
-			}
-			continue
+		pinned := vpPins(atomic.LoadUint64(&f.vp)) > 0
+		if !pinned && atomic.LoadInt32(&f.ref) == 0 {
+			break
 		}
-		if atomic.LoadInt32(&f.ref) != 0 {
+		if !pinned {
 			atomic.StoreInt32(&f.ref, 0)
-			s.hand = (s.hand + 1) % len(s.ring)
-			if steps++; steps >= limit {
-				s.grows++
-				s.ring = append(s.ring, &frame{})
-				s.hand = len(s.ring) - 1
-				break
-			}
-			continue
 		}
-		break
+		s.hand = (s.hand + 1) % len(s.ring)
+		if steps++; steps >= limit {
+			s.grows++
+			s.ring = append(s.ring, &frame{})
+			s.hand = len(s.ring) - 1
+			break
+		}
 	}
 	victim := s.ring[s.hand]
 	if victim.live {
@@ -625,33 +460,18 @@ func (s *shard) insert(p *Pool, id uint32, dirty, pin bool) *frame {
 				s.writeBackErrs++
 				p.noteErr(fmt.Errorf("bufferpool: write-back of evicted page %d: %w", victim.id, err))
 			}
-		} else if vdirty {
-			p.tmu.Lock()
-			p.writes = append(p.writes, victim.id)
-			p.tmu.Unlock()
 		}
 		delete(s.frames, victim.id)
-	} else if victim.obj != nil {
-		// A recycled dead frame (freed page, or a grown slot) never carries
-		// its old object forward. (Its generation already advanced when the
-		// page was freed, discarding the pins with it.)
-		victim.obj = nil
 	}
+	// A dead frame (freed page, or a grown slot) already lost its object,
+	// pins and generation when the page was freed.
 	victim.id = id
 	atomic.StoreInt32(&victim.ref, 1)
 	atomic.StoreInt32(&victim.dirty, b2i(dirty))
 	victim.live = true
-	atomic.StoreUint64(&victim.vp, vpMake(vpGen(atomic.LoadUint64(&victim.vp)), pinCount(pin)))
 	s.frames[id] = victim
 	s.hand = (s.hand + 1) % len(s.ring)
 	return victim
-}
-
-func pinCount(pin bool) uint32 {
-	if pin {
-		return 1
-	}
-	return 0
 }
 
 func b2i(b bool) int32 {
@@ -661,13 +481,11 @@ func b2i(b bool) int32 {
 	return 0
 }
 
-// FlushDirty writes out every dirty resident page (a checkpoint). Pages stay
-// resident and are marked clean once written. The flush order is shard then
-// frame order, which approximates the page-id ordered background writes of
-// a checkpointer. With a write-back callback, a page whose callback fails
-// STAYS dirty and the first such error is returned (and retained in Err);
-// the sweep still visits every dirty page of every shard. The callback
-// receives each page's decoded object (nil when none is installed).
+// FlushDirty hands every dirty resident page to the write-back callback (a
+// checkpoint), in shard then frame order. Pages stay resident and are marked
+// clean once written; a page whose callback fails STAYS dirty and the first
+// such error is returned (and retained in Err); the sweep still visits every
+// dirty page of every shard.
 func (p *Pool) FlushDirty() (int, error) {
 	n := 0
 	var firstErr error
@@ -687,10 +505,6 @@ func (p *Pool) FlushDirty() (int, error) {
 					}
 					continue // the page stays dirty
 				}
-			} else {
-				p.tmu.Lock()
-				p.writes = append(p.writes, f.id)
-				p.tmu.Unlock()
 			}
 			atomic.StoreInt32(&f.dirty, 0)
 			s.flushes++
@@ -701,29 +515,13 @@ func (p *Pool) FlushDirty() (int, error) {
 	return n, firstErr
 }
 
-// Writes returns the page-write trace accumulated so far (empty when a
-// write-back callback is installed). The caller must not retain it across
-// further pool activity.
-func (p *Pool) Writes() []uint32 {
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
-	return p.writes
-}
-
-// MaxPageID returns the page universe size (max allocated id + 1).
-func (p *Pool) MaxPageID() uint32 {
-	p.amu.Lock()
-	defer p.amu.Unlock()
-	return p.nextID
-}
-
 // Resident returns the number of pages currently cached.
 func (p *Pool) Resident() int {
 	n := 0
 	for _, s := range p.shards {
-		s.mu.Lock()
+		s.mu.RLock()
 		n += len(s.frames)
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	return n
 }
@@ -744,13 +542,13 @@ func (p *Pool) Pinned() int {
 	return n
 }
 
-// Stats summarizes pool activity across all shards.
+// Stats summarizes a Pool's activity across all shards, or a Model's (one
+// shard; the fused, write-back and grow counters stay zero).
 type Stats struct {
 	Capacity     int
 	Shards       int
 	Hits, Misses uint64
-	// FusedHits counts the hits served by FetchPinned — the single-
-	// acquisition fused path (a subset of Hits).
+	// FusedHits counts the hits served by FetchPinned (a subset of Hits).
 	FusedHits      uint64
 	Evictions      uint64
 	DirtyEvictions uint64
@@ -761,8 +559,7 @@ type Stats struct {
 	WriteBackErrors uint64
 	// Grows counts frames added past a shard's nominal capacity because
 	// every resident frame was pinned when a victim was needed.
-	Grows    uint64
-	TraceLen int
+	Grows uint64
 }
 
 // ShardStats is one shard's point-in-time state (per-shard observability).
@@ -777,24 +574,26 @@ type ShardStats struct {
 }
 
 // Stats returns a snapshot of the pool counters, aggregated over shards.
+// Like every snapshot method it takes each shard's lock on the SHARED side,
+// so a metrics scrape never stops a FetchPinned: the counters are written
+// under the exclusive side, except hits and fusedHits, which shared holders
+// bump atomically and a snapshot loads atomically.
 func (p *Pool) Stats() Stats {
 	st := Stats{Capacity: p.capacity, Shards: len(p.shards)}
 	for _, s := range p.shards {
-		s.mu.Lock()
-		st.Hits += s.hits + s.fusedHits
+		s.mu.RLock()
+		fused := atomic.LoadUint64(&s.fusedHits)
+		st.Hits += atomic.LoadUint64(&s.hits) + fused
 		st.Misses += s.misses
-		st.FusedHits += s.fusedHits
+		st.FusedHits += fused
 		st.Evictions += s.evictions
 		st.DirtyEvictions += s.dirtyEvictions
 		st.Flushes += s.flushes
 		st.WriteBacks += s.writeBacks
 		st.WriteBackErrors += s.writeBackErrs
 		st.Grows += s.grows
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
-	p.tmu.Lock()
-	st.TraceLen = len(p.writes)
-	p.tmu.Unlock()
 	return st
 }
 
@@ -803,18 +602,19 @@ func (p *Pool) Stats() Stats {
 // quadratic).
 func (p *Pool) ShardStat(i int) ShardStats {
 	s := p.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.snapshot()
 }
 
-// snapshot summarizes one shard. Caller holds s.mu exclusively.
+// snapshot summarizes one shard. Caller holds s.mu (either side).
 func (s *shard) snapshot() ShardStats {
+	fused := atomic.LoadUint64(&s.fusedHits)
 	ss := ShardStats{
 		Residents: len(s.frames),
-		Hits:      s.hits + s.fusedHits,
+		Hits:      atomic.LoadUint64(&s.hits) + fused,
 		Misses:    s.misses,
-		FusedHits: s.fusedHits,
+		FusedHits: fused,
 		Evictions: s.evictions,
 	}
 	for _, f := range s.ring {
@@ -835,9 +635,9 @@ func (s *shard) snapshot() ShardStats {
 func (p *Pool) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(p.shards))
 	for i, s := range p.shards {
-		s.mu.Lock()
+		s.mu.RLock()
 		out[i] = s.snapshot()
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	return out
 }

@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
+// The CLOCK-behaviour cases below run against the trace model (New); the
+// write-back cases against the sharded pool.
+
 func TestAllocateUniqueAndReuse(t *testing.T) {
 	p := New(16)
 	a, b := p.Allocate(), p.Allocate()
-	if a == b {
-		t.Fatalf("Allocate returned duplicate id %d", a)
+	if a != 1 || b != 2 {
+		t.Fatalf("first ids = %d, %d, want 1, 2 (0 is the nil link)", a, b)
 	}
 	p.FreePage(a)
 	if c := p.Allocate(); c != a {
 		t.Errorf("freed id %d not reused (got %d)", a, c)
 	}
-	if p.MaxPageID() != 2 {
-		t.Errorf("MaxPageID = %d, want 2", p.MaxPageID())
+	if p.Next() != 3 {
+		t.Errorf("Next = %d, want 3", p.Next())
 	}
 }
 
@@ -86,8 +89,8 @@ func TestClockSecondChance(t *testing.T) {
 	if p.Stats().Misses == 5 {
 		t.Fatalf("page 3 survived; expected it evicted: %+v", p.Stats())
 	}
-	if p.Resident() != 3 {
-		t.Fatalf("resident = %d, want 3", p.Resident())
+	if len(p.frames) != 3 {
+		t.Fatalf("resident = %d, want 3", len(p.frames))
 	}
 }
 
@@ -96,24 +99,20 @@ func TestFlushDirty(t *testing.T) {
 	a := p.Allocate()
 	b := p.Allocate()
 	p.Touch(77) // clean resident
-	n, err := p.FlushDirty()
-	if n != 2 || err != nil {
-		t.Fatalf("FlushDirty wrote %d pages (err %v), want 2", n, err)
+	if n := p.FlushDirty(); n != 2 {
+		t.Fatalf("FlushDirty wrote %d pages, want 2", n)
 	}
-	got := map[uint32]bool{}
-	for _, w := range p.Writes() {
-		got[w] = true
-	}
-	if !got[a] || !got[b] || got[77] {
-		t.Fatalf("flush trace wrong: %v", p.Writes())
+	// Frame order: a was admitted before b; the clean page is not written.
+	if w := p.Writes(); len(w) != 2 || w[0] != a || w[1] != b {
+		t.Fatalf("flush trace %v, want [%d %d]", w, a, b)
 	}
 	// Second flush is a no-op: pages are now clean.
-	if n, _ := p.FlushDirty(); n != 0 {
+	if n := p.FlushDirty(); n != 0 {
 		t.Fatalf("second flush wrote %d", n)
 	}
 	// Dirtying again re-queues the page.
 	p.Dirty(a)
-	if n, _ := p.FlushDirty(); n != 1 {
+	if n := p.FlushDirty(); n != 1 {
 		t.Fatalf("flush after re-dirty wrote %d", n)
 	}
 }
@@ -122,7 +121,7 @@ func TestFreedPageNeverWritten(t *testing.T) {
 	p := New(2)
 	a := p.Allocate()
 	p.FreePage(a) // dirty but freed: must not be flushed or evicted-written
-	if n, _ := p.FlushDirty(); n != 0 {
+	if n := p.FlushDirty(); n != 0 {
 		t.Fatalf("flushed %d pages after free", n)
 	}
 	p.Touch(50)
@@ -132,6 +131,11 @@ func TestFreedPageNeverWritten(t *testing.T) {
 		if w == a {
 			t.Fatalf("freed page %d appeared in trace", a)
 		}
+	}
+	// The dead frame was taken when the hand reached it, without an eviction:
+	// 50 filled the ring, 51 took the dead frame, only 52 evicted.
+	if st := p.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1 (a freed frame is reused, not evicted)", st.Evictions)
 	}
 }
 
@@ -147,7 +151,7 @@ func TestHitRatio(t *testing.T) {
 }
 
 func TestWriteBackCallback(t *testing.T) {
-	p := New(2)
+	p := NewSharded(2, 1)
 	type wb struct {
 		id             uint32
 		dirty, evicted bool
@@ -157,17 +161,15 @@ func TestWriteBackCallback(t *testing.T) {
 		calls = append(calls, wb{id, dirty, evicted})
 		return nil
 	})
-	a := p.Allocate() // dirty
-	p.Touch(50)       // clean
-	p.Touch(51)       // evicts one of {a, 50}
+	const a = 1
+	install(p, a, true)   // dirty
+	install(p, 50, false) // clean
+	install(p, 51, false) // evicts one of {a, 50}
 	if len(calls) != 1 || !calls[0].evicted {
 		t.Fatalf("eviction produced calls %+v, want one eviction", calls)
 	}
 	if calls[0].id == a && !calls[0].dirty {
 		t.Errorf("dirty page %d evicted with dirty=false", a)
-	}
-	if len(p.Writes()) != 0 {
-		t.Errorf("trace recorded despite callback: %v", p.Writes())
 	}
 	calls = nil
 	n, err := p.FlushDirty()
@@ -188,7 +190,7 @@ func TestWriteBackCallback(t *testing.T) {
 }
 
 func TestWriteBackFailureObservable(t *testing.T) {
-	p := New(2)
+	p := NewSharded(2, 1)
 	fail := errors.New("disk on fire")
 	failing := true
 	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
@@ -197,7 +199,8 @@ func TestWriteBackFailureObservable(t *testing.T) {
 		}
 		return nil
 	})
-	a := p.Allocate()
+	const a = 1
+	install(p, a, true)
 	// A failing flush returns the error and leaves the page dirty.
 	if n, err := p.FlushDirty(); !errors.Is(err, fail) || n != 0 {
 		t.Fatalf("FlushDirty = (%d, %v), want (0, fail)", n, err)
@@ -213,13 +216,13 @@ func TestWriteBackFailureObservable(t *testing.T) {
 		t.Error("ClearErr did not clear")
 	}
 	// A failing eviction still reclaims the frame but re-arms Err.
-	p.Touch(50)
-	p.Touch(51)
-	p.Touch(52)
+	install(p, 50, false)
+	install(p, 51, false)
+	install(p, 52, false)
 	if !errors.Is(p.Err(), fail) {
 		t.Errorf("Err = %v after failed dirty eviction", p.Err())
 	}
-	if p.IsResident(a) {
+	if resident(p, a) {
 		t.Error("victim still resident after eviction")
 	}
 	if st := p.Stats(); st.WriteBackErrors == 0 {
@@ -231,28 +234,30 @@ func TestWriteBackFailureObservable(t *testing.T) {
 	}
 }
 
+// TestSeedRestoresAllocator covers IDs: seeded free ids come back
+// last-freed-first, then fresh ids in sequence from the seeded start, and the
+// state round-trips through FreeList and NewIDs.
 func TestSeedRestoresAllocator(t *testing.T) {
-	p := New(4)
-	p.Seed(100, []uint32{7, 9})
-	if got := p.Allocate(); got != 9 {
-		t.Errorf("first allocation = %d, want seeded free id 9", got)
-	}
-	if got := p.Allocate(); got != 7 {
-		t.Errorf("second allocation = %d, want seeded free id 7", got)
-	}
-	if got := p.Allocate(); got != 100 {
-		t.Errorf("third allocation = %d, want seeded nextID 100", got)
-	}
-	p.FreePage(9)
-	if fl := p.FreeList(); len(fl) != 1 || fl[0] != 9 {
-		t.Errorf("FreeList = %v, want [9]", fl)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Seed on a used pool did not panic")
+	ids := NewIDs(100, []uint32{7, 9})
+	for _, want := range []uint32{9, 7, 100, 101} {
+		if got := ids.Allocate(); got != want {
+			t.Errorf("allocation = %d, want %d", got, want)
 		}
-	}()
-	p.Seed(1, nil)
+	}
+	ids.Free(9)
+	ids.Free(100)
+	if fl := ids.FreeList(); len(fl) != 2 || fl[0] != 9 || fl[1] != 100 {
+		t.Errorf("FreeList = %v, want [9 100]", fl)
+	}
+	again := NewIDs(ids.Next(), ids.FreeList())
+	for i := 0; i < 4; i++ {
+		if a, b := ids.Allocate(), again.Allocate(); a != b {
+			t.Errorf("allocation %d after the round trip = %d, want %d", i, b, a)
+		}
+	}
+	if ids.Next() != 104 || again.Next() != 104 {
+		t.Errorf("Next = %d and %d, want 104", ids.Next(), again.Next())
+	}
 }
 
 func TestCapacityValidation(t *testing.T) {
@@ -262,4 +267,18 @@ func TestCapacityValidation(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// install gives page id a frame holding its own id as the decoded object,
+// unpinned: how these tests bring a page into the sharded pool.
+func install(p *Pool, id uint32, dirty bool) {
+	p.Install(id, dirty, func(Handle) any { return id })
+}
+
+// resident reports whether page id occupies a frame.
+func resident(p *Pool, id uint32) bool {
+	s := p.shard(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.frames[id] != nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // idInShard returns a page id >= 1 that hashes to the given shard.
@@ -35,9 +36,6 @@ func TestNewShardedRounding(t *testing.T) {
 			t.Errorf("NewSharded(%d, %d).Shards() = %d, want %d", c.capacity, c.shards, got, c.want)
 		}
 	}
-	if got := New(16).Shards(); got != 1 {
-		t.Errorf("New(16).Shards() = %d, want the historical single shard", got)
-	}
 }
 
 func TestShardOfIsStableAndInRange(t *testing.T) {
@@ -54,61 +52,60 @@ func TestShardOfIsStableAndInRange(t *testing.T) {
 }
 
 func TestPinPreventsEviction(t *testing.T) {
-	p := New(3) // single shard: evictions are deterministic
-	p.Touch(1)
-	p.Pin(2)
-	p.Touch(3)
+	p := NewSharded(3, 1) // single shard: evictions are deterministic
+	install(p, 1, false)
+	_, h := p.InstallPinned(2, false, func(Handle) any { return "two" })
+	install(p, 3, false)
 	// Fault enough new pages through the full pool to evict every unpinned
 	// frame several times over.
 	for id := uint32(10); id < 30; id++ {
-		p.Touch(id)
+		install(p, id, false)
 	}
-	if !p.IsResident(2) {
+	if !resident(p, 2) {
 		t.Fatal("pinned page 2 was evicted")
 	}
 	if p.Pinned() != 1 {
 		t.Fatalf("Pinned() = %d, want 1", p.Pinned())
 	}
-	p.Unpin(2)
+	p.Release(h)
 	if p.Pinned() != 0 {
-		t.Fatalf("Pinned() after Unpin = %d, want 0", p.Pinned())
+		t.Fatalf("Pinned() after Release = %d, want 0", p.Pinned())
 	}
 	// Unpinned, page 2 is a victim candidate again.
 	for id := uint32(30); id < 50; id++ {
-		p.Touch(id)
+		install(p, id, false)
 	}
-	if p.IsResident(2) {
+	if resident(p, 2) {
 		t.Fatal("page 2 survived 20 evictions with no pin")
 	}
 }
 
 func TestPinsNest(t *testing.T) {
-	p := New(2)
-	p.Pin(1)
-	p.Pin(1)
-	p.Unpin(1)
+	p := NewSharded(2, 1)
+	_, h1 := p.InstallPinned(1, false, func(Handle) any { return "one" })
+	_, h2 := p.FetchPinned(1)
+	p.Release(h1)
 	for id := uint32(10); id < 20; id++ {
-		p.Touch(id)
+		install(p, id, false)
 	}
-	if !p.IsResident(1) {
+	if !resident(p, 1) {
 		t.Fatal("page 1 evicted while one of two pins was still held")
 	}
-	p.Unpin(1)
-	p.Unpin(1) // extra unpin of a zero-pin frame is a no-op
+	p.Release(h2)
+	p.Release(h2) // extra release of a zero-pin frame is a no-op
 	if p.Pinned() != 0 {
 		t.Fatalf("Pinned() = %d, want 0", p.Pinned())
 	}
-	p.Unpin(99) // unpin of a non-resident page is a no-op
 }
 
 func TestAllPinnedGrowsRing(t *testing.T) {
-	p := New(2)
-	p.Pin(1)
-	p.Pin(2)
-	p.Touch(3) // no victim available: the shard must grow, not fail
-	if !p.IsResident(1) || !p.IsResident(2) || !p.IsResident(3) {
+	p := NewSharded(2, 1)
+	_, h1 := p.InstallPinned(1, false, func(Handle) any { return "one" })
+	_, h2 := p.InstallPinned(2, false, func(Handle) any { return "two" })
+	install(p, 3, false) // no victim available: the shard must grow, not fail
+	if !resident(p, 1) || !resident(p, 2) || !resident(p, 3) {
 		t.Fatalf("residency after forced growth: 1=%v 2=%v 3=%v",
-			p.IsResident(1), p.IsResident(2), p.IsResident(3))
+			resident(p, 1), resident(p, 2), resident(p, 3))
 	}
 	st := p.Stats()
 	if st.Grows == 0 {
@@ -117,8 +114,8 @@ func TestAllPinnedGrowsRing(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Fatalf("Stats().Evictions = %d, want 0 (nothing was evictable)", st.Evictions)
 	}
-	p.Unpin(1)
-	p.Unpin(2)
+	p.Release(h1)
+	p.Release(h2)
 }
 
 func TestErrStickyAcrossShards(t *testing.T) {
@@ -143,7 +140,7 @@ func TestErrStickyAcrossShards(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		p.Dirty(id) // 4 dirty pages into a 2-frame shard: must evict
+		install(p, id, true) // 4 dirty pages into a 2-frame shard: must evict
 	}
 	if err := p.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v, want the shard-%d write-back failure", err, shard)
@@ -153,7 +150,7 @@ func TestErrStickyAcrossShards(t *testing.T) {
 		t.Fatalf("WriteBackErrors = 0: %+v", st)
 	}
 	// The first error is retained even after later successes elsewhere.
-	p.Touch(idInShard(t, p, 0))
+	install(p, idInShard(t, p, 0), false)
 	if err := p.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() lost the sticky error: %v", err)
 	}
@@ -166,8 +163,7 @@ func TestErrStickyAcrossShards(t *testing.T) {
 func TestShardStatsPerShard(t *testing.T) {
 	p := NewSharded(16, 4)
 	id := idInShard(t, p, 3)
-	p.Dirty(id)
-	p.Pin(id)
+	_, h := p.InstallPinned(id, true, func(Handle) any { return id })
 	ss := p.ShardStats()
 	if len(ss) != 4 {
 		t.Fatalf("len(ShardStats()) = %d, want 4", len(ss))
@@ -183,15 +179,15 @@ func TestShardStatsPerShard(t *testing.T) {
 			t.Fatalf("shard %d unexpectedly resident: %+v", i, ss[i])
 		}
 	}
-	p.Unpin(id)
+	p.Release(h)
 }
 
 // TestConcurrentAccess hammers a sharded pool from many goroutines (run
-// with -race): every access pattern the engines use, with balanced
-// Pin/Unpin pairs, must leave zero pins and a consistent frame table.
+// with -race): lookups, faults, dirtying and frees beside a scraper taking
+// every snapshot the metrics layer takes, with balanced pins, must leave zero
+// pins and a consistent frame table.
 func TestConcurrentAccess(t *testing.T) {
 	p := NewSharded(64, 8)
-	p.Seed(1, nil)
 	const goroutines = 8
 	const opsPer = 3000
 	var wg sync.WaitGroup
@@ -202,25 +198,32 @@ func TestConcurrentAccess(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < opsPer; i++ {
 				id := uint32(1 + rng.Intn(256))
-				switch rng.Intn(4) {
+				switch rng.Intn(8) {
 				case 0:
-					p.Touch(id)
-				case 1:
 					p.Dirty(id)
+				case 1:
+					p.FreePage(id)
 				case 2:
-					p.Pin(id)
-					p.Touch(id)
-					p.Unpin(id)
-				case 3:
-					_ = p.IsResident(id)
 					_ = p.Stats()
+					_ = p.ShardStats()
+					_ = p.ShardStat(p.ShardOf(id))
+					_, _ = p.Resident(), p.Pinned()
+				default:
+					obj, h := p.FetchPinned(id)
+					if obj == nil {
+						obj, h = p.InstallPinned(id, false, func(Handle) any { return id })
+					}
+					if obj.(uint32) != id {
+						t.Errorf("page %d served object %v", id, obj)
+					}
+					p.Release(h)
 				}
 			}
 		}(int64(g))
 	}
 	wg.Wait()
 	if got := p.Pinned(); got != 0 {
-		t.Fatalf("Pinned() = %d after balanced pin/unpin", got)
+		t.Fatalf("Pinned() = %d after balanced pins", got)
 	}
 	st := p.Stats()
 	if st.Hits+st.Misses == 0 {
@@ -238,5 +241,37 @@ func TestConcurrentAccess(t *testing.T) {
 			}
 		}
 		s.mu.Unlock()
+	}
+}
+
+// TestSnapshotsDoNotStopReaders: every snapshot method takes the shards'
+// locks on the shared side, so a metrics scrape completes while readers hold
+// them — and therefore never makes a FetchPinned wait.
+func TestSnapshotsDoNotStopReaders(t *testing.T) {
+	p := NewSharded(16, 4)
+	for id := uint32(1); id <= 16; id++ {
+		install(p, id, true)
+	}
+	for _, s := range p.shards {
+		s.mu.RLock() // a reader inside FetchPinned on every shard
+	}
+	done := make(chan Stats)
+	go func() {
+		_ = p.Resident()
+		_ = p.Pinned()
+		_ = p.ShardStats()
+		_ = p.ShardStat(0)
+		done <- p.Stats()
+	}()
+	select {
+	case st := <-done:
+		if st.Shards != 4 || st.Capacity != 16 {
+			t.Errorf("snapshot %+v", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a snapshot waited for the shards' exclusive side while readers held the shared side")
+	}
+	for _, s := range p.shards {
+		s.mu.RUnlock()
 	}
 }

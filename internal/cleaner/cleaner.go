@@ -13,9 +13,9 @@
 //   - it keeps going until the pool recovers to HighWater (hysteresis, so
 //     it does not thrash at the threshold);
 //   - user writes are never delayed by cleaning itself — admission control
-//     (a pluggable Pacer) only throttles or blocks writers when the pool
-//     falls below an emergency floor, the regime where the only
-//     alternative would be running out of space entirely.
+//     blocks writers only when the pool falls below an emergency floor, the
+//     regime where the only alternative would be running out of space
+//     entirely.
 //
 // The log being cleaned implements Target (an interface so this package
 // need not import the core, and so tests can script a target). One cleaning
@@ -125,9 +125,9 @@ type Options struct {
 	// HighWater stops cleaning once the free pool recovers to it
 	// (default LowWater+Batch, clamped to the pool size).
 	HighWater int
-	// EmergencyFloor is the admission-control threshold: the Pacer sees
-	// it and (by default) blocks writers while the pool is below it
-	// (default min(Batch+1, LowWater), at least 1).
+	// EmergencyFloor is the admission-control threshold: writers block
+	// while the pool is below it (default min(Batch+1, LowWater), at least
+	// 1).
 	EmergencyFloor int
 	// Batch is the number of victims per cleaning cycle.
 	Batch int
@@ -141,11 +141,11 @@ type Options struct {
 	// arithmetic.
 	Streams int
 	// TotalSegments is the engine's physical segment count; it bounds the
-	// cycles one reclamation attempt may run (convergence guard) and is
-	// reported to the Pacer.
+	// cycles one reclamation attempt may run (convergence guard).
 	TotalSegments int
 	// Pacer is the admission controller consulted on every user write
-	// (default FloorPacer{}).
+	// and batch (default FloorPacer{}, which every engine runs; tests
+	// substitute one that blocks to script stalls).
 	Pacer Pacer
 	// PollInterval is the fallback wakeup period when no writer kicks the
 	// cleaner (default 25ms).
@@ -226,10 +226,6 @@ type Stats struct {
 	// WriterStallTime their cumulative wait.
 	WriterStalls    uint64
 	WriterStallTime time.Duration
-	// WriterDelays counts writes throttled by the Pacer and
-	// WriterDelayTime their cumulative added latency.
-	WriterDelays    uint64
-	WriterDelayTime time.Duration
 	// AdmissionStalls and StallNanos report the same stall activity as
 	// WriterStalls/WriterStallTime but are fed from the obs counters
 	// (cleaner.admission.stalls / cleaner.admission.stall_ns), so an
@@ -263,8 +259,6 @@ type Cleaner struct {
 	obs       *obs.Registry
 	mStalls   *obs.Counter   // cleaner.admission.stalls
 	mStallNS  *obs.Counter   // cleaner.admission.stall_ns
-	mDelays   *obs.Counter   // cleaner.admission.delays
-	mDelayNS  *obs.Counter   // cleaner.admission.delay_ns
 	hSelect   *obs.Histogram // cleaner.select.ns
 	hRelocate *obs.Histogram // cleaner.relocate.ns
 	hRelease  *obs.Histogram // cleaner.release.ns
@@ -287,8 +281,6 @@ func Start(t Target, opts Options) (*Cleaner, error) {
 		obs:       opts.Obs,
 		mStalls:   opts.Obs.Counter("cleaner.admission.stalls"),
 		mStallNS:  opts.Obs.Counter("cleaner.admission.stall_ns"),
-		mDelays:   opts.Obs.Counter("cleaner.admission.delays"),
-		mDelayNS:  opts.Obs.Counter("cleaner.admission.delay_ns"),
 		hSelect:   opts.Obs.Histogram("cleaner.select.ns"),
 		hRelocate: opts.Obs.Histogram("cleaner.relocate.ns"),
 		hRelease:  opts.Obs.Histogram("cleaner.release.ns"),
@@ -344,16 +336,17 @@ func (c *Cleaner) Stats() Stats {
 }
 
 // Admit applies write admission control: it wakes the cleaner when the
-// pool is low and, per the Pacer, delays or blocks the caller when the
-// pool is below the emergency floor. Engines call it on the user write
+// pool is low and, per the Pacer, blocks the caller while the pool is below
+// the emergency floor. Engines call it on the user write
 // path before taking their own locks (so a blocked writer never holds a
 // lock the cleaner needs).
 func (c *Cleaner) Admit() error { return c.AdmitN(1) }
 
 // AdmitN is the batch form of Admit: one admission decision for an
 // n-record batch, so admission cost is paid once per batch instead of once
-// per record. Pacers implementing BatchPacer see n; others are consulted
-// once through Admit (the compatible default).
+// per record. The floor decision does not depend on n: a batch is blocked
+// below the emergency floor and admitted whole above it, and its space is
+// reserved later, under the engine lock.
 func (c *Cleaner) AdmitN(n int) error {
 	var deadline time.Time
 	stalled := false
@@ -362,17 +355,7 @@ func (c *Cleaner) AdmitN(n int) error {
 		if free < c.opts.LowWater {
 			c.Kick()
 		}
-		ad := c.pace(c.poolState(free), n)
-		if ad.Delay > 0 {
-			time.Sleep(ad.Delay)
-			c.mu.Lock()
-			c.stats.WriterDelays++
-			c.stats.WriterDelayTime += ad.Delay
-			c.mu.Unlock()
-			c.mDelays.Inc()
-			c.mDelayNS.Add(uint64(ad.Delay))
-		}
-		if !ad.Block {
+		if !c.opts.Pacer.Admit(c.poolState(free)).Block {
 			return nil
 		}
 
@@ -393,7 +376,7 @@ func (c *Cleaner) AdmitN(n int) error {
 		// A release that landed between the pacer decision and capturing
 		// the channel must not be missed: re-consult the pacer and retry
 		// instead of waiting if it would now admit.
-		if !c.pace(c.poolState(c.t.FreeSegments()), n).Block {
+		if !c.opts.Pacer.Admit(c.poolState(c.t.FreeSegments())).Block {
 			continue
 		}
 		if !stalled {
@@ -426,25 +409,8 @@ func (c *Cleaner) AdmitN(n int) error {
 	}
 }
 
-// pace consults the Pacer for one admission: batch-aware when the Pacer
-// implements BatchPacer and the caller is a batch, plain Admit otherwise.
-func (c *Cleaner) pace(st PoolState, n int) Admission {
-	if n > 1 {
-		if bp, ok := c.opts.Pacer.(BatchPacer); ok {
-			return bp.AdmitN(st, n)
-		}
-	}
-	return c.opts.Pacer.Admit(st)
-}
-
 func (c *Cleaner) poolState(free int) PoolState {
-	return PoolState{
-		Free:           free,
-		LowWater:       c.opts.LowWater,
-		HighWater:      c.opts.HighWater,
-		EmergencyFloor: c.opts.EmergencyFloor,
-		Total:          c.opts.TotalSegments,
-	}
+	return PoolState{Free: free, EmergencyFloor: c.opts.EmergencyFloor}
 }
 
 func (c *Cleaner) addStall(d time.Duration) {

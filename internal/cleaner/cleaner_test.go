@@ -249,33 +249,10 @@ func TestAdmitStallTimeout(t *testing.T) {
 
 func TestFloorPacer(t *testing.T) {
 	p := FloorPacer{}
-	if ad := p.Admit(PoolState{Free: 3, EmergencyFloor: 3}); ad.Block || ad.Delay != 0 {
+	if ad := p.Admit(PoolState{Free: 3, EmergencyFloor: 3}); ad.Block {
 		t.Errorf("at the floor: %+v", ad)
 	}
 	if ad := p.Admit(PoolState{Free: 2, EmergencyFloor: 3}); !ad.Block {
-		t.Errorf("below the floor: %+v", ad)
-	}
-}
-
-func TestRampPacer(t *testing.T) {
-	p := RampPacer{MaxDelay: 10 * time.Millisecond}
-	st := PoolState{LowWater: 12, EmergencyFloor: 2}
-	st.Free = 12
-	if ad := p.Admit(st); ad.Delay != 0 || ad.Block {
-		t.Errorf("at low water: %+v", ad)
-	}
-	st.Free = 7
-	mid := p.Admit(st)
-	if mid.Block || mid.Delay <= 0 || mid.Delay >= 10*time.Millisecond {
-		t.Errorf("mid-ramp: %+v", mid)
-	}
-	st.Free = 3
-	deep := p.Admit(st)
-	if deep.Delay <= mid.Delay {
-		t.Errorf("delay not increasing toward the floor: mid %v, deep %v", mid.Delay, deep.Delay)
-	}
-	st.Free = 1
-	if ad := p.Admit(st); !ad.Block {
 		t.Errorf("below the floor: %+v", ad)
 	}
 }
@@ -305,12 +282,10 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// countingPacer records how it was consulted: through the plain Admit or
-// the batch-aware AdmitN.
+// countingPacer counts its consultations.
 type countingPacer struct {
-	mu      sync.Mutex
-	admits  int
-	admitNs []int
+	mu     sync.Mutex
+	admits int
 }
 
 func (p *countingPacer) Admit(st PoolState) Admission {
@@ -320,19 +295,7 @@ func (p *countingPacer) Admit(st PoolState) Admission {
 	return Admission{}
 }
 
-func (p *countingPacer) AdmitN(st PoolState, n int) Admission {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.admitNs = append(p.admitNs, n)
-	return Admission{}
-}
-
-// admitOnly is a Pacer with no batch awareness.
-type admitOnly struct{ p *countingPacer }
-
-func (a admitOnly) Admit(st PoolState) Admission { return a.p.Admit(st) }
-
-func TestAdmitNConsultsBatchPacer(t *testing.T) {
+func TestAdmitNFallsBackToAdmit(t *testing.T) {
 	ft := &fakeTarget{free: 100}
 	p := &countingPacer{}
 	c, err := Start(ft, Options{LowWater: 4, Batch: 2, TotalSegments: 100,
@@ -341,60 +304,14 @@ func TestAdmitNConsultsBatchPacer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	if err := c.AdmitN(16); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Admit(); err != nil {
-		t.Fatal(err)
-	}
-	// A batch of one is a plain admission; the batch path is for n > 1.
-	if err := c.AdmitN(1); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.admitNs) != 1 || p.admitNs[0] != 16 {
-		t.Errorf("AdmitN consultations = %v, want [16]", p.admitNs)
-	}
-	if p.admits != 2 {
-		t.Errorf("Admit consultations = %d, want 2", p.admits)
-	}
-}
-
-func TestAdmitNFallsBackToAdmit(t *testing.T) {
-	ft := &fakeTarget{free: 100}
-	p := &countingPacer{}
-	c, err := Start(ft, Options{LowWater: 4, Batch: 2, TotalSegments: 100,
-		Pacer: admitOnly{p}, PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	// The compatible default: one Admit per batch, not one per record.
+	// One Admit per batch, not one per record.
 	if err := c.AdmitN(32); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.admits != 1 || len(p.admitNs) != 0 {
-		t.Errorf("fallback consulted Admit %d times, AdmitN %v; want exactly one Admit", p.admits, p.admitNs)
-	}
-}
-
-func TestBuiltinPacersImplementBatchPacer(t *testing.T) {
-	for _, p := range []Pacer{FloorPacer{}, RampPacer{}} {
-		bp, ok := p.(BatchPacer)
-		if !ok {
-			t.Fatalf("%T does not implement BatchPacer", p)
-		}
-		st := PoolState{Free: 1, LowWater: 12, EmergencyFloor: 2}
-		if ad := bp.AdmitN(st, 64); !ad.Block {
-			t.Errorf("%T.AdmitN below the floor: %+v", p, ad)
-		}
-		st.Free = 50
-		if ad := bp.AdmitN(st, 64); ad.Block || ad.Delay != 0 {
-			t.Errorf("%T.AdmitN with a healthy pool: %+v", p, ad)
-		}
+	if p.admits != 1 {
+		t.Errorf("a batch of 32 consulted Admit %d times; want exactly one", p.admits)
 	}
 }
 

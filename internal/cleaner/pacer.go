@@ -1,100 +1,38 @@
 package cleaner
 
-import "time"
-
 // PoolState is the free-pool snapshot a Pacer sees when deciding how to
 // admit a user write.
 type PoolState struct {
 	// Free is the current free-segment count.
 	Free int
-	// LowWater and HighWater are the cleaner's run/stop watermarks.
-	LowWater  int
-	HighWater int
 	// EmergencyFloor is the threshold below which writes endanger the
 	// cleaner's own relocation headroom.
 	EmergencyFloor int
-	// Total is the engine's physical segment count.
-	Total int
 }
 
-// Admission is a Pacer's decision for one write.
+// Admission is a Pacer's decision for one write or one batch.
 type Admission struct {
-	// Delay throttles the writer: it sleeps this long before appending.
-	Delay time.Duration
 	// Block applies backpressure: the writer waits until the cleaner
 	// recovers the emergency floor (or space is exhausted).
 	Block bool
 }
 
 // Pacer decides how user writes are admitted while cleaning runs in the
-// background. Implementations must be safe for concurrent use; Admit is
-// called on every user write.
-//
-// A Pacer may additionally implement BatchPacer to see batch sizes; one
-// that does not is consulted exactly once per batch through Admit — the
-// compatible default, which already gives batches the amortization they
-// are after (one pacing decision for n records instead of n).
+// background: consulted once per write, once per batch (admission is
+// advisory — space for a whole batch is reserved later, under the engine
+// lock). Implementations must be safe for concurrent use. It is an
+// interface so tests can script stalls; the engines all run FloorPacer.
 type Pacer interface {
 	Admit(st PoolState) Admission
 }
 
-// BatchPacer is the optional batch-aware extension of Pacer: AdmitN is the
-// single admission check for an n-record batch (engines call it through
-// Cleaner.AdmitN). Admission is advisory pacing only — space for the whole
-// batch is reserved later, under the engine lock — so implementations
-// should decide how hard to lean on a large batch, not whether it fits.
-type BatchPacer interface {
-	Pacer
-	AdmitN(st PoolState, n int) Admission
-}
-
-// FloorPacer is the default admission controller: writes are admitted
-// without any delay while the free pool is at or above the emergency
-// floor, and blocked below it. Cleaning itself therefore never adds
-// latency to writes — only imminent space exhaustion does.
+// FloorPacer is the admission controller: writes are admitted while the
+// free pool is at or above the emergency floor, and blocked below it.
+// Cleaning itself therefore never adds latency to writes — only imminent
+// space exhaustion does.
 type FloorPacer struct{}
 
 // Admit implements Pacer.
 func (FloorPacer) Admit(st PoolState) Admission {
 	return Admission{Block: st.Free < st.EmergencyFloor}
 }
-
-// AdmitN implements BatchPacer: the floor decision does not depend on the
-// batch size — a batch is blocked below the emergency floor and admitted
-// whole above it.
-func (p FloorPacer) AdmitN(st PoolState, n int) Admission { return p.Admit(st) }
-
-// RampPacer throttles writes progressively as the pool drains from the
-// low watermark toward the emergency floor (a linear delay ramp up to
-// MaxDelay), then blocks below the floor. It trades a little median
-// latency for a smoother approach to the floor under sustained overload.
-type RampPacer struct {
-	// MaxDelay is the delay applied just above the emergency floor
-	// (default 1ms).
-	MaxDelay time.Duration
-}
-
-// Admit implements Pacer.
-func (p RampPacer) Admit(st PoolState) Admission {
-	if st.Free < st.EmergencyFloor {
-		return Admission{Block: true}
-	}
-	if st.Free >= st.LowWater {
-		return Admission{}
-	}
-	span := st.LowWater - st.EmergencyFloor
-	if span <= 0 {
-		return Admission{}
-	}
-	maxDelay := p.MaxDelay
-	if maxDelay == 0 {
-		maxDelay = time.Millisecond
-	}
-	frac := float64(st.LowWater-st.Free) / float64(span)
-	return Admission{Delay: time.Duration(frac * float64(maxDelay))}
-}
-
-// AdmitN implements BatchPacer: one ramp delay for the whole batch. This is
-// the batching amortization at the admission layer — n records pay the
-// delay a single record would have paid, instead of n of them.
-func (p RampPacer) AdmitN(st PoolState, n int) Admission { return p.Admit(st) }

@@ -3,8 +3,8 @@
 // minimum cost), Figure 3 (MDC breakdown), Figure 4 (write buffer sweep),
 // Figure 5a/b/c (algorithm comparison across fill factors) and Figure 6
 // (TPC-C trace replay). The cmd/lsbench tool and the repository's root
-// benchmarks both drive this package, so the numbers in EXPERIMENTS.md are
-// reproducible from either entry point.
+// benchmarks both drive this package, so the numbers in README.md ("Paper vs
+// measured") are reproducible from either entry point.
 package experiments
 
 import (
@@ -25,8 +25,9 @@ import (
 // which all presets keep at paper-like proportions.
 type Scale int
 
-// Scales: Small for tests/benches, Medium for lsbench runs (the numbers in
-// EXPERIMENTS.md), Paper for the full 100 GB / 2 MB-segment geometry.
+// Scales: Small for tests/benches and README.md's "Paper vs measured"
+// tables, Medium for longer lsbench runs, Paper for the full 100 GB / 2
+// MB-segment geometry.
 const (
 	ScaleSmall Scale = iota
 	ScaleMedium
@@ -304,7 +305,7 @@ func Fig5(scale Scale, dist Fig5Dist, log io.Writer) *Table {
 }
 
 // TPCCTrace generates the Figure 6 input trace: a scaled TPC-C run over the
-// B+-tree/buffer-pool engine (see DESIGN.md for the substitution rationale).
+// B+-tree/buffer-pool engine (README.md, "The TPC-C substitution").
 func TPCCTrace(scale Scale, log io.Writer) *TPCCData {
 	cfg := tpcc.Config{Seed: Seed}
 	txs := 40000

@@ -106,7 +106,7 @@ func BenchmarkTreeGetSpill(b *testing.B) {
 			if err := db.Commit(); err != nil {
 				b.Fatal(err)
 			}
-			if pages := int(db.pool.MaxPageID()); pages < 16*cache {
+			if pages := int(db.ids.Next()); pages < 16*cache {
 				b.Fatalf("tree of %d pages, want ≥ 16 × the cache of %d", pages, cache)
 			}
 			var buf []byte

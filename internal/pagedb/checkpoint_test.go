@@ -21,7 +21,7 @@ func dirtySet(db *DB) map[uint32]bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	set := make(map[uint32]bool)
-	for id := uint32(metaPageID + 1); id < db.pool.MaxPageID(); id++ {
+	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
 		if db.pool.IsDirty(id) {
 			set[id] = true
 		}

@@ -82,8 +82,8 @@ func TestNodeArraysStayWithinFanout(t *testing.T) {
 		}
 	}
 	st := db.Stats()
-	if tr.Height() < 3 || fullest < leafFan-1 || len(db.pool.FreeList()) == 0 || st.Faults < 10000 {
+	if tr.Height() < 3 || fullest < leafFan-1 || len(db.ids.FreeList()) == 0 || st.Faults < 10000 {
 		t.Errorf("height %d, the fullest leaf %d of %d entries, %d pages freed by merges, %d faults: the stream does not exercise the rule",
-			tr.Height(), fullest, leafFan-1, len(db.pool.FreeList()), st.Faults)
+			tr.Height(), fullest, leafFan-1, len(db.ids.FreeList()), st.Faults)
 	}
 }

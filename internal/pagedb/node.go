@@ -203,7 +203,7 @@ var poisonRecycled func(n *btree.Node)
 // after Alloc, and that Fetch takes the pin); the core stamps its kind.
 // Caller holds db.mu exclusively.
 func (db *DB) allocNode() *btree.Node {
-	id := db.pool.Allocate()
+	id := db.ids.Allocate()
 	// A reused id may carry residue from its previous life: a pending free
 	// or a parked node. Both are superseded by reallocation.
 	delete(db.freed, id)
@@ -229,6 +229,7 @@ func (db *DB) freeNode(id uint32) {
 	delete(db.evq, id)
 	db.evmu.Unlock()
 	db.pool.FreePage(id)
+	db.ids.Free(id)
 	db.freed[id] = true
 	db.metaDirty = true
 }

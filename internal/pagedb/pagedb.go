@@ -179,7 +179,9 @@ type Options struct {
 // shard mutex (inside any pool call) or the store's lock (inside any store
 // call), then db.evmu (the write-back callback runs under the pool shard
 // mutex and takes it; a fault's buffer request runs under the store's read
-// lock and takes it). evmu is never held across a pool or a store call.
+// lock and takes it). evmu is never held across a pool or a store call. The
+// page-id allocator (ids) has no lock: it is touched only under db.mu's write
+// side (allocNode, freeNode, encodeMeta) and by Open.
 type DB struct {
 	// mu is the operation guard. Writers (Put, Delete, Commit, tree DDL,
 	// Close) take the write side and see the old single-mutex engine;
@@ -188,6 +190,7 @@ type DB struct {
 	mu       sync.RWMutex
 	st       *store.Store
 	pool     *bufferpool.Pool
+	ids      bufferpool.IDs
 	pageSize int
 
 	// faultMu serializes the fault path per pool shard: when concurrent
@@ -348,7 +351,7 @@ func Open(opts Options) (*DB, error) {
 			st.Close()
 			return nil, fmt.Errorf("pagedb: store holds %d pages but no metadata page; not a pagedb store", st.Stats().LivePages)
 		}
-		db.pool.Seed(metaPageID+1, nil)
+		db.ids = bufferpool.NewIDs(metaPageID+1, nil)
 		db.metaDirty = true
 	case err != nil:
 		st.Close()
@@ -541,13 +544,11 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	nodes, db.flushed = db.flushed, nil
 	leg.End()
 	// fail undoes the flush: the flushed frames — of the gathered nodes, the
-	// resident ones: a parked page never is — go back to dirty (nothing ran
-	// since), so a retry gathers the same set.
+	// resident ones: a parked page never is, and Dirty leaves it alone — go
+	// back to dirty (nothing ran since), so a retry gathers the same set.
 	fail := func(err error) error {
 		for _, n := range nodes {
-			if db.pool.IsResident(n.ID) {
-				db.pool.Dirty(n.ID)
-			}
+			db.pool.Dirty(n.ID)
 		}
 		return err
 	}
@@ -765,14 +766,14 @@ const ovfHeaderBytes = 12
 // same atomic batch as the meta page, so DropTree- and merge-freed ids
 // survive reopen no matter how many there are.
 func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
-	if db.pool.MaxPageID() >= metaOverflowBase {
-		return nil, nil, fmt.Errorf("pagedb: page id space exhausted (next id %d reaches the metadata overflow range)", db.pool.MaxPageID())
+	if db.ids.Next() >= metaOverflowBase {
+		return nil, nil, fmt.Errorf("pagedb: page id space exhausted (next id %d reaches the metadata overflow range)", db.ids.Next())
 	}
 	buf := make([]byte, 0, db.pageSize)
 	buf = append(buf, metaMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, db.pool.MaxPageID())
+	buf = binary.LittleEndian.AppendUint32(buf, db.ids.Next())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.order)))
-	free := db.pool.FreeList()
+	free := db.ids.FreeList()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(free)))
 	novfOff := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
@@ -908,6 +909,6 @@ func (db *DB) decodeMeta(img []byte) error {
 		return fmt.Errorf("pagedb: free list truncated: %d of %d ids recovered", len(free), nfree)
 	}
 	db.metaOvf = novf
-	db.pool.Seed(nextID, free)
+	db.ids = bufferpool.NewIDs(nextID, free)
 	return nil
 }

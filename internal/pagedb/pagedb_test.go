@@ -403,8 +403,8 @@ func TestFreeListSpillsAcrossMetaPages(t *testing.T) {
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	freeBefore := len(db.pool.FreeList())
-	nextBefore := db.pool.MaxPageID()
+	freeBefore := len(db.ids.FreeList())
+	nextBefore := db.ids.Next()
 	// The 256-byte meta page holds at most ~50 ids beside the registry; the
 	// dropped tree must have freed far more, or the test proves nothing.
 	if freeBefore < 200 {
@@ -422,10 +422,10 @@ func TestFreeListSpillsAcrossMetaPages(t *testing.T) {
 		t.Fatalf("reopen with spilled free list: %v", err)
 	}
 	defer db2.Close()
-	if got := len(db2.pool.FreeList()); got != freeBefore {
+	if got := len(db2.ids.FreeList()); got != freeBefore {
 		t.Fatalf("free list lost ids across reopen: %d, want %d", got, freeBefore)
 	}
-	if got := db2.pool.MaxPageID(); got != nextBefore {
+	if got := db2.ids.Next(); got != nextBefore {
 		t.Fatalf("next page id drifted across reopen: %d, want %d", got, nextBefore)
 	}
 	// Allocation must reuse the recovered ids: growing a fresh tree by a few
@@ -439,10 +439,10 @@ func TestFreeListSpillsAcrossMetaPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db2.pool.MaxPageID(); got != nextBefore {
+	if got := db2.ids.Next(); got != nextBefore {
 		t.Fatalf("allocator minted fresh ids (%d -> %d) while %d recovered ids were free", nextBefore, got, freeBefore)
 	}
-	if got := len(db2.pool.FreeList()); got >= freeBefore {
+	if got := len(db2.ids.FreeList()); got >= freeBefore {
 		t.Fatalf("free list did not shrink under reuse: %d ids", got)
 	}
 	// The shrunken list commits a shorter chain (tombstoning extra overflow

@@ -423,11 +423,11 @@ func TestRecycleHammer(t *testing.T) {
 	st, obs := db.Stats(), db.Obs()
 	recycled, fresh, donors := obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value(), obs.Counter("pagedb.node.unrecyclable").Value()
 	t.Logf("%d faults: %d into recycled nodes, %d fresh; %d donors dropped; %d checkpoints, %d pages freed by merges",
-		st.Faults, recycled, fresh, donors, st.Commits, len(db.pool.FreeList()))
+		st.Faults, recycled, fresh, donors, st.Commits, len(db.ids.FreeList()))
 	if recycled == 0 || donors == 0 || recycled+fresh != st.Faults {
 		t.Errorf("recycled %d + fresh %d of %d faults, %d donors: the hammer did not exercise recycling", recycled, fresh, st.Faults, donors)
 	}
-	if pages := db.pool.MaxPageID(); int(pages) < 16*opts.CachePages {
+	if pages := db.ids.Next(); int(pages) < 16*opts.CachePages {
 		t.Errorf("the tree only ever had %d pages, want ≥ 16 × the cache of %d", pages, opts.CachePages)
 	}
 }
@@ -487,7 +487,7 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages := int(db.pool.MaxPageID()); pages < 8*cache {
+	if pages := int(db.ids.Next()); pages < 8*cache {
 		t.Fatalf("the tree has %d pages, want ≥ 8 × the cache of %d", pages, cache)
 	}
 	rng := rand.New(rand.NewPCG(7, 7))

@@ -55,7 +55,6 @@ type Config struct {
 	Background    bool
 	FreeHighWater int
 	FreeEmergency int
-	Pacer         cleaner.Pacer
 	Obs           *obs.Registry
 }
 
@@ -92,7 +91,7 @@ func (c *Config) Validate() error {
 				c.Name, c.Algorithm.Name, c.FreeLowWater, n)
 		}
 	}
-	// FreeHighWater, FreeEmergency and Pacer defaulting/validation live in
+	// FreeHighWater and FreeEmergency defaulting/validation live in
 	// cleaner.Options.withDefaults; zero values pass straight through to
 	// cleaner.Start.
 	if c.Obs == nil {
@@ -281,7 +280,6 @@ func (l *Log[K, R]) StartCleaner() error {
 		Batch:          l.cfg.CleanBatch,
 		TotalSegments:  l.cfg.MaxSegments,
 		Streams:        routed,
-		Pacer:          l.cfg.Pacer,
 		Obs:            l.cfg.Obs,
 	})
 	l.cl = cl

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 )
 
@@ -531,28 +530,5 @@ func TestBackgroundRecoveryRoundTrip(t *testing.T) {
 		if got := binary.LittleEndian.Uint32(buf[4:]); got != ver {
 			t.Fatalf("page %d version %d, want %d", id, got, ver)
 		}
-	}
-}
-
-// TestRampPacerOnStore exercises the pluggable pacing layer end to end.
-func TestRampPacerOnStore(t *testing.T) {
-	opts := backgroundOpts("")
-	opts.Pacer = cleaner.RampPacer{MaxDelay: 100 * time.Microsecond}
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	buf := make([]byte, 128)
-	r := rand.New(rand.NewPCG(51, 52))
-	for i := 0; i < 8000; i++ {
-		id := uint32(r.IntN(300))
-		stamp(buf, id, uint32(i))
-		if err := s.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.LivePages != 300 {
-		t.Errorf("LivePages = %d, want 300", st.LivePages)
 	}
 }

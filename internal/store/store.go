@@ -22,9 +22,8 @@
 // cleaning cycles until the pool recovers. With Options.BackgroundClean the
 // cleaning lifecycle moves to internal/cleaner: a background goroutine
 // driven by low/high watermarks relocates victims while readers and writers
-// keep going, and user writes are only paced (delayed or blocked, per
-// Options.Pacer) when free space falls below an emergency floor. The
-// mapping table is guarded by an RWMutex; victim segments are marked
+// keep going, and user writes block only when free space falls below an
+// emergency floor. The mapping table is guarded by an RWMutex; victim segments are marked
 // core.SegCleaning, which freezes their records so the cleaner can read
 // them from storage without holding the lock.
 //
@@ -62,7 +61,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/seglog"
@@ -117,14 +115,10 @@ type Options struct {
 	// (default FreeLowWater+CleanBatch, clamped to the geometry). Ignored
 	// in foreground mode.
 	FreeHighWater int
-	// FreeEmergency is the admission-control floor: user writes are paced
-	// (blocked or delayed, per Pacer) while free segments are below it
-	// (default min(CleanBatch+1, FreeLowWater)). Ignored in foreground
-	// mode.
+	// FreeEmergency is the admission-control floor: user writes block
+	// while free segments are below it (default min(CleanBatch+1,
+	// FreeLowWater)). Ignored in foreground mode.
 	FreeEmergency int
-	// Pacer is the admission controller consulted on every user write in
-	// background mode (default cleaner.FloorPacer{}).
-	Pacer cleaner.Pacer
 	// Obs receives the store's metrics (store.* series), the cleaner's, and
 	// trace events. Nil creates a private always-on registry — recording is
 	// one atomic add per event, so there is no "off" switch to configure.
@@ -166,7 +160,7 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 		MaxSegments: o.MaxSegments, SegmentBytes: o.segmentBytes(),
 		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
 		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
-		Pacer: o.Pacer, Obs: o.Obs,
+		Obs: o.Obs,
 	}
 	// The record header's length field and the 32-bit record offsets bound
 	// the geometry from above.

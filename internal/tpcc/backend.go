@@ -109,14 +109,14 @@ func (t txnTable) Scan(from, to uint64, fn func(uint64, []byte) bool) error {
 func (t txnTable) Len() int { return t.base.Len() }
 
 // memBackend is the built-in trace-generating backend: one B+-tree per
-// table over a shared CLOCK buffer pool.
+// table over a shared CLOCK cache model.
 type memBackend struct {
-	pool     *bufferpool.Pool
+	pool     *bufferpool.Model
 	pageSize int
 	tables   map[string]memTable
 }
 
-func newMemBackend(pool *bufferpool.Pool, pageSize int) *memBackend {
+func newMemBackend(pool *bufferpool.Model, pageSize int) *memBackend {
 	return &memBackend{pool: pool, pageSize: pageSize, tables: make(map[string]memTable)}
 }
 
@@ -130,8 +130,8 @@ func (b *memBackend) Table(name string) (Table, error) {
 }
 
 func (b *memBackend) Commit() error {
-	_, err := b.pool.FlushDirty()
-	return err
+	b.pool.FlushDirty()
+	return nil
 }
 
 // memTable adapts the in-memory B+-tree to the Table interface. This is

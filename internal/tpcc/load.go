@@ -46,7 +46,7 @@ func (e *Engine) load() {
 	}
 	e.commit()
 	if e.pool != nil {
-		e.sh.loadPages = int(e.pool.MaxPageID())
+		e.sh.loadPages = int(e.pool.Next())
 		e.sh.loadWrites = len(e.pool.Writes())
 	}
 }

@@ -1,6 +1,6 @@
 // Package tpcc implements a scaled-down TPC-C workload engine over a
 // pluggable storage backend. Its original (and default) backend is the
-// page-based B+-tree of internal/btree fronted by the CLOCK buffer pool of
+// page-based B+-tree of internal/btree fronted by the CLOCK cache model of
 // internal/bufferpool, which produces the page-write I/O traces that the
 // paper's §6.3 experiment replays into the log-structure simulator ("I/O
 // traces collected from running the TPC-C benchmark on a B+-tree-based
@@ -35,7 +35,7 @@ import (
 )
 
 // Config scales the workload. The defaults are a deliberately reduced TPC-C
-// (documented in DESIGN.md): the paper ran scale factors 350-560 with a 4 GB
+// (README.md, "The TPC-C substitution"): the paper ran scale factors 350-560 with a 4 GB
 // cache; this engine defaults to a few warehouses with the cache sized to a
 // comparable cache:data ratio (~1:8), preserving the trace's shape.
 type Config struct {
@@ -151,7 +151,7 @@ const (
 type Engine struct {
 	cfg  Config
 	be   Backend
-	pool *bufferpool.Pool // in-memory backend's pool; nil for external backends
+	pool *bufferpool.Model // in-memory backend's cache model; nil for external backends
 	r    *rand.Rand
 
 	// txnBE, when set (UseTxns), wraps every TPC-C transaction in one
@@ -247,7 +247,7 @@ func NewEngineOn(cfg Config, be Backend) (*Engine, error) {
 	return newEngine(cfg, be, nil)
 }
 
-func newEngine(cfg Config, be Backend, pool *bufferpool.Pool) (*Engine, error) {
+func newEngine(cfg Config, be Backend, pool *bufferpool.Model) (*Engine, error) {
 	e := &Engine{
 		cfg:  cfg,
 		be:   be,

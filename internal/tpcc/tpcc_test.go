@@ -50,7 +50,7 @@ func TestLoadPopulatesTables(t *testing.T) {
 func TestTransactionsRunAndGrow(t *testing.T) {
 	e := NewEngine(smallCfg())
 	ordersBefore := e.orders.Len()
-	pagesBefore := int(e.pool.MaxPageID())
+	pagesBefore := int(e.pool.Next())
 	e.Run(3000)
 	st := e.Stats()
 	var total uint64
@@ -70,7 +70,7 @@ func TestTransactionsRunAndGrow(t *testing.T) {
 	if e.orders.Len() <= ordersBefore {
 		t.Error("orders table did not grow")
 	}
-	if int(e.pool.MaxPageID()) <= pagesBefore {
+	if int(e.pool.Next()) <= pagesBefore {
 		t.Error("page universe did not grow (fill factor cannot rise)")
 	}
 	// Trees stay structurally sound under the full mix.

@@ -315,7 +315,7 @@ func (e *Engine) Trace() *trace.Trace {
 	e.pool.FlushDirty()
 	all := e.pool.Writes()
 	return &trace.Trace{
-		Universe: int(e.pool.MaxPageID()),
+		Universe: int(e.pool.Next()),
 		Preload:  e.sh.loadPages,
 		Writes:   all[e.sh.loadWrites:],
 	}
@@ -345,7 +345,7 @@ func (e *Engine) Stats() Stats {
 	}
 	if e.pool != nil {
 		st.Pool = e.pool.Stats()
-		st.TotalPages = int(e.pool.MaxPageID())
+		st.TotalPages = int(e.pool.Next())
 		st.RunWrites = len(e.pool.Writes()) - e.sh.loadWrites
 	}
 	return st

@@ -77,9 +77,6 @@ type Options struct {
 	// FreeEmergency is the admission-control floor (default
 	// min(CleanBatch+1, FreeLowWater)). Ignored in foreground mode.
 	FreeEmergency int
-	// Pacer is the admission controller for background mode (default
-	// cleaner.FloorPacer{}).
-	Pacer cleaner.Pacer
 	// Obs receives the store's metrics (vlog.* series), the cleaner's, and
 	// trace events. Nil creates a private always-on registry; see
 	// internal/obs.
@@ -112,7 +109,7 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 		MaxSegments: o.MaxSegments, SegmentBytes: int64(o.SegmentBytes),
 		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
 		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
-		Pacer: o.Pacer, Obs: o.Obs,
+		Obs: o.Obs,
 	}
 	if o.SegmentBytes < 64 {
 		return o, cfg, fmt.Errorf("vlog: invalid geometry %+v", o)

@@ -6,8 +6,9 @@
 // page store and an in-memory value-log KV store.
 //
 // This root package is the supported API surface: it re-exports the pieces a
-// downstream user composes. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-vs-measured results.
+// downstream user composes. See README.md: "Package map" is the system
+// inventory, "Reproducing the paper's evaluation" the paper-vs-measured
+// results.
 //
 // # Quick start
 //
@@ -222,21 +223,9 @@ func WrittenStreams(ss []StreamStats) int { return core.WrittenStreams(ss) }
 type (
 	// CleanerStats is the background cleaner's lifecycle snapshot, exposed
 	// through StoreStats.Cleaner and KVStats.Cleaner: cycles, segments
-	// reclaimed, bytes relocated, and how long writers were paced.
+	// reclaimed, bytes relocated, and how long writers were blocked below
+	// the emergency floor.
 	CleanerStats = cleaner.Stats
-	// Pacer decides how user writes are admitted while cleaning runs in
-	// the background (StoreOptions.Pacer / KVOptions.Pacer).
-	Pacer = cleaner.Pacer
-	// PoolState is the free-pool snapshot a Pacer sees.
-	PoolState = cleaner.PoolState
-	// Admission is a Pacer's decision for one write.
-	Admission = cleaner.Admission
-	// FloorPacer (the default) admits writes untouched above the emergency
-	// floor and blocks below it.
-	FloorPacer = cleaner.FloorPacer
-	// RampPacer throttles progressively as the pool drains toward the
-	// floor, then blocks.
-	RampPacer = cleaner.RampPacer
 )
 
 // Durable B+-tree database engine on the page store.
