@@ -1,36 +1,21 @@
-// Command benchcheck validates and compares the BENCH_*.json
-// performance-trajectory files that `lsbench -metrics-out` writes. CI runs
-// it on every report it produces before archiving them, so a malformed
-// report (or an instrumentation regression that empties a required series)
-// fails the build instead of silently corrupting the trajectory — and with
-// -compare it diffs a fresh report against a committed baseline, failing
-// on performance regressions.
+// Command benchcheck validates the BENCH_*.json metrics reports that
+// `lsbench -metrics-out` writes. CI runs it on every report its smoke runs
+// produce before archiving them, so a malformed report (or an
+// instrumentation regression that empties a required series) fails the
+// build. It judges no performance: that is bench/'s job.
 //
-// Validation mode: for every file argument it checks that the file is
-// valid JSON in the experiments.Report schema, that the run metadata is
-// present, that every run carries a registry snapshot, and that every
-// histogram is internally consistent: quantiles monotone (p50 <= p95 <=
-// p99 <= p999), mean and quantiles zero when empty, and the bucket counts
-// summing to the total. Reports for the tpcc experiments additionally must
-// show live per-transaction and commit latency series; tpcc-concurrent
-// reports (lsbench -exp tpcc -workers N) must also show a live WAL commit
-// path — non-empty wal append/fsync/commit latency histograms and
-// group-commit counters with at most one fsync round per committed
-// transaction. Snapshots come in two forms: full (every series) and
-// compact (zero-valued series dropped, marked "compact"); on compact
-// snapshots existence-only checks are skipped because absence means zero.
-//
-// Compare mode diffs exactly two reports of the same experiment and scale,
-// run by run, and exits nonzero on regression. Machine-independent ratios
-// — write amplification, fsync rounds per commit, mean victim emptiness —
-// and instrumentation coverage are always gated; -lat additionally gates
-// wall-clock latency quantiles and throughput (same-machine comparisons
-// only). See internal/experiments/compare.go for the tolerance bands.
+// For every file argument it checks that the file is valid JSON in the
+// experiments.Report schema, that the run metadata is present, that every
+// run carries a registry snapshot, and that every histogram is internally
+// consistent: quantiles monotone (p50 <= p95 <= p99 <= p999), mean and
+// quantiles zero when empty, and the bucket counts summing to the total.
+// Reports of the tpcc experiment additionally must show live
+// per-transaction and commit latency series. Snapshots are compact
+// (zero-valued series dropped), so an absent series counts as zero.
 //
 // Usage:
 //
 //	benchcheck BENCH_tpcc.json [BENCH_routing.json ...]
-//	benchcheck -compare [-lat] old.json new.json
 package main
 
 import (
@@ -47,39 +32,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcheck: ")
-	compare := flag.Bool("compare", false, "compare two reports (old.json new.json) instead of validating; exit nonzero on regression")
-	lat := flag.Bool("lat", false, "with -compare: also gate wall-clock latency quantiles and throughput (same-machine reports only)")
-	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("usage: benchcheck -compare [-lat] old.json new.json")
-		}
-		old, err := loadReport(flag.Arg(0))
-		if err != nil {
-			log.Fatalf("FAIL %s: %v", flag.Arg(0), err)
-		}
-		new, err := loadReport(flag.Arg(1))
-		if err != nil {
-			log.Fatalf("FAIL %s: %v", flag.Arg(1), err)
-		}
-		regs, err := experiments.CompareReports(old, new, experiments.CompareOptions{Latency: *lat})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range regs {
-			log.Printf("REGRESSION %s", r)
-		}
-		if len(regs) > 0 {
-			log.Fatalf("FAIL %s vs %s: %d regression(s)", flag.Arg(0), flag.Arg(1), len(regs))
-		}
-		fmt.Printf("ok %s vs %s: %s/%s, %d baseline run(s), no regressions\n",
-			flag.Arg(0), flag.Arg(1), old.Experiment, old.Scale, len(old.Runs))
-		return
-	}
-
+	flag.Parse() // no flags are defined: any -option is a usage error
 	if flag.NArg() == 0 {
-		log.Fatal("usage: benchcheck BENCH_<exp>.json ... | benchcheck -compare [-lat] old.json new.json")
+		log.Fatal("usage: benchcheck BENCH_<exp>.json ...")
 	}
 	failed := false
 	for _, path := range flag.Args() {
@@ -93,22 +48,14 @@ func main() {
 	}
 }
 
-func loadReport(path string) (*experiments.Report, error) {
+func checkFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var rep experiments.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("invalid JSON: %w", err)
-	}
-	return &rep, nil
-}
-
-func checkFile(path string) error {
-	rep, err := loadReport(path)
-	if err != nil {
-		return err
+		return fmt.Errorf("invalid JSON: %w", err)
 	}
 	if rep.Experiment == "" || rep.Scale == "" || rep.GoVersion == "" {
 		return fmt.Errorf("missing run metadata (experiment=%q scale=%q go_version=%q)",
@@ -138,41 +85,17 @@ func checkFile(path string) error {
 			}
 			hists++
 		}
-		if rep.Experiment == "tpcc" || rep.Experiment == "tpcc-concurrent" {
-			// Existence-only checks apply to full snapshots; a compact
-			// snapshot drops empty series by design (absence means zero),
-			// so there they would reject every legitimately idle series.
-			if !run.Metrics.Compact {
-				if err := requireSeries(run.Metrics,
-					"cleaner.select.ns", "cleaner.relocate.ns", "cleaner.release.ns",
-					"store.write.ns"); err != nil {
-					return fmt.Errorf("run %d (%s/%s): %w", i, run.Engine, run.Algorithm, err)
-				}
-			}
-			// The commit path must have recorded in either form: a tpcc run
-			// with zero committed transactions is broken, not idle.
+		// The commit path must have recorded: a tpcc run with zero committed
+		// transactions is broken, not idle.
+		if rep.Experiment == "tpcc" {
 			if err := requireNonEmpty(run.Metrics,
 				"store.commit.ns", "pagedb.commit.ns", "tpcc.tx.NewOrder.ns"); err != nil {
 				return fmt.Errorf("run %d (%s/%s): %w", i, run.Engine, run.Algorithm, err)
 			}
 		}
-		if rep.Experiment == "tpcc-concurrent" {
-			if err := checkWAL(run.Metrics); err != nil {
-				return fmt.Errorf("run %d (%s/%s): %w", i, run.Engine, run.Algorithm, err)
-			}
-		}
-		if rep.Experiment == "readpath" {
-			if err := checkReadPath(run.Metrics); err != nil {
-				return fmt.Errorf("run %d (%s/%s): %w", i, run.Engine, run.Algorithm, err)
-			}
-		}
 	}
-	form := "full"
-	if rep.Runs[0].Metrics.Compact {
-		form = "compact"
-	}
-	fmt.Printf("ok %s: %s/%s, %d run(s), %d histogram(s), %s snapshots\n",
-		path, rep.Experiment, rep.Scale, len(rep.Runs), hists, form)
+	fmt.Printf("ok %s: %s/%s, %d run(s), %d histogram(s)\n",
+		path, rep.Experiment, rep.Scale, len(rep.Runs), hists)
 	return nil
 }
 
@@ -204,59 +127,8 @@ func checkHistogram(h obs.HistogramSnapshot) error {
 	return nil
 }
 
-// checkWAL validates the write-ahead-log series a concurrent
-// (per-transaction durability) run must produce: the commit-path latency
-// histograms recorded samples, and the group-commit counters are coherent
-// — every committed transaction waited on at most one fsync round.
-func checkWAL(s *obs.Snapshot) error {
-	if err := requireNonEmpty(s, "wal.append.ns", "wal.fsync.ns", "wal.commit.ns"); err != nil {
-		return err
-	}
-	commits, rounds := s.Counters["wal.commit.commits"], s.Counters["wal.commit.rounds"]
-	if commits == 0 {
-		return fmt.Errorf("wal.commit.commits is zero in a concurrent run")
-	}
-	if rounds == 0 || rounds > commits {
-		return fmt.Errorf("incoherent group commit: %d fsync rounds for %d commits", rounds, commits)
-	}
-	return nil
-}
-
-// checkReadPath validates a readpath run: it must carry at least one
-// non-empty per-operation latency histogram (readpath.<op>.<N>r.ns), and
-// the fused read path must actually have served it — a readpath run whose
-// fused-hit gauge is zero means the engine fell back to a slower path,
-// which is an instrumentation or read-path regression either way.
-func checkReadPath(s *obs.Snapshot) error {
-	recorded := false
-	for name, h := range s.Histograms {
-		if len(name) > 9 && name[:9] == "readpath." && h.Count > 0 {
-			recorded = true
-			break
-		}
-	}
-	if !recorded {
-		return fmt.Errorf("no non-empty readpath.* latency histogram")
-	}
-	if s.Gauges["bufferpool.fused_hits"] <= 0 {
-		return fmt.Errorf("bufferpool.fused_hits gauge is zero: reads bypassed the fused path")
-	}
-	return nil
-}
-
-// requireSeries checks the named histograms exist in the snapshot. Only
-// meaningful on full snapshots — compact ones drop empty series.
-func requireSeries(s *obs.Snapshot, names ...string) error {
-	for _, n := range names {
-		if _, ok := s.Histograms[n]; !ok {
-			return fmt.Errorf("required histogram %q missing", n)
-		}
-	}
-	return nil
-}
-
 // requireNonEmpty checks the named histograms recorded at least one sample
-// — the form-independent requirement (absent counts as zero).
+// (absent counts as zero).
 func requireNonEmpty(s *obs.Snapshot, names ...string) error {
 	for _, n := range names {
 		if s.Histograms[n].Count == 0 {

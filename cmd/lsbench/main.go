@@ -11,8 +11,7 @@
 //	lsbench -exp routing -scale medium      # routed vs single-stream placement on the live engines
 //	lsbench -exp batching -scale medium     # per-op vs batched writes with group commit
 //	lsbench -exp tpcc -scale medium         # TPC-C end-to-end on the durable B+-tree engine
-//	lsbench -exp tpcc -workers 4            # concurrent TPC-C, one WAL group-commit per transaction
-//	lsbench -exp readpath -scale small      # fused read-path latency, single-thread and parallel
+//	lsbench -exp tpcc -fill 0.8             # the same at a target sealed-region fill of 0.8
 package main
 
 import (
@@ -31,13 +30,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lsbench: ")
 
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, cleaner, routing, batching, tpcc, readpath")
+	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, cleaner, routing, batching, tpcc")
 	scaleName := flag.String("scale", "medium", "geometry preset: small, medium, paper")
 	format := flag.String("format", "md", "output format: md, csv")
 	fill := flag.Float64("fill", 0, "tpcc only: target sealed-region fill factor (0 = default 0.6; routed placement is predicted to pay at 0.8+)")
-	workers := flag.Int("workers", 0, "tpcc only: run N concurrent workers with one WAL commit per transaction (0 = single-threaded batch mode)")
 	metricsOut := flag.String("metrics-out", "", "write a metrics report (run metadata + per-run registry snapshots) as JSON to this path, e.g. BENCH_tpcc.json; only the live-engine experiments (cleaner, routing, batching, tpcc) record runs")
-	metricsFull := flag.Bool("metrics-full", false, "record full registry snapshots (every series plus the event ring) instead of the compact form that drops zero-valued series")
 	serve := flag.String("serve", "", "serve live introspection over HTTP on this address (e.g. localhost:6060) while the experiments run: /metrics.json, /metrics/delta, /trace, /debug/pprof/")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	flag.Parse()
@@ -46,29 +43,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *fill != 0 && (*fill <= 0.1 || *fill > 0.95) {
-		log.Fatalf("-fill %.2f outside (0.1, 0.95]", *fill)
+	if *fill != 0 {
+		if *exp != "tpcc" {
+			log.Fatal("-fill only applies to -exp tpcc")
+		}
+		if *fill <= 0.1 || *fill > 0.95 {
+			log.Fatalf("-fill %.2f outside (0.1, 0.95]", *fill)
+		}
 	}
 	var progress io.Writer
 	if *verbose {
 		progress = os.Stderr
 	}
 
-	if *workers < 0 {
-		log.Fatalf("-workers %d is negative", *workers)
-	}
-	if *workers > 0 && *exp != "tpcc" {
-		log.Fatalf("-workers only applies to -exp tpcc")
-	}
-	// The concurrent variant is its own experiment in the trajectory: its
-	// reports carry WAL group-commit series the batch run never exercises.
-	expName := *exp
-	if *exp == "tpcc" && *workers > 0 {
-		expName = "tpcc-concurrent"
-	}
 	if *metricsOut != "" {
-		experiments.SetFullSnapshots(*metricsFull)
-		experiments.BeginReport(expName, scale)
+		experiments.BeginReport(*exp, scale)
 	}
 	if *serve != "" {
 		srv, err := httpx.Serve(*serve, experiments.LiveRegistry)
@@ -116,24 +105,12 @@ func main() {
 		// Beyond the paper: TPC-C replayed end-to-end against the durable
 		// B+-tree engine (pagedb) on the page store — the paper's B-tree
 		// page-store setting executed live instead of via recorded traces.
-		// -fill sweeps the sealed-region fill the geometry targets; -workers
-		// switches to N concurrent workers committing per-transaction
-		// through the WAL (group fsync) instead of batch-only durability.
-		switch {
-		case *workers > 0:
-			tables = append(tables, experiments.TPCCConcurrent(scale, *fill, *workers, progress))
-		case *fill != 0:
+		// -fill sweeps the sealed-region fill the geometry targets.
+		if *fill != 0 {
 			tables = append(tables, experiments.TPCCDurableAt(scale, *fill, progress))
-		default:
+		} else {
 			tables = append(tables, experiments.TPCCDurable(scale, progress))
 		}
-	case "readpath":
-		// Beyond the paper: the engine's fused read path (FetchPinned per
-		// tree level, lock-free Release) measured as latency histograms —
-		// Get, GetInto and Scan, single-threaded and with GOMAXPROCS
-		// readers, over a fully cached tree. The committed
-		// BENCH_readpath_small.json is CI's regression baseline.
-		tables = append(tables, experiments.ReadPath(scale, progress))
 	default:
 		log.Fatalf("unknown experiment %q", *exp)
 	}
@@ -154,7 +131,7 @@ func main() {
 		rep := experiments.TakeReport()
 		rep.UnixNanos = time.Now().UnixNano()
 		if len(rep.Runs) == 0 {
-			log.Printf("warning: -exp %s records no metrics runs (only cleaner, routing, batching, tpcc and readpath do)", *exp)
+			log.Printf("warning: -exp %s records no metrics runs (only cleaner, routing, batching and tpcc do)", *exp)
 		}
 		f, err := os.Create(*metricsOut)
 		if err != nil {

@@ -11,14 +11,13 @@ import (
 )
 
 // AlgReport is one engine run inside a Report: the storage-side outcome of
-// a single execution plus the full metrics snapshot of the registry that
+// a single execution plus the compact metrics snapshot of the registry that
 // instrumented it. Engine names the stack that ran ("pagedb", "page store",
 // "value log"); Algorithm labels the variant — the placement algorithm for
 // the placement experiments, the cleaning or batching mode for the others.
 // The flat fields duplicate the headline numbers of the run's table row so
-// a trajectory of BENCH_*.json files can be diffed without digging into
-// Metrics; everything else (latency quantiles, cleaner phase costs,
-// victim-E histograms, trace events) lives in Metrics.
+// they can be read without digging into Metrics; everything else (latency
+// quantiles, cleaner phase costs, victim-E histograms) lives in Metrics.
 type AlgReport struct {
 	Engine          string  `json:"engine"`
 	Algorithm       string  `json:"algorithm"`
@@ -31,16 +30,16 @@ type AlgReport struct {
 	// ThroughputOps is operations (or transactions) per second over the
 	// run's timed phase; 0 when the run has no timed phase.
 	ThroughputOps float64 `json:"throughput_ops_per_sec"`
-	// Metrics is the run's full registry snapshot: counters, gauges,
-	// latency histograms with quantiles, and the event trace.
+	// Metrics is the run's registry snapshot: counters, gauges and latency
+	// histograms with quantiles.
 	Metrics *obs.Snapshot `json:"metrics"`
 }
 
 // Report is the document `lsbench -metrics-out` persists (by convention as
 // BENCH_<exp>.json): run metadata plus one AlgReport per engine run. CI
-// writes one per smoke experiment and archives them as artifacts, so the
-// sequence of files over commits is a queryable performance trajectory;
-// cmd/benchcheck validates the schema.
+// writes one per smoke experiment, validates the schema with cmd/benchcheck
+// and archives them as artifacts; none is committed, and performance is
+// bench/'s job, not theirs.
 type Report struct {
 	Experiment string      `json:"experiment"`
 	Scale      string      `json:"scale"`
@@ -93,24 +92,11 @@ func TakeReport() *Report {
 	return r
 }
 
-// fullSnapshots switches AlgReport.Metrics back to the full snapshot form.
-// The default is compact: zero-valued and empty series dropped and the
-// event ring omitted, which shrinks a committed BENCH_*.json by an order
-// of magnitude while losing nothing a reader could not infer (absence
-// means zero; the snapshot is marked Compact so validators know).
-var fullSnapshots atomic.Bool
-
-// SetFullSnapshots makes recorded runs keep the full registry snapshot
-// (every series, the event ring included) instead of the compact form.
-// lsbench exposes it as -metrics-full.
-func SetFullSnapshots(full bool) { fullSnapshots.Store(full) }
-
-// snapshotOf captures a registry snapshot on the heap for an AlgReport.
+// snapshotOf captures a registry snapshot on the heap for an AlgReport, in
+// the compact form: zero-valued and empty series dropped and the event ring
+// omitted (absence means zero; the snapshot is marked Compact).
 func snapshotOf(r *obs.Registry) *obs.Snapshot {
-	s := r.Snapshot()
-	if !fullSnapshots.Load() {
-		s = s.Compacted()
-	}
+	s := r.Snapshot().Compacted()
 	return &s
 }
 

@@ -48,48 +48,13 @@ func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 	algs := []core.Algorithm{core.MDC(), core.MDCRouted(), core.MDCRoutedAdaptive()}
 	for _, alg := range algs {
 		progress(log, "tpcc-durable: %s, %d tx, fill %.2f", alg.Name, txs, fill)
-		t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, 0, alg))
-	}
-	return t
-}
-
-// TPCCConcurrent is the concurrent-transaction variant of TPCCDurableAt
-// (`lsbench -exp tpcc -workers 4`): the same seeded TPC-C mix driven by N
-// workers, each transaction wrapped in a pagedb Txn whose Commit rides the
-// write-ahead log's group fsync. The table adds the WAL's side of the
-// story — commits per fsync round is the group-commit coalescing the
-// paper's §4 durability scheme promises (<1 round per commit under
-// concurrency), truncations count the checkpoints that let the log go.
-func TPCCConcurrent(scale Scale, fill float64, workers int, log io.Writer) *Table {
-	if fill == 0 {
-		fill = 0.6
-	}
-	if fill <= 0.1 || fill > 0.95 {
-		panic(fmt.Sprintf("experiments: tpcc-concurrent fill %.2f outside (0.1, 0.95]", fill))
-	}
-	if workers < 1 {
-		panic(fmt.Sprintf("experiments: tpcc-concurrent needs at least 1 worker, got %d", workers))
-	}
-	cfg, txs := tpccScaleConfig(scale)
-	t := &Table{
-		Name: "tpcc-concurrent",
-		Title: fmt.Sprintf("Concurrent TPC-C on the durable B+-tree engine, one WAL commit per transaction "+
-			"(%d warehouses, %d transactions, %d workers, checkpoint every %d tx, target fill %.2f)",
-			cfg.Warehouses, txs, workers, cfg.CheckpointEveryTx, fill),
-		Header: []string{"algorithm", "user pages", "GC pages", "write amp",
-			"mean E at clean", "segs cleaned", "cleaner cycles", "streams", "fill", "cache hit",
-			"wal commits", "fsync rounds/commit", "wal truncations"},
-	}
-	algs := []core.Algorithm{core.MDC(), core.MDCRouted(), core.MDCRoutedAdaptive()}
-	for _, alg := range algs {
-		progress(log, "tpcc-concurrent: %s, %d tx, %d workers, fill %.2f", alg.Name, txs, workers, fill)
-		t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, workers, alg))
+		t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, alg))
 	}
 	return t
 }
 
 // tpccScaleConfig maps a geometry preset to the TPC-C configuration and
-// transaction count shared by the durable experiment variants.
+// transaction count of the durable experiment.
 func tpccScaleConfig(scale Scale) (tpcc.Config, int) {
 	cfg := tpcc.Config{Seed: Seed, CheckpointEveryTx: 100}
 	var txs int
@@ -114,12 +79,9 @@ func tpccScaleConfig(scale Scale) (tpcc.Config, int) {
 }
 
 // tpccDurableRun executes one seeded TPC-C run on a fresh pagedb database
-// in a temporary directory and reports the storage-side counters. With
-// workers == 0 the engine runs single-threaded in batch mode (durability
-// only at checkpoints); with workers > 0 it runs concurrently with every
-// TPC-C transaction committed through the WAL, and the row gains the
-// group-commit columns.
-func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, workers int, alg core.Algorithm) []string {
+// in a temporary directory and reports the storage-side counters. The engine
+// runs single-threaded in batch mode (durability only at checkpoints).
+func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) []string {
 	dir, err := os.MkdirTemp("", "lsbench-tpcc-*")
 	if err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable tempdir: %v", err))
@@ -188,24 +150,14 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, workers int, alg cor
 	// pagedb.*, store.*, cleaner.* and bufferpool.* series.
 	cfg.Obs = db.Obs()
 	publishLive(db.Obs())
-	var be tpcc.Backend = tpcc.NewBackend(db.Tree, db.Commit)
-	if workers > 0 {
-		be = tpcc.NewTxnBackend(db.Tree, db.Commit, db.Begin)
-	}
-	eng, err := tpcc.NewEngineOn(cfg, be)
+	eng, err := tpcc.NewEngineOn(cfg, tpcc.NewBackend(db.Tree, db.Commit))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable load (%s): %v", alg.Name, err))
 	}
 	start := time.Now()
-	if workers > 0 {
-		if err := eng.RunConcurrent(txs, workers); err != nil {
-			panic(fmt.Sprintf("experiments: tpcc-concurrent run (%s): %v", alg.Name, err))
-		}
-	} else {
-		eng.Run(txs)
-		if err := eng.Err(); err != nil {
-			panic(fmt.Sprintf("experiments: tpcc-durable run (%s): %v", alg.Name, err))
-		}
+	eng.Run(txs)
+	if err := eng.Err(); err != nil {
+		panic(fmt.Sprintf("experiments: tpcc-durable run (%s): %v", alg.Name, err))
 	}
 	if err := db.Commit(); err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable final commit (%s): %v", alg.Name, err))
@@ -226,7 +178,7 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, workers int, alg cor
 		ThroughputOps:   float64(txs) / elapsed.Seconds(),
 		Metrics:         snapshotOf(db.Obs()),
 	})
-	row := []string{
+	return []string{
 		alg.Name,
 		fmt.Sprintf("%d", ss.UserWrites),
 		fmt.Sprintf("%d", ss.GCWrites),
@@ -238,16 +190,4 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, workers int, alg cor
 		f2(ss.FillFactor),
 		f2(st.Pool.HitRatio()),
 	}
-	if workers > 0 {
-		w := st.WAL
-		perCommit := 0.0
-		if w.Commits > 0 {
-			perCommit = float64(w.Rounds) / float64(w.Commits)
-		}
-		row = append(row,
-			fmt.Sprintf("%d", w.Commits),
-			f3(perCommit),
-			fmt.Sprintf("%d", w.Truncations))
-	}
-	return row
 }

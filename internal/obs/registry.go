@@ -123,9 +123,8 @@ func (r *Registry) Trace() *Trace {
 type Snapshot struct {
 	// Compact marks a snapshot passed through Compacted: zero-valued and
 	// empty series were dropped, so "series absent" means "series zero",
-	// not "series never existed". Consumers that require a series to EXIST
-	// (cmd/benchcheck) relax to requiring it non-empty on compact
-	// snapshots.
+	// not "series never existed". lsbench's reports are always compact, so
+	// cmd/benchcheck requires a series to be non-empty, never to exist.
 	Compact    bool                         `json:"compact,omitempty"`
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`

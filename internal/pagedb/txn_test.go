@@ -545,6 +545,7 @@ func TestTPCCConcurrentTxnBackend(t *testing.T) {
 		InitialOrdersPerDistrict: 20,
 		CheckpointEveryTx:        200,
 		Seed:                     19,
+		Obs:                      db.Obs(), // one registry for the whole stack, as a benchmark run has
 	}
 	eng, err := tpcc.NewEngineOn(cfg, tpcc.NewTxnBackend(db.Tree, db.Commit, db.Begin))
 	if err != nil {
@@ -566,6 +567,23 @@ func TestTPCCConcurrentTxnBackend(t *testing.T) {
 	}
 	t.Logf("tpcc: %d wal commits, %d fsync rounds (%.2f rounds/commit), %d truncations",
 		st.WAL.Commits, st.WAL.Rounds, float64(st.WAL.Rounds)/float64(st.WAL.Commits), st.WAL.Truncations)
+	// The commit path is instrumented end to end: every leg recorded, and the
+	// registry's group-commit counters are the ones Stats reports.
+	snap := db.Obs().Snapshot()
+	for _, name := range []string{"wal.append.ns", "wal.fsync.ns", "wal.commit.ns",
+		"pagedb.commit.ns", "store.commit.ns", "tpcc.tx.NewOrder.ns"} {
+		if snap.Histograms[name].Count == 0 {
+			t.Errorf("histogram %q recorded nothing", name)
+		}
+	}
+	commits, rounds := snap.Counters["wal.commit.commits"], snap.Counters["wal.commit.rounds"]
+	if commits != st.WAL.Commits || rounds != st.WAL.Rounds {
+		t.Errorf("registry says %d commits / %d rounds, Stats().WAL says %d / %d",
+			commits, rounds, st.WAL.Commits, st.WAL.Rounds)
+	}
+	if rounds == 0 || rounds > commits {
+		t.Errorf("incoherent group commit: %d fsync rounds for %d commits", rounds, commits)
+	}
 
 	want := dbState(t, db)
 	db.crash()
