@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -106,11 +107,7 @@ func main() {
 		// B+-tree engine (pagedb) on the page store — the paper's B-tree
 		// page-store setting executed live instead of via recorded traces.
 		// -fill sweeps the sealed-region fill the geometry targets.
-		if *fill != 0 {
-			tables = append(tables, experiments.TPCCDurableAt(scale, *fill, progress))
-		} else {
-			tables = append(tables, experiments.TPCCDurable(scale, progress))
-		}
+		tables = append(tables, experiments.TPCCDurableAt(scale, cmp.Or(*fill, 0.6), progress))
 	default:
 		log.Fatalf("unknown experiment %q", *exp)
 	}

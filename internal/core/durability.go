@@ -13,14 +13,16 @@ import "fmt"
 //   - DurNone: records are appended but never explicitly fsynced; data is
 //     only as durable as the operating system makes it. This is the fastest
 //     mode and the zero value (the historical Sync=false default).
-//   - DurSeal: every segment seal and checkpoint install is fsynced, and the
-//     cleaner syncs relocated copies before their victims are reused. A
-//     crash can lose at most the records in not-yet-sealed open segments.
-//     This is the historical Sync=true behavior.
+//   - DurSeal: a user's records are fsynced when their segment is sealed,
+//     checkpoint installs are fsynced, and a segment holding only relocated
+//     copies is fsynced at its cleaning cycle's sync point, before any
+//     victim is reused (until then the victims hold the originals). A crash
+//     can lose at most the records in not-yet-sealed open segments. This is
+//     the historical Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
-//     group fsync — one goroutine flushes the dirty segments, waiters
-//     piggyback on its round — so the per-commit fsync cost is shared.
+//     group fsync — one goroutine fsyncs the unsynced segments, together,
+//     waiters piggyback on its round — so the per-commit fsync cost is shared.
 //     Batches committed at this level are additionally crash-atomic: a
 //     torn batch (some records persisted, the commit not acknowledged)
 //     is discarded wholesale by recovery, never surfaced partially.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/tpcc"
 )
 
-// TPCCDurable replays TPC-C end-to-end against the DURABLE stack — the
+// TPCCDurableAt replays TPC-C end-to-end against the DURABLE stack — the
 // B+-tree database engine (internal/pagedb) over the log-structured page
 // store with background cleaning — instead of replaying a recorded trace
 // into the simulator (Figure 6). This is the paper's actual setting: a
@@ -24,14 +24,11 @@ import (
 // cleaning activity, and the streams the router actually used.
 //
 // This is a systems extension beyond the paper's figures; run it with
-// `lsbench -exp tpcc`. The store geometry targets a sealed-region fill of
-// ~0.6; TPCCDurableAt sweeps that knob — ROADMAP predicts routed placement
-// only starts paying at fill 0.8+, where segments hold less slack and
-// frequency separation decides how much live data every clean drags along.
-func TPCCDurable(scale Scale, log io.Writer) *Table { return TPCCDurableAt(scale, 0.6, log) }
-
-// TPCCDurableAt is TPCCDurable with an explicit target fill factor for the
-// sealed region (`lsbench -exp tpcc -fill 0.8`).
+// `lsbench -exp tpcc`. fill is the sealed-region fill the store geometry
+// targets (lsbench's default 0.6; `-fill 0.8` sweeps it) — ROADMAP predicts
+// routed placement only starts paying at fill 0.8+, where segments hold less
+// slack and frequency separation decides how much live data every clean
+// drags along.
 func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 	if fill <= 0.1 || fill > 0.95 {
 		panic(fmt.Sprintf("experiments: tpcc-durable fill %.2f outside (0.1, 0.95]", fill))

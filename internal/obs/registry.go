@@ -214,19 +214,10 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error { return writeJSON(w, r.Snapshot()) }
-
-// WriteJSONCompact writes the Compacted snapshot as indented JSON — the
-// form lsbench persists into BENCH_*.json so committed trajectory files
-// stay reviewable.
-func (r *Registry) WriteJSONCompact(w io.Writer) error {
-	return writeJSON(w, r.Snapshot().Compacted())
-}
-
-func writeJSON(w io.Writer, s Snapshot) error {
+func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
+	if err := enc.Encode(r.Snapshot()); err != nil {
 		return fmt.Errorf("obs: encoding snapshot: %w", err)
 	}
 	return nil

@@ -113,6 +113,11 @@ func TestGoldenDeterminism(t *testing.T) {
 // shrank from a full slot to a bare 24-byte header, and a rewrite of a
 // deleted page now credits the dropped tombstone's segment (it used to go
 // on counting it live), so segments empty sooner and victim choice moves.
+// The fsync counts of the two DurSeal rows — firstHalfFsyncs / fsyncs of
+// store/MDC/seal (737 / 855 → 680 / 743) and fsyncs of store/MDC/seal/nodelete
+// (896 → 770), no other field of any row — were re-recorded when a segment a
+// cycle fills with relocated copies stopped being fsynced at its seal and again
+// at the cycle's sync point: it is fsynced there once (one unsynced ledger).
 const goldenRows = `store/MDC errFull=0 user=50622 gc=12391 unow=58939 cleaned=4032 meanE=0.8220190183080703 free=17 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:38/232 1:73/767
 store/MDC-routed errFull=0 user=50622 gc=16152 unow=58939 cleaned=4240 meanE=0.7783983704974156 free=15 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:7/30 1:101/928 2:2/22 3:3/19
 store/multi-log errFull=0 user=50622 gc=28490 unow=58939 cleaned=4995 meanE=0.6695536445536259 free=29 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:2/24 5:3/22 6:4/34 7:9/90 8:17/182 9:21/238 10:13/144 11:8/88 12:8/90 13:5/43 14:2/21 15:1/1 27:2/20
@@ -123,10 +128,10 @@ vlog/MDC-routed errFull=0 user=50622 gc=14278 userBytes=6605840 gcBytes=1750731 
 vlog/multi-log errFull=0 user=50622 gc=20705 userBytes=6605840 gcBytes=2549406 liveBytes=115308 cleaned=4543 meanE=0.7259900619772177 free=22 keys=899 commits=5308 streams: 0:1/0 1:1/1 2:1/2 3:1/1 4:1/2 5:2/15 6:6/36 7:4/35 8:14/115 9:25/243 10:10/103 11:12/113 12:14/130 13:8/58 14:1/12 15:1/4 27:4/29
 vlog/greedy errFull=0 user=50622 gc=13111 userBytes=6605840 gcBytes=1622614 liveBytes=115308 cleaned=4052 meanE=0.8044689061728776 free=5 keys=899 commits=5308 streams: 0:29/184 1:94/715
 vlog/cost-benefit errFull=0 user=50622 gc=13174 userBytes=6605840 gcBytes=1684930 liveBytes=115308 cleaned=4084 meanE=0.7985505076977228 free=5 keys=899 commits=5308 streams: 0:69/269 1:54/630
-store/MDC/seal firstHalfFsyncs=737 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=855 streams: 0:45/255 1:68/680
+store/MDC/seal firstHalfFsyncs=680 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=743 streams: 0:45/255 1:68/680
 store/MDC-routed/commit firstHalfFsyncs=5729 errFull=0 user=8197 gc=2005 unow=20102 cleaned=680 meanE=0.8250250668449195 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5572 fsyncs=5798 streams: 0:7/33 1:94/844 2:3/24 3:5/34
 store/MDC/nodelete errFull=0 user=55866 gc=13275 unow=55866 cleaned=4208 meanE=0.8028309173003803 free=14 live=999 tomb=0 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:41/232 1:73/767
-store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=896 streams: 0:48/260 1:69/683`
+store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=770 streams: 0:48/260 1:69/683`
 
 // goldenOp is one workload operation against either engine.
 type goldenOp struct {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -159,9 +160,9 @@ func (s *Store) applyLocked(b *Batch) error {
 }
 
 // groupCommit coalesces concurrent DurCommit committers onto shared fsync
-// rounds: the first committer to find no round in flight flushes the dirty
-// segment set; everyone else piggybacks on the round's outcome and only
-// starts another if their records are still not covered.
+// rounds: the first committer to find no round in flight flushes the
+// unsynced-segment ledger; everyone else piggybacks on the round's outcome
+// and only starts another if their records are still not covered.
 type groupCommit struct {
 	mu      sync.Mutex
 	durable uint64       // highest seq known flushed to storage
@@ -189,9 +190,9 @@ func (s *Store) commitWait(target uint64) error {
 	return err
 }
 
-// waitDurable is the group fsync: one goroutine runs a flush round over
-// the dirty segments, concurrent callers wait on it and re-check. Caller
-// must not hold s.mu (the flush snapshots under it).
+// waitDurable is the group fsync: one goroutine runs a flush round — a sync
+// point over the whole ledger — and concurrent callers wait on it and
+// re-check. Caller must not hold s.mu (the round claims under it).
 func (s *Store) waitDurable(target uint64) error {
 	g := &s.gcm
 	g.mu.Lock()
@@ -210,17 +211,13 @@ func (s *Store) waitDurable(target uint64) error {
 		r := &commitRound{done: make(chan struct{})}
 		g.cur = r
 		g.mu.Unlock()
-		applied, synced, err := s.flushDirty()
+		synced, err := s.syncPoint(false, nil) // publishes g.durable
 		g.mu.Lock()
 		g.rounds++
 		g.syncs += uint64(synced)
 		s.cRounds.Inc()
 		s.cSyncs.Add(uint64(synced))
 		s.trace.Emit(obs.EvCommitRound, int64(g.rounds), int64(g.syncs), int64(synced))
-		if err == nil && applied > g.durable {
-			g.durable = applied
-			s.trace.Emit(obs.EvWatermark, int64(applied))
-		}
 		r.err = err
 		g.cur = nil
 		close(r.done)
@@ -233,68 +230,92 @@ func (s *Store) waitDurable(target uint64) error {
 	return nil
 }
 
-// flushDirty snapshots the dirty segment set and the applied seq under the
-// store lock, fsyncs the segments with no lock held, then retires the
-// entries that were not re-dirtied meanwhile. Everything appended before
-// the snapshot is durable once it returns nil.
-func (s *Store) flushDirty() (applied uint64, synced int, err error) {
-	type entry struct {
-		seg int32
-		seq uint64
+// syncInFlight bounds the fsyncs a sync point has outstanding at once.
+const syncInFlight = 4
+
+// syncPoint is how a segment gets fsynced, at every durability point: seal,
+// cleaning cycle, group flush, Sync, Close. Under the store lock (the
+// caller's if locked, else its own) it writes the staged run and claims the
+// ledger entries pick wants (nil: all of them, which makes the log durable up
+// to the seq at the claim, and publishes that); it fsyncs the claimed segments
+// concurrently, holding the lock only if the caller does; and, under the lock
+// again, retires the entries no append has touched since the claim. An error
+// retires nothing. n is the number of segments claimed.
+func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n int, err error) {
+	if !locked {
+		s.mu.Lock()
 	}
-	s.mu.Lock()
-	if s.log.Closed {
+	err = errClosed
+	if !s.log.Closed {
+		err = s.Flush()
+	}
+	segs := make([]int32, 0, len(s.unsynced))
+	for seg, e := range s.unsynced {
+		if pick == nil || pick(seg, e) {
+			segs = append(segs, seg)
+		}
+	}
+	applied := s.seq
+	if !locked {
 		s.mu.Unlock()
-		return 0, 0, errClosed
 	}
-	applied = s.seq
-	segs := make([]entry, 0, len(s.dirty))
-	for seg, seq := range s.dirty {
-		segs = append(segs, entry{seg: seg, seq: seq})
+	if err == nil && len(segs) > 0 {
+		t0 := time.Now()
+		err = s.fsyncAll(segs)
+		s.hSyncNs.Record(uint64(time.Since(t0)))
+		s.hSyncN.Record(uint64(len(segs)))
 	}
-	s.mu.Unlock()
-	for _, e := range segs {
-		if err := s.syncSeg(e.seg); err != nil {
-			return 0, synced, err
+	if err != nil {
+		return len(segs), err
+	}
+	if !locked {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	for _, seg := range segs {
+		if s.unsynced[seg].seq <= applied { // else appended to since: still owed one
+			delete(s.unsynced, seg)
 		}
-		synced++
 	}
-	s.mu.Lock()
-	for _, e := range segs {
-		if s.dirty[e.seg] == e.seq {
-			delete(s.dirty, e.seg)
+	if pick == nil {
+		s.gcm.mu.Lock()
+		if applied > s.gcm.durable {
+			s.gcm.durable = applied
+			s.trace.Emit(obs.EvWatermark, int64(applied))
 		}
+		s.gcm.mu.Unlock()
 	}
-	s.mu.Unlock()
-	return applied, synced, nil
+	return len(segs), nil
 }
 
-// syncAllDirtyLocked flushes every dirty segment under the write lock and
-// publishes the durability point — the foreground-cleaning and Close
-// variant of a group flush, where the caller already owns the lock.
-func (s *Store) syncAllDirtyLocked() error {
-	for seg := range s.dirty {
-		if err := s.syncSeg(seg); err != nil {
-			return err
+// fsyncAll fsyncs segs — the first on the caller, the rest on goroutines, at
+// most syncInFlight at once, one store.fsync.ns sample each — and returns the
+// first error.
+func (s *Store) fsyncAll(segs []int32) error {
+	var (
+		next  atomic.Int32
+		once  sync.Once
+		wg    sync.WaitGroup
+		first error
+	)
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
+			t0 := time.Now()
+			err := s.be.sync(int(segs[i]))
+			s.hFsync.Record(uint64(time.Since(t0)))
+			if err != nil {
+				once.Do(func() { first = err })
+				next.Store(int32(len(segs))) // start no more
+			}
 		}
-		delete(s.dirty, seg)
 	}
-	s.gcm.mu.Lock()
-	if s.seq > s.gcm.durable {
-		s.gcm.durable = s.seq
-		s.trace.Emit(obs.EvWatermark, int64(s.seq))
+	for w := 1; w < min(len(segs), syncInFlight); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
 	}
-	s.gcm.mu.Unlock()
-	return nil
-}
-
-// syncSeg fsyncs one segment through the backend, feeding the fsync
-// latency histogram.
-func (s *Store) syncSeg(seg int32) error {
-	t0 := time.Now()
-	err := s.be.sync(int(seg))
-	s.hFsync.Record(uint64(time.Since(t0)))
-	return err
+	work()
+	wg.Wait()
+	return first
 }
 
 // commitWatermarkLocked is the highest seq currently known fully durable:

@@ -99,14 +99,29 @@ func BenchmarkWriteTailBackground(b *testing.B) { benchWriteTail(b, true) }
 // zipfStore): one op is a 32-page Apply with the foreground cleaning it
 // triggers. B/op is what TestRelocationAllocBudget bounds per relocated page;
 // the reported write amplification says how many of those an op carries.
+// fsyncs/op counts store.fsync.ns samples; fsync-µs/op is their summed time and
+// syncpoint-µs/op the wall time of the sync points that issued them (both from
+// bucket means) — a sync point's fsyncs overlap, so the second is what an op
+// waits.
 func BenchmarkZipfApply(b *testing.B) {
 	z := openZipfStore(b)
 	defer z.s.Close()
 	before := z.s.Stats()
+	series := func(name string) (count, sum float64) {
+		h := z.s.Obs().Histogram(name).Snapshot()
+		return float64(h.Count), h.Mean * float64(h.Count)
+	}
+	n0, fsync0 := series("store.fsync.ns")
+	_, point0 := series("store.syncpoint.ns")
 	b.ReportAllocs()
 	b.ResetTimer()
 	z.apply(b, b.N, z.zipf.Uint64)
 	b.StopTimer()
 	after := z.s.Stats()
 	b.ReportMetric(float64(after.GCWrites-before.GCWrites)/float64(after.UserWrites-before.UserWrites), "gc-writes/user-write")
+	n1, fsync1 := series("store.fsync.ns")
+	_, point1 := series("store.syncpoint.ns")
+	b.ReportMetric((n1-n0)/float64(b.N), "fsyncs/op")
+	b.ReportMetric((fsync1-fsync0)/1e3/float64(b.N), "fsync-µs/op")
+	b.ReportMetric((point1-point0)/1e3/float64(b.N), "syncpoint-µs/op")
 }

@@ -130,73 +130,41 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 		return 0, err
 	}
 	s.cGCBytes.Add(uint64(size))
-	if s.gcDirtySegs != nil {
-		s.gcDirtySegs[s.runSeg] = struct{}{} // where appendRecord staged the copy
-	}
 	return size, nil
 }
 
-// SyncRelocated (seglog.Engine) is the durability point: relocated copies
-// reach storage before victims are reused. Under DurSeal only the segments
-// holding GC output are synced — by id, whether they are still open or were
-// sealed mid-cycle by a user write (a failed seal-fsync surfaces to that
-// writer, never to the cleaning cycle, so the cycle must not rely on it) —
-// and ids are only removed once every sync succeeded. Under DurCommit the
-// whole dirty set is flushed, so a relocated copy of a batch record (which
-// loses its batch markers) never becomes durable ahead of the rest of its
-// batch — releasing the victim then cannot let recovery surface the batch
-// partially.
-//
-// The background cycle calls it without the lock (locked false) so readers
-// and writers do not stall behind the fsyncs: the dirty segment ids (or the
-// target seq) are captured under the lock and the syncs run outside it.
+// SyncRelocated (seglog.Engine) is the cycle's durability point: one sync
+// point after the last relocated copy is written and before any victim is
+// released. Until it succeeds the victims hold the originals and recovery
+// falls back to them, so a segment the cycle filled and sealed on the way is
+// not fsynced at its seal but here, once, together with the open tail of the
+// GC output. Under DurSeal it covers every ledger entry holding a relocated
+// copy, open or sealed, whichever cycle wrote it: an aborted cycle leaves its
+// entries behind and a failed fsync retires none, so the next point (or Sync,
+// or Close) covers them before anything is released. Under DurCommit it covers
+// the whole ledger, so a relocated copy of a batch record (which loses its
+// batch markers) never becomes durable ahead of the rest of its batch —
+// releasing the victim then cannot let recovery surface the batch partially.
 func (s *Store) SyncRelocated(locked bool) error {
-	if s.opts.Durability == core.DurNone {
-		return nil
-	}
-	if s.opts.Durability == core.DurCommit && locked {
-		return s.syncAllDirtyLocked()
-	}
-	if !locked {
-		s.mu.Lock()
-	}
-	target := s.seq
-	segs := make([]int32, 0, len(s.gcDirtySegs)) // empty under DurCommit
-	for g := range s.gcDirtySegs {
-		segs = append(segs, g)
-	}
-	if !locked {
-		s.mu.Unlock()
-	}
-	if s.opts.Durability == core.DurCommit {
-		// Full group flush (shared with committers): relocated copies AND
-		// any in-flight batch appends reach storage before victims are
-		// released, preserving both the crash-safety ordering and
-		// whole-batch atomicity.
-		return s.waitDurable(target)
-	}
-	for _, g := range segs {
-		if err := s.syncSeg(g); err != nil {
-			return err
+	switch s.opts.Durability {
+	case core.DurSeal:
+		_, err := s.syncPoint(locked, func(_ int32, e unsyncedSeg) bool { return e.reloc })
+		return err
+	case core.DurCommit:
+		if !locked {
+			return s.Sync() // shares the committers' group flush rounds
 		}
-	}
-	if !locked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	for _, g := range segs {
-		delete(s.gcDirtySegs, g)
+		_, err := s.syncPoint(true, nil)
+		return err
 	}
 	return nil
 }
 
-// ReleaseSegment (seglog.Engine) forgets a released victim's records.
+// ReleaseSegment (seglog.Engine) forgets a released victim's records and its
+// ledger entry: what was live in it is synced elsewhere, nothing is owed.
 func (s *Store) ReleaseSegment(seg int32) {
 	s.recs[seg] = s.recs[seg][:0]
-	// A stale dirty id from an aborted cycle no longer matters once the
-	// segment's live data was re-relocated and synced; drop it so the
-	// reused segment is not pointlessly fsynced.
-	delete(s.gcDirtySegs, seg)
+	delete(s.unsynced, seg)
 }
 
 // checkpoint file layout: magic (8) | unow (8) | prunedSeq (8) |
@@ -341,8 +309,10 @@ func (s *Store) readCheckpoint() (*checkpoint, error) {
 	return ck, nil
 }
 
-// Close stops the background cleaner (if any), seals open segments,
-// checkpoints, and releases resources.
+// Close stops the background cleaner (if any), fsyncs the whole ledger in one
+// sync point (unless DurNone) — the open segments, and whatever an aborted
+// cycle or a failed fsync left in it — seals the open segments, which then owe
+// no fsync of their own, checkpoints, and releases resources.
 func (s *Store) Close() error {
 	s.log.StopCleaner()
 	s.mu.Lock()
@@ -350,15 +320,13 @@ func (s *Store) Close() error {
 	if s.log.Closed {
 		return nil
 	}
-	for stream := int32(0); stream < s.log.Streams(); stream++ {
-		if err := s.log.Seal(stream); err != nil {
+	if s.opts.Durability != core.DurNone {
+		if _, err := s.syncPoint(true, nil); err != nil {
 			return err
 		}
 	}
-	if s.opts.Durability == core.DurCommit {
-		// Seals skip their per-segment fsync under DurCommit; flush the
-		// dirty set so a clean shutdown leaves everything durable.
-		if err := s.syncAllDirtyLocked(); err != nil {
+	for stream := int32(0); stream < s.log.Streams(); stream++ {
+		if err := s.log.Seal(stream); err != nil {
 			return err
 		}
 	}
@@ -482,6 +450,11 @@ func (s *Store) CheckInvariants() error {
 	}
 	if located != 0 {
 		return fmt.Errorf("store: %d index entries point at no record", located)
+	}
+	for seg := range s.unsynced {
+		if s.log.Meta[seg].State == core.SegFree {
+			return fmt.Errorf("store: free segment %d is in the unsynced ledger", seg)
+		}
 	}
 	return s.log.Check(liveCount, liveBytes)
 }

@@ -45,6 +45,94 @@ func checkStamp(buf []byte, id uint32) error {
 	return nil
 }
 
+// TestConcurrentSyncPoints overlaps every kind of sync point on one durable
+// store: writers whose seals fsync under the lock (DurSeal) or whose commits
+// share group rounds (DurCommit), the background cleaner's lock-free sync
+// point, and a goroutine calling Sync throughout. Each writer owns its pages,
+// so the oracle is exact; at quiesce one more Sync leaves the ledger empty,
+// and a crash image reopens to every page's last acknowledged version. Run
+// under -race this is the locking proof of the ledger's claim and retire.
+func TestConcurrentSyncPoints(t *testing.T) {
+	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
+		t.Run(dur.String(), func(t *testing.T) {
+			opts := backgroundOpts(t.TempDir())
+			opts.Durability = dur
+			s, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers, perWriter, opsPerWriter = 3, 100, 500
+			version := make([]uint32, writers*perWriter)
+			var wwg, swg sync.WaitGroup
+			done := make(chan struct{})
+			for w := 0; w < writers; w++ {
+				wwg.Add(1)
+				go func() {
+					defer wwg.Done()
+					r := rand.New(rand.NewPCG(uint64(w), 24))
+					buf := make([]byte, 128)
+					for i := 0; i < opsPerWriter; i++ {
+						id := uint32(w*perWriter + r.IntN(perWriter/(1+3*r.IntN(2))))
+						stamp(buf, id, version[id]+1)
+						if err := s.WritePage(id, buf); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+						version[id]++
+					}
+				}()
+			}
+			swg.Add(1)
+			go func() {
+				defer swg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := s.Sync(); err != nil {
+						t.Errorf("Sync: %v", err)
+						return
+					}
+				}
+			}()
+			wwg.Wait()
+			close(done)
+			swg.Wait()
+			s.log.StopCleaner()
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Cleaner.Cycles == 0 || len(s.unsynced) != 0 {
+				t.Errorf("%d cleaner cycles; after a last Sync the ledger still holds %v", st.Cleaner.Cycles, s.unsynced)
+			}
+			checkInvariants(t, s)
+			if err := s.crash(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			buf := make([]byte, 128)
+			for id, v := range version {
+				if v == 0 {
+					continue // never written
+				}
+				if err := s.ReadPage(uint32(id), buf); err != nil {
+					t.Fatalf("page %d: %v", id, err)
+				}
+				if err := checkStampAtLeast(buf, uint32(id), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkInvariants(t, s)
+		})
+	}
+}
+
 // TestConcurrentBackgroundCleaning races parallel writers and readers
 // against the background cleaner and verifies no page is ever lost, torn,
 // or misdirected. Run under -race this also proves the locking scheme.

@@ -98,6 +98,7 @@ func churnedStore(t *testing.T, dir string, dur core.Durability) (*Store, []uint
 	if err != nil {
 		t.Fatal(err)
 	}
+	count(s) // its fsyncs stop here: the churn is not what any test measures
 	version := make([]uint32, 24*64*6/10)
 	buf := make([]byte, 4096)
 	r := rand.New(rand.NewPCG(11, 5))
@@ -217,6 +218,217 @@ func TestFailedRunWriteMidCycle(t *testing.T) {
 			checkOracle(t, s, version)
 		})
 	}
+}
+
+// TestCycleSyncShape pins the fsync budget of cleaning under DurSeal, over a
+// seeded foreground run whose cycles the test drives itself: every segment is
+// fsynced once for its seal — a user segment at the seal, one a cycle filled
+// with relocated copies at that cycle's sync point — plus once per cycle for
+// the open tail of the GC output; no segment is fsynced twice with no write in
+// between; and when a cycle releases its victims, every segment holding a copy
+// of their pages is covered by a successful fsync begun after its last write.
+// (Full-size pages only, so the count is exact: a tail with room for less than
+// the next copy is sealed by it with nothing written since the tail's fsync,
+// and owes none.)
+func TestCycleSyncShape(t *testing.T) {
+	const pages, pageSize = 600, 256
+	s, err := Open(Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 16, MaxSegments: 64,
+		CleanBatch: 4, FreeLowWater: 6, Durability: core.DurSeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cb := count(s)
+	var (
+		rp             syncReplay
+		victims, tails int
+		buf            = make([]byte, pageSize)
+		r              = rand.New(rand.NewPCG(24, 1))
+	)
+	cycle := func() {
+		from := make(map[uint32]int32, len(s.table)) // where each page lives going in
+		for id, loc := range s.table {
+			from[id] = loc.seg
+		}
+		gcBefore := s.Stats().GCWrites
+		n, err := s.CleanOnce()
+		if err != nil || n == 0 {
+			t.Fatalf("CleanOnce = %d, %v", n, err)
+		}
+		victims += n
+		rp.advance(t, cb)
+		for id, seg := range from {
+			to := s.table[id].seg
+			if s.log.Meta[seg].State == core.SegFree && rp.state[int(to)] != 'S' {
+				t.Fatalf("victim %d was released while segment %d, holding its page %d, had no successful fsync begun after its last write", seg, to, id)
+			}
+		}
+		if st := s.Stats(); st.GCWrites > gcBefore && st.Streams[1].OpenSegments == 1 {
+			tails++
+		}
+	}
+	for op := 0; op < 1200; op++ {
+		b := NewBatch()
+		for i := 0; i < 8; i++ {
+			id := uint32(op*8 + i)
+			if id >= pages {
+				id = uint32(r.IntN(pages / (1 + 7*r.IntN(2)))) // half the writes to a hot eighth
+			}
+			stamp(buf, id, uint32(op))
+			b.Write(id, buf)
+		}
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		for s.Stats().FreeSegments < 16 {
+			cycle()
+		}
+	}
+	rp.advance(t, cb)
+	st := s.Stats()
+	if st.SegmentsCleaned != uint64(victims) || victims == 0 {
+		t.Fatalf("%d segments cleaned, %d of them by the test's own cycles: the geometry is miscalibrated", st.SegmentsCleaned, victims)
+	}
+	sealed := int(cb.headers) // every segment opened, less the ones still open
+	for _, ss := range st.Streams {
+		sealed -= ss.OpenSegments
+	}
+	fsyncs := int(s.Obs().Histogram("store.fsync.ns").Count())
+	if fsyncs != sealed+tails || fsyncs != rp.syncs {
+		t.Errorf("%d fsyncs (the backend saw %d), want %d: one per sealed segment (%d) and one per cycle for the open GC tail (%d)",
+			fsyncs, rp.syncs, sealed+tails, sealed, tails)
+	}
+	// Each sync point is one sample of each syncpoint series, and a cycle's —
+	// a sealed GC segment and the tail — covers more than one segment.
+	ns, segs := s.Obs().Histogram("store.syncpoint.ns").Snapshot(), s.Obs().Histogram("store.syncpoint.segs").Snapshot()
+	if ns.Count != segs.Count || int(ns.Count) >= fsyncs || segs.Buckets[len(segs.Buckets)-1].LE < 2 {
+		t.Errorf("store.syncpoint.ns has %d samples, store.syncpoint.segs %d (largest bucket ≤ %d), for %d fsyncs",
+			ns.Count, segs.Count, segs.Buckets[len(segs.Buckets)-1].LE, fsyncs)
+	}
+	checkInvariants(t, s)
+}
+
+var errSyncInjected = errors.New("injected fsync failure")
+
+// TestFailedSyncMidCycle: an fsync that fails at a cycle's sync point surfaces
+// from that cycle, which re-seals its victims and releases none; the segments
+// holding the relocated copies stay in the ledger, so the retried cycle's sync
+// point fsyncs them before it releases anything — and when there is no retry,
+// Close's does. Every page reads back throughout, and after a reopen.
+func TestFailedSyncMidCycle(t *testing.T) {
+	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
+		t.Run(dur.String(), func(t *testing.T) {
+			s, version := churnedStore(t, t.TempDir(), dur)
+			cb := count(s)
+			var rp syncReplay
+			// failedCycle runs a cycle whose every fsync fails and returns the
+			// segments its relocated copies went to.
+			failedCycle := func() []int32 {
+				t.Helper()
+				cb.failSync = func(int) error { return errSyncInjected }
+				defer func() { cb.failSync = nil }()
+				before := s.Stats()
+				if n, err := s.CleanOnce(); !errors.Is(err, errSyncInjected) || n != 0 {
+					t.Fatalf("CleanOnce with failing fsyncs = %d, %v; want the injected error", n, err)
+				}
+				after := s.Stats()
+				if after.FreeSegments > before.FreeSegments || after.SegmentsCleaned != before.SegmentsCleaned || after.GCWrites == before.GCWrites {
+					t.Errorf("the failed cycle should have relocated some pages and released nothing: %+v -> %+v", before, after)
+				}
+				var owed []int32
+				for seg, e := range s.unsynced {
+					if s.log.Meta[seg].State == core.SegCleaning {
+						t.Errorf("victim %d was left in SegCleaning", seg)
+					}
+					if e.reloc {
+						owed = append(owed, seg)
+					}
+				}
+				if len(owed) == 0 {
+					t.Fatal("no segment holding a relocated copy stayed in the ledger")
+				}
+				checkOracle(t, s, version)
+				return owed
+			}
+			covered := func(owed []int32, by string) {
+				t.Helper()
+				rp.advance(t, cb)
+				for _, seg := range owed {
+					if e, still := s.unsynced[seg]; still && e.reloc || rp.state[int(seg)] != 'S' {
+						t.Errorf("segment %d, holding the failed cycle's copies, was not fsynced by %s", seg, by)
+					}
+				}
+			}
+
+			owed := failedCycle()
+			if n, err := s.CleanOnce(); err != nil || n == 0 {
+				t.Fatalf("CleanOnce after the backend recovered = %d, %v", n, err)
+			}
+			covered(owed, "the retried cycle")
+			checkOracle(t, s, version)
+
+			owed = failedCycle()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			covered(owed, "Close")
+			s, err := Open(s.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			checkOracle(t, s, version)
+		})
+	}
+}
+
+// TestRelocationSealSyncsUserRecords: with routed placement a relocated copy
+// can fill, and so seal, a segment that also holds a user's record no fsync has
+// covered; DurSeal owes that record an fsync at the seal, not at the cycle's
+// sync point. Checked at every fsync of a foreground run: no sealed segment but
+// the one being fsynced holds a user record that no fsync has covered.
+func TestRelocationSealSyncsUserRecords(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), PageSize: 256, SegmentPages: 16, MaxSegments: 64, CleanBatch: 4,
+		FreeLowWater: 8, Durability: core.DurSeal, Algorithm: core.MDCRouted()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mixedSeals := 0 // fsyncs, mid-cycle, of a sealed segment holding both kinds of record
+	count(s).failSync = func(at int) error {
+		cleaning := false
+		for seg := range s.log.Meta {
+			cleaning = cleaning || s.log.Meta[seg].State == core.SegCleaning
+		}
+		for seg, e := range s.unsynced {
+			if s.log.Meta[seg].State == core.SegOpen || !e.user {
+				continue
+			}
+			if int(seg) != at {
+				t.Errorf("sealed segment %d holds a user record no fsync has covered", seg)
+			} else if e.reloc && cleaning {
+				mixedSeals++
+			}
+		}
+		return nil
+	}
+	const pages = 500
+	r := rand.New(rand.NewPCG(5, 24))
+	buf := make([]byte, 256)
+	for op := 0; op < 12000; op++ {
+		id := uint32(op)
+		if op >= pages {
+			id = uint32(r.IntN(pages / (1 + 7*r.IntN(2))))
+		}
+		stamp(buf, id, uint32(op))
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.SegmentsCleaned == 0 || mixedSeals == 0 {
+		t.Errorf("%d segments cleaned, %d relocation seals of a segment holding a user record: the run should exercise both", st.SegmentsCleaned, mixedSeals)
+	}
+	checkInvariants(t, s)
 }
 
 // TestFailedRunWriteInApply: a run write that fails inside an Apply (or a

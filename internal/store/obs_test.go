@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestObsSnapshotUnderConcurrentWrites hammers page writes from several
@@ -82,14 +85,32 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 
 // countingBackend counts what reaches segment storage and what is read back:
 // the calls, their bytes, how many of the writes started a segment (they carry
-// its header), and the reads per segment. failWrite, when set, is asked before
-// every write and its error returned instead of writing.
+// its header), and the reads per segment. failWrite and failSync, when set, are
+// asked before every write and fsync and their error returned instead. events
+// is the order in which writes, fsyncs and resets reached each segment (mu: a
+// sync point's fsyncs run concurrently).
 type countingBackend struct {
 	backend
 	bytes, headers           int64
 	writes, reads, readBytes int64
 	readsOf                  map[int]int
 	failWrite                func(seg int, off int64) error
+	failSync                 func(seg int) error
+	mu                       sync.Mutex
+	events                   []ioEvent
+}
+
+// ioEvent is one step of a segment's history: 'w' a write, 'r' a reset, 's' an
+// fsync begun, 'S' that fsync succeeded.
+type ioEvent struct {
+	op  byte
+	seg int
+}
+
+func (c *countingBackend) note(op byte, seg int) {
+	c.mu.Lock()
+	c.events = append(c.events, ioEvent{op, seg})
+	c.mu.Unlock()
 }
 
 func (c *countingBackend) write(seg int, off int64, b []byte) error {
@@ -103,6 +124,7 @@ func (c *countingBackend) write(seg int, off int64, b []byte) error {
 	if off == 0 {
 		c.headers++
 	}
+	c.note('w', seg)
 	return c.backend.write(seg, off, b)
 }
 
@@ -115,11 +137,115 @@ func (c *countingBackend) read(seg int, off int64, b []byte) error {
 	return c.backend.read(seg, off, b)
 }
 
+func (c *countingBackend) reset(seg int) error {
+	c.note('r', seg)
+	return c.backend.reset(seg)
+}
+
+func (c *countingBackend) sync(seg int) error {
+	c.note('s', seg)
+	if c.failSync != nil {
+		if err := c.failSync(seg); err != nil {
+			return err
+		}
+	}
+	// Not forwarded: within one process the page cache is the storage, and a
+	// real fsync would only make the test as slow as the disk.
+	c.note('S', seg)
+	return nil
+}
+
+// syncReplay folds a countingBackend's events into, per segment, how far it
+// is from durable: 'w' written (or reset) since its last fsync, 's' an fsync
+// began after its last write, 'S' that fsync succeeded — the segment is
+// covered. It fails the test when a covered segment is fsynced again.
+type syncReplay struct {
+	seen  int
+	state map[int]byte
+	syncs int
+}
+
+func (r *syncReplay) advance(t *testing.T, cb *countingBackend) {
+	t.Helper()
+	if r.state == nil {
+		r.state = make(map[int]byte)
+	}
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	for _, e := range cb.events[r.seen:] {
+		switch e.op {
+		case 'w', 'r':
+			r.state[e.seg] = 'w'
+		case 's':
+			if r.syncs++; r.state[e.seg] == 'S' {
+				t.Errorf("segment %d was fsynced twice with no write in between", e.seg)
+			}
+			r.state[e.seg] = 's'
+		case 'S':
+			if r.state[e.seg] == 's' {
+				r.state[e.seg] = 'S'
+			}
+		}
+	}
+	r.seen = len(cb.events)
+}
+
 // count wraps the store's backend in a countingBackend.
 func count(s *Store) *countingBackend {
 	cb := &countingBackend{backend: s.be}
 	s.be = cb
 	return cb
+}
+
+// TestSyncPointSeries: the two places a traced run waits on fsyncs — the
+// relocate phase of a background cleaning cycle (the cleaner's relocate leg) and
+// the store.commit.wait leg of a DurCommit Apply — are each exactly one sync
+// point: one sample of store.syncpoint.ns and of store.syncpoint.segs, whatever
+// number of concurrent store.fsync.ns samples it covers.
+func TestSyncPointSeries(t *testing.T) {
+	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
+		t.Run(dur.String(), func(t *testing.T) {
+			s, err := Open(Options{Dir: t.TempDir(), PageSize: 128, SegmentPages: 16, MaxSegments: 64, CleanBatch: 4, FreeLowWater: 8, Durability: dur})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			count(s)
+			for op := uint32(0); op < 450; op++ { // every other page twice: half-live victims, the free pool still above low water
+				id := op
+				if op >= 300 {
+					id = (op - 300) * 2
+				}
+				if err := s.WritePage(id, page(op, 128)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			samples := func() (points, segs, fsyncs uint64) {
+				h := s.Obs().Histogram
+				return h("store.syncpoint.ns").Count(), h("store.syncpoint.segs").Count(), h("store.fsync.ns").Count()
+			}
+			p0, n0, f0 := samples()
+			phases := s.cleanPhases()
+			victims := phases.SelectVictims(4)
+			if _, _, err := phases.Relocate(victims); err != nil || len(victims) == 0 {
+				t.Fatalf("Relocate(%v): %v", victims, err)
+			}
+			phases.Release(victims)
+			if p, n, f := samples(); p != p0+1 || n != n0+1 || f == f0 {
+				t.Errorf("the relocate phase recorded %d sync points (%d segment counts) and %d fsyncs, want one sync point", p-p0, n-n0, f-f0)
+			}
+			if dur != core.DurCommit {
+				return
+			}
+			p0, n0, f0 = samples()
+			span := obs.StartSpan(s.Obs(), "test.apply")
+			err = s.ApplySpanned(NewBatch().Write(1, page(1, 128)).Write(2, page(2, 128)), span)
+			span.End()
+			if p, n, f := samples(); err != nil || p != p0+1 || n != n0+1 || f == f0 {
+				t.Errorf("ApplySpanned: %v; its commit wait recorded %d sync points (%d segment counts) and %d fsyncs, want one sync point", err, p-p0, n-n0, f-f0)
+			}
+		})
+	}
 }
 
 // TestByteCountersMatchSegmentWrites: store.user.bytes and store.gc.bytes are

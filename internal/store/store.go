@@ -34,23 +34,27 @@
 // one window (ioUnit) at a time and relocates records straight out of it.
 //
 // Durability model: records are appended with CRC-32C; Options.Durability
-// picks the fsync policy. DurNone never syncs; DurSeal syncs every segment
-// seal and checkpoint; DurCommit makes every WritePage/DeletePage/Apply
-// return only after its records are flushed, with concurrent committers
-// coalescing onto a single group fsync, and makes multi-record batches
-// crash-atomic (recovery discards a torn batch wholesale via the commit
-// markers in the record headers). Store.Sync is the explicit flush for the
-// weaker levels. Writes arrive one at a time (WritePage) or as atomic
-// batches (NewBatch/Apply: one admission check, one lock hold, space
-// reserved for the whole batch before any old version is invalidated, so
-// ErrFull leaves nothing partially applied). Recovery scans all segments,
-// keeps the highest-sequence record per page, stops a segment at the first
-// torn or corrupt record, and applies the last checkpoint's deletion set.
-// Relocated copies reach storage before their victims are released for
-// reuse, so mid-clean crashes always leave an intact copy of every live
-// page. up2 cleaning estimates are restored from the checkpoint when
-// present and relearned otherwise — they affect only cleaning efficiency,
-// never correctness.
+// picks the fsync policy. One ledger lists the segments holding appends no
+// fsync has covered, and every durability point is one sync point over part of
+// it (syncPoint): those segments are fsynced together, and an entry is retired
+// only by a successful fsync that began after the segment's last append.
+// DurNone never syncs; DurSeal fsyncs a user's records when their segment is
+// sealed, and checkpoints; DurCommit makes every WritePage/DeletePage/Apply
+// return only after the whole ledger is flushed, concurrent committers
+// coalescing onto one group round, and makes multi-record batches crash-atomic
+// (recovery discards a torn batch wholesale via the commit markers in the
+// record headers). A cleaning cycle's sync point covers every segment holding
+// a relocated copy before any victim is released for reuse, so a mid-clean
+// crash always leaves an intact copy of every live page. Store.Sync is the
+// explicit flush for the weaker levels. Writes arrive one at a time
+// (WritePage) or as atomic batches (NewBatch/Apply: one admission check, one
+// lock hold, space reserved for the whole batch before any old version is
+// invalidated, so ErrFull leaves nothing partially applied). Recovery scans
+// all segments, keeps the highest-sequence record per page, stops a segment at
+// the first torn or corrupt record, and applies the last checkpoint's deletion set.
+// up2 cleaning estimates are restored from the checkpoint when present and
+// relearned otherwise — they affect only cleaning efficiency, never
+// correctness.
 package store
 
 import (
@@ -209,18 +213,10 @@ type Store struct {
 
 	incarnation uint64
 
-	// gcDirtySegs tracks the SEGMENTS holding GC output not yet covered by
-	// a cleaning sync point (DurSeal only; DurCommit flushes the full dirty
-	// set instead). Segments, not streams: a user write can seal a shared
-	// routed segment and its seal-fsync error goes to that writer, so the
-	// cleaning cycle must re-sync the segment itself — open or sealed —
-	// before treating its relocations as durable.
-	gcDirtySegs map[int32]struct{}
-
-	// dirty maps each segment with not-yet-fsynced appends to the seq of
-	// its latest append — the working set of Sync() and of DurCommit group
-	// flushes. nil when the backend is volatile (Dir == "").
-	dirty map[int32]uint64
+	// unsynced is the one ledger of segments holding appends no fsync has
+	// covered, the working set of every durability point (syncPoint); nil on
+	// a volatile backend (Dir "").
+	unsynced map[int32]unsyncedSeg
 
 	// gcm is the group-commit state: under DurCommit concurrent committers
 	// coalesce onto a single fsync round (one goroutine flushes, waiters
@@ -248,6 +244,8 @@ type Store struct {
 	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage, admission to durability
 	hRead    *obs.Histogram // store.read.ns: ReadPage
 	hFsync   *obs.Histogram // store.fsync.ns: every backend fsync
+	hSyncNs  *obs.Histogram // store.syncpoint.ns: wall time of one sync point's (concurrent) fsyncs
+	hSyncN   *obs.Histogram // store.syncpoint.segs: segments it fsynced
 	hCommit  *obs.Histogram // store.commit.ns: DurCommit commit waits
 	cCommits *obs.Counter   // store.commit.commits
 	cRounds  *obs.Counter   // store.commit.rounds
@@ -260,6 +258,17 @@ type Store struct {
 	cReadIOs   *obs.Counter // store.read.ios: ReadPage, cleaning windows, recovery
 	cReadBytes *obs.Counter // store.read.bytes: what those reads asked for
 	trace      *obs.Trace
+}
+
+// unsyncedSeg is a ledger entry: the seq of the segment's last append, and
+// whether the appends no fsync has covered include a user's record (which
+// DurSeal owes an fsync at the seal) or a relocated copy (which a cleaning
+// cycle owes one before it releases a victim); a fresh header is neither. An
+// entry is retired only by a successful fsync that began after that append, or
+// dropped with a released victim's contents: a free segment is never in it.
+type unsyncedSeg struct {
+	seq         uint64
+	user, reloc bool
 }
 
 // recInfo is one record written to a segment. Records sit back to back, so
@@ -287,6 +296,8 @@ func Open(opts Options) (*Store, error) {
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
+	s.hSyncNs = opts.Obs.Histogram("store.syncpoint.ns")
+	s.hSyncN = opts.Obs.Histogram("store.syncpoint.segs")
 	s.hCommit = opts.Obs.Histogram("store.commit.ns")
 	s.cCommits = opts.Obs.Counter("store.commit.commits")
 	s.cRounds = opts.Obs.Counter("store.commit.rounds")
@@ -297,11 +308,8 @@ func Open(opts Options) (*Store, error) {
 	s.cReadIOs = opts.Obs.Counter("store.read.ios")
 	s.cReadBytes = opts.Obs.Counter("store.read.bytes")
 	s.trace = opts.Obs.Trace()
-	if opts.Durability == core.DurSeal {
-		s.gcDirtySegs = make(map[int32]struct{})
-	}
 	if opts.Dir != "" {
-		s.dirty = make(map[int32]uint64)
+		s.unsynced = make(map[int32]unsyncedSeg)
 	}
 	s.run = make([]byte, 0, max(ioUnit, recHeaderSize+opts.PageSize))
 	s.readBufs.New = func() any {
@@ -798,8 +806,9 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	off, size := segHeaderSize+fill, len(rec)
 	s.seq++
 	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos})
-	if s.dirty != nil {
-		s.dirty[seg] = s.seq
+	if u := s.unsynced; u != nil {
+		e := u[seg]
+		u[seg] = unsyncedSeg{seq: s.seq, user: e.user || from == nil, reloc: e.reloc || from != nil}
 	}
 	end := off + int64(size)
 	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
@@ -865,8 +874,8 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 	// tell a provably-committed batch (some members garbage-collected,
 	// their segments since reused) from a torn one.
 	encodeSegHeader(s.run, s.incarnation, stream, s.commitWatermarkLocked())
-	if s.dirty != nil {
-		s.dirty[seg] = s.seq // the header itself needs flushing
+	if s.unsynced != nil {
+		s.unsynced[seg] = unsyncedSeg{seq: s.seq} // the header itself needs flushing
 	}
 	if s.recs[seg] == nil {
 		// First use: a segment that is never opened costs no record table.
@@ -876,15 +885,15 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 	return nil
 }
 
-// SealSegment (seglog.Engine) writes the staged run, then fsyncs under DurSeal.
+// SealSegment (seglog.Engine) writes the staged run and, under DurSeal, fsyncs
+// a segment holding a user's record no fsync has covered: that record is
+// durable at the seal. A segment whose unsynced records are all relocated
+// copies waits in the ledger for the cycle's sync point (SyncRelocated), as
+// every sealed segment does for DurCommit's group flush.
 func (s *Store) SealSegment(seg int32) error {
-	err := s.Flush()
-	if err == nil && s.opts.Durability == core.DurSeal {
-		// DurCommit skips the seal-time fsync: the group flush at commit
-		// time covers the sealed segment (it stays in the dirty set).
-		if err = s.syncSeg(seg); err == nil {
-			delete(s.dirty, seg)
-		}
+	if s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
+		return s.Flush()
 	}
+	_, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return g == seg })
 	return err
 }

@@ -492,7 +492,8 @@ func (l *Log) InjectFsyncDelay(d time.Duration) {
 }
 
 // Truncate records that a checkpoint now covers every transaction with
-// commit seq ≤ seq: the current generation is fsynced and rotated, and
+// commit seq ≤ seq: the current generation is fsynced (unless the group-commit
+// watermark already covers its last record) and rotated, and
 // generation files entirely at or below the checkpoint are deleted. The
 // caller must guarantee the checkpoint itself is durable first —
 // otherwise acknowledged transactions would exist nowhere.
@@ -511,7 +512,12 @@ func (l *Log) Truncate(seq uint64) error {
 		return l.err
 	}
 	old := l.f
-	if !l.noSync {
+	// Under flushMu and mu no round is in flight and seq cannot advance: a
+	// watermark at seq means an fsync already covered every byte of the file.
+	l.gs.mu.Lock()
+	covered := l.gs.durable >= l.seq
+	l.gs.mu.Unlock()
+	if !l.noSync && !covered {
 		t0 := time.Now()
 		err := old.Sync()
 		l.hFsync.Record(uint64(time.Since(t0)))

@@ -253,6 +253,50 @@ func TestTruncateRotatesAndDeletesCoveredGenerations(t *testing.T) {
 	}
 }
 
+// TestTruncateSkipsCoveredFsync: rotating a generation whose every record a
+// commit round already made durable issues no fsync of it; one holding an
+// appended but uncommitted transaction is fsynced first, once.
+func TestTruncateSkipsCoveredFsync(t *testing.T) {
+	reg := obs.New()
+	l, err := Open(Options{Dir: t.TempDir(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fsyncs := func() uint64 { return reg.Histogram("wal.fsync.ns").Count() }
+	op := []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("x")}}
+
+	ck := appendCommitT(t, l, 1, op)
+	before := fsyncs()
+	if err := l.Truncate(ck); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs() - before; got != 0 {
+		t.Errorf("Truncate of a fully committed generation recorded %d wal.fsync.ns samples, want 0", got)
+	}
+
+	seq, err := l.Append(2, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = fsyncs()
+	if err := l.Truncate(ck); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs() - before; got != 1 {
+		t.Errorf("Truncate behind an uncommitted append recorded %d wal.fsync.ns samples, want 1", got)
+	}
+	// The rotation's fsync made that transaction durable: its Commit has
+	// nothing left to wait for, and it replays.
+	before = fsyncs()
+	if err := l.Commit(seq); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l, ck); fsyncs() != before || len(got) != 1 || got[0].ID != 2 {
+		t.Errorf("after the rotation: %d more fsyncs, replay %+v; want none and transaction 2", fsyncs()-before, got)
+	}
+}
+
 func TestReopenAcrossTruncateKeepsTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
