@@ -158,7 +158,7 @@ func (s *memStore) Fetch(id uint32) (*Node, error) {
 // the pin protocol costs nothing here.
 func (s *memStore) Release(*Node) {}
 
-func (s *memStore) MarkDirty(id uint32) { s.pool.Dirty(id) }
+func (s *memStore) MarkDirty(n *Node) { s.pool.Dirty(n.ID) }
 
 func (s *memStore) Free(id uint32) error {
 	if int(id) < len(s.nodes) {

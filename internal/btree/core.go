@@ -108,8 +108,9 @@ type Node struct {
 //     pinned (pagedb.CheckPinBalance asserts exactly this). Releasing a
 //     node whose id was Freed after the Fetch is legal and a no-op: the
 //     Pin handle's version stamp no longer matches its recycled frame.
-//   - MarkDirty records that the node for id has been (or is about to be)
-//     mutated, so the store's write-back machinery persists it.
+//   - MarkDirty(n) records that n, fetched and still pinned, has been (or is
+//     about to be) mutated, so the store persists it: the Model marks its
+//     page dirty, pagedb enters the node in its dirty-page table.
 //   - Free releases id: the node is dropped and the id may be reallocated.
 //     No final write happens. Freeing a node that is still pinned discards
 //     its pins (the Core frees nodes it holds — a merge victim, a collapsed
@@ -131,7 +132,7 @@ type NodeStore interface {
 	Alloc() (uint32, error)
 	Fetch(id uint32) (*Node, error)
 	Release(n *Node)
-	MarkDirty(id uint32)
+	MarkDirty(n *Node)
 	Free(id uint32) error
 }
 
@@ -311,7 +312,7 @@ func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
 		newRoot.NBytes = c.layout.BranchEntryBytes * 2
 		c.root = newRoot.ID
 		c.height++
-		c.store.MarkDirty(newRoot.ID)
+		c.store.MarkDirty(newRoot)
 		c.store.Release(newRoot)
 	}
 	return added, nil
@@ -326,7 +327,7 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 	}
 	defer c.store.Release(n)
 	if n.Leaf {
-		c.store.MarkDirty(id)
+		c.store.MarkDirty(n)
 		i := search(n.Keys, key)
 		if i < len(n.Keys) && n.Keys[i] == key {
 			n.NBytes += len(value) - len(n.Vals[i])
@@ -349,7 +350,7 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 	if err != nil || childSplit == 0 {
 		return 0, 0, added, err
 	}
-	c.store.MarkDirty(id)
+	c.store.MarkDirty(n)
 	n.NBytes += c.layout.BranchEntryBytes
 	spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
 	n.Keys = insertAt(n.Keys, ci, childSep, spare)
@@ -394,8 +395,8 @@ func (c *Core) splitLeaf(n *Node) (uint32, uint64, error) {
 	n.Donor = true
 	right.Next = n.Next
 	n.Next = right.ID
-	c.store.MarkDirty(n.ID)
-	c.store.MarkDirty(right.ID)
+	c.store.MarkDirty(n)
+	c.store.MarkDirty(right)
 	id, sep := right.ID, right.Keys[0]
 	c.store.Release(right)
 	return id, sep, nil
@@ -418,8 +419,8 @@ func (c *Core) splitBranch(n *Node) (uint32, uint64, error) {
 	n.Keys = n.Keys[:mid]
 	n.Kids = n.Kids[:mid+1]
 	n.NBytes = c.layout.BranchEntryBytes * len(n.Kids)
-	c.store.MarkDirty(n.ID)
-	c.store.MarkDirty(right.ID)
+	c.store.MarkDirty(n)
+	c.store.MarkDirty(right)
 	id := right.ID
 	c.store.Release(right)
 	return id, sep, nil
@@ -469,7 +470,7 @@ func (c *Core) del(id uint32, key uint64) (bool, error) {
 		if i >= len(n.Keys) || n.Keys[i] != key {
 			return false, nil
 		}
-		c.store.MarkDirty(id)
+		c.store.MarkDirty(n)
 		n.NBytes -= c.layout.LeafEntry(n.Vals[i])
 		n.Keys = append(n.Keys[:i], n.Keys[i+1:]...)
 		n.Vals = append(n.Vals[:i], n.Vals[i+1:]...)
@@ -549,9 +550,9 @@ func (c *Core) rebalance(n *Node, ci int, child *Node) error {
 }
 
 func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
-	c.store.MarkDirty(n.ID)
-	c.store.MarkDirty(child.ID)
-	c.store.MarkDirty(left.ID)
+	c.store.MarkDirty(n)
+	c.store.MarkDirty(child)
+	c.store.MarkDirty(left)
 	if child.Leaf {
 		k := left.Keys[len(left.Keys)-1]
 		v := left.Vals[len(left.Vals)-1]
@@ -577,9 +578,9 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 }
 
 func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
-	c.store.MarkDirty(n.ID)
-	c.store.MarkDirty(child.ID)
-	c.store.MarkDirty(right.ID)
+	c.store.MarkDirty(n)
+	c.store.MarkDirty(child)
+	c.store.MarkDirty(right)
 	if child.Leaf {
 		k := right.Keys[0]
 		v := right.Vals[0]
@@ -606,8 +607,8 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 
 // merge folds child ci+1 of n into child ci and frees its node.
 func (c *Core) merge(n *Node, ci int, left, right *Node) error {
-	c.store.MarkDirty(n.ID)
-	c.store.MarkDirty(left.ID)
+	c.store.MarkDirty(n)
+	c.store.MarkDirty(left)
 	if left.Leaf {
 		left.Keys = append(grown(left.Keys, len(right.Keys), 0), right.Keys...)
 		left.Vals = append(grown(left.Vals, len(right.Vals), 0), right.Vals...)

@@ -157,7 +157,7 @@ func (s pageFetchStore) Fetch(id uint32) (*Node, error) {
 
 func (s pageFetchStore) Release(*Node) {}
 
-func (s pageFetchStore) MarkDirty(uint32) {}
+func (s pageFetchStore) MarkDirty(*Node) {}
 
 func (s pageFetchStore) Free(uint32) error {
 	return fmt.Errorf("btree: read-only page store cannot free")

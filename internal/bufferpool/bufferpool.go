@@ -35,9 +35,9 @@
 // rather than fail, and Stats reports the overshoot. Eviction clears the
 // object and bumps the frame's generation, so a Release against a recycled
 // frame (identified by its Handle) is a no-op and can never unpin an
-// unrelated page. Evictions and flushes go to the write-back callback, which
-// receives the frame's object so a dirty eviction hands the freshest state
-// back to the owner; its failures are kept (Err) and counted.
+// unrelated page, and hands the object to the eviction callback (SetEvict).
+// The Pool is only a cache: whether a page holds changes storage lacks is
+// its owner's business (pagedb keeps one dirty-page table).
 package bufferpool
 
 import (
@@ -47,51 +47,25 @@ import (
 	"sync/atomic"
 )
 
-// WriteBackFunc is the pluggable write-back hook (SetWriteBack). The pool
-// invokes it
-//
-//   - when a frame is EVICTED (evicted=true): the page is leaving the pool;
-//     dirty reports whether it holds changes that have not reached storage,
-//     and obj is the frame's decoded object. The owner should persist (or
-//     stage) a dirty page's contents; the decoded slot has already been
-//     cleared and the frame version bumped, so no fused reader can still
-//     reach the object through the pool. The frame is reclaimed even if the
-//     callback fails — the owner keeps responsibility for the data it was
-//     handed — but the error is retained (Err) and counted, never silently
-//     dropped, regardless of which shard evicted.
-//   - when a dirty frame is FLUSHED (evicted=false, dirty=true) by
-//     FlushDirty: the page stays resident (slot intact) and is marked clean
-//     only if the callback succeeds; a failing page stays dirty and the
-//     error is returned to the FlushDirty caller as well as retained.
-//
-// The callback runs synchronously inside pool operations (Install,
-// InstallPinned, FlushDirty) with the evicting shard's mutex held: it must
-// not call back into the pool, but may take the owner's own (finer) locks.
-type WriteBackFunc func(id uint32, obj any, dirty, evicted bool) error
-
 // Pool is a sharded CLOCK cache of decoded objects keyed by page id.
 //
-// Every method is safe for concurrent use EXCEPT SetWriteBack and ClearErr,
-// which must be called before (or between) concurrent phases.
+// Every method is safe for concurrent use EXCEPT SetEvict, which must be
+// called before concurrent use.
 type Pool struct {
 	capacity int
 	shards   []*shard
 	shift    uint32 // hash bits discarded; shardOf = hash >> shift
 
-	writeBack WriteBackFunc
-
-	// First write-back failure from ANY shard, sticky (see Err).
-	emu   sync.Mutex
-	wbErr error
+	evict func(id uint32, obj any)
 }
 
 // shard is one CLOCK region. The mutex is an RWMutex so the HIT path — by
-// far the hottest — takes only the shared side: a resident page's ref,
-// dirty and pin bits are atomics, so concurrent readers hitting the same
-// shard update them without serializing. Structural changes (insert,
-// evict, free, flush, the CLOCK sweep) take the exclusive side, which also
-// freezes every hit-path reader out; pin counts still change lock-free
-// (Release), so the sweep loads them atomically.
+// far the hottest — takes only the shared side: a resident page's ref and
+// pin bits are atomics, so concurrent readers hitting the same shard update
+// them without serializing. Structural changes (insert, evict, free, the
+// CLOCK sweep) take the exclusive side, which also freezes every hit-path
+// reader out; pin counts still change lock-free (Release), so the sweep
+// loads them atomically.
 type shard struct {
 	mu     sync.RWMutex
 	cap    int // nominal frame budget; the ring may grow past it (pins)
@@ -99,15 +73,11 @@ type shard struct {
 	ring   []*frame
 	hand   int
 
-	hits           uint64 // atomic: Dirty and adopting installs (total hits = hits + fusedHits)
-	misses         uint64
-	fusedHits      uint64 // atomic: FetchPinned hits (kept separate so the fused path bumps ONE counter)
-	evictions      uint64
-	dirtyEvictions uint64
-	flushes        uint64
-	writeBacks     uint64
-	writeBackErrs  uint64
-	grows          uint64
+	hits      uint64 // adopting installs (total hits = hits + fusedHits)
+	misses    uint64
+	fusedHits uint64 // atomic: FetchPinned hits (kept separate so the fused path bumps ONE counter)
+	evictions uint64
+	grows     uint64
 }
 
 // frame is one buffer slot. Frames are heap objects referenced by pointer
@@ -117,16 +87,15 @@ type shard struct {
 //   - id, live, obj: written only under the shard's exclusive lock; obj is
 //     additionally read under the shared lock (FetchPinned), which the
 //     exclusive writers exclude.
-//   - ref, dirty: atomic bools; mutated under either lock side.
+//   - ref: an atomic bool; mutated under either lock side.
 //   - vp: the packed generation|pins word, fully atomic. Pins change under
 //     either lock side (FetchPinned, InstallPinned) AND lock-free (Release);
 //     the generation half changes only under the exclusive lock, always
 //     zeroing the pin half in the same store.
 type frame struct {
-	id    uint32
-	ref   int32 // atomic bool
-	dirty int32 // atomic bool
-	live  bool
+	id   uint32
+	ref  int32 // atomic bool
+	live bool
 	// vp packs the frame's generation stamp (high 32 bits) and pin count
 	// (low 32 bits) into ONE atomic word. Packing is what makes Release a
 	// single lock-free CAS: the compare covers the generation and the pin
@@ -156,6 +125,12 @@ func vpMake(gen, pins uint32) uint64 { return uint64(gen)<<32 | uint64(pins) }
 type Handle struct {
 	f   *frame
 	gen uint32
+}
+
+// Current reports whether h's incarnation still holds its frame: the page
+// has been neither evicted nor freed since h was issued.
+func (h Handle) Current() bool {
+	return h.f != nil && vpGen(atomic.LoadUint64(&h.f.vp)) == h.gen
 }
 
 // DefaultShards returns the shard count sized for this process: the
@@ -221,43 +196,18 @@ func (p *Pool) shardIdx(id uint32) uint32 {
 
 func (p *Pool) shard(id uint32) *shard { return p.shards[p.shardIdx(id)] }
 
-// SetWriteBack installs the write-back callback (see WriteBackFunc); without
-// one, evictions and flushes only update the counters. Install it before the
-// pool holds dirty pages and before any concurrent use.
-func (p *Pool) SetWriteBack(fn WriteBackFunc) { p.writeBack = fn }
+// SetEvict installs the eviction callback: the pool calls it with a victim's
+// page id and decoded object once the object is unpublished (the slot
+// cleared, the generation bumped), so no fused reader can reach it through
+// the pool again. It runs inside Install and InstallPinned with the evicting
+// shard's mutex held: it must not call back into the pool, but may take the
+// owner's own (finer) locks. Install it before any concurrent use.
+func (p *Pool) SetEvict(fn func(id uint32, obj any)) { p.evict = fn }
 
-// Err returns the first write-back callback failure from any shard, or
-// nil. It stays set (the pool has no way to retry an eviction) so owners
-// can check it at a commit boundary; wiring a new callback with
-// SetWriteBack clears it only if the owner calls ClearErr.
-func (p *Pool) Err() error {
-	p.emu.Lock()
-	defer p.emu.Unlock()
-	return p.wbErr
-}
-
-// ClearErr discards the sticky write-back error after the owner has
-// handled it.
-func (p *Pool) ClearErr() {
-	p.emu.Lock()
-	p.wbErr = nil
-	p.emu.Unlock()
-}
-
-// noteErr retains the first write-back failure across all shards.
-func (p *Pool) noteErr(err error) {
-	p.emu.Lock()
-	if p.wbErr == nil {
-		p.wbErr = err
-	}
-	p.emu.Unlock()
-}
-
-// FreePage drops page id's frame: a freed page needs no final write, so the
-// frame goes clean, its decoded object cleared, and no write-back is issued.
-// Pins on the frame are discarded — a Free is an explicit ownership
-// statement — and the generation bump turns any still-outstanding Release
-// handle into a no-op.
+// FreePage drops page id's frame and its decoded object, with no eviction
+// callback. Pins on the frame are discarded — a Free is an explicit
+// ownership statement — and the generation bump turns any still-outstanding
+// Release handle into a no-op.
 func (p *Pool) FreePage(id uint32) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -266,24 +216,9 @@ func (p *Pool) FreePage(id uint32) {
 		atomic.StoreUint64(&f.vp, vpMake(vpGen(atomic.LoadUint64(&f.vp))+1, 0))
 		f.live = false
 		f.obj = nil
-		atomic.StoreInt32(&f.dirty, 0)
 		delete(s.frames, id)
 	}
 	s.mu.Unlock()
-}
-
-// Dirty records a write access to a resident page: reference and dirty bits,
-// counted as a hit. A page that is not resident is left alone — its owner
-// holds whatever state it has.
-func (p *Pool) Dirty(id uint32) {
-	s := p.shard(id)
-	s.mu.RLock()
-	if f, ok := s.frames[id]; ok {
-		atomic.StoreInt32(&f.ref, 1)
-		atomic.StoreInt32(&f.dirty, 1)
-		atomic.AddUint64(&s.hits, 1)
-	}
-	s.mu.RUnlock()
 }
 
 // FetchPinned is the hot path: ONE shard read-lock acquisition that looks
@@ -344,15 +279,12 @@ func (p *Pool) Release(h Handle) {
 // back-reference BEFORE any reader can observe the object, and returns the
 // object to install. If a racing installer won, bind is not called and the
 // resident object is adopted (pinned, and counted as a hit) instead — the
-// first install wins.
-//
-// dirty marks the page dirty (a re-admitted dirty eviction must not lose
-// its dirtiness). The returned Handle matches the one bind received (or
+// first install wins. The returned Handle matches the one bind received (or
 // the winner's, when adopting).
-func (p *Pool) InstallPinned(id uint32, dirty bool, bind func(Handle) any) (any, Handle) {
+func (p *Pool) InstallPinned(id uint32, bind func(Handle) any) (any, Handle) {
 	s := p.shard(id)
 	s.mu.Lock()
-	obj, h := s.install(p, id, dirty, true, bind)
+	obj, h := s.install(p, id, true, bind)
 	s.mu.Unlock()
 	return obj, h
 }
@@ -360,21 +292,22 @@ func (p *Pool) InstallPinned(id uint32, dirty bool, bind func(Handle) any) (any,
 // Install publishes the object of a newly ALLOCATED page: no pin (the
 // B+-tree core Fetches a fresh id right away, and that fetch takes it) and
 // no hit or miss — nobody looked the page up, so the counters keep meaning
-// faults over lookups. The same first-install-wins adoption applies.
-func (p *Pool) Install(id uint32, dirty bool, bind func(Handle) any) any {
+// faults over lookups. The same first-install-wins adoption applies. The
+// bool is ignored.
+func (p *Pool) Install(id uint32, _ bool, bind func(Handle) any) any {
 	s := p.shard(id)
 	s.mu.Lock()
-	obj, _ := s.install(p, id, dirty, false, bind)
+	obj, _ := s.install(p, id, false, bind)
 	s.mu.Unlock()
 	return obj
 }
 
 // install is the shared body of Install (fault false) and InstallPinned
 // (fault true: counted and pinned). Caller holds s.mu exclusively.
-func (s *shard) install(p *Pool, id uint32, dirty, fault bool, bind func(Handle) any) (any, Handle) {
+func (s *shard) install(p *Pool, id uint32, fault bool, bind func(Handle) any) (any, Handle) {
 	f, ok := s.frames[id]
 	if !ok {
-		f = s.insert(p, id, dirty)
+		f = s.insert(p, id)
 	}
 	if fault && ok {
 		s.hits++ // lost the race to another fault's install
@@ -386,32 +319,19 @@ func (s *shard) install(p *Pool, id uint32, dirty, fault bool, bind func(Handle)
 		f.obj = bind(h)
 	}
 	atomic.StoreInt32(&f.ref, 1)
-	if dirty {
-		atomic.StoreInt32(&f.dirty, 1)
-	}
 	if fault {
 		atomic.AddUint64(&f.vp, 1)
 	}
 	return f.obj, h
 }
 
-// IsDirty reports whether page id is resident with its dirty bit set.
-func (p *Pool) IsDirty(id uint32) bool {
-	s := p.shard(id)
-	s.mu.RLock()
-	f, ok := s.frames[id]
-	d := ok && atomic.LoadInt32(&f.dirty) != 0
-	s.mu.RUnlock()
-	return d
-}
-
 // insert places a page into the shard, unpinned, evicting a victim when the
 // shard is at capacity, and returns its frame. Caller holds s.mu exclusively;
 // pins are still loaded atomically (Release decrements them without any
 // lock).
-func (s *shard) insert(p *Pool, id uint32, dirty bool) *frame {
+func (s *shard) insert(p *Pool, id uint32) *frame {
 	if len(s.ring) < s.cap {
-		f := &frame{id: id, ref: 1, dirty: b2i(dirty), live: true}
+		f := &frame{id: id, ref: 1, live: true}
 		s.ring = append(s.ring, f)
 		s.frames[id] = f
 		return f
@@ -450,16 +370,8 @@ func (s *shard) insert(p *Pool, id uint32, dirty bool) *frame {
 		obj := victim.obj
 		victim.obj = nil
 		s.evictions++
-		vdirty := atomic.LoadInt32(&victim.dirty) != 0
-		if vdirty {
-			s.dirtyEvictions++
-		}
-		if p.writeBack != nil {
-			s.writeBacks++
-			if err := p.writeBack(victim.id, obj, vdirty, true); err != nil {
-				s.writeBackErrs++
-				p.noteErr(fmt.Errorf("bufferpool: write-back of evicted page %d: %w", victim.id, err))
-			}
+		if p.evict != nil {
+			p.evict(victim.id, obj)
 		}
 		delete(s.frames, victim.id)
 	}
@@ -467,52 +379,10 @@ func (s *shard) insert(p *Pool, id uint32, dirty bool) *frame {
 	// pins and generation when the page was freed.
 	victim.id = id
 	atomic.StoreInt32(&victim.ref, 1)
-	atomic.StoreInt32(&victim.dirty, b2i(dirty))
 	victim.live = true
 	s.frames[id] = victim
 	s.hand = (s.hand + 1) % len(s.ring)
 	return victim
-}
-
-func b2i(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// FlushDirty hands every dirty resident page to the write-back callback (a
-// checkpoint), in shard then frame order. Pages stay resident and are marked
-// clean once written; a page whose callback fails STAYS dirty and the first
-// such error is returned (and retained in Err); the sweep still visits every
-// dirty page of every shard.
-func (p *Pool) FlushDirty() (int, error) {
-	n := 0
-	var firstErr error
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for _, f := range s.ring {
-			if !f.live || atomic.LoadInt32(&f.dirty) == 0 {
-				continue
-			}
-			if p.writeBack != nil {
-				s.writeBacks++
-				if err := p.writeBack(f.id, f.obj, true, false); err != nil {
-					s.writeBackErrs++
-					p.noteErr(fmt.Errorf("bufferpool: flush of page %d: %w", f.id, err))
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue // the page stays dirty
-				}
-			}
-			atomic.StoreInt32(&f.dirty, 0)
-			s.flushes++
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n, firstErr
 }
 
 // Resident returns the number of pages currently cached.
@@ -543,20 +413,19 @@ func (p *Pool) Pinned() int {
 }
 
 // Stats summarizes a Pool's activity across all shards, or a Model's (one
-// shard; the fused, write-back and grow counters stay zero).
+// shard; the fused and grow counters stay zero).
 type Stats struct {
 	Capacity     int
 	Shards       int
 	Hits, Misses uint64
 	// FusedHits counts the hits served by FetchPinned (a subset of Hits).
-	FusedHits      uint64
-	Evictions      uint64
+	FusedHits uint64
+	Evictions uint64
+	// DirtyEvictions and Flushes are the Model's: the page writes of its
+	// trace. A Pool does not know which pages are dirty; pagedb fills
+	// DirtyEvictions in its own Stats from its dirty-page table.
 	DirtyEvictions uint64
 	Flushes        uint64
-	// WriteBacks counts write-back callback invocations (evictions and
-	// flushes); WriteBackErrors counts the ones that failed.
-	WriteBacks      uint64
-	WriteBackErrors uint64
 	// Grows counts frames added past a shard's nominal capacity because
 	// every resident frame was pinned when a victim was needed.
 	Grows uint64
@@ -565,7 +434,6 @@ type Stats struct {
 // ShardStats is one shard's point-in-time state (per-shard observability).
 type ShardStats struct {
 	Residents int
-	Dirty     int
 	Pinned    int
 	Hits      uint64
 	Misses    uint64
@@ -576,21 +444,17 @@ type ShardStats struct {
 // Stats returns a snapshot of the pool counters, aggregated over shards.
 // Like every snapshot method it takes each shard's lock on the SHARED side,
 // so a metrics scrape never stops a FetchPinned: the counters are written
-// under the exclusive side, except hits and fusedHits, which shared holders
-// bump atomically and a snapshot loads atomically.
+// under the exclusive side, except fusedHits, which shared holders bump
+// atomically and a snapshot loads atomically.
 func (p *Pool) Stats() Stats {
 	st := Stats{Capacity: p.capacity, Shards: len(p.shards)}
 	for _, s := range p.shards {
 		s.mu.RLock()
 		fused := atomic.LoadUint64(&s.fusedHits)
-		st.Hits += atomic.LoadUint64(&s.hits) + fused
+		st.Hits += s.hits + fused
 		st.Misses += s.misses
 		st.FusedHits += fused
 		st.Evictions += s.evictions
-		st.DirtyEvictions += s.dirtyEvictions
-		st.Flushes += s.flushes
-		st.WriteBacks += s.writeBacks
-		st.WriteBackErrors += s.writeBackErrs
 		st.Grows += s.grows
 		s.mu.RUnlock()
 	}
@@ -612,19 +476,13 @@ func (s *shard) snapshot() ShardStats {
 	fused := atomic.LoadUint64(&s.fusedHits)
 	ss := ShardStats{
 		Residents: len(s.frames),
-		Hits:      atomic.LoadUint64(&s.hits) + fused,
+		Hits:      s.hits + fused,
 		Misses:    s.misses,
 		FusedHits: fused,
 		Evictions: s.evictions,
 	}
 	for _, f := range s.ring {
-		if !f.live {
-			continue
-		}
-		if atomic.LoadInt32(&f.dirty) != 0 {
-			ss.Dirty++
-		}
-		if vpPins(atomic.LoadUint64(&f.vp)) > 0 {
+		if f.live && vpPins(atomic.LoadUint64(&f.vp)) > 0 {
 			ss.Pinned++
 		}
 	}

@@ -1,12 +1,9 @@
 package bufferpool
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // The CLOCK-behaviour cases below run against the trace model (New); the
-// write-back cases against the sharded pool.
+// sharded pool's are in fused_test.go and sharded_test.go.
 
 func TestAllocateUniqueAndReuse(t *testing.T) {
 	p := New(16)
@@ -150,90 +147,6 @@ func TestHitRatio(t *testing.T) {
 	}
 }
 
-func TestWriteBackCallback(t *testing.T) {
-	p := NewSharded(2, 1)
-	type wb struct {
-		id             uint32
-		dirty, evicted bool
-	}
-	var calls []wb
-	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
-		calls = append(calls, wb{id, dirty, evicted})
-		return nil
-	})
-	const a = 1
-	install(p, a, true)   // dirty
-	install(p, 50, false) // clean
-	install(p, 51, false) // evicts one of {a, 50}
-	if len(calls) != 1 || !calls[0].evicted {
-		t.Fatalf("eviction produced calls %+v, want one eviction", calls)
-	}
-	if calls[0].id == a && !calls[0].dirty {
-		t.Errorf("dirty page %d evicted with dirty=false", a)
-	}
-	calls = nil
-	n, err := p.FlushDirty()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range calls {
-		if c.evicted || !c.dirty {
-			t.Errorf("flush call %+v, want dirty non-eviction", c)
-		}
-	}
-	if n != len(calls) {
-		t.Errorf("FlushDirty reported %d, callback saw %d", n, len(calls))
-	}
-	if p.Err() != nil {
-		t.Errorf("Err = %v after successful write-backs", p.Err())
-	}
-}
-
-func TestWriteBackFailureObservable(t *testing.T) {
-	p := NewSharded(2, 1)
-	fail := errors.New("disk on fire")
-	failing := true
-	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
-		if dirty && failing {
-			return fail
-		}
-		return nil
-	})
-	const a = 1
-	install(p, a, true)
-	// A failing flush returns the error and leaves the page dirty.
-	if n, err := p.FlushDirty(); !errors.Is(err, fail) || n != 0 {
-		t.Fatalf("FlushDirty = (%d, %v), want (0, fail)", n, err)
-	}
-	if !p.IsDirty(a) {
-		t.Error("page marked clean despite failed flush")
-	}
-	if !errors.Is(p.Err(), fail) {
-		t.Errorf("Err = %v, want sticky failure", p.Err())
-	}
-	p.ClearErr()
-	if p.Err() != nil {
-		t.Error("ClearErr did not clear")
-	}
-	// A failing eviction still reclaims the frame but re-arms Err.
-	install(p, 50, false)
-	install(p, 51, false)
-	install(p, 52, false)
-	if !errors.Is(p.Err(), fail) {
-		t.Errorf("Err = %v after failed dirty eviction", p.Err())
-	}
-	if resident(p, a) {
-		t.Error("victim still resident after eviction")
-	}
-	if st := p.Stats(); st.WriteBackErrors == 0 {
-		t.Errorf("WriteBackErrors = 0: %+v", st)
-	}
-	failing = false
-	if n, err := p.FlushDirty(); err != nil || n != 0 {
-		t.Fatalf("flush after recovery = (%d, %v)", n, err)
-	}
-}
-
 // TestSeedRestoresAllocator covers IDs: seeded free ids come back
 // last-freed-first, then fresh ids in sequence from the seeded start, and the
 // state round-trips through FreeList and NewIDs.
@@ -271,8 +184,8 @@ func TestCapacityValidation(t *testing.T) {
 
 // install gives page id a frame holding its own id as the decoded object,
 // unpinned: how these tests bring a page into the sharded pool.
-func install(p *Pool, id uint32, dirty bool) {
-	p.Install(id, dirty, func(Handle) any { return id })
+func install(p *Pool, id uint32) {
+	p.Install(id, false, func(Handle) any { return id })
 }
 
 // resident reports whether page id occupies a frame.

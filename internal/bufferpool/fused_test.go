@@ -1,7 +1,6 @@
 package bufferpool
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -18,7 +17,7 @@ func TestFetchPinnedHitAndMiss(t *testing.T) {
 	}
 	want := "node-7"
 	var bound Handle
-	obj, h := p.InstallPinned(7, false, func(h Handle) any {
+	obj, h := p.InstallPinned(7, func(h Handle) any {
 		bound = h
 		return want
 	})
@@ -51,14 +50,14 @@ func TestFetchPinnedHitAndMiss(t *testing.T) {
 func TestInstallCountsNeither(t *testing.T) {
 	p := NewSharded(4, 1)
 	for id := uint32(1); id <= 8; id++ { // twice the capacity: evictions too
-		install(p, id, true)
+		install(p, id)
 	}
 	if st := p.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 4 {
 		t.Fatalf("stats after 8 allocations %+v, want no hit, no miss, 4 evictions", st)
 	}
 	_, h := p.FetchPinned(8)
 	p.Release(h)
-	_, h = p.InstallPinned(1, false, func(Handle) any { return uint32(1) })
+	_, h = p.InstallPinned(1, func(Handle) any { return uint32(1) })
 	p.Release(h)
 	if st := p.Stats(); st.Hits != 1 || st.FusedHits != 1 || st.Misses != 1 {
 		t.Fatalf("stats after one lookup hit and one fault %+v", st)
@@ -70,8 +69,8 @@ func TestInstallCountsNeither(t *testing.T) {
 // returns the resident object.
 func TestInstallAdoptsFirstWinner(t *testing.T) {
 	p := NewSharded(4, 1)
-	first, _ := p.InstallPinned(3, false, func(Handle) any { return "first" })
-	second, h := p.InstallPinned(3, false, func(Handle) any {
+	first, _ := p.InstallPinned(3, func(Handle) any { return "first" })
+	second, h := p.InstallPinned(3, func(Handle) any {
 		t.Error("bind ran despite a resident object")
 		return "second"
 	})
@@ -95,12 +94,15 @@ func TestInstallAdoptsFirstWinner(t *testing.T) {
 // survives.
 func TestReleaseAfterFreeIsNoOp(t *testing.T) {
 	p := NewSharded(1, 1) // one frame: page 2 must recycle page 1's frame
-	_, stale := p.InstallPinned(1, false, func(Handle) any { return "one" })
+	_, stale := p.InstallPinned(1, func(Handle) any { return "one" })
 	p.FreePage(1) // discards the pin, bumps the generation
 	if got := p.Pinned(); got != 0 {
 		t.Fatalf("Pinned() = %d after FreePage, want 0", got)
 	}
-	_, h2 := p.InstallPinned(2, false, func(Handle) any { return "two" })
+	if stale.Current() {
+		t.Fatal("a freed page's handle is still current")
+	}
+	_, h2 := p.InstallPinned(2, func(Handle) any { return "two" })
 	p.Release(stale) // stale: must not unpin page 2's frame
 	if got := p.Pinned(); got != 1 {
 		t.Fatalf("stale Release stole the new page's pin: Pinned() = %d, want 1", got)
@@ -117,28 +119,29 @@ func TestReleaseAfterFreeIsNoOp(t *testing.T) {
 }
 
 // TestEvictionUnpublishesObject: evicting a fused frame must clear the
-// decoded slot, hand the object to the write-back callback, and turn the
-// next FetchPinned into a miss.
+// decoded slot, hand the object to the eviction callback, turn the next
+// FetchPinned into a miss, and make the evicted incarnation's handle stale.
 func TestEvictionUnpublishesObject(t *testing.T) {
 	p := NewSharded(2, 1)
-	type wb struct {
-		id      uint32
-		obj     any
-		dirty   bool
-		evicted bool
+	type ev struct {
+		id  uint32
+		obj any
 	}
-	var calls []wb
-	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
-		calls = append(calls, wb{id, obj, dirty, evicted})
-		return nil
-	})
-	_, h1 := p.InstallPinned(1, true, func(Handle) any { return "one" })
+	var calls []ev
+	p.SetEvict(func(id uint32, obj any) { calls = append(calls, ev{id, obj}) })
+	_, h1 := p.InstallPinned(1, func(Handle) any { return "one" })
 	p.Release(h1)
-	_, h2 := p.InstallPinned(2, false, func(Handle) any { return "two" })
+	_, h2 := p.InstallPinned(2, func(Handle) any { return "two" })
 	p.Release(h2)
-	install(p, 3, false) // evicts page 1 or 2
-	if len(calls) != 1 || !calls[0].evicted {
-		t.Fatalf("eviction calls = %+v, want one eviction", calls)
+	if !h1.Current() || !h2.Current() {
+		t.Fatal("a resident page's handle is not current")
+	}
+	install(p, 3) // evicts page 1 or 2
+	if len(calls) != 1 {
+		t.Fatalf("eviction calls = %+v, want one", calls)
+	}
+	if gone := map[uint32]Handle{1: h1, 2: h2}[calls[0].id]; gone.Current() {
+		t.Errorf("evicted page %d's handle is still current", calls[0].id)
 	}
 	evictedObj := "one"
 	if calls[0].id == 2 {
@@ -156,9 +159,9 @@ func TestEvictionUnpublishesObject(t *testing.T) {
 // survive a capacity storm; the pool grows rather than reclaims it.
 func TestFusedPinBlocksEviction(t *testing.T) {
 	p := NewSharded(2, 1)
-	obj, h := p.InstallPinned(1, false, func(Handle) any { return "keep" })
+	obj, h := p.InstallPinned(1, func(Handle) any { return "keep" })
 	for id := uint32(10); id < 30; id++ {
-		install(p, id, false)
+		install(p, id)
 	}
 	got, h2 := p.FetchPinned(1)
 	if got != obj {
@@ -182,13 +185,12 @@ func TestFusedConcurrentHammer(t *testing.T) {
 		rounds  = 2000
 	)
 	p := NewSharded(16, 4) // 4 frames per shard: constant eviction
-	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
+	p.SetEvict(func(id uint32, obj any) {
 		// The callback must not call back into the pool; checking the
 		// handed-over object is enough to catch a slot mix-up.
-		if evicted && obj != nil && obj.(uint32) != id {
-			return fmt.Errorf("eviction of page %d handed over object %v", id, obj)
+		if obj.(uint32) != id {
+			t.Errorf("eviction of page %d handed over object %v", id, obj)
 		}
-		return nil
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
@@ -199,7 +201,7 @@ func TestFusedConcurrentHammer(t *testing.T) {
 				id := (seed*2654435769 + uint32(i)) % pages
 				obj, h := p.FetchPinned(id)
 				if obj == nil {
-					obj, h = p.InstallPinned(id, false, func(Handle) any { return id })
+					obj, h = p.InstallPinned(id, func(Handle) any { return id })
 				}
 				if obj.(uint32) != id {
 					t.Errorf("page %d served object %v", id, obj)
@@ -209,9 +211,6 @@ func TestFusedConcurrentHammer(t *testing.T) {
 		}(uint32(g + 1))
 	}
 	wg.Wait()
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if got := p.Pinned(); got != 0 {
 		t.Fatalf("Pinned() = %d after balanced hammer, want 0", got)
 	}

@@ -1,7 +1,6 @@
 package bufferpool
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -53,13 +52,13 @@ func TestShardOfIsStableAndInRange(t *testing.T) {
 
 func TestPinPreventsEviction(t *testing.T) {
 	p := NewSharded(3, 1) // single shard: evictions are deterministic
-	install(p, 1, false)
-	_, h := p.InstallPinned(2, false, func(Handle) any { return "two" })
-	install(p, 3, false)
+	install(p, 1)
+	_, h := p.InstallPinned(2, func(Handle) any { return "two" })
+	install(p, 3)
 	// Fault enough new pages through the full pool to evict every unpinned
 	// frame several times over.
 	for id := uint32(10); id < 30; id++ {
-		install(p, id, false)
+		install(p, id)
 	}
 	if !resident(p, 2) {
 		t.Fatal("pinned page 2 was evicted")
@@ -73,7 +72,7 @@ func TestPinPreventsEviction(t *testing.T) {
 	}
 	// Unpinned, page 2 is a victim candidate again.
 	for id := uint32(30); id < 50; id++ {
-		install(p, id, false)
+		install(p, id)
 	}
 	if resident(p, 2) {
 		t.Fatal("page 2 survived 20 evictions with no pin")
@@ -82,11 +81,11 @@ func TestPinPreventsEviction(t *testing.T) {
 
 func TestPinsNest(t *testing.T) {
 	p := NewSharded(2, 1)
-	_, h1 := p.InstallPinned(1, false, func(Handle) any { return "one" })
+	_, h1 := p.InstallPinned(1, func(Handle) any { return "one" })
 	_, h2 := p.FetchPinned(1)
 	p.Release(h1)
 	for id := uint32(10); id < 20; id++ {
-		install(p, id, false)
+		install(p, id)
 	}
 	if !resident(p, 1) {
 		t.Fatal("page 1 evicted while one of two pins was still held")
@@ -100,9 +99,9 @@ func TestPinsNest(t *testing.T) {
 
 func TestAllPinnedGrowsRing(t *testing.T) {
 	p := NewSharded(2, 1)
-	_, h1 := p.InstallPinned(1, false, func(Handle) any { return "one" })
-	_, h2 := p.InstallPinned(2, false, func(Handle) any { return "two" })
-	install(p, 3, false) // no victim available: the shard must grow, not fail
+	_, h1 := p.InstallPinned(1, func(Handle) any { return "one" })
+	_, h2 := p.InstallPinned(2, func(Handle) any { return "two" })
+	install(p, 3) // no victim available: the shard must grow, not fail
 	if !resident(p, 1) || !resident(p, 2) || !resident(p, 3) {
 		t.Fatalf("residency after forced growth: 1=%v 2=%v 3=%v",
 			resident(p, 1), resident(p, 2), resident(p, 3))
@@ -118,52 +117,10 @@ func TestAllPinnedGrowsRing(t *testing.T) {
 	p.Release(h2)
 }
 
-func TestErrStickyAcrossShards(t *testing.T) {
-	p := NewSharded(8, 4) // 2 frames per shard
-	if p.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", p.Shards())
-	}
-	boom := errors.New("backing store unplugged")
-	p.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
-		if evicted && dirty {
-			return boom
-		}
-		return nil
-	})
-	// Drive dirty evictions through a NON-zero shard: the sticky error must
-	// surface pool-wide no matter which CLOCK region failed.
-	shard := 2
-	var ids []uint32
-	for id := uint32(1); len(ids) < 4; id++ {
-		if p.ShardOf(id) == shard {
-			ids = append(ids, id)
-		}
-	}
-	for _, id := range ids {
-		install(p, id, true) // 4 dirty pages into a 2-frame shard: must evict
-	}
-	if err := p.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want the shard-%d write-back failure", err, shard)
-	}
-	st := p.Stats()
-	if st.WriteBackErrors == 0 {
-		t.Fatalf("WriteBackErrors = 0: %+v", st)
-	}
-	// The first error is retained even after later successes elsewhere.
-	install(p, idInShard(t, p, 0), false)
-	if err := p.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() lost the sticky error: %v", err)
-	}
-	p.ClearErr()
-	if p.Err() != nil {
-		t.Fatalf("Err() after ClearErr = %v", p.Err())
-	}
-}
-
 func TestShardStatsPerShard(t *testing.T) {
 	p := NewSharded(16, 4)
 	id := idInShard(t, p, 3)
-	_, h := p.InstallPinned(id, true, func(Handle) any { return id })
+	_, h := p.InstallPinned(id, func(Handle) any { return id })
 	ss := p.ShardStats()
 	if len(ss) != 4 {
 		t.Fatalf("len(ShardStats()) = %d, want 4", len(ss))
@@ -171,7 +128,7 @@ func TestShardStatsPerShard(t *testing.T) {
 	if got := p.ShardStat(3); got != ss[3] {
 		t.Fatalf("ShardStat(3) = %+v, ShardStats()[3] = %+v", got, ss[3])
 	}
-	if ss[3].Residents != 1 || ss[3].Dirty != 1 || ss[3].Pinned != 1 || ss[3].Misses != 1 {
+	if ss[3].Residents != 1 || ss[3].Pinned != 1 || ss[3].Misses != 1 {
 		t.Fatalf("shard 3 stats = %+v", ss[3])
 	}
 	for i := 0; i < 3; i++ {
@@ -183,7 +140,7 @@ func TestShardStatsPerShard(t *testing.T) {
 }
 
 // TestConcurrentAccess hammers a sharded pool from many goroutines (run
-// with -race): lookups, faults, dirtying and frees beside a scraper taking
+// with -race): lookups, faults, allocations and frees beside a scraper taking
 // every snapshot the metrics layer takes, with balanced pins, must leave zero
 // pins and a consistent frame table.
 func TestConcurrentAccess(t *testing.T) {
@@ -200,7 +157,7 @@ func TestConcurrentAccess(t *testing.T) {
 				id := uint32(1 + rng.Intn(256))
 				switch rng.Intn(8) {
 				case 0:
-					p.Dirty(id)
+					install(p, id)
 				case 1:
 					p.FreePage(id)
 				case 2:
@@ -211,7 +168,7 @@ func TestConcurrentAccess(t *testing.T) {
 				default:
 					obj, h := p.FetchPinned(id)
 					if obj == nil {
-						obj, h = p.InstallPinned(id, false, func(Handle) any { return id })
+						obj, h = p.InstallPinned(id, func(Handle) any { return id })
 					}
 					if obj.(uint32) != id {
 						t.Errorf("page %d served object %v", id, obj)
@@ -250,7 +207,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestSnapshotsDoNotStopReaders(t *testing.T) {
 	p := NewSharded(16, 4)
 	for id := uint32(1); id <= 16; id++ {
-		install(p, id, true)
+		install(p, id)
 	}
 	for _, s := range p.shards {
 		s.mu.RLock() // a reader inside FetchPinned on every shard

@@ -3,10 +3,12 @@ package pagedb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/store"
 )
 
@@ -15,24 +17,96 @@ import (
 // straight into the store's run buffer, and a checkpoint that fails loses
 // nothing.
 
-// dirtySet returns the ids of every page the next checkpoint must write:
-// dirty-resident frames plus parked nodes.
-func dirtySet(db *DB) map[uint32]bool {
+// dirtySet returns the ids of every page the next checkpoint must write —
+// the dirty-page table's nodes — and how many of them are parked.
+func dirtySet(db *DB) (set map[uint32]bool, parked int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	set := make(map[uint32]bool)
-	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
-		if db.pool.IsDirty(id) {
+	set = make(map[uint32]bool)
+	for id, n := range db.dirty {
+		if n != nil {
 			set[id] = true
+			if !n.Pin.Current() {
+				parked++
+			}
 		}
 	}
-	for id := range db.evq {
-		if set[id] {
-			panic("page both parked and dirty-resident")
-		}
-		set[id] = true
+	return set, parked
+}
+
+// checkDirtyTable asserts the dirty-page table's invariants, under the
+// exclusive guard (so with no reader in flight):
+//   - each entry is keyed by its node's id;
+//   - a nil entry's id is on the allocator's free list, and a node's is not;
+//   - a free id the store still holds has a nil entry (its tombstone is due);
+//   - no table node is on the retired or free list;
+//   - a resident entry (its frame handle current) is the node the pool
+//     serves, and a parked entry's page is not resident;
+//   - a resident page outside the table is clean: its node encodes to the
+//     store's image.
+func checkDirtyTable(db *DB) error {
+	db.lock()
+	defer db.mu.Unlock()
+	free := make(map[uint32]bool)
+	for _, id := range db.ids.FreeList() {
+		free[id] = true
 	}
-	return set
+	db.evmu.Lock()
+	listed := make(map[*btree.Node]bool)
+	for _, l := range [][]*btree.Node{db.retired, db.free} {
+		for _, n := range l {
+			listed[n] = true
+		}
+	}
+	db.evmu.Unlock()
+	served := func(id uint32) *btree.Node {
+		obj, h := db.pool.FetchPinned(id)
+		db.pool.Release(h)
+		n, _ := obj.(*btree.Node)
+		return n
+	}
+	for id, n := range db.dirty {
+		switch {
+		case n == nil && !free[id]:
+			return fmt.Errorf("page %d is freed in the dirty-page table but not on the free list", id)
+		case n == nil:
+		case n.ID != id:
+			return fmt.Errorf("dirty-page table entry %d holds node %d", id, n.ID)
+		case free[id]:
+			return fmt.Errorf("page %d is on the free list but has a node in the dirty-page table", id)
+		case listed[n]:
+			return fmt.Errorf("page %d's dirty node is on the recycling lists", id)
+		case n.Pin.Current() && served(id) != n:
+			return fmt.Errorf("page %d is resident, but the pool serves another node than the table's", id)
+		case !n.Pin.Current() && served(id) != nil:
+			return fmt.Errorf("page %d is parked, yet resident", id)
+		}
+	}
+	for id := range free {
+		if _, ok := db.dirty[id]; !ok && db.st.Has(id) {
+			return fmt.Errorf("free page %d is in the store and no tombstone is due", id)
+		}
+	}
+	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
+		if _, ok := db.dirty[id]; ok {
+			continue
+		}
+		n := served(id)
+		if n == nil {
+			continue
+		}
+		size, err := n.ImageBytes(db.pageSize)
+		if err != nil {
+			return fmt.Errorf("clean page %d: %w", id, err)
+		}
+		img := make([]byte, size)
+		btree.EncodeNode(img, n)
+		stored, err := db.st.ReadRecord(id, func(sz int) []byte { return make([]byte, sz) })
+		if err != nil || !bytes.Equal(img, stored) {
+			return fmt.Errorf("page %d is resident and changed (%v), but not in the dirty-page table", id, err)
+		}
+	}
+	return nil
 }
 
 // txnPuts writes the given keys through one transaction per 50 keys and
@@ -80,6 +154,96 @@ func checkOracle(t *testing.T, db *DB, oracle map[uint64][]byte) {
 	if err := db.CheckPinBalance(); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkDirtyTable(db); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirtyTableThroughRebalancing drives inserts, then deletes that borrow
+// and merge, through a cache that holds the whole tree, checking the table
+// every few operations and checkpointing now and then. Nothing is evicted, so
+// reads stay right even if the table misses a change; only checkDirtyTable,
+// or the reopen at the end, can see it.
+func TestDirtyTableThroughRebalancing(t *testing.T) {
+	opts := memOpts()
+	opts.Store.Dir = t.TempDir()
+	opts.CachePages = 1024
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[uint64][]byte)
+	rng := rand.New(rand.NewSource(25))
+	for i, k := range append(rng.Perm(800), rng.Perm(800)...) {
+		key := uint64(k)
+		if i < 800 {
+			oracle[key] = val(key, 1)
+			err = tr.Put(key, oracle[key])
+		} else if k%4 != 0 {
+			delete(oracle, key)
+			_, err = tr.Delete(key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%40 == 39 {
+			if err := checkDirtyTable(db); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		if i%300 == 299 {
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if db.Stats().Pool.Evictions != 0 {
+		t.Fatal("the cache evicted: reads no longer show only what is in memory")
+	}
+	checkOracle(t, db, oracle)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	checkOracle(t, db, oracle)
+}
+
+// TestMarkDirtyIsNotALookup: marking a page dirty is neither a hit nor a
+// miss — the pool's counters mean faults over lookups — so a Put into a
+// resident one-leaf tree is one lookup, the leaf's Fetch.
+func TestMarkDirtyIsNotALookup(t *testing.T) {
+	db, err := Open(memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 4; k++ {
+		if err := tr.Put(k, val(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := tr.Height(); h != 1 {
+		t.Fatalf("height %d, want a lone leaf", h)
+	}
+	before := db.Stats().Pool
+	if err := tr.Put(3, val(3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Stats().Pool
+	if n := after.Hits + after.Misses - before.Hits - before.Misses; n != 1 {
+		t.Errorf("one Put into a resident leaf counted %d lookups, want 1", n)
+	}
 }
 
 // TestOneEncodePerDirtyPage drives a tree 16 times its cache through many
@@ -110,7 +274,7 @@ func TestOneEncodePerDirtyPage(t *testing.T) {
 			txnPuts(t, db, oracle, keys, round*3+byte(i))
 		}
 		mid := db.Stats()
-		if mid.PendingPages == 0 {
+		if _, parked := dirtySet(db); parked == 0 {
 			t.Fatal("no dirty node parked despite a tree far larger than its cache")
 		}
 		if encodes.Value() != enc0 {
@@ -130,8 +294,8 @@ func TestOneEncodePerDirtyPage(t *testing.T) {
 		if evictions := mid.StagedEvictions - before.StagedEvictions; evictions < 3*nodes {
 			t.Errorf("round %d: %d dirty evictions for %d pages: pages were not re-evicted", round, evictions, nodes)
 		}
-		if after.PendingPages != 0 || len(dirtySet(db)) != 0 {
-			t.Errorf("round %d: %d parked, %d dirty after a successful checkpoint", round, after.PendingPages, len(dirtySet(db)))
+		if set, _ := dirtySet(db); len(set) != 0 {
+			t.Errorf("round %d: %d dirty after a successful checkpoint", round, len(set))
 		}
 	}
 	checkOracle(t, db, oracle)
@@ -239,8 +403,8 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dirtySet(db)
-	if parked := db.Stats().PendingPages; parked == 0 || parked == len(want) {
+	want, parked := dirtySet(db)
+	if parked == 0 || parked == len(want) {
 		t.Fatalf("want both parked and dirty-resident pages, have %d dirty of which %d parked", len(want), parked)
 	}
 
@@ -253,11 +417,11 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 	if n := encodes.Value() - enc0; n != 0 {
 		t.Errorf("the refused checkpoint encoded %d nodes; its batch should never have been filled", n)
 	}
-	checkOracle(t, db, oracle) // moves pages between pool and queue, not out of the dirty set
+	checkOracle(t, db, oracle) // parks and re-admits pages, takes none out of the dirty set
 	if err := scratch.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := dirtySet(db)
+	got, _ := dirtySet(db)
 	if len(got) != len(want) {
 		t.Fatalf("dirty set %d pages after the failed checkpoint, was %d", len(got), len(want))
 	}
@@ -273,15 +437,15 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 	if err := db.DropTree("scratch"); err != nil {
 		t.Fatal(err)
 	}
-	rest := dirtySet(db)
+	rest, _ := dirtySet(db)
 	if len(rest) == 0 || len(rest) >= len(want) {
 		t.Fatalf("dropping the scratch tree left %d of %d pages dirty", len(rest), len(want))
 	}
 	if err := db.Commit(); err != nil {
 		t.Fatalf("Commit retry of %d pages: %v", len(rest), err)
 	}
-	if n := len(dirtySet(db)); n != 0 {
-		t.Errorf("%d pages still dirty after the retry", n)
+	if set, _ := dirtySet(db); len(set) != 0 {
+		t.Errorf("%d pages still dirty after the retry", len(set))
 	}
 	if nodes, tombs := encodes.Value()-enc0, db.Stats().Store.Tombstones; nodes != uint64(len(rest)) || tombs != 0 {
 		t.Errorf("retry wrote %d node pages and %d tombstones, want the %d dirty ones and none", nodes, tombs, len(rest))

@@ -2,7 +2,6 @@ package pagedb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -164,79 +163,5 @@ func TestConcurrentReadersWithCommittingWriter(t *testing.T) {
 	}
 	if db.Stats().Faults == 0 {
 		t.Fatal("hammer never faulted: cache too large to exercise eviction")
-	}
-}
-
-// TestCommitFailsFastOnEvictionError checks the sticky-error contract end
-// to end across pool shards: a write-back failure during a dirty eviction —
-// from ANY shard, not just shard 0 — must surface at the next Commit, and
-// once surfaced (the pool's sticky copy is cleared), a retry commits the
-// data that the failing callback nevertheless staged.
-func TestCommitFailsFastOnEvictionError(t *testing.T) {
-	opts := memOpts()
-	opts.CacheShards = 4
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tr, err := db.Tree("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	boom := errors.New("injected write-back failure")
-	shardsHit := make(map[int]bool)
-	failing := true
-	// Wrap the DB's own callback: bookkeeping still happens (no data is
-	// lost), but the pool sees every dirty eviction fail.
-	db.pool.SetWriteBack(func(id uint32, obj any, dirty, evicted bool) error {
-		err := db.writeBack(id, obj, dirty, evicted)
-		if failing && evicted && dirty {
-			shardsHit[db.pool.ShardOf(id)] = true
-			return boom
-		}
-		return err
-	})
-
-	const n = 2000 // ~hundreds of pages through a 64-frame pool: must evict
-	for k := uint64(0); k < n; k++ {
-		if err := tr.Put(k, mkval(k, 1)); err != nil {
-			t.Fatalf("Put(%d): %v", k, err)
-		}
-	}
-	nonzero := false
-	for s := range shardsHit {
-		if s != 0 {
-			nonzero = true
-		}
-	}
-	if len(shardsHit) == 0 {
-		t.Fatal("no dirty evictions happened; the test exercised nothing")
-	}
-	if !nonzero {
-		t.Fatalf("dirty evictions only hit shard 0 (%v); widen the workload", shardsHit)
-	}
-
-	if err := db.Commit(); !errors.Is(err, boom) {
-		t.Fatalf("Commit = %v, want the injected eviction failure", err)
-	}
-	// The failure was surfaced and cleared; the wrapped callback staged
-	// every image, so a retry must commit the full state.
-	failing = false
-	if err := db.Commit(); err != nil {
-		t.Fatalf("Commit retry: %v", err)
-	}
-	for k := uint64(0); k < n; k++ {
-		v, ok, err := tr.Get(k)
-		if err != nil || !ok {
-			t.Fatalf("Get(%d) after retry = (%v, %v)", k, ok, err)
-		}
-		if err := checkVal(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

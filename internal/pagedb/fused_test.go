@@ -18,13 +18,14 @@ import (
 //  1. No stale node: each reader tracks the newest version it has seen per
 //     key; the single writer only moves versions forward, so a reader
 //     observing a version REGRESS has read a stale image over a dirty
-//     eviction (the lost-update window the eviction queue closes).
+//     eviction (the lost-update window parking in the dirty-page table closes).
 //  2. No lost mutation: after the writer quiesces, every key must be at the
 //     final version — a MarkDirty swallowed by a re-admission round trip
 //     would leave an old version behind.
 //  3. Pin balance: the periodic auditor (CheckPinBalance) and the final
 //     check both demand zero pinned frames between operations; a leaked pin
-//     would exempt its frame from eviction forever.
+//     would exempt its frame from eviction forever. Both also assert the
+//     dirty-page table's invariants (checkDirtyTable).
 //
 // Run with -race.
 func TestFusedReadPathHammer(t *testing.T) {
@@ -108,6 +109,10 @@ func TestFusedReadPathHammer(t *testing.T) {
 				fail(err)
 				return
 			}
+			if err := checkDirtyTable(db); err != nil {
+				fail(err)
+				return
+			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -143,6 +148,9 @@ func TestFusedReadPathHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := db.CheckPinBalance(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDirtyTable(db); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()

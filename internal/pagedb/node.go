@@ -15,8 +15,8 @@ import (
 // shard acquisition per tree level (bufferpool.FetchPinned) instead of the
 // separate cache-lookup/Pin/Unpin round trips a layered node cache costs.
 // A node's durable form is its page image (btree.ParseNode/EncodeNode); a
-// dirty-evicted node parks, still decoded, in the eviction queue (db.evq)
-// until a fault re-admits it or the checkpoint encodes it. The tree ALGORITHM
+// dirty node stays, still decoded, in the dirty-page table (db.dirty) —
+// resident or parked — until the checkpoint encodes it. The tree ALGORITHM
 // lives entirely in internal/btree's Core; this file supplies the store side:
 // the fallible NodeStore that faults nodes through the pool and the
 // log-structured store, implementing the fused Fetch/Release pin protocol so
@@ -44,10 +44,10 @@ func (s nodeStore) Fetch(id uint32) (*btree.Node, error) { return s.db.node(id) 
 // release-after-Free no-op.
 func (s nodeStore) Release(n *btree.Node) { s.db.pool.Release(n.Pin) }
 
-// MarkDirty re-arms the dirty bit on a node's resident frame (mutations
-// only happen under db.mu's write side, where the target is pinned and
-// therefore resident).
-func (s nodeStore) MarkDirty(id uint32) { s.db.pool.Dirty(id) }
+// MarkDirty enters the node in the dirty-page table (mutations only happen
+// under db.mu's write side, where the target is pinned and therefore
+// resident).
+func (s nodeStore) MarkDirty(n *btree.Node) { s.db.dirty[n.ID] = n }
 
 func (s nodeStore) Free(id uint32) error {
 	s.db.freeNode(id)
@@ -55,7 +55,7 @@ func (s nodeStore) Free(id uint32) error {
 }
 
 // node returns the decoded node for a page id PINNED, faulting it in from
-// the eviction queue or the store on a miss.
+// the dirty-page table or the store on a miss.
 //
 // The hot path is ONE pool-shard acquisition: FetchPinned returns the
 // frame's decoded node already pinned. The miss path serializes on a
@@ -79,16 +79,11 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 		return obj.(*btree.Node), nil
 	}
 	// A parked node is the page's current state — the store's image is
-	// stale — and is re-admitted DIRTY, as it left, so the checkpoint's
-	// flush still finds it.
-	db.evmu.Lock()
-	n, queued := db.evq[id]
-	if queued {
-		delete(db.evq, id)
-	}
-	db.evmu.Unlock()
-	if queued {
-		obj, _ := db.pool.InstallPinned(id, true, func(h bufferpool.Handle) any {
+	// stale — and is re-admitted; it stays in the table. Readers only read
+	// the table (writers, who change it, hold the guard exclusively).
+	n := db.dirty[id]
+	if n != nil {
+		obj, _ := db.pool.InstallPinned(id, func(h bufferpool.Handle) any {
 			n.Pin = h
 			return n
 		})
@@ -111,7 +106,7 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	}
 	// Bind runs under the frame's shard lock BEFORE the node is published,
 	// so no fused reader can observe the node without its handle set.
-	obj, _ := db.pool.InstallPinned(id, false, func(h bufferpool.Handle) any {
+	obj, _ := db.pool.InstallPinned(id, func(h bufferpool.Handle) any {
 		n.Pin = h
 		return n
 	})
@@ -200,36 +195,29 @@ var poisonRecycled func(n *btree.Node)
 
 // allocNode creates a fresh blank node on a newly allocated page id
 // (resident and dirty, but NOT pinned — the core Fetches a fresh id right
-// after Alloc, and that Fetch takes the pin); the core stamps its kind.
-// Caller holds db.mu exclusively.
+// after Alloc, and that Fetch takes the pin); the core stamps its kind. A
+// reused id's pending free is superseded in the table. Caller holds db.mu
+// exclusively.
 func (db *DB) allocNode() *btree.Node {
 	id := db.ids.Allocate()
-	// A reused id may carry residue from its previous life: a pending free
-	// or a parked node. Both are superseded by reallocation.
-	delete(db.freed, id)
-	db.evmu.Lock()
-	delete(db.evq, id)
-	db.evmu.Unlock()
 	n := &btree.Node{ID: id}
 	db.pool.Install(id, true, func(h bufferpool.Handle) any {
 		n.Pin = h
 		return n
 	})
+	db.dirty[id] = n
 	db.metaDirty = true
 	return n
 }
 
 // freeNode releases a page: its frame (decoded node included) or its
 // parked node is dropped — pins too, Free is an ownership statement; the
-// version bump turns outstanding Releases into no-ops — and the next
-// commit writes a store tombstone if the page had ever been committed.
-// Caller holds db.mu exclusively.
+// version bump turns outstanding Releases into no-ops — and its table entry
+// becomes nil, so the next commit writes a store tombstone if the page had
+// ever been committed. Caller holds db.mu exclusively.
 func (db *DB) freeNode(id uint32) {
-	db.evmu.Lock()
-	delete(db.evq, id)
-	db.evmu.Unlock()
 	db.pool.FreePage(id)
 	db.ids.Free(id)
-	db.freed[id] = true
+	db.dirty[id] = nil
 	db.metaDirty = true
 }

@@ -11,12 +11,13 @@
 //	named B+-trees (uint64 keys, []byte values)
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
 //	        frames (bufferpool fused object slot), CLOCK residency
-//	          ├── fault: miss -> parked node (evq), else
+//	          ├── fault: miss -> parked node (dirty-page table), else
 //	          │          Store.ReadRecord into a recycled node's buffer ->
 //	          │          btree.ParseNode, in place
-//	          └── write-back: a dirty eviction parks the DECODED node (evq)
-//	                └── checkpoint (Commit): parked + dirty-resident nodes,
-//	                    each encoded ONCE, by the store, into the run buffer
+//	          └── dirty-page table: every node changed since the last
+//	              checkpoint, resident or parked DECODED after eviction
+//	                └── checkpoint (Commit): the table's nodes, each
+//	                    encoded ONCE, by the store, into the run buffer
 //	                    of one atomic store.Batch (pages + frees + meta)
 //	                      └── internal/store: log-structured placement,
 //	                          routed streams, background cleaning, recovery
@@ -61,17 +62,19 @@
 //
 // # The life of a dirty page
 //
-// A page modified since the last checkpoint exists in exactly ONE form, and
-// that form is decoded: either resident in a pool frame with its dirty bit
-// set, or — once the pool evicts it — parked as the same decoded node in
-// the eviction queue (db.evq). A fault on a parked page re-admits the node,
-// dirty, without touching the store or a decoder; the pool may evict and
-// park it again any number of times. Nothing is serialized before the
-// checkpoint, which gathers the parked and the dirty-resident nodes, sorts
-// them by page id, checks that each can be encoded, and has the store encode
-// each exactly once inside Apply. A checkpoint that fails — flush, that check
-// or store Apply — re-dirties the frames it flushed and leaves the parked
-// nodes parked, so the next attempt starts from the same dirty set.
+// "Is this page dirty?" has one answer: the dirty-page table (db.dirty),
+// which maps every page modified since the last checkpoint to its ONE form,
+// the decoded node — resident in a pool frame while the node's frame handle
+// is current, or, once the pool evicts it, parked in the table alone — and
+// every page freed since to nil. A fault on a parked page re-admits the node
+// without touching the store or a decoder; the pool may evict and park it
+// again any number of times. Nothing is serialized before the checkpoint,
+// which walks the table, sorts the nodes by page id, checks that each can be
+// encoded, has the store encode each exactly once inside Apply, tombstones
+// the freed pages the store holds, and only then clears the table and
+// retires the parked nodes. A checkpoint that fails — that check or store
+// Apply — leaves the table as it was, so the next attempt starts from the
+// same dirty set.
 //
 // # Durability and crash atomicity
 //
@@ -177,11 +180,12 @@ type Options struct {
 //
 // Lock order (outermost first): db.mu, then a fault mutex, then a pool
 // shard mutex (inside any pool call) or the store's lock (inside any store
-// call), then db.evmu (the write-back callback runs under the pool shard
-// mutex and takes it; a fault's buffer request runs under the store's read
-// lock and takes it). evmu is never held across a pool or a store call. The
-// page-id allocator (ids) has no lock: it is touched only under db.mu's write
-// side (allocNode, freeNode, encodeMeta) and by Open.
+// call), then db.evmu, which guards only the recycling lists (the eviction
+// callback runs under the pool shard mutex and takes it; a fault's buffer
+// request runs under the store's read lock and takes it). evmu is never held
+// across a pool or a store call. The page-id allocator (ids) and the
+// dirty-page table (dirty) have no lock: writers change them only under
+// db.mu's write side, and Open before the DB is shared.
 type DB struct {
 	// mu is the operation guard. Writers (Put, Delete, Commit, tree DDL,
 	// Close) take the write side and see the old single-mutex engine;
@@ -200,27 +204,21 @@ type DB struct {
 	// pool.ShardOf.
 	faultMu []sync.Mutex
 
-	freed map[uint32]bool // pages freed since the last checkpoint
-
-	// evq parks the decoded nodes of pages dirty-evicted since the last
-	// checkpoint and not re-admitted since — the ONLY copy of those pages'
-	// current state. Readers add to it (their faults can evict a writer's
-	// dirty page) and re-admit from it (a fault on a parked page adopts the
-	// node, dirty), so it has its own mutex; the checkpoint encodes what is
-	// parked and, once the batch is applied, empties it. A parked page is
-	// never resident.
-	evmu sync.Mutex
-	evq  map[uint32]*btree.Node
+	// dirty is the dirty-page table: every page changed since the last
+	// checkpoint, keyed by id. The value is the page's decoded node —
+	// resident while n.Pin is current, parked (the ONLY copy of the page's
+	// state) once the pool has evicted it — or nil for a page freed since.
+	// Writers change it under db.mu's write side; faults (a re-admission
+	// looks its parked node up) and the eviction callback only read it,
+	// holding either side.
+	dirty map[uint32]*btree.Node
 
 	// retired and free are the two stages of node recycling (see the package
 	// comment and node.go), both under evmu; free is ordered by buffer
 	// capacity, and together they hold at most freeMax nodes.
+	evmu          sync.Mutex
 	retired, free []*btree.Node
 	freeMax       int
-
-	// flushed collects the dirty-resident nodes FlushDirty hands the
-	// write-back callback; non-nil only while a checkpoint is gathering.
-	flushed []*btree.Node
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
@@ -295,13 +293,12 @@ func Open(opts Options) (*DB, error) {
 		st:       st,
 		pool:     bufferpool.NewSharded(opts.CachePages, shards),
 		pageSize: pageSize,
-		freed:    make(map[uint32]bool),
-		evq:      make(map[uint32]*btree.Node),
+		dirty:    make(map[uint32]*btree.Node),
 		trees:    make(map[string]*Tree),
 		freeMax:  min(opts.CachePages, max(64, opts.CachePages/32)),
 	}
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
-	db.pool.SetWriteBack(db.writeBack)
+	db.pool.SetEvict(db.evicted)
 	db.obsReg = opts.Store.Obs
 	db.hFault = db.obsReg.Histogram("pagedb.fault.ns")
 	db.hCommit = db.obsReg.Histogram("pagedb.commit.ns")
@@ -331,13 +328,12 @@ func Open(opts Options) (*DB, error) {
 	db.obsReg.GaugeFunc("pagedb.node.refaults", func() int64 {
 		return int64(db.dupFaults.Load())
 	})
-	// Per-shard gauges: residency, dirtiness, pins and traffic per CLOCK
-	// region, so a snapshot shows whether the page-id hash spreads load.
+	// Per-shard gauges: residency, pins and traffic per CLOCK region, so a
+	// snapshot shows whether the page-id hash spreads load.
 	for i := 0; i < db.pool.Shards(); i++ {
 		i := i
 		prefix := fmt.Sprintf("bufferpool.shard%d.", i)
 		db.obsReg.GaugeFunc(prefix+"residents", func() int64 { return int64(db.pool.ShardStat(i).Residents) })
-		db.obsReg.GaugeFunc(prefix+"dirty", func() int64 { return int64(db.pool.ShardStat(i).Dirty) })
 		db.obsReg.GaugeFunc(prefix+"pinned", func() int64 { return int64(db.pool.ShardStat(i).Pinned) })
 		db.obsReg.GaugeFunc(prefix+"hits", func() int64 { return int64(db.pool.ShardStat(i).Hits) })
 		db.obsReg.GaugeFunc(prefix+"misses", func() int64 { return int64(db.pool.ShardStat(i).Misses) })
@@ -410,43 +406,25 @@ func (db *DB) replayWAL() error {
 	})
 }
 
-// writeBack is the buffer pool's callback, running under the evicting
-// shard's mutex (possibly in a reader's fault path) with the frame's
-// decoded node in hand. A CLEAN eviction writes nothing: the store already
-// holds the current image, the frame's slot was cleared before the
-// callback, and eviction implies no pin, so no fused reader can reach the
-// node again — it is retired: a fault's raw material once an exclusive
-// acquisition of db.mu has waited out every guard hold that could still be
-// reading its bytes (retire, reclaim). A DIRTY eviction parks the node in
-// the eviction queue: the node IS the page's current state, and it stays
-// decoded there until a fault re-admits it dirty (db.node) or the checkpoint
-// encodes it. Flushes (only issued by the checkpoint, exclusive) hand the
-// frame's node to the gathering checkpoint; nothing is encoded here.
-func (db *DB) writeBack(id uint32, obj any, dirty, evicted bool) error {
-	n, _ := obj.(*btree.Node)
-	if evicted && !dirty {
-		if n != nil {
-			db.evmu.Lock()
-			db.retire(n)
-			db.evmu.Unlock()
-		}
-		return nil
-	}
-	if n == nil {
-		return fmt.Errorf("pagedb: write-back of dirty page %d with no decoded node", id)
-	}
-	if evicted {
-		db.evmu.Lock()
-		db.evq[id] = n
-		db.evmu.Unlock()
+// evicted is the buffer pool's eviction callback, running under the
+// evicting shard's mutex (possibly in a reader's fault path) with the
+// frame's decoded node in hand; nothing is written here. A DIRTY node stays
+// in the dirty-page table, now parked: it IS the page's current state, and
+// stays decoded there until a fault re-admits it (db.node) or the checkpoint
+// encodes it. A CLEAN node's image is already in the store; the frame's slot
+// was cleared before the callback, and eviction implies no pin, so no fused
+// reader can reach the node again — it is retired: a fault's raw material
+// once an exclusive acquisition of db.mu has waited out every guard hold
+// that could still be reading its bytes (retire, reclaim).
+func (db *DB) evicted(id uint32, obj any) {
+	n := obj.(*btree.Node)
+	if db.dirty[id] == n {
 		db.dirtyEvicts.Add(1)
-		return nil
+		return
 	}
-	if db.flushed == nil {
-		return fmt.Errorf("pagedb: flush of page %d outside a commit", id)
-	}
-	db.flushed = append(db.flushed, n)
-	return nil
+	db.evmu.Lock()
+	db.retire(n)
+	db.evmu.Unlock()
 }
 
 // lock acquires the guard exclusively — the only way this package does — and
@@ -506,66 +484,32 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	// writes covers every seq up to here — the checkpoint watermark the
 	// metadata page records and the log truncates past.
 	ck := db.wal.Seq()
-	// A sticky write-back error means some earlier eviction-path callback
-	// failed (impossible in this engine's callback, which only parks, but
-	// the pool contract allows it). Surface it once and clear it so the
-	// retry contract below stays honest — the failing pages are still
-	// dirty-resident or parked, so nothing was lost.
-	if err := db.pool.Err(); err != nil {
-		db.pool.ClearErr()
-		return err
-	}
 
-	// Freed pages: only those that exist in the store need a tombstone (a
-	// page allocated and freed between commits never reached it).
+	// Gather the dirty-page table, still decoded: its nodes, resident and
+	// parked, go into the batch; a freed page gets a tombstone only if it
+	// exists in the store (one allocated and freed between commits never
+	// reached it). The table stays as it is until the batch is applied, so a
+	// checkpoint that fails has nothing to undo.
+	leg := sp.Child("gather")
+	nodes := make([]*btree.Node, 0, len(db.dirty))
 	var dels []uint32
-	for id := range db.freed {
-		if db.st.Has(id) {
+	for id, n := range db.dirty {
+		if n != nil {
+			nodes = append(nodes, n)
+		} else if db.st.Has(id) {
 			dels = append(dels, id)
 		}
 	}
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
-
-	// Gather the dirty set, still decoded: the parked nodes, which stay parked
-	// until the batch is applied, then every dirty resident node via the pool's
-	// flush callback (which marks the frames clean). The two are disjoint, and
-	// a freed page is in neither: freeNode drops its frame and its parked node,
-	// and a reallocated id leaves db.freed.
-	leg := sp.Child("gather")
-	resident := db.pool.Resident()
-	db.evmu.Lock()
-	nodes := make([]*btree.Node, 0, resident+len(db.evq))
-	for _, n := range db.evq {
-		nodes = append(nodes, n)
-	}
-	db.evmu.Unlock()
-	db.flushed = nodes
-	_, err := db.pool.FlushDirty()
-	nodes, db.flushed = db.flushed, nil
 	leg.End()
-	// fail undoes the flush: the flushed frames — of the gathered nodes, the
-	// resident ones: a parked page never is, and Dirty leaves it alone — go
-	// back to dirty (nothing ran since), so a retry gathers the same set.
-	fail := func(err error) error {
-		for _, n := range nodes {
-			db.pool.Dirty(n.ID)
-		}
-		return err
-	}
-	if err != nil {
-		// Frames whose callback failed never went clean; the pool's sticky
-		// copy of the error is cleared — it was delivered.
-		db.pool.ClearErr()
-		return fail(err)
-	}
 	if len(nodes) == 0 && len(dels) == 0 && !db.metaDirty {
 		return nil
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 
 	meta, ovf, err := db.encodeMeta(ck)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	// The free list / registry changed: rewrite the overflow chain and
 	// tombstone pages the (shrunken) chain no longer uses. When the meta is
@@ -598,7 +542,7 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 			// An unpersistable page (an internal invariant failure) fails
 			// every checkpoint until it is rewritten or freed: omitting it
 			// would persist a tree referencing an image the store never got.
-			return fail(fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err))
+			return fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err)
 		}
 		b.Reserve(n.ID, size)
 	}
@@ -616,16 +560,18 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	b.Write(metaPageID, meta)
 
 	if err := db.st.ApplySpanned(b, sp); err != nil {
-		return fail(err)
+		return err
 	}
-	// The parked nodes are written, and unreachable from here on: retired.
+	// The parked nodes — those whose frame handle is no longer current — are
+	// written, and unreachable from here on: retired.
 	db.evmu.Lock()
-	for _, n := range db.evq {
-		db.retire(n)
+	for _, n := range nodes {
+		if !n.Pin.Current() {
+			db.retire(n)
+		}
 	}
-	clear(db.evq)
 	db.evmu.Unlock()
-	clear(db.freed)
+	clear(db.dirty)
 	db.metaDirty = false
 	db.metaOvf = novf
 	db.commits++
@@ -680,7 +626,8 @@ func (db *DB) Close() error {
 
 // Stats is a snapshot of the engine's counters across its layers.
 type Stats struct {
-	// Pool is the node-cache (buffer pool) snapshot.
+	// Pool is the node-cache (buffer pool) snapshot, its DirtyEvictions
+	// filled from StagedEvictions.
 	Pool bufferpool.Stats
 	// Store is the backing page store snapshot: occupancy, write
 	// amplification, cleaner lifecycle, per-stream occupancy.
@@ -691,15 +638,12 @@ type Stats struct {
 	// images they carried (meta included).
 	Commits        uint64
 	CommittedPages uint64
-	// PendingPages is the number of dirty nodes parked, decoded, outside
-	// the pool right now: evicted since the last checkpoint and not
-	// re-admitted by a fault since.
-	PendingPages int
 	// Faults counts node-cache misses served from the store.
 	Faults uint64
-	// StagedEvictions counts dirty evictions: each time the pool handed a
-	// dirty node back to be parked (a page evicted, re-admitted and evicted
-	// again between two checkpoints counts each time).
+	// StagedEvictions counts dirty evictions: each time the pool evicted a
+	// node of the dirty-page table, which parks it (a page evicted,
+	// re-admitted and evicted again between two checkpoints counts each
+	// time).
 	StagedEvictions uint64
 	// DupFaultsAvoided counts reads that missed, queued on the fault mutex,
 	// and found the page already faulted by a concurrent reader — each one a
@@ -726,18 +670,16 @@ func (db *DB) Obs() *obs.Registry { return db.obsReg }
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	db.evmu.Lock()
-	parked := len(db.evq)
-	db.evmu.Unlock()
+	pool := db.pool.Stats()
+	pool.DirtyEvictions = db.dirtyEvicts.Load()
 	return Stats{
-		Pool:             db.pool.Stats(),
+		Pool:             pool,
 		Store:            db.st.Stats(),
 		Trees:            len(db.trees),
 		Commits:          db.commits,
 		CommittedPages:   db.commitPages,
-		PendingPages:     parked,
 		Faults:           db.faults.Load(),
-		StagedEvictions:  db.dirtyEvicts.Load(),
+		StagedEvictions:  pool.DirtyEvictions,
 		DupFaultsAvoided: db.dupFaults.Load(),
 		Txns:             db.txns,
 		Epoch:            db.epoch.Load(),

@@ -420,6 +420,9 @@ func TestRecycleHammer(t *testing.T) {
 	if err := db.CheckPinBalance(); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkDirtyTable(db); err != nil {
+		t.Fatal(err)
+	}
 	st, obs := db.Stats(), db.Obs()
 	recycled, fresh, donors := obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value(), obs.Counter("pagedb.node.unrecyclable").Value()
 	t.Logf("%d faults: %d into recycled nodes, %d fresh; %d donors dropped; %d checkpoints, %d pages freed by merges",
@@ -549,7 +552,7 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn int) {
 			t.Fatalf("%d faults in %d operations: the tree is not spilling", faults, ops)
 		}
 		if round == 0 {
-			continue // first growth of the free list and the eviction queue
+			continue // first growth of the free list and the dirty-page table
 		}
 		if per := (float64(alloc) - float64(base)) / float64(faults); bestFaults == 0 || per < best {
 			best, bestFaults, bestShare = per, faults, share
