@@ -1,8 +1,9 @@
 // KV log example: an in-memory log-structured key-value store (RAMCloud
-// style log-structured memory) holding variable-size session records. Hot
-// sessions are updated constantly; MDC's variable-size declining-cost
-// priority (paper §4.4) keeps the byte-level write amplification of the
-// cleaner low compared to greedy.
+// style log-structured memory) holding variable-size session records — a
+// string-key index over the page store on its memory backend, each session
+// one page record. Hot sessions are updated constantly; MDC's variable-size
+// declining-cost priority (paper §4.4) keeps the byte-level write
+// amplification of the cleaner low compared to greedy.
 //
 //	go run ./examples/kvlog
 package main

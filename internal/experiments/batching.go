@@ -21,8 +21,9 @@ import (
 // an fsync, while a batch pays one group fsync for the whole batch; the
 // table reports throughput, the fsync-round count, and rounds per commit —
 // under concurrency the group commit coalesces independent committers, so
-// rounds/commit drops below 1. The in-memory value log has no fsync to
-// amortize; its rows isolate the lock/admission amortization of batching.
+// rounds/commit drops below 1. The in-memory value log (a key index over a
+// memory-backed page store) has no fsync to amortize; its rows isolate the
+// lock/admission amortization of batching.
 //
 // This is a systems extension beyond the paper's tables, so it is not part
 // of All(); run it with `lsbench -exp batching`.
@@ -158,8 +159,9 @@ func storeBatchingRun(segPages, maxSegs, writers, ops, batch int) []string {
 }
 
 // vlogBatchingRun drives the in-memory value log with writers goroutines;
-// with no fsync to coalesce, the difference between its per-op and batched
-// rows is pure lock/admission amortization.
+// with no fsync to coalesce (its memory store's group commit syncs nothing),
+// the difference between its per-op and batched rows is lock/admission
+// amortization.
 func vlogBatchingRun(maxSegs, writers, ops, batch int) []string {
 	opts := vlog.Options{
 		SegmentBytes:    1 << 14,

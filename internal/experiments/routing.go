@@ -12,13 +12,14 @@ import (
 )
 
 // StreamRouting compares single-stream MDC against routed placement on the
-// LIVE engines under a skewed workload (hot 10% of pages take 90% of the
+// LIVE engine under a skewed workload (hot 10% of pages take 90% of the
 // updates): the paper's §5.3 attributes much of MDC's win to separating
-// records by update frequency, and on the live engines that separation is
+// records by update frequency, and on the live engine that separation is
 // realized as multi-stream routed placement (core.MDCRouted, core.MultiLog)
 // rather than the simulator's sort buffer. The table reports write
 // amplification, emptiness at cleaning and the streams actually used, on
-// both the durable page store and the in-memory value log.
+// the page store with full pages and on the in-memory value log (the same
+// store in memory, holding variable-size values under string keys).
 //
 // This is a systems extension beyond the paper's tables, so it is not part
 // of All(); run it with `lsbench -exp routing`.

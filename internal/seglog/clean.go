@@ -30,7 +30,7 @@ import (
 // target() — re-evaluated per cycle, since the routed reserve can grow as
 // GC output touches new streams. Batch reservation passes a higher target
 // than the low-water mark. Caller holds the write lock.
-func (l *Log[K, R]) cleanUntil(target func() int) error {
+func (l *Log[R]) cleanUntil(target func() int) error {
 	guard := 0
 	dry := 0
 	for len(l.free) < target() {
@@ -59,7 +59,7 @@ func (l *Log[K, R]) cleanUntil(target func() int) error {
 
 // CleanCycle runs one full cycle under the write lock and reports the
 // victim count and the net bytes reclaimed (released minus relocated).
-func (l *Log[K, R]) CleanCycle() (victimCount int, netBytes int64, err error) {
+func (l *Log[R]) CleanCycle() (victimCount int, netBytes int64, err error) {
 	victims, cands, err := l.selectVictims(l.cfg.CleanBatch)
 	if err != nil || len(victims) == 0 {
 		return 0, 0, err
@@ -79,7 +79,7 @@ func (l *Log[K, R]) CleanCycle() (victimCount int, netBytes int64, err error) {
 // (locked); the background one runs the bulk I/O of Load with no lock held —
 // victim records are frozen by SegCleaning — and takes the lock per chunk, so
 // user operations interleave with it. An error returns the partial totals.
-func (l *Log[K, R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked bool) (installed int, moved int64, err error) {
+func (l *Log[R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked bool) (installed int, moved int64, err error) {
 	l.sortForGC(cands) // reads only the immutable configuration
 	for n := 0; len(cands) > 0; cands = cands[n:] {
 		if n, err = l.eng.Load(cands, win); err != nil {
@@ -100,7 +100,7 @@ func (l *Log[K, R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked boo
 // selectVictims asks the policy for up to max victims, marks them
 // SegCleaning (freezing their records), and snapshots their live records.
 // Caller holds the write lock.
-func (l *Log[K, R]) selectVictims(max int) ([]int32, []Cand[R], error) {
+func (l *Log[R]) selectVictims(max int) ([]int32, []Cand[R], error) {
 	view := core.View{Now: l.Unow, Segs: l.Meta, TriggerStream: l.trigger}
 	victims := l.cfg.Algorithm.Policy.Victims(view, max, nil)
 	live := 0 // Meta.Live counts what the index points at: the candidates to come
@@ -130,7 +130,7 @@ func (l *Log[K, R]) selectVictims(max int) ([]int32, []Cand[R], error) {
 
 // sortForGC separates relocations by update frequency (§5.3) when the
 // algorithm asks for it: coldest first by carried up2.
-func (l *Log[K, R]) sortForGC(cands []Cand[R]) {
+func (l *Log[R]) sortForGC(cands []Cand[R]) {
 	if l.cfg.Algorithm.SortGC {
 		slices.SortStableFunc(cands, func(a, b Cand[R]) int { return cmp.Compare(a.Up2, b.Up2) })
 	}
@@ -138,7 +138,7 @@ func (l *Log[K, R]) sortForGC(cands []Cand[R]) {
 
 // install relocates the candidates that are still current, taking the
 // write lock for the chunk unless the caller already holds it.
-func (l *Log[K, R]) install(cands []Cand[R], win []byte, locked bool) (installed int, bytes int64, err error) {
+func (l *Log[R]) install(cands []Cand[R], win []byte, locked bool) (installed int, bytes int64, err error) {
 	if !locked {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -161,7 +161,7 @@ func (l *Log[K, R]) install(cands []Cand[R], win []byte, locked bool) (installed
 
 // release returns victims to the free pool and reports the gross capacity
 // bytes released. Caller holds the write lock.
-func (l *Log[K, R]) release(victims []int32) (releasedBytes int64) {
+func (l *Log[R]) release(victims []int32) (releasedBytes int64) {
 	for _, v := range victims {
 		m := &l.Meta[v]
 		if e, ok := l.pendingE[v]; ok {
@@ -184,7 +184,7 @@ func (l *Log[K, R]) release(victims []int32) (releasedBytes int64) {
 
 // reseal reverts victims to sealed after a failed relocation so a later
 // cycle can retry them.
-func (l *Log[K, R]) reseal(victims []int32) {
+func (l *Log[R]) reseal(victims []int32) {
 	for _, v := range victims {
 		if l.Meta[v].State == core.SegCleaning {
 			l.Meta[v].State = core.SegSealed
@@ -196,8 +196,8 @@ func (l *Log[K, R]) reseal(victims []int32) {
 // target adapts the log to cleaner.Target. The cleaner drives one cycle at
 // a time (SelectVictims → Relocate → Release/Abort), so the candidate
 // snapshot can be carried between calls.
-type target[K comparable, R any] struct {
-	l     *Log[K, R]
+type target[R any] struct {
+	l     *Log[R]
 	cands []Cand[R]
 	win   []byte // this cleaner's I/O window, kept between its cycles
 }
@@ -205,11 +205,11 @@ type target[K comparable, R any] struct {
 // Target returns a fresh cleaner.Target over the log: the background
 // cleaner's view of it, and the tests' way to place crash points between
 // the phases.
-func (l *Log[K, R]) Target() cleaner.Target { return &target[K, R]{l: l} }
+func (l *Log[R]) Target() cleaner.Target { return &target[R]{l: l} }
 
-func (t *target[K, R]) FreeSegments() int { return int(t.l.freeCount.Load()) }
+func (t *target[R]) FreeSegments() int { return int(t.l.freeCount.Load()) }
 
-func (t *target[K, R]) SelectVictims(max int) []int32 {
+func (t *target[R]) SelectVictims(max int) []int32 {
 	l := t.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -226,13 +226,13 @@ func (t *target[K, R]) SelectVictims(max int) []int32 {
 	return victims
 }
 
-func (t *target[K, R]) Relocate(victims []int32) (int, int64, error) {
+func (t *target[R]) Relocate(victims []int32) (int, int64, error) {
 	cands := t.cands
 	t.cands = nil
 	return t.l.relocate(cands, t.l.cfg.RelocChunk, &t.win, false)
 }
 
-func (t *target[K, R]) Release(victims []int32) int64 {
+func (t *target[R]) Release(victims []int32) int64 {
 	t.l.mu.Lock()
 	defer t.l.mu.Unlock()
 	return t.l.release(victims)
@@ -245,7 +245,7 @@ func (t *target[K, R]) Release(victims []int32) int64 {
 // wedge: no free segments, no new garbage from blocked writers, every
 // retry failing the same way). Durability ordering still holds: the
 // relocated copies are synced before any drained victim can be reused.
-func (t *target[K, R]) Abort(victims []int32) {
+func (t *target[R]) Abort(victims []int32) {
 	l := t.l
 	t.cands = nil
 	l.mu.Lock()
@@ -280,7 +280,7 @@ func (t *target[K, R]) Abort(victims []int32) {
 // its atomic count and the segment states agree (so a free segment holds
 // nothing live), and a segment is open exactly when it is its stream's
 // open segment (so at most one per stream). Caller holds the read lock.
-func (l *Log[K, R]) Check(liveCount []int32, liveBytes []int64) error {
+func (l *Log[R]) Check(liveCount []int32, liveBytes []int64) error {
 	pooled := make([]int, len(l.Meta))
 	for _, seg := range l.free {
 		pooled[seg]++

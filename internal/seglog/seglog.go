@@ -1,12 +1,12 @@
-// Package seglog is the segment-log core shared by the two live engines:
-// the durable page store (internal/store, page records in checksummed
-// files) and the in-memory value log (internal/vlog, variable keyed records
-// in slabs). It owns everything about segments that is neither bytes nor
-// index: the metadata table the cleaning policies read, the free pool, the
-// per-stream open segments, the update clock, stream routing, the low-water
-// rule, the cleaning cycle in both execution modes (foreground under the
-// engine lock; background as the one cleaner.Target), batch space planning,
-// and write admission.
+// Package seglog is the segment-log core of the one record engine, the page
+// store (internal/store: page records in checksummed files, or in memory —
+// the value log internal/vlog is a key index over a memory-backed store). It
+// owns everything about segments that is neither bytes nor index: the
+// metadata table the cleaning policies read, the free pool, the per-stream
+// open segments, the update clock, stream routing, the low-water rule, the
+// cleaning cycle in both execution modes (foreground under the engine lock;
+// background as the one cleaner.Target), batch space planning, and write
+// admission.
 //
 // The seam is decisions and accounting in the core, bytes and index in the
 // engine. The engine plugs in through Engine, called at segment, victim and
@@ -34,7 +34,7 @@ import (
 )
 
 // Config is what an engine tells the core about itself: engine constants,
-// then the knobs both engines' Options share (validated once, here).
+// then the knobs of the engine's Options (validated here).
 type Config struct {
 	// Name prefixes error messages, obs series and span legs ("store").
 	Name string
@@ -153,10 +153,10 @@ type openSeg struct {
 	up2Sum float64
 }
 
-// Log is one segment log. K is the engine's record key (the routing clock
-// is per key), R its relocation-candidate addressing. Methods without their
-// own locking note require the engine lock.
-type Log[K comparable, R any] struct {
+// Log is one segment log. Its records are keyed by page id (the routing
+// clock is per page); R is the engine's relocation-candidate addressing.
+// Methods without their own locking note require the engine lock.
+type Log[R any] struct {
 	// Meta is the per-segment table the policies read. Engines adjust Live
 	// and Free only through Appended/Invalidate/Relocated (and recovery).
 	Meta []core.SegmentMeta
@@ -178,15 +178,15 @@ type Log[K comparable, R any] struct {
 	// GC=1); with one, user and GC appends share Router.Streams() streams
 	// chosen by estimated update interval.
 	streams int32
-	clock   Clock[K]
+	clock   Clock
 	seen    core.StreamSet // streams ever appended to (free-pool reserve)
 	trigger int32          // stream of the most recent user append (View.TriggerStream)
 
-	sealSeq           uint64
-	gcWrites, gcBytes uint64
-	cleanedSegs       uint64
-	sumEAtClean       float64
-	pendingE          map[int32]float64 // emptiness-at-selection of in-flight victims
+	sealSeq     uint64
+	gcWrites    uint64
+	cleanedSegs uint64
+	sumEAtClean float64
+	pendingE    map[int32]float64 // emptiness-at-selection of in-flight victims
 
 	cl  *cleaner.Cleaner // background cleaner; nil in foreground mode
 	win []byte           // I/O window of the foreground cycles (engine lock held throughout)
@@ -200,8 +200,8 @@ type Log[K comparable, R any] struct {
 // New builds a log over cfg (already validated) with every segment free,
 // segment 0 first out. mu is the engine's lock; the core takes it only in
 // the background cycle and in Write.
-func New[K comparable, R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[K, R] {
-	l := &Log[K, R]{
+func New[R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[R] {
+	l := &Log[R]{
 		Meta:     make([]core.SegmentMeta, cfg.MaxSegments),
 		cfg:      cfg,
 		mu:       mu,
@@ -217,7 +217,7 @@ func New[K comparable, R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[
 	}
 	if r := cfg.Algorithm.Router; r != nil {
 		l.streams = r.Streams()
-		l.clock = make(Clock[K])
+		l.clock = make(Clock)
 	}
 	l.open = make([]openSeg, l.streams)
 	for i := range l.open {
@@ -241,7 +241,7 @@ func New[K comparable, R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[
 // Stats().Streams) survive a restart — clamped to the ACTIVE algorithm's
 // stream space: reopening with a narrower router must not inflate the
 // reserve with stream ids it can never route to.
-func (l *Log[K, R]) AdoptSealed(seg, stream int32) {
+func (l *Log[R]) AdoptSealed(seg, stream int32) {
 	m := &l.Meta[seg]
 	m.Stream = core.ClampStream(stream, int32(core.MaxRouterStreams))
 	m.State = core.SegSealed
@@ -253,7 +253,7 @@ func (l *Log[K, R]) AdoptSealed(seg, stream int32) {
 // RebuildFree recomputes the free pool once recovery has adopted the sealed
 // segments: every other segment, in id order (the highest id is reused
 // first).
-func (l *Log[K, R]) RebuildFree() {
+func (l *Log[R]) RebuildFree() {
 	l.free = l.free[:0]
 	for seg := range l.Meta {
 		if l.Meta[seg].State == core.SegFree {
@@ -265,7 +265,7 @@ func (l *Log[K, R]) RebuildFree() {
 
 // StartCleaner launches the background cleaner if the configuration asks
 // for one; engines call it once their (recovered) state is in place.
-func (l *Log[K, R]) StartCleaner() error {
+func (l *Log[R]) StartCleaner() error {
 	if !l.cfg.Background {
 		return nil
 	}
@@ -287,23 +287,21 @@ func (l *Log[K, R]) StartCleaner() error {
 }
 
 // StopCleaner stops the background cleaner, if any. Call it unlocked.
-func (l *Log[K, R]) StopCleaner() {
+func (l *Log[R]) StopCleaner() {
 	if l.cl != nil {
 		l.cl.Stop()
 	}
 }
 
-// Streams returns the number of append streams; Fill the record bytes
-// appended to seg since it was opened.
-func (l *Log[K, R]) Streams() int32       { return l.streams }
-func (l *Log[K, R]) Fill(seg int32) int64 { return l.fill[seg] }
+// Streams returns the number of append streams.
+func (l *Log[R]) Streams() int32 { return l.streams }
 
 // LowWater is the effective cleaning threshold. Routed placement can hold
 // one partially-filled open segment per stream the workload actually uses,
 // so the reserve grows with the observed stream count (monotone, so the
 // threshold never flaps); the classic two-stream layout keeps the
 // configured mark.
-func (l *Log[K, R]) LowWater() int {
+func (l *Log[R]) LowWater() int {
 	lw := l.cfg.FreeLowWater
 	if l.cfg.Algorithm.Router != nil {
 		lw += l.seen.Count()
@@ -317,7 +315,7 @@ func (l *Log[K, R]) LowWater() int {
 // transient ErrFulls are retried through admission (which blocks below the
 // emergency floor until the cleaner catches up). A non-nil parent gets
 // "<name>.admit" and "<name>.apply" child spans.
-func (l *Log[K, R]) Write(n int, parent *obs.Span, op func() error) error {
+func (l *Log[R]) Write(n int, parent *obs.Span, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if l.cl != nil {
 			leg := parent.Child(l.legAdmit)
@@ -353,7 +351,7 @@ func (l *Log[K, R]) Write(n int, parent *obs.Span, op func() error) error {
 // key's advanced clock tick (folded with this write's interval observation,
 // to be installed by Advance once the append is admitted). Without a router
 // every user write goes to stream 0.
-func (l *Log[K, R]) Route(key K) (int32, Tick) {
+func (l *Log[R]) Route(key uint32) (int32, Tick) {
 	if l.clock == nil {
 		return 0, Tick{}
 	}
@@ -363,7 +361,7 @@ func (l *Log[K, R]) Route(key K) (int32, Tick) {
 // Advance notes a user append to stream (the engine has ticked Unow for it)
 // and installs the key's routing tick — or drops it when the append is a
 // tombstone, so a later rewrite routes as history-free.
-func (l *Log[K, R]) Advance(stream int32, key K, t Tick, drop bool) {
+func (l *Log[R]) Advance(stream int32, key uint32, t Tick, drop bool) {
 	l.trigger = stream
 	if drop {
 		delete(l.clock, key)
@@ -372,13 +370,10 @@ func (l *Log[K, R]) Advance(stream int32, key K, t Tick, drop bool) {
 	}
 }
 
-// Forget drops key's routing history (a delete that appends nothing).
-func (l *Log[K, R]) Forget(key K) { delete(l.clock, key) }
-
 // SeedClock gives key an interval estimate without a last-write tick, so
 // its next write routes by the estimate but does not fold a bogus interval
 // into it. Recovery seeds from the learned segment up2.
-func (l *Log[K, R]) SeedClock(key K, interval uint64) {
+func (l *Log[R]) SeedClock(key uint32, interval uint64) {
 	if l.clock != nil {
 		l.clock[key] = Tick{est: core.SmoothInterval(0, interval)}
 	}
@@ -388,7 +383,7 @@ func (l *Log[K, R]) SeedClock(key K, interval uint64) {
 // and reopening as needed. User appends run foreground cleaning below the
 // low-water mark (background mode kicks the cleaner from the write path
 // instead) and leave the last free segment for relocation.
-func (l *Log[K, R]) Room(stream int32, size int64) error {
+func (l *Log[R]) Room(stream int32, size int64) error {
 	if ok, err := l.fits(stream, size); ok || err != nil {
 		return err
 	}
@@ -407,7 +402,7 @@ func (l *Log[K, R]) Room(stream int32, size int64) error {
 // RoomReserved is Room for a batch's apply loop: cleaning and headroom
 // decisions already happened in Reserve, so it only seals a full open
 // segment and takes a fresh one when needed.
-func (l *Log[K, R]) RoomReserved(stream int32, size int64) error {
+func (l *Log[R]) RoomReserved(stream int32, size int64) error {
 	return l.room(stream, size, l.userNeed())
 }
 
@@ -417,7 +412,7 @@ func (l *Log[K, R]) RoomReserved(stream int32, size int64) error {
 // relocation is routed by the interval implied by its carried up2 (§4.3's
 // unow-up2 estimator), so hot and cold GC output land in different segments
 // (§5.3) instead of one monolithic GC stream.
-func (l *Log[K, R]) GCRoom(up2 float64, size int64) (int32, error) {
+func (l *Log[R]) GCRoom(up2 float64, size int64) (int32, error) {
 	stream := int32(1)
 	if r := l.cfg.Algorithm.Router; r != nil {
 		stream = core.ClampStream(r.Route(uint64(core.EstimatedInterval(up2, l.Unow)), -1), l.streams)
@@ -428,7 +423,7 @@ func (l *Log[K, R]) GCRoom(up2 float64, size int64) (int32, error) {
 // userNeed is the free-pool floor a user append's segment open respects: in
 // background mode the last free segment is left for the cleaner's GC
 // output, so relocation can always make progress.
-func (l *Log[K, R]) userNeed() int {
+func (l *Log[R]) userNeed() int {
 	if l.cl != nil {
 		return 2
 	}
@@ -437,7 +432,7 @@ func (l *Log[K, R]) userNeed() int {
 
 // fits reports whether stream has an open segment with size free bytes,
 // sealing one that is too full.
-func (l *Log[K, R]) fits(stream int32, size int64) (bool, error) {
+func (l *Log[R]) fits(stream int32, size int64) (bool, error) {
 	seg := l.open[stream].seg
 	if seg >= 0 && l.fill[seg]+size > l.cfg.SegmentBytes {
 		if err := l.Seal(stream); err != nil {
@@ -450,7 +445,7 @@ func (l *Log[K, R]) fits(stream int32, size int64) (bool, error) {
 // room makes stream's open segment fit size more bytes, taking a free
 // segment when it has none (left). need is the minimum free-pool size the
 // caller may consume from.
-func (l *Log[K, R]) room(stream int32, size int64, need int) error {
+func (l *Log[R]) room(stream int32, size int64, need int) error {
 	if ok, err := l.fits(stream, size); ok || err != nil {
 		return err
 	}
@@ -478,7 +473,7 @@ func (l *Log[K, R]) room(stream int32, size int64, need int) error {
 
 // Tail returns stream's open segment (which must exist, see Room) and the
 // offset its next record goes to.
-func (l *Log[K, R]) Tail(stream int32) (seg int32, off int64) {
+func (l *Log[R]) Tail(stream int32) (seg int32, off int64) {
 	seg = l.open[stream].seg
 	return seg, l.fill[seg]
 }
@@ -486,7 +481,7 @@ func (l *Log[K, R]) Tail(stream int32) (seg int32, off int64) {
 // Appended accounts one record of size bytes the engine just wrote at
 // stream's tail, carrying the record's up2 estimate into the segment's
 // seal-time average.
-func (l *Log[K, R]) Appended(stream int32, size int64, carried float64) {
+func (l *Log[R]) Appended(stream int32, size int64, carried float64) {
 	l.seen.Note(stream)
 	o := &l.open[stream]
 	o.count++
@@ -500,7 +495,7 @@ func (l *Log[K, R]) Appended(stream int32, size int64, carried float64) {
 // Invalidate releases a current record of size bytes in seg (superseded or
 // deleted by a user update), advancing the segment's up2 estimate per
 // §5.2.2 and returning the carried value for the new version.
-func (l *Log[K, R]) Invalidate(seg int32, size int64) float64 {
+func (l *Log[R]) Invalidate(seg int32, size int64) float64 {
 	m := &l.Meta[seg]
 	carried := core.NextUp2(m.Up2, l.Unow)
 	m.Up2 = carried
@@ -513,13 +508,12 @@ func (l *Log[K, R]) Invalidate(seg int32, size int64) float64 {
 // elsewhere and counts the GC write; Pruned credits it for a record that
 // needed no copy. Victim accounting stays truthful mid-cycle, which is what
 // lets Abort release a fully drained victim.
-func (l *Log[K, R]) Relocated(victim int32, size int64) {
+func (l *Log[R]) Relocated(victim int32, size int64) {
 	l.Pruned(victim, size)
 	l.gcWrites++
-	l.gcBytes += uint64(size)
 }
 
-func (l *Log[K, R]) Pruned(victim int32, size int64) {
+func (l *Log[R]) Pruned(victim int32, size int64) {
 	m := &l.Meta[victim]
 	m.Live--
 	m.Free += size
@@ -528,7 +522,7 @@ func (l *Log[K, R]) Pruned(victim int32, size int64) {
 // Seal closes stream's open segment, if any: the segment's up2 starts as
 // the average carried up2 of its members (§5.2.2), then the engine's
 // seal-time durability runs.
-func (l *Log[K, R]) Seal(stream int32) error {
+func (l *Log[R]) Seal(stream int32) error {
 	o := &l.open[stream]
 	if o.seg < 0 {
 		return nil
@@ -551,7 +545,6 @@ type Stats struct {
 	FreeSegments    int
 	SealedSegments  int // sealed or mid-clean: still holding sealed data
 	GCWrites        uint64
-	GCBytes         uint64
 	SegmentsCleaned uint64
 	MeanEAtClean    float64
 	Streams         []core.StreamStats
@@ -560,11 +553,10 @@ type Stats struct {
 // Stats snapshots the counters and the per-stream occupancy: which streams
 // the routed placement actually filled, and how full each stream's open
 // segment is. Caller holds at least the read lock.
-func (l *Log[K, R]) Stats() Stats {
+func (l *Log[R]) Stats() Stats {
 	st := Stats{
 		FreeSegments:    len(l.free),
 		GCWrites:        l.gcWrites,
-		GCBytes:         l.gcBytes,
 		SegmentsCleaned: l.cleanedSegs,
 		Streams:         make([]core.StreamStats, l.streams),
 	}
@@ -595,7 +587,7 @@ func (l *Log[K, R]) Stats() Stats {
 
 // CleanerStats reports whether cleaning runs in the background and, if so,
 // the cleaner's lifecycle snapshot. It takes no engine lock.
-func (l *Log[K, R]) CleanerStats() (bool, cleaner.Stats) {
+func (l *Log[R]) CleanerStats() (bool, cleaner.Stats) {
 	if l.cl == nil {
 		return false, cleaner.Stats{}
 	}

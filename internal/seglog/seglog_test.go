@@ -15,12 +15,14 @@ import (
 
 // fakeEngine is a minimal in-memory Engine: keyed records with explicit
 // sizes and no bytes at all, so the core's decisions (cycle, routing,
-// reservation) are tested without either real engine's record layer.
+// reservation) are tested without the page store's record layer. Tests name
+// their keys; id interns a name as the page id the core knows it by.
 type fakeEngine struct {
 	mu    sync.RWMutex
-	l     *Log[string, fakeRec]
+	l     *Log[fakeRec]
 	recs  [][]fakeRec // per segment, in append order
-	index map[string]fakeLoc
+	index map[uint32]fakeLoc
+	names map[string]uint32
 
 	installsLeft int   // Install fails once this many installs succeeded (<0: never)
 	syncErr      error // returned by SyncRelocated
@@ -28,10 +30,14 @@ type fakeEngine struct {
 }
 
 type fakeRec struct {
-	key  string
+	key  uint32
 	size int64
 	at   int // position in its segment
 }
+
+// tombstone is the size of a deletion's record. The fake drops a tombstone
+// as soon as it is written — the page store does once a checkpoint covers it.
+const tombstone = 4
 
 type fakeLoc struct {
 	seg int32
@@ -87,12 +93,21 @@ func (bandRouter) Route(est uint64, _ float64) int32 {
 
 func newFake(t *testing.T, alg core.Algorithm, maxSegs int) *fakeEngine {
 	t.Helper()
-	e := &fakeEngine{recs: make([][]fakeRec, maxSegs), index: map[string]fakeLoc{}, installsLeft: -1}
-	e.l = New[string, fakeRec](Config{
+	e := &fakeEngine{recs: make([][]fakeRec, maxSegs), index: map[uint32]fakeLoc{}, names: map[string]uint32{}, installsLeft: -1}
+	e.l = New[fakeRec](Config{
 		Name: "fake", ErrFull: errFakeFull, ErrClosed: errFakeClosed, MaxSegments: maxSegs, SegmentBytes: 100,
 		RelocChunk: 2, Algorithm: alg, FreeLowWater: 2, CleanBatch: 1, Obs: obs.New(),
 	}, &e.mu, e)
 	return e
+}
+
+func (e *fakeEngine) id(name string) uint32 {
+	id, ok := e.names[name]
+	if !ok {
+		id = uint32(len(e.names)) + 1
+		e.names[name] = id
+	}
+	return id
 }
 
 func (e *fakeEngine) OpenSegment(seg, stream int32) error { e.recs[seg] = e.recs[seg][:0]; return nil }
@@ -112,7 +127,7 @@ func (e *fakeEngine) LiveRecords(seg int32, dst []Cand[fakeRec]) []Cand[fakeRec]
 	return dst
 }
 
-func (e *fakeEngine) current(key string, seg int32, at int) bool {
+func (e *fakeEngine) current(key uint32, seg int32, at int) bool {
 	loc, ok := e.index[key]
 	return ok && loc == fakeLoc{seg, at}
 }
@@ -134,14 +149,14 @@ func (e *fakeEngine) Install(c *Cand[fakeRec], _ []byte) (int64, error) {
 	return c.Rec.size, nil
 }
 
-func (e *fakeEngine) append(stream int32, key string, size int64, carried float64) {
+func (e *fakeEngine) append(stream int32, key uint32, size int64, carried float64) {
 	seg, _ := e.l.Tail(stream)
 	e.index[key] = fakeLoc{seg, len(e.recs[seg])}
 	e.recs[seg] = append(e.recs[seg], fakeRec{key: key, size: size, at: len(e.recs[seg])})
 	e.l.Appended(stream, size, carried)
 }
 
-func (e *fakeEngine) invalidate(key string) float64 {
+func (e *fakeEngine) invalidate(key uint32) float64 {
 	loc, ok := e.index[key]
 	if !ok {
 		return 0
@@ -150,22 +165,31 @@ func (e *fakeEngine) invalidate(key string) float64 {
 	return e.l.Invalidate(loc.seg, e.recs[loc.seg][loc.at].size)
 }
 
-// put is the single-op user write, exactly as the real engines drive it.
-func (e *fakeEngine) put(t *testing.T, key string, size int64) {
+// write is one user append into stream, where room is secured, exactly as
+// the page store drives it: a put of size bytes, or a deletion's tombstone
+// (dropped at once, see tombstone).
+func (e *fakeEngine) write(stream int32, tick Tick, key uint32, size int64, del bool) {
+	e.l.Unow++
+	e.l.Advance(stream, key, tick, del)
+	e.append(stream, key, size, e.invalidate(key))
+	if del {
+		seg, _ := e.l.Tail(stream)
+		delete(e.index, key)
+		e.l.Pruned(seg, size)
+	}
+}
+
+// put and del are the single-op user writes.
+func (e *fakeEngine) put(t *testing.T, name string, size int64) { e.single(t, e.id(name), size, false) }
+func (e *fakeEngine) del(t *testing.T, name string)             { e.single(t, e.id(name), tombstone, true) }
+
+func (e *fakeEngine) single(t *testing.T, key uint32, size int64, del bool) {
 	t.Helper()
 	stream, tick := e.l.Route(key)
 	if err := e.l.Room(stream, size); err != nil {
-		t.Fatalf("put %s: %v", key, err)
+		t.Fatalf("write %d: %v", key, err)
 	}
-	e.l.Unow++
-	e.l.Advance(stream, key, tick, false)
-	e.append(stream, key, size, e.invalidate(key))
-}
-
-func (e *fakeEngine) del(key string) {
-	e.l.Unow++
-	e.invalidate(key)
-	e.l.Forget(key)
+	e.write(stream, tick, key, size, del)
 }
 
 // check runs the core's accounting check against the fake index.
@@ -199,7 +223,7 @@ func (e *fakeEngine) fillSegments(t *testing.T, kinds []string) []int32 {
 	}
 	for i, kind := range kinds {
 		for j := 0; kind == "half" && j < 5; j++ {
-			e.del(fmt.Sprintf("%s%d-%d", kind, i, j))
+			e.del(t, fmt.Sprintf("%s%d-%d", kind, i, j))
 		}
 	}
 	return ids
@@ -321,26 +345,20 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 	}
 }
 
-// applyBatch is the engines' batch apply loop, checking on the way that the
-// plan replays exactly: before each op, single-op routing agrees with the
+// applyBatch is the page store's batch apply loop, checking on the way that
+// the plan replays exactly: before each op, single-op routing agrees with the
 // placement the plan chose.
-func (e *fakeEngine) applyBatch(t *testing.T, b *Batch[string]) {
+func (e *fakeEngine) applyBatch(t *testing.T, b *Batch) {
 	t.Helper()
 	for i := range b.Ops {
 		op, pl := &b.Ops[i], b.Plan[i]
-		if op.Del {
-			e.del(op.Key)
-			continue
-		}
 		if stream, tick := e.l.Route(op.Key); stream != pl.Stream || tick != pl.Tick {
-			t.Errorf("op %d (%s): planned stream %d tick %+v, single-op routing says %d %+v", i, op.Key, pl.Stream, pl.Tick, stream, tick)
+			t.Errorf("op %d (key %d): planned stream %d tick %+v, single-op routing says %d %+v", i, op.Key, pl.Stream, pl.Tick, stream, tick)
 		}
-		e.l.Unow++
 		if err := e.l.RoomReserved(pl.Stream, op.Size); err != nil {
 			t.Fatalf("op %d: reservation violated: %v", i, err)
 		}
-		e.l.Advance(pl.Stream, op.Key, pl.Tick, false)
-		e.append(pl.Stream, op.Key, op.Size, e.invalidate(op.Key))
+		e.write(pl.Stream, pl.Tick, op.Key, op.Size, op.Del)
 	}
 }
 
@@ -367,20 +385,22 @@ func TestBatchReservationIsExact(t *testing.T) {
 	}
 	replans := 0
 	for round := 0; round < 30; round++ {
-		var b Batch[string]
+		var b Batch
 		for j := 0; j < 2+round%4; j++ {
-			b.Put("hot-a", nil)
-			b.Put(fmt.Sprintf("cool-%d", (round+j)%16), nil)
-			b.Put(fmt.Sprintf("new-%d-%d", round, j), nil)
-			b.Delete(fmt.Sprintf("new-%d-%d", round-1, j)) // bounds the live data
-			b.Delete("hot-b")
-			b.Put("hot-b", nil) // history-free after the delete: stream 2
+			b.Put(e.id("hot-a"), nil)
+			b.Put(e.id(fmt.Sprintf("cool-%d", (round+j)%16)), nil)
+			b.Put(e.id(fmt.Sprintf("new-%d-%d", round, j)), nil)
+			b.Delete(e.id(fmt.Sprintf("new-%d-%d", round-1, j))) // bounds the live data
+			b.Delete(e.id("hot-b"))
+			b.Put(e.id("hot-b"), nil) // history-free after the delete: stream 2
 			if j%2 == 0 {
-				b.Delete(fmt.Sprintf("cold-%d", (round*3+j)%40))
+				b.Delete(e.id(fmt.Sprintf("cold-%d", (round*3+j)%40)))
 			}
 		}
 		for i := range b.Ops {
-			if op := &b.Ops[i]; !op.Del {
+			op := &b.Ops[i]
+			op.Size = tombstone
+			if !op.Del {
 				op.Size = int64(20 + (round*7+i*13)%30)
 			}
 		}
@@ -396,7 +416,7 @@ func TestBatchReservationIsExact(t *testing.T) {
 			t.Fatalf("round %d: Reserve left %d free for %d new segments at low water %d", round, free, newSegs, e.l.LowWater())
 		}
 		for i := range b.Ops {
-			if op := &b.Ops[i]; op.Key == "hot-b" && !op.Del && b.Plan[i].Stream != 2 {
+			if op := &b.Ops[i]; op.Key == e.id("hot-b") && !op.Del && b.Plan[i].Stream != 2 {
 				t.Errorf("round %d: re-put after delete routed to stream %d, want the no-history stream 2", round, b.Plan[i].Stream)
 			}
 		}
@@ -417,7 +437,7 @@ func TestBatchReservationIsExact(t *testing.T) {
 // to it is still served from the arena; both survive Reset as the batch's
 // retained capacity and its Fill.
 func TestBatchReservedWritesFillAtApply(t *testing.T) {
-	var b Batch[string]
+	var b Batch
 	var filled []int
 	b.Fill = func(i int, dst []byte) {
 		filled = append(filled, i)
@@ -426,10 +446,10 @@ func TestBatchReservedWritesFillAtApply(t *testing.T) {
 		}
 	}
 	for round := 0; round < 2; round++ {
-		b.Put("copied", []byte("xyz"))
-		b.PutReserved("r1", 4)
-		b.Delete("gone")
-		b.PutReserved("r3", 0)
+		b.Put(1, []byte("xyz"))
+		b.PutReserved(2, 4)
+		b.Delete(3)
+		b.PutReserved(4, 0)
 		if len(b.buf) != 3 {
 			t.Fatalf("arena holds %d bytes, want only the Put's 3", len(b.buf))
 		}
@@ -486,11 +506,11 @@ func TestBackgroundReservationRule(t *testing.T) {
 		{free: 1, records: 1, wantSegs: 1}, {free: 2, records: 1, wantSegs: 1},
 		{free: 3, records: 3, wantSegs: 3}, {free: 4, records: 3, wantSegs: 3}, {free: 4, records: 4, wantSegs: 4},
 	} {
-		var b Batch[string]
-		b.Put("tiny", nil) // fits the open segment's last 5 bytes
+		var b Batch
+		b.Put(e.id("tiny"), nil) // fits the open segment's last 5 bytes
 		b.Ops[0].Size = 5
 		for i := 0; i < tc.records; i++ {
-			b.Put(fmt.Sprintf("big-%d", i), nil)
+			b.Put(e.id(fmt.Sprintf("big-%d", i)), nil)
 			b.Ops[i+1].Size = 60 // one fresh segment each
 		}
 		e.l.free = pool[:tc.free]

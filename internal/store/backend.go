@@ -52,8 +52,9 @@ func (m *memBackend) read(seg int, off int64, b []byte) error {
 
 func (m *memBackend) size(seg int) (int64, error) { return int64(len(m.segs[seg])), nil }
 
+// reset keeps the segment's slab: the next fill reuses it.
 func (m *memBackend) reset(seg int) error {
-	m.segs[seg] = nil
+	m.segs[seg] = m.segs[seg][:0]
 	return nil
 }
 

@@ -21,7 +21,7 @@ import (
 // per page): the batch carries the page's id and length only, and Apply has
 // the fill function write it straight into the store's run buffer, where the
 // record's header and checksum are then computed over the bytes in place.
-type Batch struct{ b seglog.Batch[uint32] }
+type Batch struct{ b seglog.Batch }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
@@ -116,14 +116,14 @@ func (s *Store) applyLocked(b *Batch) error {
 				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.Key, ErrNotFound)
 			}
 		} else if op.DataLen() > s.opts.PageSize {
-			return fmt.Errorf("store: batch op %d: page data %d bytes, page size is %d", i, op.DataLen(), s.opts.PageSize)
+			return fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.DataLen(), s.opts.PageSize)
 		} else if op.Reserved() && b.b.Fill == nil {
 			return fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.Key)
 		}
 		if vexists != nil {
 			vexists[op.Key] = !op.Del
 		}
-		op.Size = int64(recHeaderSize + op.DataLen()) // a tombstone is a bare header
+		op.Size = int64(RecordHeaderSize + op.DataLen()) // a tombstone is a bare header
 	}
 	if err := s.log.Reserve(&b.b); err != nil {
 		return err

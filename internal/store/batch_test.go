@@ -377,7 +377,7 @@ func tornBatchSetup(t *testing.T) (opts Options, recs []tornRec) {
 			if err != nil {
 				break
 			}
-			recSize = recHeaderSize + len(payload)
+			recSize = RecordHeaderSize + len(payload)
 			if h.flags&flagBatch == 0 {
 				continue
 			}
@@ -635,7 +635,7 @@ func TestStreamOccupancyStats(t *testing.T) {
 		if ss.OpenSegments == 0 && ss.OpenFill != 0 {
 			t.Errorf("stream %d reports fill %v with no open segment", i, ss.OpenFill)
 		}
-		if int64(ss.Live)*(recHeaderSize+64) != ss.LiveBytes { // every page is written full
+		if int64(ss.Live)*(RecordHeaderSize+64) != ss.LiveBytes { // every page is written full
 			t.Errorf("stream %d LiveBytes %d inconsistent with Live %d", i, ss.LiveBytes, ss.Live)
 		}
 	}

@@ -66,7 +66,7 @@ func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand
 // bulk of cleaning I/O — runs with no lock held, beside reads and user appends.
 func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
 	if *win == nil {
-		*win = make([]byte, max(ioUnit, recHeaderSize+s.opts.PageSize))
+		*win = make([]byte, max(ioUnit, RecordHeaderSize+s.opts.PageSize))
 	}
 	seg, base, n := cands[0].Seg, cands[0].Rec.off, 1
 	end := func(r *recCand) int { return int(r.off-base) + int(r.size) }
@@ -87,7 +87,7 @@ func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("store: cleaning segment %d @%d: %w", seg, r.off, err)
 		}
-		if h.page != r.page || h.seq != r.seq || len(data) != len(rec)-recHeaderSize {
+		if h.page != r.page || h.seq != r.seq || len(data) != len(rec)-RecordHeaderSize {
 			return 0, fmt.Errorf("store: cleaning segment %d @%d: record identity mismatch", seg, r.off)
 		}
 	}
@@ -125,7 +125,7 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	copy(rec[recHeaderSize:], win[r.woff:][recHeaderSize:size])
+	copy(rec[RecordHeaderSize:], win[r.woff:][RecordHeaderSize:size])
 	if err := s.appendRecord(stream, r.page, flags, 0, rec, c.Up2, c); err != nil {
 		return 0, err
 	}
@@ -354,7 +354,11 @@ type Stats struct {
 	// MeanEAtClean (and every cleaning decision) are in bytes.
 	CapacityPages int
 	FillFactor    float64
-	UpdateClock   uint64
+	// CapacityBytes is the record capacity of all segments; LiveBytes the
+	// current records' bytes; UserBytes and GCBytes what users and relocation
+	// appended (store.user.bytes, store.gc.bytes). All count record headers.
+	CapacityBytes, LiveBytes, UserBytes, GCBytes uint64
+	UpdateClock                                  uint64
 	// Streams is the per-stream occupancy of routed placement: one entry
 	// per configured append stream (2 for the classic user+GC layout) with
 	// its live records/bytes, segment counts, and open-segment fill. Use
@@ -397,10 +401,16 @@ func (s *Store) Stats() Stats {
 		SegmentsCleaned: ls.SegmentsCleaned,
 		MeanEAtClean:    ls.MeanEAtClean,
 		CapacityPages:   s.opts.MaxSegments * s.opts.SegmentPages,
+		CapacityBytes:   uint64(s.opts.MaxSegments) * uint64(s.opts.segmentBytes()),
+		UserBytes:       s.cUserBytes.Value(),
+		GCBytes:         s.cGCBytes.Value(),
 		UpdateClock:     s.log.Unow,
 		Streams:         ls.Streams,
 		Durability:      s.opts.Durability.String(),
 		BatchesApplied:  s.batches,
+	}
+	for _, ss := range ls.Streams {
+		st.LiveBytes += uint64(ss.LiveBytes)
 	}
 	if s.userWrites > 0 {
 		st.WriteAmp = float64(ls.GCWrites) / float64(s.userWrites)

@@ -83,7 +83,7 @@ func TestApplyIsOneWritePerRun(t *testing.T) {
 	if err := big.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(40*(recHeaderSize+4096)+ioUnit-1) / ioUnit; cb.writes != want {
+	if want := int64(40*(RecordHeaderSize+4096)+ioUnit-1) / ioUnit; cb.writes != want {
 		t.Errorf("Apply of 40 full pages: %d backend writes, want %d runs of at most %d bytes", cb.writes, want, ioUnit)
 	}
 }

@@ -42,16 +42,16 @@ import (
 // Any other "LSSEG…" format is refused loudly rather than silently
 // recovered as empty.
 const (
-	segMagic      = "LSSEG003"
-	segMagicStem  = "LSSEG" // every version of the format starts with it
-	segHeaderSize = 32
-	recHeaderSize = 24
-	flagTombstone = 1
-	flagBatch     = 2
-	flagBatchLast = 4
-	flagMask      = flagTombstone | flagBatch | flagBatchLast
-	lenShift      = 8 // the payload length sits above the flag byte
-	maxPageSize   = 1<<(32-lenShift) - 1
+	segMagic         = "LSSEG003"
+	segMagicStem     = "LSSEG" // every version of the format starts with it
+	segHeaderSize    = 32
+	RecordHeaderSize = 24 // the framing in front of every record's page bytes
+	flagTombstone    = 1
+	flagBatch        = 2
+	flagBatchLast    = 4
+	flagMask         = flagTombstone | flagBatch | flagBatchLast
+	lenShift         = 8 // the payload length sits above the flag byte
+	maxPageSize      = 1<<(32-lenShift) - 1
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -70,7 +70,7 @@ type recordHeader struct {
 // checksum over both.
 func encodeRecord(dst []byte, h recordHeader) {
 	binary.LittleEndian.PutUint32(dst[0:4], h.page)
-	binary.LittleEndian.PutUint32(dst[4:8], h.flags|uint32(len(dst)-recHeaderSize)<<lenShift)
+	binary.LittleEndian.PutUint32(dst[4:8], h.flags|uint32(len(dst)-RecordHeaderSize)<<lenShift)
 	binary.LittleEndian.PutUint64(dst[8:16], h.seq)
 	binary.LittleEndian.PutUint32(dst[20:24], h.pos)
 	binary.LittleEndian.PutUint32(dst[16:20], recordCRC(dst))
@@ -83,7 +83,7 @@ func encodeRecord(dst []byte, h recordHeader) {
 func recordCRC(b []byte) uint32 {
 	crc := crc32.Checksum(b[0:16], castagnoli)
 	crc = crc32.Update(crc, castagnoli, b[20:24])
-	return crc32.Update(crc, castagnoli, b[recHeaderSize:])
+	return crc32.Update(crc, castagnoli, b[RecordHeaderSize:])
 }
 
 // decodeRecord parses and verifies the record at the head of b, which may
@@ -92,7 +92,7 @@ func recordCRC(b []byte) uint32 {
 // pageSize and b before anything trusts it; a tombstone has no payload.
 func decodeRecord(b []byte, pageSize int) (recordHeader, []byte, error) {
 	var h recordHeader
-	if len(b) < recHeaderSize {
+	if len(b) < RecordHeaderSize {
 		return h, nil, fmt.Errorf("store: record header truncated at %d bytes", len(b))
 	}
 	h.page = binary.LittleEndian.Uint32(b[0:4])
@@ -101,15 +101,15 @@ func decodeRecord(b []byte, pageSize int) (recordHeader, []byte, error) {
 	h.seq = binary.LittleEndian.Uint64(b[8:16])
 	h.pos = binary.LittleEndian.Uint32(b[20:24])
 	n := int(word >> lenShift)
-	if h.flags&^flagMask != 0 || n > pageSize || n > len(b)-recHeaderSize || n != 0 && h.flags&flagTombstone != 0 {
+	if h.flags&^flagMask != 0 || n > pageSize || n > len(b)-RecordHeaderSize || n != 0 && h.flags&flagTombstone != 0 {
 		return h, nil, fmt.Errorf("store: malformed record header (flags word %08x, %d bytes available)", word, len(b))
 	}
-	b = b[:recHeaderSize+n]
+	b = b[:RecordHeaderSize+n]
 	stored := binary.LittleEndian.Uint32(b[16:20])
 	if crc := recordCRC(b); stored != crc {
 		return h, nil, fmt.Errorf("store: record crc mismatch (stored %08x, computed %08x)", stored, crc)
 	}
-	return h, b[recHeaderSize:], nil
+	return h, b[RecordHeaderSize:], nil
 }
 
 func encodeSegHeader(dst []byte, incarnation uint64, stream int32, watermark uint64) {

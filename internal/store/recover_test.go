@@ -106,7 +106,7 @@ func TestTruncatedSegmentKeepsIntactPrefix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("intact log does not decode at %d: %v", off, err)
 				}
-				off += recHeaderSize + len(payload)
+				off += RecordHeaderSize + len(payload)
 				recEnds = append(recEnds, off)
 			}
 			if n := len(recEnds); n < 2 || recEnds[n-1] != len(file) {

@@ -6,9 +6,10 @@
 // overwritten versions is delegated to the cleaning policies of
 // internal/core (MDC by default), exactly the machinery evaluated by the
 // simulator. The segment bookkeeping, stream routing and the cleaning cycle
-// itself are internal/seglog, the core shared with internal/vlog; this
-// package is the page record layer on it — files, CRC record framing, the
-// page table, recovery, checkpoints, group commit and the durability points.
+// itself are internal/seglog; this package is the one record engine on it —
+// files (or memory), CRC record framing, the page table, recovery,
+// checkpoints, group commit and the durability points. The in-memory value
+// log (internal/vlog) is a string-key index over a memory-backed Store.
 //
 // Placement is stream-aware: by default user data and GC relocations fill
 // two separate append streams, and a routed algorithm (multi-log, the
@@ -76,6 +77,9 @@ var ErrNotFound = errors.New("store: page not found")
 // ErrFull is returned when a write cannot proceed because cleaning cannot
 // reclaim enough space (the store is at capacity).
 var ErrFull = errors.New("store: capacity exhausted")
+
+// ErrTooLarge is returned for a page longer than the store's PageSize.
+var ErrTooLarge = errors.New("store: page larger than the page size")
 
 // errClosed is returned by operations on a closed store.
 var errClosed = errors.New("store: closed")
@@ -178,7 +182,7 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 
 // segmentBytes is the record capacity of a segment.
 func (o Options) segmentBytes() int64 {
-	return int64(o.SegmentPages) * int64(recHeaderSize+o.PageSize)
+	return int64(o.SegmentPages) * int64(RecordHeaderSize+o.PageSize)
 }
 
 // pageLoc is where a page's current record lives: the byte offset of the
@@ -205,7 +209,7 @@ type Store struct {
 	// log is the segment-log core: segment metadata, free pool, streams and
 	// routing clock, the cleaning cycle, batch planning and admission. The
 	// store is its Engine (see clean.go) and keeps the bytes and the index.
-	log  *seglog.Log[uint32, recCand]
+	log  *seglog.Log[recCand]
 	recs [][]recInfo // per segment: the records written to it, in log order
 
 	table      map[uint32]pageLoc
@@ -292,7 +296,7 @@ func Open(opts Options) (*Store, error) {
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
 	}
-	s.log = seglog.New[uint32, recCand](cfg, &s.mu, s)
+	s.log = seglog.New[recCand](cfg, &s.mu, s)
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
@@ -311,9 +315,9 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir != "" {
 		s.unsynced = make(map[int32]unsyncedSeg)
 	}
-	s.run = make([]byte, 0, max(ioUnit, recHeaderSize+opts.PageSize))
+	s.run = make([]byte, 0, max(ioUnit, RecordHeaderSize+opts.PageSize))
 	s.readBufs.New = func() any {
-		b := make([]byte, recHeaderSize+opts.PageSize)
+		b := make([]byte, RecordHeaderSize+opts.PageSize)
 		return &b
 	}
 	if opts.Dir == "" {
@@ -420,7 +424,7 @@ func (s *Store) recover() error {
 				break // end of the log, or a torn tail: the segment ends here
 			}
 			loc := pageLoc{seg: int32(seg), off: uint32(off), seq: h.seq}
-			off += recHeaderSize + len(payload)
+			off += RecordHeaderSize + len(payload)
 			s.recs[seg] = append(s.recs[seg], recInfo{page: h.page, end: uint32(off), seq: h.seq})
 			if h.seq > maxSeq {
 				// maxSeq covers every physical record, discarded batch
@@ -665,7 +669,7 @@ func (s *Store) Has(id uint32) bool {
 // version. The record holds exactly len(data) bytes.
 func (s *Store) WritePage(id uint32, data []byte) error {
 	if len(data) > s.opts.PageSize {
-		return fmt.Errorf("store: page data %d bytes, page size is %d", len(data), s.opts.PageSize)
+		return fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, len(data), s.opts.PageSize)
 	}
 	return s.userWrite(id, 0, data)
 }
@@ -722,7 +726,10 @@ func (s *Store) write(n int, parent *obs.Span, op func() error) error {
 
 // userAppendLocked validates, reserves log space, and appends one user
 // record. Space is secured BEFORE the old version is invalidated, so a
-// failed append (ErrFull) never loses the page's current version.
+// failed append (ErrFull) never loses the page's current version. A
+// tombstone frees at least its own size, so one that Room refuses may draw on
+// the cleaning reserve: that is how a full log is drained (foreground only —
+// in background mode Room is already RoomReserved).
 func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 	tomb := flags&flagTombstone != 0
 	if tomb {
@@ -731,7 +738,12 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 		}
 	}
 	stream, tick := s.log.Route(id)
-	if err := s.log.Room(stream, int64(recHeaderSize+len(data))); err != nil {
+	size := int64(RecordHeaderSize + len(data))
+	err := s.log.Room(stream, size)
+	if tomb && errors.Is(err, ErrFull) {
+		err = s.log.RoomReserved(stream, size)
+	}
+	if err != nil {
 		return err
 	}
 	return s.userAppend(stream, tick, id, flags, 0, len(data), func(dst []byte) { copy(dst, data) })
@@ -750,14 +762,14 @@ func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos
 		// if it still has one, is garbage from here on.
 		delete(s.tombstones, id)
 		if loc.seg >= 0 {
-			s.log.Pruned(loc.seg, recHeaderSize)
+			s.log.Pruned(loc.seg, RecordHeaderSize)
 		}
 	}
-	rec, err := s.stage(stream, recHeaderSize+n)
+	rec, err := s.stage(stream, RecordHeaderSize+n)
 	if err != nil {
 		return err
 	}
-	put(rec[recHeaderSize:])
+	put(rec[RecordHeaderSize:])
 	if err := s.appendRecord(stream, id, flags, pos, rec, carried, nil); err != nil {
 		return err
 	}
@@ -824,7 +836,7 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	}
 	// Seal as soon as not even a bare header fits; a segment with less room
 	// than the next record needs is sealed when that record arrives.
-	if end+recHeaderSize > segHeaderSize+s.opts.segmentBytes() {
+	if end+RecordHeaderSize > segHeaderSize+s.opts.segmentBytes() {
 		return s.log.Seal(stream)
 	}
 	return nil

@@ -132,6 +132,69 @@ func TestCapacityExhaustion(t *testing.T) {
 	}
 }
 
+// TestFullLogDrains: a foreground store filled with distinct full-length
+// pages to ErrFull — no open segment has room for even a tombstone, and no
+// cleaning cycle can free anything — still takes a single delete, a
+// delete-only batch and then a write, because a deletion frees at least the
+// tombstone it writes and so may draw on the cleaning reserve. In memory and
+// on disk under DurSeal, where the drained store also reopens to the oracle.
+func TestFullLogDrains(t *testing.T) {
+	for _, geo := range []struct{ page, segPages int }{{64, 16}, {512, 64}, {4096, 32}} {
+		for _, dir := range []string{"", t.TempDir()} {
+			o := Options{Dir: dir, PageSize: geo.page, SegmentPages: geo.segPages, MaxSegments: 16,
+				CleanBatch: 4, FreeLowWater: 8, Durability: core.DurSeal}
+			s, err := Open(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := map[uint32]bool{}
+			id := uint32(0)
+			for ; ; id++ {
+				if err := s.WritePage(id, page(id, geo.page)); errors.Is(err, ErrFull) {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				oracle[id] = true
+			}
+			if err := s.DeletePage(0); err != nil {
+				t.Fatalf("%d-byte pages, dir %q: single delete at capacity: %v", geo.page, dir, err)
+			}
+			b := NewBatch()
+			for d := uint32(0); d < id/2; d++ {
+				if delete(oracle, d); d > 0 {
+					b.Delete(d)
+				}
+			}
+			if err := s.Apply(b); err != nil {
+				t.Fatalf("%d-byte pages, dir %q: delete batch at capacity: %v", geo.page, dir, err)
+			}
+			if err := s.WritePage(id, page(id, geo.page)); err != nil {
+				t.Fatalf("%d-byte pages, dir %q: write after draining: %v", geo.page, dir, err)
+			}
+			oracle[id] = true
+			checkInvariants(t, s)
+			if dir != "" {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(o); err != nil {
+					t.Fatal(err)
+				}
+				checkInvariants(t, s)
+			}
+			buf := make([]byte, geo.page)
+			for p := uint32(0); p <= id; p++ {
+				err := s.ReadPage(p, buf)
+				if live := oracle[p]; live && (err != nil || !bytes.Equal(buf, page(p, geo.page))) || !live && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%d-byte pages, dir %q: page %d (live %v) reads %v", geo.page, dir, p, live, err)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
 func TestDeleteAndTombstones(t *testing.T) {
 	s, err := Open(testOpts(""))
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // while others continuously poll Stats() and the obs registry's Snapshot();
 // under -race (the CI concurrency suite) this proves the metrics hot path
 // and the snapshot path are safe against the engine's locking. It then
-// checks the put-latency histogram counted every user write and the
+// checks the page store's write-latency histogram counted every Put and its
 // victim-E histogram every cleaned segment.
 func TestObsSnapshotUnderConcurrentPuts(t *testing.T) {
 	s, err := New(backgroundOpts())
@@ -62,17 +62,21 @@ func TestObsSnapshotUnderConcurrentPuts(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	pollers.Wait()
-	// Let an in-flight cleaning cycle finish: its victims are already in
-	// the victim-E histogram but count as cleaned only once released.
-	s.log.StopCleaner()
+	// Let an in-flight cleaning cycle finish: its victims are already in the
+	// victim-E histogram but count as cleaned only once released. Closing the
+	// page store underneath stops its cleaner; the final counts are taken
+	// before the KV's own Close, which zeroes Stats.
+	if err := s.st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	st := s.Stats()
 	snap := s.Obs().Snapshot()
-	if h := snap.Histograms["vlog.put.ns"]; h.Count != st.UserWrites {
-		t.Errorf("vlog.put.ns counted %d puts, stats say %d", h.Count, st.UserWrites)
+	if h := snap.Histograms["store.write.ns"]; h.Count != st.UserWrites {
+		t.Errorf("store.write.ns counted %d puts, stats say %d", h.Count, st.UserWrites)
 	}
-	if h := snap.Histograms["vlog.victim_e.permille"]; h.Count != st.SegmentsCleaned {
-		t.Errorf("vlog.victim_e.permille counted %d victims, stats say %d cleaned", h.Count, st.SegmentsCleaned)
+	if h := snap.Histograms["store.victim_e.permille"]; h.Count != st.SegmentsCleaned {
+		t.Errorf("store.victim_e.permille counted %d victims, stats say %d cleaned", h.Count, st.SegmentsCleaned)
 	}
 	if st.SegmentsCleaned == 0 {
 		t.Error("workload never triggered cleaning; the hammer is miscalibrated")

@@ -2,8 +2,9 @@
 // Log Structured Store" (Lomet & Luo, ICDE 2021): the MDC (Minimum Declining
 // Cost) segment cleaning policy, every baseline it is evaluated against, the
 // simulation substrate of the paper's evaluation, its closed-form analysis,
-// and two systems that use the policies for real — a durable log-structured
-// page store and an in-memory value-log KV store.
+// and a record engine that uses the policies for real — a log-structured page
+// store, durable on disk or volatile in memory — with an in-memory value-log
+// KV store as a string-key index over the memory-backed one.
 //
 // This root package is the supported API surface: it re-exports the pieces a
 // downstream user composes. See README.md: "Package map" is the system
@@ -41,13 +42,14 @@
 // a torn DurCommit batch is discarded wholesale by recovery, never
 // surfaced partially. Store.Sync() is the explicit flush for the weaker
 // levels.
-// The in-memory KV engine accepts the same policy for symmetry and
-// documents the volatile contract it can honor.
+// The in-memory KV passes the policy to the memory-backed page store under
+// it, where every level behaves alike: a returned write is visible until
+// Close.
 //
 // Cleaning runs automatically with the MDC policy; pass a different
 // Algorithm (repro.Greedy(), repro.CostBenefit(), ...) to compare. Routed
 // algorithms (repro.MultiLog(), repro.MDCRouted()) spread user and GC
-// writes across frequency-banded append streams on both live engines, and
+// writes across frequency-banded append streams (the KV's included), and
 // Stats().Streams reports the per-stream occupancy. With BackgroundClean a
 // watermark-driven goroutine (internal/cleaner) relocates victims while
 // reads and writes proceed, and writers are paced only when free space
@@ -277,14 +279,15 @@ type (
 //	txn.Commit() // per-transaction durability via the WAL's group fsync
 func OpenPageDB(opts PageDBOptions) (*PageDB, error) { return pagedb.Open(opts) }
 
-// In-memory value-log KV store (variable-size records).
+// In-memory value-log KV store (variable-size values).
 type (
 	// KV is an in-memory log-structured key-value store (RAMCloud-style
-	// log-structured memory) cleaned by the same policies.
+	// log-structured memory): a string-key index over a memory-backed page
+	// store, a value (at most half a segment less 24 B) one page record.
 	KV = vlog.Store
 	// KVOptions configures NewKV.
 	KVOptions = vlog.Options
-	// KVStats reports byte-level write amplification.
+	// KVStats reports byte-level write amplification, headers included.
 	KVStats = vlog.Stats
 	// KVBatch collects Puts/Deletes for one atomic KV.Commit.
 	KVBatch = vlog.Batch
