@@ -1,13 +1,14 @@
-// Package cleaner is the background space-reclamation driver of the
-// repository's log-structured systems: internal/store and internal/vlog
-// both run on the segment-log core internal/seglog, whose adapter
-// (seglog.Log.Target) is this package's one Target implementation.
+// Package cleaner runs background space reclamation for the one
+// record engine, internal/store (the value log internal/vlog is a key index
+// over a store): the store runs on the segment-log core internal/seglog,
+// whose adapter (seglog.Log.Target) is this package's one Target
+// implementation.
 //
-// The seed ran cleaning synchronously inside the write path: a Put that
-// found the free pool below the low-water mark blocked behind entire
-// cleaning cycles, so the quality of the victim-selection policy never
-// translated into tail latency. This package moves the cleaning lifecycle
-// into a dedicated goroutine driven by free-pool watermarks:
+// Cleaning in the foreground runs inside the write path: a write that finds
+// the free pool below the low-water mark blocks behind entire cleaning
+// cycles, so the quality of the victim-selection policy never translates
+// into tail latency. This package moves the cleaning lifecycle into a
+// dedicated goroutine driven by free-pool watermarks:
 //
 //   - below LowWater the cleaner starts running cycles;
 //   - it keeps going until the pool recovers to HighWater (hysteresis, so
@@ -143,10 +144,6 @@ type Options struct {
 	// TotalSegments is the engine's physical segment count; it bounds the
 	// cycles one reclamation attempt may run (convergence guard).
 	TotalSegments int
-	// Pacer is the admission controller consulted on every user write
-	// and batch (default FloorPacer{}, which every engine runs; tests
-	// substitute one that blocks to script stalls).
-	Pacer Pacer
 	// PollInterval is the fallback wakeup period when no writer kicks the
 	// cleaner (default 25ms).
 	PollInterval time.Duration
@@ -187,9 +184,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("cleaner: EmergencyFloor (%d) must not exceed LowWater (%d)",
 			o.EmergencyFloor, o.LowWater)
 	}
-	if o.Pacer == nil {
-		o.Pacer = FloorPacer{}
-	}
 	if o.PollInterval == 0 {
 		o.PollInterval = 25 * time.Millisecond
 	}
@@ -223,15 +217,11 @@ type Stats struct {
 	// Kicks counts writer wakeups delivered to the cleaner goroutine.
 	Kicks uint64
 	// WriterStalls counts writes blocked below the emergency floor and
-	// WriterStallTime their cumulative wait.
+	// WriterStallTime their cumulative wait. Both are read from the obs
+	// counters cleaner.admission.stalls / .stall_ns, so an engine's Stats
+	// and its Registry.Snapshot always agree.
 	WriterStalls    uint64
 	WriterStallTime time.Duration
-	// AdmissionStalls and StallNanos report the same stall activity as
-	// WriterStalls/WriterStallTime but are fed from the obs counters
-	// (cleaner.admission.stalls / cleaner.admission.stall_ns), so an
-	// engine's Stats and its Registry.Snapshot always agree.
-	AdmissionStalls uint64
-	StallNanos      uint64
 }
 
 // Cleaner owns the background cleaning lifecycle for one Target.
@@ -330,32 +320,26 @@ func (c *Cleaner) Stats() Stats {
 	defer c.mu.Unlock()
 	st := c.stats
 	st.State = c.State().String()
-	st.AdmissionStalls = c.mStalls.Value()
-	st.StallNanos = c.mStallNS.Value()
+	st.WriterStalls = c.mStalls.Value()
+	st.WriterStallTime = time.Duration(c.mStallNS.Value())
 	return st
 }
 
-// Admit applies write admission control: it wakes the cleaner when the
-// pool is low and, per the Pacer, blocks the caller while the pool is below
-// the emergency floor. Engines call it on the user write
-// path before taking their own locks (so a blocked writer never holds a
-// lock the cleaner needs).
-func (c *Cleaner) Admit() error { return c.AdmitN(1) }
-
-// AdmitN is the batch form of Admit: one admission decision for an
-// n-record batch, so admission cost is paid once per batch instead of once
-// per record. The floor decision does not depend on n: a batch is blocked
-// below the emergency floor and admitted whole above it, and its space is
-// reserved later, under the engine lock.
-func (c *Cleaner) AdmitN(n int) error {
+// Admit applies write admission control, once per user write or batch: it
+// wakes the cleaner when the pool is low and blocks the caller while the
+// pool is below the emergency floor. Cleaning itself therefore never adds
+// latency to writes — only imminent space exhaustion does. A batch is
+// admitted whole; its space is reserved later, under the engine lock.
+// Engines call it before taking their own locks (so a blocked writer never
+// holds a lock the cleaner needs).
+func (c *Cleaner) Admit() error {
 	var deadline time.Time
-	stalled := false
 	for {
 		free := c.t.FreeSegments()
 		if free < c.opts.LowWater {
 			c.Kick()
 		}
-		if !c.opts.Pacer.Admit(c.poolState(free)).Block {
+		if free >= c.opts.EmergencyFloor {
 			return nil
 		}
 
@@ -373,51 +357,32 @@ func (c *Cleaner) AdmitN(n int) error {
 		}
 		ch := c.waitCh
 		c.mu.Unlock()
-		// A release that landed between the pacer decision and capturing
-		// the channel must not be missed: re-consult the pacer and retry
-		// instead of waiting if it would now admit.
-		if !c.opts.Pacer.Admit(c.poolState(c.t.FreeSegments())).Block {
+		if c.t.FreeSegments() >= c.opts.EmergencyFloor {
 			continue
 		}
-		if !stalled {
+		if deadline.IsZero() {
 			// One stall per blocked write, however many wait/wake rounds
 			// it takes to get through.
-			stalled = true
-			c.mu.Lock()
-			c.stats.WriterStalls++
-			c.mu.Unlock()
+			deadline = time.Now().Add(c.opts.StallTimeout)
 			c.mStalls.Inc()
 			c.trace.Emit(obs.EvEmergencyFloor, int64(free), int64(c.opts.EmergencyFloor))
 		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(c.opts.StallTimeout)
-		}
 		start := time.Now()
 		timer := time.NewTimer(time.Until(deadline))
+		var err error
 		select {
 		case <-ch:
-			timer.Stop()
-			c.addStall(time.Since(start))
 		case <-c.stop:
-			timer.Stop()
-			c.addStall(time.Since(start))
-			return ErrStopped
+			err = ErrStopped
 		case <-timer.C:
-			c.addStall(time.Since(start))
-			return ErrStalled
+			err = ErrStalled
+		}
+		timer.Stop()
+		c.mStallNS.Add(uint64(time.Since(start)))
+		if err != nil {
+			return err
 		}
 	}
-}
-
-func (c *Cleaner) poolState(free int) PoolState {
-	return PoolState{Free: free, EmergencyFloor: c.opts.EmergencyFloor}
-}
-
-func (c *Cleaner) addStall(d time.Duration) {
-	c.mu.Lock()
-	c.stats.WriterStallTime += d
-	c.mu.Unlock()
-	c.mStallNS.Add(uint64(d))
 }
 
 // broadcast wakes every writer blocked in Admit.

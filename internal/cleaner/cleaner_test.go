@@ -187,9 +187,9 @@ func TestRelocateErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
 	c.Kick()
 	waitFor(t, "a failed cycle", func() bool { return c.Stats().Errors > 0 })
+	c.Stop() // a later cycle may have selected victims; Stop lets it abort them
 	ft.mu.Lock()
 	aborts, cleaning := ft.aborts, ft.cleaningCount
 	ft.mu.Unlock()
@@ -204,21 +204,23 @@ func TestRelocateErrorAborts(t *testing.T) {
 	}
 }
 
-// blockAlways is a pacer that blocks every write regardless of pool state.
-type blockAlways struct{}
-
-func (blockAlways) Admit(PoolState) Admission { return Admission{Block: true} }
+// stallingTarget keeps the pool below the emergency floor without the
+// cleaner concluding exhaustion: every cycle reclaims bytes (live data is
+// half a victim) but the GC output consumes the released segments, and the
+// victims never run out.
+func stallingTarget() *fakeTarget {
+	return &fakeTarget{free: 1, sealed: 1 << 40, segBytes: 1000, liveBytes: 500, holdFree: true}
+}
 
 func TestAdmitStopReturnsErrStopped(t *testing.T) {
-	ft := &fakeTarget{free: 10, sealed: 0, segBytes: 1000}
-	c, err := Start(ft, Options{LowWater: 4, Batch: 2, TotalSegments: 64,
-		Pacer: blockAlways{}, PollInterval: time.Hour})
+	c, err := Start(stallingTarget(), Options{LowWater: 4, Batch: 2, TotalSegments: 64,
+		PollInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	admitted := make(chan error, 1)
 	go func() { admitted <- c.Admit() }()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the write to stall", func() bool { return c.Stats().WriterStalls > 0 })
 	c.Stop()
 	select {
 	case err := <-admitted:
@@ -235,25 +237,14 @@ func TestAdmitStopReturnsErrStopped(t *testing.T) {
 }
 
 func TestAdmitStallTimeout(t *testing.T) {
-	ft := &fakeTarget{free: 10, sealed: 0, segBytes: 1000}
-	c, err := Start(ft, Options{LowWater: 4, Batch: 2, TotalSegments: 64,
-		Pacer: blockAlways{}, PollInterval: time.Hour, StallTimeout: 20 * time.Millisecond})
+	c, err := Start(stallingTarget(), Options{LowWater: 4, Batch: 2, TotalSegments: 64,
+		PollInterval: time.Hour, StallTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
 	if err := c.Admit(); !errors.Is(err, ErrStalled) {
 		t.Fatalf("Admit = %v, want ErrStalled", err)
-	}
-}
-
-func TestFloorPacer(t *testing.T) {
-	p := FloorPacer{}
-	if ad := p.Admit(PoolState{Free: 3, EmergencyFloor: 3}); ad.Block {
-		t.Errorf("at the floor: %+v", ad)
-	}
-	if ad := p.Admit(PoolState{Free: 2, EmergencyFloor: 3}); !ad.Block {
-		t.Errorf("below the floor: %+v", ad)
 	}
 }
 
@@ -282,43 +273,10 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// countingPacer counts its consultations.
-type countingPacer struct {
-	mu     sync.Mutex
-	admits int
-}
-
-func (p *countingPacer) Admit(st PoolState) Admission {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.admits++
-	return Admission{}
-}
-
-func TestAdmitNFallsBackToAdmit(t *testing.T) {
-	ft := &fakeTarget{free: 100}
-	p := &countingPacer{}
-	c, err := Start(ft, Options{LowWater: 4, Batch: 2, TotalSegments: 100,
-		Pacer: p, PollInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	// One Admit per batch, not one per record.
-	if err := c.AdmitN(32); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.admits != 1 {
-		t.Errorf("a batch of 32 consulted Admit %d times; want exactly one", p.admits)
-	}
-}
-
 func TestStallCountersSurfaceInStatsAndObs(t *testing.T) {
 	// An admission-constrained pool (below the emergency floor, relocation
 	// parked) must stall the writer, and the stall must surface both in
-	// Stats (AdmissionStalls/StallNanos) and in the shared obs registry
+	// Stats (WriterStalls/WriterStallTime) and in the shared obs registry
 	// (cleaner.admission.* counters, emergency-floor trace event).
 	gate := make(chan struct{})
 	ft := &fakeTarget{free: 1, sealed: 20, segBytes: 1000, relocGate: gate}
@@ -329,7 +287,7 @@ func TestStallCountersSurfaceInStatsAndObs(t *testing.T) {
 	}
 	admitted := make(chan error, 1)
 	go func() { admitted <- c.Admit() }()
-	waitFor(t, "stall to register", func() bool { return c.Stats().AdmissionStalls > 0 })
+	waitFor(t, "stall to register", func() bool { return c.Stats().WriterStalls > 0 })
 	close(gate)
 	if err := <-admitted; err != nil {
 		t.Fatalf("Admit = %v after release", err)
@@ -337,19 +295,15 @@ func TestStallCountersSurfaceInStatsAndObs(t *testing.T) {
 	c.Stop()
 
 	st := c.Stats()
-	if st.AdmissionStalls == 0 || st.StallNanos == 0 {
-		t.Fatalf("stall counters did not move: stalls=%d stallNanos=%d", st.AdmissionStalls, st.StallNanos)
-	}
-	if st.AdmissionStalls != st.WriterStalls || st.StallNanos != uint64(st.WriterStallTime) {
-		t.Errorf("obs-fed counters diverge from legacy stats: %+v", st)
+	if st.WriterStalls != 1 || st.WriterStallTime == 0 {
+		t.Fatalf("stall counters: stalls=%d stallTime=%v, want one stall with a wait", st.WriterStalls, st.WriterStallTime)
 	}
 	snap := c.Obs().Snapshot()
-	if snap.Counters["cleaner.admission.stalls"] != st.AdmissionStalls {
-		t.Errorf("registry stalls = %d, stats say %d",
-			snap.Counters["cleaner.admission.stalls"], st.AdmissionStalls)
+	if got := snap.Counters["cleaner.admission.stalls"]; got != st.WriterStalls {
+		t.Errorf("registry stalls = %d, stats say %d", got, st.WriterStalls)
 	}
-	if snap.Counters["cleaner.admission.stall_ns"] == 0 {
-		t.Error("cleaner.admission.stall_ns did not move")
+	if got := snap.Counters["cleaner.admission.stall_ns"]; got != uint64(st.WriterStallTime) {
+		t.Errorf("registry stall_ns = %d, stats say %d", got, st.WriterStallTime)
 	}
 	floorEvents := 0
 	for _, ev := range snap.Events {

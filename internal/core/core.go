@@ -5,11 +5,12 @@
 // (Stoica/Ailamaki).
 //
 // A cleaning policy orders sealed segments for cleaning. The engine that owns
-// the segments (the simulator in internal/sim, the durable page store in
-// internal/store, or the in-memory value log in internal/vlog) maintains one
-// SegmentMeta per segment and asks the policy to select victims whenever free
-// space runs low. Policies are pure functions of that metadata, so the exact
-// same policy code runs under all three substrates.
+// the segments (the simulator in internal/sim, or the page store in
+// internal/store, on disk or in memory — the value log internal/vlog is a key
+// index over the latter) maintains one SegmentMeta per segment and asks the
+// policy to select victims whenever free space runs low. Policies are pure
+// functions of that metadata, so the exact same policy code runs under both
+// substrates.
 //
 // Terminology follows the paper: a segment holds B bytes of which A are free
 // (emptiness E = A/B), contains C live pages, and carries up2, the estimated
@@ -127,6 +128,11 @@ type Router interface {
 	// observed update interval now-lastWrite (0 when the page has no
 	// history); exactRate is the oracle update rate or a negative value
 	// when unknown. Implementations choose which signal to use.
+	//
+	// Route must be a pure function of its arguments: seglog asks it again
+	// for the same writes when it replans a batch after foreground cleaning
+	// and when admission retries a write, so a router that learned from its
+	// calls would count those writes twice.
 	Route(estInterval uint64, exactRate float64) int32
 	// Streams returns the size of the stream space: Route only returns ids
 	// in [0, Streams). Engines size their open-segment tables (and their

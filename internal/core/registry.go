@@ -17,7 +17,6 @@ var factories = map[string]func() Algorithm{
 	"MDC":                  MDC,
 	"MDC-opt":              MDCOpt,
 	"MDC-routed":           MDCRouted,
-	"MDC-routed-adaptive":  MDCRoutedAdaptive,
 	"MDC-no-sep-user":      MDCNoSepUser,
 	"MDC-no-sep-user-GC":   MDCNoSepUserGC,
 }

@@ -10,10 +10,11 @@ package core
 // reveal their intervals.
 //
 // This is the §5.3 frequency separation realized as routed placement instead
-// of sort-buffer packing: the live engines (internal/store, internal/vlog)
-// have no write buffer to sort, so separating user and GC output into
-// per-temperature open segments is how they reproduce the hot/cold split
-// that the simulator gets from SortUser/SortGC.
+// of sort-buffer packing: user and GC output land in per-temperature open
+// segments, where the simulator sorts them before packing (SortUser/SortGC).
+// The live engine has buffers a sort could apply to — a pagedb checkpoint is
+// one batch of hundreds of pages — but the store packs user writes in the
+// order it is given them.
 type TempRouter struct {
 	// Bands is the number of temperature streams (>= 2).
 	Bands int32
@@ -89,9 +90,8 @@ const DefaultTempBands = 4
 // MDCRouted returns MDC victim selection with temperature-routed placement
 // ("MDC-routed"): instead of the sort-buffer separation of §5.3 (SortUser/
 // SortGC), every append — user and GC relocation alike — is routed to one of
-// DefaultTempBands streams by its estimated update interval. This is the
-// form of frequency separation the live engines can execute, and the routed
-// counterpart the multi-log baseline is compared against.
+// DefaultTempBands streams by its estimated update interval. It is the
+// routed counterpart the multi-log baseline is compared against.
 func MDCRouted() Algorithm {
 	return Algorithm{
 		Name:   "MDC-routed",

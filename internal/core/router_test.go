@@ -2,8 +2,48 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
+
+// TestRoutersArePure pins Router's contract: seglog asks Route again when it
+// replans a batch and when admission retries a write, so an answer may depend
+// on the arguments alone. Every registered router must route a seeded
+// sequence the same whether it is asked once or twice per element.
+func TestRoutersArePure(t *testing.T) {
+	type call struct {
+		est  uint64
+		rate float64
+	}
+	r := rand.New(rand.NewPCG(7, 8))
+	calls := make([]call, 8192)
+	for i := range calls {
+		c := &calls[i]
+		if r.IntN(16) != 0 { // the rest have no history
+			c.est = uint64(1)<<r.IntN(32) + r.Uint64N(64)
+		}
+		c.rate = -1
+		if r.IntN(2) == 0 {
+			c.rate = 1 / float64(r.IntN(1<<24)+1)
+		}
+	}
+	for _, name := range Names() {
+		once, _ := ByName(name)
+		if once.Router == nil {
+			continue
+		}
+		twice, _ := ByName(name)
+		for i, c := range calls {
+			want := once.Router.Route(c.est, c.rate)
+			twice.Router.Route(c.est, c.rate)
+			if got := twice.Router.Route(c.est, c.rate); got != want {
+				t.Errorf("%s: element %d (interval %d, rate %g) routes to %d asked once, %d asked twice",
+					name, i, c.est, c.rate, want, got)
+				break
+			}
+		}
+	}
+}
 
 func TestTempRouterBands(t *testing.T) {
 	r := TempRouter{Bands: 4}

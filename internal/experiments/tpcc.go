@@ -18,8 +18,8 @@ import (
 // into the simulator (Figure 6). This is the paper's actual setting: a
 // B-tree page store whose page writes land in a log structured store that
 // reclaims superseded versions while the workload runs (§1, §6.3). The
-// table compares single-stream MDC against routed placement (static and
-// adaptive temperature bands) on the same seeded run and reports the
+// table compares single-stream MDC against routed placement (static
+// temperature bands, MDC-routed) on the same seeded run and reports the
 // cleaner's side of the story: write amplification, emptiness at cleaning,
 // cleaning activity, and the streams the router actually used.
 //
@@ -42,8 +42,7 @@ func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 		Header: []string{"algorithm", "user pages", "GC pages", "write amp",
 			"mean E at clean", "segs cleaned", "cleaner cycles", "streams", "fill", "cache hit"},
 	}
-	algs := []core.Algorithm{core.MDC(), core.MDCRouted(), core.MDCRoutedAdaptive()}
-	for _, alg := range algs {
+	for _, alg := range []core.Algorithm{core.MDC(), core.MDCRouted()} {
 		progress(log, "tpcc-durable: %s, %d tx, fill %.2f", alg.Name, txs, fill)
 		t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, alg))
 	}
@@ -108,8 +107,8 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 	maxSegs := int(float64(finalLive)/fill)/segPages + lowWater
 	// The admission floor must cover a whole commit batch: at high fill the
 	// pool hovers low (each clean reclaims little), and a batch that cannot
-	// reserve space fails with ErrFull instead of waiting — so make the
-	// pacer hold commits until the cleaner has restored batch-sized slack.
+	// reserve space fails with ErrFull instead of waiting — so make
+	// admission hold commits until the cleaner has restored batch-sized slack.
 	emergency := batchSegs + 2
 	streams := 2
 	if alg.Router != nil {

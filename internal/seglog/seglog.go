@@ -53,7 +53,6 @@ type Config struct {
 	CleanBatch    int
 	Durability    core.Durability
 	Background    bool
-	FreeHighWater int
 	FreeEmergency int
 	Obs           *obs.Registry
 }
@@ -91,9 +90,8 @@ func (c *Config) Validate() error {
 				c.Name, c.Algorithm.Name, c.FreeLowWater, n)
 		}
 	}
-	// FreeHighWater and FreeEmergency defaulting/validation live in
-	// cleaner.Options.withDefaults; zero values pass straight through to
-	// cleaner.Start.
+	// FreeEmergency defaulting/validation lives in cleaner.Options.withDefaults;
+	// zero passes straight through to cleaner.Start.
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
@@ -275,7 +273,6 @@ func (l *Log[R]) StartCleaner() error {
 	}
 	cl, err := cleaner.Start(l.Target(), cleaner.Options{
 		LowWater:       l.cfg.FreeLowWater,
-		HighWater:      l.cfg.FreeHighWater,
 		EmergencyFloor: l.cfg.FreeEmergency,
 		Batch:          l.cfg.CleanBatch,
 		TotalSegments:  l.cfg.MaxSegments,
@@ -309,17 +306,17 @@ func (l *Log[R]) LowWater() int {
 	return lw
 }
 
-// Write runs op under the engine lock behind write admission for n records
-// (a closed log fails with ErrClosed instead). In background mode a write
-// can lose the race for the last free segments to concurrent writers; those
-// transient ErrFulls are retried through admission (which blocks below the
-// emergency floor until the cleaner catches up). A non-nil parent gets
-// "<name>.admit" and "<name>.apply" child spans.
-func (l *Log[R]) Write(n int, parent *obs.Span, op func() error) error {
+// Write runs op — one write or one batch — under the engine lock behind
+// write admission (a closed log fails with ErrClosed instead). In background
+// mode a write can lose the race for the last free segments to concurrent
+// writers; those transient ErrFulls are retried through admission (which
+// blocks below the emergency floor until the cleaner catches up). A non-nil
+// parent gets "<name>.admit" and "<name>.apply" child spans.
+func (l *Log[R]) Write(parent *obs.Span, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if l.cl != nil {
 			leg := parent.Child(l.legAdmit)
-			err := l.cl.AdmitN(n)
+			err := l.cl.Admit()
 			leg.End()
 			if err != nil {
 				if errors.Is(err, cleaner.ErrExhausted) {

@@ -544,65 +544,6 @@ func (s *Sim) Location(p uint32) (seg int32, slot int, buffered, ok bool) {
 	}
 }
 
-// DebugSegStates summarizes segment states for diagnostics.
-func (s *Sim) DebugSegStates() string {
-	var nfree, nopen, nsealed, sealedFull int
-	for i := range s.meta {
-		switch s.meta[i].State {
-		case core.SegFree:
-			nfree++
-		case core.SegOpen:
-			nopen++
-		case core.SegSealed:
-			nsealed++
-			if s.meta[i].Free == 0 {
-				sealedFull++
-			}
-		}
-	}
-	return fmt.Sprintf("unow=%d free=%d open=%d sealed=%d sealedFull=%d bufLen=%d",
-		s.unow, nfree, nopen, nsealed, sealedFull, len(s.buf))
-}
-
-// DebugStreams reports per-stream segment counts and emptiness for
-// diagnostics: sealed count, mean E of sealed, open fill.
-func (s *Sim) DebugStreams() string {
-	type agg struct {
-		sealed int
-		esum   float64
-		open   int
-	}
-	byStream := map[int32]*agg{}
-	for i := range s.meta {
-		m := &s.meta[i]
-		if m.State == core.SegFree {
-			continue
-		}
-		a := byStream[m.Stream]
-		if a == nil {
-			a = &agg{}
-			byStream[m.Stream] = a
-		}
-		if m.State == core.SegSealed {
-			a.sealed++
-			a.esum += m.Emptiness()
-		} else {
-			a.open++
-		}
-	}
-	out := ""
-	for st := int32(0); st < 32; st++ {
-		if a := byStream[st]; a != nil {
-			meanE := 0.0
-			if a.sealed > 0 {
-				meanE = a.esum / float64(a.sealed)
-			}
-			out += fmt.Sprintf("  band %2d: sealed=%3d meanE=%.3f open=%d\n", st, a.sealed, meanE, a.open)
-		}
-	}
-	return out
-}
-
 // View exposes the current segment metadata as a policy view (benchmarks
 // and diagnostics).
 func (s *Sim) View() core.View {

@@ -87,7 +87,7 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	return s.write(b.Len(), parent, func() error { return s.applyLocked(b) })
+	return s.write(parent, func() error { return s.applyLocked(b) })
 }
 
 // applyLocked validates the whole batch, has the core plan it and reserve

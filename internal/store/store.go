@@ -119,10 +119,6 @@ type Options struct {
 	// goroutine driven by the free-pool watermarks (see internal/cleaner).
 	// When false, cleaning runs synchronously inside the write path.
 	BackgroundClean bool
-	// FreeHighWater is where the background cleaner stops once started
-	// (default FreeLowWater+CleanBatch, clamped to the geometry). Ignored
-	// in foreground mode.
-	FreeHighWater int
 	// FreeEmergency is the admission-control floor: user writes block
 	// while free segments are below it (default min(CleanBatch+1,
 	// FreeLowWater)). Ignored in foreground mode.
@@ -167,7 +163,7 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 		Name: "store", ErrFull: ErrFull, ErrClosed: errClosed, RelocChunk: relocChunk,
 		MaxSegments: o.MaxSegments, SegmentBytes: o.segmentBytes(),
 		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
-		Background: o.BackgroundClean, FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency,
+		Background: o.BackgroundClean, FreeEmergency: o.FreeEmergency,
 		Obs: o.Obs,
 	}
 	// The record header's length field and the 32-bit record offsets bound
@@ -699,19 +695,19 @@ func (s *Store) DeletePage(id uint32) error {
 // DurCommit) the group-commit wait.
 func (s *Store) userWrite(id uint32, flags uint32, data []byte) error {
 	t0 := time.Now()
-	err := s.write(1, nil, func() error { return s.userAppendLocked(id, flags, data) })
+	err := s.write(nil, func() error { return s.userAppendLocked(id, flags, data) })
 	s.hWrite.Record(uint64(time.Since(t0)))
 	return err
 }
 
-// write runs op — n records' worth of appends — behind admission control
-// and under the write lock (seglog.Log.Write), then under DurCommit makes
-// it durable: the write is already visible; concurrent committers coalesce
-// onto one group fsync. With a non-nil parent the legs are recorded as
-// child spans ("store.admit", "store.apply", "store.commit.wait").
-func (s *Store) write(n int, parent *obs.Span, op func() error) error {
+// write runs op — one write's or one batch's appends — behind admission
+// control and under the write lock (seglog.Log.Write), then under DurCommit
+// makes it durable: the write is already visible; concurrent committers
+// coalesce onto one group fsync. With a non-nil parent the legs are recorded
+// as child spans ("store.admit", "store.apply", "store.commit.wait").
+func (s *Store) write(parent *obs.Span, op func() error) error {
 	var seq uint64
-	err := s.log.Write(n, parent, func() error {
+	err := s.log.Write(parent, func() error {
 		err := op()
 		seq = s.seq
 		return err

@@ -28,16 +28,16 @@ var ErrFull, ErrTooLarge = store.ErrFull, store.ErrTooLarge
 // across streams by a per-key clock), FreeLowWater (default CleanBatch+2),
 // CleanBatch (default 4), Durability (in memory every level behaves alike: a
 // returned Put or Commit is visible to every later Get until Close), the
-// background cleaner's switch and watermarks (see internal/cleaner), and Obs,
+// background cleaner's switch and floor (see internal/cleaner), and Obs,
 // which receives the store.* and cleaner.* series (nil: a private registry).
 type Options struct {
-	SegmentBytes, MaxSegments    int
-	Algorithm                    core.Algorithm
-	FreeLowWater, CleanBatch     int
-	Durability                   core.Durability
-	BackgroundClean              bool
-	FreeHighWater, FreeEmergency int
-	Obs                          *obs.Registry
+	SegmentBytes, MaxSegments int
+	Algorithm                 core.Algorithm
+	FreeLowWater, CleanBatch  int
+	Durability                core.Durability
+	BackgroundClean           bool
+	FreeEmergency             int
+	Obs                       *obs.Registry
 }
 
 // Store is an in-memory log-structured KV store, safe for concurrent use:
@@ -60,7 +60,7 @@ func New(o Options) (*Store, error) {
 	st, err := store.Open(store.Options{PageSize: o.SegmentBytes/2 - store.RecordHeaderSize, SegmentPages: 2,
 		MaxSegments: cmp.Or(o.MaxSegments, 64), Algorithm: o.Algorithm, FreeLowWater: cmp.Or(o.FreeLowWater, o.CleanBatch+2),
 		CleanBatch: o.CleanBatch, Durability: o.Durability, BackgroundClean: o.BackgroundClean,
-		FreeHighWater: o.FreeHighWater, FreeEmergency: o.FreeEmergency, Obs: o.Obs})
+		FreeEmergency: o.FreeEmergency, Obs: o.Obs})
 	if err != nil {
 		return nil, err
 	}

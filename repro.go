@@ -100,10 +100,6 @@ var (
 	// writes are spread across frequency-banded append streams (the §5.3
 	// separation realized as routing, which the live engines can execute).
 	MDCRouted = core.MDCRouted
-	// MDCRoutedAdaptive is MDCRouted with band boundaries fitted to the
-	// observed update-interval distribution instead of the static log2
-	// compression, so mild skew still spreads across every stream.
-	MDCRoutedAdaptive = core.MDCRoutedAdaptive
 	// Age cleans the oldest segment (LFS circular buffer).
 	Age = core.Age
 	// Greedy cleans the emptiest segment.

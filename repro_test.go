@@ -105,7 +105,7 @@ func TestFacadePageDB(t *testing.T) {
 	dir := t.TempDir()
 	opts := PageDBOptions{
 		Store: StoreOptions{Dir: dir, PageSize: 512, SegmentPages: 16, MaxSegments: 64,
-			Durability: DurCommit, Algorithm: MDCRoutedAdaptive()},
+			Durability: DurCommit, Algorithm: MDCRouted()},
 		CachePages: 32,
 	}
 	db, err := OpenPageDB(opts)
