@@ -1,17 +1,19 @@
 // Command lsbench regenerates the paper's evaluation: every table and
 // figure, as markdown (the source of README.md's "Paper vs measured"
-// tables) or CSV.
+// tables) or CSV. Two live-engine runs, routing and tpcc, set the engine's
+// write amplification beside the simulator's; -serve is their live view
+// (metrics, trace, pprof over HTTP). Engine performance is measured by the
+// bench/ module, not here.
 //
 // Examples:
 //
 //	lsbench -exp all -scale medium          # everything, ~minutes
 //	lsbench -exp fig5 -scale small -v       # one experiment with progress
 //	lsbench -exp table1 -format csv
-//	lsbench -exp cleaner -scale medium      # foreground vs background cleaning tail latency
 //	lsbench -exp routing -scale medium      # routed vs single-stream placement on the live engines
-//	lsbench -exp batching -scale medium     # per-op vs batched writes with group commit
 //	lsbench -exp tpcc -scale medium         # TPC-C end-to-end on the durable B+-tree engine
 //	lsbench -exp tpcc -fill 0.8             # the same at a target sealed-region fill of 0.8
+//	lsbench -exp tpcc -serve localhost:6060 # TPC-C, scrapeable over HTTP while it runs
 package main
 
 import (
@@ -31,11 +33,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lsbench: ")
 
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, cleaner, routing, batching, tpcc")
+	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, routing, tpcc")
 	scaleName := flag.String("scale", "medium", "geometry preset: small, medium, paper")
 	format := flag.String("format", "md", "output format: md, csv")
 	fill := flag.Float64("fill", 0, "tpcc only: target sealed-region fill factor (0 = default 0.6; routed placement is predicted to pay at 0.8+)")
-	metricsOut := flag.String("metrics-out", "", "write a metrics report (run metadata + per-run registry snapshots) as JSON to this path, e.g. BENCH_tpcc.json; only the live-engine experiments (cleaner, routing, batching, tpcc) record runs")
 	serve := flag.String("serve", "", "serve live introspection over HTTP on this address (e.g. localhost:6060) while the experiments run: /metrics.json, /metrics/delta, /trace, /debug/pprof/")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	flag.Parse()
@@ -57,9 +58,6 @@ func main() {
 		progress = os.Stderr
 	}
 
-	if *metricsOut != "" {
-		experiments.BeginReport(*exp, scale)
-	}
 	if *serve != "" {
 		srv, err := httpx.Serve(*serve, experiments.LiveRegistry)
 		if err != nil {
@@ -89,19 +87,10 @@ func main() {
 			experiments.Fig5(scale, experiments.Fig5Zipf135, progress))
 	case "fig6":
 		tables = append(tables, experiments.Fig6(scale, nil, progress))
-	case "cleaner":
-		// Beyond the paper: foreground vs background cleaning write tail
-		// on the page store, with the cleaner lifecycle stats.
-		tables = append(tables, experiments.CleanerLatency(scale, progress))
 	case "routing":
 		// Beyond the paper: routed multi-stream placement vs single-stream
 		// MDC on the live engines (the §5.3 separation as placement).
 		tables = append(tables, experiments.StreamRouting(scale, progress))
-	case "batching":
-		// Beyond the paper: per-op vs batched writes under the explicit
-		// durability contract — group-commit coalescing on the page store,
-		// lock amortization on the value log.
-		tables = append(tables, experiments.Batching(scale, progress))
 	case "tpcc":
 		// Beyond the paper: TPC-C replayed end-to-end against the durable
 		// B+-tree engine (pagedb) on the page store — the paper's B-tree
@@ -123,25 +112,6 @@ func main() {
 		default:
 			log.Fatalf("unknown format %q", *format)
 		}
-	}
-	if *metricsOut != "" {
-		rep := experiments.TakeReport()
-		rep.UnixNanos = time.Now().UnixNano()
-		if len(rep.Runs) == 0 {
-			log.Printf("warning: -exp %s records no metrics runs (only cleaner, routing, batching and tpcc do)", *exp)
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "lsbench: wrote %d metric run(s) to %s\n", len(rep.Runs), *metricsOut)
 	}
 	fmt.Fprintf(os.Stderr, "lsbench: %s at scale %s in %.1fs\n", *exp, scale, time.Since(start).Seconds())
 }

@@ -4,7 +4,11 @@
 // Figure 5a/b/c (algorithm comparison across fill factors) and Figure 6
 // (TPC-C trace replay). The cmd/lsbench tool and the repository's root
 // benchmarks both drive this package, so the numbers in README.md ("Paper vs
-// measured") are reproducible from either entry point.
+// measured") are reproducible from either entry point. Two live-engine runs
+// compare the engine with the simulator: StreamRouting (routed placement on
+// the page store and value log) and TPCCDurableAt (TPC-C on pagedb). They
+// report write amplification and cleaning, not speed; engine performance is
+// measured by the bench/ module alone.
 package experiments
 
 import (
@@ -339,7 +343,10 @@ type TPCCData struct {
 }
 
 // Fig6At runs a single Figure 6 cell — one algorithm replaying the trace at
-// one fill factor — and returns its write amplification.
+// one fill factor — and returns its write amplification. The store capacity
+// is derived from the trace's final page universe so that the run ends at
+// fill factor f, as in §6.3 where TPC-C grows the database into the target
+// fill.
 func Fig6At(scale Scale, tr *TPCCData, f float64, alg core.Algorithm) float64 {
 	segPages := scale.SimConfig(0.8).SegmentPages
 	numSegs := int(float64(tr.universe)/(f*float64(segPages))) + 1
@@ -356,9 +363,7 @@ func Fig6At(scale Scale, tr *TPCCData, f float64, alg core.Algorithm) float64 {
 }
 
 // Fig6 reproduces Figure 6: the seven algorithms replaying the TPC-C trace
-// at fill factors 0.5-0.8. The store capacity is derived from the trace's
-// final page universe so that the run ends at the labeled fill factor, as
-// in §6.3 where TPC-C grows the database into the target fill.
+// at fill factors 0.5-0.8, one Fig6At cell each.
 func Fig6(scale Scale, tr *TPCCData, log io.Writer) *Table {
 	if tr == nil {
 		tr = TPCCTrace(scale, log)
@@ -372,23 +377,12 @@ func Fig6(scale Scale, tr *TPCCData, log io.Writer) *Table {
 	for _, a := range algs {
 		t.Header = append(t.Header, a.Name)
 	}
-	segPages := scale.SimConfig(0.8).SegmentPages
 	for _, f := range []float64{0.5, 0.6, 0.7, 0.8} {
 		row := []string{f2(f)}
-		numSegs := int(float64(tr.universe)/(f*float64(segPages))) + 1
-		base := scale.SimConfig(f)
-		cfg := sim.Config{
-			SegmentPages: segPages, NumSegments: numSegs,
-			FillFactor:      float64(tr.universe) / float64(numSegs*segPages),
-			FreeLowWater:    base.FreeLowWater,
-			CleanBatch:      base.CleanBatch,
-			WriteBufferSegs: base.WriteBufferSegs,
-		}
 		for _, a := range algs {
-			gen := workload.NewReplay("tpcc", tr.writes, tr.universe, tr.preload, a.Exact)
-			res := run(cfg, a, gen, sim.RunOptions{})
-			progress(log, "fig6 F=%.2f %s: Wamp=%.3f", f, a.Name, res.Wamp)
-			row = append(row, f3(res.Wamp))
+			wamp := Fig6At(scale, tr, f, a)
+			progress(log, "fig6 F=%.2f %s: Wamp=%.3f", f, a.Name, wamp)
+			row = append(row, f3(wamp))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -80,26 +79,12 @@ func storeRoutingRun(segPages, maxSegs, ops int, alg core.Algorithm) []string {
 		}
 	}
 	r := rand.New(rand.NewPCG(Seed, Seed))
-	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if err := s.WritePage(uint32(skewedID(r, live)), buf); err != nil {
 			panic(fmt.Sprintf("experiments: stream-routing write: %v", err))
 		}
 	}
-	elapsed := time.Since(start)
 	st := s.Stats()
-	recordRun(AlgReport{
-		Engine:          "page store",
-		Algorithm:       alg.Name,
-		UserWrites:      st.UserWrites,
-		GCWrites:        st.GCWrites,
-		WriteAmp:        st.WriteAmp,
-		MeanEAtClean:    st.MeanEAtClean,
-		SegmentsCleaned: st.SegmentsCleaned,
-		CleanerCycles:   st.Cleaner.Cycles,
-		ThroughputOps:   float64(ops) / elapsed.Seconds(),
-		Metrics:         snapshotOf(s.Obs()),
-	})
 	return []string{"page store", alg.Name, f3(st.WriteAmp), f3(st.MeanEAtClean),
 		fmt.Sprintf("%d", st.SegmentsCleaned), fmt.Sprintf("%d", core.WrittenStreams(st.Streams))}
 }
@@ -126,26 +111,12 @@ func vlogRoutingRun(maxSegs, ops int, alg core.Algorithm) []string {
 		}
 	}
 	r := rand.New(rand.NewPCG(Seed, Seed+1))
-	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if err := s.Put(key(skewedID(r, keys)), val); err != nil {
 			panic(fmt.Sprintf("experiments: stream-routing vlog put: %v", err))
 		}
 	}
-	elapsed := time.Since(start)
 	st := s.Stats()
-	recordRun(AlgReport{
-		Engine:          "value log",
-		Algorithm:       alg.Name,
-		UserWrites:      st.UserWrites,
-		GCWrites:        st.GCWrites,
-		WriteAmp:        st.WriteAmp,
-		MeanEAtClean:    st.MeanEAtClean,
-		SegmentsCleaned: st.SegmentsCleaned,
-		CleanerCycles:   st.Cleaner.Cycles,
-		ThroughputOps:   float64(ops) / elapsed.Seconds(),
-		Metrics:         snapshotOf(s.Obs()),
-	})
 	return []string{"value log", alg.Name, f3(st.WriteAmp), f3(st.MeanEAtClean),
 		fmt.Sprintf("%d", st.SegmentsCleaned), fmt.Sprintf("%d", core.WrittenStreams(st.Streams))}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pagedb"
@@ -150,7 +149,6 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 	if err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable load (%s): %v", alg.Name, err))
 	}
-	start := time.Now()
 	eng.Run(txs)
 	if err := eng.Err(); err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable run (%s): %v", alg.Name, err))
@@ -158,22 +156,9 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 	if err := db.Commit(); err != nil {
 		panic(fmt.Sprintf("experiments: tpcc-durable final commit (%s): %v", alg.Name, err))
 	}
-	elapsed := time.Since(start)
 
 	st := db.Stats()
 	ss := st.Store
-	recordRun(AlgReport{
-		Engine:          "pagedb",
-		Algorithm:       alg.Name,
-		UserWrites:      ss.UserWrites,
-		GCWrites:        ss.GCWrites,
-		WriteAmp:        ss.WriteAmp,
-		MeanEAtClean:    ss.MeanEAtClean,
-		SegmentsCleaned: ss.SegmentsCleaned,
-		CleanerCycles:   ss.Cleaner.Cycles,
-		ThroughputOps:   float64(txs) / elapsed.Seconds(),
-		Metrics:         snapshotOf(db.Obs()),
-	})
 	return []string{
 		alg.Name,
 		fmt.Sprintf("%d", ss.UserWrites),

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -215,18 +217,19 @@ func TestWriteJSONStable(t *testing.T) {
 	r.Counter("b").Add(2)
 	r.Counter("a").Add(1)
 	r.Histogram("lat").Record(100)
-	var b1, b2 bytes.Buffer
-	if err := r.WriteJSON(&b1); err != nil {
+	b1, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSON(&b2); err != nil {
+	b2, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.String() != b2.String() {
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("snapshot JSON must be deterministic for a fixed state")
 	}
 	var s Snapshot
-	if err := json.Unmarshal(b1.Bytes(), &s); err != nil {
+	if err := json.Unmarshal(b1, &s); err != nil {
 		t.Fatalf("snapshot JSON must round-trip: %v", err)
 	}
 	if s.Counters["a"] != 1 || s.Counters["b"] != 2 || s.Histograms["lat"].Count != 1 {
@@ -234,11 +237,42 @@ func TestWriteJSONStable(t *testing.T) {
 	}
 }
 
+// checkHistogram returns why a histogram snapshot is internally
+// inconsistent, or "" if it is not: an empty one has zero mean and
+// quantiles; otherwise bucket bounds strictly increase, bucket counts sum to
+// Count and the quantiles are monotone.
+func checkHistogram(h HistogramSnapshot) string {
+	if h.Count == 0 {
+		if h.Mean != 0 || h.P50 != 0 || h.P95 != 0 || h.P99 != 0 || h.P999 != 0 {
+			return fmt.Sprintf("empty but mean=%g p50=%g p95=%g p99=%g p999=%g", h.Mean, h.P50, h.P95, h.P99, h.P999)
+		}
+		return ""
+	}
+	var sum uint64
+	for i, b := range h.Buckets {
+		if i > 0 && b.LE <= h.Buckets[i-1].LE {
+			return fmt.Sprintf("bucket bounds not increasing at le=%d", b.LE)
+		}
+		sum += b.Count
+	}
+	if sum != h.Count {
+		return fmt.Sprintf("bucket counts sum to %d, Count says %d", sum, h.Count)
+	}
+	if !(h.P50 <= h.P95 && h.P95 <= h.P99 && h.P99 <= h.P999) {
+		return fmt.Sprintf("quantiles not monotone: p50=%g p95=%g p99=%g p999=%g", h.P50, h.P95, h.P99, h.P999)
+	}
+	return ""
+}
+
 // TestConcurrentRecordSnapshot hammers one histogram and the registry from
-// several goroutines while snapshotting — the -race run is the assertion.
+// several goroutines while snapshotting (the -race run is the memory-model
+// assertion), and checks every histogram of every mid-record snapshot with
+// checkHistogram: Histogram.Snapshot derives Count from the buckets it
+// loaded, so a snapshot is consistent even while writers record.
 func TestConcurrentRecordSnapshot(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat")
+	r.Histogram("idle") // never recorded: must snapshot as all zeros
 	c := r.Counter("ops")
 	var wg sync.WaitGroup
 	const workers, per = 8, 2000
@@ -257,13 +291,65 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			_ = r.Snapshot()
+			for name, hs := range r.Snapshot().Histograms {
+				if msg := checkHistogram(hs); msg != "" {
+					t.Errorf("snapshot %d, histogram %q: %s", i, name, msg)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
 	<-done
 	s := r.Snapshot()
-	if s.Counters["ops"] != workers*per || s.Histograms["lat"].Count != workers*per {
+	lat := s.Histograms["lat"]
+	if s.Counters["ops"] != workers*per || lat.Count != workers*per {
 		t.Fatalf("lost updates: %+v", s.Counters)
+	}
+	if msg := checkHistogram(lat); msg != "" {
+		t.Fatalf("final snapshot: %s", msg)
+	}
+}
+
+// TestCheckHistogram shows checkHistogram passes real snapshots, full and
+// empty, and names each way a broken one is inconsistent.
+func TestCheckHistogram(t *testing.T) {
+	r := New()
+	h := r.Histogram("lat")
+	for v := uint64(1); v <= 1000; v++ {
+		h.Record(v * 100)
+	}
+	r.Histogram("idle")
+	s := r.Snapshot()
+	cases := []struct {
+		name    string
+		hs      HistogramSnapshot
+		mutate  func(*HistogramSnapshot)
+		wantErr string // empty: must pass
+	}{
+		{"recorded", s.Histograms["lat"], func(*HistogramSnapshot) {}, ""},
+		{"empty", s.Histograms["idle"], func(*HistogramSnapshot) {}, ""},
+		{"empty with a quantile", s.Histograms["idle"],
+			func(h *HistogramSnapshot) { h.P99 = 1 }, "empty but"},
+		{"non-monotone quantiles", s.Histograms["lat"],
+			func(h *HistogramSnapshot) { h.P95 = h.P999 + 1 }, "quantiles not monotone"},
+		{"bucket counts off the total", s.Histograms["lat"],
+			func(h *HistogramSnapshot) { h.Count++ }, "bucket counts sum to 1000, Count says 1001"},
+		{"bucket bounds out of order", s.Histograms["lat"],
+			func(h *HistogramSnapshot) { h.Buckets[1].LE = h.Buckets[0].LE }, "bucket bounds not increasing"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := tc.hs
+			hs.Buckets = append([]BucketCount(nil), tc.hs.Buckets...)
+			tc.mutate(&hs)
+			msg := checkHistogram(hs)
+			switch {
+			case tc.wantErr == "" && msg != "":
+				t.Fatalf("consistent snapshot rejected: %s", msg)
+			case tc.wantErr != "" && !strings.Contains(msg, tc.wantErr):
+				t.Fatalf("got %q, want it to contain %q", msg, tc.wantErr)
+			}
+		})
 	}
 }

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Registry is a named collection of metrics with a stable JSON snapshot.
 // Handles are get-or-create by name, so layers sharing a registry share
@@ -94,10 +89,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 // lock held, so a callback may freely look up or read handles on the same
 // registry (Counter, Gauge, Histogram, Trace — each takes the registry
 // lock briefly itself) and may take engine locks such as the one inside
-// pagedb.Stats. The one thing a callback must NOT do is call Snapshot or
-// WriteJSON on a registry whose funcs (transitively) include itself —
-// that recurses without bound. TestSnapshotGaugeFuncReentrancy pins the
-// lock-free evaluation.
+// pagedb.Stats. The one thing a callback must NOT do is call Snapshot on a
+// registry whose funcs (transitively) include itself — that recurses
+// without bound. TestSnapshotGaugeFuncReentrancy pins the lock-free
+// evaluation.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return
@@ -121,46 +116,10 @@ func (r *Registry) Trace() *Trace {
 // events oldest-first. Maps marshal with sorted keys, so the rendered
 // JSON is deterministic for a given state.
 type Snapshot struct {
-	// Compact marks a snapshot passed through Compacted: zero-valued and
-	// empty series were dropped, so "series absent" means "series zero",
-	// not "series never existed". lsbench's reports are always compact, so
-	// cmd/benchcheck requires a series to be non-empty, never to exist.
-	Compact    bool                         `json:"compact,omitempty"`
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Events     []Event                      `json:"events,omitempty"`
-}
-
-// Compacted returns a reviewable copy of the snapshot: zero-valued
-// counters and gauges, empty histograms, and the event ring are dropped
-// (histogram bucket lists already omit empty buckets). Nothing a nonzero
-// series reported is lost — compaction only removes entries whose value
-// is exactly the zero the reader would infer from their absence. The copy
-// is marked Compact so schema validators know absence means zero.
-func (s Snapshot) Compacted() Snapshot {
-	out := Snapshot{
-		Compact:    true,
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for k, v := range s.Counters {
-		if v != 0 {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range s.Gauges {
-		if v != 0 {
-			out.Gauges[k] = v
-		}
-	}
-	for k, v := range s.Histograms {
-		if v.Count != 0 {
-			out.Histograms[k] = v
-		}
-	}
-	return out
 }
 
 // Snapshot reads every metric. Counters and gauges are single atomic
@@ -211,14 +170,4 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Events = r.trace.Events()
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Snapshot()); err != nil {
-		return fmt.Errorf("obs: encoding snapshot: %w", err)
-	}
-	return nil
 }

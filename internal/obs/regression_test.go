@@ -114,39 +114,3 @@ func TestTraceRingConcurrentWriters(t *testing.T) {
 		}
 	}
 }
-
-func TestSnapshotCompacted(t *testing.T) {
-	r := New()
-	r.Counter("live").Add(5)
-	r.Counter("dead") // created, never incremented
-	r.Gauge("hot").Set(-2)
-	r.Gauge("zero").Set(0)
-	r.Histogram("lat").Record(100)
-	r.Histogram("empty")
-	r.Trace().Emit(EvWatermark, 1)
-
-	full := r.Snapshot()
-	c := full.Compacted()
-	if !c.Compact {
-		t.Fatal("compacted snapshot must be marked Compact")
-	}
-	if c.Counters["live"] != 5 || c.Gauges["hot"] != -2 || c.Histograms["lat"].Count != 1 {
-		t.Fatalf("compaction lost live series: %+v", c)
-	}
-	if _, ok := c.Counters["dead"]; ok {
-		t.Fatal("zero counter survived compaction")
-	}
-	if _, ok := c.Gauges["zero"]; ok {
-		t.Fatal("zero gauge survived compaction")
-	}
-	if _, ok := c.Histograms["empty"]; ok {
-		t.Fatal("empty histogram survived compaction")
-	}
-	if c.Events != nil {
-		t.Fatal("event ring survived compaction")
-	}
-	// The full snapshot is untouched (Compacted is a copy).
-	if _, ok := full.Counters["dead"]; !ok || full.Compact {
-		t.Fatal("Compacted mutated its receiver")
-	}
-}

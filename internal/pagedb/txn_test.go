@@ -572,9 +572,11 @@ func TestTPCCConcurrentTxnBackend(t *testing.T) {
 	snap := db.Obs().Snapshot()
 	for _, name := range []string{"wal.append.ns", "wal.fsync.ns", "wal.commit.ns",
 		"pagedb.commit.ns", "store.commit.ns", "tpcc.tx.NewOrder.ns"} {
-		if snap.Histograms[name].Count == 0 {
-			t.Errorf("histogram %q recorded nothing", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if snap.Histograms[name].Count == 0 {
+				t.Errorf("histogram %q recorded nothing", name)
+			}
+		})
 	}
 	commits, rounds := snap.Counters["wal.commit.commits"], snap.Counters["wal.commit.rounds"]
 	if commits != st.WAL.Commits || rounds != st.WAL.Rounds {

@@ -524,9 +524,6 @@ func (s *Sim) ResetCounters() {
 	s.cleaned, s.cycles, s.sumEAtClean = 0, 0, 0
 }
 
-// FreeSegments returns the current free-pool size.
-func (s *Sim) FreeSegments() int { return len(s.free) }
-
 // Location reports where page p currently lives: in the write buffer
 // (buffered=true), in segment seg at slot slot, or nowhere (ok=false).
 func (s *Sim) Location(p uint32) (seg int32, slot int, buffered, ok bool) {

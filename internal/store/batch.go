@@ -162,14 +162,12 @@ func (s *Store) applyLocked(b *Batch) error {
 // groupCommit coalesces concurrent DurCommit committers onto shared fsync
 // rounds: the first committer to find no round in flight flushes the
 // unsynced-segment ledger; everyone else piggybacks on the round's outcome
-// and only starts another if their records are still not covered.
+// and only starts another if their records are still not covered. Its counts
+// are the store.commit.commits / .rounds / .syncs counters.
 type groupCommit struct {
 	mu      sync.Mutex
 	durable uint64       // highest seq known flushed to storage
 	cur     *commitRound // in-flight flush, nil when idle
-	commits uint64       // DurCommit waits served
-	rounds  uint64       // flush rounds run
-	syncs   uint64       // per-segment fsync calls issued
 }
 
 type commitRound struct {
@@ -181,9 +179,6 @@ type commitRound struct {
 // contributing to the group-commit statistics. Caller must not hold s.mu.
 func (s *Store) commitWait(target uint64) error {
 	t0 := time.Now()
-	s.gcm.mu.Lock()
-	s.gcm.commits++
-	s.gcm.mu.Unlock()
 	s.cCommits.Inc()
 	err := s.waitDurable(target)
 	s.hCommit.Record(uint64(time.Since(t0)))
@@ -213,11 +208,9 @@ func (s *Store) waitDurable(target uint64) error {
 		g.mu.Unlock()
 		synced, err := s.syncPoint(false, nil) // publishes g.durable
 		g.mu.Lock()
-		g.rounds++
-		g.syncs += uint64(synced)
 		s.cRounds.Inc()
 		s.cSyncs.Add(uint64(synced))
-		s.trace.Emit(obs.EvCommitRound, int64(g.rounds), int64(g.syncs), int64(synced))
+		s.trace.Emit(obs.EvCommitRound, int64(s.cRounds.Value()), int64(s.cSyncs.Value()), int64(synced))
 		r.err = err
 		g.cur = nil
 		close(r.done)

@@ -326,6 +326,65 @@ func TestBatchDurCommitConcurrentCommitters(t *testing.T) {
 	}
 }
 
+// TestBatchDurCommitForegroundRounds is the foreground sibling of
+// TestBatchDurCommitConcurrentCommitters, with cleaning cycles inside Apply:
+// every Apply is one commit, and a commit runs at most one fsync round —
+// each round is run by one committer, and it claims s.seq at or past that
+// committer's target — so 1 ≤ FsyncRounds ≤ Commits. A cycle's sync point
+// is not a round. How many rounds concurrent committers share is timing, so
+// no coalescing is asserted. Stats reads the store.commit.* counters.
+func TestBatchDurCommitForegroundRounds(t *testing.T) {
+	s, err := Open(Options{
+		Dir:          t.TempDir(),
+		PageSize:     128,
+		SegmentPages: 16,
+		MaxSegments:  96,
+		Durability:   core.DurCommit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const writers, batches, perBatch = 4, 64, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := NewBatch()
+			for i := 0; i < batches; i++ {
+				b.Reset()
+				for k := 0; k < perBatch; k++ {
+					id := uint32(w*1000 + k)
+					b.Write(id, pagePattern(128, id, byte(i)))
+				}
+				if err := s.Apply(b); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	st := s.Stats()
+	if st.Commits != writers*batches {
+		t.Errorf("Commits = %d, want %d (one per Apply)", st.Commits, writers*batches)
+	}
+	if st.FsyncRounds < 1 || st.FsyncRounds > st.Commits {
+		t.Errorf("FsyncRounds = %d, want in [1, Commits = %d]", st.FsyncRounds, st.Commits)
+	}
+	if st.SegmentsCleaned == 0 {
+		t.Errorf("no segment cleaned: the run never put a cycle's sync point beside the rounds")
+	}
+	c := s.Obs().Snapshot().Counters
+	if c["store.commit.commits"] != st.Commits || c["store.commit.rounds"] != st.FsyncRounds || c["store.commit.syncs"] != st.Fsyncs {
+		t.Errorf("store.commit.* counters %d/%d/%d, Stats %d/%d/%d",
+			c["store.commit.commits"], c["store.commit.rounds"], c["store.commit.syncs"], st.Commits, st.FsyncRounds, st.Fsyncs)
+	}
+	t.Logf("%d commits, %d fsync rounds, %d fsyncs, %d segments cleaned", st.Commits, st.FsyncRounds, st.Fsyncs, st.SegmentsCleaned)
+}
+
 // tornBatchSetup builds a file-backed DurCommit store whose final writes
 // are one 5-record batch spanning two segments, crashes it, and returns
 // the dir plus the disk locations of the batch's records ordered by batch

@@ -370,7 +370,8 @@ type Stats struct {
 	// Commits counts DurCommit waits (writes and batch Applies that waited
 	// for group durability); FsyncRounds counts the group flushes that
 	// served them and Fsyncs the per-segment fsync calls those rounds
-	// issued. FsyncRounds/Commits < 1 means committers coalesced.
+	// issued (the counters store.commit.commits / .rounds / .syncs).
+	// FsyncRounds/Commits < 1 means committers coalesced.
 	Commits     uint64
 	FsyncRounds uint64
 	Fsyncs      uint64
@@ -419,11 +420,9 @@ func (s *Store) Stats() Stats {
 		st.FillFactor = float64(st.LivePages) / float64(st.CapacityPages)
 	}
 	s.mu.RUnlock()
-	s.gcm.mu.Lock()
-	st.Commits = s.gcm.commits
-	st.FsyncRounds = s.gcm.rounds
-	st.Fsyncs = s.gcm.syncs
-	s.gcm.mu.Unlock()
+	st.Commits = s.cCommits.Value()
+	st.FsyncRounds = s.cRounds.Value()
+	st.Fsyncs = s.cSyncs.Value()
 	st.Background, st.Cleaner = s.log.CleanerStats()
 	return st
 }
