@@ -126,39 +126,3 @@ func (c *Core) checkNode(n *Node) error {
 	}
 	return nil
 }
-
-// CheckPageTree validates the invariants of a PAGE-ID based tree given only
-// a way to read page images — for callers holding raw images rather than a
-// live Core (offline verification, tests). It adapts fetch into a read-only
-// NodeStore that parses each image (ParseNode, which may alias it) and runs
-// the one shared checker under PageLayout, so NBytes <= budget implies every
-// image fits pageSize.
-func CheckPageTree(fetch func(id uint32) ([]byte, error), root uint32, height, count, pageSize int) error {
-	return LoadCore(pageFetchStore{fetch}, pageSize, PageLayout, root, height, count).Check()
-}
-
-// pageFetchStore is the read-only NodeStore behind CheckPageTree.
-type pageFetchStore struct {
-	fetch func(id uint32) ([]byte, error)
-}
-
-func (s pageFetchStore) Alloc() (uint32, error) {
-	return 0, fmt.Errorf("btree: read-only page store cannot allocate")
-}
-
-func (s pageFetchStore) Fetch(id uint32) (*Node, error) {
-	img, err := s.fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	n := new(Node)
-	return n, ParseNode(n, id, img, PageLayout)
-}
-
-func (s pageFetchStore) Release(*Node) {}
-
-func (s pageFetchStore) MarkDirty(*Node) {}
-
-func (s pageFetchStore) Free(uint32) error {
-	return fmt.Errorf("btree: read-only page store cannot free")
-}

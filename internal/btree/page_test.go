@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/bufferpool"
@@ -182,6 +183,41 @@ func TestCheckPageTree(t *testing.T) {
 	if err := CheckPageTree(fetch, 1, 2, 4, pageSize); err == nil {
 		t.Error("leaf chain cycle accepted")
 	}
+}
+
+// CheckPageTree validates the invariants of a PAGE-ID based tree given only
+// a way to read page images. It adapts fetch into a read-only NodeStore that
+// parses each image (ParseNode, which may alias it) and runs the one shared
+// checker under PageLayout, so NBytes <= budget implies every image fits
+// pageSize.
+func CheckPageTree(fetch func(id uint32) ([]byte, error), root uint32, height, count, pageSize int) error {
+	return LoadCore(pageFetchStore{fetch}, pageSize, PageLayout, root, height, count).Check()
+}
+
+// pageFetchStore is the read-only NodeStore behind CheckPageTree.
+type pageFetchStore struct {
+	fetch func(id uint32) ([]byte, error)
+}
+
+func (s pageFetchStore) Alloc() (uint32, error) {
+	return 0, fmt.Errorf("btree: read-only page store cannot allocate")
+}
+
+func (s pageFetchStore) Fetch(id uint32) (*Node, error) {
+	img, err := s.fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	n := new(Node)
+	return n, ParseNode(n, id, img, PageLayout)
+}
+
+func (s pageFetchStore) Release(*Node) {}
+
+func (s pageFetchStore) MarkDirty(*Node) {}
+
+func (s pageFetchStore) Free(uint32) error {
+	return fmt.Errorf("btree: read-only page store cannot free")
 }
 
 type errNotFound uint32

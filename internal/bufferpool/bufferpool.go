@@ -385,17 +385,6 @@ func (s *shard) insert(p *Pool, id uint32) *frame {
 	return victim
 }
 
-// Resident returns the number of pages currently cached.
-func (p *Pool) Resident() int {
-	n := 0
-	for _, s := range p.shards {
-		s.mu.RLock()
-		n += len(s.frames)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
 // Pinned returns the number of frames currently holding at least one pin
 // (an engine-level invariant check: between operations it must be zero).
 func (p *Pool) Pinned() int {

@@ -14,11 +14,11 @@ import "fmt"
 //     only as durable as the operating system makes it. This is the fastest
 //     mode and the zero value (the historical Sync=false default).
 //   - DurSeal: a user's records are fsynced when their segment is sealed,
-//     checkpoint installs are fsynced, and a segment holding only relocated
-//     copies is fsynced at its cleaning cycle's sync point, before any
-//     victim is reused (until then the victims hold the originals). A crash
-//     can lose at most the records in not-yet-sealed open segments. This is
-//     the historical Sync=true behavior.
+//     checkpoints are fsynced, and a segment of relocated copies is fsynced
+//     once, by the cleaning cycle that seals it; until then the victims of
+//     those copies are released but not reset. A crash can lose at most the
+//     records in not-yet-sealed open segments. This is the historical
+//     Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,

@@ -16,3 +16,10 @@ func (db *DB) drawScratch() *txnScratch {
 	sc, _ := db.scratch.Get().(*txnScratch)
 	return sc
 }
+
+// TreeNames lists the named trees in creation order.
+func (db *DB) TreeNames() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return append([]string(nil), db.order...)
+}

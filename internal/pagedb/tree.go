@@ -55,13 +55,6 @@ func (db *DB) treeLocked(name string) (*Tree, error) {
 	return t, nil
 }
 
-// TreeNames lists the named trees in creation order.
-func (db *DB) TreeNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]string(nil), db.order...)
-}
-
 // DropTree deletes a named tree, freeing every page it owns. Outstanding
 // handles to it fail all further operations.
 func (db *DB) DropTree(name string) error {

@@ -555,7 +555,7 @@ func TestTPCCConcurrentTxnBackend(t *testing.T) {
 	if err := eng.RunConcurrent(total, workers); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().TxTotal(); got != total {
+	if got := txTotal(eng.Stats()); got != total {
 		t.Errorf("ran %d transactions, want %d", got, total)
 	}
 	st := db.Stats()

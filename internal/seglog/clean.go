@@ -22,9 +22,9 @@ import (
 //     concurrent overwrite may have superseded it mid-flight.
 //
 // Crash safety relies on ordering in both modes: every live record of a
-// victim batch is rewritten (and made durable by the engine's sync point)
-// BEFORE any victim is released for reuse, so at any instant every live
-// record has at least one intact copy.
+// victim batch is rewritten BEFORE any victim is released, and made durable
+// BEFORE that victim is reset for reuse (Engine.Backs), so at any instant
+// every live record has at least one intact durable copy.
 
 // cleanUntil runs foreground cleaning cycles until the free pool reaches
 // target() — re-evaluated per cycle, since the routed reserve can grow as
@@ -159,8 +159,8 @@ func (l *Log[R]) install(cands []Cand[R], win []byte, locked bool) (installed in
 	return installed, bytes, cmp.Or(err, l.eng.Flush())
 }
 
-// release returns victims to the free pool and reports the gross capacity
-// bytes released. Caller holds the write lock.
+// release returns victims to the free pool, SealSeq kept (pick), and reports
+// the gross capacity bytes released. Caller holds the write lock.
 func (l *Log[R]) release(victims []int32) (releasedBytes int64) {
 	for _, v := range victims {
 		m := &l.Meta[v]

@@ -122,7 +122,10 @@ func TestGoldenDeterminism(t *testing.T) {
 // store/MDC/seal (737 / 855 → 680 / 743) and fsyncs of store/MDC/seal/nodelete
 // (896 → 770), no other field of any row — were re-recorded when a segment a
 // cycle fills with relocated copies stopped being fsynced at its seal and again
-// at the cycle's sync point: it is fsynced there once (one unsynced ledger).
+// at the cycle's sync point: it is fsynced there once (one unsynced ledger);
+// and again (680 / 743 → 672 / 726, and 770 → 743) when a cycle stopped
+// fsyncing its open GC tail, leaving it to the cycle that seals it, so a GC
+// segment is fsynced once (victims with copies in the tail stay backing).
 const goldenRows = `store/MDC errFull=0 user=50622 gc=12391 unow=58939 cleaned=4032 meanE=0.8220190183080703 free=17 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:38/232 1:73/767
 store/MDC-routed errFull=0 user=50622 gc=16152 unow=58939 cleaned=4240 meanE=0.7783983704974156 free=15 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:7/30 1:101/928 2:2/22 3:3/19
 store/multi-log errFull=0 user=50622 gc=28490 unow=58939 cleaned=4995 meanE=0.6695536445536259 free=29 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:2/24 5:3/22 6:4/34 7:9/90 8:17/182 9:21/238 10:13/144 11:8/88 12:8/90 13:5/43 14:2/21 15:1/1 27:2/20
@@ -133,10 +136,10 @@ vlog/MDC-routed errFull=0 user=50622 gc=17768 userBytes=7261046 gcBytes=2304433 
 vlog/multi-log errFull=0 user=50622 gc=27793 userBytes=7261046 gcBytes=3588908 liveBytes=123807 cleaned=5409 meanE=0.6760220956969865 free=22 keys=899 commits=5308 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:1/5 5:3/23 6:4/39 7:10/85 8:16/157 9:21/212 10:16/145 11:12/102 12:8/72 13:5/34 14:3/22 15:1/2 27:2/16
 vlog/greedy errFull=0 user=50622 gc=16470 userBytes=7261046 gcBytes=2172026 liveBytes=123807 cleaned=4668 meanE=0.7728021486048628 free=5 keys=899 commits=5308 streams: 0:26/181 1:97/735
 vlog/cost-benefit errFull=0 user=50622 gc=14871 userBytes=7261046 gcBytes=2018665 liveBytes=123807 cleaned=4596 meanE=0.7855360597190492 free=7 keys=899 commits=5308 streams: 0:63/253 1:58/663
-store/MDC/seal firstHalfFsyncs=680 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=743 streams: 0:45/255 1:68/680
+store/MDC/seal firstHalfFsyncs=672 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=726 streams: 0:45/255 1:68/680
 store/MDC-routed/commit firstHalfFsyncs=5729 errFull=0 user=8197 gc=2005 unow=20102 cleaned=680 meanE=0.8250250668449195 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5572 fsyncs=5798 streams: 0:7/33 1:94/844 2:3/24 3:5/34
 store/MDC/nodelete errFull=0 user=55866 gc=13275 unow=55866 cleaned=4208 meanE=0.8028309173003803 free=14 live=999 tomb=0 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:41/232 1:73/767
-store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=770 streams: 0:48/260 1:69/683`
+store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=743 streams: 0:48/260 1:69/683`
 
 // goldenOp is one workload operation against either engine.
 type goldenOp struct {

@@ -16,15 +16,18 @@
 //
 // Two promises tie the sides together. SegCleaning freezes a victim: the
 // core never opens, reuses or re-selects it until release, so an engine may
-// read its records with no lock held. And release, the only step that makes
-// victim space reusable, always follows a successful Engine.SyncRelocated —
-// so at any instant every live record has an intact copy.
+// read its records with no lock held. And release follows a successful
+// Engine.SyncRelocated, which may leave copies in a still-open segment
+// unsynced: release may precede the copies' fsync, reuse may not. Such a
+// victim is backing (Engine.Backs) — so every live record always has an
+// intact durable copy.
 package seglog
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -141,6 +144,10 @@ type Engine[R any] interface {
 	// ReleaseSegment drops the engine's per-segment state for a victim
 	// that is returning to the free pool.
 	ReleaseSegment(seg int32)
+	// Backs reports whether free segment seg is backing: a relocated copy of
+	// one of its records still owes an fsync. The core opens it only when no
+	// other will do (pick); OpenSegment then covers the copies first.
+	Backs(seg int32) bool
 }
 
 // openSeg is a stream's open segment: its id (-1 = none), the records
@@ -451,11 +458,12 @@ func (l *Log[R]) room(stream int32, size int64, need int) error {
 		l.trace.Emit(obs.EvErrFull, int64(len(l.free)), int64(need))
 		return l.cfg.ErrFull
 	}
-	seg := l.free[len(l.free)-1]
+	i := l.pick()
+	seg := l.free[i]
 	if err := l.eng.OpenSegment(seg, stream); err != nil {
 		return err // seg stays in the pool
 	}
-	l.free = l.free[:len(l.free)-1]
+	l.free = slices.Delete(l.free, i, i+1)
 	l.freeCount.Store(int64(len(l.free)))
 	l.Meta[seg] = core.SegmentMeta{
 		Capacity: l.cfg.SegmentBytes,
@@ -466,6 +474,20 @@ func (l *Log[R]) room(stream int32, size int64, need int) error {
 	l.fill[seg] = 0
 	l.open[stream] = openSeg{seg: seg}
 	return nil
+}
+
+// pick returns the free-pool index of the segment room opens: the topmost
+// that backs nothing, else the topmost. It looks no deeper than the first
+// segment not written since start-up (a free one keeps its last SealSeq; 0 is
+// never): opening a never-used file would grow the log's footprint.
+func (l *Log[R]) pick() int {
+	top := len(l.free) - 1
+	for i := top; i >= 0 && l.Meta[l.free[i]].SealSeq != 0; i-- {
+		if !l.eng.Backs(l.free[i]) {
+			return i
+		}
+	}
+	return top
 }
 
 // Tail returns stream's open segment (which must exist, see Room) and the

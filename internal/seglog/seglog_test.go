@@ -114,6 +114,7 @@ func (e *fakeEngine) OpenSegment(seg, stream int32) error { e.recs[seg] = e.recs
 func (e *fakeEngine) SealSegment(int32) error             { return nil }
 func (e *fakeEngine) Flush() error                        { return nil }
 func (e *fakeEngine) ReleaseSegment(seg int32)            { e.recs[seg] = e.recs[seg][:0] }
+func (e *fakeEngine) Backs(int32) bool                    { return false }
 func (e *fakeEngine) SyncRelocated(bool) error            { e.syncs++; return e.syncErr }
 
 func (e *fakeEngine) Load(c []Cand[fakeRec], _ *[]byte) (int, error) { return len(c), nil }

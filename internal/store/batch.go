@@ -227,13 +227,13 @@ func (s *Store) waitDurable(target uint64) error {
 const syncInFlight = 4
 
 // syncPoint is how a segment gets fsynced, at every durability point: seal,
-// cleaning cycle, group flush, Sync, Close. Under the store lock (the
-// caller's if locked, else its own) it writes the staged run and claims the
+// cleaning cycle, backing reuse, group flush, Sync, Close. Under the store lock
+// (the caller's if locked, else its own) it writes the staged run and claims the
 // ledger entries pick wants (nil: all of them, which makes the log durable up
 // to the seq at the claim, and publishes that); it fsyncs the claimed segments
 // concurrently, holding the lock only if the caller does; and, under the lock
-// again, retires the entries no append has touched since the claim. An error
-// retires nothing. n is the number of segments claimed.
+// again, retires the entries no append has touched since the claim (and the
+// waits on them). An error retires nothing. n is the number of segments claimed.
 func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n int, err error) {
 	if !locked {
 		s.mu.Lock()
@@ -265,10 +265,15 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
+	retired := false
 	for _, seg := range segs {
-		if s.unsynced[seg].seq <= applied { // else appended to since: still owed one
+		if e := s.unsynced[seg]; e.seq <= applied { // else appended to since: still owed one
 			delete(s.unsynced, seg)
+			retired = retired || e.reloc
 		}
+	}
+	if retired {
+		s.pruneWaits()
 	}
 	if pick == nil {
 		s.gcm.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/cleaner"
@@ -18,9 +19,9 @@ import (
 // The cleaning cycle itself (select → relocate → release, foreground and
 // background) lives in internal/seglog; this file is the store's side of
 // seglog.Engine: enumerating a victim's live records, loading a window of
-// them, installing one relocated copy, and the durability point that must
-// precede any victim's release. Recovery picks the highest sequence number,
-// so two on-disk copies of a page mid-clean are harmless.
+// them, installing one relocated copy, the durability point that must precede
+// any victim's release, and the backing victims whose reset waits on another.
+// Recovery picks the highest sequence number, so two copies are harmless.
 
 // recCand is one live victim record captured at selection time, under the
 // lock: where it is and how long, so that Load needs no index to find it.
@@ -96,7 +97,8 @@ func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
 
 // Install (seglog.Engine) appends a relocated copy of c if it is still
 // current, keeping victim accounting truthful (a pruned record no longer
-// counts against its victim, nor a relocated one once Flush wrote its copy).
+// counts against its victim, nor a relocated one once Flush wrote its copy),
+// and notes the segment the copy went to among those its victim waits on.
 func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 	r, flags, size := &c.Rec, uint32(0), int64(c.Rec.size)
 	if r.tomb {
@@ -125,6 +127,9 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if on := s.waits[c.Seg]; s.waits != nil && !slices.Contains(on, s.runSeg) {
+		s.waits[c.Seg] = append(on, s.runSeg) // before appendRecord, whose seal may cover it
+	}
 	copy(rec[RecordHeaderSize:], win[r.woff:][RecordHeaderSize:size])
 	if err := s.appendRecord(stream, r.page, flags, 0, rec, c.Up2, c); err != nil {
 		return 0, err
@@ -137,18 +142,18 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 // point after the last relocated copy is written and before any victim is
 // released. Until it succeeds the victims hold the originals and recovery
 // falls back to them, so a segment the cycle filled and sealed on the way is
-// not fsynced at its seal but here, once, together with the open tail of the
-// GC output. Under DurSeal it covers every ledger entry holding a relocated
-// copy, open or sealed, whichever cycle wrote it: an aborted cycle leaves its
-// entries behind and a failed fsync retires none, so the next point (or Sync,
-// or Close) covers them before anything is released. Under DurCommit it covers
+// not fsynced at its seal but here, once. Under DurSeal it covers every sealed
+// ledger entry holding a relocated copy, whichever cycle wrote it (an aborted
+// cycle leaves its entries behind, a failed fsync retires none). An open GC
+// tail waits for the cycle that seals it (or Sync, or Close); the victims
+// with copies in it are released backing (Backs). Under DurCommit it covers
 // the whole ledger, so a relocated copy of a batch record (which loses its
 // batch markers) never becomes durable ahead of the rest of its batch —
 // releasing the victim then cannot let recovery surface the batch partially.
 func (s *Store) SyncRelocated(locked bool) error {
 	switch s.opts.Durability {
 	case core.DurSeal:
-		_, err := s.syncPoint(locked, func(_ int32, e unsyncedSeg) bool { return e.reloc })
+		_, err := s.syncPoint(locked, func(g int32, e unsyncedSeg) bool { return e.reloc && s.log.Meta[g].State != core.SegOpen })
 		return err
 	case core.DurCommit:
 		if !locked {
@@ -161,10 +166,26 @@ func (s *Store) SyncRelocated(locked bool) error {
 }
 
 // ReleaseSegment (seglog.Engine) forgets a released victim's records and its
-// ledger entry: what was live in it is synced elsewhere, nothing is owed.
+// ledger entry. What was live in it is synced elsewhere, or sits in an open GC
+// tail: then the victim keeps its waits and is backing until that tail's fsync.
 func (s *Store) ReleaseSegment(seg int32) {
 	s.recs[seg] = s.recs[seg][:0]
 	delete(s.unsynced, seg)
+}
+
+// Backs (seglog.Engine) reports whether free segment seg is backing: it waits
+// on a segment, so its file holds some record's last durable copy.
+func (s *Store) Backs(seg int32) bool { return len(s.waits[seg]) > 0 }
+
+// pruneWaits drops the waits on segments a sync point has just covered.
+func (s *Store) pruneWaits() {
+	for seg, on := range s.waits {
+		if on = slices.DeleteFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }); len(on) > 0 {
+			s.waits[seg] = on
+		} else {
+			delete(s.waits, seg)
+		}
+	}
 }
 
 // checkpoint file layout: magic (8) | unow (8) | prunedSeq (8) |
@@ -463,6 +484,13 @@ func (s *Store) CheckInvariants() error {
 	for seg := range s.unsynced {
 		if s.log.Meta[seg].State == core.SegFree {
 			return fmt.Errorf("store: free segment %d is in the unsynced ledger", seg)
+		}
+	}
+	// A segment with waits is free (backing) or a victim, never open, and each
+	// segment it waits on is in the ledger with a relocated copy.
+	for seg, on := range s.waits {
+		if st := s.log.Meta[seg].State; st == core.SegOpen || len(on) == 0 || slices.ContainsFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }) {
+			return fmt.Errorf("store: %s segment %d waits on %v, not all owing a relocated copy an fsync", st, seg, on)
 		}
 	}
 	return s.log.Check(liveCount, liveBytes)

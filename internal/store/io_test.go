@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -222,14 +225,15 @@ func TestFailedRunWriteMidCycle(t *testing.T) {
 
 // TestCycleSyncShape pins the fsync budget of cleaning under DurSeal, over a
 // seeded foreground run whose cycles the test drives itself: every segment is
-// fsynced once for its seal — a user segment at the seal, one a cycle filled
-// with relocated copies at that cycle's sync point — plus once per cycle for
-// the open tail of the GC output; no segment is fsynced twice with no write in
-// between; and when a cycle releases its victims, every segment holding a copy
-// of their pages is covered by a successful fsync begun after its last write.
-// (Full-size pages only, so the count is exact: a tail with room for less than
-// the next copy is sealed by it with nothing written since the tail's fsync,
-// and owes none.)
+// fsynced once, for its seal — a user segment at the seal, one a cycle filled
+// with relocated copies at that cycle's sync point, an open GC tail at the
+// point of the cycle that seals it — and an open segment only by a sync point
+// forced by reusing a backing victim (store.backing.syncs; here they all come
+// mid-cycle, for the GC segment the cycle just sealed, so they move an fsync
+// and add none); no segment is fsynced twice with no write in between; and no
+// victim is reset before every segment holding a copy of its pages has a
+// successful fsync begun after the copies' writes. (Full-size pages only, so
+// the count is exact: a tail is sealed by the copy that fills it.)
 func TestCycleSyncShape(t *testing.T) {
 	const pages, pageSize = 600, 256
 	s, err := Open(Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 16, MaxSegments: 64,
@@ -239,33 +243,29 @@ func TestCycleSyncShape(t *testing.T) {
 	}
 	defer s.Close()
 	cb := count(s)
+	openSyncs := 0 // fsyncs of a segment still open: only a forced sync point issues one
+	cb.failSync = func(seg int) error {
+		if s.log.Meta[seg].State == core.SegOpen {
+			openSyncs++
+		}
+		return nil
+	}
 	var (
-		rp             syncReplay
-		victims, tails int
-		buf            = make([]byte, pageSize)
-		r              = rand.New(rand.NewPCG(24, 1))
+		rp      syncReplay
+		victims int
+		buf     = make([]byte, pageSize)
+		r       = rand.New(rand.NewPCG(24, 1))
 	)
 	cycle := func() {
-		from := make(map[uint32]int32, len(s.table)) // where each page lives going in
-		for id, loc := range s.table {
-			from[id] = loc.seg
-		}
-		gcBefore := s.Stats().GCWrites
+		from := locations(s)
 		n, err := s.CleanOnce()
 		if err != nil || n == 0 {
 			t.Fatalf("CleanOnce = %d, %v", n, err)
 		}
 		victims += n
 		rp.advance(t, cb)
-		for id, seg := range from {
-			to := s.table[id].seg
-			if s.log.Meta[seg].State == core.SegFree && rp.state[int(to)] != 'S' {
-				t.Fatalf("victim %d was released while segment %d, holding its page %d, had no successful fsync begun after its last write", seg, to, id)
-			}
-		}
-		if st := s.Stats(); st.GCWrites > gcBefore && st.Streams[1].OpenSegments == 1 {
-			tails++
-		}
+		rp.relocated(s, from)
+		checkInvariants(t, s)
 	}
 	for op := 0; op < 1200; op++ {
 		b := NewBatch()
@@ -294,12 +294,17 @@ func TestCycleSyncShape(t *testing.T) {
 		sealed -= ss.OpenSegments
 	}
 	fsyncs := int(s.Obs().Histogram("store.fsync.ns").Count())
-	if fsyncs != sealed+tails || fsyncs != rp.syncs {
-		t.Errorf("%d fsyncs (the backend saw %d), want %d: one per sealed segment (%d) and one per cycle for the open GC tail (%d)",
-			fsyncs, rp.syncs, sealed+tails, sealed, tails)
+	forced := int(s.Obs().Counter("store.backing.syncs").Value())
+	t.Logf("%d fsyncs for %d sealed segments; %d sync points forced by a backing victim, %d fsyncs of an open segment", fsyncs, sealed, forced, openSyncs)
+	if fsyncs != sealed+openSyncs || openSyncs > forced || fsyncs != rp.syncs {
+		t.Errorf("%d fsyncs (the backend saw %d), want %d: one per sealed segment (%d) and one per open segment fsynced (%d), by no more than the %d forced sync points",
+			fsyncs, rp.syncs, sealed+openSyncs, sealed, openSyncs, forced)
 	}
-	// Each sync point is one sample of each syncpoint series, and a cycle's —
-	// a sealed GC segment and the tail — covers more than one segment.
+	if forced == 0 || rp.resets == 0 {
+		t.Errorf("%d forced sync points, %d victims reset: the run should exercise both", forced, rp.resets)
+	}
+	// Each sync point is one sample of each syncpoint series, and some cycle's
+	// covers more than one sealed GC segment.
 	ns, segs := s.Obs().Histogram("store.syncpoint.ns").Snapshot(), s.Obs().Histogram("store.syncpoint.segs").Snapshot()
 	if ns.Count != segs.Count || int(ns.Count) >= fsyncs || segs.Buckets[len(segs.Buckets)-1].LE < 2 {
 		t.Errorf("store.syncpoint.ns has %d samples, store.syncpoint.segs %d (largest bucket ≤ %d), for %d fsyncs",
@@ -313,14 +318,24 @@ var errSyncInjected = errors.New("injected fsync failure")
 // TestFailedSyncMidCycle: an fsync that fails at a cycle's sync point surfaces
 // from that cycle, which re-seals its victims and releases none; the segments
 // holding the relocated copies stay in the ledger, so the retried cycle's sync
-// point fsyncs them before it releases anything — and when there is no retry,
-// Close's does. Every page reads back throughout, and after a reopen.
+// point fsyncs the sealed ones before it releases anything — and when there is
+// no retry, Close's does. Under DurSeal an open GC tail holding such copies is
+// left to the cycle that seals it, or to Close, and no victim whose copies it
+// holds is reset before then. Every page reads back throughout, and after a
+// reopen.
 func TestFailedSyncMidCycle(t *testing.T) {
 	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
 		t.Run(dur.String(), func(t *testing.T) {
 			s, version := churnedStore(t, t.TempDir(), dur)
 			cb := count(s)
 			var rp syncReplay
+			cycle := func() (int, error) {
+				from := locations(s)
+				n, err := s.CleanOnce()
+				rp.advance(t, cb)
+				rp.relocated(s, from)
+				return n, err
+			}
 			// failedCycle runs a cycle whose every fsync fails and returns the
 			// segments its relocated copies went to.
 			failedCycle := func() []int32 {
@@ -328,7 +343,7 @@ func TestFailedSyncMidCycle(t *testing.T) {
 				cb.failSync = func(int) error { return errSyncInjected }
 				defer func() { cb.failSync = nil }()
 				before := s.Stats()
-				if n, err := s.CleanOnce(); !errors.Is(err, errSyncInjected) || n != 0 {
+				if n, err := cycle(); !errors.Is(err, errSyncInjected) || n != 0 {
 					t.Fatalf("CleanOnce with failing fsyncs = %d, %v; want the injected error", n, err)
 				}
 				after := s.Stats()
@@ -350,28 +365,38 @@ func TestFailedSyncMidCycle(t *testing.T) {
 				checkOracle(t, s, version)
 				return owed
 			}
-			covered := func(owed []int32, by string) {
+			// covered checks that by fsynced the owed segments: all of them, or
+			// (a retried DurSeal cycle) the sealed ones, the open tail still owed.
+			covered := func(owed []int32, by string, tail bool) {
 				t.Helper()
 				rp.advance(t, cb)
 				for _, seg := range owed {
-					if e, still := s.unsynced[seg]; still && e.reloc || rp.state[int(seg)] != 'S' {
+					e, still := s.unsynced[seg]
+					if tail && s.log.Meta[seg].State == core.SegOpen {
+						if !still || !e.reloc {
+							t.Errorf("open GC tail %d left the ledger without its seal", seg)
+						}
+					} else if still && e.reloc || rp.state[int(seg)] != 'S' {
 						t.Errorf("segment %d, holding the failed cycle's copies, was not fsynced by %s", seg, by)
 					}
 				}
 			}
 
 			owed := failedCycle()
-			if n, err := s.CleanOnce(); err != nil || n == 0 {
+			if n, err := cycle(); err != nil || n == 0 {
 				t.Fatalf("CleanOnce after the backend recovered = %d, %v", n, err)
 			}
-			covered(owed, "the retried cycle")
+			covered(owed, "the retried cycle", dur == core.DurSeal)
 			checkOracle(t, s, version)
 
 			owed = failedCycle()
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			covered(owed, "Close")
+			covered(owed, "Close", false)
+			if rp.resets == 0 {
+				t.Error("no victim of the test's cycles was reset: the reset check never ran")
+			}
 			s, err := Open(s.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -379,6 +404,84 @@ func TestFailedSyncMidCycle(t *testing.T) {
 			defer s.Close()
 			checkOracle(t, s, version)
 		})
+	}
+}
+
+// TestBackingVictimOutlivesLostTail: under DurSeal a cycle leaves its open GC
+// tail unsynced, so a crash may lose the tail whole, and the victims whose
+// copies it holds must still hold the originals. A churned store of
+// single-page writes (no batches) keeps writing; after each write that reset
+// a segment while a victim was backing, the test copies the open directory,
+// empties the open GC tail's file in the copy — a legal crash image while
+// that tail has had no fsync — and reopens the copy against the oracle.
+func TestBackingVictimOutlivesLostTail(t *testing.T) {
+	s, version := churnedStore(t, t.TempDir(), core.DurSeal)
+	defer s.Close()
+	cb := s.be.(*countingBackend) // churnedStore's: it saw every reset and fsync
+	// synced reports whether tail had an fsync since its last reset, and reset
+	// whether any segment was reset since event n.
+	synced := func(tail int) bool {
+		for i := len(cb.events) - 1; i >= 0 && cb.events[i] != (ioEvent{'r', tail}); i-- {
+			if cb.events[i] == (ioEvent{'s', tail}) {
+				return true
+			}
+		}
+		return false
+	}
+	reset := func(n int) bool {
+		return slices.ContainsFunc(cb.events[n:], func(e ioEvent) bool { return e.op == 'r' })
+	}
+	buf := make([]byte, 4096)
+	r := rand.New(rand.NewPCG(30, 7))
+	crashes := 0
+	for op := 0; op < 3000 && crashes < 5; op++ {
+		n := len(cb.events)
+		id := uint32(r.IntN(len(version)))
+		version[id]++
+		stamp(buf, id, version[id])
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		tail := -1
+		for seg, m := range s.log.Meta {
+			if m.State == core.SegOpen && m.Stream == 1 {
+				tail = seg
+			}
+		}
+		if len(s.waits) == 0 || !reset(n) || tail < 0 || synced(tail) {
+			continue
+		}
+		crashes++
+		img := t.TempDir()
+		entries, err := os.ReadDir(s.opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(s.opts.Dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(img, e.Name()), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Truncate((&fileBackend{dir: img}).path(tail), 0); err != nil {
+			t.Fatal(err)
+		}
+		opts := s.opts
+		opts.Dir, opts.Obs = img, nil
+		c, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, c, version)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if crashes == 0 {
+		t.Fatal("no write reset a segment while a victim was backing on an unsynced tail: the geometry is miscalibrated")
 	}
 }
 

@@ -158,36 +158,84 @@ func (c *countingBackend) sync(seg int) error {
 // syncReplay folds a countingBackend's events into, per segment, how far it
 // is from durable: 'w' written (or reset) since its last fsync, 's' an fsync
 // began after its last write, 'S' that fsync succeeded — the segment is
-// covered. It fails the test when a covered segment is fsynced again.
+// covered. It fails the test when a covered segment is fsynced again, and
+// when a segment is reset before every segment holding copies of its records
+// (see relocated) has a successful fsync begun after the writes of the copies.
 type syncReplay struct {
 	seen  int
 	state map[int]byte
 	syncs int
+	// Per segment, as event numbers (from 1): its last write or reset; that
+	// number when its last fsync began; and when its last successful one did.
+	wrote, began, covers map[int]int
+	// owed maps a segment to the segments holding copies of its records, and
+	// the number of the last write to each when the copies were in place;
+	// resets counts the resets of such a segment that were checked.
+	owed   map[int]map[int]int
+	resets int
 }
 
 func (r *syncReplay) advance(t *testing.T, cb *countingBackend) {
 	t.Helper()
 	if r.state == nil {
-		r.state = make(map[int]byte)
+		r.state, r.wrote, r.began, r.covers = make(map[int]byte), make(map[int]int), make(map[int]int), make(map[int]int)
 	}
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
-	for _, e := range cb.events[r.seen:] {
+	for i, e := range cb.events[r.seen:] {
 		switch e.op {
-		case 'w', 'r':
-			r.state[e.seg] = 'w'
+		case 'r':
+			if r.owed[e.seg] != nil {
+				r.resets++
+			}
+			for g, w := range r.owed[e.seg] {
+				if r.covers[g] < w {
+					t.Errorf("segment %d was reset before segment %d, holding copies of its records, had a successful fsync begun after writing them", e.seg, g)
+				}
+			}
+			delete(r.owed, e.seg)
+			fallthrough
+		case 'w':
+			r.state[e.seg], r.wrote[e.seg] = 'w', r.seen+i+1
 		case 's':
 			if r.syncs++; r.state[e.seg] == 'S' {
 				t.Errorf("segment %d was fsynced twice with no write in between", e.seg)
 			}
-			r.state[e.seg] = 's'
+			r.state[e.seg], r.began[e.seg] = 's', r.wrote[e.seg]
 		case 'S':
 			if r.state[e.seg] == 's' {
 				r.state[e.seg] = 'S'
 			}
+			r.covers[e.seg] = max(r.covers[e.seg], r.began[e.seg])
 		}
 	}
 	r.seen = len(cb.events)
+}
+
+// locations snapshots which segment holds each page's current version.
+func locations(s *Store) map[uint32]int32 {
+	from := make(map[uint32]int32, len(s.table))
+	for id, loc := range s.table {
+		from[id] = loc.seg
+	}
+	return from
+}
+
+// relocated notes, once the replay has advanced past a cleaning cycle, where
+// the pages it moved went: each segment in from (taken before the cycle) may
+// be reset only once the segments now holding its pages are covered.
+func (r *syncReplay) relocated(s *Store, from map[uint32]int32) {
+	if r.owed == nil {
+		r.owed = make(map[int]map[int]int)
+	}
+	for id, seg := range from {
+		if loc, ok := s.table[id]; ok && loc.seg != seg {
+			if r.owed[int(seg)] == nil {
+				r.owed[int(seg)] = make(map[int]int)
+			}
+			r.owed[int(seg)][int(loc.seg)] = r.wrote[int(loc.seg)]
+		}
+	}
 }
 
 // count wraps the store's backend in a countingBackend.

@@ -44,9 +44,11 @@
 // return only after the whole ledger is flushed, concurrent committers
 // coalescing onto one group round, and makes multi-record batches crash-atomic
 // (recovery discards a torn batch wholesale via the commit markers in the
-// record headers). A cleaning cycle's sync point covers every segment holding
-// a relocated copy before any victim is released for reuse, so a mid-clean
-// crash always leaves an intact copy of every live page. Store.Sync is the
+// record headers). A cleaning cycle's sync point covers every sealed segment
+// holding a relocated copy before any victim is released; DurSeal leaves an
+// open GC tail to the cycle that seals it, and a victim with copies there is
+// backing: not reset until they are fsynced, so a crash anywhere leaves an
+// intact durable copy of every live page. Store.Sync is the
 // explicit flush for the weaker levels. Writes arrive one at a time
 // (WritePage) or as atomic batches (NewBatch/Apply: one admission check, one
 // lock hold, space reserved for the whole batch before any old version is
@@ -62,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -217,6 +220,11 @@ type Store struct {
 	// covered, the working set of every durability point (syncPoint); nil on
 	// a volatile backend (Dir "").
 	unsynced map[int32]unsyncedSeg
+	// waits maps a segment to the segments, still owing an fsync, that hold
+	// relocated copies of its records: noted by Install, pruned by the sync
+	// points that cover them. A free segment in it is backing (Backs). Nil
+	// unless DurSeal on disk (DurCommit's cycle covers the whole ledger).
+	waits map[int32][]int32
 
 	// gcm is the group-commit state: under DurCommit concurrent committers
 	// coalesce onto a single fsync round (one goroutine flushes, waiters
@@ -250,6 +258,7 @@ type Store struct {
 	cCommits *obs.Counter   // store.commit.commits
 	cRounds  *obs.Counter   // store.commit.rounds
 	cSyncs   *obs.Counter   // store.commit.syncs
+	cBacking *obs.Counter   // store.backing.syncs: sync points forced by reusing a backing segment
 	// Record bytes (headers included) appended by users and by relocation:
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
@@ -262,9 +271,9 @@ type Store struct {
 
 // unsyncedSeg is a ledger entry: the seq of the segment's last append, and
 // whether the appends no fsync has covered include a user's record (which
-// DurSeal owes an fsync at the seal) or a relocated copy (which a cleaning
-// cycle owes one before it releases a victim); a fresh header is neither. An
-// entry is retired only by a successful fsync that began after that append, or
+// DurSeal owes an fsync at the seal) or a relocated copy (owed one by the cycle
+// that seals the segment, before its victims are reset); a header is neither.
+// An entry is retired only by a successful fsync begun after that append, or
 // dropped with a released victim's contents: a free segment is never in it.
 type unsyncedSeg struct {
 	seq         uint64
@@ -302,6 +311,7 @@ func Open(opts Options) (*Store, error) {
 	s.cCommits = opts.Obs.Counter("store.commit.commits")
 	s.cRounds = opts.Obs.Counter("store.commit.rounds")
 	s.cSyncs = opts.Obs.Counter("store.commit.syncs")
+	s.cBacking = opts.Obs.Counter("store.backing.syncs")
 	s.cUserBytes = opts.Obs.Counter("store.user.bytes")
 	s.cGCBytes = opts.Obs.Counter("store.gc.bytes")
 	s.cWriteIOs = opts.Obs.Counter("store.write.ios")
@@ -310,6 +320,9 @@ func Open(opts Options) (*Store, error) {
 	s.trace = opts.Obs.Trace()
 	if opts.Dir != "" {
 		s.unsynced = make(map[int32]unsyncedSeg)
+		if opts.Durability == core.DurSeal {
+			s.waits = make(map[int32][]int32)
+		}
 	}
 	s.run = make([]byte, 0, max(ioUnit, RecordHeaderSize+opts.PageSize))
 	s.readBufs.New = func() any {
@@ -868,10 +881,18 @@ func (s *Store) Flush() error {
 }
 
 // OpenSegment (seglog.Engine) resets a free segment's storage and stages
-// its header: the start of the run its first records will extend.
+// its header: the start of the run its first records will extend. The reset is
+// where a victim's bytes die, so a backing segment first runs one sync point
+// over the segments it waits on (store.backing.syncs).
 func (s *Store) OpenSegment(seg, stream int32) error {
 	if err := s.Flush(); err != nil {
 		return err
+	}
+	if s.Backs(seg) {
+		s.cBacking.Inc()
+		if _, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return slices.Contains(s.waits[seg], g) }); err != nil {
+			return err
+		}
 	}
 	if err := s.be.reset(int(seg)); err != nil {
 		return err
@@ -896,8 +917,8 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 // SealSegment (seglog.Engine) writes the staged run and, under DurSeal, fsyncs
 // a segment holding a user's record no fsync has covered: that record is
 // durable at the seal. A segment whose unsynced records are all relocated
-// copies waits in the ledger for the cycle's sync point (SyncRelocated), as
-// every sealed segment does for DurCommit's group flush.
+// copies waits in the ledger for the sync point of the cycle that sealed it
+// (SyncRelocated), as every sealed segment does for DurCommit's group flush.
 func (s *Store) SealSegment(seg int32) error {
 	if s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
 		return s.Flush()

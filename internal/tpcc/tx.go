@@ -350,12 +350,3 @@ func (e *Engine) Stats() Stats {
 	}
 	return st
 }
-
-// TxTotal sums the per-type transaction counts of a Stats snapshot.
-func (s Stats) TxTotal() uint64 {
-	var n uint64
-	for _, c := range s.TxCounts {
-		n += c
-	}
-	return n
-}
