@@ -17,8 +17,10 @@ import "fmt"
 //     checkpoints are fsynced, and a segment of relocated copies is fsynced
 //     once, by the cleaning cycle that seals it; until then the victims of
 //     those copies are released but not reset. A crash can lose at most the
-//     records in not-yet-sealed open segments. This is the historical
-//     Sync=true behavior.
+//     records in not-yet-sealed open segments, except under routed
+//     placement, where a batch sealed long ago can still be dropped once
+//     cleaning has recycled one of its members (a known gap). This is the
+//     historical Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,

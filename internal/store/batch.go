@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -130,6 +131,10 @@ func (s *Store) applyLocked(b *Batch) error {
 	}
 	last, i := len(b.b.Ops)-1, 0
 	put := func(dst []byte) { b.b.CopyData(i, dst) } // one closure, following i
+	if last > 0 {
+		s.applying = s.seq + 1
+		defer func() { s.applying = 0 }()
+	}
 	for i = range b.b.Ops {
 		op, pl := &b.b.Ops[i], &b.b.Plan[i]
 		if err := s.log.RoomReserved(pl.Stream, op.Size); err != nil {
@@ -317,13 +322,28 @@ func (s *Store) fsyncAll(segs []int32) error {
 }
 
 // commitWatermarkLocked is the highest seq currently known fully durable:
-// the group-commit durable point, or the last checkpoint's coverage.
-// Caller holds s.mu (read or write); gcm.mu nests inside it.
+// the group-commit durable point, the last checkpoint's coverage, or under
+// DurSeal on disk (waits non-nil) the seq before the first batch with a
+// record no fsync has covered (the ledger's low) or still being appended
+// (applying: its sealed members left the ledger) — a batch starting at or
+// below it is whole on storage, whichever members cleaning recycles later.
+// The oldest such batch holds it back: under routed placement, one with a
+// member in a cold stream's open segment. Caller holds s.mu (read or
+// write); gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
-	d := s.gcm.durable
+	w := max(s.gcm.durable, s.prunedSeq)
 	s.gcm.mu.Unlock()
-	return max(d, s.prunedSeq)
+	if s.waits != nil {
+		low := cmp.Or(s.applying, s.seq+1)
+		for _, e := range s.unsynced {
+			if e.low != 0 {
+				low = min(low, e.low)
+			}
+		}
+		w = max(w, low-1)
+	}
+	return w
 }
 
 // Sync makes every write applied so far durable, regardless of the

@@ -385,18 +385,19 @@ func TestBatchDurCommitForegroundRounds(t *testing.T) {
 	t.Logf("%d commits, %d fsync rounds, %d fsyncs, %d segments cleaned", st.Commits, st.FsyncRounds, st.Fsyncs, st.SegmentsCleaned)
 }
 
-// tornBatchSetup builds a file-backed DurCommit store whose final writes
-// are one 5-record batch spanning two segments, crashes it, and returns
-// the dir plus the disk locations of the batch's records ordered by batch
-// position.
-func tornBatchSetup(t *testing.T) (opts Options, recs []tornRec) {
+// tornBatchSetup builds a file-backed store with durability dur whose final
+// writes are one 5-record batch spanning two segments, crashes it — under
+// DurSeal once the open segment's records are written, none fsynced — and
+// returns the dir plus the disk locations of the batch's records ordered by
+// batch position.
+func tornBatchSetup(t *testing.T, dur core.Durability) (opts Options, recs []tornRec) {
 	t.Helper()
 	opts = Options{
 		Dir:          t.TempDir(),
 		PageSize:     64,
 		SegmentPages: 4,
 		MaxSegments:  32,
-		Durability:   core.DurCommit,
+		Durability:   dur,
 	}
 	s, err := Open(opts)
 	if err != nil {
@@ -412,6 +413,12 @@ func tornBatchSetup(t *testing.T) (opts Options, recs []tornRec) {
 		b.Write(id, pagePattern(64, id, 2))
 	}
 	if err := s.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	err = s.Flush()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.crash(); err != nil {
@@ -496,6 +503,17 @@ func (r tornRec) corrupt(t *testing.T) {
 }
 
 func TestTornDurCommitBatchNeverSurfacesPartially(t *testing.T) {
+	tornBatchNeverSurfacesPartially(t, core.DurCommit)
+}
+
+// TestTornDurSealBatchNeverSurfacesPartially: under DurSeal the batch's first
+// segment is sealed, and fsynced, while the batch is still being applied; the
+// header of the segment opened next must not vouch for the batch.
+func TestTornDurSealBatchNeverSurfacesPartially(t *testing.T) {
+	tornBatchNeverSurfacesPartially(t, core.DurSeal)
+}
+
+func tornBatchNeverSurfacesPartially(t *testing.T, dur core.Durability) {
 	cases := []struct {
 		name    string
 		corrupt int // batch position to destroy; -1 leaves the batch intact
@@ -508,7 +526,7 @@ func TestTornDurCommitBatchNeverSurfacesPartially(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts, recs := tornBatchSetup(t)
+			opts, recs := tornBatchSetup(t, dur)
 			if tc.corrupt >= 0 {
 				recs[tc.corrupt].corrupt(t)
 			}

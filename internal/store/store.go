@@ -232,6 +232,9 @@ type Store struct {
 	gcm groupCommit
 
 	seq uint64
+	// applying is the first seq of the multi-record batch being appended, 0
+	// between batches: a segment the batch opens must not vouch for it.
+	applying uint64
 
 	prunedSeq uint64 // deletions at or below this seq are checkpoint-covered
 
@@ -273,10 +276,12 @@ type Store struct {
 // whether the appends no fsync has covered include a user's record (which
 // DurSeal owes an fsync at the seal) or a relocated copy (owed one by the cycle
 // that seals the segment, before its victims are reset); a header is neither.
-// An entry is retired only by a successful fsync begun after that append, or
-// dropped with a released victim's contents: a free segment is never in it.
+// low is where the batch of the first uncovered multi-record batch member
+// starts, 0 if there is none. An entry is retired only by a successful fsync
+// begun after that append, or dropped with a released victim's contents: a
+// free segment is never in it.
 type unsyncedSeg struct {
-	seq         uint64
+	seq, low    uint64
 	user, reloc bool
 }
 
@@ -382,14 +387,14 @@ func (s *Store) recover() error {
 
 	// watermark is the highest seq proven fully durable by any recovered
 	// evidence: segment headers stamp the commit watermark at open time
-	// (a reused segment implies the cleaner's durability point ran), and
-	// the checkpoint records the seq it covered. Both are snapshotted
-	// under the engine lock, so neither can fall mid-batch. Under
-	// DurCommit the evidence is flush-backed and exact; under DurNone and
-	// DurSeal the checkpoint-derived part assumes issued writes persisted,
-	// which is the baseline those levels operate on anyway — it is what
-	// keeps a provably-committed batch visible across a plain restart
-	// after the cleaner recycled some members' segments.
+	// (commitWatermarkLocked: a reset victim's new header is stamped after
+	// the fsyncs that let its bytes die), and the checkpoint records the seq
+	// it covered. Both are snapshotted under the engine lock, so neither can
+	// fall mid-batch. The headers' evidence is fsync-backed under DurCommit
+	// and DurSeal; the checkpoint-derived part under DurNone and DurSeal
+	// assumes issued writes persisted, which is the baseline those levels
+	// operate on anyway. Either keeps a committed batch visible after the
+	// cleaner recycled some members' segments.
 	var watermark uint64
 
 	// One read per segment, into a buffer the first written segment pays
@@ -829,7 +834,10 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos})
 	if u := s.unsynced; u != nil {
 		e := u[seg]
-		u[seg] = unsyncedSeg{seq: s.seq, user: e.user || from == nil, reloc: e.reloc || from != nil}
+		if flags&flagBatch != 0 && e.low == 0 {
+			e.low = s.seq - uint64(pos)
+		}
+		u[seg] = unsyncedSeg{seq: s.seq, low: e.low, user: e.user || from == nil, reloc: e.reloc || from != nil}
 	}
 	end := off + int64(size)
 	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
@@ -901,7 +909,7 @@ func (s *Store) OpenSegment(seg, stream int32) error {
 	s.run, s.runSeg, s.runOff = s.run[:segHeaderSize], seg, 0
 	// The header carries the current commit watermark: recovery uses it to
 	// tell a provably-committed batch (some members garbage-collected,
-	// their segments since reused) from a torn one.
+	// their segments since reused — this one, maybe) from a torn one.
 	encodeSegHeader(s.run, s.incarnation, stream, s.commitWatermarkLocked())
 	if s.unsynced != nil {
 		s.unsynced[seg] = unsyncedSeg{seq: s.seq} // the header itself needs flushing
