@@ -181,6 +181,9 @@ func NewSharded(capacity, shards int) *Pool {
 // Shards returns the number of CLOCK regions.
 func (p *Pool) Shards() int { return len(p.shards) }
 
+// Capacity returns the number of frames the shards share.
+func (p *Pool) Capacity() int { return p.capacity }
+
 // ShardOf returns the shard index page id maps to (stable for the life of
 // the pool).
 func (p *Pool) ShardOf(id uint32) int { return int(p.shardIdx(id)) }

@@ -51,14 +51,7 @@ func checkDirtyTable(db *DB) error {
 	for _, id := range db.ids.FreeList() {
 		free[id] = true
 	}
-	db.evmu.Lock()
-	listed := make(map[*btree.Node]bool)
-	for _, l := range [][]*btree.Node{db.retired, db.free} {
-		for _, n := range l {
-			listed[n] = true
-		}
-	}
-	db.evmu.Unlock()
+	onList := listed(db)
 	served := func(id uint32) *btree.Node {
 		obj, h := db.pool.FetchPinned(id)
 		db.pool.Release(h)
@@ -74,7 +67,7 @@ func checkDirtyTable(db *DB) error {
 			return fmt.Errorf("dirty-page table entry %d holds node %d", id, n.ID)
 		case free[id]:
 			return fmt.Errorf("page %d is on the free list but has a node in the dirty-page table", id)
-		case listed[n]:
+		case onList[n]:
 			return fmt.Errorf("page %d's dirty node is on the recycling lists", id)
 		case n.Pin.Current() && served(id) != n:
 			return fmt.Errorf("page %d is resident, but the pool serves another node than the table's", id)

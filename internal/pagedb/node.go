@@ -115,31 +115,36 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 
 // retire takes a node that just became unreachable — a clean eviction, or a
 // parked node the checkpoint has written — out of circulation until reclaim
-// can prove nobody reads it. A donor's bytes live on in a sibling, and a full
-// list has no use for more: both are left to the garbage collector. Caller
-// holds db.evmu.
+// can prove nobody reads it. A donor's bytes live on in a sibling, and lists
+// already holding a cache's worth of nodes have no use for more: both are left
+// to the garbage collector. Caller holds db.evmu.
 func (db *DB) retire(n *btree.Node) {
 	if n.Donor {
 		db.cUnrecyclable.Inc()
-	} else if len(db.retired)+len(db.free) < db.freeMax {
+	} else if len(db.retired)+db.nfree < db.pool.Capacity() {
 		db.retired = append(db.retired, n)
 	} else {
 		db.cDropped.Inc()
 	}
 }
 
-// reclaim moves the retired nodes to the free list (kept ordered by buffer
-// capacity). The caller has JUST acquired db.mu exclusively, and that is the
-// proof: every alias of a node's bytes — Core.Get's value after its Release,
-// a Scan callback's argument, a View read — lives inside one hold of the
-// guard; no hold that starts after a node's retirement can reach it; and this
-// acquisition waited out every hold that started before.
+// freeClass is a stack of the free nodes whose buffers have capacity size: an
+// allocator size class (takeNode's append), or 0 for a node that never
+// faulted. The classes are few, and a push or pop moves no other node.
+type freeClass struct {
+	size  int
+	nodes []*btree.Node
+}
+
+// reclaim moves the retired nodes to the free list, each onto its buffer
+// capacity's class. The caller has JUST acquired db.mu exclusively, and that is
+// the proof: every alias of a node's bytes — Core.Get's value after its
+// Release, a Scan callback's argument, a View read — lives inside one hold of
+// the guard; no hold that starts after a node's retirement can reach it; and
+// this acquisition waited out every hold that started before.
 func (db *DB) reclaim() {
 	db.evmu.Lock()
 	defer db.evmu.Unlock()
-	if len(db.retired) == 0 {
-		return
-	}
 	for _, n := range db.retired {
 		// Value headers may point into a sibling's buffer or a transaction's
 		// copy, which must not stay reachable from the list.
@@ -147,30 +152,49 @@ func (db *DB) reclaim() {
 		if poisonRecycled != nil {
 			poisonRecycled(n)
 		}
+		i, ok := slices.BinarySearchFunc(db.free, cap(n.Buf), classCmp)
+		if !ok {
+			db.free = slices.Insert(db.free, i, freeClass{size: cap(n.Buf)})
+		}
+		db.free[i].nodes = append(db.free[i].nodes, n)
 	}
-	db.free = append(db.free, db.retired...)
-	slices.SortFunc(db.free, func(a, b *btree.Node) int { return cap(a.Buf) - cap(b.Buf) })
+	db.nfree += len(db.retired)
 	clear(db.retired)
 	db.retired = db.retired[:0]
 }
 
+func classCmp(c freeClass, size int) int { return c.size - size }
+
+// firstFree returns the first class from i up that holds a node, or
+// len(db.free). Caller holds db.evmu.
+func (db *DB) firstFree(i int) int {
+	for i < len(db.free) && len(db.free[i].nodes) == 0 {
+		i++
+	}
+	return i
+}
+
 // takeNode obtains the node a fault will parse into, its Buf size bytes long:
-// the free node with the smallest buffer that holds the record, provided an
+// a free node with the smallest buffer that holds the record, provided an
 // eighth of it at most is to spare — what the allocator's own size-class
 // rounding could cost a fresh one, so recycling never holds more memory than
-// allocating would; failing that any free node, with a new buffer; failing
-// that, new.
+// allocating would; failing that a node of the smallest class, with a new
+// buffer; failing that, new.
 func (db *DB) takeNode(size int) *btree.Node {
 	db.evmu.Lock()
-	i, _ := slices.BinarySearchFunc(db.free, size, func(n *btree.Node, size int) int { return cap(n.Buf) - size })
-	fits := i < len(db.free) && cap(db.free[i].Buf)-size <= cap(db.free[i].Buf)/8
+	i, _ := slices.BinarySearchFunc(db.free, size, classCmp)
+	i = db.firstFree(i)
+	fits := i < len(db.free) && db.free[i].size-size <= db.free[i].size/8
 	if !fits {
-		i = 0 // the smallest buffer is the least to lose
+		i = db.firstFree(0) // the smallest buffer is the least to lose
 	}
 	var n *btree.Node
 	if i < len(db.free) {
-		n = db.free[i]
-		db.free = slices.Delete(db.free, i, i+1)
+		c := &db.free[i]
+		n = c.nodes[len(c.nodes)-1]
+		c.nodes[len(c.nodes)-1] = nil
+		c.nodes = c.nodes[:len(c.nodes)-1]
+		db.nfree--
 	}
 	db.evmu.Unlock()
 	if fits {

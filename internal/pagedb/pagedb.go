@@ -52,13 +52,13 @@
 // exclusive acquisition has waited those holds out, nothing can still be
 // reading a node retired before it. The one exception is a node whose values
 // a split, borrow or merge moved into a sibling (Node.Donor): its bytes are
-// still in use, so it is never recycled. The lists hold at most 64 nodes
-// (1/32 of CachePages once that is more; never more than CachePages): what
-// they must cover is the gap between a retirement and the next exclusive
-// acquisition, which the cache's size says nothing about, and what the bound
-// still turns away is counted (pagedb.node.dropped). A buffer is reused only
-// for a record that fills seven eighths of it, so a recycled node holds no
-// more memory than a new one would.
+// still in use, so it is never recycled. The lists hold at most CachePages
+// nodes: a checkpoint retires every parked node it writes at once, and the
+// next interval's faults are what needs them, so the bound is the cache's own
+// size — recycled memory never exceeds it — and what it still turns away is
+// counted (pagedb.node.dropped). A buffer is reused only for a record that
+// fills seven eighths of it, so a recycled node holds no more memory than a
+// new one would.
 //
 // # The life of a dirty page
 //
@@ -214,11 +214,13 @@ type DB struct {
 	dirty map[uint32]*btree.Node
 
 	// retired and free are the two stages of node recycling (see the package
-	// comment and node.go), both under evmu; free is ordered by buffer
-	// capacity, and together they hold at most freeMax nodes.
-	evmu          sync.Mutex
-	retired, free []*btree.Node
-	freeMax       int
+	// comment and node.go), both under evmu; free is a stack per buffer
+	// capacity, in ascending order, holding nfree nodes. Together the two
+	// hold at most the pool's capacity (CachePages) in nodes.
+	evmu    sync.Mutex
+	retired []*btree.Node
+	free    []freeClass
+	nfree   int
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
@@ -295,7 +297,6 @@ func Open(opts Options) (*DB, error) {
 		pageSize: pageSize,
 		dirty:    make(map[uint32]*btree.Node),
 		trees:    make(map[string]*Tree),
-		freeMax:  min(opts.CachePages, max(64, opts.CachePages/32)),
 	}
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
 	db.pool.SetEvict(db.evicted)

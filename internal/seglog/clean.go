@@ -60,10 +60,11 @@ func (l *Log[R]) cleanUntil(target func() int) error {
 // CleanCycle runs one full cycle under the write lock and reports the
 // victim count and the net bytes reclaimed (released minus relocated).
 func (l *Log[R]) CleanCycle() (victimCount int, netBytes int64, err error) {
-	victims, cands, err := l.selectVictims(l.cfg.CleanBatch)
+	victims, cands, err := l.selectVictims(l.cfg.CleanBatch, l.cands)
 	if err != nil || len(victims) == 0 {
 		return 0, 0, err
 	}
+	l.cands = cands
 	_, moved, err := l.relocate(cands, len(cands), &l.win, true)
 	if err != nil {
 		l.reseal(victims)
@@ -98,9 +99,10 @@ func (l *Log[R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked bool) 
 }
 
 // selectVictims asks the policy for up to max victims, marks them
-// SegCleaning (freezing their records), and snapshots their live records.
-// Caller holds the write lock.
-func (l *Log[R]) selectVictims(max int) ([]int32, []Cand[R], error) {
+// SegCleaning (freezing their records), and snapshots their live records into
+// dst's memory, the table the caller keeps between its cycles. Caller holds
+// the write lock.
+func (l *Log[R]) selectVictims(max int, dst []Cand[R]) ([]int32, []Cand[R], error) {
 	view := core.View{Now: l.Unow, Segs: l.Meta, TriggerStream: l.trigger}
 	victims := l.cfg.Algorithm.Policy.Victims(view, max, nil)
 	live := 0 // Meta.Live counts what the index points at: the candidates to come
@@ -110,7 +112,7 @@ func (l *Log[R]) selectVictims(max int) ([]int32, []Cand[R], error) {
 		}
 		live += int(l.Meta[v].Live)
 	}
-	cands := make([]Cand[R], 0, live)
+	cands := slices.Grow(dst[:0], live)
 	for _, v := range victims {
 		m := &l.Meta[v]
 		m.State = core.SegCleaning
@@ -195,7 +197,7 @@ func (l *Log[R]) reseal(victims []int32) {
 
 // target adapts the log to cleaner.Target. The cleaner drives one cycle at
 // a time (SelectVictims → Relocate → Release/Abort), so the candidate
-// snapshot can be carried between calls.
+// snapshot can be carried between calls, and its table between cycles.
 type target[R any] struct {
 	l     *Log[R]
 	cands []Cand[R]
@@ -216,7 +218,7 @@ func (t *target[R]) SelectVictims(max int) []int32 {
 	if l.Closed {
 		return nil
 	}
-	victims, cands, err := l.selectVictims(max)
+	victims, cands, err := l.selectVictims(max, t.cands)
 	if err != nil {
 		// A policy violating the sealed-victims contract is a bug; skip the
 		// cycle rather than corrupt state.
@@ -227,9 +229,7 @@ func (t *target[R]) SelectVictims(max int) []int32 {
 }
 
 func (t *target[R]) Relocate(victims []int32) (int, int64, error) {
-	cands := t.cands
-	t.cands = nil
-	return t.l.relocate(cands, t.l.cfg.RelocChunk, &t.win, false)
+	return t.l.relocate(t.cands, t.l.cfg.RelocChunk, &t.win, false)
 }
 
 func (t *target[R]) Release(victims []int32) int64 {
@@ -247,7 +247,6 @@ func (t *target[R]) Release(victims []int32) int64 {
 // relocated copies are synced before any drained victim can be reused.
 func (t *target[R]) Abort(victims []int32) {
 	l := t.l
-	t.cands = nil
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var drained, rest []int32

@@ -193,8 +193,9 @@ type Log[R any] struct {
 	sumEAtClean float64
 	pendingE    map[int32]float64 // emptiness-at-selection of in-flight victims
 
-	cl  *cleaner.Cleaner // background cleaner; nil in foreground mode
-	win []byte           // I/O window of the foreground cycles (engine lock held throughout)
+	cl    *cleaner.Cleaner // background cleaner; nil in foreground mode
+	win   []byte           // I/O window of the foreground cycles (engine lock held throughout)
+	cands []Cand[R]        // their candidate table, kept between them like win
 
 	hVictimE           *obs.Histogram // <name>.victim_e.permille: emptiness at victim selection
 	cErrFull           *obs.Counter   // <name>.errfull episodes

@@ -880,7 +880,7 @@ func (s *Store) Flush() error {
 			s.table[r.page] = to
 		}
 	}
-	clear(s.relocs) // or the cycle's candidates outlive it
+	clear(s.relocs) // or they keep an outgrown candidate table alive
 	s.relocs = s.relocs[:0]
 	if err == nil {
 		s.run = s.run[:0]

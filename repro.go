@@ -60,8 +60,9 @@
 //
 //	go run ./cmd/lsbench -exp all -scale medium
 //
-// regenerates every table and figure; see also cmd/lssim for single runs,
-// cmd/lsanalysis for the closed forms, and cmd/tpccgen for trace files.
+// regenerates every table and figure (-exp table1 and table2 print the closed
+// forms beside the simulation); see also cmd/lssim for single runs and
+// cmd/tpccgen for trace files.
 package repro
 
 import (
