@@ -14,7 +14,9 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -22,7 +24,7 @@ func main() {
 
 	// A small slice of an SSD: 512 blocks x 512 pages x 4 KB = 1 GiB of
 	// flash with 7% over-provisioning (a typical consumer configuration).
-	cfg := repro.SimConfig{
+	cfg := sim.Config{
 		PageSize:        4096,
 		SegmentPages:    128,
 		NumSegments:     2048,
@@ -31,18 +33,18 @@ func main() {
 		CleanBatch:      16,
 		WriteBufferSegs: 8, // the drive's RAM write buffer
 	}
-	opts := repro.SimRunOptions{UpdateMultiple: 20, WarmupFraction: 0.5}
+	opts := sim.RunOptions{UpdateMultiple: 20, WarmupFraction: 0.5}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "policy\tWamp\tE@GC\ttotal flash writes per user write\trelative lifetime")
 	var baseline float64
 	for _, name := range []string{"age", "greedy", "cost-benefit", "multi-log", "MDC"} {
-		alg, err := repro.AlgorithmByName(name)
+		alg, err := core.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen := repro.ZipfWorkload(cfg.UserPages(), 0.99, 42)
-		res, err := repro.RunSim(cfg, alg, gen, opts)
+		gen := workload.NewZipf(cfg.UserPages(), 0.99, 42)
+		res, err := sim.Run(cfg, alg, gen, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

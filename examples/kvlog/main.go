@@ -13,18 +13,19 @@ import (
 	"log"
 	"math/rand/v2"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/vlog"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	for _, algName := range []string{"greedy", "cost-benefit", "MDC"} {
-		alg, err := repro.AlgorithmByName(algName)
+		alg, err := core.ByName(algName)
 		if err != nil {
 			log.Fatal(err)
 		}
-		kv, err := repro.NewKV(repro.KVOptions{
+		kv, err := vlog.New(vlog.Options{
 			SegmentBytes: 64 << 10,
 			MaxSegments:  64, // 4 MiB arena
 			Algorithm:    alg,
@@ -40,7 +41,7 @@ func main() {
 		session := func(id int) string { return fmt.Sprintf("session:%06d", id) }
 		blob := make([]byte, 1024)
 		const sessions = 10000
-		b := repro.NewKVBatch()
+		b := vlog.NewBatch()
 		for id := 0; id < sessions; id++ {
 			b.Put(session(id), blob[:64+id%512])
 			if b.Len() == 256 || id == sessions-1 {

@@ -12,7 +12,8 @@ import (
 	"math/rand/v2"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func main() {
@@ -23,12 +24,12 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	opts := repro.StoreOptions{
+	opts := store.Options{
 		Dir:          dir,
 		PageSize:     4096,
 		SegmentPages: 64,
 		MaxSegments:  64, // ~16 MB capacity
-		// Algorithm defaults to repro.MDC().
+		// Algorithm defaults to core.MDC().
 		// Cleaning runs in a background goroutine driven by free-pool
 		// watermarks; writes are only paced if free space nears
 		// exhaustion. Set false to clean synchronously inside writes.
@@ -36,9 +37,9 @@ func main() {
 		// Every commit returns durable: batches pay one coalesced group
 		// fsync instead of one per page. DurSeal syncs only at segment
 		// seals; DurNone (the default) never syncs.
-		Durability: repro.DurCommit,
+		Durability: core.DurCommit,
 	}
-	st, err := repro.OpenStore(opts)
+	st, err := store.Open(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func main() {
 	// the whole batch.
 	const livePages = 3000
 	page := make([]byte, 4096)
-	b := repro.NewStoreBatch()
+	b := store.NewBatch()
 	for id := uint32(0); id < livePages; id++ {
 		fillPage(page, id, 0)
 		b.Write(id, page) // the batch copies the page; the buffer is reusable
@@ -95,7 +96,7 @@ func main() {
 
 	// Reopen: recovery rebuilds the page table by scanning the segments
 	// and keeping each page's highest-sequence record.
-	st2, err := repro.OpenStore(opts)
+	st2, err := store.Open(opts)
 	if err != nil {
 		log.Fatalf("recovery: %v", err)
 	}

@@ -13,8 +13,10 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/tpcc"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -38,19 +40,19 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "policy\tWamp\tE@GC\tsegments cleaned")
 	for _, name := range []string{"age", "greedy", "cost-benefit", "multi-log", "MDC", "MDC-opt"} {
-		alg, err := repro.AlgorithmByName(name)
+		alg, err := core.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := repro.SimConfig{
+		cfg := sim.Config{
 			SegmentPages: segPages, NumSegments: numSegs,
 			FillFactor:   float64(tr.Universe) / float64(numSegs*segPages),
 			FreeLowWater: 4, CleanBatch: 8, WriteBufferSegs: 8,
 		}
 		// The *-opt variants pre-analyze page update frequencies from the
 		// trace, as in the paper.
-		gen := repro.ReplayWorkload("tpcc", tr.Writes, tr.Universe, tr.Preload, alg.Exact)
-		res, err := repro.RunSim(cfg, alg, gen, repro.SimRunOptions{})
+		gen := workload.NewReplay("tpcc", tr.Writes, tr.Universe, tr.Preload, alg.Exact)
+		res, err := sim.Run(cfg, alg, gen, sim.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

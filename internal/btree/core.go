@@ -231,14 +231,16 @@ func (c *Core) spare(nbytes, e int) int {
 
 // grown returns s with room for add more elements. An array that lacks it is
 // replaced by one that holds those and spare more — what the page can still
-// take (Core.spare) — or twice as many, whichever is less: doubling alone
-// sizes a node's arrays for up to twice its page's fan-out.
+// take (Core.spare) — or twice as many, whichever is less. So a node at least
+// a third full, a split's half included, gets room for its whole page, and a
+// near-empty one no more than three times what it holds: doubling alone sizes
+// a node's arrays for up to twice its page's fan-out.
 func grown[T any](s []T, add, spare int) []T {
 	need := len(s) + add
 	if need <= cap(s) {
 		return s
 	}
-	return append(make([]T, 0, need+min(spare, max(need, 4))), s...)
+	return append(make([]T, 0, need+min(spare, max(2*need, 4))), s...)
 }
 
 // insertAt puts v at s[i], moving the tail up (see grown).

@@ -43,7 +43,10 @@ func dirtySet(db *DB) (set map[uint32]bool, parked int) {
 //   - a resident entry (its frame handle current) is the node the pool
 //     serves, and a parked entry's page is not resident;
 //   - a resident page outside the table is clean: its node encodes to the
-//     store's image.
+//     store's image;
+//   - every node on the recycling lists is on exactly one, once, and indexed
+//     under its own id, and every indexed node is on them; it is not
+//     resident, not in the table, not a donor, and its id is not free.
 func checkDirtyTable(db *DB) error {
 	db.lock()
 	defer db.mu.Unlock()
@@ -67,12 +70,35 @@ func checkDirtyTable(db *DB) error {
 			return fmt.Errorf("dirty-page table entry %d holds node %d", id, n.ID)
 		case free[id]:
 			return fmt.Errorf("page %d is on the free list but has a node in the dirty-page table", id)
-		case onList[n]:
+		case onList[n] > 0:
 			return fmt.Errorf("page %d's dirty node is on the recycling lists", id)
 		case n.Pin.Current() && served(id) != n:
 			return fmt.Errorf("page %d is resident, but the pool serves another node than the table's", id)
 		case !n.Pin.Current() && served(id) != nil:
 			return fmt.Errorf("page %d is parked, yet resident", id)
+		}
+	}
+	for n, times := range onList {
+		if s, ok := db.kept[n.ID]; times != 1 || !ok || db.slots[s].n != n {
+			return fmt.Errorf("page %d's node is on the recycling lists %d times, indexed %v", n.ID, times, ok)
+		}
+	}
+	if len(db.kept) != len(onList) {
+		return fmt.Errorf("%d nodes indexed, %d on the recycling lists", len(db.kept), len(onList))
+	}
+	for id, s := range db.kept {
+		_, inTable := db.dirty[id]
+		switch n := db.slots[s].n; {
+		case n.ID != id:
+			return fmt.Errorf("page %d is indexed to node %d", id, n.ID)
+		case inTable:
+			return fmt.Errorf("page %d is in the dirty-page table and on the recycling lists", id)
+		case served(id) != nil:
+			return fmt.Errorf("page %d is resident and on the recycling lists", id)
+		case n.Donor:
+			return fmt.Errorf("page %d's node on the recycling lists is a donor", id)
+		case free[id]:
+			return fmt.Errorf("page %d is free, but its node is on the recycling lists", id)
 		}
 	}
 	for id := range free {

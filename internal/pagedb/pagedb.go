@@ -11,7 +11,8 @@
 //	named B+-trees (uint64 keys, []byte values)
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
 //	        frames (bufferpool fused object slot), CLOCK residency
-//	          ├── fault: miss -> parked node (dirty-page table), else
+//	          ├── fault: miss -> parked node (dirty-page table), else the
+//	          │          page's node still on the recycling lists, else
 //	          │          Store.ReadRecord into a recycled node's buffer ->
 //	          │          btree.ParseNode, in place
 //	          └── dirty-page table: every node changed since the last
@@ -44,17 +45,21 @@
 //
 // The buffer, the node and its arrays are recycled. A node that becomes
 // unreachable — evicted clean, or parked and now written — is RETIRED; a
-// fault takes its node from the FREE list; and what moves nodes from the one
-// to the other is every exclusive acquisition of the guard (lock). That is a
-// quiescence point because the guard is already what a reader's slices live
-// under: a value returned by Core.Get, a Scan callback's argument, a View
-// read are all used and dropped within one hold of the read side, so once an
-// exclusive acquisition has waited those holds out, nothing can still be
-// reading a node retired before it. The one exception is a node whose values
-// a split, borrow or merge moved into a sibling (Node.Donor): its bytes are
-// still in use, so it is never recycled. The lists hold at most CachePages
-// nodes: a checkpoint retires every parked node it writes at once, and the
-// next interval's faults are what needs them, so the bound is the cache's own
+// fault takes the oldest node of its size from the FREE list; and what moves
+// nodes from the one to the other is every exclusive acquisition of the guard
+// (lock). That is a quiescence point because the guard is already what a
+// reader's slices live under: a value returned by Core.Get, a Scan callback's
+// argument, a View read are all used and dropped within one hold of the read
+// side, so once an exclusive acquisition has waited those holds out, nothing
+// can still be reading a node retired before it. The one exception is a node
+// whose values a split, borrow or merge moved into a sibling (Node.Donor):
+// its bytes are still in use, so it is never recycled. Until a fault takes a
+// listed node for another page, it is its own page's image, decoded and
+// indexed by page id: a fault on that page re-admits it from either list, as
+// it re-admits a parked node, with no read and no parse — the lists are a
+// victim cache behind the pool. The lists hold at most CachePages nodes: a
+// checkpoint retires every parked node it writes at once, and the next
+// interval's faults are what needs them, so the bound is the cache's own
 // size — recycled memory never exceeds it — and what it still turns away is
 // counted (pagedb.node.dropped). A buffer is reused only for a record that
 // fills seven eighths of it, so a recycled node holds no more memory than a
@@ -182,10 +187,11 @@ type Options struct {
 // shard mutex (inside any pool call) or the store's lock (inside any store
 // call), then db.evmu, which guards only the recycling lists (the eviction
 // callback runs under the pool shard mutex and takes it; a fault's buffer
-// request runs under the store's read lock and takes it). evmu is never held
-// across a pool or a store call. The page-id allocator (ids) and the
-// dirty-page table (dirty) have no lock: writers change them only under
-// db.mu's write side, and Open before the DB is shared.
+// request runs under the store's read lock and takes it; a re-admission takes
+// it under the fault mutex). evmu is never held across a pool or a store call.
+// The page-id allocator (ids) and the dirty-page table (dirty) have no lock:
+// writers change them only under db.mu's write side, and Open before the DB
+// is shared.
 type DB struct {
 	// mu is the operation guard. Writers (Put, Delete, Commit, tree DDL,
 	// Close) take the write side and see the old single-mutex engine;
@@ -213,18 +219,21 @@ type DB struct {
 	// holding either side.
 	dirty map[uint32]*btree.Node
 
-	// retired and free are the two stages of node recycling (see the package
-	// comment and node.go), both under evmu; free is a stack per buffer
-	// capacity, in ascending order, holding nfree nodes. Together the two
+	// The recycling lists (see the package comment and node.go), under evmu:
+	// slots holds their rings — the retired list's at slot 0, free's classes
+	// in ascending buffer capacity — with the unused slots chained from spare,
+	// and kept indexes every listed node by its page id. Together the lists
 	// hold at most the pool's capacity (CachePages) in nodes.
-	evmu    sync.Mutex
-	retired []*btree.Node
-	free    []freeClass
-	nfree   int
+	evmu  sync.Mutex
+	slots []slot
+	spare int32
+	free  []freeClass
+	kept  map[uint32]int32
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
 
+	batch     *store.Batch // the last checkpoint's, emptied, for the next
 	metaDirty bool
 	metaOvf   int // free-list overflow pages the last durable meta used
 	closed    bool
@@ -242,8 +251,10 @@ type DB struct {
 	txnIDs atomic.Uint64 // last issued transaction id
 	epoch  atomic.Uint64 // bumped per applied transaction and per checkpoint
 	// scratch recycles transactions' working memory (*txnScratch): Begin draws
-	// one, Commit and Rollback return it emptied.
-	scratch sync.Pool
+	// one, Commit and Rollback return it emptied. It is an allocation of its
+	// own: the runtime lists a pool for a cycle after its last Put, which must
+	// not keep a closed DB alive.
+	scratch *sync.Pool
 
 	commits     uint64
 	commitPages uint64
@@ -259,10 +270,11 @@ type DB struct {
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
 	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
-	// pagedb.node.{recycled,fresh,unrecyclable,dropped}: faults that parsed into
-	// a free node whose buffer fit, faults that allocated, donors retire let go,
-	// nodes retire let go because the lists were full.
-	cRecycled, cFresh, cUnrecyclable, cDropped *obs.Counter
+	// pagedb.node.{recycled,fresh,unrecyclable,dropped,readmitted}: faults that
+	// parsed into a free node whose buffer fit, faults that allocated, donors
+	// retire let go, nodes retire let go because the lists were full, faults
+	// that took their page's node back off the lists.
+	cRecycled, cFresh, cUnrecyclable, cDropped, cReadmitted *obs.Counter
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -296,6 +308,9 @@ func Open(opts Options) (*DB, error) {
 		pool:     bufferpool.NewSharded(opts.CachePages, shards),
 		pageSize: pageSize,
 		dirty:    make(map[uint32]*btree.Node),
+		slots:    make([]slot, 1), // retiredRing, empty
+		kept:     make(map[uint32]int32),
+		scratch:  new(sync.Pool),
 		trees:    make(map[string]*Tree),
 	}
 	db.faultMu = make([]sync.Mutex, db.pool.Shards())
@@ -309,6 +324,7 @@ func Open(opts Options) (*DB, error) {
 	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
 	db.cUnrecyclable = db.obsReg.Counter("pagedb.node.unrecyclable")
 	db.cDropped = db.obsReg.Counter("pagedb.node.dropped")
+	db.cReadmitted = db.obsReg.Counter("pagedb.node.readmitted")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {
@@ -532,7 +548,11 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	// half a page); inside Apply the fill function encodes the node straight
 	// into the store's run buffer. Whatever could make a node unencodable is
 	// found here, with nothing written, so the fill cannot fail.
-	b := store.NewBatch()
+	b := db.batch
+	db.batch = nil // a checkpoint that fails lets it go, fill and all
+	if b == nil {
+		b = store.NewBatch()
+	}
 	b.SetFill(func(i int, dst []byte) {
 		btree.EncodeNode(dst, nodes[i]) // the nodes were reserved first, in order
 		db.cEncode.Inc()
@@ -562,6 +582,13 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 
 	if err := db.st.ApplySpanned(b, sp); err != nil {
 		return err
+	}
+	// The batch is kept for the next checkpoint, holding no node, unless it
+	// grew past what the recycling lists may hold: a load's batch is let go.
+	if b.Len() <= db.pool.Capacity() {
+		b.SetFill(nil)
+		b.Reset()
+		db.batch = b
 	}
 	// The parked nodes — those whose frame handle is no longer current — are
 	// written, and unreachable from here on: retired.
@@ -639,7 +666,8 @@ type Stats struct {
 	// images they carried (meta included).
 	Commits        uint64
 	CommittedPages uint64
-	// Faults counts node-cache misses served from the store.
+	// Faults counts node-cache misses served from the store: a miss that
+	// re-admits a parked or listed node reads nothing, and is not one.
 	Faults uint64
 	// StagedEvictions counts dirty evictions: each time the pool evicted a
 	// node of the dirty-page table, which parks it (a page evicted,

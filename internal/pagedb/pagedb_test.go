@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -675,5 +677,59 @@ func TestConcurrentOperations(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClosedDBIsGarbageAfterOneGC: nothing outlives Close that keeps the DB
+// reachable — a recycling pool the runtime still lists for one more cycle
+// after its last Put, say — so one collection frees it and its node cache.
+func TestClosedDBIsGarbageAfterOneGC(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		use  func(db *DB) error
+	}{
+		{"open-close", func(*DB) error { return nil }},
+		{"txn", func(db *DB) error {
+			x, err := db.Begin()
+			if err != nil {
+				return err
+			}
+			if err := x.Put("t", 1, val(1, 1)); err != nil {
+				return err
+			}
+			return x.Commit()
+		}},
+		{"checkpoint", func(db *DB) error {
+			tr, err := db.Tree("t")
+			if err != nil {
+				return err
+			}
+			for k := uint64(0); k < 500; k++ {
+				if err := tr.Put(k, val(k, 1)); err != nil {
+					return err
+				}
+			}
+			return db.Commit()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := func() (weak.Pointer[DB], error) {
+				db, err := Open(memOpts())
+				if err != nil {
+					return weak.Pointer[DB]{}, err
+				}
+				if err := c.use(db); err != nil {
+					return weak.Pointer[DB]{}, err
+				}
+				return weak.Make(db), db.Close()
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			if w.Value() != nil {
+				t.Fatal("a closed DB survived a garbage collection")
+			}
+		})
 	}
 }

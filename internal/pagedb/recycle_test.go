@@ -34,18 +34,31 @@ func init() {
 	}
 }
 
-// listed returns the nodes waiting on the retired or the free list.
-func listed(db *DB) map[*btree.Node]bool {
+// listed returns the nodes waiting on the retired or the free lists, each with
+// the number of times it is on them.
+func listed(db *DB) map[*btree.Node]int {
 	db.evmu.Lock()
 	defer db.evmu.Unlock()
-	nodes := make(map[*btree.Node]bool)
-	for _, n := range db.retired {
-		nodes[n] = true
-	}
+	nodes := make(map[*btree.Node]int)
+	rings := []int32{retiredRing}
 	for _, c := range db.free {
-		for _, n := range c.nodes {
-			nodes[n] = true
+		rings = append(rings, c.ring)
+	}
+	for _, r := range rings {
+		for s := db.slots[r].next; s != r; s = db.slots[s].next {
+			nodes[db.slots[s].n]++
 		}
+	}
+	return nodes
+}
+
+// retiredNodes returns the nodes on the retired list, oldest first.
+func retiredNodes(db *DB) []*btree.Node {
+	db.evmu.Lock()
+	defer db.evmu.Unlock()
+	var nodes []*btree.Node
+	for s := db.slots[retiredRing].next; s != retiredRing; s = db.slots[s].next {
+		nodes = append(nodes, db.slots[s].n)
 	}
 	return nodes
 }
@@ -167,7 +180,7 @@ func TestDonorNodeIsNeverRecycled(t *testing.T) {
 	before := unrecyclable.Value()
 	for round := 0; round < 3; round++ {
 		churn()
-		if listed(db)[donor] {
+		if listed(db)[donor] > 0 {
 			t.Fatal("a donor node is on the free list")
 		}
 	}
@@ -587,4 +600,186 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
 		t.Errorf("%.0f%% of faults parsed into recycled nodes, want ≥ 95%%", 100*bestShare)
 	}
 	checkOracle(t, db, oracle)
+}
+
+// TestRefaultReadmitsRetiredNode: a page faulted again while its node still
+// waits on the recycling lists takes that node back — no store read, no parse —
+// whether the node is still retired or already free. A checkpointed tree four
+// times its cache is scanned over a few leaves, which evicts clean nodes while
+// the faults reuse older ones; then the leaves the scan evicted are read again.
+func TestRefaultReadmitsRetiredNode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		free bool // an exclusive acquisition before the reads: re-admitted from the free list
+	}{{"retired", false}, {"free", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := memOpts()
+			opts.Store.PageSize = 1024 // a root over every leaf: a read's path is resident or listed
+			opts.CachePages = 16
+			opts.CacheShards = 1
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tr, err := db.Tree("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := make(map[uint64][]byte)
+			for k := uint64(0); k < 800; k++ {
+				oracle[k] = val(k, 1)
+				if err := tr.Put(k, oracle[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if h, pages := tr.core.Height(), int(db.ids.Next()); h != 2 || pages < 4*opts.CachePages {
+				t.Fatalf("height %d, %d pages: the test no longer builds its tree", h, pages)
+			}
+			// A loaded leaf split, and a donor never reaches the lists: a first
+			// scan replaces every resident node with a parsed one, and fills
+			// the lists; an exclusive acquisition frees what it retired, for the
+			// second scan's faults to take — so nothing that one evicts is reused.
+			scan := func(to uint64) {
+				t.Helper()
+				if err := tr.Scan(0, to, func(uint64, []byte) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan(800)
+			db.lock()
+			db.mu.Unlock()
+			scan(60)
+			var keys []uint64
+			for _, n := range retiredNodes(db) {
+				if n.Leaf {
+					keys = append(keys, n.Keys[0])
+				}
+			}
+			if len(keys) < 3 {
+				t.Fatalf("the scan retired %d leaves, want ≥ 3", len(keys))
+			}
+			if c.free {
+				db.lock()
+				db.mu.Unlock()
+				if len(retiredNodes(db)) != 0 {
+					t.Fatal("an exclusive acquisition left nodes retired")
+				}
+			}
+			readmitted := db.Obs().Counter("pagedb.node.readmitted")
+			f0, r0 := db.Stats().Faults, readmitted.Value()
+			for _, k := range keys {
+				if v, ok, err := tr.Get(k); err != nil || !ok || !bytes.Equal(v, oracle[k]) {
+					t.Fatalf("Get(%d) = %x, %v, %v; want %x", k, v, ok, err, oracle[k])
+				}
+			}
+			if f := db.Stats().Faults - f0; f != 0 {
+				t.Errorf("reading %d leaves still on the lists read the store %d times", len(keys), f)
+			}
+			if r := readmitted.Value() - r0; r < uint64(len(keys)) {
+				t.Errorf("pagedb.node.readmitted rose by %d for %d leaves", r, len(keys))
+			}
+			checkOracle(t, db, oracle)
+		})
+	}
+}
+
+// TestFreedPageIsNeverReadmitted: a page freed while its node waits on the
+// recycling lists takes the node's index entry with it, so the id, once
+// reallocated, faults in its new image. Merges free only pages they hold, so
+// the case is a dropped tree larger than the cache: its walk evicts its own
+// pages onto the lists, then frees them. The ids go to another tree's new
+// pages, which are checkpointed — most of them split donors, or dropped by a
+// checkpoint that retires more than the lists hold, so an entry the free left
+// behind would still be there — and faulted back.
+func TestFreedPageIsNeverReadmitted(t *testing.T) {
+	opts := memOpts()
+	opts.CachePages = 8
+	opts.CacheShards = 1
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a, err := db.Tree("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Tree("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := a.Put(k, val(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTree("a"); err != nil {
+		t.Fatal(err)
+	}
+	freed := len(db.ids.FreeList())
+	if freed < 4*opts.CachePages {
+		t.Fatalf("dropping the tree freed %d pages, want ≥ 4 × the cache of %d", freed, opts.CachePages)
+	}
+	// Every freed id is reallocated to b.
+	reused := append([]uint32(nil), db.ids.FreeList()...)
+	oracle := make(map[uint64][]byte)
+	for k := uint64(0); len(db.ids.FreeList()) > 0; k++ {
+		if k > 100000 {
+			t.Fatal("b never took back every freed id")
+		}
+		oracle[k] = val(k, 2)
+		if err := b.Put(k, oracle[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Each reused page, faulted in unless resident, is its stored image. Those
+	// with a node on the lists go first, before other faults reuse that node.
+	var listedFirst []uint32
+	db.evmu.Lock()
+	for _, id := range reused {
+		if _, ok := db.kept[id]; ok {
+			listedFirst = append(listedFirst, id)
+		}
+	}
+	db.evmu.Unlock()
+	for _, id := range append(listedFirst, reused...) {
+		db.mu.RLock()
+		n, err := db.node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := n.ImageBytes(db.pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, size)
+		btree.EncodeNode(img, n)
+		db.pool.Release(n.Pin)
+		db.mu.RUnlock()
+		stored, err := db.st.ReadRecord(id, func(sz int) []byte { return make([]byte, sz) })
+		if err != nil || !bytes.Equal(img, stored) {
+			t.Fatalf("page %d, freed and reallocated, faults in another image than its stored one (%v)", id, err)
+		}
+	}
+	for k, want := range oracle {
+		if v, ok, err := b.Get(k); err != nil || !ok || !bytes.Equal(v, want) {
+			t.Fatalf("Get(%d) = %x, %v, %v; want %x", k, v, ok, err, want)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDirtyTable(db); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -248,7 +248,10 @@ type Store struct {
 	runOff int64
 	relocs []*seglog.Cand[recCand]
 
-	readBufs sync.Pool // per-reader record buffers (RLock held)
+	// readBufs holds per-reader record buffers (RLock held): an allocation of
+	// its own, whose New captures a size only, since the runtime lists a pool
+	// for a cycle after its last Put, which must not keep a closed store alive.
+	readBufs *sync.Pool
 
 	// obs handles, resolved once at Open (see internal/obs; recording is
 	// lock-free, so no hot path takes a lock for metrics).
@@ -330,10 +333,11 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	s.run = make([]byte, 0, max(ioUnit, RecordHeaderSize+opts.PageSize))
-	s.readBufs.New = func() any {
-		b := make([]byte, RecordHeaderSize+opts.PageSize)
+	size := RecordHeaderSize + opts.PageSize
+	s.readBufs = &sync.Pool{New: func() any {
+		b := make([]byte, size)
 		return &b
-	}
+	}}
 	if opts.Dir == "" {
 		s.be = newMemBackend(opts.MaxSegments)
 	} else {

@@ -6,16 +6,26 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/pagedb"
+	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/vlog"
+	"repro/internal/workload"
 )
 
-// The facade tests exercise the re-exported API surface end to end, the way
-// a downstream user would.
+// These tests drive each layer end to end through its own package, the way
+// the examples and README's quick start use them. They keep the names they had
+// when a root facade re-exported those packages.
 
 func TestFacadeSimulation(t *testing.T) {
-	cfg := SimConfig{SegmentPages: 32, NumSegments: 256, FillFactor: 0.8,
+	cfg := sim.Config{SegmentPages: 32, NumSegments: 256, FillFactor: 0.8,
 		FreeLowWater: 4, CleanBatch: 8, WriteBufferSegs: 4}
-	gen := ZipfWorkload(cfg.UserPages(), 0.99, 1)
-	res, err := RunSim(cfg, MDC(), gen, SimRunOptions{UpdateMultiple: 8})
+	gen := workload.NewZipf(cfg.UserPages(), 0.99, 1)
+	res, err := sim.Run(cfg, core.MDC(), gen, sim.RunOptions{UpdateMultiple: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,40 +35,40 @@ func TestFacadeSimulation(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
-	e := FixpointE(0.8)
+	e := analysis.FixpointE(0.8)
 	if math.Abs(e-0.3714) > 0.001 {
-		t.Errorf("FixpointE(0.8) = %v", e)
+		t.Errorf("analysis.FixpointE(0.8) = %v", e)
 	}
-	if math.Abs(CleaningCost(e)-2/e) > 1e-12 {
+	if math.Abs(analysis.CostSeg(e)-2/e) > 1e-12 {
 		t.Errorf("CleaningCost inconsistent")
 	}
-	if math.Abs(WriteAmplification(e)-(1-e)/e) > 1e-12 {
+	if math.Abs(analysis.Wamp(e)-(1-e)/e) > 1e-12 {
 		t.Errorf("WriteAmplification inconsistent")
 	}
-	if c := HotColdMinCost(0.8, 0.8, 0.5); math.Abs(c-4.0) > 0.1 {
-		t.Errorf("HotColdMinCost(0.8,0.8,0.5) = %v, paper 4.00", c)
+	if c := analysis.HotColdCost(0.8, 0.8, 0.5); math.Abs(c-4.0) > 0.1 {
+		t.Errorf("analysis.HotColdCost(0.8,0.8,0.5) = %v, paper 4.00", c)
 	}
 }
 
 func TestFacadeAlgorithms(t *testing.T) {
-	if len(AlgorithmNames()) < 8 {
-		t.Errorf("registry too small: %v", AlgorithmNames())
+	if len(core.Names()) < 8 {
+		t.Errorf("registry too small: %v", core.Names())
 	}
-	alg, err := AlgorithmByName("MDC")
+	alg, err := core.ByName("MDC")
 	if err != nil || alg.Name != "MDC" {
 		t.Fatalf("AlgorithmByName: %v %v", alg, err)
 	}
-	m := SegmentMeta{Capacity: 100, Free: 50, Live: 5}
+	m := core.SegmentMeta{Capacity: 100, Free: 50, Live: 5}
 	m.Up2 = 10
-	if p := DecliningCost(&m, 100); p <= 0 {
+	if p := core.DecliningCost(&m, 100); p <= 0 {
 		t.Errorf("DecliningCost = %v", p)
 	}
 }
 
 func TestFacadeStore(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreOptions{Dir: dir, PageSize: 256, SegmentPages: 16, MaxSegments: 32,
-		Durability: DurCommit})
+	st, err := store.Open(store.Options{Dir: dir, PageSize: 256, SegmentPages: 16, MaxSegments: 32,
+		Durability: core.DurCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +79,8 @@ func TestFacadeStore(t *testing.T) {
 	if err := st.WritePage(1, pg); err != nil {
 		t.Fatal(err)
 	}
-	// The batched write path with group commit, through the facade.
-	if err := st.Apply(NewStoreBatch().Write(2, pg).Write(3, pg).Delete(3)); err != nil {
+	// The batched write path with group commit.
+	if err := st.Apply(store.NewBatch().Write(2, pg).Write(3, pg).Delete(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Sync(); err != nil {
@@ -83,14 +93,14 @@ func TestFacadeStore(t *testing.T) {
 	if err := st.ReadPage(2, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReadPage(99, got); err != ErrNotFound {
+	if err := st.ReadPage(99, got); err != store.ErrNotFound {
 		t.Errorf("missing page error = %v", err)
 	}
 	s := st.Stats()
 	if s.Durability != "commit" || s.Commits == 0 {
 		t.Errorf("durability stats not surfaced: %+v", s)
 	}
-	if len(s.Streams) == 0 || WrittenStreams(s.Streams) == 0 {
+	if len(s.Streams) == 0 || core.WrittenStreams(s.Streams) == 0 {
 		t.Errorf("stream occupancy not surfaced: %+v", s.Streams)
 	}
 	if err := st.Close(); err != nil {
@@ -103,12 +113,12 @@ func TestFacadeStore(t *testing.T) {
 
 func TestFacadePageDB(t *testing.T) {
 	dir := t.TempDir()
-	opts := PageDBOptions{
-		Store: StoreOptions{Dir: dir, PageSize: 512, SegmentPages: 16, MaxSegments: 64,
-			Durability: DurCommit, Algorithm: MDCRouted()},
+	opts := pagedb.Options{
+		Store: store.Options{Dir: dir, PageSize: 512, SegmentPages: 16, MaxSegments: 64,
+			Durability: core.DurCommit, Algorithm: core.MDCRouted()},
 		CachePages: 32,
 	}
-	db, err := OpenPageDB(opts)
+	db, err := pagedb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +143,8 @@ func TestFacadePageDB(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Recovery through the facade.
-	db2, err := OpenPageDB(opts)
+	// Recovery.
+	db2, err := pagedb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestFacadePageDB(t *testing.T) {
 	if err != nil || !ok || string(v) != "profile" {
 		t.Fatalf("Get after reopen: %q %v %v", v, ok, err)
 	}
-	// Per-transaction durability and the snapshot view through the facade.
+	// Per-transaction durability and the snapshot view.
 	txn, err := db2.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +171,7 @@ func TestFacadePageDB(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.View(func(v *PageView) error {
+	if err := db2.View(func(v *pagedb.View) error {
 		got, ok, err := v.Get("users", 1000)
 		if err != nil || !ok || string(got) != "txn" {
 			return fmt.Errorf("view read after txn commit: %q %v %v", got, ok, err)
@@ -176,14 +186,14 @@ func TestFacadePageDB(t *testing.T) {
 }
 
 func TestFacadeKV(t *testing.T) {
-	kv, err := NewKV(KVOptions{SegmentBytes: 4096, MaxSegments: 32, Durability: DurCommit})
+	kv, err := vlog.New(vlog.Options{SegmentBytes: 4096, MaxSegments: 32, Durability: core.DurCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := kv.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Commit(NewKVBatch().Put("k2", []byte("v2")).Delete("k")); err != nil {
+	if err := kv.Commit(vlog.NewBatch().Put("k2", []byte("v2")).Delete("k")); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := kv.Get("k2")
@@ -202,7 +212,7 @@ func TestFacadeKV(t *testing.T) {
 }
 
 func TestScaleConstants(t *testing.T) {
-	for _, s := range []ExperimentScale{ScaleSmall, ScaleMedium, ScalePaper} {
+	for _, s := range []experiments.Scale{experiments.ScaleSmall, experiments.ScaleMedium, experiments.ScalePaper} {
 		cfg := s.SimConfig(0.8)
 		if cfg.NumSegments == 0 || cfg.SegmentPages == 0 {
 			t.Errorf("scale %v config empty", s)
