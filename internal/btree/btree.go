@@ -93,8 +93,7 @@ func (t *Tree) Get(key uint64) ([]byte, bool) {
 	return v, ok
 }
 
-// Insert stores value under key, replacing any existing value. The value
-// slice is retained, not copied.
+// Insert stores a copy of value under key, replacing any existing value.
 func (t *Tree) Insert(key uint64, value []byte) {
 	if MemLayout.LeafEntry(value)*3 > t.core.Budget() {
 		panic(fmt.Sprintf("btree: value of %d bytes does not fit 3 per %d-byte page", len(value), t.core.pageSize))

@@ -62,6 +62,48 @@ func TestInsertReplace(t *testing.T) {
 	}
 }
 
+// TestInsertCopiesValue: the tree owns its values' memory. Mutating the
+// caller's slice after an Insert, after a replace by a value of the same length
+// and after one of another length leaves the stored value as inserted. The
+// same-length replace writes over the old value's bytes; the other gets a new
+// array.
+func TestInsertCopiesValue(t *testing.T) {
+	tr := newTree(t, 1024)
+	get := func() []byte {
+		t.Helper()
+		v, ok := tr.Get(7)
+		if !ok {
+			t.Fatal("key 7 is missing")
+		}
+		return v
+	}
+	v := []byte("first value")
+	tr.Insert(7, v)
+	v[0] = 'X'
+	if string(get()) != "first value" {
+		t.Fatalf("after an insert, mutating the caller's slice changed the tree's value to %q", get())
+	}
+	old := get()
+	w := []byte("other value")
+	tr.Insert(7, w)
+	w[0] = 'X'
+	if string(get()) != "other value" {
+		t.Fatalf("after a same-length replace, mutating the caller's slice changed the tree's value to %q", get())
+	}
+	if &get()[0] != &old[0] {
+		t.Error("a same-length replace did not write over the old value's bytes")
+	}
+	u := []byte("a longer value")
+	tr.Insert(7, u)
+	u[0] = 'X'
+	if string(get()) != "a longer value" || &get()[0] == &old[0] {
+		t.Fatalf("after a length change the tree holds %q, in the old value's bytes: %v", get(), &get()[0] == &old[0])
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDelete(t *testing.T) {
 	tr := newTree(t, 1024)
 	const n = 5000

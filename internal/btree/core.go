@@ -122,7 +122,9 @@ type Node struct {
 // Node memory. A value returned by Get, or passed to a Scan callback, aliases
 // the node it was found in, which Get no longer pins: it is valid until the
 // caller releases whatever guard excludes writers from the tree (pagedb: one
-// hold of its read guard), and no longer. Once every guard hold that could
+// hold of its read guard), and no longer — the next writer, inside its
+// exclusive hold, may overwrite its bytes in place (Insert of a value the same
+// length, on a node it has marked dirty). Once every guard hold that could
 // have seen a node has ended, a store may reuse the memory of a node that is
 // no longer reachable through it — evicted clean, or written back — for the
 // next page it materializes: the Node, its Keys/Vals/Kids arrays, its Buf
@@ -138,8 +140,8 @@ type NodeStore interface {
 
 // Core is the B+-tree algorithm instantiated over one NodeStore: the root
 // id, height and entry count plus every structural operation. It performs no
-// locking and no value copying — wrappers (Tree, pagedb.Tree) own both — and
-// every operation propagates the store's errors.
+// locking — wrappers (Tree, pagedb.Tree) own it — but copies every value into
+// the tree itself (Insert); every operation propagates the store's errors.
 type Core struct {
 	store    NodeStore
 	layout   Layout
@@ -290,8 +292,10 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Insert stores value under key, replacing any existing value, and reports
-// whether the key is new. The value slice is retained, not copied.
+// Insert stores a copy of value under key, replacing any existing value, and
+// reports whether the key is new. The tree owns its values' memory: a value as
+// long as the one it replaces is copied over that one's bytes, any other into
+// a new array of its length, so value is only borrowed.
 func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
 	if c.layout.LeafEntry(value)*3 > c.budget {
 		return false, fmt.Errorf("btree: value of %d bytes does not fit 3 per %d-byte page", len(value), c.pageSize)
@@ -332,9 +336,14 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 		c.store.MarkDirty(n)
 		i := search(n.Keys, key)
 		if i < len(n.Keys) && n.Keys[i] == key {
-			n.NBytes += len(value) - len(n.Vals[i])
-			n.Vals[i] = value
+			if old := n.Vals[i]; len(old) == len(value) {
+				copy(old, value)
+			} else {
+				n.NBytes += len(value) - len(old)
+				n.Vals[i] = append(make([]byte, 0, len(value)), value...)
+			}
 		} else {
+			value = append(make([]byte, 0, len(value)), value...)
 			n.NBytes += c.layout.LeafEntry(value)
 			spare := c.spare(n.NBytes, c.layout.LeafEntry(value))
 			n.Keys = insertAt(n.Keys, i, key, spare)

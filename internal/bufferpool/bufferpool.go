@@ -460,11 +460,6 @@ func (p *Pool) ShardStat(i int) ShardStats {
 	s := p.shards[i]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.snapshot()
-}
-
-// snapshot summarizes one shard. Caller holds s.mu (either side).
-func (s *shard) snapshot() ShardStats {
 	fused := atomic.LoadUint64(&s.fusedHits)
 	ss := ShardStats{
 		Residents: len(s.frames),
@@ -479,17 +474,6 @@ func (s *shard) snapshot() ShardStats {
 		}
 	}
 	return ss
-}
-
-// ShardStats returns the per-shard snapshot, indexed by shard.
-func (p *Pool) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(p.shards))
-	for i, s := range p.shards {
-		s.mu.RLock()
-		out[i] = s.snapshot()
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any access.

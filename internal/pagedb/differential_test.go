@@ -40,8 +40,15 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 	}
 	oracle := make(map[uint64][]byte)
 
-	diffVal := func(key uint64, step int) []byte {
-		v := make([]byte, 8+(step*7)%40)
+	// A put's value is as long as its key's usual length four times in five —
+	// an overwrite is then mostly a same-length one, written in place — and of
+	// a length set by its step otherwise.
+	diffVal := func(key uint64, step int, usual bool) []byte {
+		n := 8 + (step*7)%40
+		if usual {
+			n = 8 + int(key*7)%40
+		}
+		v := make([]byte, n)
 		for i := range v {
 			v[i] = byte(key) ^ byte(step+i)
 		}
@@ -52,14 +59,17 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 		op, key := data[step]%10, uint64(data[step+1])%diffKeySpace
 		switch {
 		case op <= 4: // Put
-			v := diffVal(key, step)
+			v := diffVal(key, step, op < 4)
 			mem.Insert(key, v)
 			if err := tr.Put(key, v); err != nil {
 				t.Fatalf("step %d: pagedb Put(%d): %v", step, key, err)
 			}
-			// The oracle keeps its own copy: the mem tree retains v itself,
-			// so comparing against the same slice would prove nothing.
+			// Both trees copy v, so scribbling over it must change neither;
+			// the oracle keeps the copy taken first.
 			oracle[key] = append([]byte(nil), v...)
+			for i := range v {
+				v[i] ^= 0xFF
+			}
 		case op <= 6: // Delete
 			_, want := oracle[key]
 			if got := mem.Delete(key); got != want {

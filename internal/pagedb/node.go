@@ -268,8 +268,8 @@ func (db *DB) takeNode(size int) *btree.Node {
 	db.evmu.Unlock()
 	if n != nil {
 		// The node is another page's from here on. Its value headers may
-		// point into a sibling's buffer or a transaction's copy, which must
-		// not stay reachable from it.
+		// point into a sibling's buffer or an array the tree copied a value
+		// into, which must not stay reachable from it.
 		clear(n.Vals[:cap(n.Vals)])
 		if poisonRecycled != nil {
 			poisonRecycled(n)

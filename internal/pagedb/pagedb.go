@@ -37,7 +37,8 @@
 //
 // A page's bytes exist once on each side of storage. Coming in, the fault's
 // one pread lands in the buffer the node keeps (Node.Buf) and is parsed where
-// it lies: a leaf's values are slices of that buffer. Going out, the
+// it lies: a leaf's values are slices of that buffer, and an update that
+// keeps a value's length writes over its bytes there. Going out, the
 // checkpoint's batch carries a page's id and length only, and the store has
 // the node encoded straight into the run buffer its segment write goes out
 // from. File → node buffer → run buffer → file; no image, arena or per-value
@@ -414,7 +415,7 @@ func Open(opts Options) (*DB, error) {
 // the next Commit, and until then every reopen replays the same tail.
 func (db *DB) replayWAL() error {
 	return db.wal.Replay(db.walSeq, func(txn *wal.Txn) error {
-		if err := db.applyOps(txn.Ops, false); err != nil {
+		if err := db.applyOps(txn.Ops); err != nil {
 			return fmt.Errorf("pagedb: replaying txn %d (seq %d): %w", txn.ID, txn.Seq, err)
 		}
 		db.txns++

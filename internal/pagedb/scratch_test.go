@@ -19,9 +19,9 @@ import (
 // transaction that returned it: nothing may be left, least of all a value
 // pointer the pool would keep alive.
 func emptyScratch(sc *txnScratch) error {
-	if len(sc.ops) != 0 || sc.overlaid != 0 || len(sc.writes) != 0 || len(sc.dropped) != 0 {
-		return fmt.Errorf("recycled scratch holds %d ops (%d overlaid), %d staged writes, %d dropped trees",
-			len(sc.ops), sc.overlaid, len(sc.writes), len(sc.dropped))
+	if len(sc.ops) != 0 || len(sc.vals) != 0 || sc.overlaid != 0 || len(sc.writes) != 0 || len(sc.dropped) != 0 {
+		return fmt.Errorf("recycled scratch holds %d ops (%d overlaid), %d staged value bytes, %d staged writes, %d dropped trees",
+			len(sc.ops), sc.overlaid, len(sc.vals), len(sc.writes), len(sc.dropped))
 	}
 	for i, op := range sc.ops[:cap(sc.ops)] {
 		if op.Value != nil || op.Tree != "" {
@@ -246,11 +246,14 @@ func TestTxnScanWithNothingStagedInRange(t *testing.T) {
 }
 
 // TestCommitAllocBudget: a warm transaction allocates what outlives it and
-// nothing else. Begin/Put/Commit of one 100-byte value on a file-backed DB is
-// two allocations — the Txn (32 B) and the value copy the leaf keeps (100 B,
-// 112 with the allocator's rounding): 144 B, budget 160. Twelve puts are the
-// Txn and twelve copies: 32 + 12 × 112 = 1376 B, budget 1400. The op list, the
-// WAL records, the spans and the tree apply are all on recycled memory.
+// nothing else. On a file-backed DB, Begin/Put/Commit updating one 100-byte
+// value with another of its length is one allocation, the Txn (32 B): the value
+// is staged in recycled scratch and copied over the old one's bytes. So are
+// twelve such updates. A put that inserts its key, or changes its value's
+// length, adds the copy the leaf keeps (100 B, 112 with the allocator's
+// rounding; 90 B, 96): twelve are 13 allocations, at most 32 + 12 × 112 =
+// 1376 B, budget 1400. The op list, the staged values, the WAL records, the
+// spans and the tree apply are all on recycled memory.
 func TestCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
@@ -261,15 +264,33 @@ func TestCommitAllocBudget(t *testing.T) {
 	}
 	defer db.Close()
 	v := make([]byte, 100)
-	txn := func(puts int) func() {
+	odd := false
+	// txn returns a transaction of puts 100-byte values to their own tree, a
+	// lone leaf; insert deletes the keys first (directly, allocating nothing),
+	// shrink makes every other transaction's values 90 bytes long.
+	txn := func(tree string, puts int, insert, shrink bool) func() {
+		tr, err := db.Tree(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return func() {
+			odd = !odd
+			n := len(v)
+			if shrink && odd {
+				n = 90
+			}
+			for k := 0; insert && k < puts; k++ {
+				if _, err := tr.Delete(uint64(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			x, err := db.Begin()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < puts; k++ {
 				v[0]++
-				if err := x.Put("t", uint64(k), v); err != nil {
+				if err := x.Put(tree, uint64(k), v[:n]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -278,8 +299,17 @@ func TestCommitAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []struct{ puts, allocs, bytes int }{{1, 2, 160}, {12, 13, 1400}} {
-		run := txn(c.puts)
+	for _, c := range []struct {
+		name          string
+		run           func()
+		allocs, bytes int
+	}{
+		{"1-put update", txn("u1", 1, false, false), 1, 40},
+		{"12-put update", txn("u12", 12, false, false), 1, 40},
+		{"12-put insert", txn("ins", 12, true, false), 13, 1400},
+		{"12-put length change", txn("len", 12, false, true), 13, 1400},
+	} {
+		run := c.run
 		for i := 0; i < 200; i++ { // warm: keys present, WAL buffer, scratch and spans grown
 			run()
 		}
@@ -292,9 +322,9 @@ func TestCommitAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		perTxn := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
 		allocs := testing.AllocsPerRun(rounds, run)
-		t.Logf("%d-put transaction: %.0f B in %.0f allocations (budget %d B in %d)", c.puts, perTxn, allocs, c.bytes, c.allocs)
+		t.Logf("%s: %.0f B in %.0f allocations (budget %d B in %d)", c.name, perTxn, allocs, c.bytes, c.allocs)
 		if perTxn > float64(c.bytes) || allocs > float64(c.allocs) {
-			t.Errorf("%d-put transaction allocates %.0f B in %.0f allocations, budget is %d B in %d", c.puts, perTxn, allocs, c.bytes, c.allocs)
+			t.Errorf("%s allocates %.0f B in %.0f allocations, budget is %d B in %d", c.name, perTxn, allocs, c.bytes, c.allocs)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // concurrently with each other; mutations serialize on the write side.
 //
 // A Tree holds NO tree algorithm of its own: it is a thin adapter — lock,
-// guard, value copying, metadata bookkeeping — around the unified
+// guard, copying values out, metadata bookkeeping — around the unified
 // btree.Core instantiated over this DB's store-backed NodeStore (node.go).
 // Insert/split, delete with borrow+merge rebalancing, scans and the
 // invariant checker are the exact code the in-memory engine runs.
@@ -163,16 +163,15 @@ func (db *DB) checkValue(value []byte) error {
 	return nil
 }
 
-// Put stores value under key, replacing any existing value. The value is
-// copied.
+// Put stores a copy of value under key, replacing any existing value.
 func (t *Tree) Put(key uint64, value []byte) error {
 	t.db.lock()
 	defer t.db.mu.Unlock()
-	return t.putLocked(key, append([]byte(nil), value...))
+	return t.putLocked(key, value)
 }
 
-// putLocked is Put's body, shared with transaction apply and WAL replay. The
-// tree keeps value itself: the caller hands over a copy nothing else writes.
+// putLocked is Put's body, shared with transaction apply and WAL replay. value
+// is borrowed: the tree copies it.
 func (t *Tree) putLocked(key uint64, value []byte) error {
 	if err := t.guard(); err != nil {
 		return err

@@ -28,7 +28,8 @@ var ErrTxnDone = errors.New("pagedb: transaction already finished")
 // A Txn is NOT safe for concurrent use by multiple goroutines; different
 // transactions are. Conflict handling is the caller's problem (last
 // writer wins, as with direct Tree access) — this layer buys atomicity
-// and durability, not isolation between overlapping writers.
+// and durability, not isolation: of two overlapping read-modify-writes of
+// one key, the first update is lost (TestOverlappingTxnsLoseAnUpdate).
 type Txn struct {
 	db   *DB
 	id   uint64
@@ -45,7 +46,8 @@ type txnScratch struct {
 	// ops is the redo list in call order — exactly what the WAL logs and
 	// Commit applies. Overwrites stay as two entries; replay converges
 	// because it applies in the same order.
-	ops []wal.Op
+	ops  []wal.Op
+	vals []byte // the staged put values, back to back: ops' values slice it
 
 	// writes overlays the committed state for this transaction's own
 	// reads: the staged final value (or tombstone) per tree and key. It is
@@ -71,9 +73,9 @@ type txnWrite struct {
 	val []byte
 }
 
-// maxScratchOps is the longest op list a recycled scratch may carry: one huge
-// transaction must not size every later one's memory.
-const maxScratchOps = 1024
+// maxScratchOps and maxScratchVals bound the op list and the staged values a
+// recycled scratch keeps: one huge transaction must not size every later one's.
+const maxScratchOps, maxScratchVals = 1024, 256 << 10
 
 // Begin starts a transaction. Read-only transactions are free: Commit
 // with no buffered writes touches neither the log nor the trees.
@@ -92,16 +94,16 @@ func (db *DB) Begin() (*Txn, error) {
 }
 
 // finish ends the transaction and returns its scratch with no trace of it
-// left: the staged values are the trees' now, or nobody's, and must be neither
-// pinned by the pool nor visible to the transaction that draws the scratch next.
+// left: the trees have copied the staged values, or never will, so the next
+// transaction overwrites them, and no op may still point at them or name a tree.
 func (t *Txn) finish() {
 	sc := t.txnScratch
 	t.done, t.txnScratch = true, nil
-	if cap(sc.ops) > maxScratchOps {
+	if cap(sc.ops) > maxScratchOps || cap(sc.vals) > maxScratchVals {
 		return
 	}
 	clear(sc.ops)
-	sc.ops, sc.overlaid = sc.ops[:0], 0
+	sc.ops, sc.vals, sc.overlaid = sc.ops[:0], sc.vals[:0], 0
 	clear(sc.writes)
 	clear(sc.dropped)
 	t.db.scratch.Put(sc)
@@ -135,8 +137,9 @@ func (t *Txn) overlay() {
 }
 
 // Put stages value under key in the named tree (created at Commit if
-// missing). The value is copied; limits are checked now so Commit cannot
-// fail on a malformed write long after the caller moved on.
+// missing). The value is copied into recycled staging memory, which the tree
+// copies from at Commit; limits are checked now so Commit cannot fail on a
+// malformed write long after the caller moved on.
 func (t *Txn) Put(tree string, key uint64, value []byte) error {
 	if t.done {
 		return ErrTxnDone
@@ -147,9 +150,9 @@ func (t *Txn) Put(tree string, key uint64, value []byte) error {
 	if err := t.db.checkValue(value); err != nil {
 		return err
 	}
-	// This copy is the transaction's, then the tree's: Commit hands it to the
-	// leaf as it is.
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpPut, Tree: tree, Key: key, Value: append([]byte(nil), value...)})
+	start := len(t.vals)
+	t.vals = append(t.vals, value...)
+	t.ops = append(t.ops, wal.Op{Kind: wal.OpPut, Tree: tree, Key: key, Value: t.vals[start:len(t.vals):len(t.vals)]})
 	return nil
 }
 
@@ -305,7 +308,7 @@ func (t *Txn) Commit() error {
 	// crash, so an apply failure (a fault mid-split) is reported but does
 	// not un-log it — reopen replays it whole.
 	leg = sp.Child("tree.apply")
-	err = db.applyOps(t.ops, true)
+	err = db.applyOps(t.ops)
 	leg.End()
 	db.txns++
 	db.epoch.Add(1)
@@ -333,20 +336,16 @@ func (t *Txn) Rollback() error {
 // Caller holds db.mu exclusively (or is Open's replay, pre-concurrency).
 // The semantics are redo-idempotent: put creates the tree if missing,
 // delete and droptree of something absent are no-ops — so replaying an
-// already-checkpointed suffix converges to the same state. own says the put
-// values are the trees' to keep (Txn.Put's copies, which nothing writes
-// again); otherwise each is copied (replay's values are slices of a whole
-// generation file, which a surviving value would keep in memory).
-func (db *DB) applyOps(ops []wal.Op, own bool) error {
+// already-checkpointed suffix converges to the same state. The put values are
+// borrowed — a transaction's staging buffer, or replay's slices of a whole
+// generation file — and the trees copy them.
+func (db *DB) applyOps(ops []wal.Op) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case wal.OpPut:
 			tr, err := db.treeLocked(op.Tree)
 			if err != nil {
 				return err
-			}
-			if !own {
-				op.Value = append([]byte(nil), op.Value...)
 			}
 			if err := tr.putLocked(op.Key, op.Value); err != nil {
 				return err

@@ -13,6 +13,58 @@ import (
 	"repro/internal/tpcc"
 )
 
+// TestOverlappingTxnsLoseAnUpdate pins the isolation contract: a Txn is
+// atomic and durable, not isolated. Two transactions read one counter, each
+// writes it back plus one, and both commit without error; the counter ends one
+// up, not two — the first commit's update is lost.
+func TestOverlappingTxnsLoseAnUpdate(t *testing.T) {
+	db, err := Open(memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	x, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(x.Put("t", 1, []byte{10}), x.Commit()); err != nil {
+		t.Fatal(err)
+	}
+	a, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	increment := func(x *Txn) {
+		t.Helper()
+		v, ok, err := x.Get("t", 1)
+		if err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+		if err := x.Put("t", 1, []byte{v[0] + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	increment(a)
+	increment(b)
+	if err := errors.Join(a.Commit(), b.Commit()); err != nil {
+		t.Fatalf("an overlapping transaction failed to commit: %v", err)
+	}
+	var got []byte
+	if err := db.View(func(v *View) (err error) {
+		got, _, err = v.Get("t", 1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{11}) {
+		t.Fatalf("the counter is %v after two overlapping increments of 10, want [11]: the contract changed", got)
+	}
+}
+
 // TestTxnOverlaySemantics exercises the transaction's private read view:
 // own writes shadow committed state, tombstones hide base keys, DropTree
 // masks a whole tree, and nothing is visible outside until Commit.
