@@ -22,9 +22,10 @@
 //
 // # Fused cache
 //
-// NewSharded returns a Pool: N independent CLOCK shards, each with its own
-// lock, hand and frame ring, keyed by a page-id hash, every frame carrying
-// its owner's decoded object (pagedb stores the decoded *btree.Node).
+// NewSharded returns a Pool: N independent 2-bit clock shards (a use count
+// 0–3 where the Model has CLOCK's bit), each with its own lock, hand and
+// frame ring, keyed by a page-id hash, every frame carrying its owner's
+// decoded object (pagedb stores the decoded *btree.Node).
 // FetchPinned is the lookup: ONE shared-lock acquisition returns the object
 // already pinned. InstallPinned is the miss side: it claims a frame under
 // the exclusive lock and binds the object before publication, so racing
@@ -47,7 +48,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a sharded CLOCK cache of decoded objects keyed by page id.
+// Pool is a sharded 2-bit clock (use count 0–3) cache of decoded objects.
 //
 // Every method is safe for concurrent use EXCEPT SetEvict, which must be
 // called before concurrent use.
@@ -59,11 +60,11 @@ type Pool struct {
 	evict func(id uint32, obj any)
 }
 
-// shard is one CLOCK region. The mutex is an RWMutex so the HIT path — by
-// far the hottest — takes only the shared side: a resident page's ref and
-// pin bits are atomics, so concurrent readers hitting the same shard update
-// them without serializing. Structural changes (insert, evict, free, the
-// CLOCK sweep) take the exclusive side, which also freezes every hit-path
+// shard is one 2-bit clock region. The mutex is an RWMutex so the HIT path —
+// by far the hottest — takes only the shared side: a resident page's use
+// count and pins are atomics, so concurrent readers hitting the same shard
+// update them without serializing. Structural changes (insert, evict, free,
+// the sweep) take the exclusive side, which also freezes every hit-path
 // reader out; pin counts still change lock-free (Release), so the sweep
 // loads them atomically.
 type shard struct {
@@ -87,14 +88,14 @@ type shard struct {
 //   - id, live, obj: written only under the shard's exclusive lock; obj is
 //     additionally read under the shared lock (FetchPinned), which the
 //     exclusive writers exclude.
-//   - ref: an atomic bool; mutated under either lock side.
+//   - uses: atomic; hits raise it under either lock side, the sweep lowers it.
 //   - vp: the packed generation|pins word, fully atomic. Pins change under
 //     either lock side (FetchPinned, InstallPinned) AND lock-free (Release);
 //     the generation half changes only under the exclusive lock, always
 //     zeroing the pin half in the same store.
 type frame struct {
 	id   uint32
-	ref  int32 // atomic bool
+	uses int32 // atomic use count, 0–maxUses
 	live bool
 	// vp packs the frame's generation stamp (high 32 bits) and pin count
 	// (low 32 bits) into ONE atomic word. Packing is what makes Release a
@@ -108,6 +109,8 @@ type frame struct {
 	vp  uint64
 	obj any // decoded-object slot (fused node cache)
 }
+
+const maxUses = 3 // a frame's use count saturates here
 
 // vpGen and vpPins unpack a frame's vp word.
 func vpGen(vp uint64) uint32  { return uint32(vp >> 32) }
@@ -143,7 +146,7 @@ func DefaultShards() int {
 	return n
 }
 
-// NewSharded returns a pool of `shards` independent CLOCK regions sharing
+// NewSharded returns a pool of `shards` independent clock regions sharing
 // the capacity. The shard count is rounded up to a power of two and capped
 // so that every shard holds at least one frame.
 func NewSharded(capacity, shards int) *Pool {
@@ -178,7 +181,7 @@ func NewSharded(capacity, shards int) *Pool {
 	return p
 }
 
-// Shards returns the number of CLOCK regions.
+// Shards returns the number of clock regions.
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // Capacity returns the number of frames the shards share.
@@ -225,7 +228,7 @@ func (p *Pool) FreePage(id uint32) {
 }
 
 // FetchPinned is the hot path: ONE shard read-lock acquisition that looks
-// the page up, refreshes its reference bit, pins its frame and returns the
+// the page up, counts a use, pins its frame and returns the
 // installed object — or nil (taking no pin) if the page is not resident. On
 // a hit the returned Handle releases the pin (Release); callers keep it
 // with the object.
@@ -237,11 +240,11 @@ func (p *Pool) FetchPinned(id uint32) (any, Handle) {
 		s.mu.RUnlock()
 		return nil, Handle{}
 	}
-	if atomic.LoadInt32(&f.ref) == 0 {
-		// Check-before-store: on the hot path the bit is almost always
-		// already set, and a read leaves the cache line shared where an
+	if u := atomic.LoadInt32(&f.uses); u < maxUses {
+		// Check-before-store: a hot page's count is almost always
+		// saturated, and a read leaves the cache line shared where an
 		// unconditional store would bounce it between reading cores.
-		atomic.StoreInt32(&f.ref, 1)
+		atomic.StoreInt32(&f.uses, u+1)
 	}
 	// pins++; the generation half cannot move under the shared lock, so a
 	// plain add is safe and the returned word carries the current stamp.
@@ -313,7 +316,8 @@ func (s *shard) install(p *Pool, id uint32, fault bool, bind func(Handle) any) (
 		f = s.insert(p, id)
 	}
 	if fault && ok {
-		s.hits++ // lost the race to another fault's install
+		s.hits++ // lost the race to another fault's install: a use
+		atomic.StoreInt32(&f.uses, min(atomic.LoadInt32(&f.uses)+1, maxUses))
 	} else if fault {
 		s.misses++
 	}
@@ -321,39 +325,39 @@ func (s *shard) install(p *Pool, id uint32, fault bool, bind func(Handle) any) (
 	if f.obj == nil {
 		f.obj = bind(h)
 	}
-	atomic.StoreInt32(&f.ref, 1)
 	if fault {
 		atomic.AddUint64(&f.vp, 1)
 	}
 	return f.obj, h
 }
 
-// insert places a page into the shard, unpinned, evicting a victim when the
-// shard is at capacity, and returns its frame. Caller holds s.mu exclusively;
-// pins are still loaded atomically (Release decrements them without any
-// lock).
+// insert places a page into the shard, unpinned and at use count 0, evicting
+// a victim when the shard is at capacity, and returns its frame. Caller holds
+// s.mu exclusively; pins are still loaded atomically (Release decrements them
+// without any lock).
 func (s *shard) insert(p *Pool, id uint32) *frame {
 	if len(s.ring) < s.cap {
-		f := &frame{id: id, ref: 1, live: true}
+		f := &frame{id: id, live: true}
 		s.ring = append(s.ring, f)
 		s.frames[id] = f
 		return f
 	}
-	// CLOCK sweep: give referenced frames a second chance, skip pinned
-	// frames entirely; dead frames (freed pages) are taken immediately. If
-	// two full turns find no victim (everything pinned), grow the ring — the
-	// pool must not fail and must not reclaim a pinned frame.
-	for steps, limit := 0, 2*len(s.ring); ; {
+	// 2-bit clock sweep: take the first unpinned frame at use count 0,
+	// counting down the unpinned ones passed, so a page hit k times outlasts
+	// k turns; skip pinned frames; dead frames (freed pages) are taken at
+	// once. If maxUses+1 turns find no victim (everything pinned), grow the
+	// ring — the pool must not fail and must not reclaim a pinned frame.
+	for steps, limit := 0, (maxUses+1)*len(s.ring); ; {
 		f := s.ring[s.hand]
 		if !f.live {
 			break
 		}
-		pinned := vpPins(atomic.LoadUint64(&f.vp)) > 0
-		if !pinned && atomic.LoadInt32(&f.ref) == 0 {
-			break
-		}
-		if !pinned {
-			atomic.StoreInt32(&f.ref, 0)
+		if vpPins(atomic.LoadUint64(&f.vp)) == 0 {
+			u := atomic.LoadInt32(&f.uses)
+			if u == 0 {
+				break
+			}
+			atomic.StoreInt32(&f.uses, u-1)
 		}
 		s.hand = (s.hand + 1) % len(s.ring)
 		if steps++; steps >= limit {
@@ -381,7 +385,7 @@ func (s *shard) insert(p *Pool, id uint32) *frame {
 	// A dead frame (freed page, or a grown slot) already lost its object,
 	// pins and generation when the page was freed.
 	victim.id = id
-	atomic.StoreInt32(&victim.ref, 1)
+	atomic.StoreInt32(&victim.uses, 0)
 	victim.live = true
 	s.frames[id] = victim
 	s.hand = (s.hand + 1) % len(s.ring)
@@ -392,14 +396,8 @@ func (s *shard) insert(p *Pool, id uint32) *frame {
 // (an engine-level invariant check: between operations it must be zero).
 func (p *Pool) Pinned() int {
 	n := 0
-	for _, s := range p.shards {
-		s.mu.RLock()
-		for _, f := range s.ring {
-			if f.live && vpPins(atomic.LoadUint64(&f.vp)) > 0 {
-				n++
-			}
-		}
-		s.mu.RUnlock()
+	for i := range p.shards {
+		n += p.ShardStat(i).Pinned
 	}
 	return n
 }

@@ -117,6 +117,73 @@ func TestAllPinnedGrowsRing(t *testing.T) {
 	p.Release(h2)
 }
 
+// hit looks page id up n times through the fused path, releasing each pin:
+// n uses of a resident page.
+func hit(t *testing.T, p *Pool, id uint32, n int) {
+	t.Helper()
+	for range n {
+		obj, h := p.FetchPinned(id)
+		if obj == nil {
+			t.Fatalf("page %d not resident", id)
+		}
+		p.Release(h)
+	}
+}
+
+// The 2-bit clock: a page hit three times outlasts three turns of the hand,
+// so the nine never-hit pages that fault in behind it are evicted first.
+func TestHitPageOutlastsNeverHitPages(t *testing.T) {
+	p := NewSharded(4, 1)
+	for id := uint32(1); id <= 4; id++ {
+		install(p, id)
+	}
+	hit(t, p, 1, 3)
+	for id := uint32(5); id <= 13; id++ {
+		install(p, id)
+	}
+	for id := uint32(1); id <= 13; id++ {
+		if want := id == 1 || id >= 11; resident(p, id) != want {
+			t.Errorf("page %d resident = %v, want %v", id, !want, want)
+		}
+	}
+	install(p, 14) // the count is spent: page 1 goes now
+	if resident(p, 1) {
+		t.Fatal("page 1 outlived a fourth turn of the hand on three hits")
+	}
+}
+
+// A page faulted in and never hit again is the victim even when the hand
+// reaches a page hit once first; CLOCK's bit would take the hit page.
+func TestFreshFaultIsFirstVictim(t *testing.T) {
+	p := NewSharded(2, 1)
+	install(p, 1)
+	hit(t, p, 1, 1)
+	_, h := p.InstallPinned(2, func(Handle) any { return uint32(2) })
+	p.Release(h)
+	install(p, 3)
+	if !resident(p, 1) || resident(p, 2) {
+		t.Fatalf("after the next fault: page 1 resident = %v, page 2 resident = %v; want the fresh page 2 evicted",
+			resident(p, 1), resident(p, 2))
+	}
+}
+
+// A shard whose frames are all saturated but unpinned still has a victim:
+// the hand counts every frame down to 0 within three turns, inside the
+// growth limit, so the ring does not grow.
+func TestHotRingEvictsWithoutGrowing(t *testing.T) {
+	p := NewSharded(4, 1)
+	for id := uint32(1); id <= 4; id++ {
+		install(p, id)
+		hit(t, p, id, 3)
+	}
+	install(p, 5)
+	st := p.Stats()
+	if st.Evictions != 1 || st.Grows != 0 || p.Resident() != 4 {
+		t.Fatalf("after one insert into a hot, unpinned shard: evictions %d grows %d residents %d, want 1, 0, 4",
+			st.Evictions, st.Grows, p.Resident())
+	}
+}
+
 func TestShardStatsPerShard(t *testing.T) {
 	p := NewSharded(16, 4)
 	id := idInShard(t, p, 3)

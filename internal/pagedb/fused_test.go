@@ -1,6 +1,7 @@
 package pagedb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -8,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/btree"
+	"repro/internal/store"
 )
 
 // TestFusedReadPathHammer races fused readers against a committing writer
@@ -373,5 +377,67 @@ func TestDupFaultsCounted(t *testing.T) {
 	t.Logf("faults=%d dupFaultsAvoided=%d", st.Faults, st.DupFaultsAvoided)
 	if st.Faults == 0 {
 		t.Fatal("no faults at all; the cache was not small enough")
+	}
+}
+
+// TestBranchesStayResident: under random point reads on a checkpointed tree
+// sixteen times its cache, every read descends through a branch page and
+// faults a leaf. The pool's use count keeps the branches, hit on every
+// descent, ahead of the leaves, hit about once: after the warm-up no branch
+// page leaves the pool, so no fault lands on one. A 1-bit CLOCK fails this:
+// it evicts a branch not hit since the hand last passed it.
+func TestBranchesStayResident(t *testing.T) {
+	const cache = 128
+	db, err := Open(Options{
+		Store:      store.Options{PageSize: 2048, SegmentPages: 64, MaxSegments: 4096},
+		CachePages: cache, CacheShards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	oracle := make(map[uint64][]byte)
+	keys := make([]uint64, 64)
+	for next := uint64(0); db.ids.Next() < 16*cache; next += uint64(len(keys)) {
+		for i := range keys {
+			keys[i] = next + uint64(i)
+		}
+		txnPuts(t, db, oracle, keys, 0)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The eviction callback is wrapped before any read: the test is the pool's
+	// only user, so there is no concurrent use to race the swap.
+	var branches, evictions int
+	db.pool.SetEvict(func(id uint32, obj any) {
+		if !obj.(*btree.Node).Leaf {
+			branches++
+		}
+		evictions++
+		db.evicted(id, obj)
+	})
+	rng := rand.New(rand.NewPCG(34, 34))
+	read := func(n int) {
+		t.Helper()
+		for range n {
+			k := rng.Uint64N(uint64(len(oracle)))
+			if v, ok, err := tr.Get(k); err != nil || !ok || !bytes.Equal(v, oracle[k]) {
+				t.Fatalf("Get(%d) = %x, %v, %v; want %x", k, v, ok, err, oracle[k])
+			}
+		}
+	}
+	read(20 * cache) // warm-up: the branches fault in once
+	branches, evictions = 0, 0
+	read(200 * cache)
+	if evictions < 100*cache {
+		t.Fatalf("%d evictions in %d reads: the tree is not spilling", evictions, 200*cache)
+	}
+	if branches != 0 {
+		t.Errorf("%d of %d evictions took a branch page, want 0", branches, evictions)
 	}
 }

@@ -10,7 +10,7 @@
 //
 //	named B+-trees (uint64 keys, []byte values)
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
-//	        frames (bufferpool fused object slot), CLOCK residency
+//	        frames (bufferpool fused object slot), 2-bit clock residency
 //	          ├── fault: miss -> parked node (dirty-page table), else the
 //	          │          page's node still on the recycling lists, else
 //	          │          Store.ReadRecord into a recycled node's buffer ->
@@ -176,9 +176,9 @@ type Options struct {
 	Store store.Options
 	// CachePages bounds the decoded-node cache (default 1024, minimum 8).
 	CachePages int
-	// CacheShards sets how many independent CLOCK regions the buffer pool
-	// splits into (rounded up to a power of two; concurrent readers scale
-	// with it). 0 picks bufferpool.DefaultShards(), sized to GOMAXPROCS.
+	// CacheShards sets how many independent 2-bit clock regions the buffer
+	// pool splits into (rounded up to a power of two; concurrent readers
+	// scale with it). 0 picks bufferpool.DefaultShards(), sized to GOMAXPROCS.
 	CacheShards int
 }
 
@@ -346,8 +346,8 @@ func Open(opts Options) (*DB, error) {
 	db.obsReg.GaugeFunc("pagedb.node.refaults", func() int64 {
 		return int64(db.dupFaults.Load())
 	})
-	// Per-shard gauges: residency, pins and traffic per CLOCK region, so a
-	// snapshot shows whether the page-id hash spreads load.
+	// Per-shard gauges: residency, pins and traffic per 2-bit clock region,
+	// so a snapshot shows whether the page-id hash spreads load.
 	for i := 0; i < db.pool.Shards(); i++ {
 		i := i
 		prefix := fmt.Sprintf("bufferpool.shard%d.", i)
