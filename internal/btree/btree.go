@@ -5,9 +5,10 @@
 // core.go, written against node ids and a fallible NodeStore accessor — and
 // two stores instantiate it:
 //
-//   - the infallible in-memory store of this file, behind Tree: node
-//     contents stay as Go values, sized by a byte budget derived from the
-//     page size so fanout and page-write patterns track a real disk layout.
+//   - the infallible in-memory store of this file, behind Tree: nodes stay
+//     in memory — a leaf's entries in their page image format, as in every
+//     store — sized by a byte budget derived from the page size so fanout
+//     and page-write patterns track a real disk layout.
 //     The cache model in front of the tree (bufferpool.Model) records which
 //     pages are read and dirtied, and the resulting page-write trace — not
 //     the bytes — is what the log-structure simulator consumes;
@@ -84,7 +85,8 @@ func (t *Tree) Len() int { return t.core.Len() }
 // Height returns the tree height (1 for a lone leaf).
 func (t *Tree) Height() int { return t.core.Height() }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key: a slice of its leaf's buffer, which
+// the next write to the leaf may overwrite or move, so copy it to keep it.
 func (t *Tree) Get(key uint64) ([]byte, bool) {
 	v, ok, err := t.core.Get(key)
 	if err != nil {
@@ -95,9 +97,6 @@ func (t *Tree) Get(key uint64) ([]byte, bool) {
 
 // Insert stores a copy of value under key, replacing any existing value.
 func (t *Tree) Insert(key uint64, value []byte) {
-	if MemLayout.LeafEntry(value)*3 > t.core.Budget() {
-		panic(fmt.Sprintf("btree: value of %d bytes does not fit 3 per %d-byte page", len(value), t.core.pageSize))
-	}
 	if _, err := t.core.Insert(key, value); err != nil {
 		panic(fmt.Sprintf("btree: %v", err))
 	}

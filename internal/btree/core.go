@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufferpool"
 )
@@ -55,22 +57,22 @@ func (l Layout) Budget(pageSize int) int { return pageSize - l.HeaderBytes }
 type Node struct {
 	ID   uint32
 	Leaf bool
-	Keys []uint64 // strictly increasing
-	Vals [][]byte // leaf payloads (len == len(Keys))
+	Keys []uint64 // branch separators, strictly increasing
 	Kids []uint32 // branch children (len == len(Keys)+1)
-	Next uint32   // leaf chain successor (leaves only; 0 = none)
+	// A leaf's entries are its page image's (page.go): key | vlen | value, in
+	// key order, back to back in Buf[Lo:], and Offs[i] is where entry i
+	// starts. Buf[:Lo] is dead — a fault's record and page headers, or
+	// entries a split moved out — and the capacity past len(Buf) is room.
+	// Inserts, deletes, borrows and merges move bytes inside Buf; no value
+	// has memory of its own, and no two nodes share any.
+	Buf  []byte
+	Lo   int
+	Offs []uint32
+	Next uint32 // leaf chain successor (leaves only; 0 = none)
 	// NBytes is the node's byte accounting against Layout.Budget (header
 	// excluded). The Core maintains it; stores materializing nodes from
 	// page images rebuild it (ParseNode).
 	NBytes int
-	// Donor is set by the Core once a split, borrow or merge has moved any of
-	// the node's value slices — headers, not bytes — into another node: the
-	// memory behind them is then reachable through a sibling, and a store
-	// must never reuse it (see NodeStore).
-	Donor bool
-	// Buf is the store's: the memory it materialized the node from, if it
-	// keeps any (pagedb: the record a leaf's parsed values are slices of).
-	Buf []byte
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through
@@ -119,17 +121,17 @@ type Node struct {
 // A store whose nodes can never be reclaimed mid-use (the in-memory
 // memStore) implements Release as a no-op and leaves Pin handles zero.
 //
-// Node memory. A value returned by Get, or passed to a Scan callback, aliases
-// the node it was found in, which Get no longer pins: it is valid until the
+// Node memory. A value returned by Get, or passed to a Scan callback, is a
+// slice of its leaf's Buf, which Get no longer pins: it is valid until the
 // caller releases whatever guard excludes writers from the tree (pagedb: one
-// hold of its read guard), and no longer — the next writer, inside its
-// exclusive hold, may overwrite its bytes in place (Insert of a value the same
-// length, on a node it has marked dirty). Once every guard hold that could
-// have seen a node has ended, a store may reuse the memory of a node that is
-// no longer reachable through it — evicted clean, or written back — for the
-// next page it materializes: the Node, its Keys/Vals/Kids arrays, its Buf
-// (ParseNode parses into a recycled node). Except a Donor's: its value bytes
-// live on in a sibling's Vals, so its memory is the garbage collector's.
+// hold of its read guard), and no longer — the next write to that leaf, inside
+// the writer's exclusive hold, may overwrite its bytes in place (Insert of a
+// value the same length) or move them (any other insert, delete or rebalance).
+// Once every guard hold that could have seen a node has ended, a store may
+// reuse all of a node that is no longer reachable through it — evicted clean,
+// or written back — for the next page it materializes: the Node, its arrays,
+// its Buf (ParseNode parses into a recycled node). No other node holds any of
+// that memory.
 type NodeStore interface {
 	Alloc() (uint32, error)
 	Fetch(id uint32) (*Node, error)
@@ -221,6 +223,21 @@ func search(keys []uint64, k uint64) int {
 	return lo
 }
 
+// find returns the index of the first leaf entry whose key is >= k, and
+// whether that key is k.
+func (n *Node) find(k uint64) (int, bool) {
+	buf, offs := n.Buf, n.Offs
+	lo, hi := 0, len(offs)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); binary.LittleEndian.Uint64(buf[offs[mid]:]) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(offs) && binary.LittleEndian.Uint64(buf[offs[lo]:]) == k
+}
+
 // spare is how many more entries of e bytes a node accounting nbytes can be
 // given before it splits — the one that overflows it included, since a split
 // finds that entry in place.
@@ -265,11 +282,11 @@ func (n *Node) childIndex(k uint64) int {
 	return idx
 }
 
-// Get returns the value stored under key. The slice aliases the node, and
-// the node has been Released by the time Get returns: the caller must copy
-// the value while whatever guard serializes it against mutation (its own
-// lock, a read guard) still holds — after that the node's memory may be
-// reused (see NodeStore).
+// Get returns the value stored under key. The slice aliases the leaf's Buf,
+// and the leaf has been Released by the time Get returns: the caller must
+// copy the value while whatever guard serializes it against mutation (its own
+// lock, a read guard) still holds — after that the next write to the leaf may
+// move it, and the node's memory may be reused (see NodeStore).
 func (c *Core) Get(key uint64) ([]byte, bool, error) {
 	n, err := c.store.Fetch(c.root)
 	if err != nil {
@@ -282,11 +299,10 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 			return nil, false, err
 		}
 	}
-	i := search(n.Keys, key)
+	i, ok := n.find(key)
 	var v []byte
-	ok := i < len(n.Keys) && n.Keys[i] == key
 	if ok {
-		v = n.Vals[i]
+		_, v = n.Entry(i)
 	}
 	c.store.Release(n)
 	return v, ok, nil
@@ -295,9 +311,10 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 // Insert stores a copy of value under key, replacing any existing value, and
 // reports whether the key is new. The tree owns its values' memory: a value as
 // long as the one it replaces is copied over that one's bytes, any other into
-// a new array of its length, so value is only borrowed.
+// its leaf's Buf, so value is only borrowed — but it must not be a slice of
+// this tree's own memory (a Get's result), which the insert may move.
 func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
-	if c.layout.LeafEntry(value)*3 > c.budget {
+	if c.layout.LeafEntry(value)*3 > c.budget || len(value) > 0xFFFF {
 		return false, fmt.Errorf("btree: value of %d bytes does not fit 3 per %d-byte page", len(value), c.pageSize)
 	}
 	split, sep, added, err := c.insert(c.root, key, value)
@@ -334,26 +351,23 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 	defer c.store.Release(n)
 	if n.Leaf {
 		c.store.MarkDirty(n)
-		i := search(n.Keys, key)
-		if i < len(n.Keys) && n.Keys[i] == key {
-			if old := n.Vals[i]; len(old) == len(value) {
+		i, found := n.find(key)
+		if found {
+			_, old := n.Entry(i)
+			if len(old) == len(value) {
 				copy(old, value)
-			} else {
-				n.NBytes += len(value) - len(old)
-				n.Vals[i] = append(make([]byte, 0, len(value)), value...)
+				return 0, 0, false, nil
 			}
-		} else {
-			value = append(make([]byte, 0, len(value)), value...)
-			n.NBytes += c.layout.LeafEntry(value)
-			spare := c.spare(n.NBytes, c.layout.LeafEntry(value))
-			n.Keys = insertAt(n.Keys, i, key, spare)
-			n.Vals = insertAt(n.Vals, i, value, spare)
-			added = true
+			n.NBytes -= c.layout.LeafEntry(old)
+			n.drop(i)
 		}
+		e := c.layout.LeafEntry(value)
+		n.NBytes += e
+		n.put(i, key, value, c.budget-n.NBytes, c.spare(n.NBytes, e))
 		if n.NBytes > c.budget {
-			split, sep, err = c.splitLeaf(n)
+			split, sep, err = c.splitLeaf(n, i)
 		}
-		return split, sep, added, err
+		return split, sep, !found, err
 	}
 
 	ci := n.childIndex(key)
@@ -374,43 +388,117 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 
 // splitLeaf moves the upper half (by bytes) of a leaf into a new right
 // sibling and returns its id with its separator (the sibling's first key).
-func (c *Core) splitLeaf(n *Node) (uint32, uint64, error) {
+// The half holding entry at, just written, keeps the buffer and its room —
+// what filled the leaf likely goes on there — and the other is copied out.
+func (c *Core) splitLeaf(n *Node, at int) (uint32, uint64, error) {
 	half := n.NBytes / 2
 	acc, cut := 0, 0
-	for i := range n.Keys {
-		acc += c.layout.LeafEntry(n.Vals[i])
+	for i := range n.Offs {
+		_, v := n.Entry(i)
+		acc += c.layout.LeafEntry(v)
 		if acc > half {
 			cut = i + 1
 			break
 		}
 	}
-	if cut == 0 || cut >= len(n.Keys) {
-		cut = len(n.Keys) / 2
+	if cut == 0 || cut >= len(n.Offs) {
+		cut = len(n.Offs) / 2
 	}
 	right, err := c.alloc(true)
 	if err != nil {
 		return 0, 0, err
 	}
-	keys, vals := n.Keys[cut:], n.Vals[cut:]
-	for _, v := range vals {
-		right.NBytes += c.layout.LeafEntry(v)
+	if at < cut {
+		right.Buf, right.Offs = n.span(cut, len(n.Offs))
+		n.Buf, n.Offs = n.Buf[:n.Offs[cut]], n.Offs[:cut]
+	} else {
+		buf, offs := n.span(0, cut)
+		right.Buf, right.Lo = n.Buf, int(n.Offs[cut])
+		right.Offs = n.Offs[:copy(n.Offs, n.Offs[cut:])]
+		n.Buf, n.Lo, n.Offs = buf, 0, offs
 	}
-	// The sibling's arrays are sized for the entries like its own it can still
-	// take: whatever filled this leaf is likely to go on into one of the two.
-	spare := c.spare(right.NBytes, right.NBytes/len(keys))
-	right.Keys = append(grown(right.Keys, len(keys), spare), keys...)
-	right.Vals = append(grown(right.Vals, len(vals), spare), vals...)
-	n.Keys = n.Keys[:cut]
-	n.Vals = n.Vals[:cut]
+	right.NBytes = c.leafBytes(right)
 	n.NBytes -= right.NBytes
-	n.Donor = true
 	right.Next = n.Next
 	n.Next = right.ID
 	c.store.MarkDirty(n)
 	c.store.MarkDirty(right)
-	id, sep := right.ID, right.Keys[0]
+	id, sep := right.ID, right.key(0)
 	c.store.Release(right)
 	return id, sep, nil
+}
+
+// leafBytes is a leaf's accounting: its entries' bytes, and its layout's
+// per-entry cost beyond the page image's.
+func (c *Core) leafBytes(n *Node) int {
+	return len(n.Buf) - n.Lo + (c.layout.LeafEntryOverhead-leafEntryOverheadPage)*len(n.Offs)
+}
+
+// put writes a leaf entry for key and v at index i, moving the entries from i
+// on up. room is what the page can still take in bytes, should Buf grow (see
+// fit), and spare in entries, should Offs (see grown).
+func (n *Node) put(i int, key uint64, v []byte, room, spare int) {
+	e := leafEntryOverheadPage + len(v)
+	n.fit(e, room)
+	at := len(n.Buf)
+	if i < len(n.Offs) {
+		at = int(n.Offs[i])
+	}
+	n.Buf = n.Buf[:len(n.Buf)+e]
+	copy(n.Buf[at+e:], n.Buf[at:])
+	binary.LittleEndian.PutUint64(n.Buf[at:], key)
+	binary.LittleEndian.PutUint16(n.Buf[at+8:], uint16(len(v)))
+	copy(n.Buf[at+leafEntryOverheadPage:], v)
+	n.Offs = insertAt(n.Offs, i, uint32(at), spare)
+	for j := i + 1; j < len(n.Offs); j++ {
+		n.Offs[j] += uint32(e)
+	}
+}
+
+// drop removes leaf entry i, moving the entries after it down, and returns
+// the length its value had.
+func (n *Node) drop(i int) int {
+	_, v := n.Entry(i)
+	at, e := int(n.Offs[i]), leafEntryOverheadPage+len(v)
+	n.Buf = append(n.Buf[:at], n.Buf[at+e:]...)
+	n.Offs = append(n.Offs[:i], n.Offs[i+1:]...)
+	for j := i; j < len(n.Offs); j++ {
+		n.Offs[j] -= uint32(e)
+	}
+	return e - leafEntryOverheadPage
+}
+
+// fit makes room for e more bytes at the end of Buf: the entries slide over
+// its dead prefix if that is enough, or else move to a new buffer for them and
+// e, plus what the page can still take (room) up to as much again.
+func (n *Node) fit(e, room int) {
+	if len(n.Buf)+e <= cap(n.Buf) {
+		return
+	}
+	used := len(n.Buf) - n.Lo
+	buf := n.Buf[:used]
+	if need := used + e; need > cap(n.Buf) {
+		buf = slices.Grow([]byte(nil), need+min(max(room, 0), need))[:used]
+	}
+	copy(buf, n.Buf[n.Lo:])
+	for j := range n.Offs {
+		n.Offs[j] -= uint32(n.Lo)
+	}
+	n.Buf, n.Lo = buf, 0
+}
+
+// span copies leaf entries [i, j), i < j, into a buffer of their size, and
+// returns it with their offsets in it.
+func (n *Node) span(i, j int) ([]byte, []uint32) {
+	lo, hi := int(n.Offs[i]), len(n.Buf)
+	if j < len(n.Offs) {
+		hi = int(n.Offs[j])
+	}
+	offs := make([]uint32, j-i)
+	for k := range offs {
+		offs[k] = n.Offs[i+k] - uint32(lo)
+	}
+	return append([]byte(nil), n.Buf[lo:hi]...), offs
 }
 
 // splitBranch moves the upper half of a branch into a new right sibling; the
@@ -477,14 +565,12 @@ func (c *Core) del(id uint32, key uint64) (bool, error) {
 	}
 	defer c.store.Release(n)
 	if n.Leaf {
-		i := search(n.Keys, key)
-		if i >= len(n.Keys) || n.Keys[i] != key {
+		i, found := n.find(key)
+		if !found {
 			return false, nil
 		}
 		c.store.MarkDirty(n)
-		n.NBytes -= c.layout.LeafEntry(n.Vals[i])
-		n.Keys = append(n.Keys[:i], n.Keys[i+1:]...)
-		n.Vals = append(n.Vals[:i], n.Vals[i+1:]...)
+		n.NBytes -= c.layout.LeafEntryOverhead + n.drop(i)
 		return true, nil
 	}
 
@@ -565,15 +651,11 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 	c.store.MarkDirty(child)
 	c.store.MarkDirty(left)
 	if child.Leaf {
-		k := left.Keys[len(left.Keys)-1]
-		v := left.Vals[len(left.Vals)-1]
-		left.Keys = left.Keys[:len(left.Keys)-1]
-		left.Vals = left.Vals[:len(left.Vals)-1]
-		left.NBytes -= c.layout.LeafEntry(v)
-		left.Donor = true
-		child.Keys = insertAt(child.Keys, 0, k, 0)
-		child.Vals = insertAt(child.Vals, 0, v, 0)
+		k, v := left.Entry(len(left.Offs) - 1)
+		child.put(0, k, v, 0, 0)
 		child.NBytes += c.layout.LeafEntry(v)
+		left.NBytes -= c.layout.LeafEntry(v)
+		left.drop(len(left.Offs) - 1)
 		n.Keys[ci-1] = k
 		return
 	}
@@ -593,16 +675,12 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 	c.store.MarkDirty(child)
 	c.store.MarkDirty(right)
 	if child.Leaf {
-		k := right.Keys[0]
-		v := right.Vals[0]
-		right.Keys = right.Keys[1:]
-		right.Vals = right.Vals[1:]
-		right.NBytes -= c.layout.LeafEntry(v)
-		right.Donor = true
-		child.Keys = append(grown(child.Keys, 1, 0), k)
-		child.Vals = append(grown(child.Vals, 1, 0), v)
+		k, v := right.Entry(0)
+		child.put(len(child.Offs), k, v, 0, 0)
 		child.NBytes += c.layout.LeafEntry(v)
-		n.Keys[ci] = right.Keys[0]
+		right.NBytes -= c.layout.LeafEntry(v)
+		right.drop(0)
+		n.Keys[ci] = right.key(0)
 		return
 	}
 	k := right.Keys[0]
@@ -621,11 +699,14 @@ func (c *Core) merge(n *Node, ci int, left, right *Node) error {
 	c.store.MarkDirty(n)
 	c.store.MarkDirty(left)
 	if left.Leaf {
-		left.Keys = append(grown(left.Keys, len(right.Keys), 0), right.Keys...)
-		left.Vals = append(grown(left.Vals, len(right.Vals), 0), right.Vals...)
+		left.fit(len(right.Buf)-right.Lo, 0)
+		left.Offs = grown(left.Offs, len(right.Offs), 0)
+		for i := range right.Offs {
+			k, v := right.Entry(i)
+			left.put(len(left.Offs), k, v, 0, 0)
+		}
 		left.NBytes += right.NBytes
 		left.Next = right.Next
-		right.Donor = true
 	} else {
 		left.Keys = append(grown(left.Keys, 1+len(right.Keys), 0), n.Keys[ci])
 		left.Keys = append(left.Keys, right.Keys...)
@@ -660,14 +741,18 @@ func (c *Core) Scan(from, to uint64, fn func(key uint64, value []byte) bool) err
 		}
 	}
 	for {
-		for i, k := range n.Keys {
-			if k < from {
-				continue
-			}
-			if k > to || !fn(k, n.Vals[i]) {
+		// The entries from the first key >= from on, walked in their order.
+		off := len(n.Buf)
+		if i, _ := n.find(from); i < len(n.Offs) {
+			off = int(n.Offs[i])
+		}
+		for rest := n.Buf[off:]; len(rest) >= leafEntryOverheadPage; {
+			k, end := binary.LittleEndian.Uint64(rest), leafEntryOverheadPage+int(binary.LittleEndian.Uint16(rest[8:]))
+			if k > to || !fn(k, rest[leafEntryOverheadPage:end:end]) {
 				c.store.Release(n)
 				return nil
 			}
+			rest = rest[end:]
 		}
 		next := n.Next
 		c.store.Release(n)

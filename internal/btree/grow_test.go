@@ -35,11 +35,11 @@ func TestNodeArraysStayWithinFanout(t *testing.T) {
 			fan := branchFan
 			if n.Leaf {
 				fan = leafFan
-				fullest = max(fullest, len(n.Keys))
+				fullest = max(fullest, len(n.Offs))
 			}
-			if got := max(cap(n.Keys), cap(n.Vals), cap(n.Kids)); got > fan {
+			if got := max(cap(n.Keys), cap(n.Offs), cap(n.Kids)); got > fan {
 				t.Fatalf("step %d: node %d (leaf %v) holds %d keys in %d bytes with arrays of %d/%d/%d: its page takes %d entries at most",
-					step, n.ID, n.Leaf, len(n.Keys), n.NBytes, cap(n.Keys), cap(n.Vals), cap(n.Kids), fan)
+					step, n.ID, n.Leaf, n.count(), n.NBytes, cap(n.Keys), cap(n.Offs), cap(n.Kids), fan)
 			}
 		}
 	}

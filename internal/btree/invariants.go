@@ -35,20 +35,22 @@ func (c *Core) Check() error {
 		if err := c.checkNode(n); err != nil {
 			return err
 		}
-		for _, k := range n.Keys {
-			if hasLo && k < lo {
-				return fmt.Errorf("node %d: key %d below subtree bound %d", id, k, lo)
-			}
-			if hasHi && k >= hi {
-				return fmt.Errorf("node %d: key %d above subtree bound %d", id, k, hi)
-			}
+		// The keys increase (checkNode): they are all in bounds if the search
+		// for each bound lands on the node's edge.
+		first, end := search(n.Keys, lo), search(n.Keys, hi)
+		if n.Leaf {
+			first, _ = n.find(lo)
+			end, _ = n.find(hi)
+		}
+		if hasLo && first != 0 || hasHi && end != n.count() {
+			return fmt.Errorf("node %d: keys outside its subtree's bounds [%d, %d)", id, lo, hi)
 		}
 		if n.Leaf {
 			if depth != c.height {
 				return fmt.Errorf("leaf %d at depth %d, height is %d", id, depth, c.height)
 			}
 			leaves = append(leaves, id)
-			entries += len(n.Keys)
+			entries += len(n.Offs)
 			return nil
 		}
 		for i, kid := range n.Kids {
@@ -106,13 +108,10 @@ func (c *Core) checkNode(n *Node) error {
 	}
 	nb := c.layout.BranchEntryBytes * len(n.Kids)
 	if n.Leaf {
-		if len(n.Vals) != len(n.Keys) {
-			return fmt.Errorf("leaf %d: %d keys but %d values", n.ID, len(n.Keys), len(n.Vals))
+		if err := n.checkLeaf(); err != nil {
+			return fmt.Errorf("leaf %d: %w", n.ID, err)
 		}
-		nb = 0
-		for _, v := range n.Vals {
-			nb += c.layout.LeafEntry(v)
-		}
+		nb = c.leafBytes(n)
 	} else if n.Next != 0 {
 		return fmt.Errorf("branch %d carries a leaf chain link %d", n.ID, n.Next)
 	} else if len(n.Kids) != len(n.Keys)+1 {

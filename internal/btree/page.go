@@ -22,9 +22,12 @@ import (
 // Page id 0 is reserved as the nil link (pagedb stores its metadata there),
 // so 0 can terminate the leaf chain.
 //
-// An image exists once on each side of storage: ParseNode turns the bytes a
-// read produced into a node IN PLACE (a leaf's values are sub-slices of them),
-// and EncodeNode writes a node straight into the bytes about to be written.
+// A leaf IS its image's entries: both stores keep them in this format, back
+// to back in Node.Buf[Lo:], with Node.Offs[i] where entry i starts. So an
+// image exists once on each side of storage: ParseNode validates the bytes a
+// read produced and records where the entries lie, copying nothing, and
+// EncodeNode writes the header and copies the entries once, straight into the
+// bytes about to be written.
 
 // PageHeaderBytes is the page image header size.
 const PageHeaderBytes = 8
@@ -38,10 +41,6 @@ const (
 // bytes: key (8) plus value length (2).
 const leafEntryOverheadPage = 10
 
-// LeafEntryBytes is the encoded cost of one leaf entry: key, value length,
-// value bytes.
-func LeafEntryBytes(val []byte) int { return leafEntryOverheadPage + len(val) }
-
 // BranchEntryBytes is the per-child budgeting cost of a branch entry.
 // A branch with k children encodes k-1 keys and k child ids (12k-4 bytes);
 // budgeting BranchEntryBytes per child over-reserves by 8 bytes, exactly
@@ -53,8 +52,8 @@ const BranchEntryBytes = 12
 // the same rules ParseNode holds an image to, so whatever is written can be
 // read back — every field fits its width, and the image fits pageSize.
 func (n *Node) ImageBytes(pageSize int) (int, error) {
-	if len(n.Keys) > 0xFFFF {
-		return 0, fmt.Errorf("btree: page with %d keys overflows the count field", len(n.Keys))
+	if n.count() > 0xFFFF {
+		return 0, fmt.Errorf("btree: page with %d keys overflows the count field", n.count())
 	}
 	for i := 1; i < len(n.Keys); i++ {
 		if n.Keys[i-1] >= n.Keys[i] {
@@ -63,15 +62,10 @@ func (n *Node) ImageBytes(pageSize int) (int, error) {
 	}
 	size := PageHeaderBytes
 	if n.Leaf {
-		if len(n.Vals) != len(n.Keys) {
-			return 0, fmt.Errorf("btree: leaf page with %d keys, %d values", len(n.Keys), len(n.Vals))
+		if err := n.checkLeaf(); err != nil {
+			return 0, err
 		}
-		for _, v := range n.Vals {
-			if len(v) > 0xFFFF {
-				return 0, fmt.Errorf("btree: leaf value of %d bytes overflows the length field", len(v))
-			}
-			size += LeafEntryBytes(v)
-		}
+		size += len(n.Buf) - n.Lo
 	} else {
 		if len(n.Kids) != len(n.Keys)+1 {
 			return 0, fmt.Errorf("btree: branch page with %d keys, %d children", len(n.Keys), len(n.Kids))
@@ -87,6 +81,25 @@ func (n *Node) ImageBytes(pageSize int) (int, error) {
 	return size, nil
 }
 
+// checkLeaf checks that Offs lays out the entries back to back from Lo to the
+// end of Buf, every one inside it, keys strictly increasing.
+func (n *Node) checkLeaf() error {
+	off := n.Lo
+	for i, o := range n.Offs {
+		if int(o) != off || off+leafEntryOverheadPage > len(n.Buf) {
+			return fmt.Errorf("btree: leaf entry %d at %d, not where entry %d ends (%d of %d bytes)", i, o, i-1, off, len(n.Buf))
+		}
+		if i > 0 && n.key(i-1) >= n.key(i) {
+			return fmt.Errorf("btree: page keys out of order at %d", i)
+		}
+		off += leafEntryOverheadPage + int(binary.LittleEndian.Uint16(n.Buf[off+8:]))
+	}
+	if off != len(n.Buf) {
+		return fmt.Errorf("btree: leaf entries end at %d of %d bytes", off, len(n.Buf))
+	}
+	return nil
+}
+
 // EncodeNode serializes n into dst, which is as long as ImageBytes said or
 // longer (any tail is zeroed). It checks nothing: ImageBytes did.
 func EncodeNode(dst []byte, n *Node) {
@@ -95,16 +108,11 @@ func EncodeNode(dst []byte, n *Node) {
 		kind = kindLeaf
 	}
 	dst[0], dst[1] = kind, 0
-	binary.LittleEndian.PutUint16(dst[2:4], uint16(len(n.Keys)))
+	binary.LittleEndian.PutUint16(dst[2:4], uint16(n.count()))
 	binary.LittleEndian.PutUint32(dst[4:8], n.Next)
 	off := PageHeaderBytes
 	if n.Leaf {
-		for i, k := range n.Keys {
-			binary.LittleEndian.PutUint64(dst[off:], k)
-			binary.LittleEndian.PutUint16(dst[off+8:], uint16(len(n.Vals[i])))
-			off += leafEntryOverheadPage
-			off += copy(dst[off:], n.Vals[i])
-		}
+		off += copy(dst[off:], n.Buf[n.Lo:])
 	} else {
 		for _, k := range n.Keys {
 			binary.LittleEndian.PutUint64(dst[off:], k)
@@ -118,18 +126,20 @@ func EncodeNode(dst []byte, n *Node) {
 	clear(dst[off:])
 }
 
-// ParseNode materializes the page image img as node id under the given
-// Layout, in place: n's Keys, Vals and Kids arrays are reused where they are
-// the right size (n is a zero Node or a recycled one), a leaf's Vals are
-// cap-limited sub-slices of img — nothing is copied, so img is the node's
-// memory from here on — and the byte accounting is rebuilt. n.Buf and n.Pin
-// are the store's and stay as they are.
+// ParseNode materializes the page image n.Buf[lo:] as node id under the given
+// Layout, in place: a leaf's entries stay where they lie (Lo, Offs), a
+// branch's keys and children are decoded, the arrays n already has are
+// reused where they are the right size (n is a zero Node or a recycled one),
+// and the byte accounting is rebuilt. Buf ends where the entries do; its
+// capacity past them is where a leaf's inserts grow. n.Pin is the store's and
+// stays as it is.
 //
 // The bytes come from storage, so nothing about them is trusted: an unknown
 // kind, entries that overrun the image, non-zero bytes past the last entry
 // and keys that are not strictly increasing are all errors, and n is then
 // left in no particular state.
-func ParseNode(n *Node, id uint32, img []byte, l Layout) error {
+func ParseNode(n *Node, id uint32, lo int, l Layout) error {
+	img := n.Buf[lo:]
 	if len(img) < PageHeaderBytes {
 		return fmt.Errorf("btree: page image of %d bytes is shorter than the header", len(img))
 	}
@@ -138,55 +148,53 @@ func ParseNode(n *Node, id uint32, img []byte, l Layout) error {
 		return fmt.Errorf("btree: unknown page kind %d/%d", kind, img[1])
 	}
 	count := int(binary.LittleEndian.Uint16(img[2:4]))
-	n.ID, n.Leaf, n.Next, n.Donor = id, kind == kindLeaf, binary.LittleEndian.Uint32(img[4:8]), false
-	off := PageHeaderBytes
+	n.ID, n.Leaf, n.Next = id, kind == kindLeaf, binary.LittleEndian.Uint32(img[4:8])
+	off := lo + PageHeaderBytes
 	if n.Leaf {
-		if off+count*leafEntryOverheadPage > len(img) {
+		if count*leafEntryOverheadPage > len(img)-PageHeaderBytes {
 			return fmt.Errorf("btree: leaf page with %d keys overruns the page", count)
 		}
-		n.Keys, n.Vals, n.Kids = reuse(n.Keys, count), reuse(n.Vals, count), nil
+		n.Offs, n.Keys, n.Kids, n.Lo = reuse(n.Offs, count), nil, nil, off
 		for i := 0; i < count; i++ {
-			if off+leafEntryOverheadPage > len(img) {
+			if off+leafEntryOverheadPage > len(n.Buf) {
 				return fmt.Errorf("btree: leaf page truncated at entry %d", i)
 			}
-			vlen := int(binary.LittleEndian.Uint16(img[off+8:]))
-			end := off + leafEntryOverheadPage + vlen
-			if end > len(img) {
+			n.Offs = append(n.Offs, uint32(off))
+			if off += leafEntryOverheadPage + int(binary.LittleEndian.Uint16(n.Buf[off+8:])); off > len(n.Buf) {
 				return fmt.Errorf("btree: leaf page value %d overruns the page", i)
 			}
-			n.Keys = append(n.Keys, binary.LittleEndian.Uint64(img[off:]))
-			n.Vals = append(n.Vals, img[off+leafEntryOverheadPage:end:end])
-			off = end
+			if i > 0 && n.key(i-1) >= n.key(i) {
+				return fmt.Errorf("btree: page keys out of order at %d", i)
+			}
 		}
-		n.NBytes = off - PageHeaderBytes + (l.LeafEntryOverhead-leafEntryOverheadPage)*count
+		n.NBytes = off - n.Lo + (l.LeafEntryOverhead-leafEntryOverheadPage)*count
 	} else {
 		if n.Next != 0 {
 			return fmt.Errorf("btree: branch page with leaf chain link %d", n.Next)
 		}
-		if off+8*count+4*(count+1) > len(img) {
+		if 8*count+4*(count+1) > len(img)-PageHeaderBytes {
 			return fmt.Errorf("btree: branch page with %d keys overruns the page", count)
 		}
-		n.Keys, n.Vals, n.Kids = reuse(n.Keys, count), nil, reuse(n.Kids, count+1)
+		n.Keys, n.Kids, n.Offs = reuse(n.Keys, count), reuse(n.Kids, count+1), nil
 		for i := 0; i < count; i++ {
-			n.Keys = append(n.Keys, binary.LittleEndian.Uint64(img[off:]))
+			n.Keys = append(n.Keys, binary.LittleEndian.Uint64(n.Buf[off:]))
 			off += 8
+			if i > 0 && n.Keys[i-1] >= n.Keys[i] {
+				return fmt.Errorf("btree: page keys out of order at %d", i)
+			}
 		}
 		for i := 0; i <= count; i++ {
-			n.Kids = append(n.Kids, binary.LittleEndian.Uint32(img[off:]))
+			n.Kids = append(n.Kids, binary.LittleEndian.Uint32(n.Buf[off:]))
 			off += 4
 		}
 		n.NBytes = l.BranchEntryBytes * len(n.Kids)
 	}
-	for i := 1; i < count; i++ {
-		if n.Keys[i-1] >= n.Keys[i] {
-			return fmt.Errorf("btree: page keys out of order at %d", i)
-		}
-	}
-	for _, b := range img[off:] {
+	for _, b := range n.Buf[off:] {
 		if b != 0 {
-			return fmt.Errorf("btree: page image has data past its last entry (offset %d of %d)", off, len(img))
+			return fmt.Errorf("btree: page image has data past its last entry (offset %d of %d)", off-lo, len(img))
 		}
 	}
+	n.Buf = n.Buf[:off]
 	return nil
 }
 
@@ -199,4 +207,19 @@ func reuse[T any](s []T, n int) []T {
 		return s[:0]
 	}
 	return make([]T, 0, n)
+}
+
+// count returns how many keys the node holds: a leaf has no Keys, a branch
+// no Offs.
+func (n *Node) count() int { return len(n.Keys) + len(n.Offs) }
+
+// key returns leaf entry i's key.
+func (n *Node) key(i int) uint64 { return binary.LittleEndian.Uint64(n.Buf[n.Offs[i]:]) }
+
+// Entry returns leaf entry i: its key, and its value — a slice of Buf, capped
+// at its length (see NodeStore on how long it stays valid).
+func (n *Node) Entry(i int) (uint64, []byte) {
+	o := int(n.Offs[i])
+	end := o + leafEntryOverheadPage + int(binary.LittleEndian.Uint16(n.Buf[o+8:]))
+	return binary.LittleEndian.Uint64(n.Buf[o:]), n.Buf[o+leafEntryOverheadPage : end : end]
 }

@@ -2,7 +2,11 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/bufferpool"
@@ -20,60 +24,70 @@ func encode(t testing.TB, n *Node, pageSize int) []byte {
 	return img
 }
 
-func TestNodePageRoundTrip(t *testing.T) {
-	leaf := &Node{
-		Leaf: true,
-		Next: 42,
-		Keys: []uint64{1, 5, 9},
-		Vals: [][]byte{[]byte("a"), {}, []byte("ccc")},
+// leafOf returns a leaf holding keys with vals, laid out as the Core lays
+// out its leaves.
+func leafOf(next uint32, keys []uint64, vals ...[]byte) *Node {
+	n := &Node{Leaf: true, Next: next}
+	for i, k := range keys {
+		n.put(i, k, vals[i], 0, 0)
 	}
-	img := encode(t, leaf, 256)
-	// A recycled node: arrays of the right size are reused, whatever they
-	// held; one that is far too large (or a branch's, in a leaf) is let go.
-	got := &Node{Keys: make([]uint64, 3), Vals: make([][]byte, 2, 3), Kids: []uint32{4, 4}, Donor: true, NBytes: 99}
-	keys, vals := &got.Keys[0], &got.Vals[0]
-	if err := ParseNode(got, 7, img, PageLayout); err != nil {
+	return n
+}
+
+func TestNodePageRoundTrip(t *testing.T) {
+	keys, vals := []uint64{1, 5, 9}, [][]byte{[]byte("a"), {}, []byte("ccc")}
+	img := encode(t, leafOf(42, keys, vals...), 256)
+	// A recycled node, its record buffer holding the image behind a header of
+	// its own: an offsets array of about the right size is reused, whatever it
+	// held; a branch's arrays are let go.
+	const hdr = 24
+	got := &Node{Buf: append(make([]byte, hdr), img...), Offs: make([]uint32, 2, 3), Keys: []uint64{4}, Kids: []uint32{4, 4}, NBytes: 99}
+	offs := &got.Offs[0]
+	if err := ParseNode(got, 7, hdr, PageLayout); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 7 || !got.Leaf || got.Next != 42 || len(got.Keys) != 3 || got.Kids != nil || got.Donor {
+	if got.ID != 7 || !got.Leaf || got.Next != 42 || len(got.Offs) != 3 || got.Keys != nil || got.Kids != nil || got.Lo != hdr+PageHeaderBytes {
 		t.Fatalf("leaf round trip: %+v", got)
 	}
-	if &got.Keys[0] != keys || &got.Vals[0] != vals {
-		t.Error("ParseNode did not reuse the node's arrays")
+	if &got.Offs[0] != offs {
+		t.Error("ParseNode did not reuse the node's offsets array")
 	}
 	want := 0
-	for i := range leaf.Keys {
-		if got.Keys[i] != leaf.Keys[i] || !bytes.Equal(got.Vals[i], leaf.Vals[i]) {
-			t.Fatalf("leaf entry %d: %d/%q", i, got.Keys[i], got.Vals[i])
+	for i := range keys {
+		if k, v := got.Entry(i); k != keys[i] || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("leaf entry %d: %d/%q", i, k, v)
 		}
-		want += PageLayout.LeafEntry(leaf.Vals[i])
+		want += PageLayout.LeafEntry(vals[i])
 	}
 	if got.NBytes != want {
 		t.Errorf("NBytes = %d, want %d", got.NBytes, want)
 	}
-	// Parsed values ARE the image — nothing was copied — and each is capped,
+	// Values ARE the image's bytes — nothing was copied — and each is capped,
 	// so appending to one cannot run into the next entry.
-	if v := got.Vals[2]; &v[0] != &img[len(img)-3] || cap(v) != 3 {
-		t.Error("parsed value is not a capped sub-slice of the image")
+	if _, v := got.Entry(2); &v[0] != &got.Buf[len(got.Buf)-3] || cap(v) != 3 {
+		t.Error("a parsed value is not a capped slice of the image")
 	}
-	if v := got.Vals[1]; len(v) != 0 || cap(v) != 0 {
+	if _, v := got.Entry(1); len(v) != 0 || cap(v) != 0 {
 		t.Error("empty value has capacity into the next entry")
 	}
 	// Under another layout the accounting follows that layout's costs.
-	if err := ParseNode(got, 7, img, MemLayout); err != nil || got.NBytes != want+3*(MemLayout.LeafEntryOverhead-PageLayout.LeafEntryOverhead) {
+	if err := ParseNode(got, 7, hdr, MemLayout); err != nil || got.NBytes != want+3*(MemLayout.LeafEntryOverhead-PageLayout.LeafEntryOverhead) {
 		t.Errorf("MemLayout parse: NBytes %d, err %v", got.NBytes, err)
+	}
+	// An offsets array with more than an eighth to spare is let go.
+	roomy := &Node{Buf: img, Offs: make([]uint32, 0, 8)}
+	if err := ParseNode(roomy, 1, 0, PageLayout); err != nil || cap(roomy.Offs) != 3 {
+		t.Errorf("an 8-entry offsets array was kept for 3 entries (cap %d, %v)", cap(roomy.Offs), err)
 	}
 
 	branch := &Node{Keys: []uint64{10, 20}, Kids: []uint32{3, 7, 11}}
 	img = append(encode(t, branch, 256), 0, 0, 0) // zero padding past the entries is legal
-	if err := ParseNode(got, 8, img, PageLayout); err != nil {
+	got.Buf = img
+	if err := ParseNode(got, 8, 0, PageLayout); err != nil {
 		t.Fatal(err)
 	}
-	if got.Leaf || len(got.Keys) != 2 || len(got.Kids) != 3 || got.Kids[1] != 7 || got.Vals != nil || got.NBytes != 3*BranchEntryBytes {
+	if got.Leaf || len(got.Keys) != 2 || len(got.Kids) != 3 || got.Kids[1] != 7 || got.Offs != nil || got.NBytes != 3*BranchEntryBytes {
 		t.Fatalf("branch round trip: %+v", got)
-	}
-	if &got.Keys[0] == keys || cap(got.Keys) != 2 {
-		t.Errorf("a 3-key array was kept for 2 keys (cap %d)", cap(got.Keys))
 	}
 	a, _ := got.ImageBytes(256)
 	b, _ := branch.ImageBytes(256)
@@ -89,17 +103,25 @@ func TestNodePageRoundTrip(t *testing.T) {
 }
 
 func TestEncodePageRejectsMalformed(t *testing.T) {
+	two := func(f func(n *Node)) *Node {
+		n := leafOf(0, []uint64{1, 2}, []byte("xy"), []byte("z"))
+		f(n)
+		return n
+	}
 	for name, n := range map[string]*Node{
-		"oversized leaf":                   {Leaf: true, Keys: []uint64{1}, Vals: [][]byte{make([]byte, 100)}},
-		"leaf with a missing value":        {Leaf: true, Keys: []uint64{1, 2}, Vals: [][]byte{nil}},
-		"leaf value over the length field": {Leaf: true, Keys: []uint64{1}, Vals: [][]byte{make([]byte, 0x10000)}},
-		"branch with too few children":     {Keys: []uint64{1}, Kids: []uint32{2}},
-		"branch with a leaf chain link":    {Kids: []uint32{2}, Next: 9},
-		"keys out of order":                {Keys: []uint64{2, 2}, Kids: []uint32{1, 2, 3}},
-		"count over the count field":       {Keys: make([]uint64, 0x10000), Kids: make([]uint32, 0x10001)},
+		"oversized leaf":                {Leaf: true, Buf: leafOf(0, []uint64{1}, make([]byte, 100)).Buf},
+		"leaf entry off its offset":     two(func(n *Node) { n.Offs[1]++ }),
+		"leaf with a missing offset":    two(func(n *Node) { n.Offs = n.Offs[:1] }),
+		"leaf entries before Lo":        two(func(n *Node) { n.Lo = 1 }),
+		"leaf value past its buffer":    two(func(n *Node) { n.Buf = n.Buf[:len(n.Buf)-1] }),
+		"leaf keys out of order":        leafOf(0, []uint64{2, 2}, nil, nil),
+		"branch with too few children":  {Keys: []uint64{1}, Kids: []uint32{2}},
+		"branch with a leaf chain link": {Kids: []uint32{2}, Next: 9},
+		"keys out of order":             {Keys: []uint64{2, 2}, Kids: []uint32{1, 2, 3}},
+		"count over the count field":    {Keys: make([]uint64, 0x10000), Kids: make([]uint32, 0x10001)},
 	} {
 		pageSize := 64
-		if len(n.Keys) > 100 || len(n.Vals) == 1 && len(n.Vals[0]) > 100 {
+		if n.count() > 100 {
 			pageSize = 1 << 30 // only the field width is in the way
 		}
 		if _, err := n.ImageBytes(pageSize); err == nil {
@@ -109,11 +131,11 @@ func TestEncodePageRejectsMalformed(t *testing.T) {
 }
 
 func TestDecodePageRejectsCorrupt(t *testing.T) {
-	parse := func(img []byte) error { return ParseNode(new(Node), 1, img, PageLayout) }
+	parse := func(img []byte) error { return ParseNode(&Node{Buf: img}, 1, 0, PageLayout) }
 	if err := parse(make([]byte, 4)); err == nil {
 		t.Error("short image parsed")
 	}
-	leaf := encode(t, &Node{Leaf: true, Keys: []uint64{1, 4}, Vals: [][]byte{[]byte("xy"), []byte("z")}}, 64)
+	leaf := encode(t, leafOf(0, []uint64{1, 4}, []byte("xy"), []byte("z")), 64)
 	branch := encode(t, &Node{Keys: []uint64{3, 8}, Kids: []uint32{5, 6, 7}}, 64)
 	if parse(leaf) != nil || parse(branch) != nil {
 		t.Fatal("intact images rejected")
@@ -150,9 +172,10 @@ func TestCheckPageTree(t *testing.T) {
 	const pageSize = 128
 	pages := map[uint32]*Node{
 		1: {Keys: []uint64{10}, Kids: []uint32{2, 3}},
-		2: {Leaf: true, Next: 3, Keys: []uint64{1, 5}, Vals: [][]byte{[]byte("a"), []byte("b")}},
-		3: {Leaf: true, Keys: []uint64{10, 20}, Vals: [][]byte{[]byte("c"), []byte("d")}},
+		2: leafOf(3, []uint64{1, 5}, []byte("a"), []byte("b")),
+		3: leafOf(0, []uint64{10, 20}, []byte("c"), []byte("d")),
 	}
+	setFirst := func(k uint64) { binary.LittleEndian.PutUint64(pages[3].Buf[pages[3].Offs[0]:], k) }
 	fetch := func(id uint32) ([]byte, error) {
 		p, ok := pages[id]
 		if !ok {
@@ -169,11 +192,11 @@ func TestCheckPageTree(t *testing.T) {
 	if err := CheckPageTree(fetch, 1, 3, 4, pageSize); err == nil {
 		t.Error("wrong height accepted")
 	}
-	pages[3].Keys[0] = 9 // below the separator bound
+	setFirst(9) // below the separator bound
 	if err := CheckPageTree(fetch, 1, 2, 4, pageSize); err == nil {
 		t.Error("bound violation accepted")
 	}
-	pages[3].Keys[0] = 10
+	setFirst(10)
 	pages[2].Next = 0 // break the chain
 	if err := CheckPageTree(fetch, 1, 2, 4, pageSize); err == nil {
 		t.Error("broken leaf chain accepted")
@@ -187,7 +210,7 @@ func TestCheckPageTree(t *testing.T) {
 
 // CheckPageTree validates the invariants of a PAGE-ID based tree given only
 // a way to read page images. It adapts fetch into a read-only NodeStore that
-// parses each image (ParseNode, which may alias it) and runs the one shared
+// parses each image (ParseNode, in place) and runs the one shared
 // checker under PageLayout, so NBytes <= budget implies every image fits
 // pageSize.
 func CheckPageTree(fetch func(id uint32) ([]byte, error), root uint32, height, count, pageSize int) error {
@@ -208,8 +231,8 @@ func (s pageFetchStore) Fetch(id uint32) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := new(Node)
-	return n, ParseNode(n, id, img, PageLayout)
+	n := &Node{Buf: img}
+	return n, ParseNode(n, id, 0, PageLayout)
 }
 
 func (s pageFetchStore) Release(*Node) {}
@@ -225,8 +248,8 @@ type errNotFound uint32
 func (e errNotFound) Error() string { return "page not found" }
 
 // FuzzParseNode: ParseNode over arbitrary bytes never panics, and whatever it
-// accepts is a node the Core's own per-node checks pass, whose values lie
-// inside the image, and which encodes back to exactly the bytes it came from.
+// accepts is a node the Core's own per-node checks pass, and which encodes back
+// to exactly the bytes it came from.
 // Seeded with real images: the leaves and branches of a grown tree.
 func FuzzParseNode(f *testing.F) {
 	const pageSize = 256
@@ -248,7 +271,8 @@ func FuzzParseNode(f *testing.F) {
 			img = img[:pageSize]
 		}
 		orig := append([]byte(nil), img...)
-		if err := ParseNode(n, 9, img, PageLayout); err != nil {
+		n.Buf = img
+		if err := ParseNode(n, 9, 0, PageLayout); err != nil {
 			return
 		}
 		if !bytes.Equal(img, orig) {
@@ -265,6 +289,78 @@ func FuzzParseNode(f *testing.F) {
 		EncodeNode(dst, n)
 		if !bytes.Equal(dst, orig) {
 			t.Fatalf("re-encoded to %x, parsed from %x", dst, orig)
+		}
+	})
+}
+
+// FuzzLeafImage: a stream of inserts, overwrites with a new length and deletes,
+// decoded from the input, on a tree of small pages against a map oracle. After
+// every operation the tree passes Check, every leaf encodes to exactly the
+// image built from the oracle's entries it holds, and that image, parsed
+// behind a record header into a recycled node, encodes back to itself.
+func FuzzLeafImage(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewPCG(seed, seed))
+		ops := make([]byte, 400)
+		for i := range ops {
+			ops[i] = byte(r.Uint32())
+		}
+		f.Add(ops)
+	}
+	const pageSize, hdr = 256, 24
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		tr := New(bufferpool.New(1<<10), pageSize)
+		oracle := make(map[uint64][]byte)
+		recycled := new(Node)
+		for i := 0; i+1 < len(ops) && i < 600; i += 2 {
+			k := uint64(ops[i] >> 2) // 64 keys: a few dozen leaves
+			if ops[i]&3 == 3 {
+				_, ok := oracle[k]
+				if tr.Delete(k) != ok {
+					t.Fatalf("op %d: Delete(%d) = %v", i/2, k, !ok)
+				}
+				delete(oracle, k)
+			} else {
+				oracle[k] = bytes.Repeat(ops[i+1:i+2], int(ops[i+1])%41)
+				tr.Insert(k, oracle[k])
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			keys := slices.Sorted(maps.Keys(oracle))
+			id := tr.core.Root()
+			for n := tr.store.nodes[id]; !n.Leaf; n = tr.store.nodes[id] {
+				id = n.Kids[0]
+			}
+			for ; id != 0; id = tr.store.nodes[id].Next {
+				n := tr.store.nodes[id]
+				if len(keys) < len(n.Offs) {
+					t.Fatalf("op %d: the leaves hold more entries than the oracle", i/2)
+				}
+				want := make([]byte, PageHeaderBytes)
+				want[0] = kindLeaf
+				binary.LittleEndian.PutUint16(want[2:], uint16(len(n.Offs)))
+				binary.LittleEndian.PutUint32(want[4:], n.Next)
+				for _, k := range keys[:len(n.Offs)] {
+					want = binary.LittleEndian.AppendUint64(want, k)
+					want = binary.LittleEndian.AppendUint16(want, uint16(len(oracle[k])))
+					want = append(want, oracle[k]...)
+				}
+				keys = keys[len(n.Offs):]
+				if got := encode(t, n, pageSize); !bytes.Equal(got, want) {
+					t.Fatalf("op %d: leaf %d encodes to %x, its oracle entries to %x", i/2, id, got, want)
+				}
+				recycled.Buf = append(append(recycled.Buf[:0], make([]byte, hdr)...), want...)
+				if err := ParseNode(recycled, id, hdr, MemLayout); err != nil || recycled.NBytes != n.NBytes {
+					t.Fatalf("op %d: leaf %d's image parses to %d bytes, not %d (%v)", i/2, id, recycled.NBytes, n.NBytes, err)
+				}
+				if got := encode(t, recycled, pageSize); !bytes.Equal(got, want) {
+					t.Fatalf("op %d: leaf %d's image parses and encodes to %x", i/2, id, got)
+				}
+			}
+			if len(keys) != 0 {
+				t.Fatalf("op %d: %d oracle entries in no leaf", i/2, len(keys))
+			}
 		}
 	})
 }

@@ -46,7 +46,8 @@ func dirtySet(db *DB) (set map[uint32]bool, parked int) {
 //     store's image;
 //   - every node on the recycling lists is on exactly one, once, and indexed
 //     under its own id, and every indexed node is on them; it is not
-//     resident, not in the table, not a donor, and its id is not free.
+//     resident, not in the table, and its id is not free;
+//   - no two pages' nodes — in the table, resident or listed — share a buffer.
 func checkDirtyTable(db *DB) error {
 	db.lock()
 	defer db.mu.Unlock()
@@ -95,10 +96,24 @@ func checkDirtyTable(db *DB) error {
 			return fmt.Errorf("page %d is in the dirty-page table and on the recycling lists", id)
 		case served(id) != nil:
 			return fmt.Errorf("page %d is resident and on the recycling lists", id)
-		case n.Donor:
-			return fmt.Errorf("page %d's node on the recycling lists is a donor", id)
 		case free[id]:
 			return fmt.Errorf("page %d is free, but its node is on the recycling lists", id)
+		}
+	}
+	owner := make(map[*byte]uint32)
+	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
+		nodes := []*btree.Node{db.dirty[id], served(id)}
+		if s, ok := db.kept[id]; ok {
+			nodes = append(nodes, db.slots[s].n)
+		}
+		for _, n := range nodes {
+			if n == nil || cap(n.Buf) == 0 {
+				continue
+			}
+			if other, ok := owner[&n.Buf[:1][0]]; ok && other != id {
+				return fmt.Errorf("pages %d and %d share a node buffer", other, id)
+			}
+			owner[&n.Buf[:1][0]] = id
 		}
 	}
 	for id := range free {

@@ -53,7 +53,9 @@ func TestConcurrentReadersWithCommittingWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nkeys = 400
+	// Enough pages that the pool and the recycling lists (a re-admission is no
+	// fault) cannot hold them all: 64 + 64 nodes, for well over 128 pages.
+	const nkeys = 1600
 	for k := uint64(0); k < nkeys; k++ {
 		if err := tr.Put(k, mkval(k, 0)); err != nil {
 			t.Fatal(err)

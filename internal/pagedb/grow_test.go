@@ -13,8 +13,8 @@ import (
 // exactly as long as the page's entries, or recycled from another page
 // (btree.ParseNode) — and checkpoints come and go. No array is ever bigger than
 // its page's fan-out at the smallest entry the test writes, plus the entry that
-// overflows a page before it splits; a key array may have served a node of the
-// other kind before, so it is held to the larger of the two fan-outs.
+// overflows a page before it splits: a leaf's offsets, a branch's keys and
+// children.
 func TestNodeArraysStayWithinFanout(t *testing.T) {
 	const minLen, maxLen, keySpace = 4, 24, 4000
 	opts := memOpts()
@@ -29,7 +29,7 @@ func TestNodeArraysStayWithinFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leafFan := db.budget()/btree.LeafEntryBytes(make([]byte, minLen)) + 1
+	leafFan := db.budget()/btree.PageLayout.LeafEntry(make([]byte, minLen)) + 1
 	branchFan := db.budget()/btree.BranchEntryBytes + 1
 	fullest := 0
 	check := func(step int) {
@@ -49,11 +49,11 @@ func TestNodeArraysStayWithinFanout(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n.Leaf {
-				fullest = max(fullest, len(n.Keys))
+				fullest = max(fullest, len(n.Offs))
 			}
-			if cap(n.Keys) > max(leafFan, branchFan) || cap(n.Vals) > leafFan || cap(n.Kids) > branchFan {
-				t.Fatalf("step %d: node %d (leaf %v) holds %d keys in %d bytes with arrays of %d/%d/%d: a leaf takes %d entries at most, a branch %d",
-					step, n.ID, n.Leaf, len(n.Keys), n.NBytes, cap(n.Keys), cap(n.Vals), cap(n.Kids), leafFan, branchFan)
+			if cap(n.Offs) > leafFan || cap(n.Keys) > branchFan || cap(n.Kids) > branchFan {
+				t.Fatalf("step %d: node %d (leaf %v) holds %d/%d entries in %d bytes with arrays of %d/%d/%d: a leaf takes %d entries at most, a branch %d",
+					step, n.ID, n.Leaf, len(n.Offs), len(n.Keys), n.NBytes, cap(n.Offs), cap(n.Keys), cap(n.Kids), leafFan, branchFan)
 			}
 			db.pool.Release(n.Pin)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/bufferpool"
+	"repro/internal/store"
 )
 
 // This engine holds its decoded B+-tree nodes INSIDE the buffer pool's
@@ -106,7 +107,8 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	}
 	db.hFault.Record(uint64(time.Since(t0)))
 	db.faults.Add(1)
-	if err := btree.ParseNode(n, id, img, btree.PageLayout); err != nil {
+	n.Buf = n.Buf[:store.RecordHeaderSize+len(img)] // the record: its header, then the image
+	if err := btree.ParseNode(n, id, store.RecordHeaderSize, btree.PageLayout); err != nil {
 		return nil, fmt.Errorf("pagedb: decoding page %d: %w", id, err)
 	}
 	// Bind runs under the frame's shard lock BEFORE the node is published,
@@ -136,8 +138,8 @@ type slot struct {
 const retiredRing = 0
 
 // freeClass is the list of the free nodes whose buffers have capacity size:
-// an allocator size class (takeNode's append), or 0 for a node that never
-// faulted. The classes are few.
+// an allocator size class (every node buffer is allocated by append), or 0 for
+// a node that never held an entry. The classes are few.
 type freeClass struct {
 	size int
 	ring int32
@@ -171,16 +173,11 @@ func (db *DB) unlink(s int32) *btree.Node {
 	return n
 }
 
-// retire puts a node that just became unreachable on the retired list. A
-// donor's bytes live on in a sibling, and lists already holding a cache's
-// worth of nodes have no use for more: both are left to the garbage
-// collector. Caller holds db.evmu.
+// retire puts a node that just became unreachable on the retired list, unless
+// the lists are full (db.keep): that node is left to the garbage collector.
+// Caller holds db.evmu.
 func (db *DB) retire(n *btree.Node) {
-	if n.Donor {
-		db.cUnrecyclable.Inc()
-		return
-	}
-	if len(db.kept) >= db.pool.Capacity() {
+	if len(db.kept) >= db.keep {
 		db.cDropped.Inc()
 		return
 	}
@@ -247,46 +244,28 @@ func (db *DB) firstFree(i int) int {
 }
 
 // takeNode obtains the node a fault will parse into, its Buf size bytes long:
-// the oldest free node with the smallest buffer that holds the record, provided
-// an eighth of it at most is to spare — what the allocator's own size-class
-// rounding could cost a fresh one, so recycling never holds more memory than
-// allocating would; failing that the oldest node of the smallest class, with a
-// new buffer; failing that, new. Oldest, because the newest is the likeliest
-// to be faulted again, and re-admitted.
+// the oldest free node with the smallest buffer that holds the record — a
+// leaf's spare room is where its inserts grow — or a new one. Oldest, because
+// the newest is the likeliest to be faulted again, and re-admitted.
 func (db *DB) takeNode(size int) *btree.Node {
 	db.evmu.Lock()
 	i, _ := slices.BinarySearchFunc(db.free, size, classCmp)
-	i = db.firstFree(i)
-	fits := i < len(db.free) && db.free[i].size-size <= db.free[i].size/8
-	if !fits {
-		i = db.firstFree(0) // the smallest buffer is the least to lose
-	}
 	var n *btree.Node
-	if i < len(db.free) {
+	if i = db.firstFree(i); i < len(db.free) {
 		n = db.unlink(db.slots[db.free[i].ring].next)
 	}
 	db.evmu.Unlock()
-	if n != nil {
-		// The node is another page's from here on. Its value headers may
-		// point into a sibling's buffer or an array the tree copied a value
-		// into, which must not stay reachable from it.
-		clear(n.Vals[:cap(n.Vals)])
-		if poisonRecycled != nil {
-			poisonRecycled(n)
-		}
-	}
-	if fits {
-		db.cRecycled.Inc()
-		n.Buf = n.Buf[:size]
-		return n
-	}
-	db.cFresh.Inc()
 	if n == nil {
-		n = new(btree.Node)
+		db.cFresh.Inc()
+		// append rounds the capacity up to the allocator's size class, so the
+		// buffer can later serve any record of its class.
+		return &btree.Node{Buf: append([]byte(nil), make([]byte, size)...)}
 	}
-	// append rounds the capacity up to the allocator's size class, so the
-	// buffer can later serve any record of its class.
-	n.Buf = append([]byte(nil), make([]byte, size)...)
+	if poisonRecycled != nil {
+		poisonRecycled(n) // the node is another page's from here on
+	}
+	db.cRecycled.Inc()
+	n.Buf = n.Buf[:size]
 	return n
 }
 

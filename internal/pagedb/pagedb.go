@@ -37,12 +37,12 @@
 //
 // A page's bytes exist once on each side of storage. Coming in, the fault's
 // one pread lands in the buffer the node keeps (Node.Buf) and is parsed where
-// it lies: a leaf's values are slices of that buffer, and an update that
-// keeps a value's length writes over its bytes there. Going out, the
-// checkpoint's batch carries a page's id and length only, and the store has
-// the node encoded straight into the run buffer its segment write goes out
-// from. File → node buffer → run buffer → file; no image, arena or per-value
-// copy in between.
+// it lies: a leaf's entries stay there, in the page format, and every change
+// to them writes or moves bytes there. Going out, the checkpoint's batch
+// carries a page's id and length only, and the store has the node encoded
+// straight into the run buffer its segment write goes out from: the header,
+// then one copy of the entries. File → node buffer → run buffer → file; no
+// image, arena or per-value copy in between.
 //
 // The buffer, the node and its arrays are recycled. A node that becomes
 // unreachable — evicted clean, or parked and now written — is RETIRED; a
@@ -52,19 +52,19 @@
 // reader's slices live under: a value returned by Core.Get, a Scan callback's
 // argument, a View read are all used and dropped within one hold of the read
 // side, so once an exclusive acquisition has waited those holds out, nothing
-// can still be reading a node retired before it. The one exception is a node
-// whose values a split, borrow or merge moved into a sibling (Node.Donor):
-// its bytes are still in use, so it is never recycled. Until a fault takes a
-// listed node for another page, it is its own page's image, decoded and
-// indexed by page id: a fault on that page re-admits it from either list, as
-// it re-admits a parked node, with no read and no parse — the lists are a
-// victim cache behind the pool. The lists hold at most CachePages nodes: a
-// checkpoint retires every parked node it writes at once, and the next
-// interval's faults are what needs them, so the bound is the cache's own
-// size — recycled memory never exceeds it — and what it still turns away is
-// counted (pagedb.node.dropped). A buffer is reused only for a record that
-// fills seven eighths of it, so a recycled node holds no more memory than a
-// new one would.
+// can still be reading a node retired before it. No node holds memory of
+// another — a split, borrow or merge copies entries between buffers — so
+// every such node can be recycled. Until a fault takes a listed node for
+// another page, it is its own page's image, decoded and indexed by page id: a
+// fault on that page re-admits it from either list, as it re-admits a parked
+// node, with no read and no parse — the lists are a victim cache behind the
+// pool. A fault takes the free node with the smallest buffer that holds its
+// record, since a leaf's spare room is where its inserts grow. The lists hold
+// at most as many nodes as the last checkpoint wrote pages (at least 64), and
+// never more than CachePages: a checkpoint retires every parked node it
+// writes at once, and the next interval's faults are what needs them, while
+// a workload whose checkpoints write little keeps no more than that. What the
+// bound turns away is counted (pagedb.node.dropped).
 //
 // # The life of a dirty page
 //
@@ -224,12 +224,14 @@ type DB struct {
 	// slots holds their rings — the retired list's at slot 0, free's classes
 	// in ascending buffer capacity — with the unused slots chained from spare,
 	// and kept indexes every listed node by its page id. Together the lists
-	// hold at most the pool's capacity (CachePages) in nodes.
+	// hold at most keep nodes: what the last checkpoint wrote, at least 64
+	// however little that is, at most CachePages.
 	evmu  sync.Mutex
 	slots []slot
 	spare int32
 	free  []freeClass
 	kept  map[uint32]int32
+	keep  int
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
@@ -271,11 +273,10 @@ type DB struct {
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
 	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
-	// pagedb.node.{recycled,fresh,unrecyclable,dropped,readmitted}: faults that
-	// parsed into a free node whose buffer fit, faults that allocated, donors
-	// retire let go, nodes retire let go because the lists were full, faults
-	// that took their page's node back off the lists.
-	cRecycled, cFresh, cUnrecyclable, cDropped, cReadmitted *obs.Counter
+	// pagedb.node.{recycled,fresh,dropped,readmitted}: faults that parsed into
+	// a free node, faults that allocated, nodes retire let go because the
+	// lists were full, faults that took their page's node back off the lists.
+	cRecycled, cFresh, cDropped, cReadmitted *obs.Counter
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -311,6 +312,7 @@ func Open(opts Options) (*DB, error) {
 		dirty:    make(map[uint32]*btree.Node),
 		slots:    make([]slot, 1), // retiredRing, empty
 		kept:     make(map[uint32]int32),
+		keep:     min(64, opts.CachePages),
 		scratch:  new(sync.Pool),
 		trees:    make(map[string]*Tree),
 	}
@@ -323,7 +325,6 @@ func Open(opts Options) (*DB, error) {
 	db.cEncode = db.obsReg.Counter("pagedb.node.encodes")
 	db.cRecycled = db.obsReg.Counter("pagedb.node.recycled")
 	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
-	db.cUnrecyclable = db.obsReg.Counter("pagedb.node.unrecyclable")
 	db.cDropped = db.obsReg.Counter("pagedb.node.dropped")
 	db.cReadmitted = db.obsReg.Counter("pagedb.node.readmitted")
 	// The pool synchronizes itself, so its counters are mirrored as
@@ -592,8 +593,10 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 		db.batch = b
 	}
 	// The parked nodes — those whose frame handle is no longer current — are
-	// written, and unreachable from here on: retired.
+	// written, and unreachable from here on: retired, into lists as long as
+	// this checkpoint, which is what the next interval's faults can use.
 	db.evmu.Lock()
+	db.keep = min(max(64, len(nodes)), db.pool.Capacity())
 	for _, n := range nodes {
 		if !n.Pin.Current() {
 			db.retire(n)

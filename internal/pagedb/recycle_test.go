@@ -8,7 +8,6 @@ import (
 	"maps"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,9 +24,12 @@ import (
 // -race is a reported write/read race.
 func init() {
 	poisonRecycled = func(n *btree.Node) {
-		buf, keys, kids := n.Buf[:cap(n.Buf)], n.Keys[:cap(n.Keys)], n.Kids[:cap(n.Kids)]
+		buf, keys, kids, offs := n.Buf[:cap(n.Buf)], n.Keys[:cap(n.Keys)], n.Kids[:cap(n.Kids)], n.Offs[:cap(n.Offs)]
 		for i := range buf {
 			buf[i] = 0xEE
+		}
+		for i := range offs {
+			offs[i] = 0xEEEEEEEE
 		}
 		for i := range keys {
 			keys[i] = 0xEEEEEEEEEEEEEEEE
@@ -87,12 +89,22 @@ func within(buf, v []byte) bool {
 	return false
 }
 
-// TestDonorNodeIsNeverRecycled: a leaf parsed from storage whose split moved
-// half its values — slices of ITS buffer — into a new sibling must not be
-// handed out again once it is evicted: the sibling, alive and resident, still
-// reads those bytes. The donor is dropped (counted), never listed, and the
-// sibling's values survive everything the free list does meanwhile.
-func TestDonorNodeIsNeverRecycled(t *testing.T) {
+// TestReclaimedNodeLeavesSiblingsIntact: a leaf whose entries a split or a
+// borrow moved into a sibling is recycled like any other node once it is
+// evicted — its buffer and arrays poisoned and handed to another page — and
+// the sibling, pinned and resident throughout, still reads every value it
+// holds: the entries were copied, never shared.
+func TestReclaimedNodeLeavesSiblingsIntact(t *testing.T) {
+	for _, split := range []bool{true, false} {
+		name := "borrow"
+		if split {
+			name = "split"
+		}
+		t.Run(name, func(t *testing.T) { reclaimedNodeLeavesSiblingsIntact(t, split) })
+	}
+}
+
+func reclaimedNodeLeavesSiblingsIntact(t *testing.T, split bool) {
 	opts := memOpts()
 	opts.CachePages = 16 // the churn below evicts every page, over and over
 	opts.CacheShards = 1
@@ -137,71 +149,67 @@ func TestDonorNodeIsNeverRecycled(t *testing.T) {
 	if _, ok, err := tr.Get(0); err != nil || !ok { // ...and is parsed back in
 		t.Fatal(ok, err)
 	}
-	db.mu.RLock()
-	id := tr.core.Root()
-	var donor *btree.Node
-	for donor == nil {
-		n := resident(db, id)
-		if n == nil {
-			t.Fatalf("page %d on the path to key 0 is not resident", id)
+	// node returns page id's node, faulting it in; pinned if pin.
+	node := func(id uint32, pin bool) *btree.Node {
+		t.Helper()
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		n, err := db.node(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n.Leaf {
-			donor = n
-		} else {
-			id = n.Kids[0]
+		if !pin {
+			db.pool.Release(n.Pin)
 		}
-		db.pool.Release(n.Pin)
+		return n
 	}
-	db.mu.RUnlock()
-	if donor.Donor || len(donor.Vals) == 0 || !within(donor.Buf, donor.Vals[0]) {
-		t.Fatalf("the leftmost leaf is not a freshly parsed node: %+v", donor)
+	leftmost := node(tr.core.Root(), false)
+	for !leftmost.Leaf {
+		leftmost = node(leftmost.Kids[0], false)
 	}
-	for k := uint64(1); !donor.Donor; k += 2 { // fill it until it splits
-		if k > 40 {
-			t.Fatal("the leaf never split")
+	first := func(n *btree.Node) uint64 { k, _ := n.Entry(0); return k }
+	var donor, sibling *btree.Node
+	if split { // the leftmost leaf splits: its upper entries go to a new sibling
+		donor = leftmost
+		for k, next := uint64(1), donor.Next; donor.Next == next; k += 2 {
+			if k > 40 {
+				t.Fatal("the leaf never split")
+			}
+			put(k)
 		}
-		put(k)
+		sibling = node(donor.Next, true)
+	} else { // its neighbor, more than half full, lends the leftmost its first entry
+		sibling, donor = node(leftmost.ID, true), node(leftmost.Next, false)
+		for k, next := first(donor)+1, donor.Next; donor.NBytes*2 <= db.budget(); k += 2 {
+			if put(k); donor.Next != next {
+				t.Fatal("the neighbor split before it was half full")
+			}
+		}
+		for k, lent := uint64(0), first(donor); first(donor) == lent; k += 2 {
+			if _, err := tr.Delete(k); err != nil || sibling.Next != donor.ID || !sibling.Pin.Current() {
+				t.Fatalf("deleting key %d: %v; the leftmost leaf merged before it borrowed", k, err)
+			}
+			delete(oracle, k)
+		}
 	}
-	sibling := resident(db, donor.Next) // pinned from here on: alive and resident
-	if sibling == nil {
-		t.Fatal("the split sibling is not resident")
-	}
-	shared := 0
-	want := make([][]byte, len(sibling.Vals))
-	for i, v := range sibling.Vals {
+	want := make([][]byte, len(sibling.Offs))
+	for i := range want {
+		_, v := sibling.Entry(i)
 		want[i] = append([]byte(nil), v...)
-		if within(donor.Buf, v) {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Fatal("the sibling holds no slice of the donor's buffer: the test no longer builds the case")
 	}
 	if err := db.Commit(); err != nil { // both clean: the donor is evictable
 		t.Fatal(err)
 	}
-	unrecyclable := db.Obs().Counter("pagedb.node.unrecyclable")
-	before := unrecyclable.Value()
-	for round := 0; round < 3; round++ {
-		churn()
-		if listed(db)[donor] > 0 {
-			t.Fatal("a donor node is on the free list")
+	id := donor.ID
+	for round := 0; donor.ID == id; round++ { // a fault took the donor for its page
+		if round == 5 {
+			t.Fatal("the donor was never recycled: the churn is too small")
 		}
+		churn()
 	}
-	if n := resident(db, donor.ID); n == donor {
-		t.Fatal("the donor was never evicted: the churn is too small")
-	} else if n != nil {
-		db.pool.Release(n.Pin)
-	}
-	if unrecyclable.Value() == before {
-		t.Error("pagedb.node.unrecyclable did not count the donor's eviction")
-	}
-	if db.Obs().Counter("pagedb.node.recycled").Value() == 0 {
-		t.Error("nothing was recycled: the poison never ran")
-	}
-	for i, v := range sibling.Vals {
-		if !bytes.Equal(v, want[i]) {
-			t.Fatalf("sibling value of key %d is %x, was %x: the donor's buffer was reused under it", sibling.Keys[i], v, want[i])
+	for i, w := range want {
+		if k, v := sibling.Entry(i); !bytes.Equal(v, w) {
+			t.Fatalf("sibling value of key %d is %x, was %x: the donor's recycling reached it", k, v, w)
 		}
 	}
 	db.pool.Release(sibling.Pin)
@@ -443,11 +451,11 @@ func TestRecycleHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, obs := db.Stats(), db.Obs()
-	recycled, fresh, donors := obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value(), obs.Counter("pagedb.node.unrecyclable").Value()
-	t.Logf("%d faults: %d into recycled nodes, %d fresh; %d donors dropped; %d checkpoints, %d pages freed by merges",
-		st.Faults, recycled, fresh, donors, st.Commits, len(db.ids.FreeList()))
-	if recycled == 0 || donors == 0 || recycled+fresh != st.Faults {
-		t.Errorf("recycled %d + fresh %d of %d faults, %d donors: the hammer did not exercise recycling", recycled, fresh, st.Faults, donors)
+	recycled, fresh := obs.Counter("pagedb.node.recycled").Value(), obs.Counter("pagedb.node.fresh").Value()
+	t.Logf("%d faults: %d into recycled nodes, %d fresh; %d checkpoints, %d pages freed by merges",
+		st.Faults, recycled, fresh, st.Commits, len(db.ids.FreeList()))
+	if recycled == 0 || recycled+fresh != st.Faults {
+		t.Errorf("recycled %d + fresh %d of %d faults: the hammer did not exercise recycling", recycled, fresh, st.Faults)
 	}
 	if pages := db.ids.Next(); int(pages) < 16*opts.CachePages {
 		t.Errorf("the tree only ever had %d pages, want ≥ 16 × the cache of %d", pages, opts.CachePages)
@@ -643,10 +651,10 @@ func TestRefaultReadmitsRetiredNode(t *testing.T) {
 			if h, pages := tr.core.Height(), int(db.ids.Next()); h != 2 || pages < 4*opts.CachePages {
 				t.Fatalf("height %d, %d pages: the test no longer builds its tree", h, pages)
 			}
-			// A loaded leaf split, and a donor never reaches the lists: a first
-			// scan replaces every resident node with a parsed one, and fills
-			// the lists; an exclusive acquisition frees what it retired, for the
-			// second scan's faults to take — so nothing that one evicts is reused.
+			// A first scan replaces every resident node with a parsed one, and
+			// fills the lists; an exclusive acquisition frees what it retired,
+			// for the second scan's faults to take — so nothing that one evicts
+			// is reused.
 			scan := func(to uint64) {
 				t.Helper()
 				if err := tr.Scan(0, to, func(uint64, []byte) bool { return true }); err != nil {
@@ -660,7 +668,8 @@ func TestRefaultReadmitsRetiredNode(t *testing.T) {
 			var keys []uint64
 			for _, n := range retiredNodes(db) {
 				if n.Leaf {
-					keys = append(keys, n.Keys[0])
+					k, _ := n.Entry(0)
+					keys = append(keys, k)
 				}
 			}
 			if len(keys) < 3 {
@@ -696,9 +705,9 @@ func TestRefaultReadmitsRetiredNode(t *testing.T) {
 // reallocated, faults in its new image. Merges free only pages they hold, so
 // the case is a dropped tree larger than the cache: its walk evicts its own
 // pages onto the lists, then frees them. The ids go to another tree's new
-// pages, which are checkpointed — most of them split donors, or dropped by a
-// checkpoint that retires more than the lists hold, so an entry the free left
-// behind would still be there — and faulted back.
+// pages, which are checkpointed — most of them dropped by a checkpoint that
+// retires more than the lists hold, so an entry the free left behind would
+// still be there — and faulted back.
 func TestFreedPageIsNeverReadmitted(t *testing.T) {
 	opts := memOpts()
 	opts.CachePages = 8
@@ -804,11 +813,12 @@ func leafValue(t *testing.T, db *DB, tr *Tree, k uint64) (v, buf []byte) {
 			id = n.Kids[sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] > k })]
 			continue
 		}
-		i := slices.Index(n.Keys, k)
-		if i < 0 {
-			t.Fatalf("key %d is not in its leaf", k)
+		for i := range n.Offs {
+			if key, v := n.Entry(i); key == k {
+				return v, n.Buf
+			}
 		}
-		return n.Vals[i], n.Buf
+		t.Fatalf("key %d is not in its leaf", k)
 	}
 }
 
@@ -921,8 +931,9 @@ func TestSameSizeUpdateInPlace(t *testing.T) {
 	held := make(map[uint64][]byte)
 	for _, n := range retiredNodes(db) {
 		if n.Leaf {
-			keys = append(keys, n.Keys[0])
-			held[n.Keys[0]] = n.Vals[0]
+			k, v := n.Entry(0)
+			keys = append(keys, k)
+			held[k] = v
 		}
 	}
 	if len(keys) < 3 {

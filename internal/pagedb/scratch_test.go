@@ -249,11 +249,10 @@ func TestTxnScanWithNothingStagedInRange(t *testing.T) {
 // nothing else. On a file-backed DB, Begin/Put/Commit updating one 100-byte
 // value with another of its length is one allocation, the Txn (32 B): the value
 // is staged in recycled scratch and copied over the old one's bytes. So are
-// twelve such updates. A put that inserts its key, or changes its value's
-// length, adds the copy the leaf keeps (100 B, 112 with the allocator's
-// rounding; 90 B, 96): twelve are 13 allocations, at most 32 + 12 × 112 =
-// 1376 B, budget 1400. The op list, the staged values, the WAL records, the
-// spans and the tree apply are all on recycled memory.
+// twelve such updates, and twelve puts that insert their keys or change their
+// values' length: those move bytes inside the leaf's buffer, which has the
+// room. The op list, the staged values, the WAL records, the spans and the
+// tree apply are all on recycled memory.
 func TestCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
@@ -313,8 +312,8 @@ func TestCommitAllocBudget(t *testing.T) {
 	}{
 		{"1-put update", txn("u1", 1, false, false), 1, 40},
 		{"12-put update", txn("u12", 12, false, false), 1, 40},
-		{"12-put insert", txn("ins", 12, true, false), 13, 1400},
-		{"12-put length change", txn("len", 12, false, true), 13, 1400},
+		{"12-put insert", txn("ins", 12, true, false), 1, 40},
+		{"12-put length change", txn("len", 12, false, true), 1, 40},
 	} {
 		run := c.run
 		// Collect the earlier cases' garbage now, not in the measured window.
@@ -335,6 +334,37 @@ func TestCommitAllocBudget(t *testing.T) {
 		if perTxn > float64(c.bytes) || allocs > float64(c.allocs) {
 			t.Errorf("%s allocates %.0f B in %.0f allocations, budget is %d B in %d", c.name, perTxn, allocs, c.bytes, c.allocs)
 		}
+	}
+}
+
+// TestTxnDeleteCopiesNothing: a transaction's Delete of a present key only
+// looks for it: Begin, twelve such deletes and Rollback allocate the Txn
+// alone, with the op list and the overlay on recycled memory.
+func TestTxnDeleteCopiesNothing(t *testing.T) {
+	db, err := Open(memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: see TestCommitAllocBudget
+	oracle := make(map[uint64][]byte)
+	keys := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	txnPuts(t, db, oracle, keys, 1)
+	run := func() {
+		x, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if ok, err := x.Delete("t", k); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %v, %v", k, ok, err)
+			}
+		}
+		x.Rollback()
+	}
+	run() // warm: the scratch's op list and overlay grown
+	if allocs := testing.AllocsPerRun(100, run); allocs > 1 && !raceEnabled {
+		t.Errorf("Begin, %d deletes of present keys and Rollback allocate %v times, want 1 (the Txn)", len(keys), allocs)
 	}
 }
 

@@ -154,7 +154,7 @@ func (t *Tree) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 // Txn.Put: three leaf entries must fit a page (the split logic's floor)
 // and the page image's 16-bit length field must hold the value.
 func (db *DB) checkValue(value []byte) error {
-	if btree.LeafEntryBytes(value)*3 > db.budget() {
+	if btree.PageLayout.LeafEntry(value)*3 > db.budget() {
 		return fmt.Errorf("%w: %d bytes does not fit 3 per %d-byte page", ErrTooLarge, len(value), db.pageSize)
 	}
 	if len(value) > 0xFFFF {

@@ -190,7 +190,7 @@ func (t *Txn) exists(tree string, key uint64) (bool, error) {
 	if t.dropped[tree] {
 		return false, nil
 	}
-	_, ok, err := t.db.readGet(tree, key, nil)
+	_, ok, err := t.db.readGet(tree, key, false)
 	return ok, err
 }
 
@@ -210,7 +210,7 @@ func (t *Txn) Get(tree string, key uint64) ([]byte, bool, error) {
 	if t.dropped[tree] {
 		return nil, false, nil
 	}
-	return t.db.readGet(tree, key, nil)
+	return t.db.readGet(tree, key, true)
 }
 
 // Scan visits keys in [from, to] in order as this transaction sees them:
@@ -374,8 +374,9 @@ func (db *DB) applyOps(ops []wal.Op) error {
 
 // readGet is the shared-guard point read transactions and views build on:
 // tree missing reads as key missing (a Txn must not create trees as a
-// side effect of reading).
-func (db *DB) readGet(tree string, key uint64, dst []byte) ([]byte, bool, error) {
+// side effect of reading). The value is copied out if want, and otherwise
+// only looked for.
+func (db *DB) readGet(tree string, key uint64, want bool) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -386,11 +387,10 @@ func (db *DB) readGet(tree string, key uint64, dst []byte) ([]byte, bool, error)
 		return nil, false, nil
 	}
 	v, ok, err := tr.core.Get(key)
-	dst = dst[:0]
-	if ok {
-		dst = append(dst, v...)
+	if !ok || !want {
+		return nil, ok, err
 	}
-	return dst, ok, err
+	return append([]byte(nil), v...), ok, err
 }
 
 // readScan is readGet's range sibling.

@@ -141,6 +141,8 @@ func (b *memBackend) Commit() error {
 // btree operations cannot fail, so every error is nil.
 type memTable struct{ t *btree.Tree }
 
+// Get returns the tree's own bytes, which the next write to their leaf may
+// move (btree.Tree.Get): the transactions test reads for presence, keep none.
 func (m memTable) Get(key uint64) ([]byte, bool, error) {
 	v, ok := m.t.Get(key)
 	return v, ok, nil
