@@ -18,7 +18,10 @@
 // over time"), and a data set that grows while running (orders, order lines
 // and history accumulate), which is how the paper sweeps the fill factor.
 // Row contents are padding of representative sizes; row bytes determine
-// B+-tree fanout and page counts, not semantics.
+// B+-tree fanout and page counts, not semantics. The padding is constant per
+// row kind (Engine.pad: zero bytes of that kind's length), so every update of
+// an existing row is a byte-identical overwrite: a checkpoint can write a
+// page whose image equals the one already on disk.
 //
 // Backend errors (impossible on the in-memory backend) are sticky: the
 // engine stops issuing operations once one occurs and reports it from Err.

@@ -6,53 +6,51 @@ import (
 	"hash/crc32"
 )
 
-// On-disk layout (format "PGWALOG1"). The log is a sequence of generation
-// files wal-<gen>.log, each an append-only run of CRC-framed records:
+// On-disk layout (format "PGWALOG2"). The log is a sequence of generation
+// files wal-<gen>.log, each a header and then one CRC-framed frame per
+// transaction (little-endian):
 //
 //	generation header (28 bytes):
-//	    magic "PGWALOG1" (8) | generation (8) | base commit seq (8) | crc (4)
-//	record:
-//	    payload length (4) | crc (4, CRC-32C over type+payload) |
-//	    type (1) | payload
+//	    magic "PGWALOG2" (8) | generation (8) | base commit seq (8) | crc (4)
+//	frame:
+//	    body length (4) | crc (4, CRC-32C over the body) |
+//	    body: txnID (8) | commit seq (8) | entries
 //
-// Record types and payloads (little-endian):
+// An entry is a kind byte and then its fields (uvarints are
+// encoding/binary's):
 //
-//	bind:     treeID (4) | nameLen (2) | name
-//	put:      txnID (8) | treeID (4) | key (8) | value
-//	delete:   txnID (8) | treeID (4) | key (8)
-//	droptree: txnID (8) | treeID (4)
-//	commit:   txnID (8) | commit seq (8) | op count (4)
+//	put:      1 | treeID uvarint | key (8) | valueLen uvarint | value
+//	delete:   2 | treeID uvarint | key (8)
+//	droptree: 3 | treeID uvarint
+//	bind:     4 | treeID uvarint | nameLen uvarint | name
 //
-// A transaction's records — any bind records its trees need, its ops, and
-// the terminal commit record — are appended in ONE buffered write under the
-// log mutex, so on disk they are contiguous and only a physical tear at the
-// file tail can split them. The commit record is the transaction's
-// durability marker: a scan that does not reach it discards the
-// transaction's ops wholesale (and Open truncates them off the file), which
-// is what makes a torn final transaction vanish as a unit. Tree names are
-// interned per generation: a bind record maps a compact tree id to its
+// A transaction is appended as one frame in ONE write under the log mutex,
+// so only a physical tear at the file tail can split it. The frame is the
+// transaction's durability marker: a frame that fails its length, checksum,
+// seq or entry decoding ends the committed prefix (and Open truncates the
+// file there), which is what makes a torn final transaction vanish as a
+// unit. Tree names are interned per generation: a bind entry, ahead of a
+// tree's first use, maps the next compact tree id (1, 2, … in order) to its
 // name, and rotation (Truncate) starts a fresh intern table so a generation
 // is always self-describing.
 //
 // The commit seq is the log's transaction clock: assigned at append time
 // under the log mutex (so seq order is exactly apply order when the caller
-// serializes Append with its own state mutation), monotone across
-// generations, and compared against the checkpoint watermark during replay.
+// serializes Append with its own state mutation), one more than the
+// previous frame's (the first frame's is one more than the header's base),
+// and compared against the checkpoint watermark during replay.
 const (
-	logMagic      = "PGWALOG1"
+	logMagic      = "PGWALOG2"
+	logMagicStem  = "PGWALOG" // every version of the format starts with it
 	genHeaderSize = 28
 
-	recBind     = 1
-	recPut      = 2
-	recDelete   = 3
-	recDropTree = 4
-	recCommit   = 5
+	entBind = 4 // the op entries' kind bytes are their OpKind
 
-	recFrameSize = 8 // payload length (4) + crc (4)
+	frameSize = 8 // body length (4) + crc (4), ahead of the body
 
-	// maxRecordPayload bounds a single record (a put's value is capped far
-	// lower by the page engines); a length beyond it is treated as a tear.
-	maxRecordPayload = 1 << 26
+	// maxFrameBody bounds a frame's body; a length beyond it is treated as a
+	// tear, so Append refuses a transaction that would exceed it.
+	maxFrameBody = 1 << 24
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -117,87 +115,106 @@ func decodeGenHeader(b []byte) (gen, baseSeq uint64, ok bool) {
 	return binary.LittleEndian.Uint64(b[8:16]), binary.LittleEndian.Uint64(b[16:24]), true
 }
 
-// beginRecord opens a record of the given type at the end of buf: it reserves
-// the frame and writes the type byte, and returns where the record starts. The
-// caller appends the record's fields and closes it with endRecord.
-func beginRecord(buf []byte, typ byte) ([]byte, int) {
-	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ), len(buf)
+// Frame encoders. Append-side only: a frame is built in place at the end of
+// buf — the log's retained staging buffer, one transaction, one write — so
+// encoding allocates nothing once that buffer has grown.
+
+// beginFrame opens a frame at the end of buf, reserving its length and
+// checksum; endFrame fills them in over the body appended since.
+func beginFrame(buf []byte, txnID, seq uint64) []byte {
+	buf = append(buf, make([]byte, frameSize)...)
+	buf = binary.LittleEndian.AppendUint64(buf, txnID)
+	return binary.LittleEndian.AppendUint64(buf, seq)
 }
 
-// endRecord fills in the frame of the record opened at start — its length
-// and the checksum of the type byte and fields, where they lie.
-func endRecord(buf []byte, start int) []byte {
-	body := buf[start+recFrameSize:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, castagnoli))
+func endFrame(buf []byte) []byte {
+	body := buf[frameSize:]
+	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(body, castagnoli))
 	return buf
 }
 
-// record is one decoded frame: the type byte plus its raw payload.
-type record struct {
-	typ     byte
-	payload []byte
-}
-
-// nextRecord decodes the record at b[off:]. A short frame, an implausible
-// length, or a checksum mismatch returns ok=false: the scan treats the
-// position as the tail tear.
-func nextRecord(b []byte, off int) (rec record, end int, ok bool) {
-	if off+recFrameSize > len(b) {
-		return record{}, off, false
-	}
-	n := int(binary.LittleEndian.Uint32(b[off : off+4]))
-	if n < 1 || n > maxRecordPayload || off+recFrameSize+n > len(b) {
-		return record{}, off, false
-	}
-	crc := binary.LittleEndian.Uint32(b[off+4 : off+8])
-	body := b[off+recFrameSize : off+recFrameSize+n]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return record{}, off, false
-	}
-	return record{typ: body[0], payload: body[1:]}, off + recFrameSize + n, true
-}
-
-// Record encoders. Append-side only: each frames its record in place at the
-// end of buf — the log's retained staging buffer, one transaction, one write
-// — so encoding allocates nothing once that buffer has grown.
-
 func appendBind(buf []byte, id uint32, name string) []byte {
-	buf, at := beginRecord(buf, recBind)
-	buf = binary.LittleEndian.AppendUint32(buf, id)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	return endRecord(buf, at)
+	buf = binary.AppendUvarint(append(buf, entBind), uint64(id))
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	return append(buf, name...)
 }
 
-func appendOp(buf []byte, txnID uint64, treeID uint32, op Op) []byte {
-	var typ byte
-	switch op.Kind {
-	case OpPut:
-		typ = recPut
-	case OpDelete:
-		typ = recDelete
-	case OpDropTree:
-		typ = recDropTree
-	default:
+func appendOp(buf []byte, treeID uint32, op Op) []byte {
+	if op.Kind < OpPut || op.Kind > OpDropTree {
 		panic(fmt.Sprintf("wal: unencodable op kind %v", op.Kind))
 	}
-	buf, at := beginRecord(buf, typ)
-	buf = binary.LittleEndian.AppendUint64(buf, txnID)
-	buf = binary.LittleEndian.AppendUint32(buf, treeID)
-	if typ != recDropTree {
+	buf = binary.AppendUvarint(append(buf, byte(op.Kind)), uint64(treeID))
+	if op.Kind != OpDropTree {
 		buf = binary.LittleEndian.AppendUint64(buf, op.Key)
 	}
-	if typ == recPut {
+	if op.Kind == OpPut {
+		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
 		buf = append(buf, op.Value...)
 	}
-	return endRecord(buf, at)
+	return buf
 }
 
-func appendCommit(buf []byte, txnID, seq uint64, opCount int) []byte {
-	buf, at := beginRecord(buf, recCommit)
-	buf = binary.LittleEndian.AppendUint64(buf, txnID)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(opCount))
-	return endRecord(buf, at)
+// nextFrame returns the body of the frame at b[off:]. A short frame, an
+// implausible length or a checksum mismatch returns ok=false: the scan
+// treats the position as the tail tear.
+func nextFrame(b []byte, off int) (body []byte, ok bool) {
+	if off+frameSize > len(b) {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(b[off:]))
+	if n < 16 || n > maxFrameBody || n > len(b)-off-frameSize { // 16: txnID + seq
+		return nil, false
+	}
+	body = b[off+frameSize : off+frameSize+n]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[off+4:]) {
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeEntries decodes a frame's entries onto ops, against the tree names
+// the generation has bound so far (id i+1 is names[i]), and returns both
+// with the frame's binds appended. ok=false means the entries are malformed
+// or use a tree they have not bound; the caller's names are then as they
+// were.
+func decodeEntries(p []byte, names []string, ops []Op) ([]string, []Op, bool) {
+	for len(p) > 0 {
+		kind := OpKind(p[0])
+		id, n := binary.Uvarint(p[1:])
+		if n <= 0 {
+			return nil, nil, false
+		}
+		p = p[1+n:]
+		if kind == entBind {
+			l, n := binary.Uvarint(p)
+			if n <= 0 || id != uint64(len(names))+1 || l > uint64(len(p)-n) {
+				return nil, nil, false
+			}
+			names = append(names, string(p[n:n+int(l)]))
+			p = p[n+int(l):]
+			continue
+		}
+		if id < 1 || id > uint64(len(names)) || kind < OpPut || kind > OpDropTree {
+			return nil, nil, false
+		}
+		op := Op{Kind: kind, Tree: names[id-1]}
+		if kind != OpDropTree {
+			if len(p) < 8 {
+				return nil, nil, false
+			}
+			op.Key = binary.LittleEndian.Uint64(p)
+			p = p[8:]
+		}
+		if kind == OpPut {
+			l, n := binary.Uvarint(p)
+			if n <= 0 || l > uint64(len(p)-n) {
+				return nil, nil, false
+			}
+			op.Value = p[n : n+int(l) : n+int(l)]
+			p = p[n+int(l):]
+		}
+		ops = append(ops, op)
+	}
+	return names, ops, true
 }

@@ -19,6 +19,10 @@ import (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
+// ErrTooLarge is returned by Append for a transaction whose frame would
+// exceed the bound the scan accepts; nothing of it is written.
+var ErrTooLarge = errors.New("wal: transaction too large for one frame")
+
 // Options configures Open.
 type Options struct {
 	// Dir holds the generation files. Empty means volatile mode: Append
@@ -112,7 +116,7 @@ type Log struct {
 	cRounds  *obs.Counter
 	cSyncs   *obs.Counter
 	cTrunc   *obs.Counter
-	cBytes   *obs.Counter // wal.append.bytes: record bytes appended (generation headers excluded)
+	cBytes   *obs.Counter // wal.append.bytes: frame bytes appended (generation headers excluded)
 }
 
 func genPath(dir string, gen uint64) string {
@@ -120,9 +124,10 @@ func genPath(dir string, gen uint64) string {
 }
 
 // Open opens (or creates) the log in opts.Dir, repairing the tail: the
-// final generation is physically truncated to the end of its last commit
-// record, so a torn final transaction — ops written, commit record not —
-// vanishes wholesale before the writer ever appends again.
+// final generation is physically truncated to the end of its last good
+// frame, so a torn final transaction vanishes wholesale before the writer
+// ever appends again. A generation file of another format version is
+// refused, and left as it is.
 func Open(opts Options) (*Log, error) {
 	l := &Log{
 		dir:      opts.Dir,
@@ -175,7 +180,7 @@ func listGens(dir string) ([]genInfo, error) {
 // recover scans the generation files, establishes seq/maxTxn/bindings,
 // and repairs the tail. A generation that does not scan clean — or whose
 // header does not chain from its predecessor — becomes the effective
-// final generation: it is truncated to its last commit record and every
+// final generation: it is truncated to its last good frame and every
 // later file is deleted. Under DurCommit only the true final generation
 // can be in that state (Truncate fsyncs a generation before rotating past
 // it); under NoSync this degrades gracefully to the longest intact
@@ -198,6 +203,10 @@ func (l *Log) recover() error {
 			return fmt.Errorf("wal: %w", err)
 		}
 		g, base, ok := decodeGenHeader(data)
+		if len(data) >= len(logMagic) && string(data[:len(logMagicStem)]) == logMagicStem && string(data[:len(logMagic)]) != logMagic {
+			return fmt.Errorf("wal: generation %s uses on-disk format %q; this version reads only %s — replay it with the version that wrote it, then remove it",
+				gens[i].path, data[:len(logMagic)], logMagic)
+		}
 		if !ok || g != gens[i].gen || (len(kept) > 0 && base != seq) {
 			if len(kept) == 0 {
 				if len(gens) > 1 {
@@ -229,9 +238,9 @@ func (l *Log) recover() error {
 		if l.maxTxn < sg.maxTxn {
 			l.maxTxn = sg.maxTxn
 		}
-		if !sg.clean || sg.tail != len(data) {
-			// Torn or trailing-uncommitted records: this generation is the
-			// effective tail; anything after it never became real.
+		if sg.tail != len(data) {
+			// A torn or corrupt frame: this generation is the effective
+			// tail; anything after it never became real.
 			return l.adoptTail(kept, final, finalSize, gens[i+1:])
 		}
 	}
@@ -274,16 +283,11 @@ func (l *Log) adoptTail(kept []genInfo, final scannedGen, fileSize int, orphans 
 	l.f = f
 	l.gens = kept
 	l.seq = final.lastSeq
-	l.names = make(map[string]uint32)
-	l.nextID = 1
-	for _, b := range final.binds {
-		if b.end <= final.tail {
-			l.names[b.name] = b.id
-			if b.id >= l.nextID {
-				l.nextID = b.id + 1
-			}
-		}
+	l.names = make(map[string]uint32, len(final.names))
+	for i, name := range final.names {
+		l.names[name] = uint32(i + 1)
 	}
+	l.nextID = uint32(len(final.names)) + 1
 	l.gs.durable = l.seq // everything retained is on stable storage
 	return nil
 }
@@ -336,13 +340,14 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Append logs one transaction — any bind records its trees still need
-// this generation, its ops, and the terminal commit record — in a single
-// buffered write, and returns the assigned commit seq. Each record is framed
-// where it lies in the log's staging buffer, so once that buffer has grown to
-// the largest transaction seen Append allocates nothing. The transaction is
-// NOT durable until Commit(seq) returns; callers serialize Append with
-// the state mutation it describes so seq order is apply order.
+// Append logs one transaction — a frame of its ops, each tree's first use
+// this generation preceded by a bind entry — in a single write, and returns
+// the assigned commit seq. The frame is built in the log's staging buffer, so
+// once that buffer has grown Append allocates nothing. A frame body over
+// maxFrameBody (16 MiB) fails with ErrTooLarge before a byte is written, and
+// the log stays usable (a volatile log writes nothing, so refuses nothing).
+// The transaction is NOT durable until Commit(seq) returns; callers serialize
+// Append with the state mutation it describes so seq order is apply order.
 func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 	t0 := time.Now()
 	l.mu.Lock()
@@ -361,7 +366,8 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 		}
 		return seq, nil
 	}
-	buf := l.buf[:0]
+	buf := beginFrame(l.buf[:0], txnID, seq)
+	firstID := l.nextID
 	for _, op := range ops {
 		id, ok := l.names[op.Tree]
 		if !ok {
@@ -370,14 +376,25 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 			l.names[op.Tree] = id
 			buf = appendBind(buf, id, op.Tree)
 		}
-		buf = appendOp(buf, txnID, id, op)
+		buf = appendOp(buf, id, op)
 	}
-	buf = appendCommit(buf, txnID, seq, len(ops))
+	if len(buf)-frameSize > maxFrameBody {
+		// The scan would read the frame as a tear: unbind the trees it
+		// bound, and keep neither it nor its buffer.
+		for _, op := range ops {
+			if l.names[op.Tree] >= firstID {
+				delete(l.names, op.Tree)
+			}
+		}
+		l.nextID = firstID
+		return 0, fmt.Errorf("%w: a %d-byte body, the bound is %d", ErrTooLarge, len(buf)-frameSize, maxFrameBody)
+	}
+	buf = endFrame(buf)
 	l.buf = buf[:0] // keep the capacity
 	if _, err := l.f.Write(buf); err != nil {
-		// The file may now hold a partial transaction; further appends
-		// would interleave with the wreckage, so poison the log. (The torn
-		// tail is exactly what Open repairs on restart.)
+		// The file may now hold a partial frame; further appends would
+		// interleave with the wreckage, so poison the log. (The torn tail
+		// is exactly what Open repairs on restart.)
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}
@@ -567,10 +584,10 @@ func (l *Log) Truncate(seq uint64) error {
 }
 
 // Replay re-reads the generation files and calls fn for each committed
-// transaction with commit seq > afterSeq, in commit order. Transactions
-// whose commit record never made it to disk are not surfaced at all —
-// the torn-tail-vanishes-wholesale guarantee. The Op.Value slices alias
-// a scan buffer valid only during fn.
+// transaction with commit seq > afterSeq, in commit order. A transaction
+// whose frame did not reach the disk whole is not surfaced at all — the
+// torn-tail-vanishes-wholesale guarantee. The Txn, its Ops and their Value
+// slices are scan buffers valid only during fn.
 func (l *Log) Replay(afterSeq uint64, fn func(*Txn) error) error {
 	if l.dir == "" {
 		return nil
@@ -659,121 +676,43 @@ func (l *Log) Close() error {
 
 // scannedGen is one generation's scan result.
 type scannedGen struct {
-	lastSeq uint64   // last committed seq (baseSeq if none committed here)
-	maxTxn  uint64   // largest committed txn id in this generation
-	tail    int      // offset just past the last commit record
-	clean   bool     // reached EOF with every record intact
-	binds   []bindAt // bind records with their end offsets
+	lastSeq uint64   // seq of the last good frame (baseSeq if none)
+	maxTxn  uint64   // largest txn id among the good frames
+	tail    int      // offset just past the last good frame
+	names   []string // trees the good frames bound: id i+1 is names[i]
 }
 
-type bindAt struct {
-	end  int
-	id   uint32
-	name string
-}
-
-// scanGenData walks one generation's records. With emit != nil it
-// surfaces each committed transaction with seq > afterSeq (the Replay
-// path); with emit == nil it only computes the recovery summary (the Open
-// path). A record that fails its checksum, a commit seq out of order, or
-// an op naming an unbound tree all end the scan at that point — the
-// committed prefix before it stands, everything after is tail wreckage.
+// scanGenData walks one generation's frames. With emit != nil it surfaces
+// each transaction with seq > afterSeq (the Replay path); with emit == nil
+// it only computes the recovery summary (the Open path). A frame that fails
+// its length or checksum, does not carry the next seq, or holds a malformed
+// entry ends the scan — the frames before it stand, everything from it on
+// is tail wreckage, and sg.tail < len(data) says so.
 func scanGenData(data []byte, baseSeq uint64, emit func(*Txn) error, afterSeq uint64) (scannedGen, error) {
 	sg := scannedGen{lastSeq: baseSeq, tail: genHeaderSize}
-	names := make(map[uint32]string)
-	pending := make(map[uint64][]Op)
-	off := genHeaderSize
-scan:
-	for off < len(data) {
-		rec, end, ok := nextRecord(data, off)
+	var txn Txn
+	for {
+		body, ok := nextFrame(data, sg.tail)
 		if !ok {
-			return sg, nil // torn tail: sg.clean stays false
+			return sg, nil
 		}
-		p := rec.payload
-		switch rec.typ {
-		case recBind:
-			if len(p) < 6 {
-				return sg, nil
-			}
-			id := binary.LittleEndian.Uint32(p[0:4])
-			n := int(binary.LittleEndian.Uint16(p[4:6]))
-			if len(p) != 6+n {
-				return sg, nil
-			}
-			name := string(p[6:])
-			names[id] = name
-			sg.binds = append(sg.binds, bindAt{end: end, id: id, name: name})
-		case recPut, recDelete, recDropTree:
-			txnID, op, ok := decodeOp(rec, names)
-			if !ok {
-				return sg, nil
-			}
-			pending[txnID] = append(pending[txnID], op)
-		case recCommit:
-			if len(p) != 20 {
-				return sg, nil
-			}
-			txnID := binary.LittleEndian.Uint64(p[0:8])
-			seq := binary.LittleEndian.Uint64(p[8:16])
-			count := int(binary.LittleEndian.Uint32(p[16:20]))
-			ops := pending[txnID]
-			if seq != sg.lastSeq+1 || len(ops) != count {
-				return sg, nil
-			}
-			delete(pending, txnID)
-			sg.lastSeq = seq
-			sg.tail = end
-			if txnID > sg.maxTxn {
-				sg.maxTxn = txnID
-			}
-			if emit != nil && seq > afterSeq {
-				if err := emit(&Txn{ID: txnID, Seq: seq, Ops: ops}); err != nil {
-					return sg, err
-				}
-			}
-		default:
-			break scan
+		txn.ID = binary.LittleEndian.Uint64(body)
+		txn.Seq = binary.LittleEndian.Uint64(body[8:])
+		if txn.Seq != sg.lastSeq+1 {
+			return sg, nil
 		}
-		off = end
+		names, ops, ok := decodeEntries(body[16:], sg.names, txn.Ops[:0])
+		if !ok {
+			return sg, nil
+		}
+		sg.names, txn.Ops = names, ops
+		sg.lastSeq = txn.Seq
+		sg.tail += frameSize + len(body)
+		sg.maxTxn = max(sg.maxTxn, txn.ID)
+		if emit != nil && txn.Seq > afterSeq {
+			if err := emit(&txn); err != nil {
+				return sg, err
+			}
+		}
 	}
-	sg.clean = off == len(data)
-	return sg, nil
-}
-
-// decodeOp decodes a put/delete/droptree record against the generation's
-// bindings.
-func decodeOp(rec record, names map[uint32]string) (txnID uint64, op Op, ok bool) {
-	p := rec.payload
-	if len(p) < 12 {
-		return 0, Op{}, false
-	}
-	txnID = binary.LittleEndian.Uint64(p[0:8])
-	tree, bound := names[binary.LittleEndian.Uint32(p[8:12])]
-	if !bound {
-		return 0, Op{}, false
-	}
-	op.Tree = tree
-	switch rec.typ {
-	case recPut:
-		if len(p) < 20 {
-			return 0, Op{}, false
-		}
-		op.Kind = OpPut
-		op.Key = binary.LittleEndian.Uint64(p[12:20])
-		op.Value = p[20:]
-	case recDelete:
-		if len(p) != 20 {
-			return 0, Op{}, false
-		}
-		op.Kind = OpDelete
-		op.Key = binary.LittleEndian.Uint64(p[12:20])
-	case recDropTree:
-		if len(p) != 12 {
-			return 0, Op{}, false
-		}
-		op.Kind = OpDropTree
-	default:
-		return 0, Op{}, false
-	}
-	return txnID, op, true
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
@@ -37,17 +38,22 @@ func appendCommitT(t *testing.T, l *Log, txnID uint64, ops []Op) uint64 {
 	return seq
 }
 
+// copyTxn deep-copies a transaction the scan surfaced: it and its values
+// are scan buffers, valid only during the callback.
+func copyTxn(txn *Txn) *Txn {
+	cp := &Txn{ID: txn.ID, Seq: txn.Seq, Ops: make([]Op, len(txn.Ops))}
+	for i, op := range txn.Ops {
+		cp.Ops[i] = op
+		cp.Ops[i].Value = append([]byte(nil), op.Value...)
+	}
+	return cp
+}
+
 func collect(t *testing.T, l *Log, afterSeq uint64) []*Txn {
 	t.Helper()
 	var txns []*Txn
 	err := l.Replay(afterSeq, func(txn *Txn) error {
-		// Values alias the scan buffer: deep-copy for post-replay asserts.
-		cp := &Txn{ID: txn.ID, Seq: txn.Seq, Ops: make([]Op, len(txn.Ops))}
-		for i, op := range txn.Ops {
-			cp.Ops[i] = op
-			cp.Ops[i].Value = append([]byte(nil), op.Value...)
-		}
-		txns = append(txns, cp)
+		txns = append(txns, copyTxn(txn))
 		return nil
 	})
 	if err != nil {
@@ -124,7 +130,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 // tailFile returns the newest generation file.
-func tailFile(t *testing.T, dir string) string {
+func tailFile(t testing.TB, dir string) string {
 	t.Helper()
 	gens, err := listGens(dir)
 	if err != nil || len(gens) == 0 {
@@ -133,37 +139,36 @@ func tailFile(t *testing.T, dir string) string {
 	return gens[len(gens)-1].path
 }
 
+// TestTornTailDiscardsFinalTxnWholesale cuts the file at every byte offset
+// of the final transaction's frame (mid-length, mid-checksum, mid-bind,
+// mid-op, its last byte): each cut must erase transaction 2 as a unit, leave
+// transaction 1 standing, and be repaired back to transaction 1's end.
 func TestTornTailDiscardsFinalTxnWholesale(t *testing.T) {
-	for _, cut := range []int{1, 5, 9, 30} {
+	dir := t.TempDir()
+	l := openT(t, dir)
+	appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "a", Key: 1, Value: []byte("keep")}})
+	fi1, err := os.Stat(tailFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendCommitT(t, l, 2, []Op{
+		{Kind: OpPut, Tree: "a", Key: 2, Value: []byte("torn")},
+		{Kind: OpPut, Tree: "b", Key: 3, Value: []byte("torn")},
+	})
+	l.Close()
+	data, err := os.ReadFile(tailFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(data) - int(fi1.Size())
+
+	for cut := 1; cut <= frame; cut++ {
 		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
-			l := openT(t, dir)
-			appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "a", Key: 1, Value: []byte("keep")}})
-			fi1, err := os.Stat(tailFile(t, dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendCommitT(t, l, 2, []Op{
-				{Kind: OpPut, Tree: "a", Key: 2, Value: []byte("torn")},
-				{Kind: OpPut, Tree: "b", Key: 3, Value: []byte("torn")},
-			})
-			l.Close()
-
-			// Tear the tail: chop bytes off the final transaction. Every cut
-			// point — mid-commit-record, mid-op, mid-bind — must erase txn 2
-			// as a unit and leave txn 1 standing.
-			path := tailFile(t, dir)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cut >= len(data) {
-				t.Skipf("file only %d bytes", len(data))
-			}
+			path := genPath(dir, 1)
 			if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-
 			l2 := openT(t, dir)
 			defer l2.Close()
 			txns := collect(t, l2, 0)
@@ -186,41 +191,50 @@ func TestTornTailDiscardsFinalTxnWholesale(t *testing.T) {
 			if l2.MaxTxnID() != 1 {
 				t.Fatalf("MaxTxnID = %d, want 1 (txn 2 vanished)", l2.MaxTxnID())
 			}
-			appendCommitT(t, l2, 2, []Op{{Kind: OpPut, Tree: "a", Key: 9, Value: []byte("new")}})
-			if got := collect(t, l2, 0); len(got) != 2 || got[1].Seq != 2 {
+			appendCommitT(t, l2, 2, []Op{{Kind: OpPut, Tree: "b", Key: 9, Value: []byte("new")}})
+			if got := collect(t, l2, 0); len(got) != 2 || got[1].Seq != 2 || got[1].Ops[0].Tree != "b" {
 				t.Fatalf("after repair+append: %+v", got)
 			}
 		})
 	}
 }
 
+// TestCorruptMiddleRecordEndsScanAtPriorCommit flips each byte of the middle
+// transaction's frame in turn: transactions 2 AND 3 are gone every time (the
+// log is a prefix code — nothing after a bad frame can be trusted).
 func TestCorruptMiddleRecordEndsScanAtPriorCommit(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "a", Key: 1, Value: []byte("one")}})
-	tail1, err := os.Stat(tailFile(t, dir))
+	path := tailFile(t, dir)
+	tail1, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendCommitT(t, l, 2, []Op{{Kind: OpPut, Tree: "a", Key: 2, Value: []byte("two")}})
+	appendCommitT(t, l, 2, []Op{{Kind: OpPut, Tree: "a", Key: 2, Value: []byte("two")}, {Kind: OpDelete, Tree: "b", Key: 1}})
+	tail2, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	appendCommitT(t, l, 3, []Op{{Kind: OpPut, Tree: "a", Key: 3, Value: []byte("three")}})
 	l.Close()
-
-	// Flip a byte inside txn 2's region: txns 2 AND 3 are gone (the log is
-	// a prefix code — nothing after a bad record can be trusted).
-	path := tailFile(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[tail1.Size()+recFrameSize+2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2 := openT(t, dir)
-	defer l2.Close()
-	if txns := collect(t, l2, 0); len(txns) != 1 || txns[0].ID != 1 {
-		t.Fatalf("after mid-corruption: %+v, want only txn 1", txns)
+
+	for off := tail1.Size(); off < tail2.Size(); off++ {
+		bad := bytes.Clone(data)
+		bad[off] ^= 0xFF
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l2 := openT(t, dir)
+		txns := collect(t, l2, 0)
+		l2.Close()
+		if len(txns) != 1 || txns[0].ID != 1 {
+			t.Fatalf("byte %d of the middle frame flipped: replayed %+v, want only txn 1", off-tail1.Size(), txns)
+		}
 	}
 }
 
@@ -555,49 +569,43 @@ func TestAppendBytesCountsWhatReachesTheFiles(t *testing.T) {
 	}
 }
 
-// The encoder Append used before records were framed in place: the payload
-// built apart, then framed and copied onto the buffer. It survives here as the
-// reference the bytes that reach the file are held to.
-func refRecord(buf []byte, typ byte, payload []byte) []byte {
-	var hdr [recFrameSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload))+1) // +1: type byte
-	hdr[8] = typ
-	crc := crc32.Checksum(hdr[8:9], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// The reference encoders: a transaction's entries built apart, then framed
+// and copied onto the buffer, written from the format's description rather
+// than from Append's in-place encoders. The bytes that reach the file are
+// held to them.
+func refFrame(buf []byte, txnID, seq uint64, entries []byte) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, txnID)
+	body = binary.LittleEndian.AppendUint64(body, seq)
+	body = append(body, entries...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	return append(buf, body...)
 }
 
-func refBind(buf []byte, id uint32, name string) []byte {
-	p := binary.LittleEndian.AppendUint32(nil, id)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(name)))
-	return refRecord(buf, recBind, append(p, name...))
+func refBind(p []byte, id uint32, name string) []byte {
+	p = binary.AppendUvarint(append(p, 4), uint64(id))
+	p = binary.AppendUvarint(p, uint64(len(name)))
+	return append(p, name...)
 }
 
-func refOp(buf []byte, txnID uint64, treeID uint32, op Op) []byte {
-	p := binary.LittleEndian.AppendUint64(nil, txnID)
-	p = binary.LittleEndian.AppendUint32(p, treeID)
+func refOp(p []byte, treeID uint32, op Op) []byte {
 	switch op.Kind {
 	case OpPut:
+		p = binary.AppendUvarint(append(p, 1), uint64(treeID))
 		p = binary.LittleEndian.AppendUint64(p, op.Key)
-		return refRecord(buf, recPut, append(p, op.Value...))
+		p = binary.AppendUvarint(p, uint64(len(op.Value)))
+		return append(p, op.Value...)
 	case OpDelete:
-		return refRecord(buf, recDelete, binary.LittleEndian.AppendUint64(p, op.Key))
+		p = binary.AppendUvarint(append(p, 2), uint64(treeID))
+		return binary.LittleEndian.AppendUint64(p, op.Key)
 	}
-	return refRecord(buf, recDropTree, p)
+	return binary.AppendUvarint(append(p, 3), uint64(treeID))
 }
 
-func refCommit(buf []byte, txnID, seq uint64, opCount int) []byte {
-	p := binary.LittleEndian.AppendUint64(nil, txnID)
-	p = binary.LittleEndian.AppendUint64(p, seq)
-	return refRecord(buf, recCommit, binary.LittleEndian.AppendUint32(p, uint32(opCount)))
-}
-
-// TestRecordBytesAreTheReferenceEncoders: every record type, with empty,
-// one-byte and 64 KiB values and names, through Append into a generation file,
-// is byte for byte what the reference encoder produces — framing a record in
-// place changed where it is built, not what is written.
+// TestRecordBytesAreTheReferenceEncoders: every entry kind, with empty,
+// one-byte and 64 KiB values, a 300-byte tree name, an empty transaction and
+// a drop followed by a reuse of the tree, through Append into a generation
+// file, is byte for byte what the reference encoders produce.
 func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, NoSync: true})
@@ -612,7 +620,7 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 		{{Kind: OpPut, Tree: "a", Key: 1, Value: nil}},
 		{{Kind: OpPut, Tree: "a", Key: 2, Value: []byte{0x5A}}, {Kind: OpDelete, Tree: "b", Key: 2}},
 		{{Kind: OpPut, Tree: "b", Key: ^uint64(0), Value: big}, {Kind: OpDropTree, Tree: "a"}, {Kind: OpPut, Tree: strings.Repeat("n", 300), Key: 3, Value: big[:1]}},
-		{}, // a commit record alone
+		{}, // a frame with no entries
 		{{Kind: OpDropTree, Tree: "c"}, {Kind: OpDelete, Tree: "c", Key: 0}, {Kind: OpPut, Tree: "c", Key: 0, Value: []byte{}}},
 	}
 	var want []byte
@@ -623,16 +631,17 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var entries []byte
 		for _, op := range ops {
 			id, ok := names[op.Tree]
 			if !ok {
 				id = uint32(len(names) + 1)
 				names[op.Tree] = id
-				want = refBind(want, id, op.Tree)
+				entries = refBind(entries, id, op.Tree)
 			}
-			want = refOp(want, txnID, id, op)
+			entries = refOp(entries, id, op)
 		}
-		want = refCommit(want, txnID, seq, len(ops))
+		want = refFrame(want, txnID, seq, entries)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -646,7 +655,129 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 		for n < len(got) && n < len(want) && got[n] == want[n] {
 			n++
 		}
-		t.Fatalf("the file holds %d record bytes, the reference encoders give %d; they differ at offset %d", len(got), len(want), n)
+		t.Fatalf("the file holds %d frame bytes, the reference encoders give %d; they differ at offset %d", len(got), len(want), n)
+	}
+	// A put of a 100-byte value to a bound tree carries 3 bytes besides its
+	// key and value: the kind, the tree id and the value length.
+	if n := len(refOp(nil, 1, Op{Kind: OpPut, Value: make([]byte, 100)})); n != 3+8+100 {
+		t.Errorf("a 100-byte put entry is %d bytes, want %d", n, 3+8+100)
+	}
+}
+
+// TestScanEndsAtMalformedEntries: a frame whose checksum holds but whose
+// entries break the format ends the scan at the frame before it, as a tear
+// does; and a replayed value is capped, so appending to it cannot overwrite
+// the op after it.
+func TestScanEndsAtMalformedEntries(t *testing.T) {
+	put := Op{Kind: OpPut, Key: 1, Value: []byte("a")}
+	good := refOp(refBind(nil, 1, "a"), 1, put)
+	// The first frame binds tree 1; each case is the second frame's entries.
+	op1 := refOp(nil, 1, put)
+	cases := map[string][]byte{
+		"bind out of order": refOp(refBind(nil, 3, "b"), 2, put),
+		"unbound tree":      refOp(nil, 2, put),
+		"unknown kind":      append([]byte{9, 1}, make([]byte, 8)...),
+		"tree id 0":         {3, 0},
+		"value past frame":  op1[:len(op1)-1],
+		"short key":         []byte{2, 1, 0, 0},
+		"name past frame":   refBind(nil, 2, "bc")[:4],
+	}
+	for name, entries := range cases {
+		file := make([]byte, genHeaderSize)
+		encodeGenHeader(file, 1, 0)
+		first := len(refFrame(file, 1, 1, good))
+		file = refFrame(refFrame(file, 1, 1, good), 2, 2, entries)
+		if sg, err := scanGenData(file, 0, nil, 0); err != nil || sg.tail != first || sg.lastSeq != 1 {
+			t.Errorf("%s: the scan stops at %d with seq %d (%v), want %d and 1", name, sg.tail, sg.lastSeq, err, first)
+		}
+	}
+
+	file := make([]byte, genHeaderSize)
+	encodeGenHeader(file, 1, 0)
+	file = refFrame(file, 1, 1, refOp(refOp(good, 1, Op{Kind: OpPut, Key: 2, Value: []byte("bb")}), 1, put))
+	_, err := scanGenData(file, 0, func(txn *Txn) error {
+		_ = append(txn.Ops[0].Value, bytes.Repeat([]byte{'X'}, 20)...)
+		if v := txn.Ops[1].Value; string(v) != "bb" {
+			t.Errorf("appending to the first value rewrote the second to %q", v)
+		}
+		return nil
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendRefusesOversizedTxn: a frame whose body is exactly maxFrameBody is
+// written and replays; one byte more fails with ErrTooLarge before a byte
+// reaches the file, unbinds the tree it bound, and leaves the log usable.
+func TestAppendRefusesOversizedTxn(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lone put binding a one-letter tree: 16 bytes of txn id and seq, a
+	// 4-byte bind, 10 bytes of put entry head, a 4-byte value length.
+	val := make([]byte, maxFrameBody-34+1)
+	atBound := Op{Kind: OpPut, Tree: "t", Key: 1, Value: val[:len(val)-1]}
+	if n := len(refFrame(nil, 1, 1, refOp(refBind(nil, 1, "t"), 1, atBound))) - 8; n != maxFrameBody {
+		t.Fatalf("the at-bound frame has a %d-byte body, want %d", n, maxFrameBody)
+	}
+
+	path := tailFile(t, dir)
+	if _, err := l.Append(1, []Op{{Kind: OpPut, Tree: "u", Key: 1, Value: val}}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Append of a %d-byte body = %v, want ErrTooLarge", maxFrameBody+1, err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != genHeaderSize {
+		t.Fatalf("after the refusal the file is %v bytes (%v), want the bare %d-byte header", fi.Size(), err, genHeaderSize)
+	}
+	// The refused transaction took no seq and no tree id: "u" binds again,
+	// as id 1, in the next transaction.
+	if seq := appendCommitT(t, l, 2, []Op{{Kind: OpPut, Tree: "u", Key: 2, Value: []byte("small")}}); seq != 1 {
+		t.Fatalf("seq after the refusal = %d, want 1", seq)
+	}
+	if seq := appendCommitT(t, l, 3, []Op{atBound}); seq != 2 {
+		t.Fatalf("seq of the at-bound transaction = %d, want 2", seq)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openT(t, dir)
+	defer l2.Close()
+	got := collect(t, l2, 0)
+	if len(got) != 2 || got[0].Ops[0].Tree != "u" || string(got[0].Ops[0].Value) != "small" ||
+		got[1].Ops[0].Tree != "t" || len(got[1].Ops[0].Value) != maxFrameBody-34 {
+		t.Fatalf("replayed %d transactions, want the small one on u and the at-bound one on t", len(got))
+	}
+}
+
+// TestOldFormatIsRefusedByName: a generation file of the previous format
+// fails Open with an error naming that format, and is left as it was —
+// never taken for a torn header and recreated.
+func TestOldFormatIsRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	old := make([]byte, genHeaderSize, 64)
+	copy(old, "PGWALOG1")
+	binary.LittleEndian.PutUint64(old[8:], 1)
+	binary.LittleEndian.PutUint32(old[24:], crc32.Checksum(old[:24], castagnoli))
+	bind := []byte{1, 1, 0, 0, 0, 1, 0, 'a'} // that format's record binding tree 1 to "a"
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(bind)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(bind, castagnoli))
+	old = append(old, bind...)
+	path := genPath(dir, 1)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), `"PGWALOG1"`) {
+		t.Fatalf("Open over a PGWALOG1 generation = %v, want an error naming the format", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the old generation changed under the refused Open (%v)", err)
+	}
+	if gens, err := listGens(dir); err != nil || len(gens) != 1 {
+		t.Fatalf("generation files after the refused Open = %v (%v), want the old one alone", gens, err)
 	}
 }
 
