@@ -44,10 +44,10 @@ func dirtySet(db *DB) (set map[uint32]bool, parked int) {
 //     serves, and a parked entry's page is not resident;
 //   - a resident page outside the table is clean: its node encodes to the
 //     store's image;
-//   - every node on the recycling lists is on exactly one, once, and indexed
-//     under its own id, and every indexed node is on them; it is not
-//     resident, not in the table, and its id is not free;
-//   - no two pages' nodes — in the table, resident or listed — share a buffer.
+//   - every node on the recycling lists is on them once, and they hold as
+//     many as they count; none is resident;
+//   - no two pages' nodes — in the table or resident — share a buffer, and no
+//     listed node shares one with them.
 func checkDirtyTable(db *DB) error {
 	db.lock()
 	defer db.mu.Unlock()
@@ -79,34 +79,22 @@ func checkDirtyTable(db *DB) error {
 			return fmt.Errorf("page %d is parked, yet resident", id)
 		}
 	}
+	count := 0
 	for n, times := range onList {
-		if s, ok := db.kept[n.ID]; times != 1 || !ok || db.slots[s].n != n {
-			return fmt.Errorf("page %d's node is on the recycling lists %d times, indexed %v", n.ID, times, ok)
+		count += times
+		switch {
+		case times != 1:
+			return fmt.Errorf("page %d's old node is on the recycling lists %d times", n.ID, times)
+		case served(n.ID) == n:
+			return fmt.Errorf("page %d's node is resident and on the recycling lists", n.ID)
 		}
 	}
-	if len(db.kept) != len(onList) {
-		return fmt.Errorf("%d nodes indexed, %d on the recycling lists", len(db.kept), len(onList))
-	}
-	for id, s := range db.kept {
-		_, inTable := db.dirty[id]
-		switch n := db.slots[s].n; {
-		case n.ID != id:
-			return fmt.Errorf("page %d is indexed to node %d", id, n.ID)
-		case inTable:
-			return fmt.Errorf("page %d is in the dirty-page table and on the recycling lists", id)
-		case served(id) != nil:
-			return fmt.Errorf("page %d is resident and on the recycling lists", id)
-		case free[id]:
-			return fmt.Errorf("page %d is free, but its node is on the recycling lists", id)
-		}
+	if count != db.listed {
+		return fmt.Errorf("the recycling lists hold %d nodes but count %d", count, db.listed)
 	}
 	owner := make(map[*byte]uint32)
 	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
-		nodes := []*btree.Node{db.dirty[id], served(id)}
-		if s, ok := db.kept[id]; ok {
-			nodes = append(nodes, db.slots[s].n)
-		}
-		for _, n := range nodes {
+		for _, n := range []*btree.Node{db.dirty[id], served(id)} {
 			if n == nil || cap(n.Buf) == 0 {
 				continue
 			}
@@ -114,6 +102,14 @@ func checkDirtyTable(db *DB) error {
 				return fmt.Errorf("pages %d and %d share a node buffer", other, id)
 			}
 			owner[&n.Buf[:1][0]] = id
+		}
+	}
+	for n := range onList {
+		if cap(n.Buf) == 0 {
+			continue
+		}
+		if id, ok := owner[&n.Buf[:1][0]]; ok {
+			return fmt.Errorf("a node on the recycling lists shares page %d's buffer", id)
 		}
 	}
 	for id := range free {
@@ -451,7 +447,7 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 	if n := encodes.Value() - enc0; n != 0 {
 		t.Errorf("the refused checkpoint encoded %d nodes; its batch should never have been filled", n)
 	}
-	checkOracle(t, db, oracle) // parks and re-admits pages, takes none out of the dirty set
+	checkOracle(t, db, oracle) // parks dirty pages and faults them back from the table, takes none out of it
 	if err := scratch.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@ func TestConcurrentReadersWithCommittingWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough pages that the pool and the recycling lists (a re-admission is no
-	// fault) cannot hold them all: 64 + 64 nodes, for well over 128 pages.
+	// Enough pages, well over the pool's 64, that readers fault and evict
+	// constantly.
 	const nkeys = 1600
 	for k := uint64(0); k < nkeys; k++ {
 		if err := tr.Put(k, mkval(k, 0)); err != nil {

@@ -24,8 +24,9 @@ import (
 //     observing a version REGRESS has read a stale image over a dirty
 //     eviction (the lost-update window parking in the dirty-page table closes).
 //  2. No lost mutation: after the writer quiesces, every key must be at the
-//     final version — a MarkDirty swallowed by a re-admission round trip
-//     would leave an old version behind.
+//     final version — a MarkDirty swallowed by a round trip through the
+//     dirty-page table (parked, then faulted back) would leave an old
+//     version behind.
 //  3. Pin balance: the periodic auditor (CheckPinBalance) and the final
 //     check both demand zero pinned frames between operations; a leaked pin
 //     would exempt its frame from eviction forever. Both also assert the

@@ -22,7 +22,7 @@ import (
 // the fallible NodeStore that faults nodes through the pool and the
 // log-structured store, implementing the fused Fetch/Release pin protocol so
 // concurrent readers can fault and evict against each other safely, and the
-// recycling of node memory (retire, reclaim, takeNode) behind the faults.
+// recycling of node memory (retire, reclaim, takeNode) that faults parse into.
 
 // budget is the per-node byte budget: the page minus the image header.
 func (db *DB) budget() int { return btree.PageLayout.Budget(db.pageSize) }
@@ -56,7 +56,7 @@ func (s nodeStore) Free(id uint32) error {
 }
 
 // node returns the decoded node for a page id PINNED, faulting it in from
-// the dirty-page table, the recycling lists or the store on a miss.
+// the dirty-page table or the store on a miss.
 //
 // The hot path is ONE pool-shard acquisition: FetchPinned returns the
 // frame's decoded node already pinned. The miss path serializes on a
@@ -81,13 +81,8 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	}
 	// A parked node is the page's current state — the store's image is
 	// stale — and is re-admitted; it stays in the table. Readers only read
-	// the table (writers, who change it, hold the guard exclusively). A node
-	// still on the recycling lists holds the store's image itself, so it is
-	// re-admitted too: no read, no parse.
+	// the table (writers, who change it, hold the guard exclusively).
 	n := db.dirty[id]
-	if n == nil {
-		n = db.readmit(id)
-	}
 	if n != nil {
 		obj, _ := db.pool.InstallPinned(id, func(h bufferpool.Handle) any {
 			n.Pin = h
@@ -120,139 +115,75 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	return obj.(*btree.Node), nil
 }
 
-// The recycling lists are a victim cache: a node that becomes unreachable —
-// a clean eviction, or a parked node the checkpoint has written — is RETIRED,
-// an exclusive acquisition of the guard makes it FREE, and until takeNode hands
-// it to another page it stays decoded, indexed by its page id (db.kept), for a
-// fault on that page to re-admit. Each list is a ring of slots in db.slots
-// through a sentinel of its own, in the order its nodes joined it: the retired
-// list's sentinel is slot 0, each free class has one. So a node leaves its
-// list from anywhere in O(1), and the oldest of a list is its sentinel's next.
-type slot struct {
-	n          *btree.Node
-	prev, next int32
-}
+// The recycling lists are memory for faults to parse into, nothing more: a
+// node that becomes unreachable — a clean eviction, or a parked node the
+// checkpoint has written — is RETIRED (db.retired), an exclusive acquisition
+// of the guard makes it FREE (db.free), and a fault takes a free node for
+// whatever page it reads. A listed node is no page's: a fault on its old page
+// reads the store, like any other.
 
-// retiredRing is the retired list's sentinel slot. Slot 0 is never spare, so
-// a db.spare of 0 means none.
-const retiredRing = 0
-
-// freeClass is the list of the free nodes whose buffers have capacity size:
-// an allocator size class (every node buffer is allocated by append), or 0 for
-// a node that never held an entry. The classes are few.
+// freeClass is a stack of the free nodes whose buffers have capacity size: an
+// allocator size class (every node buffer is allocated by append), or 0 for a
+// node that never held an entry. The classes are few, and a push or pop moves
+// no other node.
 type freeClass struct {
-	size int
-	ring int32
+	size  int
+	nodes []*btree.Node
 }
 
 func classCmp(c freeClass, size int) int { return c.size - size }
-
-// attach appends slot s to the ring with sentinel r; detach takes it off its
-// ring. Caller holds db.evmu.
-func (db *DB) attach(r, s int32) {
-	last := db.slots[r].prev
-	db.slots[s].prev, db.slots[s].next = last, r
-	db.slots[last].next = s
-	db.slots[r].prev = s
-}
-
-func (db *DB) detach(s int32) {
-	prev, next := db.slots[s].prev, db.slots[s].next
-	db.slots[prev].next = next
-	db.slots[next].prev = prev
-}
-
-// unlink takes slot s's node off the lists and out of the index, and spares
-// the slot. Caller holds db.evmu.
-func (db *DB) unlink(s int32) *btree.Node {
-	n := db.slots[s].n
-	db.detach(s)
-	delete(db.kept, n.ID)
-	db.slots[s] = slot{next: db.spare}
-	db.spare = s
-	return n
-}
 
 // retire puts a node that just became unreachable on the retired list, unless
 // the lists are full (db.keep): that node is left to the garbage collector.
 // Caller holds db.evmu.
 func (db *DB) retire(n *btree.Node) {
-	if len(db.kept) >= db.keep {
+	if db.listed >= db.keep {
 		db.cDropped.Inc()
 		return
 	}
-	s := db.spare
-	if s == 0 {
-		s = int32(len(db.slots))
-		db.slots = append(db.slots, slot{})
-	} else {
-		db.spare = db.slots[s].next
-	}
-	db.slots[s].n = n
-	db.attach(retiredRing, s)
-	db.kept[n.ID] = s
-}
-
-// readmit takes page id's node off the lists for the fault that re-admits it,
-// or returns nil if no list holds one. Retired or free, the node's bytes are
-// that page's and unchanged, so no quiescence is needed: whatever still reads
-// them reads what it read before.
-func (db *DB) readmit(id uint32) *btree.Node {
-	db.evmu.Lock()
-	s, ok := db.kept[id]
-	var n *btree.Node
-	if ok {
-		n = db.unlink(s)
-	}
-	db.evmu.Unlock()
-	if ok {
-		db.cReadmitted.Inc()
-	}
-	return n
+	db.retired = append(db.retired, n)
+	db.listed++
 }
 
 // reclaim moves the retired nodes to the free list, each onto its buffer
-// capacity's class, in the order they retired. The caller has JUST acquired
-// db.mu exclusively, and that is the proof: every alias of a node's bytes —
-// Core.Get's value after its Release, a Scan callback's argument, a View read —
-// lives inside one hold of the guard; no hold that starts after a node's
-// retirement can reach it; and this acquisition waited out every hold that
-// started before.
+// capacity's class. The caller has JUST acquired db.mu exclusively, and that
+// is the proof: every alias of a node's bytes — Core.Get's value after its
+// Release, a Scan callback's argument, a View read — lives inside one hold of
+// the guard; no hold that starts after a node's retirement can reach it; and
+// this acquisition waited out every hold that started before.
 func (db *DB) reclaim() {
 	db.evmu.Lock()
 	defer db.evmu.Unlock()
-	for s := db.slots[retiredRing].next; s != retiredRing; s = db.slots[retiredRing].next {
-		size := cap(db.slots[s].n.Buf)
-		i, ok := slices.BinarySearchFunc(db.free, size, classCmp)
-		if !ok {
-			r := int32(len(db.slots))
-			db.slots = append(db.slots, slot{prev: r, next: r})
-			db.free = slices.Insert(db.free, i, freeClass{size: size, ring: r})
+	for _, n := range db.retired {
+		if poisonRecycled != nil {
+			poisonRecycled(n) // nothing can reach the node from here on
 		}
-		db.detach(s)
-		db.attach(db.free[i].ring, s)
+		i, ok := slices.BinarySearchFunc(db.free, cap(n.Buf), classCmp)
+		if !ok {
+			db.free = slices.Insert(db.free, i, freeClass{size: cap(n.Buf)})
+		}
+		db.free[i].nodes = append(db.free[i].nodes, n)
 	}
-}
-
-// firstFree returns the first class from i up that holds a node, or
-// len(db.free). Caller holds db.evmu.
-func (db *DB) firstFree(i int) int {
-	for i < len(db.free) && db.slots[db.free[i].ring].next == db.free[i].ring {
-		i++
-	}
-	return i
+	clear(db.retired)
+	db.retired = db.retired[:0]
 }
 
 // takeNode obtains the node a fault will parse into, its Buf size bytes long:
-// the oldest free node with the smallest buffer that holds the record — a
-// leaf's spare room is where its inserts grow — or a new one. Oldest, because
-// the newest is the likeliest to be faulted again, and re-admitted.
+// a free node with the smallest buffer that holds the record — a leaf's spare
+// room is where its inserts grow — or a new one.
 func (db *DB) takeNode(size int) *btree.Node {
 	db.evmu.Lock()
 	i, _ := slices.BinarySearchFunc(db.free, size, classCmp)
+	for i < len(db.free) && len(db.free[i].nodes) == 0 {
+		i++
+	}
 	var n *btree.Node
-	if i = db.firstFree(i); i < len(db.free) {
-		n = db.unlink(db.slots[db.free[i].ring].next)
+	if i < len(db.free) {
+		c := &db.free[i]
+		n = c.nodes[len(c.nodes)-1]
+		c.nodes[len(c.nodes)-1] = nil
+		c.nodes = c.nodes[:len(c.nodes)-1]
+		db.listed--
 	}
 	db.evmu.Unlock()
 	if n == nil {
@@ -261,17 +192,14 @@ func (db *DB) takeNode(size int) *btree.Node {
 		// buffer can later serve any record of its class.
 		return &btree.Node{Buf: append([]byte(nil), make([]byte, size)...)}
 	}
-	if poisonRecycled != nil {
-		poisonRecycled(n) // the node is another page's from here on
-	}
 	db.cRecycled.Inc()
 	n.Buf = n.Buf[:size]
 	return n
 }
 
 // poisonRecycled, set by this package's tests only, overwrites what a node
-// owns the moment it is handed to another page: a read that outlived its
-// guard hold then returns garbage, and is a write/read race under -race.
+// owns the moment it becomes free: a read that outlived its guard hold then
+// returns garbage, and is a write/read race under -race.
 var poisonRecycled func(n *btree.Node)
 
 // allocNode creates a fresh blank node on a newly allocated page id
@@ -291,19 +219,13 @@ func (db *DB) allocNode() *btree.Node {
 	return n
 }
 
-// freeNode releases a page: its frame (decoded node included), its parked
-// node or its node on the recycling lists is dropped — pins too, Free is an
-// ownership statement; the version bump turns outstanding Releases into
-// no-ops — and its table entry becomes nil, so the next commit writes a store
-// tombstone if the page had ever been committed. A reallocated id must never
-// re-admit the old page's node. Caller holds db.mu exclusively.
+// freeNode releases a page: its frame (decoded node included) or its parked
+// node is dropped — pins too, Free is an ownership statement; the version bump
+// turns outstanding Releases into no-ops — and its table entry becomes nil, so
+// the next commit writes a store tombstone if the page had ever been
+// committed. Caller holds db.mu exclusively.
 func (db *DB) freeNode(id uint32) {
 	db.pool.FreePage(id)
-	db.evmu.Lock()
-	if s, ok := db.kept[id]; ok {
-		db.unlink(s)
-	}
-	db.evmu.Unlock()
 	db.ids.Free(id)
 	db.dirty[id] = nil
 	db.metaDirty = true

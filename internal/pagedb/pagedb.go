@@ -11,8 +11,7 @@
 //	named B+-trees (uint64 keys, []byte values)
 //	    └── fused node cache: decoded nodes live IN the buffer pool's
 //	        frames (bufferpool fused object slot), 2-bit clock residency
-//	          ├── fault: miss -> parked node (dirty-page table), else the
-//	          │          page's node still on the recycling lists, else
+//	          ├── fault: miss -> parked node (dirty-page table), else
 //	          │          Store.ReadRecord into a recycled node's buffer ->
 //	          │          btree.ParseNode, in place
 //	          └── dirty-page table: every node changed since the last
@@ -45,26 +44,23 @@
 // image, arena or per-value copy in between.
 //
 // The buffer, the node and its arrays are recycled. A node that becomes
-// unreachable — evicted clean, or parked and now written — is RETIRED; a
-// fault takes the oldest node of its size from the FREE list; and what moves
-// nodes from the one to the other is every exclusive acquisition of the guard
-// (lock). That is a quiescence point because the guard is already what a
-// reader's slices live under: a value returned by Core.Get, a Scan callback's
-// argument, a View read are all used and dropped within one hold of the read
-// side, so once an exclusive acquisition has waited those holds out, nothing
-// can still be reading a node retired before it. No node holds memory of
-// another — a split, borrow or merge copies entries between buffers — so
-// every such node can be recycled. Until a fault takes a listed node for
-// another page, it is its own page's image, decoded and indexed by page id: a
-// fault on that page re-admits it from either list, as it re-admits a parked
-// node, with no read and no parse — the lists are a victim cache behind the
-// pool. A fault takes the free node with the smallest buffer that holds its
-// record, since a leaf's spare room is where its inserts grow. The lists hold
-// at most as many nodes as the last checkpoint wrote pages (at least 64), and
-// never more than CachePages: a checkpoint retires every parked node it
-// writes at once, and the next interval's faults are what needs them, while
-// a workload whose checkpoints write little keeps no more than that. What the
-// bound turns away is counted (pagedb.node.dropped).
+// unreachable — evicted clean, or parked and now written — is RETIRED; a fault
+// takes a node of its size from the FREE list; and what moves nodes from the
+// one to the other is every exclusive acquisition of the guard (lock). That is
+// a quiescence point because the guard is already what a reader's slices live
+// under: a value returned by Core.Get, a Scan callback's argument, a View read
+// are all used and dropped within one hold of the read side, so once an
+// exclusive acquisition has waited those holds out, nothing can still be
+// reading a node retired before it. No node holds memory of another — a split,
+// borrow or merge copies entries between buffers — so every such node can be
+// recycled. The lists are memory, not a second cache: a fault on a listed
+// node's old page reads the store. A fault takes the free node with the
+// smallest buffer that holds its record, since a leaf's spare room is where its
+// inserts grow. The lists hold at most as many nodes as the last checkpoint
+// wrote pages (at least 64), and never more than CachePages: a checkpoint
+// retires every parked node it writes at once, and the next interval's faults
+// are what needs them, while a workload whose checkpoints write little keeps no
+// more than that. What the bound turns away is counted (pagedb.node.dropped).
 //
 // # The life of a dirty page
 //
@@ -188,8 +184,8 @@ type Options struct {
 // shard mutex (inside any pool call) or the store's lock (inside any store
 // call), then db.evmu, which guards only the recycling lists (the eviction
 // callback runs under the pool shard mutex and takes it; a fault's buffer
-// request runs under the store's read lock and takes it; a re-admission takes
-// it under the fault mutex). evmu is never held across a pool or a store call.
+// request runs under the store's read lock and takes it). evmu is never held
+// across a pool or a store call.
 // The page-id allocator (ids) and the dirty-page table (dirty) have no lock:
 // writers change them only under db.mu's write side, and Open before the DB
 // is shared.
@@ -221,17 +217,15 @@ type DB struct {
 	dirty map[uint32]*btree.Node
 
 	// The recycling lists (see the package comment and node.go), under evmu:
-	// slots holds their rings — the retired list's at slot 0, free's classes
-	// in ascending buffer capacity — with the unused slots chained from spare,
-	// and kept indexes every listed node by its page id. Together the lists
-	// hold at most keep nodes: what the last checkpoint wrote, at least 64
-	// however little that is, at most CachePages.
-	evmu  sync.Mutex
-	slots []slot
-	spare int32
-	free  []freeClass
-	kept  map[uint32]int32
-	keep  int
+	// the retired nodes, and the free ones in classes of ascending buffer
+	// capacity. Together they hold listed nodes, at most keep: what the last
+	// checkpoint wrote, at least 64 however little that is, at most
+	// CachePages.
+	evmu    sync.Mutex
+	retired []*btree.Node
+	free    []freeClass
+	listed  int
+	keep    int
 
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
@@ -273,10 +267,10 @@ type DB struct {
 	hCommit *obs.Histogram // pagedb.commit.ns: Commit latency
 	hBatch  *obs.Histogram // pagedb.commit.pages: batch size per commit
 	cEncode *obs.Counter   // pagedb.node.encodes: node images serialized
-	// pagedb.node.{recycled,fresh,dropped,readmitted}: faults that parsed into
-	// a free node, faults that allocated, nodes retire let go because the
-	// lists were full, faults that took their page's node back off the lists.
-	cRecycled, cFresh, cDropped, cReadmitted *obs.Counter
+	// pagedb.node.{recycled,fresh,dropped}: faults that parsed into a free
+	// node, faults that allocated, nodes retire let go because the lists were
+	// full.
+	cRecycled, cFresh, cDropped *obs.Counter
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -310,8 +304,6 @@ func Open(opts Options) (*DB, error) {
 		pool:     bufferpool.NewSharded(opts.CachePages, shards),
 		pageSize: pageSize,
 		dirty:    make(map[uint32]*btree.Node),
-		slots:    make([]slot, 1), // retiredRing, empty
-		kept:     make(map[uint32]int32),
 		keep:     min(64, opts.CachePages),
 		scratch:  new(sync.Pool),
 		trees:    make(map[string]*Tree),
@@ -326,7 +318,6 @@ func Open(opts Options) (*DB, error) {
 	db.cRecycled = db.obsReg.Counter("pagedb.node.recycled")
 	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
 	db.cDropped = db.obsReg.Counter("pagedb.node.dropped")
-	db.cReadmitted = db.obsReg.Counter("pagedb.node.readmitted")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {
@@ -671,7 +662,7 @@ type Stats struct {
 	Commits        uint64
 	CommittedPages uint64
 	// Faults counts node-cache misses served from the store: a miss that
-	// re-admits a parked or listed node reads nothing, and is not one.
+	// re-admits a parked node reads nothing, and is not one.
 	Faults uint64
 	// StagedEvictions counts dirty evictions: each time the pool evicted a
 	// node of the dirty-page table, which parks it (a page evicted,

@@ -46,25 +46,13 @@ func listed(db *DB) map[*btree.Node]int {
 	db.evmu.Lock()
 	defer db.evmu.Unlock()
 	nodes := make(map[*btree.Node]int)
-	rings := []int32{retiredRing}
+	for _, n := range db.retired {
+		nodes[n]++
+	}
 	for _, c := range db.free {
-		rings = append(rings, c.ring)
-	}
-	for _, r := range rings {
-		for s := db.slots[r].next; s != r; s = db.slots[s].next {
-			nodes[db.slots[s].n]++
+		for _, n := range c.nodes {
+			nodes[n]++
 		}
-	}
-	return nodes
-}
-
-// retiredNodes returns the nodes on the retired list, oldest first.
-func retiredNodes(db *DB) []*btree.Node {
-	db.evmu.Lock()
-	defer db.evmu.Unlock()
-	var nodes []*btree.Node
-	for s := db.slots[retiredRing].next; s != retiredRing; s = db.slots[s].next {
-		nodes = append(nodes, db.slots[s].n)
 	}
 	return nodes
 }
@@ -614,101 +602,13 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
 	checkOracle(t, db, oracle)
 }
 
-// TestRefaultReadmitsRetiredNode: a page faulted again while its node still
-// waits on the recycling lists takes that node back — no store read, no parse —
-// whether the node is still retired or already free. A checkpointed tree four
-// times its cache is scanned over a few leaves, which evicts clean nodes while
-// the faults reuse older ones; then the leaves the scan evicted are read again.
-func TestRefaultReadmitsRetiredNode(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		free bool // an exclusive acquisition before the reads: re-admitted from the free list
-	}{{"retired", false}, {"free", true}} {
-		t.Run(c.name, func(t *testing.T) {
-			opts := memOpts()
-			opts.Store.PageSize = 1024 // a root over every leaf: a read's path is resident or listed
-			opts.CachePages = 16
-			opts.CacheShards = 1
-			db, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			tr, err := db.Tree("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := make(map[uint64][]byte)
-			for k := uint64(0); k < 800; k++ {
-				oracle[k] = val(k, 1)
-				if err := tr.Put(k, oracle[k]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := db.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if h, pages := tr.core.Height(), int(db.ids.Next()); h != 2 || pages < 4*opts.CachePages {
-				t.Fatalf("height %d, %d pages: the test no longer builds its tree", h, pages)
-			}
-			// A first scan replaces every resident node with a parsed one, and
-			// fills the lists; an exclusive acquisition frees what it retired,
-			// for the second scan's faults to take — so nothing that one evicts
-			// is reused.
-			scan := func(to uint64) {
-				t.Helper()
-				if err := tr.Scan(0, to, func(uint64, []byte) bool { return true }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			scan(800)
-			db.lock()
-			db.mu.Unlock()
-			scan(60)
-			var keys []uint64
-			for _, n := range retiredNodes(db) {
-				if n.Leaf {
-					k, _ := n.Entry(0)
-					keys = append(keys, k)
-				}
-			}
-			if len(keys) < 3 {
-				t.Fatalf("the scan retired %d leaves, want ≥ 3", len(keys))
-			}
-			if c.free {
-				db.lock()
-				db.mu.Unlock()
-				if len(retiredNodes(db)) != 0 {
-					t.Fatal("an exclusive acquisition left nodes retired")
-				}
-			}
-			readmitted := db.Obs().Counter("pagedb.node.readmitted")
-			f0, r0 := db.Stats().Faults, readmitted.Value()
-			for _, k := range keys {
-				if v, ok, err := tr.Get(k); err != nil || !ok || !bytes.Equal(v, oracle[k]) {
-					t.Fatalf("Get(%d) = %x, %v, %v; want %x", k, v, ok, err, oracle[k])
-				}
-			}
-			if f := db.Stats().Faults - f0; f != 0 {
-				t.Errorf("reading %d leaves still on the lists read the store %d times", len(keys), f)
-			}
-			if r := readmitted.Value() - r0; r < uint64(len(keys)) {
-				t.Errorf("pagedb.node.readmitted rose by %d for %d leaves", r, len(keys))
-			}
-			checkOracle(t, db, oracle)
-		})
-	}
-}
-
-// TestFreedPageIsNeverReadmitted: a page freed while its node waits on the
-// recycling lists takes the node's index entry with it, so the id, once
-// reallocated, faults in its new image. Merges free only pages they hold, so
-// the case is a dropped tree larger than the cache: its walk evicts its own
-// pages onto the lists, then frees them. The ids go to another tree's new
-// pages, which are checkpointed — most of them dropped by a checkpoint that
-// retires more than the lists hold, so an entry the free left behind would
-// still be there — and faulted back.
-func TestFreedPageIsNeverReadmitted(t *testing.T) {
+// TestReallocatedPageFaultsItsOwnImage: a page freed while its node waits on
+// the recycling lists faults in its new image once the id is reallocated.
+// Merges free only pages they hold, so the case is a dropped tree larger than
+// the cache: its walk evicts its own pages onto the lists, then frees them.
+// The ids go to another tree's new pages, which are checkpointed and faulted
+// back.
+func TestReallocatedPageFaultsItsOwnImage(t *testing.T) {
 	opts := memOpts()
 	opts.CachePages = 8
 	opts.CacheShards = 1
@@ -755,17 +655,8 @@ func TestFreedPageIsNeverReadmitted(t *testing.T) {
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Each reused page, faulted in unless resident, is its stored image. Those
-	// with a node on the lists go first, before other faults reuse that node.
-	var listedFirst []uint32
-	db.evmu.Lock()
+	// Each reused page, faulted in unless resident, is its stored image.
 	for _, id := range reused {
-		if _, ok := db.kept[id]; ok {
-			listedFirst = append(listedFirst, id)
-		}
-	}
-	db.evmu.Unlock()
-	for _, id := range append(listedFirst, reused...) {
 		db.mu.RLock()
 		n, err := db.node(id)
 		if err != nil {
@@ -823,12 +714,11 @@ func leafValue(t *testing.T, db *DB, tr *Tree, k uint64) (v, buf []byte) {
 }
 
 // TestSameSizeUpdateInPlace: a transaction that updates a value with one of
-// its length writes the new bytes over the old ones, wherever the leaf keeps
-// them — in the buffer of a leaf just faulted from the store, or in a node a
-// fault re-admitted from the recycling lists. After each, the dirty-page table
-// and the oracle hold, and a value read before the update, through Get, a View
-// or a transaction, keeps its old bytes. A checkpoint and a reopen then give
-// the same state back.
+// its length writes the new bytes over the old ones, in the buffer of the leaf
+// just faulted from the store. After it, the dirty-page table and the oracle
+// hold, and a value read before the update, through Get, a View or a
+// transaction, keeps its old bytes. A checkpoint and a reopen then give the
+// same state back.
 func TestSameSizeUpdateInPlace(t *testing.T) {
 	opts := memOpts()
 	opts.Store.Dir = t.TempDir()
@@ -909,46 +799,6 @@ func TestSameSizeUpdateInPlace(t *testing.T) {
 	update([]uint64{k}, 2)
 	if after, _ := leafValue(t, db, tr, k); &after[0] != &before[0] || !bytes.Equal(after, val(k, 2)) {
 		t.Fatalf("the update of key %d is not in its leaf's buffer", k)
-	}
-
-	// Nodes on the recycling lists: scanning the tree evicts every leaf, an
-	// exclusive acquisition frees them, and a short scan retires a few more;
-	// the reads before the update re-admit those, and it writes into them.
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	scan := func(to uint64) {
-		t.Helper()
-		if err := tr.Scan(0, to, func(uint64, []byte) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scan(800)
-	db.lock()
-	db.mu.Unlock()
-	scan(60)
-	var keys []uint64
-	held := make(map[uint64][]byte)
-	for _, n := range retiredNodes(db) {
-		if n.Leaf {
-			k, v := n.Entry(0)
-			keys = append(keys, k)
-			held[k] = v
-		}
-	}
-	if len(keys) < 3 {
-		t.Fatalf("the scan retired %d leaves, want ≥ 3", len(keys))
-	}
-	readmitted := db.Obs().Counter("pagedb.node.readmitted")
-	r0 := readmitted.Value()
-	update(keys, 3)
-	if r := readmitted.Value() - r0; r < uint64(len(keys)) {
-		t.Fatalf("pagedb.node.readmitted rose by %d for %d leaves", r, len(keys))
-	}
-	for _, k := range keys {
-		if v, _ := leafValue(t, db, tr, k); &v[0] != &held[k][0] {
-			t.Fatalf("key %d's update is not where its re-admitted leaf held the value", k)
-		}
 	}
 
 	tr = reopen()

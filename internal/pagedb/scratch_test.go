@@ -265,9 +265,9 @@ func TestCommitAllocBudget(t *testing.T) {
 	// The recycled scratch lives in a sync.Pool, whose per-P private slot no
 	// other P draws from. On two Ps a measured round can draw a scratch the
 	// warm-up never grew — after the goroutine moves to the other P, or a GC
-	// shifts the pool into its victim cache — and its regrowth, about 6 KB,
-	// is 13 B per measured transaction. On one P (as in AllocsPerRun) every
-	// draw takes the scratch the warm-up grew.
+	// shifts the sync.Pool's contents into the runtime's victim cache — and
+	// its regrowth, about 6 KB, is 13 B per measured transaction. On one P (as
+	// in AllocsPerRun) every draw takes the scratch the warm-up grew.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	v := make([]byte, 100)
 	odd := false

@@ -11,7 +11,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -715,7 +717,10 @@ func TestFailedRunWriteInApply(t *testing.T) {
 // windows long, and whenever the background cleaner is in a cycle a third
 // party runs CleanOnce; no read is ever torn, misdirected or older than a
 // version its writer had already seen acknowledged, and every page ends at
-// its oracle version. Run under -race this is the locking proof.
+// its oracle version. The writers go on past their quota, up to a deadline,
+// until both the background cleaner and CleanOnce have run a cycle: on one
+// CPU the quota can be over before CleanOnce has seen a cycle under way. Run
+// under -race this is the locking proof.
 func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 	const pageSize, writers, perWriter, opsPerWriter = 1024, 3, 600, 1500
 	s, err := Open(Options{PageSize: pageSize, SegmentPages: 192, MaxSegments: 24, CleanBatch: 4, FreeLowWater: 8, BackgroundClean: true})
@@ -740,13 +745,19 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 	}
 	var wwg, bg sync.WaitGroup
 	done := make(chan struct{})
+	var fgCycles atomic.Int64
+	bothCleaned := func() bool {
+		_, cl := s.log.CleanerStats()
+		return fgCycles.Load() > 0 && cl.Cycles > 0
+	}
+	deadline := time.Now().Add(time.Minute)
 	for w := 0; w < writers; w++ {
 		wwg.Add(1)
 		go func() {
 			defer wwg.Done()
 			r := rand.New(rand.NewPCG(uint64(w), 3))
 			buf := make([]byte, pageSize)
-			for i := 0; i < opsPerWriter; i++ {
+			for i := 0; i < opsPerWriter || !bothCleaned() && time.Now().Before(deadline); i++ {
 				id := uint32(w*perWriter + r.IntN(perWriter/(1+3*r.IntN(2)))) // half the writes to a hot quarter
 				a := &acked[id]
 				stamp(buf, id, a.v+1)
@@ -789,7 +800,7 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 			}
 		}()
 	}
-	cycles, next := 0, uint64(0)
+	next := uint64(0)
 	bg.Add(1)
 	go func() {
 		defer bg.Done()
@@ -810,14 +821,14 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 				t.Errorf("CleanOnce: %v", err)
 				return
 			} else if n > 0 {
-				cycles++
+				fgCycles.Add(1)
 			}
 		}
 	}()
 	wwg.Wait()
 	close(done)
 	bg.Wait()
-	if st := s.Stats(); cycles == 0 || st.Cleaner.Cycles == 0 {
+	if st, cycles := s.Stats(), fgCycles.Load(); cycles == 0 || st.Cleaner.Cycles == 0 {
 		t.Errorf("foreground CleanOnce ran %d cycles, the background cleaner %d; both should have", cycles, st.Cleaner.Cycles)
 	}
 	for id := range acked {
