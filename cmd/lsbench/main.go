@@ -1,7 +1,7 @@
 // Command lsbench regenerates the paper's evaluation: every table and
 // figure, as markdown (the source of README.md's "Paper vs measured"
-// tables) or CSV. Two live-engine runs, routing and tpcc, set the engine's
-// write amplification beside the simulator's; -serve is their live view
+// tables) or CSV. A live-engine run, tpcc, sets the engine's write
+// amplification beside the simulator's; -serve is their live view
 // (metrics, trace, pprof over HTTP). Engine performance is measured by the
 // bench/ module, not here.
 //
@@ -10,7 +10,6 @@
 //	lsbench -exp all -scale medium          # everything, ~minutes
 //	lsbench -exp fig5 -scale small -v       # one experiment with progress
 //	lsbench -exp table1 -format csv
-//	lsbench -exp routing -scale medium      # routed vs single-stream placement on the live engines
 //	lsbench -exp tpcc -scale medium         # TPC-C end-to-end on the durable B+-tree engine
 //	lsbench -exp tpcc -fill 0.8             # the same at a target sealed-region fill of 0.8
 //	lsbench -exp tpcc -serve localhost:6060 # TPC-C, scrapeable over HTTP while it runs
@@ -33,10 +32,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lsbench: ")
 
-	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, routing, tpcc")
+	exp := flag.String("exp", "all", "experiment: all, table1, table2, fig3, fig4, fig5, fig6, tpcc")
 	scaleName := flag.String("scale", "medium", "geometry preset: small, medium, paper")
 	format := flag.String("format", "md", "output format: md, csv")
-	fill := flag.Float64("fill", 0, "tpcc only: target sealed-region fill factor (0 = default 0.6; routed placement is predicted to pay at 0.8+)")
+	fill := flag.Float64("fill", 0, "tpcc only: target sealed-region fill factor (0 = default 0.6)")
 	serve := flag.String("serve", "", "serve live introspection over HTTP on this address (e.g. localhost:6060) while the experiments run: /metrics.json, /metrics/delta, /trace, /debug/pprof/")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	flag.Parse()
@@ -87,10 +86,6 @@ func main() {
 			experiments.Fig5(scale, experiments.Fig5Zipf135, progress))
 	case "fig6":
 		tables = append(tables, experiments.Fig6(scale, nil, progress))
-	case "routing":
-		// Beyond the paper: routed multi-stream placement vs single-stream
-		// MDC on the live engines (the §5.3 separation as placement).
-		tables = append(tables, experiments.StreamRouting(scale, progress))
 	case "tpcc":
 		// Beyond the paper: TPC-C replayed end-to-end against the durable
 		// B+-tree engine (pagedb) on the page store — the paper's B-tree

@@ -132,15 +132,6 @@ type Options struct {
 	EmergencyFloor int
 	// Batch is the number of victims per cleaning cycle.
 	Batch int
-	// Streams is the routed engine's append-stream count; 0 means the
-	// classic fixed user+GC pair (no pad). Routed engines can have one
-	// partially-filled open segment per stream, so the low watermark is
-	// padded by the full stream count — at least the engines' own kick
-	// threshold (which grows with the streams actually observed, up to N),
-	// so a writer's kick always finds the cleaner willing to run. The
-	// defaulting lives here so every engine gets the same reserve
-	// arithmetic.
-	Streams int
 	// TotalSegments is the engine's physical segment count; it bounds the
 	// cycles one reclamation attempt may run (convergence guard).
 	TotalSegments int
@@ -161,9 +152,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.LowWater <= 0 || o.Batch <= 0 || o.TotalSegments <= 0 {
 		return o, fmt.Errorf("cleaner: LowWater (%d), Batch (%d) and TotalSegments (%d) must be positive",
 			o.LowWater, o.Batch, o.TotalSegments)
-	}
-	if o.Streams > 0 {
-		o.LowWater += o.Streams
 	}
 	if o.HighWater == 0 {
 		o.HighWater = o.LowWater + o.Batch

@@ -118,31 +118,26 @@ type Policy interface {
 
 // Router assigns page writes to append streams. Policies that separate data
 // into multiple logs (multi-log, the temperature-routed MDC variant)
-// implement it; for the others the engine uses its default two streams
+// implement it; for the others the simulator uses its default two streams
 // (user and GC). With a router, user AND relocation writes share one stream
-// space: the engine routes every append through Route, so hot and cold GC
-// output lands in different segments (§5.3) instead of one monolithic GC
-// stream.
+// space: every append is routed through Route, so hot and cold GC output
+// lands in different segments (§5.3) instead of one monolithic GC stream.
+// Routed placement is simulator-only: the live engines refuse an algorithm
+// with a router.
 type Router interface {
 	// Route returns the stream for a page write. estInterval is the
 	// observed update interval now-lastWrite (0 when the page has no
 	// history); exactRate is the oracle update rate or a negative value
 	// when unknown. Implementations choose which signal to use.
 	//
-	// Route must be a pure function of its arguments: seglog asks it again
-	// for the same writes when it replans a batch after foreground cleaning
-	// and when admission retries a write, so a router that learned from its
-	// calls would count those writes twice.
+	// Route must be a pure function of its arguments, so that asking it
+	// again for the same write gives the same answer.
 	Route(estInterval uint64, exactRate float64) int32
 	// Streams returns the size of the stream space: Route only returns ids
-	// in [0, Streams). Engines size their open-segment tables (and their
-	// free-pool reserves) from it; it must not exceed MaxRouterStreams.
+	// in [0, Streams). The simulator sizes its open-segment table from it;
+	// it must not exceed 64, the width of a StreamSet.
 	Streams() int32
 }
-
-// MaxRouterStreams bounds Router.Streams so engines can track observed
-// streams in a 64-bit mask and size reserves sanely.
-const MaxRouterStreams = 64
 
 // Algorithm bundles a Policy with the write-path behavior the paper's
 // evaluation attaches to it (§6.1.3): whether user and GC writes are

@@ -123,18 +123,6 @@ func TestNextUp2(t *testing.T) {
 	}
 }
 
-func TestEstimatedInterval(t *testing.T) {
-	if got := EstimatedInterval(40, 100); got != 60 {
-		t.Errorf("EstimatedInterval(40,100) = %v, want 60", got)
-	}
-	if got := EstimatedInterval(99.5, 100); got != 1 {
-		t.Errorf("clamped interval = %v, want 1", got)
-	}
-	if got := EstimatedInterval(200, 100); got != 1 {
-		t.Errorf("future up2 interval = %v, want 1", got)
-	}
-}
-
 // view builds a View over sealed segments with the given emptiness values at
 // capacity 100 and seal sequence equal to the index.
 func view(now uint64, frees ...int64) View {

@@ -17,10 +17,8 @@ import "fmt"
 //     checkpoints are fsynced, and a segment of relocated copies is fsynced
 //     once, by the cleaning cycle that seals it; until then the victims of
 //     those copies are released but not reset. A crash can lose at most the
-//     records in not-yet-sealed open segments, except under routed
-//     placement, where a batch sealed long ago can still be dropped once
-//     cleaning has recycled one of its members (a known gap). This is the
-//     historical Sync=true behavior.
+//     records in not-yet-sealed open segments. This is the historical
+//     Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,
@@ -60,8 +58,8 @@ func (d Durability) String() string {
 func (d Durability) Valid() bool { return d >= DurNone && d <= DurCommit }
 
 // StreamStats is the occupancy snapshot of one append stream, reported by
-// the live engines through Stats().Streams: where routed placement actually
-// put the live data, and how full each stream's open segment is.
+// the live engines through Stats().Streams (user = 0, GC = 1): where the live
+// data is, and how full each stream's open segment is.
 type StreamStats struct {
 	// Live is the number of live records (pages or KV records) currently
 	// located in segments assigned to this stream.
@@ -76,18 +74,4 @@ type StreamStats struct {
 	// OpenFill is the fill fraction of the stream's open segment, 0 when
 	// the stream has none.
 	OpenFill float64
-	// Written reports whether the stream has ever been appended to.
-	Written bool
-}
-
-// WrittenStreams counts the streams that have ever been appended to — the
-// scalar the Stats().Streams field used to report.
-func WrittenStreams(ss []StreamStats) int {
-	n := 0
-	for i := range ss {
-		if ss[i].Written {
-			n++
-		}
-	}
-	return n
 }

@@ -12,9 +12,8 @@ package core
 // This is the §5.3 frequency separation realized as routed placement instead
 // of sort-buffer packing: user and GC output land in per-temperature open
 // segments, where the simulator sorts them before packing (SortUser/SortGC).
-// The live engine has buffers a sort could apply to — a pagedb checkpoint is
-// one batch of hundreds of pages — but the store packs user writes in the
-// order it is given them.
+// Like every router it runs in the simulator only: the live engines refuse
+// routed algorithms.
 type TempRouter struct {
 	// Bands is the number of temperature streams (>= 2).
 	Bands int32
@@ -46,10 +45,10 @@ func (r TempRouter) Route(estInterval uint64, exactRate float64) int32 {
 	return band
 }
 
-// StreamSet tracks which append streams an engine has written to, as a
-// monotone bitmask (stream ids are bounded by MaxRouterStreams). Engines
-// size their free-pool reserves from Count, so monotonicity matters: the
-// reserve never flaps.
+// StreamSet tracks which append streams the simulator has written to, as a
+// monotone bitmask (stream ids are below 64). The simulator sizes its
+// free-pool reserve from Count, so monotonicity matters: the reserve never
+// flaps.
 type StreamSet struct {
 	mask  uint64
 	count int
@@ -65,22 +64,6 @@ func (s *StreamSet) Note(stream int32) {
 
 // Count returns the number of distinct streams noted so far.
 func (s *StreamSet) Count() int { return s.count }
-
-// Has reports whether stream has been noted.
-func (s *StreamSet) Has(stream int32) bool {
-	return stream >= 0 && stream < 64 && s.mask&(uint64(1)<<uint(stream)) != 0
-}
-
-// ClampStream bounds a router's answer to the stream space [0, n).
-func ClampStream(stream, n int32) int32 {
-	if stream < 0 {
-		return 0
-	}
-	if stream >= n {
-		return n - 1
-	}
-	return stream
-}
 
 // DefaultTempBands is the stream count of MDCRouted: enough bands to keep
 // hot churn out of cold segments without demanding a large open-segment

@@ -99,7 +99,7 @@ func TestMDCRoutedRegistered(t *testing.T) {
 	if a.Router == nil {
 		t.Fatal("MDC-routed has no router")
 	}
-	if a.Router.Streams() < 2 || a.Router.Streams() > MaxRouterStreams {
+	if a.Router.Streams() < 2 || a.Router.Streams() > 64 {
 		t.Errorf("MDC-routed stream count %d outside sane range", a.Router.Streams())
 	}
 	if a.Policy.Name() != "MDC" {

@@ -18,16 +18,6 @@ func NextUp2(segUp2 float64, now uint64) float64 {
 	return segUp2 + 0.5*(float64(now)-segUp2)
 }
 
-// EstimatedInterval returns the update-interval estimate unow-up2 used by
-// the Upf = 2/(unow-up2) estimator of §4.3, clamped to at least one tick.
-func EstimatedInterval(up2 float64, now uint64) float64 {
-	iv := float64(now) - up2
-	if iv < 1 {
-		return 1
-	}
-	return iv
-}
-
 // SmoothInterval folds a newly observed update interval into a running
 // midpoint estimate: a single exponential interval sample has coefficient of
 // variation 1, far too noisy to band pages by, so routers feed on the

@@ -4,10 +4,9 @@
 // Figure 5a/b/c (algorithm comparison across fill factors) and Figure 6
 // (TPC-C trace replay). The cmd/lsbench tool and the repository's root
 // benchmarks both drive this package, so the numbers in README.md ("Paper vs
-// measured") are reproducible from either entry point. Two live-engine runs
-// compare the engine with the simulator: StreamRouting (routed placement on
-// the page store and value log) and TPCCDurableAt (TPC-C on pagedb). They
-// report write amplification and cleaning, not speed; engine performance is
+// measured") are reproducible from either entry point. One live-engine run,
+// TPCCDurableAt (TPC-C on pagedb), compares the engine with the simulator. It
+// reports write amplification and cleaning, not speed; engine performance is
 // measured by the bench/ module alone.
 package experiments
 

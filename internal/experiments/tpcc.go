@@ -17,17 +17,12 @@ import (
 // into the simulator (Figure 6). This is the paper's actual setting: a
 // B-tree page store whose page writes land in a log structured store that
 // reclaims superseded versions while the workload runs (§1, §6.3). The
-// table compares single-stream MDC against routed placement (static
-// temperature bands, MDC-routed) on the same seeded run and reports the
-// cleaner's side of the story: write amplification, emptiness at cleaning,
-// cleaning activity, and the streams the router actually used.
+// table reports the cleaner's side of the story under MDC: write
+// amplification, emptiness at cleaning and cleaning activity.
 //
 // This is a systems extension beyond the paper's figures; run it with
 // `lsbench -exp tpcc`. fill is the sealed-region fill the store geometry
-// targets (lsbench's default 0.6; `-fill 0.8` sweeps it) — ROADMAP predicts
-// routed placement only starts paying at fill 0.8+, where segments hold less
-// slack and frequency separation decides how much live data every clean
-// drags along.
+// targets (lsbench's default 0.6; `-fill 0.8` sweeps it).
 func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 	if fill <= 0.1 || fill > 0.95 {
 		panic(fmt.Sprintf("experiments: tpcc-durable fill %.2f outside (0.1, 0.95]", fill))
@@ -39,12 +34,10 @@ func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 			"(%d warehouses, %d transactions, background cleaning, DurCommit batches every %d tx, target fill %.2f)",
 			cfg.Warehouses, txs, cfg.CheckpointEveryTx, fill),
 		Header: []string{"algorithm", "user pages", "GC pages", "write amp",
-			"mean E at clean", "segs cleaned", "cleaner cycles", "streams", "fill", "cache hit"},
+			"mean E at clean", "segs cleaned", "cleaner cycles", "fill", "cache hit"},
 	}
-	for _, alg := range []core.Algorithm{core.MDC(), core.MDCRouted()} {
-		progress(log, "tpcc-durable: %s, %d tx, fill %.2f", alg.Name, txs, fill)
-		t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, alg))
-	}
+	progress(log, "tpcc-durable: %d tx, fill %.2f", txs, fill)
+	t.Rows = append(t.Rows, tpccDurableRun(cfg, txs, fill, core.MDC()))
 	return t
 }
 
@@ -109,13 +102,6 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 	// reserve space fails with ErrFull instead of waiting — so make
 	// admission hold commits until the cleaner has restored batch-sized slack.
 	emergency := batchSegs + 2
-	streams := 2
-	if alg.Router != nil {
-		streams = int(alg.Router.Streams())
-	}
-	if min := lowWater + 2*streams + 2; maxSegs < min {
-		maxSegs = min
-	}
 	cache := estPages / 8
 	if cache < 128 {
 		cache = 128
@@ -167,7 +153,6 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 		f3(ss.MeanEAtClean),
 		fmt.Sprintf("%d", ss.SegmentsCleaned),
 		fmt.Sprintf("%d", ss.Cleaner.Cycles),
-		fmt.Sprintf("%d", core.WrittenStreams(ss.Streams)),
 		f2(ss.FillFactor),
 		f2(st.Pool.HitRatio()),
 	}

@@ -20,7 +20,7 @@
 //	                    encoded ONCE, by the store, into the run buffer
 //	                    of one atomic store.Batch (pages + frees + meta)
 //	                      └── internal/store: log-structured placement,
-//	                          routed streams, background cleaning, recovery
+//	                          user and GC streams, background cleaning, recovery
 //	Txn.Commit -> internal/wal (redo log, group fsync) -> tree apply
 //
 // Every tree node occupies exactly one store page (btree page images).
@@ -166,7 +166,7 @@ const metaOverflowBase = 0xFFFF0000
 // Options configures Open.
 type Options struct {
 	// Store configures the backing log-structured page store: directory,
-	// geometry, cleaning algorithm (routed placement included), background
+	// geometry, cleaning algorithm (routed ones are refused), background
 	// cleaning, and the durability policy. Commit atomicity across a crash
 	// needs core.DurCommit.
 	Store store.Options

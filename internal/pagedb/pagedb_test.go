@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"testing"
 	"weak"
 
@@ -568,6 +569,21 @@ func TestOpenRejectsForeignStore(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesRoutedPlacement: the store under a database refuses each
+// routed algorithm, with an error that names it.
+func TestOpenRefusesRoutedPlacement(t *testing.T) {
+	for _, alg := range []core.Algorithm{core.MDCRouted(), core.MultiLog()} {
+		opts := memOpts()
+		opts.Store.Algorithm = alg
+		if db, err := Open(opts); err == nil {
+			db.Close()
+			t.Errorf("Open accepted routed algorithm %s", alg.Name)
+		} else if !strings.Contains(err.Error(), alg.Name) || !strings.Contains(err.Error(), "simulator-only") {
+			t.Errorf("Open(%s) refused with %q, which does not name it", alg.Name, err)
+		}
+	}
+}
+
 func TestValueTooLarge(t *testing.T) {
 	db, err := Open(memOpts())
 	if err != nil {
@@ -597,7 +613,6 @@ func TestValueTooLarge(t *testing.T) {
 func TestConcurrentOperations(t *testing.T) {
 	opts := memOpts()
 	opts.Store.MaxSegments = 1024
-	opts.Store.Algorithm = core.MDCRouted()
 	opts.Store.BackgroundClean = true
 	db, err := Open(opts)
 	if err != nil {

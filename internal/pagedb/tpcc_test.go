@@ -94,7 +94,7 @@ func TestTPCCPagedbMatchesMemoryEngine(t *testing.T) {
 }
 
 // TestTPCCConcurrentOnPagedb drives concurrent TPC-C transactions through
-// one pagedb database (routed placement, background cleaning) — the -race
+// one pagedb database (background cleaning) — the -race
 // acceptance suite for the durable engine.
 func TestTPCCConcurrentOnPagedb(t *testing.T) {
 	db, err := Open(Options{
@@ -102,7 +102,6 @@ func TestTPCCConcurrentOnPagedb(t *testing.T) {
 			PageSize:        4096,
 			SegmentPages:    64,
 			MaxSegments:     256,
-			Algorithm:       core.MDCRouted(),
 			BackgroundClean: true,
 		},
 		CachePages: 128,

@@ -2,33 +2,8 @@ package seglog
 
 import (
 	"errors"
-	"fmt"
 	"slices"
-
-	"repro/internal/core"
 )
-
-// Tick is a key's update history: the update-clock tick of its last user
-// write and the smoothed interval between successive writes
-// (core.SmoothInterval).
-type Tick struct {
-	last uint64
-	est  uint32
-}
-
-// Clock is the routing clock: each live page's Tick, the router's signal. It
-// exists only when a router needs it (nil otherwise).
-type Clock map[uint32]Tick
-
-// route folds the interval observed at tick now into prev and routes by the
-// result (a router is configured).
-func (l *Log[R]) route(prev Tick, now uint64) (int32, Tick) {
-	if prev.last != 0 {
-		prev.est = core.SmoothInterval(prev.est, now-prev.last)
-	}
-	prev.last = now
-	return core.ClampStream(l.cfg.Algorithm.Router.Route(uint64(prev.est), -1), l.streams), prev
-}
 
 // Batch collects writes and deletions for one atomic apply. The engine wraps
 // it in its own builder type. A write's payload is either copied into the
@@ -39,10 +14,6 @@ func (l *Log[R]) route(prev Tick, now uint64) (int32, Tick) {
 // reused (Reset) once applied.
 type Batch struct {
 	Ops []Op
-	// Plan is each operation's placement, filled in by Reserve: the stream
-	// it routes to and the routing tick to install, both computed against a
-	// virtual copy of the log state, so planning mutates nothing.
-	Plan []Placement
 	// Fill writes the payload of reserved write Ops[i] into dst (exactly the
 	// reserved length). The engine calls it once per reserved write, in batch
 	// order, with its lock held, and only once nothing can fail the batch any
@@ -60,12 +31,6 @@ type Op struct {
 	Size int64
 
 	off, n int // payload range in buf (writes only); off < 0: reserved, Fill has it
-}
-
-// Placement is where one batch operation goes.
-type Placement struct {
-	Stream int32
-	Tick   Tick
 }
 
 // Put adds a write of data (copied) under key.
@@ -114,76 +79,45 @@ func (b *Batch) CopyData(i int, dst []byte) {
 // reach the mark it may draw on the cleaning reserve (foreground only): that
 // is how a full log is drained.
 func (l *Log[R]) Reserve(b *Batch) error {
-	for guard := 0; ; guard++ {
-		newSegs := l.plan(b)
-		if l.cl != nil {
-			// Segment opens pass need=2 (the last free segment is the
-			// cleaner's), so the pool must cover newSegs plus that one.
-			if len(l.free) >= newSegs+1 {
-				return nil
-			}
-			return l.cfg.ErrFull
-		}
-		target := func() int { return l.LowWater() + newSegs - 1 }
-		if newSegs == 0 || len(l.free) >= target() {
+	newSegs := l.plan(b)
+	if l.cl != nil {
+		// Segment opens pass need=2 (the last free segment is the
+		// cleaner's), so the pool must cover newSegs plus that one.
+		if len(l.free) >= newSegs+1 {
 			return nil
 		}
-		if guard > 2*l.cfg.MaxSegments {
-			return fmt.Errorf("%s: batch reservation cannot converge: %w", l.cfg.Name, l.cfg.ErrFull)
-		}
-		if err := l.cleanUntil(target); err != nil {
-			deletesOnly := !slices.ContainsFunc(b.Ops, func(op Op) bool { return !op.Del })
-			if deletesOnly && errors.Is(err, l.cfg.ErrFull) && len(l.free) >= l.plan(b)+l.userNeed()-1 {
-				return nil
-			}
-			return err
-		}
-		// Cleaning relocated records into the open segments, so the
-		// routing/space plan is stale: replan against the new state.
+		return l.cfg.ErrFull
 	}
+	// Cleaning appends to the GC stream only, so it leaves the plan valid.
+	target := l.cfg.FreeLowWater + newSegs - 1
+	if newSegs == 0 || len(l.free) >= target {
+		return nil
+	}
+	if err := l.cleanUntil(target); err != nil {
+		deletesOnly := !slices.ContainsFunc(b.Ops, func(op Op) bool { return !op.Del })
+		if deletesOnly && errors.Is(err, l.cfg.ErrFull) && len(l.free) >= newSegs+l.userNeed()-1 {
+			return nil
+		}
+		return err
+	}
+	return nil
 }
 
-// plan computes, without mutating any log state, where each record will go
-// and how many fresh segments the whole batch consumes. The virtual clock
-// and per-stream room replay exactly what the apply loop will do, so the
-// reservation is exact.
+// plan counts, without mutating any log state, the fresh segments the
+// batch's appends to the user stream consume, replaying exactly what the
+// apply loop will do, so the reservation is exact.
 func (l *Log[R]) plan(b *Batch) (newSegs int) {
-	var vticks Clock
-	if l.clock != nil {
-		vticks = make(Clock)
+	rem := int64(-1) // room left in the open user segment; -1: none is open
+	if seg := l.open[UserStream].seg; seg >= 0 {
+		rem = l.cfg.SegmentBytes - l.fill[seg]
 	}
-	// Remaining bytes in each stream's open segment; -1 when none is open
-	// (every record size exceeds it, forcing a fresh segment).
-	rem := make([]int64, l.streams)
-	for st := range rem {
-		rem[st] = -1
-		if seg := l.open[st].seg; seg >= 0 {
-			rem[st] = l.cfg.SegmentBytes - l.fill[seg]
-		}
-	}
-	b.Plan = append(b.Plan[:0], make([]Placement, len(b.Ops))...)
-	vunow := l.Unow
 	for i := range b.Ops {
-		op, pl := &b.Ops[i], &b.Plan[i]
-		vunow++
-		if vticks != nil {
-			prev, ok := vticks[op.Key]
-			if !ok {
-				prev = l.clock[op.Key]
-			}
-			pl.Stream, pl.Tick = l.route(prev, vunow)
-			vticks[op.Key] = pl.Tick
-		}
-		if rem[pl.Stream] < op.Size {
+		size := b.Ops[i].Size
+		if rem < size {
 			newSegs++
-			rem[pl.Stream] = l.cfg.SegmentBytes
+			rem = l.cfg.SegmentBytes
 		}
-		rem[pl.Stream] -= op.Size
-		if op.Del && vticks != nil {
-			// The apply loop drops the clock at a delete, so a same-batch
-			// rewrite routes as history-free — mirror that.
-			vticks[op.Key] = Tick{}
-		}
+		rem -= size
 	}
 	return newSegs
 }

@@ -27,13 +27,12 @@ import (
 // every live record has at least one intact durable copy.
 
 // cleanUntil runs foreground cleaning cycles until the free pool reaches
-// target() — re-evaluated per cycle, since the routed reserve can grow as
-// GC output touches new streams. Batch reservation passes a higher target
-// than the low-water mark. Caller holds the write lock.
-func (l *Log[R]) cleanUntil(target func() int) error {
+// target segments. Batch reservation passes a higher target than the
+// low-water mark. Caller holds the write lock.
+func (l *Log[R]) cleanUntil(target int) error {
 	guard := 0
 	dry := 0
-	for len(l.free) < target() {
+	for len(l.free) < target {
 		n, net, err := l.CleanCycle()
 		if err != nil {
 			return err
@@ -51,7 +50,7 @@ func (l *Log[R]) cleanUntil(target func() int) error {
 			dry = 0
 		}
 		if guard++; guard > 4*l.cfg.MaxSegments {
-			return fmt.Errorf("%s: cleaning cannot reach %d free segments: %w", l.cfg.Name, target(), l.cfg.ErrFull)
+			return fmt.Errorf("%s: cleaning cannot reach %d free segments: %w", l.cfg.Name, target, l.cfg.ErrFull)
 		}
 	}
 	return nil
@@ -103,7 +102,7 @@ func (l *Log[R]) relocate(cands []Cand[R], chunk int, win *[]byte, locked bool) 
 // dst's memory, the table the caller keeps between its cycles. Caller holds
 // the write lock.
 func (l *Log[R]) selectVictims(max int, dst []Cand[R]) ([]int32, []Cand[R], error) {
-	view := core.View{Now: l.Unow, Segs: l.Meta, TriggerStream: l.trigger}
+	view := core.View{Now: l.Unow, Segs: l.Meta}
 	victims := l.cfg.Algorithm.Policy.Victims(view, max, nil)
 	live := 0 // Meta.Live counts what the index points at: the candidates to come
 	for _, v := range victims {
@@ -293,7 +292,7 @@ func (l *Log[R]) Check(liveCount []int32, liveBytes []int64) error {
 			return fmt.Errorf("%s: %s segment %d accounts %d live records in %d bytes, index says %d in %d",
 				l.cfg.Name, m.State, i, m.Live, m.Capacity-m.Free, liveCount[i], liveBytes[i])
 		}
-		free, open := 0, l.open[core.ClampStream(m.Stream, l.streams)].seg == int32(i)
+		free, open := 0, l.open[m.Stream].seg == int32(i)
 		if m.State == core.SegFree {
 			free = 1
 		}

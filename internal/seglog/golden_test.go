@@ -22,12 +22,12 @@ import (
 // goldenRows (which says what commit each row was recorded at, and why).
 // Foreground cleaning is single-threaded and seeded, so every number is a
 // pure function of the code: any change to victim choice, GC ordering,
-// stream routing, seal order, reservation or (durable rows) sync points
+// seal order, reservation or (durable rows) sync points
 // shows up here as a diff rather than as "within noise".
 //
 // GOLDEN_PRINT=1 prints the rows instead of comparing them.
 func TestGoldenDeterminism(t *testing.T) {
-	algs := []core.Algorithm{core.MDC(), core.MDCRouted(), core.MultiLog(), core.Greedy(), core.CostBenefit()}
+	algs := []core.Algorithm{core.MDC(), core.Greedy(), core.CostBenefit()}
 	var rows []string
 	for _, alg := range algs {
 		rows = append(rows, "store/"+alg.Name+" "+runGolden(t, 24000, func() goldenEngine {
@@ -49,7 +49,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	for _, d := range []struct {
 		alg core.Algorithm
 		dur core.Durability
-	}{{core.MDC(), core.DurSeal}, {core.MDCRouted(), core.DurCommit}, {core.MDC(), core.DurCommit}} {
+	}{{core.MDC(), core.DurSeal}, {core.MDC(), core.DurCommit}} {
 		dir := t.TempDir()
 		open := func() goldenEngine {
 			return openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
@@ -107,17 +107,18 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // goldenRows was captured with GOLDEN_PRINT=1: the two nodelete rows from
 // commit 6674dae (the parent of variable-size page records), unchanged since.
-// The five vlog rows were re-recorded when vlog became a key index over a
+// The vlog rows were re-recorded when vlog became a key index over a
 // memory-backed page store (they had stood since commit d54c8da): every
 // record now carries the store's 24-byte framing in place of a 6-byte header
 // and the key, a delete writes a 24-byte tombstone where it used to append
 // nothing, and records go where the store places them — so byte counts, GC
 // writes and victim choice all move; MDC keeps the lowest byte write-amp of
-// the five (gcBytes/userBytes 0.211, was 0.188). The seven store rows with
+// the five algorithms then pinned (gcBytes/userBytes 0.211, was 0.188). The seven store rows with
 // deletes were re-recorded once, when page records became variable-size: a
 // tombstone shrank from a full slot to a bare 24-byte header, and a rewrite
 // of a deleted page now credits the dropped tombstone's segment (it used to
 // go on counting it live), so segments empty sooner and victim choice moves.
+// (Those counts include the routed rows, since dropped: see below.)
 // The fsync counts of the two DurSeal rows — firstHalfFsyncs / fsyncs of
 // store/MDC/seal (737 / 855 → 680 / 743) and fsyncs of store/MDC/seal/nodelete
 // (896 → 770), no other field of any row — were re-recorded when a segment a
@@ -126,21 +127,17 @@ func TestGoldenDeterminism(t *testing.T) {
 // and again (680 / 743 → 672 / 726, and 770 → 743) when a cycle stopped
 // fsyncing its open GC tail, leaving it to the cycle that seals it, so a GC
 // segment is fsynced once (victims with copies in the tail stay backing).
-// store/MDC/commit, the unrouted durable DurCommit row, was recorded at commit
-// 528db52 beside the routed one, to stand in for it once routing leaves the
-// live engine.
+// store/MDC/commit, the durable DurCommit row, was recorded at commit 528db52
+// beside store/MDC-routed/commit, which it replaced when routed placement left
+// the live engine; the MDC-routed and multi-log rows of both engines went with
+// it, and no other row moved.
 const goldenRows = `store/MDC errFull=0 user=50622 gc=12391 unow=58939 cleaned=4032 meanE=0.8220190183080703 free=17 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:38/232 1:73/767
-store/MDC-routed errFull=0 user=50622 gc=16152 unow=58939 cleaned=4240 meanE=0.7783983704974156 free=15 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:7/30 1:101/928 2:2/22 3:3/19
-store/multi-log errFull=0 user=50622 gc=28490 unow=58939 cleaned=4995 meanE=0.6695536445536259 free=29 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:2/24 5:3/22 6:4/34 7:9/90 8:17/182 9:21/238 10:13/144 11:8/88 12:8/90 13:5/43 14:2/21 15:1/1 27:2/20
 store/greedy errFull=0 user=50622 gc=15995 unow=58939 cleaned=4240 meanE=0.7822456582332629 free=16 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:25/193 1:87/806
 store/cost-benefit errFull=0 user=50622 gc=16278 unow=58939 cleaned=4264 meanE=0.7775109798737728 free=12 live=899 tomb=100 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:61/281 1:55/718
 vlog/MDC errFull=0 user=50622 gc=11678 userBytes=7261046 gcBytes=1529797 liveBytes=123807 cleaned=4344 meanE=0.8280453058457067 free=5 keys=899 commits=5308 streams: 0:48/231 1:75/685
-vlog/MDC-routed errFull=0 user=50622 gc=17768 userBytes=7261046 gcBytes=2304433 liveBytes=123807 cleaned=4740 meanE=0.7626136232529008 free=10 keys=899 commits=5308 streams: 0:6/26 1:105/843 2:5/33 3:2/14
-vlog/multi-log errFull=0 user=50622 gc=27793 userBytes=7261046 gcBytes=3588908 liveBytes=123807 cleaned=5409 meanE=0.6760220956969865 free=22 keys=899 commits=5308 streams: 0:1/0 1:1/1 2:1/0 3:1/1 4:1/5 5:3/23 6:4/39 7:10/85 8:16/157 9:21/212 10:16/145 11:12/102 12:8/72 13:5/34 14:3/22 15:1/2 27:2/16
 vlog/greedy errFull=0 user=50622 gc=16470 userBytes=7261046 gcBytes=2172026 liveBytes=123807 cleaned=4668 meanE=0.7728021486048628 free=5 keys=899 commits=5308 streams: 0:26/181 1:97/735
 vlog/cost-benefit errFull=0 user=50622 gc=14871 userBytes=7261046 gcBytes=2018665 liveBytes=123807 cleaned=4596 meanE=0.7855360597190492 free=7 keys=899 commits=5308 streams: 0:63/253 1:58/663
 store/MDC/seal firstHalfFsyncs=672 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=0 rounds=0 syncs=0 fsyncs=726 streams: 0:45/255 1:68/680
-store/MDC-routed/commit firstHalfFsyncs=5729 errFull=0 user=8197 gc=2005 unow=20102 cleaned=680 meanE=0.8250250668449195 free=19 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=5572 fsyncs=5798 streams: 0:7/33 1:94/844 2:3/24 3:5/34
 store/MDC/commit firstHalfFsyncs=4386 errFull=0 user=8197 gc=1860 unow=20221 cleaned=672 meanE=0.8366646374458876 free=15 live=871 tomb=69 batches=856 commits=3963 rounds=3963 syncs=4288 fsyncs=4479 streams: 0:45/255 1:68/680
 store/MDC/nodelete errFull=0 user=55866 gc=13275 unow=55866 cleaned=4208 meanE=0.8028309173003803 free=14 live=999 tomb=0 batches=5308 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:41/232 1:73/767
 store/MDC/seal/nodelete errFull=0 user=9072 gc=2027 unow=19332 cleaned=696 meanE=0.8179777298850575 free=11 live=943 tomb=0 batches=856 commits=0 rounds=0 syncs=0 fsyncs=743 streams: 0:48/260 1:69/683`

@@ -2,8 +2,8 @@
 // store (internal/store: page records in checksummed files, or in memory —
 // the value log internal/vlog is a key index over a memory-backed store). It
 // owns everything about segments that is neither bytes nor index: the
-// metadata table the cleaning policies read, the free pool, the per-stream
-// open segments, the update clock, stream routing, the low-water rule, the
+// metadata table the cleaning policies read, the free pool, the two streams'
+// open segments (user and GC), the update clock, the low-water rule, the
 // cleaning cycle in both execution modes (foreground under the engine lock;
 // background as the one cleaner.Target), batch space planning, and write
 // admission.
@@ -11,8 +11,8 @@
 // The seam is decisions and accounting in the core, bytes and index in the
 // engine. The engine plugs in through Engine, called at segment, victim and
 // relocation-candidate granularity; the per-write append path is direct
-// method calls on the concrete Log (Route → Room → Advance → Appended), the
-// engine moving its own records in between.
+// method calls on the concrete Log (Room → Tail → Appended), the engine
+// moving its own records in between.
 //
 // Two promises tie the sides together. SegCleaning freezes a victim: the
 // core never opens, reuses or re-selects it until release, so an engine may
@@ -66,6 +66,10 @@ func (c *Config) Validate() error {
 	if c.Algorithm.Policy == nil {
 		c.Algorithm = core.MDC()
 	}
+	if c.Algorithm.Router != nil {
+		return fmt.Errorf("%s: algorithm %s routes appends across streams; routed placement is simulator-only (internal/sim)",
+			c.Name, c.Algorithm.Name)
+	}
 	if !c.Durability.Valid() {
 		return fmt.Errorf("%s: invalid durability level %d", c.Name, c.Durability)
 	}
@@ -76,23 +80,6 @@ func (c *Config) Validate() error {
 	if c.Algorithm.Exact {
 		return fmt.Errorf("%s: exact-rate algorithm %s needs a workload oracle; use the estimator variant", c.Name, c.Algorithm.Name)
 	}
-	if r := c.Algorithm.Router; r != nil {
-		n := int(r.Streams())
-		if n < 2 || n > core.MaxRouterStreams {
-			return fmt.Errorf("%s: routed algorithm %s declares %d streams (want 2..%d)",
-				c.Name, c.Algorithm.Name, n, core.MaxRouterStreams)
-		}
-		// Every stream can hold a partially-filled open segment (pinned:
-		// only sealed segments are cleaning victims) AND adds one to the
-		// effective low-water reserve, so the geometry must cover both —
-		// with only the single-streams margin, a workload spreading thin
-		// data across many bands can wedge into permanent ErrFull with
-		// zero sealed segments and a free pool below the padded mark.
-		if c.MaxSegments < c.FreeLowWater+2*n+2 {
-			return fmt.Errorf("%s: routed algorithm %s needs MaxSegments >= FreeLowWater(%d) + 2*streams(%d) + 2",
-				c.Name, c.Algorithm.Name, c.FreeLowWater, n)
-		}
-	}
 	// FreeEmergency defaulting/validation lives in cleaner.Options.withDefaults;
 	// zero passes straight through to cleaner.Start.
 	if c.Obs == nil {
@@ -102,7 +89,7 @@ func (c *Config) Validate() error {
 }
 
 // Cand is one live record of a victim segment, captured at selection time.
-// The core reads Seg and Up2 (GC order and routing); Rec is the engine's
+// The core reads Seg and Up2 (GC order); Rec is the engine's
 // own addressing of the record, a concrete struct — never boxed.
 type Cand[R any] struct {
 	Seg int32
@@ -150,6 +137,12 @@ type Engine[R any] interface {
 	Backs(seg int32) bool
 }
 
+// The two append streams: user writes fill one, relocated copies the other.
+const (
+	UserStream int32 = 0
+	GCStream   int32 = 1
+)
+
 // openSeg is a stream's open segment: its id (-1 = none), the records
 // appended so far and their summed carried up2 (§5.2.2 seal-time average).
 type openSeg struct {
@@ -158,8 +151,8 @@ type openSeg struct {
 	up2Sum float64
 }
 
-// Log is one segment log. Its records are keyed by page id (the routing
-// clock is per page); R is the engine's relocation-candidate addressing.
+// Log is one segment log. Its records are keyed by page id; R is the
+// engine's relocation-candidate addressing.
 // Methods without their own locking note require the engine lock.
 type Log[R any] struct {
 	// Meta is the per-segment table the policies read. Engines adjust Live
@@ -176,16 +169,8 @@ type Log[R any] struct {
 
 	free      []int32
 	freeCount atomic.Int64 // len(free), readable without the lock
-	open      []openSeg    // indexed by stream
+	open      [2]openSeg   // indexed by stream
 	fill      []int64      // per segment: record bytes appended so far
-
-	// Stream routing. Without a router there are two fixed streams (user=0,
-	// GC=1); with one, user and GC appends share Router.Streams() streams
-	// chosen by estimated update interval.
-	streams int32
-	clock   Clock
-	seen    core.StreamSet // streams ever appended to (free-pool reserve)
-	trigger int32          // stream of the most recent user append (View.TriggerStream)
 
 	sealSeq     uint64
 	gcWrites    uint64
@@ -213,21 +198,13 @@ func New[R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[R] {
 		mu:       mu,
 		eng:      eng,
 		fill:     make([]int64, cfg.MaxSegments),
-		streams:  2,
+		open:     [2]openSeg{{seg: -1}, {seg: -1}},
 		pendingE: make(map[int32]float64),
 		hVictimE: cfg.Obs.Histogram(cfg.Name + ".victim_e.permille"),
 		cErrFull: cfg.Obs.Counter(cfg.Name + ".errfull"),
 		trace:    cfg.Obs.Trace(),
 		legAdmit: cfg.Name + ".admit",
 		legApply: cfg.Name + ".apply",
-	}
-	if r := cfg.Algorithm.Router; r != nil {
-		l.streams = r.Streams()
-		l.clock = make(Clock)
-	}
-	l.open = make([]openSeg, l.streams)
-	for i := range l.open {
-		l.open[i].seg = -1
 	}
 	for i := range l.Meta {
 		l.Meta[i].Capacity = cfg.SegmentBytes
@@ -242,16 +219,12 @@ func New[R any](cfg Config, mu *sync.RWMutex, eng Engine[R]) *Log[R] {
 
 // AdoptSealed re-seals a recovered segment. Engines call it in log order
 // (not segment-id order): seal sequences restore the age ordering that
-// age-based cleaning and the oldest-first tie-break depend on. The stream
-// comes back into the observed set so the routed free-pool reserve (and
-// Stats().Streams) survive a restart — clamped to the ACTIVE algorithm's
-// stream space: reopening with a narrower router must not inflate the
-// reserve with stream ids it can never route to.
+// age-based cleaning and the oldest-first tie-break depend on. stream is
+// UserStream or GCStream.
 func (l *Log[R]) AdoptSealed(seg, stream int32) {
 	m := &l.Meta[seg]
-	m.Stream = core.ClampStream(stream, int32(core.MaxRouterStreams))
+	m.Stream = stream
 	m.State = core.SegSealed
-	l.seen.Note(core.ClampStream(m.Stream, l.streams))
 	l.sealSeq++
 	m.SealSeq = l.sealSeq
 }
@@ -275,16 +248,11 @@ func (l *Log[R]) StartCleaner() error {
 	if !l.cfg.Background {
 		return nil
 	}
-	routed := 0
-	if l.cfg.Algorithm.Router != nil {
-		routed = int(l.streams)
-	}
 	cl, err := cleaner.Start(l.Target(), cleaner.Options{
 		LowWater:       l.cfg.FreeLowWater,
 		EmergencyFloor: l.cfg.FreeEmergency,
 		Batch:          l.cfg.CleanBatch,
 		TotalSegments:  l.cfg.MaxSegments,
-		Streams:        routed,
 		Obs:            l.cfg.Obs,
 	})
 	l.cl = cl
@@ -296,22 +264,6 @@ func (l *Log[R]) StopCleaner() {
 	if l.cl != nil {
 		l.cl.Stop()
 	}
-}
-
-// Streams returns the number of append streams.
-func (l *Log[R]) Streams() int32 { return l.streams }
-
-// LowWater is the effective cleaning threshold. Routed placement can hold
-// one partially-filled open segment per stream the workload actually uses,
-// so the reserve grows with the observed stream count (monotone, so the
-// threshold never flaps); the classic two-stream layout keeps the
-// configured mark.
-func (l *Log[R]) LowWater() int {
-	lw := l.cfg.FreeLowWater
-	if l.cfg.Algorithm.Router != nil {
-		lw += l.seen.Count()
-	}
-	return lw
 }
 
 // Write runs op — one write or one batch — under the engine lock behind
@@ -339,7 +291,7 @@ func (l *Log[R]) Write(parent *obs.Span, op func() error) error {
 		if !l.Closed {
 			err = cmp.Or(op(), l.eng.Flush())
 		}
-		lowWater := l.cl != nil && len(l.free) < l.LowWater()
+		lowWater := l.cl != nil && len(l.free) < l.cfg.FreeLowWater
 		l.mu.Unlock()
 		leg.End()
 		if lowWater {
@@ -352,77 +304,33 @@ func (l *Log[R]) Write(parent *obs.Span, op func() error) error {
 	}
 }
 
-// Route picks the append stream for a user write of key and returns the
-// key's advanced clock tick (folded with this write's interval observation,
-// to be installed by Advance once the append is admitted). Without a router
-// every user write goes to stream 0.
-func (l *Log[R]) Route(key uint32) (int32, Tick) {
-	if l.clock == nil {
-		return 0, Tick{}
-	}
-	return l.route(l.clock[key], l.Unow+1) // the tick this write will get
-}
-
-// Advance notes a user append to stream (the engine has ticked Unow for it)
-// and installs the key's routing tick — or drops it when the append is a
-// tombstone, so a later rewrite routes as history-free.
-func (l *Log[R]) Advance(stream int32, key uint32, t Tick, drop bool) {
-	l.trigger = stream
-	if drop {
-		delete(l.clock, key)
-	} else if l.clock != nil {
-		l.clock[key] = t
-	}
-}
-
-// SeedClock gives key an interval estimate without a last-write tick, so
-// its next write routes by the estimate but does not fold a bogus interval
-// into it. Recovery seeds from the learned segment up2.
-func (l *Log[R]) SeedClock(key uint32, interval uint64) {
-	if l.clock != nil {
-		l.clock[key] = Tick{est: core.SmoothInterval(0, interval)}
-	}
-}
-
-// Room guarantees stream's open segment can take size more bytes, sealing
-// and reopening as needed. User appends run foreground cleaning below the
+// Room guarantees the user stream's open segment can take size more bytes,
+// sealing and reopening as needed. It runs foreground cleaning below the
 // low-water mark (background mode kicks the cleaner from the write path
-// instead) and leave the last free segment for relocation.
-func (l *Log[R]) Room(stream int32, size int64) error {
-	if ok, err := l.fits(stream, size); ok || err != nil {
+// instead) and leaves the last free segment for relocation.
+func (l *Log[R]) Room(size int64) error {
+	if ok, err := l.fits(UserStream, size); ok || err != nil {
 		return err
 	}
-	if l.cl == nil && len(l.free) < l.LowWater() {
-		if err := l.cleanUntil(l.LowWater); err != nil {
+	if l.cl == nil && len(l.free) < l.cfg.FreeLowWater {
+		if err := l.cleanUntil(l.cfg.FreeLowWater); err != nil {
 			return err
 		}
-		// With routed placement the cleaning we just ran may have opened
-		// (and partially filled) this very stream's segment for its own
-		// relocations; opening another would orphan it in the open state —
-		// so room checks the fit again.
 	}
-	return l.room(stream, size, l.userNeed())
+	return l.RoomReserved(size)
 }
 
 // RoomReserved is Room for a batch's apply loop: cleaning and headroom
 // decisions already happened in Reserve, so it only seals a full open
 // segment and takes a fresh one when needed.
-func (l *Log[R]) RoomReserved(stream int32, size int64) error {
-	return l.room(stream, size, l.userNeed())
+func (l *Log[R]) RoomReserved(size int64) error {
+	return l.room(UserStream, size, l.userNeed())
 }
 
-// GCRoom picks the stream for a relocation carrying up2 and guarantees it
-// room; GC appends may consume the reserve they are defending. Without a
-// router everything goes to the dedicated GC stream 1; with one, the
-// relocation is routed by the interval implied by its carried up2 (§4.3's
-// unow-up2 estimator), so hot and cold GC output land in different segments
-// (§5.3) instead of one monolithic GC stream.
-func (l *Log[R]) GCRoom(up2 float64, size int64) (int32, error) {
-	stream := int32(1)
-	if r := l.cfg.Algorithm.Router; r != nil {
-		stream = core.ClampStream(r.Route(uint64(core.EstimatedInterval(up2, l.Unow)), -1), l.streams)
-	}
-	return stream, l.room(stream, size, 1)
+// GCRoom guarantees the GC stream room for a relocation of size bytes; GC
+// appends may consume the reserve they are defending.
+func (l *Log[R]) GCRoom(size int64) error {
+	return l.room(GCStream, size, 1)
 }
 
 // userNeed is the free-pool floor a user append's segment open respects: in
@@ -502,7 +410,6 @@ func (l *Log[R]) Tail(stream int32) (seg int32, off int64) {
 // stream's tail, carrying the record's up2 estimate into the segment's
 // seal-time average.
 func (l *Log[R]) Appended(stream int32, size int64, carried float64) {
-	l.seen.Note(stream)
 	o := &l.open[stream]
 	o.count++
 	o.up2Sum += carried
@@ -570,15 +477,14 @@ type Stats struct {
 	Streams         []core.StreamStats
 }
 
-// Stats snapshots the counters and the per-stream occupancy: which streams
-// the routed placement actually filled, and how full each stream's open
-// segment is. Caller holds at least the read lock.
+// Stats snapshots the counters and the occupancy of the user and GC
+// streams. Caller holds at least the read lock.
 func (l *Log[R]) Stats() Stats {
 	st := Stats{
 		FreeSegments:    len(l.free),
 		GCWrites:        l.gcWrites,
 		SegmentsCleaned: l.cleanedSegs,
-		Streams:         make([]core.StreamStats, l.streams),
+		Streams:         make([]core.StreamStats, len(l.open)),
 	}
 	if l.cleanedSegs > 0 {
 		st.MeanEAtClean = l.sumEAtClean / float64(l.cleanedSegs)
@@ -588,7 +494,7 @@ func (l *Log[R]) Stats() Stats {
 		if m.State == core.SegFree {
 			continue
 		}
-		ss := &st.Streams[core.ClampStream(m.Stream, l.streams)]
+		ss := &st.Streams[m.Stream]
 		ss.Segments++
 		ss.Live += int(m.Live)
 		ss.LiveBytes += m.Capacity - m.Free
@@ -598,9 +504,6 @@ func (l *Log[R]) Stats() Stats {
 		} else {
 			st.SealedSegments++
 		}
-	}
-	for i := range st.Streams {
-		st.Streams[i].Written = l.seen.Has(int32(i))
 	}
 	return st
 }

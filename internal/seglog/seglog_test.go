@@ -14,8 +14,7 @@ import (
 )
 
 // fakeEngine is a minimal in-memory Engine: keyed records with explicit
-// sizes and no bytes at all, so the core's decisions (cycle, routing,
-// reservation) are tested without the page store's record layer. Tests name
+// sizes and no bytes at all, so the core's decisions (cycle, reservation) are tested without the page store's record layer. Tests name
 // their keys; id interns a name as the page id the core knows it by.
 type fakeEngine struct {
 	mu    sync.RWMutex
@@ -76,21 +75,6 @@ func (p *scripted) Victims(v core.View, max int, dst []int32) []int32 {
 	return dst
 }
 
-// bandRouter routes by interval into three streams: no history → 2, short
-// intervals → 0, long ones → 1.
-type bandRouter struct{}
-
-func (bandRouter) Streams() int32 { return 3 }
-func (bandRouter) Route(est uint64, _ float64) int32 {
-	switch {
-	case est == 0:
-		return 2
-	case est < 4:
-		return 0
-	}
-	return 1
-}
-
 func newFake(t *testing.T, alg core.Algorithm, maxSegs int) *fakeEngine {
 	t.Helper()
 	e := &fakeEngine{recs: make([][]fakeRec, maxSegs), index: map[uint32]fakeLoc{}, names: map[string]uint32{}, installsLeft: -1}
@@ -141,11 +125,10 @@ func (e *fakeEngine) Install(c *Cand[fakeRec], _ []byte) (int64, error) {
 		return 0, errFakeIO
 	}
 	e.installsLeft--
-	stream, err := e.l.GCRoom(c.Up2, c.Rec.size)
-	if err != nil {
+	if err := e.l.GCRoom(c.Rec.size); err != nil {
 		return 0, err
 	}
-	e.append(stream, c.Rec.key, c.Rec.size, c.Up2)
+	e.append(GCStream, c.Rec.key, c.Rec.size, c.Up2)
 	e.l.Relocated(c.Seg, c.Rec.size)
 	return c.Rec.size, nil
 }
@@ -166,15 +149,14 @@ func (e *fakeEngine) invalidate(key uint32) float64 {
 	return e.l.Invalidate(loc.seg, e.recs[loc.seg][loc.at].size)
 }
 
-// write is one user append into stream, where room is secured, exactly as
-// the page store drives it: a put of size bytes, or a deletion's tombstone
-// (dropped at once, see tombstone).
-func (e *fakeEngine) write(stream int32, tick Tick, key uint32, size int64, del bool) {
+// write is one user append, where room is secured, exactly as the page
+// store drives it: a put of size bytes, or a deletion's tombstone (dropped at
+// once, see tombstone).
+func (e *fakeEngine) write(key uint32, size int64, del bool) {
 	e.l.Unow++
-	e.l.Advance(stream, key, tick, del)
-	e.append(stream, key, size, e.invalidate(key))
+	e.append(UserStream, key, size, e.invalidate(key))
 	if del {
-		seg, _ := e.l.Tail(stream)
+		seg, _ := e.l.Tail(UserStream)
 		delete(e.index, key)
 		e.l.Pruned(seg, size)
 	}
@@ -186,11 +168,10 @@ func (e *fakeEngine) del(t *testing.T, name string)             { e.single(t, e.
 
 func (e *fakeEngine) single(t *testing.T, key uint32, size int64, del bool) {
 	t.Helper()
-	stream, tick := e.l.Route(key)
-	if err := e.l.Room(stream, size); err != nil {
+	if err := e.l.Room(size); err != nil {
 		t.Fatalf("write %d: %v", key, err)
 	}
-	e.write(stream, tick, key, size, del)
+	e.write(key, size, del)
 }
 
 // check runs the core's accounting check against the fake index.
@@ -256,7 +237,7 @@ func TestCleanUntilStopsWhenCleaningCannotHelp(t *testing.T) {
 				e.put(t, fmt.Sprintf("w%d", i), 99) // seals the previous one with 1 byte of tail waste
 			}
 			p.calls = 0 // foreground cleaning during the fill does not count
-			err := e.l.cleanUntil(func() int { return 17 })
+			err := e.l.cleanUntil(17)
 			if !errors.Is(err, errFakeFull) || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("cleanUntil = %v, want ErrFull mentioning %q", err, tc.wantErr)
 			}
@@ -346,32 +327,24 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 	}
 }
 
-// applyBatch is the page store's batch apply loop, checking on the way that
-// the plan replays exactly: before each op, single-op routing agrees with the
-// placement the plan chose.
+// applyBatch is the page store's batch apply loop.
 func (e *fakeEngine) applyBatch(t *testing.T, b *Batch) {
 	t.Helper()
 	for i := range b.Ops {
-		op, pl := &b.Ops[i], b.Plan[i]
-		if stream, tick := e.l.Route(op.Key); stream != pl.Stream || tick != pl.Tick {
-			t.Errorf("op %d (key %d): planned stream %d tick %+v, single-op routing says %d %+v", i, op.Key, pl.Stream, pl.Tick, stream, tick)
-		}
-		if err := e.l.RoomReserved(pl.Stream, op.Size); err != nil {
+		op := &b.Ops[i]
+		if err := e.l.RoomReserved(op.Size); err != nil {
 			t.Fatalf("op %d: reservation violated: %v", i, err)
 		}
-		e.write(pl.Stream, pl.Tick, op.Key, op.Size, op.Del)
+		e.write(op.Key, op.Size, op.Del)
 	}
 }
 
-// TestBatchReservationIsExact plans batches of mixed record sizes across
-// three streams — including a delete followed by a re-put of the same key,
-// which must route as history-free — and checks that the apply opens
-// exactly the planned number of segments, in foreground mode also after
-// cleaning forced a replan.
+// TestBatchReservationIsExact plans batches of mixed record sizes —
+// including a delete followed by a re-put of the same key — and checks that
+// the apply opens exactly the planned number of segments, in foreground mode
+// also after the reservation cleaned first.
 func TestBatchReservationIsExact(t *testing.T) {
-	e := newFake(t, core.Algorithm{Name: "banded-greedy", Policy: core.Greedy().Policy, Router: bandRouter{}}, 48)
-	// History: hot keys (interval 1..3 → stream 0), cool keys (long
-	// intervals → stream 1), first writes (→ stream 2).
+	e := newFake(t, core.Greedy(), 48)
 	for round := 0; round < 40; round++ {
 		for _, k := range []string{"hot-a", "hot-b"} {
 			e.put(t, k, 30)
@@ -381,10 +354,7 @@ func TestBatchReservationIsExact(t *testing.T) {
 		}
 		e.put(t, fmt.Sprintf("cold-%d", round), 25)
 	}
-	if st := e.l.Stats(); core.WrittenStreams(st.Streams) != 3 {
-		t.Fatalf("setup should have used all 3 streams: %+v", st)
-	}
-	replans := 0
+	cleanedFirst := 0
 	for round := 0; round < 30; round++ {
 		var b Batch
 		for j := 0; j < 2+round%4; j++ {
@@ -393,7 +363,7 @@ func TestBatchReservationIsExact(t *testing.T) {
 			b.Put(e.id(fmt.Sprintf("new-%d-%d", round, j)), nil)
 			b.Delete(e.id(fmt.Sprintf("new-%d-%d", round-1, j))) // bounds the live data
 			b.Delete(e.id("hot-b"))
-			b.Put(e.id("hot-b"), nil) // history-free after the delete: stream 2
+			b.Put(e.id("hot-b"), nil)
 			if j%2 == 0 {
 				b.Delete(e.id(fmt.Sprintf("cold-%d", (round*3+j)%40)))
 			}
@@ -410,16 +380,11 @@ func TestBatchReservationIsExact(t *testing.T) {
 			t.Fatalf("round %d: Reserve: %v", round, err)
 		}
 		if e.l.cleanedSegs > cleaned {
-			replans++ // Reserve cleaned, so the plan applied below is a replan
+			cleanedFirst++
 		}
 		newSegs, free := e.l.plan(&b), len(e.l.free)
-		if free < e.l.LowWater()+newSegs-1 && newSegs > 0 {
-			t.Fatalf("round %d: Reserve left %d free for %d new segments at low water %d", round, free, newSegs, e.l.LowWater())
-		}
-		for i := range b.Ops {
-			if op := &b.Ops[i]; op.Key == e.id("hot-b") && !op.Del && b.Plan[i].Stream != 2 {
-				t.Errorf("round %d: re-put after delete routed to stream %d, want the no-history stream 2", round, b.Plan[i].Stream)
-			}
+		if free < e.l.cfg.FreeLowWater+newSegs-1 && newSegs > 0 {
+			t.Fatalf("round %d: Reserve left %d free for %d new segments at low water %d", round, free, newSegs, e.l.cfg.FreeLowWater)
 		}
 		e.applyBatch(t, &b)
 		if opened := free - len(e.l.free); opened != newSegs {
@@ -427,8 +392,8 @@ func TestBatchReservationIsExact(t *testing.T) {
 		}
 		e.check(t)
 	}
-	if replans < 5 {
-		t.Errorf("only %d of 30 batches were replanned after foreground cleaning; the workload is miscalibrated", replans)
+	if cleanedFirst < 5 {
+		t.Errorf("only %d of 30 reservations cleaned first; the workload is miscalibrated", cleanedFirst)
 	}
 }
 

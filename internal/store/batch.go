@@ -136,8 +136,8 @@ func (s *Store) applyLocked(b *Batch) error {
 		defer func() { s.applying = 0 }()
 	}
 	for i = range b.b.Ops {
-		op, pl := &b.b.Ops[i], &b.b.Plan[i]
-		if err := s.log.RoomReserved(pl.Stream, op.Size); err != nil {
+		op := &b.b.Ops[i]
+		if err := s.log.RoomReserved(op.Size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
 		}
@@ -154,7 +154,7 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.userAppend(pl.Stream, pl.Tick, op.Key, flags, uint32(i), op.DataLen(), put); err != nil {
+		if err := s.userAppend(op.Key, flags, uint32(i), op.DataLen(), put); err != nil {
 			return err
 		}
 	}
@@ -327,9 +327,8 @@ func (s *Store) fsyncAll(segs []int32) error {
 // record no fsync has covered (the ledger's low) or still being appended
 // (applying: its sealed members left the ledger) — a batch starting at or
 // below it is whole on storage, whichever members cleaning recycles later.
-// The oldest such batch holds it back: under routed placement, one with a
-// member in a cold stream's open segment. Caller holds s.mu (read or
-// write); gcm.mu nests inside it.
+// The oldest such batch holds it back. Caller holds s.mu (read or write);
+// gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
 	w := max(s.gcm.durable, s.prunedSeq)

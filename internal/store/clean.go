@@ -119,11 +119,10 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 		s.log.Pruned(c.Seg, size)
 		return 0, nil
 	}
-	stream, err := s.log.GCRoom(c.Up2, size)
-	if err != nil {
+	if err := s.log.GCRoom(size); err != nil {
 		return 0, err
 	}
-	rec, err := s.stage(stream, int(size))
+	rec, err := s.stage(seglog.GCStream, int(size))
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +130,7 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 		s.waits[c.Seg] = append(on, s.runSeg) // before appendRecord, whose seal may cover it
 	}
 	copy(rec[RecordHeaderSize:], win[r.woff:][RecordHeaderSize:size])
-	if err := s.appendRecord(stream, r.page, flags, 0, rec, c.Up2, c); err != nil {
+	if err := s.appendRecord(seglog.GCStream, r.page, flags, 0, rec, c.Up2, c); err != nil {
 		return 0, err
 	}
 	s.cGCBytes.Add(uint64(size))
@@ -346,7 +345,7 @@ func (s *Store) Close() error {
 			return err
 		}
 	}
-	for stream := int32(0); stream < s.log.Streams(); stream++ {
+	for _, stream := range []int32{seglog.UserStream, seglog.GCStream} {
 		if err := s.log.Seal(stream); err != nil {
 			return err
 		}
@@ -380,10 +379,8 @@ type Stats struct {
 	// appended (store.user.bytes, store.gc.bytes). All count record headers.
 	CapacityBytes, LiveBytes, UserBytes, GCBytes uint64
 	UpdateClock                                  uint64
-	// Streams is the per-stream occupancy of routed placement: one entry
-	// per configured append stream (2 for the classic user+GC layout) with
-	// its live records/bytes, segment counts, and open-segment fill. Use
-	// core.WrittenStreams for the historical "streams ever written" count.
+	// Streams is the occupancy of the user (0) and GC (1) streams: live
+	// records/bytes, segment counts, and open-segment fill.
 	Streams []core.StreamStats
 	// Durability is the store's write-durability policy ("none", "seal",
 	// "commit").

@@ -319,108 +319,6 @@ func TestConcurrentDeletesWithBackgroundCleaner(t *testing.T) {
 	}
 }
 
-// TestConcurrentRoutedBackgroundCleaning races writers and readers against
-// the background cleaner with temperature-routed placement: N per-stream
-// open segments, routed GC output, and the stream-aware free-pool reserve
-// all under -race.
-func TestConcurrentRoutedBackgroundCleaning(t *testing.T) {
-	opts := backgroundOpts("")
-	opts.Algorithm = core.MDCRouted()
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const keys = 300
-	buf := make([]byte, 128)
-	for id := uint32(0); id < keys; id++ {
-		stamp(buf, id, 0)
-		if err := s.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const writers, readers, opsPerWriter = 4, 3, 4000
-	errCh := make(chan error, writers+readers)
-	var wwg, rwg sync.WaitGroup
-	done := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			r := rand.New(rand.NewPCG(uint64(w), 7919))
-			buf := make([]byte, 128)
-			for i := 1; i <= opsPerWriter; i++ {
-				var id uint32
-				if r.Float64() < 0.9 {
-					id = uint32(r.IntN(keys / 10)) // hot 10%
-				} else {
-					id = uint32(keys/10 + r.IntN(keys*9/10))
-				}
-				stamp(buf, id, uint32(i))
-				if err := s.WritePage(id, buf); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	for g := 0; g < readers; g++ {
-		rwg.Add(1)
-		go func(g int) {
-			defer rwg.Done()
-			r := rand.New(rand.NewPCG(uint64(g), 13))
-			buf := make([]byte, 128)
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				id := uint32(r.IntN(keys))
-				if err := s.ReadPage(id, buf); err != nil {
-					errCh <- err
-					return
-				}
-				if err := checkStamp(buf, id); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(g)
-	}
-
-	wwg.Wait()
-	close(done)
-	rwg.Wait()
-
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-
-	st := s.Stats()
-	if st.Cleaner.Cycles == 0 || st.Cleaner.SegmentsReclaimed == 0 {
-		t.Errorf("background cleaner never ran under routing: %+v", st.Cleaner)
-	}
-	if n := core.WrittenStreams(st.Streams); n <= 2 {
-		t.Errorf("routed store used only %d streams", n)
-	}
-	if st.LivePages != keys {
-		t.Errorf("LivePages = %d, want %d", st.LivePages, keys)
-	}
-	for id := uint32(0); id < keys; id++ {
-		if err := s.ReadPage(id, buf); err != nil {
-			t.Fatalf("ReadPage(%d) after routed churn: %v", id, err)
-		}
-		if err := checkStamp(buf, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestBackgroundCleanerRecoversPool checks the watermark loop: after a
 // write burst stops, the cleaner alone must lift the free pool back to the
 // high watermark.

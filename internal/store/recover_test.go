@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -190,6 +191,30 @@ func TestRefusesOtherSegmentFormats(t *testing.T) {
 	}
 }
 
+// TestRefusesRoutedStreams: a segment whose header names a stream other than
+// user (0) or GC (1) was written under routed placement, and must stop Open
+// with an error saying so.
+func TestRefusesRoutedStreams(t *testing.T) {
+	for _, stream := range []int32{2, 27} {
+		dir := t.TempDir()
+		file, _, _ := writeTornLog(t, dir, tornLogs[0].steps)
+		inc, _, w, ok := decodeSegHeader(file)
+		if !ok {
+			t.Fatal("writeTornLog wrote no valid segment header")
+		}
+		encodeSegHeader(file, inc, stream, w)
+		if err := os.WriteFile(tornLogFile(dir), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(tornLogOpts(dir)); err == nil {
+			s.crash()
+			t.Errorf("a directory holding a stream-%d segment opened", stream)
+		} else if !strings.Contains(err.Error(), "routed placement") {
+			t.Errorf("stream-%d segment refused with %q, which does not name routed placement", stream, err)
+		}
+	}
+}
+
 // FuzzRecoverSegment feeds recovery arbitrary bytes after a valid segment
 // header, seeded with the tornLogs segments so the mutator works on real
 // records: Open must not panic or fail, must not take a record from beyond
@@ -227,4 +252,194 @@ func FuzzRecoverSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// writeGarbage simulates a torn partial file left behind by a crash.
+func writeGarbage(path string) error {
+	return os.WriteFile(path, []byte("torn checkpoint bytes"), 0o644)
+}
+
+// TestRecoverySealOrderMatchesLogOrder is the regression test for the
+// recovery bug where SealSeq was assigned in segment-id scan order: the
+// free list is popped from the back, so id order is typically the REVERSE
+// of write order, and a restart handed age-based cleaning an inverted age
+// ordering. Recovery must re-seal ordered by header incarnation (log
+// order), which makes SealSeq order agree with record-sequence order.
+func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	opts.SegmentPages = 4
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Distinct pages only: every record stays live, and each sealed
+	// segment's minimum record sequence identifies its position in the log.
+	for id := uint32(0); id < 40; id++ {
+		if err := s.WritePage(id, page(id, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.crash(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, s2)
+	defer s2.Close()
+
+	type seg struct {
+		id      int32
+		sealSeq uint64
+		minSeq  uint64
+	}
+	var segs []seg
+	s2.mu.RLock()
+	for id := range s2.log.Meta {
+		m := &s2.log.Meta[id]
+		if m.State != core.SegSealed || len(s2.recs[id]) == 0 {
+			continue
+		}
+		minSeq := s2.recs[id][0].seq
+		for _, si := range s2.recs[id] {
+			if si.seq < minSeq {
+				minSeq = si.seq
+			}
+		}
+		segs = append(segs, seg{id: int32(id), sealSeq: m.SealSeq, minSeq: minSeq})
+	}
+	s2.mu.RUnlock()
+	if len(segs) < 5 {
+		t.Fatalf("only %d sealed segments recovered", len(segs))
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].sealSeq < segs[j].sealSeq })
+	for i := 1; i < len(segs); i++ {
+		if segs[i].minSeq < segs[i-1].minSeq {
+			t.Fatalf("recovered seal order disagrees with log order: seg %d (SealSeq %d, minSeq %d) after seg %d (SealSeq %d, minSeq %d)",
+				segs[i].id, segs[i].sealSeq, segs[i].minSeq,
+				segs[i-1].id, segs[i-1].sealSeq, segs[i-1].minSeq)
+		}
+	}
+}
+
+// TestRecoveryClockNeverRegresses is the regression test for restoring the
+// update clock from a stale checkpoint: writes after the checkpoint push
+// the record sequence past ck.unow, and resuming the clock below it would
+// let up2 estimates run ahead of "now".
+func TestRecoveryClockNeverRegresses(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(0); id < 100; id++ {
+		if err := s.WritePage(id, page(id, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Post-checkpoint writes advance both clocks well past the checkpoint.
+	for i := 0; i < 3000; i++ {
+		id := uint32(i % 100)
+		if err := s.WritePage(id, page(id, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.crash(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, s2)
+	defer s2.Close()
+	s2.mu.RLock()
+	unow, seq := s2.log.Unow, s2.seq
+	var maxUp2 float64
+	for i := range s2.log.Meta {
+		if s2.log.Meta[i].Up2 > maxUp2 {
+			maxUp2 = s2.log.Meta[i].Up2
+		}
+	}
+	s2.mu.RUnlock()
+	if unow < seq {
+		t.Errorf("recovered update clock %d below max record sequence %d: clock ran backwards", unow, seq)
+	}
+	if maxUp2 > float64(unow) {
+		t.Errorf("recovered up2 estimate %.1f exceeds update clock %d", maxUp2, unow)
+	}
+}
+
+// TestCheckpointCrashMidInstall simulates a crash between writing the
+// checkpoint's temporary file and renaming it into place: the leftover tmp
+// file must be ignored and the previous checkpoint must still govern
+// recovery (including its deletion set).
+func TestCheckpointCrashMidInstall(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	opts.Durability = core.DurSeal // exercise the fsync-and-propagate path too
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint32][]byte{}
+	for id := uint32(0); id < 80; id++ {
+		v := page(id, 128)
+		if err := s.WritePage(id, v); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	if err := s.DeletePage(7); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, 7)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// More writes, then a torn checkpoint attempt: the tmp file exists with
+	// garbage, the rename never happened.
+	for id := uint32(100); id < 150; id++ {
+		v := page(id, 128)
+		if err := s.WritePage(id, v); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	if err := writeGarbage(s.checkpointPath() + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen with torn checkpoint tmp: %v", err)
+	}
+	checkInvariants(t, s2)
+	defer s2.Close()
+	buf := make([]byte, 128)
+	for id, v := range want {
+		if err := s2.ReadPage(id, buf); err != nil {
+			t.Fatalf("ReadPage(%d): %v", id, err)
+		}
+		if !bytes.Equal(buf, v) {
+			t.Fatalf("page %d corrupted after torn checkpoint install", id)
+		}
+	}
+	if err := s2.ReadPage(7, buf); err == nil {
+		t.Error("deleted page 7 resurrected after torn checkpoint install")
+	}
+	// Checkpointing still works on the recovered store (and replaces the
+	// torn tmp file cleanly).
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after torn install: %v", err)
+	}
 }

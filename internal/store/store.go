@@ -5,18 +5,15 @@
 // tracks each page's current location, and reclaiming the space of
 // overwritten versions is delegated to the cleaning policies of
 // internal/core (MDC by default), exactly the machinery evaluated by the
-// simulator. The segment bookkeeping, stream routing and the cleaning cycle
-// itself are internal/seglog; this package is the one record engine on it —
+// simulator. The segment bookkeeping and the cleaning cycle itself are
+// internal/seglog; this package is the one record engine on it —
 // files (or memory), CRC record framing, the page table, recovery,
 // checkpoints, group commit and the durability points. The in-memory value
 // log (internal/vlog) is a string-key index over a memory-backed Store.
 //
-// Placement is stream-aware: by default user data and GC relocations fill
-// two separate append streams, and a routed algorithm (multi-log, the
-// temperature-routed MDC variant) fans both out across N frequency-banded
-// streams so that pages with similar update intervals share segments — the
-// §5.3 separation that the simulator achieves with its sort buffer,
-// realized here as routed placement.
+// Placement has two append streams: user data fills one, GC relocations the
+// other. Routed placement (multi-log, the temperature-routed MDC variant) is
+// simulator-only: Open refuses an algorithm with a router.
 //
 // Cleaning runs in one of two modes. In foreground mode (the default) a
 // write that finds the free pool below the low-water mark blocks behind
@@ -100,11 +97,9 @@ type Options struct {
 	SegmentPages int
 	// MaxSegments bounds the physical capacity (default 128).
 	MaxSegments int
-	// Algorithm is the cleaning policy bundle (default core.MDC()).
-	// Routed algorithms (core.MultiLog, core.MDCRouted) spread user and GC
-	// appends across Router.Streams() per-temperature streams, driven by a
-	// per-page last-write clock. Exact-rate variants are not supported: a
-	// live store has no update-rate oracle.
+	// Algorithm is the cleaning policy bundle (default core.MDC()). Routed
+	// algorithms (core.MultiLog, core.MDCRouted) and exact-rate variants are
+	// refused: they are simulator-only.
 	Algorithm core.Algorithm
 	// FreeLowWater triggers cleaning when free segments fall below it
 	// (default CleanBatch+4; must exceed CleanBatch so relocations always
@@ -205,8 +200,8 @@ type Store struct {
 	opts Options
 	be   backend
 
-	// log is the segment-log core: segment metadata, free pool, streams and
-	// routing clock, the cleaning cycle, batch planning and admission. The
+	// log is the segment-log core: segment metadata, free pool, the user and
+	// GC streams, the cleaning cycle, batch planning and admission. The
 	// store is its Engine (see clean.go) and keeps the bytes and the index.
 	log  *seglog.Log[recCand]
 	recs [][]recInfo // per segment: the records written to it, in log order
@@ -430,6 +425,10 @@ func (s *Store) recover() error {
 			// until the segment is reused.
 			continue
 		}
+		if stream != seglog.UserStream && stream != seglog.GCStream {
+			return fmt.Errorf("store: segment %d belongs to stream %d: the directory was written under routed placement, which this version refuses — migrate by draining the old store",
+				seg, stream)
+		}
 		if segW > watermark {
 			watermark = segW
 		}
@@ -575,18 +574,6 @@ func (s *Store) recover() error {
 				m.Free -= int64(r.end - off)
 			}
 			off = r.end
-		}
-	}
-	// Seed the routing clock from the recovered up2 estimates so the first
-	// post-restart write of each page routes by its segment's learned
-	// temperature instead of "no history" (the coldest stream): without
-	// this, every hot page's first write after a restart is packed into
-	// cold segments, paying exactly the mixing cost the router avoids.
-	// The last-write tick stays unset so the next write does not fold a
-	// bogus restart-sized interval into the estimate.
-	if s.opts.Algorithm.Router != nil {
-		for page, loc := range s.table {
-			s.log.SeedClock(page, uint64(core.EstimatedInterval(s.log.Meta[loc.seg].Up2, s.log.Unow)))
 		}
 	}
 	return nil
@@ -755,25 +742,22 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 			return ErrNotFound
 		}
 	}
-	stream, tick := s.log.Route(id)
 	size := int64(RecordHeaderSize + len(data))
-	err := s.log.Room(stream, size)
+	err := s.log.Room(size)
 	if tomb && errors.Is(err, ErrFull) {
-		err = s.log.RoomReserved(stream, size)
+		err = s.log.RoomReserved(size)
 	}
 	if err != nil {
 		return err
 	}
-	return s.userAppend(stream, tick, id, flags, 0, len(data), func(dst []byte) { copy(dst, data) })
+	return s.userAppend(id, flags, 0, len(data), func(dst []byte) { copy(dst, data) })
 }
 
-// userAppend appends one user record of n page bytes into stream, where room
-// is already secured: tick the clocks, invalidate the old version, stage the
-// new one and have put write its page in place.
-func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos uint32, n int, put func(dst []byte)) error {
-	tomb := flags&flagTombstone != 0
+// userAppend appends one user record of n page bytes, where room is already
+// secured: tick the clock, invalidate the old version, stage the new one and
+// have put write its page in place.
+func (s *Store) userAppend(id uint32, flags, pos uint32, n int, put func(dst []byte)) error {
 	s.log.Unow++
-	s.log.Advance(stream, id, tick, tomb)
 	carried := s.invalidate(id)
 	if loc, deleted := s.tombstones[id]; deleted {
 		// A rewrite supersedes the pending deletion; its tombstone record,
@@ -783,16 +767,16 @@ func (s *Store) userAppend(stream int32, tick seglog.Tick, id uint32, flags, pos
 			s.log.Pruned(loc.seg, RecordHeaderSize)
 		}
 	}
-	rec, err := s.stage(stream, RecordHeaderSize+n)
+	rec, err := s.stage(seglog.UserStream, RecordHeaderSize+n)
 	if err != nil {
 		return err
 	}
 	put(rec[RecordHeaderSize:])
-	if err := s.appendRecord(stream, id, flags, pos, rec, carried, nil); err != nil {
+	if err := s.appendRecord(seglog.UserStream, id, flags, pos, rec, carried, nil); err != nil {
 		return err
 	}
 	s.cUserBytes.Add(uint64(len(rec)))
-	if !tomb {
+	if flags&flagTombstone == 0 {
 		s.userWrites++
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -446,21 +447,32 @@ func TestStatsAndFillFactor(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	cases := []Options{
-		{PageSize: 4},                        // page too small
-		{PageSize: 1 << 24, SegmentPages: 2}, // page length overflows the record header's field
-		{SegmentPages: 1 << 20},              // 4 GiB segments overflow the 32-bit record offsets
-		{CleanBatch: 10, FreeLowWater: 10},   // no relocation headroom
-		{Algorithm: core.MDCOpt()},           // exact needs oracle
-		{MaxSegments: 30, FreeLowWater: 8, CleanBatch: 4,
-			Algorithm: core.MultiLog()}, // routed: no room for 28 stream segments
-		{MaxSegments: 36, FreeLowWater: 6, CleanBatch: 4,
-			Algorithm: core.MultiLog()}, // routed: open-segment pins + reserve need 2x streams
+		{PageSize: 4},                                    // page too small
+		{PageSize: 1 << 24, SegmentPages: 2},             // page length overflows the record header's field
+		{SegmentPages: 1 << 20},                          // 4 GiB segments overflow the 32-bit record offsets
+		{CleanBatch: 10, FreeLowWater: 10},               // no relocation headroom
+		{Algorithm: core.MDCOpt()},                       // exact needs oracle
+		{Algorithm: core.MultiLog()},                     // routed placement is simulator-only
+		{Algorithm: core.MDCRouted()},                    // likewise
 		{MaxSegments: 4, FreeLowWater: 8, CleanBatch: 2}, // capacity below reserve
 	}
 	for i, o := range cases {
 		if _, err := Open(o); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
+	}
+}
+
+// TestRoutedAlgorithmsOnStore: Open refuses each routed algorithm with an
+// error that names it and says routed placement is simulator-only.
+func TestRoutedAlgorithmsOnStore(t *testing.T) {
+	for _, alg := range []core.Algorithm{core.MDCRouted(), core.MultiLog()} {
+		t.Run(alg.Name, func(t *testing.T) {
+			_, err := Open(Options{Algorithm: alg})
+			if err == nil || !strings.Contains(err.Error(), alg.Name) || !strings.Contains(err.Error(), "simulator-only") {
+				t.Errorf("Open(%s) = %v, want a refusal naming it", alg.Name, err)
+			}
+		})
 	}
 }
 

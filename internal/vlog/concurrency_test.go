@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 func backgroundOpts() Options {
@@ -169,121 +167,6 @@ func TestConcurrentBackgroundCleaningVlog(t *testing.T) {
 		v, ok := s.Get(key(i))
 		if !ok {
 			t.Fatalf("key %q lost after churn", key(i))
-		}
-		if err := checkVal(key(i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestConcurrentRoutedBackgroundVlog races writers, readers and the
-// invariant checker against the background cleaner with temperature-routed
-// placement (N open streams, routed GC output) under -race.
-func TestConcurrentRoutedBackgroundVlog(t *testing.T) {
-	opts := backgroundOpts()
-	opts.Algorithm = core.MDCRouted()
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const keys = 400
-	key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
-	for i := 0; i < keys; i++ {
-		if err := s.Put(key(i), stampVal(key(i), 0, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const writers, readers, opsPerWriter = 4, 2, 4000
-	errCh := make(chan error, writers+readers+1)
-	var wwg, rwg sync.WaitGroup
-	done := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			r := rand.New(rand.NewPCG(uint64(w), 43))
-			for i := 1; i <= opsPerWriter; i++ {
-				var k string
-				if r.Float64() < 0.9 {
-					k = key(r.IntN(keys / 10)) // hot 10%
-				} else {
-					k = key(keys/10 + r.IntN(keys*9/10))
-				}
-				if err := s.Put(k, stampVal(k, uint32(i), 32+r.IntN(96))); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	for g := 0; g < readers; g++ {
-		rwg.Add(1)
-		go func(g int) {
-			defer rwg.Done()
-			r := rand.New(rand.NewPCG(uint64(g), 47))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				k := key(r.IntN(keys))
-				v, ok := s.Get(k)
-				if !ok {
-					errCh <- fmt.Errorf("key %q lost", k)
-					return
-				}
-				if err := checkVal(k, v); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(g)
-	}
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if err := s.CheckInvariants(); err != nil {
-				errCh <- err
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	wwg.Wait()
-	close(done)
-	rwg.Wait()
-
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-
-	st := s.Stats()
-	if st.Cleaner.Cycles == 0 || st.Cleaner.SegmentsReclaimed == 0 {
-		t.Errorf("background cleaner never ran under routing: %+v", st.Cleaner)
-	}
-	if n := core.WrittenStreams(st.Streams); n <= 2 {
-		t.Errorf("routed vlog used only %d streams", n)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < keys; i++ {
-		v, ok := s.Get(key(i))
-		if !ok {
-			t.Fatalf("key %q lost after routed churn", key(i))
 		}
 		if err := checkVal(key(i), v); err != nil {
 			t.Fatal(err)

@@ -24,8 +24,8 @@ var ErrFull, ErrTooLarge = store.ErrFull, store.ErrTooLarge
 
 // Options configures a Store. SegmentBytes (default 1 MiB, at least 64) and
 // MaxSegments (default 64) are the geometry; the rest pass to the page store:
-// the cleaning Algorithm (default core.MDC(); a routed one spreads appends
-// across streams by a per-key clock), FreeLowWater (default CleanBatch+2),
+// the cleaning Algorithm (default core.MDC(); routed ones are refused: routed
+// placement is simulator-only), FreeLowWater (default CleanBatch+2),
 // CleanBatch (default 4), Durability (in memory every level behaves alike: a
 // returned Put or Commit is visible to every later Get until Close), the
 // background cleaner's switch and floor (see internal/cleaner), and Obs,
@@ -196,8 +196,8 @@ func (s *Store) Commit(b *Batch) error {
 
 // Stats describes occupancy and cleaning efficiency. Byte counts are the
 // store's, record headers and tombstones included; WriteAmp is GC bytes per
-// user byte; Commits counts multi-record Commits; Streams is the per-stream
-// occupancy; Cleaner is the background cleaner's snapshot (zero without one).
+// user byte; Commits counts multi-record Commits; Streams is the user and GC
+// streams' occupancy; Cleaner is the background cleaner's snapshot (zero without one).
 type Stats struct {
 	Keys                                           int
 	LiveBytes, CapacityBytes, UserWrites, GCWrites uint64

@@ -100,7 +100,7 @@ func TestFacadeStore(t *testing.T) {
 	if s.Durability != "commit" || s.Commits == 0 {
 		t.Errorf("durability stats not surfaced: %+v", s)
 	}
-	if len(s.Streams) == 0 || core.WrittenStreams(s.Streams) == 0 {
+	if len(s.Streams) != 2 || s.Streams[0].Segments == 0 {
 		t.Errorf("stream occupancy not surfaced: %+v", s.Streams)
 	}
 	if err := st.Close(); err != nil {
@@ -115,7 +115,7 @@ func TestFacadePageDB(t *testing.T) {
 	dir := t.TempDir()
 	opts := pagedb.Options{
 		Store: store.Options{Dir: dir, PageSize: 512, SegmentPages: 16, MaxSegments: 64,
-			Durability: core.DurCommit, Algorithm: core.MDCRouted()},
+			Durability: core.DurCommit, Algorithm: core.MDC()},
 		CachePages: 32,
 	}
 	db, err := pagedb.Open(opts)
