@@ -510,8 +510,13 @@ func reopenAgainst(t *testing.T, opts Options, img string, version []uint32) {
 // member relocated (its page unchanged since) out of a segment reset since, and
 // another member still current in its batch record in a sealed segment, the
 // test copies the open directory and reopens the copy against the oracle,
-// until it has taken images of them.
+// until it has taken images of them. The subtest is named for unrouted
+// placement, the only kind a live store runs.
 func TestSealedBatchOutlivesItsCleanedMembers(t *testing.T) {
+	t.Run("unrouted", sealedBatchOutlivesItsCleanedMembers)
+}
+
+func sealedBatchOutlivesItsCleanedMembers(t *testing.T) {
 	const images = 5
 	s, version := churnedStore(t, t.TempDir(), core.DurSeal, core.MDC())
 	defer s.Close()
