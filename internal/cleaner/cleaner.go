@@ -1,8 +1,6 @@
 // Package cleaner runs background space reclamation for the one
 // record engine, internal/store (the value log internal/vlog is a key index
-// over a store): the store runs on the segment-log core internal/seglog,
-// whose adapter (seglog.Log.Target) is this package's one Target
-// implementation.
+// over a store), whose adapter is this package's one Target implementation.
 //
 // Cleaning in the foreground runs inside the write path: a write that finds
 // the free pool below the low-water mark blocks behind entire cleaning
@@ -19,9 +17,9 @@
 //     entirely.
 //
 // The log being cleaned implements Target (an interface so this package
-// need not import the core, and so tests can script a target). One cleaning
+// need not import the store, and so tests can script a target). One cleaning
 // cycle is an explicit state machine — Idle → Selecting → Relocating →
-// Releasing — replacing the ad-hoc "inGC" flags engines used to carry. The split into
+// Releasing. The split into
 // SelectVictims / Relocate / Release is what enables concurrency: victims
 // are marked (core.SegCleaning) under the engine lock, their records are
 // then immutable, so the expensive relocation I/O can proceed while

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestRoutersArePure pins Router's contract: seglog asks Route again when it
-// replans a batch and when admission retries a write, so an answer may depend
-// on the arguments alone. Every registered router must route a seeded
+// TestRoutersArePure pins Router's contract: a caller may ask Route again for
+// the same append (a replanned batch, a retried write), so an answer may
+// depend on the arguments alone. Every registered router must route a seeded
 // sequence the same whether it is asked once or twice per element.
 func TestRoutersArePure(t *testing.T) {
 	type call struct {

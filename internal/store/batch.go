@@ -2,13 +2,14 @@ package store
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/seglog"
 )
 
 // Batch collects page writes and deletions for one atomic Apply. Build it
@@ -22,7 +23,22 @@ import (
 // per page): the batch carries the page's id and length only, and Apply has
 // the fill function write it straight into the store's run buffer, where the
 // record's header and checksum are then computed over the bytes in place.
-type Batch struct{ b seglog.Batch }
+type Batch struct {
+	ops  []batchOp
+	fill func(i int, dst []byte)
+	buf  []byte // arena holding every Write's payload
+}
+
+// batchOp is one batch operation.
+type batchOp struct {
+	id  uint32
+	del bool
+	// size is the log bytes this operation appends: the record size of a
+	// write or of a deletion's tombstone (set by Apply).
+	size int64
+	off  int // payload range in buf (writes only); off < 0: reserved, fill has it
+	n    int
+}
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
@@ -30,7 +46,8 @@ func NewBatch() *Batch { return &Batch{} }
 // Write adds a page write of len(data) bytes. The data is copied; its length
 // is validated against the store's page size (the maximum) at Apply time.
 func (b *Batch) Write(id uint32, data []byte) *Batch {
-	b.b.Put(id, data)
+	b.ops = append(b.ops, batchOp{id: id, off: len(b.buf), n: len(data)})
+	b.buf = append(b.buf, data...)
 	return b
 }
 
@@ -40,12 +57,12 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 // calls it under the store's lock, once per reserved write, in order, and only
 // after validating the whole batch and reserving its space — fill cannot fail,
 // so check what it will encode before Apply — and it must not call the store.
-func (b *Batch) SetFill(fill func(i int, dst []byte)) { b.b.Fill = fill }
+func (b *Batch) SetFill(fill func(i int, dst []byte)) { b.fill = fill }
 
 // Reserve adds a page write of n bytes that the SetFill function produces
 // at Apply time.
 func (b *Batch) Reserve(id uint32, n int) *Batch {
-	b.b.PutReserved(id, n)
+	b.ops = append(b.ops, batchOp{id: id, off: -1, n: n})
 	return b
 }
 
@@ -53,15 +70,28 @@ func (b *Batch) Reserve(id uint32, n int) *Batch {
 // when the batch is applied — either in the store or written earlier in
 // this batch — or Apply fails with ErrNotFound before changing anything.
 func (b *Batch) Delete(id uint32) *Batch {
-	b.b.Delete(id)
+	b.ops = append(b.ops, batchOp{id: id, del: true})
 	return b
 }
 
 // Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.b.Ops) }
+func (b *Batch) Len() int { return len(b.ops) }
 
-// Reset empties the batch for reuse, keeping its allocations.
-func (b *Batch) Reset() { b.b.Reset() }
+// Reset empties the batch for reuse, keeping its allocations and its fill.
+func (b *Batch) Reset() {
+	b.ops = b.ops[:0]
+	b.buf = b.buf[:0]
+}
+
+// copyData puts write ops[i]'s payload into dst, n bytes long: the arena's
+// copy, or what fill makes of a reserved one.
+func (b *Batch) copyData(i int, dst []byte) {
+	if op := &b.ops[i]; op.off < 0 {
+		b.fill(i, dst)
+	} else {
+		copy(dst, b.buf[op.off:op.off+op.n])
+	}
+}
 
 // Apply atomically applies a batch: one admission check, one lock hold,
 // and all-or-nothing visibility. Space for every record is reserved before
@@ -91,58 +121,57 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 	return s.write(parent, func() error { return s.applyLocked(b) })
 }
 
-// applyLocked validates the whole batch, has the core plan it and reserve
-// its space (seglog.Log.Reserve), then appends every record: by the time
-// the first old version is invalidated, the apply loop can no longer fail
-// with ErrFull.
+// applyLocked validates the whole batch, plans it and reserves its space
+// (reserve), then appends every record: by the time the first old version is
+// invalidated, the apply loop can no longer fail with ErrFull.
 func (s *Store) applyLocked(b *Batch) error {
 	// Existence is tracked virtually across the batch, so a Delete may
 	// follow a Write of the same page. The map is built at the first Delete
 	// (everything before it is a write): most batches have none.
 	var vexists map[uint32]bool
-	for i := range b.b.Ops {
-		op := &b.b.Ops[i]
-		if op.Del {
+	for i := range b.ops {
+		op := &b.ops[i]
+		if op.del {
 			if vexists == nil {
 				vexists = make(map[uint32]bool)
-				for j := range b.b.Ops[:i] {
-					vexists[b.b.Ops[j].Key] = true
+				for j := range b.ops[:i] {
+					vexists[b.ops[j].id] = true
 				}
 			}
-			exists, known := vexists[op.Key]
+			exists, known := vexists[op.id]
 			if !known {
-				_, exists = s.table[op.Key]
+				_, exists = s.table[op.id]
 			}
 			if !exists {
-				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.Key, ErrNotFound)
+				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
 			}
-		} else if op.DataLen() > s.opts.PageSize {
-			return fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.DataLen(), s.opts.PageSize)
-		} else if op.Reserved() && b.b.Fill == nil {
-			return fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.Key)
+		} else if op.n > s.opts.PageSize {
+			return fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.n, s.opts.PageSize)
+		} else if op.off < 0 && b.fill == nil {
+			return fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.id)
 		}
 		if vexists != nil {
-			vexists[op.Key] = !op.Del
+			vexists[op.id] = !op.del
 		}
-		op.Size = int64(RecordHeaderSize + op.DataLen()) // a tombstone is a bare header
+		op.size = int64(RecordHeaderSize + op.n) // a tombstone is a bare header
 	}
-	if err := s.log.Reserve(&b.b); err != nil {
+	if err := s.reserve(b); err != nil {
 		return err
 	}
-	last, i := len(b.b.Ops)-1, 0
-	put := func(dst []byte) { b.b.CopyData(i, dst) } // one closure, following i
+	last, i := len(b.ops)-1, 0
+	put := func(dst []byte) { b.copyData(i, dst) } // one closure, following i
 	if last > 0 {
 		s.applying = s.seq + 1
 		defer func() { s.applying = 0 }()
 	}
-	for i = range b.b.Ops {
-		op := &b.b.Ops[i]
-		if err := s.log.RoomReserved(op.Size); err != nil {
+	for i = range b.ops {
+		op := &b.ops[i]
+		if err := s.roomReserved(op.size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
 		}
 		flags := uint32(0)
-		if op.Del {
+		if op.del {
 			flags = flagTombstone
 		}
 		if last > 0 {
@@ -154,7 +183,7 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.userAppend(op.Key, flags, uint32(i), op.DataLen(), put); err != nil {
+		if err := s.userAppend(op.id, flags, uint32(i), op.n, put); err != nil {
 			return err
 		}
 	}
@@ -162,6 +191,61 @@ func (s *Store) applyLocked(b *Batch) error {
 		s.batches++
 	}
 	return nil
+}
+
+// reserve plans the batch (every op's size set) and secures the free segments
+// it needs, before any old version is invalidated: once it returns nil the
+// apply loop (roomReserved per op) can no longer fail with ErrFull. In
+// foreground mode it runs cleaning first (to the same headroom contract as
+// single writes: every segment open happens at or above the low-water mark);
+// in background mode it fails fast with ErrFull and lets the admission loop in
+// write retry while the cleaner catches up. A batch of only deletions frees at
+// least the tombstones it writes, so where cleaning cannot reach the mark it
+// may draw on the cleaning reserve (foreground only): that is how a full log
+// is drained.
+func (s *Store) reserve(b *Batch) error {
+	newSegs := s.plan(b)
+	if s.cl != nil {
+		// Segment opens pass need=2 (the last free segment is the
+		// cleaner's), so the pool must cover newSegs plus that one.
+		if len(s.free) >= newSegs+1 {
+			return nil
+		}
+		return ErrFull
+	}
+	// Cleaning appends to the GC stream only, so it leaves the plan valid.
+	target := s.opts.FreeLowWater + newSegs - 1
+	if newSegs == 0 || len(s.free) >= target {
+		return nil
+	}
+	if err := s.cleanUntil(target); err != nil {
+		deletesOnly := !slices.ContainsFunc(b.ops, func(op batchOp) bool { return !op.del })
+		if deletesOnly && errors.Is(err, ErrFull) && len(s.free) >= newSegs+s.userNeed()-1 {
+			return nil
+		}
+		return err
+	}
+	return nil
+}
+
+// plan counts, without mutating any log state, the fresh segments the
+// batch's appends to the user stream consume, replaying exactly what the
+// apply loop will do, so the reservation is exact.
+func (s *Store) plan(b *Batch) (newSegs int) {
+	segBytes := s.opts.segmentBytes()
+	rem := int64(-1) // room left in the open user segment; -1: none is open
+	if seg := s.open[userStream].seg; seg >= 0 {
+		rem = segBytes - s.fill[seg]
+	}
+	for i := range b.ops {
+		size := b.ops[i].size
+		if rem < size {
+			newSegs++
+			rem = segBytes
+		}
+		rem -= size
+	}
+	return newSegs
 }
 
 // groupCommit coalesces concurrent DurCommit committers onto shared fsync
@@ -244,8 +328,8 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 		s.mu.Lock()
 	}
 	err = errClosed
-	if !s.log.Closed {
-		err = s.Flush()
+	if !s.closed {
+		err = s.flush()
 	}
 	segs := make([]int32, 0, len(s.unsynced))
 	for seg, e := range s.unsynced {
@@ -351,7 +435,7 @@ func (s *Store) commitWatermarkLocked() uint64 {
 // and DurCommit committers share flush rounds.
 func (s *Store) Sync() error {
 	s.mu.RLock()
-	if s.log.Closed {
+	if s.closed {
 		s.mu.RUnlock()
 		return errClosed
 	}

@@ -415,7 +415,7 @@ func tornBatchSetup(t *testing.T, dur core.Durability) (opts Options, recs []tor
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	err = s.Flush()
+	err = s.flush()
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,25 +14,40 @@ import (
 	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/seglog"
 )
 
-// The cleaning cycle itself (select → relocate → release, foreground and
-// background) lives in internal/seglog; this file is the store's side of
-// seglog.Engine: enumerating a victim's live records, loading a window of
-// them, installing one relocated copy, the durability point that must precede
-// any victim's release, and the backing victims whose reset waits on another.
-// Recovery picks the highest sequence number, so two copies are harmless.
+// Cleaning is decomposed into the phases of the cleaner state machine
+// (select → relocate → release), shared by both modes:
+//
+//   - foreground mode runs all phases back to back under the write lock (a
+//     write blocks until the pool recovers);
+//   - background mode (internal/cleaner) interleaves: victims are marked
+//     core.SegCleaning under the lock, their records — then immutable —
+//     are loaded with NO lock held, and relocated copies are installed in
+//     small chunks so user reads and writes proceed throughout. Each
+//     install re-checks that the record is still current, because a
+//     concurrent overwrite may have superseded it mid-flight.
+//
+// Two promises keep every live record with an intact durable copy. Marking a
+// victim SegCleaning freezes it: it is never opened, reused or re-selected
+// until release, so its records may be read with no lock held. And release
+// follows a successful syncRelocated, which may leave copies in a still-open
+// segment unsynced: release may precede the copies' fsync, reuse may not.
+// Such a victim is backing (backs). Recovery picks the highest sequence
+// number, so two copies are harmless.
 
 // recCand is one live victim record captured at selection time, under the
-// lock: where it is and how long, so that Load needs no index to find it.
-// Once Install has staged its copy, off and seq are the copy's.
+// lock: its victim and that victim's up2 (the GC order), where it is and how
+// long, so that load needs no index to find it. Once install has staged its
+// copy, off and seq are the copy's.
 type recCand struct {
+	seg  int32
 	page uint32
 	off  uint32
+	size int32 // header included
 	seq  uint64
-	size int32  // header included
-	woff uint32 // set by Load: where the record is in the cycle's window
+	up2  float64
+	woff uint32 // set by load: where the record is in the cycle's window
 	tomb bool
 }
 
@@ -40,46 +56,142 @@ type recCand struct {
 func (s *Store) CleanOnce() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log.Closed {
+	if s.closed {
 		return 0, errClosed
 	}
-	n, _, err := s.log.CleanCycle()
+	n, _, err := s.cleanCycle()
 	return n, err
 }
 
-// LiveRecords (seglog.Engine) snapshots the records of victim seg that the
-// page table or the tombstone map still points at.
-func (s *Store) LiveRecords(seg int32, dst []seglog.Cand[recCand]) []seglog.Cand[recCand] {
-	off := uint32(segHeaderSize)
-	for _, r := range s.recs[seg] {
-		if tomb, ok := s.liveAt(r.page, r.seq, seg, off); ok {
-			dst = append(dst, seglog.Cand[recCand]{Rec: recCand{page: r.page, off: off, seq: r.seq, size: int32(r.end - off), tomb: tomb}})
+// cleanUntil runs foreground cleaning cycles until the free pool reaches
+// target segments. Batch reservation passes a higher target than the
+// low-water mark. Caller holds the write lock.
+func (s *Store) cleanUntil(target int) error {
+	guard := 0
+	dry := 0
+	for len(s.free) < target {
+		n, net, err := s.cleanCycle()
+		if err != nil {
+			return err
 		}
-		off = r.end
+		if n == 0 {
+			return ErrFull
+		}
+		// Cycles that only shuffle full segments reclaim nothing: the
+		// log's live data has (nearly) reached physical capacity.
+		if net <= 0 {
+			if dry++; dry >= 2 {
+				return fmt.Errorf("store: live data at physical capacity: %w", ErrFull)
+			}
+		} else {
+			dry = 0
+		}
+		if guard++; guard > 4*s.opts.MaxSegments {
+			return fmt.Errorf("store: cleaning cannot reach %d free segments: %w", target, ErrFull)
+		}
 	}
-	return dst
+	return nil
 }
 
-// Load (seglog.Engine) reads one victim, in one I/O into the cycle's window,
-// from cands[0] to the last of its candidates (in log order) that fits, and
-// verifies the identity of each data record; the payloads stay where they were
-// read. Victim segments are immutable while marked SegCleaning, so this — the
-// bulk of cleaning I/O — runs with no lock held, beside reads and user appends.
-func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
+// cleanCycle runs one full cycle under the write lock and reports the
+// victim count and the net bytes reclaimed (released minus relocated).
+func (s *Store) cleanCycle() (victimCount int, netBytes int64, err error) {
+	victims, cands, err := s.selectVictims(s.opts.CleanBatch, s.cands)
+	if err != nil || len(victims) == 0 {
+		return 0, 0, err
+	}
+	s.cands = cands
+	_, moved, err := s.relocate(cands, len(cands), &s.win, true)
+	if err != nil {
+		s.reseal(victims)
+		return 0, 0, err
+	}
+	return len(victims), s.release(victims) - moved, nil
+}
+
+// relocate is the middle of a cycle: sort the candidates (the key is their
+// victim's up2, so each victim's stay together, in log order), load a window
+// of them and install it chunk at a time until none is left, then run the
+// durability point. The foreground cycle holds the write lock throughout
+// (locked); the background one runs the bulk I/O of load with no lock held —
+// victim records are frozen by SegCleaning — and takes the lock per chunk, so
+// user operations interleave with it. An error returns the partial totals.
+func (s *Store) relocate(cands []recCand, chunk int, win *[]byte, locked bool) (installed int, moved int64, err error) {
+	if s.opts.Algorithm.SortGC {
+		// Separate relocations by update frequency (§5.3): coldest first.
+		slices.SortStableFunc(cands, func(a, b recCand) int { return cmp.Compare(a.up2, b.up2) })
+	}
+	for n := 0; len(cands) > 0; cands = cands[n:] {
+		if n, err = s.load(cands, win); err != nil {
+			return installed, moved, err
+		}
+		for lo := 0; lo < n; lo += chunk {
+			k, b, err := s.installChunk(cands[lo:min(lo+chunk, n)], *win, locked)
+			installed += k
+			moved += b
+			if err != nil {
+				return installed, moved, err
+			}
+		}
+	}
+	return installed, moved, s.syncRelocated(locked)
+}
+
+// selectVictims asks the policy for up to max victims, marks them
+// SegCleaning (freezing their records), and snapshots the records of each
+// that the page table or the tombstone map still points at into dst's memory,
+// the table the caller keeps between its cycles. Caller holds the write lock.
+func (s *Store) selectVictims(max int, dst []recCand) ([]int32, []recCand, error) {
+	view := core.View{Now: s.unow, Segs: s.meta}
+	victims := s.opts.Algorithm.Policy.Victims(view, max, nil)
+	live := 0 // Meta.Live counts what the index points at: the candidates to come
+	for _, v := range victims {
+		if s.meta[v].State != core.SegSealed {
+			return nil, nil, fmt.Errorf("store: policy %s selected non-sealed segment %d", s.opts.Algorithm.Name, v)
+		}
+		live += int(s.meta[v].Live)
+	}
+	cands := slices.Grow(dst[:0], live)
+	for _, v := range victims {
+		m := &s.meta[v]
+		m.State = core.SegCleaning
+		// Emptiness-at-clean is measured now but credited to the stats
+		// only when the victim is actually released (an aborted victim
+		// was not cleaned and will be re-selected).
+		s.pendingE[v] = m.Emptiness()
+		s.hVictimE.Record(uint64(m.Emptiness() * 1000))
+		off := uint32(segHeaderSize)
+		for _, r := range s.recs[v] {
+			if tomb, ok := s.liveAt(r.page, r.seq, v, off); ok {
+				cands = append(cands, recCand{seg: v, page: r.page, off: off, size: int32(r.end - off), seq: r.seq, up2: m.Up2, tomb: tomb})
+			}
+			off = r.end
+		}
+	}
+	return victims, cands, nil
+}
+
+// load reads one victim, in one I/O into the cycle's window, from cands[0] to
+// the last of its candidates (in log order) that fits, and verifies the
+// identity of each data record; the payloads stay where they were read. It
+// allocates *win, the cycle's owner keeps it. Victim segments are immutable
+// while marked SegCleaning, so this — the bulk of cleaning I/O — runs with no
+// lock held in background mode, beside reads and user appends.
+func (s *Store) load(cands []recCand, win *[]byte) (int, error) {
 	if *win == nil {
 		*win = make([]byte, max(ioUnit, RecordHeaderSize+s.opts.PageSize))
 	}
-	seg, base, n := cands[0].Seg, cands[0].Rec.off, 1
+	seg, base, n := cands[0].seg, cands[0].off, 1
 	end := func(r *recCand) int { return int(r.off-base) + int(r.size) }
-	for n < len(cands) && cands[n].Seg == seg && end(&cands[n].Rec) <= len(*win) {
+	for n < len(cands) && cands[n].seg == seg && end(&cands[n]) <= len(*win) {
 		n++
 	}
-	buf := (*win)[:end(&cands[n-1].Rec)]
+	buf := (*win)[:end(&cands[n-1])]
 	if err := s.read(seg, base, buf); err != nil {
 		return 0, err
 	}
 	for i := range cands[:n] {
-		r := &cands[i].Rec
+		r := &cands[i]
 		if r.woff = r.off - base; r.tomb {
 			continue
 		}
@@ -95,16 +207,42 @@ func (s *Store) Load(cands []seglog.Cand[recCand], win *[]byte) (int, error) {
 	return n, nil
 }
 
-// Install (seglog.Engine) appends a relocated copy of c if it is still
-// current, keeping victim accounting truthful (a pruned record no longer
-// counts against its victim, nor a relocated one once Flush wrote its copy),
-// and notes the segment the copy went to among those its victim waits on.
-func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
-	r, flags, size := &c.Rec, uint32(0), int64(c.Rec.size)
+// installChunk relocates the candidates that are still current, taking the
+// write lock for the chunk unless the caller already holds it, and writes
+// their copies before the lock is released.
+func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (installed int, bytes int64, err error) {
+	if !locked {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return 0, 0, errClosed
+		}
+	}
+	for i := range cands {
+		var n int64
+		if n, err = s.install(&cands[i], win); err != nil {
+			break
+		}
+		if n > 0 {
+			installed++
+			bytes += n
+		}
+	}
+	return installed, bytes, cmp.Or(err, s.flush())
+}
+
+// install appends a relocated copy of r, loaded into win, if it is still
+// current (a concurrent overwrite or delete may have superseded it), keeping
+// victim accounting truthful (a pruned record no longer counts against its
+// victim, nor a relocated one once flush wrote its copy), and notes the
+// segment the copy went to among those its victim waits on. It returns the
+// bytes appended, 0 when nothing was.
+func (s *Store) install(r *recCand, win []byte) (int64, error) {
+	flags, size := uint32(0), int64(r.size)
 	if r.tomb {
 		flags = flagTombstone
 	}
-	if _, ok := s.liveAt(r.page, r.seq, c.Seg, r.off); !ok {
+	if _, ok := s.liveAt(r.page, r.seq, r.seg, r.off); !ok {
 		return 0, nil // overwritten, deleted or superseded since selection
 	}
 	if r.tomb && r.seq <= s.prunedSeq {
@@ -116,43 +254,45 @@ func (s *Store) Install(c *seglog.Cand[recCand], win []byte) (int64, error) {
 		// segments, and forgetting the deletion would let recovery
 		// resurrect them.
 		s.tombstones[r.page] = noRecord(r.seq)
-		s.log.Pruned(c.Seg, size)
+		s.pruned(r.seg, size)
 		return 0, nil
 	}
-	if err := s.log.GCRoom(size); err != nil {
+	if err := s.gcRoom(size); err != nil {
 		return 0, err
 	}
-	rec, err := s.stage(seglog.GCStream, int(size))
+	rec, err := s.stage(gcStream, int(size))
 	if err != nil {
 		return 0, err
 	}
-	if on := s.waits[c.Seg]; s.waits != nil && !slices.Contains(on, s.runSeg) {
-		s.waits[c.Seg] = append(on, s.runSeg) // before appendRecord, whose seal may cover it
+	if on := s.waits[r.seg]; s.waits != nil && !slices.Contains(on, s.runSeg) {
+		s.waits[r.seg] = append(on, s.runSeg) // before appendRecord, whose seal may cover it
 	}
 	copy(rec[RecordHeaderSize:], win[r.woff:][RecordHeaderSize:size])
-	if err := s.appendRecord(seglog.GCStream, r.page, flags, 0, rec, c.Up2, c); err != nil {
+	if err := s.appendRecord(gcStream, r.page, flags, 0, rec, r.up2, r); err != nil {
 		return 0, err
 	}
 	s.cGCBytes.Add(uint64(size))
 	return size, nil
 }
 
-// SyncRelocated (seglog.Engine) is the cycle's durability point: one sync
-// point after the last relocated copy is written and before any victim is
-// released. Until it succeeds the victims hold the originals and recovery
-// falls back to them, so a segment the cycle filled and sealed on the way is
-// not fsynced at its seal but here, once. Under DurSeal it covers every sealed
-// ledger entry holding a relocated copy, whichever cycle wrote it (an aborted
-// cycle leaves its entries behind, a failed fsync retires none). An open GC
-// tail waits for the cycle that seals it (or Sync, or Close); the victims
-// with copies in it are released backing (Backs). Under DurCommit it covers
-// the whole ledger, so a relocated copy of a batch record (which loses its
-// batch markers) never becomes durable ahead of the rest of its batch —
-// releasing the victim then cannot let recovery surface the batch partially.
-func (s *Store) SyncRelocated(locked bool) error {
+// syncRelocated is the cycle's durability point: one sync point after the
+// last relocated copy is written and before any victim is released (locked
+// reports whether the caller holds the write lock; the background cycle does
+// not, so its fsyncs stall nobody). Until it succeeds the victims hold the
+// originals and recovery falls back to them, so a segment the cycle filled
+// and sealed on the way is not fsynced at its seal but here, once. Under
+// DurSeal it covers every sealed ledger entry holding a relocated copy,
+// whichever cycle wrote it (an aborted cycle leaves its entries behind, a
+// failed fsync retires none). An open GC tail waits for the cycle that seals
+// it (or Sync, or Close); the victims with copies in it are released backing
+// (backs). Under DurCommit it covers the whole ledger, so a relocated copy of
+// a batch record (which loses its batch markers) never becomes durable ahead
+// of the rest of its batch — releasing the victim then cannot let recovery
+// surface the batch partially.
+func (s *Store) syncRelocated(locked bool) error {
 	switch s.opts.Durability {
 	case core.DurSeal:
-		_, err := s.syncPoint(locked, func(g int32, e unsyncedSeg) bool { return e.reloc && s.log.Meta[g].State != core.SegOpen })
+		_, err := s.syncPoint(locked, func(g int32, e unsyncedSeg) bool { return e.reloc && s.meta[g].State != core.SegOpen })
 		return err
 	case core.DurCommit:
 		if !locked {
@@ -164,17 +304,124 @@ func (s *Store) SyncRelocated(locked bool) error {
 	return nil
 }
 
-// ReleaseSegment (seglog.Engine) forgets a released victim's records and its
-// ledger entry. What was live in it is synced elsewhere, or sits in an open GC
-// tail: then the victim keeps its waits and is backing until that tail's fsync.
-func (s *Store) ReleaseSegment(seg int32) {
-	s.recs[seg] = s.recs[seg][:0]
-	delete(s.unsynced, seg)
+// release returns victims to the free pool, SealSeq kept (pick), and reports
+// the gross capacity bytes released. It forgets each victim's records and its
+// ledger entry: what was live in it is synced elsewhere, or sits in an open GC
+// tail — then the victim keeps its waits and is backing until that tail's
+// fsync. Caller holds the write lock.
+func (s *Store) release(victims []int32) (releasedBytes int64) {
+	for _, v := range victims {
+		m := &s.meta[v]
+		if e, ok := s.pendingE[v]; ok {
+			s.cleanedSegs++
+			s.sumEAtClean += e
+			delete(s.pendingE, v)
+		}
+		releasedBytes += m.Capacity
+		m.State = core.SegFree
+		m.Live = 0
+		m.Free = m.Capacity
+		m.Up2 = 0
+		s.fill[v] = 0
+		s.recs[v] = s.recs[v][:0]
+		delete(s.unsynced, v)
+		s.free = append(s.free, v)
+	}
+	s.freeCount.Store(int64(len(s.free)))
+	return releasedBytes
 }
 
-// Backs (seglog.Engine) reports whether free segment seg is backing: it waits
-// on a segment, so its file holds some record's last durable copy.
-func (s *Store) Backs(seg int32) bool { return len(s.waits[seg]) > 0 }
+// reseal reverts victims to sealed after a failed relocation so a later
+// cycle can retry them.
+func (s *Store) reseal(victims []int32) {
+	for _, v := range victims {
+		if s.meta[v].State == core.SegCleaning {
+			s.meta[v].State = core.SegSealed
+			delete(s.pendingE, v)
+		}
+	}
+}
+
+// target adapts the store to cleaner.Target: the background cleaner's view of
+// it, and the tests' way to place crash points between the phases. The
+// cleaner drives one cycle at a time (SelectVictims → Relocate →
+// Release/Abort), so the candidate snapshot can be carried between calls, and
+// its table between cycles.
+type target struct {
+	s     *Store
+	cands []recCand
+	win   []byte // this cleaner's I/O window, kept between its cycles
+}
+
+func (t *target) FreeSegments() int { return int(t.s.freeCount.Load()) }
+
+func (t *target) SelectVictims(max int) []int32 {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	victims, cands, err := s.selectVictims(max, t.cands)
+	if err != nil {
+		// A policy violating the sealed-victims contract is a bug; skip the
+		// cycle rather than corrupt state.
+		return nil
+	}
+	t.cands = cands
+	return victims
+}
+
+func (t *target) Relocate(victims []int32) (int, int64, error) {
+	return t.s.relocate(t.cands, relocChunk, &t.win, false)
+}
+
+func (t *target) Release(victims []int32) int64 {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	return t.s.release(victims)
+}
+
+// Abort reverts victims after a failed relocation — but a victim whose
+// every record was already relocated or dead holds nothing, and releasing
+// it guarantees the cleaner makes progress even when the failure was the
+// GC stream running out of space mid-batch (re-sealing everything would
+// wedge: no free segments, no new garbage from blocked writers, every
+// retry failing the same way). Durability ordering still holds: the
+// relocated copies are synced before any drained victim can be reused.
+func (t *target) Abort(victims []int32) {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var drained, rest []int32
+	for _, v := range victims {
+		if s.meta[v].State != core.SegCleaning {
+			continue
+		}
+		if s.meta[v].Live == 0 {
+			drained = append(drained, v)
+		} else {
+			rest = append(rest, v)
+		}
+	}
+	s.reseal(rest)
+	if len(drained) == 0 {
+		return
+	}
+	if err := s.syncRelocated(true); err != nil {
+		// Without the durability point the drained victims must stay
+		// frozen; re-seal them for a later cycle.
+		s.reseal(drained)
+		return
+	}
+	s.release(drained)
+}
+
+// backs reports whether free segment seg is backing: it waits on a segment,
+// so its file holds some record's last durable copy (a relocated copy of one
+// of its records still owes an fsync). pick opens it only when no other will
+// do; openSegment then covers the copies first.
+func (s *Store) backs(seg int32) bool { return len(s.waits[seg]) > 0 }
 
 // pruneWaits drops the waits on segments a sync point has just covered.
 func (s *Store) pruneWaits() {
@@ -214,10 +461,10 @@ func (s *Store) checkpointLocked() error {
 		s.prunedSeq = s.seq
 		return nil
 	}
-	meta := s.log.Meta
+	meta := s.meta
 	buf := make([]byte, 0, 64+len(s.tombstones)*4+len(meta)*8)
 	buf = append(buf, checkpointMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, s.log.Unow)
+	buf = binary.LittleEndian.AppendUint64(buf, s.unow)
 	buf = binary.LittleEndian.AppendUint64(buf, s.seq)
 	deleted := make([]uint32, 0, len(s.tombstones))
 	for page := range s.tombstones {
@@ -334,10 +581,10 @@ func (s *Store) readCheckpoint() (*checkpoint, error) {
 // cycle or a failed fsync left in it — seals the open segments, which then owe
 // no fsync of their own, checkpoints, and releases resources.
 func (s *Store) Close() error {
-	s.log.StopCleaner()
+	s.stopCleaner()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log.Closed {
+	if s.closed {
 		return nil
 	}
 	if s.opts.Durability != core.DurNone {
@@ -345,16 +592,23 @@ func (s *Store) Close() error {
 			return err
 		}
 	}
-	for _, stream := range []int32{seglog.UserStream, seglog.GCStream} {
-		if err := s.log.Seal(stream); err != nil {
+	for _, stream := range []int32{userStream, gcStream} {
+		if err := s.seal(stream); err != nil {
 			return err
 		}
 	}
 	if err := s.checkpointLocked(); err != nil {
 		return err
 	}
-	s.log.Closed = true
+	s.closed = true
 	return s.be.close()
+}
+
+// stopCleaner stops the background cleaner, if any. Call it unlocked.
+func (s *Store) stopCleaner() {
+	if s.cl != nil {
+		s.cl.Stop()
+	}
 }
 
 // Stats describes store occupancy and cleaning efficiency.
@@ -409,30 +663,44 @@ func (s *Store) Obs() *obs.Registry { return s.opts.Obs }
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
-	ls := s.log.Stats()
 	st := Stats{
 		LivePages:       len(s.table),
 		Tombstones:      len(s.tombstones),
-		FreeSegments:    ls.FreeSegments,
-		SealedSegments:  ls.SealedSegments,
+		FreeSegments:    len(s.free),
 		UserWrites:      s.userWrites,
-		GCWrites:        ls.GCWrites,
-		SegmentsCleaned: ls.SegmentsCleaned,
-		MeanEAtClean:    ls.MeanEAtClean,
+		GCWrites:        s.gcWrites,
+		SegmentsCleaned: s.cleanedSegs,
 		CapacityPages:   s.opts.MaxSegments * s.opts.SegmentPages,
 		CapacityBytes:   uint64(s.opts.MaxSegments) * uint64(s.opts.segmentBytes()),
 		UserBytes:       s.cUserBytes.Value(),
 		GCBytes:         s.cGCBytes.Value(),
-		UpdateClock:     s.log.Unow,
-		Streams:         ls.Streams,
+		UpdateClock:     s.unow,
+		Streams:         make([]core.StreamStats, len(s.open)),
 		Durability:      s.opts.Durability.String(),
 		BatchesApplied:  s.batches,
 	}
-	for _, ss := range ls.Streams {
-		st.LiveBytes += uint64(ss.LiveBytes)
+	if s.cleanedSegs > 0 {
+		st.MeanEAtClean = s.sumEAtClean / float64(s.cleanedSegs)
+	}
+	for seg := range s.meta {
+		m := &s.meta[seg]
+		if m.State == core.SegFree {
+			continue
+		}
+		ss := &st.Streams[m.Stream]
+		ss.Segments++
+		ss.Live += int(m.Live)
+		ss.LiveBytes += m.Capacity - m.Free
+		st.LiveBytes += uint64(m.Capacity - m.Free)
+		if m.State == core.SegOpen {
+			ss.OpenSegments++
+			ss.OpenFill = float64(s.fill[seg]) / float64(m.Capacity)
+		} else {
+			st.SealedSegments++ // sealed or mid-clean: still holding sealed data
+		}
 	}
 	if s.userWrites > 0 {
-		st.WriteAmp = float64(ls.GCWrites) / float64(s.userWrites)
+		st.WriteAmp = float64(s.gcWrites) / float64(s.userWrites)
 	}
 	if st.CapacityPages > 0 {
 		st.FillFactor = float64(st.LivePages) / float64(st.CapacityPages)
@@ -441,15 +709,19 @@ func (s *Store) Stats() Stats {
 	st.Commits = s.cCommits.Value()
 	st.FsyncRounds = s.cRounds.Value()
 	st.Fsyncs = s.cSyncs.Value()
-	st.Background, st.Cleaner = s.log.CleanerStats()
+	if s.cl != nil {
+		st.Background, st.Cleaner = true, s.cl.Stats()
+	}
 	return st
 }
 
 // CheckInvariants validates internal consistency (tests): every page-table
 // and tombstone-map entry is exactly one written record (same page, offset
-// and seq), no page is both live and deleted, and the core's per-segment
-// accounting — live records and their real sizes — matches that index
-// (seglog.Log.Check).
+// and seq), no page is both live and deleted, and the per-segment accounting —
+// live records and their real sizes — matches that index. Beyond that: the
+// free pool, its atomic count and the segment states agree (so a free segment
+// holds nothing live), and a segment is open exactly when it is its stream's
+// open segment (so at most one per stream).
 func (s *Store) CheckInvariants() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -479,16 +751,38 @@ func (s *Store) CheckInvariants() error {
 		return fmt.Errorf("store: %d index entries point at no record", located)
 	}
 	for seg := range s.unsynced {
-		if s.log.Meta[seg].State == core.SegFree {
+		if s.meta[seg].State == core.SegFree {
 			return fmt.Errorf("store: free segment %d is in the unsynced ledger", seg)
 		}
 	}
 	// A segment with waits is free (backing) or a victim, never open, and each
 	// segment it waits on is in the ledger with a relocated copy.
 	for seg, on := range s.waits {
-		if st := s.log.Meta[seg].State; st == core.SegOpen || len(on) == 0 || slices.ContainsFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }) {
+		if st := s.meta[seg].State; st == core.SegOpen || len(on) == 0 || slices.ContainsFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }) {
 			return fmt.Errorf("store: %s segment %d waits on %v, not all owing a relocated copy an fsync", st, seg, on)
 		}
 	}
-	return s.log.Check(liveCount, liveBytes)
+	pooled := make([]int, len(s.meta))
+	for _, seg := range s.free {
+		pooled[seg]++
+	}
+	if n := s.freeCount.Load(); n != int64(len(s.free)) {
+		return fmt.Errorf("store: free count %d, free pool holds %d", n, len(s.free))
+	}
+	for i := range s.meta {
+		m := &s.meta[i]
+		if m.Live != liveCount[i] || m.Capacity-m.Free != liveBytes[i] {
+			return fmt.Errorf("store: %s segment %d accounts %d live records in %d bytes, index says %d in %d",
+				m.State, i, m.Live, m.Capacity-m.Free, liveCount[i], liveBytes[i])
+		}
+		free, open := 0, s.open[m.Stream].seg == int32(i)
+		if m.State == core.SegFree {
+			free = 1
+		}
+		if pooled[i] != free || open != (m.State == core.SegOpen) || free == 1 && m.Live != 0 {
+			return fmt.Errorf("store: %s segment %d (stream %d, %d live) is %d times in the free pool, open for its stream: %v",
+				m.State, i, m.Stream, m.Live, pooled[i], open)
+		}
+	}
+	return nil
 }

@@ -100,7 +100,7 @@ func TestConcurrentSyncPoints(t *testing.T) {
 			wwg.Wait()
 			close(done)
 			swg.Wait()
-			s.log.StopCleaner()
+			s.stopCleaner()
 			if err := s.Sync(); err != nil {
 				t.Fatal(err)
 			}

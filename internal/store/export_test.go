@@ -7,14 +7,14 @@ import "repro/internal/cleaner"
 // sealing open segments or writing a checkpoint — exactly the state a real
 // crash leaves on disk.
 func (s *Store) crash() error {
-	s.log.StopCleaner()
+	s.stopCleaner()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.log.Closed = true
+	s.closed = true
 	return s.be.close()
 }
 
 // cleanPhases exposes the cleaner state machine's phases to tests so crash
 // points can be placed between them (e.g. after relocation but before
 // release, the window where live pages must exist in two on-disk copies).
-func (s *Store) cleanPhases() cleaner.Target { return s.log.Target() }
+func (s *Store) cleanPhases() cleaner.Target { return &target{s: s} }

@@ -1,4 +1,4 @@
-package seglog_test
+package store_test
 
 import (
 	"bytes"
@@ -15,8 +15,8 @@ import (
 	"repro/internal/vlog"
 )
 
-// TestGoldenDeterminism pins the exact cleaning behaviour of both live
-// engines: a seeded foreground workload (Zipf and hot/cold page choice,
+// TestGoldenDeterminism pins the exact cleaning behaviour of the store,
+// directly and under the vlog key index: a seeded foreground workload (Zipf and hot/cold page choice,
 // single-op and batched writes, deletes, delete-then-re-put inside one
 // batch) must reproduce, digit for digit, the counters recorded in
 // goldenRows (which says what commit each row was recorded at, and why).

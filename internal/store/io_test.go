@@ -200,8 +200,8 @@ func TestFailedRunWriteMidCycle(t *testing.T) {
 			if after.FreeSegments > before.FreeSegments || after.SegmentsCleaned != before.SegmentsCleaned || after.GCWrites == before.GCWrites {
 				t.Errorf("the failed cycle should have relocated some pages and released nothing: %+v -> %+v", before, after)
 			}
-			for seg := range s.log.Meta {
-				if s.log.Meta[seg].State == core.SegCleaning {
+			for seg := range s.meta {
+				if s.meta[seg].State == core.SegCleaning {
 					t.Errorf("victim %d was left in SegCleaning", seg)
 				}
 			}
@@ -247,7 +247,7 @@ func TestCycleSyncShape(t *testing.T) {
 	cb := count(s)
 	openSyncs := 0 // fsyncs of a segment still open: only a forced sync point issues one
 	cb.failSync = func(seg int) error {
-		if s.log.Meta[seg].State == core.SegOpen {
+		if s.meta[seg].State == core.SegOpen {
 			openSyncs++
 		}
 		return nil
@@ -354,7 +354,7 @@ func TestFailedSyncMidCycle(t *testing.T) {
 				}
 				var owed []int32
 				for seg, e := range s.unsynced {
-					if s.log.Meta[seg].State == core.SegCleaning {
+					if s.meta[seg].State == core.SegCleaning {
 						t.Errorf("victim %d was left in SegCleaning", seg)
 					}
 					if e.reloc {
@@ -374,7 +374,7 @@ func TestFailedSyncMidCycle(t *testing.T) {
 				rp.advance(t, cb)
 				for _, seg := range owed {
 					e, still := s.unsynced[seg]
-					if tail && s.log.Meta[seg].State == core.SegOpen {
+					if tail && s.meta[seg].State == core.SegOpen {
 						if !still || !e.reloc {
 							t.Errorf("open GC tail %d left the ledger without its seal", seg)
 						}
@@ -445,7 +445,7 @@ func TestBackingVictimOutlivesLostTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		tail := -1
-		for seg, m := range s.log.Meta {
+		for seg, m := range s.meta {
 			if m.State == core.SegOpen && m.Stream == 1 {
 				tail = seg
 			}
@@ -575,7 +575,7 @@ func sealedBatchOutlivesItsCleanedMembers(t *testing.T) {
 			for _, m := range bt.members {
 				switch loc := s.table[m.id]; {
 				case loc == m.loc:
-					kept, sealed = true, sealed && s.log.Meta[loc.seg].State != core.SegOpen
+					kept, sealed = true, sealed && s.meta[loc.seg].State != core.SegOpen
 				case version[m.id] == bt.ver && resetAt[m.loc.seg] > bt.events:
 					moved = true
 				}
@@ -612,7 +612,7 @@ func TestRelocationSealSyncsUserRecords(t *testing.T) {
 			if e.user && e.reloc {
 				t.Errorf("segment %d holds both a user record and a relocated copy", seg)
 			}
-			if s.log.Meta[seg].State != core.SegOpen && e.user && int(seg) != at {
+			if s.meta[seg].State != core.SegOpen && e.user && int(seg) != at {
 				t.Errorf("sealed segment %d holds a user record no fsync has covered", seg)
 			}
 		}
@@ -739,7 +739,7 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 	done := make(chan struct{})
 	var fgCycles atomic.Int64
 	bothCleaned := func() bool {
-		_, cl := s.log.CleanerStats()
+		cl := s.cl.Stats()
 		return fgCycles.Load() > 0 && cl.Cycles > 0
 	}
 	deadline := time.Now().Add(time.Minute)
@@ -803,7 +803,7 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 			default:
 			}
 			// Once per background cycle, while it is under way.
-			if _, cl := s.log.CleanerStats(); cl.State == "idle" || cl.Cycles < next {
+			if cl := s.cl.Stats(); cl.State == "idle" || cl.Cycles < next {
 				runtime.Gosched()
 				continue
 			} else {

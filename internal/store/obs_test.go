@@ -68,7 +68,7 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 	pollers.Wait()
 	// Let an in-flight cleaning cycle finish: its victims are already in
 	// the victim-E histogram but count as cleaned only once released.
-	s.log.StopCleaner()
+	s.stopCleaner()
 
 	st := s.Stats()
 	snap := s.Obs().Snapshot()
@@ -85,8 +85,9 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 
 // countingBackend counts what reaches segment storage and what is read back:
 // the calls, their bytes, how many of the writes started a segment (they carry
-// its header), and the reads per segment. failWrite and failSync, when set, are
-// asked before every write and fsync and their error returned instead. events
+// its header), and the reads per segment. failWrite, failRead and failSync,
+// when set, are asked before every write, read and fsync and their error
+// returned instead. events
 // is the order in which writes, fsyncs and resets reached each segment (mu: a
 // sync point's fsyncs run concurrently).
 type countingBackend struct {
@@ -95,6 +96,7 @@ type countingBackend struct {
 	writes, reads, readBytes int64
 	readsOf                  map[int]int
 	failWrite                func(seg int, off int64) error
+	failRead                 func(seg int, off int64) error
 	failSync                 func(seg int) error
 	mu                       sync.Mutex
 	events                   []ioEvent
@@ -129,6 +131,11 @@ func (c *countingBackend) write(seg int, off int64, b []byte) error {
 }
 
 func (c *countingBackend) read(seg int, off int64, b []byte) error {
+	if c.failRead != nil {
+		if err := c.failRead(seg, off); err != nil {
+			return err
+		}
+	}
 	c.reads++
 	c.readBytes += int64(len(b))
 	if c.readsOf != nil {

@@ -297,8 +297,8 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 	}
 	var segs []seg
 	s2.mu.RLock()
-	for id := range s2.log.Meta {
-		m := &s2.log.Meta[id]
+	for id := range s2.meta {
+		m := &s2.meta[id]
 		if m.State != core.SegSealed || len(s2.recs[id]) == 0 {
 			continue
 		}
@@ -360,11 +360,11 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 	checkInvariants(t, s2)
 	defer s2.Close()
 	s2.mu.RLock()
-	unow, seq := s2.log.Unow, s2.seq
+	unow, seq := s2.unow, s2.seq
 	var maxUp2 float64
-	for i := range s2.log.Meta {
-		if s2.log.Meta[i].Up2 > maxUp2 {
-			maxUp2 = s2.log.Meta[i].Up2
+	for i := range s2.meta {
+		if s2.meta[i].Up2 > maxUp2 {
+			maxUp2 = s2.meta[i].Up2
 		}
 	}
 	s2.mu.RUnlock()

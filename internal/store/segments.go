@@ -1,0 +1,266 @@
+package store
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"slices"
+
+	"repro/internal/cleaner"
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// The segment log: everything about segments that is neither bytes nor
+// index — the metadata table the cleaning policies read, the free pool, the
+// two streams' open segments, the update clock and write admission. Appends
+// go room → stage → appendRecord; the cleaning cycle is in clean.go.
+
+// The two append streams: user writes fill one, relocated copies the other.
+const (
+	userStream int32 = 0
+	gcStream   int32 = 1
+)
+
+// openSeg is a stream's open segment: its id (-1 = none), the records
+// appended so far and their summed carried up2 (§5.2.2 seal-time average).
+type openSeg struct {
+	seg    int32
+	count  int
+	up2Sum float64
+}
+
+// write runs op — one write's or one batch's appends — under the write lock
+// behind write admission (a closed store fails with errClosed instead), then
+// under DurCommit makes it durable: the write is already visible; concurrent
+// committers coalesce onto one group fsync. In background mode a write can
+// lose the race for the last free segments to concurrent writers; those
+// transient ErrFulls are retried through admission (which blocks below the
+// emergency floor until the cleaner catches up). A non-nil parent gets
+// "store.admit", "store.apply" and "store.commit.wait" child spans.
+func (s *Store) write(parent *obs.Span, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		if s.cl != nil {
+			leg := parent.Child("store.admit")
+			err := s.cl.Admit()
+			leg.End()
+			if err != nil {
+				if errors.Is(err, cleaner.ErrExhausted) {
+					return fmt.Errorf("%w: %v", ErrFull, err)
+				}
+				return fmt.Errorf("store: write admission: %w", err)
+			}
+		}
+		leg := parent.Child("store.apply")
+		s.mu.Lock()
+		err := errClosed
+		if !s.closed {
+			err = cmp.Or(op(), s.flush())
+		}
+		seq := s.seq
+		lowWater := s.cl != nil && len(s.free) < s.opts.FreeLowWater
+		s.mu.Unlock()
+		leg.End()
+		if lowWater {
+			s.cl.Kick()
+		}
+		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
+			continue
+		}
+		if err == nil && s.opts.Durability == core.DurCommit {
+			leg := parent.Child("store.commit.wait")
+			err = s.commitWait(seq)
+			leg.End()
+		}
+		return err
+	}
+}
+
+// room guarantees the user stream's open segment can take size more bytes,
+// sealing and reopening as needed. It runs foreground cleaning below the
+// low-water mark (background mode kicks the cleaner from the write path
+// instead) and leaves the last free segment for relocation.
+func (s *Store) room(size int64) error {
+	if ok, err := s.fits(userStream, size); ok || err != nil {
+		return err
+	}
+	if s.cl == nil && len(s.free) < s.opts.FreeLowWater {
+		if err := s.cleanUntil(s.opts.FreeLowWater); err != nil {
+			return err
+		}
+	}
+	return s.roomReserved(size)
+}
+
+// roomReserved is room for a batch's apply loop: cleaning and headroom
+// decisions already happened in reserve, so it only seals a full open
+// segment and takes a fresh one when needed.
+func (s *Store) roomReserved(size int64) error {
+	return s.openRoom(userStream, size, s.userNeed())
+}
+
+// gcRoom guarantees the GC stream room for a relocation of size bytes; GC
+// appends may consume the reserve they are defending.
+func (s *Store) gcRoom(size int64) error {
+	return s.openRoom(gcStream, size, 1)
+}
+
+// userNeed is the free-pool floor a user append's segment open respects: in
+// background mode the last free segment is left for the cleaner's GC
+// output, so relocation can always make progress.
+func (s *Store) userNeed() int {
+	if s.cl != nil {
+		return 2
+	}
+	return 1
+}
+
+// fits reports whether stream has an open segment with size free bytes,
+// sealing one that is too full.
+func (s *Store) fits(stream int32, size int64) (bool, error) {
+	seg := s.open[stream].seg
+	if seg >= 0 && s.fill[seg]+size > s.opts.segmentBytes() {
+		if err := s.seal(stream); err != nil {
+			return false, err
+		}
+	}
+	return s.open[stream].seg >= 0, nil
+}
+
+// openRoom makes stream's open segment fit size more bytes, taking a free
+// segment when it has none (left). need is the minimum free-pool size the
+// caller may consume from.
+func (s *Store) openRoom(stream int32, size int64, need int) error {
+	if ok, err := s.fits(stream, size); ok || err != nil {
+		return err
+	}
+	if len(s.free) < need {
+		s.cErrFull.Inc()
+		s.trace.Emit(obs.EvErrFull, int64(len(s.free)), int64(need))
+		return ErrFull
+	}
+	i := s.pick()
+	seg := s.free[i]
+	if err := s.openSegment(seg, stream); err != nil {
+		return err // seg stays in the pool
+	}
+	s.free = slices.Delete(s.free, i, i+1)
+	s.freeCount.Store(int64(len(s.free)))
+	return nil
+}
+
+// pick returns the free-pool index of the segment openRoom opens: the topmost
+// that backs nothing, else the topmost. It looks no deeper than the first
+// segment not written since start-up (a free one keeps its last SealSeq; 0 is
+// never): opening a never-used file would grow the log's footprint.
+func (s *Store) pick() int {
+	top := len(s.free) - 1
+	for i := top; i >= 0 && s.meta[s.free[i]].SealSeq != 0; i-- {
+		if !s.backs(s.free[i]) {
+			return i
+		}
+	}
+	return top
+}
+
+// openSegment makes free segment seg stream's open segment: it resets the
+// segment's storage and stages its header, the start of the run its first
+// records will extend. The reset is where a victim's bytes die, so a backing
+// segment first runs one sync point over the segments it waits on
+// (store.backing.syncs).
+func (s *Store) openSegment(seg, stream int32) error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if s.backs(seg) {
+		s.cBacking.Inc()
+		if _, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return slices.Contains(s.waits[seg], g) }); err != nil {
+			return err
+		}
+	}
+	if err := s.be.reset(int(seg)); err != nil {
+		return err
+	}
+	s.incarnation++
+	s.run, s.runSeg, s.runOff = s.run[:segHeaderSize], seg, 0
+	// The header carries the current commit watermark: recovery uses it to
+	// tell a provably-committed batch (some members garbage-collected,
+	// their segments since reused — this one, maybe) from a torn one.
+	encodeSegHeader(s.run, s.incarnation, stream, s.commitWatermarkLocked())
+	if s.unsynced != nil {
+		s.unsynced[seg] = unsyncedSeg{seq: s.seq} // the header itself needs flushing
+	}
+	if s.recs[seg] == nil {
+		// First use: a segment that is never opened costs no record table.
+		s.recs[seg] = make([]recInfo, 0, s.opts.SegmentPages)
+	}
+	s.recs[seg] = s.recs[seg][:0]
+	segBytes := s.opts.segmentBytes()
+	s.meta[seg] = core.SegmentMeta{Capacity: segBytes, Free: segBytes, Stream: stream, State: core.SegOpen}
+	s.fill[seg] = 0
+	s.open[stream] = openSeg{seg: seg}
+	return nil
+}
+
+// tail returns stream's open segment (which must exist, see room) and the
+// offset its next record goes to.
+func (s *Store) tail(stream int32) (seg int32, off int64) {
+	seg = s.open[stream].seg
+	return seg, s.fill[seg]
+}
+
+// appended accounts one record of size bytes just written at stream's tail,
+// carrying the record's up2 estimate into the segment's seal-time average.
+func (s *Store) appended(stream int32, size int64, carried float64) {
+	o := &s.open[stream]
+	o.count++
+	o.up2Sum += carried
+	s.fill[o.seg] += size
+	m := &s.meta[o.seg]
+	m.Live++
+	m.Free -= size
+}
+
+// relocated credits victim for one record of size bytes now living
+// elsewhere and counts the GC write; pruned credits it for a record that
+// needed no copy. Victim accounting stays truthful mid-cycle, which is what
+// lets Abort release a fully drained victim.
+func (s *Store) relocated(victim int32, size int64) {
+	s.pruned(victim, size)
+	s.gcWrites++
+}
+
+func (s *Store) pruned(victim int32, size int64) {
+	m := &s.meta[victim]
+	m.Live--
+	m.Free += size
+}
+
+// seal closes stream's open segment, if any: the segment's up2 starts as the
+// average carried up2 of its members (§5.2.2). Then it writes the staged run
+// and, under DurSeal, fsyncs a segment holding a user's record no fsync has
+// covered: that record is durable at the seal. A segment whose unsynced
+// records are all relocated copies waits in the ledger for the sync point of
+// the cycle that sealed it (syncRelocated), as every sealed segment does for
+// DurCommit's group flush.
+func (s *Store) seal(stream int32) error {
+	o := &s.open[stream]
+	if o.seg < 0 {
+		return nil
+	}
+	seg := o.seg
+	m := &s.meta[seg]
+	m.State = core.SegSealed
+	s.sealSeq++
+	m.SealSeq = s.sealSeq
+	m.SealTime = s.unow
+	if o.count > 0 {
+		m.Up2 = o.up2Sum / float64(o.count)
+	}
+	*o = openSeg{seg: -1}
+	if s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
+		return s.flush()
+	}
+	_, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return g == seg })
+	return err
+}

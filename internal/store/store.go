@@ -5,11 +5,11 @@
 // tracks each page's current location, and reclaiming the space of
 // overwritten versions is delegated to the cleaning policies of
 // internal/core (MDC by default), exactly the machinery evaluated by the
-// simulator. The segment bookkeeping and the cleaning cycle itself are
-// internal/seglog; this package is the one record engine on it —
-// files (or memory), CRC record framing, the page table, recovery,
-// checkpoints, group commit and the durability points. The in-memory value
-// log (internal/vlog) is a string-key index over a memory-backed Store.
+// simulator. It is the one record engine: files (or memory), CRC record
+// framing, the page table, the segment log (segment metadata, free pool,
+// streams, write admission), the cleaning cycle, recovery, checkpoints, group
+// commit and the durability points. The in-memory value log (internal/vlog)
+// is a string-key index over a memory-backed Store.
 //
 // Placement has two append streams: user data fills one, GC relocations the
 // other. Routed placement (multi-log, the temperature-routed MDC variant) is
@@ -61,14 +61,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/seglog"
 )
 
 // ErrNotFound is returned when reading a page that does not exist.
@@ -139,9 +139,9 @@ const relocChunk = 16
 // open store retains, 192 KiB (more only if a record is larger).
 const ioUnit = 96 << 10
 
-// withDefaults fills the defaults and validates; the checks every segment
-// log shares live in seglog.Config.Validate.
-func (o Options) withDefaults() (Options, seglog.Config, error) {
+// withDefaults fills the defaults and rejects configurations the store
+// cannot run.
+func (o Options) withDefaults() (Options, error) {
 	if o.PageSize == 0 {
 		o.PageSize = 4096
 	}
@@ -157,21 +157,34 @@ func (o Options) withDefaults() (Options, seglog.Config, error) {
 	if o.FreeLowWater == 0 {
 		o.FreeLowWater = o.CleanBatch + 4
 	}
-	cfg := seglog.Config{
-		Name: "store", ErrFull: ErrFull, ErrClosed: errClosed, RelocChunk: relocChunk,
-		MaxSegments: o.MaxSegments, SegmentBytes: o.segmentBytes(),
-		Algorithm: o.Algorithm, FreeLowWater: o.FreeLowWater, CleanBatch: o.CleanBatch, Durability: o.Durability,
-		Background: o.BackgroundClean, FreeEmergency: o.FreeEmergency,
-		Obs: o.Obs,
-	}
 	// The record header's length field and the 32-bit record offsets bound
 	// the geometry from above.
-	if o.PageSize < 8 || o.PageSize > maxPageSize || o.SegmentPages < 2 || segHeaderSize+cfg.SegmentBytes > math.MaxUint32 {
-		return o, cfg, fmt.Errorf("store: invalid geometry %+v", o)
+	if o.PageSize < 8 || o.PageSize > maxPageSize || o.SegmentPages < 2 || segHeaderSize+o.segmentBytes() > math.MaxUint32 {
+		return o, fmt.Errorf("store: invalid geometry %+v", o)
 	}
-	err := cfg.Validate()
-	o.Algorithm, o.Obs = cfg.Algorithm, cfg.Obs
-	return o, cfg, err
+	if o.Algorithm.Policy == nil {
+		o.Algorithm = core.MDC()
+	}
+	if o.Algorithm.Router != nil {
+		return o, fmt.Errorf("store: algorithm %s routes appends across streams; routed placement is simulator-only (internal/sim)",
+			o.Algorithm.Name)
+	}
+	if !o.Durability.Valid() {
+		return o, fmt.Errorf("store: invalid durability level %d", o.Durability)
+	}
+	if o.MaxSegments < o.FreeLowWater+2 || o.FreeLowWater <= o.CleanBatch {
+		return o, fmt.Errorf("store: need MaxSegments (%d) >= FreeLowWater (%d) + 2 and FreeLowWater > CleanBatch (%d) so relocations always fit",
+			o.MaxSegments, o.FreeLowWater, o.CleanBatch)
+	}
+	if o.Algorithm.Exact {
+		return o, fmt.Errorf("store: exact-rate algorithm %s needs a workload oracle; use the estimator variant", o.Algorithm.Name)
+	}
+	// FreeEmergency defaulting/validation lives in cleaner.Options.withDefaults;
+	// zero passes straight through to cleaner.Start.
+	if o.Obs == nil {
+		o.Obs = obs.New()
+	}
+	return o, nil
 }
 
 // segmentBytes is the record capacity of a segment.
@@ -200,11 +213,29 @@ type Store struct {
 	opts Options
 	be   backend
 
-	// log is the segment-log core: segment metadata, free pool, the user and
-	// GC streams, the cleaning cycle, batch planning and admission. The
-	// store is its Engine (see clean.go) and keeps the bytes and the index.
-	log  *seglog.Log[recCand]
-	recs [][]recInfo // per segment: the records written to it, in log order
+	// The segment log (segments.go). meta is the per-segment table the
+	// policies read; a segment's Live and Free move only through appended,
+	// invalidate, relocated and pruned (and recovery, open and release). unow
+	// is the update clock, one tick per user update, never wall-clock; closed
+	// fails every operation and makes the background cycle stand down.
+	meta      []core.SegmentMeta
+	unow      uint64
+	closed    bool
+	free      []int32
+	freeCount atomic.Int64 // len(free), readable without the lock
+	open      [2]openSeg   // indexed by stream
+	fill      []int64      // per segment: record bytes appended so far
+	recs      [][]recInfo  // per segment: the records written to it, in log order
+
+	sealSeq     uint64
+	gcWrites    uint64
+	cleanedSegs uint64
+	sumEAtClean float64
+	pendingE    map[int32]float64 // emptiness-at-selection of in-flight victims
+
+	cl    *cleaner.Cleaner // background cleaner; nil in foreground mode
+	win   []byte           // I/O window of the foreground cycles (write lock held throughout)
+	cands []recCand        // their candidate table, kept between them like win
 
 	table      map[uint32]pageLoc
 	tombstones map[uint32]pageLoc
@@ -241,7 +272,7 @@ type Store struct {
 	run    []byte
 	runSeg int32
 	runOff int64
-	relocs []*seglog.Cand[recCand]
+	relocs []*recCand
 
 	// readBufs holds per-reader record buffers (RLock held): an allocation of
 	// its own, whose New captures a size only, since the runtime lists a pool
@@ -250,6 +281,8 @@ type Store struct {
 
 	// obs handles, resolved once at Open (see internal/obs; recording is
 	// lock-free, so no hot path takes a lock for metrics).
+	hVictimE *obs.Histogram // store.victim_e.permille: emptiness at victim selection
+	cErrFull *obs.Counter   // store.errfull episodes
 	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage, admission to durability
 	hRead    *obs.Histogram // store.read.ns: ReadPage
 	hFsync   *obs.Histogram // store.fsync.ns: every backend fsync
@@ -294,17 +327,26 @@ type recInfo struct {
 
 // Open creates or recovers a store.
 func Open(opts Options) (*Store, error) {
-	opts, cfg, err := opts.withDefaults()
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
 		opts:       opts,
+		meta:       make([]core.SegmentMeta, opts.MaxSegments),
+		fill:       make([]int64, opts.MaxSegments),
+		open:       [2]openSeg{{seg: -1}, {seg: -1}},
+		pendingE:   make(map[int32]float64),
 		recs:       make([][]recInfo, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
 	}
-	s.log = seglog.New[recCand](cfg, &s.mu, s)
+	for i := range s.meta {
+		s.meta[i].Capacity = opts.segmentBytes()
+		s.meta[i].Free = opts.segmentBytes()
+	}
+	s.hVictimE = opts.Obs.Histogram("store.victim_e.permille")
+	s.cErrFull = opts.Obs.Counter("store.errfull")
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
@@ -345,9 +387,14 @@ func Open(opts Options) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if err := s.log.StartCleaner(); err != nil {
-		s.be.close()
-		return nil, err
+	if opts.BackgroundClean {
+		cl, err := cleaner.Start(&target{s: s}, cleaner.Options{LowWater: opts.FreeLowWater, EmergencyFloor: opts.FreeEmergency,
+			Batch: opts.CleanBatch, TotalSegments: opts.MaxSegments, Obs: opts.Obs})
+		if err != nil {
+			s.be.close()
+			return nil, err
+		}
+		s.cl = cl
 	}
 	return s, nil
 }
@@ -425,7 +472,7 @@ func (s *Store) recover() error {
 			// until the segment is reused.
 			continue
 		}
-		if stream != seglog.UserStream && stream != seglog.GCStream {
+		if stream != userStream && stream != gcStream {
 			return fmt.Errorf("store: segment %d belongs to stream %d: the directory was written under routed placement, which this version refuses — migrate by draining the old store",
 				seg, stream)
 		}
@@ -484,9 +531,19 @@ func (s *Store) recover() error {
 	// age-based decision after a restart.)
 	sort.Slice(sealed, func(i, j int) bool { return sealed[i].inc < sealed[j].inc })
 	for _, ss := range sealed {
-		s.log.AdoptSealed(ss.seg, ss.stream)
+		m := &s.meta[ss.seg]
+		m.Stream, m.State = ss.stream, core.SegSealed
+		s.sealSeq++
+		m.SealSeq = s.sealSeq
 	}
-	s.log.RebuildFree()
+	// The free pool is every other segment, in id order: the highest id is
+	// reused first.
+	for seg := range s.meta {
+		if s.meta[seg].State == core.SegFree {
+			s.free = append(s.free, int32(seg))
+		}
+	}
+	s.freeCount.Store(int64(len(s.free)))
 	s.seq = maxSeq
 	s.incarnation = maxInc
 
@@ -524,11 +581,11 @@ func (s *Store) recover() error {
 		// backwards and let up2 estimates exceed unow. maxSeq ticks at
 		// least as fast as unow (every update appends a record), so it is
 		// a safe monotone restart point.
-		s.log.Unow = max(ck.unow, maxSeq)
+		s.unow = max(ck.unow, maxSeq)
 		s.prunedSeq = ck.prunedSeq
 		for seg, up2 := range ck.up2 {
-			if seg < len(s.log.Meta) {
-				s.log.Meta[seg].Up2 = up2
+			if seg < len(s.meta) {
+				s.meta[seg].Up2 = up2
 			}
 		}
 		for _, page := range ck.deleted {
@@ -549,8 +606,8 @@ func (s *Store) recover() error {
 			s.tombstones[page] = noRecord(ck.prunedSeq)
 		}
 	}
-	if s.log.Unow == 0 {
-		s.log.Unow = maxSeq // estimates restart from the LSN clock
+	if s.unow == 0 {
+		s.unow = maxSeq // estimates restart from the LSN clock
 	}
 
 	for page, h := range latest {
@@ -561,8 +618,8 @@ func (s *Store) recover() error {
 		}
 	}
 	// Finalize live counts and free bytes per segment.
-	for seg := range s.log.Meta {
-		m := &s.log.Meta[seg]
+	for seg := range s.meta {
+		m := &s.meta[seg]
 		if m.State != core.SegSealed {
 			continue
 		}
@@ -635,7 +692,7 @@ func (s *Store) ReadRecord(id uint32, get func(size int) []byte) ([]byte, error)
 	defer func() { s.hRead.Record(uint64(time.Since(t0))) }()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.log.Closed {
+	if s.closed {
 		return nil, errClosed
 	}
 	loc, ok := s.table[id]
@@ -663,7 +720,7 @@ func (s *Store) ReadRecord(id uint32, get func(size int) []byte) ([]byte, error)
 func (s *Store) Has(id uint32) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.log.Closed {
+	if s.closed {
 		return false
 	}
 	_, ok := s.table[id]
@@ -688,7 +745,7 @@ func (s *Store) DeletePage(id uint32) error {
 	// existence check repeats under the write lock.
 	s.mu.RLock()
 	_, ok := s.table[id]
-	closed := s.log.Closed
+	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return errClosed
@@ -709,32 +766,12 @@ func (s *Store) userWrite(id uint32, flags uint32, data []byte) error {
 	return err
 }
 
-// write runs op — one write's or one batch's appends — behind admission
-// control and under the write lock (seglog.Log.Write), then under DurCommit
-// makes it durable: the write is already visible; concurrent committers
-// coalesce onto one group fsync. With a non-nil parent the legs are recorded
-// as child spans ("store.admit", "store.apply", "store.commit.wait").
-func (s *Store) write(parent *obs.Span, op func() error) error {
-	var seq uint64
-	err := s.log.Write(parent, func() error {
-		err := op()
-		seq = s.seq
-		return err
-	})
-	if err == nil && s.opts.Durability == core.DurCommit {
-		leg := parent.Child("store.commit.wait")
-		err = s.commitWait(seq)
-		leg.End()
-	}
-	return err
-}
-
 // userAppendLocked validates, reserves log space, and appends one user
 // record. Space is secured BEFORE the old version is invalidated, so a
 // failed append (ErrFull) never loses the page's current version. A
-// tombstone frees at least its own size, so one that Room refuses may draw on
+// tombstone frees at least its own size, so one that room refuses may draw on
 // the cleaning reserve: that is how a full log is drained (foreground only —
-// in background mode Room is already RoomReserved).
+// in background mode room is already roomReserved).
 func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 	tomb := flags&flagTombstone != 0
 	if tomb {
@@ -743,9 +780,9 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 		}
 	}
 	size := int64(RecordHeaderSize + len(data))
-	err := s.log.Room(size)
+	err := s.room(size)
 	if tomb && errors.Is(err, ErrFull) {
-		err = s.log.RoomReserved(size)
+		err = s.roomReserved(size)
 	}
 	if err != nil {
 		return err
@@ -757,22 +794,22 @@ func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
 // secured: tick the clock, invalidate the old version, stage the new one and
 // have put write its page in place.
 func (s *Store) userAppend(id uint32, flags, pos uint32, n int, put func(dst []byte)) error {
-	s.log.Unow++
+	s.unow++
 	carried := s.invalidate(id)
 	if loc, deleted := s.tombstones[id]; deleted {
 		// A rewrite supersedes the pending deletion; its tombstone record,
 		// if it still has one, is garbage from here on.
 		delete(s.tombstones, id)
 		if loc.seg >= 0 {
-			s.log.Pruned(loc.seg, RecordHeaderSize)
+			s.pruned(loc.seg, RecordHeaderSize)
 		}
 	}
-	rec, err := s.stage(seglog.UserStream, RecordHeaderSize+n)
+	rec, err := s.stage(userStream, RecordHeaderSize+n)
 	if err != nil {
 		return err
 	}
 	put(rec[RecordHeaderSize:])
-	if err := s.appendRecord(seglog.UserStream, id, flags, pos, rec, carried, nil); err != nil {
+	if err := s.appendRecord(userStream, id, flags, pos, rec, carried, nil); err != nil {
 		return err
 	}
 	s.cUserBytes.Add(uint64(len(rec)))
@@ -782,25 +819,31 @@ func (s *Store) userAppend(id uint32, flags, pos uint32, n int, put func(dst []b
 	return nil
 }
 
-// invalidate releases page id's current version and returns the carried
-// up2 for the new version (zero for a first write).
+// invalidate releases page id's current version, advancing its segment's up2
+// estimate per §5.2.2, and returns the carried up2 for the new version (zero
+// for a first write).
 func (s *Store) invalidate(id uint32) float64 {
 	loc, ok := s.table[id]
 	if !ok {
 		return 0
 	}
 	delete(s.table, id)
-	return s.log.Invalidate(loc.seg, s.recordSize(loc.seg, loc.off))
+	m := &s.meta[loc.seg]
+	carried := core.NextUp2(m.Up2, s.unow)
+	m.Up2 = carried
+	m.Live--
+	m.Free += s.recordSize(loc.seg, loc.off)
+	return carried
 }
 
 // stage makes room for one record of size bytes at the tail of stream's open
 // segment (which must exist) in the run buffer, and returns it for the caller
 // to put the page into, past the header; appendRecord completes it.
 func (s *Store) stage(stream int32, size int) ([]byte, error) {
-	seg, fill := s.log.Tail(stream)
+	seg, fill := s.tail(stream)
 	if n := len(s.run); n == 0 || seg != s.runSeg || n+size > cap(s.run) {
 		// A run ends where the segment changes or the buffer is full.
-		if err := s.Flush(); err != nil {
+		if err := s.flush(); err != nil {
 			return nil, err
 		}
 		s.runSeg, s.runOff = seg, segHeaderSize+fill
@@ -811,12 +854,12 @@ func (s *Store) stage(stream int32, size int) ([]byte, error) {
 
 // appendRecord makes a record of rec — just staged, its page already in place
 // — computing header and checksum where it lies: in the log from here on, on
-// storage by the end of the lock hold (Flush). carried is the page's up2
+// storage by the end of the lock hold (flush). carried is the page's up2
 // estimate, for the segment's seal-time average; pos the batch position
 // (flagBatch records only); from the candidate a relocated copy is made of,
 // nil for a user's record.
-func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, rec []byte, carried float64, from *seglog.Cand[recCand]) error {
-	seg, fill := s.log.Tail(stream)
+func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, rec []byte, carried float64, from *recCand) error {
+	seg, fill := s.tail(stream)
 	off, size := segHeaderSize+fill, len(rec)
 	s.seq++
 	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos})
@@ -829,10 +872,10 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	}
 	end := off + int64(size)
 	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
-	s.log.Appended(stream, int64(size), carried)
+	s.appended(stream, int64(size), carried)
 	loc := pageLoc{seg: seg, off: uint32(off), seq: s.seq}
 	if from != nil {
-		from.Rec.off, from.Rec.seq = loc.off, loc.seq
+		from.off, from.seq = loc.off, loc.seq
 		s.relocs = append(s.relocs, from)
 	} else if flags&flagTombstone != 0 {
 		s.tombstones[id] = loc
@@ -842,30 +885,30 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	// Seal as soon as not even a bare header fits; a segment with less room
 	// than the next record needs is sealed when that record arrives.
 	if end+RecordHeaderSize > segHeaderSize+s.opts.segmentBytes() {
-		return s.log.Seal(stream)
+		return s.seal(stream)
 	}
 	return nil
 }
 
-// Flush (seglog.Engine) writes the staged run, one backend write, and makes
-// the relocated copies in it current. If the write fails the victims' copies
-// stay current and the staged ones are dead records; the run stays staged, so
-// the next Flush — before any other write, or reset, of a segment — writes it
-// again and the log has no hole for recovery to stop at.
-func (s *Store) Flush() error {
+// flush writes the staged run, one backend write, and makes the relocated
+// copies in it current. If the write fails the victims' copies stay current
+// and the staged ones are dead records; the run stays staged, so the next
+// flush — before any other write, or reset, of a segment — writes it again
+// and the log has no hole for recovery to stop at.
+func (s *Store) flush() error {
 	if len(s.run) == 0 {
 		return nil
 	}
 	s.cWriteIOs.Inc()
 	err := s.be.write(int(s.runSeg), s.runOff, s.run)
 	for _, c := range s.relocs {
-		r, size, to := &c.Rec, int64(c.Rec.size), pageLoc{s.runSeg, c.Rec.off, c.Rec.seq}
+		size, to := int64(c.size), pageLoc{s.runSeg, c.off, c.seq}
 		if err != nil {
-			s.log.Pruned(to.seg, size)
-		} else if s.log.Relocated(c.Seg, size); r.tomb {
-			s.tombstones[r.page] = to
+			s.pruned(to.seg, size)
+		} else if s.relocated(c.seg, size); c.tomb {
+			s.tombstones[c.page] = to
 		} else {
-			s.table[r.page] = to
+			s.table[c.page] = to
 		}
 	}
 	clear(s.relocs) // or they keep an outgrown candidate table alive
@@ -873,52 +916,5 @@ func (s *Store) Flush() error {
 	if err == nil {
 		s.run = s.run[:0]
 	}
-	return err
-}
-
-// OpenSegment (seglog.Engine) resets a free segment's storage and stages
-// its header: the start of the run its first records will extend. The reset is
-// where a victim's bytes die, so a backing segment first runs one sync point
-// over the segments it waits on (store.backing.syncs).
-func (s *Store) OpenSegment(seg, stream int32) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	if s.Backs(seg) {
-		s.cBacking.Inc()
-		if _, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return slices.Contains(s.waits[seg], g) }); err != nil {
-			return err
-		}
-	}
-	if err := s.be.reset(int(seg)); err != nil {
-		return err
-	}
-	s.incarnation++
-	s.run, s.runSeg, s.runOff = s.run[:segHeaderSize], seg, 0
-	// The header carries the current commit watermark: recovery uses it to
-	// tell a provably-committed batch (some members garbage-collected,
-	// their segments since reused — this one, maybe) from a torn one.
-	encodeSegHeader(s.run, s.incarnation, stream, s.commitWatermarkLocked())
-	if s.unsynced != nil {
-		s.unsynced[seg] = unsyncedSeg{seq: s.seq} // the header itself needs flushing
-	}
-	if s.recs[seg] == nil {
-		// First use: a segment that is never opened costs no record table.
-		s.recs[seg] = make([]recInfo, 0, s.opts.SegmentPages)
-	}
-	s.recs[seg] = s.recs[seg][:0]
-	return nil
-}
-
-// SealSegment (seglog.Engine) writes the staged run and, under DurSeal, fsyncs
-// a segment holding a user's record no fsync has covered: that record is
-// durable at the seal. A segment whose unsynced records are all relocated
-// copies waits in the ledger for the sync point of the cycle that sealed it
-// (SyncRelocated), as every sealed segment does for DurCommit's group flush.
-func (s *Store) SealSegment(seg int32) error {
-	if s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
-		return s.Flush()
-	}
-	_, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return g == seg })
 	return err
 }

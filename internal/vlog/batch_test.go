@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestVlogBatchBasic(t *testing.T) {
@@ -138,7 +136,6 @@ func TestVlogBatchConcurrentCommitters(t *testing.T) {
 		SegmentBytes:    1 << 12,
 		MaxSegments:     64,
 		BackgroundClean: true,
-		Durability:      core.DurCommit,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,15 +26,14 @@ var ErrFull, ErrTooLarge = store.ErrFull, store.ErrTooLarge
 // MaxSegments (default 64) are the geometry; the rest pass to the page store:
 // the cleaning Algorithm (default core.MDC(); routed ones are refused: routed
 // placement is simulator-only), FreeLowWater (default CleanBatch+2),
-// CleanBatch (default 4), Durability (in memory every level behaves alike: a
-// returned Put or Commit is visible to every later Get until Close), the
-// background cleaner's switch and floor (see internal/cleaner), and Obs,
-// which receives the store.* and cleaner.* series (nil: a private registry).
+// CleanBatch (default 4), the background cleaner's switch and floor (see
+// internal/cleaner), and Obs, which receives the store.* and cleaner.* series
+// (nil: a private registry). A returned Put or Commit is visible to every
+// later Get until Close.
 type Options struct {
 	SegmentBytes, MaxSegments int
 	Algorithm                 core.Algorithm
 	FreeLowWater, CleanBatch  int
-	Durability                core.Durability
 	BackgroundClean           bool
 	FreeEmergency             int
 	Obs                       *obs.Registry
@@ -59,7 +58,7 @@ func New(o Options) (*Store, error) {
 	}
 	st, err := store.Open(store.Options{PageSize: o.SegmentBytes/2 - store.RecordHeaderSize, SegmentPages: 2,
 		MaxSegments: cmp.Or(o.MaxSegments, 64), Algorithm: o.Algorithm, FreeLowWater: cmp.Or(o.FreeLowWater, o.CleanBatch+2),
-		CleanBatch: o.CleanBatch, Durability: o.Durability, BackgroundClean: o.BackgroundClean,
+		CleanBatch: o.CleanBatch, BackgroundClean: o.BackgroundClean,
 		FreeEmergency: o.FreeEmergency, Obs: o.Obs})
 	if err != nil {
 		return nil, err

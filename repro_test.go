@@ -186,7 +186,7 @@ func TestFacadePageDB(t *testing.T) {
 }
 
 func TestFacadeKV(t *testing.T) {
-	kv, err := vlog.New(vlog.Options{SegmentBytes: 4096, MaxSegments: 32, Durability: core.DurCommit})
+	kv, err := vlog.New(vlog.Options{SegmentBytes: 4096, MaxSegments: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
