@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -34,7 +35,7 @@ type batchOp struct {
 	id  uint32
 	del bool
 	// size is the log bytes this operation appends: the record size of a
-	// write or of a deletion's tombstone (set by Apply).
+	// write or of a deletion's tombstone, 0 if it is absorbed (set by Apply).
 	size int64
 	off  int // payload range in buf (writes only); off < 0: reserved, fill has it
 	n    int
@@ -54,9 +55,10 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 // SetFill installs the function that produces the batch's reserved writes
 // (it survives Reset): fill(i, dst) writes the page of the batch's i-th
 // operation into dst, exactly the reserved length, every byte of it. Apply
-// calls it under the store's lock, once per reserved write, in order, and only
-// after validating the whole batch and reserving its space — fill cannot fail,
-// so check what it will encode before Apply — and it must not call the store.
+// calls it under the store's lock, once per reserved write it appends (not for
+// one a later op on its page supersedes), in batch order, and only after
+// validating the whole batch and reserving its space — fill cannot fail, so
+// check what it will encode before Apply — and it must not call the store.
 func (b *Batch) SetFill(fill func(i int, dst []byte)) { b.fill = fill }
 
 // Reserve adds a page write of n bytes that the SetFill function produces
@@ -98,8 +100,9 @@ func (b *Batch) copyData(i int, dst []byte) {
 // any current version is invalidated, so a batch that cannot fit fails
 // with ErrFull leaving the store exactly as it was; a Delete of a
 // nonexistent page fails the whole batch with ErrNotFound the same way.
-// Entries apply in order, so a later Write/Delete of the same page
-// supersedes an earlier one.
+// Entries apply in order, and the batch is a write buffer: an entry a later
+// Write/Delete of its page supersedes is never written, nor is a Delete of a
+// page that did not exist before the batch (store.user.absorbed).
 //
 // Under DurCommit, Apply returns only after the batch is durable —
 // concurrent committers coalesce onto one group fsync — and recovery
@@ -121,51 +124,30 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 	return s.write(parent, func() error { return s.applyLocked(b) })
 }
 
-// applyLocked validates the whole batch, plans it and reserves its space
-// (reserve), then appends every record: by the time the first old version is
-// invalidated, the apply loop can no longer fail with ErrFull.
+// applyLocked validates the whole batch (prepare), plans it and reserves its
+// space (reserve), then appends the k records not absorbed, numbered 0..k-1: by
+// the time the first old version is invalidated, the apply loop can no longer
+// fail with ErrFull. With k > 1 they carry commit markers, so recovery can
+// discard a torn batch wholesale; a single record is trivially atomic.
 func (s *Store) applyLocked(b *Batch) error {
-	// Existence is tracked virtually across the batch, so a Delete may
-	// follow a Write of the same page. The map is built at the first Delete
-	// (everything before it is a write): most batches have none.
-	var vexists map[uint32]bool
-	for i := range b.ops {
-		op := &b.ops[i]
-		if op.del {
-			if vexists == nil {
-				vexists = make(map[uint32]bool)
-				for j := range b.ops[:i] {
-					vexists[b.ops[j].id] = true
-				}
-			}
-			exists, known := vexists[op.id]
-			if !known {
-				_, exists = s.table[op.id]
-			}
-			if !exists {
-				return fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
-			}
-		} else if op.n > s.opts.PageSize {
-			return fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.n, s.opts.PageSize)
-		} else if op.off < 0 && b.fill == nil {
-			return fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.id)
-		}
-		if vexists != nil {
-			vexists[op.id] = !op.del
-		}
-		op.size = int64(RecordHeaderSize + op.n) // a tombstone is a bare header
+	absorbed, err := s.prepare(b)
+	if err != nil {
+		return err
 	}
 	if err := s.reserve(b); err != nil {
 		return err
 	}
-	last, i := len(b.ops)-1, 0
+	k, pos, i := len(b.ops)-absorbed, uint32(0), 0
 	put := func(dst []byte) { b.copyData(i, dst) } // one closure, following i
-	if last > 0 {
+	if k > 1 {
 		s.applying = s.seq + 1
 		defer func() { s.applying = 0 }()
 	}
 	for i = range b.ops {
 		op := &b.ops[i]
+		if op.size == 0 {
+			continue // absorbed
+		}
 		if err := s.roomReserved(op.size); err != nil {
 			// Unreachable when the plan is sound; surface rather than hide.
 			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
@@ -174,23 +156,64 @@ func (s *Store) applyLocked(b *Batch) error {
 		if op.del {
 			flags = flagTombstone
 		}
-		if last > 0 {
-			// Multi-record batches carry commit markers so recovery can
-			// discard a torn batch wholesale. Single-record batches are
-			// trivially atomic.
+		if k > 1 {
 			flags |= flagBatch
-			if i == last {
+			if int(pos) == k-1 {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.userAppend(op.id, flags, uint32(i), op.n, put); err != nil {
+		if err := s.userAppend(op.id, flags, pos, op.n, put); err != nil {
 			return err
 		}
+		pos++
 	}
-	if last > 0 {
+	if k > 1 {
 		s.batches++
 	}
+	s.cAbsorbed.Add(uint64(absorbed))
 	return nil
+}
+
+// keptRefs bounds the batch whose page table prepare keeps for the next one.
+const keptRefs = 2048
+
+// prepare validates the batch in order and sets each op's size, the log bytes
+// it appends, or 0 if it is absorbed: superseded by a later op on its page, or
+// a Delete of a page that did not exist before the batch. An absorbed op was
+// never visible, so it is never written. refs maps each page to its latest op
+// so far, which says whether the page exists there: a Delete may follow a Write.
+func (s *Store) prepare(b *Batch) (absorbed int, err error) {
+	refs := s.refs
+	if len(b.ops) > keptRefs {
+		refs = make(map[uint32]int32, len(b.ops)) // a big batch's table is not kept
+	}
+	defer clear(refs)
+	for i := range b.ops {
+		op := &b.ops[i]
+		_, before := s.table[op.id]
+		exists := before
+		if j, seen := refs[op.id]; seen {
+			prev := &b.ops[j]
+			if exists = !prev.del; prev.size > 0 {
+				prev.size, absorbed = 0, absorbed+1
+			}
+		}
+		if op.del {
+			if !exists {
+				return 0, fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
+			}
+		} else if op.n > s.opts.PageSize {
+			return 0, fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.n, s.opts.PageSize)
+		} else if op.off < 0 && b.fill == nil {
+			return 0, fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.id)
+		}
+		op.size = int64(RecordHeaderSize + op.n) // a tombstone is a bare header
+		if op.del && !before {
+			op.size, absorbed = 0, absorbed+1
+		}
+		refs[op.id] = int32(i)
+	}
+	return absorbed, nil
 }
 
 // reserve plans the batch (every op's size set) and secures the free segments
@@ -219,7 +242,7 @@ func (s *Store) reserve(b *Batch) error {
 		return nil
 	}
 	if err := s.cleanUntil(target); err != nil {
-		deletesOnly := !slices.ContainsFunc(b.ops, func(op batchOp) bool { return !op.del })
+		deletesOnly := !slices.ContainsFunc(b.ops, func(op batchOp) bool { return !op.del && op.size > 0 })
 		if deletesOnly && errors.Is(err, ErrFull) && len(s.free) >= newSegs+s.userNeed()-1 {
 			return nil
 		}
@@ -239,7 +262,7 @@ func (s *Store) plan(b *Batch) (newSegs int) {
 	}
 	for i := range b.ops {
 		size := b.ops[i].size
-		if rem < size {
+		if rem < size && size > 0 { // an absorbed op appends nothing
 			newSegs++
 			rem = segBytes
 		}
@@ -405,28 +428,29 @@ func (s *Store) fsyncAll(segs []int32) error {
 	return first
 }
 
-// commitWatermarkLocked is the highest seq currently known fully durable:
-// the group-commit durable point, the last checkpoint's coverage, or under
-// DurSeal on disk (waits non-nil) the seq before the first batch with a
-// record no fsync has covered (the ledger's low) or still being appended
-// (applying: its sealed members left the ledger) — a batch starting at or
-// below it is whole on storage, whichever members cleaning recycles later.
-// The oldest such batch holds it back. Caller holds s.mu (read or write);
-// gcm.mu nests inside it.
+// commitWatermarkLocked is the highest seq currently known fully durable: the
+// group-commit durable point, the last checkpoint's coverage, or the seq before
+// the batch still being appended (applying) — under DurNone, whose records all
+// reach the OS before openSegment stamps a header (it flushes first), and under
+// DurSeal on disk (waits non-nil) also before the first batch with a record no
+// fsync has covered (the ledger's low; applying's sealed members left it). A
+// batch starting at or below it is whole on storage, whichever members cleaning
+// recycles later. Caller holds s.mu (read or write); gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
 	w := max(s.gcm.durable, s.prunedSeq)
 	s.gcm.mu.Unlock()
+	low := cmp.Or(s.applying, s.seq+1)
 	if s.waits != nil {
-		low := cmp.Or(s.applying, s.seq+1)
 		for _, e := range s.unsynced {
 			if e.low != 0 {
 				low = min(low, e.low)
 			}
 		}
-		w = max(w, low-1)
+	} else if s.opts.Durability != core.DurNone {
+		return w
 	}
-	return w
+	return max(w, low-1)
 }
 
 // Sync makes every write applied so far durable, regardless of the

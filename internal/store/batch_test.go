@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -96,8 +97,9 @@ func TestBatchApplyBasic(t *testing.T) {
 
 // TestBatchFillAndLateDeletes covers the two things a checkpoint-shaped
 // batch relies on: pages produced at Apply time, straight into the run buffer
-// (Reserve + SetFill), apply like copied ones, and the existence tracking that
-// starts at the first Delete knows the writes before it.
+// (Reserve + SetFill), apply like copied ones, and the existence tracking
+// knows the writes before a Delete. A reserved write a later op supersedes is
+// absorbed, so its fill never runs.
 func TestBatchFillAndLateDeletes(t *testing.T) {
 	s, err := Open(Options{PageSize: 64, SegmentPages: 4, MaxSegments: 32})
 	if err != nil {
@@ -107,9 +109,10 @@ func TestBatchFillAndLateDeletes(t *testing.T) {
 	if err := s.WritePage(50, pagePattern(64, 50, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// The fill function sees each reserved write once, in order, by its
-	// position in the batch, with exactly the reserved bytes to write.
-	pages := map[int][]byte{0: pagePattern(64, 1, 1), 1: pagePattern(64, 2, 1), 2: pagePattern(64, 3, 1)}
+	// The fill function sees each reserved write that is appended once, in
+	// order, by its position in the batch, with exactly the reserved bytes to
+	// write: later ops supersede the reservations of pages 2 and 3.
+	pages := map[int][]byte{0: pagePattern(64, 1, 1), 1: pagePattern(64, 2, 1), 2: pagePattern(64, 3, 1), 8: pagePattern(64, 6, 1)}
 	var filled []int
 	fill := func(i int, dst []byte) {
 		filled = append(filled, i)
@@ -122,18 +125,19 @@ func TestBatchFillAndLateDeletes(t *testing.T) {
 	b.SetFill(fill)
 	b.Reserve(1, 64).Reserve(2, 64).Reserve(3, 64)
 	b.Write(4, pagePattern(64, 4, 1))
-	b.Delete(3)  // written above: the lazily built existence map must know it
+	b.Delete(3)  // written above: the existence tracking must know it
 	b.Delete(50) // exists only in the store
 	b.Write(3, pagePattern(64, 3, 2))
 	b.Delete(2)
+	b.Reserve(6, 64)
 	if err := s.Apply(b); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if len(filled) != 3 || filled[0] != 0 || filled[1] != 1 || filled[2] != 2 {
-		t.Errorf("fill called for positions %v, want [0 1 2]", filled)
+	if len(filled) != 2 || filled[0] != 0 || filled[1] != 8 {
+		t.Errorf("fill called for positions %v, want [0 8]", filled)
 	}
 	buf := make([]byte, 64)
-	for id, version := range map[uint32]byte{1: 1, 3: 2, 4: 1} {
+	for id, version := range map[uint32]byte{1: 1, 3: 2, 4: 1, 6: 1} {
 		if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf, pagePattern(64, id, version)) {
 			t.Errorf("page %d wrong after Apply (err %v)", id, err)
 		}
@@ -186,6 +190,98 @@ func TestBatchFillAndLateDeletes(t *testing.T) {
 		t.Errorf("ReadRecord of a deleted page: %v", err)
 	}
 	checkInvariants(t, s)
+}
+
+// TestBatchAbsorptionOracle drives batches that repeat pages — write after
+// write, delete after write, write after delete — on both backends at every
+// durability level, crashing and reopening on disk, against a map oracle.
+// Each Apply appends exactly the batch's surviving ops, the last op on each
+// page unless it deletes a page that did not exist before the batch: its user
+// bytes are theirs alone, and every other op counts as absorbed.
+func TestBatchAbsorptionOracle(t *testing.T) {
+	for _, disk := range []bool{true, false} {
+		for _, dur := range []core.Durability{core.DurNone, core.DurSeal, core.DurCommit} {
+			backend := map[bool]string{true: "file", false: "memory"}[disk]
+			t.Run(backend+"/"+dur.String(), func(t *testing.T) {
+				opts := Options{PageSize: 64, SegmentPages: 8, MaxSegments: 40, CleanBatch: 4, FreeLowWater: 6, Durability: dur}
+				if disk {
+					opts.Dir = t.TempDir()
+				}
+				s, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { s.Close() }()
+				r := rand.New(rand.NewPCG(uint64(dur)+1, 40))
+				oracle := map[uint32][]byte{}
+				absorbed, cleaned := 0, uint64(0)
+				for round := 0; round < 400; round++ {
+					b, final := NewBatch(), map[uint32][]byte{} // each touched page's last op; nil deletes
+					base := uint32(r.IntN(54))                  // six pages, so ops collide
+					for n := 2 + r.IntN(10); n > 0; n-- {
+						id := base + uint32(r.IntN(6))
+						v, touched := final[id]
+						if !touched {
+							v = oracle[id]
+						}
+						if v != nil && r.IntN(3) == 0 {
+							b.Delete(id)
+							final[id] = nil
+						} else {
+							final[id] = pagePattern(r.IntN(65), id, byte(round))
+							b.Write(id, final[id])
+						}
+					}
+					appended, wantBytes := 0, uint64(0)
+					for id, v := range final {
+						if _, before := oracle[id]; v != nil || before {
+							appended++
+							wantBytes += uint64(RecordHeaderSize + len(v))
+						}
+					}
+					st := s.Stats()
+					if err := s.Apply(b); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					got := s.Stats()
+					if got.UserBytes-st.UserBytes != wantBytes || got.AbsorbedWrites-st.AbsorbedWrites != uint64(b.Len()-appended) {
+						t.Fatalf("round %d: %d ops appended %d bytes and absorbed %d, want %d records of %d bytes",
+							round, b.Len(), got.UserBytes-st.UserBytes, got.AbsorbedWrites-st.AbsorbedWrites, appended, wantBytes)
+					}
+					absorbed += b.Len() - appended
+					for id, v := range final {
+						if v == nil {
+							delete(oracle, id)
+						} else {
+							oracle[id] = v
+						}
+					}
+					if disk && round%50 == 49 {
+						cleaned += s.Stats().SegmentsCleaned
+						if err := s.crash(); err != nil {
+							t.Fatal(err)
+						}
+						if s, err = Open(opts); err != nil {
+							t.Fatalf("round %d: reopen: %v", round, err)
+						}
+					}
+				}
+				buf := make([]byte, 64)
+				for id := uint32(0); id < 60; id++ {
+					want, live := oracle[id]
+					if err := s.ReadPage(id, buf); live && (err != nil || !bytes.Equal(buf[:len(want)], want)) {
+						t.Errorf("page %d: %v, want its last version", id, err)
+					} else if !live && !errors.Is(err, ErrNotFound) {
+						t.Errorf("page %d: %v, want ErrNotFound", id, err)
+					}
+				}
+				checkInvariants(t, s)
+				if cleaned += s.Stats().SegmentsCleaned; cleaned == 0 || absorbed == 0 {
+					t.Errorf("cleaned %d segments, absorbed %d ops: the workload is miscalibrated", cleaned, absorbed)
+				}
+			})
+		}
+	}
 }
 
 func TestBatchErrFullNoPartialVisibility(t *testing.T) {
@@ -385,7 +481,7 @@ func TestBatchDurCommitForegroundRounds(t *testing.T) {
 }
 
 // tornBatchSetup builds a file-backed store with durability dur whose final
-// writes are one 5-record batch spanning two segments, crashes it — under
+// writes are one 5-record batch (of 9 ops) spanning two segments, crashes it — under
 // DurSeal once the open segment's records are written, none fsynced — and
 // returns the dir plus the disk locations of the batch's records ordered by
 // batch position.
@@ -407,12 +503,17 @@ func tornBatchSetup(t *testing.T, dur core.Durability) (opts Options, recs []tor
 			t.Fatal(err)
 		}
 	}
-	b := NewBatch()
+	// Absorbed members ride along: a page the batch creates and deletes, a
+	// Delete and a Write the rewrites below supersede. None reaches the log.
+	b := NewBatch().Write(9, pagePattern(64, 9, 2)).Delete(9).Delete(5).Write(1, pagePattern(64, 1, 7))
 	for id := uint32(1); id <= 5; id++ {
 		b.Write(id, pagePattern(64, id, 2))
 	}
 	if err := s.Apply(b); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Stats().AbsorbedWrites; got != 4 {
+		t.Fatalf("batch absorbed %d ops, want 4", got)
 	}
 	s.mu.Lock()
 	err = s.flush()
@@ -545,6 +646,9 @@ func tornBatchNeverSurfacesPartially(t *testing.T, dur core.Durability) {
 					t.Errorf("page %d: wrong version surfaced after recovery (want v%d)", id, tc.want)
 				}
 			}
+			if err := s.ReadPage(9, buf); !errors.Is(err, ErrNotFound) {
+				t.Errorf("page 9, created and deleted inside the batch, reads back: %v", err)
+			}
 			// The store keeps working; discarded slots are just garbage.
 			if err := s.WritePage(6, pagePattern(64, 6, 3)); err != nil {
 				t.Fatal(err)
@@ -622,11 +726,15 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 		}
 	}
 	// DurCommit proves commits through the flush-backed watermark even
-	// across a crash; the weaker levels rely on the checkpoint watermark
-	// across a clean restart.
+	// across a crash, DurSeal through the ledger's low, and DurNone through
+	// the seq before the batch being appended (every earlier record has
+	// reached the OS when a segment header is stamped); across a clean
+	// restart the checkpoint watermark proves it too.
 	t.Run("DurCommit crash", func(t *testing.T) { run(t, core.DurCommit, true) })
 	t.Run("DurCommit clean close", func(t *testing.T) { run(t, core.DurCommit, false) })
+	t.Run("DurNone crash", func(t *testing.T) { run(t, core.DurNone, true) })
 	t.Run("DurNone clean close", func(t *testing.T) { run(t, core.DurNone, false) })
+	t.Run("DurSeal crash", func(t *testing.T) { run(t, core.DurSeal, true) })
 	t.Run("DurSeal clean close", func(t *testing.T) { run(t, core.DurSeal, false) })
 }
 

@@ -647,8 +647,9 @@ type Stats struct {
 	Commits     uint64
 	FsyncRounds uint64
 	Fsyncs      uint64
-	// BatchesApplied counts successful multi-record Apply calls.
-	BatchesApplied uint64
+	// BatchesApplied counts successful multi-record Apply calls;
+	// AbsorbedWrites the batch ops Apply never wrote (store.user.absorbed).
+	BatchesApplied, AbsorbedWrites uint64
 	// Background reports whether cleaning runs in a background goroutine;
 	// Cleaner is its lifecycle snapshot (zero-valued in foreground mode).
 	Background bool
@@ -678,6 +679,7 @@ func (s *Store) Stats() Stats {
 		Streams:         make([]core.StreamStats, len(s.open)),
 		Durability:      s.opts.Durability.String(),
 		BatchesApplied:  s.batches,
+		AbsorbedWrites:  s.cAbsorbed.Value(),
 	}
 	if s.cleanedSegs > 0 {
 		st.MeanEAtClean = s.sumEAtClean / float64(s.cleanedSegs)

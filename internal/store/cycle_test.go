@@ -279,7 +279,8 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 }
 
 // TestBatchReservationIsExact plans batches of mixed record sizes —
-// including a delete followed by a re-put of the same page — and checks that
+// including a delete followed by a re-put of the same page, and pages written
+// twice, whose absorbed ops append nothing — and checks that
 // the apply opens exactly the planned number of segments, in foreground mode
 // also after the reservation cleaned first. Pages are up to 64 bytes, two
 // full-length ones to a segment, so a segment holds two to four records.
@@ -312,8 +313,8 @@ func TestBatchReservationIsExact(t *testing.T) {
 				b.Delete(s.id(cold))
 			}
 		}
-		for i := range b.ops {
-			b.ops[i].size = int64(RecordHeaderSize + b.ops[i].n) // as Apply sizes them
+		if _, err := s.prepare(b); err != nil { // sizes the ops as Apply does, absorbed ones 0
+			t.Fatalf("round %d: prepare: %v", round, err)
 		}
 		cleaned := s.cleanedSegs
 		if err := s.reserve(b); err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -14,26 +16,53 @@ import (
 // deletes, batches, forced cleanings and (on disk) crash-reopens must always
 // agree with an in-memory map — every ReadPage compared byte for byte,
 // including the zero fill past the length a page was written at — and leave
-// the per-segment byte accounting consistent, on both backends.
+// the per-segment byte accounting consistent, on both backends, and on disk
+// under DurNone and DurCommit. DurSeal stays out: a sweep of 300 seeds hits its
+// known residual — a victim reset while a batch it holds a member of still has
+// one in an open segment is stamped below the batch — at seed 243 (a batch at
+// seq 165 of 5 members, 2 of them present after reopen, recovered watermark
+// 164). STORE_QUICK_SEEDS=n widens the sweep from 8 seeds to n.
 func TestQuickRandomOpsWithRecovery(t *testing.T) {
-	for _, backend := range []string{"file", "memory"} {
-		t.Run(backend, func(t *testing.T) {
-			for seed := uint64(1); seed <= 8; seed++ {
+	seeds := 8
+	if v := os.Getenv("STORE_QUICK_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("STORE_QUICK_SEEDS=%q: want a positive seed count", v)
+		}
+		seeds = n
+	}
+	for _, c := range []struct {
+		name string
+		disk bool
+		dur  core.Durability
+	}{{"file", true, core.DurNone}, {"memory", false, core.DurNone}, {"file-commit", true, core.DurCommit}} {
+		t.Run(c.name, func(t *testing.T) {
+			idle := 0 // seeds whose last store never cleaned
+			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				dir := ""
-				if backend == "file" {
+				if c.disk {
 					dir = t.TempDir()
 				}
-				randomOpsRun(t, seed, dir)
+				if !randomOpsRun(t, seed, dir, c.dur) {
+					idle++
+				}
+			}
+			// On disk about one seed in ten never cleans after its last
+			// reopen (31 of 300); a sweep where a quarter do is miscalibrated.
+			if idle*4 > seeds {
+				t.Errorf("cleaning never ran in %d of %d seeds", idle, seeds)
 			}
 		})
 	}
 }
 
-func randomOpsRun(t *testing.T, seed uint64, dir string) {
+// randomOpsRun runs one seed of the oracle drill and reports whether its last
+// store (since the last reopen) cleaned.
+func randomOpsRun(t *testing.T, seed uint64, dir string, dur core.Durability) bool {
 	const pages, pageSize = 120, 64 // well under the 48*8=384 page capacity
 	opts := Options{
 		Dir: dir, PageSize: pageSize, SegmentPages: 8, MaxSegments: 48,
-		CleanBatch: 4, FreeLowWater: 6,
+		CleanBatch: 4, FreeLowWater: 6, Durability: dur,
 	}
 	s, err := Open(opts)
 	if err != nil {
@@ -150,9 +179,7 @@ func randomOpsRun(t *testing.T, seed uint64, dir string) {
 			fail(round, -1, "invariants", err)
 		}
 	}
-	if s.Stats().SegmentsCleaned == 0 {
-		t.Errorf("seed %d: cleaning never ran", seed)
-	}
+	return s.Stats().SegmentsCleaned > 0
 }
 
 // The same oracle drill on the in-memory backend with every supported

@@ -265,7 +265,8 @@ type Store struct {
 	prunedSeq uint64 // deletions at or below this seq are checkpoint-covered
 
 	userWrites uint64
-	batches    uint64 // successful multi-record Applies
+	batches    uint64           // successful multi-record Applies
+	refs       map[uint32]int32 // prepare's page table, empty between Applies
 
 	// run is the staged tail of segment runSeg, due at offset runOff (write
 	// lock held); relocs the relocated copies in it, current once it is written.
@@ -297,6 +298,7 @@ type Store struct {
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
 	cGCBytes   *obs.Counter // store.gc.bytes
+	cAbsorbed  *obs.Counter // store.user.absorbed: batch ops never appended (prepare)
 	cWriteIOs  *obs.Counter // store.write.ios: run writes
 	cReadIOs   *obs.Counter // store.read.ios: ReadPage, cleaning windows, recovery
 	cReadBytes *obs.Counter // store.read.bytes: what those reads asked for
@@ -340,6 +342,7 @@ func Open(opts Options) (*Store, error) {
 		recs:       make([][]recInfo, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
+		refs:       make(map[uint32]int32),
 	}
 	for i := range s.meta {
 		s.meta[i].Capacity = opts.segmentBytes()
@@ -359,6 +362,7 @@ func Open(opts Options) (*Store, error) {
 	s.cBacking = opts.Obs.Counter("store.backing.syncs")
 	s.cUserBytes = opts.Obs.Counter("store.user.bytes")
 	s.cGCBytes = opts.Obs.Counter("store.gc.bytes")
+	s.cAbsorbed = opts.Obs.Counter("store.user.absorbed")
 	s.cWriteIOs = opts.Obs.Counter("store.write.ios")
 	s.cReadIOs = opts.Obs.Counter("store.read.ios")
 	s.cReadBytes = opts.Obs.Counter("store.read.bytes")
