@@ -16,9 +16,9 @@ import "fmt"
 //   - DurSeal: a user's records are fsynced when their segment is sealed,
 //     checkpoints are fsynced, and a segment of relocated copies is fsynced
 //     once, by the cleaning cycle that seals it; until then the victims of
-//     those copies are released but not reset. A crash can lose at most the
-//     records in not-yet-sealed open segments. This is the historical
-//     Sync=true behavior.
+//     those copies are released but not reset. A process kill keeps every
+//     acknowledged write and batch; a power cut can lose the records in
+//     not-yet-sealed open segments. This is the historical Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,
@@ -26,10 +26,6 @@ import "fmt"
 //     Batches committed at this level are additionally crash-atomic: a
 //     torn batch (some records persisted, the commit not acknowledged)
 //     is discarded wholesale by recovery, never surfaced partially.
-//
-// Volatile engines (internal/vlog) accept a Durability for API symmetry and
-// document the contract they can honor: all levels behave identically, and
-// "durable" means "visible to every later read until Close".
 type Durability int
 
 const (

@@ -27,8 +27,15 @@ import (
 // geometry never ran low on space, and a run that never cleans pins less;
 // at 76 it cleans the 16 segments it used to. Commits and pages committed
 // are what they were.
+//
+// Re-recorded again (three identical runs) when the store's header stamp
+// became one rule for every durability level: under DurCommit it is now at
+// least the group-commit point, not equal to it. Of the run's 76 segment files
+// 72 are byte-identical to those the previous hash (d995d5c6…) covered; 4
+// differ only in header bytes 24–31, the watermark (591 before, 602–634 now);
+// the checkpoint and the WAL are identical, as are cleaned, commits and pages.
 const (
-	goldenSegments = "d995d5c6ebfe4c896defb47e894056ce7109429eab1e24e85ceddab2f78c3de9"
+	goldenSegments = "0f06cec9d3ae90790eb2c5fb1c3a83e82a15372d9e05d951e875f9dfa76ebf58"
 	goldenCleaned  = 16
 	goldenCommits  = 3
 	goldenPages    = 855

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -428,27 +427,21 @@ func (s *Store) fsyncAll(segs []int32) error {
 	return first
 }
 
-// commitWatermarkLocked is the highest seq currently known fully durable: the
-// group-commit durable point, the last checkpoint's coverage, or the seq before
-// the batch still being appended (applying) — under DurNone, whose records all
-// reach the OS before openSegment stamps a header (it flushes first), and under
-// DurSeal on disk (waits non-nil) also before the first batch with a record no
-// fsync has covered (the ledger's low; applying's sealed members left it). A
-// batch starting at or below it is whole on storage, whichever members cleaning
-// recycles later. Caller holds s.mu (read or write); gcm.mu nests inside it.
+// commitWatermarkLocked is the stamp of a new segment header, the highest seq
+// known fully durable: the group-commit point, the last checkpoint's coverage,
+// or the seq before the first batch still being appended (applying) or with a
+// member no fsync has covered (the ledger's low). A batch starting at or below
+// it is whole on storage, whichever members cleaning recycles later. Caller
+// holds s.mu (read or write); gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
 	w := max(s.gcm.durable, s.prunedSeq)
 	s.gcm.mu.Unlock()
 	low := cmp.Or(s.applying, s.seq+1)
-	if s.waits != nil {
-		for _, e := range s.unsynced {
-			if e.low != 0 {
-				low = min(low, e.low)
-			}
+	for _, e := range s.unsynced {
+		if e.low != 0 {
+			low = min(low, e.low)
 		}
-	} else if s.opts.Durability != core.DurNone {
-		return w
 	}
 	return max(w, low-1)
 }

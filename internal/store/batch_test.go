@@ -725,11 +725,12 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 			t.Error("page 200 recovered with wrong contents")
 		}
 	}
-	// DurCommit proves commits through the flush-backed watermark even
-	// across a crash, DurSeal through the ledger's low, and DurNone through
-	// the seq before the batch being appended (every earlier record has
-	// reached the OS when a segment header is stamped); across a clean
-	// restart the checkpoint watermark proves it too.
+	// One rule proves the commit at every level: the header stamped at the
+	// reset of page 100's segment is at least the seq before the oldest batch
+	// still being appended or with a member no fsync has covered (the ledger's
+	// low, which DurNone never records: every earlier record has reached the
+	// OS by then), and the reset first fsyncs any batch member it leaves below
+	// that; across a clean restart the checkpoint watermark proves it too.
 	t.Run("DurCommit crash", func(t *testing.T) { run(t, core.DurCommit, true) })
 	t.Run("DurCommit clean close", func(t *testing.T) { run(t, core.DurCommit, false) })
 	t.Run("DurNone crash", func(t *testing.T) { run(t, core.DurNone, true) })

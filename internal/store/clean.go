@@ -305,10 +305,10 @@ func (s *Store) syncRelocated(locked bool) error {
 }
 
 // release returns victims to the free pool, SealSeq kept (pick), and reports
-// the gross capacity bytes released. It forgets each victim's records and its
-// ledger entry: what was live in it is synced elsewhere, or sits in an open GC
-// tail — then the victim keeps its waits and is backing until that tail's
-// fsync. Caller holds the write lock.
+// the gross capacity bytes released. It forgets each victim's ledger entry, and
+// its records at the reset (openSegment): what was live in it is synced
+// elsewhere, or sits in an open GC tail — then the victim keeps its waits and
+// is backing until that tail's fsync. Caller holds the write lock.
 func (s *Store) release(victims []int32) (releasedBytes int64) {
 	for _, v := range victims {
 		m := &s.meta[v]
@@ -323,7 +323,6 @@ func (s *Store) release(victims []int32) (releasedBytes int64) {
 		m.Free = m.Capacity
 		m.Up2 = 0
 		s.fill[v] = 0
-		s.recs[v] = s.recs[v][:0]
 		delete(s.unsynced, v)
 		s.free = append(s.free, v)
 	}

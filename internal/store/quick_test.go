@@ -17,11 +17,10 @@ import (
 // agree with an in-memory map — every ReadPage compared byte for byte,
 // including the zero fill past the length a page was written at — and leave
 // the per-segment byte accounting consistent, on both backends, and on disk
-// under DurNone and DurCommit. DurSeal stays out: a sweep of 300 seeds hits its
-// known residual — a victim reset while a batch it holds a member of still has
-// one in an open segment is stamped below the batch — at seed 243 (a batch at
-// seq 165 of 5 members, 2 of them present after reopen, recovered watermark
-// 164). STORE_QUICK_SEEDS=n widens the sweep from 8 seeds to n.
+// at every durability level. STORE_QUICK_SEEDS=n widens the sweep from 8 seeds
+// to n; a case's pinned seeds run as named subtests whatever the sweep: each
+// once lost an acknowledged batch, a victim reset while another member of a
+// batch it held was still unsynced.
 func TestQuickRandomOpsWithRecovery(t *testing.T) {
 	seeds := 8
 	if v := os.Getenv("STORE_QUICK_SEEDS"); v != "" {
@@ -32,11 +31,16 @@ func TestQuickRandomOpsWithRecovery(t *testing.T) {
 		seeds = n
 	}
 	for _, c := range []struct {
-		name string
-		disk bool
-		dur  core.Durability
-	}{{"file", true, core.DurNone}, {"memory", false, core.DurNone}, {"file-commit", true, core.DurCommit}} {
+		name   string
+		disk   bool
+		dur    core.Durability
+		pinned []uint64
+	}{{"file", true, core.DurNone, nil}, {"memory", false, core.DurNone, nil}, {"file-commit", true, core.DurCommit, nil},
+		{"file-seal", true, core.DurSeal, []uint64{243, 363, 573, 772}}} {
 		t.Run(c.name, func(t *testing.T) {
+			for _, seed := range c.pinned {
+				t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { randomOpsRun(t, seed, t.TempDir(), c.dur) })
+			}
 			idle := 0 // seeds whose last store never cleaned
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				dir := ""

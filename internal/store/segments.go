@@ -165,16 +165,23 @@ func (s *Store) pick() int {
 
 // openSegment makes free segment seg stream's open segment: it resets the
 // segment's storage and stages its header, the start of the run its first
-// records will extend. The reset is where a victim's bytes die, so a backing
-// segment first runs one sync point over the segments it waits on
-// (store.backing.syncs).
+// records will extend. The reset is where a victim's bytes die, so when the
+// segment backs or the stamp is below its newest record, it first runs one sync
+// point (store.backing.syncs) over the segments it waits on and the ledger
+// entries of batches starting at or before that record.
 func (s *Store) openSegment(seg, stream int32) error {
 	if err := s.flush(); err != nil {
 		return err
 	}
-	if s.backs(seg) {
+	var newest uint64 // recs[seg] is the victim's until the reset
+	if recs := s.recs[seg]; len(recs) > 0 {
+		newest = recs[len(recs)-1].seq
+	}
+	if s.backs(seg) || s.commitWatermarkLocked() < newest {
 		s.cBacking.Inc()
-		if _, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return slices.Contains(s.waits[seg], g) }); err != nil {
+		if _, err := s.syncPoint(true, func(g int32, e unsyncedSeg) bool {
+			return e.low != 0 && e.low <= newest || slices.Contains(s.waits[seg], g)
+		}); err != nil {
 			return err
 		}
 	}

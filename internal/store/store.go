@@ -293,7 +293,7 @@ type Store struct {
 	cCommits *obs.Counter   // store.commit.commits
 	cRounds  *obs.Counter   // store.commit.rounds
 	cSyncs   *obs.Counter   // store.commit.syncs
-	cBacking *obs.Counter   // store.backing.syncs: sync points forced by reusing a backing segment
+	cBacking *obs.Counter   // store.backing.syncs: sync points a segment reset forces (openSegment)
 	// Record bytes (headers included) appended by users and by relocation:
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
@@ -310,9 +310,9 @@ type Store struct {
 // DurSeal owes an fsync at the seal) or a relocated copy (owed one by the cycle
 // that seals the segment, before its victims are reset); a header is neither.
 // low is where the batch of the first uncovered multi-record batch member
-// starts, 0 if there is none. An entry is retired only by a successful fsync
-// begun after that append, or dropped with a released victim's contents: a
-// free segment is never in it.
+// starts, 0 if there is none or the level never fsyncs (DurNone). An entry is
+// retired only by a successful fsync begun after that append, or dropped with
+// a released victim's contents: a free segment is never in it.
 type unsyncedSeg struct {
 	seq, low    uint64
 	user, reloc bool
@@ -869,7 +869,7 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 	encodeRecord(rec, recordHeader{page: id, flags: flags, seq: s.seq, pos: pos})
 	if u := s.unsynced; u != nil {
 		e := u[seg]
-		if flags&flagBatch != 0 && e.low == 0 {
+		if flags&flagBatch != 0 && e.low == 0 && s.opts.Durability != core.DurNone {
 			e.low = s.seq - uint64(pos)
 		}
 		u[seg] = unsyncedSeg{seq: s.seq, low: e.low, user: e.user || from == nil, reloc: e.reloc || from != nil}
