@@ -13,7 +13,9 @@ type EventKind uint8
 
 // The event kinds the engines emit.
 const (
-	// EvCleanerState: a cleaner state transition. Args: old state, new state.
+	// EvCleanerState: a background cleaner state transition. Args: old state,
+	// new state, numbered 0 idle, 1 selecting, 2 relocating, 3 releasing,
+	// 4 stopped.
 	EvCleanerState EventKind = iota
 	// EvWatermark: the commit watermark advanced. Args: new watermark segment.
 	EvWatermark

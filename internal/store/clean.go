@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -21,7 +20,7 @@ import (
 //
 //   - foreground mode runs all phases back to back under the write lock (a
 //     write blocks until the pool recovers);
-//   - background mode (internal/cleaner) interleaves: victims are marked
+//   - background mode (cleaner.go) interleaves: victims are marked
 //     core.SegCleaning under the lock, their records — then immutable —
 //     are loaded with NO lock held, and relocated copies are installed in
 //     small chunks so user reads and writes proceed throughout. Each
@@ -341,81 +340,6 @@ func (s *Store) reseal(victims []int32) {
 	}
 }
 
-// target adapts the store to cleaner.Target: the background cleaner's view of
-// it, and the tests' way to place crash points between the phases. The
-// cleaner drives one cycle at a time (SelectVictims → Relocate →
-// Release/Abort), so the candidate snapshot can be carried between calls, and
-// its table between cycles.
-type target struct {
-	s     *Store
-	cands []recCand
-	win   []byte // this cleaner's I/O window, kept between its cycles
-}
-
-func (t *target) FreeSegments() int { return int(t.s.freeCount.Load()) }
-
-func (t *target) SelectVictims(max int) []int32 {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	victims, cands, err := s.selectVictims(max, t.cands)
-	if err != nil {
-		// A policy violating the sealed-victims contract is a bug; skip the
-		// cycle rather than corrupt state.
-		return nil
-	}
-	t.cands = cands
-	return victims
-}
-
-func (t *target) Relocate(victims []int32) (int, int64, error) {
-	return t.s.relocate(t.cands, relocChunk, &t.win, false)
-}
-
-func (t *target) Release(victims []int32) int64 {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.s.release(victims)
-}
-
-// Abort reverts victims after a failed relocation — but a victim whose
-// every record was already relocated or dead holds nothing, and releasing
-// it guarantees the cleaner makes progress even when the failure was the
-// GC stream running out of space mid-batch (re-sealing everything would
-// wedge: no free segments, no new garbage from blocked writers, every
-// retry failing the same way). Durability ordering still holds: the
-// relocated copies are synced before any drained victim can be reused.
-func (t *target) Abort(victims []int32) {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var drained, rest []int32
-	for _, v := range victims {
-		if s.meta[v].State != core.SegCleaning {
-			continue
-		}
-		if s.meta[v].Live == 0 {
-			drained = append(drained, v)
-		} else {
-			rest = append(rest, v)
-		}
-	}
-	s.reseal(rest)
-	if len(drained) == 0 {
-		return
-	}
-	if err := s.syncRelocated(true); err != nil {
-		// Without the durability point the drained victims must stay
-		// frozen; re-seal them for a later cycle.
-		s.reseal(drained)
-		return
-	}
-	s.release(drained)
-}
-
 // backs reports whether free segment seg is backing: it waits on a segment,
 // so its file holds some record's last durable copy (a relocated copy of one
 // of its records still owes an fsync). pick opens it only when no other will
@@ -606,7 +530,7 @@ func (s *Store) Close() error {
 // stopCleaner stops the background cleaner, if any. Call it unlocked.
 func (s *Store) stopCleaner() {
 	if s.cl != nil {
-		s.cl.Stop()
+		s.cl.stop()
 	}
 }
 
@@ -652,7 +576,7 @@ type Stats struct {
 	// Background reports whether cleaning runs in a background goroutine;
 	// Cleaner is its lifecycle snapshot (zero-valued in foreground mode).
 	Background bool
-	Cleaner    cleaner.Stats
+	Cleaner    CleanerStats
 }
 
 // Obs returns the store's metrics registry (always non-nil): the store.*
@@ -711,7 +635,7 @@ func (s *Store) Stats() Stats {
 	st.FsyncRounds = s.cRounds.Value()
 	st.Fsyncs = s.cSyncs.Value()
 	if s.cl != nil {
-		st.Background, st.Cleaner = true, s.cl.Stats()
+		st.Background, st.Cleaner = true, s.cl.snapshot()
 	}
 	return st
 }

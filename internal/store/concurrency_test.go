@@ -398,15 +398,15 @@ func TestCrashMidCleanLeavesIntactCopies(t *testing.T) {
 		want[id] = uint32(i)
 	}
 
-	ct := s.cleanPhases()
-	victims := ct.SelectVictims(4)
+	ct := newCleaner(s)
+	victims := ct.selectVictims(4)
 	if len(victims) == 0 {
 		t.Fatal("no victims selectable after churn")
 	}
-	if _, _, err := ct.Relocate(victims); err != nil {
+	if _, _, err := ct.relocate(); err != nil {
 		t.Fatalf("relocate: %v", err)
 	}
-	// Crash BEFORE Release: the victims were never reused, so both copies
+	// Crash BEFORE release: the victims were never reused, so both copies
 	// of every relocated page are on disk.
 	if err := s.crash(); err != nil {
 		t.Fatal(err)
@@ -451,15 +451,15 @@ func TestCrashAfterReleaseBeforeReuse(t *testing.T) {
 		}
 		want[id] = uint32(i)
 	}
-	ct := s.cleanPhases()
-	victims := ct.SelectVictims(4)
+	ct := newCleaner(s)
+	victims := ct.selectVictims(4)
 	if len(victims) == 0 {
 		t.Fatal("no victims selectable")
 	}
-	if _, _, err := ct.Relocate(victims); err != nil {
+	if _, _, err := ct.relocate(); err != nil {
 		t.Fatal(err)
 	}
-	ct.Release(victims)
+	ct.release(victims)
 	if err := s.crash(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,17 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 )
 
 // The cleaning cycle's decisions (cleanUntil's stop rules, victim checks,
-// Abort, batch reservation) tested on a store whose victims a scripted
+// abort, batch reservation) tested on a store whose victims a scripted
 // policy names. Unless a test says otherwise the geometry is 8-byte pages,
 // ten to a segment: ten full-length pages fill a segment exactly (it seals
 // itself), so a full segment holds no garbage and cleaning it nets nothing.
@@ -52,7 +52,7 @@ type scriptedStore struct {
 
 // openScripted opens a store over o (in memory unless o.Dir is set) with the
 // cycle tests' defaults filled in: the geometry above, p as the policy (nil:
-// o's algorithm), one victim per cycle, low-water mark 2.
+// o's algorithm), one victim per cycle and low-water mark 2 unless o sets them.
 func openScripted(t *testing.T, p *scripted, o Options) *scriptedStore {
 	t.Helper()
 	if o.PageSize == 0 {
@@ -61,7 +61,7 @@ func openScripted(t *testing.T, p *scripted, o Options) *scriptedStore {
 	if p != nil {
 		o.Algorithm = core.Algorithm{Name: "scripted", Policy: p}
 	}
-	o.CleanBatch, o.FreeLowWater = 1, 2
+	o.CleanBatch, o.FreeLowWater = cmp.Or(o.CleanBatch, 1), cmp.Or(o.FreeLowWater, 2)
 	s, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +176,8 @@ func TestNonSealedVictimRejected(t *testing.T) {
 		if n, _, err := s.cleanCycle(); err == nil || n != 0 {
 			t.Errorf("cleanCycle with victims %v = %d, %v; want an error", victims, n, err)
 		}
-		if got := s.cleanPhases().SelectVictims(2); got != nil {
-			t.Errorf("SelectVictims with victims %v = %v, want nil", victims, got)
+		if got := newCleaner(s.Store).selectVictims(2); got != nil {
+			t.Errorf("selectVictims with victims %v = %v, want nil", victims, got)
 		}
 		if s.meta[sealed].State != core.SegSealed || len(s.pendingE) != 0 {
 			t.Errorf("victims %v: segment %d left %s with %d pending victims", victims, sealed, s.meta[sealed].State, len(s.pendingE))
@@ -188,7 +188,7 @@ func TestNonSealedVictimRejected(t *testing.T) {
 
 var errReadInjected = errors.New("injected read failure")
 
-// TestAbortReleasesDrainedVictims: after a failed relocation Abort releases
+// TestAbortReleasesDrainedVictims: after a failed relocation abort releases
 // the victims that hold nothing any more — behind the durability point —
 // and re-seals the rest; if the durability point fails, everything is
 // re-sealed. The relocation fails at a victim's read, so the victims before
@@ -196,13 +196,13 @@ var errReadInjected = errors.New("injected read failure")
 // A victim holds 17 live records, one install chunk and one record: a
 // failed second write leaves one record in the first victim. The store is
 // on disk under DurCommit: a memory store owes no fsync, so its durability
-// point could not fail. syncs counts the fsyncs Abort begins.
+// point could not fail. syncs counts the fsyncs abort begins.
 func TestAbortReleasesDrainedVictims(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		failRead  int   // the victim whose read fails (-1: none)
 		failWrite int   // the relocation's backend write that fails (0: none)
-		syncErr   error // the durability point's answer inside Abort
+		syncErr   error // the durability point's answer inside abort
 		wantFree  []bool
 		wantSyncs int
 	}{
@@ -210,7 +210,7 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 		{name: "drained but sync fails", failRead: 1, syncErr: errSyncInjected, wantFree: []bool{false, false}, wantSyncs: 1},
 		{name: "nothing drained", failRead: -1, failWrite: 2, wantFree: []bool{false, false}, wantSyncs: 0},
 		// The relocation's own sync point already covered every copy (they
-		// filled, and sealed, one GC segment), so Abort's has none to fsync.
+		// filled, and sealed, one GC segment), so abort's has none to fsync.
 		{name: "both drained", failRead: -1, wantFree: []bool{true, true}, wantSyncs: 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,9 +220,9 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 			cb := count(s.Store)
 			victims := s.fillSegments(t, []string{"half", "half"}) // 17 live records each
 			p.script = [][]int32{victims}
-			tg := s.cleanPhases()
-			if got := tg.SelectVictims(2); len(got) != 2 {
-				t.Fatalf("SelectVictims = %v", got)
+			tg := newCleaner(s.Store)
+			if got := tg.selectVictims(2); len(got) != 2 {
+				t.Fatalf("selectVictims = %v", got)
 			}
 			cb.failRead = func(seg int, _ int64) error {
 				if tc.failRead >= 0 && seg == int(victims[tc.failRead]) {
@@ -237,11 +237,11 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 				}
 				return nil
 			}
-			_, _, err := tg.Relocate(victims)
+			_, _, err := tg.relocate()
 			cb.failRead, cb.failWrite = nil, nil
 			faulty := tc.failRead >= 0 || tc.failWrite > 0
 			if faulty != (err != nil) || err != nil && !errors.Is(err, errReadInjected) && !errors.Is(err, errInjected) {
-				t.Fatalf("Relocate = %v, want an injected failure: %v", err, faulty)
+				t.Fatalf("relocate = %v, want an injected failure: %v", err, faulty)
 			}
 			if tc.syncErr != nil {
 				cb.failSync = func(int) error { return tc.syncErr }
@@ -255,7 +255,7 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 				return n
 			}
 			before, free := syncs(), len(s.free)
-			tg.Abort(victims)
+			tg.abort(victims)
 			cb.failSync = nil
 			for i, v := range victims {
 				want := core.SegSealed
@@ -264,14 +264,14 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 					free++
 				}
 				if got := s.meta[v].State; got != want {
-					t.Errorf("victim %d is %s after Abort, want %s", i, got, want)
+					t.Errorf("victim %d is %s after abort, want %s", i, got, want)
 				}
 			}
 			if len(s.free) != free || int(s.freeCount.Load()) != free {
 				t.Errorf("free pool %d (count %d), want %d", len(s.free), s.freeCount.Load(), free)
 			}
 			if n := syncs() - before; n != tc.wantSyncs || len(s.pendingE) != 0 {
-				t.Errorf("Abort began %d fsyncs (want %d), left %d pending victims", n, tc.wantSyncs, len(s.pendingE))
+				t.Errorf("abort began %d fsyncs (want %d), left %d pending victims", n, tc.wantSyncs, len(s.pendingE))
 			}
 			s.check(t)
 		})
@@ -386,12 +386,6 @@ func TestBatchReservedWritesFillAtApply(t *testing.T) {
 	}
 }
 
-// idleTarget keeps a real cleaner goroutine parked: the pool always looks
-// full to it.
-type idleTarget struct{ cleaner.Target }
-
-func (idleTarget) FreeSegments() int { return 1 << 20 }
-
 // TestBackgroundReservationRule: with a background cleaner a batch is
 // admitted iff the pool covers its new segments plus the one segment user
 // appends must leave for GC output (free ≥ newSegs + need − 1, need = 2) —
@@ -402,12 +396,8 @@ func TestBackgroundReservationRule(t *testing.T) {
 	p := &scripted{auto: true}
 	s := openScripted(t, p, Options{PageSize: 64, SegmentPages: 2, MaxSegments: 12})
 	s.fillSegments(t, []string{"half", "half"})
-	cl, err := cleaner.Start(idleTarget{}, cleaner.Options{LowWater: 2, Batch: 1, TotalSegments: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	s.cl = cl
+	// Background mode; the cleaner's goroutine is never started.
+	s.cl = newCleaner(s.Store)
 	s.put(t, "tail", 64) // after the two tombstones, the open user segment has 40 bytes left
 	pool := s.free
 	for _, tc := range []struct{ free, records, wantSegs int }{

@@ -739,7 +739,7 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 	done := make(chan struct{})
 	var fgCycles atomic.Int64
 	bothCleaned := func() bool {
-		cl := s.cl.Stats()
+		cl := s.cl.snapshot()
 		return fgCycles.Load() > 0 && cl.Cycles > 0
 	}
 	deadline := time.Now().Add(time.Minute)
@@ -803,7 +803,7 @@ func TestCleanOnceBesideBackgroundCleaner(t *testing.T) {
 			default:
 			}
 			// Once per background cycle, while it is under way.
-			if cl := s.cl.Stats(); cl.State == "idle" || cl.Cycles < next {
+			if cl := s.cl.snapshot(); cl.State == "idle" || cl.Cycles < next {
 				runtime.Gosched()
 				continue
 			} else {

@@ -280,12 +280,12 @@ func TestSyncPointSeries(t *testing.T) {
 				return h("store.syncpoint.ns").Count(), h("store.syncpoint.segs").Count(), h("store.fsync.ns").Count()
 			}
 			p0, n0, f0 := samples()
-			phases := s.cleanPhases()
-			victims := phases.SelectVictims(4)
-			if _, _, err := phases.Relocate(victims); err != nil || len(victims) == 0 {
-				t.Fatalf("Relocate(%v): %v", victims, err)
+			phases := newCleaner(s)
+			victims := phases.selectVictims(4)
+			if _, _, err := phases.relocate(); err != nil || len(victims) == 0 {
+				t.Fatalf("relocate(%v): %v", victims, err)
 			}
-			phases.Release(victims)
+			phases.release(victims)
 			if p, n, f := samples(); p != p0+1 || n != n0+1 || f == f0 {
 				t.Errorf("the relocate phase recorded %d sync points (%d segment counts) and %d fsyncs, want one sync point", p-p0, n-n0, f-f0)
 			}

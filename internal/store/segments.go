@@ -3,10 +3,8 @@ package store
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -42,13 +40,10 @@ func (s *Store) write(parent *obs.Span, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if s.cl != nil {
 			leg := parent.Child("store.admit")
-			err := s.cl.Admit()
+			err := s.cl.admit()
 			leg.End()
 			if err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("store: write admission: %w", err)
+				return err
 			}
 		}
 		leg := parent.Child("store.apply")
@@ -62,7 +57,7 @@ func (s *Store) write(parent *obs.Span, op func() error) error {
 		s.mu.Unlock()
 		leg.End()
 		if lowWater {
-			s.cl.Kick()
+			s.cl.kick()
 		}
 		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
 			continue

@@ -17,11 +17,10 @@
 //
 // Cleaning runs in one of two modes. In foreground mode (the default) a
 // write that finds the free pool below the low-water mark blocks behind
-// cleaning cycles until the pool recovers. With Options.BackgroundClean the
-// cleaning lifecycle moves to internal/cleaner: a background goroutine
-// driven by low/high watermarks relocates victims while readers and writers
-// keep going, and user writes block only when free space falls below an
-// emergency floor. The mapping table is guarded by an RWMutex; victim segments are marked
+// cleaning cycles until the pool recovers. With Options.BackgroundClean a
+// goroutine of the store (cleaner.go) runs the same cycle, driven by low/high
+// watermarks, while readers and writers keep going, and user writes block only
+// when free space falls below an emergency floor. The mapping table is guarded by an RWMutex; victim segments are marked
 // core.SegCleaning, which freezes their records so the cleaner can read
 // them from storage without holding the lock.
 //
@@ -66,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -113,13 +111,14 @@ type Options struct {
 	// and makes batches crash-atomic. See core.Durability.
 	Durability core.Durability
 
-	// BackgroundClean moves cleaning off the write path into a background
-	// goroutine driven by the free-pool watermarks (see internal/cleaner).
-	// When false, cleaning runs synchronously inside the write path.
+	// BackgroundClean moves cleaning off the write path into a goroutine
+	// that runs the cleaning cycle between the free-pool watermarks
+	// FreeLowWater and FreeLowWater+CleanBatch (see cleaner.go). When
+	// false, cleaning runs synchronously inside the write path.
 	BackgroundClean bool
-	// FreeEmergency is the admission-control floor: user writes block
-	// while free segments are below it (default min(CleanBatch+1,
-	// FreeLowWater)). Ignored in foreground mode.
+	// FreeEmergency is the admission-control floor: in background mode
+	// user writes block while free segments are below it (default
+	// CleanBatch+1; it must lie in [1, FreeLowWater]).
 	FreeEmergency int
 	// Obs receives the store's metrics (store.* series), the cleaner's, and
 	// trace events. Nil creates a private always-on registry — recording is
@@ -172,15 +171,19 @@ func (o Options) withDefaults() (Options, error) {
 	if !o.Durability.Valid() {
 		return o, fmt.Errorf("store: invalid durability level %d", o.Durability)
 	}
-	if o.MaxSegments < o.FreeLowWater+2 || o.FreeLowWater <= o.CleanBatch {
-		return o, fmt.Errorf("store: need MaxSegments (%d) >= FreeLowWater (%d) + 2 and FreeLowWater > CleanBatch (%d) so relocations always fit",
-			o.MaxSegments, o.FreeLowWater, o.CleanBatch)
+	if o.CleanBatch < 1 || o.MaxSegments < o.FreeLowWater+2 || o.FreeLowWater <= o.CleanBatch {
+		return o, fmt.Errorf("store: need CleanBatch (%d) >= 1, MaxSegments (%d) >= FreeLowWater (%d) + 2 and FreeLowWater > CleanBatch so relocations always fit",
+			o.CleanBatch, o.MaxSegments, o.FreeLowWater)
+	}
+	if o.FreeEmergency == 0 {
+		o.FreeEmergency = o.CleanBatch + 1
+	}
+	if o.FreeEmergency < 1 || o.FreeEmergency > o.FreeLowWater {
+		return o, fmt.Errorf("store: FreeEmergency (%d) must lie in [1, FreeLowWater (%d)]", o.FreeEmergency, o.FreeLowWater)
 	}
 	if o.Algorithm.Exact {
 		return o, fmt.Errorf("store: exact-rate algorithm %s needs a workload oracle; use the estimator variant", o.Algorithm.Name)
 	}
-	// FreeEmergency defaulting/validation lives in cleaner.Options.withDefaults;
-	// zero passes straight through to cleaner.Start.
 	if o.Obs == nil {
 		o.Obs = obs.New()
 	}
@@ -233,9 +236,9 @@ type Store struct {
 	sumEAtClean float64
 	pendingE    map[int32]float64 // emptiness-at-selection of in-flight victims
 
-	cl    *cleaner.Cleaner // background cleaner; nil in foreground mode
-	win   []byte           // I/O window of the foreground cycles (write lock held throughout)
-	cands []recCand        // their candidate table, kept between them like win
+	cl    *cleaner  // background cleaner (cleaner.go); nil in foreground mode
+	win   []byte    // I/O window of the foreground cycles (write lock held throughout)
+	cands []recCand // their candidate table, kept between them like win
 
 	table      map[uint32]pageLoc
 	tombstones map[uint32]pageLoc
@@ -392,13 +395,8 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	if opts.BackgroundClean {
-		cl, err := cleaner.Start(&target{s: s}, cleaner.Options{LowWater: opts.FreeLowWater, EmergencyFloor: opts.FreeEmergency,
-			Batch: opts.CleanBatch, TotalSegments: opts.MaxSegments, Obs: opts.Obs})
-		if err != nil {
-			s.be.close()
-			return nil, err
-		}
-		s.cl = cl
+		s.cl = newCleaner(s)
+		go s.cl.run()
 	}
 	return s, nil
 }

@@ -463,6 +463,21 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestFreeEmergencyValidation: an emergency floor outside [1, FreeLowWater]
+// is refused by name before a file is created.
+func TestFreeEmergencyValidation(t *testing.T) {
+	for _, floor := range []int{20, -3} {
+		dir := t.TempDir()
+		_, err := Open(Options{Dir: dir, BackgroundClean: true, FreeLowWater: 12, FreeEmergency: floor})
+		if err == nil || !strings.Contains(err.Error(), "FreeEmergency") {
+			t.Errorf("FreeEmergency %d: Open = %v, want a refusal naming FreeEmergency", floor, err)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("FreeEmergency %d: the refused Open left %d files", floor, len(files))
+		}
+	}
+}
+
 // TestRoutedAlgorithmsOnStore: Open refuses each routed algorithm with an
 // error that names it and says routed placement is simulator-only.
 func TestRoutedAlgorithmsOnStore(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/bufferpool"
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -26,9 +25,10 @@ var ErrFull, ErrTooLarge = store.ErrFull, store.ErrTooLarge
 // MaxSegments (default 64) are the geometry; the rest pass to the page store:
 // the cleaning Algorithm (default core.MDC(); routed ones are refused: routed
 // placement is simulator-only), FreeLowWater (default CleanBatch+2),
-// CleanBatch (default 4), the background cleaner's switch and floor (see
-// internal/cleaner), and Obs, which receives the store.* and cleaner.* series
-// (nil: a private registry). A returned Put or Commit is visible to every
+// CleanBatch (default 4), the store's background cleaner switch and
+// admission floor (store.Options.BackgroundClean, FreeEmergency), and Obs,
+// which receives the store.* and cleaner.* series (nil: the store makes its
+// own). A returned Put or Commit is visible to every
 // later Get until Close.
 type Options struct {
 	SegmentBytes, MaxSegments int
@@ -207,7 +207,7 @@ type Stats struct {
 	Durability                                     string
 	Commits                                        uint64
 	Background                                     bool
-	Cleaner                                        cleaner.Stats
+	Cleaner                                        store.CleanerStats
 }
 
 // Obs returns the store's metrics registry (always non-nil).
