@@ -107,7 +107,7 @@ func (b *Batch) copyData(i int, dst []byte) {
 // concurrent committers coalesce onto one group fsync — and recovery
 // guarantees a torn batch is never surfaced partially. (Backend I/O
 // errors mid-apply are the one non-atomic failure: the store state is
-// whatever the error left, exactly as for single writes.)
+// whatever the error left.) WritePage and DeletePage are Applies of one op.
 func (s *Store) Apply(b *Batch) error { return s.ApplySpanned(b, nil) }
 
 // ApplySpanned is Apply with an optional parent span: with a non-nil
@@ -120,7 +120,7 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	return s.write(parent, func() error { return s.applyLocked(b) })
+	return s.write(parent, b)
 }
 
 // applyLocked validates the whole batch (prepare), plans it and reserves its
@@ -136,20 +136,20 @@ func (s *Store) applyLocked(b *Batch) error {
 	if err := s.reserve(b); err != nil {
 		return err
 	}
-	k, pos, i := len(b.ops)-absorbed, uint32(0), 0
-	put := func(dst []byte) { b.copyData(i, dst) } // one closure, following i
+	k, pos := len(b.ops)-absorbed, uint32(0)
 	if k > 1 {
 		s.applying = s.seq + 1
 		defer func() { s.applying = 0 }()
 	}
-	for i = range b.ops {
+	for i := range b.ops {
 		op := &b.ops[i]
 		if op.size == 0 {
 			continue // absorbed
 		}
-		if err := s.roomReserved(op.size); err != nil {
-			// Unreachable when the plan is sound; surface rather than hide.
-			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
+		if err := s.openRoom(userStream, op.size, s.userNeed()); errors.Is(err, ErrFull) {
+			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err) // an unsound plan
+		} else if err != nil {
+			return err // a backend error sealing or opening a segment
 		}
 		flags := uint32(0)
 		if op.del {
@@ -161,8 +161,27 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.userAppend(op.id, flags, pos, op.n, put); err != nil {
+		s.unow++
+		carried := s.invalidate(op.id)
+		if loc, deleted := s.tombstones[op.id]; deleted {
+			// A rewrite supersedes the pending deletion; its tombstone record,
+			// if it still has one, is garbage from here on.
+			delete(s.tombstones, op.id)
+			if loc.seg >= 0 {
+				s.pruned(loc.seg, RecordHeaderSize)
+			}
+		}
+		rec, err := s.stage(userStream, int(op.size))
+		if err != nil {
 			return err
+		}
+		b.copyData(i, rec[RecordHeaderSize:])
+		if err := s.appendRecord(userStream, op.id, flags, pos, rec, carried, nil); err != nil {
+			return err
+		}
+		s.cUserBytes.Add(uint64(op.size))
+		if !op.del {
+			s.userWrites++
 		}
 		pos++
 	}
@@ -182,49 +201,53 @@ const keptRefs = 2048
 // never visible, so it is never written. refs maps each page to its latest op
 // so far, which says whether the page exists there: a Delete may follow a Write.
 func (s *Store) prepare(b *Batch) (absorbed int, err error) {
-	refs := s.refs
+	var refs map[uint32]int32 // nil for one op: there is no earlier op to absorb
 	if len(b.ops) > keptRefs {
 		refs = make(map[uint32]int32, len(b.ops)) // a big batch's table is not kept
+	} else if len(b.ops) > 1 {
+		refs = s.refs
+		defer func() { // not clear(refs): that costs the capacity a bigger batch left
+			for i := range b.ops {
+				delete(refs, b.ops[i].id)
+			}
+		}()
 	}
-	defer clear(refs)
 	for i := range b.ops {
 		op := &b.ops[i]
-		_, before := s.table[op.id]
-		exists := before
-		if j, seen := refs[op.id]; seen {
-			prev := &b.ops[j]
-			if exists = !prev.del; prev.size > 0 {
-				prev.size, absorbed = 0, absorbed+1
-			}
+		j, seen := refs[op.id]
+		if seen && b.ops[j].size > 0 {
+			b.ops[j].size, absorbed = 0, absorbed+1
 		}
+		op.size = int64(RecordHeaderSize + op.n) // a tombstone is a bare header
 		if op.del {
-			if !exists {
+			_, before := s.table[op.id]
+			if seen && b.ops[j].del || !seen && !before {
 				return 0, fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
+			}
+			if !before { // the page was made in this batch
+				op.size, absorbed = 0, absorbed+1
 			}
 		} else if op.n > s.opts.PageSize {
 			return 0, fmt.Errorf("batch op %d: %w: %d > %d bytes", i, ErrTooLarge, op.n, s.opts.PageSize)
 		} else if op.off < 0 && b.fill == nil {
 			return 0, fmt.Errorf("store: batch op %d reserves page %d but the batch has no fill function", i, op.id)
 		}
-		op.size = int64(RecordHeaderSize + op.n) // a tombstone is a bare header
-		if op.del && !before {
-			op.size, absorbed = 0, absorbed+1
+		if refs != nil {
+			refs[op.id] = int32(i)
 		}
-		refs[op.id] = int32(i)
 	}
 	return absorbed, nil
 }
 
 // reserve plans the batch (every op's size set) and secures the free segments
 // it needs, before any old version is invalidated: once it returns nil the
-// apply loop (roomReserved per op) can no longer fail with ErrFull. In
-// foreground mode it runs cleaning first (to the same headroom contract as
-// single writes: every segment open happens at or above the low-water mark);
-// in background mode it fails fast with ErrFull and lets the admission loop in
-// write retry while the cleaner catches up. A batch of only deletions frees at
-// least the tombstones it writes, so where cleaning cannot reach the mark it
-// may draw on the cleaning reserve (foreground only): that is how a full log
-// is drained.
+// apply loop (openRoom per op) can no longer fail with ErrFull. In foreground
+// mode it runs cleaning first, so every segment open happens at or above the
+// low-water mark; in background mode it fails fast with ErrFull and lets the
+// admission loop in write retry while the cleaner catches up. A batch of only
+// deletions frees at least the tombstones it writes, so where cleaning cannot
+// reach the mark it may draw on the cleaning reserve (foreground only): that
+// is how a full log is drained.
 func (s *Store) reserve(b *Batch) error {
 	newSegs := s.plan(b)
 	if s.cl != nil {

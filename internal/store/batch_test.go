@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -828,5 +829,105 @@ func TestStreamOccupancyStats(t *testing.T) {
 	}
 	if want := st.LivePages + st.Tombstones; totalLive != want {
 		t.Errorf("sum of per-stream Live = %d, want %d", totalLive, want)
+	}
+}
+
+// TestSingleWritesAreOneOpBatches: WritePage and DeletePage are one-op
+// Applies. One seeded stream of variable-length writes and deletes that keeps
+// foreground cleaning busy ends in equal Stats and byte-identical segments
+// whether it goes through them or through Apply — in memory, and on disk
+// under DurSeal with a close and reopen half way.
+func TestSingleWritesAreOneOpBatches(t *testing.T) {
+	const pages, pageSize, ops = 280, 512, 12000
+	run := func(dir string, viaApply bool) (Stats, [][]byte) {
+		o := Options{Dir: dir, PageSize: pageSize, SegmentPages: 8, MaxSegments: 40, Durability: core.DurSeal}
+		s, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewPCG(43, 7))
+		live := map[uint32]bool{}
+		b := NewBatch()
+		for i := 0; i < ops; i++ {
+			if dir != "" && i == ops/2 {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = Open(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := uint32(r.IntN(pages / 5)) // a hot fifth of the pages takes half the ops
+			if r.IntN(2) == 0 {
+				id = uint32(r.IntN(pages))
+			}
+			b.Reset()
+			if live[id] && r.IntN(8) == 0 {
+				if delete(live, id); viaApply {
+					err = s.Apply(b.Delete(id))
+				} else {
+					err = s.DeletePage(id)
+				}
+			} else {
+				data := pagePattern(r.IntN(pageSize+1), id, byte(i))
+				if live[id] = true; viaApply {
+					err = s.Apply(b.Write(id, data))
+				} else {
+					err = s.WritePage(id, data)
+				}
+			}
+			if err != nil {
+				t.Fatalf("op %d (apply %v): %v", i, viaApply, err)
+			}
+		}
+		checkInvariants(t, s)
+		st := s.Stats()
+		var segs [][]byte
+		if dir == "" {
+			segs = s.be.(*memBackend).segs
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dir != "" {
+			names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				data, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs = append(segs, data)
+			}
+		}
+		return st, segs
+	}
+	for _, disk := range []bool{false, true} {
+		dirs := [2]string{}
+		if disk {
+			dirs = [2]string{t.TempDir(), t.TempDir()}
+		}
+		single, singleSegs := run(dirs[0], false)
+		batched, batchedSegs := run(dirs[1], true)
+		if single.SegmentsCleaned == 0 {
+			t.Fatalf("disk %v: the stream never cleaned", disk)
+		}
+		if !reflect.DeepEqual(single, batched) {
+			t.Errorf("disk %v: stats differ\nWritePage/DeletePage: %+v\none-op Applies:       %+v", disk, single, batched)
+		}
+		if len(singleSegs) != len(batchedSegs) {
+			t.Fatalf("disk %v: %d segments vs %d", disk, len(singleSegs), len(batchedSegs))
+		}
+		differ := 0
+		for i := range singleSegs {
+			if !bytes.Equal(singleSegs[i], batchedSegs[i]) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("disk %v: %d of %d segments differ", disk, differ, len(singleSegs))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -124,4 +125,42 @@ func BenchmarkZipfApply(b *testing.B) {
 	b.ReportMetric((n1-n0)/float64(b.N), "fsyncs/op")
 	b.ReportMetric((fsync1-fsync0)/1e3/float64(b.N), "fsync-µs/op")
 	b.ReportMetric((point1-point0)/1e3/float64(b.N), "syncpoint-µs/op")
+}
+
+// BenchmarkSmallWritesAfterBigApply: steady writes to a memory store after one
+// 2,048-op Apply, as WritePages (ops=1) and as two-op Applies (ops=2). A one-op
+// batch keeps no page table, and a small batch deletes only its own pages from
+// the table the big one grew, so neither pays for its capacity on every write.
+func BenchmarkSmallWritesAfterBigApply(b *testing.B) {
+	for _, ops := range []int{1, 2} {
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			s, err := Open(Options{PageSize: 4096, SegmentPages: 64, MaxSegments: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			buf := make([]byte, 256)
+			big, small := NewBatch(), NewBatch()
+			for id := uint32(1000); id < 1000+keptRefs; id++ {
+				big.Write(id, buf)
+			}
+			if err := s.Apply(big); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := uint32(i % 100)
+				if ops == 1 {
+					err = s.WritePage(id, buf)
+				} else {
+					small.Reset()
+					err = s.Apply(small.Write(id, buf).Write(id+100, buf))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -702,6 +703,27 @@ func TestFailedRunWriteInApply(t *testing.T) {
 	check(s)
 }
 
+// TestSealErrorInWritePage: a backend error sealing the full open segment
+// inside a write's apply loop reaches the caller as that error, not as a
+// batch reservation violation (which only an ErrFull there would be).
+func TestSealErrorInWritePage(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), PageSize: 256, SegmentPages: 4, MaxSegments: 16, Durability: core.DurSeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for id := uint32(0); id < 4; id++ { // three full pages and a short one: room is left, but no full page fits
+		if err := s.WritePage(id, page(id, 256-156*int(id/3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count(s).failSync = func(int) error { return errSyncInjected }
+	err = s.WritePage(4, page(4, 256))
+	if !errors.Is(err, errSyncInjected) || strings.Contains(err.Error(), "reservation") {
+		t.Fatalf("WritePage whose seal fails: %v, want the injected fsync error as it is", err)
+	}
+}
+
 // TestCleanOnceBesideBackgroundCleaner: a cycle owns its window, so a
 // foreground CleanOnce (under the lock) can overlap the background cleaner's
 // lock-free Load. Writers (each owning its pages, so the oracle is exact) and
@@ -921,5 +943,49 @@ func TestRelocationAllocBudget(t *testing.T) {
 	t.Logf("%.1f bytes allocated per relocated page", best)
 	if best > 8 {
 		t.Errorf("%.1f bytes allocated per relocated page, the budget is 8", best)
+	}
+}
+
+// TestSingleWriteAllocBudget: a steady-state WritePage, and a DeletePage
+// followed by a WritePage, on a memory store allocate nothing per op, foreground
+// cleaning included: the one-op batch a single write applies stays on the
+// stack.
+func TestSingleWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	s, err := Open(Options{PageSize: 512, SegmentPages: 8, MaxSegments: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := make([]byte, 300)
+	id := uint32(0)
+	next := func() uint32 { id = (id + 1) % 96; return id }
+	write := func() {
+		if err := s.WritePage(next(), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8192; i++ {
+		write()
+	}
+	cleaned := s.Stats().SegmentsCleaned
+	if n := testing.AllocsPerRun(4000, write); n != 0 {
+		t.Errorf("WritePage allocates %v per op, the budget is 0", n)
+	}
+	if n := testing.AllocsPerRun(4000, func() {
+		p := next()
+		if err := s.DeletePage(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WritePage(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DeletePage+WritePage allocates %v per op, the budget is 0", n)
+	}
+	if s.Stats().SegmentsCleaned == cleaned {
+		t.Error("no cleaning ran while measuring")
 	}
 }

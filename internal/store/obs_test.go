@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -377,5 +378,52 @@ func TestByteCountersMatchSegmentWrites(t *testing.T) {
 	defer s.Close()
 	if ios, bytes := counter(s, "store.read.ios"), counter(s, "store.read.bytes"); ios != files || bytes != fileBytes {
 		t.Errorf("recovery counted %d reads of %d bytes, the directory holds %d segment files of %d bytes", ios, bytes, files, fileBytes)
+	}
+}
+
+// TestErrFullIsCounted: store.errfull counts each write refused with ErrFull
+// once, with one errfull trace event, in foreground and background mode: a
+// store filled with distinct pages to its first refusal, then three more
+// WritePages and a 40-page Apply.
+func TestErrFullIsCounted(t *testing.T) {
+	for _, bg := range []bool{false, true} {
+		opts := testOpts("")
+		opts.MaxSegments, opts.BackgroundClean = 16, bg
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := 0
+		refuse := func(err error) {
+			if !errors.Is(err, ErrFull) {
+				t.Fatalf("background %v: write = %v, want ErrFull", bg, err)
+			}
+			refused++
+		}
+		id := uint32(0)
+		for ; ; id++ {
+			if err := s.WritePage(id, page(id, 128)); err != nil {
+				refuse(err)
+				break
+			}
+		}
+		for i := 0; i < 3; i++ {
+			refuse(s.WritePage(id+uint32(i), page(id+uint32(i), 128)))
+		}
+		b := NewBatch()
+		for i := uint32(0); i < 40; i++ {
+			b.Write(id+i, page(id+i, 128))
+		}
+		refuse(s.Apply(b))
+		events := 0
+		for _, e := range s.Obs().Trace().Events() {
+			if e.Kind == obs.EvErrFull.String() {
+				events++
+			}
+		}
+		if got := s.Obs().Counter("store.errfull").Value(); got != uint64(refused) || events != refused {
+			t.Errorf("background %v: %d writes refused with ErrFull; store.errfull = %d, errfull events = %d", bg, refused, got, events)
+		}
+		s.Close()
 	}
 }

@@ -12,7 +12,7 @@ import (
 // The segment log: everything about segments that is neither bytes nor
 // index — the metadata table the cleaning policies read, the free pool, the
 // two streams' open segments, the update clock and write admission. Appends
-// go room → stage → appendRecord; the cleaning cycle is in clean.go.
+// go openRoom → stage → appendRecord; the cleaning cycle is in clean.go.
 
 // The two append streams: user writes fill one, relocated copies the other.
 const (
@@ -28,29 +28,29 @@ type openSeg struct {
 	up2Sum float64
 }
 
-// write runs op — one write's or one batch's appends — under the write lock
-// behind write admission (a closed store fails with errClosed instead), then
-// under DurCommit makes it durable: the write is already visible; concurrent
-// committers coalesce onto one group fsync. In background mode a write can
-// lose the race for the last free segments to concurrent writers; those
-// transient ErrFulls are retried through admission (which blocks below the
-// emergency floor until the cleaner catches up). A non-nil parent gets
-// "store.admit", "store.apply" and "store.commit.wait" child spans.
-func (s *Store) write(parent *obs.Span, op func() error) error {
+// write applies batch b under the write lock behind write admission (a closed
+// store fails with errClosed instead), then under DurCommit makes it durable:
+// the write is already visible; concurrent committers coalesce onto one group
+// fsync. In background mode a write can lose the race for the last free
+// segments to concurrent writers; those transient ErrFulls are retried through
+// admission (which blocks below the emergency floor until the cleaner catches
+// up). A write it returns ErrFull for counts once in store.errfull. A non-nil
+// parent gets "store.admit", "store.apply" and "store.commit.wait" child spans.
+func (s *Store) write(parent *obs.Span, b *Batch) (err error) {
 	for attempt := 0; ; attempt++ {
 		if s.cl != nil {
 			leg := parent.Child("store.admit")
-			err := s.cl.admit()
+			err = s.cl.admit()
 			leg.End()
 			if err != nil {
-				return err
+				break
 			}
 		}
 		leg := parent.Child("store.apply")
 		s.mu.Lock()
-		err := errClosed
+		err = errClosed
 		if !s.closed {
-			err = cmp.Or(op(), s.flush())
+			err = cmp.Or(s.applyLocked(b), s.flush())
 		}
 		seq := s.seq
 		lowWater := s.cl != nil && len(s.free) < s.opts.FreeLowWater
@@ -67,31 +67,13 @@ func (s *Store) write(parent *obs.Span, op func() error) error {
 			err = s.commitWait(seq)
 			leg.End()
 		}
-		return err
+		break
 	}
-}
-
-// room guarantees the user stream's open segment can take size more bytes,
-// sealing and reopening as needed. It runs foreground cleaning below the
-// low-water mark (background mode kicks the cleaner from the write path
-// instead) and leaves the last free segment for relocation.
-func (s *Store) room(size int64) error {
-	if ok, err := s.fits(userStream, size); ok || err != nil {
-		return err
+	if errors.Is(err, ErrFull) {
+		s.cErrFull.Inc()
+		s.trace.Emit(obs.EvErrFull, s.freeCount.Load())
 	}
-	if s.cl == nil && len(s.free) < s.opts.FreeLowWater {
-		if err := s.cleanUntil(s.opts.FreeLowWater); err != nil {
-			return err
-		}
-	}
-	return s.roomReserved(size)
-}
-
-// roomReserved is room for a batch's apply loop: cleaning and headroom
-// decisions already happened in reserve, so it only seals a full open
-// segment and takes a fresh one when needed.
-func (s *Store) roomReserved(size int64) error {
-	return s.openRoom(userStream, size, s.userNeed())
+	return err
 }
 
 // gcRoom guarantees the GC stream room for a relocation of size bytes; GC
@@ -130,8 +112,6 @@ func (s *Store) openRoom(stream int32, size int64, need int) error {
 		return err
 	}
 	if len(s.free) < need {
-		s.cErrFull.Inc()
-		s.trace.Emit(obs.EvErrFull, int64(len(s.free)), int64(need))
 		return ErrFull
 	}
 	i := s.pick()
@@ -204,7 +184,7 @@ func (s *Store) openSegment(seg, stream int32) error {
 	return nil
 }
 
-// tail returns stream's open segment (which must exist, see room) and the
+// tail returns stream's open segment (which must exist, see openRoom) and the
 // offset its next record goes to.
 func (s *Store) tail(stream int32) (seg int32, off int64) {
 	seg = s.open[stream].seg

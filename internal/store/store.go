@@ -24,11 +24,11 @@
 // core.SegCleaning, which freezes their records so the cleaner can read
 // them from storage without holding the lock.
 //
-// I/O is by segment run, not by record: the appends of one lock hold (a
-// WritePage, an Apply, an install chunk of the cleaner) are staged and reach
-// the backend as one write per run of consecutive appends to a segment, before
-// the lock is released or that segment fsynced; a cleaning cycle reads a victim
-// one window (ioUnit) at a time and relocates records straight out of it.
+// I/O is by segment run, not by record: the appends of one lock hold (an Apply,
+// an install chunk of the cleaner) are staged and reach the backend as one
+// write per run of consecutive appends to a segment, before the lock is
+// released or that segment fsynced; a cleaning cycle reads a victim one window
+// (ioUnit) at a time and relocates records straight out of it.
 //
 // Durability model: records are appended with CRC-32C; Options.Durability
 // picks the fsync policy. One ledger lists the segments holding appends no
@@ -44,13 +44,13 @@
 // holding a relocated copy before any victim is released; DurSeal leaves an
 // open GC tail to the cycle that seals it, and a victim with copies there is
 // backing: not reset until they are fsynced, so a crash anywhere leaves an
-// intact durable copy of every live page. Store.Sync is the
-// explicit flush for the weaker levels. Writes arrive one at a time
-// (WritePage) or as atomic batches (NewBatch/Apply: one admission check, one
-// lock hold, space reserved for the whole batch before any old version is
-// invalidated, so ErrFull leaves nothing partially applied). Recovery scans
-// all segments, keeps the highest-sequence record per page, stops a segment at
-// the first torn or corrupt record, and applies the last checkpoint's deletion set.
+// intact durable copy of every live page. Store.Sync is the explicit flush for
+// the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
+// and DeletePage apply a batch of one): one admission check, one lock hold,
+// space reserved for the whole batch before any old version is invalidated,
+// so ErrFull leaves nothing partially applied. Recovery scans all segments,
+// keeps the highest-sequence record per page, stops a segment at the first
+// torn or corrupt record, and applies the last checkpoint's deletion set.
 // up2 cleaning estimates are restored from the checkpoint when present and
 // relearned otherwise — they affect only cleaning efficiency, never
 // correctness.
@@ -286,8 +286,8 @@ type Store struct {
 	// obs handles, resolved once at Open (see internal/obs; recording is
 	// lock-free, so no hot path takes a lock for metrics).
 	hVictimE *obs.Histogram // store.victim_e.permille: emptiness at victim selection
-	cErrFull *obs.Counter   // store.errfull episodes
-	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage, admission to durability
+	cErrFull *obs.Counter   // store.errfull: writes refused with ErrFull (write)
+	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage (one-op Applies), admission to durability
 	hRead    *obs.Histogram // store.read.ns: ReadPage
 	hFsync   *obs.Histogram // store.fsync.ns: every backend fsync
 	hSyncNs  *obs.Histogram // store.syncpoint.ns: wall time of one sync point's (concurrent) fsyncs
@@ -730,16 +730,16 @@ func (s *Store) Has(id uint32) bool {
 }
 
 // WritePage stores data (at most PageSize bytes) as page id's new current
-// version. The record holds exactly len(data) bytes.
+// version: an Apply of one write. The record holds exactly len(data) bytes.
 func (s *Store) WritePage(id uint32, data []byte) error {
 	if len(data) > s.opts.PageSize {
 		return fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, len(data), s.opts.PageSize)
 	}
-	return s.userWrite(id, 0, data)
+	return s.writeOne(batchOp{id: id, n: len(data)}, data)
 }
 
 // DeletePage removes page id, writing a tombstone so the deletion survives
-// recovery.
+// recovery: an Apply of one deletion.
 func (s *Store) DeletePage(id uint32) error {
 	// Fast path: a nonexistent page returns ErrNotFound immediately rather
 	// than waiting out write admission (which would block below the
@@ -755,70 +755,19 @@ func (s *Store) DeletePage(id uint32) error {
 	if !ok {
 		return ErrNotFound
 	}
-	return s.userWrite(id, flagTombstone, nil)
+	return s.writeOne(batchOp{id: id, del: true}, nil)
 }
 
-// userWrite appends one user record. The write histogram covers the whole
-// user-observed latency: admission, the append, retries, and (under
-// DurCommit) the group-commit wait.
-func (s *Store) userWrite(id uint32, flags uint32, data []byte) error {
+// writeOne applies the one-op batch of op, whose payload is data: the batch
+// borrows it, since the apply is done with it before writeOne returns. The
+// write histogram covers the whole user-observed latency: admission, the
+// apply, retries, and (under DurCommit) the group-commit wait.
+func (s *Store) writeOne(op batchOp, data []byte) error {
 	t0 := time.Now()
-	err := s.write(nil, func() error { return s.userAppendLocked(id, flags, data) })
+	b := Batch{ops: []batchOp{op}, buf: data}
+	err := s.write(nil, &b)
 	s.hWrite.Record(uint64(time.Since(t0)))
 	return err
-}
-
-// userAppendLocked validates, reserves log space, and appends one user
-// record. Space is secured BEFORE the old version is invalidated, so a
-// failed append (ErrFull) never loses the page's current version. A
-// tombstone frees at least its own size, so one that room refuses may draw on
-// the cleaning reserve: that is how a full log is drained (foreground only —
-// in background mode room is already roomReserved).
-func (s *Store) userAppendLocked(id uint32, flags uint32, data []byte) error {
-	tomb := flags&flagTombstone != 0
-	if tomb {
-		if _, ok := s.table[id]; !ok {
-			return ErrNotFound
-		}
-	}
-	size := int64(RecordHeaderSize + len(data))
-	err := s.room(size)
-	if tomb && errors.Is(err, ErrFull) {
-		err = s.roomReserved(size)
-	}
-	if err != nil {
-		return err
-	}
-	return s.userAppend(id, flags, 0, len(data), func(dst []byte) { copy(dst, data) })
-}
-
-// userAppend appends one user record of n page bytes, where room is already
-// secured: tick the clock, invalidate the old version, stage the new one and
-// have put write its page in place.
-func (s *Store) userAppend(id uint32, flags, pos uint32, n int, put func(dst []byte)) error {
-	s.unow++
-	carried := s.invalidate(id)
-	if loc, deleted := s.tombstones[id]; deleted {
-		// A rewrite supersedes the pending deletion; its tombstone record,
-		// if it still has one, is garbage from here on.
-		delete(s.tombstones, id)
-		if loc.seg >= 0 {
-			s.pruned(loc.seg, RecordHeaderSize)
-		}
-	}
-	rec, err := s.stage(userStream, RecordHeaderSize+n)
-	if err != nil {
-		return err
-	}
-	put(rec[RecordHeaderSize:])
-	if err := s.appendRecord(userStream, id, flags, pos, rec, carried, nil); err != nil {
-		return err
-	}
-	s.cUserBytes.Add(uint64(len(rec)))
-	if flags&flagTombstone == 0 {
-		s.userWrites++
-	}
-	return nil
 }
 
 // invalidate releases page id's current version, advancing its segment's up2
