@@ -11,8 +11,8 @@ type IDs struct {
 }
 
 // NewIDs returns an allocator whose first fresh id is next and whose free
-// list is a copy of free: a new database's start, or a reopened one's
-// persisted state.
+// list is a copy of free, the last id handed out first: a new database's
+// start, or a reopened one's recovered state.
 func NewIDs(next uint32, free []uint32) IDs {
 	return IDs{next: next, free: append([]uint32(nil), free...)}
 }
@@ -34,7 +34,7 @@ func (a *IDs) Free(id uint32) { a.free = append(a.free, id) }
 // Next returns the next fresh id: the size of the page universe.
 func (a *IDs) Next() uint32 { return a.next }
 
-// FreeList returns the freed ids in allocation-stack order (for persisting;
-// NewIDs(Next(), FreeList()) continues identically). The slice is the
-// allocator's own: read it before the next Allocate or Free.
+// FreeList returns the freed ids in allocation-stack order (NewIDs(Next(),
+// FreeList()) continues identically). The slice is the allocator's own: read
+// it before the next Allocate or Free.
 func (a *IDs) FreeList() []uint32 { return a.free }

@@ -38,7 +38,8 @@ func dirtySet(db *DB) (set map[uint32]bool, parked int) {
 // exclusive guard (so with no reader in flight):
 //   - each entry is keyed by its node's id;
 //   - a nil entry's id is on the allocator's free list, and a node's is not;
-//   - a free id the store still holds has a nil entry (its tombstone is due);
+//   - outside the table, an id below the next id is free exactly when the
+//     store does not hold it: what Open derives the free list from;
 //   - no table node is on the retired or free list;
 //   - a resident entry (its frame handle current) is the node the pool
 //     serves, and a parked entry's page is not resident;
@@ -112,9 +113,9 @@ func checkDirtyTable(db *DB) error {
 			return fmt.Errorf("a node on the recycling lists shares page %d's buffer", id)
 		}
 	}
-	for id := range free {
-		if _, ok := db.dirty[id]; !ok && db.st.Has(id) {
-			return fmt.Errorf("free page %d is in the store and no tombstone is due", id)
+	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
+		if _, ok := db.dirty[id]; !ok && free[id] == db.st.Has(id) {
+			return fmt.Errorf("page %d is outside the dirty-page table, free %v and in the store %v", id, free[id], db.st.Has(id))
 		}
 	}
 	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {

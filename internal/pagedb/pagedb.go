@@ -93,9 +93,11 @@
 // the log and become durable at the next checkpoint.
 //
 // The metadata page (page id 0, never cached) records the named-tree
-// registry (root, height, count per tree), the page allocator state (next
-// id, free list) and the WAL seq the checkpoint covers, so Open recovers
-// every tree from the store and the log's tail.
+// registry (root, height, count per tree), the next page id and the WAL seq
+// the checkpoint covers, so Open recovers every tree from the store and the
+// log's tail. The free list is not persisted: a checkpoint writes every
+// allocated page and tombstones every freed one in the same batch, so the
+// free ids are those below the next id that the store does not hold.
 //
 // # Concurrency
 //
@@ -148,20 +150,9 @@ var ErrTooLarge = errors.New("pagedb: value too large for page size")
 // ever be allocated there.
 const metaPageID = 0
 
-// metaMagic identifies a pagedb metadata page (format 3: format 2 — the
-// free list spills across overflow pages — plus the WAL checkpoint seq).
-const metaMagic = "PGDBMET3"
-
-// ovfMagic identifies a free-list overflow page chained off the metadata
-// page.
-const ovfMagic = "PGDBOVF1"
-
-// metaOverflowBase is where free-list overflow pages live: overflow page j
-// occupies store page metaOverflowBase+j. The range sits at the top of the
-// page id space, far above anything the sequential allocator can reach, so
-// persisting the free list never has to allocate from the very allocator
-// state it is serializing.
-const metaOverflowBase = 0xFFFF0000
+// metaMagic identifies a pagedb metadata page (format 4: the registry, the
+// next page id and the WAL checkpoint seq; no free list).
+const metaMagic = "PGDBMET4"
 
 // Options configures Open.
 type Options struct {
@@ -232,7 +223,6 @@ type DB struct {
 
 	batch     *store.Batch // the last checkpoint's, emptied, for the next
 	metaDirty bool
-	metaOvf   int // free-list overflow pages the last durable meta used
 	closed    bool
 
 	// wal is the per-transaction redo log (internal/wal). Txn.Commit
@@ -517,23 +507,9 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 
-	meta, ovf, err := db.encodeMeta(ck)
+	meta, err := db.encodeMeta(ck)
 	if err != nil {
 		return err
-	}
-	// The free list / registry changed: rewrite the overflow chain and
-	// tombstone pages the (shrunken) chain no longer uses. When the meta is
-	// clean the chain's durable images are already current.
-	novf := len(ovf)
-	var ovfDels []uint32
-	if db.metaDirty {
-		for j := novf; j < db.metaOvf; j++ {
-			if id := metaOverflowBase + uint32(j); db.st.Has(id) {
-				ovfDels = append(ovfDels, id)
-			}
-		}
-	} else {
-		ovf = nil
 	}
 
 	// The batch carries each dirty page's id and its image's length (the store
@@ -563,12 +539,6 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	for _, id := range dels {
 		b.Delete(id)
 	}
-	for j, img := range ovf {
-		b.Write(metaOverflowBase+uint32(j), img)
-	}
-	for _, id := range ovfDels {
-		b.Delete(id)
-	}
 	// The metadata page is the commit's terminal member: tearing it (or any
 	// other member) rolls the whole batch back on recovery.
 	b.Write(metaPageID, meta)
@@ -596,9 +566,8 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	db.evmu.Unlock()
 	clear(db.dirty)
 	db.metaDirty = false
-	db.metaOvf = novf
 	db.commits++
-	images := len(nodes) + len(ovf) + 1
+	images := len(nodes) + 1
 	db.commitPages += uint64(images)
 	db.hBatch.Record(uint64(images))
 	db.epoch.Add(1)
@@ -711,43 +680,27 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// ovfHeaderBytes is the overflow page header: magic (8) | count (4).
-const ovfHeaderBytes = 12
-
-// metadata layout (little-endian), format 3:
+// metadata layout (little-endian), format 4, page 0:
 //
-//	page 0:     magic (8) | nextID (4) | ntrees (4) | nfree (4, total) |
-//	            novf (4) | walSeq (8), then per tree: nameLen (2) | name |
-//	            root (4) | height (4) | count (8), then free ids (4 each)
-//	            up to the end of the page
-//	overflow j: magic (8) | count (4) | free ids (4 each), stored at page
-//	            metaOverflowBase+j
+//	magic (8) | nextID (4) | ntrees (4) | walSeq (8), then per tree:
+//	nameLen (2) | name | root (4) | height (4) | count (8)
 //
 // walSeq is the WAL checkpoint watermark: every transaction with commit
 // seq ≤ walSeq is captured by the page state this metadata page commits,
 // so Open replays only the seqs beyond it.
-//
-// The free list never truncates: ids that do not fit page 0 spill into
-// overflow pages at reserved high page ids, committed as members of the
-// same atomic batch as the meta page, so DropTree- and merge-freed ids
-// survive reopen no matter how many there are.
-func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
-	if db.ids.Next() >= metaOverflowBase {
-		return nil, nil, fmt.Errorf("pagedb: page id space exhausted (next id %d reaches the metadata overflow range)", db.ids.Next())
+func (db *DB) encodeMeta(walSeq uint64) ([]byte, error) {
+	if next := db.ids.Next(); next == ^uint32(0) || next == metaPageID {
+		return nil, fmt.Errorf("pagedb: page id space exhausted (next id %d)", next)
 	}
 	buf := make([]byte, 0, db.pageSize)
 	buf = append(buf, metaMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, db.ids.Next())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.order)))
-	free := db.ids.FreeList()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(free)))
-	novfOff := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // patched below
 	buf = binary.LittleEndian.AppendUint64(buf, walSeq)
 	for _, name := range db.order {
 		t := db.trees[name]
 		if len(name) > 0xFFFF {
-			return nil, nil, fmt.Errorf("pagedb: tree name %q too long", name)
+			return nil, fmt.Errorf("pagedb: tree name %q too long", name)
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 		buf = append(buf, name...)
@@ -756,56 +709,28 @@ func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.core.Len()))
 	}
 	if len(buf) > db.pageSize {
-		return nil, nil, fmt.Errorf("pagedb: metadata (%d trees) exceeds the %d-byte page", len(db.order), db.pageSize)
+		return nil, fmt.Errorf("pagedb: metadata (%d trees) exceeds the %d-byte page", len(db.order), db.pageSize)
 	}
-	// The free list's first chunk fills page 0's remainder; the rest spills
-	// into overflow pages.
-	n := 0
-	for ; n < len(free) && len(buf)+4 <= db.pageSize; n++ {
-		buf = binary.LittleEndian.AppendUint32(buf, free[n])
-	}
-	perPage := (db.pageSize - ovfHeaderBytes) / 4
-	for n < len(free) {
-		chunk := free[n:]
-		if len(chunk) > perPage {
-			chunk = chunk[:perPage]
-		}
-		img := make([]byte, ovfHeaderBytes+4*len(chunk))
-		copy(img, ovfMagic)
-		binary.LittleEndian.PutUint32(img[8:12], uint32(len(chunk)))
-		off := ovfHeaderBytes
-		for _, id := range chunk {
-			binary.LittleEndian.PutUint32(img[off:], id)
-			off += 4
-		}
-		ovf = append(ovf, img)
-		n += len(chunk)
-	}
-	if len(ovf) > int(^uint32(0)-metaOverflowBase) {
-		return nil, nil, fmt.Errorf("pagedb: free list of %d ids exceeds the overflow page range", len(free))
-	}
-	binary.LittleEndian.PutUint32(buf[novfOff:], uint32(len(ovf)))
-	return buf, ovf, nil
+	return buf, nil
 }
 
+// decodeMeta loads the registry and rebuilds the allocator: the free ids are
+// those below nextID the store does not hold (the checkpoint that wrote img
+// wrote every allocated page and tombstoned every freed one), listed highest
+// first so the lowest is handed out first. The store must then hold exactly
+// the meta page and the allocated ones: a page at or above nextID would be
+// overwritten once the allocator reached its id.
 func (db *DB) decodeMeta(img []byte) error {
-	const hdr = 32
+	const hdr = 24
 	if len(img) < hdr || string(img[:8]) != metaMagic {
 		if len(img) >= 8 && string(img[:7]) == metaMagic[:7] {
 			return fmt.Errorf("pagedb: store uses the obsolete metadata format %q; rebuild it with the current version", img[:8])
 		}
 		return fmt.Errorf("pagedb: malformed metadata page")
 	}
-	db.walSeq = binary.LittleEndian.Uint64(img[24:32])
 	nextID := binary.LittleEndian.Uint32(img[8:12])
 	ntrees := int(binary.LittleEndian.Uint32(img[12:16]))
-	nfree := int(binary.LittleEndian.Uint32(img[16:20]))
-	novf := int(binary.LittleEndian.Uint32(img[20:24]))
-	// Plausibility bounds before any allocation: there cannot be more free
-	// ids than allocated ids, and every overflow page holds at least one id.
-	if uint64(nfree) > uint64(nextID) || novf > nfree {
-		return fmt.Errorf("pagedb: malformed free list header (%d ids, %d overflow pages, next id %d)", nfree, novf, nextID)
-	}
+	db.walSeq = binary.LittleEndian.Uint64(img[16:24])
 	off := hdr
 	for i := 0; i < ntrees; i++ {
 		if off+2 > len(img) {
@@ -836,45 +761,16 @@ func (db *DB) decodeMeta(img []byte) error {
 		db.trees[name] = t
 		db.order = append(db.order, name)
 	}
-	free := make([]uint32, 0, nfree)
-	takeID := func(src []byte, off int) error {
-		id := binary.LittleEndian.Uint32(src[off:])
-		if id == metaPageID || id >= nextID {
-			return fmt.Errorf("pagedb: invalid free page id %d", id)
-		}
-		free = append(free, id)
-		return nil
-	}
-	// Page 0's chunk runs to the end of the page (mirroring encodeMeta's
-	// fill rule), then the overflow chain supplies the rest.
-	for len(free) < nfree && off+4 <= len(img) {
-		if err := takeID(img, off); err != nil {
-			return err
-		}
-		off += 4
-	}
-	for j := 0; j < novf; j++ {
-		opg := make([]byte, db.pageSize)
-		if err := db.st.ReadPage(metaOverflowBase+uint32(j), opg); err != nil {
-			return fmt.Errorf("pagedb: reading free-list overflow page %d: %w", j, err)
-		}
-		if len(opg) < ovfHeaderBytes || string(opg[:8]) != ovfMagic {
-			return fmt.Errorf("pagedb: malformed free-list overflow page %d", j)
-		}
-		count := int(binary.LittleEndian.Uint32(opg[8:12]))
-		if ovfHeaderBytes+4*count > len(opg) || len(free)+count > nfree {
-			return fmt.Errorf("pagedb: free-list overflow page %d overruns (%d ids)", j, count)
-		}
-		for i := 0; i < count; i++ {
-			if err := takeID(opg, ovfHeaderBytes+4*i); err != nil {
-				return err
-			}
+	var free []uint32
+	for id := nextID; id > metaPageID+1; id-- {
+		if !db.st.Has(id - 1) {
+			free = append(free, id-1)
 		}
 	}
-	if len(free) != nfree {
-		return fmt.Errorf("pagedb: free list truncated: %d of %d ids recovered", len(free), nfree)
+	// The meta page plus ids [1, nextID) less the free ones.
+	if live, want := db.st.Stats().LivePages, int(nextID)-len(free); live != want {
+		return fmt.Errorf("pagedb: store holds %d pages, but the metadata page accounts for %d (next id %d, %d free)", live, want, nextID, len(free))
 	}
-	db.metaOvf = novf
 	db.ids = bufferpool.NewIDs(nextID, free)
 	return nil
 }

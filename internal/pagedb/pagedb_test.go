@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -370,11 +372,14 @@ func TestDropTreeReclaimsPages(t *testing.T) {
 	}
 }
 
-// TestFreeListSpillsAcrossMetaPages proves the metadata free list no longer
-// truncates at one page: dropping a large tree frees far more page ids than
-// the 256-byte meta page can hold, and every one of them must survive
-// Close/Open and be reused by the allocator before it mints fresh ids.
-func TestFreeListSpillsAcrossMetaPages(t *testing.T) {
+// TestFreeListRecoveredFromStore: the free list is not persisted, Open
+// derives it from the store — the ids below the next id that the store does
+// not hold. Dropping a large tree frees hundreds of ids; after Close and
+// reopen, and after reopening a copy of the directory taken while the
+// database was open (whose WAL tail replays), the recovered free list is the
+// same set, the next id is unchanged, and the allocator reuses recovered ids
+// before it mints a fresh one.
+func TestFreeListRecoveredFromStore(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
 	opts.Store.MaxSegments = 2048
@@ -406,68 +411,91 @@ func TestFreeListSpillsAcrossMetaPages(t *testing.T) {
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	freeBefore := len(db.ids.FreeList())
-	nextBefore := db.ids.Next()
-	// The 256-byte meta page holds at most ~50 ids beside the registry; the
-	// dropped tree must have freed far more, or the test proves nothing.
-	if freeBefore < 200 {
-		t.Fatalf("dropping the tree freed only %d ids; cannot exercise the spill", freeBefore)
+	freeSet := func(db *DB) map[uint32]bool {
+		set := make(map[uint32]bool)
+		for _, id := range db.ids.FreeList() {
+			set[id] = true
+		}
+		return set
 	}
-	if db.metaOvf == 0 {
-		t.Fatalf("free list of %d ids did not spill into overflow pages", freeBefore)
+	freeBefore := freeSet(db)
+	nextBefore := db.ids.Next()
+	if len(freeBefore) < 200 {
+		t.Fatalf("dropping the tree freed only %d ids; too few to exercise recovery", len(freeBefore))
+	}
+	// Same-length updates allocate nothing; logged and not checkpointed, they
+	// are the WAL tail the copy below replays.
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 300; k++ {
+		if err := tx.Put("keep", k, val(k, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	killed := t.TempDir()
+	if err := os.CopyFS(killed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(opts)
-	if err != nil {
-		t.Fatalf("reopen with spilled free list: %v", err)
-	}
-	defer db2.Close()
-	if got := len(db2.ids.FreeList()); got != freeBefore {
-		t.Fatalf("free list lost ids across reopen: %d, want %d", got, freeBefore)
-	}
-	if got := db2.ids.Next(); got != nextBefore {
-		t.Fatalf("next page id drifted across reopen: %d, want %d", got, nextBefore)
-	}
-	// Allocation must reuse the recovered ids: growing a fresh tree by a few
-	// hundred pages may not mint a single new id.
-	fresh, err := db2.Tree("fresh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 800; k++ {
-		if err := fresh.Put(k, val(k, 4)); err != nil {
+	for _, d := range []string{dir, killed} {
+		opts.Store.Dir = d
+		db2, err := Open(opts)
+		if err != nil {
+			t.Fatalf("reopen %s: %v", d, err)
+		}
+		if got := freeSet(db2); !maps.Equal(got, freeBefore) {
+			t.Fatalf("reopen %s: free list of %d ids, want the %d before", d, len(got), len(freeBefore))
+		}
+		if got := db2.ids.Next(); got != nextBefore {
+			t.Fatalf("reopen %s: next page id %d, want %d", d, got, nextBefore)
+		}
+		keep2, err := db2.Tree("keep")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := db2.ids.Next(); got != nextBefore {
-		t.Fatalf("allocator minted fresh ids (%d -> %d) while %d recovered ids were free", nextBefore, got, freeBefore)
-	}
-	if got := len(db2.ids.FreeList()); got >= freeBefore {
-		t.Fatalf("free list did not shrink under reuse: %d ids", got)
-	}
-	// The shrunken list commits a shorter chain (tombstoning extra overflow
-	// pages) and the database stays fully intact through one more cycle.
-	if err := db2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	keep2, err := db2.Tree("keep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 300; k++ {
-		v, ok, err := keep2.Get(k)
-		if err != nil || !ok || !bytes.Equal(v, val(k, 1)) {
-			t.Fatalf("keep key %d damaged by spill/reuse (ok=%v err=%v)", k, ok, err)
+		for k := uint64(0); k < 300; k++ {
+			if v, ok, err := keep2.Get(k); err != nil || !ok || !bytes.Equal(v, val(k, 3)) {
+				t.Fatalf("reopen %s: keep key %d lost its logged update (ok=%v err=%v)", d, k, ok, err)
+			}
 		}
-	}
-	if err := keep2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		// Growing a fresh tree by a few hundred pages may not mint a new id.
+		fresh, err := db2.Tree("fresh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 800; k++ {
+			if err := fresh.Put(k, val(k, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := db2.ids.Next(); got != nextBefore {
+			t.Fatalf("reopen %s: allocator minted fresh ids (%d -> %d) while recovered ids were free", d, nextBefore, got)
+		}
+		if got := len(db2.ids.FreeList()); got >= len(freeBefore) {
+			t.Fatalf("reopen %s: free list did not shrink under reuse: %d ids", d, got)
+		}
+		if err := db2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkDirtyTable(db2); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range []*Tree{keep2, fresh} {
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -552,20 +580,77 @@ func TestDeleteBorrowsBeforeMerging(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsForeignStore: Open refuses a store that is not a pagedb
+// database of this format — pages but no metadata page, a page the metadata
+// does not account for (at or above the next id, where the allocator would
+// overwrite it), or an older metadata format — naming what it found.
 func TestOpenRejectsForeignStore(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(store.Options{Dir: dir, PageSize: 256, SegmentPages: 8, MaxSegments: 64})
-	if err != nil {
-		t.Fatal(err)
+	sopts := func(dir string) store.Options {
+		return store.Options{Dir: dir, PageSize: 256, SegmentPages: 8, MaxSegments: 64}
 	}
-	if err := s.WritePage(3, make([]byte, 256)); err != nil {
-		t.Fatal(err)
+	// writeStore writes pages straight through the store, under no database.
+	writeStore := func(t *testing.T, dir string, pages map[uint32][]byte) {
+		t.Helper()
+		s, err := store.Open(sopts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, img := range pages {
+			if err := s.WritePage(id, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{Store: store.Options{Dir: dir, PageSize: 256, SegmentPages: 8, MaxSegments: 64}}); err == nil {
-		t.Fatal("opened a store with pages but no pagedb metadata")
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, dir string)
+		want  string
+	}{
+		{"no-metadata", func(t *testing.T, dir string) {
+			writeStore(t, dir, map[uint32][]byte{3: make([]byte, 256)})
+		}, "no metadata page"},
+		{"page-beyond-next-id", func(t *testing.T, dir string) {
+			db, err := Open(Options{Store: sopts(dir)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := db.Tree("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 100; k++ {
+				if err := tr.Put(k, val(k, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := db.ids.Next()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			writeStore(t, dir, map[uint32][]byte{next + 2: make([]byte, 64)})
+		}, "metadata page accounts for"},
+		{"metadata-format-3", func(t *testing.T, dir string) {
+			// magic | nextID 1 | no trees | no free ids | no overflow | walSeq 0
+			img := append([]byte("PGDBMET3"), make([]byte, 24)...)
+			img[8] = 1
+			writeStore(t, dir, map[uint32][]byte{metaPageID: img})
+		}, "obsolete metadata format"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.setup(t, dir)
+			db, err := Open(Options{Store: sopts(dir)})
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted the store")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open refused with %q, want it to say %q", err, tc.want)
+			}
+		})
 	}
 }
 
