@@ -2,11 +2,9 @@ package pagedb
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,169 +162,6 @@ func TestFusedReadPathHammer(t *testing.T) {
 	}
 	if st.StagedEvictions == 0 {
 		t.Error("hammer recorded no staged evictions; the cache was not small enough")
-	}
-}
-
-// TestViewOptimisticRetry drives the epoch-keyed View through its retry:
-// a transaction commits between the callback's two reads, so the first
-// attempt must be discarded (its pair of reads straddles two committed
-// states) and the rerun must see the new state consistently.
-func TestViewOptimisticRetry(t *testing.T) {
-	db, err := Open(memOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tr, err := db.Tree("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put(1, []byte("a0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put(2, []byte("b0")); err != nil {
-		t.Fatal(err)
-	}
-
-	var attempts atomic.Int32
-	committed := make(chan struct{})
-	verr := db.View(func(v *View) error {
-		n := attempts.Add(1)
-		a, ok, err := v.Get("v", 1)
-		if err != nil || !ok {
-			return fmt.Errorf("attempt %d: Get(1) = (%v, %v)", n, ok, err)
-		}
-		if n == 1 {
-			// Commit a transaction updating both keys mid-view: the epoch
-			// moves, so the NEXT read must invalidate this attempt.
-			txn, err := db.Begin()
-			if err != nil {
-				return err
-			}
-			if err := txn.Put("v", 1, []byte("a1")); err != nil {
-				return err
-			}
-			if err := txn.Put("v", 2, []byte("b1")); err != nil {
-				return err
-			}
-			if err := txn.Commit(); err != nil {
-				return err
-			}
-			close(committed)
-		}
-		b, ok, err := v.Get("v", 2)
-		if n == 1 {
-			if !errors.Is(err, errViewRetry) {
-				return fmt.Errorf("attempt 1 read across a commit without invalidating: (%q, %v, %v)", b, ok, err)
-			}
-			return err // propagate: View must retry
-		}
-		if err != nil || !ok {
-			return fmt.Errorf("attempt %d: Get(2) = (%v, %v)", n, ok, err)
-		}
-		if string(a)+string(b) != "a1b1" {
-			return fmt.Errorf("attempt %d saw torn pair (%q, %q)", n, a, b)
-		}
-		return nil
-	})
-	if verr != nil {
-		t.Fatal(verr)
-	}
-	<-committed
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("View ran the callback %d times, want 2 (one aborted, one clean)", got)
-	}
-}
-
-// TestViewFallbackUnderCommitStorm starves the optimistic path: a
-// background committer bumps the epoch continuously, so every optimistic
-// attempt aborts and View must degrade to the guard-held fallback instead
-// of looping forever. The callback's reads must still be mutually
-// consistent on the attempt that finally succeeds.
-func TestViewFallbackUnderCommitStorm(t *testing.T) {
-	db, err := Open(memOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tr, err := db.Tree("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put(1, mkval(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put(2, mkval(2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var cw sync.WaitGroup
-	cw.Add(1)
-	go func() {
-		defer cw.Done()
-		for version := byte(1); ; version++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			txn, err := db.Begin()
-			if err != nil {
-				return
-			}
-			_ = txn.Put("v", 1, mkval(1, version))
-			_ = txn.Put("v", 2, mkval(2, version))
-			_ = txn.Commit()
-		}
-	}()
-
-	for i := 0; i < 50; i++ {
-		err := db.View(func(v *View) error {
-			a, ok, err := v.Get("v", 1)
-			if err != nil || !ok {
-				return fmt.Errorf("Get(1) = (%v, %v)", ok, err)
-			}
-			// Dawdle so the storm lands between the reads of an optimistic
-			// attempt with high probability.
-			time.Sleep(100 * time.Microsecond)
-			b, ok, err := v.Get("v", 2)
-			if err != nil || !ok {
-				return fmt.Errorf("Get(2) = (%v, %v)", ok, err)
-			}
-			if a[8] != b[8] {
-				return fmt.Errorf("view saw versions (%d, %d) across one snapshot", a[8], b[8])
-			}
-			return nil
-		})
-		if err != nil {
-			close(stop)
-			cw.Wait()
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	cw.Wait()
-}
-
-// TestViewErrorPassesThrough: a genuine callback error on a clean attempt
-// must come back verbatim, not be retried away.
-func TestViewErrorPassesThrough(t *testing.T) {
-	db, err := Open(memOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	boom := errors.New("callback boom")
-	runs := 0
-	if err := db.View(func(v *View) error { runs++; return boom }); !errors.Is(err, boom) {
-		t.Fatalf("View = %v, want the callback's error", err)
-	}
-	if runs != 1 {
-		t.Fatalf("callback ran %d times for a non-epoch error, want 1", runs)
 	}
 }
 

@@ -148,9 +148,9 @@ func (db *DB) retire(n *btree.Node) {
 // reclaim moves the retired nodes to the free list, each onto its buffer
 // capacity's class. The caller has JUST acquired db.mu exclusively, and that
 // is the proof: every alias of a node's bytes — Core.Get's value after its
-// Release, a Scan callback's argument, a View read — lives inside one hold of
-// the guard; no hold that starts after a node's retirement can reach it; and
-// this acquisition waited out every hold that started before.
+// Release, a Scan callback's argument — lives inside one hold of the guard;
+// no hold that starts after a node's retirement can reach it; and this
+// acquisition waited out every hold that started before.
 func (db *DB) reclaim() {
 	db.evmu.Lock()
 	defer db.evmu.Unlock()

@@ -48,8 +48,8 @@
 // takes a node of its size from the FREE list; and what moves nodes from the
 // one to the other is every exclusive acquisition of the guard (lock). That is
 // a quiescence point because the guard is already what a reader's slices live
-// under: a value returned by Core.Get, a Scan callback's argument, a View read
-// are all used and dropped within one hold of the read side, so once an
+// under: a value returned by Core.Get and a Scan callback's argument are
+// both used and dropped within one hold of the read side, so once an
 // exclusive acquisition has waited those holds out, nothing can still be
 // reading a node retired before it. No node holds memory of another — a split,
 // borrow or merge copies entries between buffers — so every such node can be
@@ -80,7 +80,7 @@
 //
 // # Durability and crash atomicity
 //
-// Transactions (Begin/Txn/View, txn.go) are the unit of durability: a
+// Transactions (Begin/Txn, txn.go) are the unit of durability: a
 // Txn.Commit appends its ops to the write-ahead log (internal/wal), applies
 // them to the trees, and waits for the log's group fsync; Open replays the
 // log's tail. The checkpoint bounds that replay: Commit writes every dirty
@@ -110,11 +110,8 @@
 // Fetch/Release protocol: FetchPinned stamps the node's Pin handle) so
 // eviction can never reclaim a node mid-read, and nodes are immutable
 // while the read guard is held, so readers may hold node pointers without
-// torn reads. View transactions go one step further: they hold the read
-// guard only PER READ, not across the whole view, and key consistency off
-// the epoch counter — the epoch advances only under the write side, so a
-// view whose epoch is unchanged at each read saw one committed state, and
-// a view that observes a bump retries or falls back to a guard-held run.
+// torn reads. A Scan holds the guard for its whole range, so it sees one
+// committed state: a multi-key read that must be consistent is one Scan.
 // Writers (Put, Delete, Commit, tree DDL, Close) serialize on the write
 // side exactly as the old single-mutex engine did. Scan callbacks must not
 // call back into the DB.
@@ -236,7 +233,6 @@ type DB struct {
 	wal    *wal.Log
 	walSeq uint64        // commit seqs ≤ this are covered by the checkpoint
 	txnIDs atomic.Uint64 // last issued transaction id
-	epoch  atomic.Uint64 // bumped per applied transaction and per checkpoint
 	// scratch recycles transactions' working memory (*txnScratch): Begin draws
 	// one, Commit and Rollback return it emptied. It is an allocation of its
 	// own: the runtime lists a pool for a cycle after its last Put, which must
@@ -401,7 +397,6 @@ func (db *DB) replayWAL() error {
 			return fmt.Errorf("pagedb: replaying txn %d (seq %d): %w", txn.ID, txn.Seq, err)
 		}
 		db.txns++
-		db.epoch.Add(1)
 		return nil
 	})
 }
@@ -570,7 +565,6 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	images := len(nodes) + 1
 	db.commitPages += uint64(images)
 	db.hBatch.Record(uint64(images))
-	db.epoch.Add(1)
 	// The checkpoint is durable (under DurCommit, Apply group-fsynced it):
 	// only NOW may the log let go of the transactions it covers. Truncating
 	// any earlier could lose acknowledged commits to a torn batch.
@@ -645,10 +639,6 @@ type Stats struct {
 	// Txns counts committed transactions applied to the trees (Txn.Commit
 	// and WAL replay both count).
 	Txns uint64
-	// Epoch is the read-snapshot epoch: bumped once per applied transaction
-	// and once per checkpoint, so two View calls observing the same epoch
-	// saw the same committed state.
-	Epoch uint64
 	// WAL summarizes the write-ahead commit log (group-commit coalescing,
 	// truncations, durability watermark).
 	WAL wal.Stats
@@ -675,7 +665,6 @@ func (db *DB) Stats() Stats {
 		StagedEvictions:  pool.DirtyEvictions,
 		DupFaultsAvoided: db.dupFaults.Load(),
 		Txns:             db.txns,
-		Epoch:            db.epoch.Load(),
 		WAL:              db.wal.Stats(),
 	}
 }

@@ -20,8 +20,8 @@ import (
 // Every test of this package runs with recycled nodes poisoned: a node's
 // buffer and arrays are overwritten the moment it becomes reusable, so any
 // read that outlives its guard hold — in these tests, the differential suite,
-// the View and reader hammers — returns garbage its oracle rejects, and under
-// -race is a reported write/read race.
+// the transaction and reader hammers — returns garbage its oracle rejects, and
+// under -race is a reported write/read race.
 func init() {
 	poisonRecycled = func(n *btree.Node) {
 		buf, keys, kids, offs := n.Buf[:cap(n.Buf)], n.Keys[:cap(n.Keys)], n.Kids[:cap(n.Kids)], n.Offs[:cap(n.Offs)]
@@ -216,7 +216,7 @@ func hammerVal(k uint64, c uint32) []byte {
 	return v
 }
 
-// TestRecycleHammer: four readers (GetInto, Get, Scan, View) on a tree sixteen
+// TestRecycleHammer: four readers (GetInto, Get, Scan, Txn) on a tree sixteen
 // times its cache while one writer inserts, overwrites and deletes in waves —
 // the tree grows through splits and shrinks through borrows and merges, over
 // and over — and a checkpoint fires every few hundred operations. Each key's
@@ -309,8 +309,8 @@ func TestRecycleHammer(t *testing.T) {
 		}
 		check("Get", k, v, ok, lo)
 	})
-	// scanned checks one 64-key range read through do; an error (a view's
-	// retry) is the caller's to pass on, and voids the absences.
+	// scanned checks one 64-key range read through do; an error is the
+	// caller's to pass on, and voids the absences.
 	scanned := func(who string, rng *rand.Rand, do func(from, to uint64, fn func(uint64, []byte) bool) error) error {
 		from := rng.Uint64N(nkeys - 64)
 		var lo [64]uint32
@@ -340,22 +340,27 @@ func TestRecycleHammer(t *testing.T) {
 		}
 	})
 	reader(4, func(rng *rand.Rand) {
-		err := db.View(func(v *View) error {
-			if rng.IntN(2) == 0 {
-				return scanned("View.Scan", rng, func(from, to uint64, fn func(uint64, []byte) bool) error {
-					return v.Scan("h", from, to, fn)
-				})
-			}
+		x, err := db.Begin()
+		if err != nil {
+			fail("Begin: %v", err)
+			return
+		}
+		defer x.Rollback()
+		if rng.IntN(2) == 0 {
+			err = scanned("Txn.Scan", rng, func(from, to uint64, fn func(uint64, []byte) bool) error {
+				return x.Scan("h", from, to, fn)
+			})
+		} else {
 			k := rng.Uint64N(nkeys)
 			lo := reached[k].Load()
-			val, ok, err := v.Get("h", k)
-			if err == nil {
-				check("View.Get", k, val, ok, lo)
+			var val []byte
+			var ok bool
+			if val, ok, err = x.Get("h", k); err == nil {
+				check("Txn.Get", k, val, ok, lo)
 			}
-			return err
-		})
+		}
 		if err != nil {
-			fail("View: %v", err)
+			fail("Txn: %v", err)
 		}
 	})
 
@@ -716,9 +721,8 @@ func leafValue(t *testing.T, db *DB, tr *Tree, k uint64) (v, buf []byte) {
 // TestSameSizeUpdateInPlace: a transaction that updates a value with one of
 // its length writes the new bytes over the old ones, in the buffer of the leaf
 // just faulted from the store. After it, the dirty-page table and the oracle
-// hold, and a value read before the update, through Get, a View or a
-// transaction, keeps its old bytes. A checkpoint and a reopen then give the
-// same state back.
+// hold, and a value read before the update, through Get or a transaction,
+// keeps its old bytes. A checkpoint and a reopen then give the same state back.
 func TestSameSizeUpdateInPlace(t *testing.T) {
 	opts := memOpts()
 	opts.Store.Dir = t.TempDir()
@@ -767,15 +771,10 @@ func TestSameSizeUpdateInPlace(t *testing.T) {
 		for _, k := range keys {
 			got, _, err := tr.Get(k)
 			inTxn, _, err2 := x.Get("t", k)
-			var viewed []byte
-			err3 := db.View(func(v *View) (err error) {
-				viewed, _, err = v.Get("t", k)
-				return err
-			})
-			if err := errors.Join(err, err2, err3); err != nil {
+			if err := errors.Join(err, err2); err != nil {
 				t.Fatal(err)
 			}
-			read[k] = [][]byte{got, inTxn, viewed}
+			read[k] = [][]byte{got, inTxn}
 		}
 		old := maps.Clone(oracle)
 		txnPuts(t, db, oracle, keys, version)

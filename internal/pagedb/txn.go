@@ -311,7 +311,6 @@ func (t *Txn) Commit() error {
 	err = db.applyOps(t.ops)
 	leg.End()
 	db.txns++
-	db.epoch.Add(1)
 	db.mu.Unlock()
 	if err != nil {
 		return err
@@ -372,7 +371,7 @@ func (db *DB) applyOps(ops []wal.Op) error {
 	return nil
 }
 
-// readGet is the shared-guard point read transactions and views build on:
+// readGet is the shared-guard point read transactions build on:
 // tree missing reads as key missing (a Txn must not create trees as a
 // side effect of reading). The value is copied out if want, and otherwise
 // only looked for.
@@ -406,139 +405,3 @@ func (db *DB) readScan(tree string, from, to uint64, fn func(uint64, []byte) boo
 	}
 	return tr.core.Scan(from, to, fn)
 }
-
-// errViewRetry aborts an optimistic view attempt whose epoch moved: the
-// callback's reads may straddle two committed states, so View discards the
-// attempt and runs the callback again.
-var errViewRetry = errors.New("pagedb: view epoch moved, retry")
-
-// viewRetries bounds the optimistic attempts before View falls back to
-// holding the shared guard for the whole callback.
-const viewRetries = 3
-
-// View is a consistent read snapshot: every read the callback issues sees
-// ONE committed state — the multi-read atomicity a single Get never needed
-// and a committing writer would otherwise break. The implementation is
-// OPTIMISTIC: the view captures the snapshot epoch (which advances only
-// under the exclusive side — per applied transaction and per checkpoint)
-// and each read takes the shared guard only for its own duration, checking
-// the epoch under it. An unchanged epoch at every read proves the whole
-// callback observed one committed state; a bump aborts the attempt and the
-// callback reruns against the new state. After a few aborts (a commit
-// storm) View degrades to the old behavior — the shared guard held across
-// the whole callback — so progress is guaranteed. Consequently the
-// callback MUST BE PURE with respect to reruns: it may run more than once,
-// and only the final run's effects should escape. It must not write (Put,
-// Commit, Begin→Commit) — that self-deadlocks on the fallback attempt and
-// self-aborts forever before it; values passed out must be copied by the
-// caller if retained (Get already copies).
-func (db *DB) View(fn func(v *View) error) error {
-	for attempt := 0; ; attempt++ {
-		db.mu.RLock()
-		if db.closed {
-			db.mu.RUnlock()
-			return ErrClosed
-		}
-		v := View{db: db, epoch: db.epoch.Load(), pinned: attempt >= viewRetries}
-		if v.pinned {
-			// Fallback: hold the guard across the whole callback, as the
-			// pre-optimistic engine did. No commit can interleave, so no
-			// epoch checks are needed and the attempt cannot abort.
-			err := fn(&v)
-			db.mu.RUnlock()
-			return err
-		}
-		db.mu.RUnlock()
-		err := fn(&v)
-		// Every read validated the epoch under the guard, so an attempt
-		// with no invalidation IS consistent — even if a commit landed
-		// after its last read. An INVALIDATED attempt is void wholesale:
-		// whatever it computed (its error included — possibly errViewRetry,
-		// wrapped or not) may be an artifact of the tear, so the rerun's
-		// result replaces it. A genuine fault recurs on the rerun, and the
-		// fallback attempt is authoritative.
-		if v.invalid {
-			continue // a transaction or checkpoint interleaved: rerun
-		}
-		return err
-	}
-}
-
-// View is the handle a DB.View callback reads through. Using it outside
-// its callback is a bug (its epoch is no longer being validated).
-type View struct {
-	db    *DB
-	epoch uint64
-	// pinned marks the fallback attempt that holds the shared guard across
-	// the whole callback: reads skip per-read locking and epoch checks.
-	pinned bool
-	// invalid latches an observed epoch bump, so a callback that swallows
-	// a read's error cannot smuggle out a torn result.
-	invalid bool
-}
-
-// enter takes the per-read guard and validates the attempt (no-op when the
-// view is pinned). The caller must call exit iff enter returns nil.
-func (v *View) enter() error {
-	if v.pinned {
-		return nil
-	}
-	v.db.mu.RLock()
-	if v.db.closed {
-		v.db.mu.RUnlock()
-		return ErrClosed
-	}
-	if v.db.epoch.Load() != v.epoch {
-		v.db.mu.RUnlock()
-		v.invalid = true
-		return errViewRetry
-	}
-	return nil
-}
-
-func (v *View) exit() {
-	if !v.pinned {
-		v.db.mu.RUnlock()
-	}
-}
-
-// Epoch identifies the committed state this view observes: it advances
-// once per applied transaction and per checkpoint, so two View calls
-// returning the same epoch saw identical committed state.
-func (v *View) Epoch() uint64 { return v.epoch }
-
-// Get returns a copy of the value under key in the named tree (missing
-// tree reads as missing key).
-func (v *View) Get(tree string, key uint64) ([]byte, bool, error) {
-	if err := v.enter(); err != nil {
-		return nil, false, err
-	}
-	defer v.exit()
-	tr, ok := v.db.trees[tree]
-	if !ok {
-		return nil, false, nil
-	}
-	val, ok, err := tr.core.Get(key)
-	if !ok {
-		return nil, ok, err
-	}
-	return append([]byte(nil), val...), ok, err
-}
-
-// Scan visits keys in [from, to] in order. The value slice is the tree's
-// internal copy: fn must not modify or retain it, nor call back into the
-// DB.
-func (v *View) Scan(tree string, from, to uint64, fn func(key uint64, value []byte) bool) error {
-	if err := v.enter(); err != nil {
-		return err
-	}
-	defer v.exit()
-	tr, ok := v.db.trees[tree]
-	if !ok {
-		return nil
-	}
-	return tr.core.Scan(from, to, fn)
-}
-
-// Epoch returns the DB-wide snapshot epoch (see View.Epoch).
-func (db *DB) Epoch() uint64 { return db.epoch.Load() }

@@ -53,11 +53,12 @@ func TestOverlappingTxnsLoseAnUpdate(t *testing.T) {
 	if err := errors.Join(a.Commit(), b.Commit()); err != nil {
 		t.Fatalf("an overlapping transaction failed to commit: %v", err)
 	}
-	var got []byte
-	if err := db.View(func(v *View) (err error) {
-		got, _, err = v.Get("t", 1)
-		return err
-	}); err != nil {
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := tr.Get(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, []byte{11}) {
@@ -402,9 +403,9 @@ func TestTornFinalWALTxnRollsBackExactlyOne(t *testing.T) {
 }
 
 // TestTxnHammerConcurrent is the -race acceptance hammer: committing
-// transaction writers race point readers and snapshot (View) readers. Each
+// transaction writers race point readers and a snapshot (Scan) reader. Each
 // transaction rewrites a whole batch of keys with one version stamp, so a
-// View observing mixed versions inside a batch proves a torn (non-atomic)
+// Scan observing mixed versions inside a batch proves a torn (non-atomic)
 // apply. Afterwards the log must show group-commit coalescing: fewer fsync
 // rounds than commits.
 func TestTxnHammerConcurrent(t *testing.T) {
@@ -498,8 +499,9 @@ func TestTxnHammerConcurrent(t *testing.T) {
 			}
 		}(r)
 	}
-	// Snapshot reader: within one View, a writer's whole batch must carry a
-	// single version stamp — a committing transaction is all-or-nothing.
+	// Snapshot reader: one Tree.Scan over a writer's batch holds the read
+	// guard for the whole range, so it must see the batch at a single version
+	// stamp — a committing transaction is all-or-nothing.
 	rg.Add(1)
 	go func() {
 		defer rg.Done()
@@ -509,30 +511,31 @@ func TestTxnHammerConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			err := db.View(func(v *View) error {
-				for w := 0; w < writers; w++ {
-					var ver byte
-					for i := 0; i < batch; i++ {
-						k := uint64(w*keySpan + i)
-						val, ok, err := v.Get("h", k)
-						if err != nil || !ok {
-							return fmt.Errorf("view lost key %d: %v", k, err)
-						}
-						if err := checkVal(k, val); err != nil {
-							return err
-						}
-						if i == 0 {
-							ver = val[8]
-						} else if val[8] != ver {
-							return fmt.Errorf("writer %d batch torn inside a View: key %d at version %d, batch at %d", w, k, val[8], ver)
-						}
+			for w := 0; w < writers; w++ {
+				from := uint64(w * keySpan)
+				var ver byte
+				n := 0
+				var bad error
+				err := tr.Scan(from, from+batch-1, func(k uint64, val []byte) bool {
+					if bad = checkVal(k, val); bad != nil {
+						return false
 					}
+					if n == 0 {
+						ver = val[8]
+					} else if val[8] != ver {
+						bad = fmt.Errorf("writer %d batch torn inside a Scan: key %d at version %d, batch at %d", w, k, val[8], ver)
+						return false
+					}
+					n++
+					return true
+				})
+				if err == nil && bad == nil && n != batch {
+					bad = fmt.Errorf("scan of writer %d's batch saw %d keys, want %d", w, n, batch)
 				}
-				return nil
-			})
-			if err != nil {
-				errs <- err
-				return
+				if err = errors.Join(err, bad); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()

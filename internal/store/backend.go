@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -75,6 +77,16 @@ type fileBackend struct {
 func newFileBackend(dir string, n int) (*fileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	// Recovery reads segments below n only: a written one at or above it
+	// would lose its pages without a word.
+	names, _ := fs.Glob(os.DirFS(dir), "[0-9][0-9][0-9][0-9][0-9][0-9].seg")
+	for _, name := range names {
+		seg, _ := strconv.Atoi(name[:6])
+		path := filepath.Join(dir, name)
+		if st, err := os.Stat(path); seg >= n && (err != nil || st.Size() > 0) {
+			return nil, fmt.Errorf("store: segment file %s is at or above MaxSegments %d: open with the MaxSegments it was written with", path, n)
+		}
 	}
 	return &fileBackend{dir: dir, files: make([]*os.File, n)}, nil
 }

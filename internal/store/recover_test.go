@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -441,5 +443,79 @@ func TestCheckpointCrashMidInstall(t *testing.T) {
 	// torn tmp file cleanly).
 	if err := s2.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after torn install: %v", err)
+	}
+}
+
+// writeAndClose writes n 128-byte pages to a fresh store in dir and closes it.
+func writeAndClose(t *testing.T, opts Options, n int) {
+	t.Helper()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(0); id < uint32(n); id++ {
+		if err := s.WritePage(id, page(id, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesSegmentsAboveMaxSegments: recovery reads segments below
+// MaxSegments only, so reopening a directory with a smaller MaxSegments than
+// it was written with must fail, naming the file and the limit, rather than
+// come back without the pages those segments hold.
+func TestOpenRefusesSegmentsAboveMaxSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	writeAndClose(t, opts, 40) // the free pool hands out the highest segments first
+	opts.MaxSegments = 16
+	s, err := Open(opts)
+	if err == nil {
+		live := s.Stats().LivePages
+		s.Close()
+		t.Fatalf("reopen at MaxSegments 16 succeeded with %d live pages; want an error", live)
+	}
+	if m := regexp.MustCompile(`(\d{6})\.seg`).FindStringSubmatch(err.Error()); m == nil || m[1] < "000016" ||
+		!strings.Contains(err.Error(), "MaxSegments 16") {
+		t.Fatalf("error %q does not name a segment file at or above the limit, and the limit", err)
+	}
+	// The directory is untouched: the MaxSegments it was written with reads it.
+	opts.MaxSegments = 64
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if live := s.Stats().LivePages; live != 40 {
+		t.Fatalf("reopen at MaxSegments 64: %d live pages, want 40", live)
+	}
+}
+
+// TestOpenRefusesCorruptCheckpoint: a CHECKPOINT that fails its checksum is
+// a read fault, not a missing checkpoint — recovery without its deletion set
+// could bring back a page whose tombstone was pruned.
+func TestOpenRefusesCorruptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	writeAndClose(t, opts, 40)
+	path := filepath.Join(dir, "CHECKPOINT")
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(checkpointMagic)] ^= 1
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(opts)
+	if err == nil {
+		s.Close()
+		t.Fatal("reopen over a corrupt CHECKPOINT succeeded; want an error")
+	}
+	if !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("error %q does not name the checkpoint", err)
 	}
 }

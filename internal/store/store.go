@@ -392,6 +392,7 @@ func Open(opts Options) (*Store, error) {
 		s.be = fb
 	}
 	if err := s.recover(); err != nil {
+		s.be.close()
 		return nil, err
 	}
 	if opts.BackgroundClean {
@@ -549,8 +550,13 @@ func (s *Store) recover() error {
 	s.seq = maxSeq
 	s.incarnation = maxInc
 
-	ck, ckErr := s.readCheckpoint()
-	if ckErr == nil && ck != nil && ck.prunedSeq > watermark {
+	// A checkpoint is installed by rename: one that does not verify is damage,
+	// and skipping its deletion set could bring a pruned tombstone's page back.
+	ck, err := s.readCheckpoint()
+	if err != nil {
+		return err
+	}
+	if ck != nil && ck.prunedSeq > watermark {
 		// The checkpoint covered everything up to prunedSeq, so any batch
 		// at or below it was complete on disk when it was taken.
 		watermark = ck.prunedSeq
@@ -577,7 +583,7 @@ func (s *Store) recover() error {
 		}
 	}
 
-	if ckErr == nil && ck != nil {
+	if ck != nil {
 		// Writes after the checkpoint advanced the update clock past the
 		// checkpointed value; resuming at ck.unow would run the clock
 		// backwards and let up2 estimates exceed unow. maxSeq ticks at

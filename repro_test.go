@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -160,7 +159,7 @@ func TestFacadePageDB(t *testing.T) {
 	if err != nil || !ok || string(v) != "profile" {
 		t.Fatalf("Get after reopen: %q %v %v", v, ok, err)
 	}
-	// Per-transaction durability and the snapshot view.
+	// Per-transaction durability: a committed transaction is visible to the tree.
 	txn, err := db2.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -171,14 +170,8 @@ func TestFacadePageDB(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.View(func(v *pagedb.View) error {
-		got, ok, err := v.Get("users", 1000)
-		if err != nil || !ok || string(got) != "txn" {
-			return fmt.Errorf("view read after txn commit: %q %v %v", got, ok, err)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if got, ok, err := users2.Get(1000); err != nil || !ok || string(got) != "txn" {
+		t.Fatalf("read after txn commit: %q %v %v", got, ok, err)
 	}
 	if st := db2.Stats(); st.Txns != 1 || st.WAL.Commits != 1 {
 		t.Errorf("txn stats not surfaced: txns=%d wal=%+v", st.Txns, st.WAL)
