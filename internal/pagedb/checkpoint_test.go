@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"syscall"
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -494,4 +498,77 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 	if names := db.TreeNames(); len(names) != 1 {
 		t.Errorf("reopened trees %v, want only t", names)
 	}
+}
+
+// TestFailedFsyncFailsEveryLaterCheckpoint: a failed segment fsync poisons the
+// store, so the checkpoint it failed and every later one fail with it, and each
+// keeps the dirty-page table: every key reads back, every dirty page is still
+// in the table. The failure is a real one: one segment file is the null
+// device, which takes writes and refuses fsync. With that file gone, a reopen
+// recovers every committed transaction from the log.
+func TestFailedFsyncFailsEveryLaterCheckpoint(t *testing.T) {
+	null, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Skip(err)
+	}
+	serr := null.Sync()
+	null.Close()
+	if serr == nil {
+		t.Skip("fsync of the null device succeeds here: no failure to inject")
+	}
+	opts := Options{
+		Store: store.Options{
+			Dir: t.TempDir(), PageSize: 256, SegmentPages: 8, MaxSegments: 32,
+			CleanBatch: 2, FreeLowWater: 4, Durability: core.DurCommit,
+		},
+		CachePages:  32,
+		CacheShards: 2,
+	}
+	// The store opens the highest free segment first: this is the eighth.
+	bad := filepath.Join(opts.Store.Dir, "000024.seg")
+	if err := os.Symlink(os.DevNull, bad); err != nil {
+		t.Skip(err)
+	}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[uint64][]byte)
+	keys := make([]uint64, 60)
+	commits := 0
+	for v := byte(1); commits < 2; v++ {
+		if v > 60 {
+			t.Fatal("no checkpoint reached the null segment: the geometry is miscalibrated")
+		}
+		for i := range keys {
+			keys[i] = uint64(v)*1000 + uint64(i)*7
+		}
+		txnPuts(t, db, oracle, keys, v)
+		want, _ := dirtySet(db)
+		err := db.Commit()
+		if err == nil && commits == 0 {
+			continue
+		}
+		if commits++; !errors.Is(err, syscall.EINVAL) {
+			t.Fatalf("checkpoint %d after the failed fsync: %v, want the fsync's error", commits, err)
+		}
+		got, _ := dirtySet(db)
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("page %d left the dirty table in a failed checkpoint", id)
+			}
+		}
+		checkOracle(t, db, oracle)
+	}
+	if err := db.Close(); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("Close of a poisoned store: %v, want the fsync's error", err)
+	}
+	if err := os.Remove(bad); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	checkOracle(t, db, oracle)
 }

@@ -43,8 +43,15 @@ import (
 // writes 3 overflow images (pages committed 855 → 852), and Close no longer
 // writes 2 and tombstones a third. Each checkpoint writes the same node
 // images and tombstones as before; cleaned and commits are unchanged.
+//
+// Re-recorded again (three identical runs) when Open stopped creating a file
+// for every segment and a released victim began to be truncated: the 12
+// segments the run never opens (000000–000011) have no file, where they had
+// empty ones, and 000075, free at Close, is empty, where it held 2,118 bytes
+// of dead records. The other 63 files are byte-identical; cleaned, commits and
+// pages are unchanged.
 const (
-	goldenSegments = "56c9bcb0e9c9bc8c72aaae23a975b9d2fdfd55c4bf82abe3e7160a346b2740c8"
+	goldenSegments = "9f92e0a5d063c6fac1b79f1c32ef304d16677297c566d6aaebebd8d68b9ffcf2"
 	goldenCleaned  = 16
 	goldenCommits  = 3
 	goldenPages    = 852

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -131,12 +132,12 @@ func (f *fileBackend) read(seg int, off int64, b []byte) error {
 	return nil
 }
 
+// size creates nothing: a segment's file is created when it is first written.
 func (f *fileBackend) size(seg int) (int64, error) {
-	fh, err := f.file(seg)
-	if err != nil {
-		return 0, err
+	st, err := os.Stat(f.path(seg))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
 	}
-	st, err := fh.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("store: stat segment %d: %w", seg, err)
 	}

@@ -367,13 +367,13 @@ const syncInFlight = 4
 // to the seq at the claim, and publishes that); it fsyncs the claimed segments
 // concurrently, holding the lock only if the caller does; and, under the lock
 // again, retires the entries no append has touched since the claim (and the
-// waits on them). An error retires nothing. n is the number of segments claimed.
+// waits on them). An error retires nothing, and a failed fsync poisons the
+// store (poison). n is the number of segments claimed.
 func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n int, err error) {
 	if !locked {
 		s.mu.Lock()
 	}
-	err = errClosed
-	if !s.closed {
+	if err = s.err; err == nil {
 		err = s.flush()
 	}
 	segs := make([]int32, 0, len(s.unsynced))
@@ -386,18 +386,19 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 	if !locked {
 		s.mu.Unlock()
 	}
+	var failed error
 	if err == nil && len(segs) > 0 {
 		t0 := time.Now()
-		err = s.fsyncAll(segs)
+		failed = s.fsyncAll(segs)
 		s.hSyncNs.Record(uint64(time.Since(t0)))
 		s.hSyncN.Record(uint64(len(segs)))
-	}
-	if err != nil {
-		return len(segs), err
 	}
 	if !locked {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+	}
+	if err = cmp.Or(err, s.poison(failed)); err != nil { // a concurrent sync point's failure voids this one's fsyncs too
+		return len(segs), err
 	}
 	retired := false
 	for _, seg := range segs {
@@ -408,6 +409,7 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 	}
 	if retired {
 		s.pruneWaits()
+		s.discardFree() // the victims that stopped backing
 	}
 	if pick == nil {
 		s.gcm.mu.Lock()
@@ -469,15 +471,26 @@ func (s *Store) commitWatermarkLocked() uint64 {
 	return max(w, low-1)
 }
 
+// poison makes err, a failed fsync's if not nil, the store's sticky error
+// unless one is set, and returns that: the kernel may have dropped the pages
+// the fsync failed to write, so no later fsync can vouch for them. Caller
+// holds the write lock.
+func (s *Store) poison(err error) error {
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("store: fsync failed, the store takes no more writes: %w", err)
+	}
+	return s.err
+}
+
 // Sync makes every write applied so far durable, regardless of the
 // durability policy: the explicit flush for callers running DurNone or
 // DurSeal who occasionally need a hard durability point. Concurrent Syncs
 // and DurCommit committers share flush rounds.
 func (s *Store) Sync() error {
 	s.mu.RLock()
-	if s.closed {
+	if err := s.err; err != nil {
 		s.mu.RUnlock()
-		return errClosed
+		return err
 	}
 	target := s.seq
 	s.mu.RUnlock()

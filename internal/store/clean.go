@@ -55,8 +55,8 @@ type recCand struct {
 func (s *Store) CleanOnce() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errClosed
+	if s.err != nil {
+		return 0, s.err
 	}
 	n, _, err := s.cleanCycle()
 	return n, err
@@ -213,8 +213,8 @@ func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (installe
 	if !locked {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.closed {
-			return 0, 0, errClosed
+		if s.err != nil {
+			return 0, 0, s.err
 		}
 	}
 	for i := range cands {
@@ -305,9 +305,9 @@ func (s *Store) syncRelocated(locked bool) error {
 
 // release returns victims to the free pool, SealSeq kept (pick), and reports
 // the gross capacity bytes released. It forgets each victim's ledger entry, and
-// its records at the reset (openSegment): what was live in it is synced
-// elsewhere, or sits in an open GC tail — then the victim keeps its waits and
-// is backing until that tail's fsync. Caller holds the write lock.
+// truncates it (discardFree): what was live in it is synced elsewhere, or sits
+// in an open GC tail — then the victim keeps its waits and its bytes, backing,
+// until the sync point that covers that tail. Caller holds the write lock.
 func (s *Store) release(victims []int32) (releasedBytes int64) {
 	for _, v := range victims {
 		m := &s.meta[v]
@@ -321,11 +321,11 @@ func (s *Store) release(victims []int32) (releasedBytes int64) {
 		m.Live = 0
 		m.Free = m.Capacity
 		m.Up2 = 0
-		s.fill[v] = 0
 		delete(s.unsynced, v)
 		s.free = append(s.free, v)
 	}
 	s.freeCount.Store(int64(len(s.free)))
+	s.discardFree()
 	return releasedBytes
 }
 
@@ -379,6 +379,9 @@ func (s *Store) Checkpoint() error {
 }
 
 func (s *Store) checkpointLocked() error {
+	if s.err != nil {
+		return s.err // a poisoned store's prunedSeq would vouch for what no fsync covered
+	}
 	if s.opts.Dir == "" {
 		// In-memory stores have nothing to persist; pruning is immediate.
 		s.prunedSeq = s.seq
@@ -421,7 +424,7 @@ func (s *Store) checkpointLocked() error {
 	if s.opts.Durability != core.DurNone {
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return fmt.Errorf("store: syncing checkpoint: %w", err)
+			return s.poison(fmt.Errorf("syncing checkpoint: %w", err))
 		}
 	}
 	if err := f.Close(); err != nil {
@@ -432,7 +435,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	if s.opts.Durability != core.DurNone {
 		if err := syncDir(s.opts.Dir); err != nil {
-			return fmt.Errorf("store: syncing checkpoint directory: %w", err)
+			return s.poison(fmt.Errorf("syncing checkpoint directory: %w", err))
 		}
 	}
 	s.prunedSeq = s.seq
@@ -501,8 +504,10 @@ func (s *Store) readCheckpoint() (*checkpoint, error) {
 
 // Close stops the background cleaner (if any), fsyncs the whole ledger in one
 // sync point (unless DurNone) — the open segments, and whatever an aborted
-// cycle or a failed fsync left in it — seals the open segments, which then owe
-// no fsync of their own, checkpoints, and releases resources.
+// cycle left in it — seals the open segments, which then owe no fsync of their
+// own, checkpoints, truncates the free segments the checkpoint lets go
+// (discardFree), and releases resources. A poisoned store releases them too,
+// and returns its sticky error.
 func (s *Store) Close() error {
 	s.stopCleaner()
 	s.mu.Lock()
@@ -510,21 +515,24 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
+	var err error
 	if s.opts.Durability != core.DurNone {
-		if _, err := s.syncPoint(true, nil); err != nil {
-			return err
-		}
+		_, err = s.syncPoint(true, nil)
 	}
 	for _, stream := range []int32{userStream, gcStream} {
-		if err := s.seal(stream); err != nil {
-			return err
+		if err == nil {
+			err = s.seal(stream)
 		}
 	}
-	if err := s.checkpointLocked(); err != nil {
-		return err
+	if err == nil {
+		err = s.checkpointLocked()
 	}
-	s.closed = true
-	return s.be.close()
+	if err != nil && s.err == nil {
+		return err // no fsync failed: Close may be retried
+	}
+	s.discardFree()
+	s.closed, s.err = true, cmp.Or(s.err, errClosed)
+	return cmp.Or(err, s.be.close())
 }
 
 // stopCleaner stops the background cleaner, if any. Call it unlocked.

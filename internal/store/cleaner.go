@@ -408,14 +408,14 @@ func (c *cleaner) cycleOnce(dry *int) bool {
 }
 
 // selectVictims marks up to max victims and snapshots their candidates under
-// the store lock. It returns nil when the store is closed, nothing is
+// the store lock. It returns nil when the store is closed or poisoned, nothing is
 // eligible, or the policy broke the sealed-victims contract (a bug: the cycle
 // is skipped rather than corrupt state).
 func (c *cleaner) selectVictims(max int) []int32 {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.err != nil {
 		return nil
 	}
 	victims, cands, err := s.selectVictims(max, c.cands)

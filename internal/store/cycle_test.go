@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -456,5 +457,68 @@ func TestReadErrorIsNotNotFound(t *testing.T) {
 	cb.failRead = nil
 	if err := s.ReadPage(7, buf); err != nil || !bytes.Equal(buf[:len(want)], want) {
 		t.Fatalf("ReadPage after the fault cleared = %v, page %x", err, buf[:len(want)])
+	}
+}
+
+// TestDiscardWaitsForAStampOnStorage: a released victim is truncated only when
+// a segment header on storage, or the checkpoint, vouches for every batch
+// starting at or before its newest record; the commit watermark in memory is
+// not enough. Batch B's first five members fill segment S2 and the rest open
+// U3, whose header stamps the watermark from before B. Once B has committed,
+// S2's other records die and a cycle moves B's five members, live, into the GC
+// tail opened before B, as plain records. Truncating S2 then would leave
+// recovery three of B's members with no header vouching for B, so it would
+// drop them as a torn batch. S2 keeps its bytes, a kill image recovers all of
+// B, and Close, whose checkpoint vouches for everything, truncates S2.
+func TestDiscardWaitsForAStampOnStorage(t *testing.T) {
+	p := &scripted{}
+	s := openScripted(t, p, Options{Dir: t.TempDir(), MaxSegments: 12, Durability: core.DurCommit})
+	s1 := s.fillSegments(t, []string{"full"})[0]
+	rewrite := func() {
+		for j := 0; j < 5; j++ {
+			s.put(t, fmt.Sprintf("full0-%d", j), 8)
+		}
+	}
+	rewrite() // half of S1 dies; the rewrites open S2
+	p.script = [][]int32{{s1}}
+	if n, err := s.CleanOnce(); n != 1 || err != nil {
+		t.Fatalf("CleanOnce = %d, %v", n, err)
+	}
+	s2 := s.open[userStream].seg
+	b := NewBatch()
+	for j := uint32(0); j < 8; j++ {
+		b.Write(s.id(fmt.Sprint("b", j)), page(j, 8))
+	}
+	if err := s.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if u3 := s.open[userStream].seg; s.meta[s2].State != core.SegSealed || u3 == s2 {
+		t.Fatalf("the batch left segment %d %s, the user stream in %d", s2, s.meta[s2].State, u3)
+	}
+	rewrite() // S2's other records die: B's five members are its live ones
+	p.script = [][]int32{{s2}}
+	if n, err := s.CleanOnce(); n != 1 || err != nil || s.meta[s2].State != core.SegFree || s.commitWatermarkLocked() < s.seq {
+		t.Fatalf("CleanOnce = %d, %v; segment %d %s, watermark %d of %d", n, err, s2, s.meta[s2].State, s.commitWatermarkLocked(), s.seq)
+	}
+	if s.held[s2] == 0 {
+		t.Errorf("segment %d was truncated with B vouched for only by the watermark in memory", s2)
+	}
+	img := liveImage(t, s.opts.Dir)
+	c, err := Open(Options{Dir: img, PageSize: 8, SegmentPages: 10, MaxSegments: 12, CleanBatch: 1, FreeLowWater: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8)
+	for j := uint32(0); j < 8; j++ {
+		if err := c.ReadPage(s.id(fmt.Sprint("b", j)), buf); err != nil || !bytes.Equal(buf, page(j, 8)) {
+			t.Errorf("member %d of the batch after a kill: %v, %x", j, err, buf)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat((&fileBackend{dir: s.opts.Dir}).path(int(s2))); err != nil || st.Size() != 0 {
+		t.Errorf("segment %d after Close: %v, want an empty file", s2, err)
 	}
 }

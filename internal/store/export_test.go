@@ -8,6 +8,6 @@ func (s *Store) crash() error {
 	s.stopCleaner()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
+	s.closed, s.err = true, errClosed
 	return s.be.close()
 }

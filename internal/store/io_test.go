@@ -318,87 +318,37 @@ func TestCycleSyncShape(t *testing.T) {
 
 var errSyncInjected = errors.New("injected fsync failure")
 
-// TestFailedSyncMidCycle: an fsync that fails at a cycle's sync point surfaces
-// from that cycle, which re-seals its victims and releases none; the segments
-// holding the relocated copies stay in the ledger, so the retried cycle's sync
-// point fsyncs the sealed ones before it releases anything — and when there is
-// no retry, Close's does. Under DurSeal an open GC tail holding such copies is
-// left to the cycle that seals it, or to Close, and no victim whose copies it
-// holds is reset before then. Every page reads back throughout, and after a
-// reopen.
+// TestFailedSyncMidCycle: an fsync that fails at a cycle's sync point fails
+// that cycle, which re-seals its victims and releases none, and poisons the
+// store: with the backend recovered, the next cycle fails with the same error,
+// and so does Close. Every page reads back throughout, and a reopen recovers
+// every page from what the failed cycle left.
 func TestFailedSyncMidCycle(t *testing.T) {
 	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
 		t.Run(dur.String(), func(t *testing.T) {
 			s, version := churnedStore(t, t.TempDir(), dur, core.MDC())
 			cb := count(s)
-			var rp syncReplay
-			cycle := func() (int, error) {
-				from := locations(s)
-				n, err := s.CleanOnce()
-				rp.advance(t, cb)
-				rp.relocated(s, from)
-				return n, err
+			cb.failSync = func(int) error { return errSyncInjected }
+			before := s.Stats()
+			if n, err := s.CleanOnce(); !errors.Is(err, errSyncInjected) || n != 0 {
+				t.Fatalf("CleanOnce with failing fsyncs = %d, %v; want the injected error", n, err)
 			}
-			// failedCycle runs a cycle whose every fsync fails and returns the
-			// segments its relocated copies went to.
-			failedCycle := func() []int32 {
-				t.Helper()
-				cb.failSync = func(int) error { return errSyncInjected }
-				defer func() { cb.failSync = nil }()
-				before := s.Stats()
-				if n, err := cycle(); !errors.Is(err, errSyncInjected) || n != 0 {
-					t.Fatalf("CleanOnce with failing fsyncs = %d, %v; want the injected error", n, err)
-				}
-				after := s.Stats()
-				if after.FreeSegments > before.FreeSegments || after.SegmentsCleaned != before.SegmentsCleaned || after.GCWrites == before.GCWrites {
-					t.Errorf("the failed cycle should have relocated some pages and released nothing: %+v -> %+v", before, after)
-				}
-				var owed []int32
-				for seg, e := range s.unsynced {
-					if s.meta[seg].State == core.SegCleaning {
-						t.Errorf("victim %d was left in SegCleaning", seg)
-					}
-					if e.reloc {
-						owed = append(owed, seg)
-					}
-				}
-				if len(owed) == 0 {
-					t.Fatal("no segment holding a relocated copy stayed in the ledger")
-				}
-				checkOracle(t, s, version)
-				return owed
+			cb.failSync = nil
+			after := s.Stats()
+			if after.FreeSegments > before.FreeSegments || after.SegmentsCleaned != before.SegmentsCleaned || after.GCWrites == before.GCWrites {
+				t.Errorf("the failed cycle should have relocated some pages and released nothing: %+v -> %+v", before, after)
 			}
-			// covered checks that by fsynced the owed segments: all of them, or
-			// (a retried DurSeal cycle) the sealed ones, the open tail still owed.
-			covered := func(owed []int32, by string, tail bool) {
-				t.Helper()
-				rp.advance(t, cb)
-				for _, seg := range owed {
-					e, still := s.unsynced[seg]
-					if tail && s.meta[seg].State == core.SegOpen {
-						if !still || !e.reloc {
-							t.Errorf("open GC tail %d left the ledger without its seal", seg)
-						}
-					} else if still && e.reloc || rp.state[int(seg)] != 'S' {
-						t.Errorf("segment %d, holding the failed cycle's copies, was not fsynced by %s", seg, by)
-					}
+			for seg := range s.meta {
+				if s.meta[seg].State == core.SegCleaning {
+					t.Errorf("victim %d was left in SegCleaning", seg)
 				}
 			}
-
-			owed := failedCycle()
-			if n, err := cycle(); err != nil || n == 0 {
-				t.Fatalf("CleanOnce after the backend recovered = %d, %v", n, err)
-			}
-			covered(owed, "the retried cycle", dur == core.DurSeal)
 			checkOracle(t, s, version)
-
-			owed = failedCycle()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
+			if n, err := s.CleanOnce(); !errors.Is(err, errSyncInjected) || n != 0 {
+				t.Fatalf("CleanOnce after the backend recovered = %d, %v; want the sticky error", n, err)
 			}
-			covered(owed, "Close", false)
-			if rp.resets == 0 {
-				t.Error("no victim of the test's cycles was reset: the reset check never ran")
+			if err := s.Close(); !errors.Is(err, errSyncInjected) {
+				t.Fatalf("Close of a poisoned store = %v, want the sticky error", err)
 			}
 			s, err := Open(s.opts)
 			if err != nil {
@@ -406,6 +356,143 @@ func TestFailedSyncMidCycle(t *testing.T) {
 			}
 			defer s.Close()
 			checkOracle(t, s, version)
+		})
+	}
+}
+
+// TestFailedFsyncPoisons: the first failed fsync poisons the store. The
+// DurCommit write whose commit it failed returns it; so does every later
+// write, Apply, Sync, cleaning cycle, Checkpoint and Close, wrapped, though
+// fsyncs succeed again — the kernel may have dropped the pages the failed one
+// did not write, and no later fsync can vouch for them. The commit watermark
+// stays where it was, no segment is truncated, reads go on, and a reopen
+// finds every page.
+func TestFailedFsyncPoisons(t *testing.T) {
+	s, version := churnedStore(t, t.TempDir(), core.DurCommit, core.MDC())
+	cb := count(s)
+	cb.failSync = func(int) error { return errSyncInjected }
+	buf := make([]byte, 4096)
+	version[0]++ // applied, so read back, though not durable
+	stamp(buf, 0, version[0])
+	if err := s.WritePage(0, buf); !errors.Is(err, errSyncInjected) {
+		t.Fatalf("WritePage whose commit fsync fails = %v, want the injected error", err)
+	}
+	cb.failSync = nil
+	durable, events := s.gcm.durable, len(cb.events)
+	b := NewBatch()
+	b.Write(1, buf)
+	for _, op := range []struct {
+		name string
+		err  error
+	}{
+		{"WritePage", s.WritePage(1, buf)},
+		{"DeletePage", s.DeletePage(2)},
+		{"Apply", s.Apply(b)},
+		{"Sync", s.Sync()},
+		{"CleanOnce", func() error { _, err := s.CleanOnce(); return err }()},
+		{"Checkpoint", s.Checkpoint()},
+	} {
+		if !errors.Is(op.err, errSyncInjected) || op.err.Error() == errSyncInjected.Error() {
+			t.Errorf("%s on a poisoned store = %v, want the fsync error, wrapped", op.name, op.err)
+		}
+	}
+	if s.gcm.durable != durable || len(cb.events) != events {
+		t.Errorf("a poisoned store moved its watermark %d -> %d, or reached the backend: %v", durable, s.gcm.durable, cb.events[events:])
+	}
+	checkOracle(t, s, version)
+	if err := s.Close(); !errors.Is(err, errSyncInjected) {
+		t.Fatalf("Close of a poisoned store = %v, want the sticky error", err)
+	}
+	s, err := Open(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkOracle(t, s, version)
+}
+
+// TestReleasedVictimHoldsNoBytes: a cycle truncates each victim it releases
+// once nothing can need its records, so a free segment holds no bytes. Under
+// DurSeal a victim with copies in the open GC tail is backing and keeps them
+// until the sync point that covers the tail. The one other wait is for a
+// header on storage to vouch for the victim's batches (discardFree). After
+// every cycle and after Close, store.disk.bytes is what the segment files
+// hold, and a kill image of the directory reopens to the oracle.
+func TestReleasedVictimHoldsNoBytes(t *testing.T) {
+	for _, dur := range []core.Durability{core.DurNone, core.DurSeal, core.DurCommit} {
+		t.Run(dur.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			s, version := churnedStore(t, dir, dur, core.MDC())
+			// check compares the gauge with the files and returns how many
+			// free segments hold bytes because they back.
+			check := func(when string) (backing int) {
+				t.Helper()
+				sizes, total := map[int32]int64{}, int64(0)
+				names, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+				for _, name := range names {
+					var seg int32
+					st, err := os.Stat(name)
+					if _, serr := fmt.Sscanf(filepath.Base(name), "%06d.seg", &seg); err != nil || serr != nil {
+						t.Fatal(err, serr)
+					}
+					sizes[seg] = st.Size()
+					total += st.Size()
+				}
+				if g := s.Obs().Snapshot().Gauges["store.disk.bytes"]; g != total {
+					t.Errorf("%s: store.disk.bytes %d, the segment files hold %d", when, g, total)
+				}
+				for _, v := range s.free {
+					recs := s.recs[v]
+					switch {
+					case s.backs(v) && sizes[v] == 0:
+						t.Errorf("%s: backing segment %d lost its bytes", when, v)
+					case s.backs(v):
+						backing++
+					case sizes[v] != 0 && (len(recs) == 0 || recs[len(recs)-1].seq <= max(s.stamped, s.prunedSeq)):
+						t.Errorf("%s: free segment %d, backing nothing, holds %d bytes", when, v, sizes[v])
+					}
+				}
+				return backing
+			}
+			buf := make([]byte, 4096)
+			r := rand.New(rand.NewPCG(7, 3))
+			backed := 0
+			for op := 0; op < 800; op++ {
+				id := uint32(r.IntN(len(version)))
+				version[id]++
+				stamp(buf, id, version[id])
+				if err := s.WritePage(id, buf); err != nil {
+					t.Fatal(err)
+				}
+				if op%40 != 39 {
+					continue
+				}
+				if n, err := s.CleanOnce(); err != nil || n == 0 {
+					t.Fatalf("CleanOnce = %d, %v", n, err)
+				}
+				if b := check("after a cycle"); b > 0 {
+					backed += b
+					if err := s.Sync(); err != nil { // the sync point covering the tail
+						t.Fatal(err)
+					}
+					if check("after the sync point") != 0 {
+						t.Error("a victim is backing after the sync point that covered its copies")
+					}
+				}
+			}
+			if dur == core.DurSeal && backed == 0 {
+				t.Error("no victim was backing after its cycle: the geometry is miscalibrated")
+			}
+			reopenAgainst(t, s.opts, liveImage(t, dir), version)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check("after Close")
+			for _, v := range s.free {
+				if s.held[v] != 0 {
+					t.Errorf("free segment %d holds %d bytes after Close", v, s.held[v])
+				}
+			}
 		})
 	}
 }

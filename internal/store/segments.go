@@ -29,13 +29,14 @@ type openSeg struct {
 }
 
 // write applies batch b under the write lock behind write admission (a closed
-// store fails with errClosed instead), then under DurCommit makes it durable:
-// the write is already visible; concurrent committers coalesce onto one group
-// fsync. In background mode a write can lose the race for the last free
-// segments to concurrent writers; those transient ErrFulls are retried through
-// admission (which blocks below the emergency floor until the cleaner catches
-// up). A write it returns ErrFull for counts once in store.errfull. A non-nil
-// parent gets "store.admit", "store.apply" and "store.commit.wait" child spans.
+// or poisoned store fails with err instead), then under DurCommit makes it
+// durable: the write is already visible; concurrent committers coalesce onto
+// one group fsync. In background mode a write can lose the race for the last
+// free segments to concurrent writers; those transient ErrFulls are retried
+// through admission (which blocks below the emergency floor until the cleaner
+// catches up). A write it returns ErrFull for counts once in store.errfull. A
+// non-nil parent gets "store.admit", "store.apply" and "store.commit.wait"
+// child spans.
 func (s *Store) write(parent *obs.Span, b *Batch) (err error) {
 	for attempt := 0; ; attempt++ {
 		if s.cl != nil {
@@ -43,13 +44,15 @@ func (s *Store) write(parent *obs.Span, b *Batch) (err error) {
 			err = s.cl.admit()
 			leg.End()
 			if err != nil {
+				s.mu.RLock()
+				err = cmp.Or(s.err, err) // a poisoned store's cleaner stands down
+				s.mu.RUnlock()
 				break
 			}
 		}
 		leg := parent.Child("store.apply")
 		s.mu.Lock()
-		err = errClosed
-		if !s.closed {
+		if err = s.err; err == nil {
 			err = cmp.Or(s.applyLocked(b), s.flush())
 		}
 		seq := s.seq
@@ -127,7 +130,8 @@ func (s *Store) openRoom(stream int32, size int64, need int) error {
 // pick returns the free-pool index of the segment openRoom opens: the topmost
 // that backs nothing, else the topmost. It looks no deeper than the first
 // segment not written since start-up (a free one keeps its last SealSeq; 0 is
-// never): opening a never-used file would grow the log's footprint.
+// never): reusing a backing segment behind a sync point keeps the directory at
+// the files it has, where a never-used segment would create one more.
 func (s *Store) pick() int {
 	top := len(s.free) - 1
 	for i := top; i >= 0 && s.meta[s.free[i]].SealSeq != 0; i-- {
@@ -138,17 +142,17 @@ func (s *Store) pick() int {
 	return top
 }
 
-// openSegment makes free segment seg stream's open segment: it resets the
-// segment's storage and stages its header, the start of the run its first
-// records will extend. The reset is where a victim's bytes die, so when the
-// segment backs or the stamp is below its newest record, it first runs one sync
-// point (store.backing.syncs) over the segments it waits on and the ledger
-// entries of batches starting at or before that record.
+// openSegment makes free segment seg stream's open segment: it empties the
+// segment's file (the header's write creates one never written) and stages the
+// header, the start of the run its first records will extend. A victim not yet
+// truncated (discardFree) dies here, so when it backs or the stamp is below its
+// newest record, a sync point (store.backing.syncs) first covers the segments
+// it waits on and the ledger entries of batches starting at or before it.
 func (s *Store) openSegment(seg, stream int32) error {
 	if err := s.flush(); err != nil {
 		return err
 	}
-	var newest uint64 // recs[seg] is the victim's until the reset
+	var newest uint64 // recs[seg] is the victim's until it is truncated
 	if recs := s.recs[seg]; len(recs) > 0 {
 		newest = recs[len(recs)-1].seq
 	}
@@ -160,7 +164,7 @@ func (s *Store) openSegment(seg, stream int32) error {
 			return err
 		}
 	}
-	if err := s.be.reset(int(seg)); err != nil {
+	if err := s.truncate(seg); err != nil {
 		return err
 	}
 	s.incarnation++
@@ -176,12 +180,35 @@ func (s *Store) openSegment(seg, stream int32) error {
 		// First use: a segment that is never opened costs no record table.
 		s.recs[seg] = make([]recInfo, 0, s.opts.SegmentPages)
 	}
-	s.recs[seg] = s.recs[seg][:0]
 	segBytes := s.opts.segmentBytes()
 	s.meta[seg] = core.SegmentMeta{Capacity: segBytes, Free: segBytes, Stream: stream, State: core.SegOpen}
 	s.fill[seg] = 0
 	s.open[stream] = openSeg{seg: seg}
 	return nil
+}
+
+// truncate empties segment seg's file, if it holds anything, and its records.
+func (s *Store) truncate(seg int32) error {
+	if s.held[seg] > 0 {
+		if err := s.be.reset(int(seg)); err != nil {
+			return err
+		}
+	}
+	s.hold(seg, 0)
+	s.recs[seg] = s.recs[seg][:0]
+	return nil
+}
+
+// discardFree truncates each free segment that backs nothing and whose newest
+// record a stamp on storage covers (stamped, or the checkpoint's prunedSeq):
+// recovery needs no batch record in it. openSegment may reset on the watermark
+// in memory, as its own header carries it. A poisoned store truncates nothing.
+func (s *Store) discardFree() {
+	for _, v := range s.free {
+		if recs := s.recs[v]; len(recs) > 0 && s.err == nil && !s.backs(v) && recs[len(recs)-1].seq <= max(s.stamped, s.prunedSeq) {
+			_ = s.truncate(v) // a failure leaves the bytes to openSegment, whose truncate reports it
+		}
+	}
 }
 
 // tail returns stream's open segment (which must exist, see openRoom) and the

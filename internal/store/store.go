@@ -43,9 +43,12 @@
 // record headers). A cleaning cycle's sync point covers every sealed segment
 // holding a relocated copy before any victim is released; DurSeal leaves an
 // open GC tail to the cycle that seals it, and a victim with copies there is
-// backing: not reset until they are fsynced, so a crash anywhere leaves an
-// intact durable copy of every live page. Store.Sync is the explicit flush for
-// the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
+// backing: not truncated until they are fsynced, so a crash anywhere leaves an
+// intact durable copy of every live page. Any other released victim is
+// truncated (discardFree), so a free segment holds no bytes. Open creates no
+// file; nothing fsyncs the directory for a new one (a checkpoint's rename
+// does). A failed fsync poisons the store: writes, syncs and cycles fail from
+// then on, reads go on. Store.Sync is the explicit flush for the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
 // and DeletePage apply a batch of one): one admission check, one lock hold,
 // space reserved for the whole batch before any old version is invalidated,
 // so ErrFull leaves nothing partially applied. Recovery scans all segments,
@@ -220,15 +223,18 @@ type Store struct {
 	// policies read; a segment's Live and Free move only through appended,
 	// invalidate, relocated and pruned (and recovery, open and release). unow
 	// is the update clock, one tick per user update, never wall-clock; closed
-	// fails every operation and makes the background cycle stand down.
+	// fails every read, and err every write, sync and cycle: errClosed once
+	// closed, or the first failed fsync's (poison).
 	meta      []core.SegmentMeta
 	unow      uint64
 	closed    bool
+	err       error
 	free      []int32
 	freeCount atomic.Int64 // len(free), readable without the lock
 	open      [2]openSeg   // indexed by stream
 	fill      []int64      // per segment: record bytes appended so far
 	recs      [][]recInfo  // per segment: the records written to it, in log order
+	held      []int64      // per segment: the bytes its file holds (store.disk.bytes sums them)
 
 	sealSeq     uint64
 	gcWrites    uint64
@@ -244,6 +250,7 @@ type Store struct {
 	tombstones map[uint32]pageLoc
 
 	incarnation uint64
+	stamped     uint64 // the highest commit watermark a header on storage carries (flush)
 
 	// unsynced is the one ledger of segments holding appends no fsync has
 	// covered, the working set of every durability point (syncPoint); nil on
@@ -297,6 +304,7 @@ type Store struct {
 	cRounds  *obs.Counter   // store.commit.rounds
 	cSyncs   *obs.Counter   // store.commit.syncs
 	cBacking *obs.Counter   // store.backing.syncs: sync points a segment reset forces (openSegment)
+	gDisk    *obs.Gauge     // store.disk.bytes: what the segment files hold
 	// Record bytes (headers included) appended by users and by relocation:
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
@@ -343,6 +351,7 @@ func Open(opts Options) (*Store, error) {
 		open:       [2]openSeg{{seg: -1}, {seg: -1}},
 		pendingE:   make(map[int32]float64),
 		recs:       make([][]recInfo, opts.MaxSegments),
+		held:       make([]int64, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
 		refs:       make(map[uint32]int32),
@@ -363,6 +372,8 @@ func Open(opts Options) (*Store, error) {
 	s.cRounds = opts.Obs.Counter("store.commit.rounds")
 	s.cSyncs = opts.Obs.Counter("store.commit.syncs")
 	s.cBacking = opts.Obs.Counter("store.backing.syncs")
+	s.gDisk = opts.Obs.Gauge("store.disk.bytes")
+	s.gDisk.Set(0)
 	s.cUserBytes = opts.Obs.Counter("store.user.bytes")
 	s.cGCBytes = opts.Obs.Counter("store.gc.bytes")
 	s.cAbsorbed = opts.Obs.Counter("store.user.absorbed")
@@ -455,6 +466,7 @@ func (s *Store) recover() error {
 		if err != nil {
 			return err
 		}
+		s.hold(int32(seg), sz)
 		if sz < segHeaderSize {
 			continue // never written: stays free
 		}
@@ -525,6 +537,7 @@ func (s *Store) recover() error {
 		// assigned once all headers are known.
 		sealed = append(sealed, sealedSeg{seg: int32(seg), stream: stream, inc: inc})
 	}
+	s.stamped = watermark
 	// Re-seal in log order, not segment-id scan order: the header
 	// incarnation increases with every segment open, so ordering by it
 	// restores the age ordering that age-based cleaning and the
@@ -871,7 +884,17 @@ func (s *Store) flush() error {
 	clear(s.relocs) // or they keep an outgrown candidate table alive
 	s.relocs = s.relocs[:0]
 	if err == nil {
+		if s.runOff == 0 { // the run carries the segment's header
+			_, _, s.stamped, _ = decodeSegHeader(s.run)
+		}
+		s.hold(s.runSeg, max(s.held[s.runSeg], s.runOff+int64(len(s.run))))
 		s.run = s.run[:0]
 	}
 	return err
+}
+
+// hold notes that segment seg's file holds n bytes.
+func (s *Store) hold(seg int32, n int64) {
+	s.gDisk.Add(n - s.held[seg])
+	s.held[seg] = n
 }

@@ -586,3 +586,44 @@ func TestPolicyComparisonOnStore(t *testing.T) {
 			mdc.WriteAmp, greedy.WriteAmp)
 	}
 }
+
+// TestOpenCreatesNoSegmentFiles: Open of an empty directory creates no
+// segment file, and neither does a reopen; a segment's file is created when
+// the segment is first opened, so after k segments have been opened the
+// directory holds exactly k.
+func TestOpenCreatesNoSegmentFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := func() int {
+		names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+	s, err := Open(testOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := files(); n != 0 {
+		t.Fatalf("Open of an empty directory created %d segment files", n)
+	}
+	for id := uint32(0); id < 100; id++ {
+		if err := s.WritePage(id, page(id, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if n, k := files(), int(s.incarnation); n != k {
+			t.Fatalf("%d segment files after %d segments were opened", n, k)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	k := files()
+	if s, err = Open(testOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := files(); n != k || k < 6 {
+		t.Fatalf("%d segment files after a reopen, %d before", n, k)
+	}
+}
