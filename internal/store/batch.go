@@ -105,9 +105,9 @@ func (b *Batch) copyData(i int, dst []byte) {
 //
 // Under DurCommit, Apply returns only after the batch is durable —
 // concurrent committers coalesce onto one group fsync — and recovery
-// guarantees a torn batch is never surfaced partially. (Backend I/O
-// errors mid-apply are the one non-atomic failure: the store state is
-// whatever the error left.) WritePage and DeletePage are Applies of one op.
+// guarantees a torn batch is never surfaced partially. (A backend I/O error
+// that cuts a batch mid-apply poisons the store, so nothing vouches for the
+// half batch.) WritePage and DeletePage are Applies of one op.
 func (s *Store) Apply(b *Batch) error { return s.ApplySpanned(b, nil) }
 
 // ApplySpanned is Apply with an optional parent span: with a non-nil
@@ -127,8 +127,10 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 // space (reserve), then appends the k records not absorbed, numbered 0..k-1: by
 // the time the first old version is invalidated, the apply loop can no longer
 // fail with ErrFull. With k > 1 they carry commit markers, so recovery can
-// discard a torn batch wholesale; a single record is trivially atomic.
-func (s *Store) applyLocked(b *Batch) error {
+// discard a torn batch wholesale; a single record is trivially atomic. An
+// error that cuts the batch, some of its records in and some not, poisons the
+// store, or a later checkpoint would vouch for the half batch.
+func (s *Store) applyLocked(b *Batch) (err error) {
 	absorbed, err := s.prepare(b)
 	if err != nil {
 		return err
@@ -141,6 +143,11 @@ func (s *Store) applyLocked(b *Batch) error {
 		s.applying = s.seq + 1
 		defer func() { s.applying = 0 }()
 	}
+	defer func() {
+		if err != nil && pos > 0 && int(pos) < k {
+			err = s.poison(err)
+		}
+	}()
 	for i := range b.ops {
 		op := &b.ops[i]
 		if op.size == 0 {
@@ -176,14 +183,15 @@ func (s *Store) applyLocked(b *Batch) error {
 			return err
 		}
 		b.copyData(i, rec[RecordHeaderSize:])
-		if err := s.appendRecord(userStream, op.id, flags, pos, rec, carried, nil); err != nil {
+		err = s.appendRecord(userStream, op.id, flags, pos, rec, carried, nil)
+		pos++ // the record is in, even if sealing after it failed
+		if err != nil {
 			return err
 		}
 		s.cUserBytes.Add(uint64(op.size))
 		if !op.del {
 			s.userWrites++
 		}
-		pos++
 	}
 	if k > 1 {
 		s.batches++
@@ -452,6 +460,14 @@ func (s *Store) fsyncAll(segs []int32) error {
 	return first
 }
 
+// fsync runs sync (CHECKPOINT's, its directory's) as a store.fsync.ns sample.
+func (s *Store) fsync(sync func() error) error {
+	t0 := time.Now()
+	err := sync()
+	s.hFsync.Record(uint64(time.Since(t0)))
+	return err
+}
+
 // commitWatermarkLocked is the stamp of a new segment header, the highest seq
 // known fully durable: the group-commit point, the last checkpoint's coverage,
 // or the seq before the first batch still being appended (applying) or with a
@@ -471,13 +487,14 @@ func (s *Store) commitWatermarkLocked() uint64 {
 	return max(w, low-1)
 }
 
-// poison makes err, a failed fsync's if not nil, the store's sticky error
-// unless one is set, and returns that: the kernel may have dropped the pages
-// the fsync failed to write, so no later fsync can vouch for them. Caller
-// holds the write lock.
+// poison makes err, if not nil, the store's sticky error unless one is set,
+// and returns that. err is a failed fsync's — the kernel may have dropped the
+// pages it failed to write, so no later fsync can vouch for them — or the
+// write error that cut a batch in two (applyLocked). Caller holds the write
+// lock.
 func (s *Store) poison(err error) error {
 	if err != nil && s.err == nil {
-		s.err = fmt.Errorf("store: fsync failed, the store takes no more writes: %w", err)
+		s.err = fmt.Errorf("store: a write or fsync failed, the store takes no more writes: %w", err)
 	}
 	return s.err
 }

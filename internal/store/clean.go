@@ -422,7 +422,7 @@ func (s *Store) checkpointLocked() error {
 		return fmt.Errorf("store: writing checkpoint: %w", err)
 	}
 	if s.opts.Durability != core.DurNone {
-		if err := f.Sync(); err != nil {
+		if err := s.fsync(f.Sync); err != nil {
 			f.Close()
 			return s.poison(fmt.Errorf("syncing checkpoint: %w", err))
 		}
@@ -434,7 +434,7 @@ func (s *Store) checkpointLocked() error {
 		return fmt.Errorf("store: installing checkpoint: %w", err)
 	}
 	if s.opts.Durability != core.DurNone {
-		if err := syncDir(s.opts.Dir); err != nil {
+		if err := s.syncDir(); err != nil {
 			return s.poison(fmt.Errorf("syncing checkpoint directory: %w", err))
 		}
 	}
@@ -442,13 +442,13 @@ func (s *Store) checkpointLocked() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-installed rename survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncDir fsyncs the directory so a just-installed rename survives a crash.
+func (s *Store) syncDir() error {
+	d, err := os.Open(s.opts.Dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = s.fsync(d.Sync)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}

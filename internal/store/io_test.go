@@ -811,6 +811,78 @@ func TestSealErrorInWritePage(t *testing.T) {
 	}
 }
 
+// TestWriteErrorCuttingABatchPoisons: a run write that fails while sealing
+// the segment a batch fills, half of the batch's records in and half not,
+// poisons the store: the Apply, a later write and Close return the error even
+// with the backend working again, and a reopen holds the pages as they were
+// before the batch and none of it. (Without the poison, Close's checkpoint
+// vouched for the half batch.)
+func TestWriteErrorCuttingABatchPoisons(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 32, Durability: core.DurCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(0); id < 8; id++ {
+		if err := s.WritePage(id, page(id, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb := count(s)
+	cb.failWrite = func(int, int64) error { return errInjected }
+	b := NewBatch()
+	for id := uint32(4); id < 16; id++ { // the open segment has room for 8 of the 12
+		b.Write(id, page(id+100, 64))
+	}
+	if err := s.Apply(b); !errors.Is(err, errInjected) {
+		t.Fatalf("Apply whose seal fails mid-batch: %v, want the injected error", err)
+	}
+	cb.failWrite = nil
+	if err := s.WritePage(30, page(30, 64)); !errors.Is(err, errInjected) {
+		t.Errorf("WritePage after the cut batch: %v, want the injected error", err)
+	}
+	if err := s.Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close after the cut batch: %v, want the injected error", err)
+	}
+	s, err = Open(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, 64)
+	for id := uint32(0); id < 16; id++ {
+		if err := s.ReadPage(id, buf); id >= 8 {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("page %d, only ever in the cut batch: %v, want not found", id, err)
+			}
+		} else if err != nil || !bytes.Equal(buf, page(id, 64)) {
+			t.Errorf("page %d: %v, or not its bytes from before the batch", id, err)
+		}
+	}
+	checkInvariants(t, s)
+}
+
+// TestCheckpointFsyncsAreCounted: the CHECKPOINT file's fsync and its
+// directory's are store.fsync.ns samples, as every segment fsync is.
+func TestCheckpointFsyncsAreCounted(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 16, MaxSegments: 32, Durability: core.DurSeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WritePage(1, page(1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Obs().Histogram("store.fsync.ns")
+	before := h.Count()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Count() - before; got != 2 {
+		t.Errorf("a checkpoint recorded %d store.fsync.ns samples, want 2: the file's and the directory's", got)
+	}
+}
+
 // TestCleanOnceBesideBackgroundCleaner: a cycle owns its window, so a
 // foreground CleanOnce (under the lock) can overlap the background cleaner's
 // lock-free Load. Writers (each owning its pages, so the oracle is exact) and

@@ -47,8 +47,8 @@
 // intact durable copy of every live page. Any other released victim is
 // truncated (discardFree), so a free segment holds no bytes. Open creates no
 // file; nothing fsyncs the directory for a new one (a checkpoint's rename
-// does). A failed fsync poisons the store: writes, syncs and cycles fail from
-// then on, reads go on. Store.Sync is the explicit flush for the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
+// does). A failed fsync, or a write error that cuts a batch in two, poisons
+// the store: writes, syncs and cycles fail from then on, reads go on. Store.Sync is the explicit flush for the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
 // and DeletePage apply a batch of one): one admission check, one lock hold,
 // space reserved for the whole batch before any old version is invalidated,
 // so ErrFull leaves nothing partially applied. Recovery scans all segments,

@@ -1,3 +1,10 @@
+// Package wal is pagedb's redo log: one CRC-framed frame per transaction
+// (record.go has the format), generation files rotated at each checkpoint,
+// and a group commit that makes one fsync serve every committer ready for
+// it. A round's leader holds the round's start until the committers the last
+// round released have appended again, for at most that round's fsync time;
+// a sole committer is never held, so it pays nothing for the rule. A failed
+// fsync poisons the log: no later Append, Commit or Truncate succeeds.
 package wal
 
 import (
@@ -49,7 +56,7 @@ type Stats struct {
 	Generations int    // generation files on disk
 	Commits     uint64 // Commit waits served
 	Rounds      uint64 // group-fsync rounds run
-	Syncs       uint64 // fsync syscalls issued by rounds
+	Syncs       uint64 // fsync syscalls issued by rounds: one a round
 	Truncations uint64 // checkpoint rotations
 }
 
@@ -70,7 +77,8 @@ type fsyncRound struct {
 // a time may Append (callers serialize — pagedb appends under its write
 // lock so commit-seq order is exactly apply order); any number of
 // goroutines may Commit concurrently, coalescing onto shared fsync rounds
-// exactly like the store's DurCommit group commit.
+// exactly like the store's DurCommit group commit; a round's leader first
+// holds its start for the committers the last round released (hold).
 //
 // Lock order: flushMu → mu → gs.mu. flushMu is held across every fsync
 // and across Truncate's rotation, so rotation never closes a file an
@@ -91,15 +99,22 @@ type Log struct {
 	nextID uint32
 	buf    []byte // staging buffer: one transaction, one Write
 	closed bool
-	err    error // sticky append error: a torn in-place write poisons the log
+	err    error // sticky: a torn in-place write or a failed fsync poisons the log
+
+	// A round's leader holds on these (hold); one leader holds at a time.
+	appended  chan struct{} // capacity 1: an append, close or poison wakes it
+	holdTimer *time.Timer
 
 	gs struct {
 		mu      sync.Mutex
 		durable uint64
 		cur     *fsyncRound
+		// The last round that made anything durable released k seqs, at log
+		// seq end, after an fsync that took took: the next leader holds on it.
+		k, end  uint64
+		took    time.Duration
 		commits uint64
 		rounds  uint64
-		syncs   uint64
 	}
 
 	truncations uint64
@@ -114,9 +129,10 @@ type Log struct {
 	hCommit  *obs.Histogram
 	cCommits *obs.Counter
 	cRounds  *obs.Counter
-	cSyncs   *obs.Counter
 	cTrunc   *obs.Counter
 	cBytes   *obs.Counter // wal.append.bytes: frame bytes appended (generation headers excluded)
+	cHeld    *obs.Counter // wal.commit.held: rounds whose start was held
+	cHoldNs  *obs.Counter // wal.commit.hold.ns: the time they were held
 }
 
 func genPath(dir string, gen uint64) string {
@@ -130,19 +146,23 @@ func genPath(dir string, gen uint64) string {
 // refused, and left as it is.
 func Open(opts Options) (*Log, error) {
 	l := &Log{
-		dir:      opts.Dir,
-		noSync:   opts.NoSync,
-		names:    make(map[string]uint32),
-		nextID:   1,
-		hAppend:  opts.Obs.Histogram("wal.append.ns"),
-		hFsync:   opts.Obs.Histogram("wal.fsync.ns"),
-		hCommit:  opts.Obs.Histogram("wal.commit.ns"),
-		cCommits: opts.Obs.Counter("wal.commit.commits"),
-		cRounds:  opts.Obs.Counter("wal.commit.rounds"),
-		cSyncs:   opts.Obs.Counter("wal.commit.syncs"),
-		cTrunc:   opts.Obs.Counter("wal.truncations"),
-		cBytes:   opts.Obs.Counter("wal.append.bytes"),
+		dir:       opts.Dir,
+		noSync:    opts.NoSync,
+		names:     make(map[string]uint32),
+		nextID:    1,
+		appended:  make(chan struct{}, 1),
+		holdTimer: time.NewTimer(time.Hour),
+		hAppend:   opts.Obs.Histogram("wal.append.ns"),
+		hFsync:    opts.Obs.Histogram("wal.fsync.ns"),
+		hCommit:   opts.Obs.Histogram("wal.commit.ns"),
+		cCommits:  opts.Obs.Counter("wal.commit.commits"),
+		cRounds:   opts.Obs.Counter("wal.commit.rounds"),
+		cTrunc:    opts.Obs.Counter("wal.truncations"),
+		cBytes:    opts.Obs.Counter("wal.append.bytes"),
+		cHeld:     opts.Obs.Counter("wal.commit.held"),
+		cHoldNs:   opts.Obs.Counter("wal.commit.hold.ns"),
 	}
+	l.holdTimer.Stop()
 	if l.dir == "" {
 		return l, nil
 	}
@@ -268,14 +288,14 @@ func (l *Log) adoptTail(kept []genInfo, final scannedGen, fileSize int, orphans 
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 		if !l.noSync {
-			if err := f.Sync(); err != nil {
+			if err := l.syncLocked(f); err != nil {
 				f.Close()
-				return fmt.Errorf("wal: %w", err)
+				return err
 			}
 		}
 	}
 	if len(orphans) > 0 && !l.noSync {
-		if err := syncDir(l.dir); err != nil {
+		if err := l.syncDirLocked(); err != nil {
 			f.Close()
 			return err
 		}
@@ -308,11 +328,10 @@ func (l *Log) createGen(gen, baseSeq uint64, old *os.File) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if !l.noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
+		if err = l.syncLocked(f); err == nil {
+			err = l.syncDirLocked()
 		}
-		if err := syncDir(l.dir); err != nil {
+		if err != nil {
 			f.Close()
 			return err
 		}
@@ -327,17 +346,59 @@ func (l *Log) createGen(gen, baseSeq uint64, old *os.File) error {
 	return nil
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncFile is every fsync the log issues, of a file or of its directory: a
+// seam a test replaces to fail one.
+var syncFile = (*os.File).Sync
+
+// fsync syncs f after any injected delay, as one wal.fsync.ns sample, and
+// returns how long that took.
+func (l *Log) fsync(f *os.File) (time.Duration, error) {
+	t0 := time.Now()
+	if d := l.fsyncDelay.Load(); d > 0 {
+		time.Sleep(time.Duration(d))
+	}
+	err := syncFile(f)
+	took := time.Since(t0)
+	l.hFsync.Record(uint64(took))
+	return took, err
+}
+
+// syncLocked is fsync for a caller holding l.mu, or Open's: a failure
+// poisons the log.
+func (l *Log) syncLocked(f *os.File) error {
+	if _, err := l.fsync(f); err != nil {
+		return l.poisonLocked(err)
+	}
+	return nil
+}
+
+// syncDirLocked makes the names of the generation files durable.
+func (l *Log) syncDirLocked() error {
+	d, err := os.Open(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
-		return fmt.Errorf("wal: syncing %s: %w", dir, err)
+	defer d.Close()
+	return l.syncLocked(d)
+}
+
+// poisonLocked makes err, a failed fsync's, the log's sticky error unless one
+// is set, and returns that: the kernel may have dropped the pages the fsync
+// failed to write, so no later fsync can vouch for them. Caller holds l.mu.
+func (l *Log) poisonLocked(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("wal: fsync failed, the log takes no more transactions: %w", err)
+		l.wake()
 	}
-	return nil
+	return l.err
+}
+
+// wake ends a hold's wait (hold); the token waits if no round is held.
+func (l *Log) wake() {
+	select {
+	case l.appended <- struct{}{}:
+	default:
+	}
 }
 
 // Append logs one transaction — a frame of its ops, each tree's first use
@@ -400,6 +461,7 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 	}
 	l.cBytes.Add(uint64(len(buf)))
 	l.seq = seq
+	l.wake()
 	if txnID > l.maxTxn {
 		l.maxTxn = txnID
 	}
@@ -409,8 +471,9 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 
 // Commit blocks until the transaction with the given commit seq is
 // durable. Concurrent committers coalesce: one goroutine runs the fsync
-// round, the rest piggyback on its outcome and only start another round
-// if their seq is still not covered.
+// round (holding its start first, see hold), the rest piggyback on its
+// outcome and only start another round if their seq is still not covered.
+// Once an fsync has failed, no Commit of an seq it did not cover succeeds.
 func (l *Log) Commit(seq uint64) error {
 	t0 := time.Now()
 	g := &l.gs
@@ -452,14 +515,17 @@ func (l *Log) waitDurable(target uint64) error {
 		}
 		r := &fsyncRound{done: make(chan struct{})}
 		g.cur = r
+		k, end, took := g.k, g.end, g.took
 		g.mu.Unlock()
-		upTo, err := l.fsyncTail()
+		l.hold(k, end, took)
+		upTo, end, took, err := l.fsyncTail()
 		g.mu.Lock()
-		g.rounds++
-		g.syncs++
-		l.cRounds.Inc()
-		l.cSyncs.Inc()
+		if took > 0 {
+			g.rounds++
+			l.cRounds.Inc()
+		}
 		if err == nil && upTo > g.durable {
+			g.k, g.end, g.took = upTo-g.durable, end, took
 			g.durable = upTo
 		}
 		r.err = err
@@ -474,30 +540,62 @@ func (l *Log) waitDurable(target uint64) error {
 	return nil
 }
 
+// hold delays the start of a round, while followers gather on it, until the
+// k committers the last round released have appended again — so that one
+// fsync covers them all instead of the next round covering only its leader
+// — or until that round's fsync time has passed, or the log is closed or
+// poisoned. A sole committer is never held: it is the one the last round
+// released, so its own append has ended the hold before it begins.
+func (l *Log) hold(k, end uint64, took time.Duration) {
+	released := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.seq-end >= k || l.closed || l.err != nil
+	}
+	if released() {
+		return
+	}
+	t0 := time.Now()
+	l.holdTimer.Reset(took)
+	for wait := true; wait; { // a token left from before the hold is one more check
+		select {
+		case <-l.appended:
+			wait = !released()
+		case <-l.holdTimer.C:
+			wait = false
+		}
+	}
+	l.holdTimer.Stop()
+	l.cHeld.Inc()
+	l.cHoldNs.Add(uint64(time.Since(t0)))
+}
+
 // fsyncTail runs one flush round: everything appended before the fsync
-// starts becomes durable. flushMu keeps Truncate from rotating the file
-// out from under the sync.
-func (l *Log) fsyncTail() (upTo uint64, err error) {
+// starts (upTo) becomes durable, and end is the log seq once it has. It
+// issues no fsync (took 0) if a rotation has already made upTo durable.
+// flushMu keeps Truncate from rotating the file out from under the sync.
+func (l *Log) fsyncTail() (upTo, end uint64, took time.Duration, err error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	f := l.f
-	upTo = l.seq
-	closed := l.closed
+	f, upTo, err := l.f, l.seq, l.err
+	if l.closed {
+		err = ErrClosed
+	}
+	l.gs.mu.Lock()
+	covered := l.gs.durable >= upTo
+	l.gs.mu.Unlock()
 	l.mu.Unlock()
-	if closed {
-		return 0, ErrClosed
+	if err != nil || covered {
+		return upTo, upTo, 0, err
 	}
-	if d := l.fsyncDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	t0 := time.Now()
-	err = f.Sync()
-	l.hFsync.Record(uint64(time.Since(t0)))
+	took, err = l.fsync(f)
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("wal: fsync: %w", err)
+		return 0, 0, took, l.poisonLocked(err)
 	}
-	return upTo, nil
+	return upTo, l.seq, took, nil
 }
 
 // InjectFsyncDelay sets an artificial delay applied before every fsync
@@ -535,11 +633,8 @@ func (l *Log) Truncate(seq uint64) error {
 	covered := l.gs.durable >= l.seq
 	l.gs.mu.Unlock()
 	if !l.noSync && !covered {
-		t0 := time.Now()
-		err := old.Sync()
-		l.hFsync.Record(uint64(time.Since(t0)))
-		if err != nil {
-			return fmt.Errorf("wal: fsync before rotate: %w", err)
+		if err := l.syncLocked(old); err != nil {
+			return err
 		}
 	}
 	cur := l.gens[len(l.gens)-1]
@@ -574,7 +669,7 @@ func (l *Log) Truncate(seq uint64) error {
 	}
 	l.gens = append([]genInfo(nil), keep...)
 	if removed && !l.noSync {
-		if err := syncDir(l.dir); err != nil {
+		if err := l.syncDirLocked(); err != nil {
 			return err
 		}
 	}
@@ -642,7 +737,7 @@ func (l *Log) Stats() Stats {
 	s.Durable = l.gs.durable
 	s.Commits = l.gs.commits
 	s.Rounds = l.gs.rounds
-	s.Syncs = l.gs.syncs
+	s.Syncs = l.gs.rounds
 	l.gs.mu.Unlock()
 	return s
 }
@@ -658,12 +753,13 @@ func (l *Log) Close() error {
 		return ErrClosed
 	}
 	l.closed = true
+	l.wake()
 	if l.f == nil {
 		return nil
 	}
 	var err error
 	if !l.noSync && l.err == nil {
-		err = l.f.Sync()
+		err = l.syncLocked(l.f)
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

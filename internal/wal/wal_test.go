@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -267,47 +268,79 @@ func TestTruncateRotatesAndDeletesCoveredGenerations(t *testing.T) {
 	}
 }
 
+// countSyncs routes the log's fsyncs through a counter of the files synced,
+// by base name, until the test ends.
+func countSyncs(t *testing.T) map[string]int {
+	synced := map[string]int{}
+	var mu sync.Mutex
+	syncFile = func(f *os.File) error {
+		mu.Lock()
+		synced[filepath.Base(f.Name())]++
+		mu.Unlock()
+		return f.Sync()
+	}
+	t.Cleanup(func() { syncFile = (*os.File).Sync })
+	return synced
+}
+
+func totalSyncs(synced map[string]int) (n int) {
+	for _, c := range synced {
+		n += c
+	}
+	return n
+}
+
 // TestTruncateSkipsCoveredFsync: rotating a generation whose every record a
 // commit round already made durable issues no fsync of it; one holding an
-// appended but uncommitted transaction is fsynced first, once.
+// appended but uncommitted transaction is fsynced first, once. Every fsync
+// the log issues — the new generation's file and directory, the directory
+// after a removal, Open's and Close's — is one wal.fsync.ns sample.
 func TestTruncateSkipsCoveredFsync(t *testing.T) {
+	synced := countSyncs(t)
 	reg := obs.New()
-	l, err := Open(Options{Dir: t.TempDir(), Obs: reg})
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	fsyncs := func() uint64 { return reg.Histogram("wal.fsync.ns").Count() }
 	op := []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("x")}}
 
 	ck := appendCommitT(t, l, 1, op)
-	before := fsyncs()
+	old := filepath.Base(tailFile(t, dir))
+	before := synced[old]
 	if err := l.Truncate(ck); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncs() - before; got != 0 {
-		t.Errorf("Truncate of a fully committed generation recorded %d wal.fsync.ns samples, want 0", got)
+	if got := synced[old] - before; got != 0 {
+		t.Errorf("Truncate of a fully committed generation fsynced it %d times, want 0", got)
 	}
 
 	seq, err := l.Append(2, op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = fsyncs()
+	old = filepath.Base(tailFile(t, dir))
+	before = synced[old]
 	if err := l.Truncate(ck); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsyncs() - before; got != 1 {
-		t.Errorf("Truncate behind an uncommitted append recorded %d wal.fsync.ns samples, want 1", got)
+	if got := synced[old] - before; got != 1 {
+		t.Errorf("Truncate behind an uncommitted append fsynced the generation %d times, want 1", got)
 	}
 	// The rotation's fsync made that transaction durable: its Commit has
 	// nothing left to wait for, and it replays.
-	before = fsyncs()
+	n := totalSyncs(synced)
 	if err := l.Commit(seq); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, l, ck); fsyncs() != before || len(got) != 1 || got[0].ID != 2 {
-		t.Errorf("after the rotation: %d more fsyncs, replay %+v; want none and transaction 2", fsyncs()-before, got)
+	if got := collect(t, l, ck); totalSyncs(synced) != n || len(got) != 1 || got[0].ID != 2 {
+		t.Errorf("after the rotation: %d more fsyncs, replay %+v; want none and transaction 2", totalSyncs(synced)-n, got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Histogram("wal.fsync.ns").Count(); got != uint64(totalSyncs(synced)) || synced[filepath.Base(dir)] == 0 {
+		t.Errorf("%d wal.fsync.ns samples for the fsyncs %v, want one each, the directory's included", got, synced)
 	}
 }
 
@@ -435,6 +468,165 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		if snap.Histograms[h].Count == 0 {
 			t.Fatalf("histogram %s never recorded", h)
 		}
+	}
+}
+
+// lockStepRun runs two closed-loop committers, each doing a little work
+// before every transaction, appends serialized as pagedb serializes them,
+// and returns the log's Stats and its wal.commit.held count.
+func lockStepRun(t *testing.T, perWorker int, work, fsync time.Duration) (Stats, uint64) {
+	reg := obs.New()
+	l, err := Open(Options{Dir: t.TempDir(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.InjectFsyncDelay(fsync)
+	var appendMu sync.Mutex
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				time.Sleep(work)
+				txnID := uint64(w*perWorker + i + 1)
+				appendMu.Lock()
+				seq, err := l.Append(txnID, []Op{{Kind: OpPut, Tree: "t", Key: txnID, Value: []byte("v")}})
+				appendMu.Unlock()
+				if err == nil {
+					err = l.Commit(seq)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.Durable != st.Seq || st.Commits != uint64(2*perWorker) {
+		t.Fatalf("durable=%d seq=%d commits=%d, want every transaction committed", st.Durable, st.Seq, st.Commits)
+	}
+	return st, reg.Snapshot().Counters["wal.commit.held"]
+}
+
+// TestGroupCommitLockStep: two committers whose work between commits is
+// shorter than an fsync. Without the hold their rounds alternate: the one a
+// round releases appends while the other's round runs, which then covers
+// only its leader. Holding a round's start for the committers the last round
+// released puts them in lock-step, two commits to a round.
+func TestGroupCommitLockStep(t *testing.T) {
+	st, held := lockStepRun(t, 40, 200*time.Microsecond, 2*time.Millisecond)
+	t.Logf("%d rounds for %d commits (%.2f), %d held", st.Rounds, st.Commits, float64(st.Rounds)/float64(st.Commits), held)
+	if st.Rounds*10 > st.Commits*6 {
+		t.Errorf("%d rounds for %d commits, want at most 0.6 a commit", st.Rounds, st.Commits)
+	}
+	if held == 0 {
+		t.Error("no round was held")
+	}
+}
+
+// TestGroupCommitSoleCommitterIsNeverHeld: a lone committer is the one the
+// last round released, so its own append ends every hold before it begins:
+// no round is held and each commit is a round of its own.
+func TestGroupCommitSoleCommitterIsNeverHeld(t *testing.T) {
+	reg := obs.New()
+	l, err := Open(Options{Dir: t.TempDir(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.InjectFsyncDelay(time.Millisecond)
+	start := time.Now()
+	for i := uint64(1); i <= 20; i++ {
+		appendCommitT(t, l, i, []Op{{Kind: OpPut, Tree: "t", Key: i, Value: []byte("v")}})
+	}
+	st, snap := l.Stats(), reg.Snapshot()
+	if held := snap.Counters["wal.commit.held"]; held != 0 || st.Rounds != st.Commits || st.Commits != 20 {
+		t.Errorf("%d held, %d rounds for %d commits; want 0 held and a round per commit", held, st.Rounds, st.Commits)
+	}
+	if ns := snap.Counters["wal.commit.hold.ns"]; ns != 0 {
+		t.Errorf("a sole committer was held %v over %v", time.Duration(ns), time.Since(start))
+	}
+}
+
+// TestGroupCommitHoldIsBounded: a round released two committers and one of
+// them never appends again. The next round's start is held for about the
+// last round's fsync time, no longer, and then it commits.
+func TestGroupCommitHoldIsBounded(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	reg := obs.New()
+	l, err := Open(Options{Dir: t.TempDir(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.InjectFsyncDelay(delay)
+	op := []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("v")}}
+	for txn := uint64(1); txn <= 2; txn++ {
+		if _, err := l.Append(txn, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now()
+	if err := l.Commit(2); err != nil { // one round releases both
+		t.Fatal(err)
+	}
+	round := time.Since(t0)
+	appendCommitT(t, l, 3, op) // transaction 1's committer never comes back
+	snap := reg.Snapshot()
+	held, ns := snap.Counters["wal.commit.held"], time.Duration(snap.Counters["wal.commit.hold.ns"])
+	if held != 1 || ns < delay || ns > round+delay/2 {
+		t.Errorf("%d rounds held for %v after a %v round; want one, held about that round's fsync", held, ns, round)
+	}
+	if st := l.Stats(); st.Durable != 3 || st.Rounds != 2 {
+		t.Errorf("durable %d after %d rounds, want 3 after 2", st.Durable, st.Rounds)
+	}
+}
+
+// TestFailedFsyncPoisonsTheLog: once a round's fsync has failed, no later
+// Append, Commit or Truncate succeeds — not even the Commit of a transaction
+// appended before the failure, with fsyncs working again — and the durable
+// watermark stays where the last good fsync left it: the kernel may have
+// dropped the pages the failed fsync did not write.
+func TestFailedFsyncPoisonsTheLog(t *testing.T) {
+	l := openT(t, t.TempDir())
+	defer l.Close()
+	op := []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("v")}}
+	appendCommitT(t, l, 1, op)
+	var seqs [2]uint64
+	for i := range seqs {
+		seq, err := l.Append(uint64(i+2), op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs[i] = seq
+	}
+	errSync := errors.New("injected fsync failure")
+	syncFile = func(*os.File) error { return errSync }
+	t.Cleanup(func() { syncFile = (*os.File).Sync })
+	if err := l.Commit(seqs[0]); !errors.Is(err, errSync) {
+		t.Fatalf("Commit whose fsync fails = %v, want the injected error", err)
+	}
+	syncFile = (*os.File).Sync
+	if err := l.Commit(seqs[1]); !errors.Is(err, errSync) {
+		t.Errorf("Commit after the failed round = %v, want the injected error", err)
+	}
+	if _, err := l.Append(4, op); !errors.Is(err, errSync) {
+		t.Errorf("Append after the failed round = %v, want the injected error", err)
+	}
+	if err := l.Truncate(seqs[1]); !errors.Is(err, errSync) {
+		t.Errorf("Truncate after the failed round = %v, want the injected error", err)
+	}
+	if st := l.Stats(); st.Durable != 1 {
+		t.Errorf("durable watermark %d after the failed round, want 1", st.Durable)
 	}
 }
 
