@@ -151,7 +151,8 @@ type Algorithm struct {
 	Policy Policy
 	// Router is non-nil only for multi-log style placement.
 	Router Router
-	// SortUser separates user writes by update frequency (paper §5.3).
+	// SortUser separates user writes by update frequency (paper §5.3). Only
+	// the simulator reads it; the live store does not sort user writes.
 	SortUser bool
 	// SortGC separates GC relocation writes by update frequency.
 	SortGC bool

@@ -390,7 +390,10 @@ func Open(opts Options) (*DB, error) {
 // the locked helpers directly. Replay is idempotent — it redoes final
 // values onto whatever state the checkpoint captured — and does NOT force
 // a checkpoint of its own: the replayed state simply becomes durable at
-// the next Commit, and until then every reopen replays the same tail.
+// the next Commit, and until then every reopen replays the same tail. The
+// checkpoint's seq is also the log's floor: a truncation issues no fsync, so
+// a crash can leave the log below it, and Replay restarts it there — the next
+// transaction is numbered past the checkpoint, and the next reopen replays it.
 func (db *DB) replayWAL() error {
 	return db.wal.Replay(db.walSeq, func(txn *wal.Txn) error {
 		if err := db.applyOps(txn.Ops); err != nil {
@@ -567,7 +570,8 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	db.hBatch.Record(uint64(images))
 	// The checkpoint is durable (under DurCommit, Apply group-fsynced it):
 	// only NOW may the log let go of the transactions it covers. Truncating
-	// any earlier could lose acknowledged commits to a torn batch.
+	// any earlier could lose acknowledged commits to a torn batch. ck is
+	// Seq() under db.mu, so the log empties its file, with no fsync.
 	if ck > db.walSeq {
 		db.walSeq = ck
 		leg = sp.Child("wal.truncate")

@@ -336,8 +336,8 @@ func (t *Txn) Rollback() error {
 // The semantics are redo-idempotent: put creates the tree if missing,
 // delete and droptree of something absent are no-ops — so replaying an
 // already-checkpointed suffix converges to the same state. The put values are
-// borrowed — a transaction's staging buffer, or replay's slices of a whole
-// generation file — and the trees copy them.
+// borrowed — a transaction's staging buffer, or replay's slices of the whole
+// log file — and the trees copy them.
 func (db *DB) applyOps(ops []wal.Op) error {
 	for _, op := range ops {
 		switch op.Kind {

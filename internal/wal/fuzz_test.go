@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// FuzzWALScan: whatever bytes follow a valid generation header, the scan does
+// FuzzWALScan: whatever bytes follow a valid header, the scan does
 // not panic, surfaces the seqs base+1, base+2, … and no others, and ends at a
 // frame boundary; Open repairs the file to that boundary, and a scan of the
 // repaired file gives the same transactions and finds no tear.
@@ -29,11 +29,11 @@ func FuzzWALScan(f *testing.F) {
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}
-	data, err := os.ReadFile(tailFile(f, dir))
+	data, err := os.ReadFile(logPath(dir))
 	if err != nil {
 		f.Fatal(err)
 	}
-	frames := data[genHeaderSize:]
+	frames := data[headerSize:]
 	f.Add(uint64(0), frames)
 	f.Add(uint64(0), frames[:len(frames)-3])
 	f.Add(uint64(5), frames) // the first frame's seq is not base+1
@@ -44,11 +44,11 @@ func FuzzWALScan(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, base uint64, tail []byte) {
 		base &= 1<<63 - 1 // seqs never wrap
-		file := make([]byte, genHeaderSize, genHeaderSize+len(tail))
-		encodeGenHeader(file, 1, base)
+		file := make([]byte, headerSize, headerSize+len(tail))
+		encodeHeader(file, base)
 		file = append(file, tail...)
 		var txns []*Txn
-		sg, err := scanGenData(file, base, func(txn *Txn) error {
+		sc, err := scanFrames(file, base, func(txn *Txn) error {
 			txns = append(txns, copyTxn(txn))
 			return nil
 		}, 0)
@@ -60,23 +60,23 @@ func FuzzWALScan(f *testing.F) {
 				t.Fatalf("transaction %d has seq %d, want %d", i, txn.Seq, base+uint64(i)+1)
 			}
 		}
-		if sg.lastSeq != base+uint64(len(txns)) {
-			t.Fatalf("lastSeq %d after %d transactions from base %d", sg.lastSeq, len(txns), base)
+		if sc.lastSeq != base+uint64(len(txns)) {
+			t.Fatalf("lastSeq %d after %d transactions from base %d", sc.lastSeq, len(txns), base)
 		}
-		off := genHeaderSize
-		for off < sg.tail {
+		off := headerSize
+		for off < sc.tail {
 			body, ok := nextFrame(file, off)
 			if !ok {
-				t.Fatalf("no frame at %d, short of the reported tail %d", off, sg.tail)
+				t.Fatalf("no frame at %d, short of the reported tail %d", off, sc.tail)
 			}
 			off += frameSize + len(body)
 		}
-		if off != sg.tail {
-			t.Fatalf("the reported tail %d is inside the frame ending at %d", sg.tail, off)
+		if off != sc.tail {
+			t.Fatalf("the reported tail %d is inside the frame ending at %d", sc.tail, off)
 		}
 
 		dir := t.TempDir()
-		path := genPath(dir, 1)
+		path := logPath(dir)
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +89,14 @@ func FuzzWALScan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(repaired) != sg.tail {
-			t.Fatalf("repaired file is %d bytes, want the tail %d", len(repaired), sg.tail)
+		if len(repaired) != sc.tail {
+			t.Fatalf("repaired file is %d bytes, want the tail %d", len(repaired), sc.tail)
 		}
 		if got := collect(t, l, 0); !reflect.DeepEqual(got, txns) {
 			t.Fatalf("the repaired file replays %d transactions, the scan gave %d", len(got), len(txns))
 		}
-		if sg2, err := scanGenData(repaired, base, nil, 0); err != nil || sg2.tail != len(repaired) {
-			t.Fatalf("a re-scan of the repaired file stops at %d of %d (%v)", sg2.tail, len(repaired), err)
+		if sc2, err := scanFrames(repaired, base, nil, 0); err != nil || sc2.tail != len(repaired) {
+			t.Fatalf("a re-scan of the repaired file stops at %d of %d (%v)", sc2.tail, len(repaired), err)
 		}
 	})
 }

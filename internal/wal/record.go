@@ -6,12 +6,11 @@ import (
 	"hash/crc32"
 )
 
-// On-disk layout (format "PGWALOG2"). The log is a sequence of generation
-// files wal-<gen>.log, each a header and then one CRC-framed frame per
-// transaction (little-endian):
+// On-disk layout (format "PGWALOG3"). The log is one file, wal.log: a
+// header and then one CRC-framed frame per transaction (little-endian):
 //
-//	generation header (28 bytes):
-//	    magic "PGWALOG2" (8) | generation (8) | base commit seq (8) | crc (4)
+//	header (20 bytes):
+//	    magic "PGWALOG3" (8) | base commit seq (8) | crc (4)
 //	frame:
 //	    body length (4) | crc (4, CRC-32C over the body) |
 //	    body: txnID (8) | commit seq (8) | entries
@@ -29,10 +28,14 @@ import (
 // transaction's durability marker: a frame that fails its length, checksum,
 // seq or entry decoding ends the committed prefix (and Open truncates the
 // file there), which is what makes a torn final transaction vanish as a
-// unit. Tree names are interned per generation: a bind entry, ahead of a
+// unit. Tree names are interned per truncation: a bind entry, ahead of a
 // tree's first use, maps the next compact tree id (1, 2, … in order) to its
-// name, and rotation (Truncate) starts a fresh intern table so a generation
-// is always self-describing.
+// name, and Truncate, which empties the file in place under a new header,
+// starts a fresh intern table, so the file is always self-describing.
+//
+// Truncation issues no fsync, so until the next one a crash can leave the
+// new header over stale bytes of the frames it dropped. Their seqs are at or
+// below the new base, so the scan ends at the first of them.
 //
 // The commit seq is the log's transaction clock: assigned at append time
 // under the log mutex (so seq order is exactly apply order when the caller
@@ -40,9 +43,9 @@ import (
 // previous frame's (the first frame's is one more than the header's base),
 // and compared against the checkpoint watermark during replay.
 const (
-	logMagic      = "PGWALOG2"
-	logMagicStem  = "PGWALOG" // every version of the format starts with it
-	genHeaderSize = 28
+	logMagic     = "PGWALOG3"
+	logMagicStem = "PGWALOG" // every version of the format starts with it
+	headerSize   = 20
 
 	entBind = 4 // the op entries' kind bytes are their OpKind
 
@@ -96,23 +99,22 @@ type Txn struct {
 	Ops []Op
 }
 
-// encodeGenHeader writes a generation file header.
-func encodeGenHeader(dst []byte, gen, baseSeq uint64) {
+// encodeHeader writes the log file's header.
+func encodeHeader(dst []byte, baseSeq uint64) {
 	copy(dst[:8], logMagic)
-	binary.LittleEndian.PutUint64(dst[8:16], gen)
-	binary.LittleEndian.PutUint64(dst[16:24], baseSeq)
-	binary.LittleEndian.PutUint32(dst[24:28], crc32.Checksum(dst[:24], castagnoli))
+	binary.LittleEndian.PutUint64(dst[8:16], baseSeq)
+	binary.LittleEndian.PutUint32(dst[16:20], crc32.Checksum(dst[:16], castagnoli))
 }
 
-// decodeGenHeader parses a generation file header.
-func decodeGenHeader(b []byte) (gen, baseSeq uint64, ok bool) {
-	if len(b) < genHeaderSize || string(b[:8]) != logMagic {
-		return 0, 0, false
+// decodeHeader parses the log file's header.
+func decodeHeader(b []byte) (baseSeq uint64, ok bool) {
+	if len(b) < headerSize || string(b[:8]) != logMagic {
+		return 0, false
 	}
-	if crc32.Checksum(b[:24], castagnoli) != binary.LittleEndian.Uint32(b[24:28]) {
-		return 0, 0, false
+	if crc32.Checksum(b[:16], castagnoli) != binary.LittleEndian.Uint32(b[16:20]) {
+		return 0, false
 	}
-	return binary.LittleEndian.Uint64(b[8:16]), binary.LittleEndian.Uint64(b[16:24]), true
+	return binary.LittleEndian.Uint64(b[8:16]), true
 }
 
 // Frame encoders. Append-side only: a frame is built in place at the end of
@@ -174,7 +176,7 @@ func nextFrame(b []byte, off int) (body []byte, ok bool) {
 }
 
 // decodeEntries decodes a frame's entries onto ops, against the tree names
-// the generation has bound so far (id i+1 is names[i]), and returns both
+// the file has bound so far (id i+1 is names[i]), and returns both
 // with the frame's binds appended. ok=false means the entries are malformed
 // or use a tree they have not bound; the caller's names are then as they
 // were.

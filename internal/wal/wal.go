@@ -1,21 +1,20 @@
 // Package wal is pagedb's redo log: one CRC-framed frame per transaction
-// (record.go has the format), generation files rotated at each checkpoint,
-// and a group commit that makes one fsync serve every committer ready for
-// it. A round's leader holds the round's start until the committers the last
-// round released have appended again, for at most that round's fsync time;
-// a sole committer is never held, so it pays nothing for the rule. A failed
-// fsync poisons the log: no later Append, Commit or Truncate succeeds.
+// (record.go has the format) in one file, wal.log, that each checkpoint
+// empties in place, and a group commit that makes one fsync serve every
+// committer ready for it. A round's leader holds the round's start until the
+// committers the last round released have appended again, for at most that
+// round's fsync time; a sole committer is never held, so it pays nothing for
+// the rule. A failed fsync poisons the log: no later Append, Commit or
+// Truncate succeeds.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ var ErrTooLarge = errors.New("wal: transaction too large for one frame")
 
 // Options configures Open.
 type Options struct {
-	// Dir holds the generation files. Empty means volatile mode: Append
+	// Dir holds the log file. Empty means volatile mode: Append
 	// assigns commit seqs and Commit returns immediately, but nothing is
 	// written — the mode pagedb uses over an in-memory store, where there
 	// is no crash to recover from.
@@ -51,20 +50,15 @@ type Options struct {
 // Stats is a point-in-time summary of the log.
 type Stats struct {
 	Seq         uint64 // last assigned commit seq
-	Durable     uint64 // highest commit seq known fsynced
-	Generation  uint64 // current generation number
-	Generations int    // generation files on disk
+	Durable     uint64 // highest commit seq known fsynced or checkpointed
 	Commits     uint64 // Commit waits served
 	Rounds      uint64 // group-fsync rounds run
 	Syncs       uint64 // fsync syscalls issued by rounds: one a round
-	Truncations uint64 // checkpoint rotations
+	Truncations uint64 // checkpoint truncations that emptied the file
 }
 
-type genInfo struct {
-	gen     uint64
-	baseSeq uint64
-	path    string
-}
+// logName is the log's one file in Options.Dir.
+const logName = "wal.log"
 
 // fsyncRound is one in-flight group fsync; waiters block on done and read
 // err after it closes.
@@ -81,9 +75,9 @@ type fsyncRound struct {
 // holds its start for the committers the last round released (hold).
 //
 // Lock order: flushMu → mu → gs.mu. flushMu is held across every fsync
-// and across Truncate's rotation, so rotation never closes a file an
-// fsync round still holds; appends take only mu and therefore proceed
-// while a round is syncing — that overlap is the group-commit win.
+// round and across Close, so Close never closes the file under a round;
+// appends and Truncate take only mu and therefore proceed while a round is
+// syncing — that overlap is the group-commit win.
 type Log struct {
 	dir    string // "" in volatile mode
 	noSync bool
@@ -92,10 +86,9 @@ type Log struct {
 
 	mu     sync.Mutex
 	f      *os.File // nil in volatile mode
-	gens   []genInfo
 	seq    uint64
 	maxTxn uint64
-	names  map[string]uint32 // tree-name interning, reset each generation
+	names  map[string]uint32 // tree-name interning, reset at each truncation
 	nextID uint32
 	buf    []byte // staging buffer: one transaction, one Write
 	closed bool
@@ -130,20 +123,16 @@ type Log struct {
 	cCommits *obs.Counter
 	cRounds  *obs.Counter
 	cTrunc   *obs.Counter
-	cBytes   *obs.Counter // wal.append.bytes: frame bytes appended (generation headers excluded)
+	cBytes   *obs.Counter // wal.append.bytes: frame bytes appended (file headers excluded)
 	cHeld    *obs.Counter // wal.commit.held: rounds whose start was held
 	cHoldNs  *obs.Counter // wal.commit.hold.ns: the time they were held
 }
 
-func genPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016x.log", gen))
-}
-
-// Open opens (or creates) the log in opts.Dir, repairing the tail: the
-// final generation is physically truncated to the end of its last good
-// frame, so a torn final transaction vanishes wholesale before the writer
-// ever appends again. A generation file of another format version is
-// refused, and left as it is.
+// Open opens (or creates) the log in opts.Dir, repairing the tail: the file
+// is truncated to the end of its last good frame, so a torn final
+// transaction vanishes wholesale before the writer ever appends again. A log
+// file of another format version, or generation files (wal-*.log) of the
+// format before this one, are refused by name and left as they are.
 func Open(opts Options) (*Log, error) {
 	l := &Log{
 		dir:       opts.Dir,
@@ -170,179 +159,94 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	if err := l.recover(); err != nil {
+		if l.f != nil {
+			l.f.Close()
+		}
 		return nil, err
 	}
 	return l, nil
 }
 
-// listGens returns the generation files in ascending generation order.
-func listGens(dir string) ([]genInfo, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var gens []genInfo
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		g, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64)
-		if err != nil {
-			continue
-		}
-		gens = append(gens, genInfo{gen: g, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].gen < gens[j].gen })
-	return gens, nil
-}
-
-// recover scans the generation files, establishes seq/maxTxn/bindings,
-// and repairs the tail. A generation that does not scan clean — or whose
-// header does not chain from its predecessor — becomes the effective
-// final generation: it is truncated to its last good frame and every
-// later file is deleted. Under DurCommit only the true final generation
-// can be in that state (Truncate fsyncs a generation before rotating past
-// it); under NoSync this degrades gracefully to the longest intact
-// committed prefix.
+// recover opens the log file and establishes seq, maxTxn and the intern
+// table from its frames, truncating it to the last good one. A new file gets
+// a header and is fsynced with its directory. A file with no valid header — a
+// crash inside Truncate's rewrite — held nothing a durable checkpoint does not
+// cover, so it starts over empty, at base 0; Replay's floor then raises the
+// base to the checkpoint's.
 func (l *Log) recover() error {
-	gens, err := listGens(l.dir)
+	if gens, _ := filepath.Glob(filepath.Join(l.dir, "wal-*.log")); len(gens) > 0 {
+		return fmt.Errorf("wal: %s is a generation file of an earlier on-disk format; this version keeps one file, %s, in format %s — replay the log with the version that wrote it, then remove its generation files",
+			gens[0], logName, logMagic)
+	}
+	path := filepath.Join(l.dir, logName)
+	data, err := os.ReadFile(path)
+	created := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !created {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if len(data) >= len(logMagic) && string(data[:len(logMagicStem)]) == logMagicStem && string(data[:len(logMagic)]) != logMagic {
+		return fmt.Errorf("wal: %s uses on-disk format %q; this version reads only %s — replay it with the version that wrote it, then remove it",
+			path, data[:len(logMagic)], logMagic)
+	}
+	if l.f, err = os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	base, ok := decodeHeader(data)
+	if !ok {
+		if err := l.emptyLocked(0); err != nil || !created || l.noSync {
+			return err
+		}
+		if err := l.syncLocked(l.f); err != nil {
+			return err
+		}
+		return l.syncDirLocked()
+	}
+	sc, err := scanFrames(data, base, nil, 0)
 	if err != nil {
 		return err
 	}
-	if len(gens) == 0 {
-		return l.createGen(1, 0, nil)
-	}
-	var seq uint64
-	var kept []genInfo
-	var final scannedGen
-	var finalSize int
-	for i := range gens {
-		data, err := os.ReadFile(gens[i].path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		g, base, ok := decodeGenHeader(data)
-		if len(data) >= len(logMagic) && string(data[:len(logMagicStem)]) == logMagicStem && string(data[:len(logMagic)]) != logMagic {
-			return fmt.Errorf("wal: generation %s uses on-disk format %q; this version reads only %s — replay it with the version that wrote it, then remove it",
-				gens[i].path, data[:len(logMagic)], logMagic)
-		}
-		if !ok || g != gens[i].gen || (len(kept) > 0 && base != seq) {
-			if len(kept) == 0 {
-				if len(gens) > 1 {
-					return fmt.Errorf("wal: first generation %s has a corrupt header", gens[i].path)
-				}
-				// A lone, header-torn file: initial creation crashed.
-				// Start over.
-				if err := os.Remove(gens[i].path); err != nil {
-					return fmt.Errorf("wal: %w", err)
-				}
-				return l.createGen(gens[i].gen+1, 0, nil)
-			}
-			// Rotation crashed before this file's header was durable: the
-			// predecessor is the real tail.
-			return l.adoptTail(kept, final, finalSize, gens[i:])
-		}
-		if len(kept) == 0 {
-			seq = base
-		}
-		sg, err := scanGenData(data, base, nil, 0)
-		if err != nil {
-			return err
-		}
-		gens[i].baseSeq = base
-		kept = append(kept, gens[i])
-		seq = sg.lastSeq
-		final = sg
-		finalSize = len(data)
-		if l.maxTxn < sg.maxTxn {
-			l.maxTxn = sg.maxTxn
-		}
-		if sg.tail != len(data) {
-			// A torn or corrupt frame: this generation is the effective
-			// tail; anything after it never became real.
-			return l.adoptTail(kept, final, finalSize, gens[i+1:])
-		}
-	}
-	return l.adoptTail(kept, final, finalSize, nil)
-}
-
-// adoptTail finishes recovery: truncates the final kept generation to its
-// committed prefix, deletes orphaned later files, rebuilds the writer's
-// intern table from the retained prefix, and leaves the file open for
-// appends.
-func (l *Log) adoptTail(kept []genInfo, final scannedGen, fileSize int, orphans []genInfo) error {
-	for _, o := range orphans {
-		if err := os.Remove(o.path); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	last := kept[len(kept)-1]
-	f, err := os.OpenFile(last.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if final.tail != fileSize {
-		if err := f.Truncate(int64(final.tail)); err != nil {
-			f.Close()
+	if sc.tail != len(data) {
+		if err := l.f.Truncate(int64(sc.tail)); err != nil {
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 		if !l.noSync {
-			if err := l.syncLocked(f); err != nil {
-				f.Close()
+			if err := l.syncLocked(l.f); err != nil {
 				return err
 			}
 		}
 	}
-	if len(orphans) > 0 && !l.noSync {
-		if err := l.syncDirLocked(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	l.f = f
-	l.gens = kept
-	l.seq = final.lastSeq
-	l.names = make(map[string]uint32, len(final.names))
-	for i, name := range final.names {
+	l.seq, l.maxTxn = sc.lastSeq, sc.maxTxn
+	for i, name := range sc.names {
 		l.names[name] = uint32(i + 1)
 	}
-	l.nextID = uint32(len(final.names)) + 1
+	l.nextID = uint32(len(sc.names)) + 1
 	l.gs.durable = l.seq // everything retained is on stable storage
 	return nil
 }
 
-// createGen creates a fresh generation file and makes it current. old is
-// the outgoing file (already fsynced by the caller), closed after the new
-// file is durable.
-func (l *Log) createGen(gen, baseSeq uint64, old *os.File) error {
-	path := genPath(l.dir, gen)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
+// emptyLocked makes the file a bare header with the given base seq, in place
+// — ftruncate, then one header write, and no fsync — and the log an empty one
+// past it: seq and the durable watermark at least base, a fresh intern
+// table. Caller holds l.mu, or is Open's. A failure poisons the log: the file
+// may now hold anything from its old frames to a torn header.
+func (l *Log) emptyLocked(base uint64) error {
+	var hdr [headerSize]byte
+	encodeHeader(hdr[:], base)
+	err := l.f.Truncate(0)
+	if err == nil {
+		_, err = l.f.Write(hdr[:])
+	}
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		l.err = fmt.Errorf("wal: emptying the log: %w", err)
+		l.wake()
+		return l.err
 	}
-	var hdr [genHeaderSize]byte
-	encodeGenHeader(hdr[:], gen, baseSeq)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if !l.noSync {
-		if err = l.syncLocked(f); err == nil {
-			err = l.syncDirLocked()
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if old != nil {
-		old.Close()
-	}
-	l.f = f
-	l.gens = append(l.gens, genInfo{gen: gen, baseSeq: baseSeq, path: path})
-	l.names = make(map[string]uint32)
+	l.seq = base
+	clear(l.names)
 	l.nextID = 1
+	l.gs.mu.Lock()
+	l.gs.durable = max(l.gs.durable, base)
+	l.gs.mu.Unlock()
 	return nil
 }
 
@@ -372,7 +276,7 @@ func (l *Log) syncLocked(f *os.File) error {
 	return nil
 }
 
-// syncDirLocked makes the names of the generation files durable.
+// syncDirLocked makes a new log file's name durable.
 func (l *Log) syncDirLocked() error {
 	d, err := os.Open(l.dir)
 	if err != nil {
@@ -402,7 +306,7 @@ func (l *Log) wake() {
 }
 
 // Append logs one transaction — a frame of its ops, each tree's first use
-// this generation preceded by a bind entry — in a single write, and returns
+// since the last truncation preceded by a bind entry — in a single write, and returns
 // the assigned commit seq. The frame is built in the log's staging buffer, so
 // once that buffer has grown Append allocates nothing. A frame body over
 // maxFrameBody (16 MiB) fails with ErrTooLarge before a byte is written, and
@@ -489,8 +393,7 @@ func (l *Log) Commit(seq uint64) error {
 func (l *Log) waitDurable(target uint64) error {
 	if l.dir == "" || l.noSync {
 		// Nothing to fsync: volatile mode has no file, NoSync acknowledges
-		// on write. (dir and noSync are immutable, so this needs no lock —
-		// l.f is NOT safe to read here, rotation swaps it under l.mu.)
+		// on write. (dir and noSync are immutable, so this needs no lock.)
 		g := &l.gs
 		g.mu.Lock()
 		if target > g.durable {
@@ -572,8 +475,8 @@ func (l *Log) hold(k, end uint64, took time.Duration) {
 
 // fsyncTail runs one flush round: everything appended before the fsync
 // starts (upTo) becomes durable, and end is the log seq once it has. It
-// issues no fsync (took 0) if a rotation has already made upTo durable.
-// flushMu keeps Truncate from rotating the file out from under the sync.
+// issues no fsync (took 0) if a truncation has already made upTo durable.
+// flushMu keeps Close from closing the file under the sync.
 func (l *Log) fsyncTail() (upTo, end uint64, took time.Duration, err error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -606,18 +509,22 @@ func (l *Log) InjectFsyncDelay(d time.Duration) {
 	l.fsyncDelay.Store(int64(d))
 }
 
-// Truncate records that a checkpoint now covers every transaction with
-// commit seq ≤ seq: the current generation is fsynced (unless the group-commit
-// watermark already covers its last record) and rotated, and
-// generation files entirely at or below the checkpoint are deleted. The
-// caller must guarantee the checkpoint itself is durable first —
+// Truncate records that a durable checkpoint covers every transaction with
+// commit seq ≤ seq. With seq ≥ Seq() it empties the file in place —
+// ftruncate, then a header with base seq — resets the tree-name intern table
+// and raises the group-commit watermark to seq, which releases any committer
+// still waiting: its transaction is inside the checkpoint. It issues no
+// fsync, creates no file and removes none; the next round's fsync makes the
+// truncation durable. Until then a crash may leave the old frames, an empty
+// file or the new header over stale bytes, whose scan stops at the first
+// stale frame; Replay's floor, the checkpoint's seq, keeps the seqs that
+// follow above seq. A seq < Seq() leaves the file alone, since frames past
+// seq are not covered. The caller must make the checkpoint durable first —
 // otherwise acknowledged transactions would exist nowhere.
 func (l *Log) Truncate(seq uint64) error {
 	if l.dir == "" {
 		return nil
 	}
-	l.flushMu.Lock() // waits out any in-flight fsync round
-	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -626,83 +533,50 @@ func (l *Log) Truncate(seq uint64) error {
 	if l.err != nil {
 		return l.err
 	}
-	old := l.f
-	// Under flushMu and mu no round is in flight and seq cannot advance: a
-	// watermark at seq means an fsync already covered every byte of the file.
-	l.gs.mu.Lock()
-	covered := l.gs.durable >= l.seq
-	l.gs.mu.Unlock()
-	if !l.noSync && !covered {
-		if err := l.syncLocked(old); err != nil {
-			return err
-		}
+	if seq < l.seq {
+		return nil
 	}
-	cur := l.gens[len(l.gens)-1]
-	if err := l.createGen(cur.gen+1, l.seq, old); err != nil {
-		// The old file is still current and intact; the rotation simply
-		// did not happen.
-		l.f = old
+	if err := l.emptyLocked(seq); err != nil {
 		return err
-	}
-	// The rotated-away generation is fully synced: advance the durability
-	// watermark so no committer waits on an fsync of a file that will
-	// never be written again.
-	l.gs.mu.Lock()
-	if l.seq > l.gs.durable {
-		l.gs.durable = l.seq
-	}
-	l.gs.mu.Unlock()
-	// Delete generations whose every record is checkpoint-covered: gens[i]
-	// ends where gens[i+1] begins, so it is disposable once that boundary
-	// is ≤ seq.
-	keep := l.gens[:0]
-	removed := false
-	for i, g := range l.gens {
-		if i+1 < len(l.gens) && l.gens[i+1].baseSeq <= seq {
-			if err := os.Remove(g.path); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			removed = true
-			continue
-		}
-		keep = append(keep, g)
-	}
-	l.gens = append([]genInfo(nil), keep...)
-	if removed && !l.noSync {
-		if err := l.syncDirLocked(); err != nil {
-			return err
-		}
 	}
 	l.truncations++
 	l.cTrunc.Inc()
 	return nil
 }
 
-// Replay re-reads the generation files and calls fn for each committed
-// transaction with commit seq > afterSeq, in commit order. A transaction
-// whose frame did not reach the disk whole is not surfaced at all — the
+// Replay re-reads the file and calls fn for each committed transaction with
+// commit seq > afterSeq, in commit order. A transaction whose frame did not
+// reach the disk whole is not surfaced at all — the
 // torn-tail-vanishes-wholesale guarantee. The Txn, its Ops and their Value
 // slices are scan buffers valid only during fn.
+//
+// afterSeq, the durable checkpoint's seq, is also the log's floor: a log
+// whose Seq() is below it — a crash after a Truncate left the file empty, or
+// holding only frames the checkpoint covers — replays nothing and is emptied
+// in place with base afterSeq (no fsync), so the next transaction is numbered
+// past the checkpoint and a later Replay(afterSeq) surfaces it.
 func (l *Log) Replay(afterSeq uint64, fn func(*Txn) error) error {
 	if l.dir == "" {
 		return nil
 	}
 	l.mu.Lock()
-	gens := append([]genInfo(nil), l.gens...)
-	l.mu.Unlock()
-	for _, g := range gens {
-		data, err := os.ReadFile(g.path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if _, base, ok := decodeGenHeader(data); !ok || base != g.baseSeq {
-			return fmt.Errorf("wal: generation %s changed under replay", g.path)
-		}
-		if _, err := scanGenData(data, g.baseSeq, fn, afterSeq); err != nil {
-			return err
-		}
+	if l.seq < afterSeq {
+		err := l.emptyLocked(afterSeq)
+		l.mu.Unlock()
+		return err
 	}
-	return nil
+	path := l.f.Name()
+	l.mu.Unlock()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	base, ok := decodeHeader(data)
+	if !ok {
+		return fmt.Errorf("wal: %s lost its header under replay", path)
+	}
+	_, err = scanFrames(data, base, fn, afterSeq)
+	return err
 }
 
 // Seq returns the last assigned commit seq.
@@ -724,14 +598,7 @@ func (l *Log) MaxTxnID() uint64 {
 // Stats summarizes the log.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	s := Stats{
-		Seq:         l.seq,
-		Truncations: l.truncations,
-		Generations: len(l.gens),
-	}
-	if len(l.gens) > 0 {
-		s.Generation = l.gens[len(l.gens)-1].gen
-	}
+	s := Stats{Seq: l.seq, Truncations: l.truncations}
 	l.mu.Unlock()
 	l.gs.mu.Lock()
 	s.Durable = l.gs.durable
@@ -742,7 +609,7 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Close fsyncs and closes the current generation file. Waiting committers
+// Close fsyncs and closes the log file. Waiting committers
 // see the final round's outcome; later calls fail with ErrClosed.
 func (l *Log) Close() error {
 	l.flushMu.Lock()
@@ -770,44 +637,45 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// scannedGen is one generation's scan result.
-type scannedGen struct {
-	lastSeq uint64   // seq of the last good frame (baseSeq if none)
+// scanned is a scan's result.
+type scanned struct {
+	lastSeq uint64   // seq of the last good frame (the base if none)
 	maxTxn  uint64   // largest txn id among the good frames
 	tail    int      // offset just past the last good frame
 	names   []string // trees the good frames bound: id i+1 is names[i]
 }
 
-// scanGenData walks one generation's frames. With emit != nil it surfaces
-// each transaction with seq > afterSeq (the Replay path); with emit == nil
-// it only computes the recovery summary (the Open path). A frame that fails
-// its length or checksum, does not carry the next seq, or holds a malformed
-// entry ends the scan — the frames before it stand, everything from it on
-// is tail wreckage, and sg.tail < len(data) says so.
-func scanGenData(data []byte, baseSeq uint64, emit func(*Txn) error, afterSeq uint64) (scannedGen, error) {
-	sg := scannedGen{lastSeq: baseSeq, tail: genHeaderSize}
+// scanFrames walks the frames after a header with base seq base. With emit
+// != nil it surfaces each transaction with seq > afterSeq (the Replay path);
+// with emit == nil it only computes the recovery summary (the Open path). A
+// frame that fails its length or checksum, does not carry the next seq, or
+// holds a malformed entry ends the scan — the frames before it stand,
+// everything from it on is tail wreckage (or stale bytes an unsynced
+// truncation left), and sc.tail < len(data) says so.
+func scanFrames(data []byte, base uint64, emit func(*Txn) error, afterSeq uint64) (scanned, error) {
+	sc := scanned{lastSeq: base, tail: headerSize}
 	var txn Txn
 	for {
-		body, ok := nextFrame(data, sg.tail)
+		body, ok := nextFrame(data, sc.tail)
 		if !ok {
-			return sg, nil
+			return sc, nil
 		}
 		txn.ID = binary.LittleEndian.Uint64(body)
 		txn.Seq = binary.LittleEndian.Uint64(body[8:])
-		if txn.Seq != sg.lastSeq+1 {
-			return sg, nil
+		if txn.Seq != sc.lastSeq+1 {
+			return sc, nil
 		}
-		names, ops, ok := decodeEntries(body[16:], sg.names, txn.Ops[:0])
+		names, ops, ok := decodeEntries(body[16:], sc.names, txn.Ops[:0])
 		if !ok {
-			return sg, nil
+			return sc, nil
 		}
-		sg.names, txn.Ops = names, ops
-		sg.lastSeq = txn.Seq
-		sg.tail += frameSize + len(body)
-		sg.maxTxn = max(sg.maxTxn, txn.ID)
+		sc.names, txn.Ops = names, ops
+		sc.lastSeq = txn.Seq
+		sc.tail += frameSize + len(body)
+		sc.maxTxn = max(sc.maxTxn, txn.ID)
 		if emit != nil && txn.Seq > afterSeq {
 			if err := emit(&txn); err != nil {
-				return sg, err
+				return sc, err
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -130,15 +131,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// tailFile returns the newest generation file.
-func tailFile(t testing.TB, dir string) string {
-	t.Helper()
-	gens, err := listGens(dir)
-	if err != nil || len(gens) == 0 {
-		t.Fatalf("listGens: %v (%d files)", err, len(gens))
-	}
-	return gens[len(gens)-1].path
-}
+// logPath is the log file in dir.
+func logPath(dir string) string { return filepath.Join(dir, logName) }
 
 // TestTornTailDiscardsFinalTxnWholesale cuts the file at every byte offset
 // of the final transaction's frame (mid-length, mid-checksum, mid-bind,
@@ -148,7 +142,7 @@ func TestTornTailDiscardsFinalTxnWholesale(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "a", Key: 1, Value: []byte("keep")}})
-	fi1, err := os.Stat(tailFile(t, dir))
+	fi1, err := os.Stat(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +151,7 @@ func TestTornTailDiscardsFinalTxnWholesale(t *testing.T) {
 		{Kind: OpPut, Tree: "b", Key: 3, Value: []byte("torn")},
 	})
 	l.Close()
-	data, err := os.ReadFile(tailFile(t, dir))
+	data, err := os.ReadFile(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +160,7 @@ func TestTornTailDiscardsFinalTxnWholesale(t *testing.T) {
 	for cut := 1; cut <= frame; cut++ {
 		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
-			path := genPath(dir, 1)
+			path := logPath(dir)
 			if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +201,7 @@ func TestCorruptMiddleRecordEndsScanAtPriorCommit(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "a", Key: 1, Value: []byte("one")}})
-	path := tailFile(t, dir)
+	path := logPath(dir)
 	tail1, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -239,35 +233,6 @@ func TestCorruptMiddleRecordEndsScanAtPriorCommit(t *testing.T) {
 	}
 }
 
-func TestTruncateRotatesAndDeletesCoveredGenerations(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir)
-	defer l.Close()
-	appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("x")}})
-	ck := appendCommitT(t, l, 2, []Op{{Kind: OpPut, Tree: "t", Key: 2, Value: []byte("y")}})
-	if err := l.Truncate(ck); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Truncations != 1 || st.Generations != 1 || st.Generation != 2 {
-		t.Fatalf("after truncate: %+v", st)
-	}
-	if got := collect(t, l, ck); len(got) != 0 {
-		t.Fatalf("checkpoint-covered txns still replayable: %+v", got)
-	}
-	// The intern table reset: the same tree must re-bind in the new
-	// generation and replay correctly.
-	appendCommitT(t, l, 3, []Op{{Kind: OpPut, Tree: "t", Key: 3, Value: []byte("z")}})
-	got := collect(t, l, ck)
-	if len(got) != 1 || got[0].ID != 3 || got[0].Ops[0].Tree != "t" {
-		t.Fatalf("post-rotation replay: %+v", got)
-	}
-	gens, err := listGens(dir)
-	if err != nil || len(gens) != 1 {
-		t.Fatalf("generation files = %v (%v), want exactly the new one", gens, err)
-	}
-}
-
 // countSyncs routes the log's fsyncs through a counter of the files synced,
 // by base name, until the test ends.
 func countSyncs(t *testing.T) map[string]int {
@@ -290,12 +255,14 @@ func totalSyncs(synced map[string]int) (n int) {
 	return n
 }
 
-// TestTruncateSkipsCoveredFsync: rotating a generation whose every record a
-// commit round already made durable issues no fsync of it; one holding an
-// appended but uncommitted transaction is fsynced first, once. Every fsync
-// the log issues — the new generation's file and directory, the directory
-// after a removal, Open's and Close's — is one wal.fsync.ns sample.
-func TestTruncateSkipsCoveredFsync(t *testing.T) {
+// TestTruncateIssuesNoFsync: a truncation fsyncs nothing, whether a commit
+// round already covered the file or it holds an appended but uncommitted
+// transaction; that transaction is inside the checkpoint, so its Commit
+// returns with no fsync either, and the next one replays past it, before and
+// after a reopen. A Truncate below Seq() leaves the file as it is. Every fsync
+// the log issues — a new file's and its directory's at Open, a round's,
+// Close's — is one wal.fsync.ns sample.
+func TestTruncateIssuesNoFsync(t *testing.T) {
 	synced := countSyncs(t)
 	reg := obs.New()
 	dir := t.TempDir()
@@ -306,41 +273,52 @@ func TestTruncateSkipsCoveredFsync(t *testing.T) {
 	op := []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("x")}}
 
 	ck := appendCommitT(t, l, 1, op)
-	old := filepath.Base(tailFile(t, dir))
-	before := synced[old]
+	n := totalSyncs(synced)
 	if err := l.Truncate(ck); err != nil {
 		t.Fatal(err)
 	}
-	if got := synced[old] - before; got != 0 {
-		t.Errorf("Truncate of a fully committed generation fsynced it %d times, want 0", got)
+	if got := totalSyncs(synced) - n; got != 0 {
+		t.Errorf("Truncate of a committed file issued %d fsyncs, want 0", got)
 	}
 
 	seq, err := l.Append(2, op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old = filepath.Base(tailFile(t, dir))
-	before = synced[old]
-	if err := l.Truncate(ck); err != nil {
+	if err := l.Truncate(seq); err != nil {
 		t.Fatal(err)
 	}
-	if got := synced[old] - before; got != 1 {
-		t.Errorf("Truncate behind an uncommitted append fsynced the generation %d times, want 1", got)
-	}
-	// The rotation's fsync made that transaction durable: its Commit has
-	// nothing left to wait for, and it replays.
-	n := totalSyncs(synced)
 	if err := l.Commit(seq); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, l, ck); totalSyncs(synced) != n || len(got) != 1 || got[0].ID != 2 {
-		t.Errorf("after the rotation: %d more fsyncs, replay %+v; want none and transaction 2", totalSyncs(synced)-n, got)
+	if got := totalSyncs(synced) - n; got != 0 || l.Stats().Durable != seq {
+		t.Errorf("Truncate behind an uncommitted append and its Commit issued %d fsyncs, durable %d; want 0 and %d", got, l.Stats().Durable, seq)
+	}
+
+	next := appendCommitT(t, l, 3, op)
+	before, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Truncate(seq); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(logPath(dir)); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("Truncate(%d) below Seq() %d changed the file (%v)", seq, next, err)
+	}
+	if got := collect(t, l, seq); len(got) != 1 || got[0].ID != 3 {
+		t.Errorf("replay past the truncation: %+v, want transaction 3", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Histogram("wal.fsync.ns").Count(); got != uint64(totalSyncs(synced)) || synced[filepath.Base(dir)] == 0 {
-		t.Errorf("%d wal.fsync.ns samples for the fsyncs %v, want one each, the directory's included", got, synced)
+	if got := reg.Histogram("wal.fsync.ns").Count(); got != uint64(totalSyncs(synced)) || synced[filepath.Base(dir)] != 1 {
+		t.Errorf("%d wal.fsync.ns samples for the fsyncs %v, want one each, the directory's once", got, synced)
+	}
+	l2 := openT(t, dir)
+	defer l2.Close()
+	if got := collect(t, l2, seq); l2.Seq() != next || len(got) != 1 || got[0].ID != 3 {
+		t.Errorf("reopened at seq %d, replay %+v; want %d and transaction 3", l2.Seq(), got, next)
 	}
 }
 
@@ -631,8 +609,9 @@ func TestFailedFsyncPoisonsTheLog(t *testing.T) {
 }
 
 // TestConcurrentCommitAndTruncate races committers against periodic
-// checkpoint truncations — the flushMu handoff under test is "rotation
-// never closes a file an fsync round still holds".
+// checkpoint truncations, which empty the file under a round's fsync and
+// raise the watermark with no fsync of their own: every committer still
+// returns, and every transaction ends up durable.
 func TestConcurrentCommitAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
@@ -653,11 +632,7 @@ func TestConcurrentCommitAndTruncate(t *testing.T) {
 				if err == nil && txnID%16 == 0 {
 					// Checkpoint: under pagedb's lock the checkpoint covers
 					// every appended txn, then truncates.
-					if cerr := l.Commit(seq); cerr == nil {
-						err = l.Truncate(seq)
-					} else {
-						err = cerr
-					}
+					err = l.Truncate(seq)
 				}
 				mu.Unlock()
 				if err == nil {
@@ -684,41 +659,90 @@ func TestConcurrentCommitAndTruncate(t *testing.T) {
 	}
 }
 
-func TestRotationCrashDropsHeaderlessSuccessor(t *testing.T) {
+// TestTruncateCrashStates: Truncate issues no fsync, so a kill or power cut
+// before the next round's can leave the file at any step of its rewrite. Each
+// such file reopens with Replay(ck) — ck the durable checkpoint's seq — at a
+// seq no lower than ck, replays exactly the appended frames past ck, and
+// keeps a transaction appended after the reopen through a second one. The
+// empty file is the case the floor exists for: without it the log would
+// restart at seq 1, and the second reopen's Replay(ck) would skip the append.
+func TestTruncateCrashStates(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir)
-	ck := appendCommitT(t, l, 1, []Op{{Kind: OpPut, Tree: "t", Key: 1, Value: []byte("x")}})
+	l, err := Open(Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(txn uint64, n int) []Op {
+		return []Op{{Kind: OpPut, Tree: "t", Key: txn, Value: bytes.Repeat([]byte{byte(txn)}, n)}}
+	}
+	for txn := uint64(1); txn <= 3; txn++ {
+		appendCommitT(t, l, txn, put(txn, 200))
+	}
+	old, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := l.Seq()
 	if err := l.Truncate(ck); err != nil {
 		t.Fatal(err)
 	}
-	appendCommitT(t, l, 2, []Op{{Kind: OpPut, Tree: "t", Key: 2, Value: []byte("y")}})
+	for txn := uint64(4); txn <= 5; txn++ {
+		appendCommitT(t, l, txn, put(txn, 10))
+	}
 	l.Close()
-
-	// Simulate a rotation that crashed before the new file's header was
-	// durable: a successor file with a garbage header must be discarded,
-	// and the predecessor adopted as the tail.
-	if err := os.WriteFile(filepath.Join(dir, genPath("", 3)), []byte("garbage"), 0o644); err != nil {
+	cur, err := os.ReadFile(logPath(dir))
+	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := openT(t, dir)
-	defer l2.Close()
-	if l2.Seq() != 2 {
-		t.Fatalf("Seq = %d, want 2", l2.Seq())
+	if len(cur) >= len(old) {
+		t.Fatalf("the new frames (%d bytes) must end short of the old ones (%d)", len(cur), len(old))
 	}
-	if got := collect(t, l2, ck); len(got) != 1 || got[0].ID != 2 {
-		t.Fatalf("replay: %+v", got)
+	cat := func(a, b []byte) []byte { return append(bytes.Clone(a), b...) }
+	for _, c := range []struct {
+		name string
+		file []byte
+		want []uint64 // the transactions past ck that replay
+	}{
+		{"old frames intact", old, nil},
+		{"empty file", nil, nil},
+		{"header only", cur[:headerSize], nil},
+		{"new header over old frames", cat(cur[:headerSize], old[headerSize:]), nil},
+		{"new frames then stale bytes", cat(cur, old[len(cur):]), []uint64{4, 5}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(logPath(dir), c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// reopen replays past ck, and appends transaction 9 if asked.
+			reopen := func(appendOne bool) []uint64 {
+				l := openT(t, dir)
+				defer l.Close()
+				var ids []uint64
+				for _, txn := range collect(t, l, ck) {
+					ids = append(ids, txn.ID)
+				}
+				if l.Seq() < ck {
+					t.Errorf("reopened at seq %d, below the checkpoint's %d", l.Seq(), ck)
+				}
+				if appendOne {
+					appendCommitT(t, l, 9, put(9, 10))
+				}
+				return ids
+			}
+			if got := reopen(true); !slices.Equal(got, c.want) {
+				t.Fatalf("replayed %v past %d, want %v", got, ck, c.want)
+			}
+			if got := reopen(false); !slices.Equal(got, append(c.want, 9)) {
+				t.Fatalf("after an append and a second reopen, replayed %v, want %v", got, append(c.want, 9))
+			}
+		})
 	}
-	// The garbage file is gone and appends resume on the adopted tail.
-	if _, err := os.Stat(genPath(dir, 3)); !os.IsNotExist(err) {
-		t.Fatalf("orphan generation survived recovery: %v", err)
-	}
-	appendCommitT(t, l2, 3, []Op{{Kind: OpPut, Tree: "t", Key: 3, Value: []byte("z")}})
 }
 
 // TestAppendBytesCountsWhatReachesTheFiles: wal.append.bytes is the log's
-// line of the write-byte budget, so it must be what the generation files
-// hold, to within their headers. Truncate(0) rotates without deleting, so
-// every byte of the seeded run is still on disk to be counted.
+// line of the write-byte budget, so it must be what the file held, to within
+// its header, summed over the truncations that emptied it.
 func TestAppendBytesCountsWhatReachesTheFiles(t *testing.T) {
 	dir, reg := t.TempDir(), obs.New()
 	l, err := Open(Options{Dir: dir, NoSync: true, Obs: reg})
@@ -726,6 +750,14 @@ func TestAppendBytesCountsWhatReachesTheFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	var onDisk int64
+	frameBytes := func() {
+		fi, err := os.Stat(logPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size() - headerSize
+	}
 	r := rand.New(rand.NewPCG(17, 4))
 	for txn := uint64(1); txn <= 300; txn++ {
 		ops := make([]Op, 1+r.IntN(5))
@@ -739,25 +771,15 @@ func TestAppendBytesCountsWhatReachesTheFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		if txn%70 == 0 {
-			if err := l.Truncate(0); err != nil {
+			frameBytes()
+			if err := l.Truncate(l.Seq()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	gens, err := listGens(dir)
-	if err != nil || len(gens) != 5 {
-		t.Fatalf("generation files = %v (%v), want 5", gens, err)
-	}
-	var onDisk int64
-	for _, g := range gens {
-		fi, err := os.Stat(g.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		onDisk += fi.Size() - genHeaderSize
-	}
-	if got := reg.Counter("wal.append.bytes").Value(); int64(got) != onDisk || got == 0 {
-		t.Errorf("wal.append.bytes = %d, the generation files hold %d record bytes", got, onDisk)
+	frameBytes()
+	if got := reg.Counter("wal.append.bytes").Value(); int64(got) != onDisk || got == 0 || l.Stats().Truncations != 4 {
+		t.Errorf("wal.append.bytes = %d over %d truncations, the file held %d frame bytes", got, l.Stats().Truncations, onDisk)
 	}
 }
 
@@ -796,8 +818,8 @@ func refOp(p []byte, treeID uint32, op Op) []byte {
 
 // TestRecordBytesAreTheReferenceEncoders: every entry kind, with empty,
 // one-byte and 64 KiB values, a 300-byte tree name, an empty transaction and
-// a drop followed by a reuse of the tree, through Append into a generation
-// file, is byte for byte what the reference encoders produce.
+// a drop followed by a reuse of the tree, through Append into the log file,
+// is byte for byte what the reference encoders produce.
 func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, NoSync: true})
@@ -838,11 +860,11 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(tailFile(t, dir))
+	got, err := os.ReadFile(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got = got[genHeaderSize:]; !bytes.Equal(got, want) {
+	if got = got[headerSize:]; !bytes.Equal(got, want) {
 		n := 0
 		for n < len(got) && n < len(want) && got[n] == want[n] {
 			n++
@@ -875,19 +897,19 @@ func TestScanEndsAtMalformedEntries(t *testing.T) {
 		"name past frame":   refBind(nil, 2, "bc")[:4],
 	}
 	for name, entries := range cases {
-		file := make([]byte, genHeaderSize)
-		encodeGenHeader(file, 1, 0)
+		file := make([]byte, headerSize)
+		encodeHeader(file, 0)
 		first := len(refFrame(file, 1, 1, good))
 		file = refFrame(refFrame(file, 1, 1, good), 2, 2, entries)
-		if sg, err := scanGenData(file, 0, nil, 0); err != nil || sg.tail != first || sg.lastSeq != 1 {
-			t.Errorf("%s: the scan stops at %d with seq %d (%v), want %d and 1", name, sg.tail, sg.lastSeq, err, first)
+		if sc, err := scanFrames(file, 0, nil, 0); err != nil || sc.tail != first || sc.lastSeq != 1 {
+			t.Errorf("%s: the scan stops at %d with seq %d (%v), want %d and 1", name, sc.tail, sc.lastSeq, err, first)
 		}
 	}
 
-	file := make([]byte, genHeaderSize)
-	encodeGenHeader(file, 1, 0)
+	file := make([]byte, headerSize)
+	encodeHeader(file, 0)
 	file = refFrame(file, 1, 1, refOp(refOp(good, 1, Op{Kind: OpPut, Key: 2, Value: []byte("bb")}), 1, put))
-	_, err := scanGenData(file, 0, func(txn *Txn) error {
+	_, err := scanFrames(file, 0, func(txn *Txn) error {
 		_ = append(txn.Ops[0].Value, bytes.Repeat([]byte{'X'}, 20)...)
 		if v := txn.Ops[1].Value; string(v) != "bb" {
 			t.Errorf("appending to the first value rewrote the second to %q", v)
@@ -916,12 +938,12 @@ func TestAppendRefusesOversizedTxn(t *testing.T) {
 		t.Fatalf("the at-bound frame has a %d-byte body, want %d", n, maxFrameBody)
 	}
 
-	path := tailFile(t, dir)
+	path := logPath(dir)
 	if _, err := l.Append(1, []Op{{Kind: OpPut, Tree: "u", Key: 1, Value: val}}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Append of a %d-byte body = %v, want ErrTooLarge", maxFrameBody+1, err)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != genHeaderSize {
-		t.Fatalf("after the refusal the file is %v bytes (%v), want the bare %d-byte header", fi.Size(), err, genHeaderSize)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != headerSize {
+		t.Fatalf("after the refusal the file is %v bytes (%v), want the bare %d-byte header", fi.Size(), err, headerSize)
 	}
 	// The refused transaction took no seq and no tree id: "u" binds again,
 	// as id 1, in the next transaction.
@@ -944,32 +966,37 @@ func TestAppendRefusesOversizedTxn(t *testing.T) {
 	}
 }
 
-// TestOldFormatIsRefusedByName: a generation file of the previous format
-// fails Open with an error naming that format, and is left as it was —
-// never taken for a torn header and recreated.
+// TestOldFormatIsRefusedByName: a log file of the previous format, and a
+// directory holding that format's generation files (wal-*.log), fail Open
+// with an error naming the format or the file, and are left as they were —
+// never taken for a torn header and emptied.
 func TestOldFormatIsRefusedByName(t *testing.T) {
-	dir := t.TempDir()
-	old := make([]byte, genHeaderSize, 64)
-	copy(old, "PGWALOG1")
+	// A PGWALOG2 generation: magic | generation | base seq | crc, and one
+	// frame binding tree 1 to "a".
+	old := make([]byte, 28, 64)
+	copy(old, "PGWALOG2")
 	binary.LittleEndian.PutUint64(old[8:], 1)
 	binary.LittleEndian.PutUint32(old[24:], crc32.Checksum(old[:24], castagnoli))
-	bind := []byte{1, 1, 0, 0, 0, 1, 0, 'a'} // that format's record binding tree 1 to "a"
-	old = binary.LittleEndian.AppendUint32(old, uint32(len(bind)))
-	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(bind, castagnoli))
-	old = append(old, bind...)
-	path := genPath(dir, 1)
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), `"PGWALOG1"`) {
-		t.Fatalf("Open over a PGWALOG1 generation = %v, want an error naming the format", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(got, old) {
-		t.Fatalf("the old generation changed under the refused Open (%v)", err)
-	}
-	if gens, err := listGens(dir); err != nil || len(gens) != 1 {
-		t.Fatalf("generation files after the refused Open = %v (%v), want the old one alone", gens, err)
+	old = refFrame(old, 1, 1, refBind(nil, 1, "a"))
+	for _, c := range []struct{ file, want string }{
+		{logName, `"PGWALOG2"`},
+		{"wal-0000000000000001.log", "wal-0000000000000001.log"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, c.file)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Open over a PGWALOG2 %s = %v, want an error naming %s", c.file, err, c.want)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("the old %s changed under the refused Open (%v)", c.file, err)
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+			t.Fatalf("files after the refused Open = %v (%v), want the old one alone", ents, err)
+		}
 	}
 }
 
