@@ -85,7 +85,7 @@ func main() {
 			experiments.Fig5(scale, experiments.Fig5Zipf99, progress),
 			experiments.Fig5(scale, experiments.Fig5Zipf135, progress))
 	case "fig6":
-		tables = append(tables, experiments.Fig6(scale, nil, progress))
+		tables = append(tables, experiments.Fig6(scale, progress))
 	case "tpcc":
 		// Beyond the paper: TPC-C replayed end-to-end against the durable
 		// B+-tree engine (pagedb) on the page store — the paper's B-tree

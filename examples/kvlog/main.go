@@ -20,11 +20,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	for _, algName := range []string{"greedy", "cost-benefit", "MDC"} {
-		alg, err := core.ByName(algName)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, alg := range []core.Algorithm{core.Greedy(), core.CostBenefit(), core.MDC()} {
 		kv, err := vlog.New(vlog.Options{
 			SegmentBytes: 64 << 10,
 			MaxSegments:  64, // 4 MiB arena
@@ -63,7 +59,7 @@ func main() {
 		}
 		st := kv.Stats()
 		fmt.Printf("%-13s live %.1f MiB / %.1f MiB, cleaner moved %.1f MiB for %.1f MiB written (byte Wamp %.3f, E@GC %.3f)\n",
-			algName,
+			alg.Name,
 			float64(st.LiveBytes)/(1<<20), float64(st.CapacityBytes)/(1<<20),
 			float64(st.GCBytes)/(1<<20), float64(st.UserBytes)/(1<<20),
 			st.WriteAmp, st.MeanEAtClean)

@@ -117,13 +117,12 @@ type Policy interface {
 }
 
 // Router assigns page writes to append streams. Policies that separate data
-// into multiple logs (multi-log, the temperature-routed MDC variant)
-// implement it; for the others the simulator uses its default two streams
-// (user and GC). With a router, user AND relocation writes share one stream
-// space: every append is routed through Route, so hot and cold GC output
-// lands in different segments (§5.3) instead of one monolithic GC stream.
-// Routed placement is simulator-only: the live engines refuse an algorithm
-// with a router.
+// into multiple logs (multi-log and multi-log-opt) implement it; for the
+// others the simulator uses its default two streams (user and GC). With a
+// router, user AND relocation writes share one stream space: every append is
+// routed through Route, so hot and cold GC output lands in different
+// segments (§5.3) instead of one monolithic GC stream. Routed placement is
+// simulator-only: the live engines refuse an algorithm with a router.
 type Router interface {
 	// Route returns the stream for a page write. estInterval is the
 	// observed update interval now-lastWrite (0 when the page has no
@@ -138,6 +137,26 @@ type Router interface {
 	// it must not exceed 64, the width of a StreamSet.
 	Streams() int32
 }
+
+// StreamSet tracks which append streams the simulator has written to, as a
+// monotone bitmask (stream ids are below 64). The simulator sizes its
+// free-pool reserve from Count, so monotonicity matters: the reserve never
+// flaps.
+type StreamSet struct {
+	mask  uint64
+	count int
+}
+
+// Note records that stream received a write.
+func (s *StreamSet) Note(stream int32) {
+	if bit := uint64(1) << uint(stream); s.mask&bit == 0 {
+		s.mask |= bit
+		s.count++
+	}
+}
+
+// Count returns the number of distinct streams noted so far.
+func (s *StreamSet) Count() int { return s.count }
 
 // Algorithm bundles a Policy with the write-path behavior the paper's
 // evaluation attaches to it (§6.1.3): whether user and GC writes are
@@ -166,3 +185,22 @@ type Algorithm struct {
 }
 
 func (a Algorithm) String() string { return a.Name }
+
+// Figure5Set returns the seven algorithms compared in Figures 5 and 6, in
+// the paper's legend order.
+func Figure5Set() []Algorithm {
+	return []Algorithm{
+		Age(), Greedy(), CostBenefit(),
+		MultiLog(), MultiLogOpt(),
+		MDC(), MDCOpt(),
+	}
+}
+
+// Figure3Set returns the algorithms of the §6.2.1 breakdown analysis, in the
+// paper's legend order (the analytic "opt" line is produced separately by
+// internal/analysis).
+func Figure3Set() []Algorithm {
+	return []Algorithm{
+		Greedy(), MDCNoSepUserGC(), MDCNoSepUser(), MDC(), MDCOpt(),
+	}
+}

@@ -367,21 +367,24 @@ func TestMultiLogOldestWithinLog(t *testing.T) {
 	}
 }
 
+// everyAlgorithm returns each algorithm this package builds, once.
+func everyAlgorithm() []Algorithm {
+	return append(Figure5Set(), CostBenefitLiteral(), MDCNoSepUser(), MDCNoSepUserGC())
+}
+
 func TestRegistry(t *testing.T) {
-	for _, name := range Names() {
-		alg, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+	seen := map[string]bool{}
+	for _, alg := range everyAlgorithm() {
+		if alg.Name == "" || seen[alg.Name] {
+			t.Errorf("algorithm name %q is empty or repeated", alg.Name)
 		}
-		if alg.Name != name {
-			t.Errorf("ByName(%q).Name = %q", name, alg.Name)
-		}
+		seen[alg.Name] = true
 		if alg.Policy == nil {
-			t.Errorf("algorithm %q has nil policy", name)
+			t.Errorf("algorithm %q has nil policy", alg.Name)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
+	if len(seen) != 10 {
+		t.Errorf("%d algorithms, want 10", len(seen))
 	}
 	if got := len(Figure5Set()); got != 7 {
 		t.Errorf("Figure5Set has %d algorithms, want 7", got)

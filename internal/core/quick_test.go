@@ -119,11 +119,7 @@ func TestQuickVictimsDisjoint(t *testing.T) {
 	// No policy may return the same victim twice.
 	err := quick.Check(func(seed uint64) bool {
 		v := randomView(seed, 40)
-		for _, name := range Names() {
-			alg, err := ByName(name)
-			if err != nil {
-				return false
-			}
+		for _, alg := range everyAlgorithm() {
 			got := alg.Policy.Victims(v, 40, nil)
 			seen := map[int32]bool{}
 			for _, id := range got {

@@ -309,7 +309,7 @@ func Fig5(scale Scale, dist Fig5Dist, log io.Writer) *Table {
 
 // TPCCTrace generates the Figure 6 input trace: a scaled TPC-C run over the
 // B+-tree/buffer-pool engine (README.md, "The TPC-C substitution").
-func TPCCTrace(scale Scale, log io.Writer) *TPCCData {
+func TPCCTrace(scale Scale, log io.Writer) *tpcc.Trace {
 	cfg := tpcc.Config{Seed: Seed}
 	txs := 40000
 	if scale == ScaleSmall {
@@ -332,13 +332,7 @@ func TPCCTrace(scale Scale, log io.Writer) *TPCCData {
 	st := e.Stats()
 	progress(log, "tpcc: %d tx, universe=%d pages, preload=%d, %d trace writes, cache hit %.3f",
 		txs, tr.Universe, tr.Preload, len(tr.Writes), st.Pool.HitRatio())
-	return &TPCCData{universe: tr.Universe, preload: tr.Preload, writes: tr.Writes}
-}
-
-// TPCCData is a generated TPC-C trace ready for replay.
-type TPCCData struct {
-	universe, preload int
-	writes            []uint32
+	return tr
 }
 
 // Fig6At runs a single Figure 6 cell — one algorithm replaying the trace at
@@ -346,27 +340,25 @@ type TPCCData struct {
 // is derived from the trace's final page universe so that the run ends at
 // fill factor f, as in §6.3 where TPC-C grows the database into the target
 // fill.
-func Fig6At(scale Scale, tr *TPCCData, f float64, alg core.Algorithm) float64 {
+func Fig6At(scale Scale, tr *tpcc.Trace, f float64, alg core.Algorithm) float64 {
 	segPages := scale.SimConfig(0.8).SegmentPages
-	numSegs := int(float64(tr.universe)/(f*float64(segPages))) + 1
+	numSegs := int(float64(tr.Universe)/(f*float64(segPages))) + 1
 	base := scale.SimConfig(f)
 	cfg := sim.Config{
 		SegmentPages: segPages, NumSegments: numSegs,
-		FillFactor:      float64(tr.universe) / float64(numSegs*segPages),
+		FillFactor:      float64(tr.Universe) / float64(numSegs*segPages),
 		FreeLowWater:    base.FreeLowWater,
 		CleanBatch:      base.CleanBatch,
 		WriteBufferSegs: base.WriteBufferSegs,
 	}
-	gen := workload.NewReplay("tpcc", tr.writes, tr.universe, tr.preload, alg.Exact)
+	gen := workload.NewReplay("tpcc", tr.Writes, tr.Universe, tr.Preload, alg.Exact)
 	return run(cfg, alg, gen, sim.RunOptions{}).Wamp
 }
 
 // Fig6 reproduces Figure 6: the seven algorithms replaying the TPC-C trace
 // at fill factors 0.5-0.8, one Fig6At cell each.
-func Fig6(scale Scale, tr *TPCCData, log io.Writer) *Table {
-	if tr == nil {
-		tr = TPCCTrace(scale, log)
-	}
+func Fig6(scale Scale, log io.Writer) *Table {
+	tr := TPCCTrace(scale, log)
 	t := &Table{
 		Name:   "fig6",
 		Title:  "Figure 6: write amplification on the TPC-C trace",
@@ -399,6 +391,6 @@ func All(scale Scale, log io.Writer) []*Table {
 		Fig5(scale, Fig5Zipf99, log),
 		Fig5(scale, Fig5Zipf135, log),
 	}
-	tables = append(tables, Fig6(scale, nil, log))
+	tables = append(tables, Fig6(scale, log))
 	return tables
 }

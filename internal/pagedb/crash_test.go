@@ -3,8 +3,10 @@ package pagedb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -34,12 +36,9 @@ type diskRec struct {
 	pos  uint32
 }
 
-// newestBatch locates the on-disk records of the newest (highest start seq)
-// multi-record batch, ordered by batch position.
-func newestBatch(t *testing.T, dir string) []diskRec {
+// scanRecords calls fn with each on-disk record's file, offset and header.
+func scanRecords(t *testing.T, dir string, fn func(file string, off int, hdr []byte)) {
 	t.Helper()
-	var bestStart uint64
-	byPos := map[uint32]diskRec{}
 	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
@@ -50,23 +49,34 @@ func newestBatch(t *testing.T, dir string) []diskRec {
 			t.Fatal(err)
 		}
 		for off, recSize := tSegHeader, 0; off+tRecHeader <= len(data); off += recSize {
-			flags := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			recSize = tRecHeader + int(flags>>tLenShift)
-			if flags&tFlagBatch == 0 {
-				continue
-			}
-			seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-			pos := binary.LittleEndian.Uint32(data[off+20 : off+24])
-			start := seq - uint64(pos)
-			if start > bestStart {
-				bestStart = start
-				byPos = map[uint32]diskRec{}
-			}
-			if start == bestStart {
-				byPos[pos] = diskRec{file: f, off: off, pos: pos}
-			}
+			hdr := data[off : off+tRecHeader]
+			recSize = tRecHeader + int(binary.LittleEndian.Uint32(hdr[4:8])>>tLenShift)
+			fn(f, off, hdr)
 		}
 	}
+}
+
+// newestBatch locates the on-disk records of the newest (highest start seq)
+// multi-record batch, ordered by batch position.
+func newestBatch(t *testing.T, dir string) []diskRec {
+	t.Helper()
+	var bestStart uint64
+	byPos := map[uint32]diskRec{}
+	scanRecords(t, dir, func(f string, off int, hdr []byte) {
+		if binary.LittleEndian.Uint32(hdr[4:8])&tFlagBatch == 0 {
+			return
+		}
+		seq := binary.LittleEndian.Uint64(hdr[8:16])
+		pos := binary.LittleEndian.Uint32(hdr[20:24])
+		start := seq - uint64(pos)
+		if start > bestStart {
+			bestStart = start
+			byPos = map[uint32]diskRec{}
+		}
+		if start == bestStart {
+			byPos[pos] = diskRec{file: f, off: off, pos: pos}
+		}
+	})
 	if len(byPos) == 0 {
 		t.Fatal("no batch records found on disk")
 	}
@@ -79,6 +89,22 @@ func newestBatch(t *testing.T, dir string) []diskRec {
 		recs = append(recs, r)
 	}
 	return recs
+}
+
+// newestRecord locates the on-disk record of page id's newest version.
+func newestRecord(t *testing.T, dir string, id uint32) diskRec {
+	t.Helper()
+	var best diskRec
+	var bestSeq uint64
+	scanRecords(t, dir, func(f string, off int, hdr []byte) {
+		if seq := binary.LittleEndian.Uint64(hdr[8:16]); binary.LittleEndian.Uint32(hdr[0:4]) == id && seq > bestSeq {
+			best, bestSeq = diskRec{file: f, off: off}, seq
+		}
+	})
+	if best.file == "" {
+		t.Fatalf("no record of page %d on disk", id)
+	}
+	return best
 }
 
 // corrupt destroys a record's CRC in place, simulating a member that never
@@ -214,4 +240,85 @@ func TestTornCommitRollsBackWholesale(t *testing.T) {
 		recs[len(recs)-1].corrupt(t)
 		verifyState(t, dir, false)
 	})
+}
+
+// leafOf returns the id of the leaf that holds key, faulting only branches.
+func leafOf(t *testing.T, db *DB, tr *Tree, key uint64) uint32 {
+	t.Helper()
+	id := tr.core.Root()
+	for level := tr.core.Height(); level > 1; level-- {
+		n, err := db.node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = n.Kids[sort.Search(len(n.Keys), func(i int) bool { return n.Keys[i] > key })]
+		db.pool.Release(n.Pin)
+	}
+	return id
+}
+
+// TestReadErrorIsNeverAMiss: a leaf whose record fails the store's check is
+// an error to every reader — Tree.Get, Tree.Scan and Txn.Get — that wraps
+// the store's, never an absent key. The record is corrupted on disk while
+// the DB is open and the leaf is not resident, so each read faults it.
+func TestReadErrorIsNeverAMiss(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := db.Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 400; k++ {
+		if err := tr.Put(k, val(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, the DB has faulted no leaf.
+	if db, err = Open(durableOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tr, err = db.Tree("t"); err != nil {
+		t.Fatal(err)
+	}
+	if h := tr.core.Height(); h < 2 {
+		t.Fatalf("tree height %d: no branch above the leaf", h)
+	}
+	const key = 200
+	leaf := leafOf(t, db, tr, key)
+	newestRecord(t, dir, leaf).corrupt(t)
+	_, want := db.st.ReadRecord(leaf, func(size int) []byte { return make([]byte, size) })
+	if want == nil {
+		t.Fatal("the store read the corrupted leaf without an error")
+	}
+	wraps := func(err error) bool {
+		for ; err != nil; err = errors.Unwrap(err) {
+			if err.Error() == want.Error() {
+				return true
+			}
+		}
+		return false
+	}
+
+	if v, ok, err := tr.Get(key); !wraps(err) || ok || v != nil {
+		t.Errorf("Tree.Get = %q, %v, %v; want an error wrapping %q", v, ok, err, want)
+	}
+	visited := 0
+	if err := tr.Scan(key, key+10, func(uint64, []byte) bool { visited++; return true }); !wraps(err) || visited != 0 {
+		t.Errorf("Tree.Scan = %v after %d keys; want an error wrapping %q before any", err, visited, want)
+	}
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Rollback()
+	if v, ok, err := txn.Get("t", key); !wraps(err) || ok || v != nil {
+		t.Errorf("Txn.Get = %q, %v, %v; want an error wrapping %q", v, ok, err, want)
+	}
 }

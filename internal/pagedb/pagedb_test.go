@@ -657,7 +657,7 @@ func TestOpenRejectsForeignStore(t *testing.T) {
 // TestOpenRefusesRoutedPlacement: the store under a database refuses each
 // routed algorithm, with an error that names it.
 func TestOpenRefusesRoutedPlacement(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.MDCRouted(), core.MultiLog()} {
+	for _, alg := range []core.Algorithm{core.MultiLogOpt(), core.MultiLog()} {
 		opts := memOpts()
 		opts.Store.Algorithm = alg
 		if db, err := Open(opts); err == nil {

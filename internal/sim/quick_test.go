@@ -13,14 +13,10 @@ import (
 // workload mixes, algorithms and buffer sizes and checks the conservation
 // invariants at random points mid-stream, not just at the end.
 func TestQuickInvariantsUnderRandomDrive(t *testing.T) {
-	names := core.Names()
 	err := quick.Check(func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, seed^0x5bd1e995))
-		algName := names[r.IntN(len(names))]
-		alg, err := core.ByName(algName)
-		if err != nil {
-			return false
-		}
+		algs := everyAlgorithm()
+		alg := algs[r.IntN(len(algs))]
 		cfg := Config{
 			SegmentPages:    16 + r.IntN(3)*16, // 16, 32 or 48
 			NumSegments:     256,
@@ -54,7 +50,7 @@ func TestQuickInvariantsUnderRandomDrive(t *testing.T) {
 			}
 			if i == checkAt || i == 3 {
 				if err := s.CheckInvariants(); err != nil {
-					t.Logf("seed %x alg %s: %v", seed, algName, err)
+					t.Logf("seed %x alg %s: %v", seed, alg.Name, err)
 					return false
 				}
 			}

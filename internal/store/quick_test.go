@@ -203,16 +203,15 @@ func randomOpsRun(t *testing.T, seed uint64, dir string, dur core.Durability) bo
 	return s.Stats().SegmentsCleaned > 0
 }
 
-// The same oracle drill on the in-memory backend with every supported
-// cleaning algorithm, exercising policy-specific relocation paths.
+// The same oracle drill on the in-memory backend with every cleaning
+// algorithm the store accepts (no router, no exact rates), exercising
+// policy-specific relocation paths.
 func TestQuickAlgorithmsOnStore(t *testing.T) {
-	for _, algName := range []string{"age", "greedy", "cost-benefit", "MDC", "MDC-no-sep-user-GC"} {
-		algName := algName
-		t.Run(algName, func(t *testing.T) {
-			alg, err := core.ByName(algName)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, alg := range append(core.Figure5Set(), core.CostBenefitLiteral(), core.MDCNoSepUser(), core.MDCNoSepUserGC()) {
+		if alg.Router != nil || alg.Exact {
+			continue
+		}
+		t.Run(alg.Name, func(t *testing.T) {
 			opts := Options{
 				PageSize: 64, SegmentPages: 8, MaxSegments: 48,
 				CleanBatch: 4, FreeLowWater: 6, Algorithm: alg,
@@ -236,11 +235,11 @@ func TestQuickAlgorithmsOnStore(t *testing.T) {
 			buf := make([]byte, 64)
 			for id, want := range oracle {
 				if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf, want) {
-					t.Fatalf("page %d mismatch under %s: %v", id, algName, err)
+					t.Fatalf("page %d mismatch under %s: %v", id, alg.Name, err)
 				}
 			}
 			if st := s.Stats(); st.SegmentsCleaned == 0 {
-				t.Errorf("%s: cleaning never ran", algName)
+				t.Errorf("%s: cleaning never ran", alg.Name)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Error(err)

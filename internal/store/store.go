@@ -12,8 +12,8 @@
 // is a string-key index over a memory-backed Store.
 //
 // Placement has two append streams: user data fills one, GC relocations the
-// other. Routed placement (multi-log, the temperature-routed MDC variant) is
-// simulator-only: Open refuses an algorithm with a router.
+// other. Routed placement (multi-log and multi-log-opt) is simulator-only:
+// Open refuses an algorithm with a router.
 //
 // Cleaning runs in one of two modes. In foreground mode (the default) a
 // write that finds the free pool below the low-water mark blocks behind
@@ -99,7 +99,7 @@ type Options struct {
 	// MaxSegments bounds the physical capacity (default 128).
 	MaxSegments int
 	// Algorithm is the cleaning policy bundle (default core.MDC()). Routed
-	// algorithms (core.MultiLog, core.MDCRouted) and exact-rate variants are
+	// algorithms (core.MultiLog, core.MultiLogOpt) and exact-rate variants are
 	// refused: they are simulator-only.
 	Algorithm core.Algorithm
 	// FreeLowWater triggers cleaning when free segments fall below it

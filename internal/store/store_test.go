@@ -453,7 +453,7 @@ func TestOptionsValidation(t *testing.T) {
 		{CleanBatch: 10, FreeLowWater: 10},               // no relocation headroom
 		{Algorithm: core.MDCOpt()},                       // exact needs oracle
 		{Algorithm: core.MultiLog()},                     // routed placement is simulator-only
-		{Algorithm: core.MDCRouted()},                    // likewise
+		{Algorithm: core.MultiLogOpt()},                  // likewise
 		{MaxSegments: 4, FreeLowWater: 8, CleanBatch: 2}, // capacity below reserve
 	}
 	for i, o := range cases {
@@ -481,7 +481,7 @@ func TestFreeEmergencyValidation(t *testing.T) {
 // TestRoutedAlgorithmsOnStore: Open refuses each routed algorithm with an
 // error that names it and says routed placement is simulator-only.
 func TestRoutedAlgorithmsOnStore(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.MDCRouted(), core.MultiLog()} {
+	for _, alg := range []core.Algorithm{core.MultiLogOpt(), core.MultiLog()} {
 		t.Run(alg.Name, func(t *testing.T) {
 			_, err := Open(Options{Algorithm: alg})
 			if err == nil || !strings.Contains(err.Error(), alg.Name) || !strings.Contains(err.Error(), "simulator-only") {

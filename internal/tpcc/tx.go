@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // nuRand is the TPC-C non-uniform random function NURand(A, x, y).
@@ -304,17 +303,29 @@ func (e *Engine) stockLevelTx(w int) {
 	}
 }
 
+// Trace is a page-write trace: the §6.3 I/O recording that couples the
+// TPC-C/B+-tree substrate to the log-structure simulator.
+type Trace struct {
+	// Universe is the page id space size (max id + 1).
+	Universe int
+	// Preload is the number of pages (ids 0..Preload-1) live before the
+	// trace's first write.
+	Preload int
+	// Writes is the ordered page-write sequence.
+	Writes []uint32
+}
+
 // Trace returns the page-write trace of the run phase: the writes issued
 // after the initial load, over the page universe allocated so far. The
 // preload set is the database as of the end of load. Only the in-memory
 // backend records a trace.
-func (e *Engine) Trace() *trace.Trace {
+func (e *Engine) Trace() *Trace {
 	if e.pool == nil {
 		panic(fmt.Sprintf("tpcc: Trace() on an engine with an external backend (%T)", e.be))
 	}
 	e.pool.FlushDirty()
 	all := e.pool.Writes()
-	return &trace.Trace{
+	return &Trace{
 		Universe: int(e.pool.Next()),
 		Preload:  e.sh.loadPages,
 		Writes:   all[e.sh.loadWrites:],

@@ -146,7 +146,7 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Options{Algorithm: core.MDCOpt()}); err == nil {
 		t.Error("exact algorithm accepted")
 	}
-	for _, alg := range []core.Algorithm{core.MultiLog(), core.MDCRouted()} {
+	for _, alg := range []core.Algorithm{core.MultiLog(), core.MultiLogOpt()} {
 		if _, err := New(Options{Algorithm: alg}); err == nil {
 			t.Errorf("routed algorithm %s accepted", alg.Name)
 		}
@@ -184,7 +184,7 @@ func TestClosedStoreReads(t *testing.T) {
 // TestRoutedAlgorithmsOnVlog: New refuses each routed algorithm with an
 // error that names it and says routed placement is simulator-only.
 func TestRoutedAlgorithmsOnVlog(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.MDCRouted(), core.MultiLog()} {
+	for _, alg := range []core.Algorithm{core.MultiLogOpt(), core.MultiLog()} {
 		t.Run(alg.Name, func(t *testing.T) {
 			_, err := New(Options{Algorithm: alg})
 			if err == nil || !strings.Contains(err.Error(), alg.Name) || !strings.Contains(err.Error(), "simulator-only") {

@@ -50,12 +50,15 @@ func TestFacadeAnalysis(t *testing.T) {
 }
 
 func TestFacadeAlgorithms(t *testing.T) {
-	if len(core.Names()) < 8 {
-		t.Errorf("registry too small: %v", core.Names())
+	names := map[string]bool{}
+	for _, a := range append(core.Figure5Set(), core.CostBenefitLiteral(), core.MDCNoSepUser(), core.MDCNoSepUserGC()) {
+		names[a.Name] = true
 	}
-	alg, err := core.ByName("MDC")
-	if err != nil || alg.Name != "MDC" {
-		t.Fatalf("AlgorithmByName: %v %v", alg, err)
+	if len(names) != 10 {
+		t.Errorf("%d distinct algorithm names, want 10: %v", len(names), names)
+	}
+	if alg := core.MDC(); alg.Name != "MDC" || alg.Policy.Name() != "MDC" {
+		t.Fatalf("core.MDC() = %v, policy %q", alg, alg.Policy.Name())
 	}
 	m := core.SegmentMeta{Capacity: 100, Free: 50, Live: 5}
 	m.Up2 = 10
