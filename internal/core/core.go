@@ -170,8 +170,8 @@ type Algorithm struct {
 	Policy Policy
 	// Router is non-nil only for multi-log style placement.
 	Router Router
-	// SortUser separates user writes by update frequency (paper §5.3). Only
-	// the simulator reads it; the live store does not sort user writes.
+	// SortUser separates user writes by update frequency (paper §5.3): the
+	// simulator sorts its write buffer, the live store each Apply batch.
 	SortUser bool
 	// SortGC separates GC relocation writes by update frequency.
 	SortGC bool

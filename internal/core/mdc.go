@@ -15,8 +15,8 @@ type MDCOptions struct {
 	// writes (the MDC-opt variant of §6.1.3).
 	Exact bool
 	// SortUser separates user writes by update frequency (§5.3). Disabled by
-	// the MDC-no-sep-user ablation of §6.2.1. Simulator only: the live store
-	// ignores it.
+	// the MDC-no-sep-user ablation of §6.2.1. The live store appends each
+	// Apply's records coldest first, by the seq of each page's current version.
 	SortUser bool
 	// SortGC separates GC relocation writes by update frequency. Disabled
 	// (together with SortUser) by the MDC-no-sep-user-GC ablation.

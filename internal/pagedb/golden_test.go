@@ -15,9 +15,10 @@ import (
 
 // goldenSegments is the SHA-256 over every segment file (name, then
 // contents, in name order) the seeded run below leaves behind: it pins the
-// commit batches byte for byte — same members, same ascending-id order, same
-// tombstones and terminal meta page. Foreground cleaning and
-// one pool shard make the run deterministic; GOLDEN_PRINT=1 prints the row.
+// commit batches byte for byte — same members, same order on the log (the
+// store's MDC appends a batch coldest first), same tombstones and terminal
+// meta page. Foreground cleaning and one pool shard make the run
+// deterministic; GOLDEN_PRINT=1 prints the row.
 //
 // Re-recorded once (three identical runs), when the store's page records
 // became variable-size (format LSSEG003) and the checkpoint began writing
@@ -50,8 +51,14 @@ import (
 // empty ones, and 000075, free at Close, is empty, where it held 2,118 bytes
 // of dead records. The other 63 files are byte-identical; cleaned, commits and
 // pages are unchanged.
+//
+// Re-recorded again (three identical runs) when the store began appending an
+// Apply's records coldest first under MDC, in ascending seq of each page's
+// current version, where it had kept the checkpoint's ascending-id order: the
+// same records land in other places, so cleaning moves other bytes; cleaned,
+// commits and pages are unchanged.
 const (
-	goldenSegments = "9f92e0a5d063c6fac1b79f1c32ef304d16677297c566d6aaebebd8d68b9ffcf2"
+	goldenSegments = "5f8e27834c2546bceae0de399d2e2dac435b03c229b72b2a0a41a2c22185044a"
 	goldenCleaned  = 16
 	goldenCommits  = 3
 	goldenPages    = 852

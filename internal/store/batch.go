@@ -55,9 +55,10 @@ func (b *Batch) Write(id uint32, data []byte) *Batch {
 // (it survives Reset): fill(i, dst) writes the page of the batch's i-th
 // operation into dst, exactly the reserved length, every byte of it. Apply
 // calls it under the store's lock, once per reserved write it appends (not for
-// one a later op on its page supersedes), in batch order, and only after
-// validating the whole batch and reserving its space — fill cannot fail, so
-// check what it will encode before Apply — and it must not call the store.
+// one a later op on its page supersedes), in the order it appends them (see
+// Apply) but always with the op's own index i, and only after validating the
+// whole batch and reserving its space — fill cannot fail, so check what it
+// will encode before Apply — and it must not call the store.
 func (b *Batch) SetFill(fill func(i int, dst []byte)) { b.fill = fill }
 
 // Reserve adds a page write of n bytes that the SetFill function produces
@@ -99,9 +100,11 @@ func (b *Batch) copyData(i int, dst []byte) {
 // any current version is invalidated, so a batch that cannot fit fails
 // with ErrFull leaving the store exactly as it was; a Delete of a
 // nonexistent page fails the whole batch with ErrNotFound the same way.
-// Entries apply in order, and the batch is a write buffer: an entry a later
-// Write/Delete of its page supersedes is never written, nor is a Delete of a
-// page that did not exist before the batch (store.user.absorbed).
+// Entries take effect in order, and the batch is a write buffer: an entry a
+// later Write/Delete of its page supersedes is never written, nor is a Delete
+// of a page that did not exist before the batch (store.user.absorbed). The
+// rest, one per page, are appended in batch order, or coldest first under an
+// algorithm that separates user writes (core.Algorithm.SortUser: MDC).
 //
 // Under DurCommit, Apply returns only after the batch is durable —
 // concurrent committers coalesce onto one group fsync — and recovery
@@ -124,9 +127,9 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 }
 
 // applyLocked validates the whole batch (prepare), plans it and reserves its
-// space (reserve), then appends the k records not absorbed, numbered 0..k-1: by
-// the time the first old version is invalidated, the apply loop can no longer
-// fail with ErrFull. With k > 1 they carry commit markers, so recovery can
+// space (reserve), then appends the k records not absorbed in plan's order,
+// numbered 0..k-1: by the time the first old version is invalidated, the apply
+// loop can no longer fail with ErrFull. With k > 1 they carry commit markers, so recovery can
 // discard a torn batch wholesale; a single record is trivially atomic. An
 // error that cuts the batch, some of its records in and some not, poisons the
 // store, or a later checkpoint would vouch for the half batch.
@@ -138,7 +141,7 @@ func (s *Store) applyLocked(b *Batch) (err error) {
 	if err := s.reserve(b); err != nil {
 		return err
 	}
-	k, pos := len(b.ops)-absorbed, uint32(0)
+	k, pos := len(s.order), uint32(0)
 	if k > 1 {
 		s.applying = s.seq + 1
 		defer func() { s.applying = 0 }()
@@ -148,13 +151,10 @@ func (s *Store) applyLocked(b *Batch) (err error) {
 			err = s.poison(err)
 		}
 	}()
-	for i := range b.ops {
-		op := &b.ops[i]
-		if op.size == 0 {
-			continue // absorbed
-		}
+	for _, key := range s.order {
+		op := &b.ops[key.i]
 		if err := s.openRoom(userStream, op.size, s.userNeed()); errors.Is(err, ErrFull) {
-			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err) // an unsound plan
+			return fmt.Errorf("store: batch reservation violated at op %d: %w", key.i, err) // an unsound plan
 		} else if err != nil {
 			return err // a backend error sealing or opening a segment
 		}
@@ -182,7 +182,7 @@ func (s *Store) applyLocked(b *Batch) (err error) {
 		if err != nil {
 			return err
 		}
-		b.copyData(i, rec[RecordHeaderSize:])
+		b.copyData(int(key.i), rec[RecordHeaderSize:])
 		err = s.appendRecord(userStream, op.id, flags, pos, rec, carried, nil)
 		pos++ // the record is in, even if sealing after it failed
 		if err != nil {
@@ -200,7 +200,7 @@ func (s *Store) applyLocked(b *Batch) (err error) {
 	return nil
 }
 
-// keptRefs bounds the batch whose page table prepare keeps for the next one.
+// keptRefs bounds the batch whose page table (prepare) and order (plan) are kept.
 const keptRefs = 2048
 
 // prepare validates the batch in order and sets each op's size, the log bytes
@@ -281,18 +281,41 @@ func (s *Store) reserve(b *Batch) error {
 	return nil
 }
 
-// plan counts, without mutating any log state, the fresh segments the
-// batch's appends to the user stream consume, replaying exactly what the
-// apply loop will do, so the reservation is exact.
+// appendKey places a batch op in the apply order: the seq of its page's
+// current version (0: none) and its index.
+type appendKey struct {
+	seq uint64
+	i   int32
+}
+
+// plan puts the batch's non-absorbed ops in the order the apply loop appends
+// them (s.order) and counts, without mutating any log state, the fresh
+// segments those appends to the user stream consume, so the reservation is
+// exact. An algorithm that separates user writes (SortUser, §5.3) appends
+// them coldest first: in ascending seq of each page's current version, a page
+// with none first, ties in batch order. The order is fixed here, before
+// reserve's cleaning renews the seqs of the pages it relocates.
 func (s *Store) plan(b *Batch) (newSegs int) {
+	if cap(s.order) > keptRefs {
+		s.order = nil // a big batch's order is not kept
+	}
+	s.order = s.order[:0]
+	for i := range b.ops {
+		if op := &b.ops[i]; op.size > 0 { // an absorbed op appends nothing
+			s.order = append(s.order, appendKey{s.table[op.id].seq, int32(i)})
+		}
+	}
+	if s.opts.Algorithm.SortUser {
+		slices.SortStableFunc(s.order, func(a, b appendKey) int { return cmp.Compare(a.seq, b.seq) })
+	}
 	segBytes := s.opts.segmentBytes()
 	rem := int64(-1) // room left in the open user segment; -1: none is open
 	if seg := s.open[userStream].seg; seg >= 0 {
 		rem = segBytes - s.fill[seg]
 	}
-	for i := range b.ops {
-		size := b.ops[i].size
-		if rem < size && size > 0 { // an absorbed op appends nothing
+	for _, key := range s.order {
+		size := b.ops[key.i].size
+		if rem < size {
 			newSegs++
 			rem = segBytes
 		}

@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -526,8 +528,21 @@ func tornBatchSetup(t *testing.T, dur core.Durability) (opts Options, recs []tor
 		t.Fatal(err)
 	}
 
-	// Locate the batch records on disk: scan every segment file for
-	// flagBatch records of the newest batch (highest start seq).
+	recs = newestBatchOnDisk(t, opts)
+	if len(recs) != 5 {
+		t.Fatalf("found %d batch records on disk, want 5", len(recs))
+	}
+	if recs[0].file == recs[4].file {
+		t.Fatal("batch landed in one segment, test needs it to span two")
+	}
+	return opts, recs
+}
+
+// newestBatchOnDisk scans every segment file in opts.Dir for the flagBatch
+// records of the newest batch (highest start seq) and returns them ordered by
+// batch position, failing the test if a position is missing.
+func newestBatchOnDisk(t *testing.T, opts Options) []tornRec {
+	t.Helper()
 	var bestStart uint64
 	byPos := map[uint32]tornRec{}
 	files, err := filepath.Glob(filepath.Join(opts.Dir, "*.seg"))
@@ -554,32 +569,26 @@ func tornBatchSetup(t *testing.T, dur core.Durability) (opts Options, recs []tor
 				byPos = map[uint32]tornRec{}
 			}
 			if start == bestStart {
-				byPos[h.pos] = tornRec{file: f, off: off, size: recSize}
+				byPos[h.pos] = tornRec{file: f, off: off, size: recSize, page: h.page}
 			}
 		}
 	}
-	if len(byPos) != 5 {
-		t.Fatalf("found %d batch records on disk, want 5", len(byPos))
-	}
-	segs := map[string]bool{}
-	for pos := uint32(0); pos < 5; pos++ {
-		r, ok := byPos[pos]
+	recs := make([]tornRec, len(byPos))
+	for pos := range recs {
+		r, ok := byPos[uint32(pos)]
 		if !ok {
 			t.Fatalf("batch position %d missing on disk", pos)
 		}
-		segs[r.file] = true
-		recs = append(recs, r)
+		recs[pos] = r
 	}
-	if len(segs) < 2 {
-		t.Fatalf("batch landed in %d segment(s), test needs it to span two", len(segs))
-	}
-	return opts, recs
+	return recs
 }
 
 type tornRec struct {
 	file string
 	off  int
 	size int
+	page uint32
 }
 
 // corrupt simulates a record that never reached storage by destroying its
@@ -655,6 +664,138 @@ func tornBatchNeverSurfacesPartially(t *testing.T, dur core.Durability) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestApplyAppendsColdestFirst: under MDC an Apply appends its records in
+// ascending seq of each page's current version — pages with none first, ties
+// in batch order — and a reserved write's fill still gets its op's own index;
+// greedy and MDC-no-sep-user append in batch order. A DurCommit batch whose
+// sorted order spans two segments recovers whole or not at all, whichever of
+// its records is torn.
+func TestApplyAppendsColdestFirst(t *testing.T) {
+	// Pages 1–6 are written in this order, page 2 twice, so the seqs of their
+	// current versions rank 4 6 1 5 3 2; the batch names them in another order,
+	// deletes 6, and makes pages 8 and 7.
+	history := []uint32{4, 2, 6, 1, 5, 3, 2}
+	batchOrder := []uint32{5, 8, 1, 2, 6, 7, 3, 4}
+	size := func(id uint32) int { return 20 + 5*int(id) }
+	for _, tc := range []struct {
+		alg  core.Algorithm
+		want []uint32 // pages by the seq of the record the batch appended
+	}{
+		{core.MDC(), []uint32{8, 7, 4, 6, 1, 5, 3, 2}},
+		{core.Greedy(), batchOrder},
+		{core.MDCNoSepUser(), batchOrder},
+	} {
+		t.Run(tc.alg.Name, func(t *testing.T) {
+			s, err := Open(Options{PageSize: 64, SegmentPages: 4, MaxSegments: 32, Algorithm: tc.alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, id := range history {
+				if err := s.WritePage(id, pagePattern(size(id), id, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := NewBatch()
+			b.SetFill(func(i int, dst []byte) { copy(dst, pagePattern(len(dst), batchOrder[i], 2)) })
+			for _, id := range batchOrder {
+				switch {
+				case id == 6:
+					b.Delete(id)
+				case id%2 == 0:
+					b.Reserve(id, size(id))
+				default:
+					b.Write(id, pagePattern(size(id), id, 2))
+				}
+			}
+			if err := s.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			appended := slices.Clone(batchOrder)
+			seq := func(id uint32) uint64 {
+				if loc, ok := s.table[id]; ok {
+					return loc.seq
+				}
+				return s.tombstones[id].seq
+			}
+			slices.SortFunc(appended, func(a, b uint32) int { return cmp.Compare(seq(a), seq(b)) })
+			if !slices.Equal(appended, tc.want) {
+				t.Errorf("records appended for pages %v, want %v", appended, tc.want)
+			}
+			buf := make([]byte, 64)
+			for _, id := range batchOrder {
+				if id == 6 {
+					if err := s.ReadPage(id, buf); !errors.Is(err, ErrNotFound) {
+						t.Errorf("deleted page 6 reads %v", err)
+					}
+				} else if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf[:size(id)], pagePattern(size(id), id, 2)) {
+					t.Errorf("page %d holds other bytes than its own (err %v)", id, err)
+				}
+			}
+			checkInvariants(t, s)
+		})
+	}
+
+	// Torn: five full-length pages first written in the order 3 5 1 4 2 fill
+	// one segment and start the next, so the batch rewriting 1–5 appends three
+	// records there and two in a third segment. Each record in turn is
+	// destroyed before recovery.
+	first := []uint32{3, 5, 1, 4, 2}
+	setup := func(t *testing.T) (Options, []tornRec) {
+		opts := Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 4, MaxSegments: 32, Durability: core.DurCommit}
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range first {
+			if err := s.WritePage(id, pagePattern(64, id, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := NewBatch()
+		for id := uint32(1); id <= 5; id++ {
+			b.Write(id, pagePattern(64, id, 2))
+		}
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.crash(); err != nil {
+			t.Fatal(err)
+		}
+		recs := newestBatchOnDisk(t, opts)
+		pages := make([]uint32, len(recs))
+		for i, r := range recs {
+			pages[i] = r.page
+		}
+		if !slices.Equal(pages, first) || recs[0].file == recs[4].file {
+			t.Fatalf("batch records hold pages %v from %s to %s; want %v across two segments", pages, recs[0].file, recs[4].file, first)
+		}
+		return opts, recs
+	}
+	for torn := -1; torn < len(first); torn++ {
+		opts, recs := setup(t)
+		want := byte(2)
+		if torn >= 0 {
+			recs[torn].corrupt(t)
+			want = 1
+		}
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatalf("recovery with record %d torn: %v", torn, err)
+		}
+		buf := make([]byte, 64)
+		for id := uint32(1); id <= 5; id++ {
+			if err := s.ReadPage(id, buf); err != nil || !bytes.Equal(buf, pagePattern(64, id, want)) {
+				t.Errorf("record %d torn: page %d is not at version %d (err %v)", torn, id, want, err)
+			}
+		}
+		checkInvariants(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

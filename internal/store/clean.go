@@ -502,18 +502,24 @@ func (s *Store) readCheckpoint() (*checkpoint, error) {
 	return ck, nil
 }
 
-// Close stops the background cleaner (if any), fsyncs the whole ledger in one
-// sync point (unless DurNone) — the open segments, and whatever an aborted
-// cycle left in it — seals the open segments, which then owe no fsync of their
-// own, checkpoints, truncates the free segments the checkpoint lets go
-// (discardFree), and releases resources. A poisoned store releases them too,
-// and returns its sticky error.
+// Close stops the background cleaner (if any) and runs cycles to its high
+// watermark until one nets less than a segment, so a closed store's size does
+// not depend on where in the hysteresis its writes stopped. It then fsyncs the
+// whole ledger in one sync point (unless DurNone) — the open segments, and
+// whatever an aborted cycle left in it — seals the open segments, checkpoints,
+// truncates the free segments the checkpoint lets go (discardFree), and
+// releases resources, a poisoned store's too, returning its sticky error.
 func (s *Store) Close() error {
 	s.stopCleaner()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
+	}
+	for s.cl != nil && s.err == nil && len(s.free) < s.cl.high {
+		if n, net, err := s.cleanCycle(); err != nil || n == 0 || net < s.opts.segmentBytes() {
+			break // a failed cycle re-sealed its victims; a poisoning one fails below
+		}
 	}
 	var err error
 	if s.opts.Durability != core.DurNone {

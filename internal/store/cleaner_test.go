@@ -131,6 +131,39 @@ func TestBackgroundWatermarkHysteresis(t *testing.T) {
 	s.check(t)
 }
 
+// TestCloseCleansToTheHighWatermark: Close runs cycles until the pool reaches
+// the high watermark, so a store closed with the pool between the watermarks
+// (where the cleaner does not wake) is closed at the high one; and it stops
+// at a cycle that nets less than a segment, where the high one is out of
+// reach.
+func TestCloseCleansToTheHighWatermark(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		live     int // pages of every ten that stay live
+		wantFree int
+		cleaned  uint64 // segments Close cleans
+	}{
+		{"garbage", 0, 9, 2},   // one cycle frees 2 empty segments: 7 → 9
+		{"all-live", 10, 7, 2}, // one cycle moves 2 full segments: 7 → 7
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openHeld(t)
+			s.fill(t, s.opts.FreeLowWater+1, tc.live)
+			s.let()
+			before := s.Stats().SegmentsCleaned
+			time.Sleep(2 * cleanPoll) // the pool is above the low watermark: no cycle
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.FreeSegments != tc.wantFree || st.SegmentsCleaned-before != tc.cleaned {
+				t.Errorf("closed with %d free segments after cleaning %d; want %d after %d",
+					st.FreeSegments, st.SegmentsCleaned-before, tc.wantFree, tc.cleaned)
+			}
+		})
+	}
+}
+
 // TestBackgroundAdmissionBlocksBelowFloorUntilRelease: a write finding the
 // pool below FreeEmergency waits while the cleaner's relocation is parked and
 // goes through once a release lifts the pool back to the floor.

@@ -5,7 +5,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -424,6 +426,80 @@ func TestBackgroundReservationRule(t *testing.T) {
 	}
 	if p.calls != 0 {
 		t.Errorf("background-mode reserve ran %d cleaning cycles itself", p.calls)
+	}
+}
+
+// TestSortedBatchPlanIsExact: under MDC, plan counts the segments the
+// coldest-first order opens, and the apply loop appends in the order plan
+// fixed, though the cleaning reserve runs between them renews the seqs of the
+// pages it relocates. First a batch whose sorted order needs one new segment
+// where batch order needs two; then seeded batches of mixed sizes.
+func TestSortedBatchPlanIsExact(t *testing.T) {
+	s := openScripted(t, nil, Options{PageSize: 64, SegmentPages: 2, MaxSegments: 24, Algorithm: core.MDC()})
+	// applyPlanned applies b and returns the new segments plan counted for it
+	// and those its records opened, failing if they went in another order.
+	applyPlanned := func(b *Batch) (planned, opened int, renewed bool) {
+		t.Helper()
+		if _, err := s.prepare(b); err != nil {
+			t.Fatal(err)
+		}
+		planned, order := s.plan(b), slices.Clone(s.order)
+		seg, before := s.open[userStream].seg, s.seq
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		first := s.seq - uint64(len(order)) + 1
+		for n, key := range order {
+			loc := s.table[b.ops[key.i].id]
+			if loc.seq != first+uint64(n) {
+				t.Fatalf("op %d appended at seq %d, want %d: not in plan's order", key.i, loc.seq, first+uint64(n))
+			}
+			if loc.seg != seg {
+				seg, opened = loc.seg, opened+1
+			}
+			for _, r := range s.recs {
+				renewed = renewed || slices.ContainsFunc(r, func(r recInfo) bool {
+					return r.page == b.ops[key.i].id && r.seq > before && r.seq < first
+				})
+			}
+		}
+		return planned, opened, renewed
+	}
+	s.put(t, "big-a", 64)
+	s.put(t, "big-b", 64) // these two fill a segment
+	s.put(t, "x", 64)
+	s.put(t, "tail", 24) // the open segment has 40 bytes left
+	b := NewBatch().Write(s.id("big-a"), make([]byte, 64)).Write(s.id("big-b"), make([]byte, 64)).Write(s.id("tiny"), make([]byte, 16))
+	if _, err := s.prepare(b); err != nil {
+		t.Fatal(err)
+	}
+	s.opts.Algorithm.SortUser = false
+	if got := s.plan(b); got != 2 {
+		t.Fatalf("batch order: plan = %d new segments, want 2", got)
+	}
+	s.opts.Algorithm.SortUser = true
+	if planned, opened, _ := applyPlanned(b); planned != 1 || opened != 1 {
+		t.Fatalf("coldest first (tiny, big-a, big-b): plan = %d, apply opened %d, want 1", planned, opened)
+	}
+	r := rand.New(rand.NewPCG(50, 1))
+	renewedRounds := 0
+	for round := 0; round < 300; round++ {
+		b := NewBatch()
+		for j := 2 + r.IntN(6); j > 0; j-- {
+			b.Write(s.id(fmt.Sprintf("p%d", r.IntN(40))), make([]byte, r.IntN(65)))
+		}
+		planned, opened, renewed := applyPlanned(b)
+		if planned != opened {
+			t.Fatalf("round %d: apply opened %d segments, plan said %d", round, opened, planned)
+		}
+		if renewed {
+			renewedRounds++
+		}
+		s.check(t)
+	}
+	t.Logf("%d of 300 batches had a page relocated by reserve's cleaning", renewedRounds)
+	if renewedRounds < 10 {
+		t.Errorf("only %d of 300 batches had a page relocated by the cleaning reserve runs; the workload is miscalibrated", renewedRounds)
 	}
 }
 

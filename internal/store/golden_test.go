@@ -155,16 +155,24 @@ func TestGoldenDeterminism(t *testing.T) {
 // re-seals them and cleans them at E = 1 — gc 1809 → 1818 and fsyncs 690 →
 // 694 (seal), 4442 → 4438 (commit); gc 2063 → 2043, cleaned 688 → 680 and
 // fsyncs 732 → 738 (seal/nodelete). Every other row is unchanged.
-const goldenRows = `store/MDC errFull=0 user=49446 gc=12006 unow=54356 cleaned=3864 meanE=0.8200139986824667 free=15 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:42/248 1:71/751
+// The six MDC rows were re-recorded when an Apply began appending its records
+// coldest first under MDC (SortUser): gc 12006 → 12151 (store/MDC), 11433 →
+// 11365 (vlog/MDC), 1818 → 1811 (store/MDC/seal and /commit), 13068 → 12996
+// (nodelete), 2043 → 2013 (seal/nodelete). The workload's batches are 2 to 12
+// ops, too few to separate much: appending them in reverse batch order, which
+// carries no information, moves the same rows as far (store/MDC 12178,
+// nodelete 13059), so store/MDC's rise is the reordering, not the key. The
+// greedy and cost-benefit rows keep batch order and are unchanged.
+const goldenRows = `store/MDC errFull=0 user=49446 gc=12151 unow=54356 cleaned=3872 meanE=0.8183153526483736 free=14 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:42/243 1:72/756
 store/greedy errFull=0 user=49446 gc=15112 unow=54356 cleaned=4040 meanE=0.7843384338433712 free=11 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:28/209 1:89/790
 store/cost-benefit errFull=0 user=49446 gc=15667 unow=54356 cleaned=4088 meanE=0.7764952299412803 free=15 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:58/283 1:55/716
-vlog/MDC errFull=0 user=49446 gc=11433 userBytes=7096352 gcBytes=1497652 liveBytes=123807 cleaned=4244 meanE=0.8276919437735627 free=5 keys=899 commits=5300 absorbed=1229 streams: 0:50/229 1:73/687
+vlog/MDC errFull=0 user=49446 gc=11365 userBytes=7096352 gcBytes=1490065 liveBytes=123807 cleaned=4244 meanE=0.8285648443022502 free=7 keys=899 commits=5300 absorbed=1229 streams: 0:45/219 1:76/697
 vlog/greedy errFull=0 user=49446 gc=15777 userBytes=7096352 gcBytes=2062558 liveBytes=123807 cleaned=4532 meanE=0.7777783763377096 free=6 keys=899 commits=5300 absorbed=1229 streams: 0:26/180 1:96/736
 vlog/cost-benefit errFull=0 user=49446 gc=14707 userBytes=7096352 gcBytes=2000018 liveBytes=123807 cleaned=4500 meanE=0.7829841579861111 free=7 keys=899 commits=5300 absorbed=1229 streams: 0:64/263 1:57/653
-store/MDC/seal firstHalfFsyncs=651 errFull=0 user=8000 gc=1818 unow=18667 cleaned=640 meanE=0.8322620738636365 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=0 rounds=0 syncs=0 fsyncs=694 streams: 0:48/266 1:67/669
-store/MDC/commit firstHalfFsyncs=4329 errFull=0 user=8000 gc=1818 unow=18667 cleaned=640 meanE=0.8322620738636365 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=3963 rounds=3963 syncs=4256 fsyncs=4438 streams: 0:48/266 1:67/669
-store/MDC/nodelete errFull=0 user=54577 gc=13068 unow=54577 cleaned=4112 meanE=0.8013740272373541 free=11 live=999 tomb=0 batches=5299 absorbed=1289 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:42/236 1:75/763
-store/MDC/seal/nodelete errFull=0 user=8855 gc=2043 unow=18872 cleaned=680 meanE=0.8122242647058824 free=11 live=943 tomb=0 batches=856 absorbed=217 commits=0 rounds=0 syncs=0 fsyncs=738 streams: 0:48/264 1:69/679`
+store/MDC/seal firstHalfFsyncs=643 errFull=0 user=8000 gc=1811 unow=18686 cleaned=640 meanE=0.8329634232954545 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=0 rounds=0 syncs=0 fsyncs=698 streams: 0:47/265 1:68/670
+store/MDC/commit firstHalfFsyncs=4351 errFull=0 user=8000 gc=1811 unow=18686 cleaned=640 meanE=0.8329634232954545 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=3963 rounds=3963 syncs=4260 fsyncs=4443 streams: 0:47/265 1:68/670
+store/MDC/nodelete errFull=0 user=54577 gc=12996 unow=54577 cleaned=4112 meanE=0.8024683852140078 free=15 live=999 tomb=0 batches=5299 absorbed=1289 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:37/225 1:76/774
+store/MDC/seal/nodelete errFull=0 user=8855 gc=2013 unow=18860 cleaned=680 meanE=0.8149816176470588 free=14 live=943 tomb=0 batches=856 absorbed=217 commits=0 rounds=0 syncs=0 fsyncs=739 streams: 0:45/262 1:69/681`
 
 // goldenOp is one workload operation against either engine.
 type goldenOp struct {

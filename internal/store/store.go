@@ -277,6 +277,7 @@ type Store struct {
 	userWrites uint64
 	batches    uint64           // successful multi-record Applies
 	refs       map[uint32]int32 // prepare's page table, empty between Applies
+	order      []appendKey      // plan's append order of the batch being applied
 
 	// run is the staged tail of segment runSeg, due at offset runOff (write
 	// lock held); relocs the relocated copies in it, current once it is written.
