@@ -14,11 +14,13 @@ import "fmt"
 //     only as durable as the operating system makes it. This is the fastest
 //     mode and the zero value (the historical Sync=false default).
 //   - DurSeal: a user's records are fsynced when their segment is sealed,
-//     checkpoints are fsynced, and a segment of relocated copies is fsynced
-//     once, by the cleaning cycle that seals it; until then the victims of
-//     those copies are released but not reset. A process kill keeps every
-//     acknowledged write and batch; a power cut can lose the records in
-//     not-yet-sealed open segments. This is the historical Sync=true behavior.
+//     and a segment of relocated copies is fsynced once, by the cleaning
+//     cycle that seals it; until then the victims of those copies, and any
+//     victim released while user records await their seal, are released but
+//     not reset. A process kill keeps every acknowledged write and batch; a
+//     power cut can lose the records in not-yet-sealed open segments, and
+//     nothing a sync point made durable. This is the historical Sync=true
+//     behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,
@@ -31,7 +33,7 @@ type Durability int
 const (
 	// DurNone never fsyncs; the zero value and historical default.
 	DurNone Durability = iota
-	// DurSeal fsyncs segment seals and checkpoints (the old Sync=true).
+	// DurSeal fsyncs segment seals (the old Sync=true).
 	DurSeal
 	// DurCommit group-fsyncs on every commit; batches are crash-atomic.
 	DurCommit

@@ -79,6 +79,11 @@ func newFileBackend(dir string, n int) (*fileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
+	// A CHECKPOINT file carried a deletion set this version does not read:
+	// without it, a page whose tombstone record was pruned could come back.
+	if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); err == nil {
+		return nil, fmt.Errorf("store: %s holds a CHECKPOINT file, which this version neither reads nor writes — migrate by draining the old store", dir)
+	}
 	// Recovery reads segments below n only: a written one at or above it
 	// would lose its pages without a word.
 	names, _ := fs.Glob(os.DirFS(dir), "[0-9][0-9][0-9][0-9][0-9][0-9].seg")

@@ -132,7 +132,7 @@ func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
 // loop can no longer fail with ErrFull. With k > 1 they carry commit markers, so recovery can
 // discard a torn batch wholesale; a single record is trivially atomic. An
 // error that cuts the batch, some of its records in and some not, poisons the
-// store, or a later checkpoint would vouch for the half batch.
+// store, or a later sync point would vouch for the half batch.
 func (s *Store) applyLocked(b *Batch) (err error) {
 	absorbed, err := s.prepare(b)
 	if err != nil {
@@ -171,12 +171,10 @@ func (s *Store) applyLocked(b *Batch) (err error) {
 		s.unow++
 		carried := s.invalidate(op.id)
 		if loc, deleted := s.tombstones[op.id]; deleted {
-			// A rewrite supersedes the pending deletion; its tombstone record,
-			// if it still has one, is garbage from here on.
+			// A rewrite supersedes the pending deletion; its tombstone record
+			// is garbage from here on.
 			delete(s.tombstones, op.id)
-			if loc.seg >= 0 {
-				s.pruned(loc.seg, RecordHeaderSize)
-			}
+			s.pruned(loc.seg, RecordHeaderSize)
 		}
 		rec, err := s.stage(userStream, int(op.size))
 		if err != nil {
@@ -435,7 +433,7 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 	for _, seg := range segs {
 		if e := s.unsynced[seg]; e.seq <= applied { // else appended to since: still owed one
 			delete(s.unsynced, seg)
-			retired = retired || e.reloc
+			retired = retired || e.owed()
 		}
 	}
 	if retired {
@@ -483,23 +481,15 @@ func (s *Store) fsyncAll(segs []int32) error {
 	return first
 }
 
-// fsync runs sync (CHECKPOINT's, its directory's) as a store.fsync.ns sample.
-func (s *Store) fsync(sync func() error) error {
-	t0 := time.Now()
-	err := sync()
-	s.hFsync.Record(uint64(time.Since(t0)))
-	return err
-}
-
 // commitWatermarkLocked is the stamp of a new segment header, the highest seq
-// known fully durable: the group-commit point, the last checkpoint's coverage,
-// or the seq before the first batch still being appended (applying) or with a
-// member no fsync has covered (the ledger's low). A batch starting at or below
-// it is whole on storage, whichever members cleaning recycles later. Caller
-// holds s.mu (read or write); gcm.mu nests inside it.
+// known fully durable: the group-commit point, or the seq before the first
+// batch still being appended (applying) or with a member no fsync has covered
+// (the ledger's low). A batch starting at or below it is whole on storage,
+// whichever members cleaning recycles later. Caller holds s.mu (read or
+// write); gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
-	w := max(s.gcm.durable, s.prunedSeq)
+	w := s.gcm.durable
 	s.gcm.mu.Unlock()
 	low := cmp.Or(s.applying, s.seq+1)
 	for _, e := range s.unsynced {

@@ -804,7 +804,7 @@ func TestApplyAppendsColdestFirst(t *testing.T) {
 // sibling records proving completeness can legitimately disappear when
 // the cleaner recycles a segment holding a superseded member. A durably
 // committed, acknowledged batch must then still surface its live members
-// — the recovered commit watermark (segment headers + checkpoint), not
+// — the recovered commit watermark (the segment headers), not
 // member counting, is what proves it committed.
 func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 	run := func(t *testing.T, dur core.Durability, crash bool) {
@@ -872,7 +872,7 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 	// still being appended or with a member no fsync has covered (the ledger's
 	// low, which DurNone never records: every earlier record has reached the
 	// OS by then), and the reset first fsyncs any batch member it leaves below
-	// that; across a clean restart the checkpoint watermark proves it too.
+	// that; across a clean restart the same headers prove it.
 	t.Run("DurCommit crash", func(t *testing.T) { run(t, core.DurCommit, true) })
 	t.Run("DurCommit clean close", func(t *testing.T) { run(t, core.DurCommit, false) })
 	t.Run("DurNone crash", func(t *testing.T) { run(t, core.DurNone, true) })

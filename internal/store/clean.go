@@ -2,14 +2,10 @@ package store
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
 	"slices"
-	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -231,11 +227,12 @@ func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (installe
 }
 
 // install appends a relocated copy of r, loaded into win, if it is still
-// current (a concurrent overwrite or delete may have superseded it), keeping
-// victim accounting truthful (a pruned record no longer counts against its
-// victim, nor a relocated one once flush wrote its copy), and notes the
-// segment the copy went to among those its victim waits on. It returns the
-// bytes appended, 0 when nothing was.
+// current (a concurrent overwrite or delete may have superseded it; a
+// tombstone is relocated like any record, since an older record of its page
+// may survive elsewhere), keeping victim accounting truthful (a relocated
+// record no longer counts against its victim once flush wrote its copy), and
+// notes the segment the copy went to among those its victim waits on. It
+// returns the bytes appended, 0 when nothing was.
 func (s *Store) install(r *recCand, win []byte) (int64, error) {
 	flags, size := uint32(0), int64(r.size)
 	if r.tomb {
@@ -243,18 +240,6 @@ func (s *Store) install(r *recCand, win []byte) (int64, error) {
 	}
 	if _, ok := s.liveAt(r.page, r.seq, r.seg, r.off); !ok {
 		return 0, nil // overwritten, deleted or superseded since selection
-	}
-	if r.tomb && r.seq <= s.prunedSeq {
-		// The deletion is checkpoint-covered: drop the tombstone
-		// RECORD instead of relocating it — but the deletion itself
-		// must stay in the tombstone map (with no record location)
-		// so every future checkpoint keeps carrying it: stale data
-		// records of the page can survive in not-yet-reused
-		// segments, and forgetting the deletion would let recovery
-		// resurrect them.
-		s.tombstones[r.page] = noRecord(r.seq)
-		s.pruned(r.seg, size)
-		return 0, nil
 	}
 	if err := s.gcRoom(size); err != nil {
 		return 0, err
@@ -307,7 +292,10 @@ func (s *Store) syncRelocated(locked bool) error {
 // the gross capacity bytes released. It forgets each victim's ledger entry, and
 // truncates it (discardFree): what was live in it is synced elsewhere, or sits
 // in an open GC tail — then the victim keeps its waits and its bytes, backing,
-// until the sync point that covers that tail. Caller holds the write lock.
+// until the sync point that covers that tail. Under DurSeal a dead record of
+// it may be its page's last durable version, superseded by a user record no
+// fsync has covered yet, so each victim also waits on the ledger's segments
+// holding user records. Caller holds the write lock.
 func (s *Store) release(victims []int32) (releasedBytes int64) {
 	for _, v := range victims {
 		m := &s.meta[v]
@@ -323,6 +311,13 @@ func (s *Store) release(victims []int32) (releasedBytes int64) {
 		m.Up2 = 0
 		delete(s.unsynced, v)
 		s.free = append(s.free, v)
+	}
+	for g, e := range s.unsynced {
+		for _, v := range victims {
+			if s.waits != nil && e.user && !slices.Contains(s.waits[v], g) {
+				s.waits[v] = append(s.waits[v], g)
+			}
+		}
 	}
 	s.freeCount.Store(int64(len(s.free)))
 	s.discardFree()
@@ -349,7 +344,7 @@ func (s *Store) backs(seg int32) bool { return len(s.waits[seg]) > 0 }
 // pruneWaits drops the waits on segments a sync point has just covered.
 func (s *Store) pruneWaits() {
 	for seg, on := range s.waits {
-		if on = slices.DeleteFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }); len(on) > 0 {
+		if on = slices.DeleteFunc(on, func(g int32) bool { return !s.unsynced[g].owed() }); len(on) > 0 {
 			s.waits[seg] = on
 		} else {
 			delete(s.waits, seg)
@@ -357,158 +352,31 @@ func (s *Store) pruneWaits() {
 	}
 }
 
-// checkpoint file layout: magic (8) | unow (8) | prunedSeq (8) |
-// nDeleted (4) | deleted page ids | nSegs (4) | per-segment up2 | crc (4).
-const checkpointMagic = "LSCKPT01"
-
-type checkpoint struct {
-	unow      uint64
-	prunedSeq uint64
-	deleted   []uint32
-	up2       []float64
-}
-
-func (s *Store) checkpointPath() string { return filepath.Join(s.opts.Dir, "CHECKPOINT") }
-
-// Checkpoint persists the cleaning estimates and the deletion set. After a
-// checkpoint, tombstones covered by it may be pruned during cleaning.
-func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Store) checkpointLocked() error {
-	if s.err != nil {
-		return s.err // a poisoned store's prunedSeq would vouch for what no fsync covered
-	}
-	if s.opts.Dir == "" {
-		// In-memory stores have nothing to persist; pruning is immediate.
-		s.prunedSeq = s.seq
-		return nil
-	}
-	meta := s.meta
-	buf := make([]byte, 0, 64+len(s.tombstones)*4+len(meta)*8)
-	buf = append(buf, checkpointMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, s.unow)
-	buf = binary.LittleEndian.AppendUint64(buf, s.seq)
-	deleted := make([]uint32, 0, len(s.tombstones))
-	for page := range s.tombstones {
-		deleted = append(deleted, page)
-	}
-	sort.Slice(deleted, func(i, j int) bool { return deleted[i] < deleted[j] })
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deleted)))
-	for _, page := range deleted {
-		buf = binary.LittleEndian.AppendUint32(buf, page)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	for i := range meta {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(meta[i].Up2))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	// Atomic install: write the temporary file (fsynced unless DurNone,
-	// with the error propagated — a silently failed sync would let a crash
-	// lose the checkpoint the caller was just promised), rename it over the
-	// old checkpoint, then fsync the directory so the rename itself is
-	// durable.
-	tmp := s.checkpointPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing checkpoint: %w", err)
-	}
-	if s.opts.Durability != core.DurNone {
-		if err := s.fsync(f.Sync); err != nil {
-			f.Close()
-			return s.poison(fmt.Errorf("syncing checkpoint: %w", err))
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, s.checkpointPath()); err != nil {
-		return fmt.Errorf("store: installing checkpoint: %w", err)
-	}
-	if s.opts.Durability != core.DurNone {
-		if err := s.syncDir(); err != nil {
-			return s.poison(fmt.Errorf("syncing checkpoint directory: %w", err))
-		}
-	}
-	s.prunedSeq = s.seq
-	return nil
-}
-
-// syncDir fsyncs the directory so a just-installed rename survives a crash.
+// syncDir fsyncs the directory, so the names of the segment files created
+// since the last one survive a power cut: a store.fsync.ns sample, as every
+// segment fsync is.
 func (s *Store) syncDir() error {
 	d, err := os.Open(s.opts.Dir)
 	if err != nil {
 		return err
 	}
-	err = s.fsync(d.Sync)
+	t0 := time.Now()
+	err = d.Sync()
+	s.hFsync.Record(uint64(time.Since(t0)))
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// readCheckpoint loads and verifies the checkpoint, returning nil when none
-// exists.
-func (s *Store) readCheckpoint() (*checkpoint, error) {
-	if s.opts.Dir == "" {
-		return nil, nil
-	}
-	buf, err := os.ReadFile(s.checkpointPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: reading checkpoint: %w", err)
-	}
-	if len(buf) < len(checkpointMagic)+8+8+4+4+4 || string(buf[:8]) != checkpointMagic {
-		return nil, fmt.Errorf("store: malformed checkpoint")
-	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("store: checkpoint checksum mismatch")
-	}
-	ck := &checkpoint{}
-	off := 8
-	ck.unow = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	ck.prunedSeq = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	nDel := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if off+nDel*4+4 > len(body) {
-		return nil, fmt.Errorf("store: truncated checkpoint deletion set")
-	}
-	for i := 0; i < nDel; i++ {
-		ck.deleted = append(ck.deleted, binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-	}
-	nSegs := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if off+nSegs*8 > len(body) {
-		return nil, fmt.Errorf("store: truncated checkpoint segment estimates")
-	}
-	for i := 0; i < nSegs; i++ {
-		ck.up2 = append(ck.up2, math.Float64frombits(binary.LittleEndian.Uint64(body[off:])))
-		off += 8
-	}
-	return ck, nil
-}
-
 // Close stops the background cleaner (if any) and runs cycles to its high
 // watermark until one nets less than a segment, so a closed store's size does
 // not depend on where in the hysteresis its writes stopped. It then fsyncs the
 // whole ledger in one sync point (unless DurNone) — the open segments, and
-// whatever an aborted cycle left in it — seals the open segments, checkpoints,
-// truncates the free segments the checkpoint lets go (discardFree), and
-// releases resources, a poisoned store's too, returning its sticky error.
+// whatever an aborted cycle left in it — seals the open segments, fsyncs the
+// directory (unless DurNone), truncates the free segments that sync point let
+// go (discardFree), and releases resources, a poisoned store's too, returning
+// its sticky error.
 func (s *Store) Close() error {
 	s.stopCleaner()
 	s.mu.Lock()
@@ -521,8 +389,8 @@ func (s *Store) Close() error {
 			break // a failed cycle re-sealed its victims; a poisoning one fails below
 		}
 	}
-	var err error
-	if s.opts.Durability != core.DurNone {
+	err := s.err
+	if err == nil && s.opts.Durability != core.DurNone {
 		_, err = s.syncPoint(true, nil)
 	}
 	for _, stream := range []int32{userStream, gcStream} {
@@ -530,8 +398,10 @@ func (s *Store) Close() error {
 			err = s.seal(stream)
 		}
 	}
-	if err == nil {
-		err = s.checkpointLocked()
+	if err == nil && s.opts.Dir != "" && s.opts.Durability != core.DurNone {
+		if err = s.syncDir(); err != nil {
+			err = s.poison(fmt.Errorf("syncing the directory: %w", err))
+		}
 	}
 	if err != nil && s.err == nil {
 		return err // no fsync failed: Close may be retried
@@ -666,13 +536,10 @@ func (s *Store) CheckInvariants() error {
 	defer s.mu.RUnlock()
 	liveCount := make([]int32, s.opts.MaxSegments)
 	liveBytes := make([]int64, s.opts.MaxSegments)
-	located := len(s.table) // index entries that must be found in a segment
-	for page, loc := range s.tombstones {
+	located := len(s.table) + len(s.tombstones) // index entries that must be found in a segment
+	for page := range s.tombstones {
 		if _, live := s.table[page]; live {
 			return fmt.Errorf("store: page %d is both live and deleted", page)
-		}
-		if loc.seg >= 0 { // else a checkpoint-carried deletion: no record
-			located++
 		}
 	}
 	for seg := range s.recs {
@@ -695,10 +562,11 @@ func (s *Store) CheckInvariants() error {
 		}
 	}
 	// A segment with waits is free (backing) or a victim, never open, and each
-	// segment it waits on is in the ledger with a relocated copy.
+	// segment it waits on is in the ledger with a user's record or a relocated
+	// copy.
 	for seg, on := range s.waits {
-		if st := s.meta[seg].State; st == core.SegOpen || len(on) == 0 || slices.ContainsFunc(on, func(g int32) bool { return !s.unsynced[g].reloc }) {
-			return fmt.Errorf("store: %s segment %d waits on %v, not all owing a relocated copy an fsync", st, seg, on)
+		if st := s.meta[seg].State; st == core.SegOpen || len(on) == 0 || slices.ContainsFunc(on, func(g int32) bool { return !s.unsynced[g].owed() }) {
+			return fmt.Errorf("store: %s segment %d waits on %v, not all owing a user or relocated record an fsync", st, seg, on)
 		}
 	}
 	pooled := make([]int, len(s.meta))

@@ -2,7 +2,7 @@ package store
 
 // crash simulates a process crash for tests: the backend file handles are
 // released (so reopening in-process does not exhaust descriptors) without
-// sealing open segments or writing a checkpoint — exactly the state a real
+// sealing open segments or fsyncing anything — exactly the state a real
 // crash leaves on disk.
 func (s *Store) crash() error {
 	s.stopCleaner()

@@ -163,16 +163,24 @@ func TestGoldenDeterminism(t *testing.T) {
 // carries no information, moves the same rows as far (store/MDC 12178,
 // nodelete 13059), so store/MDC's rise is the reordering, not the key. The
 // greedy and cost-benefit rows keep batch order and are unchanged.
+// The three rows that reopen half way were re-recorded when the CHECKPOINT
+// file went (first halves, firstHalfFsyncs included, unchanged). A reopened
+// segment's up2 is now its newest record's seq, where the Close's checkpoint
+// restored it: that alone moves store/MDC/seal/nodelete gc 2013 → 2015 and
+// fsyncs 739 → 733, and store/MDC/seal gc 1811 → 1810. Tombstones are now
+// relocated where the checkpoint let the reopened store drop them: store/MDC/seal
+// and /commit gc 1811 → 1865, free 13 → 11, fsyncs 698 → 699 and 4443 → 4450.
+// A released victim's wait on unsynced user records (DurSeal) moves no row.
 const goldenRows = `store/MDC errFull=0 user=49446 gc=12151 unow=54356 cleaned=3872 meanE=0.8183153526483736 free=14 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:42/243 1:72/756
 store/greedy errFull=0 user=49446 gc=15112 unow=54356 cleaned=4040 meanE=0.7843384338433712 free=11 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:28/209 1:89/790
 store/cost-benefit errFull=0 user=49446 gc=15667 unow=54356 cleaned=4088 meanE=0.7764952299412803 free=15 live=899 tomb=100 batches=5299 absorbed=4583 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:58/283 1:55/716
 vlog/MDC errFull=0 user=49446 gc=11365 userBytes=7096352 gcBytes=1490065 liveBytes=123807 cleaned=4244 meanE=0.8285648443022502 free=7 keys=899 commits=5300 absorbed=1229 streams: 0:45/219 1:76/697
 vlog/greedy errFull=0 user=49446 gc=15777 userBytes=7096352 gcBytes=2062558 liveBytes=123807 cleaned=4532 meanE=0.7777783763377096 free=6 keys=899 commits=5300 absorbed=1229 streams: 0:26/180 1:96/736
 vlog/cost-benefit errFull=0 user=49446 gc=14707 userBytes=7096352 gcBytes=2000018 liveBytes=123807 cleaned=4500 meanE=0.7829841579861111 free=7 keys=899 commits=5300 absorbed=1229 streams: 0:64/263 1:57/653
-store/MDC/seal firstHalfFsyncs=643 errFull=0 user=8000 gc=1811 unow=18686 cleaned=640 meanE=0.8329634232954545 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=0 rounds=0 syncs=0 fsyncs=698 streams: 0:47/265 1:68/670
-store/MDC/commit firstHalfFsyncs=4351 errFull=0 user=8000 gc=1811 unow=18686 cleaned=640 meanE=0.8329634232954545 free=13 live=871 tomb=69 batches=856 absorbed=760 commits=3963 rounds=3963 syncs=4260 fsyncs=4443 streams: 0:47/265 1:68/670
+store/MDC/seal firstHalfFsyncs=643 errFull=0 user=8000 gc=1865 unow=18686 cleaned=640 meanE=0.8306551846590906 free=11 live=871 tomb=69 batches=856 absorbed=760 commits=0 rounds=0 syncs=0 fsyncs=699 streams: 0:50/273 1:67/667
+store/MDC/commit firstHalfFsyncs=4351 errFull=0 user=8000 gc=1865 unow=18686 cleaned=640 meanE=0.8306551846590906 free=11 live=871 tomb=69 batches=856 absorbed=760 commits=3963 rounds=3963 syncs=4261 fsyncs=4450 streams: 0:50/273 1:67/667
 store/MDC/nodelete errFull=0 user=54577 gc=12996 unow=54577 cleaned=4112 meanE=0.8024683852140078 free=15 live=999 tomb=0 batches=5299 absorbed=1289 commits=0 rounds=0 syncs=0 fsyncs=0 streams: 0:37/225 1:76/774
-store/MDC/seal/nodelete errFull=0 user=8855 gc=2013 unow=18860 cleaned=680 meanE=0.8149816176470588 free=14 live=943 tomb=0 batches=856 absorbed=217 commits=0 rounds=0 syncs=0 fsyncs=739 streams: 0:45/262 1:69/681`
+store/MDC/seal/nodelete errFull=0 user=8855 gc=2015 unow=18860 cleaned=680 meanE=0.8147977941176471 free=14 live=943 tomb=0 batches=856 absorbed=217 commits=0 rounds=0 syncs=0 fsyncs=733 streams: 0:43/255 1:71/688`
 
 // goldenOp is one workload operation against either engine.
 type goldenOp struct {

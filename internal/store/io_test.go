@@ -362,7 +362,7 @@ func TestFailedSyncMidCycle(t *testing.T) {
 
 // TestFailedFsyncPoisons: the first failed fsync poisons the store. The
 // DurCommit write whose commit it failed returns it; so does every later
-// write, Apply, Sync, cleaning cycle, Checkpoint and Close, wrapped, though
+// write, Apply, Sync, cleaning cycle and Close, wrapped, though
 // fsyncs succeed again — the kernel may have dropped the pages the failed one
 // did not write, and no later fsync can vouch for them. The commit watermark
 // stays where it was, no segment is truncated, reads go on, and a reopen
@@ -390,7 +390,6 @@ func TestFailedFsyncPoisons(t *testing.T) {
 		{"Apply", s.Apply(b)},
 		{"Sync", s.Sync()},
 		{"CleanOnce", func() error { _, err := s.CleanOnce(); return err }()},
-		{"Checkpoint", s.Checkpoint()},
 	} {
 		if !errors.Is(op.err, errSyncInjected) || op.err.Error() == errSyncInjected.Error() {
 			t.Errorf("%s on a poisoned store = %v, want the fsync error, wrapped", op.name, op.err)
@@ -448,7 +447,7 @@ func TestReleasedVictimHoldsNoBytes(t *testing.T) {
 						t.Errorf("%s: backing segment %d lost its bytes", when, v)
 					case s.backs(v):
 						backing++
-					case sizes[v] != 0 && (len(recs) == 0 || recs[len(recs)-1].seq <= max(s.stamped, s.prunedSeq)):
+					case sizes[v] != 0 && (len(recs) == 0 || recs[len(recs)-1].seq <= s.stamped):
 						t.Errorf("%s: free segment %d, backing nothing, holds %d bytes", when, v, sizes[v])
 					}
 				}
@@ -815,8 +814,8 @@ func TestSealErrorInWritePage(t *testing.T) {
 // the segment a batch fills, half of the batch's records in and half not,
 // poisons the store: the Apply, a later write and Close return the error even
 // with the backend working again, and a reopen holds the pages as they were
-// before the batch and none of it. (Without the poison, Close's checkpoint
-// vouched for the half batch.)
+// before the batch and none of it. (Without the poison, Close's sync point
+// would vouch for the half batch.)
 func TestWriteErrorCuttingABatchPoisons(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 32, Durability: core.DurCommit})
@@ -860,27 +859,6 @@ func TestWriteErrorCuttingABatchPoisons(t *testing.T) {
 		}
 	}
 	checkInvariants(t, s)
-}
-
-// TestCheckpointFsyncsAreCounted: the CHECKPOINT file's fsync and its
-// directory's are store.fsync.ns samples, as every segment fsync is.
-func TestCheckpointFsyncsAreCounted(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 16, MaxSegments: 32, Durability: core.DurSeal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.WritePage(1, page(1, 64)); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Obs().Histogram("store.fsync.ns")
-	before := h.Count()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Count() - before; got != 2 {
-		t.Errorf("a checkpoint recorded %d store.fsync.ns samples, want 2: the file's and the directory's", got)
-	}
 }
 
 // TestCleanOnceBesideBackgroundCleaner: a cycle owns its window, so a

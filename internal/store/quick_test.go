@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // Seeded oracle test: rounds of writes at every length from 0 to PageSize,
-// deletes, batches, forced cleanings and (on disk) crash-reopens must always
+// deletes, batches, forced cleanings and (on disk) crash- or close-reopens must always
 // agree with an in-memory map — every ReadPage compared byte for byte,
 // including the zero fill past the length a page was written at — and leave
 // the per-segment byte accounting consistent, on both backends, and on disk
@@ -22,14 +20,7 @@ import (
 // once lost an acknowledged batch, a victim reset while another member of a
 // batch it held was still unsynced.
 func TestQuickRandomOpsWithRecovery(t *testing.T) {
-	seeds := 8
-	if v := os.Getenv("STORE_QUICK_SEEDS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("STORE_QUICK_SEEDS=%q: want a positive seed count", v)
-		}
-		seeds = n
-	}
+	seeds := quickSeeds(t, 8)
 	for _, c := range []struct {
 		name   string
 		disk   bool
@@ -130,16 +121,15 @@ func randomOpsRun(t *testing.T, seed uint64, dir string, dur core.Durability) bo
 				} else if !errors.Is(err, ErrNotFound) {
 					fail(round, op, "delete of a missing page", err)
 				}
-			case 1: // crash + reopen, occasionally after a checkpoint
+			case 1: // crash or clean close, then reopen
 				if dir == "" {
 					continue // a memory store has nothing to reopen
 				}
 				if r.IntN(2) == 0 {
-					if err := s.Checkpoint(); err != nil {
-						fail(round, op, "checkpoint", err)
+					if err := s.Close(); err != nil {
+						fail(round, op, "close", err)
 					}
-				}
-				if err := s.crash(); err != nil {
+				} else if err := s.crash(); err != nil {
 					fail(round, op, "crash", err)
 				}
 				if s, err = Open(opts); err != nil {

@@ -33,11 +33,10 @@ import (
 // committed even though some members have since been garbage-collected:
 // the header commit watermark is the highest seq known fully durable when
 // the segment was opened (under DurSeal: the seq before the first batch with
-// a member no fsync has covered), the checkpoint records the seq it covered,
-// and both are snapshotted under the engine lock so neither can land
-// mid-batch — a batch starting at or below the recovered watermark is
-// committed. A torn batch (the commit was never acknowledged) is discarded
-// wholesale, never partially.
+// a member no fsync has covered), snapshotted under the engine lock so it
+// cannot land mid-batch — a batch starting at or below the recovered
+// watermark is committed. A torn batch (the commit was never acknowledged) is
+// discarded wholesale, never partially.
 //
 // Any other "LSSEG…" format is refused loudly rather than silently
 // recovered as empty.

@@ -256,11 +256,6 @@ func FuzzRecoverSegment(f *testing.F) {
 	})
 }
 
-// writeGarbage simulates a torn partial file left behind by a crash.
-func writeGarbage(path string) error {
-	return os.WriteFile(path, []byte("torn checkpoint bytes"), 0o644)
-}
-
 // TestRecoverySealOrderMatchesLogOrder is the regression test for the
 // recovery bug where SealSeq was assigned in segment-id scan order: the
 // free list is popped from the back, so id order is typically the REVERSE
@@ -326,10 +321,10 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 	}
 }
 
-// TestRecoveryClockNeverRegresses is the regression test for restoring the
-// update clock from a stale checkpoint: writes after the checkpoint push
-// the record sequence past ck.unow, and resuming the clock below it would
-// let up2 estimates run ahead of "now".
+// TestRecoveryClockNeverRegresses: writes after a clean Close and reopen push
+// the record sequence past the update clock the Close left, and a kill then
+// reopens the store: resuming the clock below the highest record sequence
+// would let up2 estimates run ahead of "now".
 func TestRecoveryClockNeverRegresses(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
@@ -342,10 +337,13 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint writes advance both clocks well past the checkpoint.
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	// Writes after the reopen advance both clocks well past the Close.
 	for i := 0; i < 3000; i++ {
 		id := uint32(i % 100)
 		if err := s.WritePage(id, page(id, 128)); err != nil {
@@ -375,74 +373,6 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 	}
 	if maxUp2 > float64(unow) {
 		t.Errorf("recovered up2 estimate %.1f exceeds update clock %d", maxUp2, unow)
-	}
-}
-
-// TestCheckpointCrashMidInstall simulates a crash between writing the
-// checkpoint's temporary file and renaming it into place: the leftover tmp
-// file must be ignored and the previous checkpoint must still govern
-// recovery (including its deletion set).
-func TestCheckpointCrashMidInstall(t *testing.T) {
-	dir := t.TempDir()
-	opts := testOpts(dir)
-	opts.Durability = core.DurSeal // exercise the fsync-and-propagate path too
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[uint32][]byte{}
-	for id := uint32(0); id < 80; id++ {
-		v := page(id, 128)
-		if err := s.WritePage(id, v); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = v
-	}
-	if err := s.DeletePage(7); err != nil {
-		t.Fatal(err)
-	}
-	delete(want, 7)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// More writes, then a torn checkpoint attempt: the tmp file exists with
-	// garbage, the rename never happened.
-	for id := uint32(100); id < 150; id++ {
-		v := page(id, 128)
-		if err := s.WritePage(id, v); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = v
-	}
-	if err := writeGarbage(s.checkpointPath() + ".tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.crash(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(opts)
-	if err != nil {
-		t.Fatalf("reopen with torn checkpoint tmp: %v", err)
-	}
-	checkInvariants(t, s2)
-	defer s2.Close()
-	buf := make([]byte, 128)
-	for id, v := range want {
-		if err := s2.ReadPage(id, buf); err != nil {
-			t.Fatalf("ReadPage(%d): %v", id, err)
-		}
-		if !bytes.Equal(buf, v) {
-			t.Fatalf("page %d corrupted after torn checkpoint install", id)
-		}
-	}
-	if err := s2.ReadPage(7, buf); err == nil {
-		t.Error("deleted page 7 resurrected after torn checkpoint install")
-	}
-	// Checkpointing still works on the recovered store (and replaces the
-	// torn tmp file cleanly).
-	if err := s2.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after torn install: %v", err)
 	}
 }
 
@@ -494,28 +424,34 @@ func TestOpenRefusesSegmentsAboveMaxSegments(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesCorruptCheckpoint: a CHECKPOINT that fails its checksum is
-// a read fault, not a missing checkpoint — recovery without its deletion set
-// could bring back a page whose tombstone was pruned.
-func TestOpenRefusesCorruptCheckpoint(t *testing.T) {
+// TestOpenRefusesACheckpointFile: a directory holding a CHECKPOINT file was
+// written by a version that pruned tombstone records and kept the deletions in
+// that file; recovery without it could bring a deleted page back, so Open
+// refuses the directory by name and leaves it as it was.
+func TestOpenRefusesACheckpointFile(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
 	writeAndClose(t, opts, 40)
 	path := filepath.Join(dir, "CHECKPOINT")
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(checkpointMagic)] ^= 1
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("LSCKPT01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(opts)
 	if err == nil {
 		s.Close()
-		t.Fatal("reopen over a corrupt CHECKPOINT succeeded; want an error")
+		t.Fatal("reopen over a CHECKPOINT file succeeded; want an error")
 	}
-	if !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("error %q does not name the checkpoint", err)
+	if !strings.Contains(err.Error(), "CHECKPOINT") {
+		t.Fatalf("error %q does not name the CHECKPOINT file", err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if live := s.Stats().LivePages; live != 40 {
+		t.Fatalf("reopen without the CHECKPOINT file: %d live pages, want 40", live)
 	}
 }

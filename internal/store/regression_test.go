@@ -8,11 +8,11 @@ import (
 )
 
 // TestRegressionTombstonePruneResurrection replays the exact quick-check
-// seed that exposed a recovery bug: pruning a checkpoint-covered tombstone
-// RECORD used to also forget the deletion in the tombstone map, so the next
-// checkpoint no longer carried it and a crash could resurrect the page from
-// a stale data record in a not-yet-reused segment. The replay verifies the
-// whole oracle after every crash-reopen.
+// seed that exposed a recovery bug: pruning a tombstone RECORD used to also
+// forget the deletion, so a crash could resurrect the page from a stale data
+// record in a not-yet-reused segment. Tombstones are no longer pruned, only
+// relocated; the replay, with a clean Close where it once checkpointed,
+// verifies the whole oracle after every reopen.
 func TestRegressionTombstonePruneResurrection(t *testing.T) {
 	seed := uint64(0x420e3ebf8d51afbd)
 	dir := t.TempDir()
@@ -58,13 +58,12 @@ func TestRegressionTombstonePruneResurrection(t *testing.T) {
 				history = append(history, "^^ id73")
 			}
 		case 1:
-			ck := r.IntN(2) == 0
-			if ck {
-				if err := s.Checkpoint(); err != nil {
+			closed := r.IntN(2) == 0
+			if closed {
+				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := s.crash(); err != nil {
+			} else if err := s.crash(); err != nil {
 				t.Fatal(err)
 			}
 			s2, err := Open(opts)
@@ -73,7 +72,7 @@ func TestRegressionTombstonePruneResurrection(t *testing.T) {
 			}
 			checkInvariants(t, s2)
 			s = s2
-			history = append(history, map[bool]string{true: "ckpt+reopen", false: "reopen"}[ck])
+			history = append(history, map[bool]string{true: "close+reopen", false: "reopen"}[closed])
 			// verify immediately after reopen
 			buf := make([]byte, 64)
 			for vid := uint32(0); vid < pages; vid++ {

@@ -145,9 +145,11 @@ func (s *Store) pick() int {
 // openSegment makes free segment seg stream's open segment: it empties the
 // segment's file (the header's write creates one never written) and stages the
 // header, the start of the run its first records will extend. A victim not yet
-// truncated (discardFree) dies here, so when it backs or the stamp is below its
-// newest record, a sync point (store.backing.syncs) first covers the segments
-// it waits on and the ledger entries of batches starting at or before it.
+// truncated (discardFree) dies here, so when it backs (a relocated copy of its
+// records, or a user record superseding one, owes an fsync) or the stamp is
+// below its newest record, a sync point (store.backing.syncs) first covers the
+// segments it waits on and the ledger entries of batches starting at or
+// before it.
 func (s *Store) openSegment(seg, stream int32) error {
 	if err := s.flush(); err != nil {
 		return err
@@ -199,13 +201,14 @@ func (s *Store) truncate(seg int32) error {
 	return nil
 }
 
-// discardFree truncates each free segment that backs nothing and whose newest
-// record a stamp on storage covers (stamped, or the checkpoint's prunedSeq):
-// recovery needs no batch record in it. openSegment may reset on the watermark
-// in memory, as its own header carries it. A poisoned store truncates nothing.
+// discardFree truncates each free segment that backs nothing (no segment it
+// waits on owes an fsync) and whose newest record a header on storage stamps
+// past (stamped): recovery needs no record in it, not even a batch member.
+// openSegment may reset on the watermark in memory, as its own header carries
+// it. A poisoned store truncates nothing.
 func (s *Store) discardFree() {
 	for _, v := range s.free {
-		if recs := s.recs[v]; len(recs) > 0 && s.err == nil && !s.backs(v) && recs[len(recs)-1].seq <= max(s.stamped, s.prunedSeq) {
+		if recs := s.recs[v]; len(recs) > 0 && s.err == nil && !s.backs(v) && recs[len(recs)-1].seq <= s.stamped {
 			_ = s.truncate(v) // a failure leaves the bytes to openSegment, whose truncate reports it
 		}
 	}

@@ -7,9 +7,9 @@
 // internal/core (MDC by default), exactly the machinery evaluated by the
 // simulator. It is the one record engine: files (or memory), CRC record
 // framing, the page table, the segment log (segment metadata, free pool,
-// streams, write admission), the cleaning cycle, recovery, checkpoints, group
-// commit and the durability points. The in-memory value log (internal/vlog)
-// is a string-key index over a memory-backed Store.
+// streams, write admission), the cleaning cycle, recovery, group commit and
+// the durability points. The in-memory value log (internal/vlog) is a
+// string-key index over a memory-backed Store.
 //
 // Placement has two append streams: user data fills one, GC relocations the
 // other. Routed placement (multi-log and multi-log-opt) is simulator-only:
@@ -30,33 +30,40 @@
 // released or that segment fsynced; a cleaning cycle reads a victim one window
 // (ioUnit) at a time and relocates records straight out of it.
 //
-// Durability model: records are appended with CRC-32C; Options.Durability
-// picks the fsync policy. One ledger lists the segments holding appends no
-// fsync has covered, and every durability point is one sync point over part of
-// it (syncPoint): those segments are fsynced together, and an entry is retired
-// only by a successful fsync that began after the segment's last append.
-// DurNone never syncs; DurSeal fsyncs a user's records when their segment is
-// sealed, and checkpoints; DurCommit makes every WritePage/DeletePage/Apply
-// return only after the whole ledger is flushed, concurrent committers
-// coalescing onto one group round, and makes multi-record batches crash-atomic
-// (recovery discards a torn batch wholesale via the commit markers in the
-// record headers). A cleaning cycle's sync point covers every sealed segment
-// holding a relocated copy before any victim is released; DurSeal leaves an
-// open GC tail to the cycle that seals it, and a victim with copies there is
-// backing: not truncated until they are fsynced, so a crash anywhere leaves an
-// intact durable copy of every live page. Any other released victim is
-// truncated (discardFree), so a free segment holds no bytes. Open creates no
-// file; nothing fsyncs the directory for a new one (a checkpoint's rename
-// does). A failed fsync, or a write error that cuts a batch in two, poisons
-// the store: writes, syncs and cycles fail from then on, reads go on. Store.Sync is the explicit flush for the weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage
-// and DeletePage apply a batch of one): one admission check, one lock hold,
-// space reserved for the whole batch before any old version is invalidated,
-// so ErrFull leaves nothing partially applied. Recovery scans all segments,
-// keeps the highest-sequence record per page, stops a segment at the first
-// torn or corrupt record, and applies the last checkpoint's deletion set.
-// up2 cleaning estimates are restored from the checkpoint when present and
-// relearned otherwise — they affect only cleaning efficiency, never
-// correctness.
+// Durability model: the segment files are the store's whole durable state.
+// Records are appended with CRC-32C; Options.Durability picks the fsync
+// policy. One ledger lists the segments holding appends no fsync has covered,
+// and every durability point is one sync point over part of it (syncPoint):
+// those segments are fsynced together, and an entry is retired only by a
+// successful fsync that began after the segment's last append. DurNone never
+// syncs; DurSeal fsyncs a user's records when their segment is sealed;
+// DurCommit makes every WritePage/DeletePage/Apply return only after the whole
+// ledger is flushed, concurrent committers coalescing onto one group round, and
+// makes multi-record batches crash-atomic (recovery discards a torn batch
+// wholesale via the commit markers in the record headers). A cleaning cycle's
+// sync point covers every sealed segment holding a relocated copy before any
+// victim is released. Under DurSeal a released victim waits on the segments
+// still owing an fsync to an open GC tail's copies of its records, or to the
+// user records that superseded its dead ones; while it waits it is backing, so
+// a crash or a power cut anywhere leaves an intact durable copy of every page
+// a sync point made durable. A released victim is truncated (discardFree) once
+// no segment it waits on owes an fsync and a header on storage stamps past its
+// newest record, so a free segment holds no bytes. Open creates no file and
+// refuses a directory holding a CHECKPOINT file (the format that kept a
+// deletion set beside the segments); Close fsyncs the directory once, which
+// makes new segment files' names durable. A failed fsync, or a write error
+// that cuts a batch in two, poisons the store: writes, syncs and cycles fail
+// from then on, reads go on. Store.Sync is the explicit flush for the weaker
+// levels. Every write is an atomic batch (NewBatch/Apply; WritePage and
+// DeletePage apply a batch of one): one admission check, one lock hold, space
+// reserved for the whole batch before any old version is invalidated, so
+// ErrFull leaves nothing partially applied. A tombstone is relocated like any
+// live record until its page is rewritten, so no deletion needs remembering
+// outside the log. Recovery scans all segments, keeps the highest-sequence
+// record per page and stops a segment at the first torn or corrupt record.
+// Every recovered segment's up2 cleaning estimate restarts at the seq of its
+// newest record, relearned as its pages are invalidated — it affects only
+// cleaning efficiency, never correctness.
 package store
 
 import (
@@ -87,8 +94,8 @@ var errClosed = errors.New("store: closed")
 
 // Options configures a Store.
 type Options struct {
-	// Dir holds segment files and the checkpoint; "" keeps everything in
-	// memory (tests, caches).
+	// Dir holds the segment files; "" keeps everything in memory (tests,
+	// caches).
 	Dir string
 	// PageSize is the maximum page size in bytes (default 4096): a write
 	// may be any length up to it, and the record stores exactly that many.
@@ -109,7 +116,7 @@ type Options struct {
 	// CleanBatch is the number of victims per cleaning cycle (default 8).
 	CleanBatch int
 	// Durability is the write-durability policy (default core.DurNone):
-	// DurNone never fsyncs, DurSeal fsyncs segment seals and checkpoints,
+	// DurNone never fsyncs, DurSeal fsyncs segment seals,
 	// DurCommit makes every write/Apply wait for a (coalesced) group fsync
 	// and makes batches crash-atomic. See core.Durability.
 	Durability core.Durability
@@ -199,16 +206,12 @@ func (o Options) segmentBytes() int64 {
 }
 
 // pageLoc is where a page's current record lives: the byte offset of the
-// record in its segment file. A deletion carried only by the checkpoint has
-// no record (seg -1).
+// record in its segment file.
 type pageLoc struct {
 	seg int32
 	off uint32
 	seq uint64
 }
-
-// noRecord is the location of a deletion whose tombstone record is gone.
-func noRecord(seq uint64) pageLoc { return pageLoc{seg: -1, seq: seq} }
 
 // Store is a log-structured page store instance. All methods are safe for
 // concurrent use: reads share an RLock, writes and cleaning installs take
@@ -257,9 +260,11 @@ type Store struct {
 	// a volatile backend (Dir "").
 	unsynced map[int32]unsyncedSeg
 	// waits maps a segment to the segments, still owing an fsync, that hold
-	// relocated copies of its records: noted by Install, pruned by the sync
-	// points that cover them. A free segment in it is backing (Backs). Nil
-	// unless DurSeal on disk (DurCommit's cycle covers the whole ledger).
+	// relocated copies of its records (noted by install) or, once it is
+	// released, user records that superseded its dead ones (noted by
+	// release); the sync points that cover them prune it. A free segment in
+	// it is backing (backs). Nil unless DurSeal on disk (DurCommit's cycle
+	// covers the whole ledger).
 	waits map[int32][]int32
 
 	// gcm is the group-commit state: under DurCommit concurrent committers
@@ -271,8 +276,6 @@ type Store struct {
 	// applying is the first seq of the multi-record batch being appended, 0
 	// between batches: a segment the batch opens must not vouch for it.
 	applying uint64
-
-	prunedSeq uint64 // deletions at or below this seq are checkpoint-covered
 
 	userWrites uint64
 	batches    uint64           // successful multi-record Applies
@@ -329,6 +332,9 @@ type unsyncedSeg struct {
 	seq, low    uint64
 	user, reloc bool
 }
+
+// owed reports whether the entry owes a record an fsync (a header is none).
+func (e unsyncedSeg) owed() bool { return e.user || e.reloc }
 
 // recInfo is one record written to a segment. Records sit back to back, so
 // each starts where its predecessor ends (the first at segHeaderSize): the
@@ -414,8 +420,8 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover scans every segment, rebuilds the page table from the highest
-// sequence numbers, and applies the checkpoint.
+// recover scans every segment and rebuilds the page table from the highest
+// sequence numbers.
 func (s *Store) recover() error {
 	type hit struct {
 		loc  pageLoc
@@ -449,13 +455,9 @@ func (s *Store) recover() error {
 	// watermark is the highest seq proven fully durable by any recovered
 	// evidence: segment headers stamp the commit watermark at open time
 	// (commitWatermarkLocked: a reset victim's new header is stamped after
-	// the fsyncs that let its bytes die), and the checkpoint records the seq
-	// it covered. Both are snapshotted under the engine lock, so neither can
-	// fall mid-batch. The headers' evidence is fsync-backed under DurCommit
-	// and DurSeal; the checkpoint-derived part under DurNone and DurSeal
-	// assumes issued writes persisted, which is the baseline those levels
-	// operate on anyway. Either keeps a committed batch visible after the
-	// cleaner recycled some members' segments.
+	// the fsyncs that let its bytes die), snapshotted under the engine lock,
+	// so it cannot fall mid-batch. It keeps a committed batch visible after
+	// the cleaner recycled some members' segments.
 	var watermark uint64
 
 	// One read per segment, into a buffer the first written segment pays
@@ -550,6 +552,7 @@ func (s *Store) recover() error {
 	for _, ss := range sealed {
 		m := &s.meta[ss.seg]
 		m.Stream, m.State = ss.stream, core.SegSealed
+		m.Up2 = float64(s.recs[ss.seg][len(s.recs[ss.seg])-1].seq) // the stated estimate: its newest record's seq
 		s.sealSeq++
 		m.SealSeq = s.sealSeq
 	}
@@ -561,20 +564,10 @@ func (s *Store) recover() error {
 		}
 	}
 	s.freeCount.Store(int64(len(s.free)))
-	s.seq = maxSeq
+	// Every update appends a record, so the seq clock runs at least as fast
+	// as the update clock: restarting both there never runs one backwards.
+	s.seq, s.unow = maxSeq, maxSeq
 	s.incarnation = maxInc
-
-	// A checkpoint is installed by rename: one that does not verify is damage,
-	// and skipping its deletion set could bring a pruned tombstone's page back.
-	ck, err := s.readCheckpoint()
-	if err != nil {
-		return err
-	}
-	if ck != nil && ck.prunedSeq > watermark {
-		// The checkpoint covered everything up to prunedSeq, so any batch
-		// at or below it was complete on disk when it was taken.
-		watermark = ck.prunedSeq
-	}
 
 	// Whole-batch crash atomicity: surface a batch when every member
 	// survived, or when it provably committed (its start is at or below
@@ -595,41 +588,6 @@ func (s *Store) recover() error {
 				latest[m.page] = hit{loc: m.loc, tomb: m.tomb}
 			}
 		}
-	}
-
-	if ck != nil {
-		// Writes after the checkpoint advanced the update clock past the
-		// checkpointed value; resuming at ck.unow would run the clock
-		// backwards and let up2 estimates exceed unow. maxSeq ticks at
-		// least as fast as unow (every update appends a record), so it is
-		// a safe monotone restart point.
-		s.unow = max(ck.unow, maxSeq)
-		s.prunedSeq = ck.prunedSeq
-		for seg, up2 := range ck.up2 {
-			if seg < len(s.meta) {
-				s.meta[seg].Up2 = up2
-			}
-		}
-		for _, page := range ck.deleted {
-			h, ok := latest[page]
-			if ok && (h.loc.seq > ck.prunedSeq || h.tomb) {
-				// A newer record (rewrite or tombstone) supersedes the
-				// checkpointed deletion.
-				continue
-			}
-			if ok {
-				// The data record predates the checkpointed deletion whose
-				// tombstone record may have been pruned: the page stays
-				// deleted.
-				delete(latest, page)
-			}
-			// Re-adopt the deletion so future checkpoints keep carrying it
-			// until the page is rewritten; there is no record location.
-			s.tombstones[page] = noRecord(ck.prunedSeq)
-		}
-	}
-	if s.unow == 0 {
-		s.unow = maxSeq // estimates restart from the LSN clock
 	}
 
 	for page, h := range latest {

@@ -291,7 +291,7 @@ func TestRecoveryWithoutCloseNoCheckpoint(t *testing.T) {
 		}
 		want[id] = v
 	}
-	// Crash: drop handles without sealing or checkpointing.
+	// Crash: drop handles without sealing or fsyncing.
 	if err := s.crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +361,6 @@ func TestTornTailIgnored(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Remove the checkpoint so recovery sees only segments.
-	os.Remove(filepath.Join(dir, "CHECKPOINT"))
-
 	s2, err := Open(testOpts(dir))
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
@@ -409,7 +406,7 @@ func TestTombstoneSurvivesCleaningBeforeCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash without checkpoint.
+	// Crash without Close.
 	s2, err := Open(testOpts(dir))
 	if err != nil {
 		t.Fatal(err)

@@ -181,8 +181,9 @@ type Engine struct {
 // (atomic, so concurrent clones stay exact), the NURand constants, the
 // padding buffers, and the sticky backend error.
 type engineShared struct {
-	// nextOID tracks each district's next order id (also persisted in the
-	// district row; kept here so the driver avoids value decoding).
+	// nextOID tracks each district's next order id. It lives only here: the
+	// district row is zero padding of its kind's length, so it does not carry
+	// the id, and a reopened engine does not recover it.
 	nextOID    []atomic.Uint64
 	histSeq    atomic.Uint64
 	txCounts   [5]atomic.Uint64

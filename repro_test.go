@@ -2,8 +2,6 @@ package repro
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
@@ -107,9 +105,6 @@ func TestFacadeStore(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); err != nil {
-		t.Errorf("close did not checkpoint: %v", err)
 	}
 }
 
