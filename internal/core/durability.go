@@ -14,13 +14,13 @@ import "fmt"
 //     only as durable as the operating system makes it. This is the fastest
 //     mode and the zero value (the historical Sync=false default).
 //   - DurSeal: a user's records are fsynced when their segment is sealed,
-//     and a segment of relocated copies is fsynced once, by the cleaning
-//     cycle that seals it; until then the victims of those copies, and any
-//     victim released while user records await their seal, are released but
-//     not reset. A process kill keeps every acknowledged write and batch; a
-//     power cut can lose the records in not-yet-sealed open segments, and
-//     nothing a sync point made durable. This is the historical Sync=true
-//     behavior.
+//     behind the writer (durable before its next seal, sync point, Sync or
+//     Close completes); a segment of relocated copies once, by the cleaning
+//     cycle that seals it. Until then their victims, and any victim released
+//     while user records await their fsync, are released but not reset. A
+//     kill keeps every acknowledged write and batch; a power cut can lose the
+//     open segment and the sealed one whose fsync runs, and nothing a sync
+//     point made durable. This is the historical Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,

@@ -389,20 +389,21 @@ func (s *Store) waitDurable(target uint64) error {
 // syncInFlight bounds the fsyncs a sync point has outstanding at once.
 const syncInFlight = 4
 
-// syncPoint is how a segment gets fsynced, at every durability point: seal,
-// cleaning cycle, backing reuse, group flush, Sync, Close. Under the store lock
-// (the caller's if locked, else its own) it writes the staged run and claims the
-// ledger entries pick wants (nil: all of them, which makes the log durable up
-// to the seq at the claim, and publishes that); it fsyncs the claimed segments
-// concurrently, holding the lock only if the caller does; and, under the lock
-// again, retires the entries no append has touched since the claim (and the
-// waits on them). An error retires nothing, and a failed fsync poisons the
-// store (poison). n is the number of segments claimed.
+// syncPoint is how a segment gets fsynced, at every durability point but a
+// DurSeal seal: cleaning cycle, backing reuse, group flush, Sync, Close. Under
+// the store lock (the caller's if locked, else its own) it settles, so no
+// segment is fsynced twice with no write between, writes the staged run, and
+// claims the ledger entries pick wants (nil: all of them, which makes the log
+// durable up to the seq at the claim, and publishes that); it fsyncs the
+// claimed segments concurrently, holding the lock only if the caller does;
+// and, under the lock again, retires the entries no append has touched since
+// the claim (and the waits on them). An error retires nothing, and a failed
+// fsync poisons the store (poison). n is the number of segments claimed.
 func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n int, err error) {
 	if !locked {
 		s.mu.Lock()
 	}
-	if err = s.err; err == nil {
+	if err = s.settle(); err == nil {
 		err = s.flush()
 	}
 	segs := make([]int32, 0, len(s.unsynced))
@@ -438,7 +439,6 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 	}
 	if retired {
 		s.pruneWaits()
-		s.discardFree() // the victims that stopped backing
 	}
 	if pick == nil {
 		s.gcm.mu.Lock()
@@ -517,12 +517,11 @@ func (s *Store) poison(err error) error {
 // DurSeal who occasionally need a hard durability point. Concurrent Syncs
 // and DurCommit committers share flush rounds.
 func (s *Store) Sync() error {
-	s.mu.RLock()
-	if err := s.err; err != nil {
-		s.mu.RUnlock()
+	s.mu.Lock()
+	err, target := s.settle(), s.seq
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	target := s.seq
-	s.mu.RUnlock()
 	return s.waitDurable(target)
 }

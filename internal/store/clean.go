@@ -289,14 +289,16 @@ func (s *Store) syncRelocated(locked bool) error {
 }
 
 // release returns victims to the free pool, SealSeq kept (pick), and reports
-// the gross capacity bytes released. It forgets each victim's ledger entry, and
-// truncates it (discardFree): what was live in it is synced elsewhere, or sits
-// in an open GC tail — then the victim keeps its waits and its bytes, backing,
-// until the sync point that covers that tail. Under DurSeal a dead record of
-// it may be its page's last durable version, superseded by a user record no
-// fsync has covered yet, so each victim also waits on the ledger's segments
-// holding user records. Caller holds the write lock.
+// the gross capacity bytes released. It settles, forgets each victim's ledger
+// entry, and truncates it (discardFree): what was live in it is synced
+// elsewhere, or sits in an open GC tail — then the victim keeps its waits and
+// its bytes, backing, until the sync point that covers that tail. A user
+// record no fsync has covered (DurSeal: before its seal; DurCommit: written
+// after the cycle's Sync) may supersede the last durable version of a page in
+// it, or carry the only stamp past its newest record, so each victim also
+// waits on the ledger's segments holding user records. Caller holds the lock.
 func (s *Store) release(victims []int32) (releasedBytes int64) {
+	s.settle() // a poisoned store truncates nothing
 	for _, v := range victims {
 		m := &s.meta[v]
 		if e, ok := s.pendingE[v]; ok {
@@ -341,7 +343,8 @@ func (s *Store) reseal(victims []int32) {
 // do; openSegment then covers the copies first.
 func (s *Store) backs(seg int32) bool { return len(s.waits[seg]) > 0 }
 
-// pruneWaits drops the waits on segments a sync point has just covered.
+// pruneWaits drops the waits on segments a sync point has just covered, and
+// truncates the victims that stopped backing (discardFree).
 func (s *Store) pruneWaits() {
 	for seg, on := range s.waits {
 		if on = slices.DeleteFunc(on, func(g int32) bool { return !s.unsynced[g].owed() }); len(on) > 0 {
@@ -350,6 +353,7 @@ func (s *Store) pruneWaits() {
 			delete(s.waits, seg)
 		}
 	}
+	s.discardFree()
 }
 
 // syncDir fsyncs the directory, so the names of the segment files created
@@ -384,12 +388,12 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	for s.cl != nil && s.err == nil && len(s.free) < s.cl.high {
+	for s.cl != nil && s.settle() == nil && len(s.free) < s.cl.high {
 		if n, net, err := s.cleanCycle(); err != nil || n == 0 || net < s.opts.segmentBytes() {
 			break // a failed cycle re-sealed its victims; a poisoning one fails below
 		}
 	}
-	err := s.err
+	err := s.settle()
 	if err == nil && s.opts.Durability != core.DurNone {
 		_, err = s.syncPoint(true, nil)
 	}
@@ -407,6 +411,8 @@ func (s *Store) Close() error {
 		return err // no fsync failed: Close may be retried
 	}
 	s.discardFree()
+	close(s.sealq) // settled: the syncer has nothing in flight
+	<-s.sealDone   // and has exited
 	s.closed, s.err = true, cmp.Or(s.err, errClosed)
 	return cmp.Or(err, s.be.close())
 }
@@ -530,10 +536,11 @@ func (s *Store) Stats() Stats {
 // live records and their real sizes — matches that index. Beyond that: the
 // free pool, its atomic count and the segment states agree (so a free segment
 // holds nothing live), and a segment is open exactly when it is its stream's
-// open segment (so at most one per stream).
+// open segment (so at most one per stream). It settles first.
 func (s *Store) CheckInvariants() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settle()
 	liveCount := make([]int32, s.opts.MaxSegments)
 	liveBytes := make([]int64, s.opts.MaxSegments)
 	located := len(s.table) + len(s.tombstones) // index entries that must be found in a segment

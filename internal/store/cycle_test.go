@@ -9,6 +9,8 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -597,5 +599,103 @@ func TestDiscardWaitsForAStampOnStorage(t *testing.T) {
 	}
 	if st, err := os.Stat((&fileBackend{dir: s.opts.Dir}).path(int(s2))); err != nil || st.Size() == 0 {
 		t.Errorf("segment %d after Close: %v, want B's members kept", s2, err)
+	}
+}
+
+// TestReleaseWaitsOnACommitInFlight: under DurCommit the background cycle's
+// Sync and its release take the lock apart, and a user write may land between
+// them. Here batch B's first five members fill S2 and the rest open U3, whose
+// header stamps the watermark from before B; a cycle moves the five, live,
+// into a GC tail opened before B and Syncs; then write W fills U3 and opens
+// U4, whose header stamps past B, and its commit fsync is held; then the
+// cycle releases S2. The power is cut while W's fsync is held: W is lost, and
+// with it the only header stamping B. S2 must still hold B's members, or
+// recovery finds B torn and drops members 5–7 ("page not found"). So a
+// released victim waits on the ledger's user segments, and W's group fsync
+// ends the wait: S2 is truncated once it returns.
+func TestReleaseWaitsOnACommitInFlight(t *testing.T) {
+	p := &scripted{}
+	s := openScripted(t, p, Options{Dir: t.TempDir(), MaxSegments: 12, Durability: core.DurCommit})
+	var holding atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.be = syncHook{s.be, func(int) error {
+		if holding.Load() {
+			once.Do(func() { close(held) })
+			<-release
+		}
+		return nil
+	}}
+	cut := cutPower(t, s.Store)
+	s1 := s.fillSegments(t, []string{"full"})[0]
+	rewrite := func() {
+		for j := 0; j < 5; j++ {
+			s.put(t, fmt.Sprintf("full0-%d", j), 8)
+		}
+	}
+	rewrite() // half of S1 dies; the rewrites open S2
+	p.script = [][]int32{{s1}}
+	if n, err := s.CleanOnce(); n != 1 || err != nil {
+		t.Fatalf("CleanOnce = %d, %v", n, err)
+	}
+	s2 := s.open[userStream].seg
+	b := NewBatch()
+	for j := uint32(0); j < 8; j++ {
+		b.Write(s.id(fmt.Sprint("b", j)), page(j, 8))
+	}
+	if err := s.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	rewrite() // S2's other records die: B's five members are its live ones
+	// The background cycle's steps, each taking the lock as the cleaner does.
+	p.script = [][]int32{{s2}}
+	s.mu.Lock()
+	victims, cands, err := s.selectVictims(1, nil)
+	s.mu.Unlock()
+	if err != nil || len(victims) != 1 {
+		t.Fatalf("selectVictims = %v, %v", victims, err)
+	}
+	var win []byte
+	if _, _, err := s.relocate(cands, relocChunk, &win, false); err != nil {
+		t.Fatal(err)
+	}
+	holding.Store(true)
+	w := NewBatch()
+	for j := uint32(0); j < 3; j++ {
+		w.Write(s.id(fmt.Sprint("w", j)), page(j, 8))
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Apply(w) }()
+	<-held
+	s.mu.Lock()
+	s.release(victims)
+	truncated := s.held[s2] == 0
+	s.mu.Unlock()
+	img := t.TempDir()
+	cut.image(t, img)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if truncated {
+		t.Errorf("segment %d was truncated while the write that stamps past B awaited its fsync", s2)
+	}
+	if s.mu.Lock(); s.held[s2] != 0 {
+		t.Errorf("segment %d still holds %d bytes once that fsync returned", s2, s.held[s2])
+	}
+	s.mu.Unlock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(Options{Dir: img, PageSize: 8, SegmentPages: 10, MaxSegments: 12, CleanBatch: 1, FreeLowWater: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8)
+	for j := uint32(0); j < 8; j++ {
+		if err := c.ReadPage(s.id(fmt.Sprint("b", j)), buf); err != nil || !bytes.Equal(buf, page(j, 8)) {
+			t.Errorf("member %d of the acknowledged batch after the power cut: %v, %x", j, err, buf)
+		}
 	}
 }

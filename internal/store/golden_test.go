@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -46,24 +47,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	// Durable rows: the same workload on disk, closed and recovered half
 	// way, with every backend fsync counted — recovery's seal ordering and
 	// every sync point are part of the pinned behaviour.
-	for _, d := range []struct {
-		alg core.Algorithm
-		dur core.Durability
-	}{{core.MDC(), core.DurSeal}, {core.MDC(), core.DurCommit}} {
-		dir := t.TempDir()
-		open := func() goldenEngine {
-			return openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
-				Algorithm: d.alg, Durability: d.dur})
-		}
-		var fsyncs uint64
-		row := runGolden(t, 8000, open, func(e goldenEngine) goldenEngine {
-			fsyncs = e.(*pageEngine).fsyncs()
-			if err := e.close(); err != nil {
-				t.Fatal(err)
-			}
-			return open()
-		}, true)
-		rows = append(rows, fmt.Sprintf("store/%s/%s firstHalfFsyncs=%d %s", d.alg.Name, d.dur, fsyncs, row))
+	for _, dur := range []core.Durability{core.DurSeal, core.DurCommit} {
+		row, _, _ := durableRow(t, dur, true, 0)
+		rows = append(rows, fmt.Sprintf("store/MDC/%s %s", dur, row))
 	}
 	// Delete-free rows: every record is a full-length page, so these two pin
 	// the store's placement, sealing and cleaning independently of how a
@@ -72,20 +58,8 @@ func TestGoldenDeterminism(t *testing.T) {
 	rows = append(rows, "store/MDC/nodelete "+runGolden(t, 24000, func() goldenEngine {
 		return openPageEngine(t, store.Options{PageSize: 64, SegmentPages: 16, MaxSegments: 128, Algorithm: core.MDC()})
 	}, nil, false))
-	{
-		dir := t.TempDir()
-		open := func() goldenEngine {
-			return openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
-				Algorithm: core.MDC(), Durability: core.DurSeal})
-		}
-		row := runGolden(t, 8000, open, func(e goldenEngine) goldenEngine {
-			if err := e.close(); err != nil {
-				t.Fatal(err)
-			}
-			return open()
-		}, false)
-		rows = append(rows, "store/MDC/seal/nodelete "+row)
-	}
+	row, _, _ := durableRow(t, core.DurSeal, false, 0)
+	rows = append(rows, "store/MDC/seal/nodelete "+row)
 	got := strings.Join(rows, "\n")
 	if os.Getenv("GOLDEN_PRINT") != "" {
 		fmt.Println(got)
@@ -103,6 +77,54 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGoldenSealRowsRepeatWithSlowFsyncs runs the DurSeal rows of
+// TestGoldenDeterminism again with each seal's fsync delayed 1 ms, so the
+// writer fills its next segment while the last one syncs: every count of the
+// row, and the sync points a backing victim forced, equal the undelayed run's.
+func TestGoldenSealRowsRepeatWithSlowFsyncs(t *testing.T) {
+	for _, deletes := range []bool{true, false} {
+		row, forced, _ := durableRow(t, core.DurSeal, deletes, 0)
+		slow, slowForced, waits := durableRow(t, core.DurSeal, deletes, time.Millisecond)
+		if slow != row || slowForced != forced || waits == 0 {
+			t.Errorf("deletes %v, seal fsyncs delayed (%d waits for one):\n got: %s (forced %d)\nwant: %s (forced %d)", deletes, waits, slow, slowForced, row, forced)
+		}
+	}
+}
+
+// durableRow runs the golden workload on disk under MDC at dur, closed and
+// recovered half way, each seal fsync delayed by delay, and returns the row
+// (with the first half's fsyncs when there are deletes), the sync points a
+// backing victim forced in both halves and the waits for a seal's fsync.
+func durableRow(t *testing.T, dur core.Durability, deletes bool, delay time.Duration) (row string, forced, waits uint64) {
+	dir := t.TempDir()
+	var opened []*store.Store
+	open := func() goldenEngine {
+		e := openPageEngine(t, store.Options{Dir: dir, PageSize: 64, SegmentPages: 16, MaxSegments: 128,
+			Algorithm: core.MDC(), Durability: dur})
+		if delay > 0 {
+			store.DelaySealFsyncs(e.s, delay)
+		}
+		opened = append(opened, e.s)
+		return e
+	}
+	var fsyncs uint64
+	row = runGolden(t, 8000, open, func(e goldenEngine) goldenEngine {
+		fsyncs = e.(*pageEngine).fsyncs()
+		if err := e.close(); err != nil {
+			t.Fatal(err)
+		}
+		return open()
+	}, deletes)
+	for _, s := range opened {
+		forced += s.Obs().Counter("store.backing.syncs").Value()
+		waits += s.Obs().Histogram("store.seal.wait.ns").Count()
+	}
+	if deletes {
+		row = fmt.Sprintf("firstHalfFsyncs=%d %s", fsyncs, row)
+	}
+	return row, forced, waits
 }
 
 // goldenRows was captured with GOLDEN_PRINT=1: the two nodelete rows from
@@ -335,7 +357,13 @@ func (e *pageEngine) page(id, ver uint32) []byte {
 func (e *pageEngine) put(id, ver uint32) error { return e.s.WritePage(id, e.page(id, ver)) }
 func (e *pageEngine) del(id uint32) error      { return e.s.DeletePage(id) }
 func (e *pageEngine) close() error             { return e.s.Close() }
-func (e *pageEngine) fsyncs() uint64           { return e.s.Obs().Histogram("store.fsync.ns").Count() }
+
+// fsyncs counts the backend's fsyncs once the seal fsync in flight, if any,
+// has returned (CheckInvariants settles it).
+func (e *pageEngine) fsyncs() uint64 {
+	_ = e.s.CheckInvariants()
+	return e.s.Obs().Histogram("store.fsync.ns").Count()
+}
 
 func (e *pageEngine) batch(ops []goldenOp) error {
 	b := store.NewBatch()

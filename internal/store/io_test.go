@@ -237,7 +237,19 @@ func TestFailedRunWriteMidCycle(t *testing.T) {
 // victim is reset before every segment holding a copy of its pages has a
 // successful fsync begun after the copies' writes. (Full-size pages only, so
 // the count is exact: a tail is sealed by the copy that fills it.)
+// It runs twice: the second time each seal's fsync is delayed 1 ms, so the
+// writer runs ahead of it, and every count must repeat.
 func TestCycleSyncShape(t *testing.T) {
+	want := cycleSyncShape(t, 0)
+	if got := cycleSyncShape(t, time.Millisecond); got != want {
+		t.Errorf("with each seal fsync delayed 1 ms: %+v, want the undelayed run's %+v", got, want)
+	}
+}
+
+// syncShape is what a cycleSyncShape run counted.
+type syncShape struct{ fsyncs, forced, gcWrites, cleaned int }
+
+func cycleSyncShape(t *testing.T, delay time.Duration) syncShape {
 	const pages, pageSize = 600, 256
 	s, err := Open(Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 16, MaxSegments: 64,
 		CleanBatch: 4, FreeLowWater: 6, Durability: core.DurSeal})
@@ -248,7 +260,12 @@ func TestCycleSyncShape(t *testing.T) {
 	cb := count(s)
 	openSyncs := 0 // fsyncs of a segment still open: only a forced sync point issues one
 	cb.failSync = func(seg int) error {
-		if s.meta[seg].State == core.SegOpen {
+		// A seal's fsync runs on the syncer beside the writer, so it reads only
+		// what the seal set at its claim: the segment it claimed, sealed then.
+		// Any other runs while its sync point's caller holds the lock.
+		if int32(seg) == s.sealing {
+			time.Sleep(delay)
+		} else if s.meta[seg].State == core.SegOpen {
 			openSyncs++
 		}
 		return nil
@@ -287,6 +304,7 @@ func TestCycleSyncShape(t *testing.T) {
 			cycle()
 		}
 	}
+	checkInvariants(t, s) // settles the last seal's fsync: every count below is final
 	rp.advance(t, cb)
 	st := s.Stats()
 	if st.SegmentsCleaned != uint64(victims) || victims == 0 {
@@ -313,7 +331,10 @@ func TestCycleSyncShape(t *testing.T) {
 		t.Errorf("store.syncpoint.ns has %d samples, store.syncpoint.segs %d (largest bucket ≤ %d), for %d fsyncs",
 			ns.Count, segs.Count, segs.Buckets[len(segs.Buckets)-1].LE, fsyncs)
 	}
-	checkInvariants(t, s)
+	if waits := s.Obs().Histogram("store.seal.wait.ns").Count(); delay > 0 && waits == 0 {
+		t.Errorf("with seal fsyncs delayed %v, no step waited for one: the run did not overlap", delay)
+	}
+	return syncShape{fsyncs, forced, int(st.GCWrites), int(st.SegmentsCleaned)}
 }
 
 var errSyncInjected = errors.New("injected fsync failure")
@@ -510,21 +531,22 @@ func TestBackingVictimOutlivesLostTail(t *testing.T) {
 	// synced reports whether tail had an fsync since its last reset, and reset
 	// whether any segment was reset since event n.
 	synced := func(tail int) bool {
-		for i := len(cb.events) - 1; i >= 0 && cb.events[i] != (ioEvent{'r', tail}); i-- {
-			if cb.events[i] == (ioEvent{'s', tail}) {
+		events := cb.log()
+		for i := len(events) - 1; i >= 0 && events[i] != (ioEvent{'r', tail}); i-- {
+			if events[i] == (ioEvent{'s', tail}) {
 				return true
 			}
 		}
 		return false
 	}
 	reset := func(n int) bool {
-		return slices.ContainsFunc(cb.events[n:], func(e ioEvent) bool { return e.op == 'r' })
+		return slices.ContainsFunc(cb.log()[n:], func(e ioEvent) bool { return e.op == 'r' })
 	}
 	buf := make([]byte, 4096)
 	r := rand.New(rand.NewPCG(30, 7))
 	crashes := 0
 	for op := 0; op < 3000 && crashes < 5; op++ {
-		n := len(cb.events)
+		n := len(cb.log())
 		id := uint32(r.IntN(len(version)))
 		version[id]++
 		stamp(buf, id, version[id])
@@ -624,7 +646,7 @@ func sealedBatchOutlivesItsCleanedMembers(t *testing.T) {
 	r := rand.New(rand.NewPCG(31, 9))
 	crashes := 0
 	for op := 0; op < 20000 && crashes < images; op++ {
-		bt := batch{ver: uint32(1_000_000 + op), events: len(cb.events)}
+		bt := batch{ver: uint32(1_000_000 + op), events: len(cb.log())}
 		b := NewBatch()
 		for len(bt.members) < 4 {
 			id := uint32(r.IntN(len(version)))
@@ -648,8 +670,8 @@ func sealedBatchOutlivesItsCleanedMembers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for ; seen < len(cb.events); seen++ {
-			if e := cb.events[seen]; e.op == 'r' {
+		for events := cb.log(); seen < len(events); seen++ {
+			if e := events[seen]; e.op == 'r' {
 				resetAt[int32(e.seg)] = seen + 1
 			}
 		}
@@ -686,7 +708,10 @@ func sealedBatchOutlivesItsCleanedMembers(t *testing.T) {
 // copies never share a segment with a user's record (they fill the GC
 // stream). Checked at every fsync of a foreground run that cleans: no sealed
 // segment but the one being fsynced holds a user record that no fsync has
-// covered, and no unsynced segment holds both kinds of record.
+// covered, and no unsynced segment holds both kinds of record. A seal's fsync
+// runs on the syncer while the writer goes on, so its hook reads only the
+// segment the seal claimed; the ledger as that claim left it is checked once
+// the write that sealed returns, the seal's fsync still in flight.
 func TestRelocationSealSyncsUserRecords(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), PageSize: 256, SegmentPages: 16, MaxSegments: 64, CleanBatch: 4,
 		FreeLowWater: 8, Durability: core.DurSeal})
@@ -694,14 +719,19 @@ func TestRelocationSealSyncsUserRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	count(s).failSync = func(at int) error {
+	check := func(at int32) {
 		for seg, e := range s.unsynced {
 			if e.user && e.reloc {
 				t.Errorf("segment %d holds both a user record and a relocated copy", seg)
 			}
-			if s.meta[seg].State != core.SegOpen && e.user && int(seg) != at {
+			if s.meta[seg].State != core.SegOpen && e.user && seg != at {
 				t.Errorf("sealed segment %d holds a user record no fsync has covered", seg)
 			}
+		}
+	}
+	count(s).failSync = func(at int) error {
+		if int32(at) != s.sealing { // a sync point's, its caller holding the lock
+			check(int32(at))
 		}
 		return nil
 	}
@@ -717,6 +747,7 @@ func TestRelocationSealSyncsUserRecords(t *testing.T) {
 		if err := s.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
+		check(s.sealing)
 	}
 	if st := s.Stats(); st.SegmentsCleaned == 0 {
 		t.Error("no segment cleaned: the run should relocate")
@@ -791,7 +822,9 @@ func TestFailedRunWriteInApply(t *testing.T) {
 
 // TestSealErrorInWritePage: a backend error sealing the full open segment
 // inside a write's apply loop reaches the caller as that error, not as a
-// batch reservation violation (which only an ErrFull there would be).
+// batch reservation violation (which only an ErrFull there would be). A
+// seal's fsync runs behind the writer, so its failure comes back from the
+// write whose seal settles it, and from Sync: the injected error, wrapped.
 func TestSealErrorInWritePage(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir(), PageSize: 256, SegmentPages: 4, MaxSegments: 16, Durability: core.DurSeal})
 	if err != nil {
@@ -804,9 +837,121 @@ func TestSealErrorInWritePage(t *testing.T) {
 		}
 	}
 	count(s).failSync = func(int) error { return errSyncInjected }
-	err = s.WritePage(4, page(4, 256))
-	if !errors.Is(err, errSyncInjected) || strings.Contains(err.Error(), "reservation") {
-		t.Fatalf("WritePage whose seal fails: %v, want the injected fsync error as it is", err)
+	if err := s.WritePage(4, page(4, 256)); err != nil { // seals the segment: its fsync runs behind
+		t.Fatalf("WritePage whose seal's fsync runs behind it: %v", err)
+	}
+	id := uint32(5)
+	for ; err == nil && id < 5+4; id++ { // the next seal settles the failed fsync
+		err = s.WritePage(id, page(id, 256))
+	}
+	if !errors.Is(err, errSyncInjected) || strings.Contains(err.Error(), "reservation") || id != 5+3 {
+		t.Fatalf("WritePage %d whose seal settles a failed fsync: %v, want the injected fsync error, from the write that fills the next segment", id-1, err)
+	}
+	if err := s.Sync(); !errors.Is(err, errSyncInjected) {
+		t.Fatalf("Sync after a seal's failed fsync: %v, want the injected error", err)
+	}
+}
+
+// TestSealFsyncRunsBehindTheWriter: under DurSeal a seal hands its fsync to
+// the store's syncer and returns, so the Apply that sealed returns while that
+// fsync is held; the next seal, Sync, CleanOnce and Close each wait for it
+// (one store.seal.wait.ns sample each); a failure of the held fsync poisons
+// the store, and the next write returns it wrapped; and no goroutine is left
+// once the stores are closed.
+func TestSealFsyncRunsBehindTheWriter(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	// open returns a store whose next fill (four full pages: exactly a
+	// segment, which it seals) hold makes the seal fsync of, held until the
+	// test sends its outcome on release.
+	open := func() (s *Store, fill func() error, hold func() int32, release chan error) {
+		s, err := Open(Options{Dir: t.TempDir(), PageSize: 64, SegmentPages: 4, MaxSegments: 16, CleanBatch: 2,
+			FreeLowWater: 4, Durability: core.DurSeal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm, held, release := make(chan struct{}, 1), make(chan int, 1), make(chan error)
+		count(s).failSync = func(seg int) error {
+			select {
+			case <-arm:
+				held <- seg
+				return <-release
+			default:
+				return nil
+			}
+		}
+		ver := uint32(0)
+		fill = func() error {
+			b := NewBatch()
+			for id := uint32(0); id < 4; id++ {
+				b.Write(id, page(id+ver, 64))
+			}
+			ver++
+			return s.Apply(b)
+		}
+		hold = func() int32 {
+			checkInvariants(t, s) // settles the last seal: its fsync must not take the arm
+			arm <- struct{}{}
+			if err := fill(); err != nil {
+				t.Fatalf("the Apply that seals: %v", err)
+			}
+			seg := int32(<-held) // the Apply has returned; the fsync has not
+			if s.sealing != seg {
+				t.Fatalf("segment %d's seal fsync is held, but the store has %d in flight", seg, s.sealing)
+			}
+			return seg
+		}
+		return s, fill, hold, release
+	}
+
+	s, fill, hold, release := open()
+	waited := s.Obs().Histogram("store.seal.wait.ns")
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"the next seal", fill},
+		{"Sync", s.Sync},
+		{"CleanOnce", func() error {
+			if n, err := s.CleanOnce(); err != nil || n == 0 {
+				return fmt.Errorf("CleanOnce = %d, %v", n, err)
+			}
+			return nil
+		}},
+		{"Close", s.Close},
+	} {
+		seg, before := hold(), waited.Count()
+		done := make(chan error, 1)
+		go func() { done <- op.run() }()
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned (%v) while segment %d's seal fsync was held", op.name, err, seg)
+		case <-time.After(50 * time.Millisecond):
+		}
+		release <- nil
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if n := waited.Count(); n != before+1 {
+			t.Errorf("%s: %d store.seal.wait.ns samples, want %d", op.name, n, before+1)
+		}
+	}
+
+	s, fill, hold, release = open()
+	hold()
+	release <- errSyncInjected
+	if err := fill(); !errors.Is(err, errSyncInjected) || err.Error() == errSyncInjected.Error() {
+		t.Fatalf("the write whose seal settles a failed fsync: %v, want the fsync error, wrapped", err)
+	}
+	if err := s.WritePage(9, page(9, 64)); !errors.Is(err, errSyncInjected) || err.Error() == errSyncInjected.Error() {
+		t.Fatalf("a write after a failed seal fsync: %v, want the fsync error, wrapped", err)
+	}
+	if err := s.Close(); !errors.Is(err, errSyncInjected) {
+		t.Fatalf("Close of the poisoned store: %v, want the fsync error", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }
 

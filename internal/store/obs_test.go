@@ -116,6 +116,14 @@ func (c *countingBackend) note(op byte, seg int) {
 	c.mu.Unlock()
 }
 
+// log returns the events so far. A seal's fsync notes its own from the
+// syncer goroutine, so a test reads them through log, not the field.
+func (c *countingBackend) log() []ioEvent {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.events[:len(c.events):len(c.events)]
+}
+
 func (c *countingBackend) write(seg int, off int64, b []byte) error {
 	if c.failWrite != nil {
 		if err := c.failWrite(seg, off); err != nil {
@@ -280,6 +288,7 @@ func TestSyncPointSeries(t *testing.T) {
 				h := s.Obs().Histogram
 				return h("store.syncpoint.ns").Count(), h("store.syncpoint.segs").Count(), h("store.fsync.ns").Count()
 			}
+			checkInvariants(t, s) // settles the last seal: its fsync's samples are the syncer's, not the phase's
 			p0, n0, f0 := samples()
 			phases := newCleaner(s)
 			victims := phases.selectVictims(4)

@@ -8,8 +8,10 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -99,6 +101,21 @@ func (c *crashBackend) image(t *testing.T, dir string) {
 	}
 }
 
+// syncHook asks hook before each fsync it passes on, and returns its error
+// instead if it has one: under a crashBackend, a hook that blocks holds the
+// fsync before the cut can count it.
+type syncHook struct {
+	backend
+	hook func(seg int) error
+}
+
+func (h syncHook) sync(seg int) error {
+	if err := h.hook(seg); err != nil {
+		return err
+	}
+	return h.backend.sync(seg)
+}
+
 // quickSeeds is the seed count of a sweep: STORE_QUICK_SEEDS if set, else def.
 func quickSeeds(t *testing.T, def int) int {
 	v := os.Getenv("STORE_QUICK_SEEDS")
@@ -121,9 +138,13 @@ func quickSeeds(t *testing.T, def int) int {
 // DurCommit no page may be behind its acknowledged version. The foreground
 // cases run the pinned seeds, each of which lost a page under DurSeal before
 // a released victim waited on the user records; STORE_QUICK_SEEDS=n also runs
-// seeds 1..n, and the background-cleaner cases, which run only then.
+// seeds 1..n, and the background-cleaner cases, which run only then. The
+// seal-held case cuts while a seal's fsync is held (powerCutHeldRun).
 func TestPowerCutKeepsEveryDurablePage(t *testing.T) {
-	sweep := quickSeeds(t, 0)
+	var sweep []uint64
+	for seed := uint64(1); seed <= uint64(quickSeeds(t, 0)); seed++ {
+		sweep = append(sweep, seed)
+	}
 	for _, c := range []struct {
 		name       string
 		dur        core.Durability
@@ -135,13 +156,120 @@ func TestPowerCutKeepsEveryDurablePage(t *testing.T) {
 			if !c.background {
 				seeds = []uint64{13, 51, 108, 112, 120}
 			}
-			for seed := uint64(1); seed <= uint64(sweep); seed++ {
-				seeds = append(seeds, seed)
-			}
-			for _, seed := range seeds {
+			for _, seed := range append(seeds, sweep...) {
 				powerCutRun(t, seed, c.dur, c.background)
 			}
 		})
+	}
+	t.Run("seal-held", func(t *testing.T) {
+		for _, seed := range append([]uint64{13, 51, 108, 112, 120}, sweep...) {
+			powerCutHeldRun(t, seed)
+		}
+	})
+}
+
+// powerCutHeldRun cuts the power in a DurSeal run while a seal's fsync is
+// held on the syncer, and again once the next seal has returned. No page may
+// be missing or older than at the last Sync; the first image may lack the
+// held segment's records and the open segment's, the second keeps the held
+// segment's: each page's version there is a floor too.
+func powerCutHeldRun(t *testing.T, seed uint64) {
+	const pages, pageSize = 384, 256
+	opts := Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 16, MaxSegments: 40, CleanBatch: 3, FreeLowWater: 5,
+		Durability: core.DurSeal, Algorithm: core.Greedy()}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holding atomic.Bool
+	held, release := make(chan int32, 1), make(chan struct{})
+	s.be = syncHook{s.be, func(seg int) error {
+		if holding.Load() && int32(seg) == s.sealing { // a seal's fsync, not a sync point's
+			holding.Store(false)
+			held <- int32(seg)
+			<-release
+		}
+		return nil
+	}}
+	cb := cutPower(t, s)
+	r := rand.New(rand.NewPCG(seed, seed^0x51ed))
+	version, buf := make([]uint32, pages), make([]byte, pageSize)
+	verAt := map[uint64]uint32{} // the version each user record's seq wrote
+	write := func(id uint32) {
+		stamp(buf, id, version[id])
+		if err := s.WritePage(id, buf); err != nil {
+			t.Fatalf("seed %d: write page %d: %v", seed, id, err)
+		}
+		verAt[s.seq] = version[id] // nothing appends after a write's own record
+	}
+	churn := func(n int) {
+		for op := range n {
+			id := uint32(r.IntN(pages))
+			version[id]++
+			write(id)
+			if op%97 == 96 {
+				if _, err := s.CleanOnce(); err != nil {
+					t.Fatalf("seed %d: clean: %v", seed, err)
+				}
+			}
+		}
+	}
+	for id := range uint32(pages) {
+		write(id)
+	}
+	churn(r.IntN(3 * pages))
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	floor := slices.Clone(version)
+	churn(r.IntN(3 * pages))
+	checkInvariants(t, s) // settles: the fsync held is the next seal's
+	holding.Store(true)
+	for s.sealing < 0 { // write on until a seal hands its fsync over
+		id := uint32(r.IntN(pages))
+		version[id]++
+		write(id)
+	}
+	h := <-held
+	whileHeld := t.TempDir()
+	cb.image(t, whileHeld)
+	after := slices.Clone(floor)
+	for _, rec := range s.recs[h] {
+		after[rec.page] = max(after[rec.page], verAt[rec.seq])
+	}
+	close(release)
+	for s.sealing == h || s.sealing < 0 { // write on until the next seal returns
+		id := uint32(r.IntN(pages))
+		version[id]++
+		write(id)
+	}
+	nextSeal := t.TempDir()
+	cb.image(t, nextSeal)
+	if err := s.crash(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []struct {
+		name, dir string
+		floor     []uint32
+	}{{"while the seal fsync is held", whileHeld, floor}, {"after the next seal", nextSeal, after}} {
+		opts.Dir = cut.dir
+		c, err := Open(opts)
+		if err != nil {
+			t.Fatalf("seed %d: reopen after a power cut %s: %v", seed, cut.name, err)
+		}
+		for id := range uint32(pages) {
+			err := c.ReadPage(id, buf)
+			if err == nil {
+				err = checkStamp(buf, id)
+			}
+			if got := binary.LittleEndian.Uint32(buf[4:]); err != nil || got < cut.floor[id] || got > version[id] {
+				t.Errorf("seed %d: page %d after a power cut %s: version %d, %v; want %d to %d", seed, id, cut.name, got, err, cut.floor[id], version[id])
+			}
+		}
+		checkInvariants(t, c)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -109,13 +110,17 @@ func (s *Store) fits(stream int32, size int64) (bool, error) {
 
 // openRoom makes stream's open segment fit size more bytes, taking a free
 // segment when it has none (left). need is the minimum free-pool size the
-// caller may consume from.
+// caller may consume from. It settles first if pick or openSegment would read
+// a wait or records; if not, the new stamp counts a seal in flight as unsynced.
 func (s *Store) openRoom(stream int32, size int64, need int) error {
 	if ok, err := s.fits(stream, size); ok || err != nil {
 		return err
 	}
 	if len(s.free) < need {
 		return ErrFull
+	}
+	if (len(s.waits) > 0 || len(s.recs[s.free[len(s.free)-1]]) > 0) && s.settle() != nil {
+		return s.err
 	}
 	i := s.pick()
 	seg := s.free[i]
@@ -205,7 +210,7 @@ func (s *Store) truncate(seg int32) error {
 // waits on owes an fsync) and whose newest record a header on storage stamps
 // past (stamped): recovery needs no record in it, not even a batch member.
 // openSegment may reset on the watermark in memory, as its own header carries
-// it. A poisoned store truncates nothing.
+// it. Its callers have settled. A poisoned store truncates nothing.
 func (s *Store) discardFree() {
 	for _, v := range s.free {
 		if recs := s.recs[v]; len(recs) > 0 && s.err == nil && !s.backs(v) && recs[len(recs)-1].seq <= s.stamped {
@@ -250,11 +255,11 @@ func (s *Store) pruned(victim int32, size int64) {
 
 // seal closes stream's open segment, if any: the segment's up2 starts as the
 // average carried up2 of its members (§5.2.2). Then it writes the staged run
-// and, under DurSeal, fsyncs a segment holding a user's record no fsync has
-// covered: that record is durable at the seal. A segment whose unsynced
-// records are all relocated copies waits in the ledger for the sync point of
-// the cycle that sealed it (syncRelocated), as every sealed segment does for
-// DurCommit's group flush.
+// and, under DurSeal, settles the seal in flight and hands the syncer the fsync
+// of a segment holding a user's record no fsync has covered. A segment whose
+// unsynced records are all relocated copies waits in the ledger for the sync
+// point of the cycle that sealed it (syncRelocated), as every sealed segment
+// does for DurCommit's group flush.
 func (s *Store) seal(stream int32) error {
 	o := &s.open[stream]
 	if o.seg < 0 {
@@ -270,9 +275,47 @@ func (s *Store) seal(stream int32) error {
 		m.Up2 = o.up2Sum / float64(o.count)
 	}
 	*o = openSeg{seg: -1}
-	if s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
-		return s.flush()
+	if err := s.flush(); err != nil || s.opts.Durability != core.DurSeal || !s.unsynced[seg].user {
+		return err
 	}
-	_, err := s.syncPoint(true, func(g int32, _ unsyncedSeg) bool { return g == seg })
-	return err
+	if s.settle() == nil {
+		s.sealing = seg
+		s.sealq <- s.be
+	}
+	return s.err
+}
+
+// syncer runs a DurSeal store's seal fsyncs, one at a time, each on the
+// backend seal hands it, recorded as a sync point of one segment would be.
+func (s *Store) syncer() {
+	defer close(s.sealDone)
+	for be := range s.sealq {
+		t0 := time.Now()
+		err := be.sync(int(s.sealing)) // set before the handoff, cleared after the outcome
+		d := uint64(time.Since(t0))
+		s.hFsync.Record(d)
+		s.hSyncNs.Record(d)
+		s.hSyncN.Record(1)
+		s.sealDone <- err
+	}
+}
+
+// settle waits for the seal fsync in flight, if any (a store.seal.wait.ns
+// sample if it must), and retires its entry as an fsync in place would have,
+// or poisons the store; it returns the sticky error. Caller holds the lock.
+func (s *Store) settle() error {
+	if s.sealing < 0 {
+		return s.err
+	}
+	t0, waits := time.Now(), len(s.sealDone) == 0
+	err := <-s.sealDone
+	if waits {
+		s.hSealWait.Record(uint64(time.Since(t0)))
+	}
+	seg := s.sealing
+	if s.sealing = -1; s.poison(err) == nil { // a sealed segment takes no append: its entry is the claim's
+		delete(s.unsynced, seg)
+		s.pruneWaits()
+	}
+	return s.err
 }

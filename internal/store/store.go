@@ -32,29 +32,29 @@
 //
 // Durability model: the segment files are the store's whole durable state.
 // Records are appended with CRC-32C; Options.Durability picks the fsync
-// policy. One ledger lists the segments holding appends no fsync has covered,
-// and every durability point is one sync point over part of it (syncPoint):
-// those segments are fsynced together, and an entry is retired only by a
-// successful fsync that began after the segment's last append. DurNone never
-// syncs; DurSeal fsyncs a user's records when their segment is sealed;
-// DurCommit makes every WritePage/DeletePage/Apply return only after the whole
-// ledger is flushed, concurrent committers coalescing onto one group round, and
+// policy. One ledger lists the segments holding appends no fsync has covered;
+// a durability point fsyncs part of it together, and an entry is retired only
+// by a successful fsync begun after the segment's last append. DurNone never
+// syncs. DurSeal fsyncs a user's records at their segment's seal, on the
+// syncer goroutine while the stream fills its next segment; every step that
+// decides on the ledger or a wait first settles that fsync. Every other point
+// is one sync point. DurCommit makes every write and Apply return only after
+// the whole ledger is flushed, committers coalescing onto one group round, and
 // makes multi-record batches crash-atomic (recovery discards a torn batch
-// wholesale via the commit markers in the record headers). A cleaning cycle's
-// sync point covers every sealed segment holding a relocated copy before any
-// victim is released. Under DurSeal a released victim waits on the segments
-// still owing an fsync to an open GC tail's copies of its records, or to the
-// user records that superseded its dead ones; while it waits it is backing, so
-// a crash or a power cut anywhere leaves an intact durable copy of every page
-// a sync point made durable. A released victim is truncated (discardFree) once
-// no segment it waits on owes an fsync and a header on storage stamps past its
-// newest record, so a free segment holds no bytes. Open creates no file and
-// refuses a directory holding a CHECKPOINT file (the format that kept a
-// deletion set beside the segments); Close fsyncs the directory once, which
-// makes new segment files' names durable. A failed fsync, or a write error
-// that cuts a batch in two, poisons the store: writes, syncs and cycles fail
-// from then on, reads go on. Store.Sync is the explicit flush for the weaker
-// levels. Every write is an atomic batch (NewBatch/Apply; WritePage and
+// wholesale via the commit markers in the record headers). A cycle's sync
+// point covers every sealed segment holding a relocated copy before any victim
+// is released. A released victim waits on the segments still owing an fsync
+// to an open GC tail's copies of its records, or to user records that may
+// have superseded its dead ones; while it waits it is backing, so a crash or a
+// power cut leaves an intact durable copy of every page a sync point made
+// durable. It is truncated (discardFree) once no segment it waits on owes an
+// fsync and a header on storage stamps past its newest record, so a free
+// segment holds no bytes. Open creates no file and refuses a directory holding
+// a CHECKPOINT file (an older format's deletion set); Close fsyncs the
+// directory, which makes new files' names durable. A failed fsync, or a write
+// error that cuts a batch in two, poisons the store: writes, syncs and cycles
+// fail from then on, reads go on. Store.Sync is the explicit flush for the
+// weaker levels. Every write is an atomic batch (NewBatch/Apply; WritePage and
 // DeletePage apply a batch of one): one admission check, one lock hold, space
 // reserved for the whole batch before any old version is invalidated, so
 // ErrFull leaves nothing partially applied. A tombstone is relocated like any
@@ -62,7 +62,7 @@
 // outside the log. Recovery scans all segments, keeps the highest-sequence
 // record per page and stops a segment at the first torn or corrupt record.
 // Every recovered segment's up2 cleaning estimate restarts at the seq of its
-// newest record, relearned as its pages are invalidated — it affects only
+// newest record, relearned as its pages are invalidated: it affects only
 // cleaning efficiency, never correctness.
 package store
 
@@ -261,12 +261,14 @@ type Store struct {
 	unsynced map[int32]unsyncedSeg
 	// waits maps a segment to the segments, still owing an fsync, that hold
 	// relocated copies of its records (noted by install) or, once it is
-	// released, user records that superseded its dead ones (noted by
+	// released, user records that may have superseded its dead ones (noted by
 	// release); the sync points that cover them prune it. A free segment in
-	// it is backing (backs). Nil unless DurSeal on disk (DurCommit's cycle
-	// covers the whole ledger).
+	// it is backing (backs). Nil unless on disk at DurSeal or DurCommit.
 	waits map[int32][]int32
 
+	sealing  int32        // the DurSeal seal whose fsync is in flight (seal, settle); -1: none
+	sealq    chan backend // hands that fsync to the syncer (DurSeal on disk); Close closes it
+	sealDone chan error   // the syncer's answer, closed as it exits
 	// gcm is the group-commit state: under DurCommit concurrent committers
 	// coalesce onto a single fsync round (one goroutine flushes, waiters
 	// piggyback). It has its own lock; never acquire s.mu while holding it.
@@ -296,19 +298,20 @@ type Store struct {
 
 	// obs handles, resolved once at Open (see internal/obs; recording is
 	// lock-free, so no hot path takes a lock for metrics).
-	hVictimE *obs.Histogram // store.victim_e.permille: emptiness at victim selection
-	cErrFull *obs.Counter   // store.errfull: writes refused with ErrFull (write)
-	hWrite   *obs.Histogram // store.write.ns: WritePage/DeletePage (one-op Applies), admission to durability
-	hRead    *obs.Histogram // store.read.ns: ReadPage
-	hFsync   *obs.Histogram // store.fsync.ns: every backend fsync
-	hSyncNs  *obs.Histogram // store.syncpoint.ns: wall time of one sync point's (concurrent) fsyncs
-	hSyncN   *obs.Histogram // store.syncpoint.segs: segments it fsynced
-	hCommit  *obs.Histogram // store.commit.ns: DurCommit commit waits
-	cCommits *obs.Counter   // store.commit.commits
-	cRounds  *obs.Counter   // store.commit.rounds
-	cSyncs   *obs.Counter   // store.commit.syncs
-	cBacking *obs.Counter   // store.backing.syncs: sync points a segment reset forces (openSegment)
-	gDisk    *obs.Gauge     // store.disk.bytes: what the segment files hold
+	hVictimE  *obs.Histogram // store.victim_e.permille: emptiness at victim selection
+	cErrFull  *obs.Counter   // store.errfull: writes refused with ErrFull (write)
+	hWrite    *obs.Histogram // store.write.ns: WritePage/DeletePage (one-op Applies), admission to durability
+	hRead     *obs.Histogram // store.read.ns: ReadPage
+	hFsync    *obs.Histogram // store.fsync.ns: every backend fsync
+	hSealWait *obs.Histogram // store.seal.wait.ns: a settle's wait for the seal fsync in flight
+	hSyncNs   *obs.Histogram // store.syncpoint.ns: wall time of one sync point's (concurrent) fsyncs
+	hSyncN    *obs.Histogram // store.syncpoint.segs: segments it fsynced
+	hCommit   *obs.Histogram // store.commit.ns: DurCommit commit waits
+	cCommits  *obs.Counter   // store.commit.commits
+	cRounds   *obs.Counter   // store.commit.rounds
+	cSyncs    *obs.Counter   // store.commit.syncs
+	cBacking  *obs.Counter   // store.backing.syncs: sync points a segment reset forces (openSegment)
+	gDisk     *obs.Gauge     // store.disk.bytes: what the segment files hold
 	// Record bytes (headers included) appended by users and by relocation:
 	// together, everything the store writes into segments but their headers.
 	cUserBytes *obs.Counter // store.user.bytes
@@ -362,6 +365,7 @@ func Open(opts Options) (*Store, error) {
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
 		refs:       make(map[uint32]int32),
+		sealing:    -1,
 	}
 	for i := range s.meta {
 		s.meta[i].Capacity = opts.segmentBytes()
@@ -372,6 +376,7 @@ func Open(opts Options) (*Store, error) {
 	s.hWrite = opts.Obs.Histogram("store.write.ns")
 	s.hRead = opts.Obs.Histogram("store.read.ns")
 	s.hFsync = opts.Obs.Histogram("store.fsync.ns")
+	s.hSealWait = opts.Obs.Histogram("store.seal.wait.ns")
 	s.hSyncNs = opts.Obs.Histogram("store.syncpoint.ns")
 	s.hSyncN = opts.Obs.Histogram("store.syncpoint.segs")
 	s.hCommit = opts.Obs.Histogram("store.commit.ns")
@@ -388,9 +393,10 @@ func Open(opts Options) (*Store, error) {
 	s.cReadIOs = opts.Obs.Counter("store.read.ios")
 	s.cReadBytes = opts.Obs.Counter("store.read.bytes")
 	s.trace = opts.Obs.Trace()
+	s.sealq, s.sealDone = make(chan backend, 1), make(chan error, 1)
 	if opts.Dir != "" {
 		s.unsynced = make(map[int32]unsyncedSeg)
-		if opts.Durability == core.DurSeal {
+		if opts.Durability != core.DurNone {
 			s.waits = make(map[int32][]int32)
 		}
 	}
@@ -412,6 +418,11 @@ func Open(opts Options) (*Store, error) {
 	if err := s.recover(); err != nil {
 		s.be.close()
 		return nil, err
+	}
+	if opts.Dir != "" && opts.Durability == core.DurSeal {
+		go s.syncer()
+	} else {
+		close(s.sealDone) // no syncer: Close finds it gone
 	}
 	if opts.BackgroundClean {
 		s.cl = newCleaner(s)
