@@ -158,6 +158,8 @@ func (s *memStore) Release(*Node) {}
 
 func (s *memStore) MarkDirty(n *Node) { s.pool.Dirty(n.ID) }
 
+func (s *memStore) Touch(n *Node) { s.pool.Touch(n.ID) }
+
 func (s *memStore) Free(id uint32) error {
 	if int(id) < len(s.nodes) {
 		s.nodes[id] = nil

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -15,6 +16,8 @@ import (
 // store behind Tree (the §6.3 TPC-C trace substrate) and internal/pagedb's
 // store-backed node cache (buffer pool + log-structured store) — so the
 // durable engine and the trace engine can never drift algorithmically.
+// InsertRun, pagedb's transaction apply, descends once per leaf a run of puts
+// touches; Insert keeps one descent per key, the §6.3 model's Fetch pattern.
 
 // Layout is the byte-cost model of one node format: how much a leaf entry or
 // a branch child costs against the node's byte budget, and how much of the
@@ -49,6 +52,19 @@ func (l Layout) LeafEntry(v []byte) int { return l.LeafEntryOverhead + len(v) }
 
 // Budget is the per-node byte budget for a given page size.
 func (l Layout) Budget(pageSize int) int { return pageSize - l.HeaderBytes }
+
+// ErrTooLarge is Insert's error for a value a leaf cannot take (CheckValue).
+var ErrTooLarge = errors.New("btree: value too large for the page size")
+
+// CheckValue returns ErrTooLarge, wrapped, unless a page of pageSize bytes
+// takes three leaf entries holding value — the split logic's floor — and the
+// page image's 16-bit length field takes its length.
+func (l Layout) CheckValue(value []byte, pageSize int) error {
+	if l.LeafEntry(value)*3 > l.Budget(pageSize) || len(value) > 0xFFFF {
+		return fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, len(value), pageSize)
+	}
+	return nil
+}
 
 // Node is the in-memory form of one B+-tree node, shared by every NodeStore.
 // Children and leaf neighbors are referenced by node id; id 0 is reserved as
@@ -113,6 +129,10 @@ type Node struct {
 //   - MarkDirty(n) records that n, fetched and still pinned, has been (or is
 //     about to be) mutated, so the store persists it: the Model marks its
 //     page dirty, pagedb enters the node in its dirty-page table.
+//   - Touch(n) records another access to n, fetched earlier in the same
+//     operation and not freed since, as another Fetch would, without
+//     looking it up or pinning it. InsertRun touches a descent's path once
+//     for each entry past the first it writes.
 //   - Free releases id: the node is dropped and the id may be reallocated.
 //     No final write happens. Freeing a node that is still pinned discards
 //     its pins (the Core frees nodes it holds — a merge victim, a collapsed
@@ -137,6 +157,7 @@ type NodeStore interface {
 	Fetch(id uint32) (*Node, error)
 	Release(n *Node)
 	MarkDirty(n *Node)
+	Touch(n *Node)
 	Free(id uint32) error
 }
 
@@ -282,22 +303,39 @@ func (n *Node) childIndex(k uint64) int {
 	return idx
 }
 
+// descend returns the leaf that covers key, pinned, having released each
+// branch it passed, and the bounds [lo, hi] those branches put on its keys.
+// It notes the branches, root first, in as much of path as they fill.
+func (c *Core) descend(key uint64, path []*Node) (n *Node, lo, hi uint64, err error) {
+	hi = ^uint64(0)
+	for id, d := c.root, 0; ; d++ {
+		if n, err = c.store.Fetch(id); err != nil || n.Leaf {
+			return n, lo, hi, err
+		}
+		if d < len(path) {
+			path[d] = n
+		}
+		ci := n.childIndex(key)
+		if ci > 0 {
+			lo = max(lo, n.Keys[ci-1])
+		}
+		if ci < len(n.Keys) {
+			hi = min(hi, n.Keys[ci]-1) // key < Keys[ci], so Keys[ci] > 0
+		}
+		id = n.Kids[ci]
+		c.store.Release(n)
+	}
+}
+
 // Get returns the value stored under key. The slice aliases the leaf's Buf,
 // and the leaf has been Released by the time Get returns: the caller must
 // copy the value while whatever guard serializes it against mutation (its own
 // lock, a read guard) still holds — after that the next write to the leaf may
 // move it, and the node's memory may be reused (see NodeStore).
 func (c *Core) Get(key uint64) ([]byte, bool, error) {
-	n, err := c.store.Fetch(c.root)
+	n, _, _, err := c.descend(key, nil)
 	if err != nil {
 		return nil, false, err
-	}
-	for !n.Leaf {
-		next := n.Kids[n.childIndex(key)]
-		c.store.Release(n)
-		if n, err = c.store.Fetch(next); err != nil {
-			return nil, false, err
-		}
 	}
 	i, ok := n.find(key)
 	var v []byte
@@ -314,13 +352,12 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 // its leaf's Buf, so value is only borrowed — but it must not be a slice of
 // this tree's own memory (a Get's result), which the insert may move.
 func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
-	if c.layout.LeafEntry(value)*3 > c.budget || len(value) > 0xFFFF {
-		return false, fmt.Errorf("btree: value of %d bytes does not fit 3 per %d-byte page", len(value), c.pageSize)
+	if err := c.layout.CheckValue(value, c.pageSize); err != nil {
+		return false, err
 	}
-	split, sep, added, err := c.insert(c.root, key, value)
-	if added {
-		c.count++
-	}
+	count := c.count
+	split, sep, err := c.insert(c.root, key, value)
+	added = c.count > count
 	if err != nil {
 		return added, err
 	}
@@ -341,39 +378,104 @@ func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
 	return added, nil
 }
 
-// insert descends to a leaf; on overflow it splits and returns the new right
-// sibling's id plus its separator key (split == 0 means no split).
-func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep uint64, added bool, err error) {
+// InsertRun applies n inserts, entry i being kv(i), and leaves the tree as n
+// calls to Insert would; it reports how many keys were new. It descends once
+// per leaf, not per key: it applies each following entry in the leaf's key
+// range that place takes, marking the leaf dirty once and counting each
+// entry's accesses to the path (Touch), and sends one that needs a split or a
+// length change through Insert. The in-memory Tree, the §6.3 cache model,
+// never calls it: the model counts every Fetch.
+func (c *Core) InsertRun(n int, kv func(i int) (key uint64, value []byte)) (added int, err error) {
+	start := c.count
+	var branches [8]*Node
+	for i := 0; i < n && err == nil; {
+		key, value := kv(i)
+		if err = c.layout.CheckValue(value, c.pageSize); err != nil {
+			break // Insert's error, before Insert touches anything
+		}
+		var leaf *Node
+		var lo, hi uint64
+		path := branches[:min(c.height-1, len(branches))]
+		if leaf, lo, hi, err = c.descend(key, path); err != nil {
+			break
+		}
+		c.store.MarkDirty(leaf)
+		for first := i; i < n; i++ {
+			key, value = kv(i)
+			if key < lo || key > hi || c.layout.CheckValue(value, c.pageSize) != nil {
+				break
+			}
+			if _, ok := c.place(leaf, key, value, false); !ok {
+				break
+			}
+			if i == first {
+				continue
+			}
+			for _, b := range path { // the accesses Insert's descent would make
+				c.store.Touch(b)
+			}
+			c.store.Touch(leaf)
+		}
+		c.store.Release(leaf)
+		if i < n && key >= lo && key <= hi {
+			_, err = c.Insert(key, value)
+			i++
+		}
+	}
+	return c.count - start, err
+}
+
+// place writes value under key in leaf n, counting a new key, and returns
+// where its entry is. With split unset it writes only where no entry has to
+// leave the leaf — over an old value of its length, or as a new entry that
+// fits — and reports whether it wrote; with split set it always writes, over
+// a value of another length too, and the caller splits a leaf over budget.
+func (c *Core) place(n *Node, key uint64, value []byte, split bool) (i int, ok bool) {
+	i, found := n.find(key)
+	if found {
+		_, old := n.Entry(i)
+		if len(old) == len(value) {
+			copy(old, value)
+			return i, true
+		}
+		if !split {
+			return i, false
+		}
+		n.NBytes -= c.layout.LeafEntryOverhead + n.drop(i)
+	}
+	e := c.layout.LeafEntry(value)
+	if !split && n.NBytes+e > c.budget {
+		return i, false
+	}
+	if !found {
+		c.count++
+	}
+	n.NBytes += e
+	n.put(i, key, value, c.budget-n.NBytes, c.spare(n.NBytes, e))
+	return i, true
+}
+
+// insert descends to a leaf and writes value there (place); on overflow it
+// splits and returns the new right sibling's id plus its separator key
+// (split == 0 means no split).
+func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep uint64, err error) {
 	n, err := c.store.Fetch(id)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
 	defer c.store.Release(n)
 	if n.Leaf {
 		c.store.MarkDirty(n)
-		i, found := n.find(key)
-		if found {
-			_, old := n.Entry(i)
-			if len(old) == len(value) {
-				copy(old, value)
-				return 0, 0, false, nil
-			}
-			n.NBytes -= c.layout.LeafEntry(old)
-			n.drop(i)
-		}
-		e := c.layout.LeafEntry(value)
-		n.NBytes += e
-		n.put(i, key, value, c.budget-n.NBytes, c.spare(n.NBytes, e))
-		if n.NBytes > c.budget {
+		if i, _ := c.place(n, key, value, true); n.NBytes > c.budget {
 			split, sep, err = c.splitLeaf(n, i)
 		}
-		return split, sep, !found, err
+		return split, sep, err
 	}
 
 	ci := n.childIndex(key)
-	childSplit, childSep, added, err := c.insert(n.Kids[ci], key, value)
+	childSplit, childSep, err := c.insert(n.Kids[ci], key, value)
 	if err != nil || childSplit == 0 {
-		return 0, 0, added, err
+		return 0, 0, err
 	}
 	c.store.MarkDirty(n)
 	n.NBytes += c.layout.BranchEntryBytes
@@ -383,7 +485,7 @@ func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep ui
 	if n.NBytes > c.budget {
 		split, sep, err = c.splitBranch(n)
 	}
-	return split, sep, added, err
+	return split, sep, err
 }
 
 // splitLeaf moves the upper half (by bytes) of a leaf into a new right
@@ -729,16 +831,9 @@ func (c *Core) merge(n *Node, ci int, left, right *Node) error {
 // or retain it, and must not call back into the tree. The leaf being
 // visited stays pinned while fn runs.
 func (c *Core) Scan(from, to uint64, fn func(key uint64, value []byte) bool) error {
-	n, err := c.store.Fetch(c.root)
+	n, _, _, err := c.descend(from, nil)
 	if err != nil {
 		return err
-	}
-	for !n.Leaf {
-		next := n.Kids[n.childIndex(from)]
-		c.store.Release(n)
-		if n, err = c.store.Fetch(next); err != nil {
-			return err
-		}
 	}
 	for {
 		// The entries from the first key >= from on, walked in their order.

@@ -239,6 +239,8 @@ func (s pageFetchStore) Release(*Node) {}
 
 func (s pageFetchStore) MarkDirty(*Node) {}
 
+func (s pageFetchStore) Touch(*Node) {}
+
 func (s pageFetchStore) Free(uint32) error {
 	return fmt.Errorf("btree: read-only page store cannot free")
 }

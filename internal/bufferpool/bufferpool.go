@@ -255,6 +255,20 @@ func (p *Pool) FetchPinned(id uint32) (any, Handle) {
 	return obj, h
 }
 
+// Touch counts a use of h's frame, as a FetchPinned hit of its page would,
+// but takes no lock, looks nothing up, takes no pin and counts no hit: the
+// access of a caller that fetched the page before. A stale handle counts
+// nothing; a frame evicted between the check and the count gains a use, which
+// only ages its next page a little later.
+func (p *Pool) Touch(h Handle) {
+	if !h.Current() {
+		return
+	}
+	if u := atomic.LoadInt32(&h.f.uses); u < maxUses {
+		atomic.StoreInt32(&h.f.uses, u+1)
+	}
+}
+
 // Release drops one pin taken by FetchPinned or InstallPinned. A handle
 // whose frame has since been freed, evicted or recycled (generation
 // mismatch) releases nothing — the pin it balanced was already discarded

@@ -152,6 +152,32 @@ func TestHitPageOutlastsNeverHitPages(t *testing.T) {
 	}
 }
 
+// Touch through a pin counts a use as a hit would, and no hit: one hit and two
+// touches keep page 1 as long as three hits do.
+func TestTouchIsAUseNotAHit(t *testing.T) {
+	p := NewSharded(4, 1)
+	for id := uint32(1); id <= 4; id++ {
+		install(p, id)
+	}
+	_, h := p.FetchPinned(1)
+	p.Touch(h)
+	p.Touch(h)
+	p.Release(h)
+	if st := p.Stats(); st.FusedHits != 1 {
+		t.Fatalf("%d hits counted, want the one lookup", st.FusedHits)
+	}
+	for id := uint32(5); id <= 13; id++ {
+		install(p, id)
+	}
+	if !resident(p, 1) || resident(p, 2) {
+		t.Fatalf("page 1 resident = %v, page 2 resident = %v; want page 1 to outlast the never-hit pages", resident(p, 1), resident(p, 2))
+	}
+	install(p, 14)
+	if resident(p, 1) {
+		t.Fatal("page 1 outlived a fourth turn of the hand on one hit and two touches")
+	}
+}
+
 // A page faulted in and never hit again is the victim even when the hand
 // reaches a page hit once first; CLOCK's bit would take the hit page.
 func TestFreshFaultIsFirstVictim(t *testing.T) {

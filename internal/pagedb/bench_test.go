@@ -1,6 +1,8 @@
 package pagedb
 
 import (
+	"errors"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -321,20 +323,31 @@ func BenchmarkCheckpointCommit(b *testing.B) {
 }
 
 // BenchmarkTxnCommit is the write path without its I/O waits: Begin, the
-// puts, Commit — WAL append to a file (unsynced) and tree apply — on keys that
-// exist and stay resident. B/op is what a transaction allocates: the Txn and
-// one copy per value (TestCommitAllocBudget pins it).
+// puts, Commit — WAL append to a file (unsynced) and tree apply. In 1put and
+// 12ops the keys exist and stay resident, and B/op is what a transaction
+// allocates: the Txn (TestCommitAllocBudget pins it). 1000new is a bulk load's
+// shape, the kv workloads' load: 1,000 ascending new keys a transaction, a
+// checkpoint every 8, an empty tree again every 200 (untimed). ns/put is the
+// time per put, checkpoints included.
 func BenchmarkTxnCommit(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		ops  int
-	}{{"1put", 1}, {"12ops", 12}} {
+		name  string
+		ops   int
+		fresh bool // every key new, ascending across transactions
+		every int  // transactions between checkpoints, which bound the WAL
+	}{{"1put", 1, false, 20000}, {"12ops", 12, false, 20000}, {"1000new", 1000, true, 8}} {
 		b.Run(c.name, func(b *testing.B) {
-			db, err := Open(Options{Store: store.Options{Dir: b.TempDir(), SegmentPages: 64, MaxSegments: 256}})
-			if err != nil {
-				b.Fatal(err)
+			var dir string
+			open := func() *DB {
+				dir = b.TempDir()
+				db, err := Open(Options{Store: store.Options{Dir: dir, SegmentPages: 64, MaxSegments: 1024}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return db
 			}
-			defer db.Close()
+			db := open()
+			defer func() { db.Close() }()
 			v := make([]byte, 100)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -344,19 +357,32 @@ func BenchmarkTxnCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 				for k := 0; k < c.ops; k++ {
-					if err := x.Put("bench", uint64(k), v); err != nil {
+					key := uint64(k)
+					if c.fresh {
+						key = uint64(i*c.ops + k)
+					}
+					if err := x.Put("bench", key, v); err != nil {
 						b.Fatal(err)
 					}
 				}
 				if err := x.Commit(); err != nil {
 					b.Fatal(err)
 				}
-				if i%20000 == 19999 { // bound the WAL
+				if i%c.every == c.every-1 {
 					if err := db.Commit(); err != nil {
 						b.Fatal(err)
 					}
 				}
+				if c.fresh && i%200 == 199 {
+					b.StopTimer()
+					if err := errors.Join(db.Close(), os.RemoveAll(dir)); err != nil {
+						b.Fatal(err)
+					}
+					db = open()
+					b.StartTimer()
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.ops), "ns/put")
 		})
 	}
 }

@@ -2,9 +2,11 @@ package pagedb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
@@ -28,17 +30,21 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 	t.Helper()
 	mem := btree.New(bufferpool.New(1<<16), 256)
 	opts := memOpts()
+	opts.Store.Dir = t.TempDir() // the log a reopen replays needs a directory
 	opts.Store.MaxSegments = 1024
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer func() { db.Close() }()
 	tr, err := db.Tree("diff")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := make(map[uint64][]byte)
+	// oracle is the visible state; durable is what a reopen finds: the state at
+	// the last commit, then the transactions since, which the log replays.
+	// Direct Tree writes are not logged: a reopen loses the ones since then.
+	oracle, durable := make(map[uint64][]byte), make(map[uint64][]byte)
 
 	// A put's value is as long as its key's usual length four times in five —
 	// an overwrite is then mostly a same-length one, written in place — and of
@@ -56,7 +62,7 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 	}
 
 	for step := 0; step+1 < len(data); step += 2 {
-		op, key := data[step]%10, uint64(data[step+1])%diffKeySpace
+		op, key := data[step]%12, uint64(data[step+1])%diffKeySpace
 		switch {
 		case op <= 4: // Put
 			v := diffVal(key, step, op < 4)
@@ -112,33 +118,92 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 			if fmt.Sprint(memGot) != fmt.Sprint(dbGot) {
 				t.Fatalf("step %d: Scan[%d,%d] diverges:\nmem    %v\npagedb %v", step, from, to, memGot, dbGot)
 			}
+		case op == 10: // A transaction: a run of puts near key, committed together
+			x, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 2 + int(data[step+1])%13
+			for j := 0; j < n; j++ {
+				k := (key + uint64(j)) % diffKeySpace
+				if j%4 == 3 { // a key the run has put already
+					k = (key + uint64(j-2)) % diffKeySpace
+				}
+				if j == n/2 && step%3 == 0 { // a delete cuts the run in two
+					if _, err := x.Delete("diff", k); err != nil {
+						t.Fatal(err)
+					}
+					mem.Delete(k)
+					delete(oracle, k)
+					delete(durable, k)
+					continue
+				}
+				v := diffVal(k, step+j, (step+j)%5 != 0)
+				if err := x.Put("diff", k, v); err != nil {
+					t.Fatal(err)
+				}
+				mem.Insert(k, v)
+				oracle[k], durable[k] = v, v
+			}
+			if err := x.Commit(); err != nil {
+				t.Fatalf("step %d: Txn.Commit: %v", step, err)
+			}
+			agree(t, step, mem, tr, oracle)
+		case op == 11 && key%4 == 0: // Reopen: the log replays every transaction since the last commit
+			db.crash()
+			if err := errors.Join(db.wal.Close(), db.st.Close()); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(opts); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+			if tr, err = db.Tree("diff"); err != nil {
+				t.Fatal(err)
+			}
+			oracle = maps.Clone(durable)
+			mem = btree.New(bufferpool.New(1<<16), 256)
+			for k, v := range oracle {
+				mem.Insert(k, v)
+			}
+			agree(t, step, mem, tr, oracle)
 		default: // Commit the durable engine mid-stream
 			if err := db.Commit(); err != nil {
 				t.Fatalf("step %d: Commit: %v", step, err)
 			}
+			durable = maps.Clone(oracle)
 		}
 	}
 
 	// Final: identical visible state across all three, invariants clean.
+	agree(t, len(data), mem, tr, oracle)
+	// And the durable half survives a real commit + reload cycle intact.
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("pagedb invariants after final commit: %v", err)
+	}
+}
+
+// agree fails unless the mem tree, the pagedb tree and the oracle hold the
+// same keys and values, and both trees pass their invariant checks.
+func agree(t *testing.T, step int, mem *btree.Tree, tr *Tree, oracle map[uint64][]byte) {
+	t.Helper()
 	if mem.Len() != len(oracle) || tr.Len() != len(oracle) {
-		t.Fatalf("Len diverged: mem %d, pagedb %d, oracle %d", mem.Len(), tr.Len(), len(oracle))
+		t.Fatalf("step %d: Len diverged: mem %d, pagedb %d, oracle %d", step, mem.Len(), tr.Len(), len(oracle))
 	}
-	keys := make([]uint64, 0, len(oracle))
-	for k := range oracle {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := slices.Sorted(maps.Keys(oracle))
 	check := func(name string, scan func(func(uint64, []byte) bool)) {
 		i := 0
 		scan(func(k uint64, v []byte) bool {
 			if i >= len(keys) || k != keys[i] || !bytes.Equal(v, oracle[k]) {
-				t.Fatalf("%s scan diverges from oracle at position %d (key %d)", name, i, k)
+				t.Fatalf("step %d: %s scan diverges from oracle at position %d (key %d)", step, name, i, k)
 			}
 			i++
 			return true
 		})
 		if i != len(keys) {
-			t.Fatalf("%s scan visited %d of %d oracle keys", name, i, len(keys))
+			t.Fatalf("step %d: %s scan visited %d of %d oracle keys", step, name, i, len(keys))
 		}
 	}
 	check("mem", func(fn func(uint64, []byte) bool) { mem.Scan(0, ^uint64(0), fn) })
@@ -148,17 +213,10 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 		}
 	})
 	if err := mem.CheckInvariants(); err != nil {
-		t.Fatalf("mem invariants: %v", err)
+		t.Fatalf("step %d: mem invariants: %v", step, err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("pagedb invariants: %v", err)
-	}
-	// And the durable half survives a real commit + reload cycle intact.
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("pagedb invariants after final commit: %v", err)
+		t.Fatalf("step %d: pagedb invariants: %v", step, err)
 	}
 }
 

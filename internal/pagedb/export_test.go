@@ -1,5 +1,10 @@
 package pagedb
 
+import "repro/internal/btree"
+
+// budget is the per-node byte budget: the page minus the image header.
+func (db *DB) budget() int { return btree.PageLayout.Budget(db.pageSize) }
+
 // crash simulates a process crash for tests: the DB is abandoned without a
 // final commit, checkpoint, or store shutdown — on-disk state stays exactly
 // as the last Apply left it. The store's file handles leak until the test

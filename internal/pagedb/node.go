@@ -24,9 +24,6 @@ import (
 // concurrent readers can fault and evict against each other safely, and the
 // recycling of node memory (retire, reclaim, takeNode) that faults parse into.
 
-// budget is the per-node byte budget: the page minus the image header.
-func (db *DB) budget() int { return btree.PageLayout.Budget(db.pageSize) }
-
 // nodeStore adapts the DB's fused node cache to btree.NodeStore: the
 // unified tree core runs its algorithm against this accessor. Every method
 // runs with db.mu held — exclusively for mutations, shared for reads; the
@@ -49,6 +46,10 @@ func (s nodeStore) Release(n *btree.Node) { s.db.pool.Release(n.Pin) }
 // under db.mu's write side, where the target is pinned and therefore
 // resident).
 func (s nodeStore) MarkDirty(n *btree.Node) { s.db.dirty[n.ID] = n }
+
+// Touch counts a use of the node's frame through its handle: no lookup, no
+// hit, nothing if the frame has left the page since.
+func (s nodeStore) Touch(n *btree.Node) { s.db.pool.Touch(n.Pin) }
 
 func (s nodeStore) Free(id uint32) error {
 	s.db.freeNode(id)

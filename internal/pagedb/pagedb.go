@@ -82,14 +82,15 @@
 //
 // Transactions (Begin/Txn, txn.go) are the unit of durability: a
 // Txn.Commit appends its ops to the write-ahead log (internal/wal), applies
-// them to the trees, and waits for the log's group fsync; Open replays the
-// log's tail. The checkpoint bounds that replay: Commit writes every dirty
-// page image, every page freed by structural changes, and the metadata
-// page as ONE store.Batch and applies it atomically — under core.DurCommit
-// the batch is group-fsynced and recovery discards a torn batch wholesale,
-// so the page state always reopens as some prefix of the checkpoint
-// history, never a half-applied one — and then truncates the log up to the
-// commit seq the batch covers. Direct tree writes (Tree.Put/Delete) bypass
+// them to the trees — each run of puts to one tree a leaf at a time, one
+// descent per leaf (btree.Core.InsertRun), as replay does too — and waits
+// for the log's group fsync; Open replays the log's tail. The checkpoint
+// bounds that replay: Commit writes every dirty page image, every page freed
+// by structural changes, and the metadata page as ONE store.Batch and
+// applies it atomically — under core.DurCommit the batch is group-fsynced
+// and recovery discards a torn batch wholesale, so the page state always
+// reopens as some prefix of the checkpoint history, never a half-applied one
+// — and then truncates the log up to the commit seq the batch covers. Direct tree writes (Tree.Put/Delete) bypass
 // the log and become durable at the next checkpoint.
 //
 // The metadata page (page id 0, never cached) records the named-tree
@@ -140,7 +141,7 @@ var ErrClosed = errors.New("pagedb: closed")
 
 // ErrTooLarge is returned by Put when a value cannot fit a page under the
 // three-entries-per-leaf minimum the split logic needs.
-var ErrTooLarge = errors.New("pagedb: value too large for page size")
+var ErrTooLarge = btree.ErrTooLarge
 
 // metaPageID is the reserved store page holding the database metadata. It
 // doubles as the nil page id (leaf chains end at 0), so no tree node may

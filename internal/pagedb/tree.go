@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/btree"
+	"repro/internal/wal"
 )
 
 // Tree is a named B+-tree of a DB: uint64 keys, opaque []byte values, one
@@ -150,19 +151,6 @@ func (t *Tree) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	return dst, ok, err
 }
 
-// checkValue enforces the per-value limits shared by Tree.Put and
-// Txn.Put: three leaf entries must fit a page (the split logic's floor)
-// and the page image's 16-bit length field must hold the value.
-func (db *DB) checkValue(value []byte) error {
-	if btree.PageLayout.LeafEntry(value)*3 > db.budget() {
-		return fmt.Errorf("%w: %d bytes does not fit 3 per %d-byte page", ErrTooLarge, len(value), db.pageSize)
-	}
-	if len(value) > 0xFFFF {
-		return fmt.Errorf("%w: %d bytes overflows the page format's length field", ErrTooLarge, len(value))
-	}
-	return nil
-}
-
 // Put stores a copy of value under key, replacing any existing value.
 func (t *Tree) Put(key uint64, value []byte) error {
 	t.db.lock()
@@ -176,11 +164,24 @@ func (t *Tree) putLocked(key uint64, value []byte) error {
 	if err := t.guard(); err != nil {
 		return err
 	}
-	if err := t.db.checkValue(value); err != nil {
-		return err
-	}
 	added, err := t.core.Insert(key, value)
 	if added {
+		t.db.metaDirty = true // the persisted entry count changed
+	}
+	return err
+}
+
+// putRunLocked is putLocked over puts to this tree, in order: one descent per
+// leaf they touch (btree.Core.InsertRun), or a lone put's Insert.
+func (t *Tree) putRunLocked(ops []wal.Op) error {
+	if len(ops) == 1 {
+		return t.putLocked(ops[0].Key, ops[0].Value)
+	}
+	if err := t.guard(); err != nil {
+		return err
+	}
+	added, err := t.core.InsertRun(len(ops), func(i int) (uint64, []byte) { return ops[i].Key, ops[i].Value })
+	if added > 0 {
 		t.db.metaDirty = true // the persisted entry count changed
 	}
 	return err

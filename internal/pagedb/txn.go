@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -147,7 +148,7 @@ func (t *Txn) Put(tree string, key uint64, value []byte) error {
 	if tree == "" {
 		return fmt.Errorf("pagedb: empty tree name")
 	}
-	if err := t.db.checkValue(value); err != nil {
+	if err := btree.PageLayout.CheckValue(value, t.db.pageSize); err != nil {
 		return err
 	}
 	start := len(t.vals)
@@ -335,20 +336,26 @@ func (t *Txn) Rollback() error {
 // Caller holds db.mu exclusively (or is Open's replay, pre-concurrency).
 // The semantics are redo-idempotent: put creates the tree if missing,
 // delete and droptree of something absent are no-ops — so replaying an
-// already-checkpointed suffix converges to the same state. The put values are
-// borrowed — a transaction's staging buffer, or replay's slices of the whole
-// log file — and the trees copy them.
+// already-checkpointed suffix converges to the same state. Each run of
+// consecutive puts to one tree is applied one leaf at a time (putRunLocked).
+// The put values are borrowed — a transaction's staging buffer, or replay's
+// slices of the whole log file — and the trees copy them.
 func (db *DB) applyOps(ops []wal.Op) error {
-	for _, op := range ops {
-		switch op.Kind {
+	for i := 0; i < len(ops); i++ {
+		switch op := ops[i]; op.Kind {
 		case wal.OpPut:
 			tr, err := db.treeLocked(op.Tree)
 			if err != nil {
 				return err
 			}
-			if err := tr.putLocked(op.Key, op.Value); err != nil {
+			j := i + 1
+			for j < len(ops) && ops[j].Kind == wal.OpPut && ops[j].Tree == op.Tree {
+				j++
+			}
+			if err := tr.putRunLocked(ops[i:j]); err != nil {
 				return err
 			}
+			i = j - 1
 		case wal.OpDelete:
 			tr, ok := db.trees[op.Tree]
 			if !ok {

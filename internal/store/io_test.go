@@ -59,16 +59,16 @@ func TestApplyIsOneWritePerRun(t *testing.T) {
 		{"Apply of 40 pages into three segments", func() error { return s.Apply(apply(40, 64)) }, 3},
 	}
 	for _, st := range steps {
-		before := cb.writes
+		before := cb.counts().writes
 		if err := st.op(); err != nil {
 			t.Fatalf("%s: %v", st.what, err)
 		}
-		if got := cb.writes - before; got != st.writes {
+		if got := cb.counts().writes - before; got != st.writes {
 			t.Errorf("%s: %d backend writes, want %d", st.what, got, st.writes)
 		}
 	}
-	if got := int64(s.Obs().Counter("store.write.ios").Value()); got != cb.writes {
-		t.Errorf("store.write.ios = %d, the backend took %d writes", got, cb.writes)
+	if got, want := int64(s.Obs().Counter("store.write.ios").Value()), cb.counts().writes; got != want {
+		t.Errorf("store.write.ios = %d, the backend took %d writes", got, want)
 	}
 	checkInvariants(t, s)
 
@@ -89,8 +89,8 @@ func TestApplyIsOneWritePerRun(t *testing.T) {
 	if err := big.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(40*(RecordHeaderSize+4096)+ioUnit-1) / ioUnit; cb.writes != want {
-		t.Errorf("Apply of 40 full pages: %d backend writes, want %d runs of at most %d bytes", cb.writes, want, ioUnit)
+	if got, want := cb.counts().writes, int64(40*(RecordHeaderSize+4096)+ioUnit-1)/ioUnit; got != want {
+		t.Errorf("Apply of 40 full pages: %d backend writes, want %d runs of at most %d bytes", got, want, ioUnit)
 	}
 }
 
@@ -148,28 +148,28 @@ func TestCycleIOShape(t *testing.T) {
 	s, version := churnedStore(t, "", core.DurNone, core.MDC())
 	defer s.Close()
 	cb := count(s)
-	cb.readsOf = make(map[int]int)
 	gcBefore := s.Stats().GCWrites
 	n, err := s.CleanOnce()
 	if err != nil || n == 0 {
 		t.Fatalf("CleanOnce = %d, %v", n, err)
 	}
 	extent := int(s.opts.segmentBytes())
-	if len(cb.readsOf) > n {
-		t.Errorf("the cycle read %d segments for %d victims", len(cb.readsOf), n)
+	readsOf, c := cb.segReads(), cb.counts()
+	if len(readsOf) > n {
+		t.Errorf("the cycle read %d segments for %d victims", len(readsOf), n)
 	}
-	for seg, reads := range cb.readsOf {
+	for seg, reads := range readsOf {
 		if limit := (extent + ioUnit - 1) / ioUnit; reads > limit {
 			t.Errorf("victim %d (%d bytes) was read in %d I/Os, want at most %d", seg, extent, reads, limit)
 		}
 	}
 	moved := s.Stats().GCWrites - gcBefore
-	if moved < 64 || cb.writes == 0 || cb.writes > cb.reads+cb.headers {
+	if moved < 64 || c.writes == 0 || c.writes > c.reads+c.headers {
 		t.Errorf("%d pages relocated in %d backend writes, for %d windows read and %d output segments opened",
-			moved, cb.writes, cb.reads, cb.headers)
+			moved, c.writes, c.reads, c.headers)
 	}
-	if cb.readBytes > int64(n*extent) {
-		t.Errorf("the cycle read %d bytes of %d victims of %d bytes", cb.readBytes, n, extent)
+	if c.readBytes > int64(n*extent) {
+		t.Errorf("the cycle read %d bytes of %d victims of %d bytes", c.readBytes, n, extent)
 	}
 	checkOracle(t, s, version)
 }
@@ -188,7 +188,7 @@ func TestFailedRunWriteMidCycle(t *testing.T) {
 			s, version := churnedStore(t, dir, dur, core.MDC())
 			cb := count(s)
 			cb.failWrite = func(int, int64) error {
-				if cb.writes >= 2 { // the cycle's third run
+				if cb.counts().writes >= 2 { // the cycle's third run
 					return errInjected
 				}
 				return nil
@@ -310,7 +310,7 @@ func cycleSyncShape(t *testing.T, delay time.Duration) syncShape {
 	if st.SegmentsCleaned != uint64(victims) || victims == 0 {
 		t.Fatalf("%d segments cleaned, %d of them by the test's own cycles: the geometry is miscalibrated", st.SegmentsCleaned, victims)
 	}
-	sealed := int(cb.headers) // every segment opened, less the ones still open
+	sealed := int(cb.counts().headers) // every segment opened, less the ones still open
 	for _, ss := range st.Streams {
 		sealed -= ss.OpenSegments
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -88,19 +89,25 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 // the calls, their bytes, how many of the writes started a segment (they carry
 // its header), and the reads per segment. failWrite, failRead and failSync,
 // when set, are asked before every write, read and fsync and their error
-// returned instead. events
-// is the order in which writes, fsyncs and resets reached each segment (mu: a
-// sync point's fsyncs run concurrently).
+// returned instead. events is the order in which writes, fsyncs and resets
+// reached each segment. mu guards the counts and the events, since a sync
+// point's fsyncs run concurrently (and a crashBackend above reads through this
+// one from them): a test reads them through counts, segReads and log.
 type countingBackend struct {
 	backend
+	failWrite func(seg int, off int64) error
+	failRead  func(seg int, off int64) error
+	failSync  func(seg int) error
+	mu        sync.Mutex
+	n         ioCounts
+	readsOf   map[int]int
+	events    []ioEvent
+}
+
+// ioCounts is what a countingBackend has counted.
+type ioCounts struct {
 	bytes, headers           int64
 	writes, reads, readBytes int64
-	readsOf                  map[int]int
-	failWrite                func(seg int, off int64) error
-	failRead                 func(seg int, off int64) error
-	failSync                 func(seg int) error
-	mu                       sync.Mutex
-	events                   []ioEvent
 }
 
 // ioEvent is one step of a segment's history: 'w' a write, 'r' a reset, 's' an
@@ -116,12 +123,25 @@ func (c *countingBackend) note(op byte, seg int) {
 	c.mu.Unlock()
 }
 
-// log returns the events so far. A seal's fsync notes its own from the
-// syncer goroutine, so a test reads them through log, not the field.
+// log returns the events so far.
 func (c *countingBackend) log() []ioEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.events[:len(c.events):len(c.events)]
+}
+
+// counts returns the counts so far.
+func (c *countingBackend) counts() ioCounts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// segReads returns how many reads each segment has taken so far.
+func (c *countingBackend) segReads() map[int]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.readsOf)
 }
 
 func (c *countingBackend) write(seg int, off int64, b []byte) error {
@@ -130,12 +150,14 @@ func (c *countingBackend) write(seg int, off int64, b []byte) error {
 			return err
 		}
 	}
-	c.writes++
-	c.bytes += int64(len(b))
+	c.mu.Lock()
+	c.n.writes++
+	c.n.bytes += int64(len(b))
 	if off == 0 {
-		c.headers++
+		c.n.headers++
 	}
-	c.note('w', seg)
+	c.events = append(c.events, ioEvent{'w', seg})
+	c.mu.Unlock()
 	return c.backend.write(seg, off, b)
 }
 
@@ -145,11 +167,11 @@ func (c *countingBackend) read(seg int, off int64, b []byte) error {
 			return err
 		}
 	}
-	c.reads++
-	c.readBytes += int64(len(b))
-	if c.readsOf != nil {
-		c.readsOf[seg]++
-	}
+	c.mu.Lock()
+	c.n.reads++
+	c.n.readBytes += int64(len(b))
+	c.readsOf[seg]++
+	c.mu.Unlock()
 	return c.backend.read(seg, off, b)
 }
 
@@ -254,9 +276,49 @@ func (r *syncReplay) relocated(s *Store, from map[uint32]int32) {
 	}
 }
 
+// TestCountingBackendTakesConcurrentReads: a crashBackend's fsync reads its
+// segment through the countingBackend beneath it, and a sync point runs its
+// fsyncs concurrently, so every count is kept under the backend's lock
+// (decisive under -race).
+func TestCountingBackendTakesConcurrentReads(t *testing.T) {
+	const goroutines, syncs, segBytes = 4, 50, 64
+	mem := newMemBackend(goroutines)
+	for seg := range goroutines {
+		if err := mem.write(seg, 0, make([]byte, segBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb := &countingBackend{backend: mem, readsOf: make(map[int]int)}
+	crash := &crashBackend{backend: cb, synced: map[int][]byte{}, resetAfter: map[int]bool{}}
+	var wg sync.WaitGroup
+	for seg := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range syncs {
+				if err := crash.sync(seg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := cb.counts()
+	if n.reads != goroutines*syncs || n.readBytes != goroutines*syncs*segBytes || len(cb.log()) != 2*goroutines*syncs {
+		t.Errorf("counted %d reads of %d bytes and %d events, want %d, %d and %d",
+			n.reads, n.readBytes, len(cb.log()), goroutines*syncs, goroutines*syncs*segBytes, 2*goroutines*syncs)
+	}
+	for seg, reads := range cb.segReads() {
+		if reads != syncs {
+			t.Errorf("segment %d: %d reads, want %d", seg, reads, syncs)
+		}
+	}
+}
+
 // count wraps the store's backend in a countingBackend.
 func count(s *Store) *countingBackend {
-	cb := &countingBackend{backend: s.be}
+	cb := &countingBackend{backend: s.be, readsOf: make(map[int]int)}
 	s.be = cb
 	return cb
 }
@@ -358,13 +420,15 @@ func TestByteCountersMatchSegmentWrites(t *testing.T) {
 	if gc == 0 || s.Stats().Tombstones == 0 {
 		t.Fatalf("run relocated %d bytes and left %d tombstones; it should exercise both", gc, s.Stats().Tombstones)
 	}
-	if got, want := user+gc, cb.bytes-cb.headers*segHeaderSize; got != want {
+	n := cb.counts()
+	if got, want := user+gc, n.bytes-n.headers*segHeaderSize; got != want {
 		t.Errorf("store.user.bytes %d + store.gc.bytes %d = %d, segments took %d bytes in records", user, gc, got, want)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]int64{"store.write.ios": cb.writes, "store.read.ios": cb.reads, "store.read.bytes": cb.readBytes} {
+	n = cb.counts()
+	for name, want := range map[string]int64{"store.write.ios": n.writes, "store.read.ios": n.reads, "store.read.bytes": n.readBytes} {
 		if got := counter(s, name); got != want || want == 0 {
 			t.Errorf("%s = %d, the backend counted %d", name, got, want)
 		}
