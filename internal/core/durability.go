@@ -24,7 +24,8 @@ import "fmt"
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine fsyncs the unsynced segments, together,
-//     waiters piggyback on its round — so the per-commit fsync cost is shared.
+//     waiters piggyback on its round (GroupCommit, the WAL's loop too) — so
+//     the per-commit fsync cost is shared.
 //     Batches committed at this level are additionally crash-atomic: a
 //     torn batch (some records persisted, the commit not acknowledged)
 //     is discarded wholesale by recovery, never surfaced partially.

@@ -164,7 +164,7 @@ func (t *Txn) Delete(tree string, key uint64) (bool, error) {
 	if t.done {
 		return false, ErrTxnDone
 	}
-	existed, err := t.exists(tree, key)
+	_, existed, err := t.get(tree, key, false)
 	if err != nil {
 		return false, err
 	}
@@ -183,35 +183,28 @@ func (t *Txn) DropTree(tree string) error {
 	return nil
 }
 
-func (t *Txn) exists(tree string, key uint64) (bool, error) {
-	t.overlay()
-	if w, ok := t.writes[txnKey{tree, key}]; ok {
-		return !w.del, nil
-	}
-	if t.dropped[tree] {
-		return false, nil
-	}
-	_, ok, err := t.db.readGet(tree, key, false)
-	return ok, err
-}
-
 // Get returns the value under key as this transaction sees it: its own
 // staged writes first, the committed state beneath. The value is a copy.
 func (t *Txn) Get(tree string, key uint64) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnDone
 	}
+	return t.get(tree, key, true)
+}
+
+// get is Get's lookup; without want it reports only whether key exists.
+func (t *Txn) get(tree string, key uint64, want bool) ([]byte, bool, error) {
 	t.overlay()
 	if w, ok := t.writes[txnKey{tree, key}]; ok {
-		if w.del {
-			return nil, false, nil
+		if w.del || !want {
+			return nil, !w.del, nil
 		}
 		return append([]byte(nil), w.val...), true, nil
 	}
 	if t.dropped[tree] {
 		return nil, false, nil
 	}
-	return t.db.readGet(tree, key, true)
+	return t.db.readGet(tree, key, want)
 }
 
 // Scan visits keys in [from, to] in order as this transaction sees them:

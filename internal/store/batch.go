@@ -322,68 +322,25 @@ func (s *Store) plan(b *Batch) (newSegs int) {
 	return newSegs
 }
 
-// groupCommit coalesces concurrent DurCommit committers onto shared fsync
-// rounds: the first committer to find no round in flight flushes the
-// unsynced-segment ledger; everyone else piggybacks on the round's outcome
-// and only starts another if their records are still not covered. Its counts
-// are the store.commit.commits / .rounds / .syncs counters.
-type groupCommit struct {
-	mu      sync.Mutex
-	durable uint64       // highest seq known flushed to storage
-	cur     *commitRound // in-flight flush, nil when idle
-}
-
-type commitRound struct {
-	done chan struct{}
-	err  error
-}
-
 // commitWait blocks until every record up to target is durable,
 // contributing to the group-commit statistics. Caller must not hold s.mu.
 func (s *Store) commitWait(target uint64) error {
 	t0 := time.Now()
 	s.cCommits.Inc()
-	err := s.waitDurable(target)
+	err := s.gcm.Wait(target, s.commitRound)
 	s.hCommit.Record(uint64(time.Since(t0)))
 	return err
 }
 
-// waitDurable is the group fsync: one goroutine runs a flush round — a sync
-// point over the whole ledger — and concurrent callers wait on it and
-// re-check. Caller must not hold s.mu (the round claims under it).
-func (s *Store) waitDurable(target uint64) error {
-	g := &s.gcm
-	g.mu.Lock()
-	for g.durable < target {
-		if r := g.cur; r != nil {
-			// Piggyback on the in-flight round, then re-check: the round
-			// may have started before our records were appended.
-			g.mu.Unlock()
-			<-r.done
-			if r.err != nil {
-				return r.err
-			}
-			g.mu.Lock()
-			continue
-		}
-		r := &commitRound{done: make(chan struct{})}
-		g.cur = r
-		g.mu.Unlock()
-		synced, err := s.syncPoint(false, nil) // publishes g.durable
-		g.mu.Lock()
-		s.cRounds.Inc()
-		s.cSyncs.Add(uint64(synced))
-		s.trace.Emit(obs.EvCommitRound, int64(s.cRounds.Value()), int64(s.cSyncs.Value()), int64(synced))
-		r.err = err
-		g.cur = nil
-		close(r.done)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
-	}
-	g.mu.Unlock()
-	return nil
+// commitRound is one group-commit round: a sync point over the whole ledger,
+// which publishes the durable seq itself. Its counts are the
+// store.commit.rounds / .syncs counters.
+func (s *Store) commitRound() (uint64, error) {
+	synced, err := s.syncPoint(false, nil)
+	s.cRounds.Inc()
+	s.cSyncs.Add(uint64(synced))
+	s.trace.Emit(obs.EvCommitRound, int64(s.cRounds.Value()), int64(s.cSyncs.Value()), int64(synced))
+	return 0, err
 }
 
 // syncInFlight bounds the fsyncs a sync point has outstanding at once.
@@ -440,13 +397,8 @@ func (s *Store) syncPoint(locked bool, pick func(int32, unsyncedSeg) bool) (n in
 	if retired {
 		s.pruneWaits()
 	}
-	if pick == nil {
-		s.gcm.mu.Lock()
-		if applied > s.gcm.durable {
-			s.gcm.durable = applied
-			s.trace.Emit(obs.EvWatermark, int64(applied))
-		}
-		s.gcm.mu.Unlock()
+	if pick == nil && s.gcm.Advance(applied) {
+		s.trace.Emit(obs.EvWatermark, int64(applied))
 	}
 	return len(segs), nil
 }
@@ -486,11 +438,9 @@ func (s *Store) fsyncAll(segs []int32) error {
 // batch still being appended (applying) or with a member no fsync has covered
 // (the ledger's low). A batch starting at or below it is whole on storage,
 // whichever members cleaning recycles later. Caller holds s.mu (read or
-// write); gcm.mu nests inside it.
+// write); gcm's lock nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
-	s.gcm.mu.Lock()
-	w := s.gcm.durable
-	s.gcm.mu.Unlock()
+	w := s.gcm.Durable()
 	low := cmp.Or(s.applying, s.seq+1)
 	for _, e := range s.unsynced {
 		if e.low != 0 {
@@ -523,5 +473,5 @@ func (s *Store) Sync() error {
 	if err != nil {
 		return err
 	}
-	return s.waitDurable(target)
+	return s.gcm.Wait(target, s.commitRound)
 }

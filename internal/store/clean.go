@@ -96,7 +96,7 @@ func (s *Store) cleanCycle() (victimCount int, netBytes int64, err error) {
 		return 0, 0, err
 	}
 	s.cands = cands
-	_, moved, err := s.relocate(cands, len(cands), &s.win, true)
+	moved, err := s.relocate(cands, len(cands), &s.win, true)
 	if err != nil {
 		s.reseal(victims)
 		return 0, 0, err
@@ -111,25 +111,24 @@ func (s *Store) cleanCycle() (victimCount int, netBytes int64, err error) {
 // (locked); the background one runs the bulk I/O of load with no lock held —
 // victim records are frozen by SegCleaning — and takes the lock per chunk, so
 // user operations interleave with it. An error returns the partial totals.
-func (s *Store) relocate(cands []recCand, chunk int, win *[]byte, locked bool) (installed int, moved int64, err error) {
+func (s *Store) relocate(cands []recCand, chunk int, win *[]byte, locked bool) (moved int64, err error) {
 	if s.opts.Algorithm.SortGC {
 		// Separate relocations by update frequency (§5.3): coldest first.
 		slices.SortStableFunc(cands, func(a, b recCand) int { return cmp.Compare(a.up2, b.up2) })
 	}
 	for n := 0; len(cands) > 0; cands = cands[n:] {
 		if n, err = s.load(cands, win); err != nil {
-			return installed, moved, err
+			return moved, err
 		}
 		for lo := 0; lo < n; lo += chunk {
-			k, b, err := s.installChunk(cands[lo:min(lo+chunk, n)], *win, locked)
-			installed += k
+			b, err := s.installChunk(cands[lo:min(lo+chunk, n)], *win, locked)
 			moved += b
 			if err != nil {
-				return installed, moved, err
+				return moved, err
 			}
 		}
 	}
-	return installed, moved, s.syncRelocated(locked)
+	return moved, s.syncRelocated(locked)
 }
 
 // selectVictims asks the policy for up to max victims, marks them
@@ -205,12 +204,12 @@ func (s *Store) load(cands []recCand, win *[]byte) (int, error) {
 // installChunk relocates the candidates that are still current, taking the
 // write lock for the chunk unless the caller already holds it, and writes
 // their copies before the lock is released.
-func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (installed int, bytes int64, err error) {
+func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (bytes int64, err error) {
 	if !locked {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.err != nil {
-			return 0, 0, s.err
+			return 0, s.err
 		}
 	}
 	for i := range cands {
@@ -218,12 +217,9 @@ func (s *Store) installChunk(cands []recCand, win []byte, locked bool) (installe
 		if n, err = s.install(&cands[i], win); err != nil {
 			break
 		}
-		if n > 0 {
-			installed++
-			bytes += n
-		}
+		bytes += n
 	}
-	return installed, bytes, cmp.Or(err, s.flush())
+	return bytes, cmp.Or(err, s.flush())
 }
 
 // install appends a relocated copy of r, loaded into win, if it is still

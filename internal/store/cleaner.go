@@ -76,8 +76,6 @@ type CleanerStats struct {
 	Cycles uint64
 	// SegmentsReclaimed counts victims released back to the free pool.
 	SegmentsReclaimed uint64
-	// RecordsRelocated counts live records copied out of victims.
-	RecordsRelocated uint64
 	// BytesRelocated is the relocation write volume (the cleaning cost).
 	BytesRelocated uint64
 	// BytesReclaimed is the net space recovered (released minus relocated).
@@ -85,8 +83,6 @@ type CleanerStats struct {
 	// Errors counts failed cycles; LastError describes the most recent.
 	Errors    uint64
 	LastError string
-	// Kicks counts writer wakeups delivered to the cleaner goroutine.
-	Kicks uint64
 	// WriterStalls counts writes blocked below the emergency floor and
 	// WriterStallTime their cumulative wait. Both are read from the obs
 	// counters cleaner.admission.stalls / .stall_ns, so Stats and
@@ -152,9 +148,6 @@ func (c *cleaner) free() int { return int(c.s.freeCount.Load()) }
 func (c *cleaner) kick() {
 	select {
 	case c.kicked <- struct{}{}:
-		c.mu.Lock()
-		c.counts.Kicks++
-		c.mu.Unlock()
 		c.s.trace.Emit(obs.EvCleanerKick, int64(c.free()))
 	default:
 	}
@@ -344,7 +337,7 @@ func (c *cleaner) cycleOnce(dry *int) bool {
 	c.setState(stateRelocating)
 	leg = sp.Child("relocate")
 	t0 = time.Now()
-	records, moved, err := c.relocate()
+	moved, err := c.relocate()
 	c.hRelocate.Record(uint64(time.Since(t0)))
 	leg.End()
 	if err != nil {
@@ -375,7 +368,6 @@ func (c *cleaner) cycleOnce(dry *int) bool {
 	c.mu.Lock()
 	c.counts.Cycles++
 	c.counts.SegmentsReclaimed += uint64(len(victims))
-	c.counts.RecordsRelocated += uint64(records)
 	c.counts.BytesRelocated += uint64(moved)
 	if net > 0 {
 		c.counts.BytesReclaimed += uint64(net)
@@ -428,7 +420,7 @@ func (c *cleaner) selectVictims(max int) []int32 {
 
 // relocate copies the selected victims' live records out with no lock held
 // but per install chunk, and runs the cycle's durability point.
-func (c *cleaner) relocate() (records int, moved int64, err error) {
+func (c *cleaner) relocate() (moved int64, err error) {
 	return c.s.relocate(c.cands, relocChunk, &c.win, false)
 }
 

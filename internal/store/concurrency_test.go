@@ -403,7 +403,7 @@ func TestCrashMidCleanLeavesIntactCopies(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("no victims selectable after churn")
 	}
-	if _, _, err := ct.relocate(); err != nil {
+	if _, err := ct.relocate(); err != nil {
 		t.Fatalf("relocate: %v", err)
 	}
 	// Crash BEFORE release: the victims were never reused, so both copies
@@ -456,7 +456,7 @@ func TestCrashAfterReleaseBeforeReuse(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("no victims selectable")
 	}
-	if _, _, err := ct.relocate(); err != nil {
+	if _, err := ct.relocate(); err != nil {
 		t.Fatal(err)
 	}
 	ct.release(victims)

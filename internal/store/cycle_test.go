@@ -242,7 +242,7 @@ func TestAbortReleasesDrainedVictims(t *testing.T) {
 				}
 				return nil
 			}
-			_, _, err := tg.relocate()
+			_, err := tg.relocate()
 			cb.failRead, cb.failWrite = nil, nil
 			faulty := tc.failRead >= 0 || tc.failWrite > 0
 			if faulty != (err != nil) || err != nil && !errors.Is(err, errReadInjected) && !errors.Is(err, errInjected) {
@@ -656,7 +656,7 @@ func TestReleaseWaitsOnACommitInFlight(t *testing.T) {
 		t.Fatalf("selectVictims = %v, %v", victims, err)
 	}
 	var win []byte
-	if _, _, err := s.relocate(cands, relocChunk, &win, false); err != nil {
+	if _, err := s.relocate(cands, relocChunk, &win, false); err != nil {
 		t.Fatal(err)
 	}
 	holding.Store(true)

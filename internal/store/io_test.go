@@ -399,7 +399,7 @@ func TestFailedFsyncPoisons(t *testing.T) {
 		t.Fatalf("WritePage whose commit fsync fails = %v, want the injected error", err)
 	}
 	cb.failSync = nil
-	durable, events := s.gcm.durable, len(cb.events)
+	durable, events := s.gcm.Durable(), len(cb.events)
 	b := NewBatch()
 	b.Write(1, buf)
 	for _, op := range []struct {
@@ -416,8 +416,8 @@ func TestFailedFsyncPoisons(t *testing.T) {
 			t.Errorf("%s on a poisoned store = %v, want the fsync error, wrapped", op.name, op.err)
 		}
 	}
-	if s.gcm.durable != durable || len(cb.events) != events {
-		t.Errorf("a poisoned store moved its watermark %d -> %d, or reached the backend: %v", durable, s.gcm.durable, cb.events[events:])
+	if s.gcm.Durable() != durable || len(cb.events) != events {
+		t.Errorf("a poisoned store moved its watermark %d -> %d, or reached the backend: %v", durable, s.gcm.Durable(), cb.events[events:])
 	}
 	checkOracle(t, s, version)
 	if err := s.Close(); !errors.Is(err, errSyncInjected) {

@@ -354,7 +354,7 @@ func TestSyncPointSeries(t *testing.T) {
 			p0, n0, f0 := samples()
 			phases := newCleaner(s)
 			victims := phases.selectVictims(4)
-			if _, _, err := phases.relocate(); err != nil || len(victims) == 0 {
+			if _, err := phases.relocate(); err != nil || len(victims) == 0 {
 				t.Fatalf("relocate(%v): %v", victims, err)
 			}
 			phases.release(victims)

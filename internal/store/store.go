@@ -269,10 +269,10 @@ type Store struct {
 	sealing  int32        // the DurSeal seal whose fsync is in flight (seal, settle); -1: none
 	sealq    chan backend // hands that fsync to the syncer (DurSeal on disk); Close closes it
 	sealDone chan error   // the syncer's answer, closed as it exits
-	// gcm is the group-commit state: under DurCommit concurrent committers
-	// coalesce onto a single fsync round (one goroutine flushes, waiters
-	// piggyback). It has its own lock; never acquire s.mu while holding it.
-	gcm groupCommit
+	// gcm is the group commit: under DurCommit concurrent committers
+	// coalesce onto a single fsync round (commitRound). It has its own lock;
+	// never acquire s.mu while holding it.
+	gcm core.GroupCommit
 
 	seq uint64
 	// applying is the first seq of the multi-record batch being appended, 0

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -60,21 +61,15 @@ type Stats struct {
 // logName is the log's one file in Options.Dir.
 const logName = "wal.log"
 
-// fsyncRound is one in-flight group fsync; waiters block on done and read
-// err after it closes.
-type fsyncRound struct {
-	done chan struct{}
-	err  error
-}
-
 // Log is an append-only redo log of committed transactions. One writer at
 // a time may Append (callers serialize — pagedb appends under its write
 // lock so commit-seq order is exactly apply order); any number of
 // goroutines may Commit concurrently, coalescing onto shared fsync rounds
-// exactly like the store's DurCommit group commit; a round's leader first
-// holds its start for the committers the last round released (hold).
+// through the core.GroupCommit the store's DurCommit runs too; a round
+// (round) first holds its start for the committers the last round released
+// (hold).
 //
-// Lock order: flushMu → mu → gs.mu. flushMu is held across every fsync
+// Lock order: flushMu → mu → gc's lock. flushMu is held across every fsync
 // round and across Close, so Close never closes the file under a round;
 // appends and Truncate take only mu and therefore proceed while a round is
 // syncing — that overlap is the group-commit win.
@@ -98,17 +93,14 @@ type Log struct {
 	appended  chan struct{} // capacity 1: an append, close or poison wakes it
 	holdTimer *time.Timer
 
-	gs struct {
-		mu      sync.Mutex
-		durable uint64
-		cur     *fsyncRound
-		// The last round that made anything durable released k seqs, at log
-		// seq end, after an fsync that took took: the next leader holds on it.
-		k, end  uint64
-		took    time.Duration
-		commits uint64
-		rounds  uint64
-	}
+	gc core.GroupCommit // the durable seq, raised by rounds, truncations and Open
+	// The last round that made anything durable released k seqs, at log seq
+	// end, after an fsync that took took: the next round holds on it. Only a
+	// round's leader touches them, and rounds run one at a time.
+	k, end  uint64
+	took    time.Duration
+	commits atomic.Uint64
+	rounds  atomic.Uint64
 
 	truncations uint64
 
@@ -220,7 +212,7 @@ func (l *Log) recover() error {
 		l.names[name] = uint32(i + 1)
 	}
 	l.nextID = uint32(len(sc.names)) + 1
-	l.gs.durable = l.seq // everything retained is on stable storage
+	l.gc.Advance(l.seq) // everything retained is on stable storage
 	return nil
 }
 
@@ -244,9 +236,7 @@ func (l *Log) emptyLocked(base uint64) error {
 	l.seq = base
 	clear(l.names)
 	l.nextID = 1
-	l.gs.mu.Lock()
-	l.gs.durable = max(l.gs.durable, base)
-	l.gs.mu.Unlock()
+	l.gc.Advance(base)
 	return nil
 }
 
@@ -380,86 +370,51 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 // Once an fsync has failed, no Commit of an seq it did not cover succeeds.
 func (l *Log) Commit(seq uint64) error {
 	t0 := time.Now()
-	g := &l.gs
-	g.mu.Lock()
-	g.commits++
-	g.mu.Unlock()
+	l.commits.Add(1)
 	l.cCommits.Inc()
-	err := l.waitDurable(seq)
+	var err error
+	if l.dir == "" || l.noSync {
+		// Nothing to fsync: volatile mode has no file, NoSync acknowledges
+		// on write. (dir and noSync are immutable, so this needs no lock.)
+		l.gc.Advance(seq)
+	} else {
+		err = l.gc.Wait(seq, l.round)
+	}
 	l.hCommit.Record(uint64(time.Since(t0)))
 	return err
 }
 
-func (l *Log) waitDurable(target uint64) error {
-	if l.dir == "" || l.noSync {
-		// Nothing to fsync: volatile mode has no file, NoSync acknowledges
-		// on write. (dir and noSync are immutable, so this needs no lock.)
-		g := &l.gs
-		g.mu.Lock()
-		if target > g.durable {
-			g.durable = target
-		}
-		g.mu.Unlock()
-		return nil
+// round is one group-commit round, run by its leader: hold, then fsyncTail.
+func (l *Log) round() (uint64, error) {
+	l.hold()
+	upTo, end, took, err := l.fsyncTail()
+	if took > 0 {
+		l.rounds.Add(1)
+		l.cRounds.Inc()
 	}
-	g := &l.gs
-	g.mu.Lock()
-	for g.durable < target {
-		if r := g.cur; r != nil {
-			// Piggyback on the in-flight round, then re-check: the round
-			// may have started before our records were appended.
-			g.mu.Unlock()
-			<-r.done
-			if r.err != nil {
-				return r.err
-			}
-			g.mu.Lock()
-			continue
-		}
-		r := &fsyncRound{done: make(chan struct{})}
-		g.cur = r
-		k, end, took := g.k, g.end, g.took
-		g.mu.Unlock()
-		l.hold(k, end, took)
-		upTo, end, took, err := l.fsyncTail()
-		g.mu.Lock()
-		if took > 0 {
-			g.rounds++
-			l.cRounds.Inc()
-		}
-		if err == nil && upTo > g.durable {
-			g.k, g.end, g.took = upTo-g.durable, end, took
-			g.durable = upTo
-		}
-		r.err = err
-		g.cur = nil
-		close(r.done)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
+	if d := l.gc.Durable(); err == nil && upTo > d {
+		l.k, l.end, l.took = upTo-d, end, took
 	}
-	g.mu.Unlock()
-	return nil
+	return upTo, err
 }
 
 // hold delays the start of a round, while followers gather on it, until the
 // k committers the last round released have appended again — so that one
 // fsync covers them all instead of the next round covering only its leader
-// — or until that round's fsync time has passed, or the log is closed or
-// poisoned. A sole committer is never held: it is the one the last round
+// — or until that round's fsync time has passed (l.k, l.end, l.took), or the
+// log is closed or poisoned. A sole committer is never held: it is the one the last round
 // released, so its own append has ended the hold before it begins.
-func (l *Log) hold(k, end uint64, took time.Duration) {
+func (l *Log) hold() {
 	released := func() bool {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		return l.seq-end >= k || l.closed || l.err != nil
+		return l.seq-l.end >= l.k || l.closed || l.err != nil
 	}
 	if released() {
 		return
 	}
 	t0 := time.Now()
-	l.holdTimer.Reset(took)
+	l.holdTimer.Reset(l.took)
 	for wait := true; wait; { // a token left from before the hold is one more check
 		select {
 		case <-l.appended:
@@ -485,9 +440,7 @@ func (l *Log) fsyncTail() (upTo, end uint64, took time.Duration, err error) {
 	if l.closed {
 		err = ErrClosed
 	}
-	l.gs.mu.Lock()
-	covered := l.gs.durable >= upTo
-	l.gs.mu.Unlock()
+	covered := l.gc.Durable() >= upTo
 	l.mu.Unlock()
 	if err != nil || covered {
 		return upTo, upTo, 0, err
@@ -598,15 +551,10 @@ func (l *Log) MaxTxnID() uint64 {
 // Stats summarizes the log.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
-	s := Stats{Seq: l.seq, Truncations: l.truncations}
-	l.mu.Unlock()
-	l.gs.mu.Lock()
-	s.Durable = l.gs.durable
-	s.Commits = l.gs.commits
-	s.Rounds = l.gs.rounds
-	s.Syncs = l.gs.rounds
-	l.gs.mu.Unlock()
-	return s
+	defer l.mu.Unlock()
+	rounds := l.rounds.Load()
+	return Stats{Seq: l.seq, Truncations: l.truncations, Durable: l.gc.Durable(),
+		Commits: l.commits.Load(), Rounds: rounds, Syncs: rounds}
 }
 
 // Close fsyncs and closes the log file. Waiting committers
