@@ -16,8 +16,9 @@
 //     images in from the log-structured store (ParseNode, in place) and
 //     MarkDirty feeds the commit batch.
 //
-// Every node access of a Tree is routed through the model: fetches Touch
-// the node's page, mutations Dirty it. Structural changes (splits, merges,
+// Every node access of a Tree is routed through the model: fetches, and the
+// Core's repeat visits to a node it holds (NodeStore.Touch), Touch the node's
+// page, mutations Dirty it. Structural changes (splits, merges,
 // root changes) allocate and free page ids through it so that all trees of
 // a database share one page id space, which starts at 1: id 0 is the Core's
 // nil leaf-chain link.

@@ -16,8 +16,9 @@ import (
 // store behind Tree (the §6.3 TPC-C trace substrate) and internal/pagedb's
 // store-backed node cache (buffer pool + log-structured store) — so the
 // durable engine and the trace engine can never drift algorithmically.
-// InsertRun, pagedb's transaction apply, descends once per leaf a run of puts
-// touches; Insert keeps one descent per key, the §6.3 model's Fetch pattern.
+// descend is the one root-to-leaf walk. InsertRun descends once per leaf a run
+// of puts touches and splits with the path it holds; Insert is a run of one;
+// Delete rebalances up the path it descended.
 
 // Layout is the byte-cost model of one node format: how much a leaf entry or
 // a branch child costs against the node's byte budget, and how much of the
@@ -117,9 +118,9 @@ type Node struct {
 //     resolves the whole step in one cache acquisition (pagedb's pool
 //     frame holds the decoded node and the pin count side by side —
 //     bufferpool.FetchPinned) and stamps the node's Pin handle so Release
-//     needs no lookup. Pins nest — the Core may Fetch a node it already
-//     holds (delete's child re-fetch); nested Fetches return the same
-//     *Node and the same handle, and each is balanced by one Release.
+//     needs no lookup. Pins nest: a Fetch of a node already held returns
+//     the same *Node and the same handle, and each is balanced by one
+//     Release.
 //   - Release(n) drops one pin taken by the Fetch that returned n. The
 //     Core releases every node it fetches by the time an operation
 //     returns, on error paths included, so between operations no frame is
@@ -132,7 +133,8 @@ type Node struct {
 //   - Touch(n) records another access to n, fetched earlier in the same
 //     operation and not freed since, as another Fetch would, without
 //     looking it up or pinning it. InsertRun touches a descent's path once
-//     for each entry past the first it writes.
+//     for each entry past the first it writes, and Delete each node on its
+//     path again as it rebalances the level below.
 //   - Free releases id: the node is dropped and the id may be reallocated.
 //     No final write happens. Freeing a node that is still pinned discards
 //     its pins (the Core frees nodes it holds — a merge victim, a collapsed
@@ -303,17 +305,25 @@ func (n *Node) childIndex(k uint64) int {
 	return idx
 }
 
-// descend returns the leaf that covers key, pinned, having released each
-// branch it passed, and the bounds [lo, hi] those branches put on its keys.
-// It notes the branches, root first, in as much of path as they fill.
+// descend returns the leaf that covers key, pinned, and the bounds [lo, hi]
+// the branches above it put on its keys. Given a path (Core.path), it keeps
+// those branches pinned there, root first, for its caller to release — on
+// error it releases them itself; given nil, it releases each as it passes.
 func (c *Core) descend(key uint64, path []*Node) (n *Node, lo, hi uint64, err error) {
 	hi = ^uint64(0)
 	for id, d := c.root, 0; ; d++ {
-		if n, err = c.store.Fetch(id); err != nil || n.Leaf {
-			return n, lo, hi, err
+		if n, err = c.store.Fetch(id); err == nil && path != nil && n.Leaf != (d == len(path)) {
+			c.store.Release(n)
+			err = fmt.Errorf("btree: node %d at depth %d of a tree of height %d", id, d+1, c.height)
 		}
-		if d < len(path) {
-			path[d] = n
+		if err != nil {
+			for d = min(d, len(path)) - 1; d >= 0; d-- {
+				c.store.Release(path[d])
+			}
+			return nil, lo, hi, err
+		}
+		if n.Leaf {
+			return n, lo, hi, nil
 		}
 		ci := n.childIndex(key)
 		if ci > 0 {
@@ -323,8 +333,20 @@ func (c *Core) descend(key uint64, path []*Node) (n *Node, lo, hi uint64, err er
 			hi = min(hi, n.Keys[ci]-1) // key < Keys[ci], so Keys[ci] > 0
 		}
 		id = n.Kids[ci]
-		c.store.Release(n)
+		if path != nil {
+			path[d] = n
+		} else {
+			c.store.Release(n)
+		}
 	}
+}
+
+// path returns a slot for each branch above a leaf, in buf if it has room.
+func (c *Core) path(buf []*Node) []*Node {
+	if c.height-1 > len(buf) {
+		return make([]*Node, c.height-1)
+	}
+	return buf[:c.height-1]
 }
 
 // Get returns the value stored under key. The slice aliases the leaf's Buf,
@@ -347,145 +369,116 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 }
 
 // Insert stores a copy of value under key, replacing any existing value, and
-// reports whether the key is new. The tree owns its values' memory: a value as
-// long as the one it replaces is copied over that one's bytes, any other into
-// its leaf's Buf, so value is only borrowed — but it must not be a slice of
-// this tree's own memory (a Get's result), which the insert may move.
+// reports whether the key is new: InsertRun of one entry. The tree owns its
+// values' memory: a value as long as the one it replaces is copied over that
+// one's bytes, any other into its leaf's Buf, so value is only borrowed — but
+// it must not be a slice of this tree's own memory (a Get's result), which the
+// insert may move.
 func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
-	if err := c.layout.CheckValue(value, c.pageSize); err != nil {
-		return false, err
-	}
-	count := c.count
-	split, sep, err := c.insert(c.root, key, value)
-	added = c.count > count
-	if err != nil {
-		return added, err
-	}
-	if split != 0 {
-		// Root split: grow the tree by one level.
-		newRoot, err := c.alloc(false)
-		if err != nil {
-			return added, err
-		}
-		newRoot.Keys = []uint64{sep}
-		newRoot.Kids = []uint32{c.root, split}
-		newRoot.NBytes = c.layout.BranchEntryBytes * 2
-		c.root = newRoot.ID
-		c.height++
-		c.store.MarkDirty(newRoot)
-		c.store.Release(newRoot)
-	}
-	return added, nil
+	n, err := c.InsertRun(1, func(int) (uint64, []byte) { return key, value })
+	return n > 0, err
 }
 
-// InsertRun applies n inserts, entry i being kv(i), and leaves the tree as n
-// calls to Insert would; it reports how many keys were new. It descends once
-// per leaf, not per key: it applies each following entry in the leaf's key
-// range that place takes, marking the leaf dirty once and counting each
-// entry's accesses to the path (Touch), and sends one that needs a split or a
-// length change through Insert. The in-memory Tree, the §6.3 cache model,
-// never calls it: the model counts every Fetch.
+// InsertRun applies n inserts, entry i being kv(i), leaving the tree as one at
+// a time would, and reports how many keys were new. It descends once per leaf,
+// not per key: it writes each following entry in the leaf's key range (place),
+// marking the leaf dirty once and counting each entry's accesses to the path
+// (Touch), until one overflows the leaf; split then splits with the path the
+// descent holds, and the next entry descends anew.
 func (c *Core) InsertRun(n int, kv func(i int) (key uint64, value []byte)) (added int, err error) {
 	start := c.count
 	var branches [8]*Node
 	for i := 0; i < n && err == nil; {
 		key, value := kv(i)
 		if err = c.layout.CheckValue(value, c.pageSize); err != nil {
-			break // Insert's error, before Insert touches anything
+			break // before the entry's descent
 		}
 		var leaf *Node
 		var lo, hi uint64
-		path := branches[:min(c.height-1, len(branches))]
+		path := c.path(branches[:])
 		if leaf, lo, hi, err = c.descend(key, path); err != nil {
 			break
 		}
 		c.store.MarkDirty(leaf)
-		for first := i; i < n; i++ {
-			key, value = kv(i)
-			if key < lo || key > hi || c.layout.CheckValue(value, c.pageSize) != nil {
+		at := c.place(leaf, key, value)
+		for i++; i < n && leaf.NBytes <= c.budget; i++ {
+			k, v := kv(i)
+			if k < lo || k > hi || c.layout.CheckValue(v, c.pageSize) != nil {
 				break
 			}
-			if _, ok := c.place(leaf, key, value, false); !ok {
-				break
-			}
-			if i == first {
-				continue
-			}
-			for _, b := range path { // the accesses Insert's descent would make
+			for _, b := range path { // the accesses the entry's own descent would make
 				c.store.Touch(b)
 			}
 			c.store.Touch(leaf)
+			key, at = k, c.place(leaf, k, v)
 		}
-		c.store.Release(leaf)
-		if i < n && key >= lo && key <= hi {
-			_, err = c.Insert(key, value)
-			i++
-		}
+		err = c.split(path, leaf, at, key)
 	}
 	return c.count - start, err
 }
 
 // place writes value under key in leaf n, counting a new key, and returns
-// where its entry is. With split unset it writes only where no entry has to
-// leave the leaf — over an old value of its length, or as a new entry that
-// fits — and reports whether it wrote; with split set it always writes, over
-// a value of another length too, and the caller splits a leaf over budget.
-func (c *Core) place(n *Node, key uint64, value []byte, split bool) (i int, ok bool) {
+// where its entry is: over an old value of its length, or else as a new entry,
+// which may take the leaf over budget (the caller then splits it).
+func (c *Core) place(n *Node, key uint64, value []byte) int {
 	i, found := n.find(key)
 	if found {
 		_, old := n.Entry(i)
 		if len(old) == len(value) {
 			copy(old, value)
-			return i, true
-		}
-		if !split {
-			return i, false
+			return i
 		}
 		n.NBytes -= c.layout.LeafEntryOverhead + n.drop(i)
-	}
-	e := c.layout.LeafEntry(value)
-	if !split && n.NBytes+e > c.budget {
-		return i, false
-	}
-	if !found {
+	} else {
 		c.count++
 	}
+	e := c.layout.LeafEntry(value)
 	n.NBytes += e
 	n.put(i, key, value, c.budget-n.NBytes, c.spare(n.NBytes, e))
-	return i, true
+	return i
 }
 
-// insert descends to a leaf and writes value there (place); on overflow it
-// splits and returns the new right sibling's id plus its separator key
-// (split == 0 means no split).
-func (c *Core) insert(id uint32, key uint64, value []byte) (split uint32, sep uint64, err error) {
-	n, err := c.store.Fetch(id)
-	if err != nil {
-		return 0, 0, err
+// split ends a visit to leaf, which descend reached through path with key's
+// entry, at, written last. A leaf over budget splits, and each separator is
+// carried up the path: a branch it overflows splits too, and a root that
+// splits grows the tree by one level. Each node is released once its level is
+// done, the leaf first.
+func (c *Core) split(path []*Node, leaf *Node, at int, key uint64) (err error) {
+	var id uint32
+	var sep uint64
+	if leaf.NBytes > c.budget {
+		id, sep, err = c.splitLeaf(leaf, at)
 	}
-	defer c.store.Release(n)
-	if n.Leaf {
-		c.store.MarkDirty(n)
-		if i, _ := c.place(n, key, value, true); n.NBytes > c.budget {
-			split, sep, err = c.splitLeaf(n, i)
+	c.store.Release(leaf)
+	for d := len(path) - 1; d >= 0; d-- {
+		if n := path[d]; id != 0 {
+			ci := n.childIndex(key)
+			c.store.MarkDirty(n)
+			n.NBytes += c.layout.BranchEntryBytes
+			spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
+			n.Keys = insertAt(n.Keys, ci, sep, spare)
+			n.Kids = insertAt(n.Kids, ci+1, id, spare)
+			if id = 0; n.NBytes > c.budget {
+				id, sep, err = c.splitBranch(n)
+			}
 		}
-		return split, sep, err
+		c.store.Release(path[d])
 	}
-
-	ci := n.childIndex(key)
-	childSplit, childSep, err := c.insert(n.Kids[ci], key, value)
-	if err != nil || childSplit == 0 {
-		return 0, 0, err
+	if id == 0 {
+		return err
 	}
-	c.store.MarkDirty(n)
-	n.NBytes += c.layout.BranchEntryBytes
-	spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
-	n.Keys = insertAt(n.Keys, ci, childSep, spare)
-	n.Kids = insertAt(n.Kids, ci+1, childSplit, spare)
-	if n.NBytes > c.budget {
-		split, sep, err = c.splitBranch(n)
+	root, err := c.alloc(false)
+	if err != nil {
+		return err
 	}
-	return split, sep, err
+	root.Keys = []uint64{sep}
+	root.Kids = []uint32{c.root, id}
+	root.NBytes = c.layout.BranchEntryBytes * 2
+	c.root = root.ID
+	c.height++
+	c.store.MarkDirty(root)
+	c.store.Release(root)
+	return nil
 }
 
 // splitLeaf moves the upper half (by bytes) of a leaf into a new right
@@ -627,15 +620,37 @@ func (c *Core) splitBranch(n *Node) (uint32, uint64, error) {
 	return id, sep, nil
 }
 
-// Delete removes key, rebalancing (borrow first, then merge) on the way
-// back up. It reports whether the key existed. A store failure during
+// Delete removes key, rebalancing (borrow first, then merge) up the path it
+// descended. It reports whether the key existed. A store failure during
 // rebalancing can leave a node underfull — never inconsistent — and is
 // returned alongside deleted == true.
-func (c *Core) Delete(key uint64) (bool, error) {
-	deleted, err := c.del(c.root, key)
+func (c *Core) Delete(key uint64) (deleted bool, err error) {
+	var branches [8]*Node
+	path := c.path(branches[:])
+	leaf, _, _, err := c.descend(key, path)
+	if err != nil {
+		return false, err
+	}
+	i, deleted := leaf.find(key)
 	if deleted {
+		c.store.MarkDirty(leaf)
+		leaf.NBytes -= c.layout.LeafEntryOverhead + leaf.drop(i)
 		c.count--
 	}
+	// Each level up visits its child again (Touch) to rebalance it. A merge
+	// may free the child; its Release is then a no-op by contract.
+	child := leaf
+	for d := len(path) - 1; d >= 0; d-- {
+		if n := path[d]; deleted && err == nil {
+			c.store.Touch(child)
+			if child.NBytes*4 < c.budget {
+				err = c.rebalance(n, n.childIndex(key), child)
+			}
+		}
+		c.store.Release(child)
+		child = path[d]
+	}
+	c.store.Release(child)
 	if err != nil || !deleted {
 		return deleted, err
 	}
@@ -656,43 +671,6 @@ func (c *Core) Delete(key uint64) (bool, error) {
 		}
 		c.root = child
 		c.height--
-	}
-	return true, nil
-}
-
-func (c *Core) del(id uint32, key uint64) (bool, error) {
-	n, err := c.store.Fetch(id)
-	if err != nil {
-		return false, err
-	}
-	defer c.store.Release(n)
-	if n.Leaf {
-		i, found := n.find(key)
-		if !found {
-			return false, nil
-		}
-		c.store.MarkDirty(n)
-		n.NBytes -= c.layout.LeafEntryOverhead + n.drop(i)
-		return true, nil
-	}
-
-	ci := n.childIndex(key)
-	deleted, err := c.del(n.Kids[ci], key)
-	if err != nil || !deleted {
-		return deleted, err
-	}
-	childID := n.Kids[ci]
-	child, err := c.store.Fetch(childID)
-	if err != nil {
-		return true, err
-	}
-	// The child may be freed by a merge inside rebalance; Release of a
-	// freed id is a no-op by contract.
-	defer c.store.Release(child)
-	if child.NBytes*4 < c.budget {
-		if err := c.rebalance(n, ci, child); err != nil {
-			return true, err
-		}
 	}
 	return true, nil
 }

@@ -83,7 +83,8 @@
 // Transactions (Begin/Txn, txn.go) are the unit of durability: a
 // Txn.Commit appends its ops to the write-ahead log (internal/wal), applies
 // them to the trees — each run of puts to one tree a leaf at a time, one
-// descent per leaf (btree.Core.InsertRun), as replay does too — and waits
+// descent per leaf, a split climbing the path that descent holds
+// (btree.Core.InsertRun), as replay does too — and waits
 // for the log's group fsync; Open replays the log's tail. The checkpoint
 // bounds that replay: Commit writes every dirty page image, every page freed
 // by structural changes, and the metadata page as ONE store.Batch and

@@ -155,28 +155,13 @@ func (t *Tree) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 func (t *Tree) Put(key uint64, value []byte) error {
 	t.db.lock()
 	defer t.db.mu.Unlock()
-	return t.putLocked(key, value)
+	return t.putRunLocked([]wal.Op{{Key: key, Value: value}})
 }
 
-// putLocked is Put's body, shared with transaction apply and WAL replay. value
-// is borrowed: the tree copies it.
-func (t *Tree) putLocked(key uint64, value []byte) error {
-	if err := t.guard(); err != nil {
-		return err
-	}
-	added, err := t.core.Insert(key, value)
-	if added {
-		t.db.metaDirty = true // the persisted entry count changed
-	}
-	return err
-}
-
-// putRunLocked is putLocked over puts to this tree, in order: one descent per
-// leaf they touch (btree.Core.InsertRun), or a lone put's Insert.
+// putRunLocked applies puts to this tree in order — Put's one, or a run of a
+// transaction's apply or WAL replay — with one descent per leaf they touch
+// (btree.Core.InsertRun). The values are borrowed: the tree copies them.
 func (t *Tree) putRunLocked(ops []wal.Op) error {
-	if len(ops) == 1 {
-		return t.putLocked(ops[0].Key, ops[0].Value)
-	}
 	if err := t.guard(); err != nil {
 		return err
 	}

@@ -368,3 +368,42 @@ func TestResultCostSeg(t *testing.T) {
 		t.Errorf("CostSeg=%v, want %v", res.CostSeg, want)
 	}
 }
+
+// benchSim returns a simulator at -scale small's geometry and fill 0.8 under
+// MDC, and the generator newGen makes for its pages, with its preload written.
+func benchSim(b *testing.B, newGen func(pages int) workload.Generator) (*Sim, workload.Generator) {
+	cfg := Config{SegmentPages: 32, NumSegments: 1024, FillFactor: 0.8,
+		FreeLowWater: 4, CleanBatch: 8, WriteBufferSegs: 8}
+	gen := newGen(cfg.UserPages())
+	s, err := New(cfg, core.MDC(), gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := 0; p < gen.PreloadPages(); p++ {
+		s.Write(uint32(p))
+	}
+	return s, gen
+}
+
+// BenchmarkSimWrite measures the raw simulator update path (ns per user
+// update, including amortized cleaning) under MDC.
+func BenchmarkSimWrite(b *testing.B) {
+	s, gen := benchSim(b, func(pages int) workload.Generator { return workload.NewZipf(pages, 0.99, 42) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, _ := gen.Next()
+		s.Write(p)
+	}
+}
+
+// BenchmarkVictimSelection measures one policy selection over a full
+// segment table.
+func BenchmarkVictimSelection(b *testing.B) {
+	s, _ := benchSim(b, func(pages int) workload.Generator { return workload.NewUniform(pages, 1) })
+	view, alg := s.View(), core.MDC()
+	var dst []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = alg.Policy.Victims(view, 8, dst[:0])
+	}
+}

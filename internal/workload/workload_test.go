@@ -306,3 +306,12 @@ func TestReplay(t *testing.T) {
 		t.Error("non-analyzed replay must not claim an oracle")
 	}
 }
+
+// BenchmarkZipfNext measures the rejection-inversion sampler.
+func BenchmarkZipfNext(b *testing.B) {
+	z := NewZipf(1<<20, 0.99, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Next()
+	}
+}
