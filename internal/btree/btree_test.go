@@ -360,3 +360,21 @@ func ExampleTree() {
 	fmt.Println(string(v), ok)
 	// Output: answer true
 }
+
+// TestInsertOverwriteAllocatesNothing: an Insert that overwrites a value of
+// its length allocates nothing, so the value, here on the caller's stack,
+// does not escape.
+func TestInsertOverwriteAllocatesNothing(t *testing.T) {
+	tr := newTree(t, 1024)
+	for k := uint64(0); k < 200; k++ {
+		tr.Insert(k, val(k, 16))
+	}
+	k := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var v [16]byte
+		v[0], k = byte(k), (k+7)%200
+		tr.Insert(k, v[:])
+	}); allocs != 0 {
+		t.Fatalf("an overwriting Insert allocates %.1f times", allocs)
+	}
+}

@@ -74,6 +74,14 @@ func (l Layout) CheckValue(value []byte, pageSize int) error {
 type Node struct {
 	ID   uint32
 	Leaf bool
+	// Based says the store holds an image of this leaf that its entries differ
+	// from only under the keys Changed[:NChanged] (pagedb's checkpoint then
+	// writes those entries as a delta page). The NodeStore sets it, with the
+	// set, when it reads or writes the leaf's image; the Core adds each key it
+	// puts or deletes, and clears it on a split, merge or borrow, or when the
+	// set is full. The set is inline, so a change allocates nothing.
+	Based    bool
+	NChanged uint8
 	Keys []uint64 // branch separators, strictly increasing
 	Kids []uint32 // branch children (len == len(Keys)+1)
 	// A leaf's entries are its page image's (page.go): key | vlen | value, in
@@ -90,6 +98,7 @@ type Node struct {
 	// excluded). The Core maintains it; stores materializing nodes from
 	// page images rebuild it (ParseNode).
 	NBytes int
+	Changed  [6]uint64
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through
@@ -261,14 +270,14 @@ func (n *Node) find(k uint64) (int, bool) {
 	return lo, lo < len(offs) && binary.LittleEndian.Uint64(buf[offs[lo]:]) == k
 }
 
-// spare is how many more entries of e bytes a node accounting nbytes can be
-// given before it splits — the one that overflows it included, since a split
-// finds that entry in place.
-func (c *Core) spare(nbytes, e int) int {
-	if nbytes > c.budget {
+// spare is how many more entries of e bytes a node accounting nbytes of budget
+// can be given before it splits — the one that overflows it included, since a
+// split finds that entry in place.
+func spare(budget, nbytes, e int) int {
+	if nbytes > budget {
 		return 0
 	}
-	return (c.budget-nbytes)/e + 1
+	return (budget-nbytes)/e + 1
 }
 
 // grown returns s with room for add more elements. An array that lacks it is
@@ -375,7 +384,7 @@ func (c *Core) Get(key uint64) ([]byte, bool, error) {
 // it must not be a slice of this tree's own memory (a Get's result), which the
 // insert may move.
 func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
-	n, err := c.InsertRun(1, func(int) (uint64, []byte) { return key, value })
+	n, err := c.insertRun(1, nil, key, value)
 	return n > 0, err
 }
 
@@ -386,10 +395,18 @@ func (c *Core) Insert(key uint64, value []byte) (added bool, err error) {
 // (Touch), until one overflows the leaf; split then splits with the path the
 // descent holds, and the next entry descends anew.
 func (c *Core) InsertRun(n int, kv func(i int) (key uint64, value []byte)) (added int, err error) {
+	return c.insertRun(n, kv, 0, nil)
+}
+
+// insertRun is InsertRun, whose one entry is key and value when kv is nil:
+// what a closure returns escapes, so Insert passes its value by itself.
+func (c *Core) insertRun(n int, kv func(i int) (uint64, []byte), key uint64, value []byte) (added int, err error) {
 	start := c.count
 	var branches [8]*Node
 	for i := 0; i < n && err == nil; {
-		key, value := kv(i)
+		if kv != nil {
+			key, value = kv(i)
+		}
 		if err = c.layout.CheckValue(value, c.pageSize); err != nil {
 			break // before the entry's descent
 		}
@@ -417,25 +434,48 @@ func (c *Core) InsertRun(n int, kv func(i int) (key uint64, value []byte)) (adde
 	return c.count - start, err
 }
 
-// place writes value under key in leaf n, counting a new key, and returns
-// where its entry is: over an old value of its length, or else as a new entry,
-// which may take the leaf over budget (the caller then splits it).
+// place writes value under key in leaf n (set), counting a new key, and
+// returns where its entry is.
 func (c *Core) place(n *Node, key uint64, value []byte) int {
+	i, added := n.set(key, value, c.layout, c.budget)
+	if added {
+		c.count++
+	}
+	return i
+}
+
+// set writes value under key in leaf n, noting the key changed, and returns
+// where its entry is and whether the key is new: over an old value of its
+// length, or else as a new entry, which may take the leaf over budget (the
+// Core then splits it).
+func (n *Node) set(key uint64, value []byte, l Layout, budget int) (int, bool) {
+	n.changed(key)
 	i, found := n.find(key)
 	if found {
 		_, old := n.Entry(i)
 		if len(old) == len(value) {
 			copy(old, value)
-			return i
+			return i, false
 		}
-		n.NBytes -= c.layout.LeafEntryOverhead + n.drop(i)
-	} else {
-		c.count++
+		n.NBytes -= l.LeafEntryOverhead + n.drop(i)
 	}
-	e := c.layout.LeafEntry(value)
+	e := l.LeafEntry(value)
 	n.NBytes += e
-	n.put(i, key, value, c.budget-n.NBytes, c.spare(n.NBytes, e))
-	return i
+	n.put(i, key, value, budget-n.NBytes, spare(budget, n.NBytes, e))
+	return i, !found
+}
+
+// changed notes that the entry under key changed in leaf n: a based leaf adds
+// the key to its change set, and is no longer based once the set is full.
+func (n *Node) changed(key uint64) {
+	switch {
+	case !n.Based || slices.Contains(n.Changed[:n.NChanged], key):
+	case int(n.NChanged) == len(n.Changed):
+		n.Based = false
+	default:
+		n.Changed[n.NChanged] = key
+		n.NChanged++
+	}
 }
 
 // split ends a visit to leaf, which descend reached through path with key's
@@ -455,7 +495,7 @@ func (c *Core) split(path []*Node, leaf *Node, at int, key uint64) (err error) {
 			ci := n.childIndex(key)
 			c.store.MarkDirty(n)
 			n.NBytes += c.layout.BranchEntryBytes
-			spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
+			spare := spare(c.budget, n.NBytes, c.layout.BranchEntryBytes)
 			n.Keys = insertAt(n.Keys, ci, sep, spare)
 			n.Kids = insertAt(n.Kids, ci+1, id, spare)
 			if id = 0; n.NBytes > c.budget {
@@ -513,7 +553,7 @@ func (c *Core) splitLeaf(n *Node, at int) (uint32, uint64, error) {
 		n.Buf, n.Lo, n.Offs = buf, 0, offs
 	}
 	right.NBytes = c.leafBytes(right)
-	n.NBytes -= right.NBytes
+	n.NBytes, n.Based = n.NBytes-right.NBytes, false
 	right.Next = n.Next
 	n.Next = right.ID
 	c.store.MarkDirty(n)
@@ -607,7 +647,7 @@ func (c *Core) splitBranch(n *Node) (uint32, uint64, error) {
 	}
 	keys, kids := n.Keys[mid+1:], n.Kids[mid+1:]
 	right.NBytes = c.layout.BranchEntryBytes * len(kids)
-	spare := c.spare(right.NBytes, c.layout.BranchEntryBytes)
+	spare := spare(c.budget, right.NBytes, c.layout.BranchEntryBytes)
 	right.Keys = append(grown(right.Keys, len(keys), spare), keys...)
 	right.Kids = append(grown(right.Kids, len(kids), spare), kids...)
 	n.Keys = n.Keys[:mid]
@@ -634,6 +674,7 @@ func (c *Core) Delete(key uint64) (deleted bool, err error) {
 	i, deleted := leaf.find(key)
 	if deleted {
 		c.store.MarkDirty(leaf)
+		leaf.changed(key)
 		leaf.NBytes -= c.layout.LeafEntryOverhead + leaf.drop(i)
 		c.count--
 	}
@@ -650,29 +691,20 @@ func (c *Core) Delete(key uint64) (deleted bool, err error) {
 		c.store.Release(child)
 		child = path[d]
 	}
+	// child is the root, still pinned, visited again: a branch left with a
+	// single child (a merge below took its other) collapses into it. Free
+	// discards the pin.
+	if deleted && err == nil {
+		c.store.Touch(child)
+		if !child.Leaf && len(child.Kids) == 1 {
+			kid := child.Kids[0]
+			if err = c.store.Free(child.ID); err == nil {
+				c.root, c.height = kid, c.height-1
+			}
+		}
+	}
 	c.store.Release(child)
-	if err != nil || !deleted {
-		return deleted, err
-	}
-	// Collapse a root holding a single child.
-	for {
-		n, err := c.store.Fetch(c.root)
-		if err != nil {
-			return true, err
-		}
-		if n.Leaf || len(n.Kids) != 1 {
-			c.store.Release(n)
-			break
-		}
-		child := n.Kids[0]
-		// Free discards the pin Fetch took (see NodeStore).
-		if err := c.store.Free(c.root); err != nil {
-			return true, err
-		}
-		c.root = child
-		c.height--
-	}
-	return true, nil
+	return deleted, err
 }
 
 // rebalance fixes up child ci of parent n after it dropped below the fill
@@ -730,6 +762,7 @@ func (c *Core) borrowFromLeft(n *Node, ci int, child, left *Node) {
 	c.store.MarkDirty(n)
 	c.store.MarkDirty(child)
 	c.store.MarkDirty(left)
+	child.Based, left.Based = false, false
 	if child.Leaf {
 		k, v := left.Entry(len(left.Offs) - 1)
 		child.put(0, k, v, 0, 0)
@@ -754,6 +787,7 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 	c.store.MarkDirty(n)
 	c.store.MarkDirty(child)
 	c.store.MarkDirty(right)
+	child.Based, right.Based = false, false
 	if child.Leaf {
 		k, v := right.Entry(0)
 		child.put(len(child.Offs), k, v, 0, 0)
@@ -778,6 +812,7 @@ func (c *Core) borrowFromRight(n *Node, ci int, child, right *Node) {
 func (c *Core) merge(n *Node, ci int, left, right *Node) error {
 	c.store.MarkDirty(n)
 	c.store.MarkDirty(left)
+	left.Based = false
 	if left.Leaf {
 		left.fit(len(right.Buf)-right.Lo, 0)
 		left.Offs = grown(left.Offs, len(right.Offs), 0)

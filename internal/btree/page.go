@@ -22,6 +22,14 @@ import (
 // Page id 0 is reserved as the nil link (pagedb stores its metadata there),
 // so 0 can terminate the leaf chain.
 //
+// A delta page carries what a based leaf (Node.Based) changed since its image:
+//
+//	kind (1): 3 | reserved (1): 0 | puts (2) | deletes (2) | reserved (2): 0
+//	puts, each a leaf entry: key (8) | vlen (2) | value bytes
+//	deletes, each a key (8)
+//
+// Read over the image (ApplyDelta), it gives the leaf as it was written.
+//
 // A leaf IS its image's entries: both stores keep them in this format, back
 // to back in Node.Buf[Lo:], with Node.Offs[i] where entry i starts. So an
 // image exists once on each side of storage: ParseNode validates the bytes a
@@ -35,6 +43,7 @@ const PageHeaderBytes = 8
 const (
 	kindLeaf   = 1
 	kindBranch = 2
+	kindDelta  = 3
 )
 
 // leafEntryOverheadPage is the encoded per-entry leaf cost beyond the value
@@ -126,6 +135,85 @@ func EncodeNode(dst []byte, n *Node) {
 	clear(dst[off:])
 }
 
+// DeltaBytes returns the size of leaf n's delta page (EncodeDelta): the
+// current form of each entry its change set names, a deleted one as its key.
+// It is 0 for a node that is not a based leaf.
+func (n *Node) DeltaBytes() int {
+	if !n.Leaf || !n.Based {
+		return 0
+	}
+	size := PageHeaderBytes
+	for _, k := range n.Changed[:n.NChanged] {
+		if i, ok := n.find(k); ok {
+			_, v := n.Entry(i)
+			size += leafEntryOverheadPage + len(v)
+		} else {
+			size += 8
+		}
+	}
+	return size
+}
+
+// EncodeDelta writes leaf n's delta page into dst, exactly DeltaBytes long:
+// the puts from the front, the deletes from the back.
+func EncodeDelta(dst []byte, n *Node) {
+	off, end := PageHeaderBytes, len(dst)
+	for _, k := range n.Changed[:n.NChanged] {
+		if i, ok := n.find(k); ok {
+			o := int(n.Offs[i])
+			_, v := n.Entry(i)
+			off += copy(dst[off:], n.Buf[o:o+leafEntryOverheadPage+len(v)])
+		} else {
+			end -= 8
+			binary.LittleEndian.PutUint64(dst[end:], k)
+		}
+	}
+	dst[0], dst[1] = kindDelta, 0
+	binary.LittleEndian.PutUint16(dst[2:4], uint16(int(n.NChanged)-(len(dst)-end)/8))
+	binary.LittleEndian.PutUint16(dst[4:6], uint16((len(dst)-end)/8))
+	dst[6], dst[7] = 0, 0
+}
+
+// ApplyDelta applies delta page d over leaf n, just parsed from the image the
+// delta was written against: each put is written as Core writes one (over an
+// old value of its length, a copy) and each deleted key dropped, so n is the
+// leaf as written, based, its change set the delta's keys. Buf grows only
+// past its capacity. The bytes come from storage: a delta that is not one,
+// or overruns itself, is an error, and n is then left in no particular state.
+func ApplyDelta(n *Node, d []byte, l Layout, pageSize int) error {
+	if len(d) < PageHeaderBytes || d[0] != kindDelta || d[1] != 0 || !n.Leaf {
+		return fmt.Errorf("btree: not a delta page over a leaf")
+	}
+	puts, dels := int(binary.LittleEndian.Uint16(d[2:4])), int(binary.LittleEndian.Uint16(d[4:6]))
+	end := len(d) - 8*dels
+	if puts+dels > len(n.Changed) || end < PageHeaderBytes {
+		return fmt.Errorf("btree: delta page with %d puts and %d deletes overruns the page", puts, dels)
+	}
+	n.Based = true
+	off := PageHeaderBytes
+	for ; puts > 0; puts-- {
+		if off+leafEntryOverheadPage > end {
+			return fmt.Errorf("btree: delta page truncated")
+		}
+		k, vlen := binary.LittleEndian.Uint64(d[off:]), int(binary.LittleEndian.Uint16(d[off+8:]))
+		if off += leafEntryOverheadPage + vlen; off > end {
+			return fmt.Errorf("btree: delta page value overruns the page")
+		}
+		n.set(k, d[off-vlen:off], l, l.Budget(pageSize))
+	}
+	if off != end {
+		return fmt.Errorf("btree: delta page has data between its puts and deletes")
+	}
+	for ; off < len(d); off += 8 {
+		k := binary.LittleEndian.Uint64(d[off:])
+		if i, ok := n.find(k); ok {
+			n.NBytes -= l.LeafEntryOverhead + n.drop(i)
+		}
+		n.changed(k)
+	}
+	return nil
+}
+
 // ParseNode materializes the page image n.Buf[lo:] as node id under the given
 // Layout, in place: a leaf's entries stay where they lie (Lo, Offs), a
 // branch's keys and children are decoded, the arrays n already has are
@@ -149,6 +237,7 @@ func ParseNode(n *Node, id uint32, lo int, l Layout) error {
 	}
 	count := int(binary.LittleEndian.Uint16(img[2:4]))
 	n.ID, n.Leaf, n.Next = id, kind == kindLeaf, binary.LittleEndian.Uint32(img[4:8])
+	n.Based, n.NChanged = false, 0
 	off := lo + PageHeaderBytes
 	if n.Leaf {
 		if count*leafEntryOverheadPage > len(img)-PageHeaderBytes {

@@ -366,3 +366,55 @@ func FuzzLeafImage(f *testing.F) {
 		}
 	})
 }
+
+// TestDeltaPageRebuildsTheLeaf changes a based leaf at random — puts of new
+// keys and of old ones, at their length and at others, and deletes, present
+// and missing — and after each change encodes its delta page and applies it
+// over a parse of the leaf's base image: the result is the leaf, based, with
+// the same change set. A changed key past the set's room ends the leaf's basing.
+func TestDeltaPageRebuildsTheLeaf(t *testing.T) {
+	const pageSize = 1024
+	rng := rand.New(rand.NewPCG(5, 7))
+	for round := 0; round < 200; round++ {
+		leaf := &Node{Leaf: true}
+		for k := uint64(0); k < 40; k += 2 {
+			leaf.set(k, make([]byte, 1+rng.IntN(12)), PageLayout, PageLayout.Budget(pageSize))
+		}
+		base := encode(t, leaf, pageSize)
+		leaf.Based, leaf.NChanged = true, 0
+		for leaf.Based {
+			k := uint64(rng.IntN(48))
+			if rng.IntN(4) == 0 {
+				if i, ok := leaf.find(k); ok {
+					leaf.NBytes -= leafEntryOverheadPage + leaf.drop(i)
+				}
+				leaf.changed(k)
+			} else {
+				v := make([]byte, rng.IntN(14))
+				for i := range v {
+					v[i] = byte(rng.Uint32())
+				}
+				leaf.set(k, v, PageLayout, PageLayout.Budget(pageSize))
+			}
+			if !leaf.Based {
+				if leaf.NChanged != uint8(len(leaf.Changed)) {
+					t.Fatalf("round %d: unbased with %d keys changed", round, leaf.NChanged)
+				}
+				break
+			}
+			d := make([]byte, leaf.DeltaBytes())
+			EncodeDelta(d, leaf)
+			got := &Node{Buf: append([]byte(nil), base...)}
+			if err := ParseNode(got, 0, 0, PageLayout); err != nil {
+				t.Fatal(err)
+			}
+			if err := ApplyDelta(got, d, PageLayout, pageSize); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if !bytes.Equal(encode(t, got, pageSize), encode(t, leaf, pageSize)) || got.NBytes != leaf.NBytes ||
+				!got.Based || got.NChanged != leaf.NChanged {
+				t.Fatalf("round %d: the base with its delta page applied is not the leaf", round)
+			}
+		}
+	}
+}

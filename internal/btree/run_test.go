@@ -144,7 +144,7 @@ func refInsertAt(c *Core, id uint32, key uint64, value []byte) (split uint32, se
 	}
 	c.store.MarkDirty(n)
 	n.NBytes += c.layout.BranchEntryBytes
-	spare := c.spare(n.NBytes, c.layout.BranchEntryBytes)
+	spare := spare(c.budget, n.NBytes, c.layout.BranchEntryBytes)
 	n.Keys = insertAt(n.Keys, ci, childSep, spare)
 	n.Kids = insertAt(n.Kids, ci+1, childSplit, spare)
 	if n.NBytes > c.budget {
@@ -452,6 +452,29 @@ func TestWrongHeightIsAnError(t *testing.T) {
 			if pins != 0 {
 				t.Fatalf("height %d: node %d holds %d pins", height, id, pins)
 			}
+		}
+	}
+}
+
+// TestDeleteFetchesItsPathOnce: a Delete that finds its key and rebalances
+// nothing Fetches each node on its path once — the root's collapse check uses
+// the pin the path holds — and one of a missing key the same.
+func TestDeleteFetchesItsPathOnce(t *testing.T) {
+	s := newCountingStore()
+	c := mustCore(t, s, 256)
+	for k := uint64(0); c.Height() < 3; k++ {
+		if _, err := c.Insert(2*k, make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []uint64{0, 1, 12, 13} { // the first leaf's, present and missing
+		s.fetches = 0
+		deleted, err := c.Delete(k)
+		if err != nil || deleted != (k%2 == 0) {
+			t.Fatalf("Delete(%d) = %v, %v", k, deleted, err)
+		}
+		if s.fetches != c.Height() {
+			t.Errorf("Delete(%d) made %d fetches in a tree of height %d", k, s.fetches, c.Height())
 		}
 	}
 }

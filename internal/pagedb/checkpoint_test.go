@@ -136,12 +136,49 @@ func checkDirtyTable(db *DB) error {
 		}
 		img := make([]byte, size)
 		btree.EncodeNode(img, n)
-		stored, err := db.st.ReadRecord(id, func(sz int) []byte { return make([]byte, sz) })
+		stored, err := storedImage(db, id)
 		if err != nil || !bytes.Equal(img, stored) {
 			return fmt.Errorf("page %d is resident and changed (%v), but not in the dirty-page table", id, err)
 		}
 	}
+	for id := uint32(metaPageID + 1); id < db.ids.Next(); id++ {
+		if _, ok := db.dirty[id]; !ok && db.st.Has(id|deltaBit) && !db.st.Has(id) {
+			return fmt.Errorf("page %d is free, but the store holds its delta page", id)
+		}
+	}
 	return nil
+}
+
+// storedImage returns page id's image as a fault makes it: the store's image,
+// with the page's delta page applied over it if the store holds one.
+func storedImage(db *DB, id uint32) ([]byte, error) {
+	read := func(id uint32) ([]byte, error) {
+		return db.st.ReadRecord(id, func(sz int) []byte { return make([]byte, sz) })
+	}
+	n := new(btree.Node)
+	var err error
+	if n.Buf, err = read(id); err != nil {
+		return nil, err
+	}
+	if err := btree.ParseNode(n, id, 0, btree.PageLayout); err != nil {
+		return nil, err
+	}
+	if db.st.Has(id | deltaBit) {
+		d, err := read(id | deltaBit)
+		if err == nil {
+			err = btree.ApplyDelta(n, d, btree.PageLayout, db.pageSize)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	size, err := n.ImageBytes(db.pageSize)
+	if err != nil {
+		return nil, err
+	}
+	img := make([]byte, size)
+	btree.EncodeNode(img, n)
+	return img, nil
 }
 
 // txnPuts writes the given keys through one transaction per 50 keys and
@@ -338,9 +375,10 @@ func TestOneEncodePerDirtyPage(t *testing.T) {
 
 // TestCheckpointAllocBudget: a checkpoint allocates its bookkeeping and
 // nothing the size of a page — the batch's op and placement tables (an id and
-// a length per page, no bytes), the gather slice, the metadata page — because
-// every node is encoded straight into the store's run buffer: no arena, no
-// staged image, no encode buffer. The encoded bytes are read off the store's own store.user.bytes
+// a length per page, no bytes) and the gather slices, which it keeps for the
+// next one unless, as here, it outgrew the cache; the metadata page's buffer
+// is always kept — because every node is encoded straight into the store's
+// run buffer: no arena, no staged image, no encode buffer. The encoded bytes are read off the store's own store.user.bytes
 // counter, to show what is no longer allocated. File-backed, because the
 // memory backend's segments are heap; steady state, so the store is small
 // enough that by the measured rounds it is reusing segments (every round
@@ -389,7 +427,7 @@ func TestCheckpointAllocBudget(t *testing.T) {
 			best, bestPages, bestEncoded = perPage, pages, float64(written.Value()-bytesBefore)/float64(pages)-24
 		}
 	}
-	const budget = 160
+	const budget = 110
 	t.Logf("checkpoint of %d pages allocated %.0f B per committed page (budget %d; mean encoded page %.0f B of %d)",
 		bestPages, best, budget, bestEncoded, pageSize)
 	if best > budget {

@@ -32,7 +32,13 @@ import (
 // fault in between.
 type nodeStore struct{ db *DB }
 
-func (s nodeStore) Alloc() (uint32, error) { return s.db.allocNode().ID, nil }
+// Alloc refuses an id at or above deltaBit, where the delta pages are.
+func (s nodeStore) Alloc() (uint32, error) {
+	if next := s.db.ids.Next(); next >= deltaBit && len(s.db.ids.FreeList()) == 0 {
+		return 0, fmt.Errorf("pagedb: page id space exhausted (next id %d)", next)
+	}
+	return s.db.allocNode().ID, nil
+}
 
 func (s nodeStore) Fetch(id uint32) (*btree.Node, error) { return s.db.node(id) }
 
@@ -92,8 +98,19 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 		return obj.(*btree.Node), nil
 	}
 	// The read lands in the buffer of the node that will keep it — a recycled
-	// one when the free list has a fit — and is parsed where it lies.
+	// one when the free list has a fit — and is parsed where it lies. A leaf's
+	// delta page is read into the shard's buffer and applied over the image.
 	t0 := time.Now()
+	var delta []byte
+	if db.st.Has(id | deltaBit) {
+		var err error
+		if delta, err = db.st.ReadRecord(id|deltaBit, func(size int) []byte {
+			mu.delta = slices.Grow(mu.delta[:0], size)
+			return mu.delta[:size]
+		}); err != nil {
+			return nil, fmt.Errorf("pagedb: faulting page %d's delta: %w", id, err)
+		}
+	}
 	img, err := db.st.ReadRecord(id, func(size int) []byte {
 		n = db.takeNode(size)
 		return n.Buf
@@ -106,6 +123,13 @@ func (db *DB) node(id uint32) (*btree.Node, error) {
 	n.Buf = n.Buf[:store.RecordHeaderSize+len(img)] // the record: its header, then the image
 	if err := btree.ParseNode(n, id, store.RecordHeaderSize, btree.PageLayout); err != nil {
 		return nil, fmt.Errorf("pagedb: decoding page %d: %w", id, err)
+	}
+	n.Based = n.Leaf
+	if delta != nil {
+		if err := btree.ApplyDelta(n, delta, btree.PageLayout, db.pageSize); err != nil {
+			return nil, fmt.Errorf("pagedb: applying page %d's delta: %w", id, err)
+		}
+		db.cApplies.Inc()
 	}
 	// Bind runs under the frame's shard lock BEFORE the node is published,
 	// so no fused reader can observe the node without its handle set.

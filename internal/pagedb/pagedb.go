@@ -72,11 +72,30 @@
 // without touching the store or a decoder; the pool may evict and park it
 // again any number of times. Nothing is serialized before the checkpoint,
 // which walks the table, sorts the nodes by page id, checks that each can be
-// encoded, has the store encode each exactly once inside Apply, tombstones
-// the freed pages the store holds, and only then clears the table and
-// retires the parked nodes. A checkpoint that fails — that check or store
+// encoded, has the store encode each exactly once inside Apply — a based leaf
+// with small changes as its delta page (below) — tombstones the freed pages
+// the store holds, and only then clears the table and retires the parked
+// nodes. A checkpoint that fails — that check or store
 // Apply — leaves the table as it was, so the next attempt starts from the
 // same dirty set.
+//
+// # Delta pages
+//
+// The store's page ids split in two: ids below 1<<31 are pages, and id
+// |1<<31 (deltaBit) is the companion of page id, its delta page, so the store
+// keeps one version per id. A leaf the store holds an image of is based
+// (btree.Node.Based), and the Core notes each key it puts or deletes there.
+// If those entries take at most a quarter of the image, the checkpoint writes
+// them — each key's current entry, or its deletion — as one cumulative delta
+// page under the companion id, and the image stays as it was. Anything else
+// is written in full, its companion tombstoned in the same batch: a branch, a
+// leaf new since the last checkpoint or split, merged or borrowed from, or
+// one whose changes outgrew the quarter (a rebase). A fault reads the image,
+// then applies the companion over it if the store holds one (a same-length
+// value is a copy) and restores the change set from it. A freed page's
+// companion is tombstoned with it; Open's page accounting and free-list
+// derivation count a companion with its page, and ids at or above 1<<31 are
+// never allocated.
 //
 // # Durability and crash atomicity
 //
@@ -96,8 +115,9 @@
 //
 // The metadata page (page id 0, never cached) records the named-tree
 // registry (root, height, count per tree), the next page id and the WAL seq
-// the checkpoint covers, so Open recovers every tree from the store and the
-// log's tail. The free list is not persisted: a checkpoint writes every
+// the checkpoint covers, so Open recovers every tree from the store — each leaf
+// as its image and its delta page, written in the same atomic batches — and
+// the log's tail. The free list is not persisted: a checkpoint writes every
 // allocated page and tombstones every freed one in the same batch, so the
 // free ids are those below the next id that the store does not hold.
 //
@@ -120,11 +140,12 @@
 package pagedb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,9 +170,15 @@ var ErrTooLarge = btree.ErrTooLarge
 // ever be allocated there.
 const metaPageID = 0
 
-// metaMagic identifies a pagedb metadata page (format 4: the registry, the
-// next page id and the WAL checkpoint seq; no free list).
-const metaMagic = "PGDBMET4"
+// metaMagic identifies a pagedb metadata page (format 5: the registry, the
+// next page id and the WAL checkpoint seq; no free list; leaves may have
+// delta pages).
+const metaMagic = "PGDBMET5"
+
+// deltaBit marks a companion id: store page id|deltaBit is the delta page of
+// leaf id, which the checkpoint writes in place of the leaf's image while its
+// changes are small (see the package comment). Page ids stay below it.
+const deltaBit = 1 << 31
 
 // Options configures Open.
 type Options struct {
@@ -195,7 +222,7 @@ type DB struct {
 	// adopt its install (the decoded nodes live in the pool's fused frames,
 	// so there is no separate node cache to race on). Indexed by
 	// pool.ShardOf.
-	faultMu []sync.Mutex
+	faultMu []faultShard
 
 	// dirty is the dirty-page table: every page changed since the last
 	// checkpoint, keyed by id. The value is the page's decoded node —
@@ -220,7 +247,10 @@ type DB struct {
 	trees map[string]*Tree // named-tree registry
 	order []string         // registry in creation order (meta determinism)
 
-	batch     *store.Batch // the last checkpoint's, emptied, for the next
+	batch     *store.Batch  // the last checkpoint's, emptied, for the next
+	ckNodes   []*btree.Node // the checkpoint's dirty nodes, kept emptied like batch
+	ckDels    []uint32      // and the pages it tombstones
+	metaBuf   []byte        // and the metadata page's encoding
 	metaDirty bool
 	closed    bool
 
@@ -259,6 +289,17 @@ type DB struct {
 	// node, faults that allocated, nodes retire let go because the lists were
 	// full.
 	cRecycled, cFresh, cDropped *obs.Counter
+	// pagedb.delta.{pages,bytes,rebases,applies}: delta pages the checkpoints
+	// wrote and their bytes, pages written in full over a delta page (which is
+	// tombstoned), and faults that applied one.
+	cDeltas, cDeltaBytes, cRebases, cApplies *obs.Counter
+}
+
+// faultShard is one pool shard's fault mutex, and the buffer its faults read
+// a delta page into.
+type faultShard struct {
+	sync.Mutex
+	delta []byte
 }
 
 // Open creates or recovers a database. A fresh store is initialized with an
@@ -296,7 +337,7 @@ func Open(opts Options) (*DB, error) {
 		scratch:  new(sync.Pool),
 		trees:    make(map[string]*Tree),
 	}
-	db.faultMu = make([]sync.Mutex, db.pool.Shards())
+	db.faultMu = make([]faultShard, db.pool.Shards())
 	db.pool.SetEvict(db.evicted)
 	db.obsReg = opts.Store.Obs
 	db.hFault = db.obsReg.Histogram("pagedb.fault.ns")
@@ -306,6 +347,10 @@ func Open(opts Options) (*DB, error) {
 	db.cRecycled = db.obsReg.Counter("pagedb.node.recycled")
 	db.cFresh = db.obsReg.Counter("pagedb.node.fresh")
 	db.cDropped = db.obsReg.Counter("pagedb.node.dropped")
+	db.cDeltas = db.obsReg.Counter("pagedb.delta.pages")
+	db.cDeltaBytes = db.obsReg.Counter("pagedb.delta.bytes")
+	db.cRebases = db.obsReg.Counter("pagedb.delta.rebases")
+	db.cApplies = db.obsReg.Counter("pagedb.delta.applies")
 	// The pool synchronizes itself, so its counters are mirrored as
 	// snapshot-time gauges read straight off the shards — no db.mu needed.
 	db.obsReg.GaugeFunc("bufferpool.hits", func() int64 {
@@ -486,46 +531,49 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	ck := db.wal.Seq()
 
 	// Gather the dirty-page table, still decoded: its nodes, resident and
-	// parked, go into the batch; a freed page gets a tombstone only if it
-	// exists in the store (one allocated and freed between commits never
-	// reached it). The table stays as it is until the batch is applied, so a
-	// checkpoint that fails has nothing to undo.
+	// parked, go into the batch; a freed page, and its delta page, get a
+	// tombstone only if they exist in the store (one allocated and freed
+	// between commits never reached it). The table stays as it is until the
+	// batch is applied, so a checkpoint that fails has nothing to undo.
 	leg := sp.Child("gather")
-	nodes := make([]*btree.Node, 0, len(db.dirty))
-	var dels []uint32
+	nodes, dels := slices.Grow(db.ckNodes[:0], len(db.dirty)), db.ckDels[:0]
 	for id, n := range db.dirty {
 		if n != nil {
 			nodes = append(nodes, n)
-		} else if db.st.Has(id) {
-			dels = append(dels, id)
+			continue
+		}
+		for _, p := range [2]uint32{id, id | deltaBit} {
+			if db.st.Has(p) {
+				dels = append(dels, p)
+			}
 		}
 	}
+	db.ckNodes, db.ckDels = nodes, dels
 	leg.End()
 	if len(nodes) == 0 && len(dels) == 0 && !db.metaDirty {
 		return nil
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
+	slices.SortFunc(nodes, func(a, b *btree.Node) int { return cmp.Compare(a.ID, b.ID) })
 
 	meta, err := db.encodeMeta(ck)
 	if err != nil {
 		return err
 	}
 
-	// The batch carries each dirty page's id and its image's length (the store
-	// keeps a page at the length it is written, so a half-empty node costs
-	// half a page); inside Apply the fill function encodes the node straight
-	// into the store's run buffer. Whatever could make a node unencodable is
-	// found here, with nothing written, so the fill cannot fail.
+	// The batch carries each dirty page's id and its length (the store keeps a
+	// page at the length it is written, so a half-empty node costs half a
+	// page); inside Apply the fill function encodes the node straight into the
+	// store's run buffer. A based leaf whose changes take at most a quarter of
+	// its image is written as its delta page instead, and any other node in
+	// full, tombstoning its delta page. Whatever could make a node unencodable
+	// is found here, with nothing written, so the fill cannot fail.
 	b := db.batch
-	db.batch = nil // a checkpoint that fails lets it go, fill and all
+	db.batch = nil // a checkpoint that fails lets it go
 	if b == nil {
 		b = store.NewBatch()
+		b.SetFill(db.fill)
 	}
-	b.SetFill(func(i int, dst []byte) {
-		btree.EncodeNode(dst, nodes[i]) // the nodes were reserved first, in order
-		db.cEncode.Inc()
-	})
+	var deltas, deltaBytes, rebases uint64
 	for _, n := range nodes {
 		size, err := n.ImageBytes(db.pageSize)
 		if err != nil {
@@ -534,8 +582,19 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 			// would persist a tree referencing an image the store never got.
 			return fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err)
 		}
+		if d := n.DeltaBytes(); d > 0 && 4*d <= size {
+			b.Reserve(n.ID|deltaBit, d)
+			deltas, deltaBytes = deltas+1, deltaBytes+uint64(d)
+			continue
+		}
+		n.Based = false // written in full: fill encodes the image
 		b.Reserve(n.ID, size)
+		if db.st.Has(n.ID | deltaBit) { // the leaf's, or a freed page's the id had
+			dels = append(dels, n.ID|deltaBit)
+			rebases++
+		}
 	}
+	slices.Sort(dels)
 	for _, id := range dels {
 		b.Delete(id)
 	}
@@ -546,24 +605,34 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	if err := db.st.ApplySpanned(b, sp); err != nil {
 		return err
 	}
-	// The batch is kept for the next checkpoint, holding no node, unless it
-	// grew past what the recycling lists may hold: a load's batch is let go.
+	db.cDeltas.Add(deltas)
+	db.cDeltaBytes.Add(deltaBytes)
+	db.cRebases.Add(rebases)
+	// The batch and the gather slices are kept for the next checkpoint, the
+	// slices holding no node, unless they grew past what the recycling lists
+	// may hold: a load's are let go.
 	if b.Len() <= db.pool.Capacity() {
-		b.SetFill(nil)
 		b.Reset()
 		db.batch = b
+	} else {
+		db.ckNodes, db.ckDels = nil, nil
 	}
+	// A node written in full is based on its new image, with nothing changed.
 	// The parked nodes — those whose frame handle is no longer current — are
 	// written, and unreachable from here on: retired, into lists as long as
 	// this checkpoint, which is what the next interval's faults can use.
 	db.evmu.Lock()
 	db.keep = min(max(64, len(nodes)), db.pool.Capacity())
 	for _, n := range nodes {
+		if !n.Based {
+			n.Based, n.NChanged = n.Leaf, 0
+		}
 		if !n.Pin.Current() {
 			db.retire(n)
 		}
 	}
 	db.evmu.Unlock()
+	clear(nodes)
 	clear(db.dirty)
 	db.metaDirty = false
 	db.commits++
@@ -584,6 +653,18 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 		}
 	}
 	return nil
+}
+
+// fill is the checkpoint batch's fill function: reserved write i is the i-th
+// node the checkpoint gathered (they are reserved first, in order), as its
+// delta page if it is still based, or else its image.
+func (db *DB) fill(i int, dst []byte) {
+	if n := db.ckNodes[i]; n.Based {
+		btree.EncodeDelta(dst, n)
+	} else {
+		btree.EncodeNode(dst, n)
+	}
+	db.cEncode.Inc()
 }
 
 // Sync flushes the backing store (an explicit durability point for stores
@@ -684,11 +765,10 @@ func (db *DB) Stats() Stats {
 // seq ≤ walSeq is captured by the page state this metadata page commits,
 // so Open replays only the seqs beyond it.
 func (db *DB) encodeMeta(walSeq uint64) ([]byte, error) {
-	if next := db.ids.Next(); next == ^uint32(0) || next == metaPageID {
+	if next := db.ids.Next(); next > deltaBit || next == metaPageID {
 		return nil, fmt.Errorf("pagedb: page id space exhausted (next id %d)", next)
 	}
-	buf := make([]byte, 0, db.pageSize)
-	buf = append(buf, metaMagic...)
+	buf := append(db.metaBuf[:0], metaMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, db.ids.Next())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.order)))
 	buf = binary.LittleEndian.AppendUint64(buf, walSeq)
@@ -706,6 +786,7 @@ func (db *DB) encodeMeta(walSeq uint64) ([]byte, error) {
 	if len(buf) > db.pageSize {
 		return nil, fmt.Errorf("pagedb: metadata (%d trees) exceeds the %d-byte page", len(db.order), db.pageSize)
 	}
+	db.metaBuf = buf[:0] // the batch copies it
 	return buf, nil
 }
 
@@ -713,8 +794,8 @@ func (db *DB) encodeMeta(walSeq uint64) ([]byte, error) {
 // those below nextID the store does not hold (the checkpoint that wrote img
 // wrote every allocated page and tombstoned every freed one), listed highest
 // first so the lowest is handed out first. The store must then hold exactly
-// the meta page and the allocated ones: a page at or above nextID would be
-// overwritten once the allocator reached its id.
+// the meta page, the allocated ones and delta pages of allocated ones: a page
+// at or above nextID would be overwritten once the allocator reached its id.
 func (db *DB) decodeMeta(img []byte) error {
 	const hdr = 24
 	if len(img) < hdr || string(img[:8]) != metaMagic {
@@ -757,14 +838,17 @@ func (db *DB) decodeMeta(img []byte) error {
 		db.order = append(db.order, name)
 	}
 	var free []uint32
+	deltas := 0
 	for id := nextID; id > metaPageID+1; id-- {
 		if !db.st.Has(id - 1) {
 			free = append(free, id-1)
+		} else if db.st.Has(id - 1 | deltaBit) {
+			deltas++
 		}
 	}
-	// The meta page plus ids [1, nextID) less the free ones.
-	if live, want := db.st.Stats().LivePages, int(nextID)-len(free); live != want {
-		return fmt.Errorf("pagedb: store holds %d pages, but the metadata page accounts for %d (next id %d, %d free)", live, want, nextID, len(free))
+	// The meta page plus ids [1, nextID) less the free ones, and their deltas.
+	if live, want := db.st.Stats().LivePages, int(nextID)-len(free)+deltas; live != want {
+		return fmt.Errorf("pagedb: store holds %d pages, but the metadata page accounts for %d (next id %d, %d free, %d delta pages)", live, want, nextID, len(free), deltas)
 	}
 	db.ids = bufferpool.NewIDs(nextID, free)
 	return nil

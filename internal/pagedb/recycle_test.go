@@ -476,7 +476,9 @@ func TestRecycleHammer(t *testing.T) {
 // evicts dirty nodes — they park — and each checkpoint retires hundreds of
 // them at once, which the next interval's faults need: a list of 64 nodes
 // recycled 59 % of these. Its writes allocate, so only its recycled share has
-// a bound, 80 %.
+// a bound, 80 %. The fourth is the first's over leaves that each have a delta
+// page, which every fault reads and applies over the image, with the same
+// budget.
 func TestFaultAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
@@ -484,16 +486,18 @@ func TestFaultAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name                          string
 		cache, nkeys, perTxn, ckEvery int // perTxn: reads per transaction; ckEvery: transactions per checkpoint, 0 for hot-key writes
+		deltas                        bool
 	}{
-		{"read-by-read", 128, 60000, 1, 0},
-		{"tpcc-shaped", 256, 120000, 24, 0},
-		{"checkpoint-shaped", 256, 120000, 0, 600},
+		{"read-by-read", 128, 60000, 1, 0, false},
+		{"tpcc-shaped", 256, 120000, 24, 0, false},
+		{"checkpoint-shaped", 256, 120000, 0, 600, false},
+		{"delta-leaf", 128, 60000, 1, 0, true},
 	} {
-		t.Run(c.name, func(t *testing.T) { faultAllocBudget(t, c.cache, c.nkeys, c.perTxn, c.ckEvery) })
+		t.Run(c.name, func(t *testing.T) { faultAllocBudget(t, c.cache, c.nkeys, c.perTxn, c.ckEvery, c.deltas) })
 	}
 }
 
-func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
+func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int, deltas bool) {
 	const pageSize = 4096
 	db, err := Open(Options{
 		Store:      store.Options{Dir: t.TempDir(), PageSize: pageSize, SegmentPages: 128, MaxSegments: 384},
@@ -511,6 +515,19 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
 	txnPuts(t, db, oracle, keys, 0)
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if deltas { // every 16th key, a few in each leaf, changed: a delta page each
+		var every []uint64
+		for k := uint64(0); k < uint64(nkeys); k += 16 {
+			every = append(every, k)
+		}
+		txnPuts(t, db, oracle, every, 1)
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if pages := db.Obs().Counter("pagedb.delta.pages").Value(); pages < uint64(db.ids.Next())*3/4 {
+			t.Fatalf("%d delta pages written for %d pages", pages, db.ids.Next())
+		}
 	}
 	tr, err := db.Tree("t")
 	if err != nil {
@@ -589,6 +606,9 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
 		if round == 0 {
 			continue // first growth of the free list and the dirty-page table
 		}
+		if applies := db.Obs().Counter("pagedb.delta.applies").Value(); deltas && applies < faults/2 {
+			t.Fatalf("%d delta pages applied in %d faults", applies, faults)
+		}
 		if per := (float64(alloc) - float64(base)) / float64(faults); bestFaults == 0 || per < best {
 			best, bestFaults, bestShare = per, faults, share
 		}
@@ -599,6 +619,8 @@ func faultAllocBudget(t *testing.T, cache, nkeys, perTxn, ckEvery int) {
 		if bestShare < 0.80 {
 			t.Errorf("%.0f%% of faults parsed into recycled nodes, want ≥ 80%%", 100*bestShare)
 		}
+	} else if deltas && best >= 1 {
+		t.Errorf("%.0f B allocated per fault through a delta page, want 0", best)
 	} else if best > 96 {
 		t.Errorf("%.0f B allocated per fault, budget is 96", best)
 	} else if bestShare < 0.95 {
@@ -675,7 +697,7 @@ func TestReallocatedPageFaultsItsOwnImage(t *testing.T) {
 		btree.EncodeNode(img, n)
 		db.pool.Release(n.Pin)
 		db.mu.RUnlock()
-		stored, err := db.st.ReadRecord(id, func(sz int) []byte { return make([]byte, sz) })
+		stored, err := storedImage(db, id)
 		if err != nil || !bytes.Equal(img, stored) {
 			t.Fatalf("page %d, freed and reallocated, faults in another image than its stored one (%v)", id, err)
 		}

@@ -155,11 +155,18 @@ func (t *Tree) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 func (t *Tree) Put(key uint64, value []byte) error {
 	t.db.lock()
 	defer t.db.mu.Unlock()
-	return t.putRunLocked([]wal.Op{{Key: key, Value: value}})
+	if err := t.guard(); err != nil {
+		return err
+	}
+	added, err := t.core.Insert(key, value)
+	if added {
+		t.db.metaDirty = true // the persisted entry count changed
+	}
+	return err
 }
 
-// putRunLocked applies puts to this tree in order — Put's one, or a run of a
-// transaction's apply or WAL replay — with one descent per leaf they touch
+// putRunLocked applies puts to this tree in order — a run of a transaction's
+// apply or WAL replay — with one descent per leaf they touch
 // (btree.Core.InsertRun). The values are borrowed: the tree copies them.
 func (t *Tree) putRunLocked(ops []wal.Op) error {
 	if err := t.guard(); err != nil {

@@ -156,8 +156,8 @@ func (s *Store) selectVictims(max int, dst []recCand) ([]int32, []recCand, error
 		s.hVictimE.Record(uint64(m.Emptiness() * 1000))
 		off := uint32(segHeaderSize)
 		for _, r := range s.recs[v] {
-			if tomb, ok := s.liveAt(r.page, r.seq, v, off); ok {
-				cands = append(cands, recCand{seg: v, page: r.page, off: off, size: int32(r.end - off), seq: r.seq, up2: m.Up2, tomb: tomb})
+			if seq, tomb, ok := s.liveAt(r.page, v, off); ok {
+				cands = append(cands, recCand{seg: v, page: r.page, off: off, size: int32(r.end - off), seq: seq, up2: m.Up2, tomb: tomb})
 			}
 			off = r.end
 		}
@@ -234,7 +234,7 @@ func (s *Store) install(r *recCand, win []byte) (int64, error) {
 	if r.tomb {
 		flags = flagTombstone
 	}
-	if _, ok := s.liveAt(r.page, r.seq, r.seg, r.off); !ok {
+	if _, _, ok := s.liveAt(r.page, r.seg, r.off); !ok {
 		return 0, nil // overwritten, deleted or superseded since selection
 	}
 	if err := s.gcRoom(size); err != nil {
@@ -548,7 +548,7 @@ func (s *Store) CheckInvariants() error {
 	for seg := range s.recs {
 		off := uint32(segHeaderSize)
 		for _, r := range s.recs[seg] {
-			if _, ok := s.liveAt(r.page, r.seq, int32(seg), off); ok {
+			if _, _, ok := s.liveAt(r.page, int32(seg), off); ok {
 				liveCount[seg]++
 				liveBytes[seg] += int64(r.end - off)
 				located--

@@ -459,10 +459,10 @@ func TestSortedBatchPlanIsExact(t *testing.T) {
 			if loc.seg != seg {
 				seg, opened = loc.seg, opened+1
 			}
-			for _, r := range s.recs {
-				renewed = renewed || slices.ContainsFunc(r, func(r recInfo) bool {
-					return r.page == b.ops[key.i].id && r.seq > before && r.seq < first
-				})
+			for seg, recs := range s.recs {
+				for i, seq := range s.recSeqs(t, int32(seg)) {
+					renewed = renewed || recs[i].page == b.ops[key.i].id && seq > before && seq < first
+				}
 			}
 		}
 		return planned, opened, renewed

@@ -1,6 +1,9 @@
 package store
 
-import "time"
+import (
+	"testing"
+	"time"
+)
 
 // crash simulates a process crash for tests: the backend file handles are
 // released (so reopening in-process does not exhaust descriptors) without
@@ -21,6 +24,26 @@ func (s *Store) crash() error {
 	}
 	s.closed, s.err = true, errClosed
 	return s.be.close()
+}
+
+// recSeqs returns the seq of each record of segment seg, in s.recs[seg]'s
+// order, read off the backend: the record table keeps none.
+func (s *Store) recSeqs(t testing.TB, seg int32) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	off := uint32(segHeaderSize)
+	for _, r := range s.recs[seg] {
+		rec := make([]byte, r.end-off)
+		if err := s.be.read(int(seg), int64(off), rec); err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := decodeRecord(rec, s.opts.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, off = append(seqs, h.seq), r.end
+	}
+	return seqs
 }
 
 // DelaySealFsyncs makes each seal fsync of s wait d first, so the writer runs

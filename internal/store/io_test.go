@@ -468,7 +468,7 @@ func TestReleasedVictimHoldsNoBytes(t *testing.T) {
 						t.Errorf("%s: backing segment %d lost its bytes", when, v)
 					case s.backs(v):
 						backing++
-					case sizes[v] != 0 && (len(recs) == 0 || recs[len(recs)-1].seq <= s.stamped):
+					case sizes[v] != 0 && (len(recs) == 0 || s.newest[v] <= s.stamped):
 						t.Errorf("%s: free segment %d, backing nothing, holds %d bytes", when, v, sizes[v])
 					}
 				}

@@ -234,8 +234,9 @@ func powerCutHeldRun(t *testing.T, seed uint64) {
 	whileHeld := t.TempDir()
 	cb.image(t, whileHeld)
 	after := slices.Clone(floor)
-	for _, rec := range s.recs[h] {
-		after[rec.page] = max(after[rec.page], verAt[rec.seq])
+	for i, seq := range s.recSeqs(t, h) {
+		page := s.recs[h][i].page
+		after[page] = max(after[page], verAt[seq])
 	}
 	close(release)
 	for s.sealing == h || s.sealing < 0 { // write on until the next seal returns

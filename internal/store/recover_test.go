@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -299,13 +300,7 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 		if m.State != core.SegSealed || len(s2.recs[id]) == 0 {
 			continue
 		}
-		minSeq := s2.recs[id][0].seq
-		for _, si := range s2.recs[id] {
-			if si.seq < minSeq {
-				minSeq = si.seq
-			}
-		}
-		segs = append(segs, seg{id: int32(id), sealSeq: m.SealSeq, minSeq: minSeq})
+		segs = append(segs, seg{id: int32(id), sealSeq: m.SealSeq, minSeq: slices.Min(s2.recSeqs(t, int32(id)))})
 	}
 	s2.mu.RUnlock()
 	if len(segs) < 5 {

@@ -160,8 +160,8 @@ func (s *Store) openSegment(seg, stream int32) error {
 		return err
 	}
 	var newest uint64 // recs[seg] is the victim's until it is truncated
-	if recs := s.recs[seg]; len(recs) > 0 {
-		newest = recs[len(recs)-1].seq
+	if len(s.recs[seg]) > 0 {
+		newest = s.newest[seg]
 	}
 	if s.backs(seg) || s.commitWatermarkLocked() < newest {
 		s.cBacking.Inc()
@@ -184,8 +184,9 @@ func (s *Store) openSegment(seg, stream int32) error {
 		s.unsynced[seg] = unsyncedSeg{seq: s.seq} // the header itself needs flushing
 	}
 	if s.recs[seg] == nil {
-		// First use: a segment that is never opened costs no record table.
-		s.recs[seg] = make([]recInfo, 0, s.opts.SegmentPages)
+		// First use: a segment that is never opened costs no record table, and
+		// one that is gets room for a quarter more records than the last seal's.
+		s.recs[seg] = make([]recInfo, 0, max(s.opts.SegmentPages, s.sealedRecs*5/4))
 	}
 	segBytes := s.opts.segmentBytes()
 	s.meta[seg] = core.SegmentMeta{Capacity: segBytes, Free: segBytes, Stream: stream, State: core.SegOpen}
@@ -213,7 +214,7 @@ func (s *Store) truncate(seg int32) error {
 // it. Its callers have settled. A poisoned store truncates nothing.
 func (s *Store) discardFree() {
 	for _, v := range s.free {
-		if recs := s.recs[v]; len(recs) > 0 && s.err == nil && !s.backs(v) && recs[len(recs)-1].seq <= s.stamped {
+		if len(s.recs[v]) > 0 && s.err == nil && !s.backs(v) && s.newest[v] <= s.stamped {
 			_ = s.truncate(v) // a failure leaves the bytes to openSegment, whose truncate reports it
 		}
 	}
@@ -271,6 +272,7 @@ func (s *Store) seal(stream int32) error {
 	s.sealSeq++
 	m.SealSeq = s.sealSeq
 	m.SealTime = s.unow
+	s.sealedRecs = len(s.recs[seg])
 	if o.count > 0 {
 		m.Up2 = o.up2Sum / float64(o.count)
 	}

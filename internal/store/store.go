@@ -228,16 +228,18 @@ type Store struct {
 	// is the update clock, one tick per user update, never wall-clock; closed
 	// fails every read, and err every write, sync and cycle: errClosed once
 	// closed, or the first failed fsync's (poison).
-	meta      []core.SegmentMeta
-	unow      uint64
-	closed    bool
-	err       error
-	free      []int32
-	freeCount atomic.Int64 // len(free), readable without the lock
-	open      [2]openSeg   // indexed by stream
-	fill      []int64      // per segment: record bytes appended so far
-	recs      [][]recInfo  // per segment: the records written to it, in log order
-	held      []int64      // per segment: the bytes its file holds (store.disk.bytes sums them)
+	meta       []core.SegmentMeta
+	unow       uint64
+	closed     bool
+	err        error
+	free       []int32
+	freeCount  atomic.Int64 // len(free), readable without the lock
+	open       [2]openSeg   // indexed by stream
+	fill       []int64      // per segment: record bytes appended so far
+	recs       [][]recInfo  // per segment: the records written to it, in log order
+	newest     []uint64     // per segment: the seq of its newest record (recs non-empty)
+	sealedRecs int          // records in the segment sealed last
+	held       []int64      // per segment: the bytes its file holds (store.disk.bytes sums them)
 
 	sealSeq     uint64
 	gcWrites    uint64
@@ -341,11 +343,11 @@ func (e unsyncedSeg) owed() bool { return e.user || e.reloc }
 
 // recInfo is one record written to a segment. Records sit back to back, so
 // each starts where its predecessor ends (the first at segHeaderSize): the
-// end offset alone gives every record's offset and size, in 16 bytes.
+// end offset alone gives every record's offset and size, in 8 bytes. It is
+// live while the page table points at that offset (liveAt), which has its seq.
 type recInfo struct {
 	page uint32
 	end  uint32
-	seq  uint64
 }
 
 // Open creates or recovers a store.
@@ -361,6 +363,7 @@ func Open(opts Options) (*Store, error) {
 		open:       [2]openSeg{{seg: -1}, {seg: -1}},
 		pendingE:   make(map[int32]float64),
 		recs:       make([][]recInfo, opts.MaxSegments),
+		newest:     make([]uint64, opts.MaxSegments),
 		held:       make([]int64, opts.MaxSegments),
 		table:      make(map[uint32]pageLoc),
 		tombstones: make(map[uint32]pageLoc),
@@ -518,7 +521,8 @@ func (s *Store) recover() error {
 			}
 			loc := pageLoc{seg: int32(seg), off: uint32(off), seq: h.seq}
 			off += RecordHeaderSize + len(payload)
-			s.recs[seg] = append(s.recs[seg], recInfo{page: h.page, end: uint32(off), seq: h.seq})
+			s.recs[seg] = append(s.recs[seg], recInfo{page: h.page, end: uint32(off)})
+			s.newest[seg] = max(s.newest[seg], h.seq)
 			if h.seq > maxSeq {
 				// maxSeq covers every physical record, discarded batch
 				// members included: s.seq must never reuse an on-disk seq.
@@ -563,7 +567,7 @@ func (s *Store) recover() error {
 	for _, ss := range sealed {
 		m := &s.meta[ss.seg]
 		m.Stream, m.State = ss.stream, core.SegSealed
-		m.Up2 = float64(s.recs[ss.seg][len(s.recs[ss.seg])-1].seq) // the stated estimate: its newest record's seq
+		m.Up2 = float64(s.newest[ss.seg]) // the stated estimate: its newest record's seq
 		s.sealSeq++
 		m.SealSeq = s.sealSeq
 	}
@@ -617,7 +621,7 @@ func (s *Store) recover() error {
 		m.Live, m.Free = 0, m.Capacity
 		off := uint32(segHeaderSize)
 		for _, r := range s.recs[seg] {
-			if _, ok := s.liveAt(r.page, r.seq, int32(seg), off); ok {
+			if _, _, ok := s.liveAt(r.page, int32(seg), off); ok {
 				m.Live++
 				m.Free -= int64(r.end - off)
 			}
@@ -628,15 +632,15 @@ func (s *Store) recover() error {
 }
 
 // liveAt reports whether the index's current version of page is the record
-// with seq at off in seg, and whether that record is a tombstone (a page is
-// in at most one of the two maps).
-func (s *Store) liveAt(page uint32, seq uint64, seg int32, off uint32) (tomb, ok bool) {
+// at off in seg, and if so its seq and whether it is a tombstone (a page is in
+// at most one of the two maps).
+func (s *Store) liveAt(page uint32, seg int32, off uint32) (seq uint64, tomb, ok bool) {
 	loc, ok := s.table[page]
 	if !ok {
 		tomb = true
 		loc, ok = s.tombstones[page]
 	}
-	return tomb, ok && loc == pageLoc{seg: seg, off: off, seq: seq}
+	return loc.seq, tomb, ok && loc.seg == seg && loc.off == off
 }
 
 // read is one counted backend read.
@@ -811,7 +815,8 @@ func (s *Store) appendRecord(stream int32, id uint32, flags uint32, pos uint32, 
 		u[seg] = unsyncedSeg{seq: s.seq, low: e.low, user: e.user || from == nil, reloc: e.reloc || from != nil}
 	}
 	end := off + int64(size)
-	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end), seq: s.seq})
+	s.recs[seg] = append(s.recs[seg], recInfo{page: id, end: uint32(end)})
+	s.newest[seg] = s.seq
 	s.appended(stream, int64(size), carried)
 	loc := pageLoc{seg: seg, off: uint32(off), seq: s.seq}
 	if from != nil {
