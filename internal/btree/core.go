@@ -82,8 +82,8 @@ type Node struct {
 	// set is full. The set is inline, so a change allocates nothing.
 	Based    bool
 	NChanged uint8
-	Keys []uint64 // branch separators, strictly increasing
-	Kids []uint32 // branch children (len == len(Keys)+1)
+	Keys     []uint64 // branch separators, strictly increasing
+	Kids     []uint32 // branch children (len == len(Keys)+1)
 	// A leaf's entries are its page image's (page.go): key | vlen | value, in
 	// key order, back to back in Buf[Lo:], and Offs[i] is where entry i
 	// starts. Buf[:Lo] is dead — a fault's record and page headers, or
@@ -97,8 +97,8 @@ type Node struct {
 	// NBytes is the node's byte accounting against Layout.Budget (header
 	// excluded). The Core maintains it; stores materializing nodes from
 	// page images rebuild it (ParseNode).
-	NBytes int
-	Changed  [6]uint64
+	NBytes  int
+	Changed [6]uint64
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through
