@@ -25,8 +25,9 @@ import (
 // overwrites all fire within a few hundred ops on 256-byte pages.
 const diffKeySpace = 128
 
-// applyDifferentialOps interprets data as an op stream and replays it.
-func applyDifferentialOps(t *testing.T, data []byte) {
+// applyDifferentialOps interprets data as an op stream and replays it, and
+// adds the delta pages its checkpoints wrote, applied and rebased to sum.
+func applyDifferentialOps(t *testing.T, data []byte, sum *[len(deltaCounters)]uint64) {
 	t.Helper()
 	mem := btree.New(bufferpool.New(1<<16), 256)
 	opts := memOpts()
@@ -150,6 +151,7 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 			}
 			agree(t, step, mem, tr, oracle)
 		case op == 11 && key%4 == 0: // Reopen: the log replays every transaction since the last commit
+			tally(db, sum)
 			db.crash()
 			if err := errors.Join(db.wal.Close(), db.st.Close()); err != nil {
 				t.Fatal(err)
@@ -183,6 +185,7 @@ func applyDifferentialOps(t *testing.T, data []byte) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("pagedb invariants after final commit: %v", err)
 	}
+	tally(db, sum)
 }
 
 // agree fails unless the mem tree, the pagedb tree and the oracle hold the
@@ -228,14 +231,21 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 	if testing.Short() {
 		rounds = 5
 	}
+	var sum [len(deltaCounters)]uint64
 	for round := 0; round < rounds; round++ {
 		data := make([]byte, opBytes)
 		for i := range data {
 			data[i] = byte(r.UintN(256))
 		}
 		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
-			applyDifferentialOps(t, data)
+			applyDifferentialOps(t, data, &sum)
 		})
+	}
+	// The op streams reach the delta path that FuzzTreeDifferential shares.
+	for i, n := range sum {
+		if n == 0 {
+			t.Errorf("no %s", deltaCounters[i])
+		}
 	}
 }
 
@@ -255,6 +265,6 @@ func FuzzTreeDifferential(f *testing.F) {
 			// than grinding a few giant ones.
 			data = data[:4096]
 		}
-		applyDifferentialOps(t, data)
+		applyDifferentialOps(t, data, new([len(deltaCounters)]uint64))
 	})
 }
