@@ -548,7 +548,7 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 			}
 		}
 	}
-	db.ckNodes, db.ckDels = nodes, dels
+	db.ckNodes = nodes // fill's
 	leg.End()
 	if len(nodes) == 0 && len(dels) == 0 && !db.metaDirty {
 		return nil
@@ -613,7 +613,7 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	// may hold: a load's are let go.
 	if b.Len() <= db.pool.Capacity() {
 		b.Reset()
-		db.batch = b
+		db.batch, db.ckDels = b, dels[:0]
 	} else {
 		db.ckNodes, db.ckDels = nil, nil
 	}
