@@ -98,7 +98,7 @@ type Node struct {
 	// excluded). The Core maintains it; stores materializing nodes from
 	// page images rebuild it (ParseNode).
 	NBytes  int
-	Changed [4]uint64
+	Changed [4]uint64 // the change set of a based leaf (Based)
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through
