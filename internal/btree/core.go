@@ -78,8 +78,9 @@ type Node struct {
 	// from only under the keys Changed[:NChanged] (pagedb's checkpoint then
 	// writes those entries as a delta page). The NodeStore sets it, with the
 	// set, when it reads or writes the leaf's image; the Core adds each key it
-	// puts or deletes, and clears it on a split, merge or borrow, or when the
-	// set is full. The set is inline, so a change allocates nothing.
+	// puts or deletes, and clears it on a split, merge or borrow, or when a
+	// ninth key changes. The set is inline, eight keys, so a change allocates
+	// nothing; pagedb's checkpoint rebases most leaves before it fills.
 	Based    bool
 	NChanged uint8
 	Keys     []uint64 // branch separators, strictly increasing
@@ -98,7 +99,7 @@ type Node struct {
 	// excluded). The Core maintains it; stores materializing nodes from
 	// page images rebuild it (ParseNode).
 	NBytes  int
-	Changed [4]uint64 // the change set of a based leaf (Based)
+	Changed [8]uint64 // the change set of a based leaf (Based)
 	// Pin is the node's buffer-pool frame handle, set by stores that keep
 	// their nodes in fused pool frames (internal/pagedb): Fetch returns the
 	// node with the frame pinned, and Release(n) drops that pin through

@@ -179,7 +179,8 @@ func EncodeDelta(dst []byte, n *Node) {
 // old value of its length, a copy) and each deleted key dropped, so n is the
 // leaf as written, based, its change set the delta's keys. Buf grows only
 // past its capacity. The bytes come from storage: a delta that is not one,
-// or overruns itself, is an error, and n is then left in no particular state.
+// overruns itself or leaves the leaf over its page's budget is an error, and
+// n is then left in no particular state.
 func ApplyDelta(n *Node, d []byte, l Layout, pageSize int) error {
 	if len(d) < PageHeaderBytes || d[0] != kindDelta || d[1] != 0 || !n.Leaf {
 		return fmt.Errorf("btree: not a delta page over a leaf")
@@ -210,6 +211,9 @@ func ApplyDelta(n *Node, d []byte, l Layout, pageSize int) error {
 			n.NBytes -= l.LeafEntryOverhead + n.drop(i)
 		}
 		n.changed(k)
+	}
+	if n.NBytes > l.Budget(pageSize) {
+		return fmt.Errorf("btree: delta page leaves the leaf %d bytes, over the budget of %d", n.NBytes, l.Budget(pageSize))
 	}
 	return nil
 }

@@ -418,3 +418,95 @@ func TestDeltaPageRebuildsTheLeaf(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyDeltaRefusesAnOverflow: a delta page whose puts would leave the
+// leaf over its page's budget is refused, so the fault that reads it fails as
+// a read error rather than handing the checkpoints a leaf no page can hold.
+func TestApplyDeltaRefusesAnOverflow(t *testing.T) {
+	const pageSize = 256
+	base := &Node{Leaf: true}
+	for k := range uint64(6) {
+		base.set(k, make([]byte, 20), PageLayout, PageLayout.Budget(pageSize))
+	}
+	img := encode(t, base, pageSize)
+	big := &Node{Leaf: true, Based: true}
+	big.set(9, make([]byte, 200), PageLayout, 1<<16)
+	d := make([]byte, big.DeltaBytes())
+	EncodeDelta(d, big)
+	n := &Node{Buf: img}
+	if err := ParseNode(n, 1, 0, PageLayout); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyDelta(n, d, PageLayout, pageSize); err == nil {
+		t.Fatalf("a delta page leaving the leaf %d bytes over a budget of %d was accepted", n.NBytes, PageLayout.Budget(pageSize))
+	}
+}
+
+// FuzzApplyDelta: ApplyDelta over arbitrary bytes, applied to the parsed
+// leaves of a grown tree, never panics, and whatever it accepts leaves a node
+// the Core's own per-node checks pass and a page holds. Seeded with the real
+// delta pages of 1 to 8 changed keys over those leaves, which must rebuild
+// the changed leaf.
+func FuzzApplyDelta(f *testing.F) {
+	const pageSize = 256
+	budget := PageLayout.Budget(pageSize)
+	tr := New(bufferpool.New(64), pageSize)
+	for k := uint64(0); k < 300; k++ {
+		tr.Insert(k*7%300, bytes.Repeat([]byte{byte(k)}, int(k%23)))
+	}
+	var bases [][]byte
+	for _, n := range tr.store.nodes {
+		if n != nil && n.Leaf {
+			bases = append(bases, encode(f, n, pageSize))
+		}
+	}
+	parse := func(t testing.TB, n *Node, b byte) {
+		n.Buf = append(n.Buf[:0], bases[int(b)%len(bases)]...)
+		if err := ParseNode(n, 9, 0, PageLayout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 58))
+	want := make(map[string][]byte) // a seed's delta page → the leaf it rebuilds
+	for b := range byte(len(bases)) {
+		for keys := 1; keys <= 8; keys++ {
+			leaf := new(Node)
+			parse(f, leaf, b)
+			leaf.Based = true
+			for leaf.NChanged < uint8(keys) {
+				k := uint64(rng.IntN(320))
+				if i, ok := leaf.find(k); ok && rng.IntN(3) == 0 {
+					leaf.NBytes -= leafEntryOverheadPage + leaf.drop(i)
+					leaf.changed(k)
+				} else if v := make([]byte, rng.IntN(12)); leaf.NBytes+leafEntryOverheadPage+len(v) <= budget {
+					leaf.set(k, v, PageLayout, budget)
+				}
+			}
+			d := make([]byte, leaf.DeltaBytes())
+			EncodeDelta(d, leaf)
+			want[string(append([]byte{b}, d...))] = encode(f, leaf, pageSize)
+			f.Add(b, d)
+		}
+	}
+	check := LoadCore(nil, pageSize, PageLayout, 0, 1, 0)
+	n := new(Node) // reused across inputs, like a recycled node
+	f.Fuzz(func(t *testing.T, b byte, d []byte) {
+		if len(d) > pageSize {
+			d = d[:pageSize]
+		}
+		parse(t, n, b)
+		if err := ApplyDelta(n, d, PageLayout, pageSize); err != nil {
+			return
+		}
+		if err := check.checkNode(n); err != nil {
+			t.Fatalf("leaf with a delta page applied fails the Core's checks: %v", err)
+		}
+		if !n.Based || int(n.NChanged) > len(n.Changed) {
+			t.Fatalf("leaf with a delta page applied: based %v, %d keys changed", n.Based, n.NChanged)
+		}
+		img := encode(t, n, pageSize)
+		if w, ok := want[string(append([]byte{b}, d...))]; ok && !bytes.Equal(img, w) {
+			t.Fatalf("a seed's delta page over its leaf gives %x, not the changed leaf %x", img, w)
+		}
+	})
+}

@@ -33,7 +33,7 @@ func TPCCDurableAt(scale Scale, fill float64, log io.Writer) *Table {
 		Title: fmt.Sprintf("TPC-C on the durable B+-tree engine over the page store "+
 			"(%d warehouses, %d transactions, background cleaning, DurCommit batches every %d tx, target fill %.2f)",
 			cfg.Warehouses, txs, cfg.CheckpointEveryTx, fill),
-		Header: []string{"algorithm", "user pages", "GC pages", "write amp",
+		Header: []string{"algorithm", "user pages", "user MB", "delta pages", "GC pages", "write amp",
 			"mean E at clean", "segs cleaned", "cleaner cycles", "fill", "cache hit"},
 	}
 	progress(log, "tpcc-durable: %d tx, fill %.2f", txs, fill)
@@ -143,11 +143,15 @@ func tpccDurableRun(cfg tpcc.Config, txs int, fill float64, alg core.Algorithm) 
 		panic(fmt.Sprintf("experiments: tpcc-durable final commit (%s): %v", alg.Name, err))
 	}
 
-	st := db.Stats()
+	// A delta page is a page: the bytes the checkpoints wrote, and how many of
+	// their pages were deltas, are what show the checkpoint's share.
+	st, reg := db.Stats(), db.Obs()
 	ss := st.Store
 	return []string{
 		alg.Name,
 		fmt.Sprintf("%d", ss.UserWrites),
+		f2(float64(reg.Counter("store.user.bytes").Value()) / 1e6),
+		fmt.Sprintf("%d", reg.Counter("pagedb.delta.pages").Value()),
 		fmt.Sprintf("%d", ss.GCWrites),
 		f3(ss.WriteAmp),
 		f3(ss.MeanEAtClean),

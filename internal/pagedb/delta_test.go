@@ -2,11 +2,14 @@ package pagedb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // deltaCounters are the delta pages written, applied by faults, and the leaves
@@ -28,8 +31,10 @@ func tally(db *DB, sum *[len(deltaCounters)]uint64) {
 // or opens a kill image (a copy of the directory taken while the DB is open:
 // under DurCommit every committed transaction is in it), and checks it against
 // a map model. Delta writes, applies and rebases must each happen, and so must
-// a freed leaf's delta page be tombstoned. PAGEDB_DELTA_SEEDS sets the seed
-// count (default 8).
+// a freed leaf's delta page be tombstoned, a delta page of more than four keys
+// and a rebase the rule decided (deltaShapes). Odd seeds run on 1 KiB pages,
+// where a leaf's delta may take more keys than the 256-byte pages of the even
+// ones allow. PAGEDB_DELTA_SEEDS sets the seed count (default 8).
 func TestLeafDeltasMatchModel(t *testing.T) {
 	seeds := 8
 	if s := os.Getenv("PAGEDB_DELTA_SEEDS"); s != "" {
@@ -39,11 +44,12 @@ func TestLeafDeltasMatchModel(t *testing.T) {
 		}
 	}
 	var sum [len(deltaCounters)]uint64
+	var shapes deltaShapes
 	freed := 0
 	for seed := range seeds {
-		freed += leafDeltaRun(t, uint64(seed), &sum)
+		freed += leafDeltaRun(t, uint64(seed), &sum, &shapes)
 	}
-	t.Logf("%d seeds: %v = %v; %d freed leaves' delta pages tombstoned", seeds, deltaCounters, sum, freed)
+	t.Logf("%d seeds: %v = %v; %d freed leaves' delta pages tombstoned; %+v", seeds, deltaCounters, sum, freed, shapes)
 	for i, n := range sum {
 		if n == 0 {
 			t.Errorf("no %s", deltaCounters[i])
@@ -52,14 +58,18 @@ func TestLeafDeltasMatchModel(t *testing.T) {
 	if freed == 0 {
 		t.Error("no freed leaf had a delta page")
 	}
+	shapes.require(t)
 }
 
 // leafDeltaRun is one seed of TestLeafDeltasMatchModel. It returns how many
 // freed leaves' delta pages its checkpoints tombstoned.
-func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64) (freed int) {
+func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) (freed int) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
 	opts.CachePages = 12
+	if seed%2 == 1 {
+		opts.Store.PageSize = 1024
+	}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +148,7 @@ func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64) (f
 			model["b"] = map[uint64][]byte{}
 		case r < 95:
 			deltas := freedDeltas(db)
-			if err := db.Commit(); err != nil {
+			if err := shapes.commit(db); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range deltas {
@@ -179,6 +189,49 @@ func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64) (f
 	return freed
 }
 
+// deltaShapes tallies what checkpoints decided for based leaves with keys
+// changed: the most keys a delta page they wrote carries, and the leaves the
+// rule wrote in full with fewer than eight keys changed, room left in the set.
+type deltaShapes struct{ maxKeys, ruleRebases int }
+
+// require fails t unless a delta page of more than four keys was written, and
+// a leaf rebased by the rule, not by a full change set.
+func (s deltaShapes) require(t *testing.T) {
+	t.Helper()
+	if s.maxKeys <= 4 || s.ruleRebases == 0 {
+		t.Errorf("delta pages of at most %d keys; %d leaves rebased by the rule", s.maxKeys, s.ruleRebases)
+	}
+}
+
+// commit runs a checkpoint and adds its decisions to s.
+func (s *deltaShapes) commit(db *DB) error {
+	db.mu.Lock()
+	based := make(map[uint32]uint8)
+	for id, n := range db.dirty {
+		if n != nil && n.Based && n.NChanged > 0 {
+			based[id] = n.NChanged
+		}
+	}
+	db.mu.Unlock()
+	if err := db.Commit(); err != nil {
+		return err
+	}
+	for id, keys := range based {
+		if !db.st.Has(id | deltaBit) {
+			if keys < 8 {
+				s.ruleRebases++
+			}
+			continue
+		}
+		d, err := db.st.ReadRecord(id|deltaBit, func(sz int) []byte { return make([]byte, sz) })
+		if err != nil {
+			return err
+		}
+		s.maxKeys = max(s.maxKeys, int(binary.LittleEndian.Uint16(d[2:]))+int(binary.LittleEndian.Uint16(d[4:])))
+	}
+	return nil
+}
+
 // freedDeltas returns the pages freed since the last checkpoint whose delta
 // page the store holds: the next checkpoint must tombstone it.
 func freedDeltas(db *DB) []uint32 {
@@ -194,9 +247,9 @@ func freedDeltas(db *DB) []uint32 {
 }
 
 // TestRebaseTombstonesTheDeltaPage: a leaf written as a delta page and then
-// in full, its changes grown past a quarter of its image, never faults back
-// through the old delta page — the checkpoint that writes the image
-// tombstones it. Key k's value goes out in the delta page, and the image
+// in full, its changes grown past what the rule lets a delta take, never
+// faults back through the old delta page — the checkpoint that writes the
+// image tombstones it. Key k's value goes out in the delta page, and the image
 // holds k deleted, so a stale delta page would bring it back.
 func TestRebaseTombstonesTheDeltaPage(t *testing.T) {
 	dir := t.TempDir()
@@ -261,4 +314,73 @@ func TestRebaseTombstonesTheDeltaPage(t *testing.T) {
 	}
 	defer db.Close()
 	checkOracle(t, db, oracle)
+}
+
+// TestDeltaRuleFollowsTheCostModel checks where the checkpoint stops writing a
+// leaf's delta page, at the row sizes of the benchmark's workloads, on a tree
+// of one 4 KiB leaf: a cumulative delta of n keys, d bytes, over an image of
+// s goes out while (n+1)·d ≤ 2·s. One more key changes at each checkpoint, a
+// same-length overwrite, until one writes the image; then one key is
+// rewritten at every checkpoint, which never rebases.
+func TestDeltaRuleFollowsTheCostModel(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		value, rows int
+		deltas      uint64 // delta pages before the rebase
+	}{
+		{"kv 100-byte values", 100, 20, 5},               // 2,208-byte image: 6·558 ≤ 4,416 < 7·668
+		{"stock 306-byte rows, half full", 306, 6, 2},    // 1,904: 3·640 ≤ 3,808 < 4·956
+		{"customer 655-byte rows, half full", 655, 3, 1}, // 2,003: 2·673 ≤ 4,006 < 3·1,338
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(Options{Store: store.Options{PageSize: 4096, SegmentPages: 16, MaxSegments: 64}, CachePages: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tr, err := db.Tree("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := func(k uint64, version byte) []byte { return bytes.Repeat([]byte{byte(k) + version}, c.value) }
+			for k := range uint64(c.rows) {
+				if err := tr.Put(k, row(k, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.core.Height() != 1 {
+				t.Fatalf("%d rows make a tree of height %d", c.rows, tr.core.Height())
+			}
+			counter := func(name string) uint64 { return db.Obs().Counter(name).Value() }
+			for k := uint64(0); counter("pagedb.delta.rebases") == 0; k++ {
+				if k == uint64(c.rows) {
+					t.Fatalf("all %d rows changed, %d delta pages written, no rebase", c.rows, counter("pagedb.delta.pages"))
+				}
+				if err := tr.Put(k, row(k, 1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deltas := counter("pagedb.delta.pages")
+			if deltas != c.deltas {
+				t.Errorf("%d delta pages before the rebase, want %d", deltas, c.deltas)
+			}
+			for v := range byte(10) {
+				if err := tr.Put(0, row(0, 2+v)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := counter("pagedb.delta.pages") - deltas; got != 10 || counter("pagedb.delta.rebases") != 1 {
+				t.Errorf("one key rewritten at 10 checkpoints: %d delta pages, %d rebases in all", got, counter("pagedb.delta.rebases"))
+			}
+		})
+	}
 }

@@ -22,17 +22,22 @@ import (
 // seeded property test and as a Go fuzz target (FuzzTreeDifferential).
 
 // diffKeySpace keeps keys colliding hard so splits, merges, borrows and
-// overwrites all fire within a few hundred ops on 256-byte pages.
+// overwrites all fire within a few hundred ops on 256-byte pages. A stream
+// whose first byte has bit 4 set runs pagedb on 1 KiB pages instead.
 const diffKeySpace = 128
 
 // applyDifferentialOps interprets data as an op stream and replays it, and
-// adds the delta pages its checkpoints wrote, applied and rebased to sum.
-func applyDifferentialOps(t *testing.T, data []byte, sum *[len(deltaCounters)]uint64) {
+// adds the delta pages its checkpoints wrote, applied and rebased to sum and
+// the shapes of its checkpoints' delta decisions to shapes.
+func applyDifferentialOps(t *testing.T, data []byte, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) {
 	t.Helper()
 	mem := btree.New(bufferpool.New(1<<16), 256)
 	opts := memOpts()
 	opts.Store.Dir = t.TempDir() // the log a reopen replays needs a directory
 	opts.Store.MaxSegments = 1024
+	if len(data) > 0 && data[0]&16 != 0 {
+		opts.Store.PageSize = 1024 // room for delta pages of more than four keys
+	}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +174,7 @@ func applyDifferentialOps(t *testing.T, data []byte, sum *[len(deltaCounters)]ui
 			}
 			agree(t, step, mem, tr, oracle)
 		default: // Commit the durable engine mid-stream
-			if err := db.Commit(); err != nil {
+			if err := shapes.commit(db); err != nil {
 				t.Fatalf("step %d: Commit: %v", step, err)
 			}
 			durable = maps.Clone(oracle)
@@ -232,13 +237,14 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		rounds = 5
 	}
 	var sum [len(deltaCounters)]uint64
+	var shapes deltaShapes
 	for round := 0; round < rounds; round++ {
 		data := make([]byte, opBytes)
 		for i := range data {
 			data[i] = byte(r.UintN(256))
 		}
 		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
-			applyDifferentialOps(t, data, &sum)
+			applyDifferentialOps(t, data, &sum, &shapes)
 		})
 	}
 	// The op streams reach the delta path that FuzzTreeDifferential shares.
@@ -247,6 +253,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 			t.Errorf("no %s", deltaCounters[i])
 		}
 	}
+	shapes.require(t)
 }
 
 // FuzzTreeDifferential lets the fuzzer drive the op stream directly (wired
@@ -265,6 +272,6 @@ func FuzzTreeDifferential(f *testing.F) {
 			// than grinding a few giant ones.
 			data = data[:4096]
 		}
-		applyDifferentialOps(t, data, new([len(deltaCounters)]uint64))
+		applyDifferentialOps(t, data, new([len(deltaCounters)]uint64), new(deltaShapes))
 	})
 }

@@ -85,12 +85,16 @@
 // |1<<31 (deltaBit) is the companion of page id, its delta page, so the store
 // keeps one version per id. A leaf the store holds an image of is based
 // (btree.Node.Based), and the Core notes each key it puts or deletes there.
-// If those entries take at most a quarter of the image, the checkpoint writes
-// them — each key's current entry, or its deletion — as one cumulative delta
-// page under the companion id, and the image stays as it was. Anything else
-// is written in full, its companion tombstoned in the same batch: a branch, a
-// leaf new since the last checkpoint or split, merged or borrowed from, or
-// one whose changes outgrew the quarter (a rebase). A fault reads the image,
+// While one more delta still lowers the leaf's mean bytes per write since its
+// image — n keys changed, a delta of d bytes, an image of s: (n+1)·d ≤ 2·s —
+// the checkpoint writes those entries (each key's current entry, or its
+// deletion) as one cumulative delta page under the companion id, and the
+// image stays as it was. Anything else is written in full, its companion
+// tombstoned in the same batch: a branch, a leaf new since the last
+// checkpoint or split, merged or borrowed from, or one past the rule or its
+// eight keys (a rebase). So a leaf of 110-byte entries rebases after five
+// keys, a half-full one of TPC-C's 306-byte stock rows after two, and one
+// whose one key keeps changing never. A fault reads the image,
 // then applies the companion over it if the store holds one (a same-length
 // value is a copy) and restores the change set from it. A freed page's
 // companion is tombstoned with it; Open's page accounting and free-list
@@ -563,10 +567,14 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 	// The batch carries each dirty page's id and its length (the store keeps a
 	// page at the length it is written, so a half-empty node costs half a
 	// page); inside Apply the fill function encodes the node straight into the
-	// store's run buffer. A based leaf whose changes take at most a quarter of
-	// its image is written as its delta page instead, and any other node in
-	// full, tombstoning its delta page. Whatever could make a node unencodable
-	// is found here, with nothing written, so the fill cannot fail.
+	// store's run buffer. A based leaf with an image of s bytes, n keys changed
+	// and a delta page of d is written as that page instead while
+	// (n+1)·d ≤ 2·s. A delta is cumulative: a leaf that gains an e-byte key a
+	// checkpoint pays e·k(k+1)/2 + s over k deltas and one image, least per
+	// write near (k+1)²·e = 2s, and one whose same key keeps changing grows
+	// neither n nor d. Any other node is written in full, tombstoning its delta
+	// page. Whatever could make a node unencodable is found here, with nothing
+	// written, so the fill cannot fail.
 	b := db.batch
 	db.batch = nil // a checkpoint that fails lets it go
 	if b == nil {
@@ -582,7 +590,7 @@ func (db *DB) commitLocked(sp *obs.Span) error {
 			// would persist a tree referencing an image the store never got.
 			return fmt.Errorf("pagedb: encoding page %d: %w", n.ID, err)
 		}
-		if d := n.DeltaBytes(); d > 0 && 4*d <= size {
+		if d := n.DeltaBytes(); d > 0 && (int(n.NChanged)+1)*d <= 2*size {
 			b.Reserve(n.ID|deltaBit, d)
 			deltas, deltaBytes = deltas+1, deltaBytes+uint64(d)
 			continue
