@@ -2,13 +2,13 @@ package pagedb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/store"
 )
 
@@ -30,11 +30,12 @@ func tally(db *DB, sum *[len(deltaCounters)]uint64) {
 // them, rebased, and freed with them. At random points it reopens after Close,
 // or opens a kill image (a copy of the directory taken while the DB is open:
 // under DurCommit every committed transaction is in it), and checks it against
-// a map model. Delta writes, applies and rebases must each happen, and so must
-// a freed leaf's delta page be tombstoned, a delta page of more than four keys
-// and a rebase the rule decided (deltaShapes). Odd seeds run on 1 KiB pages,
-// where a leaf's delta may take more keys than the 256-byte pages of the even
-// ones allow. PAGEDB_DELTA_SEEDS sets the seed count (default 8).
+// a map model. Over the seeds on 256-byte pages, delta writes, applies and
+// rebases must each happen, and so must a freed leaf's delta page be
+// tombstoned. Each seed then runs again on 1 KiB pages, where a leaf's delta
+// may take more keys: over those runs a delta page of more than four keys and
+// a rebase the rule decided must each happen (deltaShapes).
+// PAGEDB_DELTA_SEEDS sets the seed count (default 8).
 func TestLeafDeltasMatchModel(t *testing.T) {
 	seeds := 8
 	if s := os.Getenv("PAGEDB_DELTA_SEEDS"); s != "" {
@@ -44,12 +45,11 @@ func TestLeafDeltasMatchModel(t *testing.T) {
 		}
 	}
 	var sum [len(deltaCounters)]uint64
-	var shapes deltaShapes
 	freed := 0
 	for seed := range seeds {
-		freed += leafDeltaRun(t, uint64(seed), &sum, &shapes)
+		freed += leafDeltaRun(t, uint64(seed), 256, &sum, new(deltaShapes))
 	}
-	t.Logf("%d seeds: %v = %v; %d freed leaves' delta pages tombstoned; %+v", seeds, deltaCounters, sum, freed, shapes)
+	t.Logf("%d seeds: %v = %v; %d freed leaves' delta pages tombstoned", seeds, deltaCounters, sum, freed)
 	for i, n := range sum {
 		if n == 0 {
 			t.Errorf("no %s", deltaCounters[i])
@@ -58,18 +58,22 @@ func TestLeafDeltasMatchModel(t *testing.T) {
 	if freed == 0 {
 		t.Error("no freed leaf had a delta page")
 	}
+	var shapes deltaShapes
+	for seed := range seeds {
+		leafDeltaRun(t, uint64(seed), 1024, new([len(deltaCounters)]uint64), &shapes)
+	}
+	t.Logf("1 KiB pages: %+v", shapes)
 	shapes.require(t)
 }
 
-// leafDeltaRun is one seed of TestLeafDeltasMatchModel. It returns how many
-// freed leaves' delta pages its checkpoints tombstoned.
-func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) (freed int) {
+// leafDeltaRun is one seed of TestLeafDeltasMatchModel, on pages of pageSize
+// bytes. It returns how many freed leaves' delta pages its checkpoints
+// tombstoned.
+func leafDeltaRun(t *testing.T, seed uint64, pageSize int, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) (freed int) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
 	opts.CachePages = 12
-	if seed%2 == 1 {
-		opts.Store.PageSize = 1024
-	}
+	opts.Store.PageSize = pageSize
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +194,9 @@ func leafDeltaRun(t *testing.T, seed uint64, sum *[len(deltaCounters)]uint64, sh
 }
 
 // deltaShapes tallies what checkpoints decided for based leaves with keys
-// changed: the most keys a delta page they wrote carries, and the leaves the
-// rule wrote in full with fewer than eight keys changed, room left in the set.
+// changed: the most keys a delta page they wrote carries (a delta page holds
+// the leaf's whole change set), and the leaves the rule wrote in full with
+// room left in the set.
 type deltaShapes struct{ maxKeys, ruleRebases int }
 
 // require fails t unless a delta page of more than four keys was written, and
@@ -206,10 +211,10 @@ func (s deltaShapes) require(t *testing.T) {
 // commit runs a checkpoint and adds its decisions to s.
 func (s *deltaShapes) commit(db *DB) error {
 	db.mu.Lock()
-	based := make(map[uint32]uint8)
+	based := make(map[uint32]int)
 	for id, n := range db.dirty {
 		if n != nil && n.Based && n.NChanged > 0 {
-			based[id] = n.NChanged
+			based[id] = int(n.NChanged)
 		}
 	}
 	db.mu.Unlock()
@@ -217,17 +222,12 @@ func (s *deltaShapes) commit(db *DB) error {
 		return err
 	}
 	for id, keys := range based {
-		if !db.st.Has(id | deltaBit) {
-			if keys < 8 {
-				s.ruleRebases++
-			}
-			continue
+		switch {
+		case db.st.Has(id | deltaBit):
+			s.maxKeys = max(s.maxKeys, keys)
+		case keys < len(btree.Node{}.Changed):
+			s.ruleRebases++
 		}
-		d, err := db.st.ReadRecord(id|deltaBit, func(sz int) []byte { return make([]byte, sz) })
-		if err != nil {
-			return err
-		}
-		s.maxKeys = max(s.maxKeys, int(binary.LittleEndian.Uint16(d[2:]))+int(binary.LittleEndian.Uint16(d[4:])))
 	}
 	return nil
 }

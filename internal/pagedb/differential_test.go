@@ -22,21 +22,24 @@ import (
 // seeded property test and as a Go fuzz target (FuzzTreeDifferential).
 
 // diffKeySpace keeps keys colliding hard so splits, merges, borrows and
-// overwrites all fire within a few hundred ops on 256-byte pages. A stream
-// whose first byte has bit 4 set runs pagedb on 1 KiB pages instead.
+// overwrites all fire within a few hundred ops on 256-byte pages.
 const diffKeySpace = 128
 
-// applyDifferentialOps interprets data as an op stream and replays it, and
-// adds the delta pages its checkpoints wrote, applied and rebased to sum and
-// the shapes of its checkpoints' delta decisions to shapes.
-func applyDifferentialOps(t *testing.T, data []byte, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) {
+// applyDifferentialOps interprets data as an op stream and replays it, with
+// pagedb on pages of pageSize bytes, and adds the delta pages its checkpoints
+// wrote, applied and rebased to sum and the shapes of its checkpoints' delta
+// decisions to shapes. On 1 KiB pages, where a delta page may take more than
+// four keys, the key space fills about ten leaves, so the cache shrinks to 8
+// pages to keep leaves faulting back through their delta pages.
+func applyDifferentialOps(t *testing.T, data []byte, pageSize int, sum *[len(deltaCounters)]uint64, shapes *deltaShapes) {
 	t.Helper()
 	mem := btree.New(bufferpool.New(1<<16), 256)
 	opts := memOpts()
 	opts.Store.Dir = t.TempDir() // the log a reopen replays needs a directory
 	opts.Store.MaxSegments = 1024
-	if len(data) > 0 && data[0]&16 != 0 {
-		opts.Store.PageSize = 1024 // room for delta pages of more than four keys
+	opts.Store.PageSize = pageSize
+	if pageSize > 256 {
+		opts.CachePages = 8
 	}
 	db, err := Open(opts)
 	if err != nil {
@@ -229,22 +232,26 @@ func agree(t *testing.T, step int, mem *btree.Tree, tr *Tree, oracle map[uint64]
 }
 
 // TestDifferentialAgainstOracle is the seeded property test: many random op
-// sequences, each replayed through applyDifferentialOps.
+// sequences, each replayed through applyDifferentialOps on 256-byte pages,
+// then more on 1 KiB ones.
 func TestDifferentialAgainstOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(2024, 7))
-	rounds, opBytes := 25, 4000
+	rounds, bigRounds, opBytes := 25, 10, 4000
 	if testing.Short() {
-		rounds = 5
+		rounds, bigRounds = 5, 2
 	}
-	var sum [len(deltaCounters)]uint64
-	var shapes deltaShapes
-	for round := 0; round < rounds; round++ {
+	stream := func() []byte {
 		data := make([]byte, opBytes)
 		for i := range data {
 			data[i] = byte(r.UintN(256))
 		}
+		return data
+	}
+	var sum [len(deltaCounters)]uint64
+	for round := 0; round < rounds; round++ {
+		data := stream()
 		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
-			applyDifferentialOps(t, data, &sum, &shapes)
+			applyDifferentialOps(t, data, 256, &sum, new(deltaShapes))
 		})
 	}
 	// The op streams reach the delta path that FuzzTreeDifferential shares.
@@ -252,6 +259,14 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no %s", deltaCounters[i])
 		}
+	}
+	// On 1 KiB pages they reach deltas of more than four keys and the rule.
+	var shapes deltaShapes
+	for round := 0; round < bigRounds; round++ {
+		data := stream()
+		t.Run(fmt.Sprintf("1KiB-round-%d", round), func(t *testing.T) {
+			applyDifferentialOps(t, data, 1024, new([len(deltaCounters)]uint64), &shapes)
+		})
 	}
 	shapes.require(t)
 }
@@ -272,6 +287,8 @@ func FuzzTreeDifferential(f *testing.F) {
 			// than grinding a few giant ones.
 			data = data[:4096]
 		}
-		applyDifferentialOps(t, data, new([len(deltaCounters)]uint64), new(deltaShapes))
+		for _, pageSize := range []int{256, 1024} {
+			applyDifferentialOps(t, data, pageSize, new([len(deltaCounters)]uint64), new(deltaShapes))
+		}
 	})
 }

@@ -99,7 +99,9 @@
 // value is a copy) and restores the change set from it. A freed page's
 // companion is tombstoned with it; Open's page accounting and free-list
 // derivation count a companion with its page, and ids at or above 1<<31 are
-// never allocated.
+// never allocated. Builds whose change set held four keys share the meta
+// magic but not the store: they open one with a delta page of five to eight
+// keys, then fail that leaf's fault with a read error.
 //
 // # Durability and crash atomicity
 //
