@@ -873,33 +873,3 @@ func (c *Core) Scan(from, to uint64, fn func(key uint64, value []byte) bool) err
 		}
 	}
 }
-
-// CollectPages returns every node id of the tree in post-order (the root
-// last) — the set a caller frees to drop the whole tree. Child id slices are
-// copied before recursing, so a store that drops nodes on fetch pressure
-// (pagedb's cache) stays safe mid-walk. The walk is depth-guarded against
-// cyclic corruption.
-func (c *Core) CollectPages() ([]uint32, error) {
-	return c.collect(c.root, c.height, nil)
-}
-
-func (c *Core) collect(id uint32, depth int, dst []uint32) ([]uint32, error) {
-	if depth < 1 {
-		return dst, fmt.Errorf("btree: subtree deeper than the tree height (corrupt links at node %d)", id)
-	}
-	n, err := c.store.Fetch(id)
-	if err != nil {
-		return dst, err
-	}
-	var kids []uint32
-	if !n.Leaf {
-		kids = append(kids, n.Kids...)
-	}
-	c.store.Release(n)
-	for _, kid := range kids {
-		if dst, err = c.collect(kid, depth-1, dst); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, id), nil
-}

@@ -73,19 +73,25 @@ import (
 // leaves written in full tombstone one, the records appended fall 205,869 →
 // 197,051 bytes, and the store cleans 8 segments where it cleaned 16. Commits
 // and pages are unchanged.
+//
+// Re-recorded again (three identical runs) when pagedb stopped dropping trees
+// and the run began emptying "tmp" at round 2 with a delete of each of its
+// 900 keys: the merges free every page but the root, which stays, an empty
+// leaf, as does the tree in every later meta image. Pages committed go
+// 852 → 853; cleaned, commits and dirty evictions (5,570) are unchanged.
 const (
-	goldenSegments = "483cecda6e87c0edde765cf303f1335c444ce3619e23111634fb2f4974ccf298"
+	goldenSegments = "fb5707798c3958cdde18316e18cd39e318732e1b258e8df502445aec309e65a1"
 	goldenCleaned  = 8
 	goldenCommits  = 3
-	goldenPages    = 852
+	goldenPages    = 853
 )
 
 // goldenRun drives a seeded single-threaded mix through every way a page
 // reaches a checkpoint: transactions and direct tree writes over a cache far
 // smaller than the trees (dirty evictions, re-faults, re-dirtying), deletes
-// that merge and free pages, a dropped tree whose freed ids outnumber what
-// one metadata page could list, three explicit checkpoints and the one Close
-// takes.
+// that merge and free pages, a tree emptied by deletes whose merges free more
+// ids than one metadata page could list, three explicit checkpoints and the
+// one Close takes.
 func goldenRun(t *testing.T, dir string) (string, Stats) {
 	t.Helper()
 	db, err := Open(Options{
@@ -121,9 +127,11 @@ func goldenRun(t *testing.T, dir string) (string, Stats) {
 			}
 		}
 		if round == 2 {
-			if err := db.DropTree("tmp"); err != nil {
+			tmp, err := db.Tree("tmp")
+			if err != nil {
 				t.Fatal(err)
 			}
+			deleteKeys(t, tmp, 900)
 		}
 		for i := 0; i < 400; i++ {
 			tx, err := db.Begin()

@@ -39,17 +39,18 @@ func TestNodeArraysStayWithinFanout(t *testing.T) {
 		}
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		ids, err := tr.core.CollectPages()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			n, err := db.node(id)
+		// Every node, depth first from the root; a branch's kids go on the
+		// stack before it is released.
+		for ids := []uint32{tr.core.Root()}; len(ids) > 0; {
+			n, err := db.node(ids[len(ids)-1])
 			if err != nil {
 				t.Fatal(err)
 			}
+			ids = ids[:len(ids)-1]
 			if n.Leaf {
 				fullest = max(fullest, len(n.Offs))
+			} else {
+				ids = append(ids, n.Kids...)
 			}
 			if cap(n.Offs) > leafFan || cap(n.Keys) > branchFan || cap(n.Kids) > branchFan {
 				t.Fatalf("step %d: node %d (leaf %v) holds %d/%d entries in %d bytes with arrays of %d/%d/%d: a leaf takes %d entries at most, a branch %d",

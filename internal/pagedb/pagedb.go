@@ -677,17 +677,6 @@ func (db *DB) fill(i int, dst []byte) {
 	db.cEncode.Inc()
 }
 
-// Sync flushes the backing store (an explicit durability point for stores
-// running below core.DurCommit).
-func (db *DB) Sync() error {
-	db.lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.st.Sync()
-}
-
 // Close commits outstanding changes and shuts the store down (checkpoint
 // included). The DB is unusable afterwards, even on error.
 func (db *DB) Close() error {
@@ -766,14 +755,15 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// metadata layout (little-endian), format 4, page 0:
+// metadata layout (little-endian), format 5, page 0:
 //
 //	magic (8) | nextID (4) | ntrees (4) | walSeq (8), then per tree:
 //	nameLen (2) | name | root (4) | height (4) | count (8)
 //
 // walSeq is the WAL checkpoint watermark: every transaction with commit
 // seq ≤ walSeq is captured by the page state this metadata page commits,
-// so Open replays only the seqs beyond it.
+// so Open replays only the seqs beyond it. Delta pages are not listed: Open
+// counts them when it reads the store.
 func (db *DB) encodeMeta(walSeq uint64) ([]byte, error) {
 	if next := db.ids.Next(); next > deltaBit || next == metaPageID {
 		return nil, fmt.Errorf("pagedb: page id space exhausted (next id %d)", next)
@@ -839,12 +829,7 @@ func (db *DB) decodeMeta(img []byte) error {
 		if _, dup := db.trees[name]; dup {
 			return fmt.Errorf("pagedb: duplicate tree %q in metadata", name)
 		}
-		t := &Tree{
-			db:   db,
-			name: name,
-			core: btree.LoadCore(nodeStore{db}, db.pageSize, btree.PageLayout, root, height, count),
-		}
-		db.trees[name] = t
+		db.trees[name] = &Tree{db: db, core: btree.LoadCore(nodeStore{db}, db.pageSize, btree.PageLayout, root, height, count)}
 		db.order = append(db.order, name)
 	}
 	var free []uint32

@@ -37,6 +37,16 @@ func val(k uint64, version byte) []byte {
 	return v
 }
 
+// deleteKeys deletes keys 0 to n-1 from tr.
+func deleteKeys(t *testing.T, tr *Tree, n uint64) {
+	t.Helper()
+	for k := uint64(0); k < n; k++ {
+		if _, err := tr.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPutGetScanDelete(t *testing.T) {
 	db, err := Open(memOpts())
 	if err != nil {
@@ -305,7 +315,10 @@ func TestCloseCommitsOutstandingChanges(t *testing.T) {
 	}
 }
 
-func TestDropTreeReclaimsPages(t *testing.T) {
+// TestEmptiedTreeReclaimsPages: deleting every key of a tree frees the pages
+// its merges empty, which the next checkpoint takes out of the store; the ids
+// stay free across a reopen and a new tree reuses them.
+func TestEmptiedTreeReclaimsPages(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(durableOpts(dir))
 	if err != nil {
@@ -321,27 +334,20 @@ func TestDropTreeReclaimsPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveBefore := db.Stats().Store.LivePages
-	if err := db.DropTree("scratch"); err != nil {
-		t.Fatal(err)
-	}
+	deleteKeys(t, scratch, 400)
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	liveAfter := db.Stats().Store.LivePages
 	if liveAfter >= liveBefore {
-		t.Fatalf("DropTree reclaimed nothing: %d -> %d live pages", liveBefore, liveAfter)
+		t.Fatalf("emptying a tree reclaimed nothing: %d -> %d live pages", liveBefore, liveAfter)
 	}
 	if _, err := db.Tree(""); err == nil {
 		t.Error("empty tree name accepted")
 	}
-	if err := db.DropTree("scratch"); err == nil {
-		t.Error("double drop succeeded")
-	}
-	if err := scratch.Put(1, val(1, 1)); err == nil {
-		t.Error("Put on dropped tree succeeded")
-	}
 
-	// The freed ids round-trip through the metadata page and get reused.
+	// The freed ids survive a reopen (Open derives them from the store) and
+	// a fresh tree reuses them before it mints a new id.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +356,16 @@ func TestDropTreeReclaimsPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	next := db2.ids.Next()
 	fresh, err := db2.Tree("fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 200; k++ {
 		fresh.Put(k, val(k, 4))
+	}
+	if got := db2.ids.Next(); got != next {
+		t.Errorf("a fresh tree minted ids (%d -> %d) while freed ones were free", next, got)
 	}
 	keep2, _ := db2.Tree("keep")
 	if err := keep2.CheckInvariants(); err != nil {
@@ -367,14 +377,14 @@ func TestDropTreeReclaimsPages(t *testing.T) {
 	for k := uint64(0); k < 400; k++ {
 		v, ok, err := keep2.Get(k)
 		if err != nil || !ok || !bytes.Equal(v, val(k, 1)) {
-			t.Fatalf("keep key %d damaged by drop/reuse (ok=%v err=%v)", k, ok, err)
+			t.Fatalf("keep key %d damaged by the deletes or the reuse (ok=%v err=%v)", k, ok, err)
 		}
 	}
 }
 
 // TestFreeListRecoveredFromStore: the free list is not persisted, Open
 // derives it from the store — the ids below the next id that the store does
-// not hold. Dropping a large tree frees hundreds of ids; after Close and
+// not hold. Emptying a large tree frees hundreds of ids; after Close and
 // reopen, and after reopening a copy of the directory taken while the
 // database was open (whose WAL tail replays), the recovered free list is the
 // same set, the next id is unchanged, and the allocator reuses recovered ids
@@ -405,9 +415,7 @@ func TestFreeListRecoveredFromStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.DropTree("scratch"); err != nil {
-		t.Fatal(err)
-	}
+	deleteKeys(t, scratch, 2000)
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +429,7 @@ func TestFreeListRecoveredFromStore(t *testing.T) {
 	freeBefore := freeSet(db)
 	nextBefore := db.ids.Next()
 	if len(freeBefore) < 200 {
-		t.Fatalf("dropping the tree freed only %d ids; too few to exercise recovery", len(freeBefore))
+		t.Fatalf("emptying the tree freed only %d ids; too few to exercise recovery", len(freeBefore))
 	}
 	// Same-length updates allocate nothing; logged and not checkpointed, they
 	// are the WAL tail the copy below replays.

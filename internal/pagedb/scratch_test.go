@@ -19,9 +19,9 @@ import (
 // transaction that returned it: nothing may be left, least of all a value
 // pointer the pool would keep alive.
 func emptyScratch(sc *txnScratch) error {
-	if len(sc.ops) != 0 || len(sc.vals) != 0 || sc.overlaid != 0 || len(sc.writes) != 0 || len(sc.dropped) != 0 {
-		return fmt.Errorf("recycled scratch holds %d ops (%d overlaid), %d staged value bytes, %d staged writes, %d dropped trees",
-			len(sc.ops), sc.overlaid, len(sc.vals), len(sc.writes), len(sc.dropped))
+	if len(sc.ops) != 0 || len(sc.vals) != 0 || sc.overlaid != 0 || len(sc.writes) != 0 {
+		return fmt.Errorf("recycled scratch holds %d ops (%d overlaid), %d staged value bytes, %d staged writes",
+			len(sc.ops), sc.overlaid, len(sc.vals), len(sc.writes))
 	}
 	for i, op := range sc.ops[:cap(sc.ops)] {
 		if op.Value != nil || op.Tree != "" {
@@ -134,7 +134,7 @@ func TestRecycledScratchIsNeverShared(t *testing.T) {
 			_, _, gerr := x.Get("w0", 1)
 			_, derr := x.Delete("w1", 1)
 			for _, err := range []error{
-				x.Put("w0", 1, []byte("late")), gerr, derr, x.DropTree("w1"),
+				x.Put("w0", 1, []byte("late")), gerr, derr,
 				x.Scan("w0", 0, 100, func(uint64, []byte) bool { return true }),
 				x.Commit(), x.Rollback(),
 			} {

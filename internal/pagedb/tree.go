@@ -8,10 +8,10 @@ import (
 )
 
 // Tree is a named B+-tree of a DB: uint64 keys, opaque []byte values, one
-// store page per node. Handles stay valid until the tree is dropped or the
-// DB is closed, and are safe for concurrent use: reads (Get, GetInto, Scan,
-// Len, Height, CheckInvariants) share the DB's read guard and run
-// concurrently with each other; mutations serialize on the write side.
+// store page per node. Handles stay valid until the DB is closed, and are
+// safe for concurrent use: reads (Get, GetInto, Scan, Len, Height,
+// CheckInvariants) share the DB's read guard and run concurrently with each
+// other; mutations serialize on the write side.
 //
 // A Tree holds NO tree algorithm of its own: it is a thin adapter — lock,
 // guard, copying values out, metadata bookkeeping — around the unified
@@ -19,10 +19,8 @@ import (
 // Insert/split, delete with borrow+merge rebalancing, scans and the
 // invariant checker are the exact code the in-memory engine runs.
 type Tree struct {
-	db      *DB
-	name    string
-	core    *btree.Core
-	dropped bool
+	db   *DB
+	core *btree.Core
 }
 
 // Tree returns the named tree, creating it (with an empty root leaf) if it
@@ -49,64 +47,19 @@ func (db *DB) treeLocked(name string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{db: db, name: name, core: core}
+	t := &Tree{db: db, core: core}
 	db.trees[name] = t
 	db.order = append(db.order, name)
 	db.metaDirty = true
 	return t, nil
 }
 
-// DropTree deletes a named tree, freeing every page it owns. Outstanding
-// handles to it fail all further operations.
-func (db *DB) DropTree(name string) error {
-	db.lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.dropTreeLocked(name)
-}
-
-// dropTreeLocked is DropTree's body, shared with transaction apply.
-func (db *DB) dropTreeLocked(name string) error {
-	t, ok := db.trees[name]
-	if !ok {
-		return fmt.Errorf("pagedb: no tree %q", name)
-	}
-	// Collect the whole subtree BEFORE freeing anything: a walk failure
-	// then leaves the tree fully registered and intact (retryable), never
-	// half-freed with unreachable pages leaked.
-	pages, err := t.core.CollectPages()
-	if err != nil {
-		return err
-	}
-	for _, id := range pages {
-		db.freeNode(id)
-	}
-	t.dropped = true
-	delete(db.trees, name)
-	for i, n := range db.order {
-		if n == name {
-			db.order = append(db.order[:i], db.order[i+1:]...)
-			break
-		}
-	}
-	db.metaDirty = true
-	return nil
-}
-
 func (t *Tree) guard() error {
 	if t.db.closed {
 		return ErrClosed
 	}
-	if t.dropped {
-		return fmt.Errorf("pagedb: tree %q was dropped", t.name)
-	}
 	return nil
 }
-
-// Name returns the tree's registry name.
-func (t *Tree) Name() string { return t.name }
 
 // Len returns the number of keys stored.
 func (t *Tree) Len() int {

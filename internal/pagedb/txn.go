@@ -56,7 +56,6 @@ type txnScratch struct {
 	// counts the ops folded in so far, so a transaction that only writes
 	// fills no map at all.
 	writes   map[txnKey]txnWrite
-	dropped  map[string]bool // trees dropped by this txn (masks base reads)
 	overlaid int
 
 	keys []uint64 // Scan's staged keys in range
@@ -106,7 +105,6 @@ func (t *Txn) finish() {
 	clear(sc.ops)
 	sc.ops, sc.vals, sc.overlaid = sc.ops[:0], sc.vals[:0], 0
 	clear(sc.writes)
-	clear(sc.dropped)
 	t.db.scratch.Put(sc)
 }
 
@@ -114,21 +112,9 @@ func (t *Txn) finish() {
 // including across reopens — ids resume past everything in the log).
 func (t *Txn) ID() uint64 { return t.id }
 
-// overlay brings the read-your-writes maps up to date with ops.
+// overlay brings the read-your-writes map up to date with ops.
 func (t *Txn) overlay() {
 	for _, op := range t.ops[t.overlaid:] {
-		if op.Kind == wal.OpDropTree {
-			if t.dropped == nil {
-				t.dropped = make(map[string]bool)
-			}
-			t.dropped[op.Tree] = true
-			for k := range t.writes {
-				if k.tree == op.Tree {
-					delete(t.writes, k)
-				}
-			}
-			continue
-		}
 		if t.writes == nil {
 			t.writes = make(map[txnKey]txnWrite)
 		}
@@ -172,17 +158,6 @@ func (t *Txn) Delete(tree string, key uint64) (bool, error) {
 	return existed, nil
 }
 
-// DropTree stages dropping the named tree: base state is masked for this
-// transaction's reads, and keys written afterwards recreate the tree at
-// Commit.
-func (t *Txn) DropTree(tree string) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.ops = append(t.ops, wal.Op{Kind: wal.OpDropTree, Tree: tree})
-	return nil
-}
-
 // Get returns the value under key as this transaction sees it: its own
 // staged writes first, the committed state beneath. The value is a copy.
 func (t *Txn) Get(tree string, key uint64) ([]byte, bool, error) {
@@ -200,9 +175,6 @@ func (t *Txn) get(tree string, key uint64, want bool) ([]byte, bool, error) {
 			return nil, !w.del, nil
 		}
 		return append([]byte(nil), w.val...), true, nil
-	}
-	if t.dropped[tree] {
-		return nil, false, nil
 	}
 	return t.db.readGet(tree, key, want)
 }
@@ -225,9 +197,6 @@ func (t *Txn) Scan(tree string, from, to uint64, fn func(key uint64, value []byt
 	t.keys = keys
 	if len(keys) == 0 {
 		// Nothing staged in range: the committed state is the whole answer.
-		if t.dropped[tree] {
-			return nil
-		}
 		return t.db.readScan(tree, from, to, fn)
 	}
 	slices.Sort(keys)
@@ -240,23 +209,21 @@ func (t *Txn) Scan(tree string, from, to uint64, fn func(key uint64, value []byt
 			}
 		}
 	}
-	if !t.dropped[tree] {
-		err := t.db.readScan(tree, from, to, func(k uint64, v []byte) bool {
-			staged(k, true)
-			if !stopped && i < len(keys) && keys[i] == k { // staged over committed
-				w := t.writes[txnKey{tree, k}]
-				i++
-				if w.del {
-					return true
-				}
-				v = w.val
+	err := t.db.readScan(tree, from, to, func(k uint64, v []byte) bool {
+		staged(k, true)
+		if !stopped && i < len(keys) && keys[i] == k { // staged over committed
+			w := t.writes[txnKey{tree, k}]
+			i++
+			if w.del {
+				return true
 			}
-			stopped = stopped || !fn(k, v)
-			return !stopped
-		})
-		if err != nil {
-			return err
+			v = w.val
 		}
+		stopped = stopped || !fn(k, v)
+		return !stopped
+	})
+	if err != nil {
+		return err
 	}
 	staged(0, false)
 	return nil
@@ -327,10 +294,10 @@ func (t *Txn) Rollback() error {
 
 // applyOps replays a transaction's ops onto the shared trees, in order.
 // Caller holds db.mu exclusively (or is Open's replay, pre-concurrency).
-// The semantics are redo-idempotent: put creates the tree if missing,
-// delete and droptree of something absent are no-ops — so replaying an
-// already-checkpointed suffix converges to the same state. Each run of
-// consecutive puts to one tree is applied one leaf at a time (putRunLocked).
+// The semantics are redo-idempotent: put creates the tree if missing and a
+// delete of something absent is a no-op, so replaying an already-checkpointed
+// suffix converges to the same state. Each run of consecutive puts to one
+// tree is applied one leaf at a time (putRunLocked).
 // The put values are borrowed — a transaction's staging buffer, or replay's
 // slices of the whole log file — and the trees copy them.
 func (db *DB) applyOps(ops []wal.Op) error {
@@ -355,13 +322,6 @@ func (db *DB) applyOps(ops []wal.Op) error {
 				continue
 			}
 			if _, err := tr.deleteLocked(op.Key); err != nil {
-				return err
-			}
-		case wal.OpDropTree:
-			if _, ok := db.trees[op.Tree]; !ok {
-				continue
-			}
-			if err := db.dropTreeLocked(op.Tree); err != nil {
 				return err
 			}
 		default:

@@ -66,8 +66,9 @@ func TestOverlappingTxnsLoseAnUpdate(t *testing.T) {
 }
 
 // TestTxnOverlaySemantics exercises the transaction's private read view:
-// own writes shadow committed state, tombstones hide base keys, DropTree
-// masks a whole tree, and nothing is visible outside until Commit.
+// own writes shadow committed state, tombstones hide base keys (every one of
+// a tree's, too), a put after a delete brings the key back, and nothing is
+// visible outside until Commit.
 func TestTxnOverlaySemantics(t *testing.T) {
 	db, err := Open(memOpts())
 	if err != nil {
@@ -156,14 +157,16 @@ func TestTxnOverlaySemantics(t *testing.T) {
 		t.Fatalf("double Commit: %v", err)
 	}
 
-	// DropTree masks the base for the transaction's own reads, and writes
-	// after it recreate the tree at Commit.
+	// Deleting every key masks the whole base for the transaction's own
+	// reads, and a put after its key's delete brings it back.
 	x2, _ := db.Begin()
-	if err := x2.DropTree("t"); err != nil {
-		t.Fatal(err)
+	for _, k := range want {
+		if existed, err := x2.Delete("t", k); err != nil || !existed {
+			t.Fatalf("delete of committed key %d: existed=%v err=%v", k, existed, err)
+		}
 	}
 	if _, ok, _ := x2.Get("t", 0); ok {
-		t.Fatal("dropped tree still readable inside txn")
+		t.Fatal("deleted key still readable inside txn")
 	}
 	if err := x2.Put("t", 7, val(7, 5)); err != nil {
 		t.Fatal(err)
@@ -171,14 +174,13 @@ func TestTxnOverlaySemantics(t *testing.T) {
 	n := 0
 	x2.Scan("t", 0, ^uint64(0), func(uint64, []byte) bool { n++; return true })
 	if n != 1 {
-		t.Fatalf("post-drop txn scan saw %d keys, want 1", n)
+		t.Fatalf("txn scan after deleting every key saw %d keys, want 1", n)
 	}
 	if err := x2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tr2, _ := db.Tree("t")
-	if tr2.Len() != 1 {
-		t.Fatalf("recreated tree has %d keys, want 1", tr2.Len())
+	if tr.Len() != 1 {
+		t.Fatalf("the tree holds %d keys after the deletes and the put, want 1", tr.Len())
 	}
 
 	// Rollback discards everything; a read-only commit is free.
@@ -187,7 +189,7 @@ func TestTxnOverlaySemantics(t *testing.T) {
 	if err := x3.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := tr2.Get(999); ok {
+	if _, ok, _ := tr.Get(999); ok {
 		t.Fatal("rolled-back write committed")
 	}
 	before := db.Stats().WAL.Seq
@@ -254,8 +256,8 @@ func TestTxnCommitsReplayAfterCrashBeforeCheckpoint(t *testing.T) {
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint transactions: overwrite, delete, a fresh tree, a
-	// dropped-and-recreated tree. No DB.Commit after any of them.
+	// Post-checkpoint transactions: overwrite, delete, a fresh tree, that
+	// tree emptied and refilled. No DB.Commit after any of them.
 	x1, _ := db.Begin()
 	x1.Put("base", 5, val(5, 2))
 	x1.Delete("base", 6)
@@ -264,7 +266,7 @@ func TestTxnCommitsReplayAfterCrashBeforeCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	x2, _ := db.Begin()
-	x2.DropTree("extra")
+	x2.Delete("extra", 1)
 	x2.Put("extra", 2, val(2, 4))
 	x2.Put("base", 21, val(21, 2))
 	if err := x2.Commit(); err != nil {

@@ -20,8 +20,10 @@ import (
 //
 //	put:      1 | treeID uvarint | key (8) | valueLen uvarint | value
 //	delete:   2 | treeID uvarint | key (8)
-//	droptree: 3 | treeID uvarint
 //	bind:     4 | treeID uvarint | nameLen uvarint | name
+//
+// Kind 3 is unassigned: an entry of that kind is malformed, as is any
+// other unknown kind.
 //
 // A transaction is appended as one frame in ONE write under the log mutex,
 // so only a physical tear at the file tail can split it. The frame is the
@@ -65,7 +67,6 @@ type OpKind uint8
 const (
 	OpPut OpKind = iota + 1
 	OpDelete
-	OpDropTree
 )
 
 func (k OpKind) String() string {
@@ -74,15 +75,12 @@ func (k OpKind) String() string {
 		return "put"
 	case OpDelete:
 		return "delete"
-	case OpDropTree:
-		return "droptree"
 	}
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
 // Op is one logical tree operation: the redo unit pagedb logs before
-// mutating its trees. Value is only meaningful for OpPut; Key only for
-// OpPut and OpDelete.
+// mutating its trees. Value is only meaningful for OpPut.
 type Op struct {
 	Kind  OpKind
 	Tree  string
@@ -143,13 +141,11 @@ func appendBind(buf []byte, id uint32, name string) []byte {
 }
 
 func appendOp(buf []byte, treeID uint32, op Op) []byte {
-	if op.Kind < OpPut || op.Kind > OpDropTree {
+	if op.Kind < OpPut || op.Kind > OpDelete {
 		panic(fmt.Sprintf("wal: unencodable op kind %v", op.Kind))
 	}
 	buf = binary.AppendUvarint(append(buf, byte(op.Kind)), uint64(treeID))
-	if op.Kind != OpDropTree {
-		buf = binary.LittleEndian.AppendUint64(buf, op.Key)
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, op.Key)
 	if op.Kind == OpPut {
 		buf = binary.AppendUvarint(buf, uint64(len(op.Value)))
 		buf = append(buf, op.Value...)
@@ -197,17 +193,11 @@ func decodeEntries(p []byte, names []string, ops []Op) ([]string, []Op, bool) {
 			p = p[n+int(l):]
 			continue
 		}
-		if id < 1 || id > uint64(len(names)) || kind < OpPut || kind > OpDropTree {
+		if id < 1 || id > uint64(len(names)) || kind < OpPut || kind > OpDelete || len(p) < 8 {
 			return nil, nil, false
 		}
-		op := Op{Kind: kind, Tree: names[id-1]}
-		if kind != OpDropTree {
-			if len(p) < 8 {
-				return nil, nil, false
-			}
-			op.Key = binary.LittleEndian.Uint64(p)
-			p = p[8:]
-		}
+		op := Op{Kind: kind, Tree: names[id-1], Key: binary.LittleEndian.Uint64(p)}
+		p = p[8:]
 		if kind == OpPut {
 			l, n := binary.Uvarint(p)
 			if n <= 0 || l > uint64(len(p)-n) {

@@ -73,7 +73,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		{Kind: OpDelete, Tree: "orders", Key: 3},
 	}
 	ops2 := []Op{
-		{Kind: OpDropTree, Tree: "stock"},
+		{Kind: OpDelete, Tree: "stock", Key: 2},
 		{Kind: OpPut, Tree: "orders", Key: 4, Value: nil}, // empty value round-trips
 	}
 	s1 := appendCommitT(t, l, 7, ops1)
@@ -813,13 +813,13 @@ func refOp(p []byte, treeID uint32, op Op) []byte {
 		p = binary.AppendUvarint(append(p, 2), uint64(treeID))
 		return binary.LittleEndian.AppendUint64(p, op.Key)
 	}
-	return binary.AppendUvarint(append(p, 3), uint64(treeID))
+	panic(fmt.Sprintf("refOp: op kind %v", op.Kind))
 }
 
 // TestRecordBytesAreTheReferenceEncoders: every entry kind, with empty,
 // one-byte and 64 KiB values, a 300-byte tree name, an empty transaction and
-// a drop followed by a reuse of the tree, through Append into the log file,
-// is byte for byte what the reference encoders produce.
+// a delete followed by a put of the same key, through Append into the log
+// file, is byte for byte what the reference encoders produce.
 func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, NoSync: true})
@@ -833,9 +833,9 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 	txns := [][]Op{
 		{{Kind: OpPut, Tree: "a", Key: 1, Value: nil}},
 		{{Kind: OpPut, Tree: "a", Key: 2, Value: []byte{0x5A}}, {Kind: OpDelete, Tree: "b", Key: 2}},
-		{{Kind: OpPut, Tree: "b", Key: ^uint64(0), Value: big}, {Kind: OpDropTree, Tree: "a"}, {Kind: OpPut, Tree: strings.Repeat("n", 300), Key: 3, Value: big[:1]}},
+		{{Kind: OpPut, Tree: "b", Key: ^uint64(0), Value: big}, {Kind: OpDelete, Tree: "a", Key: 1}, {Kind: OpPut, Tree: strings.Repeat("n", 300), Key: 3, Value: big[:1]}},
 		{}, // a frame with no entries
-		{{Kind: OpDropTree, Tree: "c"}, {Kind: OpDelete, Tree: "c", Key: 0}, {Kind: OpPut, Tree: "c", Key: 0, Value: []byte{}}},
+		{{Kind: OpPut, Tree: "c", Key: 0, Value: big[:3]}, {Kind: OpDelete, Tree: "c", Key: 0}, {Kind: OpPut, Tree: "c", Key: 0, Value: []byte{}}},
 	}
 	var want []byte
 	names := map[string]uint32{}
@@ -880,8 +880,8 @@ func TestRecordBytesAreTheReferenceEncoders(t *testing.T) {
 
 // TestScanEndsAtMalformedEntries: a frame whose checksum holds but whose
 // entries break the format ends the scan at the frame before it, as a tear
-// does; and a replayed value is capped, so appending to it cannot overwrite
-// the op after it.
+// does, and Open cuts the file there; and a replayed value is capped, so
+// appending to it cannot overwrite the op after it.
 func TestScanEndsAtMalformedEntries(t *testing.T) {
 	put := Op{Kind: OpPut, Key: 1, Value: []byte("a")}
 	good := refOp(refBind(nil, 1, "a"), 1, put)
@@ -891,7 +891,8 @@ func TestScanEndsAtMalformedEntries(t *testing.T) {
 		"bind out of order": refOp(refBind(nil, 3, "b"), 2, put),
 		"unbound tree":      refOp(nil, 2, put),
 		"unknown kind":      append([]byte{9, 1}, make([]byte, 8)...),
-		"tree id 0":         {3, 0},
+		"tree id 0":         append([]byte{2, 0}, make([]byte, 8)...),
+		"kind 3":            {3, 1}, // unassigned: once a tree drop's entry
 		"value past frame":  op1[:len(op1)-1],
 		"short key":         []byte{2, 1, 0, 0},
 		"name past frame":   refBind(nil, 2, "bc")[:4],
@@ -903,6 +904,22 @@ func TestScanEndsAtMalformedEntries(t *testing.T) {
 		file = refFrame(refFrame(file, 1, 1, good), 2, 2, entries)
 		if sc, err := scanFrames(file, 0, nil, 0); err != nil || sc.tail != first || sc.lastSeq != 1 {
 			t.Errorf("%s: the scan stops at %d with seq %d (%v), want %d and 1", name, sc.tail, sc.lastSeq, err, first)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(logPath(dir), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(logPath(dir)); err != nil {
+			t.Fatal(err)
+		} else if fi.Size() != int64(first) {
+			t.Errorf("%s: Open left a %d-byte file, want the %d bytes before the frame", name, fi.Size(), first)
 		}
 	}
 
@@ -1025,11 +1042,11 @@ func TestAppendAllocatesNothing(t *testing.T) {
 }
 
 // twelveOps is a TPC-C-sized transaction: ten puts of ~100 bytes over three
-// trees, a delete and a drop.
+// trees and two deletes, one of them in a fourth tree.
 func twelveOps() []Op {
 	ops := make([]Op, 0, 12)
 	for i := 0; i < 10; i++ {
 		ops = append(ops, Op{Kind: OpPut, Tree: fmt.Sprintf("tree-%d", i%3), Key: uint64(i), Value: make([]byte, 90+i)})
 	}
-	return append(ops, Op{Kind: OpDelete, Tree: "tree-0", Key: 99}, Op{Kind: OpDropTree, Tree: "tree-9"})
+	return append(ops, Op{Kind: OpDelete, Tree: "tree-0", Key: 99}, Op{Kind: OpDelete, Tree: "tree-9", Key: 99})
 }
